@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench profile
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke profile
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -15,8 +15,9 @@ tier1: build test
 # stays out of the fast path; run `make chaos` for the big one. crash runs
 # the full 64-point crash-recovery harness plus the exhaustive journal
 # crash-point sweep; test runs the whole suite without the race detector
-# (including the long tests -short skips, e.g. the golden experiment run).
-ci: vet fmt-check build test race crash $(DET_TARGETS)
+# (including the long tests -short skips, e.g. the golden experiment run);
+# bench-smoke covers the nested benchmark module the root test run cannot see.
+ci: vet fmt-check build test bench-smoke race crash $(DET_TARGETS)
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +54,12 @@ crash:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-smoke runs the tests of the nested benchmark module, which
+# `go test ./...` at the root never sees: every nescperf workload at smoke
+# size, and BENCHMARK.json still generated from the tables in its source.
+bench-smoke:
+	cd benchmarks/nescperf && $(GO) test ./...
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

@@ -79,7 +79,10 @@ type Kernel struct {
 	P   Params
 	Drv BlockDriver
 
-	scratch Buffer
+	// bounce is a LIFO free list of bounce buffers: ReadBytes and WriteBytes
+	// each hold one for the duration of the call, so requests in flight
+	// together never share one, and a lone caller keeps getting the same one.
+	bounce []Buffer
 
 	// Requests counts driver submissions (after splitting).
 	Requests int64
@@ -160,13 +163,23 @@ func (k *Kernel) SubmitAligned(p *sim.Proc, write bool, lba int64, buf Buffer) e
 	return nil
 }
 
-// ensureScratch sizes the kernel's bounce buffer.
-func (k *Kernel) ensureScratch(n int64) Buffer {
-	if int64(len(k.scratch.Data)) < n {
-		k.scratch = k.AllocBuffer(n)
+// getBounce checks a bounce buffer of at least n bytes out of the free list,
+// replacing the one it finds if that is too small; putBounce returns it.
+func (k *Kernel) getBounce(n int64) Buffer {
+	if last := len(k.bounce) - 1; last >= 0 {
+		b := k.bounce[last]
+		k.bounce = k.bounce[:last]
+		if int64(len(b.Data)) >= n {
+			return b
+		}
+		if err := k.Mem.Free(b.Addr); err != nil {
+			panic(err) // the list only holds buffers AllocBuffer returned
+		}
 	}
-	return Buffer{Addr: k.scratch.Addr, Data: k.scratch.Data[:n]}
+	return k.AllocBuffer(n)
 }
+
+func (k *Kernel) putBounce(b Buffer) { k.bounce = append(k.bounce, b) }
 
 // ReadBytes reads byte-granular ranges from the raw device, performing the
 // block-level read-modify cropping the kernel page cache would do (dd with
@@ -176,7 +189,9 @@ func (k *Kernel) ReadBytes(p *sim.Proc, off int64, out []byte) error {
 	first := off / bs
 	last := (off + int64(len(out)) - 1) / bs
 	span := (last - first + 1) * bs
-	buf := k.ensureScratch(span)
+	whole := k.getBounce(span)
+	defer k.putBounce(whole)
+	buf := Buffer{Addr: whole.Addr, Data: whole.Data[:span]}
 	if err := k.SubmitAligned(p, false, first, buf); err != nil {
 		return err
 	}
@@ -192,7 +207,9 @@ func (k *Kernel) WriteBytes(p *sim.Proc, off int64, data []byte) error {
 	first := off / bs
 	last := (off + int64(len(data)) - 1) / bs
 	span := (last - first + 1) * bs
-	buf := k.ensureScratch(span)
+	whole := k.getBounce(span)
+	defer k.putBounce(whole)
+	buf := Buffer{Addr: whole.Addr, Data: whole.Data[:span]}
 	firstPartial := off%bs != 0
 	lastPartial := (off+int64(len(data)))%bs != 0
 	if firstPartial {

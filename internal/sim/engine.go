@@ -6,8 +6,9 @@
 //   - Event callbacks: components schedule closures on the Engine at future
 //     virtual times (Engine.After / Engine.At). This is the natural style for
 //     small hardware state machines.
-//   - Processes: sequential goroutines coupled to the engine with a strict
-//     hand-off protocol (Engine.Go). At any instant either the engine or
+//   - Processes: sequential code run as coroutines of the engine's goroutine
+//     (Engine.Go). A dispatch that resumes a process runs it, on the spot,
+//     until it next blocks or returns; at any instant either the engine or
 //     exactly one process runs, so process code may touch shared simulation
 //     state without locks and the simulation stays fully deterministic.
 //     Processes model software (guest kernels, hypervisor handlers,
@@ -92,12 +93,15 @@ func (h *eventHeap) Pop() (popped any) {
 
 // Engine is the discrete-event simulation executive: a virtual clock plus a
 // time-ordered queue of pending events. An Engine is not safe for concurrent
-// use; the process hand-off protocol guarantees single-threaded access.
+// use: processes are coroutines of the goroutine that calls Run, so only one
+// of them or the engine ever runs.
 type Engine struct {
 	now    Time
 	seq    int64
 	events eventHeap
-	procs  map[*Proc]struct{}
+
+	// procs is the sentinel of the ring of live processes, in spawn order.
+	procs Proc
 
 	// Stepped counts dispatched events; useful as a progress/cost metric.
 	Stepped int64
@@ -105,7 +109,9 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and no pending events.
 func NewEngine() *Engine {
-	return &Engine{procs: make(map[*Proc]struct{})}
+	e := &Engine{}
+	e.procs.prev, e.procs.next = &e.procs, &e.procs
+	return e
 }
 
 // Now returns the current virtual time.
@@ -145,7 +151,8 @@ func (e *Engine) Step() bool {
 
 // Run dispatches events until none remain. Processes blocked on queues or
 // semaphores do not keep the simulation alive: when the event queue drains
-// the simulation is quiescent and Run returns.
+// the simulation is quiescent and Run returns. A panic in a process surfaces
+// here, in the caller of the dispatch that resumed it.
 func (e *Engine) Run() {
 	for e.Step() {
 	}
@@ -169,14 +176,16 @@ func (e *Engine) Pending() int { return len(e.events) }
 // Parked processes may still exist (e.g. device pipelines waiting for work).
 func (e *Engine) Idle() bool { return len(e.events) == 0 }
 
-// Shutdown terminates every parked process so its goroutine exits. It must
+// Shutdown terminates every live process — parked or not yet started — in
+// spawn order. stop returns only once its victim has unwound, so deferred
+// cleanups, which touch shared simulation state, never interleave. It must
 // only be called when the engine is idle (outside Run). After Shutdown the
 // engine must not be used again.
 func (e *Engine) Shutdown() {
-	for p := range e.procs {
-		if p.parked {
-			p.kill()
-		}
+	for p := e.procs.next; p != &e.procs; p = e.procs.next {
+		// Unlink p here: a process that never started runs no exit path.
+		e.procs.next, p.next.prev = p.next, &e.procs
+		p.prev, p.next = p, p
+		p.stop()
 	}
-	e.procs = make(map[*Proc]struct{})
 }

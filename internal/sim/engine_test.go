@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -606,5 +607,271 @@ func TestSignalAwaitTimeout(t *testing.T) {
 	e.Run()
 	if resumes != 1 {
 		t.Fatalf("process resumed %d times, want 1", resumes)
+	}
+}
+
+// The event queue pops exactly the (time, insertion)-sorted order, also when
+// pushes and pops interleave and many events tie on time. The reference is a
+// linear scan, so the test holds for any queue implementation.
+func TestEventQueueInterleavedPushPopOrder(t *testing.T) {
+	type key struct {
+		at Time
+		id int
+	}
+	rng := rand.New(rand.NewSource(42))
+	e := NewEngine()
+	var pending []key
+	var got key
+	pushed := 0
+	push := func() {
+		k := key{e.Now() + Time(rng.Intn(50)), pushed} // 50 slots: plenty of ties
+		pushed++
+		pending = append(pending, k)
+		e.At(k.at, func() { got = k })
+	}
+	pop := func() {
+		least := 0
+		for i, k := range pending {
+			if m := pending[least]; k.at < m.at || k.at == m.at && k.id < m.id {
+				least = i
+			}
+		}
+		want := pending[least]
+		pending[least] = pending[len(pending)-1]
+		pending = pending[:len(pending)-1]
+		if !e.Step() || got != want || e.Now() != want.at {
+			t.Fatalf("pop %d: got %+v at %v, want %+v", pushed, got, e.Now(), want)
+		}
+	}
+	for pushed < 10000 {
+		for n := rng.Intn(40); n > 0; n-- {
+			push()
+		}
+		for n := rng.Intn(40); n > 0 && len(pending) > 0; n-- {
+			pop()
+		}
+	}
+	for len(pending) > 0 {
+		pop()
+	}
+	if e.Step() {
+		t.Fatal("queue not empty after every pushed event was popped")
+	}
+}
+
+func TestShutdownSkipsProcThatNeverStarted(t *testing.T) {
+	e := NewEngine()
+	e.Go("unborn", func(p *Proc) { t.Error("a process killed before its start event ran") })
+	e.Shutdown()
+	e.Run() // its start event is now a no-op
+}
+
+// A killed process unwinds completely even when a deferred cleanup makes a
+// blocking call: the call does not block, the rest of that cleanup is
+// skipped, and the cleanups deferred before it still run.
+func TestKillWithBlockingDeferredCleanup(t *testing.T) {
+	e := NewEngine()
+	q := NewFIFO[int](e, 0)
+	var trace []string
+	e.Go("victim", func(p *Proc) {
+		defer func() { trace = append(trace, "outer") }()
+		defer func() {
+			trace = append(trace, "inner")
+			p.Sleep(Microsecond)
+			trace = append(trace, "after blocking call")
+		}()
+		q.Pop(p) // parks forever
+	})
+	e.Run()
+	e.Shutdown()
+	if want := []string{"inner", "outer"}; !slices.Equal(trace, want) {
+		t.Fatalf("unwind trace = %v, want %v", trace, want)
+	}
+}
+
+// Shutdown kills in spawn order — the same order on every run — and one
+// victim's unwind is over before the next one's begins. Processes that
+// finished earlier, or never started, leave no trace.
+func TestShutdownKillsInSpawnOrderWithoutOverlap(t *testing.T) {
+	run := func() []int {
+		e := NewEngine()
+		q := NewFIFO[int](e, 0)
+		var order []int
+		unwinding := 0
+		for i := 0; i < 50; i++ {
+			e.Go("p", func(p *Proc) {
+				if i%7 == 3 {
+					return // gone long before Shutdown
+				}
+				defer func() { unwinding-- }() // runs last
+				defer func() {
+					q.TryPush(i) // cleanups touch shared state...
+					p.Yield()    // ...and may even try to block
+					t.Error("blocking call in a cleanup returned")
+				}()
+				defer func() { // runs first
+					if unwinding++; unwinding != 1 {
+						t.Errorf("proc %d unwinds inside another's unwind", i)
+					}
+					order = append(order, i)
+				}()
+				q.Pop(p)
+			})
+		}
+		e.Run()
+		e.Go("late", func(p *Proc) { t.Error("never-started process ran") })
+		e.Shutdown()
+		return order
+	}
+	a, b := run(), run()
+	if len(a) != 50-7 {
+		t.Fatalf("%d processes unwound, want %d", len(a), 50-7)
+	}
+	for i := range a {
+		if a[i] != b[i] || i > 0 && a[i] <= a[i-1] {
+			t.Fatalf("kill order not spawn order on every run:\n%v\n%v", a, b)
+		}
+	}
+}
+
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	e := NewEngine()
+	e.Go("bystander", func(p *Proc) { p.Sleep(Second) })
+	e.Go("faulty", func(p *Proc) {
+		p.Sleep(Microsecond)
+		panic("modeling bug")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "modeling bug" {
+				t.Errorf("Run's caller recovered %v, want the process's panic value", r)
+			}
+		}()
+		e.Run()
+		t.Error("Run returned normally past a process panic")
+	}()
+	// The engine is still consistent: the bystander can be shut down.
+	e.Shutdown()
+}
+
+// The FIFO's ring wraps many times under backpressure; items come out in
+// push order and blocked pushers and poppers are served first-come
+// first-served.
+func TestFIFORingWrapKeepsOrderUnderBackpressure(t *testing.T) {
+	// Four pushers against a 3-slot queue drained one item per microsecond:
+	// the queue stays full, so its 4-slot ring wraps some 25 times.
+	e := NewEngine()
+	q := NewFIFO[int](e, 3)
+	const pushers, each = 4, 25
+	var admitted []int // pusher of each item, in the order Push returned
+	for id := 0; id < pushers; id++ {
+		e.Go("pusher", func(p *Proc) {
+			for k := 0; k < each; k++ {
+				q.Push(p, id*1000+k)
+				admitted = append(admitted, id)
+			}
+		})
+	}
+	var got []int
+	e.Go("popper", func(p *Proc) {
+		for len(got) < pushers*each {
+			p.Sleep(Microsecond)
+			got = append(got, q.Pop(p))
+		}
+	})
+	e.Run()
+	// Model: pusher 0 fills the queue and blocks, then 1, 2, 3 block behind
+	// it; every pop admits the longest-blocked pusher, which blocks again at
+	// the back while it has items left.
+	want := []int{0, 0, 0}
+	left := []int{each - 3, each, each, each}
+	for blocked := []int{0, 1, 2, 3}; len(blocked) > 0; {
+		id := blocked[0]
+		blocked = blocked[1:]
+		want = append(want, id)
+		if left[id]--; left[id] > 0 {
+			blocked = append(blocked, id)
+		}
+	}
+	seen := make([]int, pushers)
+	for i, v := range got {
+		id := v / 1000
+		if i >= len(admitted) || admitted[i] != want[i] || id != want[i] || v%1000 != seen[id] {
+			t.Fatalf("item %d = %d: admitted %v, want pusher order %v", i, v, admitted, want)
+		}
+		seen[id]++
+	}
+
+	// Three poppers blocked on an empty queue are served in the order they
+	// blocked, again over many wraps of the ring.
+	e = NewEngine()
+	q = NewFIFO[int](e, 0)
+	var served []int
+	for id := 0; id < 3; id++ {
+		e.Go("popper", func(p *Proc) {
+			for {
+				if v := q.Pop(p); v != len(served) {
+					t.Errorf("popper %d got item %d, want %d", id, v, len(served))
+				}
+				served = append(served, id)
+			}
+		})
+	}
+	e.Go("pusher", func(p *Proc) {
+		for v := 0; v < 30; v++ {
+			p.Sleep(Microsecond)
+			q.Push(p, v)
+		}
+	})
+	e.Run()
+	e.Shutdown()
+	for i, id := range served {
+		if id != i%3 || len(served) != 30 {
+			t.Fatalf("poppers served in order %v, want 0,1,2 round-robin over 30 items", served)
+		}
+	}
+}
+
+// Wait keeps its state on the process and hands every call the same done, so
+// back-to-back Waits that complete inside start, later, and inside start
+// again must not confuse one another.
+func TestProcWaitAlternatingSyncAndAsyncCompletion(t *testing.T) {
+	e := NewEngine()
+	var at []Time
+	e.Go("p", func(p *Proc) {
+		for i := 0; i < 6; i++ {
+			if i%2 == 0 {
+				p.Wait(func(done func()) { done() })
+			} else {
+				p.Wait(func(done func()) { e.After(3*Microsecond, done) })
+			}
+			at = append(at, p.Now())
+		}
+	})
+	e.Run()
+	for i, got := range at {
+		if want := Time((i+1)/2) * 3 * Microsecond; got != want || len(at) != 6 {
+			t.Fatalf("Wait completion times %v: call %d returned at %v, want %v", at, i, got, want)
+		}
+	}
+}
+
+// When the signal beats the deadline, the deadline event that stays queued
+// must not wake the process out of whatever it blocks on next.
+func TestAwaitTimeoutLoserEventIsNoOp(t *testing.T) {
+	e := NewEngine()
+	s := NewSignal(e)
+	var woke Time
+	e.Go("waiter", func(p *Proc) {
+		if !s.AwaitTimeout(p, 20*Microsecond) {
+			t.Error("signal fired at 5us, AwaitTimeout(20us) reported a timeout")
+		}
+		p.Sleep(100 * Microsecond) // spans the stale deadline at 20us
+		woke = p.Now()
+	})
+	e.After(5*Microsecond, s.Fire)
+	e.Run()
+	if woke != 105*Microsecond {
+		t.Fatalf("process woke at %v, want 105us: the lost deadline cut its sleep short", woke)
 	}
 }

@@ -1,5 +1,34 @@
 package sim
 
+// ring is a growable circular queue (capacity a power of two); the zero
+// value is empty. Pushing and popping in steady state allocates nothing.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		grown := make([]T, max(4, 2*len(r.buf)))
+		for i := range r.n {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest element; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
+}
+
 // FIFO is a bounded first-in-first-out queue connecting processes (or event
 // callbacks) in a pipeline. Pop blocks the calling process while the queue is
 // empty; Push blocks while it is full, providing natural backpressure between
@@ -7,7 +36,7 @@ package sim
 type FIFO[T any] struct {
 	eng     *Engine
 	cap     int
-	items   []T
+	items   ring[T]
 	getters []func() // parked poppers, FIFO order
 	putters []func() // parked pushers, FIFO order
 }
@@ -19,10 +48,10 @@ func NewFIFO[T any](e *Engine, capacity int) *FIFO[T] {
 }
 
 // Len reports the number of queued items.
-func (q *FIFO[T]) Len() int { return len(q.items) }
+func (q *FIFO[T]) Len() int { return q.items.n }
 
 // full reports whether a bounded queue is at capacity.
-func (q *FIFO[T]) full() bool { return q.cap > 0 && len(q.items) >= q.cap }
+func (q *FIFO[T]) full() bool { return q.cap > 0 && q.items.n >= q.cap }
 
 // TryPush enqueues v if the queue has room, reporting whether it did.
 // Safe from event context.
@@ -30,7 +59,7 @@ func (q *FIFO[T]) TryPush(v T) bool {
 	if q.full() {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeGetter()
 	return true
 }
@@ -42,22 +71,19 @@ func (q *FIFO[T]) Push(p *Proc, v T) {
 			q.putters = append(q.putters, func() { q.eng.After(0, done) })
 		})
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeGetter()
 }
 
 // Pop dequeues the oldest item, blocking the process while the queue is
 // empty.
 func (q *FIFO[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.items.n == 0 {
 		p.Wait(func(done func()) {
 			q.getters = append(q.getters, func() { q.eng.After(0, done) })
 		})
 	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakePutter()
 	return v
 }
@@ -65,13 +91,11 @@ func (q *FIFO[T]) Pop(p *Proc) T {
 // TryPop dequeues the oldest item without blocking, reporting whether one
 // was available. Safe from event context.
 func (q *FIFO[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
+	v := q.items.pop()
 	q.wakePutter()
 	return v, true
 }

@@ -1,24 +1,34 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// with the event loop under a strict hand-off protocol. At any moment either
-// the engine or exactly one process runs. A process blocks only through the
-// kernel primitives (Sleep, Wait, FIFO.Pop, Semaphore.Acquire, ...), each of
-// which parks the goroutine and returns control to the engine.
+import "iter"
+
+// Proc is a simulation process: a coroutine (iter.Pull) of the goroutine
+// that drives the engine. Resuming it runs it, synchronously, until it next
+// blocks or returns, so at any moment either the engine or exactly one
+// process runs. A process blocks only through the kernel primitives (Sleep,
+// Wait, FIFO.Pop, Semaphore.Acquire, ...), each of which parks the coroutine
+// and returns control to whoever resumed it.
 //
-// The hand-off makes process code look like ordinary sequential software:
-// guest kernels, hypervisor interrupt handlers, and device pipeline stages
-// are all written as plain loops over blocking calls.
+// This makes process code look like ordinary sequential software: guest
+// kernels, hypervisor interrupt handlers, and device pipeline stages are all
+// written as plain loops over blocking calls.
 type Proc struct {
-	eng    *Engine
-	wake   chan wakeMsg
-	back   chan struct{}
-	parked bool
-	name   string
+	eng  *Engine
+	name string
+
+	run   func() (struct{}, bool) // resume: returns when the process parks or ends
+	stop  func()                  // kill: returns when the process has unwound
+	yield func(struct{}) bool     // park: false means killed
+
+	prev, next *Proc // Engine.procs ring
+
+	waitEarly, waitParked bool   // progress of the Wait in flight
+	done                  func() // p.waitDone, bound once
 }
 
-type wakeMsg struct{ kill bool }
-
+// procKilled is the panic that unwinds a killed process.
 type procKilled struct{}
 
 // Engine returns the engine this process runs on.
@@ -32,65 +42,41 @@ func (p *Proc) Name() string { return p.name }
 
 // Go spawns a new process executing fn. The process starts at the current
 // virtual time (after already-pending events at this timestamp). When fn
-// returns the process disappears.
+// returns the process disappears. If fn panics, the panic continues in the
+// code that resumed the process — for a scheduled resume, the caller of
+// Engine.Run or Step.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:  e,
-		wake: make(chan wakeMsg),
-		back: make(chan struct{}),
-		name: name,
-	}
-	e.procs[p] = struct{}{}
-	go func() {
+	p := &Proc{eng: e, name: name, prev: e.procs.prev, next: &e.procs}
+	p.prev.next, e.procs.prev = p, p
+	p.done = p.waitDone
+	p.run, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
+			p.prev.next, p.next.prev = p.next, p.prev // leave the live list
 			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); ok {
-					// Engine shutdown: the goroutine has finished unwinding
-					// (deferred cleanups included); hand control back so the
-					// killer can serialize unwinds — deferred handlers touch
-					// shared simulation state and must never run concurrently.
-					p.back <- struct{}{}
-					return
+				if _, killed := r.(procKilled); !killed {
+					panic(r)
 				}
-				panic(r)
 			}
 		}()
-		if msg := <-p.wake; msg.kill {
-			return
-		}
 		fn(p)
-		delete(e.procs, p)
-		p.back <- struct{}{} // return control to the engine
-	}()
-	e.After(0, func() { p.resume() })
+	})
+	e.After(0, p.resume)
 	return p
 }
 
-// resume transfers control to the process and blocks until it parks again or
-// terminates. Must be called from engine (event) context.
-func (p *Proc) resume() {
-	p.parked = false
-	p.wake <- wakeMsg{}
-	<-p.back
-}
+// resume transfers control to the process and returns when it parks again or
+// terminates.
+func (p *Proc) resume() { p.run() }
 
-// park returns control to the engine and blocks until resumed.
-// Must be called from process context.
+// park returns control to the resumer and blocks until resumed. Must be
+// called from process context. A killed process unwinds from here; a blocking
+// call made by one of its deferred cleanups lands here again and keeps
+// unwinding.
 func (p *Proc) park() {
-	p.parked = true
-	p.back <- struct{}{}
-	if msg := <-p.wake; msg.kill {
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
-	p.parked = false
-}
-
-// kill terminates a parked process and waits for its goroutine to finish
-// unwinding, so two victims' deferred cleanups never run concurrently.
-// Engine context only.
-func (p *Proc) kill() {
-	p.wake <- wakeMsg{kill: true}
-	<-p.back
 }
 
 // Sleep suspends the process for d nanoseconds of virtual time.
@@ -98,14 +84,14 @@ func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
-	p.eng.After(d, func() { p.resume() })
+	p.eng.After(d, p.resume)
 	p.park()
 }
 
 // Yield parks the process and reschedules it at the current time, letting
 // other events and processes at this timestamp run first.
 func (p *Proc) Yield() {
-	p.eng.After(0, func() { p.resume() })
+	p.eng.After(0, p.resume)
 	p.park()
 }
 
@@ -113,22 +99,22 @@ func (p *Proc) Yield() {
 // start must initiate the operation and arrange for done to be invoked
 // exactly once from engine context when the operation completes. Wait blocks
 // the process until then. done may also be invoked synchronously from within
-// start.
+// start. done is the same func on every call, so only start can allocate.
 func (p *Proc) Wait(start func(done func())) {
-	completed := false
-	parked := false
-	start(func() {
-		if !parked {
-			completed = true
-			return
-		}
-		p.resume()
-	})
-	if completed {
+	p.waitEarly, p.waitParked = false, false
+	start(p.done)
+	if !p.waitEarly {
+		p.waitParked = true
+		p.park()
+	}
+}
+
+func (p *Proc) waitDone() {
+	if !p.waitParked {
+		p.waitEarly = true // called inside start: Wait will not park
 		return
 	}
-	parked = true
-	p.park()
+	p.resume()
 }
 
 // Signal is a single-use wakeup another party completes. Zero value is ready
