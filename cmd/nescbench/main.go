@@ -45,23 +45,18 @@ func main() {
 	}
 
 	cfg := bench.DefaultConfig()
-	// Telemetry sinks ride along in the config: every platform an experiment
-	// builds attaches to them. Counters and histograms accumulate across
-	// platforms; live gauges track the last platform built.
-	var reg *metrics.Registry
-	var spans *trace.SpanRecorder
+	// The telemetry bundle rides along in the config: every platform an
+	// experiment builds hands it to all its layers. Counters and histograms
+	// accumulate across platforms; live gauges track the last platform built.
+	tel := &cfg.Tel
 	if *metricsOut != "" {
-		reg = metrics.New()
-		cfg.Metrics = reg
+		tel.Metrics = metrics.New()
 	}
 	if *traceJSON != "" {
-		spans = trace.NewSpanRecorder(*spanN)
-		cfg.Spans = spans
+		tel.Spans = trace.NewSpanRecorder(*spanN)
 	}
-	var attrib *slo.Attributor
 	if *attribOut != "" {
-		attrib = slo.NewAttributor(4096)
-		cfg.Attrib = attrib
+		tel.Attrib = slo.NewAttributorOn(tel.Metrics, 4096)
 	}
 	var exps []bench.Experiment
 	if *exp == "all" {
@@ -97,25 +92,36 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	if reg != nil {
+	if reg := tel.Metrics; reg != nil {
 		if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {
 			fmt.Fprintf(os.Stderr, "-metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	if spans != nil {
+	if spans := tel.Spans; spans != nil {
 		if err := writeFile(*traceJSON, spans.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "-trace-json: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d spans to %s (load at ui.perfetto.dev)\n", spans.Total, *traceJSON)
 	}
-	if attrib != nil {
+	if attrib := tel.Attrib; attrib != nil {
 		if err := writeFile(*attribOut, attrib.WriteReport); err != nil {
 			fmt.Fprintf(os.Stderr, "-attrib: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "wrote latency attribution for %d {vf,op} rows to %s\n", len(attrib.Rows()), *attribOut)
+		// The one-line verdict: the row with the worst tail, and the segment
+		// that separates its tail from its median.
+		var worst slo.Explanation
+		for _, ex := range attrib.Explanations() {
+			if ex.TailNs > worst.TailNs {
+				worst = ex
+			}
+		}
+		if worst.Requests > 0 {
+			fmt.Fprintf(os.Stderr, "p99 verdict [%s]: %s\n", *exp, worst)
+		}
 	}
 }
 

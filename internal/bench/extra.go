@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nesc/internal/hypervisor"
+	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 	"nesc/internal/workload"
@@ -14,14 +15,18 @@ import (
 
 // Breakdown reports where a 4 KB request's chunks spend their time inside
 // the NeSC pipeline (paper Fig. 7's stages), for an idle and a loaded
-// device.
+// device. The stage means come out of a private registry's per-stage
+// histograms (exact sum over count), summed over the two functions that move
+// data here: the PF (host filesystem traffic, which only has a transfer
+// stage) and the workload's VF.
 func Breakdown(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Latency breakdown inside the NeSC pipeline (4KB writes, per 1KB chunk)",
 		"stage", "us", "QD 1", "QD 16")
 	for _, qd := range []int{1, 16} {
 		qd := qd
 		c := cfg
-		c.Core.CollectBreakdown = true
+		reg := metrics.New()
+		c.Tel.Metrics = reg
 		pl := NewPlatform(c)
 		err := pl.Run(func(p *sim.Proc) error {
 			if err := pl.Boot(p); err != nil {
@@ -37,12 +42,25 @@ func Breakdown(cfg Config) ([]*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		meanUs := func(families ...string) float64 {
+			var sum float64
+			var n int64
+			for _, fam := range families {
+				for fn := 0; fn <= 1; fn++ {
+					for _, op := range []string{"read", "write"} {
+						h := reg.Histogram(fam, "", metrics.VFQOp(fn, 0, op))
+						sum, n = sum+h.Sum(), n+h.Count()
+					}
+				}
+			}
+			return sum / float64(n) / 1000
+		}
 		col := fmt.Sprintf("QD %d", qd)
-		b := &pl.Ctl.Breakdown
-		tbl.Set("vLBA queue wait", col, b.QueueWait.Mean())
-		tbl.Set("translation (BTLB/walk)", col, b.Translate.Mean())
-		tbl.Set("pLBA queue wait", col, b.DTUWait.Mean())
-		tbl.Set("DMA transfer (medium+PCIe)", col, b.Transfer.Mean())
+		tbl.Set("vLBA queue wait", col, meanUs("nesc_pipeline_queue_wait_ns"))
+		tbl.Set("translation (BTLB/walk)", col, meanUs("nesc_pipeline_translate_hit_ns", "nesc_pipeline_translate_walk_ns",
+			"nesc_pipeline_translate_miss_ns", "nesc_pipeline_translate_cow_ns"))
+		tbl.Set("pLBA queue wait", col, meanUs("nesc_pipeline_dtu_wait_ns"))
+		tbl.Set("DMA transfer (medium+PCIe)", col, meanUs("nesc_pipeline_transfer_ns"))
 	}
 	tbl.Note("at QD 1 the pipeline is latency-bound (transfer dominates); at QD 16 queueing appears ahead of the saturated medium")
 	return []*stats.Table{tbl}, nil

@@ -1,0 +1,46 @@
+package bench
+
+import (
+	"testing"
+
+	"nesc/internal/sim"
+)
+
+// TestTelemetryOffWriteAllocs pins what one 1 KB write through a directly
+// assigned VF allocates with no telemetry sink attached — guest kernel, ring
+// driver, controller pipeline, medium, completion. A later telemetry consumer
+// (or anything else) that leaks an allocation into the off path trips it.
+// The ceiling is the measured count when the spine landed, the same as
+// before it; lower it when the path gets cheaper.
+func TestTelemetryOffWriteAllocs(t *testing.T) {
+	const ceiling = 61
+	pl := NewPlatform(DefaultConfig())
+	var allocs float64
+	err := pl.Run(func(p *sim.Proc) error {
+		if err := pl.Boot(p); err != nil {
+			return err
+		}
+		tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
+		if err != nil {
+			return err
+		}
+		var werr error
+		write := func() {
+			if err := tgt.WriteAt(p, 0, 1024); err != nil {
+				werr = err
+			}
+		}
+		for i := 0; i < 8; i++ {
+			write() // warm the BTLB and every free list
+		}
+		allocs = testing.AllocsPerRun(200, write)
+		return werr
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > ceiling {
+		t.Errorf("a 1 KB write with telemetry off allocates %v times, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%v allocs per 1 KB write", allocs)
+}

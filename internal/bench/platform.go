@@ -18,8 +18,6 @@ import (
 	"nesc/internal/metrics"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
-	"nesc/internal/trace"
 )
 
 // Config fully describes one simulated platform.
@@ -55,26 +53,13 @@ type Config struct {
 	// MountExisting makes Boot mount the host filesystem already on the
 	// medium (journal replay included) instead of formatting a new one.
 	MountExisting bool
-	// Metrics, when set, receives the platform's telemetry: the controller's
-	// per-stage histograms and counter gauges, the hypervisor's derived
-	// gauges, and (under fault injection) the injector totals. Counters
-	// accumulate across platforms sharing one registry; gauge closures are
-	// replaced, so the last platform built wins the live gauges.
-	Metrics *metrics.Registry
-	// Spans, when set, records request-scoped spans through the controller
-	// pipeline (trace.SpanRecorder; exportable as a Chrome trace).
-	Spans *trace.SpanRecorder
-	// Attrib, when set, folds every completed request's pipeline time into
-	// the per-{vf,op} latency budget table (queue wait / translate / dtu /
-	// medium / fabric / retry / admission shares, with a p99 explainer).
-	Attrib *slo.Attributor
-	// SLOEng, when set, feeds every request completion into the per-tenant
-	// SLO engine (error budgets, multi-window burn-rate alerts).
-	SLOEng *slo.Engine
-	// Board, when set, receives structured anomaly events (SLO burns,
-	// quarantines, deadline expirations, admission rejects, detector trips,
-	// FLRs) from every layer, cross-linked by request id.
-	Board *slo.Scoreboard
+	// Tel is the telemetry bundle: every controller, the hypervisor, and the
+	// drivers and fabric clients it builds are handed it at construction,
+	// and the platform's counter catalogue registers into its registry.
+	// Counters and histograms accumulate across platforms sharing a bundle;
+	// gauge closures are replaced, so the last platform built wins the live
+	// gauges. The zero value turns telemetry off.
+	Tel core.Sinks
 }
 
 // DefaultConfig is the calibrated model of the paper's platform (Table I):
@@ -105,6 +90,8 @@ type Platform struct {
 	Hyp *hypervisor.Hypervisor
 	// Inj is the armed fault injector, nil when Cfg.Fault is unset.
 	Inj *fault.Injector
+
+	counters []Counter // the catalogue, built on first use (catalogue.go)
 }
 
 // NewPlatform assembles a platform from cfg. It panics on configuration
@@ -124,7 +111,7 @@ func NewPlatform(cfg Config) *Platform {
 		store = blockdev.NewStore(cfg.Core.BlockSize, cfg.MediumBlocks)
 	}
 	medium := blockdev.NewMedium(eng, store, cfg.Medium)
-	ctl, err := core.New(eng, fab, medium, cfg.Core)
+	ctl, err := core.New(eng, fab, medium, cfg.Core, cfg.Tel)
 	if err != nil {
 		panic(err)
 	}
@@ -136,7 +123,7 @@ func NewPlatform(cfg Config) *Platform {
 		med.SetDeviceIndex(i)
 		params := cfg.Core
 		params.DeviceID = i
-		c, err := core.New(eng, fab, med, params)
+		c, err := core.New(eng, fab, med, params, cfg.Tel)
 		if err != nil {
 			panic(err)
 		}
@@ -158,68 +145,14 @@ func NewPlatform(cfg Config) *Platform {
 		}
 		h.EnableCAS(cas.NewStore(cas.DefaultParams(cfg.Core.BlockSize), pl.Inj), cc)
 	}
-	if cfg.Metrics != nil || cfg.Spans != nil {
-		ctl.AttachTelemetry(cfg.Metrics, cfg.Spans)
-		h.RegisterMetrics(cfg.Metrics)
-		pl.registerPlatformMetrics(cfg.Metrics)
-	}
-	if cfg.Attrib != nil || cfg.SLOEng != nil || cfg.Board != nil {
-		for _, d := range h.Devices() {
-			d.Ctl.AttachSLO(cfg.Board, cfg.SLOEng, cfg.Attrib)
-		}
-		h.AttachSLO(cfg.Board, cfg.Attrib)
-		if cfg.Metrics != nil {
-			cfg.Attrib.AttachMetrics(cfg.Metrics)
-			cfg.SLOEng.AttachMetrics(cfg.Metrics)
-			cfg.Board.AttachMetrics(cfg.Metrics)
+	if reg := cfg.Tel.Metrics; reg != nil {
+		for _, c := range pl.Counters() {
+			if c.Family != "" {
+				reg.GaugeFunc(c.Family, c.Help, metrics.NoLabels, c.Get)
+			}
 		}
 	}
 	return pl
-}
-
-// registerPlatformMetrics publishes platform-level gauges: medium and fabric
-// traffic, plus injector totals when a fault plan is armed.
-func (pl *Platform) registerPlatformMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	no := metrics.NoLabels
-	reg.GaugeFunc("nesc_medium_read_bytes_total", "bytes read from the medium", no,
-		func() float64 { return float64(pl.Ctl.Medium.ReadBytes) })
-	reg.GaugeFunc("nesc_medium_write_bytes_total", "bytes written to the medium", no,
-		func() float64 { return float64(pl.Ctl.Medium.WriteBytes) })
-	reg.GaugeFunc("nesc_medium_guard_errors_total", "medium-level guard-check failures", no,
-		func() float64 { return float64(pl.Ctl.Medium.IntegrityErrors) })
-	reg.GaugeFunc("nesc_medium_recovery_reads_total", "mirror-recovery reads served by the medium", no,
-		func() float64 { return float64(pl.Ctl.Medium.RecoveryReads) })
-	reg.GaugeFunc("nesc_fabric_dma_read_bytes_total", "device-initiated PCIe reads", no,
-		func() float64 { return float64(pl.Fab.DMAReadBytes) })
-	reg.GaugeFunc("nesc_fabric_dma_write_bytes_total", "device-initiated PCIe writes", no,
-		func() float64 { return float64(pl.Fab.DMAWriteBytes) })
-	reg.GaugeFunc("nesc_fabric_msis_dropped_total", "interrupts lost on the wire", no,
-		func() float64 { return float64(pl.Fab.DroppedMSIs) })
-	reg.GaugeFunc("nesc_fabric_msis_delayed_total", "interrupts delivered late", no,
-		func() float64 { return float64(pl.Fab.DelayedMSIs) })
-	if pl.Inj != nil {
-		reg.GaugeFunc("nesc_fault_injected_total", "faults injected across all sites", no,
-			func() float64 { return float64(pl.Inj.TotalFaults()) })
-		reg.GaugeFunc("nesc_fault_corruptions_total", "silent corruptions injected", no,
-			func() float64 { return float64(pl.Inj.CorruptionsInjected()) })
-		reg.GaugeFunc("nesc_fault_delays_total", "injected delay decisions across all sites", no,
-			func() float64 { return float64(pl.Inj.TotalDelays()) })
-		reg.GaugeFunc("nesc_fault_degraded_ops_total", "medium ops stretched by a fail-slow degradation", no,
-			func() float64 { return float64(pl.Inj.DegradedOps) })
-		reg.GaugeFunc("nesc_fault_degraded_ns_total", "total extra nanoseconds injected by degradations", no,
-			func() float64 { return float64(pl.Inj.DegradedTime) })
-		reg.GaugeFunc("nesc_fault_latent_hits_total", "reads that landed on an armed latent sector", no,
-			func() float64 { return float64(pl.Inj.LatentHits) })
-		reg.GaugeFunc("nesc_fault_latent_repaired_total", "latent sectors cleared by rewrites or repair", no,
-			func() float64 { return float64(pl.Inj.LatentCleared) })
-		reg.GaugeFunc("nesc_fault_latent_outstanding", "latent sector faults currently armed", no,
-			func() float64 { return float64(pl.Inj.LatentCount()) })
-		reg.GaugeFunc("nesc_fault_corrupt_outstanding", "silent corruptions not yet detected or repaired", no,
-			func() float64 { return float64(pl.Inj.CorruptCount()) })
-	}
 }
 
 // Run executes fn as the platform's initial host process, drives the

@@ -132,7 +132,8 @@ type sloPassResult struct {
 // victim's attribution explanation, SLO status, and scoreboard counts.
 func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 	cfg.Fault = &fault.Plan{Seed: 23}
-	board := slo.NewScoreboard(512)
+	reg := cfg.Tel.Metrics
+	board := slo.NewScoreboard(512, reg)
 	// Objective tuning: healthy paced reads finish in tens of µs, a
 	// fail-slow read costs ~300µs extra — so a 250µs latency target cleanly
 	// separates them. The windows are sized in degraded-read units: a
@@ -146,9 +147,9 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 		LongWindow:    4 * sim.Millisecond,
 		BurnThreshold: 3,
 		MinSamples:    4,
-	}, board)
-	attrib := slo.NewAttributor(4096)
-	cfg.Attrib, cfg.SLOEng, cfg.Board = attrib, engine, board
+	}, board, reg)
+	attrib := slo.NewAttributorOn(reg, 4096)
+	cfg.Tel.Attrib, cfg.Tel.SLO, cfg.Tel.Board = attrib, engine, board
 	pl := NewPlatform(cfg)
 	res := &sloPassResult{lat: &stats.Sampler{}}
 	var victimFn int

@@ -21,8 +21,7 @@ func Spans(cfg Config) ([]*stats.Table, error) {
 	reg := metrics.New()
 	spans := trace.NewSpanRecorder(4096)
 	c := cfg
-	c.Metrics = reg
-	c.Spans = spans
+	c.Tel.Metrics, c.Tel.Spans = reg, spans
 	pl := NewPlatform(c)
 	const fileBlocks = 4096 // 4 MB sparse image
 	err := pl.Run(func(p *sim.Proc) error {

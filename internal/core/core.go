@@ -31,7 +31,6 @@ import (
 	"nesc/internal/blockdev"
 	"nesc/internal/extent"
 	"nesc/internal/fault"
-	"nesc/internal/metrics"
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
@@ -86,10 +85,6 @@ type Params struct {
 	BTLBHitTime         sim.Time // BTLB lookup
 	WalkParseTime       sim.Time // node decode after its DMA arrives
 	DTUChunkOverhead    sim.Time // per-chunk scatter/gather handling
-
-	// CollectBreakdown enables per-chunk stage timing (the latency
-	// breakdown experiment); off by default to keep hot paths lean.
-	CollectBreakdown bool
 
 	// Error recovery.
 	//
@@ -222,22 +217,13 @@ type Request struct {
 	piGuard uint32
 	piAccum uint32
 
-	// Telemetry. t0 is the virtual time the descriptor fetch began; span is
-	// the request's lifecycle record (nil when span recording is off); obs
-	// gates chunk stage-timestamping (breakdown collection or any telemetry
-	// sink attached).
-	t0   sim.Time
-	span *trace.Span
-	obs  bool
-
-	// Causal attribution. ReqID is the controller-assigned monotonic request
-	// id threading this request through spans, flight records, and scoreboard
-	// events; retries counts medium/integrity retry rounds; segs accumulates
-	// the per-segment latency vector folded into the attribution budget table
-	// at completion (populated only while an Attributor is attached).
-	ReqID   uint64
-	retries int
-	segs    slo.Segments
+	// t0 is the virtual time the descriptor fetch began. ReqID is the
+	// controller-assigned monotonic request id threading this request through
+	// spans, flight records, and scoreboard events. tel is the request's
+	// telemetry record (telemetry.go), nil unless a sink consumes it.
+	t0    sim.Time
+	ReqID uint64
+	tel   *reqTel
 }
 
 // chunk is the unit of translation and data transfer (one block).
@@ -251,11 +237,10 @@ type chunk struct {
 	// tag records the translation outcome (trace.TagHit/TagWalk/TagMiss).
 	tag string
 
-	// Stage timestamps (only stamped when req.obs).
-	tQueued   sim.Time // entered the vLBA queue
-	tTransIn  sim.Time // picked up by a walker
-	tTransOut sim.Time // translation done, entered the pLBA queue
-	tDTUIn    sim.Time // picked up by a DMA channel
+	// mark is when the chunk's current stage began: stamped as the
+	// multiplexer queues it and advanced by every stage call. Zero on a PF
+	// chunk until a DMA channel picks it up (it has no queue history).
+	mark sim.Time
 }
 
 // vfShardSize is the VF-table shard granularity. 64 functions per shard
@@ -319,32 +304,15 @@ type Controller struct {
 	// of PI reads.
 	zeroCRC uint32
 
-	// Tracer, when non-nil, records device events (nil = zero cost).
-	Tracer *trace.Ring
-
-	// Metrics and Spans are the telemetry sinks installed by
-	// AttachTelemetry (telemetry.go); both nil-safe and off by default.
-	Metrics *metrics.Registry
-	Spans   *trace.SpanRecorder
-
-	// Observability layer (AttachSLO, telemetry.go; all nil-safe and off by
-	// default): Attrib folds per-request segment vectors into the latency
-	// budget table, SLO classifies completions against per-tenant
-	// objectives, and Board receives structured anomaly events (admission
-	// rejects, deadline expirations, FLRs, terminal errors).
-	Attrib *slo.Attributor
-	SLO    *slo.Engine
-	Board  *slo.Scoreboard
+	// tel is the telemetry spine (telemetry.go): the sink bundle handed to
+	// New plus the always-armed flight recorder. Only stage, finish, event
+	// and their helpers there touch it.
+	tel spine
 
 	// reqSeq issues ReqIDs: a per-controller monotonic counter stamped on
 	// every fetched descriptor (pure state, so it never perturbs the event
 	// schedule).
 	reqSeq uint64
-
-	// Flight is the always-armed error diagnostics buffer (flight.go): on
-	// any terminal error completion or reset it snapshots the event-ring
-	// tail and the offending request's span.
-	Flight *FlightRecorder
 
 	barBase int64
 	sriov   pcie.SRIOVCap
@@ -399,25 +367,13 @@ type Controller struct {
 	// ShadowBatches counts fetch batches initiated from a queue's shadow
 	// doorbell word rather than an MMIO doorbell write.
 	ShadowBatches int64
-
-	// fnGaugeReg, when telemetry is attached, receives per-function gauges
-	// for VFs materialized after AttachTelemetry.
-	fnGaugeReg *metrics.Registry
-
-	// Breakdown holds per-stage chunk latencies in microseconds (populated
-	// only when Params.CollectBreakdown is set).
-	Breakdown struct {
-		QueueWait stats.Sampler // vLBA queue residence
-		Translate stats.Sampler // BTLB lookup / tree walk
-		DTUWait   stats.Sampler // pLBA queue residence
-		Transfer  stats.Sampler // DMA channel service (medium + PCIe)
-	}
 }
 
 // New builds a controller on the fabric, registers its functions, and starts
 // its pipeline processes. The medium is the physical storage behind the PF's
-// LBA space.
-func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params) (*Controller, error) {
+// LBA space; tel is the telemetry bundle every device of the platform shares
+// (the zero Sinks turns telemetry off).
+func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, tel Sinks) (*Controller, error) {
 	if p.BlockSize != medium.Store().BlockSize() {
 		return nil, fmt.Errorf("core: controller block size %d != medium block size %d", p.BlockSize, medium.Store().BlockSize())
 	}
@@ -443,7 +399,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params) (
 		dtuActive: make([]uint64, (p.NumVFs+63)/64),
 		btlb:      newBTLB(p.BTLBEntries),
 		sriov:     pcie.SRIOVCap{TotalVFs: p.NumVFs},
-		Flight:    NewFlightRecorder(8, 32),
+		tel:       newSpine(tel),
 	}
 	c.zeroCRC = ring.BlockCRC(make([]byte, p.BlockSize))
 	medium.SetDeviceIndex(p.DeviceID)
@@ -454,6 +410,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params) (
 	c.pf.enabled = true
 	c.pf.sizeBlocks = uint64(medium.Store().NumBlocks())
 	c.fnIdx[c.pf.id] = 0
+	c.registerFnGauges(c.pf)
 	c.barBase = fab.MapBAR(c, c.BARSize())
 	fab.AllocMSIVectors(c.pf.id, c.nVec())
 
@@ -480,6 +437,14 @@ func (c *Controller) devName(base string) string {
 
 // DeviceID reports this controller's identity within the device fleet.
 func (c *Controller) DeviceID() int { return c.P.DeviceID }
+
+// Sinks returns the telemetry bundle the controller was built with, so the
+// layers stacked on it (hypervisor, drivers, fabric clients) feed the same
+// sinks by construction.
+func (c *Controller) Sinks() Sinks { return c.tel.Sinks }
+
+// Flight returns the device's flight recorder.
+func (c *Controller) Flight() *FlightRecorder { return c.tel.flight }
 
 // BARBase reports the device's bus address as enumerated on the fabric.
 func (c *Controller) BARBase() int64 { return c.barBase }
@@ -538,9 +503,7 @@ func (c *Controller) materializeVF(idx int) *Function {
 	c.vfShards[s][idx%vfShardSize] = f
 	c.fnIdx[f.id] = f.idx
 	c.nMat++
-	if c.fnGaugeReg != nil {
-		c.registerFnGauges(c.fnGaugeReg, f)
-	}
+	c.registerFnGauges(f)
 	return f
 }
 
@@ -606,9 +569,7 @@ func (c *Controller) StateFootprint() int64 {
 	fns := int64(1 + c.nMat)
 	b += fns * (fnStateBytes + int64(c.P.ReqQueueDepth+c.P.PLBAQueueDepth)*fifoSlotBytes)
 	b += int64(c.qAllocated) * queuePairBytes
-	if c.Flight != nil && c.Flight.recs != nil {
-		b += int64(len(c.Flight.recs)) * flightRecBytes
-	}
+	b += int64(len(c.tel.flight.recs)) * flightRecBytes
 	return b
 }
 
@@ -872,9 +833,9 @@ func (c *Controller) resetFunction(f *Function) {
 		f.rewalkVerdict = RewalkFail
 		f.rewalk.Fire()
 	}
-	c.Tracer.Emit(trace.Event{At: c.Eng.Now(), Kind: trace.KindReset, Fn: f.idx, Arg: uint64(f.resetEpoch)})
+	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))
 	c.captureFlight(c.Eng.Now(), f.idx, nil, "reset")
-	c.Board.Emit(slo.Event{At: c.Eng.Now(), Kind: slo.EventFLR, Dev: c.P.DeviceID, VF: f.idx})
+	c.anomaly(slo.EventFLR, f.idx, 0, 0, "")
 }
 
 // Active-VF work-list primitives. Each scheduler keeps a bitmap with bit

@@ -29,14 +29,17 @@ type rig struct {
 	missMSIs    int
 }
 
-func newRig(t *testing.T, p Params) *rig {
+func newRig(t *testing.T, p Params) *rig { return newRigWith(t, p, Sinks{}) }
+
+// newRigWith is newRig with telemetry sinks armed.
+func newRigWith(t *testing.T, p Params, tel Sinks) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	mem := hostmem.New(32 << 20)
 	fab := pcie.New(eng, mem, pcie.DefaultParams())
 	store := blockdev.NewStore(p.BlockSize, 4096)
 	medium := blockdev.NewMedium(eng, store, blockdev.DefaultMediumParams())
-	ctl, err := New(eng, fab, medium, p)
+	ctl, err := New(eng, fab, medium, p, tel)
 	if err != nil {
 		t.Fatal(err)
 	}

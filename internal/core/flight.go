@@ -44,10 +44,9 @@ type FlightRecord struct {
 	Span *trace.Span
 }
 
-// FlightRecorder retains the last few FlightRecords in a ring. A nil
-// *FlightRecorder is a valid disabled recorder. The record buffer itself is
-// allocated lazily on the first capture — an error-free device (or one of a
-// thousand idle ones) carries only the header.
+// FlightRecorder retains the last few FlightRecords in a ring. The record
+// buffer itself is allocated lazily on the first capture — an error-free
+// device (or one of a thousand idle ones) carries only the header.
 type FlightRecorder struct {
 	recs    []FlightRecord
 	size    int // buffer capacity, allocated on first capture
@@ -68,12 +67,8 @@ func NewFlightRecorder(records, eventTail int) *FlightRecorder {
 	return &FlightRecorder{size: records, evTail: eventTail}
 }
 
-// capture stores one record, snapshotting the event ring's tail. Safe on a
-// nil receiver.
+// capture stores one record, snapshotting the event ring's tail.
 func (fr *FlightRecorder) capture(rec FlightRecord, ring *trace.Ring) {
-	if fr == nil {
-		return
-	}
 	if fr.recs == nil {
 		fr.recs = make([]FlightRecord, fr.size)
 	}
@@ -96,9 +91,6 @@ func (fr *FlightRecorder) capture(rec FlightRecord, ring *trace.Ring) {
 
 // Records returns the held records in capture order.
 func (fr *FlightRecorder) Records() []FlightRecord {
-	if fr == nil {
-		return nil
-	}
 	if !fr.wrapped {
 		return append([]FlightRecord(nil), fr.recs[:fr.next]...)
 	}
@@ -156,21 +148,18 @@ func (fr *FlightRecorder) Dump(w io.Writer) error {
 // captureFlight snapshots error context for a failed request (r non-nil) or
 // a function-level reset (r nil, fn the reset function's index).
 func (c *Controller) captureFlight(at sim.Time, fn int, r *Request, reason string) {
-	if c.Flight == nil {
-		return
-	}
 	rec := FlightRecord{At: at, Reason: reason, Fn: fn, Dev: c.P.DeviceID}
 	if r != nil {
-		if r.q != nil {
-			rec.Q = r.q.idx
-		}
-		rec.Op = opName(r.Op)
+		rec.Q = r.qIdx()
+		rec.Op = OpName(r.Op)
 		rec.ID = r.ID
 		rec.ReqID = r.ReqID
 		rec.LBA = r.LBA
 		rec.Count = r.Count
 		rec.Status = r.status
-		rec.Span = r.span
+		if r.tel != nil {
+			rec.Span = r.tel.span
+		}
 	}
-	c.Flight.capture(rec, c.Tracer)
+	c.tel.flight.capture(rec, c.tel.Events)
 }

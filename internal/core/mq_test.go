@@ -166,8 +166,8 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 // strict round-robin across the function's queues.
 func TestIntraVFQueueFairness(t *testing.T) {
 	const queues, perQueue = 4, 4
-	r := newRig(t, mqParams(queues))
-	r.ctl.Tracer = trace.NewRing(256)
+	ring := trace.NewRing(256)
+	r := newRigWith(t, mqParams(queues), Sinks{Events: ring})
 	r.eng.Go("host", func(p *sim.Proc) {
 		tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
 		r.setVF(p, 0, tr.Root(), 256)
@@ -210,7 +210,7 @@ func TestIntraVFQueueFairness(t *testing.T) {
 	})
 	r.run()
 	var order []int
-	for _, e := range r.ctl.Tracer.Events() {
+	for _, e := range ring.Events() {
 		if e.Kind == trace.KindFetch && e.Fn == 1 {
 			order = append(order, int(e.LBA)/16)
 		}

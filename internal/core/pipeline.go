@@ -74,7 +74,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// are lost. The driver's completion timeout recovers them.
 			f.FetchDrops++
 			c.FetchDrops++
-			c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindDrop, Fn: f.idx, Arg: uint64(prod)})
+			c.event(trace.KindDrop, f.idx, 0, uint64(prod))
 			break
 		}
 		p.Sleep(c.P.DescriptorFetchTime)
@@ -88,17 +88,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 		if q.deadline > 0 {
 			req.deadline = tFetch + q.deadline
 		}
-		req.obs = c.P.CollectBreakdown || c.instrumented()
-		if req.obs {
-			req.span = c.Spans.Start(f.idx, q.idx, opName(op), id, lba, count, tFetch)
-			if req.span != nil {
-				req.span.ReqID = req.ReqID
-			}
-			req.span.Phase(trace.PhaseFetch, -1, tFetch, p.Now(), "")
-			c.observe(mFetchNs, req, p.Now()-tFetch)
-			c.seg(req, slo.SegFetch, p.Now()-tFetch)
-		}
-		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindFetch, Fn: f.idx, LBA: lba, Arg: uint64(id)})
+		c.stage(req, nil, stFetch, p.Now(), uint64(id))
 		f.Reqs++
 		q.Reqs++
 		f.Blocks += int64(count)
@@ -134,10 +124,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			req.status = StatusBusy
 			f.AdmitRejects++
 			c.AdmitRejects++
-			if c.Board != nil {
-				c.Board.Emit(slo.Event{At: p.Now(), Kind: slo.EventAdmitReject,
-					Dev: c.P.DeviceID, VF: f.idx, ReqID: req.ReqID})
-			}
+			c.anomaly(slo.EventAdmitReject, f.idx, req.ReqID, 0, "")
 			c.sendCompletion(p, req)
 		default:
 			req.admitted = true
@@ -281,18 +268,14 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 			// before splitting — the submitter has moved on.
 			req.status = StatusBusy
 			c.DeadlineExpirations += int64(req.left)
-			c.noteDeadline(p.Now(), req, "mux")
+			c.anomaly(slo.EventDeadline, req.fn.idx, req.ReqID, 0, "mux")
 			c.sendCompletion(p, req)
 			continue
 		}
 		bs := int64(c.P.BlockSize)
 		for i := uint32(0); i < req.Count; i++ {
 			p.Sleep(c.P.MuxChunkTime)
-			ch := &chunk{req: req, idx: int(i), lba: req.LBA + uint64(i), buf: req.Buf + int64(i)*bs}
-			if req.obs {
-				ch.tQueued = p.Now()
-			}
-			c.vlbaQ.Push(p, ch)
+			c.vlbaQ.Push(p, &chunk{req: req, idx: int(i), lba: req.LBA + uint64(i), buf: req.Buf + int64(i)*bs, mark: p.Now()})
 		}
 	}
 }
@@ -313,19 +296,11 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		}
 		if expired(ch.req, p.Now()) {
 			c.DeadlineExpirations++
-			c.noteDeadline(p.Now(), ch.req, "walker")
+			c.anomaly(slo.EventDeadline, f.idx, ch.req.ReqID, 0, "walker")
 			c.completeChunk(p, ch, StatusBusy)
 			continue
 		}
-		if ch.req.obs {
-			ch.tTransIn = p.Now()
-			if c.P.CollectBreakdown {
-				c.Breakdown.QueueWait.Add((ch.tTransIn - ch.tQueued).Micros())
-			}
-			c.observe(mQueueWaitNs, ch.req, ch.tTransIn-ch.tQueued)
-			c.seg(ch.req, slo.SegQueue, ch.tTransIn-ch.tQueued)
-			ch.req.span.Phase(trace.PhaseQueue, ch.idx, ch.tQueued, ch.tTransIn, "")
-		}
+		c.stage(ch.req, ch, stQueue, p.Now(), 0)
 		p.Sleep(c.P.BTLBHitTime)
 		if plba, prot, ok := c.btlb.lookup(f.idx, ch.lba); ok && !(prot && ch.req.Op == OpWrite) {
 			c.BTLBStats.Hit()
@@ -387,7 +362,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 						f.missReason = MissReasonCoW
 					}
 					f.rewalk = sim.NewSignal(c.Eng)
-					c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindMiss, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.missReason)})
+					c.event(trace.KindMiss, f.idx, ch.lba, uint64(f.missReason))
 					c.Fab.RaiseMSI(c.pf.id, VecMiss)
 					if c.P.MissResendInterval > 0 {
 						c.scheduleMissResend(f, f.missGen)
@@ -395,7 +370,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				}
 				sig := f.rewalk
 				sig.Await(p)
-				c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindRewalk, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.rewalkVerdict)})
+				c.event(trace.KindRewalk, f.idx, ch.lba, uint64(f.rewalkVerdict))
 				if ch.req.epoch != f.resetEpoch {
 					c.completeChunk(p, ch, StatusAborted)
 					break walk
@@ -449,16 +424,7 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 // pushPLBA hands a translated chunk to the data-transfer stage's per-VF
 // queue.
 func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
-	if ch.req.obs {
-		ch.tTransOut = p.Now()
-		if c.P.CollectBreakdown {
-			c.Breakdown.Translate.Add((ch.tTransOut - ch.tTransIn).Micros())
-		}
-		c.observe(translateFamily(ch.tag), ch.req, ch.tTransOut-ch.tTransIn)
-		c.seg(ch.req, slo.SegTranslate, ch.tTransOut-ch.tTransIn)
-		ch.req.span.Phase(trace.PhaseTransIn, ch.idx, ch.tTransIn, ch.tTransOut, ch.tag)
-	}
-	c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindTranslate, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
+	c.stage(ch.req, ch, stTranslate, p.Now(), uint64(ch.req.ID))
 	if ch.req.Op == OpVerify {
 		c.scrubQ.Push(p, ch)
 	} else {
@@ -520,22 +486,12 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			// completions are never acknowledged, and the retried write
 			// rewrites every block.
 			c.DeadlineExpirations++
-			c.noteDeadline(p.Now(), ch.req, "dtu")
+			c.anomaly(slo.EventDeadline, ch.req.fn.idx, ch.req.ReqID, 0, "dtu")
 			c.completeChunk(p, ch, StatusBusy)
 			continue
 		}
 		tSvc := p.Now()
-		if ch.req.obs {
-			ch.tDTUIn = p.Now()
-			if ch.tTransOut != 0 { // OOB chunks skip translation
-				if c.P.CollectBreakdown {
-					c.Breakdown.DTUWait.Add((ch.tDTUIn - ch.tTransOut).Micros())
-				}
-				c.observe(mDTUWaitNs, ch.req, ch.tDTUIn-ch.tTransOut)
-				c.seg(ch.req, slo.SegDTUWait, ch.tDTUIn-ch.tTransOut)
-				ch.req.span.Phase(trace.PhaseDTUWait, ch.idx, ch.tTransOut, ch.tDTUIn, "")
-			}
-		}
+		c.stage(ch.req, ch, stDTUWait, tSvc, 0)
 		p.Sleep(c.P.DTUChunkOverhead)
 		status := uint32(StatusOK)
 		switch {
@@ -590,24 +546,11 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			c.chunkEWMA += (svc - c.chunkEWMA) / 8
 		}
 		c.ChunksDone++
-		kind := trace.KindTransfer
+		st := stTransfer
 		if ch.req.Op == OpVerify {
-			kind = trace.KindVerify
+			st = stVerify
 		}
-		if ch.req.obs {
-			now := p.Now()
-			if c.P.CollectBreakdown {
-				c.Breakdown.Transfer.Add((now - ch.tDTUIn).Micros())
-			}
-			phase, fam := trace.PhaseTransfer, mTransferNs
-			if ch.req.Op == OpVerify {
-				phase, fam = trace.PhaseVerify, mVerifyNs
-			}
-			c.observe(fam, ch.req, now-ch.tDTUIn)
-			c.seg(ch.req, slo.SegMedium, now-ch.tDTUIn)
-			ch.req.span.Phase(phase, ch.idx, ch.tDTUIn, now, "")
-		}
-		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: kind, Fn: ch.req.fn.idx, LBA: ch.lba, Arg: uint64(status)})
+		c.stage(ch.req, ch, st, p.Now(), uint64(status))
 		c.completeChunk(p, ch, status)
 	}
 }
@@ -641,7 +584,7 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 			return StatusOutOfRange
 		}
 		sawIntegrity = sawIntegrity || integrity
-		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindFault, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
+		c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
 		if attempt >= c.P.MediumRetryMax {
 			if integrity {
 				f.IntegrityErrors++
@@ -656,17 +599,6 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 		c.MediumRetries++
 		c.noteRetry(ch.req)
 		p.Sleep(c.P.MediumRetryDelay)
-	}
-}
-
-// noteRetry attributes one retry round to the request's telemetry.
-func (c *Controller) noteRetry(r *Request) {
-	r.retries++
-	if r.span != nil {
-		r.span.Retries++
-	}
-	if c.Metrics != nil {
-		c.Metrics.Counter(mMediumRetryTot, familyHelp[mMediumRetryTot], reqLabels(r)).Inc()
 	}
 }
 
@@ -685,7 +617,7 @@ func (c *Controller) verifyChunk(p *sim.Proc, ch *chunk, buf []byte) uint32 {
 	if !blockdev.IsMediumError(err) && !blockdev.IsIntegrityError(err) {
 		return StatusOutOfRange
 	}
-	c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindFault, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
+	c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
 	if e := c.Medium.RecoverP(p, int64(ch.lba), buf); e != nil {
 		return StatusOutOfRange
 	}
@@ -778,33 +710,7 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		f.IntegrityErrors++
 		c.IntegrityErrors++
 	}
-	if c.Metrics != nil {
-		l := reqLabels(r)
-		c.Metrics.Counter(mRequestsTotal, familyHelp[mRequestsTotal], l).Inc()
-		if r.status != StatusOK {
-			c.Metrics.Counter(mRequestErrors, familyHelp[mRequestErrors], l).Inc()
-		}
-		c.Metrics.Histogram(mRequestNs, familyHelp[mRequestNs], l).Observe(int64(p.Now() - r.t0))
-	}
-	c.Spans.Finish(r.span, p.Now(), r.status)
-	if c.SLO != nil {
-		c.SLO.Observe(f.idx, p.Now(), p.Now()-r.t0, r.status == StatusOK, r.ReqID)
-	}
-	if c.Attrib != nil {
-		c.finishAttribution(r, p.Now())
-	}
-	if r.status != StatusOK && r.status != StatusBusy {
-		// Terminal error: snapshot the event-ring tail and this request's
-		// span for post-mortem retrieval through the PF. Busy is exempt —
-		// it is backpressure, not a fault, and under sustained admission
-		// pressure it would flush every real error out of the buffer.
-		c.captureFlight(p.Now(), f.idx, r, "completion-error")
-		if c.Board != nil {
-			c.Board.Emit(slo.Event{At: p.Now(), Kind: slo.EventRequestError,
-				Dev: c.P.DeviceID, VF: f.idx, ReqID: r.ReqID, Value: float64(r.status)})
-		}
-	}
-	c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindComplete, Fn: f.idx, LBA: r.LBA, Arg: uint64(r.status)})
+	c.finish(r, p.Now())
 	if q == nil || q.cplBase == 0 || q.ringSize == 0 {
 		return // no completion ring programmed (management-only function)
 	}
@@ -827,7 +733,7 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		// only learn of this request through its timeout path.
 		f.CplDrops++
 		c.CplDrops++
-		c.Tracer.Emit(trace.Event{At: p.Now(), Kind: trace.KindDrop, Fn: f.idx, LBA: r.LBA, Arg: uint64(r.ID)})
+		c.event(trace.KindDrop, f.idx, r.LBA, uint64(r.ID))
 		return
 	}
 	c.Fab.RaiseMSI(f.id, CompletionVector(q.idx))

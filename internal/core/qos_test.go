@@ -2,8 +2,10 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"nesc/internal/extent"
+	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/trace"
 )
@@ -117,9 +119,8 @@ func TestDTUPickOOBPriority(t *testing.T) {
 }
 
 func TestBreakdownCollection(t *testing.T) {
-	p := smallParams()
-	p.CollectBreakdown = true
-	r := newRig(t, p)
+	reg := metrics.New()
+	r := newRigWith(t, smallParams(), Sinks{Metrics: reg})
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
 	buf := r.mem.MustAlloc(4096, 64)
 	done := false
@@ -137,32 +138,60 @@ func TestBreakdownCollection(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
-	b := &r.ctl.Breakdown
-	if b.QueueWait.N() == 0 || b.Translate.N() == 0 || b.Transfer.N() == 0 {
-		t.Fatalf("breakdown samplers empty: %d/%d/%d", b.QueueWait.N(), b.Translate.N(), b.Transfer.N())
+	// 8 requests of 4 chunks each: every chunk passes every stage once.
+	hist := func(fam family) *metrics.Histogram {
+		return reg.Histogram(fam.name, fam.help, metrics.VFQOp(1, 0, "write"))
 	}
-	if b.Transfer.Mean() <= 0 {
+	translated := hist(famTransHit).Count() + hist(famTransWalk).Count()
+	for name, n := range map[string]int64{
+		"queue wait": hist(stages[stQueue].fam).Count(), "translate": translated,
+		"dtu wait": hist(stages[stDTUWait].fam).Count(), "transfer": hist(stages[stTransfer].fam).Count(),
+	} {
+		if n != 32 {
+			t.Errorf("%s histogram holds %d samples, want 32", name, n)
+		}
+	}
+	if hist(stages[stFetch].fam).Count() != 8 || hist(famRequestNs).Count() != 8 {
+		t.Errorf("fetch/request histograms hold %d/%d samples, want 8/8",
+			hist(stages[stFetch].fam).Count(), hist(famRequestNs).Count())
+	}
+	if hist(stages[stTransfer].fam).Mean() <= 0 {
 		t.Fatal("transfer stage recorded no time")
 	}
-	// Disabled by default: no samples collected.
+	// Off by default: a request carries no telemetry record at all.
 	r2 := newRig(t, smallParams())
-	tr2 := r2.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 16}})
-	r2.eng.Go("guest", func(pr *sim.Proc) {
-		r2.setVF(pr, 0, tr2.Root(), 16)
-		d := r2.openFunction(pr, 1)
-		d.io(pr, OpWrite, 0, 4, buf2addr(r2))
-	})
-	r2.run()
-	if r2.ctl.Breakdown.Transfer.N() != 0 {
-		t.Fatal("breakdown collected while disabled")
+	req := &Request{fn: r2.ctl.pf, Op: OpRead}
+	r2.ctl.stage(req, nil, stFetch, 5, 0)
+	r2.ctl.finish(req, 9)
+	if req.tel != nil {
+		t.Fatal("a telemetry record was opened with no sink attached")
 	}
 }
 
-func buf2addr(r *rig) int64 { return r.mem.MustAlloc(4096, 64) }
+// TestTelemetryOffStaysCheap pins what a later telemetry consumer must not
+// leak into the off path: the size of a Request (208 bytes before the
+// per-request state moved behind one pointer) and, with the registry
+// attached, zero allocations per stage observation once the series exists.
+func TestTelemetryOffStaysCheap(t *testing.T) {
+	if got := unsafe.Sizeof(Request{}); got > 120 {
+		t.Errorf("Request is %d bytes, ceiling 120", got)
+	}
+	r := newRigWith(t, smallParams(), Sinks{Metrics: metrics.New()})
+	req := &Request{fn: r.ctl.pf, Op: OpWrite, t0: 1}
+	r.ctl.stage(req, nil, stFetch, 2, 0)
+	ch := &chunk{req: req, mark: 2}
+	now := sim.Time(2)
+	if avg := testing.AllocsPerRun(1000, func() {
+		now++
+		r.ctl.stage(req, ch, stTransfer, now, 0)
+	}); avg != 0 {
+		t.Errorf("a stage observation allocates %v times, want 0", avg)
+	}
+}
 
 func TestTracerRecordsRequestLifecycle(t *testing.T) {
-	r := newRig(t, smallParams())
-	r.ctl.Tracer = trace.NewRing(64)
+	ring := trace.NewRing(64)
+	r := newRigWith(t, smallParams(), Sinks{Events: ring})
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 16}})
 	buf := r.mem.MustAlloc(4096, 64)
 	done := false
@@ -178,7 +207,7 @@ func TestTracerRecordsRequestLifecycle(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
-	evs := r.ctl.Tracer.Events()
+	evs := ring.Events()
 	var kinds []trace.Kind
 	for _, e := range evs {
 		if e.Fn == 1 {

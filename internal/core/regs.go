@@ -185,10 +185,7 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 		case PFRegNumVFs:
 			return uint64(c.P.NumVFs)
 		case PFRegFlightRecords:
-			if c.Flight == nil {
-				return 0
-			}
-			return uint64(c.Flight.Total)
+			return uint64(c.tel.flight.Total)
 		case PFRegQueueLeases:
 			return uint64(c.QueueLeases)
 		case PFRegQueueReturns:

@@ -2,64 +2,114 @@ package core
 
 import (
 	"nesc/internal/metrics"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
 	"nesc/internal/trace"
 )
 
-// Telemetry glue: the controller publishes its counters into a
-// metrics.Registry and threads request-scoped spans through the pipeline.
-// Everything here only READS the simulated clock — no instrumented path ever
-// sleeps or schedules — so enabling telemetry cannot perturb virtual time,
-// and every experiment output stays byte-identical with it on or off.
+// The telemetry spine. The controller is one fixed stage chain — fetch, vLBA
+// queue, translate, pLBA queue, DTU, completion (paper Fig. 7) — and it is
+// instrumented exactly once: every stage site in pipeline.go makes one call
+// to stage, sendCompletion makes one call to finish, and the occurrences
+// that belong to no stage (miss, rewalk, fault, drop, reset) go through
+// event. Those three functions fan out to whichever sinks the bundle handed
+// to New carries; nothing else in the package talks to a sink.
 //
-// Two mechanisms with different hot-path costs:
-//
-//   - The scattered int64 Stats fields (also served by the MMIO error
-//     registers) stay the single source of truth; the registry absorbs them
-//     as GaugeFunc closures sampled at export time. Zero hot-path change.
-//   - Per-stage latency histograms and per-request counters are fed from the
-//     pipeline as requests flow, keyed {vf, q, op}. Each observation is one
-//     mutex-guarded map lookup with a comparable struct key — no allocation.
+// Everything here only READS the simulated clock — no instrumented path
+// ever sleeps or schedules — so telemetry cannot perturb virtual time and
+// every experiment output is byte-identical with it on or off. With an empty
+// bundle each hook is one predictable branch and a request carries one nil
+// pointer.
 
-// Histogram/counter family names. The naming scheme is
-// nesc_<subsystem>_<name> with unit suffixes (_ns, _total); DESIGN.md §10
-// documents the full catalogue.
-const (
-	mFetchNs        = "nesc_pipeline_fetch_ns"
-	mQueueWaitNs    = "nesc_pipeline_queue_wait_ns"
-	mTransHitNs     = "nesc_pipeline_translate_hit_ns"
-	mTransWalkNs    = "nesc_pipeline_translate_walk_ns"
-	mTransMissNs    = "nesc_pipeline_translate_miss_ns"
-	mTransCowNs     = "nesc_pipeline_translate_cow_ns"
-	mDTUWaitNs      = "nesc_pipeline_dtu_wait_ns"
-	mTransferNs     = "nesc_pipeline_transfer_ns"
-	mVerifyNs       = "nesc_pipeline_verify_ns"
-	mRequestNs      = "nesc_request_ns"
-	mRequestsTotal  = "nesc_requests_total"
-	mRequestErrors  = "nesc_request_errors_total"
-	mMediumRetryTot = "nesc_medium_retries_total"
-)
-
-var familyHelp = map[string]string{
-	mFetchNs:        "descriptor fetch + decode latency",
-	mQueueWaitNs:    "vLBA queue residence per chunk",
-	mTransHitNs:     "translation latency, BTLB hit",
-	mTransWalkNs:    "translation latency, extent-tree walk",
-	mTransMissNs:    "translation latency, hypervisor-serviced miss",
-	mTransCowNs:     "translation latency, hypervisor-serviced CoW break",
-	mDTUWaitNs:      "pLBA queue residence per chunk",
-	mTransferNs:     "DMA channel service per chunk (medium + PCIe)",
-	mVerifyNs:       "scrub verify service per chunk",
-	mRequestNs:      "end-to-end request latency (fetch to completion)",
-	mRequestsTotal:  "requests completed (any status)",
-	mRequestErrors:  "requests completed with a non-OK status",
-	mMediumRetryTot: "medium/integrity retry rounds",
+// Sinks is the telemetry bundle: the six consumers a platform can arm, built
+// once by whoever assembles the platform and handed to every layer through
+// its constructor. Any field may be nil; the zero Sinks is "telemetry off".
+type Sinks struct {
+	Events  *trace.Ring         // ring of recent device events
+	Spans   *trace.SpanRecorder // request-scoped stage spans
+	Metrics *metrics.Registry   // per-stage histograms, request counters, gauges
+	Attrib  *slo.Attributor     // per-{vf,op} latency budget table
+	SLO     *slo.Engine         // per-tenant objectives and burn-rate alerts
+	Board   *slo.Scoreboard     // structured anomaly events
 }
 
-// opName renders an opcode as a metric label value.
-func opName(op uint32) string {
-	switch op {
+// spine is one controller's telemetry state: the shared bundle plus the
+// flight recorder, which is device-local (its record count is a PF register)
+// and always armed.
+type spine struct {
+	Sinks
+	flight *FlightRecorder
+	// perReq is set when a sink consumes the per-request record (spans,
+	// histograms, attribution); staged when stage has any consumer at all
+	// (those, or the event ring).
+	perReq, staged bool
+}
+
+func newSpine(s Sinks) spine {
+	perReq := s.Spans != nil || s.Metrics != nil || s.Attrib != nil
+	return spine{Sinks: s, flight: NewFlightRecorder(8, 32), perReq: perReq, staged: perReq || s.Events != nil}
+}
+
+// reqTel is a request's telemetry record, allocated at fetch only when a
+// sink consumes it — with telemetry off a Request carries a nil pointer.
+type reqTel struct {
+	span    *trace.Span  // nil when span recording is off
+	retries int          // medium/integrity retry rounds
+	segs    slo.Segments // per-segment latency vector, folded at completion
+}
+
+// family names one histogram or counter family of the request path. The
+// naming scheme is nesc_<subsystem>_<name> with unit suffixes (_ns, _total).
+type family struct{ name, help string }
+
+var (
+	famTransHit   = family{"nesc_pipeline_translate_hit_ns", "translation latency, BTLB hit"}
+	famTransWalk  = family{"nesc_pipeline_translate_walk_ns", "translation latency, extent-tree walk"}
+	famTransMiss  = family{"nesc_pipeline_translate_miss_ns", "translation latency, hypervisor-serviced miss"}
+	famTransCow   = family{"nesc_pipeline_translate_cow_ns", "translation latency, hypervisor-serviced CoW break"}
+	famRequestNs  = family{"nesc_request_ns", "end-to-end request latency (fetch to completion)"}
+	famRequests   = family{"nesc_requests_total", "requests completed (any status)"}
+	famReqErrors  = family{"nesc_request_errors_total", "requests completed with a non-OK status"}
+	famMedRetries = family{"nesc_medium_retries_total", "medium/integrity retry rounds"}
+)
+
+// stageID indexes the stage table.
+type stageID uint8
+
+const (
+	stFetch     stageID = iota // descriptor DMA + decode (request-level)
+	stQueue                    // vLBA queue residence
+	stTranslate                // BTLB lookup / tree walk / miss service
+	stDTUWait                  // pLBA queue residence
+	stTransfer                 // DMA channel service (medium + PCIe)
+	stVerify                   // scrub verify service
+)
+
+// stages is the one description of the pipeline every sink is fed from: what
+// a span calls the stage, which histogram family times it, which attribution
+// segment it is charged to, and which ring event marks its end. Translate
+// picks its family from the chunk's outcome tag (translateFamily); the two
+// queue residences end without a ring event.
+var stages = [...]struct {
+	phase  string
+	fam    family
+	seg    int
+	kind   trace.Kind
+	silent bool
+}{
+	stFetch:     {phase: trace.PhaseFetch, fam: family{"nesc_pipeline_fetch_ns", "descriptor fetch + decode latency"}, seg: slo.SegFetch, kind: trace.KindFetch},
+	stQueue:     {phase: trace.PhaseQueue, fam: family{"nesc_pipeline_queue_wait_ns", "vLBA queue residence per chunk"}, seg: slo.SegQueue, silent: true},
+	stTranslate: {phase: trace.PhaseTransIn, seg: slo.SegTranslate, kind: trace.KindTranslate},
+	stDTUWait:   {phase: trace.PhaseDTUWait, fam: family{"nesc_pipeline_dtu_wait_ns", "pLBA queue residence per chunk"}, seg: slo.SegDTUWait, silent: true},
+	stTransfer:  {phase: trace.PhaseTransfer, fam: family{"nesc_pipeline_transfer_ns", "DMA channel service per chunk (medium + PCIe)"}, seg: slo.SegMedium, kind: trace.KindTransfer},
+	stVerify:    {phase: trace.PhaseVerify, fam: family{"nesc_pipeline_verify_ns", "scrub verify service per chunk"}, seg: slo.SegMedium, kind: trace.KindVerify},
+}
+
+// OpName renders an opcode (flag bits ignored) as the op label every sink
+// keys on, so device- and driver-side credits land in the same rows.
+func OpName(op uint32) string {
+	switch ring.OpCode(op) {
 	case OpRead:
 		return "read"
 	case OpWrite:
@@ -71,189 +121,187 @@ func opName(op uint32) string {
 }
 
 // translateFamily maps a translation outcome tag to its histogram family.
-func translateFamily(tag string) string {
+func translateFamily(tag string) family {
 	switch tag {
 	case trace.TagWalk:
-		return mTransWalkNs
+		return famTransWalk
 	case trace.TagMiss:
-		return mTransMissNs
+		return famTransMiss
 	case trace.TagCow:
-		return mTransCowNs
+		return famTransCow
 	}
-	return mTransHitNs
+	return famTransHit
 }
 
-// instrumented reports whether any per-request telemetry sink is attached —
-// the gate for chunk stage-timestamping. The attributor counts: it consumes
-// the same stage timestamps the metrics histograms do.
-func (c *Controller) instrumented() bool {
-	return c.Metrics != nil || c.Spans != nil || c.Attrib != nil
+// qIdx is the index of the queue a request was fetched from (0 for a
+// request with no queue, as register-level tests build).
+func (r *Request) qIdx() int {
+	if r.q == nil {
+		return 0
+	}
+	return r.q.idx
 }
 
 // reqLabels builds the {vf, q, op} label set for a request.
 func reqLabels(r *Request) metrics.Labels {
-	q := 0
-	if r.q != nil {
-		q = r.q.idx
-	}
-	return metrics.VFQOp(r.fn.idx, q, opName(r.Op))
+	return metrics.VFQOp(r.fn.idx, r.qIdx(), OpName(r.Op))
 }
 
-// observe feeds one stage duration into the named histogram family.
-func (c *Controller) observe(name string, r *Request, d sim.Time) {
-	if c.Metrics == nil {
+// stage reports that a stage of r ended at now. ch is the chunk that went
+// through it, nil for the request-level fetch stage, which also opens the
+// request's record. The stage began where the chunk's previous one ended
+// (ch.mark; the fetch began at r.t0), so consecutive calls tile a chunk's
+// life with no gaps; a chunk that skipped translation (the PF's out-of-band
+// path) reaches the DTU with no mark and has no pLBA-queue interval. arg is
+// the ring event's detail word.
+func (c *Controller) stage(r *Request, ch *chunk, st stageID, now sim.Time, arg uint64) {
+	t := &c.tel
+	if !t.staged {
 		return
 	}
-	c.Metrics.Histogram(name, familyHelp[name], reqLabels(r)).Observe(int64(d))
-}
-
-// seg accumulates one stage duration into a request's attribution vector.
-// Free (one branch) when no attributor is attached.
-func (c *Controller) seg(r *Request, i int, d sim.Time) {
-	if c.Attrib != nil && d > 0 {
-		r.segs[i] += d
-	}
-}
-
-// noteDeadline posts a deadline-expiration event naming the pipeline stage
-// that caught it.
-func (c *Controller) noteDeadline(at sim.Time, r *Request, stage string) {
-	if c.Board != nil {
-		c.Board.Emit(slo.Event{At: at, Kind: slo.EventDeadline, Dev: c.P.DeviceID,
-			VF: r.fn.idx, ReqID: r.ReqID, Note: stage})
-	}
-}
-
-// finishAttribution finalizes a completed request's segment vector — retry
-// share carved out of the medium share, admission-gate rejects charged
-// entirely to admission, residual wall time to "other" — and folds it into
-// the budget table. Called only with an attributor attached.
-func (c *Controller) finishAttribution(r *Request, now sim.Time) {
-	total := now - r.t0
-	if r.retries > 0 {
-		rd := sim.Time(r.retries) * c.P.MediumRetryDelay
-		if rd > r.segs[slo.SegMedium] {
-			rd = r.segs[slo.SegMedium]
+	d := &stages[st]
+	lba, idx, t0, tag := r.LBA, -1, r.t0, ""
+	fam := d.fam
+	if ch != nil {
+		lba, idx, t0 = ch.lba, ch.idx, ch.mark
+		ch.mark = now
+		if st == stTranslate {
+			tag, fam = ch.tag, translateFamily(ch.tag)
 		}
-		r.segs[slo.SegRetry] = rd
-		r.segs[slo.SegMedium] -= rd
+	} else if t.perReq {
+		r.tel = &reqTel{span: t.Spans.Start(r.fn.idx, r.qIdx(), OpName(r.Op), r.ID, r.LBA, r.Count, r.t0)}
+		if s := r.tel.span; s != nil {
+			s.ReqID, s.Dev = r.ReqID, c.P.DeviceID
+		}
+	}
+	if !d.silent {
+		t.Events.Emit(trace.Event{At: now, Kind: d.kind, Dev: c.P.DeviceID, Fn: r.fn.idx, LBA: lba, Arg: arg})
+	}
+	rt := r.tel
+	if rt == nil || (ch != nil && t0 == 0) {
+		return
+	}
+	rt.span.Phase(d.phase, idx, t0, now, tag)
+	if t.Metrics != nil {
+		t.Metrics.Histogram(fam.name, fam.help, reqLabels(r)).Observe(int64(now - t0))
+	}
+	if now > t0 {
+		rt.segs[d.seg] += now - t0
+	}
+}
+
+// finish reports r's completion (status final, completion entry not yet
+// written) to every sink: request counters and the end-to-end histogram, the
+// span recorder, the SLO engine, the attributor, and — for a terminal error
+// — the flight recorder and the scoreboard.
+func (c *Controller) finish(r *Request, now sim.Time) {
+	t := &c.tel
+	ok := r.status == StatusOK
+	if t.Metrics != nil {
+		l := reqLabels(r)
+		t.Metrics.Counter(famRequests.name, famRequests.help, l).Inc()
+		if !ok {
+			t.Metrics.Counter(famReqErrors.name, famReqErrors.help, l).Inc()
+		}
+		t.Metrics.Histogram(famRequestNs.name, famRequestNs.help, l).Observe(int64(now - r.t0))
+	}
+	if r.tel != nil {
+		t.Spans.Finish(r.tel.span, now, r.status)
+	}
+	if t.SLO != nil {
+		t.SLO.Observe(r.fn.idx, now, now-r.t0, ok, r.ReqID)
+	}
+	if r.tel != nil && t.Attrib != nil {
+		c.attribute(r, now)
+	}
+	if !ok && r.status != StatusBusy {
+		// Terminal error: snapshot the event-ring tail and this request's
+		// span for post-mortem retrieval through the PF. Busy is exempt —
+		// it is backpressure, not a fault, and under sustained admission
+		// pressure it would flush every real error out of the buffer.
+		c.captureFlight(now, r.fn.idx, r, "completion-error")
+		c.anomaly(slo.EventRequestError, r.fn.idx, r.ReqID, float64(r.status), "")
+	}
+	c.event(trace.KindComplete, r.fn.idx, r.LBA, uint64(r.status))
+}
+
+// event records a device event that is not the end of a pipeline stage.
+func (c *Controller) event(kind trace.Kind, fn int, lba, arg uint64) {
+	c.tel.Events.Emit(trace.Event{At: c.Eng.Now(), Kind: kind, Dev: c.P.DeviceID, Fn: fn, LBA: lba, Arg: arg})
+}
+
+// anomaly posts a structured event to the scoreboard. note names the
+// pipeline stage for deadline expirations; reqID is 0 when the event is not
+// request-scoped.
+func (c *Controller) anomaly(kind slo.EventKind, fn int, reqID uint64, value float64, note string) {
+	c.tel.Board.Emit(slo.Event{At: c.Eng.Now(), Kind: kind, Dev: c.P.DeviceID, VF: fn, ReqID: reqID, Value: value, Note: note})
+}
+
+// noteRetry attributes one medium retry round to the request's record.
+func (c *Controller) noteRetry(r *Request) {
+	rt := r.tel
+	if rt == nil {
+		return
+	}
+	rt.retries++
+	if rt.span != nil {
+		rt.span.Retries++
+	}
+	if c.tel.Metrics != nil {
+		c.tel.Metrics.Counter(famMedRetries.name, famMedRetries.help, reqLabels(r)).Inc()
+	}
+}
+
+// attribute finalizes a completed request's segment vector — retry share
+// carved out of the medium share, admission-gate rejects charged entirely to
+// admission, residual wall time to "other" — and folds it into the budget
+// table. Called only with an attributor attached and the record open.
+func (c *Controller) attribute(r *Request, now sim.Time) {
+	segs := &r.tel.segs
+	total := now - r.t0
+	if n := r.tel.retries; n > 0 {
+		rd := sim.Time(n) * c.P.MediumRetryDelay
+		if rd > segs[slo.SegMedium] {
+			rd = segs[slo.SegMedium]
+		}
+		segs[slo.SegRetry] = rd
+		segs[slo.SegMedium] -= rd
 	}
 	if !r.admitted && r.status == StatusBusy {
 		// Fast-failed at the admission gate: nothing executed, its whole
 		// (short) life was admission control.
-		r.segs[slo.SegAdmission] = total
+		segs[slo.SegAdmission] = total
 	}
 	var sum sim.Time
-	for i := 0; i < slo.NumSegments; i++ {
-		sum += r.segs[i]
+	for _, s := range segs {
+		sum += s
 	}
 	if total > sum {
-		r.segs[slo.SegOther] = total - sum
+		segs[slo.SegOther] = total - sum
 	}
-	c.Attrib.Record(r.fn.idx, opName(r.Op), r.ReqID, total, r.status == StatusOK, r.segs)
+	c.tel.Attrib.Record(r.fn.idx, OpName(r.Op), r.ReqID, total, r.status == StatusOK, *segs)
 }
 
-// AttachSLO hands the controller the observability layer's sinks: the
-// anomaly scoreboard, the per-tenant SLO engine, and the attribution sink.
-// Any may be nil; with all nil the controller behaves exactly as before.
-// Like AttachTelemetry, everything here only reads the virtual clock.
-func (c *Controller) AttachSLO(board *slo.Scoreboard, eng *slo.Engine, attrib *slo.Attributor) {
-	c.Board = board
-	c.SLO = eng
-	c.Attrib = attrib
-}
-
-// AttachTelemetry hands the controller its telemetry sinks. Either may be
-// nil; with both nil the controller behaves exactly as before. Must be
-// called before traffic flows (registration takes the registry lock). The
-// device's counter fields are registered as export-time gauge closures;
-// re-attaching a controller to the same registry replaces them (last
-// controller wins), which is what a multi-platform benchmark run wants.
-func (c *Controller) AttachTelemetry(reg *metrics.Registry, spans *trace.SpanRecorder) {
-	c.Metrics = reg
-	c.Spans = spans
-	if reg == nil {
+// registerFnGauges publishes one function's {vf} gauge series. They are
+// registered when the function comes into existence, not from the platform
+// catalogue, because the moment of registration decides which series a
+// capped family keeps; configured-but-idle VFs never occupy series. Only the
+// primary device publishes them: series carry no device label, and a
+// replica's closures would silently replace the primary's.
+func (c *Controller) registerFnGauges(f *Function) {
+	reg, l := c.tel.Metrics, metrics.VFLabel(f.idx)
+	if reg == nil || c.P.DeviceID != 0 {
 		return
 	}
-	no := metrics.NoLabels
-	counters := []struct {
-		name, help string
-		v          *int64
-	}{
-		{"nesc_device_btlb_hits_total", "BTLB lookup hits", &c.BTLBStats.Hits},
-		{"nesc_device_btlb_misses_total", "BTLB lookup misses", &c.BTLBStats.Misses},
-		{"nesc_device_walk_node_reads_total", "extent-tree node DMA reads", &c.WalkNodeReads},
-		{"nesc_device_misses_total", "translation misses latched", &c.Misses},
-		{"nesc_device_cow_faults_total", "writes trapped on write-protected (CoW shared) extents", &c.CowFaults},
-		{"nesc_device_btlb_invalidations_total", "BTLB entries dropped by targeted invalidation", &c.BTLBInvalidations},
-		{"nesc_device_reqs_done_total", "requests retired", &c.ReqsDone},
-		{"nesc_device_chunks_done_total", "chunks retired", &c.ChunksDone},
-		{"nesc_device_fetch_drops_total", "doorbells lost to descriptor-fetch DMA errors", &c.FetchDrops},
-		{"nesc_device_cpl_drops_total", "completions lost to completion-ring DMA errors", &c.CplDrops},
-		{"nesc_device_medium_errors_total", "chunks that exhausted medium retries", &c.MediumErrors},
-		{"nesc_device_medium_retries_total", "medium retry attempts", &c.MediumRetries},
-		{"nesc_device_dma_faults_total", "chunks failed by data-buffer DMA faults", &c.DMAFaults},
-		{"nesc_device_flrs_total", "function-level resets performed", &c.FLRs},
-		{"nesc_device_aborted_chunks_total", "chunks killed by a reset", &c.AbortedChunks},
-		{"nesc_device_miss_resends_total", "miss MSIs re-raised by the resend timer", &c.MissResends},
-		{"nesc_device_bad_ring_writes_total", "rejected ring-size register writes", &c.BadRingSizes},
-		{"nesc_device_bad_doorbells_total", "ignored incoherent doorbell writes", &c.BadDoorbells},
-		{"nesc_device_integrity_errors_total", "requests latched StatusIntegrityError", &c.IntegrityErrors},
-		{"nesc_device_integrity_repairs_total", "integrity failures healed by retry or scrub", &c.IntegrityRepairs},
-		{"nesc_device_scrub_chunks_total", "verify chunks processed", &c.ScrubChunks},
-		{"nesc_device_queue_leases_total", "queue pairs leased from the device pool", &c.QueueLeases},
-		{"nesc_device_queue_returns_total", "queue pairs returned to the device pool", &c.QueueReturns},
-		{"nesc_device_queue_lease_fails_total", "ring programmings rejected by an exhausted pool", &c.QueueLeaseFails},
-		{"nesc_device_shadow_batches_total", "fetch batches initiated via shadow doorbells", &c.ShadowBatches},
-		{"nesc_device_admit_rejects_total", "requests fast-failed StatusBusy by per-VF admission control", &c.AdmitRejects},
-		{"nesc_device_deadline_expirations_total", "requests or chunks completed StatusBusy past their deadline", &c.DeadlineExpirations},
-	}
-	for _, ct := range counters {
-		v := ct.v
-		reg.GaugeFunc(ct.name, ct.help, no, func() float64 { return float64(*v) })
-	}
-	reg.GaugeFunc("nesc_device_btlb_hit_rate", "BTLB hits / lookups", no, c.BTLBStats.Rate)
-	reg.GaugeFunc("nesc_device_flight_records_total", "flight-recorder captures", no,
-		func() float64 {
-			if c.Flight == nil {
-				return 0
-			}
-			return float64(c.Flight.Total)
-		})
-	reg.GaugeFunc("nesc_device_materialized_vfs", "VFs with device state built", no,
-		func() float64 { return float64(c.nMat) })
-	reg.GaugeFunc("nesc_device_leased_queues", "queue pairs currently leased out", no,
-		func() float64 { return float64(c.LeasedQueues()) })
-	// DRR fairness: Jain's index over per-VF block counts, restricted to VFs
-	// that moved traffic (1 = perfectly fair, 1/n = maximally skewed). Only
-	// materialized VFs can have moved traffic, so the lazy table loses
-	// nothing.
-	reg.GaugeFunc("nesc_device_drr_fairness", "Jain fairness index over per-VF blocks served", no,
-		func() float64 { return c.JainFairness() })
-	// Per-function series: the PF and every already-materialized VF now;
-	// VFs materialized later register their gauges at materialization, so
-	// configured-but-idle VFs never occupy series.
-	c.fnGaugeReg = reg
-	c.registerFnGauges(reg, c.pf)
-	c.forEachVF(func(f *Function) { c.registerFnGauges(reg, f) })
-}
-
-// registerFnGauges publishes one function's per-VF gauge series; called for
-// live functions at attach time and for each VF materialized afterwards.
-func (c *Controller) registerFnGauges(reg *metrics.Registry, f *Function) {
-	l := metrics.VFLabel(f.idx)
-	reg.GaugeFunc("nesc_fn_inflight", "fetched-but-uncompleted requests", l,
-		func() float64 { return float64(f.inflight) })
-	reg.GaugeFunc("nesc_fn_reqs_total", "requests fetched", l,
-		func() float64 { return float64(f.Reqs) })
-	reg.GaugeFunc("nesc_fn_blocks_total", "blocks requested", l,
-		func() float64 { return float64(f.Blocks) })
-	reg.GaugeFunc("nesc_fn_resets_total", "function-level resets", l,
-		func() float64 { return float64(f.Resets) })
+	reg.GaugeFunc("nesc_fn_inflight", "fetched-but-uncompleted requests", l, func() float64 { return float64(f.inflight) })
+	reg.GaugeFunc("nesc_fn_reqs_total", "requests fetched", l, func() float64 { return float64(f.Reqs) })
+	reg.GaugeFunc("nesc_fn_blocks_total", "blocks requested", l, func() float64 { return float64(f.Blocks) })
+	reg.GaugeFunc("nesc_fn_resets_total", "function-level resets", l, func() float64 { return float64(f.Resets) })
 }
 
 // JainFairness computes Jain's fairness index (Σx)²/(n·Σx²) over the block
-// counts of materialized VFs that served any traffic; 1 when idle.
+// counts of materialized VFs that served any traffic; 1 when idle. Only
+// materialized VFs can have moved traffic, so the lazy table loses nothing.
 func (c *Controller) JainFairness() float64 {
 	var sum, sumSq float64
 	n := 0

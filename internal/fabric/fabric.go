@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
@@ -217,23 +218,14 @@ type Client struct {
 	// loser of a hedge must never DMA into the guest's buffer).
 	hedgePool []scratch
 
-	// Observability hooks (AttachSLO): all nil-safe and off by default.
-	// board receives detector-trip / quarantine / rejoin anomaly events;
-	// attrib receives per-read latency attribution rows keyed by the tenant
-	// VF this client fronts (op "fabric-read", so device-side rows for the
-	// individual legs stay distinct).
+	// Telemetry sinks, from the bundle handed to NewClient: board receives
+	// detector-trip / quarantine / rejoin anomaly events; attrib receives
+	// per-read latency attribution rows keyed by the tenant VF this client
+	// fronts (op "fabric-read", so device-side rows for the individual legs
+	// stay distinct).
 	board  *slo.Scoreboard
 	attrib *slo.Attributor
 	tenant int
-}
-
-// AttachSLO arms the client's observability hooks: scoreboard events for
-// gray-failure verdicts and latency attribution for delivered reads,
-// reported against tenantVF. Nil arguments disable the respective hook.
-func (c *Client) AttachSLO(board *slo.Scoreboard, attrib *slo.Attributor, tenantVF int) {
-	c.board = board
-	c.attrib = attrib
-	c.tenant = tenantVF
 }
 
 // recordRead attributes one delivered (or abandoned) fabric read to the
@@ -254,8 +246,10 @@ func (c *Client) recordRead(total, svc sim.Time, ok bool) {
 }
 
 // NewClient mirrors across the given replicas (at least one). All replicas
-// must agree on block size and capacity.
-func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica) (*Client, error) {
+// must agree on block size and capacity. Gray-failure verdicts and delivered
+// reads are reported to tel's scoreboard and attributor against function
+// index tenantVF.
+func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica, tel core.Sinks, tenantVF int) (*Client, error) {
 	if len(reps) == 0 {
 		return nil, errors.New("fabric: no replicas")
 	}
@@ -292,7 +286,7 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 			return nil, fmt.Errorf("fabric: replica geometry mismatch (dev %d)", r.Dev)
 		}
 	}
-	c := &Client{Eng: eng, Mem: mem, Cfg: cfg, reps: reps}
+	c := &Client{Eng: eng, Mem: mem, Cfg: cfg, reps: reps, board: tel.Board, attrib: tel.Attrib, tenant: tenantVF}
 	if cfg.HedgePercentile > 0 {
 		c.readLat = stats.NewWindow(cfg.HedgeWindow)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"nesc/internal/core"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
 	"nesc/internal/sim"
@@ -70,7 +71,7 @@ func newMirrorRig(t *testing.T, cfg Config, lats ...sim.Time) *mirrorRig {
 		rig.legs = append(rig.legs, leg)
 		reps = append(reps, &Replica{Dev: i, Drv: leg})
 	}
-	c, err := NewClient(eng, mem, cfg, reps)
+	c, err := NewClient(eng, mem, cfg, reps, core.Sinks{}, 0)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 )
 
 // Policy selects which queue pair a MultiQueue submission lands on.
@@ -98,13 +97,6 @@ func (mq *MultiQueue) BusyRejects() int64 {
 		n += qp.BusyRejects
 	}
 	return n
-}
-
-// AttachAttribution arms driver-side latency attribution on every queue.
-func (mq *MultiQueue) AttachAttribution(a *slo.Attributor, vf int) {
-	for _, qp := range mq.queues {
-		qp.AttachAttribution(a, vf)
-	}
 }
 
 // SetPI enables end-to-end protection information on every queue.

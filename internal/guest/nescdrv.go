@@ -7,6 +7,7 @@ import (
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
+	"nesc/internal/slo"
 )
 
 // NescDriver is the guest block driver for a directly assigned NeSC virtual
@@ -73,6 +74,11 @@ type NescDriverConfig struct {
 	// descriptors and completions). On by default: PI is pure arithmetic and
 	// does not alter the event schedule.
 	DisablePI bool
+	// Attrib, when set, receives every queue's driver-side busy-backoff
+	// time, credited to function index AttribVF's budget-table rows — the
+	// rows the device pipeline attributes the same tenant's requests to.
+	Attrib   *slo.Attributor
+	AttribVF int
 }
 
 // NewNescDriver programs the VF rings and reads the device geometry.
@@ -95,6 +101,9 @@ func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDri
 	}
 	mq.SetPolicy(cfg.Policy)
 	mq.SetRecovery(cfg.Timeout, cfg.RetryMax)
+	for _, qp := range mq.queues {
+		qp.Attrib, qp.AttribVF = cfg.Attrib, cfg.AttribVF
+	}
 	if cfg.Deadline > 0 {
 		if err := mq.SetDeadline(p, cfg.Deadline); err != nil {
 			return nil, err

@@ -112,29 +112,10 @@ type QueuePair struct {
 	// Attrib, when set, receives the driver-side admission backoff time the
 	// tenant waits between busy-rejected resubmissions — latency the device
 	// pipeline never sees but the guest absolutely does. Credited to
-	// AttribVF's budget-table row under the admission segment. Nil off.
+	// AttribVF's budget-table row under the admission segment. Nil off; set
+	// by NewNescDriver from its config.
 	Attrib   *slo.Attributor
 	AttribVF int
-}
-
-// AttachAttribution arms driver-side latency attribution for vf.
-func (qp *QueuePair) AttachAttribution(a *slo.Attributor, vf int) {
-	qp.Attrib = a
-	qp.AttribVF = vf
-}
-
-// attribOpName mirrors the device's metric op labels so driver-side credits
-// land in the same budget-table rows.
-func attribOpName(op uint32) string {
-	switch ring.OpCode(op) {
-	case ring.OpRead:
-		return "read"
-	case ring.OpWrite:
-		return "write"
-	case ring.OpVerify:
-		return "verify"
-	}
-	return "other"
 }
 
 type qpWaiter struct {
@@ -321,7 +302,7 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	var backoff sim.Time
 	if qp.Attrib != nil {
 		defer func() {
-			qp.Attrib.AddSegment(qp.AttribVF, attribOpName(op), slo.SegAdmission, backoff)
+			qp.Attrib.AddSegment(qp.AttribVF, core.OpName(op), slo.SegAdmission, backoff)
 		}()
 	}
 	for attempt := 0; ; attempt++ {

@@ -207,9 +207,9 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 			if err != nil {
 				return err
 			}
-			if h.Attrib != nil {
+			if h.tel.Attrib != nil {
 				// The remote round trip is fabric time from the tenant's view.
-				h.Attrib.AddSegment(idx, op, slo.SegFabricWait, p.Now()-start)
+				h.tel.Attrib.AddSegment(idx, op, slo.SegFabricWait, p.Now()-start)
 			}
 			cache.Put(hash, fetched)
 			data = fetched
@@ -223,8 +223,8 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 		if werr != nil {
 			return werr
 		}
-		if h.Attrib != nil {
-			h.Attrib.AddSegment(idx, op, slo.SegMedium, p.Now()-wstart)
+		if h.tel.Attrib != nil {
+			h.tel.Attrib.AddSegment(idx, op, slo.SegMedium, p.Now()-wstart)
 		}
 		h.CASMaterializations++
 	}

@@ -140,8 +140,7 @@ func (d *Device) bootDevice(p *sim.Proc, format bool, fsParams extfs.Params) err
 		mq.SetPI(d.Ctl.P.BlockSize)
 	}
 	d.pfQP = mq
-	h.qps[d.Ctl.PF().ID()] = mq
-	h.registerQueueGauges(d.Ctl.PF().ID(), mq)
+	h.route(d.Ctl.PF().ID(), mq)
 	disk := d.Disk()
 	fsParams.OpCost = h.P.HostFSOpCost
 	if format {

@@ -22,7 +22,6 @@ import (
 	"nesc/internal/metrics"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 )
 
 // Params is the host-side cost model.
@@ -173,8 +172,8 @@ type Hypervisor struct {
 	Snapshots int64
 	Clones    int64
 	CowBreaks int64
-	// cowBreakHist, when metrics are attached, times the CoW break service
-	// (fault read → sharing broken → BTLB invalidated).
+	// cowBreakHist, when the bundle carries a registry, times the CoW break
+	// service (fault read → sharing broken → BTLB invalidated).
 	cowBreakHist *metrics.Histogram
 
 	// Background scrubber state and lifetime counters (see scrub.go).
@@ -187,24 +186,10 @@ type Hypervisor struct {
 	// passes (a subset of the controller's IntegrityRepairs).
 	ScrubRepairs int64
 
-	// Metrics, when non-nil, receives the hypervisor-side derived gauges
-	// (telemetry.go); installed by RegisterMetrics.
-	Metrics *metrics.Registry
-
-	// Board / Attrib are the host-wide anomaly scoreboard and latency
-	// attributor (AttachSLO); nil when the observability layer is off.
-	// Fabric clients and VF drivers built after attachment inherit them.
-	Board  *slo.Scoreboard
-	Attrib *slo.Attributor
-}
-
-// AttachSLO installs the observability layer's host-side hooks: the anomaly
-// scoreboard receives fabric gray-failure events, and the attributor
-// receives driver- and fabric-side latency credits. Call before building
-// VMs; nil arguments leave the respective hook off.
-func (h *Hypervisor) AttachSLO(board *slo.Scoreboard, attrib *slo.Attributor) {
-	h.Board = board
-	h.Attrib = attrib
+	// tel is the telemetry bundle, taken from the primary controller so host
+	// and device feed the same sinks by construction; the VF drivers and
+	// fabric clients the hypervisor builds are handed it in turn.
+	tel core.Sinks
 }
 
 // New wires a hypervisor to the controller and installs the MSI router.
@@ -218,7 +203,9 @@ func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, ctl *core.Contr
 		devByPF: make(map[pcie.FnID]*Device),
 		qps:     make(map[pcie.FnID]*guest.MultiQueue),
 		vmOf:    make(map[pcie.FnID]*VM),
+		tel:     ctl.Sinks(),
 	}
+	h.cowBreakHist = h.tel.Metrics.Histogram("nesc_hyp_cow_break_ns", "CoW break service latency (fault read to BTLB invalidated)", metrics.NoLabels)
 	d0 := newDevice(h, 0, ctl)
 	h.devs = []*Device{d0}
 	h.devByPF[ctl.PF().ID()] = d0
@@ -280,6 +267,27 @@ func (h *Hypervisor) RecoveryStats() DriverRecoveryStats {
 		}
 	}
 	return st
+}
+
+// route delivers function id's completion interrupts to mq and, on the
+// primary device, publishes the driver's per-queue depth and submission
+// gauges ({vf, q}; a VF reused by a later VM replaces the earlier VM's
+// closures). Registered here rather than from the platform catalogue because
+// a driver queue exists only from this moment on.
+func (h *Hypervisor) route(id pcie.FnID, mq *guest.MultiQueue) {
+	h.qps[id] = mq
+	fnIdx, ok := h.Ctl.FnIndex(id)
+	if h.tel.Metrics == nil || mq == nil || !ok {
+		return
+	}
+	for q, qp := range mq.Queues() {
+		qp := qp
+		l := metrics.Labels{VF: fnIdx, Q: q}
+		h.tel.Metrics.GaugeFunc("nesc_driver_queue_depth", "in-flight submissions on this driver queue", l,
+			func() float64 { return float64(qp.Depth()) })
+		h.tel.Metrics.GaugeFunc("nesc_driver_queue_submitted_total", "requests submitted on this driver queue", l,
+			func() float64 { return float64(qp.Submitted) })
+	}
 }
 
 func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {

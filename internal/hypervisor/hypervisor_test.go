@@ -42,7 +42,7 @@ func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), 
 	}
 	store := blockdev.NewStore(cp.BlockSize, mediumBlocks)
 	medium := blockdev.NewMedium(eng, store, blockdev.DefaultMediumParams())
-	ctl, err := core.New(eng, fab, medium, cp)
+	ctl, err := core.New(eng, fab, medium, cp, core.Sinks{})
 	if err != nil {
 		t.Fatal(err)
 	}

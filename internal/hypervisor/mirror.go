@@ -45,23 +45,18 @@ func (h *Hypervisor) newVFDriver(p *sim.Proc, dev *Device, idx int, cfg VMConfig
 		Queues:          queues,
 		Policy:          cfg.VFQueuePolicy,
 		DisablePI:       h.P.DisablePI,
+		// Function index (0 = PF, VF idx + 1): the row key the device
+		// pipeline attributes this tenant's requests to.
+		Attrib:   h.tel.Attrib,
+		AttribVF: idx + 1,
 	})
 }
 
 // wireLeg routes a VF driver's completions and DMA grants for vm.
 func (h *Hypervisor) wireLeg(dev *Device, idx int, drv *guest.NescDriver, vm *VM) {
 	fnID := dev.Ctl.VF(idx).ID()
-	h.qps[fnID] = drv.MQ()
+	h.route(fnID, drv.MQ())
 	h.vmOf[fnID] = vm
-	h.registerQueueGauges(fnID, drv.MQ())
-	if h.Attrib != nil {
-		// Driver-side busy-backoff credits land in the same budget-table row
-		// the device pipeline attributes to, keyed by function index
-		// (0 = PF, VF idx + 1 elsewhere).
-		if fnIdx, ok := dev.Ctl.FnIndex(fnID); ok {
-			drv.MQ().AttachAttribution(h.Attrib, fnIdx)
-		}
-	}
 	if h.P.UseIOMMU {
 		h.Fab.IOMMU().Grant(fnID, 0, h.Mem.Size())
 	}
@@ -118,15 +113,12 @@ func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devic
 		vm.Legs = append(vm.Legs, MirrorLeg{Dev: dev, VFIdx: idx, Drv: drv})
 		reps = append(reps, fabric.NewReplica(di, drv))
 	}
-	client, err := fabric.NewClient(h.Eng, h.Mem, fcfg, reps)
+	// Fabric-level events and attribution report against the tenant's
+	// first-leg function index (VF idx + 1) — the stable identity of the
+	// mirrored disk, matching the device pipeline's row key.
+	client, err := fabric.NewClient(h.Eng, h.Mem, fcfg, reps, h.tel, vm.Legs[0].VFIdx+1)
 	if err != nil {
 		return nil, err
-	}
-	if h.Board != nil || h.Attrib != nil {
-		// Fabric-level events and attribution report against the tenant's
-		// first-leg function index (VF idx + 1) — the stable identity of the
-		// mirrored disk, matching the device pipeline's row key.
-		client.AttachSLO(h.Board, h.Attrib, vm.Legs[0].VFIdx+1)
 	}
 	vm.Client = client
 	vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, client)

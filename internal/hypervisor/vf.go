@@ -478,8 +478,7 @@ func (d *Device) SetVFWeight(p *sim.Proc, idx int, weight int) {
 // accelerator directly attached to a VF would get (paper §IV-D "direct
 // storage accesses from accelerators").
 func (d *Device) RouteVFInterrupts(idx int, mq *guest.MultiQueue) {
-	d.h.qps[d.Ctl.VF(idx).ID()] = mq
-	d.h.registerQueueGauges(d.Ctl.VF(idx).ID(), mq)
+	d.h.route(d.Ctl.VF(idx).ID(), mq)
 }
 
 // FlushBTLB invalidates the device's translation cache (required around

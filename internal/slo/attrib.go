@@ -2,9 +2,11 @@ package slo
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"nesc/internal/metrics"
 	"nesc/internal/sim"
@@ -89,11 +91,17 @@ type Attributor struct {
 
 // NewAttributor builds an attributor whose rows each retain the last
 // reservoir request profiles (min 16) for tail analysis.
-func NewAttributor(reservoir int) *Attributor {
+func NewAttributor(reservoir int) *Attributor { return NewAttributorOn(nil, reservoir) }
+
+// NewAttributorOn is NewAttributor publishing the budget table in reg (nil =
+// none) as export-time gauges: per-row request/error counters plus one
+// nesc_attrib_<segment>_ns_total family per segment, labelled {vf, op},
+// registered as rows appear.
+func NewAttributorOn(reg *metrics.Registry, reservoir int) *Attributor {
 	if reservoir < 16 {
 		reservoir = 16
 	}
-	return &Attributor{reservoir: reservoir, cells: make(map[cellKey]*cell)}
+	return &Attributor{reservoir: reservoir, cells: make(map[cellKey]*cell), reg: reg}
 }
 
 // lookup returns the row for {vf,op}, creating it if fresh. Caller holds
@@ -211,6 +219,14 @@ type Explanation struct {
 	DominantShare   float64 // that segment's share of the tail's summed segments
 
 	TailReqIDs []uint64 // example tail request ids (flight-recorder cross-links)
+}
+
+// String renders the verdict on one line (the nescctl -top and make profile
+// format).
+func (ex Explanation) String() string {
+	return fmt.Sprintf("vf=%-3d op=%-12s n=%-6d median=%-8v tail=%-8v dominant=%s (+%v, %2.0f%% of tail)",
+		ex.VF, ex.Op, ex.Requests, time.Duration(ex.MedianNs), time.Duration(ex.TailNs),
+		ex.Dominant, time.Duration(ex.DominantDeltaNs), 100*ex.DominantShare)
 }
 
 // explainProfiles runs the tail-vs-median diff over a profile snapshot.
@@ -404,32 +420,6 @@ func (a *Attributor) WriteReport(w io.Writer) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
-}
-
-// AttachMetrics publishes the budget table as export-time gauges: per-row
-// request/error counters plus one nesc_attrib_<segment>_ns_total family per
-// segment, labelled {vf, op}. Rows created later register as they appear.
-// Nil-safe.
-func (a *Attributor) AttachMetrics(reg *metrics.Registry) {
-	if a == nil || reg == nil {
-		return
-	}
-	a.mu.Lock()
-	a.reg = reg
-	live := make([]*cell, 0, len(a.cells))
-	for _, c := range a.cells {
-		live = append(live, c)
-	}
-	a.mu.Unlock()
-	sort.Slice(live, func(i, j int) bool {
-		if live[i].key.vf != live[j].key.vf {
-			return live[i].key.vf < live[j].key.vf
-		}
-		return live[i].key.op < live[j].key.op
-	})
-	for _, c := range live {
-		a.registerCell(c)
-	}
 }
 
 // registerCell publishes one row's gauges. Called without a.mu held; the

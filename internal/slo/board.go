@@ -79,11 +79,20 @@ type Scoreboard struct {
 }
 
 // NewScoreboard builds a board holding the last capacity events (min 1).
-func NewScoreboard(capacity int) *Scoreboard {
+// With a registry (nil = none) it publishes per-kind emission counters as
+// export-time gauges: family nesc_scoreboard_events_total, labelled by kind.
+func NewScoreboard(capacity int, reg *metrics.Registry) *Scoreboard {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Scoreboard{ring: make([]Event, capacity)}
+	b := &Scoreboard{ring: make([]Event, capacity)}
+	for k := EventKind(0); k < numEventKinds; k++ {
+		k := k
+		reg.GaugeFunc("nesc_scoreboard_events_total", "structured anomaly events emitted, by kind",
+			metrics.Labels{VF: -1, Q: -1, Op: k.String()},
+			func() float64 { return float64(b.Count(k)) })
+	}
+	return b
 }
 
 // Emit records one event, stamping its sequence number. Nil-safe.
@@ -171,19 +180,4 @@ func (b *Scoreboard) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// AttachMetrics publishes per-kind emission counters as export-time gauges
-// (family nesc_scoreboard_events_total, labelled by kind name). Nil-safe on
-// both receivers.
-func (b *Scoreboard) AttachMetrics(reg *metrics.Registry) {
-	if b == nil || reg == nil {
-		return
-	}
-	for k := EventKind(0); k < numEventKinds; k++ {
-		k := k
-		reg.GaugeFunc("nesc_scoreboard_events_total", "structured anomaly events emitted, by kind",
-			metrics.Labels{VF: -1, Q: -1, Op: k.String()},
-			func() float64 { return float64(b.Count(k)) })
-	}
 }

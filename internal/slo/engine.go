@@ -185,13 +185,15 @@ type Engine struct {
 }
 
 // NewEngine builds an engine applying def to every tenant, emitting alert
-// events to board (nil = no scoreboard).
-func NewEngine(def Objective, board *Scoreboard) *Engine {
+// events to board (nil = no scoreboard) and publishing per-tenant burn and
+// budget gauges in reg (nil = none) as trackers materialize.
+func NewEngine(def Objective, board *Scoreboard, reg *metrics.Registry) *Engine {
 	return &Engine{
 		def:       def.normalize(),
 		overrides: make(map[int]Objective),
 		trackers:  make(map[int]*tracker),
 		board:     board,
+		reg:       reg,
 	}
 }
 
@@ -276,27 +278,6 @@ func (e *Engine) Status() []Status {
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].VF < out[j].VF })
 	return out
-}
-
-// AttachMetrics publishes the engine's gauges: a global alert counter plus
-// per-tenant burn/budget series as trackers materialize. Nil-safe.
-func (e *Engine) AttachMetrics(reg *metrics.Registry) {
-	if e == nil || reg == nil {
-		return
-	}
-	e.mu.Lock()
-	e.reg = reg
-	live := make([]*tracker, 0, len(e.trackers))
-	for _, t := range e.trackers {
-		live = append(live, t)
-	}
-	e.mu.Unlock()
-	reg.GaugeFunc("nesc_slo_alerts_total", "burn-rate alerts fired across all tenants",
-		metrics.NoLabels, func() float64 { return float64(e.TotalAlerts()) })
-	sort.Slice(live, func(i, j int) bool { return live[i].vf < live[j].vf })
-	for _, t := range live {
-		e.registerTracker(t)
-	}
 }
 
 // registerTracker publishes one tenant's SLO gauges. Called without e.mu

@@ -12,7 +12,7 @@ import (
 // --- Scoreboard -----------------------------------------------------------
 
 func TestScoreboardRingWrapAndCounts(t *testing.T) {
-	b := NewScoreboard(4)
+	b := NewScoreboard(4, nil)
 	for i := 0; i < 10; i++ {
 		kind := EventDeadline
 		if i%2 == 0 {
@@ -45,7 +45,7 @@ func TestScoreboardRingWrapAndCounts(t *testing.T) {
 }
 
 func TestScoreboardCapacityClampsToOne(t *testing.T) {
-	b := NewScoreboard(0)
+	b := NewScoreboard(0, nil)
 	b.Emit(Event{Kind: EventFLR, VF: 1})
 	b.Emit(Event{Kind: EventFLR, VF: 2})
 	evs := b.Events()
@@ -78,7 +78,7 @@ func TestEventKindStrings(t *testing.T) {
 		t.Fatalf("unknown kind String() = %q, want EventKind(99)", got)
 	}
 	// Counting an unknown kind must not panic or corrupt the table.
-	b := NewScoreboard(2)
+	b := NewScoreboard(2, nil)
 	b.Emit(Event{Kind: EventKind(200)})
 	if b.Total() != 1 || b.Count(EventKind(200)) != 0 {
 		t.Fatalf("unknown-kind emission: Total=%d Count=%d, want 1 and 0", b.Total(), b.Count(EventKind(200)))
@@ -86,7 +86,7 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestScoreboardDump(t *testing.T) {
-	b := NewScoreboard(8)
+	b := NewScoreboard(8, nil)
 	var empty bytes.Buffer
 	if err := b.Dump(&empty); err != nil {
 		t.Fatalf("Dump(empty) error: %v", err)
@@ -113,7 +113,6 @@ func TestScoreboardNilSafe(t *testing.T) {
 	if b.Total() != 0 || b.Count(EventFLR) != 0 || b.Events() != nil {
 		t.Fatal("nil scoreboard must report zero state")
 	}
-	b.AttachMetrics(nil)
 }
 
 // --- Engine ---------------------------------------------------------------
@@ -132,8 +131,8 @@ func testObjective() Objective {
 }
 
 func TestEngineAlertFiresAndLatchesOnce(t *testing.T) {
-	board := NewScoreboard(64)
-	e := NewEngine(testObjective(), board)
+	board := NewScoreboard(64, nil)
+	e := NewEngine(testObjective(), board, nil)
 	at := sim.Time(0)
 	step := func(n int, lat sim.Time) {
 		for i := 0; i < n; i++ {
@@ -172,7 +171,7 @@ func TestEngineAlertFiresAndLatchesOnce(t *testing.T) {
 }
 
 func TestEngineMinSamplesFloor(t *testing.T) {
-	e := NewEngine(testObjective(), nil)
+	e := NewEngine(testObjective(), nil, nil)
 	// Three straight failures burn at 10x but sit under the 4-sample floor.
 	for i := sim.Time(1); i <= 3; i++ {
 		e.Observe(2, i*100, 500, false, 0)
@@ -187,8 +186,8 @@ func TestEngineMinSamplesFloor(t *testing.T) {
 }
 
 func TestEngineBudgetExhaustionLatches(t *testing.T) {
-	board := NewScoreboard(16)
-	e := NewEngine(testObjective(), board)
+	board := NewScoreboard(16, nil)
+	e := NewEngine(testObjective(), board, nil)
 	e.Observe(3, 100, 50, true, 0)
 	// One bad of two total consumes 1/(0.1*2) = 5x the budget: exhausted.
 	e.Observe(3, 200, 50, false, 0)
@@ -209,7 +208,7 @@ func TestEngineBudgetExhaustionLatches(t *testing.T) {
 }
 
 func TestEngineSetObjectiveOverride(t *testing.T) {
-	e := NewEngine(testObjective(), nil)
+	e := NewEngine(testObjective(), nil, nil)
 	e.SetObjective(7, Objective{Latency: 1000, Goal: 0.5, ShortWindow: 800, LongWindow: 1600, BurnThreshold: 2, MinSamples: 4})
 	e.Observe(7, 100, 500, true, 0) // slow by the default, fine by the override
 	e.Observe(1, 100, 500, true, 0) // same latency is bad under the default
@@ -234,7 +233,7 @@ func TestEngineSetObjectiveOverride(t *testing.T) {
 }
 
 func TestObjectiveNormalize(t *testing.T) {
-	e := NewEngine(Objective{}, nil) // all-zero objective clamps to defaults
+	e := NewEngine(Objective{}, nil, nil) // all-zero objective clamps to defaults
 	e.Observe(0, 100, 50, true, 0)
 	got := e.Status()[0].Objective
 	if got != DefaultObjective() {
@@ -255,7 +254,6 @@ func TestEngineNilSafe(t *testing.T) {
 	if e.TotalAlerts() != 0 || e.Status() != nil {
 		t.Fatal("nil engine must report zero state")
 	}
-	e.AttachMetrics(nil)
 }
 
 // --- Attributor -----------------------------------------------------------
@@ -388,7 +386,6 @@ func TestAttributorNilSafe(t *testing.T) {
 	if strings.TrimSpace(buf.String()) != "[]" {
 		t.Fatalf("nil report = %q, want []", buf.String())
 	}
-	a.AttachMetrics(nil)
 }
 
 func TestSegmentNameRange(t *testing.T) {
@@ -403,13 +400,13 @@ func TestSegmentNameRange(t *testing.T) {
 // --- hot-path allocation guards ------------------------------------------
 
 func TestHotPathsDoNotAllocate(t *testing.T) {
-	board := NewScoreboard(64)
+	board := NewScoreboard(64, nil)
 	ev := Event{At: 100, Kind: EventDeadline, Dev: 0, VF: 1, ReqID: 9, Note: "mux"}
 	if avg := testing.AllocsPerRun(1000, func() { board.Emit(ev) }); avg != 0 {
 		t.Fatalf("Scoreboard.Emit allocates %v per call, want 0", avg)
 	}
 
-	e := NewEngine(testObjective(), board)
+	e := NewEngine(testObjective(), board, nil)
 	at := sim.Time(0)
 	e.Observe(1, at, 50, true, 1) // first call materializes the tracker
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -436,7 +433,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 }
 
 func BenchmarkScoreboardEmit(b *testing.B) {
-	board := NewScoreboard(256)
+	board := NewScoreboard(256, nil)
 	ev := Event{At: 100, Kind: EventDeadline, VF: 1, ReqID: 9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -445,7 +442,7 @@ func BenchmarkScoreboardEmit(b *testing.B) {
 }
 
 func BenchmarkEngineObserve(b *testing.B) {
-	e := NewEngine(testObjective(), nil)
+	e := NewEngine(testObjective(), nil, nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.Observe(1, sim.Time(i*100), 50, true, uint64(i))

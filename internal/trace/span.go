@@ -44,6 +44,7 @@ type Phase struct {
 
 // Span is one request's recorded lifecycle.
 type Span struct {
+	Dev   int    // recording controller's device ID within the fleet
 	Fn    int    // function index (0 = PF)
 	Q     int    // queue-pair index
 	Op    string // "read", "write", "verify", ...

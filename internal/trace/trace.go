@@ -58,6 +58,9 @@ func (k Kind) String() string {
 type Event struct {
 	At   sim.Time
 	Kind Kind
+	// Dev is the emitting controller's device ID: every device of a fleet
+	// writes into the one ring (0, the primary, renders without a tag).
+	Dev int
 	// Fn is the function index (0 = PF).
 	Fn int
 	// LBA is the event's block address (vLBA or pLBA depending on Kind).
@@ -67,7 +70,11 @@ type Event struct {
 }
 
 func (e Event) String() string {
-	return fmt.Sprintf("%12v fn%-3d %-9s lba=%-8d arg=%d", e.At, e.Fn, e.Kind, e.LBA, e.Arg)
+	s := fmt.Sprintf("%12v fn%-3d %-9s lba=%-8d arg=%d", e.At, e.Fn, e.Kind, e.LBA, e.Arg)
+	if e.Dev != 0 {
+		s += fmt.Sprintf(" dev=%d", e.Dev)
+	}
+	return s
 }
 
 // Ring is a fixed-capacity event buffer. A nil *Ring is a valid no-op

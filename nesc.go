@@ -36,11 +36,13 @@ package nesc
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"time"
 
 	"nesc/internal/bench"
 	"nesc/internal/blockdev"
+	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
@@ -84,11 +86,13 @@ type Config struct {
 	// events (see Simulation.TraceDump).
 	TraceEvents int
 	// Metrics enables the platform metrics registry: per-stage latency
-	// histograms keyed {vf, queue, op}, device/hypervisor counter gauges,
-	// and derived gauges (BTLB hit rate, queue depths, DRR fairness, scrub
-	// progress). Export with WriteMetrics (Prometheus text) or
-	// WriteMetricsJSON. Instrumentation only reads the virtual clock, so
-	// results are byte-identical with it on or off.
+	// histograms keyed {vf, queue, op} fed by every device of the fleet, one
+	// gauge family per platform counter (the same declaration Stats is
+	// filled from, so the two always agree), and derived gauges (BTLB hit
+	// rate, queue depths, DRR fairness, scrub progress). Export with
+	// WriteMetrics (Prometheus text) or WriteMetricsJSON. Instrumentation
+	// only reads the virtual clock, so results are byte-identical with it
+	// on or off.
 	Metrics bool
 	// TraceSpans, when positive, records the last N request-scoped spans —
 	// each request's timestamped walk through fetch, translate (BTLB
@@ -149,15 +153,16 @@ type Config struct {
 	// to pre-fleet builds.
 	Devices int
 
-	// Attribution enables causal request attribution: every request carries
-	// a controller-assigned id through the whole pipeline (and across fabric
-	// legs), and its span segments fold into a per-{vf,op} latency budget
-	// table — queue-wait / translate / dtu-wait / medium / fabric-wait /
-	// retry / admission shares — with a p99 explainer that names the
-	// component dominating tail requests. Export with WriteAttribution;
-	// per-row totals also land in the metrics registry when Config.Metrics
-	// is on. Attribution only reads the virtual clock: results are
-	// byte-identical with it on or off.
+	// Attribution enables causal request attribution: the time each
+	// pipeline stage reports for a request (the same stage calls that feed
+	// spans and histograms), plus what drivers and fabric clients waited
+	// outside the device, folds into a per-{vf,op} latency budget table —
+	// queue-wait / translate / dtu-wait / medium / fabric-wait / retry /
+	// admission shares — with a p99 explainer that names the component
+	// dominating tail requests. Export with WriteAttribution; per-row
+	// totals also land in the metrics registry when Config.Metrics is on.
+	// Attribution only reads the virtual clock: results are byte-identical
+	// with it on or off.
 	Attribution bool
 	// SLO, when set, declares a default per-tenant service-level objective
 	// every direct-assigned VF is tracked against: error-budget accounting
@@ -282,13 +287,11 @@ func DefaultConfig() Config {
 type Simulation struct {
 	pl  *bench.Platform
 	cfg Config
-
-	metrics *metrics.Registry
-	spans   *trace.SpanRecorder
-	attrib  *slo.Attributor
-	sloEng  *slo.Engine
-	board   *slo.Scoreboard
 }
+
+// tel is the telemetry bundle the platform was built with; every export
+// below reads one of its sinks.
+func (s *Simulation) tel() core.Sinks { return s.pl.Cfg.Tel }
 
 // New assembles a platform. The hypervisor is not booted until Run.
 func New(cfg Config) *Simulation { return newSimulation(cfg, nil) }
@@ -335,36 +338,29 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	default:
 		panic(fmt.Sprintf("nesc: unknown journal mode %q", cfg.HostJournal))
 	}
-	var reg *metrics.Registry
-	var spans *trace.SpanRecorder
-	if cfg.Metrics {
-		reg = metrics.New()
+	// One bundle of sinks, armed from the config and handed to every layer
+	// through the platform's constructors.
+	var tel core.Sinks
+	if cfg.TraceEvents > 0 {
+		tel.Events = trace.NewRing(cfg.TraceEvents)
 	}
 	if cfg.TraceSpans > 0 {
-		spans = trace.NewSpanRecorder(cfg.TraceSpans)
+		tel.Spans = trace.NewSpanRecorder(cfg.TraceSpans)
 	}
-	bcfg.Metrics = reg
-	bcfg.Spans = spans
-	var attrib *slo.Attributor
-	var sloEng *slo.Engine
-	var board *slo.Scoreboard
+	if cfg.Metrics {
+		tel.Metrics = metrics.New()
+	}
 	if cfg.ScoreboardEvents > 0 {
-		board = slo.NewScoreboard(cfg.ScoreboardEvents)
+		tel.Board = slo.NewScoreboard(cfg.ScoreboardEvents, tel.Metrics)
 	}
 	if cfg.Attribution {
-		attrib = slo.NewAttributor(1024)
+		tel.Attrib = slo.NewAttributorOn(tel.Metrics, 1024)
 	}
 	if cfg.SLO != nil {
-		sloEng = slo.NewEngine(cfg.SLO.internal(), board)
+		tel.SLO = slo.NewEngine(cfg.SLO.internal(), tel.Board, tel.Metrics)
 	}
-	bcfg.Attrib = attrib
-	bcfg.SLOEng = sloEng
-	bcfg.Board = board
-	s := &Simulation{pl: bench.NewPlatform(bcfg), cfg: cfg, metrics: reg, spans: spans,
-		attrib: attrib, sloEng: sloEng, board: board}
-	if cfg.TraceEvents > 0 {
-		s.pl.Ctl.Tracer = trace.NewRing(cfg.TraceEvents)
-	}
+	bcfg.Tel = tel
+	s := &Simulation{pl: bench.NewPlatform(bcfg), cfg: cfg}
 	if cfg.DisableGuards {
 		s.pl.Ctl.Medium.SetGuardCheck(false)
 	}
@@ -375,7 +371,7 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 // > 0), oldest first.
 func (s *Simulation) TraceDump() string {
 	var b strings.Builder
-	if err := s.pl.Ctl.Tracer.Dump(&b); err != nil {
+	if err := s.tel().Events.Dump(&b); err != nil {
 		return "trace: " + err.Error()
 	}
 	return b.String()
@@ -386,7 +382,7 @@ func (s *Simulation) TraceDump() string {
 // multi-tenant trace. Requires Config.TraceEvents > 0.
 func (s *Simulation) TraceDumpVF(fn int) string {
 	var b strings.Builder
-	if err := s.pl.Ctl.Tracer.DumpIf(&b, func(e trace.Event) bool { return e.Fn == fn }); err != nil {
+	if err := s.tel().Events.DumpIf(&b, func(e trace.Event) bool { return e.Fn == fn }); err != nil {
 		return "trace: " + err.Error()
 	}
 	return b.String()
@@ -394,25 +390,25 @@ func (s *Simulation) TraceDumpVF(fn int) string {
 
 // WriteMetrics exports the metrics registry in Prometheus text exposition
 // format (requires Config.Metrics; no-op otherwise).
-func (s *Simulation) WriteMetrics(w io.Writer) error { return s.metrics.WritePrometheus(w) }
+func (s *Simulation) WriteMetrics(w io.Writer) error { return s.tel().Metrics.WritePrometheus(w) }
 
 // WriteMetricsJSON exports the metrics registry as a JSON snapshot
 // (requires Config.Metrics; writes "[]" otherwise).
-func (s *Simulation) WriteMetricsJSON(w io.Writer) error { return s.metrics.WriteJSON(w) }
+func (s *Simulation) WriteMetricsJSON(w io.Writer) error { return s.tel().Metrics.WriteJSON(w) }
 
 // WriteTraceJSON exports the recorded request spans as a Chrome trace-event
 // JSON document — load it at ui.perfetto.dev or chrome://tracing. One
 // "process" track per function, one "thread" track per queue, request slices
 // with their pipeline phases nested inside (requires Config.TraceSpans > 0;
 // writes an empty but loadable trace otherwise).
-func (s *Simulation) WriteTraceJSON(w io.Writer) error { return s.spans.WriteChromeTrace(w) }
+func (s *Simulation) WriteTraceJSON(w io.Writer) error { return s.tel().Spans.WriteChromeTrace(w) }
 
 // SpanCount reports how many request spans have been recorded in total.
 func (s *Simulation) SpanCount() int64 {
-	if s.spans == nil {
+	if s.tel().Spans == nil {
 		return 0
 	}
-	return s.spans.Total
+	return s.tel().Spans.Total
 }
 
 // FlightDump renders the device's flight recorder: for every terminal error
@@ -420,7 +416,7 @@ func (s *Simulation) SpanCount() int64 {
 // request's span captured at the moment of failure. Always armed.
 func (s *Simulation) FlightDump() string {
 	var b strings.Builder
-	if err := s.pl.Ctl.Flight.Dump(&b); err != nil {
+	if err := s.pl.Ctl.Flight().Dump(&b); err != nil {
 		return "flight: " + err.Error()
 	}
 	return b.String()
@@ -428,12 +424,7 @@ func (s *Simulation) FlightDump() string {
 
 // FlightRecords reports how many flight records have been captured (the
 // value the PF's PFRegFlightRecords register exposes).
-func (s *Simulation) FlightRecords() int64 {
-	if s.pl.Ctl.Flight == nil {
-		return 0
-	}
-	return s.pl.Ctl.Flight.Total
-}
+func (s *Simulation) FlightRecords() int64 { return s.pl.Ctl.Flight().Total }
 
 // Observability-layer views, re-exported from the internal engine so tools
 // can be written against the public API alone (the FaultPlan idiom).
@@ -456,38 +447,38 @@ type (
 // object per {vf,op} row with per-segment nanosecond totals and shares,
 // plus the p99 explainer's verdict (requires Config.Attribution; writes an
 // empty array otherwise).
-func (s *Simulation) WriteAttribution(w io.Writer) error { return s.attrib.WriteReport(w) }
+func (s *Simulation) WriteAttribution(w io.Writer) error { return s.tel().Attrib.WriteReport(w) }
 
 // AttributionRows returns the latency budget table, sorted by {vf,op}
 // (nil without Config.Attribution).
-func (s *Simulation) AttributionRows() []AttributionRow { return s.attrib.Rows() }
+func (s *Simulation) AttributionRows() []AttributionRow { return s.tel().Attrib.Rows() }
 
 // ExplainTail runs the p99 explainer for one budget-table row: it diffs the
 // segment profile of the row's tail requests against its median band and
 // names the dominant component. ok is false when the row is unknown or has
 // too few profiled requests.
 func (s *Simulation) ExplainTail(vf int, op string) (TailExplanation, bool) {
-	return s.attrib.Explain(vf, op)
+	return s.tel().Attrib.Explain(vf, op)
 }
 
 // SetSLOObjective overrides the declared objective for one VF (call before
 // the VF completes its first request; requires Config.SLO).
 func (s *Simulation) SetSLOObjective(vf int, obj SLOObjective) {
-	s.sloEng.SetObjective(vf, obj.internal())
+	s.tel().SLO.SetObjective(vf, obj.internal())
 }
 
 // SLOStatus reports every tracked tenant's live SLO state, sorted by VF
 // (nil without Config.SLO).
-func (s *Simulation) SLOStatus() []SLOVFStatus { return s.sloEng.Status() }
+func (s *Simulation) SLOStatus() []SLOVFStatus { return s.tel().SLO.Status() }
 
 // Anomalies returns the scoreboard's retained events, oldest first (nil
 // without Config.ScoreboardEvents).
-func (s *Simulation) Anomalies() []AnomalyEvent { return s.board.Events() }
+func (s *Simulation) Anomalies() []AnomalyEvent { return s.tel().Board.Events() }
 
 // ScoreboardDump renders the retained anomaly events human-readably.
 func (s *Simulation) ScoreboardDump() string {
 	var b strings.Builder
-	if err := s.board.Dump(&b); err != nil {
+	if err := s.tel().Board.Dump(&b); err != nil {
 		return "scoreboard: " + err.Error()
 	}
 	return b.String()
@@ -501,7 +492,7 @@ func (s *Simulation) WriteTop(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "=== nesc health snapshot at %v ===\n", time.Duration(s.pl.Eng.Now())); err != nil {
 		return err
 	}
-	if sts := s.sloEng.Status(); len(sts) > 0 {
+	if sts := s.tel().SLO.Status(); len(sts) > 0 {
 		fmt.Fprintf(w, "\nSLO (goal/budget/burn-short/burn-long/alerts):\n")
 		for _, st := range sts {
 			state := "ok"
@@ -516,9 +507,9 @@ func (s *Simulation) WriteTop(w io.Writer) error {
 				st.Alerts, st.Good, st.Bad, state)
 		}
 	}
-	if s.board.Total() > 0 {
-		fmt.Fprintf(w, "\nanomaly scoreboard (%d events):\n", s.board.Total())
-		evs := s.board.Events()
+	if s.tel().Board.Total() > 0 {
+		fmt.Fprintf(w, "\nanomaly scoreboard (%d events):\n", s.tel().Board.Total())
+		evs := s.tel().Board.Events()
 		if len(evs) > 10 {
 			evs = evs[len(evs)-10:]
 		}
@@ -527,12 +518,10 @@ func (s *Simulation) WriteTop(w io.Writer) error {
 				ev.Seq, int64(ev.At)/1000, ev.Kind.String(), ev.Dev, ev.VF, ev.ReqID, ev.Note)
 		}
 	}
-	if exps := s.attrib.Explanations(); len(exps) > 0 {
+	if exps := s.tel().Attrib.Explanations(); len(exps) > 0 {
 		fmt.Fprintf(w, "\ntail attribution (p99 explainer):\n")
 		for _, ex := range exps {
-			fmt.Fprintf(w, "  vf=%-3d op=%-12s n=%-6d median=%-8v tail=%-8v dominant=%s (+%v, %2.0f%% of tail)\n",
-				ex.VF, ex.Op, ex.Requests, time.Duration(ex.MedianNs), time.Duration(ex.TailNs),
-				ex.Dominant, time.Duration(ex.DominantDeltaNs), 100*ex.DominantShare)
+			fmt.Fprintf(w, "  %s\n", ex)
 		}
 	}
 	if n := s.FlightRecords(); n > 0 {
@@ -836,106 +825,24 @@ type Stats struct {
 	CASCacheHits, CASCacheMisses, CASCacheEvictions, CASCacheResident int64
 }
 
-// Stats snapshots the platform counters.
+// Stats snapshots the platform counters: every field is filled from its row
+// of the platform's counter catalogue (internal/bench/catalogue.go), the
+// same declaration the metrics registry's gauge families are registered
+// from. A row naming a field Stats does not have panics here.
 func (s *Simulation) Stats() Stats {
-	ctl := s.pl.Ctl
-	drv := s.pl.Hyp.RecoveryStats()
-	var latentHits, latentRepaired int64
-	var degradedOps int64
-	var degradedTime time.Duration
-	if inj := s.pl.Inj; inj != nil {
-		latentHits, latentRepaired = inj.LatentHits, inj.LatentCleared
-		degradedOps, degradedTime = inj.DegradedOps, time.Duration(inj.DegradedTime)
+	var st Stats
+	v := reflect.ValueOf(&st).Elem()
+	for _, c := range s.pl.Counters() {
+		if c.Field == "" {
+			continue
+		}
+		if f := v.FieldByName(c.Field); f.Kind() == reflect.Float64 {
+			f.SetFloat(c.Get())
+		} else {
+			f.SetInt(int64(c.Get()))
+		}
 	}
-	fab := s.pl.Hyp.FabricStatsNow()
-	cst := s.pl.Hyp.CAS().Stats()
-	ccs := s.pl.Hyp.CASCacheStatsNow()
-	return Stats{
-		BTLBHitRate:      ctl.BTLBStats.Rate(),
-		BTLBHits:         ctl.BTLBStats.Hits,
-		BTLBMisses:       ctl.BTLBStats.Misses,
-		WalkNodeReads:    ctl.WalkNodeReads,
-		MissInterrupts:   s.pl.Hyp.MissInterrupts,
-		MediumReadBytes:  ctl.Medium.ReadBytes,
-		MediumWriteBytes: ctl.Medium.WriteBytes,
-		DMAReadBytes:     s.pl.Fab.DMAReadBytes,
-		DMAWriteBytes:    s.pl.Fab.DMAWriteBytes,
-		VirtualTime:      time.Duration(s.pl.Eng.Now()),
-
-		InjectedFaults:    s.pl.Inj.TotalFaults(),
-		MediumErrors:      ctl.MediumErrors,
-		MediumRetries:     ctl.MediumRetries,
-		DMAFaultsInjected: s.pl.Fab.DMAFaultsInjected,
-		DroppedMSIs:       s.pl.Fab.DroppedMSIs,
-		FetchDrops:        ctl.FetchDrops,
-		CplDrops:          ctl.CplDrops,
-		DriverTimeouts:    drv.Timeouts,
-		DriverResubmits:   drv.Resubmits,
-		PolledCompletions: drv.PolledCompletions,
-		StaleCompletions:  drv.StaleCompletions,
-		SeqGaps:           drv.SeqGaps,
-		VFResets:          s.pl.Hyp.VFResets,
-		MissFaults:        s.pl.Hyp.MissFaults,
-		BadRingWrites:     ctl.BadRingSizes,
-		BadDoorbells:      ctl.BadDoorbells,
-		LatentHits:        latentHits,
-		LatentRepaired:    latentRepaired,
-
-		IntegrityErrors:     ctl.IntegrityErrors,
-		IntegrityRepairs:    ctl.IntegrityRepairs,
-		CorruptionsInjected: s.pl.Inj.CorruptionsInjected(),
-		CorruptionsDetected: ctl.Medium.IntegrityErrors + drv.PIMismatches + drv.PIWriteErrors,
-		LatentOutstanding:   int64(s.pl.Inj.LatentCount()),
-		CorruptOutstanding:  int64(s.pl.Inj.CorruptCount()),
-		PIMismatches:        drv.PIMismatches,
-		PIWriteErrors:       drv.PIWriteErrors,
-		RootCauseOverrides:  drv.RootCauseOverrides,
-		MediumGuardErrors:   ctl.Medium.IntegrityErrors,
-		RecoveryReads:       ctl.Medium.RecoveryReads,
-		ScrubPasses:         s.pl.Hyp.ScrubPasses,
-		ScrubBlocks:         s.pl.Hyp.ScrubBlocks,
-		ScrubRepairs:        s.pl.Hyp.ScrubRepairs,
-		ScrubChunks:         ctl.ScrubChunks,
-
-		DegradedOps:         degradedOps,
-		DegradedTime:        degradedTime,
-		AdmitRejects:        ctl.AdmitRejects,
-		DeadlineExpirations: ctl.DeadlineExpirations,
-		BusyRejects:         drv.BusyRejects,
-		HedgedReads:         fab.HedgedReads,
-		HedgeWins:           fab.HedgeWins,
-		Quarantines:         fab.Quarantines,
-		Rejoins:             fab.Rejoins,
-		ProbeReads:          fab.ProbeReads,
-		SLOAlerts:           s.sloEng.TotalAlerts(),
-		AnomalyEvents:       s.board.Total(),
-
-		Snapshots:         s.pl.Hyp.Snapshots,
-		Clones:            s.pl.Hyp.Clones,
-		CowFaults:         ctl.CowFaults,
-		CowBreaks:         s.pl.Hyp.CowBreaks,
-		BTLBInvalidations: ctl.BTLBInvalidations,
-		SharedBlocks:      s.pl.Hyp.HostFS.SharedBlocks(),
-
-		CASSeals:            cst.Seals,
-		CASForks:            cst.Forks,
-		CASReleases:         cst.Releases,
-		CASDedupHits:        cst.DedupHits,
-		CASChunksLive:       cst.ChunksLive,
-		CASBlocksLogical:    cst.BlocksLogical,
-		CASFetchMisses:      s.pl.Hyp.CASFetchMisses,
-		CASMaterializations: s.pl.Hyp.CASMaterializations,
-		CASRemoteFetches:    cst.RemoteFetches,
-		CASRemotePuts:       cst.RemotePuts,
-		CASRemoteRetries:    cst.RemoteRetries,
-		CASRemoteFetchTime:  time.Duration(cst.RemoteFetchTime),
-		CASFetchFails:       cst.FetchFails,
-		CASHashMismatches:   cst.HashMismatches,
-		CASCacheHits:        ccs.Hits,
-		CASCacheMisses:      ccs.Misses,
-		CASCacheEvictions:   ccs.Evictions,
-		CASCacheResident:    ccs.Resident,
-	}
+	return st
 }
 
 // FaultSummary renders the injector's per-site counters, one deterministic

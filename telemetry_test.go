@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"nesc/internal/bench"
+	"nesc/internal/metrics"
 )
 
 // telemetryWorkload drives a deterministic mixed workload: a dense image
@@ -226,19 +227,109 @@ func TestTelemetryExports(t *testing.T) {
 	}
 }
 
-// TestInstrumentationNeutrality runs the same workload bare and fully
-// instrumented; every counter — above all the virtual clock — must match.
+// startMirror creates one image per device and starts a K=2 mirrored VM
+// across devices 0 and 1.
+func startMirror(ctx *Ctx) (*VM, error) {
+	for d := 0; d < 2; d++ {
+		if err := ctx.CreateImageOn(d, "/m.img", 7, 1<<20, false); err != nil {
+			return nil, err
+		}
+	}
+	return ctx.StartMirroredVM("m", "/m.img", 7, []int{0, 1}, MirrorConfig{})
+}
+
+// mirrorWorkload drives the mirrored VM: every write lands on both legs,
+// reads are steered to one.
+func mirrorWorkload(sim *Simulation) error {
+	return sim.Run(func(ctx *Ctx) error {
+		vm, err := startMirror(ctx)
+		if err != nil {
+			return err
+		}
+		buf := bytes.Repeat([]byte{0xA5}, 8192)
+		for off := int64(0); off < 128<<10; off += int64(len(buf)) {
+			if err := vm.WriteAt(ctx, buf, off); err != nil {
+				return err
+			}
+			if err := vm.ReadAt(ctx, buf, off); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// TestInstrumentationNeutrality runs the same workload bare and with every
+// sink armed, on one device and on a two-device mirror; every counter —
+// above all the virtual clock — must match.
 func TestInstrumentationNeutrality(t *testing.T) {
-	bare := New(Config{MediumMB: 32})
-	if err := telemetryWorkload(bare); err != nil {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		run  func(*Simulation) error
+	}{
+		{"single device", Config{MediumMB: 32}, telemetryWorkload},
+		{"two-device mirror", Config{MediumMB: 32, Devices: 2}, mirrorWorkload},
+	} {
+		bare := New(tc.cfg)
+		if err := tc.run(bare); err != nil {
+			t.Fatalf("%s, bare: %v", tc.name, err)
+		}
+		armed := tc.cfg
+		armed.Metrics, armed.TraceSpans, armed.TraceEvents = true, 4096, 128
+		armed.Attribution, armed.SLO, armed.ScoreboardEvents = true, &SLOObjective{}, 64
+		instr := New(armed)
+		if err := tc.run(instr); err != nil {
+			t.Fatalf("%s, instrumented: %v", tc.name, err)
+		}
+		// The two observability counters count what the armed sinks saw; they
+		// are the one difference allowed.
+		b := instr.Stats()
+		b.SLOAlerts, b.AnomalyEvents = 0, 0
+		if a := bare.Stats(); a != b {
+			t.Errorf("%s: instrumentation perturbed the simulation:\nbare:  %+v\ninstr: %+v", tc.name, a, b)
+		}
+		if a, b := bare.FabricStats(), instr.FabricStats(); a != b {
+			t.Errorf("%s: instrumentation perturbed the fabric:\nbare:  %+v\ninstr: %+v", tc.name, a, b)
+		}
+	}
+}
+
+// TestEveryDeviceFeedsTheSinks: the bundle reaches every controller through
+// its constructor, so one mirrored write leaves a span, an end-to-end latency
+// sample and ring events from each leg's device — not from device 0 alone.
+func TestEveryDeviceFeedsTheSinks(t *testing.T) {
+	sim := New(Config{MediumMB: 32, Devices: 2, Metrics: true, TraceSpans: 4096, TraceEvents: 4096})
+	err := sim.Run(func(ctx *Ctx) error {
+		vm, err := startMirror(ctx)
+		if err != nil {
+			return err
+		}
+		return vm.WriteAt(ctx, bytes.Repeat([]byte{0x3C}, 4096), 0)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	instr := New(Config{MediumMB: 32, Metrics: true, TraceSpans: 4096, TraceEvents: 128})
-	if err := telemetryWorkload(instr); err != nil {
-		t.Fatal(err)
+	// Both legs are VF 0 (function 1) of their device.
+	spans := map[int]int{}
+	for _, s := range sim.tel().Spans.Spans() {
+		if s.Fn == 1 && s.Op == "write" {
+			spans[s.Dev]++
+		}
 	}
-	if a, b := bare.Stats(), instr.Stats(); a != b {
-		t.Fatalf("instrumentation perturbed the simulation:\nbare:  %+v\ninstr: %+v", a, b)
+	events := map[int]int{}
+	for _, e := range sim.tel().Events.Events() {
+		if e.Fn == 1 {
+			events[e.Dev]++
+		}
+	}
+	for dev := 0; dev < 2; dev++ {
+		if spans[dev] != 1 || events[dev] == 0 {
+			t.Errorf("device %d left %d write spans and %d ring events for the mirrored write, want 1 and some", dev, spans[dev], events[dev])
+		}
+	}
+	if n := sim.tel().Metrics.Histogram("nesc_request_ns", "", metrics.VFQOp(1, 0, "write")).Count(); n != 2 {
+		t.Errorf("nesc_request_ns{vf=1,q=0,op=write} holds %d samples, want one per leg", n)
 	}
 }
 
