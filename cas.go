@@ -1,11 +1,5 @@
 package nesc
 
-import (
-	"fmt"
-
-	"nesc/internal/hypervisor"
-)
-
 // Content-addressed image management (requires Config.CAS). The tier models
 // golden-image provisioning at fleet scale: one host seals a prepared image
 // into a shared chunk store, any number of hosts fork it as metadata-only
@@ -28,46 +22,46 @@ type ImageManifest struct {
 // already sealed anywhere deduplicate against the existing chunks. The image
 // file itself is untouched.
 func (c *Ctx) SealImage(path, name string, uid uint32) (ImageManifest, error) {
-	m, err := c.s.pl.Hyp.SealImage(c.proc, path, name, uid)
+	m, err := c.host().SealImage(c.proc, path, name, uid)
 	if err != nil {
 		return ImageManifest{}, err
 	}
 	return ImageManifest{Name: m.Name, Gen: m.Gen, Blocks: int(m.Blocks())}, nil
 }
 
-// ForkImage clones the sealed image src onto the primary host as a
-// metadata-only copy at path, owned by uid: chunk references are taken, a
-// fully sparse backing file is created, and no data moves. VMs started on
-// path run fetch-backed — each block's content is served from the host's
-// chunk cache or fetched from the remote tier the first time the guest
-// touches it.
+// ForkImage clones the sealed image src onto host 0 as a metadata-only copy
+// at path, owned by uid: chunk references are taken, a fully sparse backing
+// file is created, and no data moves. VMs started on path run fetch-backed —
+// each block's content is served from the host's chunk cache or fetched from
+// the remote tier the first time the guest touches it. It is ForkImageOn at
+// device 0.
 func (c *Ctx) ForkImage(src, path string, uid uint32) error {
-	return c.s.pl.Hyp.ForkImage(c.proc, src, path, uid)
+	return c.ForkImageOn(0, src, path, uid)
 }
 
-// ForkImageOn is ForkImage onto fleet host dev (0 = primary; requires
-// Config.Devices > dev). The fork is as metadata-only across hosts as it is
-// locally: only chunk hashes travel at fork time.
+// ForkImageOn is ForkImage onto fleet host dev (requires Config.Devices >
+// dev). The fork is as metadata-only across hosts as it is locally: only
+// chunk hashes travel at fork time.
 func (c *Ctx) ForkImageOn(dev int, src, path string, uid uint32) error {
-	if dev < 0 || dev >= c.s.pl.Hyp.NumDevices() {
-		return fmt.Errorf("nesc: no fleet device %d", dev)
+	d, err := c.device(dev)
+	if err != nil {
+		return err
 	}
-	return c.s.pl.Hyp.Device(dev).ForkImage(c.proc, src, path, uid)
+	return d.ForkImage(c.proc, src, path, uid)
 }
 
-// ReleaseImage drops a forked image's chunk references on the primary host
-// and unbinds the path. Stop VMs using the image first: blocks never
-// materialized become unreadable afterwards.
-func (c *Ctx) ReleaseImage(path string) error {
-	return c.s.pl.Hyp.ReleaseImage(c.proc, path)
-}
+// ReleaseImage drops a forked image's chunk references on host 0 and unbinds
+// the path. Stop VMs using the image first: blocks never materialized become
+// unreadable afterwards. It is ReleaseImageOn at device 0.
+func (c *Ctx) ReleaseImage(path string) error { return c.ReleaseImageOn(0, path) }
 
 // ReleaseImageOn is ReleaseImage on fleet host dev.
 func (c *Ctx) ReleaseImageOn(dev int, path string) error {
-	if dev < 0 || dev >= c.s.pl.Hyp.NumDevices() {
-		return fmt.Errorf("nesc: no fleet device %d", dev)
+	d, err := c.device(dev)
+	if err != nil {
+		return err
 	}
-	return c.s.pl.Hyp.Device(dev).ReleaseImage(c.proc, path)
+	return d.ReleaseImage(c.proc, path)
 }
 
 // ReleaseSealed drops a sealed master's own chunk references. Outstanding
@@ -82,31 +76,4 @@ func (c *Ctx) ReleaseSealed(name string) error {
 // Config.CAS is off).
 func (s *Simulation) CASDedupRatio() float64 {
 	return s.pl.Hyp.CAS().DedupRatio()
-}
-
-// StartVMOn is StartVM with the guest's virtual function placed on fleet
-// host dev (0 = primary; requires Config.Devices > dev and BackendNeSC —
-// the software backends always run against the primary device).
-func (c *Ctx) StartVMOn(dev int, name string, backend Backend, diskPath string, uid uint32) (*VM, error) {
-	kind, err := backendKind(backend)
-	if err != nil {
-		return nil, err
-	}
-	if dev < 0 || dev >= c.s.pl.Hyp.NumDevices() {
-		return nil, fmt.Errorf("nesc: no fleet device %d", dev)
-	}
-	if dev != 0 && kind != hypervisor.BackendDirect {
-		return nil, fmt.Errorf("nesc: backend %q cannot be placed on device %d", backend, dev)
-	}
-	vm, err := c.s.pl.Hyp.NewVM(c.proc, name, hypervisor.VMConfig{
-		Backend:  kind,
-		DiskPath: diskPath,
-		UID:      uid,
-		Guest:    c.s.pl.Cfg.Guest,
-		Device:   dev,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &VM{name: name, vm: vm, s: c.s}, nil
 }

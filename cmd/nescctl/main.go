@@ -33,22 +33,18 @@ func main() {
 	flight := flag.Bool("flight", false, "dump the device flight recorder (terminal-error diagnostics) at the end")
 	fabricN := flag.Int("fabric", 0, "demo an N-device mirror fleet: synchronous replication, device kill, failover, resilver (needs N >= 2)")
 	migrate := flag.Bool("migrate", false, "demo a live VF migration between fleet devices (implies -fabric 2)")
-	scale := flag.Bool("scale", false, "demo massive tenancy: 1024 configured VFs, lazy materialization, pooled queue pairs, shadow doorbells")
-	grayfail := flag.Bool("grayfail", false, "demo gray-failure hardening: fail-slow injection, hedged reads, quarantine + probes, deadline + admission control")
+	scale := flag.Bool("scale", false, "run the massive-tenancy experiment (nescbench -exp scale) and print its tables: lazy VF core, pooled queue pairs, shadow doorbells")
+	grayfail := flag.Bool("grayfail", false, "run the gray-failure experiment (nescbench -exp grayfail) and print its tables: fail-slow injection, hedged reads, quarantine, deadline + admission control")
 	top := flag.Bool("top", false, "demo the observability layer and print the health snapshot: latency attribution, per-tenant SLO burn alerts, anomaly scoreboard")
 	dedup := flag.Bool("dedup", false, "demo the content-addressed tier: image sealing with dedup, metadata-only fleet forks, lazy chunk materialization, refcounted reclamation")
 	flag.Parse()
 
 	if *scale {
-		if err := runScaleDemo(); err != nil {
-			log.Fatal(err)
-		}
+		printExperiment("scale")
 		return
 	}
 	if *grayfail {
-		if err := runGrayFailDemo(); err != nil {
-			log.Fatal(err)
-		}
+		printExperiment("grayfail")
 		return
 	}
 	if *top {
@@ -381,4 +377,14 @@ func writeTo(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// printExperiment runs a registered experiment on the calibrated platform and
+// prints its tables — all that -scale and -grayfail do.
+func printExperiment(name string) {
+	out, err := nesc.RunExperiment(name)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(out)
 }

@@ -125,6 +125,7 @@ func TestCrashRecoveryHarness(t *testing.T) {
 	for i := 0; i < points; i++ {
 		i := i
 		t.Run(fmt.Sprintf("point%02d", i), func(t *testing.T) {
+			t.Parallel() // every point is its own pair of simulations
 			crashOnce(t, base+time.Duration(i)*step, uint64(i)*0x9e3779b9+7)
 		})
 	}

@@ -23,16 +23,17 @@ import (
 func main() {
 	cfg := bench.DefaultConfig()
 	pl := bench.NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
 		// The hypervisor prepares a dataset file and exports it as a VF,
 		// exactly as it would for a VM.
-		if err := pl.MkImage(p, "/dataset.bin", 7, 16*1024, false); err != nil {
+		if err := d.MkImage(p, "/dataset.bin", 7, 16*1024, false); err != nil {
 			return err
 		}
-		f, err := pl.Hyp.HostFS.Open(p, "/dataset.bin", 7, 6)
+		f, err := d.HostFS.Open(p, "/dataset.bin", 7, 6)
 		if err != nil {
 			return err
 		}
@@ -40,7 +41,7 @@ func main() {
 		if _, err := f.WriteAt(p, sample, 0); err != nil {
 			return err
 		}
-		vfIdx, err := pl.Hyp.CreateVF(p, "/dataset.bin", 7)
+		vfIdx, err := d.CreateVF(p, "/dataset.bin", 7)
 		if err != nil {
 			return err
 		}
@@ -51,14 +52,14 @@ func main() {
 		// its buffer — offset 0 of the VF is offset 0 of the file.
 		accelFn := pl.Fab.RegisterFunction("accelerator")
 		mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab,
-			pl.Hyp.VFPageBus(vfIdx), 1, 64, 300*sim.Nanosecond)
+			d.VFPageBus(vfIdx), 1, 64, 300*sim.Nanosecond)
 		if err != nil {
 			return err
 		}
 		qp := mq.Queue(0)
 		// Route the VF's completion interrupts to the accelerator's queue
 		// logic (on real hardware the MSI would target the peer device).
-		pl.Hyp.RouteVFInterrupts(vfIdx, mq)
+		d.RouteVFInterrupts(vfIdx, mq)
 
 		// On-card staging buffer (in host memory for this model).
 		const chunk = 64 << 10

@@ -79,9 +79,9 @@ func (s *Simulation) NumDevices() int { return s.pl.Hyp.NumDevices() }
 // filesystem. A mirrored VM needs its image present on every device it
 // spans.
 func (c *Ctx) CreateImageOn(dev int, path string, uid uint32, sizeBytes int64, sparse bool) error {
-	d := c.s.pl.Hyp.Device(dev)
-	if d == nil {
-		return fmt.Errorf("nesc: no device %d", dev)
+	d, err := c.device(dev)
+	if err != nil {
+		return err
 	}
 	bs := uint64(c.s.pl.Cfg.Core.BlockSize)
 	blocks := (uint64(sizeBytes) + bs - 1) / bs
@@ -118,7 +118,7 @@ func (c *Ctx) StartMirroredVM(name, diskPath string, uid uint32, devices []int, 
 	if err != nil {
 		return nil, err
 	}
-	return &VM{name: name, vm: vm, s: c.s}, nil
+	return &VM{name: name, vm: vm}, nil
 }
 
 // Mirrored reports whether the VM runs on a mirror client.

@@ -5,34 +5,30 @@ import (
 	"io"
 
 	"nesc/internal/extfs"
+	"nesc/internal/hypervisor"
 )
 
 // Host filesystem operations: what a cloud operator does on the
-// hypervisor's own filesystem before exporting files to tenants.
+// hypervisor's own filesystem before exporting files to tenants. The calls
+// that name no device act on host 0 — its filesystem, its VFs' extent trees,
+// its translation cache; CreateImageOn and the other …On forms reach the rest
+// of the fleet.
 
-// CreateImage creates a disk-image file owned by uid. When sparse is false
-// the image is fully preallocated; a sparse image allocates on first write
-// through NeSC's lazy-allocation miss path.
+// host is fleet device 0, the one every device-less Ctx call acts on.
+func (c *Ctx) host() *hypervisor.Device { return c.s.pl.Hyp.Device(0) }
+
+// CreateImage creates a disk-image file owned by uid, sized up to whole
+// blocks. When sparse is false the image is fully preallocated; a sparse
+// image allocates on first write through NeSC's lazy-allocation miss path.
+// It is CreateImageOn at device 0.
 func (c *Ctx) CreateImage(path string, uid uint32, sizeBytes int64, sparse bool) error {
-	fs := c.s.pl.Hyp.HostFS
-	f, err := fs.Create(c.proc, path, uid, 0o600)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(c.proc, uint64(sizeBytes)); err != nil {
-		return err
-	}
-	if sparse {
-		return nil
-	}
-	bs := uint64(c.s.pl.Cfg.Core.BlockSize)
-	return fs.AllocateRange(c.proc, path, 0, (uint64(sizeBytes)+bs-1)/bs)
+	return c.CreateImageOn(0, path, uid, sizeBytes, sparse)
 }
 
 // WriteHostFile writes data at off into an existing host file (as root),
 // creating it if absent.
 func (c *Ctx) WriteHostFile(path string, data []byte, off int64) error {
-	fs := c.s.pl.Hyp.HostFS
+	fs := c.host().HostFS
 	f, err := fs.Open(c.proc, path, 0, extfs.PermRead|extfs.PermWrite)
 	if errors.Is(err, extfs.ErrNotExist) {
 		f, err = fs.Create(c.proc, path, 0, 0o644)
@@ -47,7 +43,7 @@ func (c *Ctx) WriteHostFile(path string, data []byte, off int64) error {
 // ReadHostFile reads len(p) bytes at off from a host file (as root),
 // returning the bytes read.
 func (c *Ctx) ReadHostFile(path string, p []byte, off int64) (int, error) {
-	f, err := c.s.pl.Hyp.HostFS.Open(c.proc, path, 0, extfs.PermRead)
+	f, err := c.host().HostFS.Open(c.proc, path, 0, extfs.PermRead)
 	if err != nil {
 		return 0, err
 	}
@@ -62,17 +58,17 @@ func (c *Ctx) ReadHostFile(path string, p []byte, off int64) (int, error) {
 // shared image spool; per-tenant isolation comes from the image files' own
 // 0600 modes).
 func (c *Ctx) HostMkdir(path string, uid uint32) error {
-	return c.s.pl.Hyp.HostFS.Mkdir(c.proc, path, uid, 0o777)
+	return c.host().HostFS.Mkdir(c.proc, path, uid, 0o777)
 }
 
 // HostRemove unlinks a host file (as root).
 func (c *Ctx) HostRemove(path string) error {
-	return c.s.pl.Hyp.HostFS.Remove(c.proc, path, 0)
+	return c.host().HostFS.Remove(c.proc, path, 0)
 }
 
 // HostList lists a host directory.
 func (c *Ctx) HostList(dir string) ([]string, error) {
-	ents, err := c.s.pl.Hyp.HostFS.ReadDir(c.proc, dir, 0)
+	ents, err := c.host().HostFS.ReadDir(c.proc, dir, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +90,7 @@ type HostStat struct {
 
 // StatHost stats a host path.
 func (c *Ctx) StatHost(path string) (HostStat, error) {
-	info, err := c.s.pl.Hyp.HostFS.Stat(c.proc, path, 0)
+	info, err := c.host().HostFS.Stat(c.proc, path, 0)
 	if err != nil {
 		return HostStat{}, err
 	}
@@ -108,18 +104,18 @@ func (c *Ctx) StatHost(path string) (HostStat, error) {
 }
 
 // CheckHostFS runs the host filesystem's consistency check (fsck).
-func (c *Ctx) CheckHostFS() error { return c.s.pl.Hyp.HostFS.Check(c.proc) }
+func (c *Ctx) CheckHostFS() error { return c.host().HostFS.Check(c.proc) }
 
 // PruneExtentTrees reclaims host memory by pruning up to maxNodes nodes per
 // VF extent tree; the device regenerates pruned mappings on demand through
 // miss interrupts.
 func (c *Ctx) PruneExtentTrees(maxNodes int) int {
-	return c.s.pl.Hyp.PruneVFTrees(maxNodes)
+	return c.host().PruneVFTrees(maxNodes)
 }
 
 // FlushBTLB invalidates the device's translation cache, as required around
 // host-side block remapping (e.g. deduplication).
-func (c *Ctx) FlushBTLB() { c.s.pl.Hyp.FlushBTLB(c.proc) }
+func (c *Ctx) FlushBTLB() { c.host().FlushBTLB(c.proc) }
 
 // SnapshotImage captures a copy-on-write snapshot of a host file at
 // snapPath on behalf of uid: the snapshot shares every data block with the
@@ -127,7 +123,7 @@ func (c *Ctx) FlushBTLB() { c.s.pl.Hyp.FlushBTLB(c.proc) }
 // through a NeSC VF, the device mapping is refreshed so guest writes to
 // shared extents take the CoW fault path.
 func (c *Ctx) SnapshotImage(path, snapPath string, uid uint32) error {
-	return c.s.pl.Hyp.SnapshotFile(c.proc, path, snapPath, uid)
+	return c.host().SnapshotFile(c.proc, path, snapPath, uid)
 }
 
 // DeleteSnapshot removes a snapshot (or any image) file and reclaims its
@@ -135,20 +131,21 @@ func (c *Ctx) SnapshotImage(path, snapPath string, uid uint32) error {
 // to the free pool. Refuses while the file is exported through a VF — stop
 // the VM first.
 func (c *Ctx) DeleteSnapshot(path string, uid uint32) error {
-	return c.s.pl.Hyp.DeleteSnapshot(c.proc, path, uid)
+	return c.host().DeleteSnapshot(c.proc, path, uid)
 }
 
 // SharedBlocks reports how many host-filesystem data blocks are currently
 // shared between snapshot/clone images (blocks with extra references).
-func (c *Ctx) SharedBlocks() int64 { return c.s.pl.Hyp.HostFS.SharedBlocks() }
+func (c *Ctx) SharedBlocks() int64 { return c.host().HostFS.SharedBlocks() }
 
 // MigrateImage relocates the physical blocks behind a VM's disk image (a
 // stand-in for host-side deduplication or defragmentation), rebuilds the
 // device extent tree, and flushes the BTLB — the full §V-B flow. The VM
 // keeps running; its next accesses translate through the new mapping.
 func (c *Ctx) MigrateImage(vm *VM) error {
-	if vm.vm.VFIdx < 0 {
-		return c.s.pl.Hyp.HostFS.Migrate(c.proc, "") // will fail with not-exist
+	leg, err := vm.leg("migrate the image of")
+	if err != nil {
+		return err
 	}
-	return c.s.pl.Hyp.MigrateVFFile(c.proc, vm.vm.VFIdx, true)
+	return leg.Dev.MigrateVFFile(c.proc, leg.VFIdx, true)
 }

@@ -16,7 +16,7 @@ import (
 // fragmentedImage creates an image whose extent map is deliberately
 // scattered (every other block), maximizing tree depth and BTLB pressure.
 func fragmentedImage(p *sim.Proc, pl *Platform, path string, blocks int) error {
-	f, err := pl.Hyp.HostFS.Create(p, path, 1, 0o600)
+	f, err := pl.Hyp.Device(0).HostFS.Create(p, path, 1, 0o600)
 	if err != nil {
 		return err
 	}
@@ -44,6 +44,7 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 		c := cfg
 		c.Core.BTLBEntries = entries
 		pl := NewPlatform(c)
+		d := pl.Hyp.Device(0)
 		var chunks int64
 		var aggregate float64
 		err := pl.Run(func(p *sim.Proc) error {
@@ -54,7 +55,7 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 			var firstErr error
 			for i := 0; i < vms; i++ {
 				path := fmt.Sprintf("/b%d.img", i)
-				if err := pl.MkImage(p, path, uint32(i+1), 4096, false); err != nil {
+				if err := d.MkImage(p, path, uint32(i+1), 4096, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
@@ -78,16 +79,16 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 				})
 			}
 			wg.WaitFor(p)
-			chunks = pl.Ctl.ChunksDone
+			chunks = d.Ctl.ChunksDone
 			return firstErr
 		})
 		if err != nil {
 			return nil, err
 		}
 		row := fmt.Sprintf("%d", entries)
-		tbl.Set(row, "hit rate", pl.Ctl.BTLBStats.Rate())
+		tbl.Set(row, "hit rate", d.Ctl.BTLBStats.Rate())
 		if chunks > 0 {
-			tbl.Set(row, "walk node reads/op", float64(pl.Ctl.WalkNodeReads)/float64(chunks))
+			tbl.Set(row, "walk node reads/op", float64(d.Ctl.WalkNodeReads)/float64(chunks))
 		}
 		tbl.Set(row, "aggregate MB/s", aggregate)
 	}
@@ -185,6 +186,7 @@ func AblationPrune(cfg Config) ([]*stats.Table, error) {
 	for _, maxNodes := range []int{0, 8, 32, 128, 100000} {
 		c := cfg
 		pl := NewPlatform(c)
+		d := pl.Hyp.Device(0)
 		maxNodes := maxNodes
 		err := pl.Run(func(p *sim.Proc) error {
 			if err := pl.Boot(p); err != nil {
@@ -199,8 +201,8 @@ func AblationPrune(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			freed := pl.Hyp.PruneVFTrees(maxNodes)
-			resident := pl.Hyp.VFTree(vm.VFIdx).ResidentBytes()
+			freed := d.PruneVFTrees(maxNodes)
+			resident := d.VFTree(vm.Legs[0].VFIdx).ResidentBytes()
 			tgt := NewVMRawTarget(vm.Kernel)
 			sb := workload.SysbenchIO{FileBytes: tgt.Size(), Ops: 600, RequestBytes: 1024, ReadRatio: 1, Seed: 9}
 			res, err := sb.Run(p, tgt)
@@ -241,7 +243,7 @@ func AblationFairness(cfg Config) ([]*stats.Table, error) {
 			for i := 0; i < n; i++ {
 				i := i
 				path := fmt.Sprintf("/vm%d.img", i)
-				if err := pl.MkImage(p, path, uint32(i+1), 8192, false); err != nil {
+				if err := pl.Hyp.Device(0).MkImage(p, path, uint32(i+1), 8192, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
@@ -309,7 +311,7 @@ func AblationQoS(cfg Config) ([]*stats.Table, error) {
 			var vms [2]*hypervisor.VM
 			for i := 0; i < 2; i++ {
 				path := fmt.Sprintf("/q%d.img", i)
-				if err := pl.MkImage(p, path, uint32(i+1), 16384, false); err != nil {
+				if err := pl.Hyp.Device(0).MkImage(p, path, uint32(i+1), 16384, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
@@ -382,7 +384,7 @@ func AblationOOB(cfg Config) ([]*stats.Table, error) {
 				return err
 			}
 			if loaded {
-				if err := pl.MkImage(p, "/load.img", 1, 16384, false); err != nil {
+				if err := pl.Hyp.Device(0).MkImage(p, "/load.img", 1, 16384, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, "load", hypervisor.VMConfig{
@@ -401,7 +403,7 @@ func AblationOOB(cfg Config) ([]*stats.Table, error) {
 				})
 				p.Sleep(200 * sim.Microsecond) // let the load ramp up
 			}
-			tgt := NewHostRawTarget(pl.Hyp)
+			tgt := NewHostRawTarget(pl.Hyp.Device(0))
 			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 512 << 10, StartOffset: 100 << 20 % (pl.Cfg.MediumBlocks * 1024)}).Run(p, tgt)
 			if err != nil {
 				return err
@@ -434,7 +436,7 @@ func AblationLazyAlloc(cfg Config) ([]*stats.Table, error) {
 			if err := pl.Boot(p); err != nil {
 				return err
 			}
-			if err := pl.MkImage(p, "/lazy.img", 1, 16384, sparse); err != nil {
+			if err := pl.Hyp.Device(0).MkImage(p, "/lazy.img", 1, 16384, sparse); err != nil {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{

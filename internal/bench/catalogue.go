@@ -18,8 +18,9 @@ import (
 // that moment, because a capped family keeps the series that registered
 // first. None of them backs a Stats field.
 //
-// Per-device counters read device 0, the primary; fleet-wide aggregates
-// (driver recovery, fabric, cas) say so in their help text.
+// Per-device counters read device 0 — d0 below is the one place that says so
+// (per-device series are ROADMAP item 6); fleet-wide aggregates (driver
+// recovery, fabric, cas) say so in their help text.
 
 // Counter is one catalogue row.
 type Counter struct {
@@ -39,7 +40,8 @@ func (pl *Platform) Counters() []Counter {
 	if pl.counters != nil {
 		return pl.counters
 	}
-	ctl, h, fab, med, inj, tel := pl.Ctl, pl.Hyp, pl.Fab, pl.Ctl.Medium, pl.Inj, pl.Cfg.Tel
+	d0 := pl.Hyp.Device(0)
+	ctl, h, fab, med, inj, tel := d0.Ctl, pl.Hyp, pl.Fab, d0.Ctl.Medium, pl.Inj, pl.Cfg.Tel
 	i64 := func(v *int64) func() float64 { return func() float64 { return float64(*v) } }
 	drv := func(get func(hypervisor.DriverRecoveryStats) int64) func() float64 {
 		return func() float64 { return float64(get(h.RecoveryStats())) }
@@ -118,10 +120,10 @@ func (pl *Platform) Counters() []Counter {
 		{"CowBreaks", "nesc_hyp_cow_breaks_total", "device CoW faults serviced end to end", i64(&h.CowBreaks)},
 		{"BTLBInvalidations", "nesc_device_btlb_invalidations_total", "BTLB entries dropped by targeted invalidation", i64(&ctl.BTLBInvalidations)},
 		{"SharedBlocks", "nesc_fs_shared_blocks", "data blocks currently CoW-shared (extra references > 0)", func() float64 {
-			if h.HostFS == nil {
+			if d0.HostFS == nil {
 				return 0
 			}
-			return float64(h.HostFS.SharedBlocks())
+			return float64(d0.HostFS.SharedBlocks())
 		}},
 
 		// Content-addressed tier: store counters are fleet-global, cache
@@ -168,17 +170,20 @@ func (pl *Platform) Counters() []Counter {
 		{"", "nesc_hyp_injections_total", "guest interrupt injections", i64(&h.Injections)},
 		{"", "nesc_scrub_errors_total", "scrub requests completed non-OK", i64(&h.ScrubErrors)},
 		{"", "nesc_scrub_progress", "fraction of the current scrub pass completed", func() float64 {
-			total := med.Store().NumBlocks()
+			var total int64 // a pass covers the whole fleet
+			for _, d := range h.Devices() {
+				total += d.Ctl.Medium.Store().NumBlocks()
+			}
 			if total == 0 {
 				return 0
 			}
 			return float64(h.ScrubBlocks%total) / float64(total)
 		}},
 		{"", "nesc_fs_cow_breaks_total", "filesystem-level share breaks (device faults and host writes)", func() float64 {
-			if h.HostFS == nil {
+			if d0.HostFS == nil {
 				return 0
 			}
-			return float64(h.HostFS.CowBreaks)
+			return float64(d0.HostFS.CowBreaks)
 		}},
 		{"", "nesc_driver_doorbells_skipped_total", "MMIO doorbells elided by shadow batching", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.DoorbellsSkipped })},
 		{"", "nesc_fabric_msis_delayed_total", "interrupts delivered late", i64(&fab.DelayedMSIs)},

@@ -66,6 +66,7 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 	const imageBlocks = 512
 	cfg.CAS = true
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
@@ -74,13 +75,13 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 		report := map[int]bool{1: true, 2: true, 4: true, 8: true}
 		for i := 0; i < 8; i++ {
 			path := fmt.Sprintf("/variant%d.img", i)
-			if err := pl.MkImage(p, path, 1, imageBlocks, true); err != nil {
+			if err := d.MkImage(p, path, 1, imageBlocks, true); err != nil {
 				return err
 			}
 			// Every 8th block is this variant's own divergence (installed
 			// packages, host keys); the rest is the shared base content.
 			img := i
-			err := dedupFillImage(p, pl.Hyp.HostFS, path, 1, imageBlocks, bs, func(b int) int64 {
+			err := dedupFillImage(p, d.HostFS, path, 1, imageBlocks, bs, func(b int) int64 {
 				if b%8 == 0 {
 					return int64(1000*(img+1) + b)
 				}
@@ -89,7 +90,7 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			if _, err := pl.Hyp.SealImage(p, path, fmt.Sprintf("variant%d", i), 1); err != nil {
+			if _, err := d.SealImage(p, path, fmt.Sprintf("variant%d", i), 1); err != nil {
 				return err
 			}
 			if !report[i+1] {
@@ -121,27 +122,28 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 	cfg.CAS = true
 	cfg.CASCacheChunks = 1024 // hold the whole image: the warm pass must never evict
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
 	total := int64(imageBlocks) * int64(bs)
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
-		if err := pl.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
+		if err := d.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
-		err := dedupFillImage(p, pl.Hyp.HostFS, "/master.img", 1, imageBlocks, bs, func(b int) int64 {
+		err := dedupFillImage(p, d.HostFS, "/master.img", 1, imageBlocks, bs, func(b int) int64 {
 			return int64(5000 + b) // all blocks distinct: no intra-image dedup masking fetches
 		})
 		if err != nil {
 			return err
 		}
-		if _, err := pl.Hyp.SealImage(p, "/master.img", "golden", 1); err != nil {
+		if _, err := d.SealImage(p, "/master.img", "golden", 1); err != nil {
 			return err
 		}
 		pass := func(row, path string, vm *hypervisor.VM) (*hypervisor.VM, error) {
 			if vm == nil {
-				if err := pl.Hyp.ForkImage(p, "golden", path, 1); err != nil {
+				if err := d.ForkImage(p, "golden", path, 1); err != nil {
 					return nil, err
 				}
 				nvm, err := pl.Hyp.NewVM(p, row, hypervisor.VMConfig{
@@ -192,12 +194,12 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 	cfg.CAS = true
 	cfg.NumDevices = hosts
 	pl := NewPlatform(cfg)
+	d0 := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
-		d0 := pl.Hyp.Device(0)
 		if err := d0.MkImage(p, "/golden.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
@@ -208,7 +210,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 			return err
 		}
 		sealStart := p.Now()
-		if _, err := pl.Hyp.SealImage(p, "/golden.img", "golden", 1); err != nil {
+		if _, err := d0.SealImage(p, "/golden.img", "golden", 1); err != nil {
 			return err
 		}
 		sealTime := p.Now() - sealStart

@@ -58,7 +58,7 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 				var vm *hypervisor.VM
 				var err error
 				if s.backend == BackendNeSC {
-					if err := pl.MkImage(p, "/fs-nesc.img", 1, rawImageBlocks, false); err != nil {
+					if err := pl.Hyp.Device(0).MkImage(p, "/fs-nesc.img", 1, rawImageBlocks, false); err != nil {
 						return err
 					}
 					vm, err = pl.Hyp.NewVM(p, "fs-nesc", hypervisor.VMConfig{

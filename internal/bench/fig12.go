@@ -71,7 +71,7 @@ func Fig12(cfg Config) ([]*stats.Table, error) {
 				if err := pl.Boot(p); err != nil {
 					return err
 				}
-				if err := pl.MkImage(p, "/app.img", 1, fig12ImageBlocks, false); err != nil {
+				if err := pl.Hyp.Device(0).MkImage(p, "/app.img", 1, fig12ImageBlocks, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, "app", hypervisor.VMConfig{

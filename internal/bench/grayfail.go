@@ -298,13 +298,14 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 		cfg.Core.AdmitInflight = 8
 	}
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	res := &admPass{lat: &stats.Sampler{}}
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
 		const fileBlocks = 1024
-		if err := pl.Hyp.Device(0).MkImage(p, "/adm.img", 1, fileBlocks, false); err != nil {
+		if err := d.MkImage(p, "/adm.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "adm", hypervisor.VMConfig{
@@ -386,8 +387,8 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 				}
 			}
 		}
-		res.admitRejects = pl.Ctl.AdmitRejects
-		res.expirations = pl.Ctl.DeadlineExpirations
+		res.admitRejects = d.Ctl.AdmitRejects
+		res.expirations = d.Ctl.DeadlineExpirations
 		res.busyRejects = pl.Hyp.RecoveryStats().BusyRejects
 		return nil
 	})

@@ -63,7 +63,7 @@ func integrityCell(cfg Config, guards, scrub bool, set func(phase string, res wo
 	qcfg.Hyp.DisablePI = !guards
 	pl := NewPlatform(qcfg)
 	if !guards {
-		pl.Ctl.Medium.SetGuardCheck(false)
+		pl.Hyp.Device(0).Ctl.Medium.SetGuardCheck(false)
 	}
 	err = pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {

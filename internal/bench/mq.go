@@ -77,12 +77,13 @@ func mqSweep(cfg Config, queues int, policy guest.Policy, set func(qd int, mbps 
 	qcfg := cfg
 	qcfg.Core.QueuesPerVF = queues
 	pl := NewPlatform(qcfg)
+	d := pl.Hyp.Device(0)
 	var served []int64
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
-		if err := pl.MkImage(p, "/vfdisk.img", 1, rawImageBlocks, false); err != nil {
+		if err := d.MkImage(p, "/vfdisk.img", 1, rawImageBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "mq", hypervisor.VMConfig{
@@ -100,7 +101,7 @@ func mqSweep(cfg Config, queues int, policy guest.Policy, set func(qd int, mbps 
 			}
 			set(qd, res.BandwidthMBps())
 		}
-		vf := pl.Ctl.VF(0)
+		vf := d.Ctl.VF(0)
 		for q := 0; q < queues; q++ {
 			served = append(served, vf.QueueReqs(q))
 		}

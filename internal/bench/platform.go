@@ -86,7 +86,6 @@ type Platform struct {
 	Eng *sim.Engine
 	Mem *hostmem.Memory
 	Fab *pcie.Fabric
-	Ctl *core.Controller
 	Hyp *hypervisor.Hypervisor
 	// Inj is the armed fault injector, nil when Cfg.Fault is unset.
 	Inj *fault.Injector
@@ -106,28 +105,23 @@ func NewPlatform(cfg Config) *Platform {
 	eng := sim.NewEngine()
 	mem := hostmem.New(cfg.HostMemBytes)
 	fab := pcie.New(eng, mem, cfg.PCIe)
-	store := cfg.SeedStore
-	if store == nil {
-		store = blockdev.NewStore(cfg.Core.BlockSize, cfg.MediumBlocks)
-	}
-	medium := blockdev.NewMedium(eng, store, cfg.Medium)
-	ctl, err := core.New(eng, fab, medium, cfg.Core, cfg.Tel)
-	if err != nil {
-		panic(err)
-	}
-	h := hypervisor.New(eng, mem, fab, ctl, cfg.Hyp)
-	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Ctl: ctl, Hyp: h}
-	for i := 1; i < cfg.NumDevices; i++ {
-		st := blockdev.NewStore(cfg.Core.BlockSize, cfg.MediumBlocks)
-		med := blockdev.NewMedium(eng, st, cfg.Medium)
+	h := hypervisor.New(eng, mem, fab, cfg.Hyp, cfg.Tel)
+	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Hyp: h}
+	for i := 0; i < max(cfg.NumDevices, 1); i++ {
+		// Only device 0 can adopt a surviving store.
+		store := cfg.SeedStore
+		if store == nil || i > 0 {
+			store = blockdev.NewStore(cfg.Core.BlockSize, cfg.MediumBlocks)
+		}
+		med := blockdev.NewMedium(eng, store, cfg.Medium)
 		med.SetDeviceIndex(i)
 		params := cfg.Core
 		params.DeviceID = i
-		c, err := core.New(eng, fab, med, params, cfg.Tel)
+		ctl, err := core.New(eng, fab, med, params, cfg.Tel)
 		if err != nil {
 			panic(err)
 		}
-		h.AddDevice(c)
+		h.AddDevice(ctl)
 	}
 	if cfg.Fault != nil {
 		pl.Inj = fault.NewInjector(*cfg.Fault)
@@ -188,20 +182,4 @@ func (pl *Platform) RunUntil(t sim.Time, fn func(p *sim.Proc) error) {
 	pl.Eng.Go("bench-main", func(p *sim.Proc) { _ = fn(p) })
 	pl.Eng.RunUntil(t)
 	pl.Eng.Shutdown()
-}
-
-// MkImage creates a disk image on the host filesystem, preallocated unless
-// sparse is set.
-func (pl *Platform) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sparse bool) error {
-	f, err := pl.Hyp.HostFS.Create(p, path, uid, 0o600)
-	if err != nil {
-		return err
-	}
-	if err := f.Truncate(p, blocks*uint64(pl.Cfg.Core.BlockSize)); err != nil {
-		return err
-	}
-	if sparse {
-		return nil
-	}
-	return pl.Hyp.HostFS.AllocateRange(p, path, 0, blocks)
 }

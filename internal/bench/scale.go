@@ -95,6 +95,7 @@ func (r scaleResult) fill(t *stats.Table, row string) {
 func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 	cfg.Core.NumVFs = numVFs
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	var lats []sim.Time
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
@@ -103,19 +104,19 @@ func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 		wg := sim.NewWaitGroup(pl.Eng)
 		var firstErr error
 		for i := 0; i < active; i++ {
-			idx, err := pl.Hyp.CreateRawVF(p)
+			idx, err := d.CreateRawVF(p)
 			if err != nil {
 				return err
 			}
 			mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab,
-				pl.Hyp.VFPageBus(idx), 1, scaleRingEntries, pl.Cfg.Hyp.DriverSubmitTime)
+				d.VFPageBus(idx), 1, scaleRingEntries, pl.Cfg.Hyp.DriverSubmitTime)
 			if err != nil {
 				return err
 			}
 			if err := mq.ArmShadow(p); err != nil {
 				return err
 			}
-			pl.Hyp.RouteVFInterrupts(idx, mq)
+			d.RouteVFInterrupts(idx, mq)
 			// Disjoint LBA stripes keep tenants from touching the same
 			// blocks; the identity mapping makes any stripe valid.
 			base := uint64(i) * 64
@@ -154,11 +155,11 @@ func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 	if n := len(lats); n > 0 {
 		res.p50us = float64(lats[n/2]) / float64(sim.Microsecond)
 	}
-	res.deviceKB = float64(pl.Ctl.StateFootprint()) / 1024
+	res.deviceKB = float64(d.Ctl.StateFootprint()) / 1024
 	res.hostKB = float64(pl.Mem.AllocBytes) / 1024
-	res.jain = pl.Ctl.JainFairness()
-	res.built = pl.Ctl.MaterializedVFs()
+	res.jain = d.Ctl.JainFairness()
+	res.built = d.Ctl.MaterializedVFs()
 	res.dbSkipped = pl.Hyp.RecoveryStats().DoorbellsSkipped
-	res.shadowBats = pl.Ctl.ShadowBatches
+	res.shadowBats = d.Ctl.ShadowBatches
 	return res, nil
 }

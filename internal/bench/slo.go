@@ -151,6 +151,7 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 	attrib := slo.NewAttributorOn(reg, 4096)
 	cfg.Tel.Attrib, cfg.Tel.SLO, cfg.Tel.Board = attrib, engine, board
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	res := &sloPassResult{lat: &stats.Sampler{}}
 	var victimFn int
 	err := pl.Run(func(p *sim.Proc) error {
@@ -158,7 +159,7 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 			return err
 		}
 		const fileBlocks = 1024
-		if err := pl.Hyp.Device(0).MkImage(p, "/victim.img", 1, fileBlocks, false); err != nil {
+		if err := d.MkImage(p, "/victim.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		victim, err := pl.Hyp.NewVM(p, "victim", hypervisor.VMConfig{
@@ -167,10 +168,10 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 		if err != nil {
 			return err
 		}
-		victimFn = victim.VFIdx + 1 // function index: 0 = PF, VF idx + 1
+		victimFn = victim.Legs[0].VFIdx + 1 // function index: 0 = PF, VF idx + 1
 		var agg *hypervisor.VM
 		if aggressor {
-			if err := pl.Hyp.Device(0).MkImage(p, "/agg.img", 2, fileBlocks, false); err != nil {
+			if err := d.MkImage(p, "/agg.img", 2, fileBlocks, false); err != nil {
 				return err
 			}
 			if agg, err = pl.Hyp.NewVM(p, "agg", hypervisor.VMConfig{

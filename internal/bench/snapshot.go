@@ -39,11 +39,12 @@ func snapshotLatency(cfg Config) (*stats.Table, error) {
 		"pass", "", "mean latency us", "p99 latency us", "CoW faults")
 	const fileBlocks = 2048 // 2 MB image: 512 writes per pass keeps 'all' runs fast
 	pl := NewPlatform(cfg)
+	d := pl.Hyp.Device(0)
 	err := pl.Run(func(p *sim.Proc) error {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
-		if err := pl.MkImage(p, "/snap.img", 1, fileBlocks, false); err != nil {
+		if err := d.MkImage(p, "/snap.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
@@ -55,20 +56,20 @@ func snapshotLatency(cfg Config) (*stats.Table, error) {
 		tgt := NewVMRawTarget(vm.Kernel)
 		total := int64(fileBlocks) * int64(pl.Cfg.Core.BlockSize)
 		pass := func(row string) error {
-			pre := pl.Ctl.CowFaults
+			pre := d.Ctl.CowFaults
 			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: total, Write: true}).Run(p, tgt)
 			if err != nil {
 				return err
 			}
 			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
 			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "CoW faults", float64(pl.Ctl.CowFaults-pre))
+			tbl.Set(row, "CoW faults", float64(d.Ctl.CowFaults-pre))
 			return nil
 		}
 		if err := pass("steady state"); err != nil {
 			return err
 		}
-		if err := pl.Hyp.SnapshotVF(p, vm.VFIdx, "/snap.img.0", 1); err != nil {
+		if err := d.SnapshotVF(p, vm.Legs[0].VFIdx, "/snap.img.0", 1); err != nil {
 			return err
 		}
 		if err := pass("first write after snapshot"); err != nil {
@@ -91,14 +92,15 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 	for _, fanout := range []int{1, 2, 4, 8} {
 		fanout := fanout
 		pl := NewPlatform(cfg)
+		d := pl.Hyp.Device(0)
 		err := pl.Run(func(p *sim.Proc) error {
 			if err := pl.Boot(p); err != nil {
 				return err
 			}
-			fs := pl.Hyp.HostFS
+			fs := d.HostFS
 			bs := uint64(fs.BlockSize())
 			base := fs.FreeBlocks()
-			if err := pl.MkImage(p, "/base.img", 1, fileBlocks, false); err != nil {
+			if err := d.MkImage(p, "/base.img", 1, fileBlocks, false); err != nil {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "base", hypervisor.VMConfig{
@@ -110,7 +112,7 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 			clones := make([]*hypervisor.VM, fanout)
 			for i := range clones {
 				path := fmt.Sprintf("/clone%d.img", i)
-				if _, err := pl.Hyp.CloneToNewVF(p, vm.VFIdx, path, 1); err != nil {
+				if _, err := d.CloneToNewVF(p, vm.Legs[0].VFIdx, path, 1); err != nil {
 					return err
 				}
 				cvm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{

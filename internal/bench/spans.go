@@ -28,7 +28,7 @@ func Spans(cfg Config) ([]*stats.Table, error) {
 		if err := pl.Boot(p); err != nil {
 			return err
 		}
-		if err := pl.MkImage(p, "/spans.img", 1, fileBlocks, true); err != nil {
+		if err := pl.Hyp.Device(0).MkImage(p, "/spans.img", 1, fileBlocks, true); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "spans", hypervisor.VMConfig{

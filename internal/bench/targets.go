@@ -97,9 +97,9 @@ type hostRawTarget struct {
 	scratch []byte
 }
 
-// NewHostRawTarget wraps the PF for host-baseline workloads.
-func NewHostRawTarget(h *hypervisor.Hypervisor) workload.ByteTarget {
-	return &hostRawTarget{disk: h.PFDisk(), bs: h.Ctl.P.BlockSize}
+// NewHostRawTarget wraps device d's PF for host-baseline workloads.
+func NewHostRawTarget(d *hypervisor.Device) workload.ByteTarget {
+	return &hostRawTarget{disk: d.Disk(), bs: d.Ctl.P.BlockSize}
 }
 
 func (t *hostRawTarget) Size() int64 {
@@ -207,9 +207,9 @@ func (a *fsAdapter) Remove(p *sim.Proc, name string) error {
 func (pl *Platform) rawTarget(p *sim.Proc, backend string, fileBlocks uint64) (workload.ByteTarget, error) {
 	switch backend {
 	case BackendHost:
-		return NewHostRawTarget(pl.Hyp), nil
+		return NewHostRawTarget(pl.Hyp.Device(0)), nil
 	case BackendNeSC:
-		if err := pl.MkImage(p, "/vfdisk.img", 1, fileBlocks, false); err != nil {
+		if err := pl.Hyp.Device(0).MkImage(p, "/vfdisk.img", 1, fileBlocks, false); err != nil {
 			return nil, err
 		}
 		vm, err := pl.Hyp.NewVM(p, "raw-nesc", hypervisor.VMConfig{

@@ -71,7 +71,8 @@ func (r *rig) run() {
 type dev struct {
 	r        *rig
 	fn       *Function
-	pageOff  int64
+	pageOff  int64 // the function's register page
+	qOff     int64 // the driven queue's register block within it
 	ringBase int64
 	cplBase  int64
 	prod     uint32
@@ -81,15 +82,23 @@ type dev struct {
 
 const testRing = 32
 
-// openFunction programs a function's rings, acting as the guest (or
+// openFunction programs queue 0 of a function, acting as the guest (or
 // hypervisor) driver.
-func (r *rig) openFunction(p *sim.Proc, fnIdx int) *dev {
+func (r *rig) openFunction(p *sim.Proc, fnIdx int) *dev { return r.openQueue(p, fnIdx, 0) }
+
+// queueBlock computes the BAR offset of queue q's register block within a
+// function page.
+func queueBlock(q int) int64 { return QueueRegBase + int64(q)*QueueRegStride }
+
+// openQueue programs queue q of a function, acting as a multi-queue driver.
+func (r *rig) openQueue(p *sim.Proc, fnIdx, q int) *dev {
 	d := &dev{
 		r:        r,
 		pageOff:  r.bar + r.ctl.FunctionPageOffset(fnIdx),
 		ringBase: r.mem.MustAlloc(testRing*DescBytes, 64),
 		cplBase:  r.mem.MustAlloc(testRing*CplBytes, 64),
 	}
+	d.qOff = d.pageOff + queueBlock(q)
 	// Drivers must clear their rings: allocations may recycle memory.
 	if err := r.mem.Zero(d.ringBase, testRing*DescBytes); err != nil {
 		r.t.Fatal(err)
@@ -102,9 +111,9 @@ func (r *rig) openFunction(p *sim.Proc, fnIdx int) *dev {
 	} else {
 		d.fn = r.ctl.VF(fnIdx - 1)
 	}
-	r.mmioW(p, d.pageOff+RegRingBase, uint64(d.ringBase))
-	r.mmioW(p, d.pageOff+RegRingSize, testRing)
-	r.mmioW(p, d.pageOff+RegCplBase, uint64(d.cplBase))
+	r.mmioW(p, d.qOff+QRegRingBase, uint64(d.ringBase))
+	r.mmioW(p, d.qOff+QRegRingSize, testRing)
+	r.mmioW(p, d.qOff+QRegCplBase, uint64(d.cplBase))
 	return d
 }
 
@@ -135,7 +144,7 @@ func (d *dev) io(p *sim.Proc, op uint32, lba uint64, count uint32, buf int64) ui
 		r.t.Fatal(err)
 	}
 	d.prod++
-	r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod))
+	r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 	// Wait for a completion with our seq.
 	for {
 		entry := make([]byte, CplBytes)
@@ -504,7 +513,7 @@ func TestGuestCannotProgramManagementViaVFPage(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 4)
 		vfPage := r.bar + r.ctl.FunctionPageOffset(1)
 		// A malicious guest writes management offsets through its own page.
-		r.mmioW(p, vfPage+MgmtTreeRoot, 0xDEAD) // aliases RegRingBase: affects only its own ring
+		r.mmioW(p, vfPage+MgmtTreeRoot, 0xDEAD) // no register at that offset of a function page: ignored
 		r.mmioW(p, vfPage+0x800, 1)             // PF-only BTLB flush offset: ignored
 		r.mmioW(p, vfPage+MgmtDeviceSize, 1<<40)
 		vf := r.ctl.VF(0)
@@ -587,7 +596,7 @@ func TestOOBChannelBypassesStalledTranslation(t *testing.T) {
 			}
 			vf.prod++
 		}
-		r.mmioW(p, vf.pageOff+RegDoorbell, uint64(vf.prod))
+		r.mmioW(p, vf.qOff+QRegDoorbell, uint64(vf.prod))
 		p.Sleep(50 * sim.Microsecond) // let the walkers stall
 		// The PF must still complete I/O through the OOB channel.
 		if st := pf.io(p, OpWrite, 0, 1, buf); st != StatusOK {

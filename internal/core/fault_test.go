@@ -86,7 +86,7 @@ func TestFLRAbortsWedgedFunction(t *testing.T) {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 		p.Sleep(100 * sim.Microsecond)
 		if got := r.mmioR(p, d.pageOff+RegReset); got != 1 {
 			t.Errorf("RegReset before FLR = %d, want 1 (in-flight)", got)
@@ -163,7 +163,7 @@ func TestFetchDropIsCounted(t *testing.T) {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
 	if r.ctl.FetchDrops != 1 || r.ctl.PF().FetchDrops != 1 {
@@ -189,7 +189,7 @@ func TestCompletionDropIsCounted(t *testing.T) {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
 	if r.ctl.CplDrops != 1 || r.ctl.PF().CplDrops != 1 {

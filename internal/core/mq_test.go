@@ -17,51 +17,19 @@ func mqParams(queues int) Params {
 	return p
 }
 
-// queueBlock computes the BAR offset of queue q's register block within a
-// function page.
-func queueBlock(q int) int64 { return QueueRegBase + int64(q)*QueueRegStride }
-
-// openQueue programs queue q of a function, acting as a multi-queue driver.
-// The in-block register offsets deliberately equal the legacy per-function
-// offsets (QRegRingBase==RegRingBase, ..., QRegDoorbell==RegDoorbell), so a
-// dev whose pageOff points at the queue block drives the queue unchanged.
-func (r *rig) openQueue(p *sim.Proc, fnIdx, q int) *dev {
-	d := &dev{
-		r:        r,
-		pageOff:  r.bar + r.ctl.FunctionPageOffset(fnIdx) + queueBlock(q),
-		ringBase: r.mem.MustAlloc(testRing*DescBytes, 64),
-		cplBase:  r.mem.MustAlloc(testRing*CplBytes, 64),
-	}
-	if err := r.mem.Zero(d.ringBase, testRing*DescBytes); err != nil {
-		r.t.Fatal(err)
-	}
-	if err := r.mem.Zero(d.cplBase, testRing*CplBytes); err != nil {
-		r.t.Fatal(err)
-	}
-	if fnIdx == 0 {
-		d.fn = r.ctl.PF()
-	} else {
-		d.fn = r.ctl.VF(fnIdx - 1)
-	}
-	r.mmioW(p, d.pageOff+QRegRingBase, uint64(d.ringBase))
-	r.mmioW(p, d.pageOff+QRegRingSize, testRing)
-	r.mmioW(p, d.pageOff+QRegCplBase, uint64(d.cplBase))
-	return d
-}
-
 func TestRingSizeValidation(t *testing.T) {
 	r := newRig(t, smallParams())
 	r.eng.Go("host", func(p *sim.Proc) {
 		page := r.bar + r.ctl.FunctionPageOffset(0)
 		for _, bad := range []uint64{0, 3, 100, 1 << 20} {
-			r.mmioW(p, page+RegRingSize, bad)
+			r.mmioW(p, page+queueBlock(0)+QRegRingSize, bad)
 		}
-		r.mmioW(p, page+RegRingSize, 64) // valid
+		r.mmioW(p, page+queueBlock(0)+QRegRingSize, 64) // valid
 		if got := r.mmioR(p, page+RegErrBadRing); got != 4 {
 			t.Errorf("RegErrBadRing = %d, want 4", got)
 		}
-		if got := r.mmioR(p, page+RegRingSize); got != 64 {
-			t.Errorf("RegRingSize = %d, want 64 (bad writes must not stick)", got)
+		if got := r.mmioR(p, page+queueBlock(0)+QRegRingSize); got != 64 {
+			t.Errorf("QRegRingSize = %d, want 64 (bad writes must not stick)", got)
 		}
 	})
 	r.run()
@@ -75,10 +43,10 @@ func TestDoorbellValidation(t *testing.T) {
 	r.eng.Go("host", func(p *sim.Proc) {
 		page := r.bar + r.ctl.FunctionPageOffset(1)
 		base := r.mem.MustAlloc(testRing*DescBytes, 64)
-		r.mmioW(p, page+RegRingBase, uint64(base))
-		r.mmioW(p, page+RegRingSize, testRing)
+		r.mmioW(p, page+queueBlock(0)+QRegRingBase, uint64(base))
+		r.mmioW(p, page+queueBlock(0)+QRegRingSize, testRing)
 		// Producer index claiming more than one full ring of descriptors.
-		r.mmioW(p, page+RegDoorbell, testRing+1)
+		r.mmioW(p, page+queueBlock(0)+QRegDoorbell, testRing+1)
 		// Doorbell on an unprogrammed queue (queue 1 has no ring size).
 		r.mmioW(p, page+queueBlock(1)+QRegDoorbell, 1)
 		// Doorbell on a queue beyond the active count.
@@ -87,7 +55,7 @@ func TestDoorbellValidation(t *testing.T) {
 			t.Errorf("RegErrBadDoorbell = %d, want 3", got)
 		}
 		// A coherent doorbell still works after the rejections.
-		r.mmioW(p, page+RegDoorbell, 0)
+		r.mmioW(p, page+queueBlock(0)+QRegDoorbell, 0)
 	})
 	r.run()
 	vf := r.ctl.VF(0)
@@ -145,7 +113,7 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 		if seq := r.mmioR(p, page+queueBlock(2)+QRegCplSeq); seq != 2 {
 			t.Errorf("queue 2 cplSeq = %d, want 2", seq)
 		}
-		if seq := r.mmioR(p, page+RegCplSeq); seq != 0 {
+		if seq := r.mmioR(p, page+queueBlock(0)+QRegCplSeq); seq != 0 {
 			t.Errorf("queue 0 cplSeq = %d, want 0", seq)
 		}
 		done = true

@@ -50,7 +50,7 @@ func TestQueuePoolExhaustion(t *testing.T) {
 		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != 2 {
 			t.Errorf("leased %d queue pairs after rejected programming, want 2", leased)
 		}
-		r.mmioW(p, d1.pageOff+RegDoorbell, 1)
+		r.mmioW(p, d1.qOff+QRegDoorbell, 1)
 		if bad := r.mmioR(p, d1.pageOff+RegErrBadDoorbell); bad == 0 {
 			t.Error("doorbell on an unleased queue did not count as incoherent")
 		}
@@ -103,7 +103,7 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.prod++
-		r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 		r.mmioW(p, d.pageOff+RegReset, 1)
 		for r.mmioR(p, d.pageOff+RegReset) != 0 {
 			p.Sleep(sim.Microsecond)
@@ -122,7 +122,7 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 			t.Fatalf("disable returned %d queue pairs, want 1", returns)
 		}
 		badBefore := r.mmioR(p, d.pageOff+RegErrBadDoorbell)
-		r.mmioW(p, d.pageOff+RegDoorbell, uint64(d.prod+1))
+		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod+1))
 		if bad := r.mmioR(p, d.pageOff+RegErrBadDoorbell); bad != badBefore+1 {
 			t.Errorf("doorbell to a returned queue: bad-doorbell counter %d -> %d, want +1", badBefore, bad)
 		}

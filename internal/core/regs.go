@@ -14,21 +14,14 @@ import (
 // guest unable to touch another function's state.
 //
 // Each function owns up to MaxQueuesPerFn queue pairs. Queue q's registers
-// live in a fixed-stride block at QueueRegBase + q*QueueRegStride; the legacy
-// single-ring offsets (RegRingBase..RegCplSeq) alias queue 0's block, so a
-// single-queue driver is oblivious to the extension.
+// live in a fixed-stride block at QueueRegBase + q*QueueRegStride; a
+// single-queue driver programs queue 0's block.
 const (
 	// PageSize is the BAR page granularity.
 	PageSize = 4096
 
-	// Per-function I/O registers (offsets within a function page). These
-	// alias queue 0 of the function's queue-pair array.
-	RegRingBase   = 0x00 // request ring base address (8B)
-	RegRingSize   = 0x08 // ring entry count (4B)
-	RegCplBase    = 0x10 // completion ring base address (8B)
-	RegDoorbell   = 0x18 // write: new producer index (4B)
+	// Per-function registers (offsets within a function page).
 	RegDeviceSize = 0x20 // RO: virtual device size in blocks (8B)
-	RegCplSeq     = 0x28 // RO: completion sequence counter (4B)
 	RegReset      = 0x30 // write 1: function-level reset; reads 1 while draining (4B)
 
 	// AER-style per-function error counters (RO).
@@ -204,14 +197,6 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 		return f.queueRead(q, qreg)
 	}
 	switch reg {
-	case RegRingBase:
-		return f.queueRead(0, QRegRingBase)
-	case RegRingSize:
-		return f.queueRead(0, QRegRingSize)
-	case RegCplBase:
-		return f.queueRead(0, QRegCplBase)
-	case RegCplSeq:
-		return f.queueRead(0, QRegCplSeq)
 	case RegDeviceSize:
 		return f.sizeBlocks
 	case RegReset:
@@ -318,19 +303,8 @@ func (c *Controller) MMIOWrite(off int64, size int, val uint64) {
 		f.queueWrite(q, qreg, val)
 		return
 	}
-	switch reg {
-	case RegRingBase:
-		f.queueWrite(0, QRegRingBase, val)
-	case RegRingSize:
-		f.queueWrite(0, QRegRingSize, val)
-	case RegCplBase:
-		f.queueWrite(0, QRegCplBase, val)
-	case RegDoorbell:
-		f.queueWrite(0, QRegDoorbell, val)
-	case RegReset:
-		if val == 1 {
-			c.resetFunction(f)
-		}
+	if reg == RegReset && val == 1 {
+		c.resetFunction(f)
 	}
 }
 

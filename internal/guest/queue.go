@@ -34,16 +34,11 @@ type QueuePair struct {
 	queue   int   // queue-pair index within the function
 	entries uint32
 
-	// Bus addresses of this queue's register block (queue 0 uses the
-	// function's legacy register aliases, higher queues their per-queue
-	// block).
+	// Bus addresses of the registers in this queue's block: rings and
+	// doorbell, the shadow-doorbell register, and the per-request
+	// deadline-budget register (QRegDeadline).
 	ringBaseReg, ringSizeReg, cplBaseReg, doorbellReg int64
-	// shadowReg is the queue's shadow-doorbell register (always in the
-	// per-queue block; queue 0's block aliases the legacy layout).
-	shadowReg int64
-	// deadlineReg is the queue's per-request deadline-budget register
-	// (QRegDeadline, per-queue block only).
-	deadlineReg int64
+	shadowReg, deadlineReg                            int64
 
 	ringBase hostmem.Addr
 	cplBase  hostmem.Addr
@@ -125,13 +120,8 @@ type qpWaiter struct {
 	aborted bool
 }
 
-// NewQueuePair allocates and programs rings on queue 0 of the function whose
-// register page sits at pageBus. Multi-queue drivers use NewMultiQueue.
-func NewQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, entries int, submitTime sim.Time) (*QueuePair, error) {
-	return newQueuePair(p, eng, mem, fab, pageBus, 0, entries, submitTime)
-}
-
-// newQueuePair allocates and programs rings for one queue pair of a function.
+// newQueuePair allocates and programs rings for queue pair queue of the
+// function whose register page sits at pageBus (NewMultiQueue builds them).
 func newQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, queue, entries int, submitTime sim.Time) (*QueuePair, error) {
 	qp := &QueuePair{
 		eng:        eng,
@@ -144,22 +134,11 @@ func newQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.F
 		waiters:    make(map[uint32]*qpWaiter),
 		SubmitTime: submitTime,
 	}
-	if queue == 0 {
-		// Queue 0 keeps the function's legacy single-queue register layout.
-		qp.ringBaseReg = pageBus + core.RegRingBase
-		qp.ringSizeReg = pageBus + core.RegRingSize
-		qp.cplBaseReg = pageBus + core.RegCplBase
-		qp.doorbellReg = pageBus + core.RegDoorbell
-	} else {
-		block := pageBus + core.QueueRegBase + int64(queue)*core.QueueRegStride
-		qp.ringBaseReg = block + core.QRegRingBase
-		qp.ringSizeReg = block + core.QRegRingSize
-		qp.cplBaseReg = block + core.QRegCplBase
-		qp.doorbellReg = block + core.QRegDoorbell
-	}
-	// The shadow and deadline registers have no legacy alias; queue 0
-	// reaches them through its per-queue block like everyone else.
 	block := pageBus + core.QueueRegBase + int64(queue)*core.QueueRegStride
+	qp.ringBaseReg = block + core.QRegRingBase
+	qp.ringSizeReg = block + core.QRegRingSize
+	qp.cplBaseReg = block + core.QRegCplBase
+	qp.doorbellReg = block + core.QRegDoorbell
 	qp.shadowReg = block + core.QRegShadow
 	qp.deadlineReg = block + core.QRegDeadline
 	var err error

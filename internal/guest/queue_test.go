@@ -34,15 +34,15 @@ func (d *fakeFn) PCIeName() string                 { return "fake-nesc-fn" }
 func (d *fakeFn) MMIORead(off int64, _ int) uint64 { return 0 }
 
 func (d *fakeFn) MMIOWrite(off int64, _ int, val uint64) {
-	switch off {
-	case core.RegRingBase:
+	switch off - core.QueueRegBase { // the rig drives queue 0
+	case core.QRegRingBase:
 		d.ringBase = int64(val)
-	case core.RegRingSize:
+	case core.QRegRingSize:
 		d.ringSize = uint32(val)
 		d.consumed, d.cplSeq = 0, 0
-	case core.RegCplBase:
+	case core.QRegCplBase:
 		d.cplBase = int64(val)
-	case core.RegDoorbell:
+	case core.QRegDoorbell:
 		d.serve(uint32(val))
 	}
 }
@@ -102,7 +102,7 @@ func newQPRig(t *testing.T) (*sim.Engine, *QueuePair, *fakeFn) {
 	var qp *QueuePair
 	eng.Go("setup", func(p *sim.Proc) {
 		var err error
-		qp, err = NewQueuePair(p, eng, mem, fab, base, 8, sim.Microsecond)
+		qp, err = newQueuePair(p, eng, mem, fab, base, 0, 8, sim.Microsecond)
 		if err != nil {
 			t.Error(err)
 			return

@@ -27,14 +27,14 @@ type HostTarget interface {
 // "mapping the PF to the guest VM using either virtio [or] device
 // emulation" (paper §VII-A).
 type rawPFTarget struct {
-	h *Hypervisor
+	d *Device
 }
 
-func (t *rawPFTarget) SizeBlocks() int64 { return t.h.Ctl.Medium.Store().NumBlocks() }
-func (t *rawPFTarget) BlockSize() int    { return t.h.Ctl.P.BlockSize }
+func (t *rawPFTarget) SizeBlocks() int64 { return t.d.Ctl.Medium.Store().NumBlocks() }
+func (t *rawPFTarget) BlockSize() int    { return t.d.Ctl.P.BlockSize }
 
 func (t *rawPFTarget) op(p *sim.Proc, opCode uint32, lba int64, addr hostmem.Addr, nBlocks int) error {
-	h := t.h
+	h := t.d.h
 	maxB := h.P.PFMaxBlocksPerReq
 	bs := int64(t.BlockSize())
 	for done := 0; done < nBlocks; {
@@ -43,7 +43,7 @@ func (t *rawPFTarget) op(p *sim.Proc, opCode uint32, lba int64, addr hostmem.Add
 			n = maxB
 		}
 		p.Sleep(h.P.HostStackTime)
-		st, err := h.pfQP.Submit(p, opCode, uint64(lba+int64(done)), uint32(n), addr+int64(done)*bs)
+		st, err := t.d.pfQP.Submit(p, opCode, uint64(lba+int64(done)), uint32(n), addr+int64(done)*bs)
 		if err != nil {
 			return err
 		}
@@ -66,17 +66,17 @@ func (t *rawPFTarget) Write(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks i
 // fileTarget backs a virtual disk with an image file on the host filesystem
 // — the nested-filesystem configuration whose overheads the paper measures.
 type fileTarget struct {
-	h    *Hypervisor
+	d    *Device
 	file *extfs.File
 	size int64 // virtual disk size in blocks
 }
 
 func (t *fileTarget) SizeBlocks() int64 { return t.size }
-func (t *fileTarget) BlockSize() int    { return t.h.Ctl.P.BlockSize }
+func (t *fileTarget) BlockSize() int    { return t.d.Ctl.P.BlockSize }
 
 func (t *fileTarget) Read(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
 	bs := t.BlockSize()
-	buf, err := t.h.Mem.Slice(addr, int64(nBlocks*bs))
+	buf, err := t.d.h.Mem.Slice(addr, int64(nBlocks*bs))
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func (t *fileTarget) Read(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int
 
 func (t *fileTarget) Write(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
 	bs := t.BlockSize()
-	buf, err := t.h.Mem.Slice(addr, int64(nBlocks*bs))
+	buf, err := t.d.h.Mem.Slice(addr, int64(nBlocks*bs))
 	if err != nil {
 		return err
 	}

@@ -231,26 +231,6 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 	return nil
 }
 
-// Fleet-addressed wrappers: the primary-device compatibility API plus the
-// multi-host entry points the golden-image scenario uses.
-
-// SealImage content-addresses a primary-device host file; see
-// Device.SealImage.
-func (h *Hypervisor) SealImage(p *sim.Proc, path, name string, uid uint32) (*cas.Manifest, error) {
-	return h.devs[0].SealImage(p, path, name, uid)
-}
-
-// ForkImage forks a sealed manifest onto the primary device; see
-// Device.ForkImage.
-func (h *Hypervisor) ForkImage(p *sim.Proc, src, path string, uid uint32) error {
-	return h.devs[0].ForkImage(p, src, path, uid)
-}
-
-// ReleaseImage releases a primary-device fork; see Device.ReleaseImage.
-func (h *Hypervisor) ReleaseImage(p *sim.Proc, path string) error {
-	return h.devs[0].ReleaseImage(p, path)
-}
-
 // ReleaseSealed drops a sealed manifest's own references (the golden master
 // itself). Forks keep their chunks alive through their own references.
 func (h *Hypervisor) ReleaseSealed(p *sim.Proc, name string) error {

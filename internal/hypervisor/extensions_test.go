@@ -28,7 +28,7 @@ func TestSharedExtentTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !w.h.SharesTreeWith(vm1.VFIdx, vm2.VFIdx) {
+		if !w.d.SharesTreeWith(vm1.Legs[0].VFIdx, vm2.Legs[0].VFIdx) {
 			t.Fatal("two VFs on one file did not share the extent tree")
 		}
 		// Data written by one VM is visible to the other: same blocks.
@@ -51,8 +51,8 @@ func TestSharedExtentTree(t *testing.T) {
 			t.Fatalf("surviving sharer broken after teardown: %v", err)
 		}
 		vm2.Teardown(p)
-		if len(w.h.Device(0).trees) != 0 {
-			t.Fatalf("%d trees leaked after both sharers died", len(w.h.Device(0).trees))
+		if len(w.d.trees) != 0 {
+			t.Fatalf("%d trees leaked after both sharers died", len(w.d.trees))
 		}
 	})
 }
@@ -64,7 +64,7 @@ func TestSharedTreeMissRebuildUpdatesAllSharers(t *testing.T) {
 		// Sparse shared image: vm1's write triggers lazy allocation and a
 		// tree rebuild; vm2's register must be updated too or its next walk
 		// would chase freed nodes.
-		f, err := w.h.HostFS.Create(p, "/ss.img", 0, 0o600)
+		f, err := w.d.HostFS.Create(p, "/ss.img", 0, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,14 +171,14 @@ func TestMigrationWithBTLBFlushIsTransparent(t *testing.T) {
 		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		runsBefore, _, err := w.h.HostFS.Runs(p, "/m.img")
+		runsBefore, _, err := w.d.HostFS.Runs(p, "/m.img")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.h.MigrateVFFile(p, vm.VFIdx, true); err != nil {
+		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx, true); err != nil {
 			t.Fatal(err)
 		}
-		runsAfter, _, err := w.h.HostFS.Runs(p, "/m.img")
+		runsAfter, _, err := w.d.HostFS.Runs(p, "/m.img")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestMigrationWithBTLBFlushIsTransparent(t *testing.T) {
 		if !bytes.Equal(buf.Data, data) {
 			t.Fatal("data lost across migration")
 		}
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -219,8 +219,8 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		runsBefore, _, _ := w.h.HostFS.Runs(p, "/m.img")
-		if err := w.h.MigrateVFFile(p, vm.VFIdx, false /* no flush: the bug */); err != nil {
+		runsBefore, _, _ := w.d.HostFS.Runs(p, "/m.img")
+		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx, false /* no flush: the bug */); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over the OLD physical location (now free, reused by the
@@ -239,7 +239,7 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 			t.Fatal("expected stale-read hazard did not occur; BTLB model broken or test stale")
 		}
 		// The flush repairs it.
-		w.h.FlushBTLB(p)
+		w.d.FlushBTLB(p)
 		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestVirtioImageShorterThanDiskReadsZeros(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
 		// Sparse image: size 256 blocks, nothing allocated.
-		f, err := w.h.HostFS.Create(p, "/sparse.img", 1, 0o600)
+		f, err := w.d.HostFS.Create(p, "/sparse.img", 1, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestMissHandlerOutOfSpaceFailsWrite(t *testing.T) {
 	w := newWorld(t, 2048, nil)
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
-		f, err := w.h.HostFS.Create(p, "/sparse.img", 1, 0o600)
+		f, err := w.d.HostFS.Create(p, "/sparse.img", 1, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,11 +323,11 @@ func TestMissHandlerOutOfSpaceFailsWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Fill the volume with another file.
-		hog, err := w.h.HostFS.Create(p, "/hog", 0, 0o600)
+		hog, err := w.d.HostFS.Create(p, "/hog", 0, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
-		free := w.h.HostFS.FreeBlocks()
+		free := w.d.HostFS.FreeBlocks()
 		if _, err := hog.WriteAt(p, make([]byte, free*1024), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestIOMMURevocationFaultsDMA(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Pull the VF's IOMMU mappings (e.g. the VM is being torn down).
-		w.fab.IOMMU().RevokeAll(w.ctl.VF(vm.VFIdx).ID())
+		w.fab.IOMMU().RevokeAll(w.ctl.VF(vm.Legs[0].VFIdx).ID())
 		if err := vm.Kernel.SubmitAligned(p, true, 0, buf); err == nil {
 			t.Fatal("DMA after IOMMU revocation succeeded")
 		}
@@ -419,13 +419,13 @@ func TestFullStackRandomIOProperty(t *testing.T) {
 				}
 			}
 		}
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 		// Host-side cross-check: each image equals its shadow.
 		for i, tn := range ts {
 			path := []string{"/r0.img", "/r1.img", "/r2.img"}[i]
-			f, err := w.h.HostFS.Open(p, path, 0, 4)
+			f, err := w.d.HostFS.Open(p, path, 0, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

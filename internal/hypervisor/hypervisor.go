@@ -109,37 +109,59 @@ type sharedTree struct {
 	refs int
 }
 
-// vfState is the hypervisor's bookkeeping for one exported VF.
-type vfState struct {
+// vfExport is what a VF currently exports and to whom; DestroyVF zeroes it.
+type vfExport struct {
 	inUse  bool
 	path   string
 	shared *sharedTree
 	// identity marks a raw passthrough VF (no backing file).
 	identity bool
+	// vm is the guest the VF is assigned to (attachLeg); its completion
+	// interrupts pay the injection cost. Nil for a host-side ring client.
+	vm *VM
 }
 
-// Hypervisor is the host VMM instance. It manages a fleet of NeSC devices
-// (devs); Ctl/HostFS/pfQP alias the primary device's state so the
-// historical single-device API keeps working unchanged.
+// vfState is the one per-VF record: everything the hypervisor knows about
+// VF idx of a device lives here, reached through Device.vf/vfAt. Records are
+// pointers that live as long as the device — longer than any one export — so
+// a process may hold one across a park.
+type vfState struct {
+	vfExport
+
+	// busy marks a latched miss that is already being serviced, so duplicate
+	// miss interrupts are idempotent (see serviceMissBank).
+	busy bool
+	// lock serializes management operations on the VF — ResetVF racing
+	// SnapshotVF/MigrateVFFile/miss service must not interleave tree
+	// rebuilds with FLR teardown. A binary semaphore; uncontended
+	// acquisition is synchronous and schedule-neutral.
+	lock *sim.Semaphore
+}
+
+// msiRoute is where one function's completion interrupts go: the ring client,
+// and for a VF its record (nil for a PF).
+type msiRoute struct {
+	mq *guest.MultiQueue
+	vf *vfState
+}
+
+// Hypervisor is the host VMM instance. It owns what is fleet-wide — MSI
+// routing, the content-addressed store, the fault injector, the counters —
+// and manages a fleet of NeSC devices (devs), each carrying its own
+// per-controller state.
 type Hypervisor struct {
 	Eng *sim.Engine
 	Mem *hostmem.Memory
 	Fab *pcie.Fabric
-	Ctl *core.Controller
 	P   Params
 
-	pfQP   *guest.MultiQueue
-	HostFS *extfs.FS
-
-	// devs is the managed device fleet (devs[0] is the primary); devByPF
-	// routes a miss interrupt's source PF to its device.
+	// devs is the managed device fleet; devByPF routes a miss interrupt's
+	// source PF to its device.
 	devs    []*Device
 	devByPF map[pcie.FnID]*Device
 
-	// qps routes completion MSIs to ring clients; vmOf marks VF-owned ones
-	// for interrupt-injection cost.
-	qps  map[pcie.FnID]*guest.MultiQueue
-	vmOf map[pcie.FnID]*VM
+	// qps routes completion MSIs to ring clients.
+	qps map[pcie.FnID]msiRoute
 
 	// inj optionally perturbs the miss-service path (fault.MissHandler site).
 	inj *fault.Injector
@@ -186,35 +208,28 @@ type Hypervisor struct {
 	// passes (a subset of the controller's IntegrityRepairs).
 	ScrubRepairs int64
 
-	// tel is the telemetry bundle, taken from the primary controller so host
-	// and device feed the same sinks by construction; the VF drivers and
-	// fabric clients the hypervisor builds are handed it in turn.
+	// tel is the telemetry bundle — the one every controller of the fleet was
+	// built with; the VF drivers and fabric clients the hypervisor builds are
+	// handed it in turn.
 	tel core.Sinks
 }
 
-// New wires a hypervisor to the controller and installs the MSI router.
-func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, ctl *core.Controller, p Params) *Hypervisor {
+// New builds a hypervisor with an empty fleet and installs the MSI router.
+// Attach every controller with AddDevice, then Boot.
+func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params, tel core.Sinks) *Hypervisor {
 	h := &Hypervisor{
 		Eng:     eng,
 		Mem:     mem,
 		Fab:     fab,
-		Ctl:     ctl,
 		P:       p,
 		devByPF: make(map[pcie.FnID]*Device),
-		qps:     make(map[pcie.FnID]*guest.MultiQueue),
-		vmOf:    make(map[pcie.FnID]*VM),
-		tel:     ctl.Sinks(),
+		qps:     make(map[pcie.FnID]msiRoute),
+		tel:     tel,
 	}
-	h.cowBreakHist = h.tel.Metrics.Histogram("nesc_hyp_cow_break_ns", "CoW break service latency (fault read to BTLB invalidated)", metrics.NoLabels)
-	d0 := newDevice(h, 0, ctl)
-	h.devs = []*Device{d0}
-	h.devByPF[ctl.PF().ID()] = d0
+	h.cowBreakHist = tel.Metrics.Histogram("nesc_hyp_cow_break_ns", "CoW break service latency (fault read to BTLB invalidated)", metrics.NoLabels)
 	fab.SetMSIHandler(h.handleMSI)
 	if p.UseIOMMU {
 		fab.IOMMU().Enable()
-		// The PF (device master) may reach all host memory: it DMAs extent
-		// trees, PF rings, and backend buffers on the hypervisor's behalf.
-		fab.IOMMU().Grant(ctl.PF().ID(), 0, mem.Size())
 	}
 	return h
 }
@@ -250,8 +265,8 @@ type DriverRecoveryStats struct {
 // pairs.
 func (h *Hypervisor) RecoveryStats() DriverRecoveryStats {
 	var st DriverRecoveryStats
-	for _, mq := range h.qps {
-		for _, qp := range mq.Queues() {
+	for _, r := range h.qps {
+		for _, qp := range r.mq.Queues() {
 			st.Timeouts += qp.Timeouts
 			st.Resubmits += qp.Resubmits
 			st.PolledCompletions += qp.PolledCompletions
@@ -269,20 +284,28 @@ func (h *Hypervisor) RecoveryStats() DriverRecoveryStats {
 	return st
 }
 
-// route delivers function id's completion interrupts to mq and, on the
-// primary device, publishes the driver's per-queue depth and submission
-// gauges ({vf, q}; a VF reused by a later VM replaces the earlier VM's
-// closures). Registered here rather than from the platform catalogue because
-// a driver queue exists only from this moment on.
-func (h *Hypervisor) route(id pcie.FnID, mq *guest.MultiQueue) {
-	h.qps[id] = mq
-	fnIdx, ok := h.Ctl.FnIndex(id)
-	if h.tel.Metrics == nil || mq == nil || !ok {
+// route delivers the completion interrupts of d's function fn (0 = the PF,
+// VF idx + 1 otherwise) to mq and publishes the driver's per-queue depth and
+// submission gauges ({vf, q}; a VF reused by a later VM replaces the earlier
+// VM's closures). Registered here rather than from the platform catalogue
+// because a driver queue exists only from this moment on.
+func (d *Device) route(fn int, mq *guest.MultiQueue) {
+	h := d.h
+	r := msiRoute{mq: mq}
+	id := d.Ctl.PF().ID()
+	if fn > 0 {
+		r.vf = d.vf(fn - 1)
+		id = d.Ctl.VF(fn - 1).ID()
+	}
+	h.qps[id] = r
+	// The gauges carry no device label, so they cover device 0 only (per-
+	// device series are ROADMAP item 6).
+	if h.tel.Metrics == nil || d.Idx != 0 {
 		return
 	}
 	for q, qp := range mq.Queues() {
 		qp := qp
-		l := metrics.Labels{VF: fnIdx, Q: q}
+		l := metrics.Labels{VF: fn, Q: q}
 		h.tel.Metrics.GaugeFunc("nesc_driver_queue_depth", "in-flight submissions on this driver queue", l,
 			func() float64 { return float64(qp.Depth()) })
 		h.tel.Metrics.GaugeFunc("nesc_driver_queue_submitted_total", "requests submitted on this driver queue", l,
@@ -309,11 +332,12 @@ func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
 	if !ok {
 		return
 	}
-	mq := h.qps[from]
+	r := h.qps[from]
+	mq := r.mq
 	if mq == nil {
 		return
 	}
-	if vm := h.vmOf[from]; vm != nil {
+	if r.vf != nil && r.vf.vm != nil {
 		// VF completions are delivered to the guest: charge injection.
 		h.Injections++
 		h.Eng.After(h.P.InjectTime, func() { mq.OnInterrupt(q) })
@@ -323,27 +347,16 @@ func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
 }
 
 // Boot programs the PF rings and formats (or mounts) the host filesystem on
-// every managed device. The format/mount choice applies to the primary
-// device; additional devices are always formatted fresh (they are replica
-// targets, not carriers of pre-seeded images).
+// every managed device. The format/mount choice applies to device 0, the one
+// that can carry a surviving store; the others are always formatted fresh
+// (they are replica targets, not carriers of pre-seeded images).
 func (h *Hypervisor) Boot(p *sim.Proc, format bool, fsParams extfs.Params) error {
-	if err := h.devs[0].bootDevice(p, format, fsParams); err != nil {
-		return err
-	}
-	h.pfQP = h.devs[0].pfQP
-	h.HostFS = h.devs[0].HostFS
-	for _, d := range h.devs[1:] {
-		if err := d.bootDevice(p, true, fsParams); err != nil {
+	for _, d := range h.devs {
+		if err := d.boot(p, format || d.Idx != 0, fsParams); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// PFDisk returns the host block-device view of the primary physical
-// function.
-func (h *Hypervisor) PFDisk() *PFDisk {
-	return h.devs[0].Disk()
 }
 
 // PFDisk is the host's block device over one device's PF out-of-band

@@ -22,6 +22,7 @@ type world struct {
 	fab *pcie.Fabric
 	ctl *core.Controller
 	h   *Hypervisor
+	d   *Device // device 0
 }
 
 func newWorld(t *testing.T, mediumBlocks int64, mut func(*Params)) *world {
@@ -40,18 +41,28 @@ func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), 
 	if coreMut != nil {
 		coreMut(&cp)
 	}
-	store := blockdev.NewStore(cp.BlockSize, mediumBlocks)
-	medium := blockdev.NewMedium(eng, store, blockdev.DefaultMediumParams())
-	ctl, err := core.New(eng, fab, medium, cp, core.Sinks{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	hp := DefaultParams()
 	if mut != nil {
 		mut(&hp)
 	}
-	h := New(eng, mem, fab, ctl, hp)
-	return &world{eng: eng, mem: mem, fab: fab, ctl: ctl, h: h}
+	w := &world{eng: eng, mem: mem, fab: fab, h: New(eng, mem, fab, hp, core.Sinks{})}
+	w.d = w.addDevice(t, cp, mediumBlocks)
+	w.ctl = w.d.Ctl
+	return w
+}
+
+// addDevice attaches one more controller, with its own medium, to the fleet.
+// Call before boot.
+func (w *world) addDevice(t *testing.T, cp core.Params, mediumBlocks int64) *Device {
+	t.Helper()
+	cp.DeviceID = w.h.NumDevices()
+	medium := blockdev.NewMedium(w.eng, blockdev.NewStore(cp.BlockSize, mediumBlocks), blockdev.DefaultMediumParams())
+	medium.SetDeviceIndex(cp.DeviceID)
+	ctl, err := core.New(w.eng, w.fab, medium, cp, core.Sinks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w.h.AddDevice(ctl)
 }
 
 // run executes fn as the initial host process and drives the simulation to
@@ -80,14 +91,7 @@ func (w *world) boot(t *testing.T, p *sim.Proc) {
 // mkImage creates and fully allocates a disk image on the host FS.
 func (w *world) mkImage(t *testing.T, p *sim.Proc, path string, uid uint32, blocks uint64) {
 	t.Helper()
-	f, err := w.h.HostFS.Create(p, path, uid, 0o600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(p, blocks*1024); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.h.HostFS.AllocateRange(p, path, 0, blocks); err != nil {
+	if err := w.d.MkImage(p, path, uid, blocks, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +100,7 @@ func TestBootAndHostFS(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
-		f, err := w.h.HostFS.Create(p, "/hello", 0, 0o644)
+		f, err := w.d.HostFS.Create(p, "/hello", 0, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,8 +129,8 @@ func TestDirectVMRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vm.NescDrv.CapacityBlocks() != 512 {
-			t.Fatalf("capacity = %d", vm.NescDrv.CapacityBlocks())
+		if vm.Legs[0].Drv.CapacityBlocks() != 512 {
+			t.Fatalf("capacity = %d", vm.Legs[0].Drv.CapacityBlocks())
 		}
 		buf := vm.Kernel.AllocBuffer(64 * 1024)
 		rand.New(rand.NewSource(2)).Read(buf.Data)
@@ -142,7 +146,7 @@ func TestDirectVMRoundTrip(t *testing.T) {
 			t.Fatal("direct VM round trip mismatch")
 		}
 		// The bytes are visible through the host filesystem too: same file.
-		f, err := w.h.HostFS.Open(p, "/disk.img", 0, extfs.PermRead)
+		f, err := w.d.HostFS.Open(p, "/disk.img", 0, extfs.PermRead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +242,7 @@ func TestLazyAllocationThroughFullStack(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
 		// Sparse image: size only, no blocks.
-		f, err := w.h.HostFS.Create(p, "/sparse.img", 5, 0o600)
+		f, err := w.d.HostFS.Create(p, "/sparse.img", 5, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +284,7 @@ func TestLazyAllocationThroughFullStack(t *testing.T) {
 			t.Fatal("lazily allocated data lost")
 		}
 		// Host filesystem stayed consistent and sees the same data.
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 4096)
@@ -298,7 +302,7 @@ func TestPruneAndRegenerateThroughFullStack(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
 		// A deliberately fragmented image so the tree has several levels.
-		f, err := w.h.HostFS.Create(p, "/frag.img", 3, 0o600)
+		f, err := w.d.HostFS.Create(p, "/frag.img", 3, 0o600)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,12 +317,12 @@ func TestPruneAndRegenerateThroughFullStack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resident := vm.H.VFTree(vm.VFIdx).ResidentBytes()
-		freed := w.h.PruneVFTrees(16)
+		resident := w.d.VFTree(vm.Legs[0].VFIdx).ResidentBytes()
+		freed := w.d.PruneVFTrees(16)
 		if freed == 0 {
 			t.Fatal("prune freed nothing")
 		}
-		if vm.H.VFTree(vm.VFIdx).ResidentBytes() >= resident {
+		if w.d.VFTree(vm.Legs[0].VFIdx).ResidentBytes() >= resident {
 			t.Fatal("pruning did not shrink the tree")
 		}
 		missesBefore := w.h.MissInterrupts
@@ -478,8 +482,8 @@ func TestVFTeardownReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iteration %d: %v", i, err)
 			}
-			if vm.VFIdx != 0 {
-				t.Fatalf("iteration %d: VF index %d, want reuse of 0", i, vm.VFIdx)
+			if vm.Legs[0].VFIdx != 0 {
+				t.Fatalf("iteration %d: VF index %d, want reuse of 0", i, vm.Legs[0].VFIdx)
 			}
 			vm.Teardown(p)
 		}
@@ -511,8 +515,8 @@ func TestIOMMUModeSkipsTrampolines(t *testing.T) {
 		if !bytes.Equal(buf.Data, want) {
 			t.Fatal("IOMMU-mode round trip mismatch")
 		}
-		if vm.NescDrv.TrampolineCopies != 0 {
-			t.Fatalf("IOMMU mode made %d trampoline copies", vm.NescDrv.TrampolineCopies)
+		if vm.Legs[0].Drv.TrampolineCopies != 0 {
+			t.Fatalf("IOMMU mode made %d trampoline copies", vm.Legs[0].Drv.TrampolineCopies)
 		}
 	})
 }

@@ -16,68 +16,12 @@ import (
 // untouched — mirroring is purely a host-side construction, like md over
 // two PCIe SSDs.
 
-// MirrorLeg is one device-backed leg of a mirrored VM.
-type MirrorLeg struct {
-	Dev   *Device
-	VFIdx int
-	Drv   *guest.NescDriver
-}
-
-// newVFDriver builds the guest ring driver for VF idx of dev (the shared
-// half of NewVM's BackendDirect path and mirrored-leg construction).
-func (h *Hypervisor) newVFDriver(p *sim.Proc, dev *Device, idx int, cfg VMConfig) (*guest.NescDriver, error) {
-	queues := cfg.VFQueues
-	if queues == 0 {
-		queues = dev.Ctl.P.QueuesPerVF
-	}
-	return guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
-		Fab:             h.Fab,
-		Mem:             h.Mem,
-		PageBus:         dev.VFPageBus(idx),
-		RingEntries:     cfg.VFRingEntries,
-		SubmitTime:      h.P.DriverSubmitTime,
-		UseTrampoline:   !h.P.UseIOMMU || cfg.ForceTrampoline,
-		MemcpyBandwidth: cfg.Guest.MemcpyBandwidth,
-		BlockSize:       dev.Ctl.P.BlockSize,
-		Timeout:         h.P.VFRequestTimeout,
-		RetryMax:        h.P.VFRetryMax,
-		Deadline:        h.P.VFDeadline,
-		Queues:          queues,
-		Policy:          cfg.VFQueuePolicy,
-		DisablePI:       h.P.DisablePI,
-		// Function index (0 = PF, VF idx + 1): the row key the device
-		// pipeline attributes this tenant's requests to.
-		Attrib:   h.tel.Attrib,
-		AttribVF: idx + 1,
-	})
-}
-
-// wireLeg routes a VF driver's completions and DMA grants for vm.
-func (h *Hypervisor) wireLeg(dev *Device, idx int, drv *guest.NescDriver, vm *VM) {
-	fnID := dev.Ctl.VF(idx).ID()
-	h.route(fnID, drv.MQ())
-	h.vmOf[fnID] = vm
-	if h.P.UseIOMMU {
-		h.Fab.IOMMU().Grant(fnID, 0, h.Mem.Size())
-	}
-}
-
-// unwireLeg reverses wireLeg and destroys the leg's VF.
-func (h *Hypervisor) unwireLeg(p *sim.Proc, dev *Device, idx int) {
-	fnID := dev.Ctl.VF(idx).ID()
-	delete(h.qps, fnID)
-	delete(h.vmOf, fnID)
-	if h.P.UseIOMMU {
-		h.Fab.IOMMU().RevokeAll(fnID)
-	}
-	dev.DestroyVF(p, idx)
-}
-
 // NewMirroredVM builds a direct-assigned guest whose virtual disk is
 // synchronously mirrored across one VF per listed fleet device. The disk
 // image at cfg.DiskPath must already exist on every listed device's host
 // filesystem with identical size. The guest sees a single block device; K-1
-// device losses are survivable.
+// device losses are survivable. When a leg cannot be attached the legs
+// already attached are detached again.
 func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devices []int, fcfg fabric.Config) (*VM, error) {
 	if cfg.Backend != BackendDirect {
 		return nil, fmt.Errorf("hypervisor: mirrored VMs require BackendDirect")
@@ -88,40 +32,33 @@ func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devic
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("hypervisor: mirrored VM needs at least one device")
 	}
-	if cfg.Guest == (guest.Params{}) {
-		cfg.Guest = guest.DefaultParams()
+	vm := h.newVM(name, cfg)
+	fail := func(err error) (*VM, error) {
+		vm.Teardown(p)
+		return nil, err
 	}
-	vm := &VM{Name: name, H: h, Kind: BackendDirect, VFIdx: -1, DiskPath: cfg.DiskPath, UID: cfg.UID, cfg: cfg}
 	reps := make([]*fabric.Replica, 0, len(devices))
 	for _, di := range devices {
-		if di < 0 || di >= len(h.devs) {
-			return nil, fmt.Errorf("hypervisor: no device %d", di)
+		dev := h.Device(di)
+		if dev == nil {
+			return fail(fmt.Errorf("hypervisor: no device %d", di))
 		}
-		dev := h.devs[di]
-		idx, err := dev.CreateVF(p, cfg.DiskPath, cfg.UID)
+		leg, err := h.attachLeg(p, vm, dev)
 		if err != nil {
-			return nil, fmt.Errorf("hypervisor: mirror leg on device %d: %w", di, err)
+			return fail(fmt.Errorf("hypervisor: mirror leg on device %d: %w", di, err))
 		}
-		if cfg.IOWeight > 0 {
-			dev.SetVFWeight(p, idx, cfg.IOWeight)
-		}
-		drv, err := h.newVFDriver(p, dev, idx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		h.wireLeg(dev, idx, drv, vm)
-		vm.Legs = append(vm.Legs, MirrorLeg{Dev: dev, VFIdx: idx, Drv: drv})
-		reps = append(reps, fabric.NewReplica(di, drv))
+		vm.Legs = append(vm.Legs, leg)
+		reps = append(reps, fabric.NewReplica(di, leg.Drv))
 	}
 	// Fabric-level events and attribution report against the tenant's
 	// first-leg function index (VF idx + 1) — the stable identity of the
 	// mirrored disk, matching the device pipeline's row key.
 	client, err := fabric.NewClient(h.Eng, h.Mem, fcfg, reps, h.tel, vm.Legs[0].VFIdx+1)
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	vm.Client = client
-	vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, client)
+	vm.Kernel = guest.NewKernel(h.Eng, h.Mem, vm.cfg.Guest, client)
 	return vm, nil
 }
 
@@ -129,11 +66,26 @@ func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devic
 // back (Failed → Rebuilding, resilver starts). Pair with the fault
 // injector's device revive.
 func (h *Hypervisor) ReviveDevice(dev int) {
-	for _, vm := range h.vmOf {
-		if vm.Client != nil {
-			vm.Client.Revive(dev)
+	for _, c := range h.mirrorClients() {
+		c.Revive(dev)
+	}
+}
+
+// mirrorClients lists every distinct mirror client with a leg attached, in
+// device then VF order.
+func (h *Hypervisor) mirrorClients() []*fabric.Client {
+	var out []*fabric.Client
+	seen := make(map[*fabric.Client]bool)
+	for _, d := range h.devs {
+		for _, st := range d.vfs {
+			if st == nil || st.vm == nil || st.vm.Client == nil || seen[st.vm.Client] {
+				continue
+			}
+			seen[st.vm.Client] = true
+			out = append(out, st.vm.Client)
 		}
 	}
+	return out
 }
 
 // FabricStats aggregates mirror-client counters across every mirrored VM.
@@ -164,13 +116,7 @@ type FabricStats struct {
 // FabricStatsNow sums the counters of every distinct mirror client.
 func (h *Hypervisor) FabricStatsNow() FabricStats {
 	var fs FabricStats
-	seen := make(map[*fabric.Client]bool)
-	for _, vm := range h.vmOf {
-		c := vm.Client
-		if c == nil || seen[c] {
-			continue
-		}
-		seen[c] = true
+	for _, c := range h.mirrorClients() {
 		fs.Clients++
 		fs.MirroredWrites += c.MirroredWrites
 		fs.DegradedWrites += c.DegradedWrites
@@ -239,11 +185,11 @@ func (h *Hypervisor) MigrateVM(p *sim.Proc, vm *VM, slot, dstIdx int) (Migration
 	if slot < 0 || slot >= len(vm.Legs) {
 		return rep, fmt.Errorf("hypervisor: %s has no mirror leg %d", vm.Name, slot)
 	}
-	if dstIdx < 0 || dstIdx >= len(h.devs) {
+	leg := &vm.Legs[slot]
+	src, dst := leg.Dev, h.Device(dstIdx)
+	if dst == nil {
 		return rep, fmt.Errorf("hypervisor: no device %d", dstIdx)
 	}
-	leg := &vm.Legs[slot]
-	src, dst := leg.Dev, h.devs[dstIdx]
 	if src == dst {
 		return rep, fmt.Errorf("hypervisor: leg %d already on device %d", slot, dstIdx)
 	}
@@ -318,30 +264,22 @@ func (h *Hypervisor) MigrateVM(p *sim.Proc, vm *VM, slot, dstIdx int) (Migration
 		return rep, fmt.Errorf("hypervisor: migration final copy: %w", err)
 	}
 	rep.PauseBlocks = n
-	newIdx, err := dst.CreateVF(p, path, uid)
+	newLeg, err := h.attachLeg(p, vm, dst)
 	if err != nil {
 		resume()
 		return rep, fmt.Errorf("hypervisor: migration target VF: %w", err)
 	}
-	if vm.cfg.IOWeight > 0 {
-		dst.SetVFWeight(p, newIdx, vm.cfg.IOWeight)
-	}
-	newDrv, err := h.newVFDriver(p, dst, newIdx, vm.cfg)
-	if err != nil {
+	if err := vm.Client.Retarget(slot, dstIdx, newLeg.Drv); err != nil {
+		h.detachLeg(p, newLeg)
 		resume()
 		return rep, err
 	}
-	h.wireLeg(dst, newIdx, newDrv, vm)
-	if err := vm.Client.Retarget(slot, dstIdx, newDrv); err != nil {
-		resume()
-		return rep, err
-	}
-	h.unwireLeg(p, src, leg.VFIdx)
+	h.detachLeg(p, *leg)
+	*leg = newLeg
 	if err := src.HostFS.Remove(p, path, uid); err != nil {
 		resume()
 		return rep, err
 	}
-	leg.Dev, leg.VFIdx, leg.Drv = dst, newIdx, newDrv
 	resume()
 	rep.Pause = p.Now() - pauseStart
 	rep.Total = p.Now() - start

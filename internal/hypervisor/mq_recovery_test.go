@@ -22,7 +22,7 @@ func TestMultiQueueEndToEndIO(t *testing.T) {
 	w := newMQWorld(t, 4, nil)
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 256, false)
-		mq := vm.NescDrv.MQ()
+		mq := vm.Legs[0].Drv.MQ()
 		if mq.NumQueues() != 4 {
 			t.Fatalf("driver runs %d queues, want 4", mq.NumQueues())
 		}
@@ -52,7 +52,7 @@ func TestMultiQueueEndToEndIO(t *testing.T) {
 			}
 		}
 		// The device saw traffic on each queue, counted per queue.
-		vf := w.ctl.VF(vm.VFIdx)
+		vf := w.ctl.VF(vm.Legs[0].VFIdx)
 		for q := 0; q < 4; q++ {
 			if vf.QueueReqs(q) != 2 {
 				t.Errorf("device queue %d served %d requests, want 2", q, vf.QueueReqs(q))
@@ -69,7 +69,7 @@ func TestMultiQueueKernelIOSpreads(t *testing.T) {
 		if err := vm.Kernel.SubmitAligned(p, true, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		vf := w.ctl.VF(vm.VFIdx)
+		vf := w.ctl.VF(vm.Legs[0].VFIdx)
 		busy := 0
 		for q := 0; q < 4; q++ {
 			if vf.QueueReqs(q) > 0 {
@@ -89,7 +89,7 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 	errs := make([]error, 4)
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 256, false)
-		mq := vm.NescDrv.MQ()
+		mq := vm.Legs[0].Drv.MQ()
 		plan := fault.Plan{Seed: 11}
 		// Drop the next four DMA reads: one descriptor fetch per queue. With
 		// no timeout configured all four submitters park forever.
@@ -103,7 +103,7 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 			})
 		}
 		p.Sleep(500 * sim.Microsecond)
-		if err := w.h.ResetVF(p, vm.VFIdx); err != nil {
+		if err := w.d.ResetVF(p, vm.Legs[0].VFIdx); err != nil {
 			t.Fatal(err)
 		}
 		// Every queue was re-armed and works again.
@@ -117,7 +117,7 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 				t.Errorf("post-reset read on queue %d: status %d err %v", q, st, err)
 			}
 		}
-		if vf := w.ctl.VF(vm.VFIdx); vf.Inflight() != 0 {
+		if vf := w.ctl.VF(vm.Legs[0].VFIdx); vf.Inflight() != 0 {
 			t.Errorf("inflight = %d after drain, want 0", vf.Inflight())
 		}
 	})
@@ -137,7 +137,7 @@ func TestMultiQueueTimeoutRecoveryIsPerQueue(t *testing.T) {
 	})
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 256, false)
-		mq := vm.NescDrv.MQ()
+		mq := vm.Legs[0].Drv.MQ()
 		plan := fault.Plan{Seed: 7}
 		plan.Sites[fault.MSI] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)

@@ -27,7 +27,7 @@ func (w *world) installPlan(plan fault.Plan) *fault.Injector {
 // misses and exercises the hypervisor's lazy-allocation path.
 func (w *world) mkSparseImage(t *testing.T, p *sim.Proc, path string, uid uint32, blocks uint64) {
 	t.Helper()
-	f, err := w.h.HostFS.Create(p, path, uid, 0o600)
+	f, err := w.d.HostFS.Create(p, path, uid, 0o600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestStatusOKAndNoSpaceEndToEnd(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, true)
-		qp := vm.NescDrv.QueuePair()
+		qp := vm.Legs[0].Drv.QueuePair()
 		buf := w.mem.MustAlloc(1024, 64)
 		// First write into the sparse image misses; the hypervisor allocates
 		// and the walk retries: StatusOK.
@@ -84,7 +84,7 @@ func TestStatusOutOfRangeEndToEnd(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.NescDrv.QueuePair().Submit(p, core.OpRead, 1000, 1, buf)
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 1000, 1, buf)
 		if err != nil || st != core.StatusOutOfRange {
 			t.Errorf("oversized LBA: status %d err %v, want StatusOutOfRange", st, err)
 		}
@@ -98,12 +98,12 @@ func TestStatusDisabledEndToEnd(t *testing.T) {
 		// Disable the function behind the driver's back (management action).
 		// Disabling drops the device's ring state, so the driver re-arms its
 		// rings before probing — and gets an explicit StatusDisabled back.
-		w.h.mmioW(p, w.h.Device(0).mgmtAddr(vm.VFIdx)+core.MgmtEnable, 0)
-		if err := vm.NescDrv.QueuePair().Recover(p); err != nil {
+		w.h.mmioW(p, w.d.mgmtAddr(vm.Legs[0].VFIdx)+core.MgmtEnable, 0)
+		if err := vm.Legs[0].Drv.QueuePair().Recover(p); err != nil {
 			t.Fatal(err)
 		}
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.NescDrv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
 		if err != nil || st != core.StatusDisabled {
 			t.Errorf("disabled VF: status %d err %v, want StatusDisabled", st, err)
 		}
@@ -118,7 +118,7 @@ func TestStatusMediumErrorEndToEnd(t *testing.T) {
 		plan.Sites[fault.MediumRead] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.NescDrv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
 		if err != nil || st != core.StatusMediumError {
 			t.Errorf("unreadable block: status %d err %v, want StatusMediumError", st, err)
 		}
@@ -135,8 +135,8 @@ func TestStatusDMAFaultOnRevokedGrant(t *testing.T) {
 	w := newWorld(t, 8192, func(hp *Params) { hp.UseIOMMU = true })
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)
-		qp := vm.NescDrv.QueuePair()
-		fnID := w.ctl.VF(vm.VFIdx).ID()
+		qp := vm.Legs[0].Drv.QueuePair()
+		fnID := w.ctl.VF(vm.Legs[0].VFIdx).ID()
 		w.fab.IOMMU().RevokeAll(fnID)
 		for _, r := range qp.DMARanges() {
 			w.fab.IOMMU().Grant(fnID, r[0], r[1])
@@ -146,7 +146,7 @@ func TestStatusDMAFaultOnRevokedGrant(t *testing.T) {
 		if err != nil || st != core.StatusDMAFault {
 			t.Errorf("revoked data buffer: status %d err %v, want StatusDMAFault", st, err)
 		}
-		if w.ctl.VF(vm.VFIdx).DMAFaults == 0 {
+		if w.ctl.VF(vm.Legs[0].VFIdx).DMAFaults == 0 {
 			t.Error("per-function DMA fault not counted")
 		}
 	})
@@ -164,7 +164,7 @@ func TestDriverPollRecoversDroppedCompletionMSI(t *testing.T) {
 		plan := fault.Plan{Seed: 7}
 		plan.Sites[fault.MSI] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
-		qp := vm.NescDrv.QueuePair()
+		qp := vm.Legs[0].Drv.QueuePair()
 		buf := w.mem.MustAlloc(1024, 64)
 		st, err := qp.Submit(p, core.OpRead, 0, 1, buf)
 		if err != nil || st != core.StatusOK {
@@ -191,7 +191,7 @@ func TestDriverTimeoutBudgetSurfacesErrTimeout(t *testing.T) {
 		plan := fault.Plan{Seed: 7}
 		plan.Sites[fault.DMARead] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
-		qp := vm.NescDrv.QueuePair()
+		qp := vm.Legs[0].Drv.QueuePair()
 		buf := w.mem.MustAlloc(1024, 64)
 		_, err := qp.Submit(p, core.OpRead, 0, 1, buf)
 		if !errors.Is(err, guest.ErrTimeout) {
@@ -214,7 +214,7 @@ func TestResetVFRecoversWedgedGuest(t *testing.T) {
 	var gotErr error
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)
-		qp := vm.NescDrv.QueuePair()
+		qp := vm.Legs[0].Drv.QueuePair()
 		plan := fault.Plan{Seed: 7}
 		// Exactly one dropped DMA read: the descriptor fetch of the next
 		// request. With no timeout the submitter would park forever.
@@ -225,7 +225,7 @@ func TestResetVFRecoversWedgedGuest(t *testing.T) {
 			_, gotErr = qp.Submit(gp, core.OpRead, 0, 1, buf)
 		})
 		p.Sleep(500 * sim.Microsecond)
-		if err := w.h.ResetVF(p, vm.VFIdx); err != nil {
+		if err := w.d.ResetVF(p, vm.Legs[0].VFIdx); err != nil {
 			t.Fatal(err)
 		}
 		if w.h.VFResets != 1 {
@@ -255,13 +255,13 @@ func TestResetVFAbortsInFlightWork(t *testing.T) {
 			_ = vm.Kernel.SubmitAligned(gp, true, 0, buf)
 		})
 		p.Sleep(20 * sim.Microsecond)
-		if err := w.h.ResetVF(p, vm.VFIdx); err != nil {
+		if err := w.d.ResetVF(p, vm.Legs[0].VFIdx); err != nil {
 			t.Fatal(err)
 		}
-		if vf := w.ctl.VF(vm.VFIdx); vf.Inflight() != 0 {
+		if vf := w.ctl.VF(vm.Legs[0].VFIdx); vf.Inflight() != 0 {
 			t.Errorf("inflight = %d after drain, want 0", vf.Inflight())
 		}
-		qp := vm.NescDrv.QueuePair()
+		qp := vm.Legs[0].Drv.QueuePair()
 		if st, err := qp.Submit(p, core.OpRead, 0, 1, w.mem.MustAlloc(1024, 64)); err != nil || st != core.StatusOK {
 			t.Errorf("post-reset read: status %d err %v, want StatusOK", st, err)
 		}

@@ -6,9 +6,10 @@ import (
 	"nesc/internal/sim"
 )
 
-// Background scrubbing (data-integrity tentpole): the hypervisor walks the
-// whole physical device through the PF with OpVerify requests — reads that
-// guard-check every block on the medium but move no data over DMA. The device
+// Background scrubbing (data-integrity tentpole): the hypervisor walks every
+// device of the fleet, one after the other, through its PF with OpVerify
+// requests — reads that guard-check every block on the medium but move no
+// data over DMA. The device
 // services verify chunks only when both the out-of-band queue and every VF's
 // in-band queue are empty (strict scavenger priority in dtuPick), so a scrub
 // pass provably never delays foreground traffic at the DTU; the pacing
@@ -41,7 +42,7 @@ func (c *ScrubConfig) defaults(h *Hypervisor) {
 	}
 }
 
-// ScrubReport summarizes one scrub pass.
+// ScrubReport summarizes one scrub pass, summed over the fleet.
 type ScrubReport struct {
 	Blocks   int64 // blocks verified
 	Requests int64 // verify requests issued
@@ -49,7 +50,7 @@ type ScrubReport struct {
 	Repairs  int64 // device-side integrity repairs during the pass
 }
 
-// StartScrubber launches the paced background scrubber. It loops full-device
+// StartScrubber launches the paced background scrubber. It loops full-fleet
 // passes until StopScrubber; each wakeup re-checks the stop flag, so the
 // simulation quiesces promptly once the workload ends. Idempotent while a
 // scrubber is already running.
@@ -80,36 +81,38 @@ func (h *Hypervisor) StopScrubber() { h.scrubStop = true }
 // ScrubberRunning reports whether the background scrubber is active.
 func (h *Hypervisor) ScrubberRunning() bool { return h.scrubOn }
 
-// ScrubPass synchronously verifies every block on the physical device,
-// repairing any guard failures it finds (nescctl -scrub, crash harness).
+// ScrubPass synchronously verifies every block of every device, repairing
+// any guard failures it finds (nescctl -scrub, crash harness).
 func (h *Hypervisor) ScrubPass(p *sim.Proc) ScrubReport {
 	cfg := ScrubConfig{Interval: 1} // near-continuous: the caller is waiting
 	cfg.defaults(h)
-	cfg.Interval = 1
 	return h.scrubPass(p, cfg, false)
 }
 
-// scrubPass walks [0, NumBlocks) in BlocksPerReq strides of OpVerify.
+// scrubPass walks each device's [0, NumBlocks) in BlocksPerReq strides of
+// OpVerify on that device's PF queue.
 func (h *Hypervisor) scrubPass(p *sim.Proc, cfg ScrubConfig, interruptible bool) ScrubReport {
 	var rep ScrubReport
-	repairs0 := h.Ctl.IntegrityRepairs
-	total := h.Ctl.Medium.Store().NumBlocks()
-	for lba := int64(0); lba < total; lba += int64(cfg.BlocksPerReq) {
-		if interruptible && h.scrubStop {
-			break
+	for _, d := range h.devs {
+		repairs0 := d.Ctl.IntegrityRepairs
+		total := d.Ctl.Medium.Store().NumBlocks()
+		for lba := int64(0); lba < total; lba += int64(cfg.BlocksPerReq) {
+			if interruptible && h.scrubStop {
+				break
+			}
+			p.Sleep(cfg.Interval)
+			n := total - lba
+			if n > int64(cfg.BlocksPerReq) {
+				n = int64(cfg.BlocksPerReq)
+			}
+			st, err := d.pfQP.Submit(p, core.OpVerify, uint64(lba), uint32(n), 0)
+			rep.Requests++
+			rep.Blocks += n
+			if err != nil || guest.StatusError(st) != nil {
+				rep.Errors++
+			}
 		}
-		p.Sleep(cfg.Interval)
-		n := total - lba
-		if n > int64(cfg.BlocksPerReq) {
-			n = int64(cfg.BlocksPerReq)
-		}
-		st, err := h.pfQP.Submit(p, core.OpVerify, uint64(lba), uint32(n), 0)
-		rep.Requests++
-		rep.Blocks += n
-		if err != nil || guest.StatusError(st) != nil {
-			rep.Errors++
-		}
+		rep.Repairs += d.Ctl.IntegrityRepairs - repairs0
 	}
-	rep.Repairs = h.Ctl.IntegrityRepairs - repairs0
 	return rep
 }

@@ -17,19 +17,19 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
-		idx, err := w.h.CreateRawVF(p)
+		idx, err := w.d.CreateRawVF(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mq, err := guest.NewMultiQueue(p, w.eng, w.mem, w.fab,
-			w.h.VFPageBus(idx), 1, 8, w.h.P.DriverSubmitTime)
+			w.d.VFPageBus(idx), 1, 8, w.h.P.DriverSubmitTime)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := mq.ArmShadow(p); err != nil {
 			t.Fatal(err)
 		}
-		w.h.RouteVFInterrupts(idx, mq)
+		w.d.RouteVFInterrupts(idx, mq)
 		qp := mq.Queue(0)
 		if !qp.ShadowArmed() {
 			t.Fatal("queue not shadow-armed after ArmShadow")
@@ -91,7 +91,7 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 
 		// FLR clears the device-side shadow registration; driver recovery
 		// must re-arm it along with the rings.
-		if err := w.h.ResetVF(p, idx); err != nil {
+		if err := w.d.ResetVF(p, idx); err != nil {
 			t.Fatal(err)
 		}
 		if err := qp.Recover(p); err != nil {

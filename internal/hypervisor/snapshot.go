@@ -111,27 +111,3 @@ func (d *Device) DeleteSnapshot(p *sim.Proc, path string, uid uint32) error {
 	}
 	return d.HostFS.Remove(p, path, uid)
 }
-
-// SnapshotStats is the hypervisor's view of the CoW subsystem.
-type SnapshotStats struct {
-	Snapshots    int64 // snapshots taken (SnapshotVF, including clones)
-	Clones       int64 // clones exported through new VFs
-	CowBreaks    int64 // CoW faults serviced end to end
-	SharedBlocks int64 // data blocks currently shared (extra references > 0)
-	FSCowBreaks  int64 // filesystem-level share breaks (includes host writes)
-}
-
-// SnapshotStatsNow samples the snapshot counters (filesystem-level figures
-// come from the primary device's host filesystem).
-func (h *Hypervisor) SnapshotStatsNow() SnapshotStats {
-	s := SnapshotStats{
-		Snapshots: h.Snapshots,
-		Clones:    h.Clones,
-		CowBreaks: h.CowBreaks,
-	}
-	if h.HostFS != nil {
-		s.SharedBlocks = h.HostFS.SharedBlocks()
-		s.FSCowBreaks = h.HostFS.CowBreaks
-	}
-	return s
-}

@@ -14,9 +14,9 @@ import (
 // the device's CoW fault, the hypervisor's share break, and the BTLB
 // invalidation back to the retried walk.
 
-func readHostFile(t *testing.T, p *sim.Proc, h *Hypervisor, path string, n int) []byte {
+func readHostFile(t *testing.T, p *sim.Proc, d *Device, path string, n int) []byte {
 	t.Helper()
-	f, err := h.HostFS.Open(p, path, 0, extfs.PermRead)
+	f, err := d.HostFS.Open(p, path, 0, extfs.PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestSnapshotVFCowFaultEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if err := w.h.SnapshotVF(p, 0, "/vm.snap", 100); err != nil {
+		if err := w.d.SnapshotVF(p, 0, "/vm.snap", 100); err != nil {
 			t.Fatal(err)
 		}
 		if w.h.Snapshots != 1 {
 			t.Fatalf("Snapshots = %d", w.h.Snapshots)
 		}
-		if w.h.HostFS.SharedBlocks() == 0 {
+		if w.d.HostFS.SharedBlocks() == 0 {
 			t.Fatal("snapshot left no shared blocks")
 		}
 
@@ -95,7 +95,7 @@ func TestSnapshotVFCowFaultEndToEnd(t *testing.T) {
 		if !bytes.Equal(buf.Data, want) {
 			t.Fatal("VF does not see its own post-snapshot write")
 		}
-		if got := readHostFile(t, p, w.h, "/vm.snap", 16*1024); !bytes.Equal(got, base) {
+		if got := readHostFile(t, p, w.d, "/vm.snap", 16*1024); !bytes.Equal(got, base) {
 			t.Fatal("guest write leaked into snapshot")
 		}
 
@@ -107,7 +107,7 @@ func TestSnapshotVFCowFaultEndToEnd(t *testing.T) {
 		if w.ctl.CowFaults != faults {
 			t.Fatalf("re-write of private block faulted again (%d -> %d)", faults, w.ctl.CowFaults)
 		}
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -129,14 +129,14 @@ func TestCloneToNewVFIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cloneIdx, err := w.h.CloneToNewVF(p, 0, "/clone.img", 100)
+		cloneIdx, err := w.d.CloneToNewVF(p, 0, "/clone.img", 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if w.h.Clones != 1 {
 			t.Fatalf("Clones = %d", w.h.Clones)
 		}
-		if w.h.SharesTreeWith(0, cloneIdx) {
+		if w.d.SharesTreeWith(0, cloneIdx) {
 			t.Fatal("clone shares the parent's extent tree")
 		}
 		// Attach a guest to the clone file; its VF shares the clone's tree.
@@ -144,7 +144,7 @@ func TestCloneToNewVFIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !w.h.SharesTreeWith(cloneIdx, vm2.VFIdx) {
+		if !w.d.SharesTreeWith(cloneIdx, vm2.Legs[0].VFIdx) {
 			t.Fatal("two VFs on the clone file do not share a tree")
 		}
 
@@ -196,7 +196,7 @@ func TestCloneToNewVFIsolation(t *testing.T) {
 		if w.ctl.CowFaults == 0 {
 			t.Fatal("divergence raised no CoW faults")
 		}
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -210,22 +210,22 @@ func TestDeleteSnapshotLifecycle(t *testing.T) {
 		if _, err := w.h.NewVM(p, "vm", VMConfig{Backend: BackendDirect, DiskPath: "/d.img", UID: 100}); err != nil {
 			t.Fatal(err)
 		}
-		cloneIdx, err := w.h.CloneToNewVF(p, 0, "/d.clone", 100)
+		cloneIdx, err := w.d.CloneToNewVF(p, 0, "/d.clone", 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Refused while exported.
-		if err := w.h.DeleteSnapshot(p, "/d.clone", 100); err == nil {
+		if err := w.d.DeleteSnapshot(p, "/d.clone", 100); err == nil {
 			t.Fatal("deleted a snapshot still exported through a VF")
 		}
-		w.h.DestroyVF(p, cloneIdx)
-		if err := w.h.DeleteSnapshot(p, "/d.clone", 100); err != nil {
+		w.d.DestroyVF(p, cloneIdx)
+		if err := w.d.DeleteSnapshot(p, "/d.clone", 100); err != nil {
 			t.Fatal(err)
 		}
-		if w.h.HostFS.SharedBlocks() != 0 {
-			t.Fatalf("%d blocks still shared after deleting only snapshot", w.h.HostFS.SharedBlocks())
+		if w.d.HostFS.SharedBlocks() != 0 {
+			t.Fatalf("%d blocks still shared after deleting only snapshot", w.d.HostFS.SharedBlocks())
 		}
-		if err := w.h.HostFS.Check(p); err != nil {
+		if err := w.d.HostFS.Check(p); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -139,7 +139,9 @@ func (d *Device) DestroyVF(p *sim.Proc, idx int) {
 		st.shared.tree.Free()
 		delete(d.trees, st.shared.key)
 	}
-	*st = vfState{}
+	// Only the export goes: a miss service parked on the record's lock must
+	// find the same lock when it wakes.
+	st.vfExport = vfExport{}
 	if err := d.Ctl.SRIOV().EnableVFs(d.enabledVFs()); err != nil {
 		panic(err)
 	}
@@ -235,10 +237,8 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 		if pending&(1<<uint(bit)) == 0 {
 			continue
 		}
-		// Index through the field (not a cached element pointer): a
-		// concurrent service proc can grow the lazy table while this one is
-		// parked on the VF lock, reallocating the backing array.
-		if *d.missBusyRef(idx) {
+		st := d.vf(idx)
+		if st.busy {
 			// This VF's miss is already mid-service: allocation runs through
 			// the PF rings and takes far longer than the device's miss-resend
 			// cadence, so resent MSIs routinely observe a still-pending bit.
@@ -259,7 +259,7 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 				continue
 			}
 		}
-		d.missBusy[idx] = true
+		st.busy = true
 		if d.lockVF(p, idx) {
 			// A management operation (FLR, snapshot, migration) ran while we
 			// waited for the VF lock. It may have aborted the latched miss —
@@ -270,13 +270,13 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 			// untouched.
 			if d.h.mmioR(p, reg)&(1<<uint(bit)) == 0 {
 				d.unlockVF(idx)
-				d.missBusy[idx] = false
+				st.busy = false
 				continue
 			}
 		}
 		d.serviceMiss(p, idx)
 		d.unlockVF(idx)
-		d.missBusy[idx] = false
+		st.busy = false
 		serviced = true
 	}
 }
@@ -408,7 +408,7 @@ func (d *Device) ResetVF(p *sim.Proc, idx int) error {
 		p.Sleep(5 * sim.Microsecond)
 	}
 	h.VFResets++
-	if mq := h.qps[d.Ctl.VF(idx).ID()]; mq != nil {
+	if mq := h.qps[d.Ctl.VF(idx).ID()].mq; mq != nil {
 		return mq.Recover(p)
 	}
 	return nil
@@ -478,7 +478,7 @@ func (d *Device) SetVFWeight(p *sim.Proc, idx int, weight int) {
 // accelerator directly attached to a VF would get (paper §IV-D "direct
 // storage accesses from accelerators").
 func (d *Device) RouteVFInterrupts(idx int, mq *guest.MultiQueue) {
-	d.h.route(d.Ctl.VF(idx).ID(), mq)
+	d.route(idx+1, mq)
 }
 
 // FlushBTLB invalidates the device's translation cache (required around

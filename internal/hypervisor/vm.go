@@ -66,9 +66,17 @@ type VMConfig struct {
 	// VFQueuePolicy steers submissions across the VF's queues (default
 	// guest.PolicyHash). Only meaningful for BackendDirect.
 	VFQueuePolicy guest.Policy
-	// Device selects which fleet device hosts the VM's VF (0 = primary).
-	// Only meaningful for BackendDirect.
+	// Device selects which fleet device hosts the VM's VF. Only meaningful
+	// for BackendDirect.
 	Device int
+}
+
+// Leg is one VF assigned to a VM: the fleet device hosting it, its index
+// there, and the guest ring driver bound to it. Built only by attachLeg.
+type Leg struct {
+	Dev   *Device
+	VFIdx int
+	Drv   *guest.NescDriver
 }
 
 // VM is a running guest.
@@ -77,70 +85,69 @@ type VM struct {
 	H      *Hypervisor
 	Kernel *guest.Kernel
 	Kind   BackendKind
-	VFIdx  int // -1 unless BackendDirect
-	// Dev is the fleet device hosting the VM's VF (nil unless
-	// BackendDirect); live migration retargets it.
-	Dev *Device
 	// DiskPath / UID record the backing file identity for snapshot and
 	// migration management ("" / 0 for raw VFs).
 	DiskPath string
 	UID      uint32
 
-	NescDrv *guest.NescDriver
 	VioDrv  *guest.VirtioDriver
 	EmulDrv *guest.EmulDriver
 	VioBk   *VioBackend
 	EmulBk  *EmulBackend
 
-	// Legs and Client are set for mirrored VMs (NewMirroredVM): one VF per
-	// fleet device behind a synchronous mirror client.
-	Legs   []MirrorLeg
+	// Legs are the VM's assigned VFs: none for the software backends, one
+	// for a direct-assigned VM, and one per spanned fleet device behind the
+	// synchronous mirror Client for a mirrored VM (NewMirroredVM). Live
+	// migration retargets a leg.
+	Legs   []Leg
 	Client *fabric.Client
 
-	// cfg is retained so a live migration can rebuild an identical VF
-	// driver on the destination device.
+	// cfg is retained so a live migration can attach an identical leg on the
+	// destination device.
 	cfg VMConfig
+}
+
+// DirectLeg returns the one VF of a direct-assigned VM — what reset,
+// snapshot, re-weighting and image migration act on. ok is false for the
+// software backends and for mirrored VMs.
+func (vm *VM) DirectLeg() (leg Leg, ok bool) {
+	if vm.Client != nil || len(vm.Legs) != 1 {
+		return Leg{}, false
+	}
+	return vm.Legs[0], true
+}
+
+// newVM fills in what every kind of guest starts from.
+func (h *Hypervisor) newVM(name string, cfg VMConfig) *VM {
+	if cfg.Guest == (guest.Params{}) {
+		cfg.Guest = guest.DefaultParams()
+	}
+	return &VM{Name: name, H: h, Kind: cfg.Backend, DiskPath: cfg.DiskPath, UID: cfg.UID, cfg: cfg}
 }
 
 // NewVM builds a guest VM with the configured storage backend. The call
 // performs the hypervisor-side setup (VF creation or device-model start) and
 // the guest-side driver probe.
 func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) {
-	if cfg.Guest == (guest.Params{}) {
-		cfg.Guest = guest.DefaultParams()
-	}
-	vm := &VM{Name: name, H: h, Kind: cfg.Backend, VFIdx: -1, DiskPath: cfg.DiskPath, UID: cfg.UID, cfg: cfg}
+	vm := h.newVM(name, cfg)
+	cfg = vm.cfg
+	// The software backends run against device 0's PF and host filesystem.
+	d0 := h.devs[0]
 	switch cfg.Backend {
 	case BackendDirect:
-		dev := h.devs[cfg.Device]
-		var idx int
-		var err error
-		if cfg.RawDevice {
-			idx, err = dev.CreateRawVF(p)
-		} else {
-			idx, err = dev.CreateVF(p, cfg.DiskPath, cfg.UID)
+		dev := h.Device(cfg.Device)
+		if dev == nil {
+			return nil, fmt.Errorf("hypervisor: no device %d", cfg.Device)
 		}
+		leg, err := h.attachLeg(p, vm, dev)
 		if err != nil {
 			return nil, err
 		}
-		vm.VFIdx = idx
-		vm.Dev = dev
-		if cfg.IOWeight > 0 {
-			dev.SetVFWeight(p, idx, cfg.IOWeight)
-		}
-		drv, err := h.newVFDriver(p, dev, idx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		vm.NescDrv = drv
-		// wireLeg doubles as the single-VF hookup: completions, DMA grants
-		// (stand-in for mapping the guest's RAM at the IOMMU — the VF may
-		// DMA anywhere in the VM's shared-in-this-model memory).
-		h.wireLeg(dev, idx, drv, vm)
-		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, drv)
+		vm.Legs = []Leg{leg}
+		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, leg.Drv)
 
 	case BackendVirtio:
-		target, err := h.targetFor(p, cfg)
+		target, err := d0.targetFor(p, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +166,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			QueueBase:      queueBase,
 			QueueSize:      qsz,
 			CapacityBlocks: target.SizeBlocks(),
-			BlockSize:      h.Ctl.P.BlockSize,
+			BlockSize:      target.BlockSize(),
 			SubmitTime:     h.P.DriverSubmitTime,
 		})
 		if err != nil {
@@ -173,7 +180,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, drv)
 
 	case BackendEmulation:
-		target, err := h.targetFor(p, cfg)
+		target, err := d0.targetFor(p, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +188,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		drv := guest.NewEmulDriver(guest.EmulDriverConfig{
 			Port:           bk,
 			CapacityBlocks: target.SizeBlocks(),
-			BlockSize:      h.Ctl.P.BlockSize,
+			BlockSize:      target.BlockSize(),
 			SubmitTime:     h.P.DriverSubmitTime,
 		})
 		vm.EmulDrv = drv
@@ -194,29 +201,95 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 	return vm, nil
 }
 
-// targetFor opens the backing store for a software backend.
-func (h *Hypervisor) targetFor(p *sim.Proc, cfg VMConfig) (HostTarget, error) {
+// targetFor opens the backing store for a software backend on this device.
+func (d *Device) targetFor(p *sim.Proc, cfg VMConfig) (HostTarget, error) {
 	if cfg.RawDevice {
-		return &rawPFTarget{h: h}, nil
+		return &rawPFTarget{d: d}, nil
 	}
-	f, err := h.HostFS.Open(p, cfg.DiskPath, cfg.UID, extfs.PermRead|extfs.PermWrite)
+	f, err := d.HostFS.Open(p, cfg.DiskPath, cfg.UID, extfs.PermRead|extfs.PermWrite)
 	if err != nil {
 		return nil, fmt.Errorf("hypervisor: cannot open disk image: %w", err)
 	}
-	bs := uint64(h.Ctl.P.BlockSize)
-	return &fileTarget{h: h, file: f, size: int64((f.Size() + bs - 1) / bs)}, nil
+	bs := uint64(d.Ctl.P.BlockSize)
+	return &fileTarget{d: d, file: f, size: int64((f.Size() + bs - 1) / bs)}, nil
+}
+
+// attachLeg is the only way a VF meets a driver: it exports vm's disk through
+// a fresh VF of dev (the raw device or the image file, per the VM's config),
+// programs its QoS weight, builds the guest ring driver on the VF's register
+// page, routes the VF's completions to the guest and grants it DMA (the
+// stand-in for mapping the guest's RAM at the IOMMU — the VF may DMA anywhere
+// in the VM's shared-in-this-model memory). A failure undoes the steps already
+// taken, so an error leaves no VF, route or grant behind.
+func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
+	cfg := vm.cfg
+	var idx int
+	var err error
+	if cfg.RawDevice {
+		idx, err = dev.CreateRawVF(p)
+	} else {
+		idx, err = dev.CreateVF(p, cfg.DiskPath, cfg.UID)
+	}
+	if err != nil {
+		return Leg{}, err
+	}
+	leg := Leg{Dev: dev, VFIdx: idx}
+	if cfg.IOWeight > 0 {
+		dev.SetVFWeight(p, idx, cfg.IOWeight)
+	}
+	queues := cfg.VFQueues
+	if queues == 0 {
+		queues = dev.Ctl.P.QueuesPerVF
+	}
+	leg.Drv, err = guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
+		Fab:             h.Fab,
+		Mem:             h.Mem,
+		PageBus:         dev.VFPageBus(idx),
+		RingEntries:     cfg.VFRingEntries,
+		SubmitTime:      h.P.DriverSubmitTime,
+		UseTrampoline:   !h.P.UseIOMMU || cfg.ForceTrampoline,
+		MemcpyBandwidth: cfg.Guest.MemcpyBandwidth,
+		BlockSize:       dev.Ctl.P.BlockSize,
+		Timeout:         h.P.VFRequestTimeout,
+		RetryMax:        h.P.VFRetryMax,
+		Deadline:        h.P.VFDeadline,
+		Queues:          queues,
+		Policy:          cfg.VFQueuePolicy,
+		DisablePI:       h.P.DisablePI,
+		// Function index (0 = PF, VF idx + 1): the row key the device
+		// pipeline attributes this tenant's requests to.
+		Attrib:   h.tel.Attrib,
+		AttribVF: idx + 1,
+	})
+	if err != nil {
+		h.detachLeg(p, leg)
+		return Leg{}, err
+	}
+	dev.route(idx+1, leg.Drv.MQ())
+	dev.vf(idx).vm = vm
+	if h.P.UseIOMMU {
+		h.Fab.IOMMU().Grant(dev.Ctl.VF(idx).ID(), 0, h.Mem.Size())
+	}
+	return leg, nil
+}
+
+// detachLeg reverses attachLeg — drops the route and the DMA grant, destroys
+// the VF (which also returns its queue leases to the device pool) — from
+// whatever step attachLeg reached.
+func (h *Hypervisor) detachLeg(p *sim.Proc, leg Leg) {
+	fnID := leg.Dev.Ctl.VF(leg.VFIdx).ID()
+	delete(h.qps, fnID)
+	if h.P.UseIOMMU {
+		h.Fab.IOMMU().RevokeAll(fnID)
+	}
+	leg.Dev.DestroyVF(p, leg.VFIdx)
 }
 
 // Teardown releases a VM's hypervisor-side resources (its VFs, if any).
 func (vm *VM) Teardown(p *sim.Proc) {
 	for _, leg := range vm.Legs {
-		vm.H.unwireLeg(p, leg.Dev, leg.VFIdx)
+		vm.H.detachLeg(p, leg)
 	}
 	vm.Legs = nil
 	vm.Client = nil
-	if vm.VFIdx >= 0 {
-		vm.H.unwireLeg(p, vm.Dev, vm.VFIdx)
-		vm.VFIdx = -1
-		vm.Dev = nil
-	}
 }

@@ -120,18 +120,6 @@ func (s *Sampler) ensureSorted() {
 	}
 }
 
-// Counter is a monotonically increasing event count.
-type Counter struct{ n int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.n += n }
-
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.n }
-
 // Ratio is a hit/miss style two-way counter.
 type Ratio struct{ Hits, Misses int64 }
 

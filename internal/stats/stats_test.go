@@ -241,12 +241,6 @@ func TestSamplerMergeQuantileProperty(t *testing.T) {
 }
 
 func TestCounterAndRatio(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Addn(4)
-	if c.Value() != 5 {
-		t.Fatalf("Counter = %d", c.Value())
-	}
 	var r Ratio
 	if r.Rate() != 0 {
 		t.Fatal("empty ratio rate must be 0")

@@ -131,15 +131,15 @@ type Config struct {
 	// the inter-VF QoS multiplexer.
 	QueuesPerVF int
 	// Scrub runs the hypervisor's background scrubber for the whole
-	// simulation: paced full-device verify passes through the PF that
-	// guard-check every block and rewrite-to-repair latent or corrupt
-	// sectors. Verify traffic is serviced only when the device is otherwise
+	// simulation: paced verify passes over every device of the fleet in
+	// turn, each through its own PF, that guard-check every block and
+	// rewrite-to-repair latent or corrupt sectors. Verify traffic is serviced only when the device is otherwise
 	// idle, so foreground latency is unaffected.
 	Scrub bool
 	// ScrubInterval paces the scrubber (default 200µs between requests).
 	ScrubInterval time.Duration
-	// DisableGuards turns off the medium's per-block guard-tag verification
-	// (integrity-ablation knob). Corruption then flows past the device
+	// DisableGuards turns off per-block guard-tag verification on every
+	// device's medium (integrity-ablation knob). Corruption then flows past the device
 	// undetected except by end-to-end PI.
 	DisableGuards bool
 	// DisablePI turns off end-to-end protection information in every ring
@@ -362,7 +362,9 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	bcfg.Tel = tel
 	s := &Simulation{pl: bench.NewPlatform(bcfg), cfg: cfg}
 	if cfg.DisableGuards {
-		s.pl.Ctl.Medium.SetGuardCheck(false)
+		for _, d := range s.pl.Hyp.Devices() {
+			d.Ctl.Medium.SetGuardCheck(false)
+		}
 	}
 	return s
 }
@@ -411,20 +413,36 @@ func (s *Simulation) SpanCount() int64 {
 	return s.tel().Spans.Total
 }
 
-// FlightDump renders the device's flight recorder: for every terminal error
-// completion or function-level reset, the event-ring tail and the offending
-// request's span captured at the moment of failure. Always armed.
+// FlightDump renders every device's flight recorder: for every terminal
+// error completion or function-level reset, the event-ring tail and the
+// offending request's span captured at the moment of failure. Always armed.
+// Devices past 0 appear, under a header, only once they hold a record.
 func (s *Simulation) FlightDump() string {
 	var b strings.Builder
-	if err := s.pl.Ctl.Flight().Dump(&b); err != nil {
-		return "flight: " + err.Error()
+	for _, d := range s.pl.Hyp.Devices() {
+		fr := d.Ctl.Flight()
+		if d.Idx != 0 {
+			if fr.Total == 0 {
+				continue
+			}
+			fmt.Fprintf(&b, "--- device %d ---\n", d.Idx)
+		}
+		if err := fr.Dump(&b); err != nil {
+			return "flight: " + err.Error()
+		}
 	}
 	return b.String()
 }
 
-// FlightRecords reports how many flight records have been captured (the
-// value the PF's PFRegFlightRecords register exposes).
-func (s *Simulation) FlightRecords() int64 { return s.pl.Ctl.Flight().Total }
+// FlightRecords reports how many flight records have been captured across
+// the fleet (per device, the value its PFRegFlightRecords register exposes).
+func (s *Simulation) FlightRecords() int64 {
+	var n int64
+	for _, d := range s.pl.Hyp.Devices() {
+		n += d.Ctl.Flight().Total
+	}
+	return n
+}
 
 // Observability-layer views, re-exported from the internal engine so tools
 // can be written against the public API alone (the FaultPlan idiom).
@@ -554,8 +572,9 @@ func (s *Simulation) startScrubber() {
 // ScrubReport summarizes one scrub pass.
 type ScrubReport = hypervisor.ScrubReport
 
-// Scrub synchronously verifies every block on the physical device through
-// the PF, repairing any guard failures it finds.
+// Scrub synchronously verifies every block of every fleet device through
+// that device's PF, repairing any guard failures it finds; the report sums
+// the fleet.
 func (c *Ctx) Scrub() ScrubReport { return c.s.pl.Hyp.ScrubPass(c.proc) }
 
 // Degrade arms a fail-slow degradation of device dev starting now: every
@@ -587,7 +606,8 @@ func (c *Ctx) ClearDegradations(dev int) { c.s.pl.Inj.ClearDegradations(dev) }
 // fn's error is deliberately discarded — a crashed workload did not finish,
 // and half its in-flight calls would report timeouts anyway.
 func (s *Simulation) CrashAt(t time.Duration, fn func(ctx *Ctx) error) *Crash {
-	store := s.pl.Ctl.Medium.Store()
+	// The crash harness is single-device: device 0's store is what survives.
+	store := s.pl.Hyp.Device(0).Ctl.Medium.Store()
 	store.EnableWriteLog()
 	s.pl.RunUntil(sim.Time(t), func(p *sim.Proc) error {
 		if err := s.pl.Boot(p); err != nil {
@@ -630,11 +650,14 @@ func (c *Crash) Restart() *Simulation { return c.RestartWith(c.cfg) }
 // RestartWith is Restart with a different platform configuration.
 func (c *Crash) RestartWith(cfg Config) *Simulation { return newSimulation(cfg, c.store) }
 
-// VerifyGuards recomputes every medium block's guard tag against the stored
-// one and returns the mismatching LBAs (nil when fully consistent). This is
-// the crash harness's whole-device integrity check; unlike Ctx.Scrub it is
-// timeless and inspects the store directly.
-func (s *Simulation) VerifyGuards() []int64 { return s.pl.Ctl.Medium.Store().VerifyGuards() }
+// VerifyGuards recomputes every block's guard tag on device 0's medium
+// against the stored one and returns the mismatching LBAs (nil when fully
+// consistent). This is the crash harness's whole-device integrity check of
+// the store that survives a crash; unlike Ctx.Scrub it is timeless and
+// inspects the store directly.
+func (s *Simulation) VerifyGuards() []int64 {
+	return s.pl.Hyp.Device(0).Ctl.Medium.Store().VerifyGuards()
+}
 
 // Ctx is the handle host-side code runs with: it carries the simulated
 // process (for virtual time) and reaches the whole platform.

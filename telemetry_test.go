@@ -338,42 +338,56 @@ func TestEveryDeviceFeedsTheSinks(t *testing.T) {
 // byte for byte. Regenerate with:
 //
 //	go run ./cmd/nescbench -exp all > results/all_experiments.txt
+//
+// Each experiment is an independent single-threaded simulation, so they run
+// as parallel subtests; what is compared is their output in registry order.
 func TestGoldenExperimentOutputs(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full experiment suite (~1 min) skipped in -short mode")
+		t.Skip("full experiment suite (~1 min of CPU) skipped in -short mode")
 	}
 	golden, err := os.ReadFile("results/all_experiments.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := bench.DefaultConfig()
-	var got strings.Builder
-	for _, e := range bench.All() {
-		tables, err := e.Run(cfg)
-		if err != nil {
-			t.Fatalf("experiment %s: %v", e.Name, err)
+	exps := bench.All()
+	outs := make([]string, len(exps))
+	// The group returns once every parallel subtest in it has finished.
+	t.Run("exp", func(t *testing.T) {
+		for i, e := range exps {
+			t.Run(e.Name, func(t *testing.T) {
+				t.Parallel()
+				tables, err := e.Run(cfg)
+				if err != nil {
+					t.Fatalf("experiment %s: %v", e.Name, err)
+				}
+				var b strings.Builder
+				for _, tb := range tables {
+					b.WriteString(tb.String())
+					b.WriteByte('\n')
+				}
+				outs[i] = b.String()
+			})
 		}
-		for _, tb := range tables {
-			got.WriteString(tb.String())
-			got.WriteByte('\n')
-		}
-	}
-	if got.String() == string(golden) {
+	})
+	if t.Failed() || strings.Join(outs, "") == string(golden) {
 		return
 	}
-	gotLines := strings.Split(got.String(), "\n")
+	// Name the experiment whose output covers the first differing line.
 	wantLines := strings.Split(string(golden), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Fatalf("experiment output drifted from results/all_experiments.txt at line %d:\n got: %q\nwant: %q\n(regenerate the golden file only for intentional output changes)", i+1, g, w)
+	line := 0
+	for i, out := range outs {
+		for _, g := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
+			w := "<end of file>"
+			if line < len(wantLines) {
+				w = wantLines[line]
+			}
+			if g != w {
+				t.Fatalf("experiment %s drifted from results/all_experiments.txt at line %d:\n got: %q\nwant: %q\n(regenerate the golden file only for intentional output changes)",
+					exps[i].Name, line+1, g, w)
+			}
+			line++
 		}
 	}
-	t.Fatal("experiment output differs from results/all_experiments.txt (length only?)")
+	t.Fatalf("results/all_experiments.txt has lines past the last experiment's output (from line %d)", line+1)
 }

@@ -12,7 +12,6 @@ import (
 type VM struct {
 	name string
 	vm   *hypervisor.VM
-	s    *Simulation
 }
 
 func backendKind(b Backend) (hypervisor.BackendKind, error) {
@@ -32,22 +31,27 @@ func backendKind(b Backend) (hypervisor.BackendKind, error) {
 // attached through the chosen backend on behalf of tenant uid. For
 // BackendNeSC the hypervisor checks the tenant's filesystem permissions,
 // translates the file's extent map into a device extent tree, and assigns
-// the resulting virtual function directly to the guest.
+// the resulting virtual function directly to the guest. It is StartVMOn at
+// device 0.
 func (c *Ctx) StartVM(name string, backend Backend, diskPath string, uid uint32) (*VM, error) {
+	return c.StartVMOn(0, name, backend, diskPath, uid)
+}
+
+// StartVMOn is StartVM with the guest's virtual function placed on fleet
+// device dev (requires Config.Devices > dev and, for dev > 0, BackendNeSC —
+// the software backends always run against device 0).
+func (c *Ctx) StartVMOn(dev int, name string, backend Backend, diskPath string, uid uint32) (*VM, error) {
 	kind, err := backendKind(backend)
 	if err != nil {
 		return nil, err
 	}
-	vm, err := c.s.pl.Hyp.NewVM(c.proc, name, hypervisor.VMConfig{
-		Backend:  kind,
-		DiskPath: diskPath,
-		UID:      uid,
-		Guest:    c.s.pl.Cfg.Guest,
-	})
-	if err != nil {
+	if _, err := c.device(dev); err != nil {
 		return nil, err
 	}
-	return &VM{name: name, vm: vm, s: c.s}, nil
+	if dev != 0 && kind != hypervisor.BackendDirect {
+		return nil, fmt.Errorf("nesc: backend %q cannot be placed on device %d", backend, dev)
+	}
+	return c.startVM(name, hypervisor.VMConfig{Backend: kind, DiskPath: diskPath, UID: uid, Device: dev})
 }
 
 // StartRawVM launches a guest whose virtual disk is the raw physical device
@@ -58,15 +62,33 @@ func (c *Ctx) StartRawVM(name string, backend Backend) (*VM, error) {
 	if err != nil {
 		return nil, err
 	}
-	vm, err := c.s.pl.Hyp.NewVM(c.proc, name, hypervisor.VMConfig{
-		Backend:   kind,
-		RawDevice: true,
-		Guest:     c.s.pl.Cfg.Guest,
-	})
+	return c.startVM(name, hypervisor.VMConfig{Backend: kind, RawDevice: true})
+}
+
+func (c *Ctx) startVM(name string, cfg hypervisor.VMConfig) (*VM, error) {
+	cfg.Guest = c.s.pl.Cfg.Guest
+	vm, err := c.s.pl.Hyp.NewVM(c.proc, name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &VM{name: name, vm: vm, s: c.s}, nil
+	return &VM{name: name, vm: vm}, nil
+}
+
+// device returns fleet device dev, or an error when the fleet has none.
+func (c *Ctx) device(dev int) (*hypervisor.Device, error) {
+	if d := c.s.pl.Hyp.Device(dev); d != nil {
+		return d, nil
+	}
+	return nil, fmt.Errorf("nesc: no fleet device %d", dev)
+}
+
+// leg returns the VM's directly assigned virtual function, on the device
+// that hosts it; what names the operation refused when the VM has none.
+func (vm *VM) leg(what string) (hypervisor.Leg, error) {
+	if leg, ok := vm.vm.DirectLeg(); ok {
+		return leg, nil
+	}
+	return hypervisor.Leg{}, fmt.Errorf("nesc: VM %q has no virtual function to %s", vm.name, what)
 }
 
 // Name reports the VM name.
@@ -80,8 +102,14 @@ func (vm *VM) DiskSize() int64 {
 	return vm.vm.Kernel.Drv.CapacityBlocks() * int64(vm.vm.Kernel.Drv.BlockSize())
 }
 
-// VFIndex reports the assigned virtual function (-1 for software backends).
-func (vm *VM) VFIndex() int { return vm.vm.VFIdx }
+// VFIndex reports the assigned virtual function on the VM's device (-1 for
+// software backends and mirrored VMs).
+func (vm *VM) VFIndex() int {
+	if leg, ok := vm.vm.DirectLeg(); ok {
+		return leg.VFIdx
+	}
+	return -1
+}
 
 // WriteAt writes p to the raw virtual disk at off, through the guest's full
 // I/O stack and the backend's data path. The bytes genuinely land on the
@@ -99,8 +127,8 @@ func (vm *VM) ReadAt(c *Ctx, p []byte, off int64) error {
 // DMA engine serves competing VFs in proportion to their weights (paper
 // §IV-D). Only meaningful for BackendNeSC VMs.
 func (vm *VM) SetIOWeight(c *Ctx, weight int) {
-	if vm.vm.VFIdx >= 0 {
-		vm.s.pl.Hyp.SetVFWeight(c.proc, vm.vm.VFIdx, weight)
+	if leg, ok := vm.vm.DirectLeg(); ok {
+		leg.Dev.SetVFWeight(c.proc, leg.VFIdx, weight)
 	}
 }
 
@@ -110,10 +138,11 @@ func (vm *VM) SetIOWeight(c *Ctx, weight int) {
 // either resubmit (with a driver timeout configured) or fail with ErrReset.
 // Only meaningful for BackendNeSC VMs.
 func (vm *VM) Reset(c *Ctx) error {
-	if vm.vm.VFIdx < 0 {
-		return fmt.Errorf("nesc: VM %q has no virtual function to reset", vm.name)
+	leg, err := vm.leg("reset")
+	if err != nil {
+		return err
 	}
-	return vm.s.pl.Hyp.ResetVF(c.proc, vm.vm.VFIdx)
+	return leg.Dev.ResetVF(c.proc, leg.VFIdx)
 }
 
 // Snapshot captures a copy-on-write snapshot of the VM's virtual disk at
@@ -122,25 +151,27 @@ func (vm *VM) Reset(c *Ctx) error {
 // fault that the hypervisor services transparently. Only meaningful for
 // BackendNeSC VMs.
 func (vm *VM) Snapshot(c *Ctx, snapPath string, uid uint32) error {
-	if vm.vm.VFIdx < 0 {
-		return fmt.Errorf("nesc: VM %q has no virtual function to snapshot", vm.name)
+	leg, err := vm.leg("snapshot")
+	if err != nil {
+		return err
 	}
-	return vm.s.pl.Hyp.SnapshotVF(c.proc, vm.vm.VFIdx, snapPath, uid)
+	return leg.Dev.SnapshotVF(c.proc, leg.VFIdx, snapPath, uid)
 }
 
 // CloneVM snapshots src's virtual disk to clonePath and boots a fresh guest
 // on the snapshot — a writable fork that shares every unmodified block with
-// the parent. Both VMs keep running; writes on either side trigger CoW
-// breaks and never leak across.
+// the parent, on the parent's device. Both VMs keep running; writes on
+// either side trigger CoW breaks and never leak across.
 func (c *Ctx) CloneVM(src *VM, name, clonePath string, uid uint32) (*VM, error) {
-	if src.vm.VFIdx < 0 {
-		return nil, fmt.Errorf("nesc: VM %q has no virtual function to clone", src.name)
+	leg, err := src.leg("clone")
+	if err != nil {
+		return nil, err
 	}
-	if err := c.s.pl.Hyp.SnapshotVF(c.proc, src.vm.VFIdx, clonePath, uid); err != nil {
+	if err := leg.Dev.SnapshotVF(c.proc, leg.VFIdx, clonePath, uid); err != nil {
 		return nil, err
 	}
 	c.s.pl.Hyp.Clones++
-	return c.StartVM(name, BackendNeSC, clonePath, uid)
+	return c.StartVMOn(leg.Dev.Idx, name, BackendNeSC, clonePath, uid)
 }
 
 // Stop tears the VM down, releasing its virtual function (if any).
