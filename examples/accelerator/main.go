@@ -51,8 +51,8 @@ func main() {
 		// the VF's registers itself and DMAs storage blocks straight into
 		// its buffer — offset 0 of the VF is offset 0 of the file.
 		accelFn := pl.Fab.RegisterFunction("accelerator")
-		mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab,
-			d.VFPageBus(vfIdx), 1, 64, 300*sim.Nanosecond)
+		mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab, d.VFPageBus(vfIdx),
+			guest.RingConfig{Entries: 64, SubmitTime: 300 * sim.Nanosecond})
 		if err != nil {
 			return err
 		}

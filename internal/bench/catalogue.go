@@ -2,6 +2,7 @@ package bench
 
 import (
 	"nesc/internal/cas"
+	"nesc/internal/guest"
 	"nesc/internal/hypervisor"
 )
 
@@ -43,7 +44,7 @@ func (pl *Platform) Counters() []Counter {
 	d0 := pl.Hyp.Device(0)
 	ctl, h, fab, med, inj, tel := d0.Ctl, pl.Hyp, pl.Fab, d0.Ctl.Medium, pl.Inj, pl.Cfg.Tel
 	i64 := func(v *int64) func() float64 { return func() float64 { return float64(*v) } }
-	drv := func(get func(hypervisor.DriverRecoveryStats) int64) func() float64 {
+	drv := func(get func(guest.QueueCounters) int64) func() float64 {
 		return func() float64 { return float64(get(h.RecoveryStats())) }
 	}
 	fbr := func(get func(hypervisor.FabricStats) int64) func() float64 {
@@ -56,8 +57,8 @@ func (pl *Platform) Counters() []Counter {
 		return func() float64 { return float64(get(h.CASCacheStatsNow())) }
 	}
 	guardErrs := i64(&med.IntegrityErrors)
-	piMismatches := drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.PIMismatches })
-	piWriteErrs := drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.PIWriteErrors })
+	piMismatches := drv(func(s guest.QueueCounters) int64 { return s.PIMismatches })
+	piWriteErrs := drv(func(s guest.QueueCounters) int64 { return s.PIWriteErrors })
 
 	rows := []Counter{
 		{"BTLBHitRate", "nesc_device_btlb_hit_rate", "BTLB hits / lookups", ctl.BTLBStats.Rate},
@@ -78,11 +79,11 @@ func (pl *Platform) Counters() []Counter {
 		{"DroppedMSIs", "nesc_fabric_msis_dropped_total", "interrupts lost on the wire", i64(&fab.DroppedMSIs)},
 		{"FetchDrops", "nesc_device_fetch_drops_total", "doorbells lost to descriptor-fetch DMA errors", i64(&ctl.FetchDrops)},
 		{"CplDrops", "nesc_device_cpl_drops_total", "completions lost to completion-ring DMA errors", i64(&ctl.CplDrops)},
-		{"DriverTimeouts", "nesc_driver_timeouts_total", "request attempts that hit their deadline", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.Timeouts })},
-		{"DriverResubmits", "nesc_driver_resubmits_total", "requests reissued after timeout or abort", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.Resubmits })},
-		{"PolledCompletions", "nesc_driver_polled_cpls_total", "completions recovered by ring polling", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.PolledCompletions })},
-		{"StaleCompletions", "nesc_driver_stale_cpls_total", "ring completions whose id had no waiter", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.StaleCompletions })},
-		{"SeqGaps", "nesc_driver_seq_gaps_total", "completion sequence gaps observed", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.SeqGaps })},
+		{"DriverTimeouts", "nesc_driver_timeouts_total", "request attempts that hit their deadline", drv(func(s guest.QueueCounters) int64 { return s.Timeouts })},
+		{"DriverResubmits", "nesc_driver_resubmits_total", "requests reissued after timeout or abort", drv(func(s guest.QueueCounters) int64 { return s.Resubmits })},
+		{"PolledCompletions", "nesc_driver_polled_cpls_total", "completions recovered by ring polling", drv(func(s guest.QueueCounters) int64 { return s.PolledCompletions })},
+		{"StaleCompletions", "nesc_driver_stale_cpls_total", "ring completions whose id had no waiter", drv(func(s guest.QueueCounters) int64 { return s.StaleCompletions })},
+		{"SeqGaps", "nesc_driver_seq_gaps_total", "completion sequence gaps observed", drv(func(s guest.QueueCounters) int64 { return s.SeqGaps })},
 		{"VFResets", "nesc_hyp_vf_resets_total", "function-level resets issued", i64(&h.VFResets)},
 		{"MissFaults", "nesc_hyp_miss_faults_total", "misses failed by fault injection", i64(&h.MissFaults)},
 		{"BadRingWrites", "nesc_device_bad_ring_writes_total", "rejected ring-size register writes", i64(&ctl.BadRingSizes)},
@@ -95,7 +96,7 @@ func (pl *Platform) Counters() []Counter {
 			func() float64 { return guardErrs() + piMismatches() + piWriteErrs() }},
 		{"PIMismatches", "nesc_driver_pi_mismatches_total", "driver-detected read-guard mismatches", piMismatches},
 		{"PIWriteErrors", "nesc_driver_pi_write_errors_total", "integrity-error completions the drivers observed", piWriteErrs},
-		{"RootCauseOverrides", "nesc_driver_root_cause_overrides_total", "failures surfacing an earlier attempt's integrity root cause", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.RootCauseOverrides })},
+		{"RootCauseOverrides", "nesc_driver_root_cause_overrides_total", "failures surfacing an earlier attempt's integrity root cause", drv(func(s guest.QueueCounters) int64 { return s.RootCauseOverrides })},
 		{"MediumGuardErrors", "nesc_medium_guard_errors_total", "medium-level guard-check failures", guardErrs},
 		{"RecoveryReads", "nesc_medium_recovery_reads_total", "mirror-recovery reads served by the medium", i64(&med.RecoveryReads)},
 		{"ScrubPasses", "nesc_scrub_passes_total", "completed background scrub passes", i64(&h.ScrubPasses)},
@@ -105,7 +106,7 @@ func (pl *Platform) Counters() []Counter {
 
 		{"AdmitRejects", "nesc_device_admit_rejects_total", "requests fast-failed StatusBusy by per-VF admission control", i64(&ctl.AdmitRejects)},
 		{"DeadlineExpirations", "nesc_device_deadline_expirations_total", "requests or chunks completed StatusBusy past their deadline", i64(&ctl.DeadlineExpirations)},
-		{"BusyRejects", "nesc_driver_busy_rejects_total", "submissions the device fast-failed StatusBusy (admission control or deadline)", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.BusyRejects })},
+		{"BusyRejects", "nesc_driver_busy_rejects_total", "submissions the device fast-failed StatusBusy (admission control or deadline)", drv(func(s guest.QueueCounters) int64 { return s.BusyRejects })},
 		{"HedgedReads", "nesc_fabric_hedged_reads_total", "speculative second reads launched", fbr(func(s hypervisor.FabricStats) int64 { return s.HedgedReads })},
 		{"HedgeWins", "nesc_fabric_hedge_wins_total", "hedges that delivered the data first", fbr(func(s hypervisor.FabricStats) int64 { return s.HedgeWins })},
 		{"Quarantines", "nesc_fabric_quarantines_total", "legs flagged fail-slow and pulled from read steering", fbr(func(s hypervisor.FabricStats) int64 { return s.Quarantines })},
@@ -185,7 +186,7 @@ func (pl *Platform) Counters() []Counter {
 			}
 			return float64(d0.HostFS.CowBreaks)
 		}},
-		{"", "nesc_driver_doorbells_skipped_total", "MMIO doorbells elided by shadow batching", drv(func(s hypervisor.DriverRecoveryStats) int64 { return s.DoorbellsSkipped })},
+		{"", "nesc_driver_doorbells_skipped_total", "MMIO doorbells elided by shadow batching", drv(func(s guest.QueueCounters) int64 { return s.DoorbellsSkipped })},
 		{"", "nesc_fabric_msis_delayed_total", "interrupts delivered late", i64(&fab.DelayedMSIs)},
 		{"", "nesc_fabric_mirrored_writes_total", "writes acknowledged by every live replica", fbr(func(s hypervisor.FabricStats) int64 { return s.MirroredWrites })},
 		{"", "nesc_fabric_degraded_writes_total", "writes acknowledged by a strict subset of replicas", fbr(func(s hypervisor.FabricStats) int64 { return s.DegradedWrites })},

@@ -291,10 +291,10 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 	cfg.Fault = &fault.Plan{Seed: 11}
 	// Busy must surface to the tenant immediately: no timeout recovery, no
 	// driver-level retries.
-	cfg.Hyp.VFRequestTimeout = 0
-	cfg.Hyp.VFRetryMax = 0
+	cfg.Hyp.Ring.Timeout = 0
+	cfg.Hyp.Ring.RetryMax = 0
 	if arm {
-		cfg.Hyp.VFDeadline = 400 * sim.Microsecond
+		cfg.Hyp.Ring.Deadline = 400 * sim.Microsecond
 		cfg.Core.AdmitInflight = 8
 	}
 	pl := NewPlatform(cfg)

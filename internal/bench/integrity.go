@@ -60,7 +60,9 @@ func randIO(p *sim.Proc, t workload.ByteTarget, blockBytes, ops int, write bool,
 // the paced background scrubber for the whole measurement window.
 func integrityCell(cfg Config, guards, scrub bool, set func(phase string, res workload.Result)) (scrubBlocks int64, err error) {
 	qcfg := cfg
-	qcfg.Hyp.DisablePI = !guards
+	if !guards {
+		qcfg.Hyp.Ring.PIBlock = 0
+	}
 	pl := NewPlatform(qcfg)
 	if !guards {
 		pl.Hyp.Device(0).Ctl.Medium.SetGuardCheck(false)

@@ -108,8 +108,8 @@ func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 			if err != nil {
 				return err
 			}
-			mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab,
-				d.VFPageBus(idx), 1, scaleRingEntries, pl.Cfg.Hyp.DriverSubmitTime)
+			mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab, d.VFPageBus(idx),
+				guest.RingConfig{Entries: scaleRingEntries, SubmitTime: pl.Cfg.Hyp.Ring.SubmitTime})
 			if err != nil {
 				return err
 			}

@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 
 	"nesc/internal/blockdev"
 	"nesc/internal/extent"
@@ -274,19 +273,10 @@ type Controller struct {
 	dtuW   *sim.Semaphore // counts items across per-VF pLBA queues+oobQ+scrubQ
 	muxW   *sim.Semaphore // counts requests across all VF request queues
 
-	// Active-VF work lists: one bit per VF (bit idx-1) in each of the two
-	// schedulers. A VF joins a list when work lands in the corresponding
-	// queue and leaves when the scheduler drains it, so the mux and DTU pick
-	// loops walk the *active* VFs instead of scanning all NumVFs slots.
-	muxActive []uint64
-	dtuActive []uint64
-	muxRR     int // mux scheduling cursor (VF index - 1)
-	dtuRR     int // DTU scheduling cursor (VF index - 1)
-	// Refill generations count completed credit-refill rounds. A VF
-	// materialized mid-run starts with the credit an always-present idle VF
-	// would have had: weight after any refill has happened, zero before.
-	muxRefillGen uint64
-	dtuRefillGen uint64
+	// The two weighted schedulers over the VFs (drr.go): mux hands fetched
+	// requests to the translation stage, dtu hands translated chunks to the
+	// DMA channels.
+	mux, dtu drr
 
 	// Device-wide queue-pair pool (lease on first ring programming, return
 	// on function disable). qFree is the free list; qAllocated counts pool
@@ -384,23 +374,22 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 		return nil, fmt.Errorf("core: QueuesPerVF %d exceeds the register-file limit %d", p.QueuesPerVF, MaxQueuesPerFn)
 	}
 	c := &Controller{
-		Eng:       eng,
-		Fab:       fab,
-		Medium:    medium,
-		P:         p,
-		vfShards:  make([][]*Function, (p.NumVFs+vfShardSize-1)/vfShardSize),
-		fnIdx:     make(map[pcie.FnID]int),
-		vlbaQ:     sim.NewFIFO[*chunk](eng, p.VLBAQueueDepth),
-		oobQ:      sim.NewFIFO[*chunk](eng, 0),
-		scrubQ:    sim.NewFIFO[*chunk](eng, 0),
-		dtuW:      sim.NewSemaphore(eng, 0),
-		muxW:      sim.NewSemaphore(eng, 0),
-		muxActive: make([]uint64, (p.NumVFs+63)/64),
-		dtuActive: make([]uint64, (p.NumVFs+63)/64),
-		btlb:      newBTLB(p.BTLBEntries),
-		sriov:     pcie.SRIOVCap{TotalVFs: p.NumVFs},
-		tel:       newSpine(tel),
+		Eng:      eng,
+		Fab:      fab,
+		Medium:   medium,
+		P:        p,
+		vfShards: make([][]*Function, (p.NumVFs+vfShardSize-1)/vfShardSize),
+		fnIdx:    make(map[pcie.FnID]int),
+		vlbaQ:    sim.NewFIFO[*chunk](eng, p.VLBAQueueDepth),
+		oobQ:     sim.NewFIFO[*chunk](eng, 0),
+		scrubQ:   sim.NewFIFO[*chunk](eng, 0),
+		dtuW:     sim.NewSemaphore(eng, 0),
+		muxW:     sim.NewSemaphore(eng, 0),
+		btlb:     newBTLB(p.BTLBEntries),
+		sriov:    pcie.SRIOVCap{TotalVFs: p.NumVFs},
+		tel:      newSpine(tel),
 	}
+	c.mux, c.dtu = newDRR(c, drrMux), newDRR(c, drrDTU)
 	c.zeroCRC = ring.BlockCRC(make([]byte, p.BlockSize))
 	medium.SetDeviceIndex(p.DeviceID)
 	// The PF is eager — it carries the device's management plane — but every
@@ -480,10 +469,9 @@ func (c *Controller) vfAt(idx int) *Function {
 // materializeVF builds VF idx's device state: PCIe identity, MSI vectors,
 // register file, request queue, and fetch process. All of it is timeless
 // (the fetch process parks immediately), so materializing mid-run does not
-// perturb the event schedule. The scheduler credits are set to what an
-// always-present idle VF would hold — its weight after any refill round has
-// run, zero before — keeping low-VF-count schedules bit-identical to the
-// eager construction.
+// perturb the event schedule. Each scheduler gives it the credit an
+// always-present idle VF would hold (drr.admit), keeping low-VF-count
+// schedules bit-identical to the eager construction.
 func (c *Controller) materializeVF(idx int) *Function {
 	if idx < 0 || idx >= c.P.NumVFs {
 		panic(fmt.Sprintf("core: VF index %d out of range (NumVFs=%d)", idx, c.P.NumVFs))
@@ -494,12 +482,8 @@ func (c *Controller) materializeVF(idx int) *Function {
 	}
 	f := c.newFunction(idx+1, c.Fab.RegisterFunction(fmt.Sprintf("%s-vf%d", c.devName("nesc"), idx)))
 	c.Fab.AllocMSIVectors(f.id, c.nVec())
-	if c.muxRefillGen > 0 {
-		f.credit = f.weight
-	}
-	if c.dtuRefillGen > 0 {
-		f.dtuCredit = f.weight
-	}
+	c.mux.admit(f)
+	c.dtu.admit(f)
 	c.vfShards[s][idx%vfShardSize] = f
 	c.fnIdx[f.id] = f.idx
 	c.nMat++
@@ -560,7 +544,7 @@ func (c *Controller) StateFootprint() int64 {
 		queuePairBytes = 112 // fnQueue struct + doorbell FIFO header
 		flightRecBytes = 256 // one flight-record slot
 	)
-	b := int64(len(c.vfShards)+len(c.muxActive)+len(c.dtuActive)) * 8
+	b := int64(len(c.vfShards)+len(c.mux.active)+len(c.dtu.active)) * 8
 	for _, sh := range c.vfShards {
 		if sh != nil {
 			b += vfShardSize * 8
@@ -633,10 +617,10 @@ type Function struct {
 
 	// QoS: the multiplexer serves up to `weight` requests — and the DMA
 	// engine up to `weight` chunks — per VF per scheduling round (deficit
-	// round robin; paper §IV-D "different priorities for each VF").
-	weight    uint32
-	credit    uint32
-	dtuCredit uint32
+	// round robin; paper §IV-D "different priorities for each VF"). credit is
+	// what is left of the current round, one slot per scheduler (drr.slot).
+	weight uint32
+	credit [2]uint32
 
 	// Stats.
 	Reqs, Blocks int64
@@ -836,80 +820,4 @@ func (c *Controller) resetFunction(f *Function) {
 	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))
 	c.captureFlight(c.Eng.Now(), f.idx, nil, "reset")
 	c.anomaly(slo.EventFLR, f.idx, 0, 0, "")
-}
-
-// Active-VF work-list primitives. Each scheduler keeps a bitmap with bit
-// idx-1 set exactly while VF idx's feeding queue is non-empty: the bit is
-// set after a push lands (before the scheduler semaphore is released, so a
-// granted permit always finds a set bit) and cleared by the scheduler when
-// its pop empties the queue. Picks then walk set bits cyclically from the
-// cursor instead of scanning NumVFs slots.
-
-func setBit(bm []uint64, i int)   { bm[i>>6] |= 1 << uint(i&63) }
-func clearBit(bm []uint64, i int) { bm[i>>6] &^= 1 << uint(i&63) }
-
-// nextSetBit returns the first set bit position in [from, limit), or -1.
-func nextSetBit(bm []uint64, from, limit int) int {
-	if from >= limit {
-		return -1
-	}
-	w := from >> 6
-	cur := bm[w] &^ ((1 << uint(from&63)) - 1)
-	for {
-		if cur != 0 {
-			b := w<<6 + bits.TrailingZeros64(cur)
-			if b >= limit {
-				return -1
-			}
-			return b
-		}
-		w++
-		if w<<6 >= limit || w >= len(bm) {
-			return -1
-		}
-		cur = bm[w]
-	}
-}
-
-// pickActive returns the first set bit of bm at a cyclic position >= *cursor
-// for which ok holds, leaving the cursor ON the picked position (deficit
-// round robin resumes at the same VF while it has credit). Returns -1 when
-// no active VF passes — the caller refills credits and retries, exactly the
-// two-pass structure of the flat scan. A failed pass leaves the cursor
-// unchanged, as a fruitless full-circle scan did.
-func (c *Controller) pickActive(bm []uint64, cursor *int, ok func(i int) bool) int {
-	n := c.P.NumVFs
-	for b := nextSetBit(bm, *cursor, n); b >= 0; b = nextSetBit(bm, b+1, n) {
-		if ok(b) {
-			*cursor = b
-			return b
-		}
-	}
-	for b := nextSetBit(bm, 0, *cursor); b >= 0; b = nextSetBit(bm, b+1, *cursor) {
-		if ok(b) {
-			*cursor = b
-			return b
-		}
-	}
-	return -1
-}
-
-// muxNote joins VF f to the multiplexer's active list (request queued).
-func (c *Controller) muxNote(f *Function) { setBit(c.muxActive, f.idx-1) }
-
-// dtuNote joins VF f to the DTU's active list (translated chunk queued).
-func (c *Controller) dtuNote(f *Function) { setBit(c.dtuActive, f.idx-1) }
-
-// muxRefill starts a new multiplexer scheduling round: every materialized
-// VF's credit returns to its weight. The generation counter lets a VF
-// materialized later reconstruct the credit it would have held.
-func (c *Controller) muxRefill() {
-	c.muxRefillGen++
-	c.forEachVF(func(f *Function) { f.credit = f.weight })
-}
-
-// dtuRefill starts a new DTU scheduling round.
-func (c *Controller) dtuRefill() {
-	c.dtuRefillGen++
-	c.forEachVF(func(f *Function) { f.dtuCredit = f.weight })
 }

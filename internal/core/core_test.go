@@ -369,7 +369,7 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 	// Mock hypervisor: on miss, map the missing range to pLBA 600+ and
 	// signal a rewalk.
 	r.missHandler = func(p *sim.Proc) {
-		pending := r.mmioR(p, r.bar+PFRegMissPending)
+		pending := r.mmioR(p, r.bar+PFRegMissPendingBank)
 		if pending&1 == 0 {
 			t.Error("miss bitmap does not report VF0")
 			return

@@ -130,7 +130,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			req.admitted = true
 			f.pendingChunks += int64(count)
 			f.reqQ.Push(p, req)
-			c.muxNote(f)
+			c.mux.note(f)
 			c.muxW.Release()
 		}
 	}
@@ -225,36 +225,17 @@ func (f *Function) shadowFollow(p *sim.Proc, q *fnQueue, desc []byte) {
 
 // muxLoop is the VF multiplexer: it dequeues client requests round-robin
 // "to prevent client starvation" (paper §V-A), extended with per-VF weights
-// (deficit round robin) for the QoS policy of §IV-D. With all weights at
-// the default of 1 this degenerates to plain round robin. The scheduler
-// walks the active-VF work list — VFs join when a fetched request lands in
-// their queue and leave when it drains — so a pick costs O(active), not
-// O(NumVFs).
+// (deficit round robin, drr.go) for the QoS policy of §IV-D.
 func (c *Controller) muxLoop(p *sim.Proc) {
 	for {
 		c.muxW.Acquire(p)
-		var req *Request
-		for pass := 0; pass < 2 && req == nil; pass++ {
-			b := c.pickActive(c.muxActive, &c.muxRR, func(i int) bool {
-				f := c.vfAt(i)
-				return f != nil && f.credit > 0
-			})
-			if b >= 0 {
-				f := c.vfAt(b)
-				r, _ := f.reqQ.TryPop()
-				f.credit--
-				if f.reqQ.Len() == 0 {
-					clearBit(c.muxActive, b)
-				}
-				req = r
-			} else {
-				// Every backlogged VF exhausted its credit: start a new
-				// scheduling round.
-				c.muxRefill()
-			}
-		}
-		if req == nil {
+		f := c.mux.pick()
+		if f == nil {
 			continue // accounting mismatch cannot occur; defensive
+		}
+		req, _ := f.reqQ.TryPop()
+		if f.reqQ.Len() == 0 {
+			c.mux.idle(f)
 		}
 		if req.epoch != req.fn.resetEpoch {
 			// Fetched before a function-level reset: abort without splitting.
@@ -429,7 +410,7 @@ func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
 		c.scrubQ.Push(p, ch)
 	} else {
 		f.plbaQ.Push(p, ch)
-		c.dtuNote(f)
+		c.dtu.note(f)
 	}
 	c.dtuW.Release()
 }
@@ -437,27 +418,17 @@ func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
 // dtuPick selects the next chunk for a DMA channel: OOB (PF) chunks win
 // absolute priority; VF chunks are scheduled with deficit round robin
 // weighted by each VF's QoS weight (paper §IV-D: the QoS policy lives in
-// the DMA engine), walking the DTU's active-VF work list.
+// the DMA engine, drr.go).
 func (c *Controller) dtuPick() (*chunk, bool) {
 	if ch, ok := c.oobQ.TryPop(); ok {
 		return ch, true
 	}
-	for pass := 0; pass < 2; pass++ {
-		b := c.pickActive(c.dtuActive, &c.dtuRR, func(i int) bool {
-			f := c.vfAt(i)
-			return f != nil && f.dtuCredit > 0
-		})
-		if b >= 0 {
-			f := c.vfAt(b)
-			ch, _ := f.plbaQ.TryPop()
-			f.dtuCredit--
-			if f.plbaQ.Len() == 0 {
-				clearBit(c.dtuActive, b)
-			}
-			return ch, true
+	if f := c.dtu.pick(); f != nil {
+		ch, _ := f.plbaQ.TryPop()
+		if f.plbaQ.Len() == 0 {
+			c.dtu.idle(f)
 		}
-		// Every backlogged VF is out of credit: new scheduling round.
-		c.dtuRefill()
+		return ch, true
 	}
 	// Scrub traffic is served only when every foreground queue is empty.
 	if ch, ok := c.scrubQ.TryPop(); ok {

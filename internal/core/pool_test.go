@@ -183,12 +183,12 @@ func TestActiveListInvariant(t *testing.T) {
 	if done != vfs*iosPerVF {
 		t.Fatalf("completed %d ios, want %d — a function was lost with work pending", done, vfs*iosPerVF)
 	}
-	for w, bits := range r.ctl.muxActive {
+	for w, bits := range r.ctl.mux.active {
 		if bits != 0 {
 			t.Errorf("mux active bitmap word %d = %#x at quiesce, want 0", w, bits)
 		}
 	}
-	for w, bits := range r.ctl.dtuActive {
+	for w, bits := range r.ctl.dtu.active {
 		if bits != 0 {
 			t.Errorf("dtu active bitmap word %d = %#x at quiesce, want 0", w, bits)
 		}

@@ -50,7 +50,7 @@ func fillPLBAQueues(c *Controller, n int) {
 				panic("queue full in test setup")
 			}
 		}
-		c.dtuNote(f)
+		c.dtu.note(f)
 	}
 }
 

@@ -53,7 +53,6 @@ const (
 
 	// PF-page global registers.
 	PFRegBTLBFlush     = 0x800 // write: flush the BTLB (4B)
-	PFRegMissPending   = 0x808 // RO: bitmap of VFs 0..63 with latched misses (8B)
 	PFRegNumVFs        = 0x810 // RO: supported VF count (4B)
 	PFRegFlightRecords = 0x818 // RO: flight-recorder captures to date (8B)
 
@@ -72,9 +71,8 @@ const (
 	PFRegShadowBatches   = 0x858 // fetch batches initiated via shadow doorbells (8B)
 	PFRegMaterializedVFs = 0x860 // VFs with device state built (8B)
 
-	// Banked miss-pending bitmaps for configurations beyond 64 VFs: bank k
-	// (at PFRegMissPendingBank + 8k) covers VFs 64k .. 64k+63. Bank 0
-	// aliases the legacy PFRegMissPending contents.
+	// Miss-pending bitmaps (RO, 8B each): bank k (at PFRegMissPendingBank +
+	// 8k) has a bit per VF 64k .. 64k+63 with a latched miss.
 	PFRegMissPendingBank  = 0x880
 	PFRegMissPendingBanks = 16 // register file holds up to 16 banks (1024 VFs)
 
@@ -173,8 +171,6 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 			return c.missPendingBank(int((reg - PFRegMissPendingBank) / 8))
 		}
 		switch reg {
-		case PFRegMissPending:
-			return c.missPendingBank(0)
 		case PFRegNumVFs:
 			return uint64(c.P.NumVFs)
 		case PFRegFlightRecords:

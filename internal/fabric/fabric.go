@@ -156,6 +156,55 @@ func (r *Replica) State() State { return r.state }
 // replica.
 func (r *Replica) DirtyRegions() int { return r.dirty.DirtyRegions() }
 
+// Counters is the one declaration of a mirror client's counters (all
+// monotonic): Client embeds it and increments the fields in place, and the
+// fleet total is the Add of every client's.
+type Counters struct {
+	MirroredWrites   int64 // writes acknowledged by every live replica
+	DegradedWrites   int64 // writes acknowledged by a strict subset
+	WriteFailures    int64 // writes no live replica acknowledged
+	ReadFallbacks    int64 // reads retried on a peer after ErrIntegrity
+	ReadRetries      int64 // reads retried on a peer after other errors
+	Suspects         int64 // Healthy → Suspect transitions
+	Failovers        int64 // Suspect → Failed transitions (device fenced)
+	Recoveries       int64 // Suspect → Healthy transitions
+	Revives          int64 // Failed → Rebuilding transitions
+	ResilverRegions  int64 // regions copied by the resilver
+	ResilverBlocks   int64 // blocks copied by the resilver
+	ResilverRestores int64 // Rebuilding → Healthy promotions
+	HedgedReads      int64 // speculative second reads launched
+	HedgeWins        int64 // hedges that delivered the data first
+	Quarantines      int64 // legs flagged fail-slow and pulled from reads
+	Rejoins          int64 // quarantined legs readmitted to read steering
+	ProbeReads       int64 // reads steered to the worst leg to refresh EWMA
+	// LastFailoverLatency is the time from a fenced device's first error to
+	// the fence (how long acked writes ran degraded-undetected).
+	LastFailoverLatency sim.Time
+}
+
+// Add accumulates o into c: counts sum, LastFailoverLatency keeps the largest
+// fence latency any client observed.
+func (c *Counters) Add(o *Counters) {
+	c.MirroredWrites += o.MirroredWrites
+	c.DegradedWrites += o.DegradedWrites
+	c.WriteFailures += o.WriteFailures
+	c.ReadFallbacks += o.ReadFallbacks
+	c.ReadRetries += o.ReadRetries
+	c.Suspects += o.Suspects
+	c.Failovers += o.Failovers
+	c.Recoveries += o.Recoveries
+	c.Revives += o.Revives
+	c.ResilverRegions += o.ResilverRegions
+	c.ResilverBlocks += o.ResilverBlocks
+	c.ResilverRestores += o.ResilverRestores
+	c.HedgedReads += o.HedgedReads
+	c.HedgeWins += o.HedgeWins
+	c.Quarantines += o.Quarantines
+	c.Rejoins += o.Rejoins
+	c.ProbeReads += o.ProbeReads
+	c.LastFailoverLatency = max(c.LastFailoverLatency, o.LastFailoverLatency)
+}
+
 // Client mirrors one virtual disk across replicas. It implements
 // guest.BlockDriver, so a guest kernel drives it exactly like a raw VF
 // driver; with a single replica it is a thin pass-through that adds no
@@ -187,27 +236,7 @@ type Client struct {
 	busyLBA    uint64
 	busyCount  uint64
 
-	// Counters (telemetry; all monotonic).
-	MirroredWrites   int64 // writes acknowledged by every live replica
-	DegradedWrites   int64 // writes acknowledged by a strict subset
-	WriteFailures    int64 // writes no live replica acknowledged
-	ReadFallbacks    int64 // reads retried on a peer after ErrIntegrity
-	ReadRetries      int64 // reads retried on a peer after other errors
-	Suspects         int64 // Healthy → Suspect transitions
-	Failovers        int64 // Suspect → Failed transitions (device fenced)
-	Recoveries       int64 // Suspect → Healthy transitions
-	Revives          int64 // Failed → Rebuilding transitions
-	ResilverRegions  int64 // regions copied by the resilver
-	ResilverBlocks   int64 // blocks copied by the resilver
-	ResilverRestores int64 // Rebuilding → Healthy promotions
-	HedgedReads      int64 // speculative second reads launched
-	HedgeWins        int64 // hedges that delivered the data first
-	Quarantines      int64 // legs flagged fail-slow and pulled from reads
-	Rejoins          int64 // quarantined legs readmitted to read steering
-	ProbeReads       int64 // reads steered to the worst leg to refresh EWMA
-	// LastFailoverLatency is the time from a fenced device's first error to
-	// the fence (how long acked writes ran degraded-undetected).
-	LastFailoverLatency sim.Time
+	Counters
 
 	// readLat is the client-wide read-latency window the adaptive hedge
 	// deadline derives from (nil unless hedging is armed).

@@ -42,25 +42,33 @@ type MultiQueue struct {
 	policy Policy
 }
 
-// NewMultiQueue allocates and programs `queues` queue pairs (each of
-// `entries` slots) for the function whose register page sits at pageBus.
-func NewMultiQueue(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, queues, entries int, submitTime sim.Time) (*MultiQueue, error) {
-	if queues < 1 {
-		queues = 1
+// NewMultiQueue builds the ring client cfg describes on the function whose
+// register page sits at pageBus — the one constructor behind the PF driver and
+// every VF driver. The MMIO it issues is, in order: each queue's ring base,
+// ring size and completion base, queue by queue; then, only with a deadline
+// set, each queue's deadline budget in queue order.
+func NewMultiQueue(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, cfg RingConfig) (*MultiQueue, error) {
+	if cfg.Entries == 0 {
+		cfg.Entries = 128
 	}
-	mq := &MultiQueue{queues: make([]*QueuePair, 0, queues)}
-	for q := 0; q < queues; q++ {
-		qp, err := newQueuePair(p, eng, mem, fab, pageBus, q, entries, submitTime)
+	if cfg.Queues < 1 {
+		cfg.Queues = 1
+	}
+	mq := &MultiQueue{queues: make([]*QueuePair, 0, cfg.Queues), policy: cfg.Policy}
+	for q := 0; q < cfg.Queues; q++ {
+		qp, err := newQueuePair(p, eng, mem, fab, pageBus, q, cfg)
 		if err != nil {
 			return nil, err
 		}
 		mq.queues = append(mq.queues, qp)
 	}
+	for _, qp := range mq.queues {
+		if err := qp.armDeadline(p); err != nil {
+			return nil, err
+		}
+	}
 	return mq, nil
 }
-
-// SetPolicy selects the queue-steering policy (default PolicyHash).
-func (mq *MultiQueue) SetPolicy(p Policy) { mq.policy = p }
 
 // NumQueues reports how many queue pairs the mux spans.
 func (mq *MultiQueue) NumQueues() int { return len(mq.queues) }
@@ -70,41 +78,6 @@ func (mq *MultiQueue) Queue(q int) *QueuePair { return mq.queues[q] }
 
 // Queues returns the underlying queue pairs (shared slice; do not mutate).
 func (mq *MultiQueue) Queues() []*QueuePair { return mq.queues }
-
-// SetRecovery arms every queue's timeout/retry recovery.
-func (mq *MultiQueue) SetRecovery(timeout sim.Time, retryMax int) {
-	for _, qp := range mq.queues {
-		qp.Timeout = timeout
-		qp.RetryMax = retryMax
-	}
-}
-
-// SetDeadline programs every queue's per-request deadline budget, in queue
-// order. Zero is a no-op on every queue (no MMIO writes).
-func (mq *MultiQueue) SetDeadline(p *sim.Proc, d sim.Time) error {
-	for _, qp := range mq.queues {
-		if err := qp.SetDeadline(p, d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// BusyRejects totals StatusBusy completions across every queue.
-func (mq *MultiQueue) BusyRejects() int64 {
-	var n int64
-	for _, qp := range mq.queues {
-		n += qp.BusyRejects
-	}
-	return n
-}
-
-// SetPI enables end-to-end protection information on every queue.
-func (mq *MultiQueue) SetPI(blockBytes int) {
-	for _, qp := range mq.queues {
-		qp.SetPI(blockBytes)
-	}
-}
 
 // ArmShadow enables shadow-doorbell batching on every queue, in queue order.
 func (mq *MultiQueue) ArmShadow(p *sim.Proc) error {

@@ -46,13 +46,13 @@ func TestPolicyLeastOccupied(t *testing.T) {
 	eng := sim.NewEngine()
 	defer eng.Shutdown()
 	mq := testMux(eng, 2, 7, 5)
-	mq.SetPolicy(PolicyLeastOccupied)
+	mq.policy = PolicyLeastOccupied
 	if got := mq.pick(12345).Queue(); got != 1 {
 		t.Errorf("picked queue %d, want 1 (most free slots)", got)
 	}
 	// Ties break toward the lowest index, deterministically.
 	tie := testMux(eng, 4, 4, 4)
-	tie.SetPolicy(PolicyLeastOccupied)
+	tie.policy = PolicyLeastOccupied
 	if got := tie.pick(99).Queue(); got != 0 {
 		t.Errorf("tie broke to queue %d, want 0", got)
 	}
@@ -63,7 +63,7 @@ func TestPolicySingleQueue(t *testing.T) {
 	defer eng.Shutdown()
 	for _, pol := range []Policy{PolicyHash, PolicyLeastOccupied} {
 		mq := testMux(eng, 8)
-		mq.SetPolicy(pol)
+		mq.policy = pol
 		for _, lba := range []uint64{0, 1, 77, 1 << 33} {
 			if got := mq.pick(lba).Queue(); got != 0 {
 				t.Errorf("policy %v picked queue %d with one queue", pol, got)

@@ -7,7 +7,6 @@ import (
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 )
 
 // NescDriver is the guest block driver for a directly assigned NeSC virtual
@@ -42,75 +41,31 @@ type NescDriverConfig struct {
 	Fab     *pcie.Fabric
 	Mem     *hostmem.Memory
 	PageBus int64 // bus address of the VF's register page
-	// RingEntries sizes the request/completion rings.
-	RingEntries int
+	// Ring is the settings value of the driver's ring client; the hypervisor
+	// tells the guest how many queues its VF exposes.
+	Ring RingConfig
 	// MaxBlocksPerReq is the driver's scatter-gather chunk size (4 KB in
 	// the paper: "Large requests are broken down by the driver").
 	MaxBlocksPerReq int
-	// SubmitTime is the driver CPU cost per request.
-	SubmitTime sim.Time
 	// UseTrampoline selects the prototype's bounce-buffer mode.
 	UseTrampoline bool
 	// MemcpyBandwidth prices trampoline copies.
 	MemcpyBandwidth float64
 	// BlockSize is the device block size.
 	BlockSize int
-	// Timeout and RetryMax configure each queue pair's completion-timeout
-	// recovery (see QueuePair). Zero Timeout disables it.
-	Timeout  sim.Time
-	RetryMax int
-	// Deadline, when positive, programs each queue's per-request latency
-	// budget (QRegDeadline): requests the device cannot finish inside it
-	// come back StatusBusy instead of queueing. Zero (the default) leaves
-	// the register untouched.
-	Deadline sim.Time
-	// Queues is the number of queue pairs to drive (0 means 1). The
-	// hypervisor tells the guest how many queues its VF exposes; it must not
-	// exceed the device's programmed per-function queue count.
-	Queues int
-	// Policy steers submissions across queues (default PolicyHash).
-	Policy Policy
-	// DisablePI turns off end-to-end protection information (guard tags in
-	// descriptors and completions). On by default: PI is pure arithmetic and
-	// does not alter the event schedule.
-	DisablePI bool
-	// Attrib, when set, receives every queue's driver-side busy-backoff
-	// time, credited to function index AttribVF's budget-table rows — the
-	// rows the device pipeline attributes the same tenant's requests to.
-	Attrib   *slo.Attributor
-	AttribVF int
 }
 
 // NewNescDriver programs the VF rings and reads the device geometry.
 func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDriver, error) {
-	if cfg.RingEntries == 0 {
-		cfg.RingEntries = 128
-	}
 	if cfg.MaxBlocksPerReq == 0 {
 		cfg.MaxBlocksPerReq = 4
 	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1024
 	}
-	if cfg.Queues == 0 {
-		cfg.Queues = 1
-	}
-	mq, err := NewMultiQueue(p, eng, cfg.Mem, cfg.Fab, cfg.PageBus, cfg.Queues, cfg.RingEntries, cfg.SubmitTime)
+	mq, err := NewMultiQueue(p, eng, cfg.Mem, cfg.Fab, cfg.PageBus, cfg.Ring)
 	if err != nil {
 		return nil, err
-	}
-	mq.SetPolicy(cfg.Policy)
-	mq.SetRecovery(cfg.Timeout, cfg.RetryMax)
-	for _, qp := range mq.queues {
-		qp.Attrib, qp.AttribVF = cfg.Attrib, cfg.AttribVF
-	}
-	if cfg.Deadline > 0 {
-		if err := mq.SetDeadline(p, cfg.Deadline); err != nil {
-			return nil, err
-		}
-	}
-	if !cfg.DisablePI {
-		mq.SetPI(cfg.BlockSize)
 	}
 	size, err := mq.DeviceSize(p)
 	if err != nil {

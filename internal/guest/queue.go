@@ -20,41 +20,20 @@ var (
 	ErrReset   = errors.New("nesc: request aborted by function reset")
 )
 
-// QueuePair is the NeSC ring-protocol client shared by the guest VF driver
-// and the hypervisor's PF driver: it owns a request/completion ring pair in
-// host memory, programs the function's ring registers over MMIO, and matches
-// completions (delivered by interrupt) back to blocked submitters. It
-// supports multiple concurrent submitters, so a queue-depth > 1 workload
-// keeps the device pipeline full.
-type QueuePair struct {
-	eng     *sim.Engine
-	mem     *hostmem.Memory
-	fab     *pcie.Fabric
-	pageBus int64 // bus address of the function's register page
-	queue   int   // queue-pair index within the function
-	entries uint32
-
-	// Bus addresses of the registers in this queue's block: rings and
-	// doorbell, the shadow-doorbell register, and the per-request
-	// deadline-budget register (QRegDeadline).
-	ringBaseReg, ringSizeReg, cplBaseReg, doorbellReg int64
-	shadowReg, deadlineReg                            int64
-
-	ringBase hostmem.Addr
-	cplBase  hostmem.Addr
-	// shadowBase, when non-zero, is the host shadow-doorbell block shared
-	// with the device (ArmShadow): the driver publishes its producer index
-	// at +ShadowOffProd and reads the device's consumed-up-to event index
-	// at +ShadowOffEvent, ringing the MMIO doorbell only when the device
-	// may have stopped fetching for this queue.
-	shadowBase hostmem.Addr
-	prod       uint32
-	lastSeq    uint32
-	nextID     uint32
-
-	slots   *sim.Semaphore
-	waiters map[uint32]*qpWaiter
-
+// RingConfig is the one settings value of a ring client — the hypervisor's PF
+// driver and every guest VF driver alike. hypervisor.Params carries the
+// platform's policy fields; whoever builds a client starts from those, fills
+// in what is particular to that client (ring depth, queue count, the
+// attribution row) and hands it to NewMultiQueue, which leaves a copy on every
+// queue pair. Nothing changes it afterwards.
+type RingConfig struct {
+	// Entries sizes each queue's request and completion rings (0 means 128).
+	Entries int
+	// Queues is the number of queue pairs to drive (0 means 1). It must not
+	// exceed the device's programmed per-function queue count.
+	Queues int
+	// Policy steers submissions across queues (default PolicyHash).
+	Policy Policy
 	// SubmitTime is the driver CPU cost per submission.
 	SubmitTime sim.Time
 
@@ -68,19 +47,33 @@ type QueuePair struct {
 	RetryMax int
 
 	// Deadline, when positive, is the per-request latency budget programmed
-	// into the queue's QRegDeadline register (SetDeadline): the device
-	// abandons any request still unfinished past fetch-time + Deadline and
-	// completes it with the retryable StatusBusy. Zero leaves the register
-	// untouched — no MMIO write, no schedule change.
+	// into each queue's QRegDeadline register: the device abandons any
+	// request still unfinished past fetch-time + Deadline and completes it
+	// with the retryable StatusBusy. Zero leaves the register untouched — no
+	// MMIO write, no schedule change.
 	Deadline sim.Time
 
-	// piBlock, when positive, enables end-to-end protection information at
-	// that block granularity: writes carry a driver-computed guard in the
-	// descriptor, and read completions return a device-computed guard the
-	// driver verifies against the received payload. Guard math is timeless,
-	// so enabling PI never perturbs the event schedule.
-	piBlock int
+	// PIBlock, when positive, enables end-to-end protection information at
+	// that block granularity (the device block size): writes carry a
+	// driver-computed guard in the descriptor, and read completions return a
+	// device-computed guard the driver verifies against the received payload.
+	// Guard math is timeless, so enabling PI never perturbs the event
+	// schedule.
+	PIBlock int
 
+	// Attrib, when set, receives the driver-side admission backoff time the
+	// tenant waits between busy-rejected resubmissions — latency the device
+	// pipeline never sees but the guest absolutely does. Credited to function
+	// index AttribVF's budget-table row under the admission segment, the row
+	// the device pipeline attributes the same tenant's requests to.
+	Attrib   *slo.Attributor
+	AttribVF int
+}
+
+// QueueCounters is the one declaration of a queue pair's counters: QueuePair
+// embeds it and increments the fields in place, and whoever wants a total over
+// several queues sums them with Add.
+type QueueCounters struct {
 	// Submitted counts requests issued.
 	Submitted int64
 	// DoorbellsSkipped counts MMIO doorbell writes elided by the shadow
@@ -103,14 +96,62 @@ type QueuePair struct {
 	// from an earlier attempt's root cause (an integrity failure) rather
 	// than the final attempt's own timeout or abort.
 	RootCauseOverrides int64
+}
 
-	// Attrib, when set, receives the driver-side admission backoff time the
-	// tenant waits between busy-rejected resubmissions — latency the device
-	// pipeline never sees but the guest absolutely does. Credited to
-	// AttribVF's budget-table row under the admission segment. Nil off; set
-	// by NewNescDriver from its config.
-	Attrib   *slo.Attributor
-	AttribVF int
+// Add accumulates o into c.
+func (c *QueueCounters) Add(o *QueueCounters) {
+	c.Submitted += o.Submitted
+	c.DoorbellsSkipped += o.DoorbellsSkipped
+	c.BusyRejects += o.BusyRejects
+	c.Timeouts += o.Timeouts
+	c.Resubmits += o.Resubmits
+	c.PolledCompletions += o.PolledCompletions
+	c.StaleCompletions += o.StaleCompletions
+	c.SeqGaps += o.SeqGaps
+	c.Aborts += o.Aborts
+	c.Resets += o.Resets
+	c.PIMismatches += o.PIMismatches
+	c.PIWriteErrors += o.PIWriteErrors
+	c.RootCauseOverrides += o.RootCauseOverrides
+}
+
+// QueuePair is the NeSC ring-protocol client shared by the guest VF driver
+// and the hypervisor's PF driver: it owns a request/completion ring pair in
+// host memory, programs the function's ring registers over MMIO, and matches
+// completions (delivered by interrupt) back to blocked submitters. It
+// supports multiple concurrent submitters, so a queue-depth > 1 workload
+// keeps the device pipeline full.
+type QueuePair struct {
+	eng     *sim.Engine
+	mem     *hostmem.Memory
+	fab     *pcie.Fabric
+	pageBus int64      // bus address of the function's register page
+	queue   int        // queue-pair index within the function
+	cfg     RingConfig // the client's settings, defaults filled in (NewMultiQueue)
+	entries uint32     // cfg.Entries in the type of the ring-index arithmetic
+
+	// Bus addresses of the registers in this queue's block: rings and
+	// doorbell, the shadow-doorbell register, and the per-request
+	// deadline-budget register (QRegDeadline).
+	ringBaseReg, ringSizeReg, cplBaseReg, doorbellReg int64
+	shadowReg, deadlineReg                            int64
+
+	ringBase hostmem.Addr
+	cplBase  hostmem.Addr
+	// shadowBase, when non-zero, is the host shadow-doorbell block shared
+	// with the device (ArmShadow): the driver publishes its producer index
+	// at +ShadowOffProd and reads the device's consumed-up-to event index
+	// at +ShadowOffEvent, ringing the MMIO doorbell only when the device
+	// may have stopped fetching for this queue.
+	shadowBase hostmem.Addr
+	prod       uint32
+	lastSeq    uint32
+	nextID     uint32
+
+	slots   *sim.Semaphore
+	waiters map[uint32]*qpWaiter
+
+	QueueCounters
 }
 
 type qpWaiter struct {
@@ -120,19 +161,21 @@ type qpWaiter struct {
 	aborted bool
 }
 
-// newQueuePair allocates and programs rings for queue pair queue of the
-// function whose register page sits at pageBus (NewMultiQueue builds them).
-func newQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, queue, entries int, submitTime sim.Time) (*QueuePair, error) {
+// newQueuePair allocates and programs rings of cfg.Entries slots for queue
+// pair queue of the function whose register page sits at pageBus
+// (NewMultiQueue builds them and has filled in cfg's defaults).
+func newQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, pageBus int64, queue int, cfg RingConfig) (*QueuePair, error) {
+	entries := cfg.Entries
 	qp := &QueuePair{
-		eng:        eng,
-		mem:        mem,
-		fab:        fab,
-		pageBus:    pageBus,
-		queue:      queue,
-		entries:    uint32(entries),
-		slots:      sim.NewSemaphore(eng, entries),
-		waiters:    make(map[uint32]*qpWaiter),
-		SubmitTime: submitTime,
+		eng:     eng,
+		mem:     mem,
+		fab:     fab,
+		pageBus: pageBus,
+		queue:   queue,
+		cfg:     cfg,
+		entries: uint32(entries),
+		slots:   sim.NewSemaphore(eng, entries),
+		waiters: make(map[uint32]*qpWaiter),
 	}
 	block := pageBus + core.QueueRegBase + int64(queue)*core.QueueRegStride
 	qp.ringBaseReg = block + core.QRegRingBase
@@ -197,29 +240,24 @@ func (qp *QueuePair) ArmShadow(p *sim.Proc) error {
 // ShadowArmed reports whether shadow-doorbell batching is enabled.
 func (qp *QueuePair) ShadowArmed() bool { return qp.shadowBase != 0 }
 
-// SetDeadline programs the queue's per-request deadline budget into
-// QRegDeadline and remembers it for Recover. A zero budget is never written:
-// the register resets to zero anyway, and skipping the write keeps the
-// deadline-free MMIO schedule byte-identical.
-func (qp *QueuePair) SetDeadline(p *sim.Proc, d sim.Time) error {
-	qp.Deadline = d
-	if d <= 0 {
+// armDeadline programs the queue's per-request deadline budget into
+// QRegDeadline. A zero budget is never written: the register resets to zero
+// anyway, and skipping the write keeps the deadline-free MMIO schedule
+// byte-identical.
+func (qp *QueuePair) armDeadline(p *sim.Proc) error {
+	if qp.cfg.Deadline <= 0 {
 		return nil
 	}
-	return qp.fab.MMIOWrite(p, qp.deadlineReg, 8, uint64(d))
+	return qp.fab.MMIOWrite(p, qp.deadlineReg, 8, uint64(qp.cfg.Deadline))
 }
-
-// SetPI enables end-to-end protection information on read/write submissions,
-// at the given device block size. Zero disables it.
-func (qp *QueuePair) SetPI(blockBytes int) { qp.piBlock = blockBytes }
 
 // piGuard computes the request-level PI guard over the payload at bufAddr.
 func (qp *QueuePair) piGuard(count uint32, bufAddr int64) (uint32, error) {
-	data, err := qp.mem.Slice(bufAddr, int64(count)*int64(qp.piBlock))
+	data, err := qp.mem.Slice(bufAddr, int64(count)*int64(qp.cfg.PIBlock))
 	if err != nil {
 		return 0, err
 	}
-	return ring.PIGuard(data, qp.piBlock), nil
+	return ring.PIGuard(data, qp.cfg.PIBlock), nil
 }
 
 // FreeSlots reports how many submission slots are currently unclaimed; the
@@ -260,7 +298,7 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	defer qp.slots.Release()
 	wireOp := op
 	var guard uint32
-	if qp.piBlock > 0 && (ring.OpCode(op) == ring.OpRead || ring.OpCode(op) == ring.OpWrite) {
+	if qp.cfg.PIBlock > 0 && (ring.OpCode(op) == ring.OpRead || ring.OpCode(op) == ring.OpWrite) {
 		wireOp |= ring.OpFlagPI
 		if ring.OpCode(op) == ring.OpWrite {
 			g, err := qp.piGuard(count, bufAddr)
@@ -279,13 +317,13 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	// Driver-side admission backoff the tenant waited across the whole
 	// ladder; credited to the attribution row on exit (any path).
 	var backoff sim.Time
-	if qp.Attrib != nil {
+	if qp.cfg.Attrib != nil {
 		defer func() {
-			qp.Attrib.AddSegment(qp.AttribVF, core.OpName(op), slo.SegAdmission, backoff)
+			qp.cfg.Attrib.AddSegment(qp.cfg.AttribVF, core.OpName(op), slo.SegAdmission, backoff)
 		}()
 	}
 	for attempt := 0; ; attempt++ {
-		p.Sleep(qp.SubmitTime)
+		p.Sleep(qp.cfg.SubmitTime)
 		qp.nextID++
 		id := qp.nextID
 		var desc [ring.DescBytes]byte
@@ -304,7 +342,7 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 			return 0, err
 		}
 		piBad, busy := false, false
-		if w.sig.AwaitTimeout(p, qp.Timeout<<uint(attempt)) {
+		if w.sig.AwaitTimeout(p, qp.cfg.Timeout<<uint(attempt)) {
 			if !w.aborted {
 				switch {
 				case w.status == ring.StatusBusy:
@@ -342,18 +380,18 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 			rootPIBad = true
 			rootStatus = w.status
 		}
-		if attempt >= qp.RetryMax {
+		if attempt >= qp.cfg.RetryMax {
 			status, err, overridden := finalVerdict(w.aborted, piBad, busy, rootPIBad, rootStatus)
 			if overridden {
 				qp.RootCauseOverrides++
 			}
 			return status, err
 		}
-		if busy && qp.Timeout > 0 {
+		if busy && qp.cfg.Timeout > 0 {
 			// The device fast-failed under admission pressure: back off
 			// before resubmitting, on the same exponential ladder a timeout
 			// would have used, so retries don't hammer a saturated function.
-			wait := qp.Timeout << uint(attempt)
+			wait := qp.cfg.Timeout << uint(attempt)
 			p.Sleep(wait)
 			backoff += wait
 		}
@@ -424,7 +462,7 @@ func (qp *QueuePair) completionOK(op uint32, w *qpWaiter, count uint32, bufAddr 
 		qp.PIWriteErrors++
 		return false
 	}
-	if qp.piBlock > 0 && ring.OpCode(op) == ring.OpRead && w.status == ring.StatusOK {
+	if qp.cfg.PIBlock > 0 && ring.OpCode(op) == ring.OpRead && w.status == ring.StatusOK {
 		if g, err := qp.piGuard(count, bufAddr); err == nil && g != w.guard {
 			qp.PIMismatches++
 			return false
@@ -517,11 +555,9 @@ func (qp *QueuePair) Recover(p *sim.Proc) error {
 			return err
 		}
 	}
-	if qp.Deadline > 0 {
-		// The FLR also cleared the deadline register; re-arm it.
-		if err := qp.SetDeadline(p, qp.Deadline); err != nil {
-			return err
-		}
+	// The FLR also cleared the deadline register; re-arm it.
+	if err := qp.armDeadline(p); err != nil {
+		return err
 	}
 	// Abort parked submitters in sorted-id order — map iteration order must
 	// not leak into the event schedule, or seeded runs stop replaying.

@@ -102,7 +102,7 @@ func newQPRig(t *testing.T) (*sim.Engine, *QueuePair, *fakeFn) {
 	var qp *QueuePair
 	eng.Go("setup", func(p *sim.Proc) {
 		var err error
-		qp, err = newQueuePair(p, eng, mem, fab, base, 0, 8, sim.Microsecond)
+		qp, err = newQueuePair(p, eng, mem, fab, base, 0, RingConfig{Entries: 8, SubmitTime: sim.Microsecond})
 		if err != nil {
 			t.Error(err)
 			return
@@ -163,8 +163,8 @@ func TestStaleCompletionCounted(t *testing.T) {
 
 func TestTimeoutPollRecoversLostMSI(t *testing.T) {
 	eng, qp, d := newQPRig(t)
-	qp.Timeout = 500 * sim.Microsecond
-	qp.RetryMax = 2
+	qp.cfg.Timeout = 500 * sim.Microsecond
+	qp.cfg.RetryMax = 2
 	d.mode = func(uint32) string { return "nomsi" }
 	eng.Go("submitter", func(p *sim.Proc) {
 		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
@@ -182,8 +182,8 @@ func TestTimeoutPollRecoversLostMSI(t *testing.T) {
 
 func TestTimeoutResubmitRecoversLostRequest(t *testing.T) {
 	eng, qp, d := newQPRig(t)
-	qp.Timeout = 500 * sim.Microsecond
-	qp.RetryMax = 2
+	qp.cfg.Timeout = 500 * sim.Microsecond
+	qp.cfg.RetryMax = 2
 	d.mode = func(id uint32) string {
 		if id == 1 {
 			return "silent"
@@ -208,8 +208,8 @@ func TestTimeoutResubmitRecoversLostRequest(t *testing.T) {
 
 func TestTimeoutBudgetExhausted(t *testing.T) {
 	eng, qp, d := newQPRig(t)
-	qp.Timeout = 500 * sim.Microsecond
-	qp.RetryMax = 1
+	qp.cfg.Timeout = 500 * sim.Microsecond
+	qp.cfg.RetryMax = 1
 	d.mode = func(uint32) string { return "silent" }
 	eng.Go("submitter", func(p *sim.Proc) {
 		_, err := qp.Submit(p, core.OpRead, 0, 1, 0)
@@ -228,8 +228,8 @@ func TestTimeoutBudgetExhausted(t *testing.T) {
 // path must skip over it or the ring wedges forever.
 func TestSeqGapRecovery(t *testing.T) {
 	eng, qp, d := newQPRig(t)
-	qp.Timeout = 500 * sim.Microsecond
-	qp.RetryMax = 3
+	qp.cfg.Timeout = 500 * sim.Microsecond
+	qp.cfg.RetryMax = 3
 	d.mode = func(id uint32) string {
 		if id == 1 {
 			return "lostcpl"
@@ -340,8 +340,8 @@ func TestFinalVerdictRootCause(t *testing.T) {
 // status — not the last attempt's timeout — and count the override.
 func TestRootCauseSurvivesRetryLadder(t *testing.T) {
 	eng, qp, d := newQPRig(t)
-	qp.Timeout = 500 * sim.Microsecond
-	qp.RetryMax = 2
+	qp.cfg.Timeout = 500 * sim.Microsecond
+	qp.cfg.RetryMax = 2
 	d.mode = func(id uint32) string {
 		if id == 1 {
 			return "pierr"

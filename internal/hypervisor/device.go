@@ -95,21 +95,32 @@ func (d *Device) lockVF(p *sim.Proc, idx int) bool {
 
 func (d *Device) unlockVF(idx int) { d.vf(idx).lock.Release() }
 
+// ringConfig is the platform's ring settings as a client of this device starts
+// from them: the shared policy fields of Params.Ring, protection information
+// (when on) at this device's block size, and the per-client fields — ring
+// shape and attribution row — left zero for the caller to fill.
+func (d *Device) ringConfig() guest.RingConfig {
+	r := d.h.P.Ring
+	cfg := guest.RingConfig{SubmitTime: r.SubmitTime, Timeout: r.Timeout, RetryMax: r.RetryMax, Deadline: r.Deadline}
+	if r.PIBlock != 0 {
+		cfg.PIBlock = d.Ctl.P.BlockSize
+	}
+	return cfg
+}
+
 // boot programs a device's PF rings and formats (or mounts) its host
 // filesystem — the per-device half of Hypervisor.Boot.
 func (d *Device) boot(p *sim.Proc, format bool, fsParams extfs.Params) error {
 	h := d.h
-	mq, err := guest.NewMultiQueue(p, h.Eng, h.Mem, h.Fab,
-		d.Ctl.BARBase()+d.Ctl.FunctionPageOffset(0), 1, h.P.PFRingEntries, h.P.DriverSubmitTime)
+	// The PF driver takes the guests' settings, timeout recovery included: a
+	// dropped PF completion would otherwise wedge the host filesystem (and
+	// with it the miss handler) forever. One queue, its own ring depth, and no
+	// deadline budget.
+	cfg := d.ringConfig()
+	cfg.Entries, cfg.Queues, cfg.Deadline = h.P.PFRingEntries, 1, 0
+	mq, err := guest.NewMultiQueue(p, h.Eng, h.Mem, h.Fab, d.Ctl.BARBase()+d.Ctl.FunctionPageOffset(0), cfg)
 	if err != nil {
 		return err
-	}
-	// The PF driver needs the same timeout recovery as the guests: a dropped
-	// PF completion would otherwise wedge the host filesystem (and with it the
-	// miss handler) forever.
-	mq.SetRecovery(h.P.VFRequestTimeout, h.P.VFRetryMax)
-	if !h.P.DisablePI {
-		mq.SetPI(d.Ctl.P.BlockSize)
 	}
 	d.pfQP = mq
 	d.route(0, mq)

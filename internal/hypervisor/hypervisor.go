@@ -55,27 +55,19 @@ type Params struct {
 	UseIOMMU bool
 	// PFMaxBlocksPerReq bounds one PF ring request.
 	PFMaxBlocksPerReq int
+	// Ring is the settings value of every ring client the hypervisor sets up
+	// — the PF driver and each direct-assigned VF driver alike. Five of its
+	// fields are platform policy and read here: SubmitTime (which also prices
+	// the virtio and emulation guest drivers), Timeout and RetryMax, Deadline
+	// (programmed into VF queues only: the host's own I/O is never abandoned)
+	// and PIBlock, which here is on/off only — non-zero runs each client's
+	// protection information at its device's block size, 0 is the
+	// integrity-ablation knob. Entries, Queues, Policy and Attrib/AttribVF are
+	// per client and ignored here: PFRingEntries and a VM's VMConfig set the
+	// ring shape, the hypervisor the attribution row (Device.ringConfig).
+	Ring guest.RingConfig
 	// PFRingEntries sizes the PF rings.
 	PFRingEntries int
-	// DriverSubmitTime is the per-request CPU cost of ring drivers (PF and
-	// guest VF alike).
-	DriverSubmitTime sim.Time
-	// VFRequestTimeout / VFRetryMax configure the completion-timeout recovery
-	// of every ring driver the hypervisor sets up (the PF driver and each
-	// direct-assigned VF driver). Zero timeout disables recovery, preserving
-	// the fault-free event schedule exactly.
-	VFRequestTimeout sim.Time
-	VFRetryMax       int
-	// VFDeadline, when positive, programs each direct-assigned VF queue's
-	// per-request deadline budget (QRegDeadline): requests the device cannot
-	// finish inside it come back with the retryable StatusBusy instead of
-	// queueing behind a slow component. Zero (the default) writes nothing.
-	VFDeadline sim.Time
-	// DisablePI turns off end-to-end protection information on every ring
-	// driver the hypervisor sets up (the integrity-ablation knob). PI is
-	// timeless — pure guard arithmetic — so either setting yields the same
-	// virtual-time schedule on a healthy device.
-	DisablePI bool
 }
 
 // DefaultParams returns costs representative of the paper's QEMU/KVM
@@ -95,7 +87,10 @@ func DefaultParams() Params {
 		MemcpyBandwidth:    8e9,
 		PFMaxBlocksPerReq:  1024,
 		PFRingEntries:      256,
-		DriverSubmitTime:   600 * sim.Nanosecond,
+		Ring: guest.RingConfig{
+			SubmitTime: 600 * sim.Nanosecond,
+			PIBlock:    core.DefaultParams().BlockSize, // on
+		},
 	}
 }
 
@@ -238,47 +233,13 @@ func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params, tel c
 // path. Pass nil to disable.
 func (h *Hypervisor) SetInjector(inj *fault.Injector) { h.inj = inj }
 
-// DriverRecoveryStats aggregates the recovery counters of every ring client
-// the hypervisor routes interrupts to (the PF driver and all VF drivers).
-type DriverRecoveryStats struct {
-	Timeouts          int64
-	Resubmits         int64
-	PolledCompletions int64
-	StaleCompletions  int64
-	SeqGaps           int64
-	Aborts            int64
-	Resets            int64
-	PIMismatches      int64
-	PIWriteErrors     int64
-	// RootCauseOverrides counts failed submissions that surfaced an earlier
-	// attempt's integrity root cause instead of the final attempt's timeout.
-	RootCauseOverrides int64
-	// DoorbellsSkipped counts MMIO doorbells elided by shadow-doorbell
-	// batching across every armed driver queue.
-	DoorbellsSkipped int64
-	// BusyRejects counts StatusBusy completions (device admission control or
-	// deadline expiry) seen by every driver queue.
-	BusyRejects int64
-}
-
-// RecoveryStats sums driver recovery counters across all registered queue
-// pairs.
-func (h *Hypervisor) RecoveryStats() DriverRecoveryStats {
-	var st DriverRecoveryStats
+// RecoveryStats sums the counters of every ring client the hypervisor routes
+// interrupts to (the PF drivers and all VF drivers).
+func (h *Hypervisor) RecoveryStats() guest.QueueCounters {
+	var st guest.QueueCounters
 	for _, r := range h.qps {
 		for _, qp := range r.mq.Queues() {
-			st.Timeouts += qp.Timeouts
-			st.Resubmits += qp.Resubmits
-			st.PolledCompletions += qp.PolledCompletions
-			st.StaleCompletions += qp.StaleCompletions
-			st.SeqGaps += qp.SeqGaps
-			st.Aborts += qp.Aborts
-			st.Resets += qp.Resets
-			st.PIMismatches += qp.PIMismatches
-			st.PIWriteErrors += qp.PIWriteErrors
-			st.RootCauseOverrides += qp.RootCauseOverrides
-			st.DoorbellsSkipped += qp.DoorbellsSkipped
-			st.BusyRejects += qp.BusyRejects
+			st.Add(&qp.QueueCounters)
 		}
 	}
 	return st

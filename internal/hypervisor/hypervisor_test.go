@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -120,44 +121,51 @@ func TestBootAndHostFS(t *testing.T) {
 	})
 }
 
+// TestDirectVMRoundTrip also runs at a non-default device block size: the PF
+// and VF drivers' protection information must be computed at the device's
+// block size, not the platform default's, or every guarded request fails.
 func TestDirectVMRoundTrip(t *testing.T) {
-	w := newWorld(t, 8192, nil)
-	w.run(t, func(p *sim.Proc) {
-		w.boot(t, p)
-		w.mkImage(t, p, "/disk.img", 100, 512)
-		vm, err := w.h.NewVM(p, "vm0", VMConfig{Backend: BackendDirect, DiskPath: "/disk.img", UID: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vm.Legs[0].Drv.CapacityBlocks() != 512 {
-			t.Fatalf("capacity = %d", vm.Legs[0].Drv.CapacityBlocks())
-		}
-		buf := vm.Kernel.AllocBuffer(64 * 1024)
-		rand.New(rand.NewSource(2)).Read(buf.Data)
-		want := append([]byte(nil), buf.Data...)
-		if err := vm.Kernel.SubmitAligned(p, true, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-		clear(buf.Data)
-		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Data, want) {
-			t.Fatal("direct VM round trip mismatch")
-		}
-		// The bytes are visible through the host filesystem too: same file.
-		f, err := w.d.HostFS.Open(p, "/disk.img", 0, extfs.PermRead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]byte, 64*1024)
-		if _, err := f.ReadAt(p, got, 0); err != nil && err != io.EOF {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatal("host view of VF-written file differs")
-		}
-	})
+	for _, bs := range []int{core.DefaultParams().BlockSize, 2048} {
+		t.Run(fmt.Sprintf("block%d", bs), func(t *testing.T) {
+			w := newWorldCore(t, 8192, func(cp *core.Params) { cp.BlockSize = bs }, nil)
+			w.run(t, func(p *sim.Proc) {
+				w.boot(t, p)
+				w.mkImage(t, p, "/disk.img", 100, 512)
+				vm, err := w.h.NewVM(p, "vm0", VMConfig{Backend: BackendDirect, DiskPath: "/disk.img", UID: 100})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if vm.Legs[0].Drv.CapacityBlocks() != 512 {
+					t.Fatalf("capacity = %d", vm.Legs[0].Drv.CapacityBlocks())
+				}
+				buf := vm.Kernel.AllocBuffer(64 * 1024)
+				rand.New(rand.NewSource(2)).Read(buf.Data)
+				want := append([]byte(nil), buf.Data...)
+				if err := vm.Kernel.SubmitAligned(p, true, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+				clear(buf.Data)
+				if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Data, want) {
+					t.Fatal("direct VM round trip mismatch")
+				}
+				// The bytes are visible through the host filesystem too: same file.
+				f, err := w.d.HostFS.Open(p, "/disk.img", 0, extfs.PermRead)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := make([]byte, 64*1024)
+				if _, err := f.ReadAt(p, got, 0); err != nil && err != io.EOF {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("host view of VF-written file differs")
+				}
+			})
+		})
+	}
 }
 
 func TestAllBackendsRoundTrip(t *testing.T) {
@@ -293,6 +301,66 @@ func TestLazyAllocationThroughFullStack(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatal("host view of lazily allocated data differs")
+		}
+	})
+}
+
+// Two tenants' misses latch together, so the first miss handler's bank
+// snapshot shows both. It parks on VF 0 (a management operation holds that
+// VF's lock) while the second tenant's own handler services VF 1 to
+// completion. When the first handler gets to VF 1's bit its snapshot is stale:
+// it must notice the miss is gone instead of servicing it again and writing a
+// second rewalk verdict, which would land on whatever miss VF 1 latches next.
+func TestStaleMissBankSnapshotIsNotServicedTwice(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		w.boot(t, p)
+		var vms [2]*VM
+		for i := range vms {
+			path := fmt.Sprintf("/sparse%d.img", i)
+			if err := w.d.MkImage(p, path, 5, 256, true); err != nil {
+				t.Fatal(err)
+			}
+			vm, err := w.h.NewVM(p, path, VMConfig{Backend: BackendDirect, DiskPath: path, UID: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vm.Legs[0].VFIdx != i {
+				t.Fatalf("VM %d got VF %d", i, vm.Legs[0].VFIdx)
+			}
+			vms[i] = vm
+		}
+		w.d.lockVF(p, 0)
+		var done [2]*sim.Signal
+		for i, vm := range vms {
+			i, vm := i, vm
+			done[i] = sim.NewSignal(w.eng)
+			w.eng.Go(fmt.Sprintf("writer%d", i), func(q *sim.Proc) {
+				defer done[i].Fire()
+				buf := vm.Kernel.AllocBuffer(1024)
+				buf.Data[0] = byte(0xA0 + i)
+				if err := vm.Kernel.SubmitAligned(q, true, 8, buf); err != nil {
+					t.Errorf("writer %d: %v", i, err)
+				}
+			})
+		}
+		// VF 1's write finishes: its handler serviced the miss while the
+		// first handler waits for VF 0's lock with VF 0 marked busy.
+		done[1].Await(p)
+		if !w.d.vf(0).busy || done[0].Fired() {
+			t.Fatal("first handler is not parked on VF 0's lock")
+		}
+		w.d.unlockVF(0)
+		done[0].Await(p)
+		// One service, so one rewalk verdict, per latched miss.
+		if w.ctl.Misses != 2 || w.h.MissInterrupts != 2 {
+			t.Fatalf("%d device misses were serviced %d times, want 2 and 2", w.ctl.Misses, w.h.MissInterrupts)
+		}
+		for i, vm := range vms {
+			buf := vm.Kernel.AllocBuffer(1024)
+			if err := vm.Kernel.SubmitAligned(p, false, 8, buf); err != nil || buf.Data[0] != byte(0xA0+i) {
+				t.Fatalf("VM %d read back %#x, err %v", i, buf.Data[0], err)
+			}
 		}
 	})
 }

@@ -90,27 +90,8 @@ func (h *Hypervisor) mirrorClients() []*fabric.Client {
 
 // FabricStats aggregates mirror-client counters across every mirrored VM.
 type FabricStats struct {
-	Clients          int
-	MirroredWrites   int64
-	DegradedWrites   int64
-	WriteFailures    int64
-	ReadFallbacks    int64
-	ReadRetries      int64
-	Suspects         int64
-	Failovers        int64
-	Recoveries       int64
-	Revives          int64
-	ResilverRegions  int64
-	ResilverBlocks   int64
-	ResilverRestores int64
-	// Gray-failure mitigation counters (hedged reads / fail-slow quarantine).
-	HedgedReads int64
-	HedgeWins   int64
-	Quarantines int64
-	Rejoins     int64
-	ProbeReads  int64
-	// LastFailoverLatency is the largest fence latency any client observed.
-	LastFailoverLatency sim.Time
+	Clients int
+	fabric.Counters
 }
 
 // FabricStatsNow sums the counters of every distinct mirror client.
@@ -118,26 +99,7 @@ func (h *Hypervisor) FabricStatsNow() FabricStats {
 	var fs FabricStats
 	for _, c := range h.mirrorClients() {
 		fs.Clients++
-		fs.MirroredWrites += c.MirroredWrites
-		fs.DegradedWrites += c.DegradedWrites
-		fs.WriteFailures += c.WriteFailures
-		fs.ReadFallbacks += c.ReadFallbacks
-		fs.ReadRetries += c.ReadRetries
-		fs.Suspects += c.Suspects
-		fs.Failovers += c.Failovers
-		fs.Recoveries += c.Recoveries
-		fs.Revives += c.Revives
-		fs.ResilverRegions += c.ResilverRegions
-		fs.ResilverBlocks += c.ResilverBlocks
-		fs.ResilverRestores += c.ResilverRestores
-		fs.HedgedReads += c.HedgedReads
-		fs.HedgeWins += c.HedgeWins
-		fs.Quarantines += c.Quarantines
-		fs.Rejoins += c.Rejoins
-		fs.ProbeReads += c.ProbeReads
-		if c.LastFailoverLatency > fs.LastFailoverLatency {
-			fs.LastFailoverLatency = c.LastFailoverLatency
-		}
+		fs.Add(&c.Counters)
 	}
 	return fs
 }

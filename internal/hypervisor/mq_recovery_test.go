@@ -132,8 +132,8 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 // timeout poll without touching its siblings.
 func TestMultiQueueTimeoutRecoveryIsPerQueue(t *testing.T) {
 	w := newMQWorld(t, 4, func(hp *Params) {
-		hp.VFRequestTimeout = 300 * sim.Microsecond
-		hp.VFRetryMax = 2
+		hp.Ring.Timeout = 300 * sim.Microsecond
+		hp.Ring.RetryMax = 2
 	})
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 256, false)

@@ -156,8 +156,8 @@ func TestStatusDMAFaultOnRevokedGrant(t *testing.T) {
 // request still returns StatusOK, just later.
 func TestDriverPollRecoversDroppedCompletionMSI(t *testing.T) {
 	w := newWorld(t, 8192, func(hp *Params) {
-		hp.VFRequestTimeout = 300 * sim.Microsecond
-		hp.VFRetryMax = 2
+		hp.Ring.Timeout = 300 * sim.Microsecond
+		hp.Ring.RetryMax = 2
 	})
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)
@@ -183,8 +183,8 @@ func TestDriverPollRecoversDroppedCompletionMSI(t *testing.T) {
 // budget and surfaces ErrTimeout to the guest.
 func TestDriverTimeoutBudgetSurfacesErrTimeout(t *testing.T) {
 	w := newWorld(t, 8192, func(hp *Params) {
-		hp.VFRequestTimeout = 300 * sim.Microsecond
-		hp.VFRetryMax = 1
+		hp.Ring.Timeout = 300 * sim.Microsecond
+		hp.Ring.RetryMax = 1
 	})
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)

@@ -21,8 +21,8 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mq, err := guest.NewMultiQueue(p, w.eng, w.mem, w.fab,
-			w.d.VFPageBus(idx), 1, 8, w.h.P.DriverSubmitTime)
+		mq, err := guest.NewMultiQueue(p, w.eng, w.mem, w.fab, w.d.VFPageBus(idx),
+			guest.RingConfig{Entries: 8, SubmitTime: w.h.P.Ring.SubmitTime})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,23 +27,6 @@ func (d *Device) invalidateVFRange(p *sim.Proc, idx int, vlba, count uint64) {
 	d.h.mmioW(p, base+core.PFRegInvFn, uint64(idx+1))
 }
 
-// refreshVFMapping re-reads a VF's file mapping, rebuilds the shared device
-// tree, reprograms every sharer's root, and drops the function's BTLB
-// entries (they may cache pre-snapshot, unprotected translations).
-func (d *Device) refreshVFMapping(p *sim.Proc, idx int) error {
-	st := d.vf(idx)
-	runs, _, err := d.HostFS.Runs(p, st.path)
-	if err != nil {
-		return err
-	}
-	if err := st.shared.tree.Rebuild(runs); err != nil {
-		return err
-	}
-	d.reprogramSharers(p, st.shared)
-	d.invalidateVFRange(p, idx, 0, 0)
-	return nil
-}
-
 // SnapshotVF captures a copy-on-write snapshot of a VF's backing file at
 // dstPath on behalf of uid. The source VF keeps running: its extents become
 // write-protected, so the first guest write to each shared extent takes a
@@ -66,7 +49,13 @@ func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) er
 		return err
 	}
 	d.h.Snapshots++
-	return d.refreshVFMapping(p, idx)
+	// The function's BTLB entries may cache pre-snapshot, unprotected
+	// translations: drop them all once the write-protected tree is in place.
+	if err := d.remap(p, st); err != nil {
+		return err
+	}
+	d.invalidateVFRange(p, idx, 0, 0)
+	return nil
 }
 
 // SnapshotFile captures a copy-on-write snapshot of an arbitrary host file.

@@ -191,15 +191,27 @@ func (d *Device) PruneVFTrees(maxNodes int) int {
 	return total
 }
 
-// reprogramSharers writes the (possibly new) tree root into the management
-// block of every VF sharing sh. Required after any rebuild: the old nodes
-// are freed, so a stale root register would walk dead memory.
-func (d *Device) reprogramSharers(p *sim.Proc, sh *sharedTree) {
-	for idx, st := range d.vfs {
-		if st != nil && st.inUse && st.shared == sh {
+// remap brings the device's view of st's export up to date with the host
+// filesystem: re-read the file's extent map, rebuild the shared device tree
+// from it, and write the (possibly new) root into the management block of
+// every VF sharing the tree — the old nodes are freed, so a stale root
+// register would walk dead memory. Which cached translations the change made
+// stale is the caller's to say; each invalidates its own way afterwards.
+func (d *Device) remap(p *sim.Proc, st *vfState) error {
+	runs, _, err := d.HostFS.Runs(p, st.path)
+	if err != nil {
+		return err
+	}
+	sh := st.shared
+	if err := sh.tree.Rebuild(runs); err != nil {
+		return err
+	}
+	for idx, o := range d.vfs {
+		if o != nil && o.inUse && o.shared == sh {
 			d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtTreeRoot, uint64(sh.tree.Root()))
 		}
 	}
+	return nil
 }
 
 // serviceMisses is the NeSC miss-interrupt handler (paper Fig. 5b): for
@@ -208,13 +220,7 @@ func (d *Device) reprogramSharers(p *sim.Proc, sh *sharedTree) {
 // file's refreshed mapping, reprograms the tree root, and releases the
 // stalled walk with RewalkTree.
 func (d *Device) serviceMisses(p *sim.Proc) {
-	// ≤64 configured VFs fit the legacy PFRegMissPending word: one read,
-	// exactly the pre-banked MMIO sequence, so small configurations stay
-	// schedule-neutral. Larger fleets sweep the per-bank registers.
-	if d.Ctl.P.NumVFs <= 64 {
-		d.serviceMissBank(p, 0, d.Ctl.BARBase()+core.PFRegMissPending)
-		return
-	}
+	// One register read per 64 configured VFs.
 	banks := (d.Ctl.P.NumVFs + 63) / 64
 	if banks > core.PFRegMissPendingBanks {
 		banks = core.PFRegMissPendingBanks
@@ -246,14 +252,13 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 			// second, stale rewalk verdict onto whatever miss latches next.
 			continue
 		}
-		if serviced && d.vfFetchBacked(idx) {
+		if serviced {
 			// Every service earlier in this sweep slept, so the bank snapshot
 			// is stale: a concurrent handler may have serviced this bit long
-			// ago. For ordinary VFs a duplicate service is an idempotent
-			// re-allocation, but on a fetch-backed VF it would re-materialize
-			// chunks the guest may have overwritten since — so spend one
-			// register read to confirm the miss is still latched. Gating on
-			// fetch-backed keeps the cas-free MMIO schedule bit-identical.
+			// ago. Servicing it again would write a second rewalk verdict onto
+			// whatever miss latches next (and, on a fetch-backed VF,
+			// re-materialize chunks the guest may have overwritten since) — so
+			// spend one register read to confirm the miss is still latched.
 			pending = d.h.mmioR(p, reg)
 			if pending&(1<<uint(bit)) == 0 {
 				continue
@@ -279,14 +284,6 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 		st.busy = false
 		serviced = true
 	}
-}
-
-// vfFetchBacked reports whether VF idx currently exports a cas-fork image
-// (holes are unmaterialized content, so duplicate miss services are
-// destructive there). Timeless host-side lookup.
-func (d *Device) vfFetchBacked(idx int) bool {
-	st := d.vfAt(idx)
-	return st != nil && st.inUse && d.casBindings[st.path] != nil
 }
 
 // serviceMiss handles one VF's latched miss end to end and always releases
@@ -349,18 +346,12 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 			return
 		}
 	}
-	runs, _, err := d.HostFS.Runs(p, st.path)
-	if err != nil {
-		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-		return
-	}
-	if err := st.shared.tree.Rebuild(runs); err != nil {
-		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-		return
-	}
 	// Every sharer of the tree must see the new root before the walk
 	// resumes.
-	d.reprogramSharers(p, st.shared)
+	if err := d.remap(p, st); err != nil {
+		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
+		return
+	}
 	if cow {
 		// The faulting blocks moved to a private copy: any BTLB entry still
 		// caching the old (shared, protected) mapping is stale. Invalidate
@@ -423,15 +414,7 @@ func (d *Device) RegenerateVFTree(p *sim.Proc, idx int) error {
 	}
 	d.lockVF(p, idx)
 	defer d.unlockVF(idx)
-	runs, _, err := d.HostFS.Runs(p, st.path)
-	if err != nil {
-		return err
-	}
-	if err := st.shared.tree.Rebuild(runs); err != nil {
-		return err
-	}
-	d.reprogramSharers(p, st.shared)
-	return nil
+	return d.remap(p, st)
 }
 
 // MigrateVFFile relocates the physical blocks behind a VF's backing file —
@@ -452,14 +435,9 @@ func (d *Device) MigrateVFFile(p *sim.Proc, idx int, flushBTLB bool) error {
 	if err := d.HostFS.Migrate(p, st.path); err != nil {
 		return err
 	}
-	runs, _, err := d.HostFS.Runs(p, st.path)
-	if err != nil {
+	if err := d.remap(p, st); err != nil {
 		return err
 	}
-	if err := st.shared.tree.Rebuild(runs); err != nil {
-		return err
-	}
-	d.reprogramSharers(p, st.shared)
 	if flushBTLB {
 		d.FlushBTLB(p)
 	}

@@ -167,7 +167,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			QueueSize:      qsz,
 			CapacityBlocks: target.SizeBlocks(),
 			BlockSize:      target.BlockSize(),
-			SubmitTime:     h.P.DriverSubmitTime,
+			SubmitTime:     h.P.Ring.SubmitTime,
 		})
 		if err != nil {
 			return nil, err
@@ -189,7 +189,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			Port:           bk,
 			CapacityBlocks: target.SizeBlocks(),
 			BlockSize:      target.BlockSize(),
-			SubmitTime:     h.P.DriverSubmitTime,
+			SubmitTime:     h.P.Ring.SubmitTime,
 		})
 		vm.EmulDrv = drv
 		vm.EmulBk = bk
@@ -237,29 +237,23 @@ func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 	if cfg.IOWeight > 0 {
 		dev.SetVFWeight(p, idx, cfg.IOWeight)
 	}
-	queues := cfg.VFQueues
-	if queues == 0 {
-		queues = dev.Ctl.P.QueuesPerVF
+	// The platform's ring settings, with this VM's ring shape and this VF's
+	// attribution row: function index (0 = PF, VF idx + 1) is the row key the
+	// device pipeline attributes the same tenant's requests to.
+	ring := dev.ringConfig()
+	ring.Entries, ring.Queues, ring.Policy = cfg.VFRingEntries, cfg.VFQueues, cfg.VFQueuePolicy
+	if ring.Queues == 0 {
+		ring.Queues = dev.Ctl.P.QueuesPerVF
 	}
+	ring.Attrib, ring.AttribVF = h.tel.Attrib, idx+1
 	leg.Drv, err = guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
 		Fab:             h.Fab,
 		Mem:             h.Mem,
 		PageBus:         dev.VFPageBus(idx),
-		RingEntries:     cfg.VFRingEntries,
-		SubmitTime:      h.P.DriverSubmitTime,
+		Ring:            ring,
 		UseTrampoline:   !h.P.UseIOMMU || cfg.ForceTrampoline,
 		MemcpyBandwidth: cfg.Guest.MemcpyBandwidth,
 		BlockSize:       dev.Ctl.P.BlockSize,
-		Timeout:         h.P.VFRequestTimeout,
-		RetryMax:        h.P.VFRetryMax,
-		Deadline:        h.P.VFDeadline,
-		Queues:          queues,
-		Policy:          cfg.VFQueuePolicy,
-		DisablePI:       h.P.DisablePI,
-		// Function index (0 = PF, VF idx + 1): the row key the device
-		// pipeline attributes this tenant's requests to.
-		Attrib:   h.tel.Attrib,
-		AttribVF: idx + 1,
 	})
 	if err != nil {
 		h.detachLeg(p, leg)

@@ -317,11 +317,13 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 		bcfg.Core.QueuesPerVF = cfg.QueuesPerVF
 	}
 	bcfg.Hyp.UseIOMMU = cfg.UseIOMMU
-	bcfg.Hyp.VFRequestTimeout = sim.Time(cfg.DriverTimeout)
-	bcfg.Hyp.VFRetryMax = cfg.DriverRetryMax
-	bcfg.Hyp.VFDeadline = sim.Time(cfg.DriverDeadline)
+	bcfg.Hyp.Ring.Timeout = sim.Time(cfg.DriverTimeout)
+	bcfg.Hyp.Ring.RetryMax = cfg.DriverRetryMax
+	bcfg.Hyp.Ring.Deadline = sim.Time(cfg.DriverDeadline)
+	if cfg.DisablePI {
+		bcfg.Hyp.Ring.PIBlock = 0
+	}
 	bcfg.Core.AdmitInflight = cfg.AdmitInflight
-	bcfg.Hyp.DisablePI = cfg.DisablePI
 	bcfg.Fault = cfg.Fault
 	bcfg.NumDevices = cfg.Devices
 	bcfg.CAS = cfg.CAS
