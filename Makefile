@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke profile
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -16,8 +16,9 @@ tier1: build test
 # the full 64-point crash-recovery harness plus the exhaustive journal
 # crash-point sweep; test runs the whole suite without the race detector
 # (including the long tests -short skips, e.g. the golden experiment run);
-# bench-smoke covers the nested benchmark module the root test run cannot see.
-ci: vet fmt-check build test bench-smoke race crash $(DET_TARGETS)
+# bench-smoke covers the nested benchmark module the root test run cannot see;
+# bench-digest holds the benchmark's virtual clock to the checked-in digests.
+ci: vet fmt-check build test bench-smoke bench-digest race crash $(DET_TARGETS)
 
 vet:
 	$(GO) vet ./...
@@ -60,6 +61,28 @@ bench:
 # size, and BENCHMARK.json still generated from the tables in its source.
 bench-smoke:
 	cd benchmarks/nescperf && $(GO) test ./...
+
+# bench-digest proves a change did not move the virtual clock: it builds
+# nescperf once through benchmarks/run.sh, runs every BENCHMARK.json workload
+# at --seconds 2 on seeds 1 and 7, and fails unless every `# sim_digest` equals
+# the one in results/bench_digests.txt and no operation failed. The run's own
+# exit status is not consulted: it also trips on harness.verify_frac (printed
+# in each `# workload` line), a host-time self-check that says nothing about
+# the virtual clock. A change that means to move the modelled behaviour
+# replaces the file with .bench_build/bench_digests.txt and says so.
+bench-digest:
+	@bash benchmarks/run.sh -print-benchmark-json > /dev/null
+	@rm -f .bench_build/bench_digests.txt
+	@for seed in 1 7; do \
+		for w in $$(grep -B1 '"why":' BENCHMARK.json | sed -n 's/.*"name": "\(.*\)",/\1/p'); do \
+			out=$$(.bench_build/nescperf --workload $$w --seed $$seed --seconds 2 --trace 0); \
+			echo "$$out" | grep -E '^# (workload|check failed)'; \
+			echo "$$out" | grep -q '"failed":0,' || { echo "bench-digest: $$w seed $$seed: operations failed"; exit 1; }; \
+			echo "$$out" | sed -n "s/^# sim_digest /$$w seed $$seed seconds 2 /p" >> .bench_build/bench_digests.txt; \
+		done; \
+	done
+	@diff results/bench_digests.txt .bench_build/bench_digests.txt
+	@echo "the benchmark's sim_digests match results/bench_digests.txt"
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

@@ -366,8 +366,8 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 	}
 }
 
-// walkTree performs one tree walk using device DMA, mirroring
-// extent.Lookup but with the cost model applied.
+// walkTree performs one tree walk using device DMA: extent.Lookup's walk
+// (both take extent.Resolution.Step per node) with the cost model applied.
 func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []byte) (extent.Resolution, error) {
 	var res extent.Resolution
 	addr := f.treeRoot
@@ -377,28 +377,11 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 		}
 		c.WalkNodeReads++
 		p.Sleep(c.P.WalkParseTime)
-		node, err := extent.ParseNode(nodeImg)
-		if err != nil {
+		next, err := res.Step(nodeImg, vlba)
+		if err != nil || next == 0 {
 			return res, err
 		}
-		res.Levels++
-		e, ok := node.Find(vlba)
-		if !ok {
-			res.Hole = true
-			return res, nil
-		}
-		if node.Leaf() {
-			res.Mapped = true
-			res.Extent = extent.Run{Logical: e.FirstLogical, Physical: e.Ptr, Count: uint64(e.Count), Flags: e.Flags}
-			res.Protected = e.Flags&extent.FlagProtected != 0
-			res.PLBA = e.Ptr + (vlba - e.FirstLogical)
-			return res, nil
-		}
-		if e.Ptr == 0 {
-			res.Pruned = true
-			return res, nil
-		}
-		addr = int64(e.Ptr)
+		addr = next
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nesc/internal/hostmem"
@@ -105,38 +106,74 @@ func (n *NodeView) Find(vlba uint64) (Entry, bool) {
 	return e, true
 }
 
-// ParseNode decodes a serialized node image. It is the exact inverse of the
-// serializer and is shared by the device walker, the software Lookup, and
-// tests.
-func ParseNode(b []byte) (*NodeView, error) {
+// parseHeader validates a serialized node image — the device-side checks on
+// bytes the host wrote: magic, count within capacity, entries not truncated —
+// and returns its header fields.
+func parseHeader(b []byte) (depth, count, capacity int, err error) {
 	if len(b) < HeaderSize {
-		return nil, fmt.Errorf("extent: node image of %d bytes too small", len(b))
+		return 0, 0, 0, fmt.Errorf("extent: node image of %d bytes too small", len(b))
 	}
 	if m := binary.BigEndian.Uint16(b[0:]); m != Magic {
-		return nil, fmt.Errorf("extent: bad node magic %#x", m)
+		return 0, 0, 0, fmt.Errorf("extent: bad node magic %#x", m)
 	}
-	n := &NodeView{
-		Depth:    int(binary.BigEndian.Uint16(b[2:])),
-		Count:    int(binary.BigEndian.Uint16(b[4:])),
-		Capacity: int(binary.BigEndian.Uint16(b[6:])),
+	depth = int(binary.BigEndian.Uint16(b[2:]))
+	count = int(binary.BigEndian.Uint16(b[4:]))
+	capacity = int(binary.BigEndian.Uint16(b[6:]))
+	if count > capacity {
+		return 0, 0, 0, fmt.Errorf("extent: node count %d exceeds capacity %d", count, capacity)
 	}
-	if n.Count > n.Capacity {
-		return nil, fmt.Errorf("extent: node count %d exceeds capacity %d", n.Count, n.Capacity)
+	if int64(len(b)) < HeaderSize+int64(count)*EntrySize {
+		return 0, 0, 0, fmt.Errorf("extent: node image truncated")
 	}
-	if int64(len(b)) < HeaderSize+int64(n.Count)*EntrySize {
-		return nil, fmt.Errorf("extent: node image truncated")
+	return depth, count, capacity, nil
+}
+
+func decodeEntry(b []byte, i int) Entry {
+	off := HeaderSize + i*EntrySize
+	return Entry{
+		FirstLogical: binary.BigEndian.Uint64(b[off:]),
+		Count:        binary.BigEndian.Uint32(b[off+8:]),
+		Flags:        binary.BigEndian.Uint32(b[off+12:]),
+		Ptr:          binary.BigEndian.Uint64(b[off+16:]),
 	}
-	n.Entries = make([]Entry, n.Count)
-	for i := 0; i < n.Count; i++ {
-		off := HeaderSize + i*EntrySize
-		n.Entries[i] = Entry{
-			FirstLogical: binary.BigEndian.Uint64(b[off:]),
-			Count:        binary.BigEndian.Uint32(b[off+8:]),
-			Flags:        binary.BigEndian.Uint32(b[off+12:]),
-			Ptr:          binary.BigEndian.Uint64(b[off+16:]),
-		}
+}
+
+// ParseNode decodes a serialized node image. It is the exact inverse of the
+// serializer; the walkers use findInNode, which decodes only the entry it
+// needs.
+func ParseNode(b []byte) (*NodeView, error) {
+	depth, count, capacity, err := parseHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	n := &NodeView{Depth: depth, Count: count, Capacity: capacity, Entries: make([]Entry, count)}
+	for i := range n.Entries {
+		n.Entries[i] = decodeEntry(b, i)
 	}
 	return n, nil
+}
+
+// findInNode is ParseNode(b) followed by Find(vlba) without the decoded copy:
+// the same header checks, then a binary search over the serialized entries
+// where they lie. It reports the covering entry, whether there is one, and
+// whether the node is a leaf.
+func findInNode(b []byte, vlba uint64) (e Entry, leaf, ok bool, err error) {
+	depth, count, _, err := parseHeader(b)
+	if err != nil {
+		return Entry{}, false, false, err
+	}
+	// First entry with FirstLogical > vlba; candidate is its predecessor.
+	i := sort.Search(count, func(i int) bool {
+		return binary.BigEndian.Uint64(b[HeaderSize+i*EntrySize:]) > vlba
+	})
+	if i == 0 {
+		return Entry{}, depth == 0, false, nil
+	}
+	e = decodeEntry(b, i-1)
+	if vlba >= e.FirstLogical+uint64(e.Count) {
+		return Entry{}, depth == 0, false, nil
+	}
+	return e, depth == 0, true, nil
 }
 
 func serializeNode(b []byte, depth, capacity int, entries []Entry) {
@@ -161,42 +198,74 @@ type Tree struct {
 	root   hostmem.Addr
 	nodes  []hostmem.Addr // every allocation, for Free/accounting
 	runs   []Run          // authoritative mapping, kept for rebuilds
+
+	// What the previous generation retired and serialize's scratch, kept so a
+	// rebuild costs no garbage: Rebuild fills the spare pair and swaps it
+	// with runs/nodes on success.
+	spareRuns      []Run
+	spareNodes     []hostmem.Addr
+	entries        []Entry
+	level, parents []built
+}
+
+// built is a serialized node awaiting its parent.
+type built struct {
+	addr  hostmem.Addr
+	first uint64
+	span  uint64 // coverage from first to end of last entry
 }
 
 // Build validates and serializes runs into a tree in mem. Runs must be
 // sorted by Logical and non-overlapping; runs longer than MaxUint32 blocks
-// are split transparently.
+// are split transparently. The tree keeps its own copy of runs.
 func Build(mem *hostmem.Memory, runs []Run, fanout int) (*Tree, error) {
 	if fanout < 2 {
 		fanout = DefaultFanout
 	}
-	norm, err := normalize(runs)
+	norm, err := normalize(slices.Clone(runs))
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{mem: mem, fanout: fanout, runs: norm}
-	if err := t.serialize(); err != nil {
+	t := &Tree{mem: mem, fanout: fanout}
+	root, err := t.serialize(norm)
+	if err != nil {
 		t.Free()
 		return nil, err
 	}
+	t.root, t.runs = root, norm
 	return t, nil
 }
 
+// normalize validates runs where they lie and returns them in on-wire form:
+// the slice itself, unless an empty run has to be dropped or a run longer
+// than the 32-bit on-wire count split, which takes a rewritten copy.
 func normalize(runs []Run) ([]Run, error) {
-	out := make([]Run, 0, len(runs))
 	var prevEnd uint64
-	first := true
+	rewrite := false
 	for i, r := range runs {
 		if r.Count == 0 {
+			rewrite = true
 			continue
 		}
-		if !first && r.Logical < prevEnd {
+		if r.Logical < prevEnd {
 			return nil, fmt.Errorf("extent: run %d (logical %d) overlaps or is unsorted (previous end %d)", i, r.Logical, prevEnd)
 		}
 		if r.Logical+r.Count < r.Logical {
 			return nil, fmt.Errorf("extent: run %d overflows logical space", i)
 		}
-		// Split runs exceeding the 32-bit on-wire count.
+		if r.Count > math.MaxUint32 {
+			rewrite = true
+		}
+		prevEnd = r.End()
+	}
+	if !rewrite {
+		return runs, nil
+	}
+	out := make([]Run, 0, len(runs))
+	for _, r := range runs {
+		if r.Count == 0 {
+			continue
+		}
 		for r.Count > math.MaxUint32 {
 			out = append(out, Run{Logical: r.Logical, Physical: r.Physical, Count: math.MaxUint32, Flags: r.Flags})
 			r.Logical += math.MaxUint32
@@ -204,103 +273,70 @@ func normalize(runs []Run) ([]Run, error) {
 			r.Count -= math.MaxUint32
 		}
 		out = append(out, r)
-		prevEnd = r.End()
-		first = false
 	}
 	return out, nil
 }
 
-// serialize writes t.runs as a fresh node hierarchy and updates t.root.
-func (t *Tree) serialize() error {
-	// Leaves.
-	type built struct {
-		addr  hostmem.Addr
-		first uint64
-		span  uint64 // coverage from first to end of last entry
-	}
-	var level []built
-	entries := make([]Entry, 0, t.fanout)
-	flushLeaf := func() error {
-		if len(entries) == 0 {
-			return nil
-		}
-		addr, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
-		if err != nil {
-			return err
-		}
-		serializeNode(img, 0, t.fanout, entries)
-		first := entries[0].FirstLogical
-		last := entries[len(entries)-1]
-		level = append(level, built{addr: addr, first: first, span: last.FirstLogical + uint64(last.Count) - first})
-		entries = entries[:0]
-		return nil
-	}
-	for _, r := range t.runs {
-		entries = append(entries, Entry{FirstLogical: r.Logical, Count: uint32(r.Count), Flags: r.Flags, Ptr: r.Physical})
-		if len(entries) == t.fanout {
-			if err := flushLeaf(); err != nil {
-				return err
+// serialize writes runs as a fresh node hierarchy, bulk-loaded bottom-up
+// (every node full but the last of its level, so depth is
+// ⌈log_fanout(runs)⌉), appends every node to t.nodes, leaves first, and
+// returns the root's address.
+func (t *Tree) serialize(runs []Run) (hostmem.Addr, error) {
+	t.level, t.entries = t.level[:0], t.entries[:0]
+	var end uint64
+	for _, r := range runs {
+		t.entries = append(t.entries, Entry{FirstLogical: r.Logical, Count: uint32(r.Count), Flags: r.Flags, Ptr: r.Physical})
+		end = r.End()
+		if len(t.entries) == t.fanout {
+			if err := t.flushNode(0, end); err != nil {
+				return 0, err
 			}
 		}
 	}
-	if err := flushLeaf(); err != nil {
+	// The last, partial leaf — or, for an empty mapping, a single empty leaf
+	// so the device always has a valid node to walk (every vLBA is a hole).
+	if len(t.entries) > 0 || len(t.level) == 0 {
+		if err := t.flushNode(0, end); err != nil {
+			return 0, err
+		}
+	}
+	// Internal levels until a single root remains.
+	for depth := 1; len(t.level) > 1; depth++ {
+		children := t.level
+		t.level, t.parents = t.parents[:0], children
+		for i, c := range children {
+			// An entry covers its child's whole span, gaps included, clamped
+			// to the on-wire count.
+			t.entries = append(t.entries, Entry{FirstLogical: c.first, Count: uint32(min(c.span, math.MaxUint32)), Ptr: uint64(c.addr)})
+			if len(t.entries) == t.fanout || i == len(children)-1 {
+				if err := t.flushNode(depth, c.first+c.span); err != nil {
+					return 0, err
+				}
+			}
+		}
+	}
+	return t.level[0].addr, nil
+}
+
+// flushNode serializes t.entries, which cover logical blocks up to end, as
+// one node of the given depth and queues it on t.level for its parent.
+func (t *Tree) flushNode(depth int, end uint64) error {
+	addr, err := t.allocNode()
+	if err != nil {
 		return err
 	}
-	if len(level) == 0 {
-		// Empty mapping: a single empty leaf so the device always has a
-		// valid node to walk (every vLBA is a hole).
-		addr, err := t.allocNode()
-		if err != nil {
-			return err
-		}
-		img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
-		if err != nil {
-			return err
-		}
-		serializeNode(img, 0, t.fanout, nil)
-		t.root = addr
-		return nil
+	img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
+	if err != nil {
+		return err
 	}
-
-	// Internal levels until a single root remains.
-	depth := 1
-	for len(level) > 1 {
-		var parents []built
-		for i := 0; i < len(level); i += t.fanout {
-			end := i + t.fanout
-			if end > len(level) {
-				end = len(level)
-			}
-			group := level[i:end]
-			ents := make([]Entry, len(group))
-			for j, c := range group {
-				count := c.span
-				if count > math.MaxUint32 {
-					count = math.MaxUint32
-				}
-				ents[j] = Entry{FirstLogical: c.first, Count: uint32(count), Ptr: uint64(c.addr)}
-			}
-			addr, err := t.allocNode()
-			if err != nil {
-				return err
-			}
-			img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
-			if err != nil {
-				return err
-			}
-			serializeNode(img, depth, t.fanout, ents)
-			first := group[0].first
-			lastC := group[len(group)-1]
-			parents = append(parents, built{addr: addr, first: first, span: lastC.first + lastC.span - first})
-		}
-		level = parents
-		depth++
+	serializeNode(img, depth, t.fanout, t.entries)
+	b := built{addr: addr}
+	if len(t.entries) > 0 {
+		b.first = t.entries[0].FirstLogical
+		b.span = end - b.first
 	}
-	t.root = level[0].addr
+	t.level = append(t.level, b)
+	t.entries = t.entries[:0]
 	return nil
 }
 
@@ -331,14 +367,19 @@ func (t *Tree) Runs() []Run { return append([]Run(nil), t.runs...) }
 
 // Free releases every node of the tree from host memory.
 func (t *Tree) Free() {
-	for _, a := range t.nodes {
+	t.release(t.nodes)
+	t.nodes = nil
+	t.root = 0
+}
+
+// release frees nodes in list order.
+func (t *Tree) release(nodes []hostmem.Addr) {
+	for _, a := range nodes {
 		// Free can only fail on double-free, which would be a Tree bug.
 		if err := t.mem.Free(a); err != nil {
 			panic(err)
 		}
 	}
-	t.nodes = nil
-	t.root = 0
 }
 
 // Rebuild replaces the mapping with runs and reserializes the whole tree.
@@ -346,30 +387,30 @@ func (t *Tree) Free() {
 // mapped on first write) and to a device miss on a pruned subtree. The root
 // address changes; the caller must reprogram ExtentTreeRoot before signaling
 // RewalkTree.
+//
+// Rebuild copies runs; it neither keeps nor modifies the caller's slice. It
+// is transactional: on an error (runs invalid, host memory exhausted) the
+// tree — nodes, root and Runs — is what it was. The new tree is allocated in
+// full before the first old node is freed, so a root register that is stale
+// for a moment still walks intact nodes.
 func (t *Tree) Rebuild(runs []Run) error {
-	norm, err := normalize(runs)
+	t.spareRuns = append(t.spareRuns[:0], runs...)
+	norm, err := normalize(t.spareRuns)
 	if err != nil {
 		return err
 	}
 	old := t.nodes
-	t.nodes = nil
-	t.runs = norm
-	if err := t.serialize(); err != nil {
-		// Roll back allocation bookkeeping; the tree is now unusable but
-		// memory is not leaked.
-		for _, a := range t.nodes {
-			if ferr := t.mem.Free(a); ferr != nil {
-				panic(ferr)
-			}
-		}
-		t.nodes = old
+	t.nodes = t.spareNodes[:0]
+	root, err := t.serialize(norm)
+	if err != nil {
+		t.release(t.nodes)
+		t.nodes, t.spareNodes = old, t.nodes[:0]
 		return err
 	}
-	for _, a := range old {
-		if err := t.mem.Free(a); err != nil {
-			panic(err)
-		}
-	}
+	t.release(old)
+	t.spareNodes = old[:0]
+	t.root = root
+	t.runs, t.spareRuns = norm, t.runs
 	return nil
 }
 
@@ -477,6 +518,33 @@ type Resolution struct {
 	Levels int
 }
 
+// Step advances a walk by one node: it looks vlba up in the node image b and
+// either finishes the resolution (hole, leaf mapping, pruned subtree) and
+// returns 0, or returns the address of the child node to read next. It is the
+// one copy of the walk's logic, shared by the device's block-walk unit and
+// the software Lookup.
+func (res *Resolution) Step(b []byte, vlba uint64) (next hostmem.Addr, err error) {
+	e, leaf, ok, err := findInNode(b, vlba)
+	if err != nil {
+		return 0, err
+	}
+	res.Levels++
+	switch {
+	case !ok:
+		res.Hole = true
+	case leaf:
+		res.Mapped = true
+		res.Extent = Run{Logical: e.FirstLogical, Physical: e.Ptr, Count: uint64(e.Count), Flags: e.Flags}
+		res.Protected = e.Flags&FlagProtected != 0
+		res.PLBA = e.Ptr + (vlba - e.FirstLogical)
+	case e.Ptr == 0:
+		res.Pruned = true
+	default:
+		return hostmem.Addr(e.Ptr), nil
+	}
+	return 0, nil
+}
+
 // Lookup is the software reference walker: it performs the same walk the
 // device's block-walk unit performs, synchronously against host memory. The
 // device model, tests, and the hypervisor all use it as ground truth.
@@ -491,28 +559,11 @@ func Lookup(mem *hostmem.Memory, root hostmem.Addr, fanout int, vlba uint64) (Re
 		if err := mem.Read(addr, img); err != nil {
 			return res, err
 		}
-		n, err := ParseNode(img)
-		if err != nil {
+		next, err := res.Step(img, vlba)
+		if err != nil || next == 0 {
 			return res, err
 		}
-		res.Levels++
-		e, ok := n.Find(vlba)
-		if !ok {
-			res.Hole = true
-			return res, nil
-		}
-		if n.Leaf() {
-			res.Mapped = true
-			res.Extent = Run{Logical: e.FirstLogical, Physical: e.Ptr, Count: uint64(e.Count), Flags: e.Flags}
-			res.Protected = e.Flags&FlagProtected != 0
-			res.PLBA = e.Ptr + (vlba - e.FirstLogical)
-			return res, nil
-		}
-		if e.Ptr == 0 {
-			res.Pruned = true
-			return res, nil
-		}
-		addr = hostmem.Addr(e.Ptr)
+		addr = next
 	}
 }
 

@@ -405,6 +405,13 @@ func (fs *FS) Access(ctx *sim.Proc, path string, uid uint32, perm uint16) error 
 // units along with its size — the input to NeSC VF creation. The mapping is
 // exactly what the inode's extent map says; holes are simply absent.
 func (fs *FS) Runs(ctx *sim.Proc, path string) ([]extent.Run, uint64, error) {
+	return fs.AppendRuns(ctx, path, nil)
+}
+
+// AppendRuns is Runs appending to dst, so a caller that asks again and again
+// (the hypervisor's miss service) can reuse one buffer. dst is written after
+// the call's last park.
+func (fs *FS) AppendRuns(ctx *sim.Proc, path string, dst []extent.Run) ([]extent.Run, uint64, error) {
 	if err := fs.begin(ctx); err != nil {
 		return nil, 0, err
 	}
@@ -417,7 +424,7 @@ func (fs *FS) Runs(ctx *sim.Proc, path string) ([]extent.Run, uint64, error) {
 	if in.isDir() {
 		return nil, 0, ErrIsDir
 	}
-	return append([]extent.Run(nil), in.extents...), in.size, nil
+	return append(dst, in.extents...), in.size, nil
 }
 
 // Migrate relocates every physical block of path to freshly allocated

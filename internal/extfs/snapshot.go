@@ -2,6 +2,7 @@ package extfs
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"nesc/internal/extent"
@@ -348,11 +349,8 @@ func (fs *FS) breakOne(ctx *sim.Proc, in *inode, idx int, cur, winEnd uint64) er
 }
 
 // spliceExtent replaces in.extents[idx] with repl (sorted runs covering the
-// same logical span).
+// same logical span), in place: an inode's list is its own — Snapshot copies
+// it for the clone — and repl never aliases it.
 func spliceExtent(in *inode, idx int, repl []extent.Run) {
-	out := make([]extent.Run, 0, len(in.extents)-1+len(repl))
-	out = append(out, in.extents[:idx]...)
-	out = append(out, repl...)
-	out = append(out, in.extents[idx+1:]...)
-	in.extents = out
+	in.extents = slices.Replace(in.extents, idx, idx+1, repl...)
 }

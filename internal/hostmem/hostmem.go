@@ -13,6 +13,7 @@ package hostmem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -22,7 +23,10 @@ type Addr = int64
 // Memory is a flat host physical memory with a first-fit region allocator.
 type Memory struct {
 	data []byte
-	// free regions sorted by base, coalesced on free.
+	// free regions, sorted by base and fully coalesced (no two touch). Alloc
+	// and Free edit the list in place. Placement is first-fit by ascending
+	// base and part of the simulation's determinism contract: allocation
+	// addresses end up in device registers and DMA descriptors.
 	free []region
 	// allocs maps base -> length for Free validation.
 	allocs map[Addr]int64
@@ -147,21 +151,28 @@ func (m *Memory) Alloc(size, align int64) (Addr, error) {
 	if align&(align-1) != 0 {
 		return 0, fmt.Errorf("hostmem: alignment %d not a power of two", align)
 	}
-	for i, r := range m.free {
+	for i := range m.free {
+		r := &m.free[i]
 		base := (r.base + align - 1) &^ (align - 1)
 		pad := base - r.base
 		if pad+size > r.size {
 			continue
 		}
-		// Carve [base, base+size) out of r.
-		var repl []region
-		if pad > 0 {
-			repl = append(repl, region{base: r.base, size: pad})
+		// Carve [base, base+size) out of r where it sits: what is left of r is
+		// the alignment padding before the block, the rest after it, both or
+		// neither.
+		rest := region{base: base + size, size: r.size - pad - size}
+		switch {
+		case pad > 0 && rest.size > 0:
+			r.size = pad
+			m.free = slices.Insert(m.free, i+1, rest)
+		case pad > 0:
+			r.size = pad
+		case rest.size > 0:
+			*r = rest
+		default:
+			m.free = slices.Delete(m.free, i, i+1)
 		}
-		if rest := r.size - pad - size; rest > 0 {
-			repl = append(repl, region{base: base + size, size: rest})
-		}
-		m.free = append(m.free[:i], append(repl, m.free[i+1:]...)...)
 		m.allocs[base] = size
 		m.AllocBytes += size
 		return base, nil
@@ -179,8 +190,8 @@ func (m *Memory) MustAlloc(size, align int64) Addr {
 	return a
 }
 
-// Free releases an allocation made by Alloc, coalescing adjacent free
-// regions.
+// Free releases an allocation made by Alloc, coalescing it with the free
+// regions it touches.
 func (m *Memory) Free(addr Addr) error {
 	size, ok := m.allocs[addr]
 	if !ok {
@@ -188,19 +199,22 @@ func (m *Memory) Free(addr Addr) error {
 	}
 	delete(m.allocs, addr)
 	m.AllocBytes -= size
-	m.free = append(m.free, region{base: addr, size: size})
-	sort.Slice(m.free, func(i, j int) bool { return m.free[i].base < m.free[j].base })
-	// Coalesce.
-	out := m.free[:1]
-	for _, r := range m.free[1:] {
-		last := &out[len(out)-1]
-		if last.base+last.size == r.base {
-			last.size += r.size
-		} else {
-			out = append(out, r)
-		}
+	// The list is sorted and no two regions touch, so the freed block can
+	// only merge with the region before its slot, the one after it, or both.
+	i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base > addr })
+	prev := i > 0 && m.free[i-1].base+m.free[i-1].size == addr
+	next := i < len(m.free) && addr+size == m.free[i].base
+	switch {
+	case prev && next:
+		m.free[i-1].size += size + m.free[i].size
+		m.free = slices.Delete(m.free, i, i+1)
+	case prev:
+		m.free[i-1].size += size
+	case next:
+		m.free[i] = region{base: addr, size: size + m.free[i].size}
+	default:
+		m.free = slices.Insert(m.free, i, region{base: addr, size: size})
 	}
-	m.free = out
 	return nil
 }
 

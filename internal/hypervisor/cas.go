@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"nesc/internal/cas"
 	"nesc/internal/core"
@@ -176,17 +177,14 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 	// miss-pending snapshot) and the guest may have overwritten it since —
 	// rewriting the sealed content over it would silently destroy guest
 	// writes. Skipped blocks still resolve at the rewalk.
-	runs, _, err := d.HostFS.Runs(p, st.path)
+	runs, _, err := d.HostFS.AppendRuns(p, st.path, st.fetchRuns[:0])
 	if err != nil {
 		return err
 	}
+	st.fetchRuns = runs
 	mapped := func(b uint64) bool {
-		for _, r := range runs {
-			if b >= r.Logical && b < r.Logical+r.Count {
-				return true
-			}
-		}
-		return false
+		i := sort.Search(len(runs), func(i int) bool { return runs[i].Logical > b })
+		return i > 0 && b < runs[i-1].End()
 	}
 	cache := d.casCacheRef()
 	bs := uint64(d.Ctl.P.BlockSize)

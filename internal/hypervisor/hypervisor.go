@@ -102,6 +102,9 @@ type sharedTree struct {
 	key  string // host path, or a unique synthetic key for raw VFs
 	tree *extent.Tree
 	refs int
+	// runs is remap's buffer for the file's extent map, reused by every
+	// rebuild of the tree; it holds nothing between two remaps.
+	runs []extent.Run
 }
 
 // vfExport is what a VF currently exports and to whom; DestroyVF zeroes it.
@@ -126,6 +129,11 @@ type vfState struct {
 	// busy marks a latched miss that is already being serviced, so duplicate
 	// miss interrupts are idempotent (see serviceMissBank).
 	busy bool
+	// fetchRuns is materializeRange's snapshot of the file's extent map. It is
+	// read across parks, so it is per VF (one miss service per VF at a time)
+	// and not the shared tree's remap buffer, which another sharer may refill
+	// meanwhile.
+	fetchRuns []extent.Run
 	// lock serializes management operations on the VF — ResetVF racing
 	// SnapshotVF/MigrateVFFile/miss service must not interleave tree
 	// rebuilds with FLR teardown. A binary semaphore; uncontended

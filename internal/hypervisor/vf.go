@@ -198,11 +198,16 @@ func (d *Device) PruneVFTrees(maxNodes int) int {
 // register would walk dead memory. Which cached translations the change made
 // stale is the caller's to say; each invalidates its own way afterwards.
 func (d *Device) remap(p *sim.Proc, st *vfState) error {
-	runs, _, err := d.HostFS.Runs(p, st.path)
+	// Sharers' remaps may interleave at every park and all fill sh.runs, which
+	// is safe because AppendRuns writes it after its last park (releasing the
+	// filesystem lock does not park) and Rebuild, which copies it, runs before
+	// the next one.
+	sh := st.shared
+	runs, _, err := d.HostFS.AppendRuns(p, st.path, sh.runs[:0])
 	if err != nil {
 		return err
 	}
-	sh := st.shared
+	sh.runs = runs
 	if err := sh.tree.Rebuild(runs); err != nil {
 		return err
 	}
