@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile counts
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -83,6 +83,16 @@ bench-digest:
 	done
 	@diff results/bench_digests.txt .bench_build/bench_digests.txt
 	@echo "the benchmark's sim_digests match results/bench_digests.txt"
+
+# counts prints the sizes ROADMAP aim 2 tracks, for CHANGES.md and ROADMAP to
+# quote: net non-test Go lines outside benchmarks/, and the fields of every
+# configuration struct the option census checks (census_test.go logs one line
+# per struct: fields = options + calibrated costs + nested structs, then the
+# field names, which this target drops).
+counts:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.*' \
+		| xargs wc -l | awk 'END { print "non-test Go lines outside benchmarks/: " $$1 }'
+	@$(GO) test -count=1 -run 'TestEveryOptionHasASetter' -v . | sed -n 's/^.*census: \(.*nested\):.*/\1/p'
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

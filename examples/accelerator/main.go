@@ -25,9 +25,6 @@ func main() {
 	pl := bench.NewPlatform(cfg)
 	d := pl.Hyp.Device(0)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		// The hypervisor prepares a dataset file and exports it as a VF,
 		// exactly as it would for a VM.
 		if err := d.MkImage(p, "/dataset.bin", 7, 16*1024, false); err != nil {

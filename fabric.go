@@ -113,7 +113,6 @@ func (c *Ctx) StartMirroredVM(name, diskPath string, uid uint32, devices []int, 
 		Backend:  hypervisor.BackendDirect,
 		DiskPath: diskPath,
 		UID:      uid,
-		Guest:    c.s.pl.Cfg.Guest,
 	}, devices, fcfg)
 	if err != nil {
 		return nil, err

@@ -58,8 +58,8 @@ func TestVMOperationsStayOnTheVMsDevice(t *testing.T) {
 			return fmt.Errorf("A's in-flight write was disturbed by B.Reset: %w", err)
 		}
 		d0, d1 := s.pl.Hyp.Device(0), s.pl.Hyp.Device(1)
-		if d0.Ctl.FLRs != 0 || d1.Ctl.FLRs != 1 {
-			return fmt.Errorf("FLRs dev0=%d dev1=%d, want 0/1", d0.Ctl.FLRs, d1.Ctl.FLRs)
+		if d0.Ctl.Counters().Resets != 0 || d1.Ctl.Counters().Resets != 1 {
+			return fmt.Errorf("FLRs dev0=%d dev1=%d, want 0/1", d0.Ctl.Counters().Resets, d1.Ctl.Counters().Resets)
 		}
 
 		if err := b.Snapshot(ctx, "/b.snap", 7); err != nil {

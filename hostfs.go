@@ -61,11 +61,6 @@ func (c *Ctx) HostMkdir(path string, uid uint32) error {
 	return c.host().HostFS.Mkdir(c.proc, path, uid, 0o777)
 }
 
-// HostRemove unlinks a host file (as root).
-func (c *Ctx) HostRemove(path string) error {
-	return c.host().HostFS.Remove(c.proc, path, 0)
-}
-
 // HostList lists a host directory.
 func (c *Ctx) HostList(dir string) ([]string, error) {
 	ents, err := c.host().HostFS.ReadDir(c.proc, dir, 0)

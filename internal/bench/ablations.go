@@ -48,9 +48,6 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 		var chunks int64
 		var aggregate float64
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			wg := sim.NewWaitGroup(pl.Eng)
 			var firstErr error
 			for i := 0; i < vms; i++ {
@@ -59,7 +56,7 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1), Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
 				})
 				if err != nil {
 					return err
@@ -107,14 +104,11 @@ func AblationWalkOverlap(cfg Config) ([]*stats.Table, error) {
 		c.Core.BTLBEntries = 0 // expose the walk path
 		pl := NewPlatform(c)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			if err := fragmentedImage(p, pl, "/frag.img", 1536); err != nil {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1, Guest: pl.Cfg.Guest,
+				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1,
 			})
 			if err != nil {
 				return err
@@ -147,9 +141,6 @@ func AblationTrampoline(cfg Config) ([]*stats.Table, error) {
 		c.Hyp.UseIOMMU = mode == "iommu"
 		pl := NewPlatform(c)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
 			if err != nil {
 				return err
@@ -189,14 +180,11 @@ func AblationPrune(cfg Config) ([]*stats.Table, error) {
 		d := pl.Hyp.Device(0)
 		maxNodes := maxNodes
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			if err := fragmentedImage(p, pl, "/frag.img", 1536); err != nil {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1, Guest: pl.Cfg.Guest,
+				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1,
 			})
 			if err != nil {
 				return err
@@ -235,9 +223,6 @@ func AblationFairness(cfg Config) ([]*stats.Table, error) {
 		pl := NewPlatform(cfg)
 		bws := make([]float64, n)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			wg := sim.NewWaitGroup(pl.Eng)
 			var firstErr error
 			for i := 0; i < n; i++ {
@@ -247,7 +232,7 @@ func AblationFairness(cfg Config) ([]*stats.Table, error) {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1), Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
 				})
 				if err != nil {
 					return err
@@ -303,9 +288,6 @@ func AblationQoS(cfg Config) ([]*stats.Table, error) {
 		pl := NewPlatform(cfg)
 		var bws [2]float64
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			// Create both VMs before any load starts, then measure both over
 			// the same fixed window of sustained contention.
 			var vms [2]*hypervisor.VM
@@ -316,7 +298,7 @@ func AblationQoS(cfg Config) ([]*stats.Table, error) {
 				}
 				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
 					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
-					Guest: pl.Cfg.Guest, IOWeight: weights[i],
+					IOWeight: weights[i],
 				})
 				if err != nil {
 					return err
@@ -380,15 +362,12 @@ func AblationOOB(cfg Config) ([]*stats.Table, error) {
 		loaded := loaded
 		pl := NewPlatform(cfg)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			if loaded {
 				if err := pl.Hyp.Device(0).MkImage(p, "/load.img", 1, 16384, false); err != nil {
 					return err
 				}
 				vm, err := pl.Hyp.NewVM(p, "load", hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: "/load.img", UID: 1, Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendDirect, DiskPath: "/load.img", UID: 1,
 				})
 				if err != nil {
 					return err
@@ -433,14 +412,11 @@ func AblationLazyAlloc(cfg Config) ([]*stats.Table, error) {
 		sparse := sparse
 		pl := NewPlatform(cfg)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			if err := pl.Hyp.Device(0).MkImage(p, "/lazy.img", 1, 16384, sparse); err != nil {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/lazy.img", UID: 1, Guest: pl.Cfg.Guest,
+				Backend: hypervisor.BackendDirect, DiskPath: "/lazy.img", UID: 1,
 			})
 			if err != nil {
 				return err

@@ -120,14 +120,15 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig2PointShape(t *testing.T) {
-	slow, err := Fig2Point(100e6)
-	if err != nil {
-		t.Fatal(err)
+	// The first and last points the figure prints.
+	speedup := func(deviceBandwidth float64) float64 {
+		direct, vio, err := Fig2Point(DefaultConfig(), deviceBandwidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return direct / vio
 	}
-	fast, err := Fig2Point(3600e6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slow, fast := speedup(100e6), speedup(3600e6)
 	// "direct device assignment roughly doubles the storage bandwidth ...
 	// for modern, multi GB/s storage devices", while slow devices see none.
 	if slow > 1.2 {
@@ -347,9 +348,6 @@ func TestPlatformDeterminism(t *testing.T) {
 		pl := NewPlatform(DefaultConfig())
 		var elapsed sim.Time
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			tgt, err := pl.rawTarget(p, BackendNeSC, 16*1024)
 			if err != nil {
 				return err

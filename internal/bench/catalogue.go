@@ -2,6 +2,7 @@ package bench
 
 import (
 	"nesc/internal/cas"
+	"nesc/internal/core"
 	"nesc/internal/guest"
 	"nesc/internal/hypervisor"
 )
@@ -44,6 +45,9 @@ func (pl *Platform) Counters() []Counter {
 	d0 := pl.Hyp.Device(0)
 	ctl, h, fab, med, inj, tel := d0.Ctl, pl.Hyp, pl.Fab, d0.Ctl.Medium, pl.Inj, pl.Cfg.Tel
 	i64 := func(v *int64) func() float64 { return func() float64 { return float64(*v) } }
+	fnc := func(get func(core.FnCounters) int64) func() float64 {
+		return func() float64 { return float64(get(ctl.Counters())) }
+	}
 	drv := func(get func(guest.QueueCounters) int64) func() float64 {
 		return func() float64 { return float64(get(h.RecoveryStats())) }
 	}
@@ -73,12 +77,12 @@ func (pl *Platform) Counters() []Counter {
 		{"VirtualTime", "", "the simulation clock is the export's time base, not a signal of its own",
 			func() float64 { return float64(pl.Eng.Now()) }},
 
-		{"MediumErrors", "nesc_device_medium_errors_total", "chunks that exhausted medium retries", i64(&ctl.MediumErrors)},
-		{"MediumRetries", "nesc_device_medium_retries_total", "medium retry attempts", i64(&ctl.MediumRetries)},
+		{"MediumErrors", "nesc_device_medium_errors_total", "chunks that exhausted medium retries", fnc(func(c core.FnCounters) int64 { return c.MediumErrors })},
+		{"MediumRetries", "nesc_device_medium_retries_total", "medium retry attempts", fnc(func(c core.FnCounters) int64 { return c.MediumRetries })},
 		{"DMAFaultsInjected", "nesc_fabric_dma_faults_injected_total", "DMA transfers rejected on the wire by fault injection", i64(&fab.DMAFaultsInjected)},
 		{"DroppedMSIs", "nesc_fabric_msis_dropped_total", "interrupts lost on the wire", i64(&fab.DroppedMSIs)},
-		{"FetchDrops", "nesc_device_fetch_drops_total", "doorbells lost to descriptor-fetch DMA errors", i64(&ctl.FetchDrops)},
-		{"CplDrops", "nesc_device_cpl_drops_total", "completions lost to completion-ring DMA errors", i64(&ctl.CplDrops)},
+		{"FetchDrops", "nesc_device_fetch_drops_total", "doorbells lost to descriptor-fetch DMA errors", fnc(func(c core.FnCounters) int64 { return c.FetchDrops })},
+		{"CplDrops", "nesc_device_cpl_drops_total", "completions lost to completion-ring DMA errors", fnc(func(c core.FnCounters) int64 { return c.CplDrops })},
 		{"DriverTimeouts", "nesc_driver_timeouts_total", "request attempts that hit their deadline", drv(func(s guest.QueueCounters) int64 { return s.Timeouts })},
 		{"DriverResubmits", "nesc_driver_resubmits_total", "requests reissued after timeout or abort", drv(func(s guest.QueueCounters) int64 { return s.Resubmits })},
 		{"PolledCompletions", "nesc_driver_polled_cpls_total", "completions recovered by ring polling", drv(func(s guest.QueueCounters) int64 { return s.PolledCompletions })},
@@ -86,11 +90,11 @@ func (pl *Platform) Counters() []Counter {
 		{"SeqGaps", "nesc_driver_seq_gaps_total", "completion sequence gaps observed", drv(func(s guest.QueueCounters) int64 { return s.SeqGaps })},
 		{"VFResets", "nesc_hyp_vf_resets_total", "function-level resets issued", i64(&h.VFResets)},
 		{"MissFaults", "nesc_hyp_miss_faults_total", "misses failed by fault injection", i64(&h.MissFaults)},
-		{"BadRingWrites", "nesc_device_bad_ring_writes_total", "rejected ring-size register writes", i64(&ctl.BadRingSizes)},
-		{"BadDoorbells", "nesc_device_bad_doorbells_total", "ignored incoherent doorbell writes", i64(&ctl.BadDoorbells)},
+		{"BadRingWrites", "nesc_device_bad_ring_writes_total", "rejected ring-size register writes", fnc(func(c core.FnCounters) int64 { return c.BadRingSizes })},
+		{"BadDoorbells", "nesc_device_bad_doorbells_total", "ignored incoherent doorbell writes", fnc(func(c core.FnCounters) int64 { return c.BadDoorbells })},
 
-		{"IntegrityErrors", "nesc_device_integrity_errors_total", "requests latched StatusIntegrityError", i64(&ctl.IntegrityErrors)},
-		{"IntegrityRepairs", "nesc_device_integrity_repairs_total", "integrity failures healed by retry or scrub", i64(&ctl.IntegrityRepairs)},
+		{"IntegrityErrors", "nesc_device_integrity_errors_total", "requests latched StatusIntegrityError", fnc(func(c core.FnCounters) int64 { return c.IntegrityErrors })},
+		{"IntegrityRepairs", "nesc_device_integrity_repairs_total", "integrity failures healed by retry or scrub", fnc(func(c core.FnCounters) int64 { return c.IntegrityRepairs })},
 		{"CorruptionsDetected", "", "composite of nesc_medium_guard_errors_total + nesc_driver_pi_mismatches_total + " +
 			"nesc_driver_pi_write_errors_total, each exported individually",
 			func() float64 { return guardErrs() + piMismatches() + piWriteErrs() }},
@@ -104,7 +108,7 @@ func (pl *Platform) Counters() []Counter {
 		{"ScrubRepairs", "nesc_scrub_repairs_total", "device repairs observed during scrub passes", i64(&h.ScrubRepairs)},
 		{"ScrubChunks", "nesc_device_scrub_chunks_total", "verify chunks processed", i64(&ctl.ScrubChunks)},
 
-		{"AdmitRejects", "nesc_device_admit_rejects_total", "requests fast-failed StatusBusy by per-VF admission control", i64(&ctl.AdmitRejects)},
+		{"AdmitRejects", "nesc_device_admit_rejects_total", "requests fast-failed StatusBusy by per-VF admission control", fnc(func(c core.FnCounters) int64 { return c.AdmitRejects })},
 		{"DeadlineExpirations", "nesc_device_deadline_expirations_total", "requests or chunks completed StatusBusy past their deadline", i64(&ctl.DeadlineExpirations)},
 		{"BusyRejects", "nesc_driver_busy_rejects_total", "submissions the device fast-failed StatusBusy (admission control or deadline)", drv(func(s guest.QueueCounters) int64 { return s.BusyRejects })},
 		{"HedgedReads", "nesc_fabric_hedged_reads_total", "speculative second reads launched", fbr(func(s hypervisor.FabricStats) int64 { return s.HedgedReads })},
@@ -154,8 +158,8 @@ func (pl *Platform) Counters() []Counter {
 		{"", "nesc_device_misses_total", "translation misses latched", i64(&ctl.Misses)},
 		{"", "nesc_device_reqs_done_total", "requests retired", i64(&ctl.ReqsDone)},
 		{"", "nesc_device_chunks_done_total", "chunks retired", i64(&ctl.ChunksDone)},
-		{"", "nesc_device_dma_faults_total", "chunks failed by data-buffer DMA faults", i64(&ctl.DMAFaults)},
-		{"", "nesc_device_flrs_total", "function-level resets performed", i64(&ctl.FLRs)},
+		{"", "nesc_device_dma_faults_total", "chunks failed by data-buffer DMA faults", fnc(func(c core.FnCounters) int64 { return c.DMAFaults })},
+		{"", "nesc_device_flrs_total", "function-level resets performed", fnc(func(c core.FnCounters) int64 { return c.Resets })},
 		{"", "nesc_device_aborted_chunks_total", "chunks killed by a reset", i64(&ctl.AbortedChunks)},
 		{"", "nesc_device_miss_resends_total", "miss MSIs re-raised by the resend timer", i64(&ctl.MissResends)},
 		{"", "nesc_device_queue_leases_total", "queue pairs leased from the device pool", i64(&ctl.QueueLeases)},

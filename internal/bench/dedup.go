@@ -69,9 +69,6 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 	d := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		report := map[int]bool{1: true, 2: true, 4: true, 8: true}
 		for i := 0; i < 8; i++ {
 			path := fmt.Sprintf("/variant%d.img", i)
@@ -126,9 +123,6 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 	bs := cfg.Core.BlockSize
 	total := int64(imageBlocks) * int64(bs)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		if err := d.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
@@ -147,7 +141,7 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 					return nil, err
 				}
 				nvm, err := pl.Hyp.NewVM(p, row, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1, Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1,
 				})
 				if err != nil {
 					return nil, err
@@ -197,9 +191,6 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 	d0 := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		if err := d0.MkImage(p, "/golden.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
@@ -245,7 +236,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 		for i := 0; i < hosts; i++ {
 			vm, err := pl.Hyp.NewVM(p, fmt.Sprintf("guest%d", i), hypervisor.VMConfig{
 				Backend: hypervisor.BackendDirect, DiskPath: "/guest.img", UID: 1,
-				Guest: pl.Cfg.Guest, Device: i,
+				Device: i,
 			})
 			if err != nil {
 				return err

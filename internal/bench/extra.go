@@ -29,9 +29,6 @@ func Breakdown(cfg Config) ([]*stats.Table, error) {
 		c.Tel.Metrics = reg
 		pl := NewPlatform(c)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
 			if err != nil {
 				return err
@@ -75,9 +72,6 @@ func QDepth(cfg Config) ([]*stats.Table, error) {
 		backend := backend
 		pl := NewPlatform(cfg)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			var tgt workload.ByteTarget
 			var err error
 			if backend == BackendNeSC {
@@ -85,7 +79,7 @@ func QDepth(cfg Config) ([]*stats.Table, error) {
 			} else {
 				var vm *hypervisor.VM
 				vm, err = pl.Hyp.NewVM(p, "qd", hypervisor.VMConfig{
-					Backend: hypervisor.BackendVirtio, RawDevice: true, Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendVirtio, RawDevice: true,
 				})
 				if err == nil {
 					tgt = NewVMRawTarget(vm.Kernel)

@@ -53,9 +53,6 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 	cfg.Fault = &fault.Plan{Seed: 7}
 	pl := NewPlatform(cfg)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		const fileBlocks = 1024 // 1 MB image
 		for _, d := range pl.Hyp.Devices() {
 			if err := d.MkImage(p, "/fab.img", 1, fileBlocks, false); err != nil {
@@ -63,7 +60,7 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 			}
 		}
 		vm, err := pl.Hyp.NewMirroredVM(p, "fab", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/fab.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/fab.img", UID: 1,
 		}, []int{0, 1, 2}, fabric.Config{
 			SuspectThreshold: 2, FailThreshold: 3, RecoverThreshold: 3,
 			RegionBlocks: 32, ResilverInterval: 20 * sim.Microsecond,
@@ -156,15 +153,12 @@ func fabricMigration(cfg Config) (*stats.Table, error) {
 	cfg.Fault = &fault.Plan{Seed: 7}
 	pl := NewPlatform(cfg)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		const fileBlocks = 1024
 		if err := pl.Hyp.Device(0).MkImage(p, "/mig.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewMirroredVM(p, "mig", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/mig.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/mig.img", UID: 1,
 		}, []int{0}, fabric.Config{})
 		if err != nil {
 			return err

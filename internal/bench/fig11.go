@@ -38,9 +38,6 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 		s := s
 		pl := NewPlatform(cfg)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			var tgt workload.ByteTarget
 			if !s.withFS {
 				var err error
@@ -62,11 +59,11 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 						return err
 					}
 					vm, err = pl.Hyp.NewVM(p, "fs-nesc", hypervisor.VMConfig{
-						Backend: hypervisor.BackendDirect, DiskPath: "/fs-nesc.img", UID: 1, Guest: pl.Cfg.Guest,
+						Backend: hypervisor.BackendDirect, DiskPath: "/fs-nesc.img", UID: 1,
 					})
 				} else {
 					vm, err = pl.Hyp.NewVM(p, "fs-virtio", hypervisor.VMConfig{
-						Backend: hypervisor.BackendVirtio, RawDevice: true, Guest: pl.Cfg.Guest,
+						Backend: hypervisor.BackendVirtio, RawDevice: true,
 					})
 				}
 				if err != nil {

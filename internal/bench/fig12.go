@@ -56,6 +56,39 @@ func runApp(p *sim.Proc, app string, gfs *extfs.FS) (workload.Result, error) {
 	}
 }
 
+// Fig12App runs one application on one backend and returns its simulated
+// runtime — the figure's inner run, which the benchmarks call for single
+// points.
+func Fig12App(cfg Config, app, backend string) (sim.Time, error) {
+	pl := NewPlatform(cfg)
+	var elapsed sim.Time
+	err := pl.Run(func(p *sim.Proc) error {
+		if err := pl.Hyp.Device(0).MkImage(p, "/app.img", 1, fig12ImageBlocks, false); err != nil {
+			return err
+		}
+		vm, err := pl.Hyp.NewVM(p, "app", hypervisor.VMConfig{
+			Backend: backendKind(backend), DiskPath: "/app.img", UID: 1,
+		})
+		if err != nil {
+			return err
+		}
+		gfs, err := vm.Kernel.Mount(p, true, fig12GuestFSParams())
+		if err != nil {
+			return err
+		}
+		res, err := runApp(p, app, gfs)
+		if err != nil {
+			return err
+		}
+		elapsed = res.Elapsed
+		return nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("fig12 %s on %s: %w", app, backend, err)
+	}
+	return elapsed, nil
+}
+
 // Fig12 regenerates Figures 12a and 12b plus the absolute runtimes.
 func Fig12(cfg Config) ([]*stats.Table, error) {
 	elapsed := map[string]map[string]sim.Time{} // app -> backend -> runtime
@@ -63,37 +96,12 @@ func Fig12(cfg Config) ([]*stats.Table, error) {
 		elapsed[app] = map[string]sim.Time{}
 	}
 	for _, backend := range VMBackends {
-		backend := backend
 		for _, app := range Fig12Apps {
-			app := app
-			pl := NewPlatform(cfg)
-			err := pl.Run(func(p *sim.Proc) error {
-				if err := pl.Boot(p); err != nil {
-					return err
-				}
-				if err := pl.Hyp.Device(0).MkImage(p, "/app.img", 1, fig12ImageBlocks, false); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, "app", hypervisor.VMConfig{
-					Backend: backendKind(backend), DiskPath: "/app.img", UID: 1, Guest: pl.Cfg.Guest,
-				})
-				if err != nil {
-					return err
-				}
-				gfs, err := vm.Kernel.Mount(p, true, fig12GuestFSParams())
-				if err != nil {
-					return err
-				}
-				res, err := runApp(p, app, gfs)
-				if err != nil {
-					return err
-				}
-				elapsed[app][backend] = res.Elapsed
-				return nil
-			})
+			t, err := Fig12App(cfg, app, backend)
 			if err != nil {
-				return nil, fmt.Errorf("fig12 %s on %s: %w", app, backend, err)
+				return nil, err
 			}
+			elapsed[app][backend] = t
 		}
 	}
 

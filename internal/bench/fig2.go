@@ -25,60 +25,11 @@ func Fig2(cfg Config) ([]*stats.Table, error) {
 		"device MB/s", "x", "Speedup")
 	abs := stats.NewTable("Figure 2 (underlying data): achieved write bandwidth",
 		"device MB/s", "MB/s", "Direct", "virtio")
-
-	// The throttled device in this experiment is a ramdisk, not the 1 GB/s
-	// PCIe prototype: remove the gen2 link and the prototype controller's
-	// channel count as bottlenecks so the sweep isolates the software
-	// overheads, as the paper's setup does.
-	cfg.PCIe.LinkBandwidth = 16e9
-	cfg.Medium.ReadLatency = 150 * sim.Nanosecond
-	cfg.Medium.WriteLatency = 150 * sim.Nanosecond
-	cfg.Core.DTUChannels = 16
-	cfg.Core.Walkers = 4
-
-	const ddBlock = 256 << 10
-	const ddTotalBytes = 8 << 20
-
 	for _, mbps := range Fig2Bandwidths {
-		bw := mbps * 1e6
 		row := fmt.Sprintf("%.0f", mbps)
-		var direct, vio float64
-		for _, kind := range []hypervisor.BackendKind{hypervisor.BackendDirect, hypervisor.BackendVirtio} {
-			kind := kind
-			c := cfg
-			c.Medium.ReadBandwidth = bw
-			c.Medium.WriteBandwidth = bw
-			pl := NewPlatform(c)
-			var got float64
-			err := pl.Run(func(p *sim.Proc) error {
-				if err := pl.Boot(p); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, "fig2", hypervisor.VMConfig{
-					Backend: kind, RawDevice: true, Guest: pl.Cfg.Guest,
-				})
-				if err != nil {
-					return err
-				}
-				tgt := NewVMRawTarget(vm.Kernel)
-				if _, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddBlock, Write: true}).Run(p, tgt); err != nil {
-					return err
-				}
-				res, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddTotalBytes, Write: true}).Run(p, tgt)
-				if err != nil {
-					return err
-				}
-				got = res.BandwidthMBps()
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig2 %.0f MB/s %v: %w", mbps, kind, err)
-			}
-			if kind == hypervisor.BackendDirect {
-				direct = got
-			} else {
-				vio = got
-			}
+		direct, vio, err := Fig2Point(cfg, mbps*1e6)
+		if err != nil {
+			return nil, err
 		}
 		abs.Set(row, "Direct", direct)
 		abs.Set(row, "virtio", vio)
@@ -89,4 +40,58 @@ func Fig2(cfg Config) ([]*stats.Table, error) {
 	speed.Note("direct assignment = identity-mapped NeSC VF (no hypervisor on the data path)")
 	speed.Note("the paper's ramdisk software cap (~3.6 GB/s) appears as Direct flattening at high device bandwidth")
 	return []*stats.Table{speed, abs}, nil
+}
+
+// Fig2Point runs one point of the sweep — the figure's inner run, which the
+// tests call for single points: the write bandwidth (MB/s) a direct-assigned
+// and a virtio guest achieve on a device throttled to deviceBandwidth
+// (bytes/s).
+func Fig2Point(cfg Config, deviceBandwidth float64) (direct, vio float64, err error) {
+	// The throttled device in this experiment is a ramdisk, not the 1 GB/s
+	// PCIe prototype: remove the gen2 link and the prototype controller's
+	// channel count as bottlenecks so the sweep isolates the software
+	// overheads, as the paper's setup does.
+	cfg.PCIe.LinkBandwidth = 16e9
+	cfg.Medium.ReadLatency = 150 * sim.Nanosecond
+	cfg.Medium.WriteLatency = 150 * sim.Nanosecond
+	cfg.Core.DTUChannels = 16
+	cfg.Core.Walkers = 4
+	cfg.Medium.ReadBandwidth = deviceBandwidth
+	cfg.Medium.WriteBandwidth = deviceBandwidth
+
+	const ddBlock = 256 << 10
+	const ddTotalBytes = 8 << 20
+
+	for _, kind := range []hypervisor.BackendKind{hypervisor.BackendDirect, hypervisor.BackendVirtio} {
+		kind := kind
+		pl := NewPlatform(cfg)
+		var got float64
+		err := pl.Run(func(p *sim.Proc) error {
+			vm, err := pl.Hyp.NewVM(p, "fig2", hypervisor.VMConfig{
+				Backend: kind, RawDevice: true,
+			})
+			if err != nil {
+				return err
+			}
+			tgt := NewVMRawTarget(vm.Kernel)
+			if _, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddBlock, Write: true}).Run(p, tgt); err != nil {
+				return err
+			}
+			res, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddTotalBytes, Write: true}).Run(p, tgt)
+			if err != nil {
+				return err
+			}
+			got = res.BandwidthMBps()
+			return nil
+		})
+		if err != nil {
+			return 0, 0, fmt.Errorf("fig2 %.0f MB/s %v: %w", deviceBandwidth/1e6, kind, err)
+		}
+		if kind == hypervisor.BackendDirect {
+			direct = got
+		} else {
+			vio = got
+		}
+	}
+	return direct, vio, nil
 }

@@ -59,9 +59,6 @@ func rawSweep(cfg Config, sizes []int, backends []string, title, unit string,
 		backend := backend
 		pl := NewPlatform(cfg)
 		err = pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			tgt, err := pl.rawTarget(p, backend, rawImageBlocks)
 			if err != nil {
 				return err

@@ -99,9 +99,6 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 	pl := NewPlatform(cfg)
 	res := &grayPass{lat: &stats.Sampler{}}
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		const fileBlocks = 1024
 		for _, d := range pl.Hyp.Devices() {
 			if err := d.MkImage(p, "/gray.img", 1, fileBlocks, false); err != nil {
@@ -122,7 +119,7 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 			fc.QuarantineDuration = 2 * sim.Millisecond
 		}
 		vm, err := pl.Hyp.NewMirroredVM(p, "gray", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/gray.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/gray.img", UID: 1,
 		}, []int{0, 1, 2}, fc)
 		if err != nil {
 			return err
@@ -301,15 +298,12 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 	d := pl.Hyp.Device(0)
 	res := &admPass{lat: &stats.Sampler{}}
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		const fileBlocks = 1024
 		if err := d.MkImage(p, "/adm.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "adm", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/adm.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/adm.img", UID: 1,
 		})
 		if err != nil {
 			return err
@@ -387,7 +381,7 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 				}
 			}
 		}
-		res.admitRejects = d.Ctl.AdmitRejects
+		res.admitRejects = d.Ctl.Counters().AdmitRejects
 		res.expirations = d.Ctl.DeadlineExpirations
 		res.busyRejects = pl.Hyp.RecoveryStats().BusyRejects
 		return nil

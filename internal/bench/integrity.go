@@ -68,9 +68,6 @@ func integrityCell(cfg Config, guards, scrub bool, set func(phase string, res wo
 		pl.Hyp.Device(0).Ctl.Medium.SetGuardCheck(false)
 	}
 	err = pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
 		if err != nil {
 			return err

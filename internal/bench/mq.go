@@ -80,15 +80,12 @@ func mqSweep(cfg Config, queues int, policy guest.Policy, set func(qd int, mbps 
 	d := pl.Hyp.Device(0)
 	var served []int64
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		if err := d.MkImage(p, "/vfdisk.img", 1, rawImageBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "mq", hypervisor.VMConfig{
 			Backend: hypervisor.BackendDirect, DiskPath: "/vfdisk.img", UID: 1,
-			Guest: pl.Cfg.Guest, VFRingEntries: mqRingEntries, VFQueuePolicy: policy,
+			VFRingEntries: mqRingEntries, VFQueuePolicy: policy,
 		})
 		if err != nil {
 			return err

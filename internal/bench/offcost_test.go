@@ -17,9 +17,6 @@ func TestTelemetryOffWriteAllocs(t *testing.T) {
 	pl := NewPlatform(DefaultConfig())
 	var allocs float64
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
 		if err != nil {
 			return err

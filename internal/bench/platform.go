@@ -12,7 +12,6 @@ import (
 	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
-	"nesc/internal/guest"
 	"nesc/internal/hostmem"
 	"nesc/internal/hypervisor"
 	"nesc/internal/metrics"
@@ -22,13 +21,11 @@ import (
 
 // Config fully describes one simulated platform.
 type Config struct {
-	HostMemBytes int64
 	MediumBlocks int64
 	Core         core.Params
 	Medium       blockdev.MediumParams
 	PCIe         pcie.Params
 	Hyp          hypervisor.Params
-	Guest        guest.Params
 	HostFS       extfs.Params
 	// NumDevices sizes the NeSC fleet. Zero or one assembles the classic
 	// single-device platform, byte-identical to pre-fleet builds. Each
@@ -50,7 +47,7 @@ type Config struct {
 	// SeedStore, when set, backs the medium with an existing store instead of
 	// a fresh zeroed one — the surviving durable state of a crashed platform.
 	SeedStore *blockdev.Store
-	// MountExisting makes Boot mount the host filesystem already on the
+	// MountExisting makes Run mount the host filesystem already on the
 	// medium (journal replay included) instead of formatting a new one.
 	MountExisting bool
 	// Tel is the telemetry bundle: every controller, the hypervisor, and the
@@ -62,6 +59,9 @@ type Config struct {
 	Tel core.Sinks
 }
 
+// hostMemBytes is the host's RAM (Table I).
+const hostMemBytes = 512 << 20
+
 // DefaultConfig is the calibrated model of the paper's platform (Table I):
 // a Xeon host, PCIe gen2 x8, the Virtex-7 NeSC prototype with 1 GB of
 // on-board DDR3, QEMU/KVM with 128 MB guests. The medium is sized down to
@@ -69,13 +69,11 @@ type Config struct {
 // unaffected.
 func DefaultConfig() Config {
 	return Config{
-		HostMemBytes: 512 << 20,
 		MediumBlocks: 128 * 1024, // 128 MB of 1 KB blocks
 		Core:         core.DefaultParams(),
 		Medium:       blockdev.DefaultMediumParams(),
 		PCIe:         pcie.DefaultParams(),
 		Hyp:          hypervisor.DefaultParams(),
-		Guest:        guest.DefaultParams(),
 		HostFS:       extfs.Params{InodeCount: 512, JournalBlocks: 256, Mode: extfs.JournalMetadata},
 	}
 }
@@ -103,7 +101,7 @@ func NewPlatform(cfg Config) *Platform {
 		cfg.Core.MissResendInterval = 100 * sim.Microsecond
 	}
 	eng := sim.NewEngine()
-	mem := hostmem.New(cfg.HostMemBytes)
+	mem := hostmem.New(hostMemBytes)
 	fab := pcie.New(eng, mem, cfg.PCIe)
 	h := hypervisor.New(eng, mem, fab, cfg.Hyp, cfg.Tel)
 	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Hyp: h}
@@ -113,11 +111,9 @@ func NewPlatform(cfg Config) *Platform {
 		if store == nil || i > 0 {
 			store = blockdev.NewStore(cfg.Core.BlockSize, cfg.MediumBlocks)
 		}
-		med := blockdev.NewMedium(eng, store, cfg.Medium)
-		med.SetDeviceIndex(i)
 		params := cfg.Core
 		params.DeviceID = i
-		ctl, err := core.New(eng, fab, med, params, cfg.Tel)
+		ctl, err := core.New(eng, fab, blockdev.NewMedium(eng, store, cfg.Medium), params, cfg.Tel)
 		if err != nil {
 			panic(err)
 		}
@@ -149,14 +145,16 @@ func NewPlatform(cfg Config) *Platform {
 	return pl
 }
 
-// Run executes fn as the platform's initial host process, drives the
-// simulation to quiescence, and shuts the engine down. It returns an error
-// if fn blocked forever (a modeling deadlock).
+// Run boots the platform and executes fn as its initial host process, drives
+// the simulation to quiescence, and shuts the engine down. It returns an
+// error if booting failed or fn blocked forever (a modeling deadlock).
 func (pl *Platform) Run(fn func(p *sim.Proc) error) error {
 	var ferr error
 	finished := false
 	pl.Eng.Go("bench-main", func(p *sim.Proc) {
-		ferr = fn(p)
+		if ferr = pl.boot(p); ferr == nil {
+			ferr = fn(p)
+		}
 		finished = true
 	})
 	pl.Eng.Run()
@@ -167,10 +165,10 @@ func (pl *Platform) Run(fn func(p *sim.Proc) error) error {
 	return ferr
 }
 
-// Boot formats the host filesystem on the physical function — or, on a
+// boot formats the host filesystem on the physical function — or, on a
 // platform adopting a crashed store (Config.MountExisting), remounts it,
-// replaying the journal.
-func (pl *Platform) Boot(p *sim.Proc) error {
+// replaying the journal. It is the first thing the main process does.
+func (pl *Platform) boot(p *sim.Proc) error {
 	return pl.Hyp.Boot(p, !pl.Cfg.MountExisting, pl.Cfg.HostFS)
 }
 
@@ -179,7 +177,11 @@ func (pl *Platform) Boot(p *sim.Proc) error {
 // process is exactly what a crash looks like. The medium's Store (and its
 // write log, if enabled) is the only state that survives.
 func (pl *Platform) RunUntil(t sim.Time, fn func(p *sim.Proc) error) {
-	pl.Eng.Go("bench-main", func(p *sim.Proc) { _ = fn(p) })
+	pl.Eng.Go("bench-main", func(p *sim.Proc) {
+		if pl.boot(p) == nil {
+			_ = fn(p)
+		}
+	})
 	pl.Eng.RunUntil(t)
 	pl.Eng.Shutdown()
 }

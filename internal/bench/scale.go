@@ -98,9 +98,6 @@ func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 	d := pl.Hyp.Device(0)
 	var lats []sim.Time
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		wg := sim.NewWaitGroup(pl.Eng)
 		var firstErr error
 		for i := 0; i < active; i++ {

@@ -155,15 +155,12 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 	res := &sloPassResult{lat: &stats.Sampler{}}
 	var victimFn int
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		const fileBlocks = 1024
 		if err := d.MkImage(p, "/victim.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		victim, err := pl.Hyp.NewVM(p, "victim", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/victim.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/victim.img", UID: 1,
 		})
 		if err != nil {
 			return err
@@ -175,7 +172,7 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 				return err
 			}
 			if agg, err = pl.Hyp.NewVM(p, "agg", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/agg.img", UID: 2, Guest: pl.Cfg.Guest,
+				Backend: hypervisor.BackendDirect, DiskPath: "/agg.img", UID: 2,
 			}); err != nil {
 				return err
 			}

@@ -41,14 +41,11 @@ func snapshotLatency(cfg Config) (*stats.Table, error) {
 	pl := NewPlatform(cfg)
 	d := pl.Hyp.Device(0)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		if err := d.MkImage(p, "/snap.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/snap.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/snap.img", UID: 1,
 		})
 		if err != nil {
 			return err
@@ -94,9 +91,6 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 		pl := NewPlatform(cfg)
 		d := pl.Hyp.Device(0)
 		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Boot(p); err != nil {
-				return err
-			}
 			fs := d.HostFS
 			bs := uint64(fs.BlockSize())
 			base := fs.FreeBlocks()
@@ -104,7 +98,7 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 				return err
 			}
 			vm, err := pl.Hyp.NewVM(p, "base", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/base.img", UID: 1, Guest: pl.Cfg.Guest,
+				Backend: hypervisor.BackendDirect, DiskPath: "/base.img", UID: 1,
 			})
 			if err != nil {
 				return err
@@ -116,7 +110,7 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 					return err
 				}
 				cvm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1, Guest: pl.Cfg.Guest,
+					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1,
 				})
 				if err != nil {
 					return err

@@ -25,14 +25,11 @@ func Spans(cfg Config) ([]*stats.Table, error) {
 	pl := NewPlatform(c)
 	const fileBlocks = 4096 // 4 MB sparse image
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Boot(p); err != nil {
-			return err
-		}
 		if err := pl.Hyp.Device(0).MkImage(p, "/spans.img", 1, fileBlocks, true); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "spans", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/spans.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/spans.img", UID: 1,
 		})
 		if err != nil {
 			return err

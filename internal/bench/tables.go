@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nesc/internal/extent"
 	"nesc/internal/stats"
 )
 
@@ -17,7 +18,7 @@ func Table1(cfg Config) ([]*stats.Table, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== Table I: experimental platform (simulated) ==\n")
 	fmt.Fprintf(&b, "Host machine (simulated equivalents of the paper's Supermicro X9DRG-QF)\n")
-	fmt.Fprintf(&b, "  Host memory               %d MB\n", cfg.HostMemBytes>>20)
+	fmt.Fprintf(&b, "  Host memory               %d MB\n", hostMemBytes>>20)
 	fmt.Fprintf(&b, "  Host I/O                  PCIe, %.1f GB/s per direction, MMIO read %v, DMA request %v\n",
 		cfg.PCIe.LinkBandwidth/1e9, cfg.PCIe.MMIOReadLatency, cfg.PCIe.DMARequestLatency)
 	fmt.Fprintf(&b, "Virtualized system (QEMU/KVM-style cost model)\n")
@@ -25,7 +26,7 @@ func Table1(cfg Config) ([]*stats.Table, error) {
 	fmt.Fprintf(&b, "  interrupt injection       %v\n", cfg.Hyp.InjectTime)
 	fmt.Fprintf(&b, "  virtio backend wake/proc  %v / %v\n", cfg.Hyp.BackendWakeTime, cfg.Hyp.BackendProcessTime)
 	fmt.Fprintf(&b, "  emulation trap/command    %v / %v\n", cfg.Hyp.EmulTrapTime, cfg.Hyp.EmulCmdProcessTime)
-	fmt.Fprintf(&b, "  host stack per request    %v (guest: %v)\n", cfg.Hyp.HostStackTime, cfg.Guest.StackTime)
+	fmt.Fprintf(&b, "  host stack per request    %v (guest: %v)\n", cfg.Hyp.HostStackTime, cfg.Hyp.Guest.StackTime)
 	fmt.Fprintf(&b, "  IOMMU                     %v (trampoline buffers when false, as the prototype)\n", cfg.Hyp.UseIOMMU)
 	fmt.Fprintf(&b, "Prototyping platform (simulated equivalents of the VC707/Virtex-7 board)\n")
 	fmt.Fprintf(&b, "  medium                    %d MB, read %.0f MB/s + %v, write %.0f MB/s + %v\n",
@@ -34,7 +35,7 @@ func Table1(cfg Config) ([]*stats.Table, error) {
 		cfg.Medium.WriteBandwidth/1e6, cfg.Medium.WriteLatency)
 	fmt.Fprintf(&b, "  NeSC controller           %d VFs, %d B blocks, BTLB %d entries, %d overlapped walks, %d DMA channels\n",
 		cfg.Core.NumVFs, cfg.Core.BlockSize, cfg.Core.BTLBEntries, cfg.Core.Walkers, cfg.Core.DTUChannels)
-	fmt.Fprintf(&b, "  extent tree fanout        %d (node = %d bytes)\n", cfg.Core.TreeFanout, 8+24*cfg.Core.TreeFanout)
+	fmt.Fprintf(&b, "  extent tree fanout        %d (node = %d bytes)\n", extent.DefaultFanout, extent.NodeBytes(extent.DefaultFanout))
 	fmt.Fprintf(&b, "  host filesystem           extent-based, journal=%v\n", cfg.HostFS.Mode)
 
 	t := stats.NewTable("Table I: experimental platform", "", "")

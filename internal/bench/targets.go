@@ -213,7 +213,7 @@ func (pl *Platform) rawTarget(p *sim.Proc, backend string, fileBlocks uint64) (w
 			return nil, err
 		}
 		vm, err := pl.Hyp.NewVM(p, "raw-nesc", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/vfdisk.img", UID: 1, Guest: pl.Cfg.Guest,
+			Backend: hypervisor.BackendDirect, DiskPath: "/vfdisk.img", UID: 1,
 		})
 		if err != nil {
 			return nil, err
@@ -221,7 +221,7 @@ func (pl *Platform) rawTarget(p *sim.Proc, backend string, fileBlocks uint64) (w
 		return NewVMRawTarget(vm.Kernel), nil
 	case BackendVirt, BackendEmul:
 		vm, err := pl.Hyp.NewVM(p, "raw-"+backend, hypervisor.VMConfig{
-			Backend: backendKind(backend), RawDevice: true, Guest: pl.Cfg.Guest,
+			Backend: backendKind(backend), RawDevice: true,
 		})
 		if err != nil {
 			return nil, err

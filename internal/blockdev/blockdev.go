@@ -259,9 +259,6 @@ func (m *Medium) SetGuardCheck(on bool) { m.noGuard = !on }
 // fabric (default 0). Device-kill and partition faults key on it.
 func (m *Medium) SetDeviceIndex(dev int) { m.dev = dev }
 
-// DeviceIndex reports the medium's device identity.
-func (m *Medium) DeviceIndex() int { return m.dev }
-
 // deviceGate consults the injector's device-level latches. A dead or
 // partitioned device fails every access loudly — the DTU's bounded retries
 // then surface StatusMediumError, which is what drives the fabric's health

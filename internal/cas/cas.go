@@ -66,10 +66,11 @@ type Params struct {
 	RemoteBandwidth float64
 	// PutOverhead is the per-chunk pipeline cost inside a batched seal PUT.
 	PutOverhead sim.Time
-	// FetchRetryMax bounds the fetch retry ladder (transient remote faults
-	// and integrity re-reads).
-	FetchRetryMax int
 }
+
+// fetchRetryMax bounds the remote retry ladder (transient remote faults and
+// integrity re-reads).
+const fetchRetryMax = 3
 
 // DefaultParams returns the calibrated remote tier: a disaggregated object
 // store an order of magnitude slower than the local medium.
@@ -79,7 +80,6 @@ func DefaultParams(blockSize int) Params {
 		RemoteLatency:   40 * sim.Microsecond,
 		RemoteBandwidth: 2.0, // 2 GB/s
 		PutOverhead:     200 * sim.Nanosecond,
-		FetchRetryMax:   3,
 	}
 }
 
@@ -171,9 +171,6 @@ func NewStore(p Params, inj *fault.Injector) *Store {
 	}
 	if p.PutOverhead <= 0 {
 		p.PutOverhead = DefaultParams(p.BlockSize).PutOverhead
-	}
-	if p.FetchRetryMax <= 0 {
-		p.FetchRetryMax = DefaultParams(p.BlockSize).FetchRetryMax
 	}
 	return &Store{
 		P:         p,

@@ -43,7 +43,7 @@ func (s *Store) remotePut(p *sim.Proc, newChunks int, newBytes int64) {
 			return
 		}
 		s.stats.RemoteRetries++
-		if attempt >= s.P.FetchRetryMax {
+		if attempt >= fetchRetryMax {
 			// PUTs never fail permanently in this model: the store keeps
 			// retrying on the caller's virtual time, like the DTU's bounded
 			// ladder backed by an idempotent operation. Bound the accounting
@@ -67,7 +67,7 @@ func (s *Store) Fetch(p *sim.Proc, h Hash) ([]byte, error) {
 	}
 	cost := s.P.RemoteLatency + s.xferTime(int64(len(c.data)))
 	var lastErr error
-	for attempt := 0; attempt <= s.P.FetchRetryMax; attempt++ {
+	for attempt := 0; attempt <= fetchRetryMax; attempt++ {
 		if attempt > 0 {
 			s.stats.RemoteRetries++
 		}

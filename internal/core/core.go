@@ -28,7 +28,6 @@ import (
 	"fmt"
 
 	"nesc/internal/blockdev"
-	"nesc/internal/extent"
 	"nesc/internal/fault"
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
@@ -46,8 +45,6 @@ type Params struct {
 	// BlockSize is the translation granularity in bytes (the paper operates
 	// at 1 KB, "the smallest block size supported by ext4").
 	BlockSize int
-	// RingEntries is the request/completion ring depth per function.
-	RingEntries int
 	// BTLBEntries sizes the block translation lookaside buffer (8 in the
 	// paper: "a small cache of the last 8 extents used in translation").
 	BTLBEntries int
@@ -57,8 +54,6 @@ type Params struct {
 	// DTUChannels is the number of outstanding data-transfer operations the
 	// DMA engine sustains.
 	DTUChannels int
-	// TreeFanout is the extent-tree node fanout the walker expects.
-	TreeFanout int
 	// QueuesPerVF is the number of queue pairs each function exposes
 	// (default 1, the paper's prototype; clamped to MaxQueuesPerFn). The
 	// hypervisor may program an individual VF down from this capability
@@ -73,9 +68,9 @@ type Params struct {
 	// historical configuration working unchanged.
 	QueuePoolSize int
 
-	// Queue depths (backpressure points).
-	ReqQueueDepth  int
-	VLBAQueueDepth int
+	// PLBAQueueDepth is the depth of each VF's queue of translated chunks
+	// awaiting a DMA channel (a backpressure point, like the two fixed-depth
+	// queues before it: reqQueueDepth, vlbaQueueDepth).
 	PLBAQueueDepth int
 
 	// Cost model.
@@ -87,10 +82,8 @@ type Params struct {
 
 	// Error recovery.
 	//
-	// MediumRetryMax is how many times the DTU retries a transient medium
-	// error before latching StatusMediumError; MediumRetryDelay is the cost
-	// of each retry.
-	MediumRetryMax   int
+	// MediumRetryDelay is the cost of each of the DTU's MediumRetryMax retries
+	// of a transient medium error.
 	MediumRetryDelay sim.Time
 	// MissResendInterval, when positive, re-raises the miss MSI while a
 	// function's miss stays latched (recovers a miss interrupt lost on the
@@ -113,26 +106,31 @@ type Params struct {
 	DeviceID int
 }
 
+const (
+	// MediumRetryMax is how many times the DTU retries a transient medium
+	// error before latching StatusMediumError.
+	MediumRetryMax = 3
+	// reqQueueDepth and vlbaQueueDepth are the depths of each function's
+	// request queue and of the shared vLBA queue.
+	reqQueueDepth  = 64
+	vlbaQueueDepth = 64
+)
+
 // DefaultParams matches the paper's prototype.
 func DefaultParams() Params {
 	return Params{
 		NumVFs:              64,
 		BlockSize:           1024,
-		RingEntries:         256,
 		BTLBEntries:         8,
 		Walkers:             2,
 		DTUChannels:         4,
-		TreeFanout:          extent.DefaultFanout,
 		QueuesPerVF:         1,
-		ReqQueueDepth:       64,
-		VLBAQueueDepth:      64,
 		PLBAQueueDepth:      64,
 		DescriptorFetchTime: 100 * sim.Nanosecond,
 		MuxChunkTime:        60 * sim.Nanosecond,
 		BTLBHitTime:         80 * sim.Nanosecond,
 		WalkParseTime:       150 * sim.Nanosecond,
 		DTUChunkOverhead:    220 * sim.Nanosecond,
-		MediumRetryMax:      3,
 		MediumRetryDelay:    2 * sim.Microsecond,
 	}
 }
@@ -261,8 +259,7 @@ type Controller struct {
 	// entries come into existence only when a VF is first touched through
 	// MMIO, so a configured-but-idle VF costs nothing.
 	vfShards [][]*Function
-	nMat     int               // materialized VF count
-	fnIdx    map[pcie.FnID]int // PCIe routing ID → function index (0 = PF)
+	nMat     int // materialized VF count
 
 	vlbaQ *sim.FIFO[*chunk]
 	oobQ  *sim.FIFO[*chunk]
@@ -323,25 +320,11 @@ type Controller struct {
 	invVLBA  uint64
 	invCount uint64
 
-	// Error/recovery stats, aggregated across functions.
-	FetchDrops    int64 // doorbells lost to descriptor-fetch DMA errors
-	CplDrops      int64 // completions lost to completion-ring DMA errors
-	MediumErrors  int64 // chunks that exhausted medium retries
-	MediumRetries int64 // individual medium retry attempts
-	DMAFaults     int64 // chunks failed by data-buffer DMA faults
-	FLRs          int64 // function-level resets performed
-	AbortedChunks int64 // chunks killed by a reset
-	MissResends   int64 // miss MSIs re-raised by the resend timer
-	BadRingSizes  int64 // rejected ring-size register writes
-	BadDoorbells  int64 // ignored incoherent doorbell writes
-
-	// Integrity stats.
-	IntegrityErrors  int64 // requests latched StatusIntegrityError
-	IntegrityRepairs int64 // integrity failures healed by retry or scrub rewrite
-	ScrubChunks      int64 // verify chunks processed
-
-	// Admission-control / deadline stats.
-	AdmitRejects        int64 // requests fast-failed StatusBusy at the admission gate
+	// Recovery stats with no per-function counterpart; the per-function error
+	// counters (FnCounters) are summed over the device by Counters.
+	AbortedChunks       int64 // chunks killed by a reset
+	MissResends         int64 // miss MSIs re-raised by the resend timer
+	ScrubChunks         int64 // verify chunks processed
 	DeadlineExpirations int64 // chunks abandoned StatusBusy past their deadline
 	// chunkEWMA is a timeless estimator of DTU chunk service time (updated
 	// by plain arithmetic on timestamps the DTU loop already takes, so it
@@ -379,8 +362,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 		Medium:   medium,
 		P:        p,
 		vfShards: make([][]*Function, (p.NumVFs+vfShardSize-1)/vfShardSize),
-		fnIdx:    make(map[pcie.FnID]int),
-		vlbaQ:    sim.NewFIFO[*chunk](eng, p.VLBAQueueDepth),
+		vlbaQ:    sim.NewFIFO[*chunk](eng, vlbaQueueDepth),
 		oobQ:     sim.NewFIFO[*chunk](eng, 0),
 		scrubQ:   sim.NewFIFO[*chunk](eng, 0),
 		dtuW:     sim.NewSemaphore(eng, 0),
@@ -398,7 +380,6 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 	c.pf = c.newFunction(0, fab.RegisterFunction(c.devName("nesc")+"-pf"))
 	c.pf.enabled = true
 	c.pf.sizeBlocks = uint64(medium.Store().NumBlocks())
-	c.fnIdx[c.pf.id] = 0
 	c.registerFnGauges(c.pf)
 	c.barBase = fab.MapBAR(c, c.BARSize())
 	fab.AllocMSIVectors(c.pf.id, c.nVec())
@@ -426,11 +407,6 @@ func (c *Controller) devName(base string) string {
 
 // DeviceID reports this controller's identity within the device fleet.
 func (c *Controller) DeviceID() int { return c.P.DeviceID }
-
-// Sinks returns the telemetry bundle the controller was built with, so the
-// layers stacked on it (hypervisor, drivers, fabric clients) feed the same
-// sinks by construction.
-func (c *Controller) Sinks() Sinks { return c.tel.Sinks }
 
 // Flight returns the device's flight recorder.
 func (c *Controller) Flight() *FlightRecorder { return c.tel.flight }
@@ -485,7 +461,6 @@ func (c *Controller) materializeVF(idx int) *Function {
 	c.mux.admit(f)
 	c.dtu.admit(f)
 	c.vfShards[s][idx%vfShardSize] = f
-	c.fnIdx[f.id] = f.idx
 	c.nMat++
 	c.registerFnGauges(f)
 	return f
@@ -522,14 +497,6 @@ func (c *Controller) MaterializedVFs() int { return c.nMat }
 // LeasedQueues reports how many queue pairs are currently leased out.
 func (c *Controller) LeasedQueues() int { return c.qAllocated - len(c.qFree) }
 
-// FnIndex resolves a PCIe routing ID to its function index (0 = PF,
-// 1..NumVFs = VFs) without materializing anything — only functions that
-// exist are in the map.
-func (c *Controller) FnIndex(id pcie.FnID) (int, bool) {
-	idx, ok := c.fnIdx[id]
-	return idx, ok
-}
-
 // StateFootprint estimates the controller's resident device-state bytes
 // from explicit counts of what is actually allocated — materialized
 // functions, reserved queue slots, pooled queue pairs, shard index, active
@@ -551,7 +518,7 @@ func (c *Controller) StateFootprint() int64 {
 		}
 	}
 	fns := int64(1 + c.nMat)
-	b += fns * (fnStateBytes + int64(c.P.ReqQueueDepth+c.P.PLBAQueueDepth)*fifoSlotBytes)
+	b += fns * (fnStateBytes + int64(reqQueueDepth+c.P.PLBAQueueDepth)*fifoSlotBytes)
 	b += int64(c.qAllocated) * queuePairBytes
 	b += int64(len(c.tel.flight.recs)) * flightRecBytes
 	return b
@@ -624,20 +591,48 @@ type Function struct {
 
 	// Stats.
 	Reqs, Blocks int64
+	FnCounters
+}
 
-	// AER-style per-function error counters, exposed through the RegErr*
-	// registers.
-	DMAFaults        int64
-	MediumErrors     int64
-	MediumRetries    int64
-	Resets           int64
-	FetchDrops       int64
-	CplDrops         int64
-	BadRingSizes     int64
-	BadDoorbells     int64
-	IntegrityErrors  int64
-	IntegrityRepairs int64
-	AdmitRejects     int64
+// FnCounters is the one declaration of the AER-style error counters: each
+// Function embeds it, increments the fields in place and exposes them through
+// its RegErr* registers, and the device total is Controller.Counters, their
+// sum over the functions.
+type FnCounters struct {
+	DMAFaults        int64 // chunks failed by data-buffer DMA faults
+	MediumErrors     int64 // chunks that exhausted medium retries
+	MediumRetries    int64 // individual medium retry attempts
+	Resets           int64 // function-level resets performed
+	FetchDrops       int64 // doorbells lost to descriptor-fetch DMA errors
+	CplDrops         int64 // completions lost to completion-ring DMA errors
+	BadRingSizes     int64 // rejected ring-size register writes
+	BadDoorbells     int64 // ignored incoherent doorbell writes
+	IntegrityErrors  int64 // requests latched StatusIntegrityError
+	IntegrityRepairs int64 // integrity failures healed by retry or scrub rewrite
+	AdmitRejects     int64 // requests fast-failed StatusBusy at the admission gate
+}
+
+// Add accumulates o into c.
+func (c *FnCounters) Add(o *FnCounters) {
+	c.DMAFaults += o.DMAFaults
+	c.MediumErrors += o.MediumErrors
+	c.MediumRetries += o.MediumRetries
+	c.Resets += o.Resets
+	c.FetchDrops += o.FetchDrops
+	c.CplDrops += o.CplDrops
+	c.BadRingSizes += o.BadRingSizes
+	c.BadDoorbells += o.BadDoorbells
+	c.IntegrityErrors += o.IntegrityErrors
+	c.IntegrityRepairs += o.IntegrityRepairs
+	c.AdmitRejects += o.AdmitRejects
+}
+
+// Counters sums the error counters of the PF and every materialized VF.
+// Functions are never destroyed, so the sum only grows.
+func (c *Controller) Counters() FnCounters {
+	t := c.pf.FnCounters
+	c.forEachVF(func(f *Function) { t.Add(&f.FnCounters) })
+	return t
 }
 
 // fnQueue is one of a function's queue pairs: the guest-programmable ring
@@ -737,7 +732,7 @@ func (c *Controller) newFunction(idx int, id pcie.FnID) *Function {
 		idx:    idx,
 		id:     id,
 		fetchW: sim.NewSemaphore(c.Eng, 0),
-		reqQ:   sim.NewFIFO[*Request](c.Eng, c.P.ReqQueueDepth),
+		reqQ:   sim.NewFIFO[*Request](c.Eng, reqQueueDepth),
 		rewalk: sim.NewSignal(c.Eng),
 		weight: 1,
 	}
@@ -750,9 +745,6 @@ func (c *Controller) newFunction(idx int, id pcie.FnID) *Function {
 	return f
 }
 
-// NumQueues reports the function's active queue-pair count.
-func (f *Function) NumQueues() int { return f.numQueues }
-
 // QueueReqs reports how many requests were fetched from queue q (0 for a
 // slot with no queue pair leased).
 func (f *Function) QueueReqs(q int) int64 {
@@ -764,9 +756,6 @@ func (f *Function) QueueReqs(q int) int64 {
 
 // ID reports the function's PCIe routing ID.
 func (f *Function) ID() pcie.FnID { return f.id }
-
-// Index reports the function index (0 = PF).
-func (f *Function) Index() int { return f.idx }
 
 // Enabled reports whether the function accepts requests.
 func (f *Function) Enabled() bool { return f.enabled }
@@ -788,7 +777,6 @@ func (f *Function) Inflight() int64 { return f.inflight }
 // function without reprovisioning it. Runs in engine context (MMIO delivery).
 func (c *Controller) resetFunction(f *Function) {
 	f.Resets++
-	c.FLRs++
 	f.resetEpoch++
 	// Drain every leased queue in index order: ring state, cursors, and
 	// queued doorbells all go. The queue pairs stay leased — FLR recovers

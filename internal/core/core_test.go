@@ -9,6 +9,7 @@ import (
 	"nesc/internal/extent"
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -138,7 +139,7 @@ func (d *dev) io(p *sim.Proc, op uint32, lba uint64, count uint32, buf int64) ui
 	d.nextID++
 	id := d.nextID
 	var desc [DescBytes]byte
-	EncodeDescriptor(desc[:], op, id, lba, count, buf)
+	ring.EncodeDescriptor(desc[:], op, id, lba, count, buf)
 	slot := int64(d.prod % testRing)
 	if err := r.mem.Write(d.ringBase+slot*DescBytes, desc[:]); err != nil {
 		r.t.Fatal(err)
@@ -151,7 +152,7 @@ func (d *dev) io(p *sim.Proc, op uint32, lba uint64, count uint32, buf int64) ui
 		if err := r.mem.Read(d.cplBase+int64(d.lastSeq%testRing)*CplBytes, entry); err != nil {
 			r.t.Fatal(err)
 		}
-		gotID, status, seq := DecodeCompletion(entry)
+		gotID, status, seq := ring.DecodeCompletion(entry)
 		if seq == d.lastSeq+1 {
 			d.lastSeq = seq
 			if gotID != id {
@@ -174,7 +175,7 @@ func (r *rig) setVF(p *sim.Proc, vfIdx int, treeRoot int64, sizeBlocks uint64) {
 }
 
 func (r *rig) buildTree(runs []extent.Run) *extent.Tree {
-	tr, err := extent.Build(r.mem, runs, r.ctl.P.TreeFanout)
+	tr, err := extent.Build(r.mem, runs, extent.DefaultFanout)
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -589,7 +590,7 @@ func TestOOBChannelBypassesStalledTranslation(t *testing.T) {
 		// abandoned (no completion wait: submit via raw ring).
 		var desc [DescBytes]byte
 		for i := 0; i < 2; i++ {
-			EncodeDescriptor(desc[:], OpWrite, uint32(100+i), uint64(i), 1, buf)
+			ring.EncodeDescriptor(desc[:], OpWrite, uint32(100+i), uint64(i), 1, buf)
 			slot := int64(vf.prod % testRing)
 			if err := r.mem.Write(vf.ringBase+slot*DescBytes, desc[:]); err != nil {
 				t.Fatal(err)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"nesc/internal/extent"
 	"nesc/internal/fault"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -37,8 +39,8 @@ func TestMediumRetryRecoversTransientError(t *testing.T) {
 	if vf.MediumRetries != 1 || vf.MediumErrors != 0 {
 		t.Fatalf("retries=%d errors=%d, want 1/0", vf.MediumRetries, vf.MediumErrors)
 	}
-	if r.ctl.MediumRetries != 1 {
-		t.Fatalf("controller retries=%d, want 1", r.ctl.MediumRetries)
+	if r.ctl.Counters().MediumRetries != 1 {
+		t.Fatalf("controller retries=%d, want 1", r.ctl.Counters().MediumRetries)
 	}
 }
 
@@ -59,14 +61,14 @@ func TestMediumErrorLatchesAfterRetries(t *testing.T) {
 		if got := r.mmioR(p, d.pageOff+RegErrMedium); got != 1 {
 			t.Errorf("RegErrMedium = %d, want 1", got)
 		}
-		if got := r.mmioR(p, d.pageOff+RegErrRetries); got != uint64(r.ctl.P.MediumRetryMax) {
-			t.Errorf("RegErrRetries = %d, want %d", got, r.ctl.P.MediumRetryMax)
+		if got := r.mmioR(p, d.pageOff+RegErrRetries); got != uint64(MediumRetryMax) {
+			t.Errorf("RegErrRetries = %d, want %d", got, MediumRetryMax)
 		}
 	})
 	r.run()
 	vf := r.ctl.VF(0)
-	if vf.MediumErrors != 1 || vf.MediumRetries != int64(r.ctl.P.MediumRetryMax) {
-		t.Fatalf("errors=%d retries=%d, want 1/%d", vf.MediumErrors, vf.MediumRetries, r.ctl.P.MediumRetryMax)
+	if vf.MediumErrors != 1 || vf.MediumRetries != int64(MediumRetryMax) {
+		t.Fatalf("errors=%d retries=%d, want 1/%d", vf.MediumErrors, vf.MediumRetries, MediumRetryMax)
 	}
 }
 
@@ -81,7 +83,7 @@ func TestFLRAbortsWedgedFunction(t *testing.T) {
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
 		// A write into a hole latches a miss and parks a walker.
 		var desc [DescBytes]byte
-		EncodeDescriptor(desc[:], OpWrite, 1, 32, 1, buf)
+		ring.EncodeDescriptor(desc[:], OpWrite, 1, 32, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
@@ -101,8 +103,8 @@ func TestFLRAbortsWedgedFunction(t *testing.T) {
 	})
 	r.run()
 	vf := r.ctl.VF(0)
-	if vf.Resets != 1 || r.ctl.FLRs != 1 {
-		t.Fatalf("resets=%d flrs=%d, want 1/1", vf.Resets, r.ctl.FLRs)
+	if vf.Resets != 1 || r.ctl.Counters().Resets != 1 {
+		t.Fatalf("resets=%d flrs=%d, want 1/1", vf.Resets, r.ctl.Counters().Resets)
 	}
 	if vf.Inflight() != 0 {
 		t.Fatalf("inflight=%d after drain, want 0", vf.Inflight())
@@ -158,7 +160,7 @@ func TestFetchDropIsCounted(t *testing.T) {
 		d := r.openFunction(p, 0)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
 		var desc [DescBytes]byte
-		EncodeDescriptor(desc[:], OpRead, 1, 0, 1, buf)
+		ring.EncodeDescriptor(desc[:], OpRead, 1, 0, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
@@ -166,8 +168,8 @@ func TestFetchDropIsCounted(t *testing.T) {
 		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
-	if r.ctl.FetchDrops != 1 || r.ctl.PF().FetchDrops != 1 {
-		t.Fatalf("fetch drops: ctl=%d pf=%d, want 1/1", r.ctl.FetchDrops, r.ctl.PF().FetchDrops)
+	if r.ctl.Counters().FetchDrops != 1 || r.ctl.PF().FetchDrops != 1 {
+		t.Fatalf("fetch drops: ctl=%d pf=%d, want 1/1", r.ctl.Counters().FetchDrops, r.ctl.PF().FetchDrops)
 	}
 	if r.ctl.ReqsDone != 0 {
 		t.Fatalf("dropped fetch still completed a request")
@@ -184,7 +186,7 @@ func TestCompletionDropIsCounted(t *testing.T) {
 		d := r.openFunction(p, 0)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
 		var desc [DescBytes]byte
-		EncodeDescriptor(desc[:], OpWrite, 1, 0, 1, buf)
+		ring.EncodeDescriptor(desc[:], OpWrite, 1, 0, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
@@ -192,8 +194,8 @@ func TestCompletionDropIsCounted(t *testing.T) {
 		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
-	if r.ctl.CplDrops != 1 || r.ctl.PF().CplDrops != 1 {
-		t.Fatalf("cpl drops: ctl=%d pf=%d, want 1/1", r.ctl.CplDrops, r.ctl.PF().CplDrops)
+	if r.ctl.Counters().CplDrops != 1 || r.ctl.PF().CplDrops != 1 {
+		t.Fatalf("cpl drops: ctl=%d pf=%d, want 1/1", r.ctl.Counters().CplDrops, r.ctl.PF().CplDrops)
 	}
 	// The request itself completed device-side (the data write happened).
 	if r.ctl.ReqsDone != 1 {
@@ -229,5 +231,28 @@ func TestMissResendRecoversDroppedMSI(t *testing.T) {
 	}
 	if r.missMSIs == 0 {
 		t.Fatal("miss handler never ran")
+	}
+}
+
+// The device total of an error counter is FnCounters.Add over the functions
+// (Controller.Counters). Walk the struct by reflection so that a counter added
+// later cannot be left out of the sum.
+func TestFnCountersAddSumsEveryField(t *testing.T) {
+	var a, b, sum FnCounters
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() != reflect.Int64 {
+			t.Fatalf("field %s is %s: teach Add and this test about it", av.Type().Field(i).Name, av.Field(i).Kind())
+		}
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	sum.Add(&a)
+	sum.Add(&b)
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", sv.Type().Field(i).Name, got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"nesc/internal/extent"
 	"nesc/internal/pcie"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/trace"
 )
@@ -33,8 +34,8 @@ func TestRingSizeValidation(t *testing.T) {
 		}
 	})
 	r.run()
-	if r.ctl.BadRingSizes != 4 {
-		t.Errorf("controller BadRingSizes = %d, want 4", r.ctl.BadRingSizes)
+	if r.ctl.Counters().BadRingSizes != 4 {
+		t.Errorf("controller BadRingSizes = %d, want 4", r.ctl.Counters().BadRingSizes)
 	}
 }
 
@@ -59,8 +60,8 @@ func TestDoorbellValidation(t *testing.T) {
 	})
 	r.run()
 	vf := r.ctl.VF(0)
-	if vf.BadDoorbells != 3 || r.ctl.BadDoorbells != 3 {
-		t.Errorf("BadDoorbells fn=%d ctl=%d, want 3/3", vf.BadDoorbells, r.ctl.BadDoorbells)
+	if vf.BadDoorbells != 3 || r.ctl.Counters().BadDoorbells != 3 {
+		t.Errorf("BadDoorbells fn=%d ctl=%d, want 3/3", vf.BadDoorbells, r.ctl.Counters().BadDoorbells)
 	}
 	// None of the bad doorbells may have reached the fetch stage.
 	if vf.Reqs != 0 {
@@ -134,8 +135,8 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 // strict round-robin across the function's queues.
 func TestIntraVFQueueFairness(t *testing.T) {
 	const queues, perQueue = 4, 4
-	ring := trace.NewRing(256)
-	r := newRigWith(t, mqParams(queues), Sinks{Events: ring})
+	events := trace.NewRing(256)
+	r := newRigWith(t, mqParams(queues), Sinks{Events: events})
 	r.eng.Go("host", func(p *sim.Proc) {
 		tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
 		r.setVF(p, 0, tr.Root(), 256)
@@ -159,7 +160,7 @@ func TestIntraVFQueueFairness(t *testing.T) {
 			r.mmioW(p, blk+QRegCplBase, uint64(cpl))
 			for i := 0; i < perQueue; i++ {
 				var desc [DescBytes]byte
-				EncodeDescriptor(desc[:], OpRead, uint32(q*perQueue+i+1), uint64(q*16+i), 1, buf)
+				ring.EncodeDescriptor(desc[:], OpRead, uint32(q*perQueue+i+1), uint64(q*16+i), 1, buf)
 				if err := r.mem.Write(rings[q]+int64(i)*DescBytes, desc[:]); err != nil {
 					t.Fatal(err)
 				}
@@ -178,7 +179,7 @@ func TestIntraVFQueueFairness(t *testing.T) {
 	})
 	r.run()
 	var order []int
-	for _, e := range ring.Events() {
+	for _, e := range events.Events() {
 		if e.Kind == trace.KindFetch && e.Fn == 1 {
 			order = append(order, int(e.LBA)/16)
 		}

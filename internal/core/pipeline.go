@@ -73,7 +73,6 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// Descriptor fetch failed: the doorbell's remaining requests
 			// are lost. The driver's completion timeout recovers them.
 			f.FetchDrops++
-			c.FetchDrops++
 			c.event(trace.KindDrop, f.idx, 0, uint64(prod))
 			break
 		}
@@ -123,7 +122,6 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// nothing was executed, the driver backs off and resubmits.
 			req.status = StatusBusy
 			f.AdmitRejects++
-			c.AdmitRejects++
 			c.anomaly(slo.EventAdmitReject, f.idx, req.ReqID, 0, "")
 			c.sendCompletion(p, req)
 		default:
@@ -267,7 +265,7 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 // the miss registers, interrupts the hypervisor through the PF, and parks
 // until RewalkTree releases it (paper Fig. 5).
 func (c *Controller) walkerLoop(p *sim.Proc) {
-	nodeImg := make([]byte, extent.NodeBytes(c.P.TreeFanout))
+	nodeImg := make([]byte, extent.NodeBytes(extent.DefaultFanout))
 	for {
 		ch := c.vlbaQ.Pop(p)
 		f := ch.req.fn
@@ -529,7 +527,6 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 				// An earlier attempt failed its guard check and this re-read
 				// came back clean: the flip was transient.
 				f.IntegrityRepairs++
-				c.IntegrityRepairs++
 			}
 			return StatusOK
 		}
@@ -539,18 +536,15 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 		}
 		sawIntegrity = sawIntegrity || integrity
 		c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
-		if attempt >= c.P.MediumRetryMax {
+		if attempt >= MediumRetryMax {
 			if integrity {
 				f.IntegrityErrors++
-				c.IntegrityErrors++
 				return StatusIntegrityError
 			}
 			f.MediumErrors++
-			c.MediumErrors++
 			return StatusMediumError
 		}
 		f.MediumRetries++
-		c.MediumRetries++
 		c.noteRetry(ch.req)
 		p.Sleep(c.P.MediumRetryDelay)
 	}
@@ -579,19 +573,16 @@ func (c *Controller) verifyChunk(p *sim.Proc, ch *chunk, buf []byte) uint32 {
 		e := c.Medium.WriteP(p, int64(ch.lba), buf)
 		if e == nil {
 			f.IntegrityRepairs++
-			c.IntegrityRepairs++
 			return StatusOK
 		}
 		if !blockdev.IsMediumError(e) {
 			return StatusOutOfRange
 		}
-		if attempt >= c.P.MediumRetryMax {
+		if attempt >= MediumRetryMax {
 			f.MediumErrors++
-			c.MediumErrors++
 			return StatusMediumError
 		}
 		f.MediumRetries++
-		c.MediumRetries++
 		c.noteRetry(ch.req)
 		p.Sleep(c.P.MediumRetryDelay)
 	}
@@ -628,7 +619,6 @@ func (c *Controller) completeChunk(p *sim.Proc, ch *chunk, status uint32) {
 	switch status {
 	case StatusDMAFault:
 		r.fn.DMAFaults++
-		c.DMAFaults++
 	case StatusAborted:
 		c.AbortedChunks++
 	}
@@ -662,7 +652,6 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		// the driver rewrites.
 		r.status = StatusIntegrityError
 		f.IntegrityErrors++
-		c.IntegrityErrors++
 	}
 	c.finish(r, p.Now())
 	if q == nil || q.cplBase == 0 || q.ringSize == 0 {
@@ -686,7 +675,6 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		// The completion entry never reached host memory: the guest will
 		// only learn of this request through its timeout path.
 		f.CplDrops++
-		c.CplDrops++
 		c.event(trace.KindDrop, f.idx, r.LBA, uint64(r.ID))
 		return
 	}

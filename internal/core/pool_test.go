@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nesc/internal/extent"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -98,7 +99,7 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 		// deprovision.
 		var desc [DescBytes]byte
 		d.nextID++
-		EncodeDescriptor(desc[:], OpWrite, d.nextID, 8, 1, buf)
+		ring.EncodeDescriptor(desc[:], OpWrite, d.nextID, 8, 1, buf)
 		if err := r.mem.Write(d.ringBase+int64(d.prod%testRing)*DescBytes, desc[:]); err != nil {
 			t.Fatal(err)
 		}

@@ -311,7 +311,6 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 	if q >= f.numQueues {
 		if qreg == QRegDoorbell {
 			f.BadDoorbells++
-			f.c.BadDoorbells++
 		}
 		return
 	}
@@ -328,7 +327,6 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 		case QRegDoorbell:
 			// A doorbell cannot conjure a queue: no ring is programmed.
 			f.BadDoorbells++
-			f.c.BadDoorbells++
 			return
 		default:
 			return
@@ -342,7 +340,6 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 			// Zero or non-power-of-two sizes would corrupt the free-running
 			// index arithmetic; reject and count.
 			f.BadRingSizes++
-			f.c.BadRingSizes++
 			return
 		}
 		fq.ringSize = uint32(val)
@@ -359,7 +356,6 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 			// descriptors than the ring holds: honoring it would silently
 			// wrap live descriptors.
 			f.BadDoorbells++
-			f.c.BadDoorbells++
 			return
 		}
 		fq.doorbells.TryPush(uint32(val))
@@ -473,21 +469,4 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 		// tier is in use, keeping pre-cas MMIO schedules identical.
 		f.fetchBacked = val == 1
 	}
-}
-
-// EncodeDescriptor writes a request descriptor in the device wire format
-// (re-exported from internal/ring; drivers and the device share one layout).
-func EncodeDescriptor(b []byte, op, id uint32, lba uint64, count uint32, buf int64) {
-	ring.EncodeDescriptor(b, op, id, lba, count, buf)
-}
-
-// EncodeCompletion writes a completion entry (used by the device; exported
-// for driver-side tests).
-func EncodeCompletion(b []byte, id, status, seq uint32) {
-	ring.EncodeCompletion(b, id, status, seq)
-}
-
-// DecodeCompletion parses a completion entry.
-func DecodeCompletion(b []byte) (id, status, seq uint32) {
-	return ring.DecodeCompletion(b)
 }

@@ -35,9 +35,6 @@ func NewDirtyLog(totalBlocks, regionBlocks uint64) *DirtyLog {
 	}
 }
 
-// RegionBlocks reports the region granularity in blocks.
-func (l *DirtyLog) RegionBlocks() uint64 { return l.regionBlocks }
-
 // Regions reports the total number of regions covering the disk.
 func (l *DirtyLog) Regions() int {
 	return int((l.totalBlocks + l.regionBlocks - 1) / l.regionBlocks)

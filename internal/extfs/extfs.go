@@ -98,11 +98,6 @@ type Params struct {
 	OpCost sim.Time
 }
 
-// DefaultParams returns a sensible configuration for a medium-sized volume.
-func DefaultParams() Params {
-	return Params{InodeCount: 1024, JournalBlocks: 256, Mode: JournalMetadata}
-}
-
 // superblock is the decoded block-0 content.
 type superblock struct {
 	blockSize        uint32
@@ -349,14 +344,8 @@ func Mount(ctx *sim.Proc, dev BlockDev, opCost sim.Time) (*FS, error) {
 	return fs, nil
 }
 
-// Mode reports the journaling mode.
-func (fs *FS) Mode() JournalMode { return fs.sb.mode }
-
 // BlockSize reports the filesystem block size.
 func (fs *FS) BlockSize() int { return fs.bs }
-
-// DataStart reports the first data block (diagnostics).
-func (fs *FS) DataStart() uint64 { return fs.sb.dataStart }
 
 // devWrite is the bottom write path (bypasses the journal).
 func (fs *FS) devWrite(ctx *sim.Proc, lba int64, img []byte) error {

@@ -333,9 +333,6 @@ type File struct {
 	writable bool
 }
 
-// Ino reports the file's inode number.
-func (f *File) Ino() uint32 { return f.ino }
-
 // Size reports the file size in bytes.
 func (f *File) Size() uint64 { return f.fs.inodes[f.ino].size }
 

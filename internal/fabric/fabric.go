@@ -88,9 +88,6 @@ type Config struct {
 	// window cannot trigger hedges on every read (default 20us when hedging
 	// is armed).
 	HedgeMinDelay sim.Time
-	// HedgeWindow sizes the client-wide read-latency window the adaptive
-	// deadline is computed from (default 128 samples).
-	HedgeWindow int
 	// SlowFactor arms per-leg fail-slow detection: a leg whose windowed p99
 	// read latency exceeds SlowFactor x its learned healthy baseline is
 	// quarantined out of read steering (writes continue, so no redundancy is
@@ -109,6 +106,10 @@ type Config struct {
 	// probing.
 	ProbeEvery int
 }
+
+// hedgeWindow sizes the client-wide read-latency window the adaptive hedge
+// deadline is computed from, in samples.
+const hedgeWindow = 128
 
 // DefaultConfig returns hysteresis and pacing defaults.
 func DefaultConfig() Config {
@@ -148,13 +149,6 @@ type Replica struct {
 	quarantined   bool
 	quarantineEnd sim.Time
 }
-
-// State reports the replica's health state.
-func (r *Replica) State() State { return r.state }
-
-// DirtyRegions reports how many regions the resilver still owes this
-// replica.
-func (r *Replica) DirtyRegions() int { return r.dirty.DirtyRegions() }
 
 // Counters is the one declaration of a mirror client's counters (all
 // monotonic): Client embeds it and increments the fields in place, and the
@@ -228,7 +222,6 @@ type Client struct {
 
 	// resilver machinery
 	resilverRunning bool
-	resilverStop    bool
 	resilverBuf     guest.Buffer
 	// busy region being copied right now: foreground writes overlapping it
 	// re-mark the region so the copy converges instead of losing the write.
@@ -298,13 +291,8 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 	if cfg.ResilverInterval <= 0 {
 		cfg.ResilverInterval = def.ResilverInterval
 	}
-	if cfg.HedgePercentile > 0 {
-		if cfg.HedgeMinDelay <= 0 {
-			cfg.HedgeMinDelay = 20 * sim.Microsecond
-		}
-		if cfg.HedgeWindow <= 0 {
-			cfg.HedgeWindow = 128
-		}
+	if cfg.HedgePercentile > 0 && cfg.HedgeMinDelay <= 0 {
+		cfg.HedgeMinDelay = 20 * sim.Microsecond
 	}
 	if cfg.SlowFactor > 0 && cfg.QuarantineDuration <= 0 {
 		cfg.QuarantineDuration = 2 * sim.Millisecond
@@ -317,7 +305,7 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 	}
 	c := &Client{Eng: eng, Mem: mem, Cfg: cfg, reps: reps, board: tel.Board, attrib: tel.Attrib, tenant: tenantVF}
 	if cfg.HedgePercentile > 0 {
-		c.readLat = stats.NewWindow(cfg.HedgeWindow)
+		c.readLat = stats.NewWindow(hedgeWindow)
 	}
 	for _, r := range reps {
 		r.dirty = extfs.NewDirtyLog(uint64(capacity), cfg.RegionBlocks)
@@ -329,12 +317,6 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 func NewReplica(dev int, drv guest.BlockDriver) *Replica {
 	return &Replica{Dev: dev, Drv: drv}
 }
-
-// Replicas exposes the mirror legs.
-func (c *Client) Replicas() []*Replica { return c.reps }
-
-// Name implements guest.BlockDriver.
-func (c *Client) Name() string { return fmt.Sprintf("fabric-mirror-x%d", len(c.reps)) }
 
 // BlockSize implements guest.BlockDriver.
 func (c *Client) BlockSize() int { return c.reps[0].Drv.BlockSize() }

@@ -103,10 +103,6 @@ func (c *Client) admitRead(r *Replica) bool {
 	return false
 }
 
-// Quarantined reports whether the replica is currently held out of read
-// steering by the fail-slow detector.
-func (r *Replica) Quarantined() bool { return r.quarantined }
-
 // pickProbe chooses the worst-EWMA eligible leg, or nil when fewer than two
 // legs are eligible (probing a sole leg teaches nothing).
 func (c *Client) pickProbe(lba, blocks uint64) *Replica {

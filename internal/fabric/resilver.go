@@ -26,12 +26,9 @@ func (c *Client) kickResilver() {
 	c.Eng.Go("fabric-resilver", c.resilverLoop)
 }
 
-// StopResilver terminates the resilver after its current region copy.
-func (c *Client) StopResilver() { c.resilverStop = true }
-
 func (c *Client) resilverLoop(p *sim.Proc) {
 	defer func() { c.resilverRunning = false }()
-	for !c.resilverStop {
+	for {
 		p.Sleep(c.Cfg.ResilverInterval)
 		target := c.nextRebuildTarget()
 		if target == nil {

@@ -421,15 +421,6 @@ func (in *Injector) ReviveDevice(dev int) {
 	delete(in.partitioned, dev)
 }
 
-// DeviceDead reports whether a device is currently kill-latched.
-func (in *Injector) DeviceDead(dev int) bool {
-	if in == nil {
-		return false
-	}
-	_, ok := in.killed[dev]
-	return ok
-}
-
 // Degrade arms a fail-slow profile at runtime — the chaos-experiment form of
 // a medium that starts running hot mid-experiment. Safe on a nil receiver
 // (no-op).
@@ -490,21 +481,6 @@ func (in *Injector) DegradeDelay(dev int, base, now sim.Time) sim.Time {
 		in.DegradedTime += extra
 	}
 	return extra
-}
-
-// Degraded reports whether any profile is currently active for dev at time
-// now. Safe on a nil receiver.
-func (in *Injector) Degraded(dev int, now sim.Time) bool {
-	if in == nil {
-		return false
-	}
-	for _, d := range in.degr {
-		if d.Device == dev && now >= d.Start &&
-			(d.Duration == 0 || now < d.Start+d.Duration) {
-			return true
-		}
-	}
-	return false
 }
 
 // Ops reports how many decisions site s has made.
@@ -571,34 +547,6 @@ func (in *Injector) CorruptCount() int {
 	return len(in.corrupt)
 }
 
-// LatentList returns the currently latent sector LBAs in ascending order
-// (for scrubbers that target known-bad sectors deterministically).
-func (in *Injector) LatentList() []int64 {
-	if in == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(in.latent))
-	for lba := range in.latent {
-		out = append(out, lba)
-	}
-	sortInt64s(out)
-	return out
-}
-
-// CorruptList returns the currently latched-corrupt sector LBAs in
-// ascending order.
-func (in *Injector) CorruptList() []int64 {
-	if in == nil {
-		return nil
-	}
-	out := make([]int64, 0, len(in.corrupt))
-	for lba := range in.corrupt {
-		out = append(out, lba)
-	}
-	sortInt64s(out)
-	return out
-}
-
 // CorruptionsInjected totals the silent corruptions the plan has inflicted:
 // latched-sector read hits plus transient read flips plus DMA flips.
 func (in *Injector) CorruptionsInjected() int64 {
@@ -620,15 +568,6 @@ func Flip(p []byte, salt uint64) {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	p[z%uint64(len(p))] ^= 1 << ((z >> 8) % 8)
-}
-
-func sortInt64s(a []int64) {
-	// Insertion sort: the latch sets are tiny and this avoids an import.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Summary renders the per-site counters as one deterministic line per site —

@@ -46,20 +46,21 @@ type EmulDriver struct {
 	port EmulPort
 	bs   int
 	cap  int64
-	maxB int
 	// SubmitTime is the driver CPU cost per request.
 	SubmitTime sim.Time
 	// Traps counts trapped accesses (diagnostics).
 	Traps int64
 }
 
+// emulMaxBlocksPerReq is the emulated disk's largest single command (128 KB).
+const emulMaxBlocksPerReq = 128
+
 // EmulDriverConfig configures construction.
 type EmulDriverConfig struct {
-	Port            EmulPort
-	CapacityBlocks  int64
-	BlockSize       int
-	MaxBlocksPerReq int
-	SubmitTime      sim.Time
+	Port           EmulPort
+	CapacityBlocks int64
+	BlockSize      int
+	SubmitTime     sim.Time
 }
 
 // NewEmulDriver builds the guest half of the emulated disk.
@@ -67,20 +68,13 @@ func NewEmulDriver(cfg EmulDriverConfig) *EmulDriver {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1024
 	}
-	if cfg.MaxBlocksPerReq == 0 {
-		cfg.MaxBlocksPerReq = 128
-	}
 	return &EmulDriver{
 		port:       cfg.Port,
 		bs:         cfg.BlockSize,
 		cap:        cfg.CapacityBlocks,
-		maxB:       cfg.MaxBlocksPerReq,
 		SubmitTime: cfg.SubmitTime,
 	}
 }
-
-// Name implements BlockDriver.
-func (d *EmulDriver) Name() string { return "emul" }
 
 // BlockSize implements BlockDriver.
 func (d *EmulDriver) BlockSize() int { return d.bs }
@@ -89,7 +83,7 @@ func (d *EmulDriver) BlockSize() int { return d.bs }
 func (d *EmulDriver) CapacityBlocks() int64 { return d.cap }
 
 // MaxBlocksPerReq implements BlockDriver.
-func (d *EmulDriver) MaxBlocksPerReq() int { return d.maxB }
+func (d *EmulDriver) MaxBlocksPerReq() int { return emulMaxBlocksPerReq }
 
 // Submit implements BlockDriver: program the command block (each register
 // write traps), fire the command, and poll status.

@@ -61,8 +61,6 @@ type Buffer struct {
 // BlockDriver is the interface the guest block layer drives. Submit blocks
 // the calling process until the request completes.
 type BlockDriver interface {
-	// Name identifies the driver ("nesc-vf", "virtio-blk", "emul").
-	Name() string
 	BlockSize() int
 	CapacityBlocks() int64
 	// MaxBlocksPerReq is the driver's request-size limit; the block layer

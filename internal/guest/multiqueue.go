@@ -89,15 +89,6 @@ func (mq *MultiQueue) ArmShadow(p *sim.Proc) error {
 	return nil
 }
 
-// DMARanges reports the ring memory of every queue, for IOMMU grants.
-func (mq *MultiQueue) DMARanges() [][2]int64 {
-	var rs [][2]int64
-	for _, qp := range mq.queues {
-		rs = append(rs, qp.DMARanges()...)
-	}
-	return rs
-}
-
 // DeviceSize reads the function's device-size register.
 func (mq *MultiQueue) DeviceSize(p *sim.Proc) (uint64, error) {
 	return mq.queues[0].DeviceSize(p)

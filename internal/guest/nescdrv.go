@@ -19,11 +19,10 @@ import (
 // copies data through them around each DMA; with a real SR-IOV device the
 // driver DMAs guest buffers directly. Both modes are supported.
 type NescDriver struct {
-	mq   *MultiQueue
-	mem  *hostmem.Memory
-	bs   int
-	cap  int64
-	maxB int
+	mq  *MultiQueue
+	mem *hostmem.Memory
+	bs  int
+	cap int64
 
 	// Trampoline mode: a pool of bounce slots so concurrent scatter-gather
 	// chunks don't serialize on one buffer.
@@ -36,6 +35,10 @@ type NescDriver struct {
 	TrampolineCopies int64
 }
 
+// nescMaxBlocksPerReq is the driver's scatter-gather chunk size (4 KB in the
+// paper: "Large requests are broken down by the driver").
+const nescMaxBlocksPerReq = 4
+
 // NescDriverConfig configures driver construction.
 type NescDriverConfig struct {
 	Fab     *pcie.Fabric
@@ -44,9 +47,6 @@ type NescDriverConfig struct {
 	// Ring is the settings value of the driver's ring client; the hypervisor
 	// tells the guest how many queues its VF exposes.
 	Ring RingConfig
-	// MaxBlocksPerReq is the driver's scatter-gather chunk size (4 KB in
-	// the paper: "Large requests are broken down by the driver").
-	MaxBlocksPerReq int
 	// UseTrampoline selects the prototype's bounce-buffer mode.
 	UseTrampoline bool
 	// MemcpyBandwidth prices trampoline copies.
@@ -57,9 +57,6 @@ type NescDriverConfig struct {
 
 // NewNescDriver programs the VF rings and reads the device geometry.
 func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDriver, error) {
-	if cfg.MaxBlocksPerReq == 0 {
-		cfg.MaxBlocksPerReq = 4
-	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1024
 	}
@@ -76,13 +73,12 @@ func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDri
 		mem:           cfg.Mem,
 		bs:            cfg.BlockSize,
 		cap:           int64(size),
-		maxB:          cfg.MaxBlocksPerReq,
 		useTrampoline: cfg.UseTrampoline,
 		memcpyBW:      cfg.MemcpyBandwidth,
 	}
 	if d.useTrampoline {
 		const slots = 32
-		n := int64(cfg.MaxBlocksPerReq * cfg.BlockSize)
+		n := int64(nescMaxBlocksPerReq * cfg.BlockSize)
 		for i := 0; i < slots; i++ {
 			addr := cfg.Mem.MustAlloc(n, 64)
 			data, err := cfg.Mem.Slice(addr, n)
@@ -103,9 +99,6 @@ func (d *NescDriver) QueuePair() *QueuePair { return d.mq.Queue(0) }
 // MQ exposes the multi-queue mux (for interrupt routing and IOMMU grants).
 func (d *NescDriver) MQ() *MultiQueue { return d.mq }
 
-// Name implements BlockDriver.
-func (d *NescDriver) Name() string { return "nesc-vf" }
-
 // BlockSize implements BlockDriver.
 func (d *NescDriver) BlockSize() int { return d.bs }
 
@@ -113,7 +106,7 @@ func (d *NescDriver) BlockSize() int { return d.bs }
 func (d *NescDriver) CapacityBlocks() int64 { return d.cap }
 
 // MaxBlocksPerReq implements BlockDriver.
-func (d *NescDriver) MaxBlocksPerReq() int { return d.maxB }
+func (d *NescDriver) MaxBlocksPerReq() int { return nescMaxBlocksPerReq }
 
 // Submit implements BlockDriver.
 func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) error {
@@ -137,8 +130,8 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 	// before/after initiating a DMA operation"). A request larger than a
 	// bounce slot cannot be serviced — callers must split at
 	// MaxBlocksPerReq like the guest block layer does.
-	if int(count) > d.maxB {
-		return fmt.Errorf("nesc driver: %d-block request exceeds %d-block trampoline slot", count, d.maxB)
+	if int(count) > nescMaxBlocksPerReq {
+		return fmt.Errorf("nesc driver: %d-block request exceeds %d-block trampoline slot", count, nescMaxBlocksPerReq)
 	}
 	d.trampoSem.Acquire(p)
 	slot := d.trampoSlots[len(d.trampoSlots)-1]

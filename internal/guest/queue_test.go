@@ -52,7 +52,7 @@ func (d *fakeFn) complete(id uint32) { d.completeWith(id, core.StatusOK) }
 func (d *fakeFn) completeWith(id, status uint32) {
 	d.cplSeq++
 	entry := make([]byte, core.CplBytes)
-	core.EncodeCompletion(entry, id, status, d.cplSeq)
+	ring.EncodeCompletion(entry, id, status, d.cplSeq)
 	slot := int64((d.cplSeq - 1) % d.ringSize)
 	if err := d.mem.Write(d.cplBase+slot*core.CplBytes, entry); err != nil {
 		panic(err)

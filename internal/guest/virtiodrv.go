@@ -26,7 +26,6 @@ type VirtioDriver struct {
 	transport VirtioTransport
 	bs        int
 	cap       int64
-	maxB      int
 
 	// Per-request header/status slots, one per potential chain.
 	hdrBase hostmem.Addr
@@ -47,6 +46,10 @@ type vioWaiter struct {
 
 const vioSlotBytes = virtio.BlkHeaderBytes + 1 // header + status byte
 
+// virtioMaxBlocksPerReq is the largest single request (128 KB for virtio-blk
+// with default seg limits).
+const virtioMaxBlocksPerReq = 128
+
 // VirtioDriverConfig configures driver construction.
 type VirtioDriverConfig struct {
 	Mem       *hostmem.Memory
@@ -59,22 +62,13 @@ type VirtioDriverConfig struct {
 	// advertises.
 	CapacityBlocks int64
 	BlockSize      int
-	// MaxBlocksPerReq is the largest single request (128 KB for virtio-blk
-	// with default seg limits).
-	MaxBlocksPerReq int
-	SubmitTime      sim.Time
+	SubmitTime     sim.Time
 }
 
 // NewVirtioDriver builds the guest half of a virtio-blk device.
 func NewVirtioDriver(eng *sim.Engine, cfg VirtioDriverConfig) (*VirtioDriver, error) {
-	if cfg.QueueSize == 0 {
-		cfg.QueueSize = 128
-	}
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1024
-	}
-	if cfg.MaxBlocksPerReq == 0 {
-		cfg.MaxBlocksPerReq = 128
 	}
 	d := &VirtioDriver{
 		eng:        eng,
@@ -83,7 +77,6 @@ func NewVirtioDriver(eng *sim.Engine, cfg VirtioDriverConfig) (*VirtioDriver, er
 		transport:  cfg.Transport,
 		bs:         cfg.BlockSize,
 		cap:        cfg.CapacityBlocks,
-		maxB:       cfg.MaxBlocksPerReq,
 		waiters:    make(map[uint16]*vioWaiter),
 		SubmitTime: cfg.SubmitTime,
 	}
@@ -107,9 +100,6 @@ func NewVirtioDriver(eng *sim.Engine, cfg VirtioDriverConfig) (*VirtioDriver, er
 // Virtqueue exposes the shared ring to the host backend.
 func (d *VirtioDriver) Virtqueue() *virtio.Virtqueue { return d.vq }
 
-// Name implements BlockDriver.
-func (d *VirtioDriver) Name() string { return "virtio-blk" }
-
 // BlockSize implements BlockDriver.
 func (d *VirtioDriver) BlockSize() int { return d.bs }
 
@@ -117,7 +107,7 @@ func (d *VirtioDriver) BlockSize() int { return d.bs }
 func (d *VirtioDriver) CapacityBlocks() int64 { return d.cap }
 
 // MaxBlocksPerReq implements BlockDriver.
-func (d *VirtioDriver) MaxBlocksPerReq() int { return d.maxB }
+func (d *VirtioDriver) MaxBlocksPerReq() int { return virtioMaxBlocksPerReq }
 
 // Submit implements BlockDriver.
 func (d *VirtioDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) error {

@@ -25,6 +25,8 @@ func TestFailedAttachLeaksNothing(t *testing.T) {
 		{name: "image missing on the second mirror device", images: [2]uint64{64, 0}, cfg: direct, devices: []int{0, 1}},
 		{name: "second mirror device outside the fleet", images: [2]uint64{64, 64}, cfg: direct, devices: []int{0, 2}},
 		{name: "mirror replicas differ in size", images: [2]uint64{64, 32}, cfg: direct, devices: []int{0, 1}},
+		// Two legs on one device would share one tree: K = 2 over one copy.
+		{name: "mirror lists a device twice", images: [2]uint64{64, 64}, cfg: direct, devices: []int{0, 0}},
 	}
 	for _, tc := range cases {
 		w := newWorld(t, 8192, nil)

@@ -35,12 +35,11 @@ func (t *rawPFTarget) BlockSize() int    { return t.d.Ctl.P.BlockSize }
 
 func (t *rawPFTarget) op(p *sim.Proc, opCode uint32, lba int64, addr hostmem.Addr, nBlocks int) error {
 	h := t.d.h
-	maxB := h.P.PFMaxBlocksPerReq
 	bs := int64(t.BlockSize())
 	for done := 0; done < nBlocks; {
 		n := nBlocks - done
-		if n > maxB {
-			n = maxB
+		if n > pfMaxBlocksPerReq {
+			n = pfMaxBlocksPerReq
 		}
 		p.Sleep(h.P.HostStackTime)
 		st, err := t.d.pfQP.Submit(p, opCode, uint64(lba+int64(done)), uint32(n), addr+int64(done)*bs)

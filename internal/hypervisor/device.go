@@ -117,7 +117,7 @@ func (d *Device) boot(p *sim.Proc, format bool, fsParams extfs.Params) error {
 	// with it the miss handler) forever. One queue, its own ring depth, and no
 	// deadline budget.
 	cfg := d.ringConfig()
-	cfg.Entries, cfg.Queues, cfg.Deadline = h.P.PFRingEntries, 1, 0
+	cfg.Entries, cfg.Queues, cfg.Deadline = pfRingEntries, 1, 0
 	mq, err := guest.NewMultiQueue(p, h.Eng, h.Mem, h.Fab, d.Ctl.BARBase()+d.Ctl.FunctionPageOffset(0), cfg)
 	if err != nil {
 		return err

@@ -53,8 +53,8 @@ type Params struct {
 	// UseIOMMU enables DMA remapping (a real SR-IOV platform); off, the
 	// paper's prototype mode, guests bounce through trampoline buffers.
 	UseIOMMU bool
-	// PFMaxBlocksPerReq bounds one PF ring request.
-	PFMaxBlocksPerReq int
+	// Guest is the guest kernel cost model of every VM the hypervisor starts.
+	Guest guest.Params
 	// Ring is the settings value of every ring client the hypervisor sets up
 	// — the PF driver and each direct-assigned VF driver alike. Five of its
 	// fields are platform policy and read here: SubmitTime (which also prices
@@ -63,12 +63,17 @@ type Params struct {
 	// and PIBlock, which here is on/off only — non-zero runs each client's
 	// protection information at its device's block size, 0 is the
 	// integrity-ablation knob. Entries, Queues, Policy and Attrib/AttribVF are
-	// per client and ignored here: PFRingEntries and a VM's VMConfig set the
+	// per client and ignored here: pfRingEntries and a VM's VMConfig set the
 	// ring shape, the hypervisor the attribution row (Device.ringConfig).
 	Ring guest.RingConfig
-	// PFRingEntries sizes the PF rings.
-	PFRingEntries int
 }
+
+const (
+	// pfRingEntries sizes the PF rings.
+	pfRingEntries = 256
+	// pfMaxBlocksPerReq bounds one PF ring request.
+	pfMaxBlocksPerReq = 1024
+)
 
 // DefaultParams returns costs representative of the paper's QEMU/KVM
 // platform (Table I).
@@ -85,8 +90,7 @@ func DefaultParams() Params {
 		EmulCmdProcessTime: 45 * sim.Microsecond,
 		MissHandlerTime:    6 * sim.Microsecond,
 		MemcpyBandwidth:    8e9,
-		PFMaxBlocksPerReq:  1024,
-		PFRingEntries:      256,
+		Guest:              guest.DefaultParams(),
 		Ring: guest.RingConfig{
 			SubmitTime: 600 * sim.Nanosecond,
 			PIBlock:    core.DefaultParams().BlockSize, // on
@@ -357,12 +361,11 @@ func (pd *PFDisk) ensure(n int) guest.Buffer {
 func (pd *PFDisk) submit(ctx *sim.Proc, op uint32, lba int64, buf guest.Buffer) error {
 	h := pd.d.h
 	bs := pd.BlockSize()
-	maxB := h.P.PFMaxBlocksPerReq
 	blocks := len(buf.Data) / bs
 	for done := 0; done < blocks; {
 		n := blocks - done
-		if n > maxB {
-			n = maxB
+		if n > pfMaxBlocksPerReq {
+			n = pfMaxBlocksPerReq
 		}
 		// The host block layer retries transiently failed requests (a
 		// rejected DMA transfer, a reset abort) a bounded number of times,

@@ -58,7 +58,6 @@ func (w *world) addDevice(t *testing.T, cp core.Params, mediumBlocks int64) *Dev
 	t.Helper()
 	cp.DeviceID = w.h.NumDevices()
 	medium := blockdev.NewMedium(w.eng, blockdev.NewStore(cp.BlockSize, mediumBlocks), blockdev.DefaultMediumParams())
-	medium.SetDeviceIndex(cp.DeviceID)
 	ctl, err := core.New(w.eng, w.fab, medium, cp, core.Sinks{})
 	if err != nil {
 		t.Fatal(err)

@@ -20,8 +20,9 @@ import (
 // synchronously mirrored across one VF per listed fleet device. The disk
 // image at cfg.DiskPath must already exist on every listed device's host
 // filesystem with identical size. The guest sees a single block device; K-1
-// device losses are survivable. When a leg cannot be attached the legs
-// already attached are detached again.
+// device losses are survivable, which is why a device may be listed only
+// once. When a leg cannot be attached the legs already attached are detached
+// again.
 func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devices []int, fcfg fabric.Config) (*VM, error) {
 	if cfg.Backend != BackendDirect {
 		return nil, fmt.Errorf("hypervisor: mirrored VMs require BackendDirect")
@@ -31,6 +32,15 @@ func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devic
 	}
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("hypervisor: mirrored VM needs at least one device")
+	}
+	for i, di := range devices {
+		for _, dj := range devices[:i] {
+			if di == dj {
+				// A second leg on the same device would share the first leg's
+				// tree: K legs reported over one physical copy.
+				return nil, fmt.Errorf("hypervisor: device %d listed twice: every mirror leg needs its own device", di)
+			}
+		}
 	}
 	vm := h.newVM(name, cfg)
 	fail := func(err error) (*VM, error) {
@@ -58,7 +68,7 @@ func (h *Hypervisor) NewMirroredVM(p *sim.Proc, name string, cfg VMConfig, devic
 		return fail(err)
 	}
 	vm.Client = client
-	vm.Kernel = guest.NewKernel(h.Eng, h.Mem, vm.cfg.Guest, client)
+	vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, client)
 	return vm, nil
 }
 

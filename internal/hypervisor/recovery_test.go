@@ -122,8 +122,8 @@ func TestStatusMediumErrorEndToEnd(t *testing.T) {
 		if err != nil || st != core.StatusMediumError {
 			t.Errorf("unreadable block: status %d err %v, want StatusMediumError", st, err)
 		}
-		if w.ctl.MediumRetries != int64(w.ctl.P.MediumRetryMax) {
-			t.Errorf("MediumRetries = %d, want %d", w.ctl.MediumRetries, w.ctl.P.MediumRetryMax)
+		if w.ctl.Counters().MediumRetries != int64(core.MediumRetryMax) {
+			t.Errorf("MediumRetries = %d, want %d", w.ctl.Counters().MediumRetries, core.MediumRetryMax)
 		}
 	})
 }
@@ -200,7 +200,7 @@ func TestDriverTimeoutBudgetSurfacesErrTimeout(t *testing.T) {
 		if qp.Resubmits != 1 {
 			t.Errorf("Resubmits = %d, want 1", qp.Resubmits)
 		}
-		if w.ctl.FetchDrops == 0 {
+		if w.ctl.Counters().FetchDrops == 0 {
 			t.Error("dropped fetches not counted")
 		}
 	})

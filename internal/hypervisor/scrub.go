@@ -30,15 +30,15 @@ type ScrubConfig struct {
 	BlocksPerReq int
 }
 
-func (c *ScrubConfig) defaults(h *Hypervisor) {
+func (c *ScrubConfig) defaults() {
 	if c.Interval <= 0 {
 		c.Interval = 200 * sim.Microsecond
 	}
 	if c.BlocksPerReq <= 0 {
 		c.BlocksPerReq = 64
 	}
-	if c.BlocksPerReq > h.P.PFMaxBlocksPerReq {
-		c.BlocksPerReq = h.P.PFMaxBlocksPerReq
+	if c.BlocksPerReq > pfMaxBlocksPerReq {
+		c.BlocksPerReq = pfMaxBlocksPerReq
 	}
 }
 
@@ -58,7 +58,7 @@ func (h *Hypervisor) StartScrubber(cfg ScrubConfig) {
 	if h.scrubOn {
 		return
 	}
-	cfg.defaults(h)
+	cfg.defaults()
 	h.scrubOn = true
 	h.scrubStop = false
 	h.Eng.Go("nesc-scrubber", func(p *sim.Proc) {
@@ -85,7 +85,7 @@ func (h *Hypervisor) ScrubberRunning() bool { return h.scrubOn }
 // any guard failures it finds (nescctl -scrub, crash harness).
 func (h *Hypervisor) ScrubPass(p *sim.Proc) ScrubReport {
 	cfg := ScrubConfig{Interval: 1} // near-continuous: the caller is waiting
-	cfg.defaults(h)
+	cfg.defaults()
 	return h.scrubPass(p, cfg, false)
 }
 
@@ -94,7 +94,7 @@ func (h *Hypervisor) ScrubPass(p *sim.Proc) ScrubReport {
 func (h *Hypervisor) scrubPass(p *sim.Proc, cfg ScrubConfig, interruptible bool) ScrubReport {
 	var rep ScrubReport
 	for _, d := range h.devs {
-		repairs0 := d.Ctl.IntegrityRepairs
+		repairs0 := d.Ctl.Counters().IntegrityRepairs
 		total := d.Ctl.Medium.Store().NumBlocks()
 		for lba := int64(0); lba < total; lba += int64(cfg.BlocksPerReq) {
 			if interruptible && h.scrubStop {
@@ -112,7 +112,7 @@ func (h *Hypervisor) scrubPass(p *sim.Proc, cfg ScrubConfig, interruptible bool)
 				rep.Errors++
 			}
 		}
-		rep.Repairs += d.Ctl.IntegrityRepairs - repairs0
+		rep.Repairs += d.Ctl.Counters().IntegrityRepairs - repairs0
 	}
 	return rep
 }

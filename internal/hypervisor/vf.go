@@ -43,7 +43,7 @@ func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 	}
 	sh, ok := d.trees[path]
 	if !ok {
-		tree, err := extent.Build(d.h.Mem, runs, d.Ctl.P.TreeFanout)
+		tree, err := extent.Build(d.h.Mem, runs, extent.DefaultFanout)
 		if err != nil {
 			return 0, err
 		}
@@ -73,7 +73,7 @@ func (d *Device) CreateRawVF(p *sim.Proc) (int, error) {
 		return 0, err
 	}
 	blocks := uint64(d.Ctl.Medium.Store().NumBlocks())
-	tree, err := extent.Build(d.h.Mem, []extent.Run{{Logical: 0, Physical: 0, Count: blocks}}, d.Ctl.P.TreeFanout)
+	tree, err := extent.Build(d.h.Mem, []extent.Run{{Logical: 0, Physical: 0, Count: blocks}}, extent.DefaultFanout)
 	if err != nil {
 		return 0, err
 	}
@@ -160,14 +160,6 @@ func (d *Device) VFTree(idx int) *extent.Tree { return d.vf(idx).shared.tree }
 func (d *Device) VFInUse(idx int) bool {
 	st := d.vfAt(idx)
 	return st != nil && st.inUse
-}
-
-// VFPath reports the host path exported through VF idx ("" for raw VFs).
-func (d *Device) VFPath(idx int) string {
-	if st := d.vfAt(idx); st != nil {
-		return st.path
-	}
-	return ""
 }
 
 // SharesTreeWith reports whether two VFs share one extent tree.
@@ -292,14 +284,21 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 }
 
 // serviceMiss handles one VF's latched miss end to end and always releases
-// the stalled walk with exactly one rewalk verdict. Three reasons reach
-// here: MissReasonTranslate (a hole — extend the file, the lazy-allocation
-// path), MissReasonCoW (a write hit a write-protected extent — break the
-// snapshot sharing for the faulting blocks), and MissReasonFetch (a hole on
-// a fetch-backed VF — materialize the blocks' content from the cas tier).
-// All end with a tree rebuild and a retry, so the device re-walks and finds
-// a writable mapping.
+// the stalled walk with exactly one rewalk verdict: whatever resolveMiss
+// returned, written here and nowhere else.
 func (d *Device) serviceMiss(p *sim.Proc, idx int) {
+	verdict := d.resolveMiss(p, idx)
+	d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtRewalk, verdict)
+}
+
+// resolveMiss does the work behind one latched miss and returns the rewalk
+// verdict. Three reasons reach here: MissReasonTranslate (a hole — extend the
+// file, the lazy-allocation path), MissReasonCoW (a write hit a
+// write-protected extent — break the snapshot sharing for the faulting
+// blocks), and MissReasonFetch (a hole on a fetch-backed VF — materialize the
+// blocks' content from the cas tier). All end with a tree rebuild and a
+// retry, so the device re-walks and finds a writable mapping.
+func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	h := d.h
 	h.MissInterrupts++
 	mgmt := d.mgmtAddr(idx)
@@ -313,18 +312,17 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 		// Injected allocation failure: the hypervisor cannot extend the
 		// backing file, so the stalled walk is released with a failure.
 		h.MissFaults++
-		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-		return
+		return core.RewalkFail
 	}
 	st := d.vf(idx)
 	if !st.inUse || st.identity {
 		// No backing file to extend: fail the write.
-		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-		return
+		return core.RewalkFail
 	}
 	cow := reason == core.MissReasonCoW
 	fetch := reason == core.MissReasonFetch
 	start := p.Now()
+	var err error
 	switch {
 	case fetch:
 		// A hole on a fetch-backed VF: the blocks' content lives in the cas
@@ -336,26 +334,19 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 			op = "write"
 		}
 		h.CASFetchMisses++
-		if err := d.materializeRange(p, idx, st, missAddr, missSize, op); err != nil {
-			h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-			return
-		}
+		err = d.materializeRange(p, idx, st, missAddr, missSize, op)
 	case cow:
-		if err := d.HostFS.BreakRange(p, st.path, missAddr, missSize); err != nil {
-			h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-			return
-		}
+		err = d.HostFS.BreakRange(p, st.path, missAddr, missSize)
 	default:
-		if err := d.HostFS.AllocateRange(p, st.path, missAddr, missSize); err != nil {
-			h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-			return
-		}
+		err = d.HostFS.AllocateRange(p, st.path, missAddr, missSize)
+	}
+	if err != nil {
+		return core.RewalkFail
 	}
 	// Every sharer of the tree must see the new root before the walk
 	// resumes.
 	if err := d.remap(p, st); err != nil {
-		h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkFail)
-		return
+		return core.RewalkFail
 	}
 	if cow {
 		// The faulting blocks moved to a private copy: any BTLB entry still
@@ -372,7 +363,7 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 		// the device cached for it before releasing the walk.
 		d.invalidateVFRange(p, idx, missAddr, missSize)
 	}
-	h.mmioW(p, mgmt+core.MgmtRewalk, core.RewalkRetry)
+	return core.RewalkRetry
 }
 
 // ResetVF performs a function-level reset of a VF and re-arms its ring
@@ -408,18 +399,6 @@ func (d *Device) ResetVF(p *sim.Proc, idx int) error {
 		return mq.Recover(p)
 	}
 	return nil
-}
-
-// RegenerateVFTree rebuilds a VF's tree from the filesystem (used after
-// out-of-band pruning in tests/ablations when no device walk is pending).
-func (d *Device) RegenerateVFTree(p *sim.Proc, idx int) error {
-	st := d.vfAt(idx)
-	if st == nil || !st.inUse {
-		return fmt.Errorf("hypervisor: VF %d not in use", idx)
-	}
-	d.lockVF(p, idx)
-	defer d.unlockVF(idx)
-	return d.remap(p, st)
 }
 
 // MigrateVFFile relocates the physical blocks behind a VF's backing file —

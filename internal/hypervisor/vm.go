@@ -35,6 +35,10 @@ func (k BackendKind) String() string {
 	}
 }
 
+// virtioQueueSize is the virtqueue depth of every virtio-blk guest (QEMU's
+// default).
+const virtioQueueSize = 128
+
 // VMConfig describes one guest and its virtual disk.
 type VMConfig struct {
 	Backend BackendKind
@@ -47,22 +51,12 @@ type VMConfig struct {
 	RawDevice bool
 	// UID is the tenant identity the hypervisor enforces on DiskPath.
 	UID uint32
-	// Guest overrides the guest kernel cost model (zero value = defaults).
-	Guest guest.Params
-	// VFRingEntries / VirtioQueueSize size the respective rings (0 =
-	// defaults).
-	VFRingEntries   int
-	VirtioQueueSize int
-	// ForceTrampoline keeps trampoline copies even with an IOMMU (for the
-	// prototype-overhead ablation).
-	ForceTrampoline bool
+	// VFRingEntries sizes each of the VF's rings (0 = the driver's default).
+	// Only meaningful for BackendDirect.
+	VFRingEntries int
 	// IOWeight is the VF's QoS weight (0 = device default of 1). Only
 	// meaningful for BackendDirect.
 	IOWeight int
-	// VFQueues is the number of queue pairs the guest driver runs (0 =
-	// every queue the device exposes, core.Params.QueuesPerVF). Only
-	// meaningful for BackendDirect.
-	VFQueues int
 	// VFQueuePolicy steers submissions across the VF's queues (default
 	// guest.PolicyHash). Only meaningful for BackendDirect.
 	VFQueuePolicy guest.Policy
@@ -119,9 +113,6 @@ func (vm *VM) DirectLeg() (leg Leg, ok bool) {
 
 // newVM fills in what every kind of guest starts from.
 func (h *Hypervisor) newVM(name string, cfg VMConfig) *VM {
-	if cfg.Guest == (guest.Params{}) {
-		cfg.Guest = guest.DefaultParams()
-	}
 	return &VM{Name: name, H: h, Kind: cfg.Backend, DiskPath: cfg.DiskPath, UID: cfg.UID, cfg: cfg}
 }
 
@@ -130,7 +121,6 @@ func (h *Hypervisor) newVM(name string, cfg VMConfig) *VM {
 // the guest-side driver probe.
 func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) {
 	vm := h.newVM(name, cfg)
-	cfg = vm.cfg
 	// The software backends run against device 0's PF and host filesystem.
 	d0 := h.devs[0]
 	switch cfg.Backend {
@@ -144,18 +134,14 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			return nil, err
 		}
 		vm.Legs = []Leg{leg}
-		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, leg.Drv)
+		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, leg.Drv)
 
 	case BackendVirtio:
 		target, err := d0.targetFor(p, cfg)
 		if err != nil {
 			return nil, err
 		}
-		qsz := cfg.VirtioQueueSize
-		if qsz == 0 {
-			qsz = 128
-		}
-		queueBase, err := h.Mem.Alloc(virtio.RingBytes(qsz), 16)
+		queueBase, err := h.Mem.Alloc(virtio.RingBytes(virtioQueueSize), 16)
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +150,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			Mem:            h.Mem,
 			Transport:      bk,
 			QueueBase:      queueBase,
-			QueueSize:      qsz,
+			QueueSize:      virtioQueueSize,
 			CapacityBlocks: target.SizeBlocks(),
 			BlockSize:      target.BlockSize(),
 			SubmitTime:     h.P.Ring.SubmitTime,
@@ -177,7 +163,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		h.Eng.Go("virtio-backend-"+name, bk.loop)
 		vm.VioDrv = drv
 		vm.VioBk = bk
-		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, drv)
+		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, drv)
 
 	case BackendEmulation:
 		target, err := d0.targetFor(p, cfg)
@@ -193,7 +179,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		})
 		vm.EmulDrv = drv
 		vm.EmulBk = bk
-		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, cfg.Guest, drv)
+		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, drv)
 
 	default:
 		return nil, fmt.Errorf("hypervisor: unknown backend %v", cfg.Backend)
@@ -241,18 +227,15 @@ func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 	// attribution row: function index (0 = PF, VF idx + 1) is the row key the
 	// device pipeline attributes the same tenant's requests to.
 	ring := dev.ringConfig()
-	ring.Entries, ring.Queues, ring.Policy = cfg.VFRingEntries, cfg.VFQueues, cfg.VFQueuePolicy
-	if ring.Queues == 0 {
-		ring.Queues = dev.Ctl.P.QueuesPerVF
-	}
+	ring.Entries, ring.Queues, ring.Policy = cfg.VFRingEntries, dev.Ctl.P.QueuesPerVF, cfg.VFQueuePolicy
 	ring.Attrib, ring.AttribVF = h.tel.Attrib, idx+1
 	leg.Drv, err = guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
 		Fab:             h.Fab,
 		Mem:             h.Mem,
 		PageBus:         dev.VFPageBus(idx),
 		Ring:            ring,
-		UseTrampoline:   !h.P.UseIOMMU || cfg.ForceTrampoline,
-		MemcpyBandwidth: cfg.Guest.MemcpyBandwidth,
+		UseTrampoline:   !h.P.UseIOMMU,
+		MemcpyBandwidth: h.P.Guest.MemcpyBandwidth,
 		BlockSize:       dev.Ctl.P.BlockSize,
 	})
 	if err != nil {

@@ -177,14 +177,6 @@ func (f *Fabric) RegisterFunction(name string) FnID {
 	return id
 }
 
-// FunctionName reports the registered name for a routing ID.
-func (f *Fabric) FunctionName(id FnID) string {
-	if int(id) >= len(f.fns) {
-		return fmt.Sprintf("fn%d(unregistered)", id)
-	}
-	return f.fns[id].name
-}
-
 // MapBAR assigns a BAR window of the given size to dev and returns its bus
 // base address.
 func (f *Fabric) MapBAR(dev Device, size int64) int64 {
@@ -340,10 +332,6 @@ func (f *Fabric) AllocMSIVectors(id FnID, n int) {
 	f.msiVectors[id] = n
 }
 
-// MSIVectors reports how many MSI vectors id allocated (0 if it never
-// called AllocMSIVectors, in which case delivery is unconstrained).
-func (f *Fabric) MSIVectors(id FnID) int { return f.msiVectors[id] }
-
 // after invokes fn now or after an injected extra delay.
 func (f *Fabric) after(delay sim.Time, fn func()) {
 	if delay > 0 {
@@ -377,12 +365,6 @@ func (f *Fabric) RaiseMSI(from FnID, vector uint8) {
 	})
 }
 
-// HostLink exposes the device-to-host link for utilization reporting.
-func (f *Fabric) HostLink() *sim.Link { return f.toHost }
-
-// DevLink exposes the host-to-device link for utilization reporting.
-func (f *Fabric) DevLink() *sim.Link { return f.toDev }
-
 // span is a granted DMA window.
 type span struct{ base, size int64 }
 
@@ -397,9 +379,6 @@ type IOMMU struct {
 
 // Enable turns enforcement on.
 func (i *IOMMU) Enable() { i.enabled = true }
-
-// Enabled reports whether enforcement is on.
-func (i *IOMMU) Enabled() bool { return i.enabled }
 
 // Grant allows function fn to DMA within [base, base+size).
 func (i *IOMMU) Grant(fn FnID, base hostmem.Addr, size int64) {

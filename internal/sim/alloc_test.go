@@ -27,7 +27,6 @@ func TestKernelHotPathAllocations(t *testing.T) {
 	inline := func(done func()) { done() }
 	wg := NewWaitGroup(e)
 	link := NewLink(e, 1e9, Microsecond, 0)
-	srv := NewServer(e, 1)
 	cases := []struct {
 		name string
 		max  float64
@@ -51,7 +50,6 @@ func TestKernelHotPathAllocations(t *testing.T) {
 			wg.WaitFor(p)
 		})},
 		{"Link.TransferP", 1, inProc(func(p *Proc) { link.TransferP(p, 4096) })},
-		{"Server.VisitP", 2, inProc(func(p *Proc) { srv.VisitP(p, Microsecond) })},
 	}
 	for _, tc := range cases {
 		if tc.got > tc.max {

@@ -341,50 +341,6 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 	}
 }
 
-func TestServerFCFSAndParallelism(t *testing.T) {
-	e := NewEngine()
-	s := NewServer(e, 2)
-	var done []Time
-	for i := 0; i < 4; i++ {
-		s.Visit(10*Microsecond, func() { done = append(done, e.Now()) })
-	}
-	e.Run()
-	if len(done) != 4 {
-		t.Fatalf("completions = %d", len(done))
-	}
-	// Two run immediately (finish at 10us), two queue (finish at 20us).
-	if done[0] != 10*Microsecond || done[1] != 10*Microsecond {
-		t.Fatalf("first pair done at %v,%v, want 10us", done[0], done[1])
-	}
-	if done[2] != 20*Microsecond || done[3] != 20*Microsecond {
-		t.Fatalf("second pair done at %v,%v, want 20us", done[2], done[3])
-	}
-	if s.Jobs != 4 {
-		t.Fatalf("jobs = %d", s.Jobs)
-	}
-}
-
-// Property: a single-slot server completes jobs in submission order and its
-// makespan equals the sum of service times, regardless of service pattern.
-func TestServerConservationProperty(t *testing.T) {
-	f := func(servicesRaw []uint8) bool {
-		e := NewEngine()
-		s := NewServer(e, 1)
-		var total Time
-		completed := 0
-		for _, sr := range servicesRaw {
-			d := Time(sr) * Microsecond
-			total += d
-			s.Visit(d, func() { completed++ })
-		}
-		e.Run()
-		return completed == len(servicesRaw) && e.Now() == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShutdownKillsParkedProcs(t *testing.T) {
 	e := NewEngine()
 	q := NewFIFO[int](e, 0)

@@ -37,9 +37,6 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Name returns the debug name given at spawn time.
-func (p *Proc) Name() string { return p.name }
-
 // Go spawns a new process executing fn. The process starts at the current
 // virtual time (after already-pending events at this timestamp). When fn
 // returns the process disappears. If fn panics, the panic continues in the

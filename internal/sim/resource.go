@@ -19,8 +19,6 @@ type Link struct {
 	Bytes int64
 	// Transfers counts accepted transfers.
 	Transfers int64
-	// busy accumulates serialization time for utilization accounting.
-	busy Time
 }
 
 // NewLink returns a link on engine e with the given payload bandwidth
@@ -29,9 +27,6 @@ type Link struct {
 func NewLink(e *Engine, bytesPerSec float64, latency Time, overheadBytes int64) *Link {
 	return &Link{eng: e, bytesPerSec: bytesPerSec, latency: latency, overhead: overheadBytes}
 }
-
-// Bandwidth returns the configured payload bandwidth in bytes per second.
-func (l *Link) Bandwidth() float64 { return l.bytesPerSec }
 
 // SetBandwidth reconfigures the link bandwidth (used by throttled-device
 // sweeps). Applies to transfers issued after the call.
@@ -49,7 +44,6 @@ func (l *Link) Transfer(n int64, done func()) {
 	}
 	ser := BytesTime(n+l.overhead, l.bytesPerSec)
 	l.nextFree = start + ser
-	l.busy += ser
 	l.eng.At(l.nextFree+l.latency, done)
 }
 
@@ -57,68 +51,3 @@ func (l *Link) Transfer(n int64, done func()) {
 func (l *Link) TransferP(p *Proc, n int64) {
 	p.Wait(func(done func()) { l.Transfer(n, done) })
 }
-
-// BusyTime returns the total serialization time accumulated so far.
-func (l *Link) BusyTime() Time { return l.busy }
-
-// Server models a first-come-first-served service station with a fixed
-// number of parallel servers (e.g. a hardware functional unit, a host CPU
-// devoted to an I/O thread). Each job specifies its own service time.
-type Server struct {
-	eng  *Engine
-	cap  int
-	busy int
-	q    []serverJob
-
-	// Jobs counts accepted jobs; Wait accumulates queueing delay.
-	Jobs int64
-	Wait Time
-}
-
-type serverJob struct {
-	service  Time
-	done     func()
-	enqueued Time
-}
-
-// NewServer returns a server with n parallel service slots.
-func NewServer(e *Engine, n int) *Server {
-	if n < 1 {
-		n = 1
-	}
-	return &Server{eng: e, cap: n}
-}
-
-// Visit submits a job with the given service time; done is invoked when
-// service completes.
-func (s *Server) Visit(service Time, done func()) {
-	s.Jobs++
-	job := serverJob{service: service, done: done, enqueued: s.eng.now}
-	if s.busy < s.cap {
-		s.start(job)
-		return
-	}
-	s.q = append(s.q, job)
-}
-
-// VisitP is the process-style form of Visit.
-func (s *Server) VisitP(p *Proc, service Time) {
-	p.Wait(func(done func()) { s.Visit(service, done) })
-}
-
-func (s *Server) start(job serverJob) {
-	s.busy++
-	s.Wait += s.eng.now - job.enqueued
-	s.eng.After(job.service, func() {
-		s.busy--
-		if len(s.q) > 0 {
-			next := s.q[0]
-			s.q = s.q[1:]
-			s.start(next)
-		}
-		job.done()
-	})
-}
-
-// QueueLen reports the number of jobs waiting for a slot.
-func (s *Server) QueueLen() int { return len(s.q) }

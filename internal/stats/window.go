@@ -61,18 +61,6 @@ func (w *Window) Percentile(p float64) float64 {
 	return tmp[idx]
 }
 
-// Mean reports the window's arithmetic mean, or 0 when empty.
-func (w *Window) Mean() float64 {
-	if w.n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < w.n; i++ {
-		sum += w.buf[i]
-	}
-	return sum / float64(w.n)
-}
-
 func sortFloat64s(a []float64) {
 	// Shell sort: windows are small (tens to a few hundred entries) and this
 	// keeps the package dependency-free like sortInt64s in fault.

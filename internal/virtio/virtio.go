@@ -102,9 +102,6 @@ func New(mem *hostmem.Memory, base hostmem.Addr, qsz int) *Virtqueue {
 	return q
 }
 
-// QueueSize reports the ring capacity.
-func (q *Virtqueue) QueueSize() int { return q.qsz }
-
 func (q *Virtqueue) descAddr(i uint16) hostmem.Addr {
 	return q.base + q.descOff + int64(i)*descBytes
 }

@@ -111,19 +111,6 @@ type Config struct {
 	DriverTimeout time.Duration
 	// DriverRetryMax is the per-request resubmission budget.
 	DriverRetryMax int
-	// DriverDeadline, when positive, programs each direct-assigned VF
-	// queue's per-request deadline budget into the device (QRegDeadline):
-	// a request the device cannot finish inside the budget is abandoned at
-	// its next pipeline stage and completed with the retryable busy status,
-	// which the driver retries with backoff (surfacing ErrBusy past the
-	// retry budget). Zero (the default) programs nothing and preserves the
-	// event schedule exactly.
-	DriverDeadline time.Duration
-	// AdmitInflight, when positive, bounds each VF's fetched-but-uncompleted
-	// requests at the device: a descriptor fetched past the bound fast-fails
-	// with the retryable busy status instead of queueing. Zero disables
-	// admission control.
-	AdmitInflight int
 	// QueuesPerVF sets how many queue pairs each function exposes (default
 	// 1, the paper's layout). Guests with a directly assigned VF run one
 	// thin ring driver per queue behind a multi-queue mux; the device
@@ -142,10 +129,6 @@ type Config struct {
 	// device's medium (integrity-ablation knob). Corruption then flows past the device
 	// undetected except by end-to-end PI.
 	DisableGuards bool
-	// DisablePI turns off end-to-end protection information in every ring
-	// driver (integrity-ablation knob). Corruption on the DMA path then goes
-	// entirely undetected.
-	DisablePI bool
 	// Devices sizes the NeSC fleet (default 1). Extra devices each carry
 	// their own medium and controller on the shared PCIe fabric; mirrored
 	// VMs (StartMirroredVM) replicate across them and legs migrate between
@@ -319,11 +302,6 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	bcfg.Hyp.UseIOMMU = cfg.UseIOMMU
 	bcfg.Hyp.Ring.Timeout = sim.Time(cfg.DriverTimeout)
 	bcfg.Hyp.Ring.RetryMax = cfg.DriverRetryMax
-	bcfg.Hyp.Ring.Deadline = sim.Time(cfg.DriverDeadline)
-	if cfg.DisablePI {
-		bcfg.Hyp.Ring.PIBlock = 0
-	}
-	bcfg.Core.AdmitInflight = cfg.AdmitInflight
 	bcfg.Fault = cfg.Fault
 	bcfg.NumDevices = cfg.Devices
 	bcfg.CAS = cfg.CAS
@@ -555,9 +533,6 @@ func (s *Simulation) WriteTop(w io.Writer) error {
 // per Simulation.
 func (s *Simulation) Run(fn func(ctx *Ctx) error) error {
 	return s.pl.Run(func(p *sim.Proc) error {
-		if err := s.pl.Boot(p); err != nil {
-			return err
-		}
 		s.startScrubber()
 		err := fn(&Ctx{proc: p, s: s})
 		s.pl.Hyp.StopScrubber()
@@ -612,9 +587,6 @@ func (s *Simulation) CrashAt(t time.Duration, fn func(ctx *Ctx) error) *Crash {
 	store := s.pl.Hyp.Device(0).Ctl.Medium.Store()
 	store.EnableWriteLog()
 	s.pl.RunUntil(sim.Time(t), func(p *sim.Proc) error {
-		if err := s.pl.Boot(p); err != nil {
-			return err
-		}
 		s.startScrubber()
 		return fn(&Ctx{proc: p, s: s})
 	})

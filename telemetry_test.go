@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"nesc/internal/bench"
 	"nesc/internal/metrics"
@@ -107,7 +108,11 @@ func parsePrometheus(t *testing.T, text string) (samples map[string]int, familie
 }
 
 func TestTelemetryExports(t *testing.T) {
-	sim := New(Config{MediumMB: 32, Metrics: true, TraceSpans: 2048, TraceEvents: 64})
+	sim := New(Config{MediumMB: 32, Metrics: true, TraceSpans: 2048, TraceEvents: 64,
+		Attribution: true, SLO: &SLOObjective{}, ScoreboardEvents: 64})
+	// Function 1 is the dense VM, whose requests all meet the default
+	// objective; hold it to one no request can meet.
+	sim.SetSLOObjective(1, SLOObjective{Latency: time.Microsecond})
 	if err := telemetryWorkload(sim); err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +221,44 @@ func TestTelemetryExports(t *testing.T) {
 	}
 	if hits == 0 || misses == 0 {
 		t.Errorf("translate slices lack hit (%d) / miss (%d) tags", hits, misses)
+	}
+
+	// --- SLO engine: the override applies to its VF and to no other ---
+	for _, st := range sim.SLOStatus() {
+		overridden := time.Duration(st.Objective.Latency) == time.Microsecond
+		if overridden != (st.VF == 1) {
+			t.Errorf("vf %d tracked against a %v objective", st.VF, st.Objective.Latency)
+		}
+		if st.VF == 1 && (st.Good != 0 || st.Bad == 0 || st.Alerts == 0) {
+			t.Errorf("vf 1 under a 1us objective: good=%d bad=%d alerts=%d, want every request bad and an alert", st.Good, st.Bad, st.Alerts)
+		}
+	}
+
+	// --- attribution: the JSON report is the budget table, and the explainer
+	// names what sets the sparse VM's lazily allocated writes apart ---
+	rows := sim.AttributionRows()
+	var report []map[string]any
+	var aj bytes.Buffer
+	if err := sim.WriteAttribution(&aj); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(aj.Bytes(), &report); err != nil {
+		t.Fatalf("attribution JSON invalid: %v", err)
+	}
+	if len(rows) == 0 || len(report) != len(rows) {
+		t.Errorf("attribution JSON has %d rows, AttributionRows %d", len(report), len(rows))
+	}
+	if ex, ok := sim.ExplainTail(2, "write"); !ok || ex.Dominant == "" || ex.TailNs <= ex.MedianNs {
+		t.Errorf("ExplainTail(2, write) = %v, %v: want a dominant segment and a tail above the median", ex, ok)
+	}
+
+	// --- scoreboard: the dump is the retained events, one per line ---
+	evs := sim.Anomalies()
+	if dump := sim.ScoreboardDump(); len(evs) == 0 || strings.Count(dump, "\n") != len(evs) {
+		t.Errorf("Anomalies holds %d events, ScoreboardDump renders:\n%s", len(evs), dump)
+	}
+	if n := sim.Stats().AnomalyEvents; n != int64(len(evs)) {
+		t.Errorf("Stats counts %d anomaly events, the scoreboard retains %d of 64", n, len(evs))
 	}
 
 	// --- flight recorder: clean run captures nothing ---

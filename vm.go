@@ -66,7 +66,6 @@ func (c *Ctx) StartRawVM(name string, backend Backend) (*VM, error) {
 }
 
 func (c *Ctx) startVM(name string, cfg hypervisor.VMConfig) (*VM, error) {
-	cfg.Guest = c.s.pl.Cfg.Guest
 	vm, err := c.s.pl.Hyp.NewVM(c.proc, name, cfg)
 	if err != nil {
 		return nil, err
