@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile counts
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -93,6 +93,15 @@ counts:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.*' \
 		| xargs wc -l | awk 'END { print "non-test Go lines outside benchmarks/: " $$1 }'
 	@$(GO) test -count=1 -run 'TestEveryOptionHasASetter' -v . | sed -n 's/^.*census: \(.*nested\):.*/\1/p'
+
+# cover is the tier-2 merged coverage run (not part of ci): every package's
+# tests instrument every package, so a line counts as covered whichever
+# package's test reaches it. Prints the total; `go tool cover -func=.cover.out`
+# (or -html) lists what no test executes. CHANGES.md and ROADMAP quote the
+# total beside `make counts`.
+cover:
+	$(GO) test -count=1 -coverpkg=./... -coverprofile=.cover.out ./... > /dev/null
+	@$(GO) tool cover -func=.cover.out | grep '^total:'
 
 # <exp>-det regenerates one experiment twice in separate processes and fails
 # unless both runs and the checked-in results/<exp>.json are byte-identical

@@ -153,12 +153,7 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 		for rd := 0; rd < readers; rd++ {
 			rd := rd
 			samp[rd] = &stats.Sampler{}
-			addr := pl.Mem.MustAlloc(fabricStripe, 64)
-			data, err := pl.Mem.Slice(addr, fabricStripe)
-			if err != nil {
-				return err
-			}
-			rbuf := guest.Buffer{Addr: addr, Data: data}
+			rbuf := guest.AllocBuffer(pl.Mem, fabricStripe)
 			wg.Add(1)
 			pl.Eng.Go(fmt.Sprintf("gray-reader-%d", rd), func(q *sim.Proc) {
 				defer func() { active--; wg.Done() }()
@@ -323,12 +318,7 @@ func grayAdmissionPass(cfg Config, arm bool) (*admPass, error) {
 			wr := wr
 			samp[wr] = &stats.Sampler{}
 			acked[wr] = make([]bool, perWriter)
-			addr := pl.Mem.MustAlloc(fabricStripe, 64)
-			data, err := pl.Mem.Slice(addr, fabricStripe)
-			if err != nil {
-				return err
-			}
-			wbuf := guest.Buffer{Addr: addr, Data: data}
+			wbuf := guest.AllocBuffer(pl.Mem, fabricStripe)
 			wg.Add(1)
 			pl.Eng.Go(fmt.Sprintf("gray-writer-%d", wr), func(q *sim.Proc) {
 				defer wg.Done()

@@ -198,12 +198,7 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 			remaining := aggWorkers
 			for w := 0; w < aggWorkers; w++ {
 				w := w
-				addr := pl.Mem.MustAlloc(4*fabricStripe, 64)
-				data, err := pl.Mem.Slice(addr, 4*fabricStripe)
-				if err != nil {
-					return err
-				}
-				abuf := guest.Buffer{Addr: addr, Data: data}
+				abuf := guest.AllocBuffer(pl.Mem, 4*fabricStripe)
 				pl.Eng.Go(fmt.Sprintf("slo-agg-%d", w), func(q *sim.Proc) {
 					defer func() {
 						remaining--
@@ -226,12 +221,7 @@ func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
 		// pacing keeps the quiet baseline's queues empty, so any tail the
 		// explainer finds in the other passes is the injected cause.
 		const reads = 360
-		addr := pl.Mem.MustAlloc(fabricStripe, 64)
-		data, err := pl.Mem.Slice(addr, fabricStripe)
-		if err != nil {
-			return err
-		}
-		rbuf := guest.Buffer{Addr: addr, Data: data}
+		rbuf := guest.AllocBuffer(pl.Mem, fabricStripe)
 		want := make([]byte, fabricStripe)
 		for i := 0; i < reads; i++ {
 			if pulse && i == 200 {

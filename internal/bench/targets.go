@@ -51,13 +51,6 @@ func NewVMRawTarget(k *guest.Kernel) workload.ByteTarget {
 	return &vmRawTarget{k: k}
 }
 
-func (t *vmRawTarget) ensure(n int) guest.Buffer {
-	if len(t.buf.Data) < n {
-		t.buf = t.k.AllocBuffer(int64(n))
-	}
-	return guest.Buffer{Addr: t.buf.Addr, Data: t.buf.Data[:n]}
-}
-
 func (t *vmRawTarget) Size() int64 {
 	return t.k.Drv.CapacityBlocks() * int64(t.k.Drv.BlockSize())
 }
@@ -69,7 +62,7 @@ func (t *vmRawTarget) aligned(off int64, n int) bool {
 
 func (t *vmRawTarget) ReadAt(p *sim.Proc, off int64, n int) error {
 	if t.aligned(off, n) {
-		return t.k.SubmitAligned(p, false, off/int64(t.k.Drv.BlockSize()), t.ensure(n))
+		return t.k.SubmitAligned(p, false, off/int64(t.k.Drv.BlockSize()), t.buf.Ensure(t.k.Mem, n))
 	}
 	if len(t.scratch) < n {
 		t.scratch = make([]byte, n)
@@ -79,7 +72,7 @@ func (t *vmRawTarget) ReadAt(p *sim.Proc, off int64, n int) error {
 
 func (t *vmRawTarget) WriteAt(p *sim.Proc, off int64, n int) error {
 	if t.aligned(off, n) {
-		return t.k.SubmitAligned(p, true, off/int64(t.k.Drv.BlockSize()), t.ensure(n))
+		return t.k.SubmitAligned(p, true, off/int64(t.k.Drv.BlockSize()), t.buf.Ensure(t.k.Mem, n))
 	}
 	if len(t.scratch) < n {
 		t.scratch = make([]byte, n)

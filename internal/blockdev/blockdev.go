@@ -281,138 +281,78 @@ func (m *Medium) SetBandwidth(read, write float64) {
 	m.writePort.SetBandwidth(write)
 }
 
-// finish invokes done, optionally after an injected extra delay.
-func (m *Medium) finish(delay sim.Time, done func()) {
-	if delay > 0 {
-		m.eng.After(delay, done)
-		return
-	}
-	done()
+// ReadP fetches len(buf) bytes (a whole number of blocks) starting at lba and
+// blocks the process until the data has left the medium (or the medium has
+// reported an error, still after the access time). The copy into buf happens
+// at completion time. A malformed request (range/alignment) fails at once.
+func (m *Medium) ReadP(p *sim.Proc, lba int64, buf []byte) error {
+	return m.access(p, false, lba, buf)
 }
 
-// Read fetches len(p) bytes (a whole number of blocks) starting at lba and
-// invokes done when the data has left the medium (or the medium has reported
-// an error, still after the access time). The copy into p happens at
-// completion time. A synchronous non-nil return means the request itself was
-// malformed (range/alignment) and done will not be called.
-func (m *Medium) Read(lba int64, p []byte, done func(error)) error {
-	if err := m.store.checkRange(lba, len(p)); err != nil {
+// WriteP stores len(buf) bytes (a whole number of blocks) at lba and blocks
+// the process until the medium has absorbed them (or reported an error). The
+// data is snapshotted at submission; a faulted write leaves the store
+// untouched.
+func (m *Medium) WriteP(p *sim.Proc, lba int64, buf []byte) error {
+	return m.access(p, true, lba, buf)
+}
+
+// access is the one timed operation behind ReadP and WriteP.
+func (m *Medium) access(p *sim.Proc, write bool, lba int64, buf []byte) error {
+	if err := m.store.checkRange(lba, len(buf)); err != nil {
 		return err
 	}
-	m.Reads++
-	m.ReadBytes += int64(len(p))
+	n, bs := int64(len(buf)), m.store.blockSize
+	port, latency, bandwidth, verb := m.readPort, m.params.ReadLatency, m.params.ReadBandwidth, "read"
+	ops, moved, faults := &m.Reads, &m.ReadBytes, &m.ReadFaults
+	if write {
+		port, latency, bandwidth, verb = m.writePort, m.params.WriteLatency, m.params.WriteBandwidth, "write"
+		ops, moved, faults = &m.Writes, &m.WriteBytes, &m.WriteFaults
+	}
+	*ops++
+	*moved += n
 	if m.deviceGate() {
 		// Dead or partitioned device: fail after the access latency without
 		// drawing from the per-site medium streams.
-		m.readPort.Transfer(int64(len(p)), func() {
-			m.ReadFaults++
-			done(fmt.Errorf("%w: device %d unreachable, read at lba %d", ErrMedium, m.dev, lba))
-		})
-		return nil
+		port.TransferP(p, n)
+		*faults++
+		return fmt.Errorf("%w: device %d unreachable, %s at lba %d", ErrMedium, m.dev, verb, lba)
 	}
-	dec := m.inj.MediumAccess(false, lba, int64(len(p)/m.store.blockSize))
+	dec := m.inj.MediumAccess(write, lba, n/int64(bs))
 	// Fail-slow profiles add chronic extra latency on top of any one-shot
 	// injected delay; the base cost the slowdown factor scales is the
 	// operation's own service time (fixed latency + serialization).
-	slow := m.inj.DegradeDelay(m.dev,
-		m.params.ReadLatency+sim.BytesTime(int64(len(p)), m.params.ReadBandwidth), m.eng.Now())
-	m.readPort.Transfer(int64(len(p)), func() {
-		m.finish(dec.Delay+slow, func() {
-			if dec.Fault {
-				m.ReadFaults++
-				done(fmt.Errorf("%w: read of %d blocks at lba %d", ErrMedium, len(p)/m.store.blockSize, lba))
-				return
-			}
-			if err := m.store.ReadBlocks(lba, p); err != nil {
-				panic(err)
-			}
-			bs := m.store.blockSize
-			for _, b := range dec.CorruptBlocks {
-				off := int(b-lba) * bs
-				fault.Flip(p[off:off+bs], uint64(b))
-			}
-			if !m.noGuard {
-				for i := 0; i*bs < len(p); i++ {
-					if BlockGuard(p[i*bs:(i+1)*bs]) != m.store.guards[lba+int64(i)] {
-						m.IntegrityErrors++
-						done(fmt.Errorf("%w: guard mismatch at lba %d", ErrIntegrity, lba+int64(i)))
-						return
-					}
-				}
-			}
-			done(nil)
-		})
-	})
-	return nil
-}
-
-// Write stores len(p) bytes (a whole number of blocks) at lba and invokes
-// done when the medium has absorbed them (or reported an error). The data is
-// snapshotted at submission; a faulted write leaves the store untouched.
-func (m *Medium) Write(lba int64, p []byte, done func(error)) error {
-	if err := m.store.checkRange(lba, len(p)); err != nil {
+	slow := m.inj.DegradeDelay(m.dev, latency+sim.BytesTime(n, bandwidth), m.eng.Now())
+	if write {
+		// The payload as submitted is what lands, whatever happens to the
+		// caller's buffer while the access is in flight.
+		buf = append([]byte(nil), buf...)
+	}
+	port.TransferP(p, n)
+	p.Sleep(dec.Delay + slow)
+	if dec.Fault {
+		*faults++
+		return fmt.Errorf("%w: %s of %d blocks at lba %d", ErrMedium, verb, n/int64(bs), lba)
+	}
+	if write {
+		return m.store.WriteBlocks(lba, buf)
+	}
+	if err := m.store.ReadBlocks(lba, buf); err != nil {
 		return err
 	}
-	m.Writes++
-	m.WriteBytes += int64(len(p))
-	if m.deviceGate() {
-		m.writePort.Transfer(int64(len(p)), func() {
-			m.WriteFaults++
-			done(fmt.Errorf("%w: device %d unreachable, write at lba %d", ErrMedium, m.dev, lba))
-		})
-		return nil
+	for _, b := range dec.CorruptBlocks {
+		off := int(b-lba) * bs
+		fault.Flip(buf[off:off+bs], uint64(b))
 	}
-	dec := m.inj.MediumAccess(true, lba, int64(len(p)/m.store.blockSize))
-	slow := m.inj.DegradeDelay(m.dev,
-		m.params.WriteLatency+sim.BytesTime(int64(len(p)), m.params.WriteBandwidth), m.eng.Now())
-	data := make([]byte, len(p))
-	copy(data, p)
-	m.writePort.Transfer(int64(len(p)), func() {
-		m.finish(dec.Delay+slow, func() {
-			if dec.Fault {
-				m.WriteFaults++
-				done(fmt.Errorf("%w: write of %d blocks at lba %d", ErrMedium, len(data)/m.store.blockSize, lba))
-				return
+	if !m.noGuard {
+		for i := 0; i*bs < len(buf); i++ {
+			if BlockGuard(buf[i*bs:(i+1)*bs]) != m.store.guards[lba+int64(i)] {
+				m.IntegrityErrors++
+				return fmt.Errorf("%w: guard mismatch at lba %d", ErrIntegrity, lba+int64(i))
 			}
-			if err := m.store.WriteBlocks(lba, data); err != nil {
-				panic(err)
-			}
-			done(nil)
-		})
-	})
+		}
+	}
 	return nil
-}
-
-// ReadP and WriteP are process-style forms.
-
-// ReadP performs Read and blocks the process until completion.
-func (m *Medium) ReadP(p *sim.Proc, lba int64, buf []byte) error {
-	var err error
-	p.Wait(func(done func()) {
-		if e := m.Read(lba, buf, func(opErr error) {
-			err = opErr
-			done()
-		}); e != nil {
-			err = e
-			done()
-		}
-	})
-	return err
-}
-
-// WriteP performs Write and blocks the process until completion.
-func (m *Medium) WriteP(p *sim.Proc, lba int64, buf []byte) error {
-	var err error
-	p.Wait(func(done func()) {
-		if e := m.Write(lba, buf, func(opErr error) {
-			err = opErr
-			done()
-		}); e != nil {
-			err = e
-			done()
-		}
-	})
-	return err
 }
 
 // recoveryPenalty is the extra per-operation latency of a heroic recovery
@@ -433,10 +373,7 @@ func (m *Medium) RecoverP(p *sim.Proc, lba int64, buf []byte) error {
 	m.Reads++
 	m.RecoveryReads++
 	m.ReadBytes += int64(len(buf))
-	p.Wait(func(done func()) {
-		m.readPort.Transfer(int64(len(buf)), func() {
-			m.eng.After(recoveryPenalty*m.params.ReadLatency, done)
-		})
-	})
+	m.readPort.TransferP(p, int64(len(buf)))
+	p.Sleep(recoveryPenalty * m.params.ReadLatency)
 	return m.store.ReadBlocks(lba, buf)
 }

@@ -95,9 +95,12 @@ func TestMediumTiming(t *testing.T) {
 	m := NewMedium(eng, s, p)
 	buf := make([]byte, 100*1024)
 	var doneAt sim.Time
-	if err := m.Read(0, buf, func(error) { doneAt = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
+	eng.Go("io", func(p *sim.Proc) {
+		if err := m.ReadP(p, 0, buf); err != nil {
+			t.Error(err)
+		}
+		doneAt = eng.Now()
+	})
 	eng.Run()
 	// 100KB at 1GB/s = 102.4us + 1us latency.
 	want := sim.BytesTime(int64(len(buf)), 1e9) + sim.Microsecond
@@ -136,10 +139,12 @@ func TestMediumWriteSnapshot(t *testing.T) {
 	s := NewStore(512, 8)
 	m := NewMedium(eng, s, DefaultMediumParams())
 	buf := bytes.Repeat([]byte{7}, 512)
-	if err := m.Write(0, buf, func(error) {}); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 99 // mutate after submission
+	eng.Go("io", func(p *sim.Proc) {
+		if err := m.WriteP(p, 0, buf); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.After(1, func() { buf[0] = 99 }) // mutate after submission
 	eng.Run()
 	got := make([]byte, 512)
 	if err := s.ReadBlocks(0, got); err != nil {
@@ -154,10 +159,10 @@ func TestMediumErrorsPropagate(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewStore(512, 8)
 	m := NewMedium(eng, s, DefaultMediumParams())
-	if err := m.Read(100, make([]byte, 512), func(error) {}); err == nil {
-		t.Fatal("out-of-range read accepted")
-	}
 	eng.Go("io", func(p *sim.Proc) {
+		if err := m.WriteP(p, 100, make([]byte, 512)); err == nil {
+			t.Error("out-of-range write accepted")
+		}
 		if err := m.ReadP(p, 100, make([]byte, 512)); err == nil {
 			t.Error("ReadP out-of-range accepted")
 		}
@@ -174,9 +179,12 @@ func TestMediumThrottle(t *testing.T) {
 		m := NewMedium(eng, s, MediumParams{ReadBandwidth: bw, WriteBandwidth: bw})
 		buf := make([]byte, 1<<20)
 		var doneAt sim.Time
-		if err := m.Write(0, buf, func(error) { doneAt = eng.Now() }); err != nil {
-			t.Fatal(err)
-		}
+		eng.Go("io", func(p *sim.Proc) {
+			if err := m.WriteP(p, 0, buf); err != nil {
+				t.Error(err)
+			}
+			doneAt = eng.Now()
+		})
 		eng.Run()
 		return doneAt
 	}
@@ -204,12 +212,16 @@ func TestMediumConcurrentOpsSerialize(t *testing.T) {
 	m := NewMedium(eng, s, MediumParams{ReadBandwidth: 1e9, WriteBandwidth: 1e9})
 	var first, second sim.Time
 	buf := make([]byte, 100*1024)
-	if err := m.Read(0, buf, func(error) { first = eng.Now() }); err != nil {
-		t.Fatal(err)
+	read := func(buf []byte, doneAt *sim.Time) {
+		eng.Go("io", func(p *sim.Proc) {
+			if err := m.ReadP(p, 0, buf); err != nil {
+				t.Error(err)
+			}
+			*doneAt = eng.Now()
+		})
 	}
-	if err := m.Read(0, make([]byte, 100*1024), func(error) { second = eng.Now() }); err != nil {
-		t.Fatal(err)
-	}
+	read(buf, &first)
+	read(make([]byte, 100*1024), &second)
 	eng.Run()
 	if second < first*19/10 {
 		t.Fatalf("reads did not serialize: %v then %v", first, second)
@@ -269,9 +281,12 @@ func TestMediumInjectedDelay(t *testing.T) {
 			m.SetInjector(fault.NewInjector(plan))
 		}
 		var doneAt sim.Time
-		if err := m.Read(0, make([]byte, 512), func(error) { doneAt = eng.Now() }); err != nil {
-			t.Fatal(err)
-		}
+		eng.Go("io", func(p *sim.Proc) {
+			if err := m.ReadP(p, 0, make([]byte, 512)); err != nil {
+				t.Error(err)
+			}
+			doneAt = eng.Now()
+		})
 		eng.Run()
 		return doneAt
 	}

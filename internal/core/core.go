@@ -520,7 +520,7 @@ func (c *Controller) StateFootprint() int64 {
 	fns := int64(1 + c.nMat)
 	b += fns * (fnStateBytes + int64(reqQueueDepth+c.P.PLBAQueueDepth)*fifoSlotBytes)
 	b += int64(c.qAllocated) * queuePairBytes
-	b += int64(len(c.tel.flight.recs)) * flightRecBytes
+	b += int64(c.tel.flight.recs.Allocated()) * flightRecBytes
 	return b
 }
 

@@ -8,6 +8,7 @@ import (
 	"nesc/internal/fault"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
+	"nesc/internal/trace"
 )
 
 // Fault-injection and recovery tests: DTU medium retries, function-level
@@ -254,5 +255,55 @@ func TestFnCountersAddSumsEveryField(t *testing.T) {
 		if got, want := sv.Field(i).Int(), int64(101*(i+1)); got != want {
 			t.Errorf("%s = %d after Add, want %d", sv.Type().Field(i).Name, got, want)
 		}
+	}
+}
+
+// A scrub rewrite climbs the same retry ladder as a foreground access
+// (mediumOp): a transiently failing write-back is retried and the repair
+// counted once it lands; one that keeps failing latches a medium error after
+// MediumRetryMax retries and repairs nothing. Either way each failed attempt
+// leaves a fault event in the ring, after the one for the failed verify read.
+func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
+	const bad = 200
+	for _, tc := range []struct {
+		name                     string
+		writes                   fault.SiteParams
+		status                   uint32
+		retries, errors, repairs int64
+	}{
+		{"retry then success", fault.SiteParams{OneShot: []int64{1}}, StatusOK, 1, 0, 1},
+		{"exhaustion", fault.SiteParams{Prob: 1.0}, StatusMediumError, int64(MediumRetryMax), 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			events := trace.NewRing(64)
+			r := newRigWith(t, DefaultParams(), Sinks{Events: events})
+			plan := fault.Plan{Seed: 1, LatentSectors: []int64{bad}}
+			plan.Sites[fault.MediumWrite] = tc.writes
+			inj := r.installPlan(plan)
+			r.eng.Go("test", func(p *sim.Proc) {
+				pf := r.openFunction(p, 0)
+				if st := pf.io(p, OpVerify, bad, 1, 0); st != tc.status {
+					t.Errorf("verify of a latent sector: status %d, want %d", st, tc.status)
+				}
+			})
+			r.run()
+			pf := r.ctl.PF()
+			if pf.MediumRetries != tc.retries || pf.MediumErrors != tc.errors || pf.IntegrityRepairs != tc.repairs {
+				t.Errorf("retries=%d errors=%d repairs=%d, want %d/%d/%d",
+					pf.MediumRetries, pf.MediumErrors, pf.IntegrityRepairs, tc.retries, tc.errors, tc.repairs)
+			}
+			if healed := inj.LatentCount() == 0; healed != (tc.repairs == 1) {
+				t.Errorf("latent sector healed = %v with %d repairs counted", healed, tc.repairs)
+			}
+			faults := int64(0)
+			for _, e := range events.Events() {
+				if e.Kind == trace.KindFault {
+					faults++
+				}
+			}
+			if want := 1 + tc.retries + tc.errors; faults != want {
+				t.Errorf("%d fault events, want %d: the failed read and every failed rewrite attempt", faults, want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 	"nesc/internal/trace"
 )
 
@@ -48,11 +49,8 @@ type FlightRecord struct {
 // buffer itself is allocated lazily on the first capture — an error-free
 // device (or one of a thousand idle ones) carries only the header.
 type FlightRecorder struct {
-	recs    []FlightRecord
-	size    int // buffer capacity, allocated on first capture
-	next    int
-	wrapped bool
-	evTail  int
+	recs   stats.Ring[FlightRecord]
+	evTail int
 	// Total counts all records ever captured (including overwritten ones);
 	// PFRegFlightRecords exposes it.
 	Total int64
@@ -61,44 +59,21 @@ type FlightRecorder struct {
 // NewFlightRecorder returns a recorder holding the last records captures,
 // each carrying up to eventTail trailing ring events.
 func NewFlightRecorder(records, eventTail int) *FlightRecorder {
-	if records < 1 {
-		records = 1
-	}
-	return &FlightRecorder{size: records, evTail: eventTail}
+	return &FlightRecorder{recs: stats.NewRing[FlightRecord](records), evTail: eventTail}
 }
 
 // capture stores one record, snapshotting the event ring's tail.
 func (fr *FlightRecorder) capture(rec FlightRecord, ring *trace.Ring) {
-	if fr.recs == nil {
-		fr.recs = make([]FlightRecord, fr.size)
-	}
 	if fr.evTail > 0 {
-		evs := ring.Events()
-		if len(evs) > fr.evTail {
-			evs = evs[len(evs)-fr.evTail:]
-		}
-		rec.Events = evs
+		rec.Events = ring.Tail(fr.evTail)
 	}
 	fr.Total++
 	rec.Seq = fr.Total
-	fr.recs[fr.next] = rec
-	fr.next++
-	if fr.next == len(fr.recs) {
-		fr.next = 0
-		fr.wrapped = true
-	}
+	fr.recs.Put(rec)
 }
 
 // Records returns the held records in capture order.
-func (fr *FlightRecorder) Records() []FlightRecord {
-	if !fr.wrapped {
-		return append([]FlightRecord(nil), fr.recs[:fr.next]...)
-	}
-	out := make([]FlightRecord, 0, len(fr.recs))
-	out = append(out, fr.recs[fr.next:]...)
-	out = append(out, fr.recs[:fr.next]...)
-	return out
-}
+func (fr *FlightRecorder) Records() []FlightRecord { return fr.recs.Snapshot() }
 
 // Dump writes the held records human-readably, newest last.
 func (fr *FlightRecorder) Dump(w io.Writer) error {

@@ -162,9 +162,23 @@ func (c *Controller) admitBusy(f *Function, req *Request) bool {
 	return false
 }
 
-// expired reports whether a deadline-armed request's budget has run out.
-func expired(r *Request, now sim.Time) bool {
-	return r.deadline > 0 && now >= r.deadline
+// retireStatus is the check every stage makes before spending work on a
+// request: StatusOK means proceed, anything else is the status to retire
+// with. A request fetched before a function-level reset is aborted. A
+// deadline-armed request whose budget ran out waiting for the stage is
+// failed fast with the retryable busy status — the submitter has moved on —
+// which counts the chunks abandoned and tells the scoreboard which stage
+// gave up.
+func (c *Controller) retireStatus(r *Request, now sim.Time, stage string, chunks int) uint32 {
+	switch {
+	case r.epoch != r.fn.resetEpoch:
+		return StatusAborted
+	case r.deadline > 0 && now >= r.deadline:
+		c.DeadlineExpirations += int64(chunks)
+		c.anomaly(slo.EventDeadline, r.fn.idx, r.ReqID, 0, stage)
+		return StatusBusy
+	}
+	return StatusOK
 }
 
 // shadowFollow is the device half of shadow-doorbell batching. While the
@@ -178,47 +192,50 @@ func expired(r *Request, now sim.Time) bool {
 // step re-validates the lease generation and ring state so an FLR or a
 // pool return mid-dance simply ends the chase.
 func (f *Function) shadowFollow(p *sim.Proc, q *fnQueue, desc []byte) {
-	c := f.c
 	gen := q.gen
 	w := make([]byte, 4)
 	for {
-		if q.gen != gen || q.ringSize == 0 || q.shadowBase == 0 {
+		drained, live := f.shadowDrain(p, q, gen, w, desc)
+		if !live {
 			return
 		}
-		if err := c.dmaReadP(p, c.pf.id, q.shadowBase+ring.ShadowOffProd, w); err != nil {
-			return
-		}
-		prod := binary.BigEndian.Uint32(w)
-		if q.gen != gen || q.ringSize == 0 {
-			return
-		}
-		if prod != q.consumed && ring.DoorbellValid(prod, q.consumed, q.ringSize) {
-			c.ShadowBatches++
-			f.drainTo(p, q, prod, desc)
+		if drained {
 			continue
 		}
 		// Caught up: publish how far we got, then look one last time.
 		binary.BigEndian.PutUint32(w, q.consumed)
-		if err := c.dmaWriteP(p, c.pf.id, q.shadowBase+ring.ShadowOffEvent, w); err != nil {
+		if err := f.c.dmaWriteP(p, f.c.pf.id, q.shadowBase+ring.ShadowOffEvent, w); err != nil {
 			return
 		}
-		if q.gen != gen || q.ringSize == 0 || q.shadowBase == 0 {
+		if drained, _ := f.shadowDrain(p, q, gen, w, desc); !drained {
 			return
 		}
-		if err := c.dmaReadP(p, c.pf.id, q.shadowBase+ring.ShadowOffProd, w); err != nil {
-			return
-		}
-		prod = binary.BigEndian.Uint32(w)
-		if q.gen != gen || q.ringSize == 0 {
-			return
-		}
-		if prod != q.consumed && ring.DoorbellValid(prod, q.consumed, q.ringSize) {
-			c.ShadowBatches++
-			f.drainTo(p, q, prod, desc)
-			continue
-		}
-		return
 	}
+}
+
+// shadowDrain is one look at the queue's SHADOW word (read into w): drained
+// reports that it named a valid new producer index and the ring was drained
+// up to it; live is false when the chase is over — the lease generation
+// moved on from gen, the ring or its shadow block was torn down, or the DMA
+// read failed.
+func (f *Function) shadowDrain(p *sim.Proc, q *fnQueue, gen uint32, w, desc []byte) (drained, live bool) {
+	c := f.c
+	if q.gen != gen || q.ringSize == 0 || q.shadowBase == 0 {
+		return false, false
+	}
+	if err := c.dmaReadP(p, c.pf.id, q.shadowBase+ring.ShadowOffProd, w); err != nil {
+		return false, false
+	}
+	prod := binary.BigEndian.Uint32(w)
+	if q.gen != gen || q.ringSize == 0 {
+		return false, false
+	}
+	if prod == q.consumed || !ring.DoorbellValid(prod, q.consumed, q.ringSize) {
+		return false, true
+	}
+	c.ShadowBatches++
+	f.drainTo(p, q, prod, desc)
+	return true, true
 }
 
 // muxLoop is the VF multiplexer: it dequeues client requests round-robin
@@ -235,19 +252,12 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 		if f.reqQ.Len() == 0 {
 			c.mux.idle(f)
 		}
-		if req.epoch != req.fn.resetEpoch {
-			// Fetched before a function-level reset: abort without splitting.
-			req.status = StatusAborted
-			c.AbortedChunks += int64(req.left)
-			c.sendCompletion(p, req)
-			continue
-		}
-		if expired(req, p.Now()) {
-			// Deadline already blown waiting for the multiplexer: abandon
-			// before splitting — the submitter has moved on.
-			req.status = StatusBusy
-			c.DeadlineExpirations += int64(req.left)
-			c.anomaly(slo.EventDeadline, req.fn.idx, req.ReqID, 0, "mux")
+		if st := c.retireStatus(req, p.Now(), "mux", req.left); st != StatusOK {
+			// Dead before splitting: retire the request whole.
+			if st == StatusAborted {
+				c.AbortedChunks += int64(req.left)
+			}
+			req.status = st
 			c.sendCompletion(p, req)
 			continue
 		}
@@ -269,14 +279,8 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 	for {
 		ch := c.vlbaQ.Pop(p)
 		f := ch.req.fn
-		if ch.req.epoch != f.resetEpoch {
-			c.completeChunk(p, ch, StatusAborted)
-			continue
-		}
-		if expired(ch.req, p.Now()) {
-			c.DeadlineExpirations++
-			c.anomaly(slo.EventDeadline, f.idx, ch.req.ReqID, 0, "walker")
-			c.completeChunk(p, ch, StatusBusy)
+		if st := c.retireStatus(ch.req, p.Now(), "walker", 1); st != StatusOK {
+			c.completeChunk(p, ch, st)
 			continue
 		}
 		c.stage(ch.req, ch, stQueue, p.Now(), 0)
@@ -428,18 +432,11 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 		if !ok {
 			continue // defensive; semaphore and queues are kept in lockstep
 		}
-		if ch.req.epoch != ch.req.fn.resetEpoch {
-			c.completeChunk(p, ch, StatusAborted)
-			continue
-		}
-		if expired(ch.req, p.Now()) {
-			// Budget spent before the transfer even started: skip the medium
-			// entirely. Any sibling chunks that did land are harmless — busy
-			// completions are never acknowledged, and the retried write
-			// rewrites every block.
-			c.DeadlineExpirations++
-			c.anomaly(slo.EventDeadline, ch.req.fn.idx, ch.req.ReqID, 0, "dtu")
-			c.completeChunk(p, ch, StatusBusy)
+		if st := c.retireStatus(ch.req, p.Now(), "dtu", 1); st != StatusOK {
+			// An expired chunk skips the medium entirely. Any sibling chunks
+			// that did land are harmless — busy completions are never
+			// acknowledged, and the retried write rewrites every block.
+			c.completeChunk(p, ch, st)
 			continue
 		}
 		tSvc := p.Now()
@@ -569,23 +566,11 @@ func (c *Controller) verifyChunk(p *sim.Proc, ch *chunk, buf []byte) uint32 {
 	if e := c.Medium.RecoverP(p, int64(ch.lba), buf); e != nil {
 		return StatusOutOfRange
 	}
-	for attempt := 0; ; attempt++ {
-		e := c.Medium.WriteP(p, int64(ch.lba), buf)
-		if e == nil {
-			f.IntegrityRepairs++
-			return StatusOK
-		}
-		if !blockdev.IsMediumError(e) {
-			return StatusOutOfRange
-		}
-		if attempt >= MediumRetryMax {
-			f.MediumErrors++
-			return StatusMediumError
-		}
-		f.MediumRetries++
-		c.noteRetry(ch.req)
-		p.Sleep(c.P.MediumRetryDelay)
+	status := c.mediumOp(p, ch, buf, true)
+	if status == StatusOK {
+		f.IntegrityRepairs++
 	}
+	return status
 }
 
 // maybeCorruptDMA consults the DMACorrupt fault site and, when it fires,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nesc/internal/extent"
+	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
@@ -217,4 +218,79 @@ func TestLazyMaterializationAtScale(t *testing.T) {
 	}
 	r.eng.Run()
 	r.eng.Shutdown()
+}
+
+// A queue pair returned to the pool with a request still in flight may be
+// re-leased, even to another function, before that request retires. Its
+// completion must die at the lease guard: the new tenant's completion ring
+// stays untouched and nobody is interrupted for it.
+func TestOrphanCompletionNeverReachesTheNewLessee(t *testing.T) {
+	r := newRig(t, poolParams(0))
+	cplMSIs := 0
+	r.fab.SetMSIHandler(func(from pcie.FnID, vec uint8) {
+		if vec == VecCompletion {
+			cplMSIs++
+			if s := r.cplSignals[from]; s != nil {
+				s.Fire()
+			}
+		}
+	})
+	r.eng.Go("main", func(p *sim.Proc) {
+		tr0 := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 64}})
+		tr1 := r.buildTree([]extent.Run{{Logical: 0, Physical: 64, Count: 64}})
+		r.setVF(p, 0, tr0.Root(), 64)
+		r.setVF(p, 1, tr1.Root(), 64)
+		d0 := r.openFunction(p, 1)
+		buf := r.mem.MustAlloc(32*1024, 64)
+
+		// VF0 rings a 32-block write and is deprovisioned once the device
+		// has fetched it.
+		var desc [DescBytes]byte
+		d0.nextID++
+		ring.EncodeDescriptor(desc[:], OpWrite, d0.nextID, 0, 32, buf)
+		if err := r.mem.Write(d0.ringBase, desc[:]); err != nil {
+			t.Fatal(err)
+		}
+		d0.prod++
+		r.mmioW(p, d0.qOff+QRegDoorbell, uint64(d0.prod))
+		vf0 := r.ctl.VF(0)
+		for vf0.inflight == 0 {
+			p.Sleep(100 * sim.Nanosecond)
+		}
+		pair := vf0.queues[0]
+		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*MgmtStride+MgmtEnable, 0)
+
+		// VF1 programs its queue 0 and is handed the very same pair.
+		d1 := r.openFunction(p, 2)
+		r.mmioR(p, d1.qOff+QRegRingSize) // non-posted: the programming writes have landed
+		if r.ctl.VF(1).queues[0] != pair {
+			t.Fatal("the returned queue pair was not re-leased to the next function")
+		}
+		if vf0.inflight == 0 {
+			t.Fatal("the orphaned request retired before the pair was re-leased; nothing is being tested")
+		}
+		for i := 0; vf0.inflight != 0; i++ {
+			if i > 10000 {
+				t.Fatal("the orphaned request never retired")
+			}
+			p.Sleep(sim.Microsecond)
+		}
+		ringNow := make([]byte, testRing*CplBytes)
+		if err := r.mem.Read(d1.cplBase, ringNow); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range ringNow {
+			if b != 0 {
+				t.Fatalf("the previous tenant's completion reached the new tenant's ring (byte %d = %#x)", i, b)
+			}
+		}
+		if cplMSIs != 0 {
+			t.Errorf("%d completion MSIs raised for a completion nobody owns", cplMSIs)
+		}
+		// The new tenant's own first completion is sequence 1 on a clean ring.
+		if st := d1.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+			t.Fatalf("new tenant's write status %d", st)
+		}
+	})
+	r.run()
 }

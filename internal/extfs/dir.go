@@ -209,20 +209,12 @@ func (fs *FS) createNode(ctx *sim.Proc, path string, uid uint32, mode uint16) (u
 // Create makes a new regular file owned by uid with the given permission
 // bits and returns a writable handle.
 func (fs *FS) Create(ctx *sim.Proc, path string, uid uint32, perm uint16) (*File, error) {
-	if err := fs.begin(ctx); err != nil {
-		return nil, err
-	}
-	defer fs.end(ctx)
-	fs.txBegin()
-	ino, err := fs.createNode(ctx, path, uid, ModeFile|(perm&0o777))
+	var ino uint32
+	err := fs.transact(ctx, func() (err error) {
+		ino, err = fs.createNode(ctx, path, uid, ModeFile|(perm&0o777))
+		return err
+	})
 	if err != nil {
-		fs.tx = nil
-		return nil, err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return nil, err
-	}
-	if err := fs.txCommit(ctx); err != nil {
 		return nil, err
 	}
 	return &File{fs: fs, ino: ino, writable: true}, nil
@@ -230,19 +222,10 @@ func (fs *FS) Create(ctx *sim.Proc, path string, uid uint32, perm uint16) (*File
 
 // Mkdir makes a new directory.
 func (fs *FS) Mkdir(ctx *sim.Proc, path string, uid uint32, perm uint16) error {
-	if err := fs.begin(ctx); err != nil {
+	return fs.transact(ctx, func() error {
+		_, err := fs.createNode(ctx, path, uid, ModeDir|(perm&0o777))
 		return err
-	}
-	defer fs.end(ctx)
-	fs.txBegin()
-	if _, err := fs.createNode(ctx, path, uid, ModeDir|(perm&0o777)); err != nil {
-		fs.tx = nil
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	})
 }
 
 // Open opens an existing file. perm is the access the caller wants
@@ -269,20 +252,7 @@ func (fs *FS) Open(ctx *sim.Proc, path string, uid uint32, perm uint16) (*File, 
 
 // Remove unlinks a file or an empty directory.
 func (fs *FS) Remove(ctx *sim.Proc, path string, uid uint32) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
-	fs.txBegin()
-	err := fs.removeLocked(ctx, path, uid)
-	if err != nil {
-		fs.tx = nil
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.transact(ctx, func() error { return fs.removeLocked(ctx, path, uid) })
 }
 
 func (fs *FS) removeLocked(ctx *sim.Proc, path string, uid uint32) error {
@@ -320,20 +290,9 @@ func (fs *FS) removeLocked(ctx *sim.Proc, path string, uid uint32) error {
 		fs.freeRun(b, 1)
 	}
 	in.overflow = nil
-	blk, _ := fs.inodeBlock(ino)
 	fs.inodes[ino] = inode{}
 	// Rewrite both inode blocks (target cleared, parent link count).
-	img := make([]byte, fs.bs)
-	perBlock := fs.bs / InodeSize
-	first := uint32((blk-int64(fs.sb.inodeTableStart))*int64(perBlock)) + 1
-	for i := 0; i < perBlock; i++ {
-		n := first + uint32(i)
-		if int(n) >= len(fs.inodes) {
-			break
-		}
-		encodeInode(img[i*InodeSize:], &fs.inodes[n])
-	}
-	if err := fs.writeBlock(ctx, blk, img, true); err != nil {
+	if err := fs.writeInode(ctx, ino); err != nil {
 		return err
 	}
 	return fs.writeInode(ctx, parent)
@@ -433,10 +392,10 @@ func (fs *FS) AppendRuns(ctx *sim.Proc, path string, dst []extent.Run) ([]extent
 // defragmentation. Callers exporting the file through NeSC must rebuild the
 // device extent tree and flush the BTLB afterwards (paper §V-B).
 func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
+	return fs.transact(ctx, func() error { return fs.migrateLocked(ctx, path) })
+}
+
+func (fs *FS) migrateLocked(ctx *sim.Proc, path string) error {
 	ino, err := fs.resolve(ctx, path, 0)
 	if err != nil {
 		return err
@@ -445,7 +404,6 @@ func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
 	if in.isDir() {
 		return ErrIsDir
 	}
-	fs.txBegin()
 	oldExts := in.extents
 	var newExts []extent.Run
 	rollback := func() {
@@ -460,7 +418,6 @@ func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
 			start, got := fs.allocRun(fs.allocHint, rem.Count)
 			if got == 0 {
 				rollback()
-				fs.tx = nil
 				return ErrNoSpace
 			}
 			for off := uint64(0); off < got; {
@@ -472,13 +429,11 @@ func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
 				fs.DataBlockReads += int64(n)
 				if err := fs.dev.ReadBlocks(ctx, int64(rem.Physical+off), span); err != nil {
 					rollback()
-					fs.tx = nil
 					return err
 				}
 				fs.DataBlockWrites += int64(n)
 				if err := fs.devWrite(ctx, int64(start+off), span); err != nil {
 					rollback()
-					fs.tx = nil
 					return err
 				}
 				off += n
@@ -496,13 +451,7 @@ func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
 	for _, r := range newExts {
 		insertMapping(in, r)
 	}
-	if err := fs.writeInode(ctx, ino); err != nil {
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.writeInode(ctx, ino)
 }
 
 // AllocateRange backs logical blocks [blk, blk+n) of path with physical
@@ -510,28 +459,18 @@ func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
 // EOF. This is the hypervisor's lazy-allocation response to a NeSC write
 // miss (paper Fig. 5b: "Allocate blocks, add extents").
 func (fs *FS) AllocateRange(ctx *sim.Proc, path string, blk, n uint64) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
-	ino, err := fs.resolve(ctx, path, 0)
-	if err != nil {
-		return err
-	}
-	fs.txBegin()
-	in := &fs.inodes[ino]
-	if err := fs.ensureAllocated(ctx, in, blk, n, true); err != nil {
-		fs.tx = nil
-		return err
-	}
-	if end := (blk + n) * uint64(fs.bs); end > in.size {
-		in.size = end
-	}
-	if err := fs.writeInode(ctx, ino); err != nil {
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.transact(ctx, func() error {
+		ino, err := fs.resolve(ctx, path, 0)
+		if err != nil {
+			return err
+		}
+		in := &fs.inodes[ino]
+		if err := fs.ensureAllocated(ctx, in, blk, n, true); err != nil {
+			return err
+		}
+		if end := (blk + n) * uint64(fs.bs); end > in.size {
+			in.size = end
+		}
+		return fs.writeInode(ctx, ino)
+	})
 }

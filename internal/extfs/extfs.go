@@ -272,10 +272,11 @@ func Format(ctx *sim.Proc, dev BlockDev, p Params) (*FS, error) {
 	if err := fs.devWrite(ctx, 0, img); err != nil {
 		return nil, err
 	}
-	if err := fs.flushBitmapAll(ctx); err != nil {
+	if err := fs.writeTable(ctx, sb.bitmapStart, sb.bitmapBlocks, fs.renderBitmapBlock); err != nil {
 		return nil, err
 	}
-	if err := fs.flushInodeTableAll(ctx); err != nil {
+	fs.dirtyBitmapBlks = nil
+	if err := fs.writeTable(ctx, sb.inodeTableStart, sb.inodeTableBlocks, fs.renderInodeBlock); err != nil {
 		return nil, err
 	}
 	// Zero the journal region so stale magic can never replay.
@@ -374,6 +375,30 @@ func (fs *FS) end(ctx *sim.Proc) {
 	if ctx != nil && fs.lock != nil {
 		fs.lock.Release()
 	}
+}
+
+// transact runs one public mutating operation: begin, then body inside one
+// journal transaction. When body succeeds, the allocation-bitmap and
+// refcount-table blocks it dirtied join the transaction and it commits. An
+// error from any step leaves no open transaction behind, so whatever body had
+// buffered is never written.
+func (fs *FS) transact(ctx *sim.Proc, body func() error) error {
+	if err := fs.begin(ctx); err != nil {
+		return err
+	}
+	defer fs.end(ctx)
+	fs.txBegin()
+	err := body()
+	if err == nil {
+		err = fs.flushDirtyTables(ctx)
+	}
+	if err == nil {
+		err = fs.txCommit(ctx)
+	}
+	if err != nil {
+		fs.tx = nil
+	}
+	return err
 }
 
 // pathParts splits and validates a path.

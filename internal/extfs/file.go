@@ -366,18 +366,20 @@ func (f *File) ReadAt(ctx *sim.Proc, p []byte, off int64) (int, error) {
 // WriteAt writes p at offset off, allocating blocks lazily and extending the
 // file as needed.
 func (f *File) WriteAt(ctx *sim.Proc, p []byte, off int64) (int, error) {
-	fs := f.fs
-	if err := fs.begin(ctx); err != nil {
+	if err := f.fs.transact(ctx, func() error { return f.writeLocked(ctx, p, off) }); err != nil {
 		return 0, err
 	}
-	defer fs.end(ctx)
+	return len(p), nil
+}
+
+func (f *File) writeLocked(ctx *sim.Proc, p []byte, off int64) error {
+	fs := f.fs
 	if !f.writable {
-		return 0, ErrPerm
+		return ErrPerm
 	}
 	if off < 0 {
-		return 0, fmt.Errorf("extfs: negative offset")
+		return fmt.Errorf("extfs: negative offset")
 	}
-	fs.txBegin()
 	in := &fs.inodes[f.ino]
 	sizeBefore, allocBefore := in.size, fs.allocSeq
 	// Unshare any CoW-protected blocks in the write range first: writeRange
@@ -390,52 +392,33 @@ func (f *File) WriteAt(ctx *sim.Proc, p []byte, off int64) (int, error) {
 		last := (uint64(off) + uint64(len(p)) - 1) / bs
 		b, err := fs.breakShareLocked(ctx, in, first, last-first+1)
 		if err != nil {
-			fs.tx = nil
-			return 0, err
+			return err
 		}
 		broke = b
 	}
 	if err := fs.writeRange(ctx, in, uint64(off), p, false); err != nil {
-		return 0, err
+		return err
 	}
 	// Overwrites of already-allocated blocks change no metadata, so — like
 	// a real filesystem — they skip the inode write and its journaling.
 	if broke || in.size != sizeBefore || fs.allocSeq != allocBefore {
-		if err := fs.writeInode(ctx, f.ino); err != nil {
-			return 0, err
-		}
-		if err := fs.flushDirtyBitmap(ctx); err != nil {
-			return 0, err
-		}
+		return fs.writeInode(ctx, f.ino)
 	}
-	if err := fs.txCommit(ctx); err != nil {
-		return 0, err
-	}
-	return len(p), nil
+	return nil
 }
 
 // Truncate sets the file size, freeing blocks on shrink.
 func (f *File) Truncate(ctx *sim.Proc, size uint64) error {
 	fs := f.fs
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
-	if !f.writable {
-		return ErrPerm
-	}
-	fs.txBegin()
-	if err := fs.truncateTo(ctx, &fs.inodes[f.ino], size); err != nil {
-		fs.tx = nil
-		return err
-	}
-	if err := fs.writeInode(ctx, f.ino); err != nil {
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.transact(ctx, func() error {
+		if !f.writable {
+			return ErrPerm
+		}
+		if err := fs.truncateTo(ctx, &fs.inodes[f.ino], size); err != nil {
+			return err
+		}
+		return fs.writeInode(ctx, f.ino)
+	})
 }
 
 // Sync flushes the underlying device.

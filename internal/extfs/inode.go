@@ -125,16 +125,21 @@ func (fs *FS) writeInode(ctx *sim.Proc, ino uint32) error {
 	}
 	blk, _ := fs.inodeBlock(ino)
 	img := make([]byte, fs.bs)
+	fs.renderInodeBlock(img, uint64(blk)-fs.sb.inodeTableStart)
+	return fs.writeBlock(ctx, blk, img, true)
+}
+
+// renderInodeBlock fills img with the image of inode-table block b.
+func (fs *FS) renderInodeBlock(img []byte, b uint64) {
+	clear(img)
 	perBlock := fs.bs / InodeSize
-	first := uint32((int64(blk)-int64(fs.sb.inodeTableStart))*int64(perBlock)) + 1
 	for i := 0; i < perBlock; i++ {
-		n := first + uint32(i)
-		if int(n) >= len(fs.inodes) {
+		ino := uint32(b)*uint32(perBlock) + uint32(i) + 1
+		if int(ino) >= len(fs.inodes) {
 			break
 		}
-		encodeInode(img[i*InodeSize:], &fs.inodes[n])
+		encodeInode(img[i*InodeSize:], &fs.inodes[ino])
 	}
-	return fs.writeBlock(ctx, blk, img, true)
 }
 
 // syncOverflow (re)writes the overflow chain for extents beyond the inline
@@ -241,26 +246,6 @@ func (fs *FS) loadOverflow(ctx *sim.Proc, in *inode, extCount int, ovf uint64) e
 	}
 	if len(in.extents) != extCount {
 		return fmt.Errorf("extent count mismatch: inode says %d, loaded %d", extCount, len(in.extents))
-	}
-	return nil
-}
-
-// flushInodeTableAll writes the whole inode table (mkfs path).
-func (fs *FS) flushInodeTableAll(ctx *sim.Proc) error {
-	img := make([]byte, fs.bs)
-	perBlock := fs.bs / InodeSize
-	for b := uint64(0); b < fs.sb.inodeTableBlocks; b++ {
-		clear(img)
-		for i := 0; i < perBlock; i++ {
-			ino := uint32(b)*uint32(perBlock) + uint32(i) + 1
-			if int(ino) >= len(fs.inodes) {
-				break
-			}
-			encodeInode(img[i*InodeSize:], &fs.inodes[ino])
-		}
-		if err := fs.devWrite(ctx, int64(fs.sb.inodeTableStart+b), img); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -81,7 +81,6 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 	tx := fs.tx
 	fs.tx = nil
 	if tx == nil || len(tx.order) == 0 {
-		fs.tx = nil
 		return nil
 	}
 	if len(tx.order) > fs.txEntriesPerDesc() {
@@ -237,53 +236,57 @@ func (fs *FS) replayJournal(ctx *sim.Proc) error {
 	return nil
 }
 
-// flushDirtyBitmap writes bitmap disk blocks touched since the last flush
+// flushDirtyTables writes bitmap disk blocks touched since the last flush
 // into the current transaction, then does the same for dirty refcount-table
-// blocks so every existing commit point covers both.
-func (fs *FS) flushDirtyBitmap(ctx *sim.Proc) error {
-	if len(fs.dirtyBitmapBlks) > 0 {
-		img := make([]byte, fs.bs)
-		blks := make([]uint64, 0, len(fs.dirtyBitmapBlks))
-		for b := range fs.dirtyBitmapBlks {
-			blks = append(blks, b)
-		}
-		sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
-		for _, b := range blks {
-			off := b * uint64(fs.bs)
-			clear(img)
-			end := off + uint64(fs.bs)
-			if end > uint64(len(fs.bitmap)) {
-				end = uint64(len(fs.bitmap))
-			}
-			if off < end {
-				copy(img, fs.bitmap[off:end])
-			}
-			if err := fs.writeBlock(ctx, int64(fs.sb.bitmapStart+b), img, true); err != nil {
-				return err
-			}
-		}
-		fs.dirtyBitmapBlks = nil
+// blocks so every commit point covers both.
+func (fs *FS) flushDirtyTables(ctx *sim.Proc) error {
+	if err := fs.flushDirtyTable(ctx, &fs.dirtyBitmapBlks, fs.sb.bitmapStart, fs.renderBitmapBlock); err != nil {
+		return err
 	}
-	return fs.flushDirtyRefcnt(ctx)
+	return fs.flushDirtyTable(ctx, &fs.dirtyRefcntBlks, fs.sb.refcntStart, fs.renderRefcntBlock)
 }
 
-// flushBitmapAll writes the entire bitmap (mkfs path).
-func (fs *FS) flushBitmapAll(ctx *sim.Proc) error {
+// flushDirtyTable writes the blocks of one metadata table named in *dirty
+// into the current transaction in ascending order — map iteration order must
+// not reach the journal — and then forgets them. The table occupies the
+// volume from block start; render fills img with table block b's image.
+func (fs *FS) flushDirtyTable(ctx *sim.Proc, dirty *map[uint64]struct{}, start uint64, render func(img []byte, b uint64)) error {
+	if len(*dirty) == 0 {
+		return nil
+	}
 	img := make([]byte, fs.bs)
-	for b := uint64(0); b < fs.sb.bitmapBlocks; b++ {
-		off := b * uint64(fs.bs)
-		clear(img)
-		end := off + uint64(fs.bs)
-		if end > uint64(len(fs.bitmap)) {
-			end = uint64(len(fs.bitmap))
-		}
-		if off < end {
-			copy(img, fs.bitmap[off:end])
-		}
-		if err := fs.devWrite(ctx, int64(fs.sb.bitmapStart+b), img); err != nil {
+	blks := make([]uint64, 0, len(*dirty))
+	for b := range *dirty {
+		blks = append(blks, b)
+	}
+	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	for _, b := range blks {
+		render(img, b)
+		if err := fs.writeBlock(ctx, int64(start+b), img, true); err != nil {
 			return err
 		}
 	}
-	fs.dirtyBitmapBlks = nil
+	*dirty = nil
 	return nil
+}
+
+// writeTable writes blocks [0, n) of the metadata table at start straight to
+// the device, unjournaled (mkfs path).
+func (fs *FS) writeTable(ctx *sim.Proc, start, n uint64, render func(img []byte, b uint64)) error {
+	img := make([]byte, fs.bs)
+	for b := uint64(0); b < n; b++ {
+		render(img, b)
+		if err := fs.devWrite(ctx, int64(start+b), img); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// renderBitmapBlock fills img with the image of allocation-bitmap block b.
+func (fs *FS) renderBitmapBlock(img []byte, b uint64) {
+	clear(img)
+	if off := b * uint64(fs.bs); off < uint64(len(fs.bitmap)) {
+		copy(img, fs.bitmap[off:])
+	}
 }

@@ -105,32 +105,14 @@ func (fs *FS) refAdd(blk uint64, delta int32) {
 	fs.dirtyRefcntBlks[idx*refEntrySize/uint64(fs.bs)] = struct{}{}
 }
 
-// flushDirtyRefcnt journals the refcount table disk blocks touched since the
-// last flush (called from flushDirtyBitmap, so every existing commit point
-// covers the table too).
-func (fs *FS) flushDirtyRefcnt(ctx *sim.Proc) error {
-	if len(fs.dirtyRefcntBlks) == 0 {
-		return nil
-	}
-	img := make([]byte, fs.bs)
-	blks := make([]uint64, 0, len(fs.dirtyRefcntBlks))
-	for b := range fs.dirtyRefcntBlks {
-		blks = append(blks, b)
-	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+// renderRefcntBlock fills img with the image of refcount-table block b.
+func (fs *FS) renderRefcntBlock(img []byte, b uint64) {
+	clear(img)
 	per := uint64(fs.bs / refEntrySize)
 	entries := fs.refEntries()
-	for _, b := range blks {
-		clear(img)
-		for i := uint64(0); i < per && b*per+i < entries; i++ {
-			binary.BigEndian.PutUint32(img[i*refEntrySize:], fs.refcnt[b*per+i])
-		}
-		if err := fs.writeBlock(ctx, int64(fs.sb.refcntStart+b), img, true); err != nil {
-			return err
-		}
+	for i := uint64(0); i < per && b*per+i < entries; i++ {
+		binary.BigEndian.PutUint32(img[i*refEntrySize:], fs.refcnt[b*per+i])
 	}
-	fs.dirtyRefcntBlks = nil
-	return nil
 }
 
 // SharedBlocks reports how many data blocks carry at least one extra (CoW)
@@ -152,10 +134,10 @@ func (fs *FS) SharedBlocks() int64 {
 // destination's parent (checked by createNode). The new file is owned by
 // uid with the source's permission bits.
 func (fs *FS) Snapshot(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
+	return fs.transact(ctx, func() error { return fs.snapshotLocked(ctx, srcPath, dstPath, uid) })
+}
+
+func (fs *FS) snapshotLocked(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error {
 	srcIno, err := fs.resolve(ctx, srcPath, uid)
 	if err != nil {
 		return err
@@ -167,14 +149,11 @@ func (fs *FS) Snapshot(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error
 	if !accessOK(src, uid, PermRead) {
 		return ErrPerm
 	}
-	fs.txBegin()
 	if err := fs.ensureRefcntTable(ctx); err != nil {
-		fs.tx = nil
 		return err
 	}
 	dstIno, err := fs.createNode(ctx, dstPath, uid, ModeFile|(src.mode&0o777))
 	if err != nil {
-		fs.tx = nil
 		return err
 	}
 	dst := &fs.inodes[dstIno]
@@ -192,13 +171,7 @@ func (fs *FS) Snapshot(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error
 	if err := fs.writeInode(ctx, srcIno); err != nil {
 		return err
 	}
-	if err := fs.writeInode(ctx, dstIno); err != nil {
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.writeInode(ctx, dstIno)
 }
 
 // BreakRange unshares logical blocks [blk, blk+n) of path: protected
@@ -210,35 +183,21 @@ func (fs *FS) Snapshot(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error
 // a block. It is idempotent: re-running it over an already-broken range
 // changes nothing.
 func (fs *FS) BreakRange(ctx *sim.Proc, path string, blk, n uint64) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
-	ino, err := fs.resolve(ctx, path, 0)
-	if err != nil {
-		return err
-	}
-	in := &fs.inodes[ino]
-	if in.isDir() {
-		return ErrIsDir
-	}
-	fs.txBegin()
-	changed, err := fs.breakShareLocked(ctx, in, blk, n)
-	if err != nil {
-		fs.tx = nil
-		return err
-	}
-	if !changed {
-		fs.tx = nil
-		return nil
-	}
-	if err := fs.writeInode(ctx, ino); err != nil {
-		return err
-	}
-	if err := fs.flushDirtyBitmap(ctx); err != nil {
-		return err
-	}
-	return fs.txCommit(ctx)
+	return fs.transact(ctx, func() error {
+		ino, err := fs.resolve(ctx, path, 0)
+		if err != nil {
+			return err
+		}
+		in := &fs.inodes[ino]
+		if in.isDir() {
+			return ErrIsDir
+		}
+		changed, err := fs.breakShareLocked(ctx, in, blk, n)
+		if err != nil || !changed {
+			return err
+		}
+		return fs.writeInode(ctx, ino)
+	})
 }
 
 // breakShareLocked walks the protected extents overlapping logical blocks

@@ -463,32 +463,41 @@ func (c *Client) submitRead(p *sim.Proc, lba int64, buf guest.Buffer) error {
 		}
 		start := p.Now()
 		err := r.Drv.Submit(p, false, lba, buf)
+		c.accountReadLeg(p, r, p.Now()-start, err)
 		if err == nil {
-			c.observeRead(r, p.Now()-start)
 			c.observeDelivered(p.Now() - start)
-			c.reportSuccess(r)
 			c.recordRead(p.Now()-t0, p.Now()-start, true)
 			return nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
-		if errors.Is(err, ring.ErrIntegrity) {
-			// The device's guard verification caught corrupt data. The
-			// replica answered promptly — this is a data problem, not a
-			// transport problem — so fall back to a peer without charging
-			// the health state machine.
-			c.ReadFallbacks++
-			continue
-		}
-		c.ReadRetries++
-		c.reportFailure(p, r)
 	}
 	if firstErr == nil {
 		firstErr = ErrNoReplicas
 	}
 	c.recordRead(p.Now()-t0, 0, false)
 	return firstErr
+}
+
+// accountReadLeg books the outcome of one read a leg has answered, for the
+// plain path and for each hedge worker alike — win or lose, a finished read
+// is a real observation of that leg.
+func (c *Client) accountReadLeg(p *sim.Proc, r *Replica, took sim.Time, err error) {
+	switch {
+	case err == nil:
+		c.observeRead(r, took)
+		c.reportSuccess(r)
+	case errors.Is(err, ring.ErrIntegrity):
+		// The device's guard verification caught corrupt data. The replica
+		// answered promptly — this is a data problem, not a transport
+		// problem — so the caller falls back to a peer without the health
+		// state machine being charged.
+		c.ReadFallbacks++
+	default:
+		c.ReadRetries++
+		c.reportFailure(p, r)
+	}
 }
 
 // pickRead chooses the untried replica with the lowest smoothed read

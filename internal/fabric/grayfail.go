@@ -1,11 +1,8 @@
 package fabric
 
 import (
-	"errors"
-
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
-	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
 	"nesc/internal/stats"
@@ -160,12 +157,8 @@ func (c *Client) getScratch(n int) scratch {
 	if n > size {
 		size = n
 	}
-	addr := c.Mem.MustAlloc(int64(size), 64)
-	data, err := c.Mem.Slice(addr, int64(size))
-	if err != nil {
-		panic(err)
-	}
-	return scratch{addr: addr, full: data}
+	buf := guest.AllocBuffer(c.Mem, int64(size))
+	return scratch{addr: buf.Addr, full: buf.Data}
 }
 
 func (c *Client) putScratch(s scratch) { c.hedgePool = append(c.hedgePool, s) }
@@ -183,22 +176,13 @@ type hedgeLeg struct {
 }
 
 // launchLeg spawns one hedged read half. The worker does its own health and
-// latency accounting on completion — win or lose, a finished read is a real
-// observation.
+// latency accounting on completion.
 func (c *Client) launchLeg(r *Replica, lba int64, n int, start sim.Time, first *sim.Signal) *hedgeLeg {
 	leg := &hedgeLeg{r: r, s: c.getScratch(n), done: sim.NewSignal(c.Eng)}
 	c.Eng.Go("fabric-hedge", func(wp *sim.Proc) {
 		leg.err = r.Drv.Submit(wp, false, lba, leg.s.buf(n))
 		leg.fin = true
-		if leg.err == nil {
-			c.observeRead(r, wp.Now()-start)
-			c.reportSuccess(r)
-		} else if errors.Is(leg.err, ring.ErrIntegrity) {
-			c.ReadFallbacks++
-		} else {
-			c.ReadRetries++
-			c.reportFailure(wp, r)
-		}
+		c.accountReadLeg(wp, r, wp.Now()-start, leg.err)
 		if leg.recycle {
 			c.putScratch(leg.s)
 		}

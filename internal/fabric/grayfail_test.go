@@ -21,6 +21,8 @@ type fakeLeg struct {
 	lat    sim.Time
 	reads  int
 	writes int
+	// readErr, when set, is what every read answers with (after lat).
+	readErr error
 }
 
 func newFakeLeg(name string, bs int, blocks int64, lat sim.Time) *fakeLeg {
@@ -41,6 +43,9 @@ func (f *fakeLeg) Submit(p *sim.Proc, write bool, lba int64, buf guest.Buffer) e
 		return nil
 	}
 	f.reads++
+	if f.readErr != nil {
+		return f.readErr
+	}
 	copy(buf.Data, f.store[off:off+int64(len(buf.Data))])
 	return nil
 }

@@ -73,7 +73,7 @@ func (c *Client) copyRegion(p *sim.Proc, target *Replica, reg int) {
 	chunk := uint64(c.MaxBlocksPerReq())
 	for off := uint64(0); off < count; off += chunk {
 		n := min(chunk, count-off)
-		buf := c.resilverBuffer(int(n) * c.BlockSize())
+		buf := c.resilverBuf.Ensure(c.Mem, int(n)*c.BlockSize())
 		if err := src.Drv.Submit(p, false, int64(lba+off), buf); err != nil {
 			target.dirty.Mark(lba, count)
 			c.reportFailure(p, src)
@@ -105,18 +105,6 @@ func (c *Client) cleanSource(target *Replica, lba, count uint64) *Replica {
 		}
 	}
 	return best
-}
-
-func (c *Client) resilverBuffer(n int) guest.Buffer {
-	if len(c.resilverBuf.Data) < n {
-		addr := c.Mem.MustAlloc(int64(n), 64)
-		data, err := c.Mem.Slice(addr, int64(n))
-		if err != nil {
-			panic(err)
-		}
-		c.resilverBuf = guest.Buffer{Addr: addr, Data: data}
-	}
-	return guest.Buffer{Addr: c.resilverBuf.Addr, Data: c.resilverBuf.Data[:n]}
 }
 
 // Pause blocks new submissions and waits until every in-flight request has

@@ -91,15 +91,28 @@ func NewKernel(eng *sim.Engine, mem *hostmem.Memory, p Params, drv BlockDriver) 
 	return &Kernel{Eng: eng, Mem: mem, P: p, Drv: drv}
 }
 
-// AllocBuffer allocates an n-byte DMA-able buffer in guest RAM.
-func (k *Kernel) AllocBuffer(n int64) Buffer {
-	addr := k.Mem.MustAlloc(n, 64)
-	data, err := k.Mem.Slice(addr, n)
+// AllocBuffer allocates an n-byte DMA-able buffer in mem.
+func AllocBuffer(mem *hostmem.Memory, n int64) Buffer {
+	addr := mem.MustAlloc(n, 64)
+	data, err := mem.Slice(addr, n)
 	if err != nil {
 		panic(err)
 	}
 	return Buffer{Addr: addr, Data: data}
 }
+
+// Ensure makes b a grow-only bounce buffer: it returns b's first n bytes,
+// first replacing b with a fresh allocation of exactly n bytes when it is
+// shorter (the outgrown allocation is not returned to mem).
+func (b *Buffer) Ensure(mem *hostmem.Memory, n int) Buffer {
+	if len(b.Data) < n {
+		*b = AllocBuffer(mem, int64(n))
+	}
+	return Buffer{Addr: b.Addr, Data: b.Data[:n]}
+}
+
+// AllocBuffer allocates an n-byte DMA-able buffer in guest RAM.
+func (k *Kernel) AllocBuffer(n int64) Buffer { return AllocBuffer(k.Mem, n) }
 
 // memcpyCost charges the in-guest copy cost for n bytes.
 func (k *Kernel) memcpyCost(p *sim.Proc, n int) {
@@ -317,13 +330,6 @@ func (d *Disk) BlockSize() int { return d.k.Drv.BlockSize() }
 // NumBlocks implements extfs.BlockDev.
 func (d *Disk) NumBlocks() int64 { return d.k.Drv.CapacityBlocks() }
 
-func (d *Disk) ensure(n int) Buffer {
-	if len(d.bounce.Data) < n {
-		d.bounce = d.k.AllocBuffer(int64(n))
-	}
-	return Buffer{Addr: d.bounce.Addr, Data: d.bounce.Data[:n]}
-}
-
 // ReadBlocks implements extfs.BlockDev: cached blocks cost a memory copy;
 // misses are fetched in contiguous spans through the block layer (bounce
 // buffer: the guest filesystem's buffers are not DMA-mapped pages in this
@@ -351,7 +357,7 @@ func (d *Disk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 		}
 		span := (j - i) * bs
 		d.CacheMisses += int64(j - i)
-		buf := d.ensure(span)
+		buf := d.bounce.Ensure(d.k.Mem, span)
 		if err := d.k.SubmitAligned(ctx, false, blk, buf); err != nil {
 			return err
 		}
@@ -372,7 +378,7 @@ func (d *Disk) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	for i := 0; i < len(p)/bs; i++ {
 		d.cacheInsert(lba+int64(i), p[i*bs:(i+1)*bs])
 	}
-	buf := d.ensure(len(p))
+	buf := d.bounce.Ensure(d.k.Mem, len(p))
 	copy(buf.Data, p)
 	d.k.memcpyCost(ctx, len(p))
 	return d.k.SubmitAligned(ctx, true, lba, buf)

@@ -80,12 +80,7 @@ func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDri
 		const slots = 32
 		n := int64(nescMaxBlocksPerReq * cfg.BlockSize)
 		for i := 0; i < slots; i++ {
-			addr := cfg.Mem.MustAlloc(n, 64)
-			data, err := cfg.Mem.Slice(addr, n)
-			if err != nil {
-				return nil, err
-			}
-			d.trampoSlots = append(d.trampoSlots, Buffer{Addr: addr, Data: data})
+			d.trampoSlots = append(d.trampoSlots, AllocBuffer(cfg.Mem, n))
 		}
 		d.trampoSem = sim.NewSemaphore(eng, slots)
 	}

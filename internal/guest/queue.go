@@ -341,32 +341,23 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 			delete(qp.waiters, id) // the doorbell never rang; drop the waiter
 			return 0, err
 		}
-		piBad, busy := false, false
-		if w.sig.AwaitTimeout(p, qp.cfg.Timeout<<uint(attempt)) {
-			if !w.aborted {
-				switch {
-				case w.status == ring.StatusBusy:
-					busy = true
-				case qp.completionOK(op, w, count, bufAddr):
-					return w.status, nil
-				default:
-					piBad = true
-				}
-			}
-		} else {
+		delivered := w.sig.AwaitTimeout(p, qp.cfg.Timeout<<uint(attempt))
+		if !delivered {
 			// Deadline hit: the completion MSI may have been lost while the
 			// entry landed. Poll the ring before declaring the request dead.
 			qp.Timeouts++
 			qp.pollRing()
-			if w.sig.Fired() && !w.aborted {
-				switch {
-				case w.status == ring.StatusBusy:
-					busy = true
-				case qp.completionOK(op, w, count, bufAddr):
-					return w.status, nil
-				default:
-					piBad = true
-				}
+			delivered = w.sig.Fired()
+		}
+		piBad, busy := false, false
+		if delivered && !w.aborted {
+			switch {
+			case w.status == ring.StatusBusy:
+				busy = true
+			case qp.completionOK(op, w, count, bufAddr):
+				return w.status, nil
+			default:
+				piBad = true
 			}
 		}
 		delete(qp.waiters, id) // a late completion for id becomes stale
@@ -472,19 +463,34 @@ func (qp *QueuePair) completionOK(op uint32, w *qpWaiter, count uint32, bufAddr 
 }
 
 // OnInterrupt drains new completion entries and wakes their submitters. It
-// runs in engine (interrupt) context.
-func (qp *QueuePair) OnInterrupt() {
+// runs in engine (interrupt) context and stops at the first slot that does
+// not hold the next sequence number.
+func (qp *QueuePair) OnInterrupt() { qp.scan(1) }
+
+// scan delivers completion entries in sequence order for as long as one of
+// the ahead slots past the last delivered entry holds the sequence number
+// that belongs there, and reports how many it delivered. Finding it beyond
+// the first slot means the entries before it were lost; they are counted as
+// gaps and skipped.
+func (qp *QueuePair) scan(ahead uint32) (delivered int64) {
 	entry := make([]byte, ring.CplBytes)
+next:
 	for {
-		if err := qp.mem.Read(ring.CplSlot(qp.cplBase, qp.lastSeq+1, qp.entries), entry); err != nil {
-			return
+		for k := uint32(1); k <= ahead; k++ {
+			if err := qp.mem.Read(ring.CplSlot(qp.cplBase, qp.lastSeq+k, qp.entries), entry); err != nil {
+				return delivered
+			}
+			id, status, seq, guard := ring.DecodeCompletionPI(entry)
+			if seq != qp.lastSeq+k {
+				continue
+			}
+			qp.SeqGaps += int64(k - 1)
+			qp.lastSeq = seq
+			delivered++
+			qp.deliver(id, status, guard)
+			continue next
 		}
-		id, status, seq, guard := ring.DecodeCompletionPI(entry)
-		if seq != qp.lastSeq+1 {
-			return
-		}
-		qp.lastSeq = seq
-		qp.deliver(id, status, guard)
+		return delivered
 	}
 }
 
@@ -506,30 +512,7 @@ func (qp *QueuePair) deliver(id, status, guard uint32) {
 // delivered. Unlike OnInterrupt it tolerates sequence gaps: a gap means a
 // completion DMA write was lost on the wire, and skipping it is the only way
 // the ring can make progress again. Only the timeout path pays this scan.
-func (qp *QueuePair) pollRing() {
-	entry := make([]byte, ring.CplBytes)
-	for {
-		advanced := false
-		for k := uint32(1); k <= qp.entries; k++ {
-			if err := qp.mem.Read(ring.CplSlot(qp.cplBase, qp.lastSeq+k, qp.entries), entry); err != nil {
-				return
-			}
-			id, status, seq, guard := ring.DecodeCompletionPI(entry)
-			if seq != qp.lastSeq+k {
-				continue
-			}
-			qp.SeqGaps += int64(k - 1)
-			qp.lastSeq = seq
-			qp.PolledCompletions++
-			qp.deliver(id, status, guard)
-			advanced = true
-			break
-		}
-		if !advanced {
-			return
-		}
-	}
-}
+func (qp *QueuePair) pollRing() { qp.PolledCompletions += qp.scan(qp.entries) }
 
 // Recover re-arms the queue pair after a function-level reset: it resets the
 // ring cursors, zeroes and re-programs both rings, and aborts every parked

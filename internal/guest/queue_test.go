@@ -16,7 +16,8 @@ import (
 // protocol from the device side, with per-request misbehavior: "ok",
 // "silent" (request vanishes), "lostcpl" (sequence number consumed, entry
 // never written), "nomsi" (entry written, interrupt lost), "dup" (completed
-// twice), "pierr" (completed with StatusIntegrityError).
+// twice), "pierr" (completed with StatusIntegrityError), "busy" (completed
+// with StatusBusy); "pierr-nomsi" and "busy-nomsi" lose the interrupt too.
 type fakeFn struct {
 	eng *sim.Engine
 	mem *hostmem.Memory
@@ -81,6 +82,13 @@ func (d *fakeFn) serve(prod uint32) {
 		case "pierr":
 			d.completeWith(id, core.StatusIntegrityError)
 			d.eng.After(sim.Microsecond, d.qp.OnInterrupt)
+		case "pierr-nomsi":
+			d.completeWith(id, core.StatusIntegrityError)
+		case "busy":
+			d.completeWith(id, core.StatusBusy)
+			d.eng.After(sim.Microsecond, d.qp.OnInterrupt)
+		case "busy-nomsi":
+			d.completeWith(id, core.StatusBusy)
 		case "dup":
 			d.complete(id)
 			d.complete(id)
@@ -364,5 +372,56 @@ func TestRootCauseSurvivesRetryLadder(t *testing.T) {
 	}
 	if qp.RootCauseOverrides != 1 {
 		t.Fatalf("RootCauseOverrides = %d, want 1", qp.RootCauseOverrides)
+	}
+}
+
+// A delivered completion is classified the same way however it was found:
+// by the interrupt, or by the poll a timeout falls back to when the
+// interrupt was lost. Busy and integrity answers are resubmitted (and
+// counted); anything else ends the submission.
+func TestCompletionClassifiedAlikeAfterInterruptAndPoll(t *testing.T) {
+	for _, tc := range []struct {
+		first                  string // the device's answer to the first attempt
+		busy, piErr, resubmits int64
+	}{
+		{"ok", 0, 0, 0},
+		{"busy", 1, 0, 1},
+		{"pierr", 0, 1, 1},
+	} {
+		for _, polled := range []bool{false, true} {
+			name, mode, found := tc.first+" after interrupt", tc.first, int64(0)
+			if polled {
+				name, mode, found = tc.first+" after poll", tc.first+"-nomsi", 1
+				if tc.first == "ok" {
+					mode = "nomsi"
+				}
+			}
+			t.Run(name, func(t *testing.T) {
+				eng, qp, d := newQPRig(t)
+				qp.cfg.Timeout = 500 * sim.Microsecond
+				qp.cfg.RetryMax = 2
+				d.mode = func(id uint32) string {
+					if id == 1 {
+						return mode
+					}
+					return "ok"
+				}
+				eng.Go("submitter", func(p *sim.Proc) {
+					st, err := qp.Submit(p, core.OpWrite, 0, 1, 0)
+					if err != nil || st != core.StatusOK {
+						t.Errorf("submit: status %d err %v", st, err)
+					}
+				})
+				eng.Run()
+				eng.Shutdown()
+				if qp.BusyRejects != tc.busy || qp.PIWriteErrors != tc.piErr || qp.Resubmits != tc.resubmits {
+					t.Errorf("busy=%d piErrors=%d resubmits=%d, want %d/%d/%d",
+						qp.BusyRejects, qp.PIWriteErrors, qp.Resubmits, tc.busy, tc.piErr, tc.resubmits)
+				}
+				if qp.Timeouts != found || qp.PolledCompletions != found {
+					t.Errorf("timeouts=%d polled=%d, want %d/%d", qp.Timeouts, qp.PolledCompletions, found, found)
+				}
+			})
+		}
 	}
 }

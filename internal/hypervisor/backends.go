@@ -33,33 +33,12 @@ type rawPFTarget struct {
 func (t *rawPFTarget) SizeBlocks() int64 { return t.d.Ctl.Medium.Store().NumBlocks() }
 func (t *rawPFTarget) BlockSize() int    { return t.d.Ctl.P.BlockSize }
 
-func (t *rawPFTarget) op(p *sim.Proc, opCode uint32, lba int64, addr hostmem.Addr, nBlocks int) error {
-	h := t.d.h
-	bs := int64(t.BlockSize())
-	for done := 0; done < nBlocks; {
-		n := nBlocks - done
-		if n > pfMaxBlocksPerReq {
-			n = pfMaxBlocksPerReq
-		}
-		p.Sleep(h.P.HostStackTime)
-		st, err := t.d.pfQP.Submit(p, opCode, uint64(lba+int64(done)), uint32(n), addr+int64(done)*bs)
-		if err != nil {
-			return err
-		}
-		if err := guest.StatusError(st); err != nil {
-			return err
-		}
-		done += n
-	}
-	return nil
-}
-
 func (t *rawPFTarget) Read(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
-	return t.op(p, core.OpRead, lba, addr, nBlocks)
+	return t.d.pfSubmit(p, core.OpRead, lba, addr, nBlocks, 1)
 }
 
 func (t *rawPFTarget) Write(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
-	return t.op(p, core.OpWrite, lba, addr, nBlocks)
+	return t.d.pfSubmit(p, core.OpWrite, lba, addr, nBlocks, 1)
 }
 
 // fileTarget backs a virtual disk with an image file on the host filesystem

@@ -188,6 +188,7 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 	}
 	cache := d.casCacheRef()
 	bs := uint64(d.Ctl.P.BlockSize)
+	fn := idx + 1 // attribution rows are keyed by function index; 0 is the PF
 	for i := blk; i < blk+n; i++ {
 		if i >= uint64(len(m.Hashes)) {
 			// Past the manifest's content (a partial trailing chunk range):
@@ -207,7 +208,7 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 			}
 			if h.tel.Attrib != nil {
 				// The remote round trip is fabric time from the tenant's view.
-				h.tel.Attrib.AddSegment(idx, op, slo.SegFabricWait, p.Now()-start)
+				h.tel.Attrib.AddSegment(fn, op, slo.SegFabricWait, p.Now()-start)
 			}
 			cache.Put(hash, fetched)
 			data = fetched
@@ -222,7 +223,7 @@ func (d *Device) materializeRange(p *sim.Proc, idx int, st *vfState, blk, n uint
 			return werr
 		}
 		if h.tel.Attrib != nil {
-			h.tel.Attrib.AddSegment(idx, op, slo.SegMedium, p.Now()-wstart)
+			h.tel.Attrib.AddSegment(fn, op, slo.SegMedium, p.Now()-wstart)
 		}
 		h.CASMaterializations++
 	}

@@ -346,34 +346,28 @@ func (pd *PFDisk) BlockSize() int { return pd.d.Ctl.P.BlockSize }
 // NumBlocks implements extfs.BlockDev.
 func (pd *PFDisk) NumBlocks() int64 { return pd.d.Ctl.Medium.Store().NumBlocks() }
 
-func (pd *PFDisk) ensure(n int) guest.Buffer {
-	if len(pd.bounce.Data) < n {
-		addr := pd.d.h.Mem.MustAlloc(int64(n), 64)
-		data, err := pd.d.h.Mem.Slice(addr, int64(n))
-		if err != nil {
-			panic(err)
-		}
-		pd.bounce = guest.Buffer{Addr: addr, Data: data}
-	}
-	return guest.Buffer{Addr: pd.bounce.Addr, Data: pd.bounce.Data[:n]}
-}
+// hostBlockTries is how often the host block layer issues a request that
+// keeps failing transiently (a rejected DMA transfer, a reset abort) before
+// the error propagates — bounded, like a real kernel's.
+const hostBlockTries = 4
 
-func (pd *PFDisk) submit(ctx *sim.Proc, op uint32, lba int64, buf guest.Buffer) error {
-	h := pd.d.h
-	bs := pd.BlockSize()
-	blocks := len(buf.Data) / bs
-	for done := 0; done < blocks; {
-		n := blocks - done
+// pfSubmit moves nBlocks between the medium at lba and host memory at addr
+// over the PF out-of-band channel, split at the channel's request-size limit.
+// Every request pays the host stack time; one that fails transiently is
+// issued up to tries times, any other error propagates at once. A backend
+// that maps the PF into a guest passes 1: there the guest's own block layer
+// is what retries.
+func (d *Device) pfSubmit(p *sim.Proc, op uint32, lba int64, addr hostmem.Addr, nBlocks, tries int) error {
+	bs := int64(d.Ctl.P.BlockSize)
+	for done := 0; done < nBlocks; {
+		n := nBlocks - done
 		if n > pfMaxBlocksPerReq {
 			n = pfMaxBlocksPerReq
 		}
-		// The host block layer retries transiently failed requests (a
-		// rejected DMA transfer, a reset abort) a bounded number of times,
-		// like a real kernel's; persistent errors propagate to the caller.
 		var serr error
-		for tries := 0; tries < 4; tries++ {
-			ctx.Sleep(h.P.HostStackTime)
-			st, err := pd.d.pfQP.Submit(ctx, op, uint64(lba+int64(done)), uint32(n), buf.Addr+int64(done*bs))
+		for try := 0; try < tries; try++ {
+			p.Sleep(d.h.P.HostStackTime)
+			st, err := d.pfQP.Submit(p, op, uint64(lba+int64(done)), uint32(n), addr+int64(done)*bs)
 			if err != nil {
 				return err
 			}
@@ -396,8 +390,8 @@ func (pd *PFDisk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 		// Timeless access for setup/inspection: bypass the rings.
 		return pd.d.Ctl.Medium.Store().ReadBlocks(lba, p)
 	}
-	buf := pd.ensure(len(p))
-	if err := pd.submit(ctx, core.OpRead, lba, buf); err != nil {
+	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
+	if err := pd.d.pfSubmit(ctx, core.OpRead, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries); err != nil {
 		return err
 	}
 	copy(p, buf.Data)
@@ -410,10 +404,10 @@ func (pd *PFDisk) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	if ctx == nil {
 		return pd.d.Ctl.Medium.Store().WriteBlocks(lba, p)
 	}
-	buf := pd.ensure(len(p))
+	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
 	copy(buf.Data, p)
 	ctx.Sleep(sim.BytesTime(int64(len(p)), pd.d.h.P.MemcpyBandwidth))
-	return pd.submit(ctx, core.OpWrite, lba, buf)
+	return pd.d.pfSubmit(ctx, core.OpWrite, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries)
 }
 
 // Flush implements extfs.BlockDev.

@@ -16,15 +16,22 @@ import (
 // MissReasonCoW and stalls until the hypervisor has broken the sharing
 // (serviceMiss), exactly like the lazy-allocation path.
 
-// invalidateVFRange drops BTLB entries of one function overlapping vLBA
-// range [vlba, vlba+count); count 0 invalidates the function's whole
-// footprint. Three-register MMIO command: latch the range, then writing the
-// function index fires the invalidation.
-func (d *Device) invalidateVFRange(p *sim.Proc, idx int, vlba, count uint64) {
+// invalidateSharers drops the BTLB entries overlapping vLBA range
+// [vlba, vlba+count) of every function that walks st's tree; count 0
+// invalidates each one's whole footprint. The BTLB is keyed by function, so
+// a remap one sharer caused leaves the same stale translation cached under
+// every other sharer's index: whoever changes a shared tree invalidates for
+// all of them. Three-register MMIO command per function: latch the range,
+// then writing the function index fires the invalidation.
+func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64) {
 	base := d.Ctl.BARBase()
-	d.h.mmioW(p, base+core.PFRegInvVLBA, vlba)
-	d.h.mmioW(p, base+core.PFRegInvCount, count)
-	d.h.mmioW(p, base+core.PFRegInvFn, uint64(idx+1))
+	for idx, o := range d.vfs {
+		if o != nil && o.inUse && o.shared == st.shared {
+			d.h.mmioW(p, base+core.PFRegInvVLBA, vlba)
+			d.h.mmioW(p, base+core.PFRegInvCount, count)
+			d.h.mmioW(p, base+core.PFRegInvFn, uint64(idx+1))
+		}
+	}
 }
 
 // SnapshotVF captures a copy-on-write snapshot of a VF's backing file at
@@ -49,12 +56,12 @@ func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) er
 		return err
 	}
 	d.h.Snapshots++
-	// The function's BTLB entries may cache pre-snapshot, unprotected
-	// translations: drop them all once the write-protected tree is in place.
+	// The BTLB may cache pre-snapshot, unprotected translations: drop them
+	// all once the write-protected tree is in place.
 	if err := d.remap(p, st); err != nil {
 		return err
 	}
-	d.invalidateVFRange(p, idx, 0, 0)
+	d.invalidateSharers(p, st, 0, 0)
 	return nil
 }
 

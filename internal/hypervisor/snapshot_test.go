@@ -230,3 +230,103 @@ func TestDeleteSnapshotLifecycle(t *testing.T) {
 		}
 	})
 }
+
+// twoOnOneImage boots two direct VMs, A on VF 0 and B on VF 1, exporting the
+// same host file and so sharing one device extent tree, with blocks 0-15
+// written through A.
+func twoOnOneImage(t *testing.T, w *world, p *sim.Proc) (a, b *VM, base []byte) {
+	t.Helper()
+	w.boot(t, p)
+	w.mkImage(t, p, "/s.img", 100, 256)
+	var err error
+	if a, err = w.h.NewVM(p, "a", VMConfig{Backend: BackendDirect, DiskPath: "/s.img", UID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err = w.h.NewVM(p, "b", VMConfig{Backend: BackendDirect, DiskPath: "/s.img", UID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if !w.d.SharesTreeWith(0, 1) {
+		t.Fatal("two exports of one file do not share a tree")
+	}
+	buf := a.Kernel.AllocBuffer(16 * 1024)
+	rand.New(rand.NewSource(31)).Read(buf.Data)
+	if err := a.Kernel.SubmitAligned(p, true, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	return a, b, append([]byte(nil), buf.Data...)
+}
+
+// A snapshot taken through one VF write-protects the tree every sharer
+// walks, so every sharer's cached translations must go — not only the acting
+// VF's. Otherwise a sharer keeps writing through its stale unprotected BTLB
+// entry, straight into the block the snapshot now owns.
+func TestSnapshotInvalidatesEverySharersBTLB(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		_, b, base := twoOnOneImage(t, w, p)
+		one := b.Kernel.AllocBuffer(1024)
+		// B writes block 5: its function now caches the unprotected extent.
+		copy(one.Data, base[5*1024:6*1024])
+		if err := b.Kernel.SubmitAligned(p, true, 5, one); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.d.SnapshotVF(p, 0, "/s.snap", 100); err != nil {
+			t.Fatal(err)
+		}
+		for i := range one.Data {
+			one.Data[i] = 0xB5
+		}
+		if err := b.Kernel.SubmitAligned(p, true, 5, one); err != nil {
+			t.Fatal(err)
+		}
+		if w.ctl.CowFaults == 0 {
+			t.Error("sharer's post-snapshot write raised no CoW fault: it used a stale BTLB entry")
+		}
+		if got := readHostFile(t, p, w.d, "/s.snap", 16*1024); !bytes.Equal(got, base) {
+			t.Error("sharer's post-snapshot write landed in the snapshot")
+		}
+		if err := w.d.HostFS.Check(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// The CoW-break twin: when one sharer's write moves a shared block to a
+// private copy, the other sharer of the same file must stop reading the old
+// physical block through its cached translation.
+func TestCowBreakInvalidatesEverySharersBTLB(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		a, b, base := twoOnOneImage(t, w, p)
+		if err := w.d.SnapshotVF(p, 0, "/s.snap", 100); err != nil {
+			t.Fatal(err)
+		}
+		// B reads block 5: its function caches the protected mapping to the
+		// block the snapshot shares.
+		got := b.Kernel.AllocBuffer(1024)
+		if err := b.Kernel.SubmitAligned(p, false, 5, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, base[5*1024:6*1024]) {
+			t.Fatal("sharer's first read differs from what was written")
+		}
+		// A breaks the sharing of block 5.
+		one := a.Kernel.AllocBuffer(1024)
+		for i := range one.Data {
+			one.Data[i] = 0xA5
+		}
+		if err := a.Kernel.SubmitAligned(p, true, 5, one); err != nil {
+			t.Fatal(err)
+		}
+		if w.h.CowBreaks == 0 {
+			t.Fatal("write to a shared block serviced no CoW break")
+		}
+		clear(got.Data)
+		if err := b.Kernel.SubmitAligned(p, false, 5, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Data, one.Data) {
+			t.Error("sharer still reads the pre-break physical block through a stale BTLB entry")
+		}
+	})
+}

@@ -352,7 +352,7 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		// The faulting blocks moved to a private copy: any BTLB entry still
 		// caching the old (shared, protected) mapping is stale. Invalidate
 		// before the retry so the re-walk's result is what gets cached.
-		d.invalidateVFRange(p, idx, missAddr, missSize)
+		d.invalidateSharers(p, st, missAddr, missSize)
 		h.CowBreaks++
 		if h.cowBreakHist != nil {
 			h.cowBreakHist.Observe(int64(p.Now() - start))
@@ -361,7 +361,7 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	if fetch {
 		// Materialization rewrote the range's mappings; drop any translation
 		// the device cached for it before releasing the walk.
-		d.invalidateVFRange(p, idx, missAddr, missSize)
+		d.invalidateSharers(p, st, missAddr, missSize)
 	}
 	return core.RewalkRetry
 }

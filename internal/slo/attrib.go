@@ -10,6 +10,7 @@ import (
 
 	"nesc/internal/metrics"
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 )
 
 // Causal request attribution: every request carries a fixed vector of
@@ -73,9 +74,7 @@ type cell struct {
 	totalNs int64
 	segNs   [NumSegments]int64
 
-	prof    []profile // ring of the most recent profiles
-	next    int
-	wrapped bool
+	prof stats.Ring[profile] // the most recent profiles
 }
 
 // Attributor folds finished request vectors into the budget table. A nil
@@ -112,7 +111,7 @@ func (a *Attributor) lookup(vf int, op string) (c *cell, fresh bool) {
 	if c = a.cells[k]; c != nil {
 		return c, false
 	}
-	c = &cell{key: k, prof: make([]profile, a.reservoir)}
+	c = &cell{key: k, prof: stats.NewRing[profile](a.reservoir)}
 	a.cells[k] = c
 	return c, true
 }
@@ -132,12 +131,7 @@ func (a *Attributor) Record(vf int, op string, reqID uint64, total sim.Time, ok 
 	for i := 0; i < NumSegments; i++ {
 		c.segNs[i] += int64(segs[i])
 	}
-	c.prof[c.next] = profile{reqID: reqID, total: total, segs: segs}
-	c.next++
-	if c.next == len(c.prof) {
-		c.next = 0
-		c.wrapped = true
-	}
+	c.prof.Put(profile{reqID: reqID, total: total, segs: segs})
 	a.mu.Unlock()
 	if fresh && a.reg != nil {
 		a.registerCell(c)
@@ -296,18 +290,6 @@ func explainProfiles(key cellKey, profs []profile) Explanation {
 	return ex
 }
 
-// snapshotProfiles copies a cell's live profiles oldest-first. Caller holds
-// a.mu.
-func (c *cell) snapshotProfiles() []profile {
-	if !c.wrapped {
-		return append([]profile(nil), c.prof[:c.next]...)
-	}
-	out := make([]profile, 0, len(c.prof))
-	out = append(out, c.prof[c.next:]...)
-	out = append(out, c.prof[:c.next]...)
-	return out
-}
-
 // Explain runs the p99 explainer for one row; ok is false when the row does
 // not exist or holds no profiles.
 func (a *Attributor) Explain(vf int, op string) (Explanation, bool) {
@@ -318,7 +300,7 @@ func (a *Attributor) Explain(vf int, op string) (Explanation, bool) {
 	c := a.cells[cellKey{vf: vf, op: op}]
 	var profs []profile
 	if c != nil {
-		profs = c.snapshotProfiles()
+		profs = c.prof.Snapshot()
 	}
 	a.mu.Unlock()
 	if len(profs) == 0 {
@@ -339,7 +321,7 @@ func (a *Attributor) Explanations() []Explanation {
 	}
 	snaps := make([]snap, 0, len(a.cells))
 	for k, c := range a.cells {
-		if p := c.snapshotProfiles(); len(p) > 0 {
+		if p := c.prof.Snapshot(); len(p) > 0 {
 			snaps = append(snaps, snap{key: k, profs: p})
 		}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"nesc/internal/metrics"
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 )
 
 // EventKind classifies one scoreboard entry.
@@ -70,22 +71,17 @@ type Event struct {
 // every query no-op, so instrumented code needs no conditionals. Emission is
 // one ring store under a mutex — no allocation.
 type Scoreboard struct {
-	mu      sync.Mutex
-	ring    []Event
-	next    int
-	wrapped bool
-	seq     int64
-	counts  [numEventKinds]int64
+	mu     sync.Mutex
+	ring   stats.Ring[Event]
+	seq    int64
+	counts [numEventKinds]int64
 }
 
 // NewScoreboard builds a board holding the last capacity events (min 1).
 // With a registry (nil = none) it publishes per-kind emission counters as
 // export-time gauges: family nesc_scoreboard_events_total, labelled by kind.
 func NewScoreboard(capacity int, reg *metrics.Registry) *Scoreboard {
-	if capacity < 1 {
-		capacity = 1
-	}
-	b := &Scoreboard{ring: make([]Event, capacity)}
+	b := &Scoreboard{ring: stats.NewRing[Event](capacity)}
 	for k := EventKind(0); k < numEventKinds; k++ {
 		k := k
 		reg.GaugeFunc("nesc_scoreboard_events_total", "structured anomaly events emitted, by kind",
@@ -106,12 +102,7 @@ func (b *Scoreboard) Emit(ev Event) {
 	if int(ev.Kind) < len(b.counts) {
 		b.counts[ev.Kind]++
 	}
-	b.ring[b.next] = ev
-	b.next++
-	if b.next == len(b.ring) {
-		b.next = 0
-		b.wrapped = true
-	}
+	b.ring.Put(ev)
 	b.mu.Unlock()
 }
 
@@ -142,13 +133,7 @@ func (b *Scoreboard) Events() []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.wrapped {
-		return append([]Event(nil), b.ring[:b.next]...)
-	}
-	out := make([]Event, 0, len(b.ring))
-	out = append(out, b.ring[b.next:]...)
-	out = append(out, b.ring[:b.next]...)
-	return out
+	return b.ring.Snapshot()
 }
 
 // Dump writes the held events human-readably, oldest first.

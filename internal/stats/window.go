@@ -1,53 +1,37 @@
 package stats
 
+import "sort"
+
 // Window is a bounded ring of the most recent latency samples with
 // percentile queries — the sliding view a fail-slow detector compares
 // against its learned baseline. Unlike Sampler it forgets: old samples roll
 // off, so a component that turns slow mid-run moves the window's percentiles
 // within one window length instead of being averaged away.
 type Window struct {
-	buf  []float64
-	next int
-	n    int
+	samples Ring[float64]
 }
 
 // NewWindow allocates a window holding the last size samples (size >= 1).
-func NewWindow(size int) *Window {
-	if size < 1 {
-		size = 1
-	}
-	return &Window{buf: make([]float64, size)}
-}
+func NewWindow(size int) *Window { return &Window{samples: NewRing[float64](size)} }
 
 // Add records one sample, evicting the oldest when full.
-func (w *Window) Add(v float64) {
-	w.buf[w.next] = v
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-}
+func (w *Window) Add(v float64) { w.samples.Put(v) }
 
 // N reports how many samples the window currently holds.
-func (w *Window) N() int { return w.n }
+func (w *Window) N() int { return w.samples.Len() }
 
 // Reset empties the window.
-func (w *Window) Reset() { w.next, w.n = 0, 0 }
+func (w *Window) Reset() { w.samples.Reset() }
 
 // Percentile reports the p-th percentile (0-100, nearest-rank) of the
 // current window, or 0 when empty. Cost is O(n log n) per query on a copy —
 // detectors query on a sampling cadence, not per I/O.
 func (w *Window) Percentile(p float64) float64 {
-	if w.n == 0 {
+	tmp := w.samples.Snapshot()
+	if len(tmp) == 0 {
 		return 0
 	}
-	tmp := make([]float64, w.n)
-	if w.n < len(w.buf) {
-		copy(tmp, w.buf[:w.n])
-	} else {
-		copy(tmp, w.buf)
-	}
-	sortFloat64s(tmp)
+	sort.Float64s(tmp)
 	if p <= 0 {
 		return tmp[0]
 	}
@@ -59,21 +43,6 @@ func (w *Window) Percentile(p float64) float64 {
 		idx = len(tmp) - 1
 	}
 	return tmp[idx]
-}
-
-func sortFloat64s(a []float64) {
-	// Shell sort: windows are small (tens to a few hundred entries) and this
-	// keeps the package dependency-free like sortInt64s in fault.
-	for gap := len(a) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(a); i++ {
-			v := a[i]
-			j := i
-			for ; j >= gap && a[j-gap] > v; j -= gap {
-				a[j] = a[j-gap]
-			}
-			a[j] = v
-		}
-	}
 }
 
 // SlowDetectorConfig tunes a fail-slow verdict.

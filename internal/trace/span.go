@@ -2,6 +2,7 @@ package trace
 
 import (
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 )
 
 // Request-scoped spans. Where the event Ring answers "what happened, in
@@ -83,19 +84,14 @@ func (s *Span) Duration() sim.Time { return s.End - s.Start }
 // *SpanRecorder is a valid disabled recorder: Start returns nil spans, and
 // nil spans no-op everywhere, so instrumented code needs no conditionals.
 type SpanRecorder struct {
-	spans   []*Span
-	next    int
-	wrapped bool
+	spans stats.Ring[*Span]
 	// Total counts all spans ever finished (including overwritten ones).
 	Total int64
 }
 
 // NewSpanRecorder returns a recorder holding the last capacity spans.
 func NewSpanRecorder(capacity int) *SpanRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &SpanRecorder{spans: make([]*Span, capacity)}
+	return &SpanRecorder{spans: stats.NewRing[*Span](capacity)}
 }
 
 // Start opens a span. Safe on a nil receiver (returns a nil span).
@@ -114,12 +110,7 @@ func (r *SpanRecorder) Finish(s *Span, at sim.Time, status uint32) {
 	s.End = at
 	s.Status = status
 	r.Total++
-	r.spans[r.next] = s
-	r.next++
-	if r.next == len(r.spans) {
-		r.next = 0
-		r.wrapped = true
-	}
+	r.spans.Put(s)
 }
 
 // Len reports how many spans are currently held.
@@ -127,10 +118,7 @@ func (r *SpanRecorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.wrapped {
-		return len(r.spans)
-	}
-	return r.next
+	return r.spans.Len()
 }
 
 // Spans returns the held spans in completion order (a copy of the slice;
@@ -139,11 +127,5 @@ func (r *SpanRecorder) Spans() []*Span {
 	if r == nil {
 		return nil
 	}
-	if !r.wrapped {
-		return append([]*Span(nil), r.spans[:r.next]...)
-	}
-	out := make([]*Span, 0, len(r.spans))
-	out = append(out, r.spans[r.next:]...)
-	out = append(out, r.spans[:r.next]...)
-	return out
+	return r.spans.Snapshot()
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 )
 
 // Kind classifies an event.
@@ -81,19 +82,14 @@ func (e Event) String() string {
 // tracer, so call sites need no conditionals beyond the nil check inside
 // Emit.
 type Ring struct {
-	events  []Event
-	next    int
-	wrapped bool
+	events stats.Ring[Event]
 	// Total counts all events ever emitted (including overwritten ones).
 	Total int64
 }
 
 // NewRing returns a tracer holding the last capacity events.
 func NewRing(capacity int) *Ring {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Ring{events: make([]Event, capacity)}
+	return &Ring{events: stats.NewRing[Event](capacity)}
 }
 
 // Emit records an event. Safe on a nil receiver (no-op).
@@ -102,12 +98,7 @@ func (r *Ring) Emit(e Event) {
 		return
 	}
 	r.Total++
-	r.events[r.next] = e
-	r.next++
-	if r.next == len(r.events) {
-		r.next = 0
-		r.wrapped = true
-	}
+	r.events.Put(e)
 }
 
 // Len reports how many events are currently held.
@@ -115,24 +106,18 @@ func (r *Ring) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.wrapped {
-		return len(r.events)
-	}
-	return r.next
+	return r.events.Len()
 }
 
 // Events returns the held events in chronological order (a copy).
-func (r *Ring) Events() []Event {
+func (r *Ring) Events() []Event { return r.Tail(r.Len()) }
+
+// Tail returns the newest k held events in chronological order (a copy).
+func (r *Ring) Tail(k int) []Event {
 	if r == nil {
 		return nil
 	}
-	if !r.wrapped {
-		return append([]Event(nil), r.events[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.events))
-	out = append(out, r.events[r.next:]...)
-	out = append(out, r.events[:r.next]...)
-	return out
+	return r.events.Tail(k)
 }
 
 // Dump writes the held events, one per line.

@@ -22,6 +22,7 @@ import (
 
 	"nesc/internal/bench"
 	"nesc/internal/metrics"
+	"nesc/internal/slo"
 )
 
 // telemetryWorkload drives a deterministic mixed workload: a dense image
@@ -373,6 +374,48 @@ func TestEveryDeviceFeedsTheSinks(t *testing.T) {
 	}
 	if n := sim.tel().Metrics.Histogram("nesc_request_ns", "", metrics.VFQOp(1, 0, "write")).Count(); n != 2 {
 		t.Errorf("nesc_request_ns{vf=1,q=0,op=write} holds %d samples, want one per leg", n)
+	}
+}
+
+// TestCASFetchWaitLandsOnTheTenantsRow: attribution rows are keyed by
+// function index (VF idx + 1; 0 is the PF). A cold read through a cas fork on
+// VF 0 waits on the remote tier, and that wait belongs to the tenant's row —
+// where ExplainTail looks — not to the PF's.
+func TestCASFetchWaitLandsOnTheTenantsRow(t *testing.T) {
+	sim := New(Config{MediumMB: 32, CAS: true, Attribution: true})
+	err := sim.Run(func(ctx *Ctx) error {
+		if err := ctx.CreateImage("/golden.img", 7, 64<<10, true); err != nil {
+			return err
+		}
+		if err := ctx.WriteHostFile("/golden.img", bytes.Repeat([]byte{0xC4}, 64<<10), 0); err != nil {
+			return err
+		}
+		if _, err := ctx.SealImage("/golden.img", "golden", 7); err != nil {
+			return err
+		}
+		if err := ctx.ForkImage("golden", "/fork.img", 7); err != nil {
+			return err
+		}
+		vm, err := ctx.StartVM("fork", BackendNeSC, "/fork.img", 7)
+		if err != nil {
+			return err
+		}
+		return vm.ReadAt(ctx, make([]byte, 4096), 0)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantWait := int64(0)
+	for _, r := range sim.AttributionRows() {
+		switch wait := r.SegNs[slo.SegFabricWait]; {
+		case r.VF == 1 && r.Op == "read":
+			tenantWait = wait
+		case r.VF == 0 && wait != 0:
+			t.Errorf("the PF's %q row carries %d ns of fabric_wait", r.Op, wait)
+		}
+	}
+	if tenantWait == 0 {
+		t.Error("the tenant's {vf=1, read} row carries no fabric_wait for its cold cas read")
 	}
 }
 
