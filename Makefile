@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash bench bench-smoke bench-digest profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -17,8 +17,10 @@ tier1: build test
 # crash-point sweep; test runs the whole suite without the race detector
 # (including the long tests -short skips, e.g. the golden experiment run);
 # bench-smoke covers the nested benchmark module the root test run cannot see;
-# bench-digest holds the benchmark's virtual clock to the checked-in digests.
-ci: vet fmt-check build test bench-smoke bench-digest race crash $(DET_TARGETS)
+# bench-digest holds the benchmark's virtual clock to the checked-in digests;
+# fuzz-smoke gives every native fuzz target ten seconds; hostmem-long is the
+# allocator's differential test at the size tier-1 runs an eighth of.
+ci: vet fmt-check build test bench-smoke bench-digest race crash fuzz-smoke hostmem-long $(DET_TARGETS)
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +55,17 @@ crash:
 	$(GO) test -run 'TestCrash' -v .
 	$(GO) test -run 'TestJournalCrashSweep' -v ./internal/extfs
 
+# fuzz-smoke runs each native fuzz target for ten seconds on top of its
+# checked-in corpus (testdata/fuzz). One target so far: the extent-tree walk
+# step over node bytes the host wrote.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzStep -fuzztime 10s ./internal/extent
+
+# hostmem-long runs the allocator's differential test against its reference
+# model at full size (200k steps, ≈ 15 s); `go test` runs the 40k-step size.
+hostmem-long:
+	$(GO) test -count=1 -tags hostmemlong -run TestAllocatorMatchesReferenceModelLong ./internal/hostmem
+
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -85,13 +98,23 @@ bench-digest:
 	@echo "the benchmark's sim_digests match results/bench_digests.txt"
 
 # counts prints the sizes ROADMAP aim 2 tracks, for CHANGES.md and ROADMAP to
-# quote: net non-test Go lines outside benchmarks/, and the fields of every
-# configuration struct the option census checks (census_test.go logs one line
-# per struct: fields = options + calibrated costs + nested structs, then the
-# field names, which this target drops).
+# quote: net non-test Go lines outside benchmarks/, the same count per layer of
+# the package graph (layers_test.go logs one line per layer with its packages;
+# the harness is bench plus everything outside internal/), and the fields of
+# every configuration struct the option census checks (census_test.go logs one
+# line per struct: fields = options + calibrated costs + nested structs, then
+# the field names, which this target drops).
 counts:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.*' \
-		| xargs wc -l | awk 'END { print "non-test Go lines outside benchmarks/: " $$1 }'
+	@lines() { find "$$@" -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' -not -path './.*' | xargs cat | wc -l; }; \
+	total=$$(lines .); rest=$$total; \
+	echo "non-test Go lines outside benchmarks/: $$total"; \
+	$(GO) test -count=1 -run 'TestLayers' -v . | sed -n 's/^.*layers: \(.*\) = \(.*\)/\1 \2/p' | { \
+		while read layer pkgs; do \
+			[ $$layer = harness ] && break; \
+			n=$$(lines $$(printf 'internal/%s ' $$pkgs)); rest=$$((rest - n)); \
+			printf '  %-9s %6d lines\n' $$layer $$n; \
+		done; \
+		printf '  %-9s %6d lines (bench, the root package, cmd/, examples/)\n' harness $$rest; }
 	@$(GO) test -count=1 -run 'TestEveryOptionHasASetter' -v . | sed -n 's/^.*census: \(.*nested\):.*/\1/p'
 
 # cover is the tier-2 merged coverage run (not part of ci): every package's

@@ -22,7 +22,7 @@ type ImageManifest struct {
 // already sealed anywhere deduplicate against the existing chunks. The image
 // file itself is untouched.
 func (c *Ctx) SealImage(path, name string, uid uint32) (ImageManifest, error) {
-	m, err := c.host().SealImage(c.proc, path, name, uid)
+	m, err := c.s.pl.CAS.SealImage(c.proc, c.host(), path, name, uid)
 	if err != nil {
 		return ImageManifest{}, err
 	}
@@ -47,7 +47,7 @@ func (c *Ctx) ForkImageOn(dev int, src, path string, uid uint32) error {
 	if err != nil {
 		return err
 	}
-	return d.ForkImage(c.proc, src, path, uid)
+	return c.s.pl.CAS.ForkImage(c.proc, d, src, path, uid)
 }
 
 // ReleaseImage drops a forked image's chunk references on host 0 and unbinds
@@ -61,19 +61,19 @@ func (c *Ctx) ReleaseImageOn(dev int, path string) error {
 	if err != nil {
 		return err
 	}
-	return d.ReleaseImage(c.proc, path)
+	return c.s.pl.CAS.ReleaseImage(c.proc, d, path)
 }
 
 // ReleaseSealed drops a sealed master's own chunk references. Outstanding
 // forks keep their chunks alive through their own references; chunks no
 // image references anymore are freed.
 func (c *Ctx) ReleaseSealed(name string) error {
-	return c.s.pl.Hyp.ReleaseSealed(c.proc, name)
+	return c.s.pl.CAS.Store.Release(c.proc, name)
 }
 
 // CASDedupRatio reports logical blocks referenced per unique chunk stored
 // across the whole store (1.0 = no sharing; 0 when the store is empty or
 // Config.CAS is off).
 func (s *Simulation) CASDedupRatio() float64 {
-	return s.pl.Hyp.CAS().DedupRatio()
+	return s.pl.CAS.Store.DedupRatio()
 }

@@ -17,6 +17,7 @@ import (
 
 	"nesc/internal/bench"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -68,7 +69,7 @@ func main() {
 			if err != nil {
 				return err
 			}
-			if err := guest.StatusError(st); err != nil {
+			if err := ring.StatusError(st); err != nil {
 				return err
 			}
 			streamed += chunk
@@ -88,7 +89,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if guest.StatusError(st) == nil {
+		if ring.StatusError(st) == nil {
 			return fmt.Errorf("out-of-range accelerator access succeeded")
 		}
 		fmt.Println("out-of-range access rejected by the device")

@@ -70,7 +70,7 @@ type MirrorConfig struct {
 type ReplicaStatus = fabric.ReplicaStatus
 
 // MigrationReport summarizes one live VF migration.
-type MigrationReport = hypervisor.MigrationReport
+type MigrationReport = fabric.MigrationReport
 
 // NumDevices reports the fleet size.
 func (s *Simulation) NumDevices() int { return s.pl.Hyp.NumDevices() }
@@ -109,7 +109,7 @@ func (c *Ctx) StartMirroredVM(name, diskPath string, uid uint32, devices []int, 
 		QuarantineDuration: sim.Time(mc.QuarantineDuration),
 		ProbeEvery:         mc.ProbeEvery,
 	}
-	vm, err := c.s.pl.Hyp.NewMirroredVM(c.proc, name, hypervisor.VMConfig{
+	vm, err := c.s.pl.Mirrors.NewMirroredVM(c.proc, name, hypervisor.VMConfig{
 		Backend:  hypervisor.BackendDirect,
 		DiskPath: diskPath,
 		UID:      uid,
@@ -121,15 +121,15 @@ func (c *Ctx) StartMirroredVM(name, diskPath string, uid uint32, devices []int, 
 }
 
 // Mirrored reports whether the VM runs on a mirror client.
-func (vm *VM) Mirrored() bool { return vm.vm.Client != nil }
+func (vm *VM) Mirrored() bool { return fabric.ClientOf(vm.vm) != nil }
 
 // FabricStatus snapshots each mirror leg's health (device index, FSM
 // state, dirty backlog) — the degraded-mode view an operator would watch.
 func (vm *VM) FabricStatus() []ReplicaStatus {
-	if vm.vm.Client == nil {
-		return nil
+	if c := fabric.ClientOf(vm.vm); c != nil {
+		return c.Status()
 	}
-	return vm.vm.Client.Status()
+	return nil
 }
 
 // Migrate live-migrates mirror leg slot to fleet device dst: bulk-copy
@@ -137,7 +137,7 @@ func (vm *VM) FabricStatus() []ReplicaStatus {
 // keeps running, then a bounded stop-and-copy pause in which the leg is
 // atomically retargeted to a fresh VF on the destination.
 func (vm *VM) Migrate(c *Ctx, slot, dst int) (MigrationReport, error) {
-	return c.s.pl.Hyp.MigrateVM(c.proc, vm.vm, slot, dst)
+	return c.s.pl.Mirrors.Migrate(c.proc, vm.vm, slot, dst)
 }
 
 // KillDevice latches fleet device dev dead — every medium access fails
@@ -159,7 +159,7 @@ func (c *Ctx) ReviveDevice(dev int) error {
 		return fmt.Errorf("nesc: ReviveDevice requires Config.Fault")
 	}
 	c.s.pl.Inj.ReviveDevice(dev)
-	c.s.pl.Hyp.ReviveDevice(dev)
+	c.s.pl.Mirrors.Revive(dev)
 	return nil
 }
 
@@ -189,7 +189,7 @@ type FabricStats struct {
 
 // FabricStats snapshots the mirror-fabric counters.
 func (s *Simulation) FabricStats() FabricStats {
-	fs := s.pl.Hyp.FabricStatsNow()
+	fs := s.pl.Mirrors.Stats()
 	return FabricStats{
 		Clients:             fs.Clients,
 		MirroredWrites:      fs.MirroredWrites,
@@ -204,8 +204,8 @@ func (s *Simulation) FabricStats() FabricStats {
 		ResilverRegions:     fs.ResilverRegions,
 		ResilverBlocks:      fs.ResilverBlocks,
 		ResilverRestores:    fs.ResilverRestores,
-		Migrations:          s.pl.Hyp.Migrations,
+		Migrations:          s.pl.Mirrors.Migrations,
 		LastFailoverLatency: time.Duration(fs.LastFailoverLatency),
-		LastMigrationPause:  time.Duration(s.pl.Hyp.LastMigration.Pause),
+		LastMigrationPause:  time.Duration(s.pl.Mirrors.LastMigration.Pause),
 	}
 }

@@ -3,6 +3,7 @@ package nesc
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -267,6 +268,125 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 	}
 	if fs := s.FabricStats(); fs.Migrations != 1 || fs.LastMigrationPause != time.Duration(rep.Pause) {
 		t.Fatalf("migration stats mismatch: %+v vs report %+v", fs, rep)
+	}
+}
+
+// TestFailedMigrationLeavesNothing kills the destination device under a
+// migration: 300 us in, when the target image is being made, and 1.5 ms in,
+// mid bulk copy. The call must fail and undo itself: no snapshot left on the
+// source, no block still shared, no CoW fault on the guest's next writes (the
+// image is no longer snapshotted), data bit-exact — and, when the dead device
+// held nothing of the migration yet, the same migration succeeds once it is
+// revived. (A target image half-copied onto a device that then died cannot be
+// removed until the device is back; the error says so.)
+func TestFailedMigrationLeavesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		killAfter time.Duration
+		phase     string
+		retry     bool
+	}{
+		{300 * time.Microsecond, "migration target image", true},
+		{1500 * time.Microsecond, "migration bulk copy", false},
+	} {
+		t.Run(tc.phase, func(t *testing.T) { failedMigration(t, tc.killAfter, tc.phase, tc.retry) })
+	}
+}
+
+func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry bool) {
+	s := mirroredSim(2)
+	err := s.Run(func(ctx *Ctx) error {
+		if err := ctx.CreateImageOn(0, "/mig.img", 7, 1<<20, false); err != nil {
+			return err
+		}
+		vm, err := ctx.StartMirroredVM("mig", "/mig.img", 7, []int{0}, MirrorConfig{})
+		if err != nil {
+			return err
+		}
+		const stripe = 4096
+		buf, got := make([]byte, stripe), make([]byte, stripe)
+		write := func(slot int, seed int64) error {
+			fillPattern(buf, seed)
+			return vm.WriteAt(ctx, buf, int64(slot)*stripe)
+		}
+		check := func(when string, slots int, seed func(slot int) int64) error {
+			for slot := 0; slot < slots; slot++ {
+				fillPattern(buf, seed(slot))
+				if err := vm.ReadAt(ctx, got, int64(slot)*stripe); err != nil {
+					return fmt.Errorf("%s: read slot %d: %w", when, slot, err)
+				}
+				if !bytes.Equal(got, buf) {
+					return fmt.Errorf("%s: slot %d corrupted", when, slot)
+				}
+			}
+			return nil
+		}
+		for slot := 0; slot < 32; slot++ {
+			if err := write(slot, int64(slot)+100); err != nil {
+				return err
+			}
+		}
+		killer := ctx.Go("killer", func(ctx *Ctx) error {
+			ctx.Sleep(killAfter)
+			return ctx.KillDevice(1)
+		})
+		if _, err := vm.Migrate(ctx, 0, 1); err == nil || !strings.Contains(err.Error(), phase) {
+			return fmt.Errorf("migration onto a device killed under it: %v, want a %s error", err, phase)
+		} else {
+			t.Logf("failed migration: %v", err)
+		}
+		if err := killer.Wait(ctx); err != nil {
+			return err
+		}
+		if _, err := ctx.StatHost("/mig.img.migrating"); err == nil {
+			return fmt.Errorf("the migration snapshot is still on the source")
+		}
+		if n := ctx.SharedBlocks(); n != 0 {
+			return fmt.Errorf("%d blocks still shared with a snapshot that is gone", n)
+		}
+		if st := vm.FabricStatus(); len(st) != 1 || st[0].Dev != 0 {
+			return fmt.Errorf("the leg moved: %+v", st)
+		}
+		cow := s.Stats().CowFaults
+		for slot := 0; slot < 8; slot++ {
+			if err := write(slot, int64(slot)+200); err != nil {
+				return err
+			}
+		}
+		if n := s.Stats().CowFaults - cow; n != 0 {
+			return fmt.Errorf("%d CoW faults writing an image nobody snapshotted", n)
+		}
+		seeds := func(slot int) int64 {
+			if slot < 8 {
+				return int64(slot) + 200
+			}
+			return int64(slot) + 100
+		}
+		if err := check("after the failed migration", 32, seeds); err != nil {
+			return err
+		}
+		if !retry {
+			return nil
+		}
+		if err := ctx.ReviveDevice(1); err != nil {
+			return err
+		}
+		if _, err := vm.Migrate(ctx, 0, 1); err != nil {
+			return fmt.Errorf("migration retried after the revive: %w", err)
+		}
+		if st := vm.FabricStatus(); st[0].Dev != 1 {
+			return fmt.Errorf("leg not retargeted by the retry: %+v", st)
+		}
+		return check("after the retried migration", 32, seeds)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(0)
+	if retry {
+		want = 1
+	}
+	if fs := s.FabricStats(); fs.Migrations != want {
+		t.Fatalf("%d migrations counted, want %d: only one that succeeds counts", fs.Migrations, want)
 	}
 }
 

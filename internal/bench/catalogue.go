@@ -3,8 +3,8 @@ package bench
 import (
 	"nesc/internal/cas"
 	"nesc/internal/core"
+	"nesc/internal/fabric"
 	"nesc/internal/guest"
-	"nesc/internal/hypervisor"
 )
 
 // The counter catalogue: every platform counter is declared here exactly
@@ -13,8 +13,8 @@ import (
 // its row's getter) and the metrics registry's gauge families (NewPlatform
 // registers each row that names a family), so the two cannot disagree.
 //
-// Not here: the labelled per-instance series ({vf} function gauges in core,
-// {vf,q} driver-queue gauges in hypervisor, per-tenant SLO gauges, per-row
+// Not here: the labelled per-instance series ({vf} function gauges and
+// {vf,q} driver-queue gauges in core/telemetry.go, per-tenant SLO gauges, per-row
 // attribution gauges and per-kind scoreboard counts in slo). Each is
 // declared once by the package that creates the instance and registered at
 // that moment, because a capped family keeps the series that registered
@@ -51,14 +51,14 @@ func (pl *Platform) Counters() []Counter {
 	drv := func(get func(guest.QueueCounters) int64) func() float64 {
 		return func() float64 { return float64(get(h.RecoveryStats())) }
 	}
-	fbr := func(get func(hypervisor.FabricStats) int64) func() float64 {
-		return func() float64 { return float64(get(h.FabricStatsNow())) }
+	fbr := func(get func(fabric.FleetStats) int64) func() float64 {
+		return func() float64 { return float64(get(pl.Mirrors.Stats())) }
 	}
 	store := func(get func(cas.Stats) int64) func() float64 {
-		return func() float64 { return float64(get(h.CAS().Stats())) }
+		return func() float64 { return float64(get(pl.CAS.Store.Stats())) }
 	}
 	cache := func(get func(cas.CacheStats) int64) func() float64 {
-		return func() float64 { return float64(get(h.CASCacheStatsNow())) }
+		return func() float64 { return float64(get(pl.CAS.CacheStats())) }
 	}
 	guardErrs := i64(&med.IntegrityErrors)
 	piMismatches := drv(func(s guest.QueueCounters) int64 { return s.PIMismatches })
@@ -111,11 +111,11 @@ func (pl *Platform) Counters() []Counter {
 		{"AdmitRejects", "nesc_device_admit_rejects_total", "requests fast-failed StatusBusy by per-VF admission control", fnc(func(c core.FnCounters) int64 { return c.AdmitRejects })},
 		{"DeadlineExpirations", "nesc_device_deadline_expirations_total", "requests or chunks completed StatusBusy past their deadline", i64(&ctl.DeadlineExpirations)},
 		{"BusyRejects", "nesc_driver_busy_rejects_total", "submissions the device fast-failed StatusBusy (admission control or deadline)", drv(func(s guest.QueueCounters) int64 { return s.BusyRejects })},
-		{"HedgedReads", "nesc_fabric_hedged_reads_total", "speculative second reads launched", fbr(func(s hypervisor.FabricStats) int64 { return s.HedgedReads })},
-		{"HedgeWins", "nesc_fabric_hedge_wins_total", "hedges that delivered the data first", fbr(func(s hypervisor.FabricStats) int64 { return s.HedgeWins })},
-		{"Quarantines", "nesc_fabric_quarantines_total", "legs flagged fail-slow and pulled from read steering", fbr(func(s hypervisor.FabricStats) int64 { return s.Quarantines })},
-		{"Rejoins", "nesc_fabric_rejoins_total", "quarantined legs readmitted to read steering", fbr(func(s hypervisor.FabricStats) int64 { return s.Rejoins })},
-		{"ProbeReads", "nesc_fabric_probe_reads_total", "reads steered to the worst leg to refresh its estimate", fbr(func(s hypervisor.FabricStats) int64 { return s.ProbeReads })},
+		{"HedgedReads", "nesc_fabric_hedged_reads_total", "speculative second reads launched", fbr(func(s fabric.FleetStats) int64 { return s.HedgedReads })},
+		{"HedgeWins", "nesc_fabric_hedge_wins_total", "hedges that delivered the data first", fbr(func(s fabric.FleetStats) int64 { return s.HedgeWins })},
+		{"Quarantines", "nesc_fabric_quarantines_total", "legs flagged fail-slow and pulled from read steering", fbr(func(s fabric.FleetStats) int64 { return s.Quarantines })},
+		{"Rejoins", "nesc_fabric_rejoins_total", "quarantined legs readmitted to read steering", fbr(func(s fabric.FleetStats) int64 { return s.Rejoins })},
+		{"ProbeReads", "nesc_fabric_probe_reads_total", "reads steered to the worst leg to refresh its estimate", fbr(func(s fabric.FleetStats) int64 { return s.ProbeReads })},
 		{"AnomalyEvents", "", "exported by kind as the scoreboard's labelled nesc_scoreboard_events_total series, which sum to it",
 			func() float64 { return float64(tel.Board.Total()) }},
 
@@ -141,8 +141,8 @@ func (pl *Platform) Counters() []Counter {
 		{"CASDedupHits", "nesc_cas_dedup_hits_total", "sealed blocks deduplicated against existing chunks", store(func(s cas.Stats) int64 { return s.DedupHits })},
 		{"CASChunksLive", "nesc_cas_chunks_live", "unique chunks currently referenced", store(func(s cas.Stats) int64 { return s.ChunksLive })},
 		{"CASBlocksLogical", "nesc_cas_blocks_logical", "logical blocks across all live manifests", store(func(s cas.Stats) int64 { return s.BlocksLogical })},
-		{"CASFetchMisses", "nesc_cas_fetch_misses_total", "translation misses raised for chunk materialization", i64(&h.CASFetchMisses)},
-		{"CASMaterializations", "nesc_cas_materializations_total", "forked blocks materialized into backing files", i64(&h.CASMaterializations)},
+		{"CASFetchMisses", "nesc_cas_fetch_misses_total", "translation misses raised for chunk materialization", i64(&h.FetchMisses)},
+		{"CASMaterializations", "nesc_cas_materializations_total", "forked blocks materialized into backing files", i64(&pl.CAS.Materializations)},
 		{"CASRemoteFetches", "nesc_cas_remote_fetches_total", "chunk GETs issued to the remote tier", store(func(s cas.Stats) int64 { return s.RemoteFetches })},
 		{"CASRemotePuts", "nesc_cas_remote_puts_total", "batched PUT round trips to the remote tier", store(func(s cas.Stats) int64 { return s.RemotePuts })},
 		{"CASRemoteRetries", "nesc_cas_remote_retries_total", "remote round trips retried after transient faults", store(func(s cas.Stats) int64 { return s.RemoteRetries })},
@@ -192,19 +192,19 @@ func (pl *Platform) Counters() []Counter {
 		}},
 		{"", "nesc_driver_doorbells_skipped_total", "MMIO doorbells elided by shadow batching", drv(func(s guest.QueueCounters) int64 { return s.DoorbellsSkipped })},
 		{"", "nesc_fabric_msis_delayed_total", "interrupts delivered late", i64(&fab.DelayedMSIs)},
-		{"", "nesc_fabric_mirrored_writes_total", "writes acknowledged by every live replica", fbr(func(s hypervisor.FabricStats) int64 { return s.MirroredWrites })},
-		{"", "nesc_fabric_degraded_writes_total", "writes acknowledged by a strict subset of replicas", fbr(func(s hypervisor.FabricStats) int64 { return s.DegradedWrites })},
-		{"", "nesc_fabric_write_failures_total", "writes no live replica acknowledged", fbr(func(s hypervisor.FabricStats) int64 { return s.WriteFailures })},
-		{"", "nesc_fabric_read_fallbacks_total", "reads retried on a peer after an integrity error", fbr(func(s hypervisor.FabricStats) int64 { return s.ReadFallbacks })},
-		{"", "nesc_fabric_read_retries_total", "reads retried on a peer after other errors", fbr(func(s hypervisor.FabricStats) int64 { return s.ReadRetries })},
-		{"", "nesc_fabric_suspects_total", "healthy-to-suspect replica transitions", fbr(func(s hypervisor.FabricStats) int64 { return s.Suspects })},
-		{"", "nesc_fabric_failovers_total", "replicas fenced by the health state machine", fbr(func(s hypervisor.FabricStats) int64 { return s.Failovers })},
-		{"", "nesc_fabric_recoveries_total", "suspect replicas recovered by success streaks", fbr(func(s hypervisor.FabricStats) int64 { return s.Recoveries })},
-		{"", "nesc_fabric_revives_total", "fenced replicas revived into rebuild", fbr(func(s hypervisor.FabricStats) int64 { return s.Revives })},
-		{"", "nesc_fabric_resilver_regions_total", "dirty regions copied by the resilver", fbr(func(s hypervisor.FabricStats) int64 { return s.ResilverRegions })},
-		{"", "nesc_fabric_resilver_blocks_total", "blocks copied by the resilver", fbr(func(s hypervisor.FabricStats) int64 { return s.ResilverBlocks })},
-		{"", "nesc_fabric_resilver_restores_total", "rebuilding replicas promoted back to healthy", fbr(func(s hypervisor.FabricStats) int64 { return s.ResilverRestores })},
-		{"", "nesc_fabric_last_failover_ns", "first error to fence latency of the most recent failover", fbr(func(s hypervisor.FabricStats) int64 { return int64(s.LastFailoverLatency) })},
+		{"", "nesc_fabric_mirrored_writes_total", "writes acknowledged by every live replica", fbr(func(s fabric.FleetStats) int64 { return s.MirroredWrites })},
+		{"", "nesc_fabric_degraded_writes_total", "writes acknowledged by a strict subset of replicas", fbr(func(s fabric.FleetStats) int64 { return s.DegradedWrites })},
+		{"", "nesc_fabric_write_failures_total", "writes no live replica acknowledged", fbr(func(s fabric.FleetStats) int64 { return s.WriteFailures })},
+		{"", "nesc_fabric_read_fallbacks_total", "reads retried on a peer after an integrity error", fbr(func(s fabric.FleetStats) int64 { return s.ReadFallbacks })},
+		{"", "nesc_fabric_read_retries_total", "reads retried on a peer after other errors", fbr(func(s fabric.FleetStats) int64 { return s.ReadRetries })},
+		{"", "nesc_fabric_suspects_total", "healthy-to-suspect replica transitions", fbr(func(s fabric.FleetStats) int64 { return s.Suspects })},
+		{"", "nesc_fabric_failovers_total", "replicas fenced by the health state machine", fbr(func(s fabric.FleetStats) int64 { return s.Failovers })},
+		{"", "nesc_fabric_recoveries_total", "suspect replicas recovered by success streaks", fbr(func(s fabric.FleetStats) int64 { return s.Recoveries })},
+		{"", "nesc_fabric_revives_total", "fenced replicas revived into rebuild", fbr(func(s fabric.FleetStats) int64 { return s.Revives })},
+		{"", "nesc_fabric_resilver_regions_total", "dirty regions copied by the resilver", fbr(func(s fabric.FleetStats) int64 { return s.ResilverRegions })},
+		{"", "nesc_fabric_resilver_blocks_total", "blocks copied by the resilver", fbr(func(s fabric.FleetStats) int64 { return s.ResilverBlocks })},
+		{"", "nesc_fabric_resilver_restores_total", "rebuilding replicas promoted back to healthy", fbr(func(s fabric.FleetStats) int64 { return s.ResilverRestores })},
+		{"", "nesc_fabric_last_failover_ns", "first error to fence latency of the most recent failover", fbr(func(s fabric.FleetStats) int64 { return int64(s.LastFailoverLatency) })},
 	}
 	if inj != nil {
 		// Injector totals exist only under a fault plan; without one the

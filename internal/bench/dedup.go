@@ -87,20 +87,20 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			if _, err := d.SealImage(p, path, fmt.Sprintf("variant%d", i), 1); err != nil {
+			if _, err := pl.CAS.SealImage(p, d, path, fmt.Sprintf("variant%d", i), 1); err != nil {
 				return err
 			}
 			if !report[i+1] {
 				continue
 			}
-			st := pl.Hyp.CAS().Stats()
+			st := pl.CAS.Store.Stats()
 			row := fmt.Sprintf("%d", i+1)
 			tbl.Set(row, "logical blocks", float64(st.BlocksLogical))
 			tbl.Set(row, "unique chunks", float64(st.ChunksLive))
-			tbl.Set(row, "dedup ratio", pl.Hyp.CAS().DedupRatio())
+			tbl.Set(row, "dedup ratio", pl.CAS.Store.DedupRatio())
 			tbl.Set(row, "dedup hits", float64(st.DedupHits))
 		}
-		st := pl.Hyp.CAS().Stats()
+		st := pl.CAS.Store.Stats()
 		tbl.Note(fmt.Sprintf("remote tier carried %d chunk payloads in %d batched PUT round trip(s) for %d logical blocks",
 			st.ChunksLive, st.RemotePuts, st.BlocksLogical))
 		return nil
@@ -132,12 +132,12 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		if _, err := d.SealImage(p, "/master.img", "golden", 1); err != nil {
+		if _, err := pl.CAS.SealImage(p, d, "/master.img", "golden", 1); err != nil {
 			return err
 		}
 		pass := func(row, path string, vm *hypervisor.VM) (*hypervisor.VM, error) {
 			if vm == nil {
-				if err := d.ForkImage(p, "golden", path, 1); err != nil {
+				if err := pl.CAS.ForkImage(p, d, "golden", path, 1); err != nil {
 					return nil, err
 				}
 				nvm, err := pl.Hyp.NewVM(p, row, hypervisor.VMConfig{
@@ -148,16 +148,16 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 				}
 				vm = nvm
 			}
-			preF := pl.Hyp.CAS().Stats().RemoteFetches
-			preH := pl.Hyp.CASCacheStatsNow().Hits
+			preF := pl.CAS.Store.Stats().RemoteFetches
+			preH := pl.CAS.CacheStats().Hits
 			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: total}).Run(p, NewVMRawTarget(vm.Kernel))
 			if err != nil {
 				return nil, err
 			}
 			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
 			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "remote fetches", float64(pl.Hyp.CAS().Stats().RemoteFetches-preF))
-			tbl.Set(row, "cache hits", float64(pl.Hyp.CASCacheStatsNow().Hits-preH))
+			tbl.Set(row, "remote fetches", float64(pl.CAS.Store.Stats().RemoteFetches-preF))
+			tbl.Set(row, "cache hits", float64(pl.CAS.CacheStats().Hits-preH))
 			return vm, nil
 		}
 		cold, err := pass("cold fork (remote fetch)", "/cold.img", nil)
@@ -201,7 +201,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 			return err
 		}
 		sealStart := p.Now()
-		if _, err := d0.SealImage(p, "/golden.img", "golden", 1); err != nil {
+		if _, err := pl.CAS.SealImage(p, d0, "/golden.img", "golden", 1); err != nil {
 			return err
 		}
 		sealTime := p.Now() - sealStart
@@ -211,7 +211,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 		forkStart := p.Now()
 		for i := 0; i < hosts; i++ {
 			t0 := p.Now()
-			if err := pl.Hyp.Device(i).ForkImage(p, "golden", "/guest.img", 1); err != nil {
+			if err := pl.CAS.ForkImage(p, pl.Hyp.Device(i), "golden", "/guest.img", 1); err != nil {
 				return err
 			}
 			if ft := p.Now() - t0; ft > forkMax {
@@ -219,14 +219,14 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 			}
 		}
 		forkTotal = p.Now() - forkStart
-		if f := pl.Hyp.CAS().Stats().RemoteFetches; f != 0 {
+		if f := pl.CAS.Store.Stats().RemoteFetches; f != 0 {
 			return fmt.Errorf("fork moved %d chunk payloads; provisioning must be metadata-only", f)
 		}
 		tbl.Set("seal us (1024 blocks)", "value", float64(sealTime)/1000)
 		tbl.Set("mean fork us per host", "value", float64(forkTotal)/hosts/1000)
 		tbl.Set("max fork us", "value", float64(forkMax)/1000)
 		tbl.Set("chunk payloads moved at fork", "value", 0)
-		tbl.Set("dedup ratio after 8 forks", "value", pl.Hyp.CAS().DedupRatio())
+		tbl.Set("dedup ratio after 8 forks", "value", pl.CAS.Store.DedupRatio())
 		// Every host boots a guest and first-touches its own 128 KB working
 		// set, verifying the materialized content bit-exactly.
 		const touchBlocks = 128
@@ -254,11 +254,11 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 			}
 		}
 		touchTime := p.Now() - touchStart
-		st := pl.Hyp.CAS().Stats()
+		st := pl.CAS.Store.Stats()
 		tbl.Set("first-touch blocks per host", "value", touchBlocks)
 		tbl.Set("mean first-touch us per host", "value", float64(touchTime)/hosts/1000)
 		tbl.Set("remote fetches after first touch", "value", float64(st.RemoteFetches))
-		tbl.Set("materializations after first touch", "value", float64(pl.Hyp.CASMaterializations))
+		tbl.Set("materializations after first touch", "value", float64(pl.CAS.Materializations))
 		tbl.Note(fmt.Sprintf("8 hosts reference %d logical blocks backed by %d unique chunks; fork time is refcounts plus one metadata PUT",
 			st.BlocksLogical, st.ChunksLive))
 		return nil

@@ -59,7 +59,7 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 				return err
 			}
 		}
-		vm, err := pl.Hyp.NewMirroredVM(p, "fab", hypervisor.VMConfig{
+		vm, err := pl.Mirrors.NewMirroredVM(p, "fab", hypervisor.VMConfig{
 			Backend: hypervisor.BackendDirect, DiskPath: "/fab.img", UID: 1,
 		}, []int{0, 1, 2}, fabric.Config{
 			SuspectThreshold: 2, FailThreshold: 3, RecoverThreshold: 3,
@@ -119,20 +119,20 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 			return err
 		}
 		pl.Inj.ReviveDevice(2)
-		pl.Hyp.ReviveDevice(2)
+		pl.Mirrors.Revive(2)
 		for i := 0; i < 400; i++ {
-			if st := vm.Client.Status(); st[2].State == "healthy" {
+			if st := fabric.ClientOf(vm).Status(); st[2].State == "healthy" {
 				break
 			}
 			p.Sleep(100 * sim.Microsecond)
 		}
-		if st := vm.Client.Status(); st[2].State != "healthy" {
+		if st := fabric.ClientOf(vm).Status(); st[2].State != "healthy" {
 			return fmt.Errorf("resilver did not restore device 2: %+v", st)
 		}
 		if err := pass("rebuilt 3/3", 96); err != nil {
 			return err
 		}
-		fs := pl.Hyp.FabricStatsNow()
+		fs := pl.Mirrors.Stats()
 		tbl.Note(fmt.Sprintf("failover latency (first error to fenced): %.1f us; degraded writes: %d; write failures: %d",
 			float64(fs.LastFailoverLatency)/1000, fs.DegradedWrites, fs.WriteFailures))
 		tbl.Note(fmt.Sprintf("resilver copied %d blocks in %d regions and restored full redundancy %d time(s)",
@@ -157,7 +157,7 @@ func fabricMigration(cfg Config) (*stats.Table, error) {
 		if err := pl.Hyp.Device(0).MkImage(p, "/mig.img", 1, fileBlocks, false); err != nil {
 			return err
 		}
-		vm, err := pl.Hyp.NewMirroredVM(p, "mig", hypervisor.VMConfig{
+		vm, err := pl.Mirrors.NewMirroredVM(p, "mig", hypervisor.VMConfig{
 			Backend: hypervisor.BackendDirect, DiskPath: "/mig.img", UID: 1,
 		}, []int{0}, fabric.Config{})
 		if err != nil {
@@ -186,7 +186,7 @@ func fabricMigration(cfg Config) (*stats.Table, error) {
 			}
 		})
 		p.Sleep(150 * sim.Microsecond)
-		rep, err := pl.Hyp.MigrateVM(p, vm, 0, 1)
+		rep, err := pl.Mirrors.Migrate(p, vm, 0, 1)
 		if err != nil {
 			return err
 		}

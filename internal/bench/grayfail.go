@@ -118,7 +118,7 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 			fc.ProbeEvery = 8
 			fc.QuarantineDuration = 2 * sim.Millisecond
 		}
-		vm, err := pl.Hyp.NewMirroredVM(p, "gray", hypervisor.VMConfig{
+		vm, err := pl.Mirrors.NewMirroredVM(p, "gray", hypervisor.VMConfig{
 			Backend: hypervisor.BackendDirect, DiskPath: "/gray.img", UID: 1,
 		}, []int{0, 1, 2}, fc)
 		if err != nil {
@@ -180,7 +180,7 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 		// legs) — the gray failure follows the traffic.
 		pulses := 0
 		for active > 0 && pulses < 40 {
-			st := vm.Client.Status()
+			st := fabric.ClientOf(vm).Status()
 			target := -1
 			for i, s := range st {
 				if s.Quarantined || s.State == "failed" {
@@ -218,11 +218,8 @@ func grayMirrorPass(cfg Config, mitigate bool) (*grayPass, error) {
 				res.lost++
 			}
 		}
-		res.hedged = vm.Client.HedgedReads
-		res.wins = vm.Client.HedgeWins
-		res.quar = vm.Client.Quarantines
-		res.rejoins = vm.Client.Rejoins
-		res.probes = vm.Client.ProbeReads
+		c := fabric.ClientOf(vm)
+		res.hedged, res.wins, res.quar, res.rejoins, res.probes = c.HedgedReads, c.HedgeWins, c.Quarantines, c.Rejoins, c.ProbeReads
 		res.degradedOps = pl.Inj.DegradedOps
 		return nil
 	})

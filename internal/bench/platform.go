@@ -5,12 +5,14 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"nesc/internal/blockdev"
 	"nesc/internal/cas"
 	"nesc/internal/core"
 	"nesc/internal/extfs"
+	"nesc/internal/fabric"
 	"nesc/internal/fault"
 	"nesc/internal/hostmem"
 	"nesc/internal/hypervisor"
@@ -85,6 +87,12 @@ type Platform struct {
 	Mem *hostmem.Memory
 	Fab *pcie.Fabric
 	Hyp *hypervisor.Hypervisor
+	// Mirrors holds the platform's mirrored VMs: they are created, revived,
+	// migrated and counted through it.
+	Mirrors *fabric.Fleet
+	// CAS is the content-addressed tier over the fleet; its Store is nil
+	// unless Cfg.CAS is set.
+	CAS *cas.Tier
 	// Inj is the armed fault injector, nil when Cfg.Fault is unset.
 	Inj *fault.Injector
 
@@ -104,7 +112,7 @@ func NewPlatform(cfg Config) *Platform {
 	mem := hostmem.New(hostMemBytes)
 	fab := pcie.New(eng, mem, cfg.PCIe)
 	h := hypervisor.New(eng, mem, fab, cfg.Hyp, cfg.Tel)
-	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Hyp: h}
+	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Hyp: h, Mirrors: fabric.NewFleet(h, cfg.Tel)}
 	for i := 0; i < max(cfg.NumDevices, 1); i++ {
 		// Only device 0 can adopt a surviving store.
 		store := cfg.SeedStore
@@ -128,13 +136,11 @@ func NewPlatform(cfg Config) *Platform {
 		fab.SetInjector(pl.Inj)
 		h.SetInjector(pl.Inj)
 	}
+	var store *cas.Store
 	if cfg.CAS {
-		cc := cfg.CASCacheChunks
-		if cc == 0 {
-			cc = 64
-		}
-		h.EnableCAS(cas.NewStore(cas.DefaultParams(cfg.Core.BlockSize), pl.Inj), cc)
+		store = cas.NewStore(cas.DefaultParams(cfg.Core.BlockSize), pl.Inj)
 	}
+	pl.CAS = cas.NewTier(store, cmp.Or(cfg.CASCacheChunks, 64), cfg.Tel.Attrib)
 	if reg := cfg.Tel.Metrics; reg != nil {
 		for _, c := range pl.Counters() {
 			if c.Family != "" {

@@ -128,7 +128,7 @@ func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
 						start := q.Now()
 						st, err := mq.Submit(q, ring.OpWrite, lba, 4, buf)
 						if err == nil {
-							err = guest.StatusError(st)
+							err = ring.StatusError(st)
 						}
 						if err != nil {
 							if firstErr == nil {

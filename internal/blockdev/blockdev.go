@@ -273,14 +273,6 @@ func (m *Medium) Store() *Store { return m.store }
 // Params returns the current timing parameters.
 func (m *Medium) Params() MediumParams { return m.params }
 
-// SetBandwidth reconfigures both directions (the Figure-2 throttle sweep).
-func (m *Medium) SetBandwidth(read, write float64) {
-	m.params.ReadBandwidth = read
-	m.params.WriteBandwidth = write
-	m.readPort.SetBandwidth(read)
-	m.writePort.SetBandwidth(write)
-}
-
 // ReadP fetches len(buf) bytes (a whole number of blocks) starting at lba and
 // blocks the process until the data has left the medium (or the medium has
 // reported an error, still after the access time). The copy into buf happens

@@ -196,16 +196,6 @@ func TestMediumThrottle(t *testing.T) {
 	}
 }
 
-func TestMediumSetBandwidth(t *testing.T) {
-	eng := sim.NewEngine()
-	s := NewStore(1024, 1024)
-	m := NewMedium(eng, s, DefaultMediumParams())
-	m.SetBandwidth(123e6, 456e6)
-	if m.Params().ReadBandwidth != 123e6 || m.Params().WriteBandwidth != 456e6 {
-		t.Fatalf("params not updated: %+v", m.Params())
-	}
-}
-
 func TestMediumConcurrentOpsSerialize(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewStore(1024, 1024)

@@ -135,55 +135,6 @@ func DefaultParams() Params {
 	}
 }
 
-// Operation codes in request descriptors (defined by internal/ring).
-const (
-	OpRead   = ring.OpRead
-	OpWrite  = ring.OpWrite
-	OpVerify = ring.OpVerify
-)
-
-// Completion status codes (defined by internal/ring; StatusDMAFault = 4
-// lives in pipeline.go).
-const (
-	StatusOK             = ring.StatusOK
-	StatusOutOfRange     = ring.StatusOutOfRange  // request exceeds the virtual device
-	StatusNoSpace        = ring.StatusNoSpace     // hypervisor denied allocation (quota/space)
-	StatusDisabled       = ring.StatusDisabled    // function not enabled
-	StatusMediumError    = ring.StatusMediumError // medium error persisted through all retries
-	StatusAborted        = ring.StatusAborted     // request killed by a function-level reset
-	StatusIntegrityError = ring.StatusIntegrityError
-	StatusBusy           = ring.StatusBusy // admission control fast-fail (retryable)
-)
-
-// MSI vectors raised by the controller. Queue 0's completions keep the
-// legacy vector 0; queue q > 0 completes on vector 1+q, skipping the miss
-// vector. A function therefore needs 1+numQueues vectors (at least 2).
-const (
-	VecCompletion = 0 // queue 0 completion (raised from the owning function)
-	VecMiss       = 1 // translation miss (always raised from the PF)
-)
-
-// CompletionVector reports the MSI vector carrying queue q's completions.
-func CompletionVector(q int) uint8 {
-	if q == 0 {
-		return VecCompletion
-	}
-	return uint8(1 + q)
-}
-
-// QueueOfVector inverts CompletionVector; ok is false for VecMiss (not a
-// completion vector).
-func QueueOfVector(v uint8) (q int, ok bool) {
-	switch {
-	case v == VecCompletion:
-		return 0, true
-	case v == VecMiss:
-		return 0, false
-	default:
-		return int(v) - 1, true
-	}
-}
-
 // Request is one descriptor fetched from a function's request ring.
 type Request struct {
 	fn     *Function
@@ -353,8 +304,8 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 	if p.QueuesPerVF < 1 {
 		p.QueuesPerVF = 1
 	}
-	if p.QueuesPerVF > MaxQueuesPerFn {
-		return nil, fmt.Errorf("core: QueuesPerVF %d exceeds the register-file limit %d", p.QueuesPerVF, MaxQueuesPerFn)
+	if p.QueuesPerVF > ring.MaxQueuesPerFn {
+		return nil, fmt.Errorf("core: QueuesPerVF %d exceeds the register-file limit %d", p.QueuesPerVF, ring.MaxQueuesPerFn)
 	}
 	c := &Controller{
 		Eng:      eng,
@@ -801,8 +752,8 @@ func (c *Controller) resetFunction(f *Function) {
 		// A walker is parked on this miss; fail the walk so the chunk drains
 		// (it will be aborted as stale before any completion is attempted).
 		f.missPending = false
-		f.missReason = MissReasonTranslate
-		f.rewalkVerdict = RewalkFail
+		f.missReason = ring.MissReasonTranslate
+		f.rewalkVerdict = ring.RewalkFail
 		f.rewalk.Fire()
 	}
 	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -49,11 +50,11 @@ func newRigWith(t *testing.T, p Params, tel Sinks) *rig {
 	r.bar = 0x1000
 	fab.SetMSIHandler(func(from pcie.FnID, vec uint8) {
 		switch vec {
-		case VecCompletion:
+		case ring.VecCompletion:
 			if s := r.cplSignals[from]; s != nil {
 				s.Fire()
 			}
-		case VecMiss:
+		case ring.VecMiss:
 			r.missMSIs++
 			if r.missHandler != nil {
 				eng.Go("hyp-miss", r.missHandler)
@@ -89,22 +90,22 @@ func (r *rig) openFunction(p *sim.Proc, fnIdx int) *dev { return r.openQueue(p, 
 
 // queueBlock computes the BAR offset of queue q's register block within a
 // function page.
-func queueBlock(q int) int64 { return QueueRegBase + int64(q)*QueueRegStride }
+func queueBlock(q int) int64 { return ring.QueueRegBase + int64(q)*ring.QueueRegStride }
 
 // openQueue programs queue q of a function, acting as a multi-queue driver.
 func (r *rig) openQueue(p *sim.Proc, fnIdx, q int) *dev {
 	d := &dev{
 		r:        r,
 		pageOff:  r.bar + r.ctl.FunctionPageOffset(fnIdx),
-		ringBase: r.mem.MustAlloc(testRing*DescBytes, 64),
-		cplBase:  r.mem.MustAlloc(testRing*CplBytes, 64),
+		ringBase: r.mem.MustAlloc(testRing*ring.DescBytes, 64),
+		cplBase:  r.mem.MustAlloc(testRing*ring.CplBytes, 64),
 	}
 	d.qOff = d.pageOff + queueBlock(q)
 	// Drivers must clear their rings: allocations may recycle memory.
-	if err := r.mem.Zero(d.ringBase, testRing*DescBytes); err != nil {
+	if err := r.mem.Zero(d.ringBase, testRing*ring.DescBytes); err != nil {
 		r.t.Fatal(err)
 	}
-	if err := r.mem.Zero(d.cplBase, testRing*CplBytes); err != nil {
+	if err := r.mem.Zero(d.cplBase, testRing*ring.CplBytes); err != nil {
 		r.t.Fatal(err)
 	}
 	if fnIdx == 0 {
@@ -112,9 +113,9 @@ func (r *rig) openQueue(p *sim.Proc, fnIdx, q int) *dev {
 	} else {
 		d.fn = r.ctl.VF(fnIdx - 1)
 	}
-	r.mmioW(p, d.qOff+QRegRingBase, uint64(d.ringBase))
-	r.mmioW(p, d.qOff+QRegRingSize, testRing)
-	r.mmioW(p, d.qOff+QRegCplBase, uint64(d.cplBase))
+	r.mmioW(p, d.qOff+ring.QRegRingBase, uint64(d.ringBase))
+	r.mmioW(p, d.qOff+ring.QRegRingSize, testRing)
+	r.mmioW(p, d.qOff+ring.QRegCplBase, uint64(d.cplBase))
 	return d
 }
 
@@ -138,18 +139,18 @@ func (d *dev) io(p *sim.Proc, op uint32, lba uint64, count uint32, buf int64) ui
 	r := d.r
 	d.nextID++
 	id := d.nextID
-	var desc [DescBytes]byte
+	var desc [ring.DescBytes]byte
 	ring.EncodeDescriptor(desc[:], op, id, lba, count, buf)
 	slot := int64(d.prod % testRing)
-	if err := r.mem.Write(d.ringBase+slot*DescBytes, desc[:]); err != nil {
+	if err := r.mem.Write(d.ringBase+slot*ring.DescBytes, desc[:]); err != nil {
 		r.t.Fatal(err)
 	}
 	d.prod++
-	r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
+	r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod))
 	// Wait for a completion with our seq.
 	for {
-		entry := make([]byte, CplBytes)
-		if err := r.mem.Read(d.cplBase+int64(d.lastSeq%testRing)*CplBytes, entry); err != nil {
+		entry := make([]byte, ring.CplBytes)
+		if err := r.mem.Read(d.cplBase+int64(d.lastSeq%testRing)*ring.CplBytes, entry); err != nil {
 			r.t.Fatal(err)
 		}
 		gotID, status, seq := ring.DecodeCompletion(entry)
@@ -168,10 +169,10 @@ func (d *dev) io(p *sim.Proc, op uint32, lba uint64, count uint32, buf int64) ui
 
 // setVF programs a VF's management block (hypervisor side).
 func (r *rig) setVF(p *sim.Proc, vfIdx int, treeRoot int64, sizeBlocks uint64) {
-	mgmt := r.bar + r.ctl.MgmtPageOffset() + int64(vfIdx)*MgmtStride
-	r.mmioW(p, mgmt+MgmtTreeRoot, uint64(treeRoot))
-	r.mmioW(p, mgmt+MgmtDeviceSize, sizeBlocks)
-	r.mmioW(p, mgmt+MgmtEnable, 1)
+	mgmt := r.bar + r.ctl.MgmtPageOffset() + int64(vfIdx)*ring.MgmtStride
+	r.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(treeRoot))
+	r.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
+	r.mmioW(p, mgmt+ring.MgmtEnable, 1)
 }
 
 func (r *rig) buildTree(runs []extent.Run) *extent.Tree {
@@ -198,13 +199,13 @@ func TestPFReadWriteRoundTrip(t *testing.T) {
 		if err := r.mem.Write(buf, src); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpWrite, 100, 8, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 100, 8, buf); st != ring.StatusOK {
 			t.Errorf("write status %d", st)
 		}
 		if err := r.mem.Zero(buf, 8192); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpRead, 100, 8, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 100, 8, buf); st != ring.StatusOK {
 			t.Errorf("read status %d", st)
 		}
 		got := make([]byte, 8192)
@@ -244,7 +245,7 @@ func TestVFTranslatedIO(t *testing.T) {
 		if err := r.mem.Write(buf, src); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpWrite, 0, 16, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 0, 16, buf); st != ring.StatusOK {
 			t.Errorf("write status %d", st)
 		}
 		// Physical placement respects the extent map.
@@ -256,7 +257,7 @@ func TestVFTranslatedIO(t *testing.T) {
 		if err := r.mem.Zero(buf, 16*1024); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpRead, 0, 16, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 16, buf); st != ring.StatusOK {
 			t.Errorf("read status %d", st)
 		}
 		got := make([]byte, 16*1024)
@@ -290,18 +291,18 @@ func TestVFIsolation(t *testing.T) {
 		if err := r.mem.Write(buf, secret); err != nil {
 			t.Fatal(err)
 		}
-		if st := d2.io(p, OpWrite, 0, 4, buf); st != StatusOK {
+		if st := d2.io(p, ring.OpWrite, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("vf2 write status %d", st)
 		}
 		// VF1 writes everything it can address.
 		if err := r.mem.Write(buf, bytes.Repeat([]byte{0x11}, 4096)); err != nil {
 			t.Fatal(err)
 		}
-		if st := d1.io(p, OpWrite, 0, 4, buf); st != StatusOK {
+		if st := d1.io(p, ring.OpWrite, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("vf1 write status %d", st)
 		}
 		// VF1 cannot reach past its device size.
-		if st := d1.io(p, OpRead, 4, 1, buf); st != StatusOutOfRange {
+		if st := d1.io(p, ring.OpRead, 4, 1, buf); st != ring.StatusOutOfRange {
 			t.Errorf("out-of-range read status %d", st)
 		}
 		// VF2's physical blocks are untouched by VF1's writes.
@@ -333,7 +334,7 @@ func TestHoleReadReturnsZeros(t *testing.T) {
 		if err := r.ctl.Medium.Store().WriteBlocks(50, bytes.Repeat([]byte{0xAB}, 1024)); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpRead, 0, 4, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("read status %d", st)
 		}
 		got := make([]byte, 4096)
@@ -370,14 +371,14 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 	// Mock hypervisor: on miss, map the missing range to pLBA 600+ and
 	// signal a rewalk.
 	r.missHandler = func(p *sim.Proc) {
-		pending := r.mmioR(p, r.bar+PFRegMissPendingBank)
+		pending := r.mmioR(p, r.bar+ring.PFRegMissPendingBank)
 		if pending&1 == 0 {
 			t.Error("miss bitmap does not report VF0")
 			return
 		}
-		missAddr := r.mmioR(p, mgmt+MgmtMissAddr)
-		missSize := r.mmioR(p, mgmt+MgmtMissSize)
-		isWrite := r.mmioR(p, mgmt+MgmtMissIsWrite)
+		missAddr := r.mmioR(p, mgmt+ring.MgmtMissAddr)
+		missSize := r.mmioR(p, mgmt+ring.MgmtMissSize)
+		isWrite := r.mmioR(p, mgmt+ring.MgmtMissIsWrite)
 		if isWrite != 1 {
 			t.Errorf("MissIsWrite = %d", isWrite)
 		}
@@ -386,8 +387,8 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		r.mmioW(p, mgmt+MgmtTreeRoot, uint64(tr.Root()))
-		r.mmioW(p, mgmt+MgmtRewalk, RewalkRetry)
+		r.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(tr.Root()))
+		r.mmioW(p, mgmt+ring.MgmtRewalk, ring.RewalkRetry)
 	}
 	buf := r.mem.MustAlloc(1024, 64)
 	done := false
@@ -397,7 +398,7 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 		if err := r.mem.Write(buf, bytes.Repeat([]byte{0x77}, 1024)); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpWrite, 5, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 5, 1, buf); st != ring.StatusOK {
 			t.Errorf("miss write status %d", st)
 		}
 		// The hypervisor mapped vLBA 5 -> pLBA 605.
@@ -421,15 +422,15 @@ func TestWriteMissDeniedReportsNoSpace(t *testing.T) {
 	tr := r.buildTree(nil)
 	mgmt := r.bar + r.ctl.MgmtPageOffset()
 	r.missHandler = func(p *sim.Proc) {
-		r.mmioW(p, mgmt+MgmtRewalk, RewalkFail) // quota exhausted
+		r.mmioW(p, mgmt+ring.MgmtRewalk, ring.RewalkFail) // quota exhausted
 	}
 	buf := r.mem.MustAlloc(1024, 64)
 	done := false
 	r.eng.Go("guest", func(p *sim.Proc) {
 		r.setVF(p, 0, tr.Root(), 8)
 		d := r.openFunction(p, 1)
-		if st := d.io(p, OpWrite, 0, 1, buf); st != StatusNoSpace {
-			t.Errorf("denied write status %d, want %d", st, StatusNoSpace)
+		if st := d.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusNoSpace {
+			t.Errorf("denied write status %d, want %d", st, ring.StatusNoSpace)
 		}
 		done = true
 	})
@@ -457,8 +458,8 @@ func TestPrunedSubtreeTriggersRegeneration(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		r.mmioW(p, mgmt+MgmtTreeRoot, uint64(tr.Root()))
-		r.mmioW(p, mgmt+MgmtRewalk, RewalkRetry)
+		r.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(tr.Root()))
+		r.mmioW(p, mgmt+ring.MgmtRewalk, ring.RewalkRetry)
 	}
 	buf := r.mem.MustAlloc(1024, 64)
 	done := false
@@ -468,7 +469,7 @@ func TestPrunedSubtreeTriggersRegeneration(t *testing.T) {
 		if err := r.ctl.Medium.Store().WriteBlocks(1000, bytes.Repeat([]byte{0xCC}, 1024)); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusOK {
 			t.Errorf("read status %d", st)
 		}
 		got := make([]byte, 1024)
@@ -489,14 +490,51 @@ func TestPrunedSubtreeTriggersRegeneration(t *testing.T) {
 	}
 }
 
+// TestCyclicTreeFailsTheChunk programs a VF whose tree root is a depth-1 node
+// pointing at itself. The walker must fail the chunk on the second node read
+// (a child is not one level below its parent), not chase the pointer forever.
+func TestCyclicTreeFailsTheChunk(t *testing.T) {
+	r := newRig(t, smallParams())
+	node := r.mem.MustAlloc(extent.NodeBytes(extent.DefaultFanout), 64)
+	img := make([]byte, extent.NodeBytes(extent.DefaultFanout))
+	binary.BigEndian.PutUint16(img[0:], extent.Magic)
+	binary.BigEndian.PutUint16(img[2:], 1) // depth
+	binary.BigEndian.PutUint16(img[4:], 1) // entries
+	binary.BigEndian.PutUint16(img[6:], extent.DefaultFanout)
+	binary.BigEndian.PutUint32(img[extent.HeaderSize+8:], 16)            // the entry covers vLBAs 0..15
+	binary.BigEndian.PutUint64(img[extent.HeaderSize+16:], uint64(node)) // and its child is the node
+	if err := r.mem.Write(node, img); err != nil {
+		t.Fatal(err)
+	}
+	buf := r.mem.MustAlloc(4096, 64)
+	done := false
+	r.eng.Go("guest", func(p *sim.Proc) {
+		r.setVF(p, 0, node, 16)
+		d := r.openFunction(p, 1)
+		if st := d.io(p, ring.OpRead, 3, 1, buf); st != ring.StatusDMAFault {
+			t.Errorf("read through a cyclic tree: status %d, want StatusDMAFault", st)
+		}
+		done = true
+	})
+	// A walker that follows the cycle never lets the simulation drain.
+	r.eng.RunUntil(10 * sim.Millisecond)
+	r.eng.Shutdown()
+	if !done {
+		t.Fatal("the request never completed: the walker is still following the cycle")
+	}
+	if r.ctl.WalkNodeReads != 2 {
+		t.Errorf("%d node reads, want 2 (the root, then the node that is not below it)", r.ctl.WalkNodeReads)
+	}
+}
+
 func TestDisabledVFRejectsIO(t *testing.T) {
 	r := newRig(t, smallParams())
 	buf := r.mem.MustAlloc(1024, 64)
 	done := false
 	r.eng.Go("guest", func(p *sim.Proc) {
 		d := r.openFunction(p, 1) // never enabled by the hypervisor
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusDisabled {
-			t.Errorf("status %d, want %d", st, StatusDisabled)
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusDisabled {
+			t.Errorf("status %d, want %d", st, ring.StatusDisabled)
 		}
 		done = true
 	})
@@ -514,9 +552,9 @@ func TestGuestCannotProgramManagementViaVFPage(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 4)
 		vfPage := r.bar + r.ctl.FunctionPageOffset(1)
 		// A malicious guest writes management offsets through its own page.
-		r.mmioW(p, vfPage+MgmtTreeRoot, 0xDEAD) // no register at that offset of a function page: ignored
-		r.mmioW(p, vfPage+0x800, 1)             // PF-only BTLB flush offset: ignored
-		r.mmioW(p, vfPage+MgmtDeviceSize, 1<<40)
+		r.mmioW(p, vfPage+ring.MgmtTreeRoot, 0xDEAD) // no register at that offset of a function page: ignored
+		r.mmioW(p, vfPage+0x800, 1)                  // PF-only BTLB flush offset: ignored
+		r.mmioW(p, vfPage+ring.MgmtDeviceSize, 1<<40)
 		vf := r.ctl.VF(0)
 		if vf.TreeRoot() != tr.Root() {
 			t.Error("guest overwrote its extent tree root")
@@ -541,7 +579,7 @@ func TestBTLBHitRateAndFlush(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 256)
 		d := r.openFunction(p, 1)
 		for i := 0; i < 16; i++ {
-			if st := d.io(p, OpRead, uint64(i*4), 4, buf); st != StatusOK {
+			if st := d.io(p, ring.OpRead, uint64(i*4), 4, buf); st != ring.StatusOK {
 				t.Errorf("read status %d", st)
 			}
 		}
@@ -557,8 +595,8 @@ func TestBTLBHitRateAndFlush(t *testing.T) {
 		walks := r.ctl.WalkNodeReads
 		missesBefore := r.ctl.BTLBStats.Misses
 		// Flush and repeat: fresh misses appear.
-		r.mmioW(p, r.bar+PFRegBTLBFlush, 1)
-		if st := d.io(p, OpRead, 0, 4, buf); st != StatusOK {
+		r.mmioW(p, r.bar+ring.PFRegBTLBFlush, 1)
+		if st := d.io(p, ring.OpRead, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("read status %d", st)
 		}
 		extra := r.ctl.BTLBStats.Misses - missesBefore
@@ -588,19 +626,19 @@ func TestOOBChannelBypassesStalledTranslation(t *testing.T) {
 		pf := r.openFunction(p, 0)
 		// Saturate both walkers with stalling writes, submitted and
 		// abandoned (no completion wait: submit via raw ring).
-		var desc [DescBytes]byte
+		var desc [ring.DescBytes]byte
 		for i := 0; i < 2; i++ {
-			ring.EncodeDescriptor(desc[:], OpWrite, uint32(100+i), uint64(i), 1, buf)
+			ring.EncodeDescriptor(desc[:], ring.OpWrite, uint32(100+i), uint64(i), 1, buf)
 			slot := int64(vf.prod % testRing)
-			if err := r.mem.Write(vf.ringBase+slot*DescBytes, desc[:]); err != nil {
+			if err := r.mem.Write(vf.ringBase+slot*ring.DescBytes, desc[:]); err != nil {
 				t.Fatal(err)
 			}
 			vf.prod++
 		}
-		r.mmioW(p, vf.qOff+QRegDoorbell, uint64(vf.prod))
+		r.mmioW(p, vf.qOff+ring.QRegDoorbell, uint64(vf.prod))
 		p.Sleep(50 * sim.Microsecond) // let the walkers stall
 		// The PF must still complete I/O through the OOB channel.
-		if st := pf.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+		if st := pf.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusOK {
 			t.Errorf("PF write while VF stalled: status %d", st)
 		}
 		pfDone = true
@@ -622,7 +660,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		r.setVF(p, 0, tr1.Root(), 512)
 		d := r.openFunction(p, 1)
 		for i := 0; i < reqs; i++ {
-			d.io(p, OpWrite, uint64(i*4), 4, buf)
+			d.io(p, ring.OpWrite, uint64(i*4), 4, buf)
 		}
 		end1 = p.Now()
 	})
@@ -630,7 +668,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		r.setVF(p, 1, tr2.Root(), 512)
 		d := r.openFunction(p, 2)
 		for i := 0; i < reqs; i++ {
-			d.io(p, OpWrite, uint64(i*4), 4, buf)
+			d.io(p, ring.OpWrite, uint64(i*4), 4, buf)
 		}
 		end2 = p.Now()
 	})
@@ -653,7 +691,7 @@ func TestCompletionRingWraparound(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 256)
 		d := r.openFunction(p, 1)
 		for i := 0; i < int(testRing)*3; i++ {
-			if st := d.io(p, OpWrite, uint64(i%256), 1, buf); st != StatusOK {
+			if st := d.io(p, ring.OpWrite, uint64(i%256), 1, buf); st != ring.StatusOK {
 				t.Fatalf("request %d status %d", i, st)
 			}
 		}
@@ -672,7 +710,7 @@ func TestZeroCountRequestCompletes(t *testing.T) {
 	r.eng.Go("guest", func(p *sim.Proc) {
 		r.setVF(p, 0, tr.Root(), 8)
 		d := r.openFunction(p, 1)
-		if st := d.io(p, OpRead, 0, 0, 0); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 0, 0); st != ring.StatusOK {
 			t.Errorf("zero-count status %d", st)
 		}
 		done = true
@@ -725,12 +763,12 @@ func TestRandomIOModelProperty(t *testing.T) {
 					if err := r.mem.Write(buf, chunkData); err != nil {
 						t.Fatal(err)
 					}
-					if st := d.io(p, OpWrite, lba, count, buf); st != StatusOK {
+					if st := d.io(p, ring.OpWrite, lba, count, buf); st != ring.StatusOK {
 						t.Fatalf("write status %d", st)
 					}
 					copy(shadow[lba*1024:], chunkData)
 				} else {
-					if st := d.io(p, OpRead, lba, count, buf); st != StatusOK {
+					if st := d.io(p, ring.OpRead, lba, count, buf); st != ring.StatusOK {
 						t.Fatalf("read status %d", st)
 					}
 					got := make([]byte, n)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nesc/internal/extent"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
 )
@@ -28,17 +29,17 @@ func TestDeadlineExpiryAtEveryStage(t *testing.T) {
 			if budget > sim.Millisecond {
 				t.Fatal("no deadline budget was ever enough")
 			}
-			r.mmioW(p, d.qOff+QRegDeadline, uint64(budget))
+			r.mmioW(p, d.qOff+ring.QRegDeadline, uint64(budget))
 			expired, events := r.ctl.DeadlineExpirations, board.Total()
-			st := d.io(p, OpRead, 0, blocks, buf)
-			if st == StatusOK {
+			st := d.io(p, ring.OpRead, 0, blocks, buf)
+			if st == ring.StatusOK {
 				if r.ctl.DeadlineExpirations != expired || board.Total() != events {
 					t.Errorf("budget %v: a request that met its deadline was counted as expired", budget)
 				}
 				return
 			}
-			if st != StatusBusy {
-				t.Fatalf("budget %v: status %d, want the retryable StatusBusy", budget, st)
+			if st != ring.StatusBusy {
+				t.Fatalf("budget %v: status %d, want the retryable ring.StatusBusy", budget, st)
 			}
 			// The multiplexer abandons the whole request in one event; the
 			// walker and the DTU abandon it chunk by chunk, and only the

@@ -31,7 +31,7 @@ func TestMediumRetryRecoversTransientError(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 64)
 		d := r.openFunction(p, 1)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusOK {
 			t.Errorf("read after transient medium error: status %d, want OK", st)
 		}
 	})
@@ -55,15 +55,15 @@ func TestMediumErrorLatchesAfterRetries(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 64)
 		d := r.openFunction(p, 1)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusMediumError {
-			t.Errorf("unreadable block: status %d, want StatusMediumError", st)
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusMediumError {
+			t.Errorf("unreadable block: status %d, want ring.StatusMediumError", st)
 		}
 		// The AER registers expose the per-function counters.
-		if got := r.mmioR(p, d.pageOff+RegErrMedium); got != 1 {
-			t.Errorf("RegErrMedium = %d, want 1", got)
+		if got := r.mmioR(p, d.pageOff+ring.RegErrMedium); got != 1 {
+			t.Errorf("ring.RegErrMedium = %d, want 1", got)
 		}
-		if got := r.mmioR(p, d.pageOff+RegErrRetries); got != uint64(MediumRetryMax) {
-			t.Errorf("RegErrRetries = %d, want %d", got, MediumRetryMax)
+		if got := r.mmioR(p, d.pageOff+ring.RegErrRetries); got != uint64(MediumRetryMax) {
+			t.Errorf("ring.RegErrRetries = %d, want %d", got, MediumRetryMax)
 		}
 	})
 	r.run()
@@ -83,23 +83,23 @@ func TestFLRAbortsWedgedFunction(t *testing.T) {
 		d := r.openFunction(p, 1)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
 		// A write into a hole latches a miss and parks a walker.
-		var desc [DescBytes]byte
-		ring.EncodeDescriptor(desc[:], OpWrite, 1, 32, 1, buf)
+		var desc [ring.DescBytes]byte
+		ring.EncodeDescriptor(desc[:], ring.OpWrite, 1, 32, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod))
 		p.Sleep(100 * sim.Microsecond)
-		if got := r.mmioR(p, d.pageOff+RegReset); got != 1 {
-			t.Errorf("RegReset before FLR = %d, want 1 (in-flight)", got)
+		if got := r.mmioR(p, d.pageOff+ring.RegReset); got != 1 {
+			t.Errorf("ring.RegReset before FLR = %d, want 1 (in-flight)", got)
 		}
-		r.mmioW(p, d.pageOff+RegReset, 1)
-		for r.mmioR(p, d.pageOff+RegReset) != 0 {
+		r.mmioW(p, d.pageOff+ring.RegReset, 1)
+		for r.mmioR(p, d.pageOff+ring.RegReset) != 0 {
 			p.Sleep(5 * sim.Microsecond)
 		}
-		if got := r.mmioR(p, d.pageOff+RegErrResets); got != 1 {
-			t.Errorf("RegErrResets = %d, want 1", got)
+		if got := r.mmioR(p, d.pageOff+ring.RegErrResets); got != 1 {
+			t.Errorf("ring.RegErrResets = %d, want 1", got)
 		}
 	})
 	r.run()
@@ -134,17 +134,17 @@ func TestFunctionRecoversAfterFLR(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 64)
 		d := r.openFunction(p, 1)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusOK {
 			t.Errorf("pre-reset read: status %d", st)
 		}
-		r.mmioW(p, d.pageOff+RegReset, 1)
-		for r.mmioR(p, d.pageOff+RegReset) != 0 {
+		r.mmioW(p, d.pageOff+ring.RegReset, 1)
+		for r.mmioR(p, d.pageOff+ring.RegReset) != 0 {
 			p.Sleep(5 * sim.Microsecond)
 		}
 		// Reprogram the rings (the hypervisor/driver recovery path) and run
 		// fresh I/O through the recovered function.
 		d2 := r.openFunction(p, 1)
-		if st := d2.io(p, OpRead, 2, 1, buf); st != StatusOK {
+		if st := d2.io(p, ring.OpRead, 2, 1, buf); st != ring.StatusOK {
 			t.Errorf("post-reset read: status %d", st)
 		}
 	})
@@ -160,13 +160,13 @@ func TestFetchDropIsCounted(t *testing.T) {
 	r.eng.Go("test", func(p *sim.Proc) {
 		d := r.openFunction(p, 0)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
-		var desc [DescBytes]byte
-		ring.EncodeDescriptor(desc[:], OpRead, 1, 0, 1, buf)
+		var desc [ring.DescBytes]byte
+		ring.EncodeDescriptor(desc[:], ring.OpRead, 1, 0, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
 	if r.ctl.Counters().FetchDrops != 1 || r.ctl.PF().FetchDrops != 1 {
@@ -186,13 +186,13 @@ func TestCompletionDropIsCounted(t *testing.T) {
 	r.eng.Go("test", func(p *sim.Proc) {
 		d := r.openFunction(p, 0)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
-		var desc [DescBytes]byte
-		ring.EncodeDescriptor(desc[:], OpWrite, 1, 0, 1, buf)
+		var desc [ring.DescBytes]byte
+		ring.EncodeDescriptor(desc[:], ring.OpWrite, 1, 0, 1, buf)
 		if err := r.mem.Write(d.ringBase, desc[:]); err != nil {
 			t.Error(err)
 		}
 		d.prod++
-		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod))
 	})
 	r.run()
 	if r.ctl.Counters().CplDrops != 1 || r.ctl.PF().CplDrops != 1 {
@@ -214,7 +214,7 @@ func TestMissResendRecoversDroppedMSI(t *testing.T) {
 	r.installPlan(plan)
 	r.missHandler = func(hp *sim.Proc) {
 		mgmt := r.bar + r.ctl.MgmtPageOffset()
-		r.mmioW(hp, mgmt+MgmtRewalk, RewalkFail)
+		r.mmioW(hp, mgmt+ring.MgmtRewalk, ring.RewalkFail)
 	}
 	r.eng.Go("test", func(tp *sim.Proc) {
 		tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 100, Count: 8}})
@@ -222,8 +222,8 @@ func TestMissResendRecoversDroppedMSI(t *testing.T) {
 		d := r.openFunction(tp, 1)
 		buf := r.mem.MustAlloc(int64(r.ctl.P.BlockSize), 64)
 		// Write into a hole: miss; first MSI dropped; resend delivers it.
-		if st := d.io(tp, OpWrite, 32, 1, buf); st != StatusNoSpace {
-			t.Errorf("hole write: status %d, want StatusNoSpace", st)
+		if st := d.io(tp, ring.OpWrite, 32, 1, buf); st != ring.StatusNoSpace {
+			t.Errorf("hole write: status %d, want ring.StatusNoSpace", st)
 		}
 	})
 	r.run()
@@ -271,8 +271,8 @@ func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
 		status                   uint32
 		retries, errors, repairs int64
 	}{
-		{"retry then success", fault.SiteParams{OneShot: []int64{1}}, StatusOK, 1, 0, 1},
-		{"exhaustion", fault.SiteParams{Prob: 1.0}, StatusMediumError, int64(MediumRetryMax), 1, 0},
+		{"retry then success", fault.SiteParams{OneShot: []int64{1}}, ring.StatusOK, 1, 0, 1},
+		{"exhaustion", fault.SiteParams{Prob: 1.0}, ring.StatusMediumError, int64(MediumRetryMax), 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			events := trace.NewRing(64)
@@ -282,7 +282,7 @@ func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
 			inj := r.installPlan(plan)
 			r.eng.Go("test", func(p *sim.Proc) {
 				pf := r.openFunction(p, 0)
-				if st := pf.io(p, OpVerify, bad, 1, 0); st != tc.status {
+				if st := pf.io(p, ring.OpVerify, bad, 1, 0); st != tc.status {
 					t.Errorf("verify of a latent sector: status %d, want %d", st, tc.status)
 				}
 			})

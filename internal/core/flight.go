@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 	"nesc/internal/trace"
@@ -126,7 +127,7 @@ func (c *Controller) captureFlight(at sim.Time, fn int, r *Request, reason strin
 	rec := FlightRecord{At: at, Reason: reason, Fn: fn, Dev: c.P.DeviceID}
 	if r != nil {
 		rec.Q = r.qIdx()
-		rec.Op = OpName(r.Op)
+		rec.Op = ring.OpName(r.Op)
 		rec.ID = r.ID
 		rec.ReqID = r.ReqID
 		rec.LBA = r.LBA

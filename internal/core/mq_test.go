@@ -23,14 +23,14 @@ func TestRingSizeValidation(t *testing.T) {
 	r.eng.Go("host", func(p *sim.Proc) {
 		page := r.bar + r.ctl.FunctionPageOffset(0)
 		for _, bad := range []uint64{0, 3, 100, 1 << 20} {
-			r.mmioW(p, page+queueBlock(0)+QRegRingSize, bad)
+			r.mmioW(p, page+queueBlock(0)+ring.QRegRingSize, bad)
 		}
-		r.mmioW(p, page+queueBlock(0)+QRegRingSize, 64) // valid
-		if got := r.mmioR(p, page+RegErrBadRing); got != 4 {
-			t.Errorf("RegErrBadRing = %d, want 4", got)
+		r.mmioW(p, page+queueBlock(0)+ring.QRegRingSize, 64) // valid
+		if got := r.mmioR(p, page+ring.RegErrBadRing); got != 4 {
+			t.Errorf("ring.RegErrBadRing = %d, want 4", got)
 		}
-		if got := r.mmioR(p, page+queueBlock(0)+QRegRingSize); got != 64 {
-			t.Errorf("QRegRingSize = %d, want 64 (bad writes must not stick)", got)
+		if got := r.mmioR(p, page+queueBlock(0)+ring.QRegRingSize); got != 64 {
+			t.Errorf("ring.QRegRingSize = %d, want 64 (bad writes must not stick)", got)
 		}
 	})
 	r.run()
@@ -43,20 +43,20 @@ func TestDoorbellValidation(t *testing.T) {
 	r := newRig(t, mqParams(2))
 	r.eng.Go("host", func(p *sim.Proc) {
 		page := r.bar + r.ctl.FunctionPageOffset(1)
-		base := r.mem.MustAlloc(testRing*DescBytes, 64)
-		r.mmioW(p, page+queueBlock(0)+QRegRingBase, uint64(base))
-		r.mmioW(p, page+queueBlock(0)+QRegRingSize, testRing)
+		base := r.mem.MustAlloc(testRing*ring.DescBytes, 64)
+		r.mmioW(p, page+queueBlock(0)+ring.QRegRingBase, uint64(base))
+		r.mmioW(p, page+queueBlock(0)+ring.QRegRingSize, testRing)
 		// Producer index claiming more than one full ring of descriptors.
-		r.mmioW(p, page+queueBlock(0)+QRegDoorbell, testRing+1)
+		r.mmioW(p, page+queueBlock(0)+ring.QRegDoorbell, testRing+1)
 		// Doorbell on an unprogrammed queue (queue 1 has no ring size).
-		r.mmioW(p, page+queueBlock(1)+QRegDoorbell, 1)
+		r.mmioW(p, page+queueBlock(1)+ring.QRegDoorbell, 1)
 		// Doorbell on a queue beyond the active count.
-		r.mmioW(p, page+queueBlock(5)+QRegDoorbell, 1)
-		if got := r.mmioR(p, page+RegErrBadDoorbell); got != 3 {
-			t.Errorf("RegErrBadDoorbell = %d, want 3", got)
+		r.mmioW(p, page+queueBlock(5)+ring.QRegDoorbell, 1)
+		if got := r.mmioR(p, page+ring.RegErrBadDoorbell); got != 3 {
+			t.Errorf("ring.RegErrBadDoorbell = %d, want 3", got)
 		}
 		// A coherent doorbell still works after the rejections.
-		r.mmioW(p, page+queueBlock(0)+QRegDoorbell, 0)
+		r.mmioW(p, page+queueBlock(0)+ring.QRegDoorbell, 0)
 	})
 	r.run()
 	vf := r.ctl.VF(0)
@@ -74,7 +74,7 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 	// Completions on queue q>0 arrive on vector 1+q; re-route every
 	// completion vector at the test MSI dispatcher.
 	r.fab.SetMSIHandler(func(from pcie.FnID, vec uint8) {
-		if _, ok := QueueOfVector(vec); ok {
+		if _, ok := ring.QueueOfVector(vec); ok {
 			if s := r.cplSignals[from]; s != nil {
 				s.Fire()
 			}
@@ -86,21 +86,21 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 64)
 		d := r.openQueue(p, 1, 2)
 		page := r.bar + r.ctl.FunctionPageOffset(1)
-		if got := r.mmioR(p, page+RegNumQueues); got != 4 {
-			t.Errorf("RegNumQueues = %d, want 4", got)
+		if got := r.mmioR(p, page+ring.RegNumQueues); got != 4 {
+			t.Errorf("ring.RegNumQueues = %d, want 4", got)
 		}
 		buf := r.mem.MustAlloc(4096, 64)
 		src := bytes.Repeat([]byte{0xC3}, 4096)
 		if err := r.mem.Write(buf, src); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpWrite, 8, 4, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 8, 4, buf); st != ring.StatusOK {
 			t.Errorf("write on queue 2: status %d", st)
 		}
 		if err := r.mem.Zero(buf, 4096); err != nil {
 			t.Fatal(err)
 		}
-		if st := d.io(p, OpRead, 8, 4, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 8, 4, buf); st != ring.StatusOK {
 			t.Errorf("read on queue 2: status %d", st)
 		}
 		got := make([]byte, 4096)
@@ -111,10 +111,10 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 			t.Error("queue-2 round trip mismatch")
 		}
 		// The traffic ran on queue 2 alone.
-		if seq := r.mmioR(p, page+queueBlock(2)+QRegCplSeq); seq != 2 {
+		if seq := r.mmioR(p, page+queueBlock(2)+ring.QRegCplSeq); seq != 2 {
 			t.Errorf("queue 2 cplSeq = %d, want 2", seq)
 		}
-		if seq := r.mmioR(p, page+queueBlock(0)+QRegCplSeq); seq != 0 {
+		if seq := r.mmioR(p, page+queueBlock(0)+ring.QRegCplSeq); seq != 0 {
 			t.Errorf("queue 0 cplSeq = %d, want 0", seq)
 		}
 		done = true
@@ -146,22 +146,22 @@ func TestIntraVFQueueFairness(t *testing.T) {
 		// q*16+i so the trace identifies the owning queue.
 		rings := make([]int64, queues)
 		for q := 0; q < queues; q++ {
-			rings[q] = r.mem.MustAlloc(testRing*DescBytes, 64)
-			cpl := r.mem.MustAlloc(testRing*CplBytes, 64)
-			if err := r.mem.Zero(rings[q], testRing*DescBytes); err != nil {
+			rings[q] = r.mem.MustAlloc(testRing*ring.DescBytes, 64)
+			cpl := r.mem.MustAlloc(testRing*ring.CplBytes, 64)
+			if err := r.mem.Zero(rings[q], testRing*ring.DescBytes); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.mem.Zero(cpl, testRing*CplBytes); err != nil {
+			if err := r.mem.Zero(cpl, testRing*ring.CplBytes); err != nil {
 				t.Fatal(err)
 			}
 			blk := page + queueBlock(q)
-			r.mmioW(p, blk+QRegRingBase, uint64(rings[q]))
-			r.mmioW(p, blk+QRegRingSize, testRing)
-			r.mmioW(p, blk+QRegCplBase, uint64(cpl))
+			r.mmioW(p, blk+ring.QRegRingBase, uint64(rings[q]))
+			r.mmioW(p, blk+ring.QRegRingSize, testRing)
+			r.mmioW(p, blk+ring.QRegCplBase, uint64(cpl))
 			for i := 0; i < perQueue; i++ {
-				var desc [DescBytes]byte
-				ring.EncodeDescriptor(desc[:], OpRead, uint32(q*perQueue+i+1), uint64(q*16+i), 1, buf)
-				if err := r.mem.Write(rings[q]+int64(i)*DescBytes, desc[:]); err != nil {
+				var desc [ring.DescBytes]byte
+				ring.EncodeDescriptor(desc[:], ring.OpRead, uint32(q*perQueue+i+1), uint64(q*16+i), 1, buf)
+				if err := r.mem.Write(rings[q]+int64(i)*ring.DescBytes, desc[:]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -171,7 +171,7 @@ func TestIntraVFQueueFairness(t *testing.T) {
 		// the observed order isolates the device's scheduling policy.
 		for i := 1; i <= perQueue; i++ {
 			for q := 0; q < queues; q++ {
-				if err := r.fab.MMIOWrite(nil, page+queueBlock(q)+QRegDoorbell, 4, uint64(i)); err != nil {
+				if err := r.fab.MMIOWrite(nil, page+queueBlock(q)+ring.QRegDoorbell, 4, uint64(i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -205,26 +205,26 @@ func TestMgmtQueueCount(t *testing.T) {
 	r.eng.Go("host", func(p *sim.Proc) {
 		mgmt := r.bar + r.ctl.MgmtPageOffset()
 		page := r.bar + r.ctl.FunctionPageOffset(1)
-		if got := r.mmioR(p, page+RegNumQueues); got != 8 {
-			t.Errorf("RegNumQueues = %d, want 8 (device capability)", got)
+		if got := r.mmioR(p, page+ring.RegNumQueues); got != 8 {
+			t.Errorf("ring.RegNumQueues = %d, want 8 (device capability)", got)
 		}
 		// The hypervisor programs the VF down to 2 active queues.
-		r.mmioW(p, mgmt+MgmtQueues, 2)
-		if got := r.mmioR(p, page+RegNumQueues); got != 2 {
-			t.Errorf("RegNumQueues = %d, want 2 after MgmtQueues", got)
+		r.mmioW(p, mgmt+ring.MgmtQueues, 2)
+		if got := r.mmioR(p, page+ring.RegNumQueues); got != 2 {
+			t.Errorf("ring.RegNumQueues = %d, want 2 after ring.MgmtQueues", got)
 		}
 		// Out-of-range programmings are ignored.
-		r.mmioW(p, mgmt+MgmtQueues, 0)
-		r.mmioW(p, mgmt+MgmtQueues, 99)
-		if got := r.mmioR(p, page+RegNumQueues); got != 2 {
-			t.Errorf("RegNumQueues = %d, want 2 after bad programmings", got)
+		r.mmioW(p, mgmt+ring.MgmtQueues, 0)
+		r.mmioW(p, mgmt+ring.MgmtQueues, 99)
+		if got := r.mmioR(p, page+ring.RegNumQueues); got != 2 {
+			t.Errorf("ring.RegNumQueues = %d, want 2 after bad programmings", got)
 		}
 		// Registers of deactivated queues read as zero.
-		r.mmioW(p, page+queueBlock(1)+QRegRingSize, testRing)
-		if got := r.mmioR(p, page+queueBlock(1)+QRegRingSize); got != testRing {
+		r.mmioW(p, page+queueBlock(1)+ring.QRegRingSize, testRing)
+		if got := r.mmioR(p, page+queueBlock(1)+ring.QRegRingSize); got != testRing {
 			t.Errorf("queue 1 ring size = %d, want %d", got, testRing)
 		}
-		if got := r.mmioR(p, page+queueBlock(5)+QRegRingSize); got != 0 {
+		if got := r.mmioR(p, page+queueBlock(5)+ring.QRegRingSize); got != 0 {
 			t.Errorf("inactive queue 5 ring size = %d, want 0", got)
 		}
 	})

@@ -19,9 +19,6 @@ import (
 // by a bounded queue, so a congested stage exerts backpressure upstream —
 // except the PF's out-of-band path, which bypasses translation entirely.
 
-// StatusDMAFault reports a request whose buffer DMA faulted in the IOMMU.
-const StatusDMAFault = ring.StatusDMAFault
-
 // fetchLoop services a function's doorbells: it round-robins across the
 // function's queue pairs, DMAs new request descriptors from the chosen
 // queue's submission ring in host memory, validates them, and hands them to the VF multiplexer
@@ -32,7 +29,7 @@ const StatusDMAFault = ring.StatusDMAFault
 // MMIO-announced batch drains, a queue armed with a shadow-doorbell block
 // keeps following the guest's shadow writes until the ring is truly idle.
 func (f *Function) fetchLoop(p *sim.Proc) {
-	desc := make([]byte, DescBytes)
+	desc := make([]byte, ring.DescBytes)
 	for {
 		f.fetchW.Acquire(p)
 		// Pick the next queue with a pending doorbell, round-robin. Slots
@@ -94,10 +91,10 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 		f.inflight++
 		switch {
 		case !f.enabled:
-			req.status = StatusDisabled
+			req.status = ring.StatusDisabled
 			c.sendCompletion(p, req)
-		case lba+uint64(count) > f.sizeBlocks || (op != OpRead && op != OpWrite && op != OpVerify):
-			req.status = StatusOutOfRange
+		case lba+uint64(count) > f.sizeBlocks || (op != ring.OpRead && op != ring.OpWrite && op != ring.OpVerify):
+			req.status = ring.StatusOutOfRange
 			c.sendCompletion(p, req)
 		case count == 0:
 			c.sendCompletion(p, req)
@@ -108,7 +105,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			bs := int64(c.P.BlockSize)
 			for i := uint32(0); i < count; i++ {
 				ch := &chunk{req: req, idx: int(i), lba: lba + uint64(i), buf: buf + int64(i)*bs}
-				if op == OpVerify {
+				if op == ring.OpVerify {
 					c.scrubQ.Push(p, ch)
 				} else {
 					c.oobQ.Push(p, ch)
@@ -120,7 +117,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// the backlog estimate says this deadline-armed request cannot
 			// finish in time. Fail fast with the retryable busy status —
 			// nothing was executed, the driver backs off and resubmits.
-			req.status = StatusBusy
+			req.status = ring.StatusBusy
 			f.AdmitRejects++
 			c.anomaly(slo.EventAdmitReject, f.idx, req.ReqID, 0, "")
 			c.sendCompletion(p, req)
@@ -172,13 +169,13 @@ func (c *Controller) admitBusy(f *Function, req *Request) bool {
 func (c *Controller) retireStatus(r *Request, now sim.Time, stage string, chunks int) uint32 {
 	switch {
 	case r.epoch != r.fn.resetEpoch:
-		return StatusAborted
+		return ring.StatusAborted
 	case r.deadline > 0 && now >= r.deadline:
 		c.DeadlineExpirations += int64(chunks)
 		c.anomaly(slo.EventDeadline, r.fn.idx, r.ReqID, 0, stage)
-		return StatusBusy
+		return ring.StatusBusy
 	}
-	return StatusOK
+	return ring.StatusOK
 }
 
 // shadowFollow is the device half of shadow-doorbell batching. While the
@@ -252,9 +249,9 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 		if f.reqQ.Len() == 0 {
 			c.mux.idle(f)
 		}
-		if st := c.retireStatus(req, p.Now(), "mux", req.left); st != StatusOK {
+		if st := c.retireStatus(req, p.Now(), "mux", req.left); st != ring.StatusOK {
 			// Dead before splitting: retire the request whole.
-			if st == StatusAborted {
+			if st == ring.StatusAborted {
 				c.AbortedChunks += int64(req.left)
 			}
 			req.status = st
@@ -279,13 +276,13 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 	for {
 		ch := c.vlbaQ.Pop(p)
 		f := ch.req.fn
-		if st := c.retireStatus(ch.req, p.Now(), "walker", 1); st != StatusOK {
+		if st := c.retireStatus(ch.req, p.Now(), "walker", 1); st != ring.StatusOK {
 			c.completeChunk(p, ch, st)
 			continue
 		}
 		c.stage(ch.req, ch, stQueue, p.Now(), 0)
 		p.Sleep(c.P.BTLBHitTime)
-		if plba, prot, ok := c.btlb.lookup(f.idx, ch.lba); ok && !(prot && ch.req.Op == OpWrite) {
+		if plba, prot, ok := c.btlb.lookup(f.idx, ch.lba); ok && !(prot && ch.req.Op == ring.OpWrite) {
 			c.BTLBStats.Hit()
 			ch.tag = trace.TagHit
 			ch.lba = plba
@@ -302,17 +299,17 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		for {
 			res, err := c.walkTree(p, f, ch.lba, nodeImg)
 			if err != nil {
-				c.completeChunk(p, ch, StatusDMAFault)
+				c.completeChunk(p, ch, ring.StatusDMAFault)
 				break walk
 			}
-			cowFault := res.Mapped && res.Protected && ch.req.Op == OpWrite
+			cowFault := res.Mapped && res.Protected && ch.req.Op == ring.OpWrite
 			switch {
 			case res.Mapped && !cowFault:
 				c.btlb.insert(f.idx, res.Extent)
 				ch.lba = res.PLBA
 				c.pushPLBA(p, f, ch)
 				break walk
-			case res.Hole && ch.req.Op == OpRead && !f.fetchBacked:
+			case res.Hole && ch.req.Op == ring.OpRead && !f.fetchBacked:
 				// POSIX: holes read as zeros (paper Fig. 5a "DMA zero
 				// blocks"). On a fetch-backed VF a hole is unmaterialized
 				// content, not zeros — fall through to the miss path so the
@@ -336,17 +333,17 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 					f.missGen++
 					f.missAddr = ch.lba
 					f.missSize = 1
-					f.missIsWrite = ch.req.Op == OpWrite
-					f.missReason = MissReasonTranslate
+					f.missIsWrite = ch.req.Op == ring.OpWrite
+					f.missReason = ring.MissReasonTranslate
 					if res.Hole && f.fetchBacked {
-						f.missReason = MissReasonFetch
+						f.missReason = ring.MissReasonFetch
 					}
 					if cowFault {
-						f.missReason = MissReasonCoW
+						f.missReason = ring.MissReasonCoW
 					}
 					f.rewalk = sim.NewSignal(c.Eng)
 					c.event(trace.KindMiss, f.idx, ch.lba, uint64(f.missReason))
-					c.Fab.RaiseMSI(c.pf.id, VecMiss)
+					c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
 					if c.P.MissResendInterval > 0 {
 						c.scheduleMissResend(f, f.missGen)
 					}
@@ -355,11 +352,11 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				sig.Await(p)
 				c.event(trace.KindRewalk, f.idx, ch.lba, uint64(f.rewalkVerdict))
 				if ch.req.epoch != f.resetEpoch {
-					c.completeChunk(p, ch, StatusAborted)
+					c.completeChunk(p, ch, ring.StatusAborted)
 					break walk
 				}
-				if f.rewalkVerdict == RewalkFail {
-					c.completeChunk(p, ch, StatusNoSpace)
+				if f.rewalkVerdict == ring.RewalkFail {
+					c.completeChunk(p, ch, ring.StatusNoSpace)
 					break walk
 				}
 				continue walk // retry against the rebuilt tree
@@ -391,7 +388,7 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 // queue.
 func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
 	c.stage(ch.req, ch, stTranslate, p.Now(), uint64(ch.req.ID))
-	if ch.req.Op == OpVerify {
+	if ch.req.Op == ring.OpVerify {
 		c.scrubQ.Push(p, ch)
 	} else {
 		f.plbaQ.Push(p, ch)
@@ -432,7 +429,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 		if !ok {
 			continue // defensive; semaphore and queues are kept in lockstep
 		}
-		if st := c.retireStatus(ch.req, p.Now(), "dtu", 1); st != StatusOK {
+		if st := c.retireStatus(ch.req, p.Now(), "dtu", 1); st != ring.StatusOK {
 			// An expired chunk skips the medium entirely. Any sibling chunks
 			// that did land are harmless — busy completions are never
 			// acknowledged, and the retried write rewrites every block.
@@ -442,22 +439,22 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 		tSvc := p.Now()
 		c.stage(ch.req, ch, stDTUWait, tSvc, 0)
 		p.Sleep(c.P.DTUChunkOverhead)
-		status := uint32(StatusOK)
+		status := uint32(ring.StatusOK)
 		switch {
-		case ch.req.Op == OpVerify:
+		case ch.req.Op == ring.OpVerify:
 			c.ScrubChunks++
 			if !ch.zero { // a hole has no media blocks to check
 				status = c.verifyChunk(p, ch, buf)
 			}
-		case ch.req.Op == OpRead && ch.zero:
+		case ch.req.Op == ring.OpRead && ch.zero:
 			if ch.req.pi {
 				ch.req.piAccum ^= c.zeroCRC
 			}
 			if err := c.dmaZeroP(p, ch.req.fn.id, ch.buf, int64(bs)); err != nil {
-				status = StatusDMAFault
+				status = ring.StatusDMAFault
 			}
-		case ch.req.Op == OpRead:
-			if st := c.mediumOp(p, ch, buf, false); st != StatusOK {
+		case ch.req.Op == ring.OpRead:
+			if st := c.mediumOp(p, ch, buf, false); st != ring.StatusOK {
 				status = st
 			} else {
 				if ch.req.pi {
@@ -467,12 +464,12 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 				// computed its guard — exactly what end-to-end PI catches.
 				c.maybeCorruptDMA(ch, buf)
 				if err := c.dmaWriteP(p, ch.req.fn.id, ch.buf, buf); err != nil {
-					status = StatusDMAFault
+					status = ring.StatusDMAFault
 				}
 			}
 		default: // OpWrite
 			if err := c.dmaReadP(p, ch.req.fn.id, ch.buf, buf); err != nil {
-				status = StatusDMAFault
+				status = ring.StatusDMAFault
 			} else {
 				// A DMA flip here lands corrupted data on the medium under a
 				// matching medium guard; only the request-level PI check at
@@ -481,7 +478,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 				if ch.req.pi {
 					ch.req.piAccum ^= ring.BlockCRC(buf)
 				}
-				if st := c.mediumOp(p, ch, buf, true); st != StatusOK {
+				if st := c.mediumOp(p, ch, buf, true); st != ring.StatusOK {
 					status = st
 				}
 			}
@@ -496,7 +493,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 		}
 		c.ChunksDone++
 		st := stTransfer
-		if ch.req.Op == OpVerify {
+		if ch.req.Op == ring.OpVerify {
 			st = stVerify
 		}
 		c.stage(ch.req, ch, st, p.Now(), uint64(status))
@@ -525,21 +522,21 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 				// came back clean: the flip was transient.
 				f.IntegrityRepairs++
 			}
-			return StatusOK
+			return ring.StatusOK
 		}
 		integrity := blockdev.IsIntegrityError(err)
 		if !integrity && !blockdev.IsMediumError(err) {
-			return StatusOutOfRange
+			return ring.StatusOutOfRange
 		}
 		sawIntegrity = sawIntegrity || integrity
 		c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
 		if attempt >= MediumRetryMax {
 			if integrity {
 				f.IntegrityErrors++
-				return StatusIntegrityError
+				return ring.StatusIntegrityError
 			}
 			f.MediumErrors++
-			return StatusMediumError
+			return ring.StatusMediumError
 		}
 		f.MediumRetries++
 		c.noteRetry(ch.req)
@@ -557,17 +554,17 @@ func (c *Controller) verifyChunk(p *sim.Proc, ch *chunk, buf []byte) uint32 {
 	f := ch.req.fn
 	err := c.Medium.ReadP(p, int64(ch.lba), buf)
 	if err == nil {
-		return StatusOK
+		return ring.StatusOK
 	}
 	if !blockdev.IsMediumError(err) && !blockdev.IsIntegrityError(err) {
-		return StatusOutOfRange
+		return ring.StatusOutOfRange
 	}
 	c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
 	if e := c.Medium.RecoverP(p, int64(ch.lba), buf); e != nil {
-		return StatusOutOfRange
+		return ring.StatusOutOfRange
 	}
 	status := c.mediumOp(p, ch, buf, true)
-	if status == StatusOK {
+	if status == ring.StatusOK {
 		f.IntegrityRepairs++
 	}
 	return status
@@ -592,7 +589,7 @@ func (c *Controller) scheduleMissResend(f *Function, gen uint64) {
 			return
 		}
 		c.MissResends++
-		c.Fab.RaiseMSI(c.pf.id, VecMiss)
+		c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
 		c.scheduleMissResend(f, gen)
 	})
 }
@@ -602,12 +599,12 @@ func (c *Controller) scheduleMissResend(f *Function, gen uint64) {
 func (c *Controller) completeChunk(p *sim.Proc, ch *chunk, status uint32) {
 	r := ch.req
 	switch status {
-	case StatusDMAFault:
+	case ring.StatusDMAFault:
 		r.fn.DMAFaults++
-	case StatusAborted:
+	case ring.StatusAborted:
 		c.AbortedChunks++
 	}
-	if status != StatusOK && r.status == StatusOK {
+	if status != ring.StatusOK && r.status == ring.StatusOK {
 		r.status = status
 	}
 	r.left--
@@ -628,14 +625,14 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 	if r.admitted {
 		f.pendingChunks -= int64(r.Count)
 	}
-	if r.pi && r.Op == OpWrite && r.status == StatusOK && r.piAccum != r.piGuard {
+	if r.pi && r.Op == ring.OpWrite && r.status == ring.StatusOK && r.piAccum != r.piGuard {
 		// The device's accumulated guard disagrees with what the submitter
 		// computed over the source buffer: the payload was corrupted between
 		// the submitter's memory and the medium (e.g. a DMA flip). The data
 		// is already on the medium under a self-consistent medium guard, so
 		// this end-to-end check is the only detector; fail the request so
 		// the driver rewrites.
-		r.status = StatusIntegrityError
+		r.status = ring.StatusIntegrityError
 		f.IntegrityErrors++
 	}
 	c.finish(r, p.Now())
@@ -651,10 +648,10 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 	}
 	q.cplSeq++
 	var guard uint32
-	if r.pi && r.Op == OpRead && r.status == StatusOK {
+	if r.pi && r.Op == ring.OpRead && r.status == ring.StatusOK {
 		guard = r.piAccum
 	}
-	entry := make([]byte, CplBytes)
+	entry := make([]byte, ring.CplBytes)
 	ring.EncodeCompletionPI(entry, r.ID, r.status, q.cplSeq, guard)
 	if err := c.dmaWriteP(p, c.pf.id, ring.CplSlot(q.cplBase, q.cplSeq, q.ringSize), entry); err != nil {
 		// The completion entry never reached host memory: the guest will
@@ -663,7 +660,7 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		c.event(trace.KindDrop, f.idx, r.LBA, uint64(r.ID))
 		return
 	}
-	c.Fab.RaiseMSI(f.id, CompletionVector(q.idx))
+	c.Fab.RaiseMSI(f.id, ring.CompletionVector(q.idx))
 }
 
 // Process-style DMA helpers that surface errors instead of deadlocking.

@@ -38,7 +38,7 @@ func TestQueuePoolExhaustion(t *testing.T) {
 			// the value itself (VF0's tree root) is irrelevant.
 			_ = got
 		}
-		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != 2 {
+		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != 2 {
 			t.Fatalf("leased %d queue pairs after PF+VF0, want 2", leased)
 		}
 
@@ -46,36 +46,36 @@ func TestQueuePoolExhaustion(t *testing.T) {
 		// no lease, a counted failure, and a later doorbell is incoherent
 		// (AER counter, not a panic or a conjured queue).
 		d1 := r.openFunction(p, 2)
-		if fails := r.mmioR(p, r.bar+PFRegQueueLeaseFails); fails == 0 {
+		if fails := r.mmioR(p, r.bar+ring.PFRegQueueLeaseFails); fails == 0 {
 			t.Error("pool exhaustion did not count a lease failure")
 		}
-		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != 2 {
+		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != 2 {
 			t.Errorf("leased %d queue pairs after rejected programming, want 2", leased)
 		}
-		r.mmioW(p, d1.qOff+QRegDoorbell, 1)
-		if bad := r.mmioR(p, d1.pageOff+RegErrBadDoorbell); bad == 0 {
+		r.mmioW(p, d1.qOff+ring.QRegDoorbell, 1)
+		if bad := r.mmioR(p, d1.pageOff+ring.RegErrBadDoorbell); bad == 0 {
 			t.Error("doorbell on an unleased queue did not count as incoherent")
 		}
 
 		// PF and VF0 still work end to end on their leased queues.
 		buf := r.mem.MustAlloc(1024, 64)
-		if st := pf.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+		if st := pf.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusOK {
 			t.Fatalf("PF write status %d", st)
 		}
-		if st := d0.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+		if st := d0.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusOK {
 			t.Fatalf("VF0 write status %d", st)
 		}
 
 		// Disabling VF0 returns its queue pair; VF1 can then lease it.
-		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*MgmtStride+MgmtEnable, 0)
-		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != 1 {
+		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*ring.MgmtStride+ring.MgmtEnable, 0)
+		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != 1 {
 			t.Fatalf("leased %d queue pairs after VF0 disable, want 1", leased)
 		}
 		d1 = r.openFunction(p, 2)
-		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != 2 {
+		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != 2 {
 			t.Fatalf("VF1 failed to lease the returned queue pair")
 		}
-		if st := d1.io(p, OpWrite, 3, 1, buf); st != StatusOK {
+		if st := d1.io(p, ring.OpWrite, 3, 1, buf); st != ring.StatusOK {
 			t.Fatalf("VF1 write status %d after re-lease", st)
 		}
 	})
@@ -89,43 +89,43 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 		r.setVF(p, 0, tr.Root(), 64)
 		d := r.openFunction(p, 1)
 		buf := r.mem.MustAlloc(1024, 64)
-		if st := d.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusOK {
 			t.Fatalf("write status %d", st)
 		}
-		leasedBefore := r.mmioR(p, r.bar+PFRegQueuesInUse)
+		leasedBefore := r.mmioR(p, r.bar+ring.PFRegQueuesInUse)
 
 		// FLR mid-lease: kick off a request and reset before reaping its
 		// completion. The function drains without panicking and the queue
 		// pair stays leased — FLR is a tenant-local event, not a
 		// deprovision.
-		var desc [DescBytes]byte
+		var desc [ring.DescBytes]byte
 		d.nextID++
-		ring.EncodeDescriptor(desc[:], OpWrite, d.nextID, 8, 1, buf)
-		if err := r.mem.Write(d.ringBase+int64(d.prod%testRing)*DescBytes, desc[:]); err != nil {
+		ring.EncodeDescriptor(desc[:], ring.OpWrite, d.nextID, 8, 1, buf)
+		if err := r.mem.Write(d.ringBase+int64(d.prod%testRing)*ring.DescBytes, desc[:]); err != nil {
 			t.Fatal(err)
 		}
 		d.prod++
-		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod))
-		r.mmioW(p, d.pageOff+RegReset, 1)
-		for r.mmioR(p, d.pageOff+RegReset) != 0 {
+		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod))
+		r.mmioW(p, d.pageOff+ring.RegReset, 1)
+		for r.mmioR(p, d.pageOff+ring.RegReset) != 0 {
 			p.Sleep(sim.Microsecond)
 		}
-		if leased := r.mmioR(p, r.bar+PFRegQueuesInUse); leased != leasedBefore {
+		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != leasedBefore {
 			t.Errorf("FLR changed leased queues %d -> %d; reset must not return leases", leasedBefore, leased)
 		}
-		if returns := r.mmioR(p, r.bar+PFRegQueueReturns); returns != 0 {
+		if returns := r.mmioR(p, r.bar+ring.PFRegQueueReturns); returns != 0 {
 			t.Errorf("FLR returned %d queue pairs to the pool", returns)
 		}
 
 		// Disable deprovisions: the queue pair goes back, and a stale
 		// doorbell from the departed tenant is counted, not honored.
-		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*MgmtStride+MgmtEnable, 0)
-		if returns := r.mmioR(p, r.bar+PFRegQueueReturns); returns != 1 {
+		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*ring.MgmtStride+ring.MgmtEnable, 0)
+		if returns := r.mmioR(p, r.bar+ring.PFRegQueueReturns); returns != 1 {
 			t.Fatalf("disable returned %d queue pairs, want 1", returns)
 		}
-		badBefore := r.mmioR(p, d.pageOff+RegErrBadDoorbell)
-		r.mmioW(p, d.qOff+QRegDoorbell, uint64(d.prod+1))
-		if bad := r.mmioR(p, d.pageOff+RegErrBadDoorbell); bad != badBefore+1 {
+		badBefore := r.mmioR(p, d.pageOff+ring.RegErrBadDoorbell)
+		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod+1))
+		if bad := r.mmioR(p, d.pageOff+ring.RegErrBadDoorbell); bad != badBefore+1 {
 			t.Errorf("doorbell to a returned queue: bad-doorbell counter %d -> %d, want +1", badBefore, bad)
 		}
 
@@ -133,7 +133,7 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 		// queue and a working data path.
 		r.setVF(p, 0, tr.Root(), 64)
 		d = r.openFunction(p, 1)
-		if st := d.io(p, OpRead, 0, 1, buf); st != StatusOK {
+		if st := d.io(p, ring.OpRead, 0, 1, buf); st != ring.StatusOK {
 			t.Fatalf("read status %d after re-lease", st)
 		}
 	})
@@ -165,13 +165,13 @@ func TestActiveListInvariant(t *testing.T) {
 				d := r.openFunction(q, i+1)
 				buf := r.mem.MustAlloc(8*1024, 64)
 				for k := 0; k < iosPerVF; k++ {
-					op := uint32(OpRead)
+					op := uint32(ring.OpRead)
 					if lrng.Intn(2) == 0 {
-						op = OpWrite
+						op = ring.OpWrite
 					}
 					count := uint32(1 + lrng.Intn(4))
 					lba := uint64(lrng.Intn(200))
-					if st := d.io(q, op, lba, count, buf); st != StatusOK {
+					if st := d.io(q, op, lba, count, buf); st != ring.StatusOK {
 						t.Errorf("vf%d io %d status %d", i, k, st)
 						return
 					}
@@ -209,7 +209,7 @@ func TestLazyMaterializationAtScale(t *testing.T) {
 		t.Errorf("idle 1024-VF controller models %d bytes of state, want under 16 KB", base)
 	}
 	// A single MMIO touch on one VF's page conjures exactly that VF.
-	r.ctl.MMIORead(r.ctl.FunctionPageOffset(500+1)+RegNumQueues, 8)
+	r.ctl.MMIORead(r.ctl.FunctionPageOffset(500+1)+ring.RegNumQueues, 8)
 	if got := r.ctl.MaterializedVFs(); got != 1 {
 		t.Errorf("%d VFs materialized after touching one page, want 1", got)
 	}
@@ -228,7 +228,7 @@ func TestOrphanCompletionNeverReachesTheNewLessee(t *testing.T) {
 	r := newRig(t, poolParams(0))
 	cplMSIs := 0
 	r.fab.SetMSIHandler(func(from pcie.FnID, vec uint8) {
-		if vec == VecCompletion {
+		if vec == ring.VecCompletion {
 			cplMSIs++
 			if s := r.cplSignals[from]; s != nil {
 				s.Fire()
@@ -245,24 +245,24 @@ func TestOrphanCompletionNeverReachesTheNewLessee(t *testing.T) {
 
 		// VF0 rings a 32-block write and is deprovisioned once the device
 		// has fetched it.
-		var desc [DescBytes]byte
+		var desc [ring.DescBytes]byte
 		d0.nextID++
-		ring.EncodeDescriptor(desc[:], OpWrite, d0.nextID, 0, 32, buf)
+		ring.EncodeDescriptor(desc[:], ring.OpWrite, d0.nextID, 0, 32, buf)
 		if err := r.mem.Write(d0.ringBase, desc[:]); err != nil {
 			t.Fatal(err)
 		}
 		d0.prod++
-		r.mmioW(p, d0.qOff+QRegDoorbell, uint64(d0.prod))
+		r.mmioW(p, d0.qOff+ring.QRegDoorbell, uint64(d0.prod))
 		vf0 := r.ctl.VF(0)
 		for vf0.inflight == 0 {
 			p.Sleep(100 * sim.Nanosecond)
 		}
 		pair := vf0.queues[0]
-		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*MgmtStride+MgmtEnable, 0)
+		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*ring.MgmtStride+ring.MgmtEnable, 0)
 
 		// VF1 programs its queue 0 and is handed the very same pair.
 		d1 := r.openFunction(p, 2)
-		r.mmioR(p, d1.qOff+QRegRingSize) // non-posted: the programming writes have landed
+		r.mmioR(p, d1.qOff+ring.QRegRingSize) // non-posted: the programming writes have landed
 		if r.ctl.VF(1).queues[0] != pair {
 			t.Fatal("the returned queue pair was not re-leased to the next function")
 		}
@@ -275,7 +275,7 @@ func TestOrphanCompletionNeverReachesTheNewLessee(t *testing.T) {
 			}
 			p.Sleep(sim.Microsecond)
 		}
-		ringNow := make([]byte, testRing*CplBytes)
+		ringNow := make([]byte, testRing*ring.CplBytes)
 		if err := r.mem.Read(d1.cplBase, ringNow); err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +288,7 @@ func TestOrphanCompletionNeverReachesTheNewLessee(t *testing.T) {
 			t.Errorf("%d completion MSIs raised for a completion nobody owns", cplMSIs)
 		}
 		// The new tenant's own first completion is sequence 1 on a clean ring.
-		if st := d1.io(p, OpWrite, 0, 1, buf); st != StatusOK {
+		if st := d1.io(p, ring.OpWrite, 0, 1, buf); st != ring.StatusOK {
 			t.Fatalf("new tenant's write status %d", st)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 
 	"nesc/internal/extent"
 	"nesc/internal/metrics"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/trace"
 )
@@ -19,15 +20,15 @@ func TestWeightRegisterClamping(t *testing.T) {
 		if vf.weight != 1 {
 			t.Errorf("default weight = %d", vf.weight)
 		}
-		r.mmioW(p, mgmt+MgmtWeight, 8)
+		r.mmioW(p, mgmt+ring.MgmtWeight, 8)
 		// Posted write: the read round trip orders behind it.
-		if got := r.mmioR(p, mgmt+MgmtWeight); got != 8 {
+		if got := r.mmioR(p, mgmt+ring.MgmtWeight); got != 8 {
 			t.Errorf("weight readback = %d", got)
 		}
 		// Out-of-range values are ignored.
-		r.mmioW(p, mgmt+MgmtWeight, 0)
-		r.mmioW(p, mgmt+MgmtWeight, 1000)
-		if got := r.mmioR(p, mgmt+MgmtWeight); got != 8 {
+		r.mmioW(p, mgmt+ring.MgmtWeight, 0)
+		r.mmioW(p, mgmt+ring.MgmtWeight, 1000)
+		if got := r.mmioR(p, mgmt+ring.MgmtWeight); got != 8 {
 			t.Errorf("weight after invalid writes = %d", got)
 		}
 		done = true
@@ -44,7 +45,7 @@ func TestWeightRegisterClamping(t *testing.T) {
 func fillPLBAQueues(c *Controller, n int) {
 	for i := 0; i < 2; i++ {
 		f := c.VF(i)
-		req := &Request{fn: f, Op: OpWrite, left: n}
+		req := &Request{fn: f, Op: ring.OpWrite, left: n}
 		for k := 0; k < n; k++ {
 			if !f.plbaQ.TryPush(&chunk{req: req, lba: uint64(k)}) {
 				panic("queue full in test setup")
@@ -110,7 +111,7 @@ func TestDTUPickOOBPriority(t *testing.T) {
 	r := newRig(t, smallParams())
 	c := r.ctl
 	fillPLBAQueues(c, 4)
-	pfReq := &Request{fn: c.pf, Op: OpRead, left: 1}
+	pfReq := &Request{fn: c.pf, Op: ring.OpRead, left: 1}
 	c.oobQ.TryPush(&chunk{req: pfReq})
 	ch, ok := c.dtuPick()
 	if !ok || ch.req.fn != c.pf {
@@ -128,7 +129,7 @@ func TestBreakdownCollection(t *testing.T) {
 		r.setVF(pr, 0, tr.Root(), 256)
 		d := r.openFunction(pr, 1)
 		for i := 0; i < 8; i++ {
-			if st := d.io(pr, OpWrite, uint64(i*4), 4, buf); st != StatusOK {
+			if st := d.io(pr, ring.OpWrite, uint64(i*4), 4, buf); st != ring.StatusOK {
 				t.Errorf("status %d", st)
 			}
 		}
@@ -160,7 +161,7 @@ func TestBreakdownCollection(t *testing.T) {
 	}
 	// Off by default: a request carries no telemetry record at all.
 	r2 := newRig(t, smallParams())
-	req := &Request{fn: r2.ctl.pf, Op: OpRead}
+	req := &Request{fn: r2.ctl.pf, Op: ring.OpRead}
 	r2.ctl.stage(req, nil, stFetch, 5, 0)
 	r2.ctl.finish(req, 9)
 	if req.tel != nil {
@@ -177,7 +178,7 @@ func TestTelemetryOffStaysCheap(t *testing.T) {
 		t.Errorf("Request is %d bytes, ceiling 120", got)
 	}
 	r := newRigWith(t, smallParams(), Sinks{Metrics: metrics.New()})
-	req := &Request{fn: r.ctl.pf, Op: OpWrite, t0: 1}
+	req := &Request{fn: r.ctl.pf, Op: ring.OpWrite, t0: 1}
 	r.ctl.stage(req, nil, stFetch, 2, 0)
 	ch := &chunk{req: req, mark: 2}
 	now := sim.Time(2)
@@ -190,15 +191,15 @@ func TestTelemetryOffStaysCheap(t *testing.T) {
 }
 
 func TestTracerRecordsRequestLifecycle(t *testing.T) {
-	ring := trace.NewRing(64)
-	r := newRigWith(t, smallParams(), Sinks{Events: ring})
+	events := trace.NewRing(64)
+	r := newRigWith(t, smallParams(), Sinks{Events: events})
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 16}})
 	buf := r.mem.MustAlloc(4096, 64)
 	done := false
 	r.eng.Go("guest", func(p *sim.Proc) {
 		r.setVF(p, 0, tr.Root(), 16)
 		d := r.openFunction(p, 1)
-		if st := d.io(p, OpWrite, 0, 4, buf); st != StatusOK {
+		if st := d.io(p, ring.OpWrite, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("status %d", st)
 		}
 		done = true
@@ -207,7 +208,7 @@ func TestTracerRecordsRequestLifecycle(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
-	evs := ring.Events()
+	evs := events.Events()
 	var kinds []trace.Kind
 	for _, e := range evs {
 		if e.Fn == 1 {

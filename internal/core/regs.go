@@ -5,117 +5,18 @@ import (
 	"nesc/internal/sim"
 )
 
-// BAR layout. Following the paper's prototype (§VI), the device's BAR is
-// divided into 4 KB pages: page 0 exports the PF's I/O registers, page i
-// exports VF i's, and a final management page holds the hypervisor-only
-// per-VF control blocks (extent tree root, miss latch, rewalk doorbell).
-// The hypervisor maps page 0 and the management page into its own address
-// space and maps exactly one VF page into each guest, which is what makes a
-// guest unable to touch another function's state.
-//
-// Each function owns up to MaxQueuesPerFn queue pairs. Queue q's registers
-// live in a fixed-stride block at QueueRegBase + q*QueueRegStride; a
-// single-queue driver programs queue 0's block.
-const (
-	// PageSize is the BAR page granularity.
-	PageSize = 4096
-
-	// Per-function registers (offsets within a function page).
-	RegDeviceSize = 0x20 // RO: virtual device size in blocks (8B)
-	RegReset      = 0x30 // write 1: function-level reset; reads 1 while draining (4B)
-
-	// AER-style per-function error counters (RO).
-	RegErrDMAFaults   = 0x38 // chunks failed by data-buffer DMA faults (8B)
-	RegErrMedium      = 0x40 // chunks that exhausted medium retries (8B)
-	RegErrRetries     = 0x48 // medium retry attempts (8B)
-	RegErrResets      = 0x50 // function-level resets performed (8B)
-	RegNumQueues      = 0x58 // RO: active queue-pair count (4B)
-	RegErrBadRing     = 0x60 // RO: rejected ring-size writes (8B)
-	RegErrBadDoorbell = 0x68 // RO: ignored incoherent doorbell writes (8B)
-	RegErrIntegrity   = 0x70 // RO: requests latched StatusIntegrityError (8B)
-	RegIntegrityFixes = 0x78 // RO: integrity failures healed by retry/scrub (8B)
-
-	// Per-queue register blocks. Queue q's block sits at
-	// QueueRegBase + q*QueueRegStride; offsets within a block below.
-	QueueRegBase   = 0x100
-	QueueRegStride = 0x40
-	QRegRingBase   = 0x00 // request ring base address (8B)
-	QRegRingSize   = 0x08 // ring entry count (4B)
-	QRegCplBase    = 0x10 // completion ring base address (8B)
-	QRegDoorbell   = 0x18 // write: new producer index (4B)
-	QRegCplSeq     = 0x20 // RO: completion sequence counter (4B)
-	QRegShadow     = 0x28 // shadow-doorbell block host address, 0 disarms (8B)
-	QRegDeadline   = 0x30 // per-request deadline budget in ns, 0 disarms (8B)
-
-	// MaxQueuesPerFn bounds the queue pairs a function can expose (the block
-	// array must stay clear of the PF global registers at 0x800).
-	MaxQueuesPerFn = 16
-
-	// PF-page global registers.
-	PFRegBTLBFlush     = 0x800 // write: flush the BTLB (4B)
-	PFRegNumVFs        = 0x810 // RO: supported VF count (4B)
-	PFRegFlightRecords = 0x818 // RO: flight-recorder captures to date (8B)
-
-	// Targeted BTLB invalidation command (hypervisor-only, used after a CoW
-	// break): latch a vLBA range, then write the function index to fire the
-	// invalidation. Count 0 invalidates all of the function's entries.
-	PFRegInvVLBA  = 0x820 // latch: first vLBA of the range (8B)
-	PFRegInvCount = 0x828 // latch: block count, 0 = whole function (8B)
-	PFRegInvFn    = 0x830 // write: function index; fires the invalidation (4B)
-
-	// Queue-pair pool and tenancy observability (RO).
-	PFRegQueueLeases     = 0x838 // queue pairs leased to functions (8B)
-	PFRegQueueReturns    = 0x840 // queue pairs returned to the pool (8B)
-	PFRegQueueLeaseFails = 0x848 // programmings rejected by an exhausted pool (8B)
-	PFRegQueuesInUse     = 0x850 // queue pairs currently leased out (8B)
-	PFRegShadowBatches   = 0x858 // fetch batches initiated via shadow doorbells (8B)
-	PFRegMaterializedVFs = 0x860 // VFs with device state built (8B)
-
-	// Miss-pending bitmaps (RO, 8B each): bank k (at PFRegMissPendingBank +
-	// 8k) has a bit per VF 64k .. 64k+63 with a latched miss.
-	PFRegMissPendingBank  = 0x880
-	PFRegMissPendingBanks = 16 // register file holds up to 16 banks (1024 VFs)
-
-	// Management page: one 64-byte block per VF, indexed by VF number - 1.
-	MgmtStride      = 64
-	MgmtTreeRoot    = 0x00 // extent tree root address (8B)
-	MgmtMissAddr    = 0x08 // RO: missing vLBA (8B)
-	MgmtMissSize    = 0x10 // RO: missing block count; reason code in the high word (8B)
-	MgmtRewalk      = 0x14 // write RewalkRetry/RewalkFail (4B)
-	MgmtEnable      = 0x18 // 1 = VF enabled (4B)
-	MgmtDeviceSize  = 0x20 // virtual device size in blocks (8B)
-	MgmtMissIsWrite = 0x28 // RO: 1 when the latched miss is a write (4B)
-	MgmtWeight      = 0x2C // QoS weight for the VF multiplexer, 1..255 (4B)
-	MgmtQueues      = 0x30 // active queue-pair count, 1..QueuesPerVF (4B)
-	MgmtMissReason  = 0x34 // RO: reason code of the latched miss (4B)
-	MgmtFetch       = 0x38 // 1 = fetch-backed VF: holes miss for materialization (4B)
-
-	// Miss reason codes (MgmtMissReason).
-	MissReasonTranslate = 0 // no mapping: hole or pruned subtree
-	MissReasonCoW       = 1 // write hit a write-protected (CoW shared) extent
-	MissReasonFetch     = 2 // hole on a fetch-backed VF: content must materialize
-
-	// RewalkTree verdicts.
-	RewalkRetry = 1
-	RewalkFail  = 2
-
-	// Wire sizes (the protocol definition lives in internal/ring).
-	DescBytes = ring.DescBytes
-	CplBytes  = ring.CplBytes
-)
-
 // BARSize reports the device BAR size: PF page + VF pages + the management
 // region. The management region holds one MgmtStride-byte control block per
 // VF, so it spans ceil(NumVFs/64) pages — exactly one page at the prototype's
 // 64-VF configuration (the historical layout), growing with the configured
 // count beyond that.
 func (c *Controller) BARSize() int64 {
-	return int64(c.P.NumVFs+1)*PageSize + c.mgmtPages()*PageSize
+	return int64(c.P.NumVFs+1)*ring.PageSize + c.mgmtPages()*ring.PageSize
 }
 
 // mgmtPages reports how many BAR pages the management region spans.
 func (c *Controller) mgmtPages() int64 {
-	pages := (int64(c.P.NumVFs)*MgmtStride + PageSize - 1) / PageSize
+	pages := (int64(c.P.NumVFs)*ring.MgmtStride + ring.PageSize - 1) / ring.PageSize
 	if pages < 1 {
 		pages = 1
 	}
@@ -124,10 +25,10 @@ func (c *Controller) mgmtPages() int64 {
 
 // FunctionPageOffset reports the BAR offset of function idx's I/O page
 // (0 = PF).
-func (c *Controller) FunctionPageOffset(idx int) int64 { return int64(idx) * PageSize }
+func (c *Controller) FunctionPageOffset(idx int) int64 { return int64(idx) * ring.PageSize }
 
 // MgmtPageOffset reports the BAR offset of the management region.
-func (c *Controller) MgmtPageOffset() int64 { return int64(c.P.NumVFs+1) * PageSize }
+func (c *Controller) MgmtPageOffset() int64 { return int64(c.P.NumVFs+1) * ring.PageSize }
 
 // PCIeName implements pcie.Device.
 func (c *Controller) PCIeName() string { return "nesc" }
@@ -149,16 +50,16 @@ func (c *Controller) funcByPage(page int) *Function {
 // queueReg decomposes a function-page offset into (queue, in-block offset)
 // when it falls inside the per-queue block array.
 func queueReg(reg int64) (q int, qreg int64, ok bool) {
-	if reg < QueueRegBase || reg >= QueueRegBase+MaxQueuesPerFn*QueueRegStride {
+	if reg < ring.QueueRegBase || reg >= ring.QueueRegBase+ring.MaxQueuesPerFn*ring.QueueRegStride {
 		return 0, 0, false
 	}
-	return int((reg - QueueRegBase) / QueueRegStride), (reg - QueueRegBase) % QueueRegStride, true
+	return int((reg - ring.QueueRegBase) / ring.QueueRegStride), (reg - ring.QueueRegBase) % ring.QueueRegStride, true
 }
 
 // MMIORead implements pcie.Device.
 func (c *Controller) MMIORead(off int64, size int) uint64 {
-	page := int(off / PageSize)
-	reg := off % PageSize
+	page := int(off / ring.PageSize)
+	reg := off % ring.PageSize
 	if mo := c.MgmtPageOffset(); off >= mo {
 		return c.mgmtRead(off - mo)
 	}
@@ -167,25 +68,25 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 		return 0
 	}
 	if page == 0 {
-		if reg >= PFRegMissPendingBank && reg < PFRegMissPendingBank+PFRegMissPendingBanks*8 {
-			return c.missPendingBank(int((reg - PFRegMissPendingBank) / 8))
+		if reg >= ring.PFRegMissPendingBank && reg < ring.PFRegMissPendingBank+ring.PFRegMissPendingBanks*8 {
+			return c.missPendingBank(int((reg - ring.PFRegMissPendingBank) / 8))
 		}
 		switch reg {
-		case PFRegNumVFs:
+		case ring.PFRegNumVFs:
 			return uint64(c.P.NumVFs)
-		case PFRegFlightRecords:
+		case ring.PFRegFlightRecords:
 			return uint64(c.tel.flight.Total)
-		case PFRegQueueLeases:
+		case ring.PFRegQueueLeases:
 			return uint64(c.QueueLeases)
-		case PFRegQueueReturns:
+		case ring.PFRegQueueReturns:
 			return uint64(c.QueueReturns)
-		case PFRegQueueLeaseFails:
+		case ring.PFRegQueueLeaseFails:
 			return uint64(c.QueueLeaseFails)
-		case PFRegQueuesInUse:
+		case ring.PFRegQueuesInUse:
 			return uint64(c.LeasedQueues())
-		case PFRegShadowBatches:
+		case ring.PFRegShadowBatches:
 			return uint64(c.ShadowBatches)
-		case PFRegMaterializedVFs:
+		case ring.PFRegMaterializedVFs:
 			return uint64(c.nMat)
 		}
 	}
@@ -193,30 +94,30 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 		return f.queueRead(q, qreg)
 	}
 	switch reg {
-	case RegDeviceSize:
+	case ring.RegDeviceSize:
 		return f.sizeBlocks
-	case RegReset:
+	case ring.RegReset:
 		if f.inflight > 0 {
 			return 1
 		}
 		return 0
-	case RegErrDMAFaults:
+	case ring.RegErrDMAFaults:
 		return uint64(f.DMAFaults)
-	case RegErrMedium:
+	case ring.RegErrMedium:
 		return uint64(f.MediumErrors)
-	case RegErrRetries:
+	case ring.RegErrRetries:
 		return uint64(f.MediumRetries)
-	case RegErrResets:
+	case ring.RegErrResets:
 		return uint64(f.Resets)
-	case RegNumQueues:
+	case ring.RegNumQueues:
 		return uint64(f.numQueues)
-	case RegErrBadRing:
+	case ring.RegErrBadRing:
 		return uint64(f.BadRingSizes)
-	case RegErrBadDoorbell:
+	case ring.RegErrBadDoorbell:
 		return uint64(f.BadDoorbells)
-	case RegErrIntegrity:
+	case ring.RegErrIntegrity:
 		return uint64(f.IntegrityErrors)
-	case RegIntegrityFixes:
+	case ring.RegIntegrityFixes:
 		return uint64(f.IntegrityRepairs)
 	}
 	return 0
@@ -251,15 +152,15 @@ func (f *Function) queueRead(q int, qreg int64) uint64 {
 	}
 	fq := f.queues[q]
 	switch qreg {
-	case QRegRingBase:
+	case ring.QRegRingBase:
 		return uint64(fq.ringBase)
-	case QRegRingSize:
+	case ring.QRegRingSize:
 		return uint64(fq.ringSize)
-	case QRegCplBase:
+	case ring.QRegCplBase:
 		return uint64(fq.cplBase)
-	case QRegCplSeq:
+	case ring.QRegCplSeq:
 		return uint64(fq.cplSeq)
-	case QRegDeadline:
+	case ring.QRegDeadline:
 		return uint64(fq.deadline)
 	}
 	return 0
@@ -269,8 +170,8 @@ func (f *Function) queueRead(q int, qreg int64) uint64 {
 // writable registers are silently ignored — in particular, a guest writing
 // management offsets through its own VF page has no effect.
 func (c *Controller) MMIOWrite(off int64, size int, val uint64) {
-	page := int(off / PageSize)
-	reg := off % PageSize
+	page := int(off / ring.PageSize)
+	reg := off % ring.PageSize
 	if mo := c.MgmtPageOffset(); off >= mo {
 		c.mgmtWrite(off-mo, val)
 		return
@@ -281,16 +182,16 @@ func (c *Controller) MMIOWrite(off int64, size int, val uint64) {
 	}
 	if page == 0 {
 		switch reg {
-		case PFRegBTLBFlush:
+		case ring.PFRegBTLBFlush:
 			c.btlb.flush()
 			return
-		case PFRegInvVLBA:
+		case ring.PFRegInvVLBA:
 			c.invVLBA = val
 			return
-		case PFRegInvCount:
+		case ring.PFRegInvCount:
 			c.invCount = val
 			return
-		case PFRegInvFn:
+		case ring.PFRegInvFn:
 			c.BTLBInvalidations += int64(c.btlb.invalidateRange(int(val), c.invVLBA, c.invCount))
 			return
 		}
@@ -299,7 +200,7 @@ func (c *Controller) MMIOWrite(off int64, size int, val uint64) {
 		f.queueWrite(q, qreg, val)
 		return
 	}
-	if reg == RegReset && val == 1 {
+	if reg == ring.RegReset && val == 1 {
 		c.resetFunction(f)
 	}
 }
@@ -309,7 +210,7 @@ func (c *Controller) MMIOWrite(off int64, size int, val uint64) {
 // observable instead of silent).
 func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 	if q >= f.numQueues {
-		if qreg == QRegDoorbell {
+		if qreg == ring.QRegDoorbell {
 			f.BadDoorbells++
 		}
 		return
@@ -317,14 +218,14 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 	fq := f.queues[q]
 	if fq == nil {
 		switch qreg {
-		case QRegRingBase, QRegRingSize, QRegCplBase, QRegShadow, QRegDeadline:
+		case ring.QRegRingBase, ring.QRegRingSize, ring.QRegCplBase, ring.QRegShadow, ring.QRegDeadline:
 			// First programming of this slot: lease queue-pair state from
 			// the device-wide pool. An exhausted pool ignores the write (the
 			// slot keeps reading zero, which the driver can observe).
 			if fq = f.c.leaseQueue(f, q); fq == nil {
 				return
 			}
-		case QRegDoorbell:
+		case ring.QRegDoorbell:
 			// A doorbell cannot conjure a queue: no ring is programmed.
 			f.BadDoorbells++
 			return
@@ -333,9 +234,9 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 		}
 	}
 	switch qreg {
-	case QRegRingBase:
+	case ring.QRegRingBase:
 		fq.ringBase = int64(val)
-	case QRegRingSize:
+	case ring.QRegRingSize:
 		if !ring.ValidSize(val) {
 			// Zero or non-power-of-two sizes would corrupt the free-running
 			// index arithmetic; reject and count.
@@ -348,9 +249,9 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 		// state.
 		fq.consumed = 0
 		fq.cplSeq = 0
-	case QRegCplBase:
+	case ring.QRegCplBase:
 		fq.cplBase = int64(val)
-	case QRegDoorbell:
+	case ring.QRegDoorbell:
 		if fq.ringSize == 0 || !ring.DoorbellValid(uint32(val), fq.consumed, fq.ringSize) {
 			// Unprogrammed ring, or a producer index claiming more new
 			// descriptors than the ring holds: honoring it would silently
@@ -360,9 +261,9 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 		}
 		fq.doorbells.TryPush(uint32(val))
 		f.fetchW.Release()
-	case QRegShadow:
+	case ring.QRegShadow:
 		fq.shadowBase = int64(val)
-	case QRegDeadline:
+	case ring.QRegDeadline:
 		// Relative per-request deadline budget: every request fetched from
 		// this queue is stamped fetch-time + budget, and admission control
 		// fast-fails it with StatusBusy once the stamp cannot be met. 0
@@ -372,14 +273,14 @@ func (f *Function) queueWrite(q int, qreg int64, val uint64) {
 }
 
 func (c *Controller) mgmtVF(reg int64) (*Function, int64) {
-	idx := int(reg / MgmtStride)
+	idx := int(reg / ring.MgmtStride)
 	if idx < 0 || idx >= c.P.NumVFs {
 		return nil, 0
 	}
 	// Management access is a first-class materialization point: the
 	// hypervisor provisioning a VF touches its control block before any
 	// guest sees the function page.
-	return c.VF(idx), reg % MgmtStride
+	return c.VF(idx), reg % ring.MgmtStride
 }
 
 func (c *Controller) mgmtRead(reg int64) uint64 {
@@ -388,34 +289,34 @@ func (c *Controller) mgmtRead(reg int64) uint64 {
 		return 0
 	}
 	switch r {
-	case MgmtTreeRoot:
+	case ring.MgmtTreeRoot:
 		return uint64(f.treeRoot)
-	case MgmtMissAddr:
+	case ring.MgmtMissAddr:
 		return f.missAddr
-	case MgmtMissSize:
+	case ring.MgmtMissSize:
 		// High word carries the reason code so the miss handler learns the
 		// size and the reason in one read (keeping the fault-free MMIO
 		// schedule identical to the pre-CoW device).
 		return uint64(f.missSize) | uint64(f.missReason)<<32
-	case MgmtEnable:
+	case ring.MgmtEnable:
 		if f.enabled {
 			return 1
 		}
 		return 0
-	case MgmtDeviceSize:
+	case ring.MgmtDeviceSize:
 		return f.sizeBlocks
-	case MgmtMissIsWrite:
+	case ring.MgmtMissIsWrite:
 		if f.missIsWrite {
 			return 1
 		}
 		return 0
-	case MgmtMissReason:
+	case ring.MgmtMissReason:
 		return uint64(f.missReason)
-	case MgmtWeight:
+	case ring.MgmtWeight:
 		return uint64(f.weight)
-	case MgmtQueues:
+	case ring.MgmtQueues:
 		return uint64(f.numQueues)
-	case MgmtFetch:
+	case ring.MgmtFetch:
 		if f.fetchBacked {
 			return 1
 		}
@@ -430,13 +331,13 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 		return
 	}
 	switch r {
-	case MgmtTreeRoot:
+	case ring.MgmtTreeRoot:
 		f.treeRoot = int64(val)
-	case MgmtRewalk:
+	case ring.MgmtRewalk:
 		f.rewalkVerdict = uint32(val)
 		f.missPending = false
 		f.rewalk.Fire()
-	case MgmtEnable:
+	case ring.MgmtEnable:
 		was := f.enabled
 		f.enabled = val == 1
 		if was && !f.enabled {
@@ -450,19 +351,19 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 				c.returnQueue(f, qi)
 			}
 		}
-	case MgmtDeviceSize:
+	case ring.MgmtDeviceSize:
 		f.sizeBlocks = val
-	case MgmtWeight:
+	case ring.MgmtWeight:
 		if val >= 1 && val <= 255 {
 			f.weight = uint32(val)
 		}
-	case MgmtQueues:
+	case ring.MgmtQueues:
 		// The hypervisor programs the VF's active queue-pair count at
 		// creation, bounded by the device capability.
 		if val >= 1 && val <= uint64(len(f.queues)) {
 			f.numQueues = int(val)
 		}
-	case MgmtFetch:
+	case ring.MgmtFetch:
 		// Fetch-backed VFs (forked golden images) turn every hole — read or
 		// write — into a miss so the hypervisor can materialize the block's
 		// content from the cas tier. The register is written only when the

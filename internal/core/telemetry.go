@@ -34,6 +34,37 @@ type Sinks struct {
 	Board   *slo.Scoreboard     // structured anomaly events
 }
 
+// The three hooks below are what the rest of the kernel reports outside the
+// device pipeline, so that their family names sit in this file with every
+// other one the kernel emits and no other kernel package names a sink.
+
+// AdmissionBackoff returns the hook (guest.RingConfig.Backoff) through which
+// the ring client of function fn credits driver-side admission backoff to that
+// function's attribution rows; nil without an attributor.
+func (s Sinks) AdmissionBackoff(fn int) func(op uint32, waited sim.Time) {
+	a := s.Attrib
+	if a == nil {
+		return nil
+	}
+	return func(op uint32, waited sim.Time) { a.AddSegment(fn, ring.OpName(op), slo.SegAdmission, waited) }
+}
+
+// CowBreakTimer registers the histogram of the hypervisor's CoW break service
+// (fault read to sharing broken and BTLB invalidated) and returns its observer.
+func (s Sinks) CowBreakTimer() func(took sim.Time) {
+	h := s.Metrics.Histogram("nesc_hyp_cow_break_ns", "CoW break service latency (fault read to BTLB invalidated)", metrics.NoLabels)
+	return func(took sim.Time) { h.Observe(int64(took)) }
+}
+
+// DriverQueueGauges publishes the {vf, q} depth and submission gauges of queue
+// q of function fn's ring driver; a later driver on the same function replaces
+// the closures.
+func (s Sinks) DriverQueueGauges(fn, q int, depth, submitted func() float64) {
+	l := metrics.Labels{VF: fn, Q: q}
+	s.Metrics.GaugeFunc("nesc_driver_queue_depth", "in-flight submissions on this driver queue", l, depth)
+	s.Metrics.GaugeFunc("nesc_driver_queue_submitted_total", "requests submitted on this driver queue", l, submitted)
+}
+
 // spine is one controller's telemetry state: the shared bundle plus the
 // flight recorder, which is device-local (its record count is a PF register)
 // and always armed.
@@ -106,20 +137,6 @@ var stages = [...]struct {
 	stVerify:    {phase: trace.PhaseVerify, fam: family{"nesc_pipeline_verify_ns", "scrub verify service per chunk"}, seg: slo.SegMedium, kind: trace.KindVerify},
 }
 
-// OpName renders an opcode (flag bits ignored) as the op label every sink
-// keys on, so device- and driver-side credits land in the same rows.
-func OpName(op uint32) string {
-	switch ring.OpCode(op) {
-	case OpRead:
-		return "read"
-	case OpWrite:
-		return "write"
-	case OpVerify:
-		return "verify"
-	}
-	return "other"
-}
-
 // translateFamily maps a translation outcome tag to its histogram family.
 func translateFamily(tag string) family {
 	switch tag {
@@ -144,7 +161,7 @@ func (r *Request) qIdx() int {
 
 // reqLabels builds the {vf, q, op} label set for a request.
 func reqLabels(r *Request) metrics.Labels {
-	return metrics.VFQOp(r.fn.idx, r.qIdx(), OpName(r.Op))
+	return metrics.VFQOp(r.fn.idx, r.qIdx(), ring.OpName(r.Op))
 }
 
 // stage reports that a stage of r ended at now. ch is the chunk that went
@@ -169,7 +186,7 @@ func (c *Controller) stage(r *Request, ch *chunk, st stageID, now sim.Time, arg 
 			tag, fam = ch.tag, translateFamily(ch.tag)
 		}
 	} else if t.perReq {
-		r.tel = &reqTel{span: t.Spans.Start(r.fn.idx, r.qIdx(), OpName(r.Op), r.ID, r.LBA, r.Count, r.t0)}
+		r.tel = &reqTel{span: t.Spans.Start(r.fn.idx, r.qIdx(), ring.OpName(r.Op), r.ID, r.LBA, r.Count, r.t0)}
 		if s := r.tel.span; s != nil {
 			s.ReqID, s.Dev = r.ReqID, c.P.DeviceID
 		}
@@ -196,7 +213,7 @@ func (c *Controller) stage(r *Request, ch *chunk, st stageID, now sim.Time, arg 
 // — the flight recorder and the scoreboard.
 func (c *Controller) finish(r *Request, now sim.Time) {
 	t := &c.tel
-	ok := r.status == StatusOK
+	ok := r.status == ring.StatusOK
 	if t.Metrics != nil {
 		l := reqLabels(r)
 		t.Metrics.Counter(famRequests.name, famRequests.help, l).Inc()
@@ -214,7 +231,7 @@ func (c *Controller) finish(r *Request, now sim.Time) {
 	if r.tel != nil && t.Attrib != nil {
 		c.attribute(r, now)
 	}
-	if !ok && r.status != StatusBusy {
+	if !ok && r.status != ring.StatusBusy {
 		// Terminal error: snapshot the event-ring tail and this request's
 		// span for post-mortem retrieval through the PF. Busy is exempt —
 		// it is backpressure, not a fault, and under sustained admission
@@ -267,7 +284,7 @@ func (c *Controller) attribute(r *Request, now sim.Time) {
 		segs[slo.SegRetry] = rd
 		segs[slo.SegMedium] -= rd
 	}
-	if !r.admitted && r.status == StatusBusy {
+	if !r.admitted && r.status == ring.StatusBusy {
 		// Fast-failed at the admission gate: nothing executed, its whole
 		// (short) life was admission control.
 		segs[slo.SegAdmission] = total
@@ -279,7 +296,7 @@ func (c *Controller) attribute(r *Request, now sim.Time) {
 	if total > sum {
 		segs[slo.SegOther] = total - sum
 	}
-	c.tel.Attrib.Record(r.fn.idx, OpName(r.Op), r.ReqID, total, r.status == StatusOK, *segs)
+	c.tel.Attrib.Record(r.fn.idx, ring.OpName(r.Op), r.ReqID, total, r.status == ring.StatusOK, *segs)
 }
 
 // registerFnGauges publishes one function's {vf} gauge series. They are

@@ -156,24 +156,24 @@ func ParseNode(b []byte) (*NodeView, error) {
 // findInNode is ParseNode(b) followed by Find(vlba) without the decoded copy:
 // the same header checks, then a binary search over the serialized entries
 // where they lie. It reports the covering entry, whether there is one, and
-// whether the node is a leaf.
-func findInNode(b []byte, vlba uint64) (e Entry, leaf, ok bool, err error) {
+// the node's depth (0 = leaf).
+func findInNode(b []byte, vlba uint64) (e Entry, depth int, ok bool, err error) {
 	depth, count, _, err := parseHeader(b)
 	if err != nil {
-		return Entry{}, false, false, err
+		return Entry{}, 0, false, err
 	}
 	// First entry with FirstLogical > vlba; candidate is its predecessor.
 	i := sort.Search(count, func(i int) bool {
 		return binary.BigEndian.Uint64(b[HeaderSize+i*EntrySize:]) > vlba
 	})
 	if i == 0 {
-		return Entry{}, depth == 0, false, nil
+		return Entry{}, depth, false, nil
 	}
 	e = decodeEntry(b, i-1)
 	if vlba >= e.FirstLogical+uint64(e.Count) {
-		return Entry{}, depth == 0, false, nil
+		return Entry{}, depth, false, nil
 	}
-	return e, depth == 0, true, nil
+	return e, depth, true, nil
 }
 
 func serializeNode(b []byte, depth, capacity int, entries []Entry) {
@@ -514,25 +514,31 @@ type Resolution struct {
 	// Extent is the whole covering extent (valid when Mapped) — what the
 	// BTLB caches.
 	Extent Run
-	// Levels counts nodes visited during the walk.
+	// Levels counts nodes visited during the walk; depth is the last one's.
 	Levels int
+	depth  int
 }
 
 // Step advances a walk by one node: it looks vlba up in the node image b and
 // either finishes the resolution (hole, leaf mapping, pruned subtree) and
 // returns 0, or returns the address of the child node to read next. It is the
 // one copy of the walk's logic, shared by the device's block-walk unit and
-// the software Lookup.
+// the software Lookup. The root sets the walk's depth and every next node must
+// lie exactly one level below its parent, so whatever pointers the host wrote,
+// a walk ends within the root's depth and never visits a node twice.
 func (res *Resolution) Step(b []byte, vlba uint64) (next hostmem.Addr, err error) {
-	e, leaf, ok, err := findInNode(b, vlba)
+	e, depth, ok, err := findInNode(b, vlba)
 	if err != nil {
 		return 0, err
 	}
-	res.Levels++
+	if res.Levels > 0 && depth != res.depth-1 {
+		return 0, fmt.Errorf("extent: depth-%d node under a depth-%d parent", depth, res.depth)
+	}
+	res.Levels, res.depth = res.Levels+1, depth
 	switch {
 	case !ok:
 		res.Hole = true
-	case leaf:
+	case depth == 0:
 		res.Mapped = true
 		res.Extent = Run{Logical: e.FirstLogical, Physical: e.Ptr, Count: uint64(e.Count), Flags: e.Flags}
 		res.Protected = e.Flags&FlagProtected != 0

@@ -152,7 +152,8 @@ func TestRebuildAndLookupAllocations(t *testing.T) {
 func TestFindInNodeMatchesParseNode(t *testing.T) {
 	same := func(b []byte, vlba uint64) {
 		t.Helper()
-		e, leaf, ok, err := findInNode(b, vlba)
+		e, depth, ok, err := findInNode(b, vlba)
+		leaf := depth == 0
 		n, perr := ParseNode(b)
 		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
 			t.Fatalf("findInNode error %v, ParseNode %v", err, perr)

@@ -3,9 +3,9 @@ package guest
 import (
 	"fmt"
 
-	"nesc/internal/core"
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -109,16 +109,16 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 		return fmt.Errorf("nesc driver: unaligned buffer of %d bytes", len(buf.Data))
 	}
 	count := uint32(len(buf.Data) / d.bs)
-	op := uint32(core.OpRead)
+	op := uint32(ring.OpRead)
 	if write {
-		op = core.OpWrite
+		op = ring.OpWrite
 	}
 	if !d.useTrampoline {
 		st, err := d.mq.Submit(p, op, uint64(lba), count, buf.Addr)
 		if err != nil {
 			return err
 		}
-		return StatusError(st)
+		return ring.StatusError(st)
 	}
 	// Trampoline mode: copy through a bounce slot around the DMA (paper
 	// §VI: "VMs have to copy data to/from the trampoline buffers
@@ -144,7 +144,7 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 	if err != nil {
 		return err
 	}
-	if err := StatusError(st); err != nil {
+	if err := ring.StatusError(st); err != nil {
 		return err
 	}
 	if !write {

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"sort"
 
-	"nesc/internal/core"
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 )
 
 // ErrTimeout reports a request that got no completion within the retry
@@ -24,7 +22,7 @@ var (
 // driver and every guest VF driver alike. hypervisor.Params carries the
 // platform's policy fields; whoever builds a client starts from those, fills
 // in what is particular to that client (ring depth, queue count, the
-// attribution row) and hands it to NewMultiQueue, which leaves a copy on every
+// backoff hook) and hands it to NewMultiQueue, which leaves a copy on every
 // queue pair. Nothing changes it afterwards.
 type RingConfig struct {
 	// Entries sizes each queue's request and completion rings (0 means 128).
@@ -61,13 +59,12 @@ type RingConfig struct {
 	// schedule.
 	PIBlock int
 
-	// Attrib, when set, receives the driver-side admission backoff time the
-	// tenant waits between busy-rejected resubmissions — latency the device
-	// pipeline never sees but the guest absolutely does. Credited to function
-	// index AttribVF's budget-table row under the admission segment, the row
-	// the device pipeline attributes the same tenant's requests to.
-	Attrib   *slo.Attributor
-	AttribVF int
+	// Backoff, when set, is told the driver-side admission backoff time the
+	// tenant waited between busy-rejected resubmissions of one request —
+	// latency the device pipeline never sees but the guest absolutely does.
+	// Whoever builds the client binds it to the attribution row the device
+	// pipeline credits the same tenant's requests to.
+	Backoff func(op uint32, waited sim.Time)
 }
 
 // QueueCounters is the one declaration of a queue pair's counters: QueuePair
@@ -177,13 +174,13 @@ func newQueuePair(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.F
 		slots:   sim.NewSemaphore(eng, entries),
 		waiters: make(map[uint32]*qpWaiter),
 	}
-	block := pageBus + core.QueueRegBase + int64(queue)*core.QueueRegStride
-	qp.ringBaseReg = block + core.QRegRingBase
-	qp.ringSizeReg = block + core.QRegRingSize
-	qp.cplBaseReg = block + core.QRegCplBase
-	qp.doorbellReg = block + core.QRegDoorbell
-	qp.shadowReg = block + core.QRegShadow
-	qp.deadlineReg = block + core.QRegDeadline
+	block := pageBus + ring.QueueRegBase + int64(queue)*ring.QueueRegStride
+	qp.ringBaseReg = block + ring.QRegRingBase
+	qp.ringSizeReg = block + ring.QRegRingSize
+	qp.cplBaseReg = block + ring.QRegCplBase
+	qp.doorbellReg = block + ring.QRegDoorbell
+	qp.shadowReg = block + ring.QRegShadow
+	qp.deadlineReg = block + ring.QRegDeadline
 	var err error
 	if qp.ringBase, err = mem.Alloc(int64(entries)*ring.DescBytes, 64); err != nil {
 		return nil, err
@@ -282,7 +279,7 @@ func (qp *QueuePair) DMARanges() [][2]int64 {
 
 // DeviceSize reads the function's device-size register.
 func (qp *QueuePair) DeviceSize(p *sim.Proc) (uint64, error) {
-	return qp.fab.MMIORead(p, qp.pageBus+core.RegDeviceSize, 8)
+	return qp.fab.MMIORead(p, qp.pageBus+ring.RegDeviceSize, 8)
 }
 
 // Submit issues one request and blocks until its completion, returning the
@@ -317,10 +314,8 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	// Driver-side admission backoff the tenant waited across the whole
 	// ladder; credited to the attribution row on exit (any path).
 	var backoff sim.Time
-	if qp.cfg.Attrib != nil {
-		defer func() {
-			qp.cfg.Attrib.AddSegment(qp.cfg.AttribVF, core.OpName(op), slo.SegAdmission, backoff)
-		}()
+	if qp.cfg.Backoff != nil {
+		defer func() { qp.cfg.Backoff(op, backoff) }()
 	}
 	for attempt := 0; ; attempt++ {
 		p.Sleep(qp.cfg.SubmitTime)
@@ -557,7 +552,3 @@ func (qp *QueuePair) Recover(p *sim.Proc) error {
 	}
 	return nil
 }
-
-// StatusError converts a device status to an error (nil for StatusOK). It is
-// the shared ring-protocol status table; see ring.StatusError.
-func StatusError(status uint32) error { return ring.StatusError(status) }

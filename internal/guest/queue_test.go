@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"nesc/internal/core"
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
@@ -35,27 +34,27 @@ func (d *fakeFn) PCIeName() string                 { return "fake-nesc-fn" }
 func (d *fakeFn) MMIORead(off int64, _ int) uint64 { return 0 }
 
 func (d *fakeFn) MMIOWrite(off int64, _ int, val uint64) {
-	switch off - core.QueueRegBase { // the rig drives queue 0
-	case core.QRegRingBase:
+	switch off - ring.QueueRegBase { // the rig drives queue 0
+	case ring.QRegRingBase:
 		d.ringBase = int64(val)
-	case core.QRegRingSize:
+	case ring.QRegRingSize:
 		d.ringSize = uint32(val)
 		d.consumed, d.cplSeq = 0, 0
-	case core.QRegCplBase:
+	case ring.QRegCplBase:
 		d.cplBase = int64(val)
-	case core.QRegDoorbell:
+	case ring.QRegDoorbell:
 		d.serve(uint32(val))
 	}
 }
 
-func (d *fakeFn) complete(id uint32) { d.completeWith(id, core.StatusOK) }
+func (d *fakeFn) complete(id uint32) { d.completeWith(id, ring.StatusOK) }
 
 func (d *fakeFn) completeWith(id, status uint32) {
 	d.cplSeq++
-	entry := make([]byte, core.CplBytes)
+	entry := make([]byte, ring.CplBytes)
 	ring.EncodeCompletion(entry, id, status, d.cplSeq)
 	slot := int64((d.cplSeq - 1) % d.ringSize)
-	if err := d.mem.Write(d.cplBase+slot*core.CplBytes, entry); err != nil {
+	if err := d.mem.Write(d.cplBase+slot*ring.CplBytes, entry); err != nil {
 		panic(err)
 	}
 }
@@ -63,8 +62,8 @@ func (d *fakeFn) completeWith(id, status uint32) {
 func (d *fakeFn) serve(prod uint32) {
 	for d.consumed != prod {
 		slot := int64(d.consumed % d.ringSize)
-		desc := make([]byte, core.DescBytes)
-		if err := d.mem.Read(d.ringBase+slot*core.DescBytes, desc); err != nil {
+		desc := make([]byte, ring.DescBytes)
+		if err := d.mem.Read(d.ringBase+slot*ring.DescBytes, desc); err != nil {
 			panic(err)
 		}
 		d.consumed++
@@ -80,15 +79,15 @@ func (d *fakeFn) serve(prod uint32) {
 		case "nomsi":
 			d.complete(id)
 		case "pierr":
-			d.completeWith(id, core.StatusIntegrityError)
+			d.completeWith(id, ring.StatusIntegrityError)
 			d.eng.After(sim.Microsecond, d.qp.OnInterrupt)
 		case "pierr-nomsi":
-			d.completeWith(id, core.StatusIntegrityError)
+			d.completeWith(id, ring.StatusIntegrityError)
 		case "busy":
-			d.completeWith(id, core.StatusBusy)
+			d.completeWith(id, ring.StatusBusy)
 			d.eng.After(sim.Microsecond, d.qp.OnInterrupt)
 		case "busy-nomsi":
-			d.completeWith(id, core.StatusBusy)
+			d.completeWith(id, ring.StatusBusy)
 		case "dup":
 			d.complete(id)
 			d.complete(id)
@@ -136,11 +135,11 @@ func TestSubmitDoorbellErrorDropsWaiter(t *testing.T) {
 		eng: eng, mem: mem, fab: fab, pageBus: 0, entries: 8,
 		slots:    sim.NewSemaphore(eng, 8),
 		waiters:  make(map[uint32]*qpWaiter),
-		ringBase: mem.MustAlloc(8*core.DescBytes, 64),
-		cplBase:  mem.MustAlloc(8*core.CplBytes, 64),
+		ringBase: mem.MustAlloc(8*ring.DescBytes, 64),
+		cplBase:  mem.MustAlloc(8*ring.CplBytes, 64),
 	}
 	eng.Go("submitter", func(p *sim.Proc) {
-		if _, err := qp.Submit(p, core.OpRead, 0, 1, 0); err == nil {
+		if _, err := qp.Submit(p, ring.OpRead, 0, 1, 0); err == nil {
 			t.Error("doorbell write to unmapped page succeeded")
 		}
 		if len(qp.waiters) != 0 {
@@ -157,8 +156,8 @@ func TestStaleCompletionCounted(t *testing.T) {
 	eng, qp, d := newQPRig(t)
 	d.mode = func(uint32) string { return "dup" }
 	eng.Go("submitter", func(p *sim.Proc) {
-		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("submit: status %d err %v", st, err)
 		}
 	})
@@ -175,8 +174,8 @@ func TestTimeoutPollRecoversLostMSI(t *testing.T) {
 	qp.cfg.RetryMax = 2
 	d.mode = func(uint32) string { return "nomsi" }
 	eng.Go("submitter", func(p *sim.Proc) {
-		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("submit: status %d err %v", st, err)
 		}
 	})
@@ -199,8 +198,8 @@ func TestTimeoutResubmitRecoversLostRequest(t *testing.T) {
 		return "ok"
 	}
 	eng.Go("submitter", func(p *sim.Proc) {
-		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("submit: status %d err %v", st, err)
 		}
 	})
@@ -220,7 +219,7 @@ func TestTimeoutBudgetExhausted(t *testing.T) {
 	qp.cfg.RetryMax = 1
 	d.mode = func(uint32) string { return "silent" }
 	eng.Go("submitter", func(p *sim.Proc) {
-		_, err := qp.Submit(p, core.OpRead, 0, 1, 0)
+		_, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("submit returned %v, want ErrTimeout", err)
 		}
@@ -245,8 +244,8 @@ func TestSeqGapRecovery(t *testing.T) {
 		return "ok"
 	}
 	eng.Go("submitter", func(p *sim.Proc) {
-		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("submit: status %d err %v", st, err)
 		}
 	})
@@ -266,7 +265,7 @@ func TestRecoverAbortsAndRearms(t *testing.T) {
 		return "ok"
 	}
 	eng.Go("submitter", func(p *sim.Proc) {
-		_, err := qp.Submit(p, core.OpRead, 0, 1, 0)
+		_, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
 		if !errors.Is(err, ErrReset) {
 			t.Errorf("aborted submit returned %v, want ErrReset", err)
 		}
@@ -278,8 +277,8 @@ func TestRecoverAbortsAndRearms(t *testing.T) {
 			return
 		}
 		// The recovered queue pair carries fresh I/O.
-		st, err := qp.Submit(p, core.OpRead, 0, 1, 0)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, 0)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("post-recover submit: status %d err %v", st, err)
 		}
 	})
@@ -357,8 +356,8 @@ func TestRootCauseSurvivesRetryLadder(t *testing.T) {
 		return "silent"
 	}
 	eng.Go("submitter", func(p *sim.Proc) {
-		st, err := qp.Submit(p, core.OpWrite, 0, 1, 0)
-		if err != nil || st != core.StatusIntegrityError {
+		st, err := qp.Submit(p, ring.OpWrite, 0, 1, 0)
+		if err != nil || st != ring.StatusIntegrityError {
 			t.Errorf("submit: status %d err %v, want StatusIntegrityError", st, err)
 		}
 	})
@@ -407,8 +406,8 @@ func TestCompletionClassifiedAlikeAfterInterruptAndPoll(t *testing.T) {
 					return "ok"
 				}
 				eng.Go("submitter", func(p *sim.Proc) {
-					st, err := qp.Submit(p, core.OpWrite, 0, 1, 0)
-					if err != nil || st != core.StatusOK {
+					st, err := qp.Submit(p, ring.OpWrite, 0, 1, 0)
+					if err != nil || st != ring.StatusOK {
 						t.Errorf("submit: status %d err %v", st, err)
 					}
 				})

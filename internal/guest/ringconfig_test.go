@@ -5,9 +5,9 @@ import (
 	"reflect"
 	"testing"
 
-	"nesc/internal/core"
 	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -45,7 +45,7 @@ func TestConstructionMMIOSequence(t *testing.T) {
 			mem := hostmem.New(1 << 20)
 			fab := pcie.New(eng, mem, pcie.DefaultParams())
 			page := &recPage{}
-			base := fab.MapBAR(page, core.PageSize)
+			base := fab.MapBAR(page, ring.PageSize)
 			var drv *NescDriver
 			eng.Go("probe", func(p *sim.Proc) {
 				var err error
@@ -61,17 +61,17 @@ func TestConstructionMMIOSequence(t *testing.T) {
 			queues := max(tc.cfg.Queues, 1)
 			var want []string
 			for q := 0; q < queues; q++ {
-				block := int64(core.QueueRegBase + q*core.QueueRegStride)
-				for _, reg := range []int64{core.QRegRingBase, core.QRegRingSize, core.QRegCplBase} {
+				block := int64(ring.QueueRegBase + q*ring.QueueRegStride)
+				for _, reg := range []int64{ring.QRegRingBase, ring.QRegRingSize, ring.QRegCplBase} {
 					want = append(want, fmt.Sprintf("w %#x", block+reg))
 				}
 			}
 			if tc.cfg.Deadline > 0 {
 				for q := 0; q < queues; q++ {
-					want = append(want, fmt.Sprintf("w %#x", int64(core.QueueRegBase+q*core.QueueRegStride+core.QRegDeadline)))
+					want = append(want, fmt.Sprintf("w %#x", int64(ring.QueueRegBase+q*ring.QueueRegStride+ring.QRegDeadline)))
 				}
 			}
-			want = append(want, fmt.Sprintf("r %#x", int64(core.RegDeviceSize)))
+			want = append(want, fmt.Sprintf("r %#x", int64(ring.RegDeviceSize)))
 			if !reflect.DeepEqual(page.ops, want) {
 				t.Errorf("MMIO at construction:\n got  %v\n want %v", page.ops, want)
 			}
@@ -85,7 +85,7 @@ func TestConstructionMMIOSequence(t *testing.T) {
 				t.Fatalf("driver runs %d queues, want %d", n, queues)
 			}
 			for q, qp := range drv.MQ().Queues() {
-				if qp.cfg != wantCfg || qp.Entries() != wantCfg.Entries {
+				if !reflect.DeepEqual(qp.cfg, wantCfg) || qp.Entries() != wantCfg.Entries {
 					t.Errorf("queue %d: settings %+v (%d entries), want %+v", q, qp.cfg, qp.Entries(), wantCfg)
 				}
 			}

@@ -86,14 +86,16 @@ func errText(err error) string {
 // model through one seeded sequence that fills the memory to exhaustion and
 // drains it again several times, and holds every step to the same address or
 // the same error, and the two free lists equal at the end of every phase.
+//
+// ≈ 14k blocks fit in 4 MB and an allocating phase nets +20k; that is the full
+// run, behind `make hostmem-long` (alloc_long_test.go). This one keeps the
+// ratio at an eighth of the size, because the model's cost per step grows with
+// the free list.
 func TestAllocatorMatchesReferenceModel(t *testing.T) {
-	// ≈ 14k blocks fit in 4 MB and an allocating phase nets +20k. The short
-	// form (the race run) keeps that ratio at an eighth of the size, because
-	// the model's cost per step grows with the free list.
-	size, steps, phase := int64(4<<20), 200_000, 40_000
-	if testing.Short() {
-		size, steps, phase = 512<<10, 40_000, 5_000
-	}
+	allocatorMatchesReferenceModel(t, 512<<10, 40_000, 5_000)
+}
+
+func allocatorMatchesReferenceModel(t *testing.T, size int64, steps, phase int) {
 	m := New(size)
 	ref := &refAllocator{free: slices.Clone(m.free), allocs: make(map[Addr]int64)}
 	rng := rand.New(rand.NewSource(18))

@@ -59,7 +59,7 @@ func (m *Memory) Size() int64 { return int64(len(m.data)) }
 
 // check validates an access range.
 func (m *Memory) check(addr Addr, n int) error {
-	if addr < 0 || n < 0 || addr+int64(n) > int64(len(m.data)) {
+	if addr < 0 || n < 0 || addr > int64(len(m.data))-int64(n) { // not addr+n: a hostile addr would wrap it
 		return fmt.Errorf("hostmem: access [%#x, %#x) outside memory of %d bytes", addr, addr+int64(n), len(m.data))
 	}
 	return nil

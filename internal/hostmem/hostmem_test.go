@@ -2,6 +2,7 @@ package hostmem
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,10 @@ func TestBoundsChecking(t *testing.T) {
 	}
 	if _, err := m.Slice(0, 2048); err == nil {
 		t.Fatal("oversized Slice succeeded")
+	}
+	// An address a device took from hostile bytes: addr+len wraps negative.
+	if err := m.Read(math.MaxInt64-8, make([]byte, 64)); err == nil {
+		t.Fatal("read at an address that wraps the bounds sum succeeded")
 	}
 }
 

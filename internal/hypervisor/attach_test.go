@@ -1,32 +1,29 @@
 package hypervisor
 
 import (
+	"errors"
 	"testing"
 
-	"nesc/internal/fabric"
+	"nesc/internal/extfs"
 	"nesc/internal/sim"
 )
 
 // TestFailedAttachLeaksNothing walks the points at which building a VM's
-// legs can fail. After the error no VF may be exported or enabled on any
+// leg can fail. After the error no VF may be exported or enabled on any
 // device, only the two PF routes may remain, and the next valid VM gets VF 0.
+// (The points at which a mirrored VM's legs can fail are walked the same way
+// by TestFailedMirrorAttachLeaksNothing in internal/fabric.)
 func TestFailedAttachLeaksNothing(t *testing.T) {
 	direct := VMConfig{Backend: BackendDirect, DiskPath: "/d.img", UID: 1}
 	cases := []struct {
 		name string
 		// images lists, per device, the size in blocks of /d.img (0 = absent).
-		images  [2]uint64
-		cfg     VMConfig
-		devices []int // nil = NewVM on device 0, else NewMirroredVM
+		images [2]uint64
+		cfg    VMConfig
 	}{
 		{name: "image missing", cfg: direct},
 		{name: "driver rings exceed host memory", images: [2]uint64{64, 0},
 			cfg: VMConfig{Backend: BackendDirect, DiskPath: "/d.img", UID: 1, VFRingEntries: 1 << 24}},
-		{name: "image missing on the second mirror device", images: [2]uint64{64, 0}, cfg: direct, devices: []int{0, 1}},
-		{name: "second mirror device outside the fleet", images: [2]uint64{64, 64}, cfg: direct, devices: []int{0, 2}},
-		{name: "mirror replicas differ in size", images: [2]uint64{64, 32}, cfg: direct, devices: []int{0, 1}},
-		// Two legs on one device would share one tree: K = 2 over one copy.
-		{name: "mirror lists a device twice", images: [2]uint64{64, 64}, cfg: direct, devices: []int{0, 0}},
 	}
 	for _, tc := range cases {
 		w := newWorld(t, 8192, nil)
@@ -41,12 +38,7 @@ func TestFailedAttachLeaksNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			var err error
-			if tc.devices == nil {
-				_, err = w.h.NewVM(p, "vm", tc.cfg)
-			} else {
-				_, err = w.h.NewMirroredVM(p, "vm", tc.cfg, tc.devices, fabric.Config{})
-			}
+			_, err := w.h.NewVM(p, "vm", tc.cfg)
 			if err == nil {
 				t.Fatalf("%s: the VM was built", tc.name)
 			}
@@ -64,8 +56,8 @@ func TestFailedAttachLeaksNothing(t *testing.T) {
 					t.Errorf("%s: device %d has %d queue pairs leased, want the PF's 1", tc.name, d.Idx, leased)
 				}
 			}
-			if len(w.h.qps) != 2 {
-				t.Errorf("%s: %d interrupt routes, want the two PF routes", tc.name, len(w.h.qps))
+			if n := w.h.Routes(); n != 2 {
+				t.Errorf("%s: %d interrupt routes, want the two PF routes", tc.name, n)
 			}
 			if tc.images[0] == 0 {
 				w.mkImage(t, p, "/d.img", 1, 64)
@@ -79,4 +71,32 @@ func TestFailedAttachLeaksNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFailedMkImageLeavesNothing: an image that cannot be preallocated (32 MB
+// on an 8 MB medium) is removed again — no file, no blocks held, a consistent
+// filesystem — so the smaller retry under the same name succeeds.
+func TestFailedMkImageLeavesNothing(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		w.boot(t, p)
+		w.mkImage(t, p, "/other.img", 1, 64) // the root directory has its first block from here on
+		free := w.d.HostFS.FreeBlocks()
+		err := w.d.MkImage(p, "/big.img", 1, 32<<10, false)
+		if !errors.Is(err, extfs.ErrNoSpace) {
+			t.Fatalf("32 MB image on an 8 MB medium: %v, want ErrNoSpace", err)
+		}
+		if _, err := w.d.HostFS.Stat(p, "/big.img", 1); !errors.Is(err, extfs.ErrNotExist) {
+			t.Errorf("the failed image is still there (Stat: %v)", err)
+		}
+		if got := w.d.HostFS.FreeBlocks(); got != free {
+			t.Errorf("%d free blocks after the failed create, %d before it", got, free)
+		}
+		if err := w.d.HostFS.Check(p); err != nil {
+			t.Errorf("filesystem check after the failed create: %v", err)
+		}
+		if err := w.d.MkImage(p, "/big.img", 1, 1<<10, false); err != nil {
+			t.Errorf("1 MB retry under the same name: %v", err)
+		}
+	})
 }

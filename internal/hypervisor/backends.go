@@ -4,10 +4,10 @@ import (
 	"encoding/binary"
 	"io"
 
-	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/virtio"
 )
@@ -34,11 +34,11 @@ func (t *rawPFTarget) SizeBlocks() int64 { return t.d.Ctl.Medium.Store().NumBloc
 func (t *rawPFTarget) BlockSize() int    { return t.d.Ctl.P.BlockSize }
 
 func (t *rawPFTarget) Read(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
-	return t.d.pfSubmit(p, core.OpRead, lba, addr, nBlocks, 1)
+	return t.d.pfSubmit(p, ring.OpRead, lba, addr, nBlocks, 1)
 }
 
 func (t *rawPFTarget) Write(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks int) error {
-	return t.d.pfSubmit(p, core.OpWrite, lba, addr, nBlocks, 1)
+	return t.d.pfSubmit(p, ring.OpWrite, lba, addr, nBlocks, 1)
 }
 
 // fileTarget backs a virtual disk with an image file on the host filesystem

@@ -1,10 +1,12 @@
 package hypervisor
 
 import (
-	"nesc/internal/cas"
+	"errors"
+
 	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -25,11 +27,21 @@ type Device struct {
 	// actually arrive. Grown only by vf(); iteration sites nil-skip.
 	vfs   []*vfState
 	trees map[string]*sharedTree
-	// casBindings maps device paths to their cas-fork manifests; casCache is
-	// this device's local chunk cache (see cas.go). Both nil until the
-	// content-addressed tier is used on this device.
-	casBindings map[string]*casBinding
-	casCache    *cas.Cache
+	// Fetch maps a host path to the source of its content: a VF created over a
+	// bound path runs fetch-backed (MgmtFetch). Whoever owns the content binds
+	// and unbinds the path.
+	Fetch map[string]FetchSource
+}
+
+// FetchSource stands behind a fetch-backed export, whose holes hold content
+// that lives somewhere else until first touched. The device raises
+// MissReasonFetch for such a hole and the miss handler calls Materialize, which
+// writes the content of blocks [blk, blk+n) into the file at path on dev
+// (leaving alone a block that already has an extent) before the walk is
+// released. vf is the faulting VF's index on dev and op ("read"/"write") the
+// stalled request's direction, for whoever attributes the wait.
+type FetchSource interface {
+	Materialize(p *sim.Proc, dev *Device, vf int, path string, blk, n uint64, op string) error
 }
 
 // vf returns VF idx's record, materializing it (and any gap before it) on
@@ -57,7 +69,7 @@ func (d *Device) vfAt(idx int) *vfState {
 // New and before Boot; the controller must live on the same PCIe fabric.
 // Returns the new device (index len-1).
 func (h *Hypervisor) AddDevice(ctl *core.Controller) *Device {
-	d := &Device{h: h, Idx: len(h.devs), Ctl: ctl, trees: make(map[string]*sharedTree)}
+	d := &Device{h: h, Idx: len(h.devs), Ctl: ctl, trees: make(map[string]*sharedTree), Fetch: make(map[string]FetchSource)}
 	h.devs = append(h.devs, d)
 	h.devByPF[ctl.PF().ID()] = d
 	if h.P.UseIOMMU {
@@ -140,19 +152,21 @@ func (d *Device) Disk() *PFDisk { return &PFDisk{d: d} }
 
 // MkImage creates a disk image of the given block count on this device's
 // host filesystem, preallocated unless sparse is set. It is the one image
-// creator: a mirrored VM needs its image made on every device it spans.
+// creator: a mirrored VM needs its image made on every device it spans. An
+// image that cannot be made whole is removed again, so the call can be retried.
 func (d *Device) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sparse bool) error {
 	f, err := d.HostFS.Create(p, path, uid, 0o600)
 	if err != nil {
 		return err
 	}
-	if err := f.Truncate(p, blocks*uint64(d.Ctl.P.BlockSize)); err != nil {
-		return err
+	err = f.Truncate(p, blocks*uint64(d.Ctl.P.BlockSize))
+	if err == nil && !sparse {
+		err = d.HostFS.AllocateRange(p, path, 0, blocks)
 	}
-	if sparse {
-		return nil
+	if err != nil {
+		return errors.Join(err, d.HostFS.Remove(p, path, uid))
 	}
-	return d.HostFS.AllocateRange(p, path, 0, blocks)
+	return nil
 }
 
 // QueuePoolStatus reads the device's tenancy gauges through the PF register
@@ -162,7 +176,7 @@ func (d *Device) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sp
 // use it to observe pool state right after a deprovision.
 func (d *Device) QueuePoolStatus(p *sim.Proc) (leased, materialized int) {
 	base := d.Ctl.BARBase()
-	leased = int(d.h.mmioR(p, base+core.PFRegQueuesInUse))
-	materialized = int(d.h.mmioR(p, base+core.PFRegMaterializedVFs))
+	leased = int(d.h.mmioR(p, base+ring.PFRegQueuesInUse))
+	materialized = int(d.h.mmioR(p, base+ring.PFRegMaterializedVFs))
 	return leased, materialized
 }

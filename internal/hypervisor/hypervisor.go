@@ -12,15 +12,14 @@ package hypervisor
 import (
 	"fmt"
 
-	"nesc/internal/cas"
 	"nesc/internal/core"
 	"nesc/internal/extent"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
-	"nesc/internal/metrics"
 	"nesc/internal/pcie"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -62,7 +61,7 @@ type Params struct {
 	// (programmed into VF queues only: the host's own I/O is never abandoned)
 	// and PIBlock, which here is on/off only — non-zero runs each client's
 	// protection information at its device's block size, 0 is the
-	// integrity-ablation knob. Entries, Queues, Policy and Attrib/AttribVF are
+	// integrity-ablation knob. Entries, Queues, Policy and Backoff are
 	// per client and ignored here: pfRingEntries and a VM's VMConfig set the
 	// ring shape, the hypervisor the attribution row (Device.ringConfig).
 	Ring guest.RingConfig
@@ -118,7 +117,7 @@ type vfExport struct {
 	shared *sharedTree
 	// identity marks a raw passthrough VF (no backing file).
 	identity bool
-	// vm is the guest the VF is assigned to (attachLeg); its completion
+	// vm is the guest the VF is assigned to (AttachLeg); its completion
 	// interrupts pay the injection cost. Nil for a host-side ring client.
 	vm *VM
 }
@@ -133,11 +132,6 @@ type vfState struct {
 	// busy marks a latched miss that is already being serviced, so duplicate
 	// miss interrupts are idempotent (see serviceMissBank).
 	busy bool
-	// fetchRuns is materializeRange's snapshot of the file's extent map. It is
-	// read across parks, so it is per VF (one miss service per VF at a time)
-	// and not the shared tree's remap buffer, which another sharer may refill
-	// meanwhile.
-	fetchRuns []extent.Run
 	// lock serializes management operations on the VF — ResetVF racing
 	// SnapshotVF/MigrateVFFile/miss service must not interleave tree
 	// rebuilds with FLR teardown. A binary semaphore; uncontended
@@ -153,7 +147,7 @@ type msiRoute struct {
 }
 
 // Hypervisor is the host VMM instance. It owns what is fleet-wide — MSI
-// routing, the content-addressed store, the fault injector, the counters —
+// routing, the fault injector, the counters —
 // and manages a fleet of NeSC devices (devs), each carrying its own
 // per-controller state.
 type Hypervisor struct {
@@ -173,16 +167,8 @@ type Hypervisor struct {
 	// inj optionally perturbs the miss-service path (fault.MissHandler site).
 	inj *fault.Injector
 
-	// cas is the fleet-shared content-addressed store (EnableCAS); nil keeps
-	// the tier off. casCacheChunks sizes each device's local chunk cache.
-	cas            *cas.Store
-	casCacheChunks int
-	// CASMaterializations counts chunks written into backing files by the
-	// MissReasonFetch service path; CASFetchMisses counts the serviced fetch
-	// misses themselves.
-	CASMaterializations int64
-	CASFetchMisses      int64
-
+	// FetchMisses counts the serviced MissReasonFetch misses.
+	FetchMisses int64
 	// MissInterrupts counts serviced NeSC miss interrupts.
 	MissInterrupts int64
 	// Injections counts guest interrupt injections.
@@ -191,19 +177,14 @@ type Hypervisor struct {
 	MissFaults int64
 	// VFResets counts function-level resets issued through ResetVF.
 	VFResets int64
-	// Migrations counts completed live VF migrations; LastMigration keeps
-	// the most recent report for Stats.
-	Migrations    int64
-	LastMigration MigrationReport
 	// Snapshots / Clones / CowBreaks count the CoW subsystem's operations:
 	// snapshots taken, clones exported through new VFs, and device CoW
 	// faults serviced end to end (see snapshot.go).
 	Snapshots int64
 	Clones    int64
 	CowBreaks int64
-	// cowBreakHist, when the bundle carries a registry, times the CoW break
-	// service (fault read → sharing broken → BTLB invalidated).
-	cowBreakHist *metrics.Histogram
+	// cowBreak observes the duration of each CoW break service.
+	cowBreak func(took sim.Time)
 
 	// Background scrubber state and lifetime counters (see scrub.go).
 	scrubOn     bool
@@ -233,7 +214,7 @@ func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params, tel c
 		qps:     make(map[pcie.FnID]msiRoute),
 		tel:     tel,
 	}
-	h.cowBreakHist = tel.Metrics.Histogram("nesc_hyp_cow_break_ns", "CoW break service latency (fault read to BTLB invalidated)", metrics.NoLabels)
+	h.cowBreak = tel.CowBreakTimer()
 	fab.SetMSIHandler(h.handleMSI)
 	if p.UseIOMMU {
 		fab.IOMMU().Enable()
@@ -257,6 +238,10 @@ func (h *Hypervisor) RecoveryStats() guest.QueueCounters {
 	return st
 }
 
+// Routes reports how many functions have their completion interrupts routed to
+// a ring client: every booted PF and every attached leg.
+func (h *Hypervisor) Routes() int { return len(h.qps) }
+
 // route delivers the completion interrupts of d's function fn (0 = the PF,
 // VF idx + 1 otherwise) to mq and publishes the driver's per-queue depth and
 // submission gauges ({vf, q}; a VF reused by a later VM replaces the earlier
@@ -272,22 +257,19 @@ func (d *Device) route(fn int, mq *guest.MultiQueue) {
 	}
 	h.qps[id] = r
 	// The gauges carry no device label, so they cover device 0 only (per-
-	// device series are ROADMAP item 6).
+	// device series are ROADMAP item 6); with no registry nothing would ever
+	// sample the closures, so none are built.
 	if h.tel.Metrics == nil || d.Idx != 0 {
 		return
 	}
 	for q, qp := range mq.Queues() {
 		qp := qp
-		l := metrics.Labels{VF: fn, Q: q}
-		h.tel.Metrics.GaugeFunc("nesc_driver_queue_depth", "in-flight submissions on this driver queue", l,
-			func() float64 { return float64(qp.Depth()) })
-		h.tel.Metrics.GaugeFunc("nesc_driver_queue_submitted_total", "requests submitted on this driver queue", l,
-			func() float64 { return float64(qp.Submitted) })
+		h.tel.DriverQueueGauges(fn, q, func() float64 { return float64(qp.Depth()) }, func() float64 { return float64(qp.Submitted) })
 	}
 }
 
 func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
-	if vec == core.VecMiss {
+	if vec == ring.VecMiss {
 		// Miss interrupts are raised by a device's PF: route to that
 		// device's handler. Device 0 keeps the historical proc name.
 		d := h.devByPF[from]
@@ -301,7 +283,7 @@ func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
 		h.Eng.Go(name, d.serviceMisses)
 		return
 	}
-	q, ok := core.QueueOfVector(vec)
+	q, ok := ring.QueueOfVector(vec)
 	if !ok {
 		return
 	}
@@ -371,8 +353,8 @@ func (d *Device) pfSubmit(p *sim.Proc, op uint32, lba int64, addr hostmem.Addr, 
 			if err != nil {
 				return err
 			}
-			serr = guest.StatusError(st)
-			if serr == nil || (st != core.StatusDMAFault && st != core.StatusAborted) {
+			serr = ring.StatusError(st)
+			if serr == nil || (st != ring.StatusDMAFault && st != ring.StatusAborted) {
 				break
 			}
 		}
@@ -391,7 +373,7 @@ func (pd *PFDisk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 		return pd.d.Ctl.Medium.Store().ReadBlocks(lba, p)
 	}
 	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
-	if err := pd.d.pfSubmit(ctx, core.OpRead, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries); err != nil {
+	if err := pd.d.pfSubmit(ctx, ring.OpRead, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries); err != nil {
 		return err
 	}
 	copy(p, buf.Data)
@@ -407,7 +389,7 @@ func (pd *PFDisk) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
 	copy(buf.Data, p)
 	ctx.Sleep(sim.BytesTime(int64(len(p)), pd.d.h.P.MemcpyBandwidth))
-	return pd.d.pfSubmit(ctx, core.OpWrite, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries)
+	return pd.d.pfSubmit(ctx, ring.OpWrite, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries)
 }
 
 // Flush implements extfs.BlockDev.

@@ -8,6 +8,7 @@ import (
 	"nesc/internal/core"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -34,13 +35,13 @@ func TestMultiQueueEndToEndIO(t *testing.T) {
 				t.Fatal(err)
 			}
 			lba := uint64(q * 8)
-			if st, err := mq.Queue(q).Submit(p, core.OpWrite, lba, 1, buf); err != nil || st != core.StatusOK {
+			if st, err := mq.Queue(q).Submit(p, ring.OpWrite, lba, 1, buf); err != nil || st != ring.StatusOK {
 				t.Fatalf("write on queue %d: status %d err %v", q, st, err)
 			}
 			if err := w.mem.Zero(buf, 1024); err != nil {
 				t.Fatal(err)
 			}
-			if st, err := mq.Queue(q).Submit(p, core.OpRead, lba, 1, buf); err != nil || st != core.StatusOK {
+			if st, err := mq.Queue(q).Submit(p, ring.OpRead, lba, 1, buf); err != nil || st != ring.StatusOK {
 				t.Fatalf("read on queue %d: status %d err %v", q, st, err)
 			}
 			got := make([]byte, 1024)
@@ -99,7 +100,7 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 			q := q
 			buf := w.mem.MustAlloc(1024, 64)
 			w.eng.Go("wedged", func(gp *sim.Proc) {
-				_, errs[q] = mq.Queue(q).Submit(gp, core.OpRead, uint64(q), 1, buf)
+				_, errs[q] = mq.Queue(q).Submit(gp, ring.OpRead, uint64(q), 1, buf)
 			})
 		}
 		p.Sleep(500 * sim.Microsecond)
@@ -113,7 +114,7 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 				t.Errorf("queue %d Resets = %d, want 1", q, qp.Resets)
 			}
 			buf := w.mem.MustAlloc(1024, 64)
-			if st, err := qp.Submit(p, core.OpRead, uint64(q), 1, buf); err != nil || st != core.StatusOK {
+			if st, err := qp.Submit(p, ring.OpRead, uint64(q), 1, buf); err != nil || st != ring.StatusOK {
 				t.Errorf("post-reset read on queue %d: status %d err %v", q, st, err)
 			}
 		}
@@ -142,7 +143,7 @@ func TestMultiQueueTimeoutRecoveryIsPerQueue(t *testing.T) {
 		plan.Sites[fault.MSI] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
 		buf := w.mem.MustAlloc(1024, 64)
-		if st, err := mq.Queue(3).Submit(p, core.OpRead, 5, 1, buf); err != nil || st != core.StatusOK {
+		if st, err := mq.Queue(3).Submit(p, ring.OpRead, 5, 1, buf); err != nil || st != ring.StatusOK {
 			t.Errorf("read with dropped MSI: status %d err %v, want StatusOK", st, err)
 		}
 		if mq.Queue(3).PolledCompletions == 0 {

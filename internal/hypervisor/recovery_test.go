@@ -7,6 +7,7 @@ import (
 	"nesc/internal/core"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func TestStatusOKAndNoSpaceEndToEnd(t *testing.T) {
 		buf := w.mem.MustAlloc(1024, 64)
 		// First write into the sparse image misses; the hypervisor allocates
 		// and the walk retries: StatusOK.
-		if st, err := qp.Submit(p, core.OpWrite, 3, 1, buf); err != nil || st != core.StatusOK {
+		if st, err := qp.Submit(p, ring.OpWrite, 3, 1, buf); err != nil || st != ring.StatusOK {
 			t.Errorf("hole write: status %d err %v, want StatusOK", st, err)
 		}
 		if w.h.MissInterrupts == 0 {
@@ -70,7 +71,7 @@ func TestStatusOKAndNoSpaceEndToEnd(t *testing.T) {
 		plan := fault.Plan{Seed: 7}
 		plan.Sites[fault.MissHandler] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
-		if st, err := qp.Submit(p, core.OpWrite, 40, 1, buf); err != nil || st != core.StatusNoSpace {
+		if st, err := qp.Submit(p, ring.OpWrite, 40, 1, buf); err != nil || st != ring.StatusNoSpace {
 			t.Errorf("failed allocation: status %d err %v, want StatusNoSpace", st, err)
 		}
 		if w.h.MissFaults == 0 {
@@ -84,8 +85,8 @@ func TestStatusOutOfRangeEndToEnd(t *testing.T) {
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, false)
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 1000, 1, buf)
-		if err != nil || st != core.StatusOutOfRange {
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, ring.OpRead, 1000, 1, buf)
+		if err != nil || st != ring.StatusOutOfRange {
 			t.Errorf("oversized LBA: status %d err %v, want StatusOutOfRange", st, err)
 		}
 	})
@@ -98,13 +99,13 @@ func TestStatusDisabledEndToEnd(t *testing.T) {
 		// Disable the function behind the driver's back (management action).
 		// Disabling drops the device's ring state, so the driver re-arms its
 		// rings before probing — and gets an explicit StatusDisabled back.
-		w.h.mmioW(p, w.d.mgmtAddr(vm.Legs[0].VFIdx)+core.MgmtEnable, 0)
+		w.h.mmioW(p, w.d.mgmtAddr(vm.Legs[0].VFIdx)+ring.MgmtEnable, 0)
 		if err := vm.Legs[0].Drv.QueuePair().Recover(p); err != nil {
 			t.Fatal(err)
 		}
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
-		if err != nil || st != core.StatusDisabled {
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, ring.OpRead, 0, 1, buf)
+		if err != nil || st != ring.StatusDisabled {
 			t.Errorf("disabled VF: status %d err %v, want StatusDisabled", st, err)
 		}
 	})
@@ -118,8 +119,8 @@ func TestStatusMediumErrorEndToEnd(t *testing.T) {
 		plan.Sites[fault.MediumRead] = fault.SiteParams{Prob: 1.0}
 		w.installPlan(plan)
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, core.OpRead, 0, 1, buf)
-		if err != nil || st != core.StatusMediumError {
+		st, err := vm.Legs[0].Drv.QueuePair().Submit(p, ring.OpRead, 0, 1, buf)
+		if err != nil || st != ring.StatusMediumError {
 			t.Errorf("unreadable block: status %d err %v, want StatusMediumError", st, err)
 		}
 		if w.ctl.Counters().MediumRetries != int64(core.MediumRetryMax) {
@@ -142,8 +143,8 @@ func TestStatusDMAFaultOnRevokedGrant(t *testing.T) {
 			w.fab.IOMMU().Grant(fnID, r[0], r[1])
 		}
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := qp.Submit(p, core.OpRead, 0, 1, buf)
-		if err != nil || st != core.StatusDMAFault {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, buf)
+		if err != nil || st != ring.StatusDMAFault {
 			t.Errorf("revoked data buffer: status %d err %v, want StatusDMAFault", st, err)
 		}
 		if w.ctl.VF(vm.Legs[0].VFIdx).DMAFaults == 0 {
@@ -166,8 +167,8 @@ func TestDriverPollRecoversDroppedCompletionMSI(t *testing.T) {
 		w.installPlan(plan)
 		qp := vm.Legs[0].Drv.QueuePair()
 		buf := w.mem.MustAlloc(1024, 64)
-		st, err := qp.Submit(p, core.OpRead, 0, 1, buf)
-		if err != nil || st != core.StatusOK {
+		st, err := qp.Submit(p, ring.OpRead, 0, 1, buf)
+		if err != nil || st != ring.StatusOK {
 			t.Errorf("read with dropped MSI: status %d err %v, want StatusOK", st, err)
 		}
 		if qp.Timeouts == 0 || qp.PolledCompletions == 0 {
@@ -193,7 +194,7 @@ func TestDriverTimeoutBudgetSurfacesErrTimeout(t *testing.T) {
 		w.installPlan(plan)
 		qp := vm.Legs[0].Drv.QueuePair()
 		buf := w.mem.MustAlloc(1024, 64)
-		_, err := qp.Submit(p, core.OpRead, 0, 1, buf)
+		_, err := qp.Submit(p, ring.OpRead, 0, 1, buf)
 		if !errors.Is(err, guest.ErrTimeout) {
 			t.Errorf("lost request returned %v, want ErrTimeout", err)
 		}
@@ -222,7 +223,7 @@ func TestResetVFRecoversWedgedGuest(t *testing.T) {
 		w.installPlan(plan)
 		buf := w.mem.MustAlloc(1024, 64)
 		w.eng.Go("wedged-guest", func(gp *sim.Proc) {
-			_, gotErr = qp.Submit(gp, core.OpRead, 0, 1, buf)
+			_, gotErr = qp.Submit(gp, ring.OpRead, 0, 1, buf)
 		})
 		p.Sleep(500 * sim.Microsecond)
 		if err := w.d.ResetVF(p, vm.Legs[0].VFIdx); err != nil {
@@ -232,7 +233,7 @@ func TestResetVFRecoversWedgedGuest(t *testing.T) {
 			t.Errorf("VFResets = %d, want 1", w.h.VFResets)
 		}
 		// The recovered function carries fresh I/O through the same driver.
-		if st, err := qp.Submit(p, core.OpRead, 2, 1, buf); err != nil || st != core.StatusOK {
+		if st, err := qp.Submit(p, ring.OpRead, 2, 1, buf); err != nil || st != ring.StatusOK {
 			t.Errorf("post-reset read: status %d err %v, want StatusOK", st, err)
 		}
 	})
@@ -262,7 +263,7 @@ func TestResetVFAbortsInFlightWork(t *testing.T) {
 			t.Errorf("inflight = %d after drain, want 0", vf.Inflight())
 		}
 		qp := vm.Legs[0].Drv.QueuePair()
-		if st, err := qp.Submit(p, core.OpRead, 0, 1, w.mem.MustAlloc(1024, 64)); err != nil || st != core.StatusOK {
+		if st, err := qp.Submit(p, ring.OpRead, 0, 1, w.mem.MustAlloc(1024, 64)); err != nil || st != ring.StatusOK {
 			t.Errorf("post-reset read: status %d err %v, want StatusOK", st, err)
 		}
 	})

@@ -5,8 +5,8 @@ import (
 	"slices"
 	"testing"
 
-	"nesc/internal/core"
 	"nesc/internal/extent"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -55,7 +55,7 @@ func TestSharersRemapThroughOneBuffer(t *testing.T) {
 		}
 		tree := w.d.VFTree(vms[0].Legs[0].VFIdx)
 		for i, vm := range vms {
-			if got := w.h.mmioR(p, w.d.mgmtAddr(vm.Legs[0].VFIdx)+core.MgmtTreeRoot); int64(got) != tree.Root() {
+			if got := w.h.mmioR(p, w.d.mgmtAddr(vm.Legs[0].VFIdx)+ring.MgmtTreeRoot); int64(got) != tree.Root() {
 				t.Fatalf("VF of vm%d walks root %#x, the shared tree's is %#x", i, got, tree.Root())
 			}
 		}

@@ -1,8 +1,7 @@
 package hypervisor
 
 import (
-	"nesc/internal/core"
-	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -105,10 +104,10 @@ func (h *Hypervisor) scrubPass(p *sim.Proc, cfg ScrubConfig, interruptible bool)
 			if n > int64(cfg.BlocksPerReq) {
 				n = int64(cfg.BlocksPerReq)
 			}
-			st, err := d.pfQP.Submit(p, core.OpVerify, uint64(lba), uint32(n), 0)
+			st, err := d.pfQP.Submit(p, ring.OpVerify, uint64(lba), uint32(n), 0)
 			rep.Requests++
 			rep.Blocks += n
-			if err != nil || guest.StatusError(st) != nil {
+			if err != nil || ring.StatusError(st) != nil {
 				rep.Errors++
 			}
 		}

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"nesc/internal/core"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -55,7 +55,7 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 				}
 				for k := 0; k < ops; k++ {
 					lba := uint64(b*ops + k)
-					if st, err := qp.Submit(q, core.OpWrite, lba, 1, buf); err != nil || st != core.StatusOK {
+					if st, err := qp.Submit(q, ring.OpWrite, lba, 1, buf); err != nil || st != ring.StatusOK {
 						t.Errorf("submitter %d write %d: status %d err %v", b, k, st, err)
 						return
 					}
@@ -77,7 +77,7 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 		rbuf := w.mem.MustAlloc(1024, 64)
 		for b := 0; b < procs; b++ {
 			lba := uint64(b * ops) // first write of each submitter
-			if st, err := qp.Submit(p, core.OpRead, lba, 1, rbuf); err != nil || st != core.StatusOK {
+			if st, err := qp.Submit(p, ring.OpRead, lba, 1, rbuf); err != nil || st != ring.StatusOK {
 				t.Fatalf("read back lba %d: status %d err %v", lba, st, err)
 			}
 			got := make([]byte, 1024)
@@ -100,7 +100,7 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 		if !qp.ShadowArmed() {
 			t.Error("recovery did not re-arm the shadow block")
 		}
-		if st, err := qp.Submit(p, core.OpRead, 0, 1, rbuf); err != nil || st != core.StatusOK {
+		if st, err := qp.Submit(p, ring.OpRead, 0, 1, rbuf); err != nil || st != ring.StatusOK {
 			t.Fatalf("post-recovery read: status %d err %v", st, err)
 		}
 	})

@@ -2,8 +2,9 @@ package hypervisor
 
 import (
 	"fmt"
+	"math"
 
-	"nesc/internal/core"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -27,9 +28,9 @@ func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64)
 	base := d.Ctl.BARBase()
 	for idx, o := range d.vfs {
 		if o != nil && o.inUse && o.shared == st.shared {
-			d.h.mmioW(p, base+core.PFRegInvVLBA, vlba)
-			d.h.mmioW(p, base+core.PFRegInvCount, count)
-			d.h.mmioW(p, base+core.PFRegInvFn, uint64(idx+1))
+			d.h.mmioW(p, base+ring.PFRegInvVLBA, vlba)
+			d.h.mmioW(p, base+ring.PFRegInvCount, count)
+			d.h.mmioW(p, base+ring.PFRegInvFn, uint64(idx+1))
 		}
 	}
 }
@@ -70,16 +71,49 @@ func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) er
 // SnapshotVF so the device mapping picks up the write-protect flags;
 // otherwise it is a plain filesystem snapshot.
 func (d *Device) SnapshotFile(p *sim.Proc, path, dstPath string, uid uint32) error {
-	for idx, st := range d.vfs {
-		if st != nil && st.inUse && !st.identity && st.path == path {
-			return d.SnapshotVF(p, idx, dstPath, uid)
-		}
+	if idx, _ := d.exporter(path); idx >= 0 {
+		return d.SnapshotVF(p, idx, dstPath, uid)
 	}
 	if err := d.HostFS.Snapshot(p, path, dstPath, uid); err != nil {
 		return err
 	}
 	d.h.Snapshots++
 	return nil
+}
+
+// Unprotect undoes what a snapshot that has since been removed did to the
+// exported file at path: its extents become writable in place, the tree of the
+// VF exporting it is rebuilt and the cached translations dropped, so the
+// guest's next writes take no CoW fault. It acts only when no block of the
+// device is shared any more, so that no block is ever copied; otherwise the
+// flags may be live and the CoW-fault path clears the stale ones write by
+// write, as it does after DeleteSnapshot.
+func (d *Device) Unprotect(p *sim.Proc, path string) error {
+	idx, st := d.exporter(path)
+	if idx < 0 || d.HostFS.SharedBlocks() != 0 {
+		return nil
+	}
+	d.lockVF(p, idx)
+	defer d.unlockVF(idx)
+	if err := d.HostFS.BreakRange(p, path, 0, math.MaxUint64); err != nil {
+		return err
+	}
+	if err := d.remap(p, st); err != nil {
+		return err
+	}
+	d.invalidateSharers(p, st, 0, 0)
+	return nil
+}
+
+// exporter finds the first VF exporting the host file at path; idx is -1 when
+// none does.
+func (d *Device) exporter(path string) (idx int, st *vfState) {
+	for idx, st := range d.vfs {
+		if st != nil && st.inUse && !st.identity && st.path == path {
+			return idx, st
+		}
+	}
+	return -1, nil
 }
 
 // CloneToNewVF snapshots a VF's disk and immediately exports the snapshot

@@ -3,11 +3,11 @@ package hypervisor
 import (
 	"fmt"
 
-	"nesc/internal/core"
 	"nesc/internal/extent"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -16,7 +16,7 @@ import (
 // state machine for each managed controller.
 
 func (d *Device) mgmtAddr(vfIdx int) int64 {
-	return d.Ctl.BARBase() + d.Ctl.MgmtPageOffset() + int64(vfIdx)*core.MgmtStride
+	return d.Ctl.BARBase() + d.Ctl.MgmtPageOffset() + int64(vfIdx)*ring.MgmtStride
 }
 
 // CreateVF exports the host file at path as a virtual function on behalf of
@@ -59,7 +59,11 @@ func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 	st.shared = sh
 	st.identity = false
 	d.programVF(p, idx, sh.tree.Root(), sizeBlocks)
-	d.programCASFetch(p, idx, path)
+	if d.Fetch[path] != nil {
+		// Arm the fetch-backed bit. Written only for a bound path, so a
+		// platform that binds nothing keeps its MMIO schedule.
+		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtFetch, 1)
+	}
 	return idx, nil
 }
 
@@ -102,15 +106,15 @@ func (d *Device) freeVF() (int, error) {
 
 func (d *Device) programVF(p *sim.Proc, idx int, root int64, sizeBlocks uint64) {
 	mgmt := d.mgmtAddr(idx)
-	d.h.mmioW(p, mgmt+core.MgmtTreeRoot, uint64(root))
-	d.h.mmioW(p, mgmt+core.MgmtDeviceSize, sizeBlocks)
+	d.h.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(root))
+	d.h.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
 	if n := d.Ctl.P.QueuesPerVF; n > 1 {
 		// Program the VF's active queue count. Skipped at the single-queue
 		// default so the fault-free MMIO schedule is bit-identical to the
 		// pre-multi-queue device.
-		d.h.mmioW(p, mgmt+core.MgmtQueues, uint64(n))
+		d.h.mmioW(p, mgmt+ring.MgmtQueues, uint64(n))
 	}
-	d.h.mmioW(p, mgmt+core.MgmtEnable, 1)
+	d.h.mmioW(p, mgmt+ring.MgmtEnable, 1)
 	if err := d.Ctl.SRIOV().EnableVFs(d.enabledVFs()); err != nil {
 		panic(err)
 	}
@@ -133,7 +137,7 @@ func (d *Device) DestroyVF(p *sim.Proc, idx int) {
 	if st == nil || !st.inUse {
 		return
 	}
-	d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtEnable, 0)
+	d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtEnable, 0)
 	st.shared.refs--
 	if st.shared.refs == 0 {
 		st.shared.tree.Free()
@@ -205,7 +209,7 @@ func (d *Device) remap(p *sim.Proc, st *vfState) error {
 	}
 	for idx, o := range d.vfs {
 		if o != nil && o.inUse && o.shared == sh {
-			d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtTreeRoot, uint64(sh.tree.Root()))
+			d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
 		}
 	}
 	return nil
@@ -219,11 +223,11 @@ func (d *Device) remap(p *sim.Proc, st *vfState) error {
 func (d *Device) serviceMisses(p *sim.Proc) {
 	// One register read per 64 configured VFs.
 	banks := (d.Ctl.P.NumVFs + 63) / 64
-	if banks > core.PFRegMissPendingBanks {
-		banks = core.PFRegMissPendingBanks
+	if banks > ring.PFRegMissPendingBanks {
+		banks = ring.PFRegMissPendingBanks
 	}
 	for k := 0; k < banks; k++ {
-		d.serviceMissBank(p, k, d.Ctl.BARBase()+core.PFRegMissPendingBank+int64(k)*8)
+		d.serviceMissBank(p, k, d.Ctl.BARBase()+ring.PFRegMissPendingBank+int64(k)*8)
 	}
 }
 
@@ -288,22 +292,22 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 // returned, written here and nowhere else.
 func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 	verdict := d.resolveMiss(p, idx)
-	d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtRewalk, verdict)
+	d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtRewalk, verdict)
 }
 
 // resolveMiss does the work behind one latched miss and returns the rewalk
 // verdict. Three reasons reach here: MissReasonTranslate (a hole — extend the
 // file, the lazy-allocation path), MissReasonCoW (a write hit a
 // write-protected extent — break the snapshot sharing for the faulting
-// blocks), and MissReasonFetch (a hole on a fetch-backed VF — materialize the
-// blocks' content from the cas tier). All end with a tree rebuild and a
+// blocks), and MissReasonFetch (a hole on a fetch-backed VF — have the path's
+// FetchSource materialize the blocks' content). All end with a tree rebuild and a
 // retry, so the device re-walks and finds a writable mapping.
 func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	h := d.h
 	h.MissInterrupts++
 	mgmt := d.mgmtAddr(idx)
-	missAddr := h.mmioR(p, mgmt+core.MgmtMissAddr)
-	sizeReason := h.mmioR(p, mgmt+core.MgmtMissSize)
+	missAddr := h.mmioR(p, mgmt+ring.MgmtMissAddr)
+	sizeReason := h.mmioR(p, mgmt+ring.MgmtMissSize)
 	missSize := sizeReason & 0xFFFFFFFF
 	reason := uint32(sizeReason >> 32)
 	dec := h.inj.Decide(fault.MissHandler)
@@ -312,41 +316,45 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		// Injected allocation failure: the hypervisor cannot extend the
 		// backing file, so the stalled walk is released with a failure.
 		h.MissFaults++
-		return core.RewalkFail
+		return ring.RewalkFail
 	}
 	st := d.vf(idx)
 	if !st.inUse || st.identity {
 		// No backing file to extend: fail the write.
-		return core.RewalkFail
+		return ring.RewalkFail
 	}
-	cow := reason == core.MissReasonCoW
-	fetch := reason == core.MissReasonFetch
+	cow := reason == ring.MissReasonCoW
+	fetch := reason == ring.MissReasonFetch
 	start := p.Now()
 	var err error
 	switch {
 	case fetch:
-		// A hole on a fetch-backed VF: the blocks' content lives in the cas
-		// tier. The extra register read (is the stalled op a read or a write?)
-		// only labels attribution rows; it happens unconditionally so the
-		// fetch path's schedule is identical with attribution on or off.
+		// A hole on a fetch-backed VF: the blocks' content lives with the
+		// path's source. The extra register read (is the stalled op a read or
+		// a write?) only labels attribution rows; it happens unconditionally so
+		// the fetch path's schedule is identical with attribution on or off.
 		op := "read"
-		if h.mmioR(p, mgmt+core.MgmtMissIsWrite) != 0 {
+		if h.mmioR(p, mgmt+ring.MgmtMissIsWrite) != 0 {
 			op = "write"
 		}
-		h.CASFetchMisses++
-		err = d.materializeRange(p, idx, st, missAddr, missSize, op)
+		h.FetchMisses++
+		if src := d.Fetch[st.path]; src != nil {
+			err = src.Materialize(p, d, idx, st.path, missAddr, missSize, op)
+		} else {
+			err = fmt.Errorf("hypervisor: VF %d path %q has no fetch source", idx, st.path)
+		}
 	case cow:
 		err = d.HostFS.BreakRange(p, st.path, missAddr, missSize)
 	default:
 		err = d.HostFS.AllocateRange(p, st.path, missAddr, missSize)
 	}
 	if err != nil {
-		return core.RewalkFail
+		return ring.RewalkFail
 	}
 	// Every sharer of the tree must see the new root before the walk
 	// resumes.
 	if err := d.remap(p, st); err != nil {
-		return core.RewalkFail
+		return ring.RewalkFail
 	}
 	if cow {
 		// The faulting blocks moved to a private copy: any BTLB entry still
@@ -354,16 +362,14 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		// before the retry so the re-walk's result is what gets cached.
 		d.invalidateSharers(p, st, missAddr, missSize)
 		h.CowBreaks++
-		if h.cowBreakHist != nil {
-			h.cowBreakHist.Observe(int64(p.Now() - start))
-		}
+		h.cowBreak(p.Now() - start)
 	}
 	if fetch {
 		// Materialization rewrote the range's mappings; drop any translation
 		// the device cached for it before releasing the walk.
 		d.invalidateSharers(p, st, missAddr, missSize)
 	}
-	return core.RewalkRetry
+	return ring.RewalkRetry
 }
 
 // ResetVF performs a function-level reset of a VF and re-arms its ring
@@ -389,9 +395,9 @@ func (d *Device) ResetVF(p *sim.Proc, idx int) error {
 	h := d.h
 	page := d.VFPageBus(idx)
 	d.lockVF(p, idx)
-	h.mmioW(p, page+core.RegReset, 1)
+	h.mmioW(p, page+ring.RegReset, 1)
 	d.unlockVF(idx)
-	for h.mmioR(p, page+core.RegReset) != 0 {
+	for h.mmioR(p, page+ring.RegReset) != 0 {
 		p.Sleep(5 * sim.Microsecond)
 	}
 	h.VFResets++
@@ -432,7 +438,7 @@ func (d *Device) MigrateVFFile(p *sim.Proc, idx int, flushBTLB bool) error {
 // to weight requests from this VF per scheduling round (paper §IV-D's QoS
 // extension). Weights are clamped to 1..255 by the device.
 func (d *Device) SetVFWeight(p *sim.Proc, idx int, weight int) {
-	d.h.mmioW(p, d.mgmtAddr(idx)+core.MgmtWeight, uint64(weight))
+	d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtWeight, uint64(weight))
 }
 
 // RouteVFInterrupts delivers a VF's completion interrupts straight to the
@@ -446,7 +452,7 @@ func (d *Device) RouteVFInterrupts(idx int, mq *guest.MultiQueue) {
 // FlushBTLB invalidates the device's translation cache (required around
 // host-side block remapping such as deduplication, §V-B).
 func (d *Device) FlushBTLB(p *sim.Proc) {
-	d.h.mmioW(p, d.Ctl.BARBase()+core.PFRegBTLBFlush, 1)
+	d.h.mmioW(p, d.Ctl.BARBase()+ring.PFRegBTLBFlush, 1)
 }
 
 func (h *Hypervisor) mmioW(p *sim.Proc, addr int64, val uint64) {

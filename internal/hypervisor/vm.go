@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nesc/internal/extfs"
-	"nesc/internal/fabric"
 	"nesc/internal/guest"
 	"nesc/internal/sim"
 	"nesc/internal/virtio"
@@ -66,7 +65,7 @@ type VMConfig struct {
 }
 
 // Leg is one VF assigned to a VM: the fleet device hosting it, its index
-// there, and the guest ring driver bound to it. Built only by attachLeg.
+// there, and the guest ring driver bound to it. Built only by AttachLeg.
 type Leg struct {
 	Dev   *Device
 	VFIdx int
@@ -78,49 +77,40 @@ type VM struct {
 	Name   string
 	H      *Hypervisor
 	Kernel *guest.Kernel
-	Kind   BackendKind
-	// DiskPath / UID record the backing file identity for snapshot and
-	// migration management ("" / 0 for raw VFs).
-	DiskPath string
-	UID      uint32
-
-	VioDrv  *guest.VirtioDriver
-	EmulDrv *guest.EmulDriver
-	VioBk   *VioBackend
-	EmulBk  *EmulBackend
+	// Cfg is what the VM was built from: every leg is attached from it, a live
+	// migration's new one included.
+	Cfg VMConfig
 
 	// Legs are the VM's assigned VFs: none for the software backends, one
-	// for a direct-assigned VM, and one per spanned fleet device behind the
-	// synchronous mirror Client for a mirrored VM (NewMirroredVM). Live
-	// migration retargets a leg.
-	Legs   []Leg
-	Client *fabric.Client
-
-	// cfg is retained so a live migration can attach an identical leg on the
-	// destination device.
-	cfg VMConfig
+	// the kernel drives directly for a direct-assigned VM, and any number
+	// behind whatever block driver a feature built over them and handed the
+	// kernel (a mirrored VM's legs span one fleet device each).
+	Legs []Leg
 }
 
 // DirectLeg returns the one VF of a direct-assigned VM — what reset,
 // snapshot, re-weighting and image migration act on. ok is false for the
-// software backends and for mirrored VMs.
+// software backends and whenever the kernel does not drive the one leg itself
+// (a mirrored VM, even with K = 1).
 func (vm *VM) DirectLeg() (leg Leg, ok bool) {
-	if vm.Client != nil || len(vm.Legs) != 1 {
+	if len(vm.Legs) != 1 || vm.Kernel.Drv != vm.Legs[0].Drv {
 		return Leg{}, false
 	}
 	return vm.Legs[0], true
 }
 
-// newVM fills in what every kind of guest starts from.
-func (h *Hypervisor) newVM(name string, cfg VMConfig) *VM {
-	return &VM{Name: name, H: h, Kind: cfg.Backend, DiskPath: cfg.DiskPath, UID: cfg.UID, cfg: cfg}
+// NewBareVM fills in what every kind of guest starts from: no legs, no
+// kernel. NewVM goes on from here, and so does a feature that builds its own
+// block driver over the legs it attaches (AttachLeg).
+func (h *Hypervisor) NewBareVM(name string, cfg VMConfig) *VM {
+	return &VM{Name: name, H: h, Cfg: cfg}
 }
 
 // NewVM builds a guest VM with the configured storage backend. The call
 // performs the hypervisor-side setup (VF creation or device-model start) and
 // the guest-side driver probe.
 func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) {
-	vm := h.newVM(name, cfg)
+	vm := h.NewBareVM(name, cfg)
 	// The software backends run against device 0's PF and host filesystem.
 	d0 := h.devs[0]
 	switch cfg.Backend {
@@ -129,7 +119,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		if dev == nil {
 			return nil, fmt.Errorf("hypervisor: no device %d", cfg.Device)
 		}
-		leg, err := h.attachLeg(p, vm, dev)
+		leg, err := h.AttachLeg(p, vm, dev)
 		if err != nil {
 			return nil, err
 		}
@@ -161,8 +151,6 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		bk.drv = drv
 		bk.vq = drv.Virtqueue()
 		h.Eng.Go("virtio-backend-"+name, bk.loop)
-		vm.VioDrv = drv
-		vm.VioBk = bk
 		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, drv)
 
 	case BackendEmulation:
@@ -177,8 +165,6 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 			BlockSize:      target.BlockSize(),
 			SubmitTime:     h.P.Ring.SubmitTime,
 		})
-		vm.EmulDrv = drv
-		vm.EmulBk = bk
 		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, drv)
 
 	default:
@@ -200,15 +186,15 @@ func (d *Device) targetFor(p *sim.Proc, cfg VMConfig) (HostTarget, error) {
 	return &fileTarget{d: d, file: f, size: int64((f.Size() + bs - 1) / bs)}, nil
 }
 
-// attachLeg is the only way a VF meets a driver: it exports vm's disk through
+// AttachLeg is the only way a VF meets a driver: it exports vm's disk through
 // a fresh VF of dev (the raw device or the image file, per the VM's config),
 // programs its QoS weight, builds the guest ring driver on the VF's register
 // page, routes the VF's completions to the guest and grants it DMA (the
 // stand-in for mapping the guest's RAM at the IOMMU — the VF may DMA anywhere
 // in the VM's shared-in-this-model memory). A failure undoes the steps already
 // taken, so an error leaves no VF, route or grant behind.
-func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
-	cfg := vm.cfg
+func (h *Hypervisor) AttachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
+	cfg := vm.Cfg
 	var idx int
 	var err error
 	if cfg.RawDevice {
@@ -228,7 +214,7 @@ func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 	// device pipeline attributes the same tenant's requests to.
 	ring := dev.ringConfig()
 	ring.Entries, ring.Queues, ring.Policy = cfg.VFRingEntries, dev.Ctl.P.QueuesPerVF, cfg.VFQueuePolicy
-	ring.Attrib, ring.AttribVF = h.tel.Attrib, idx+1
+	ring.Backoff = h.tel.AdmissionBackoff(idx + 1)
 	leg.Drv, err = guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
 		Fab:             h.Fab,
 		Mem:             h.Mem,
@@ -239,7 +225,7 @@ func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 		BlockSize:       dev.Ctl.P.BlockSize,
 	})
 	if err != nil {
-		h.detachLeg(p, leg)
+		h.DetachLeg(p, leg)
 		return Leg{}, err
 	}
 	dev.route(idx+1, leg.Drv.MQ())
@@ -250,10 +236,10 @@ func (h *Hypervisor) attachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 	return leg, nil
 }
 
-// detachLeg reverses attachLeg — drops the route and the DMA grant, destroys
+// DetachLeg reverses AttachLeg — drops the route and the DMA grant, destroys
 // the VF (which also returns its queue leases to the device pool) — from
-// whatever step attachLeg reached.
-func (h *Hypervisor) detachLeg(p *sim.Proc, leg Leg) {
+// whatever step AttachLeg reached.
+func (h *Hypervisor) DetachLeg(p *sim.Proc, leg Leg) {
 	fnID := leg.Dev.Ctl.VF(leg.VFIdx).ID()
 	delete(h.qps, fnID)
 	if h.P.UseIOMMU {
@@ -265,8 +251,7 @@ func (h *Hypervisor) detachLeg(p *sim.Proc, leg Leg) {
 // Teardown releases a VM's hypervisor-side resources (its VFs, if any).
 func (vm *VM) Teardown(p *sim.Proc) {
 	for _, leg := range vm.Legs {
-		vm.H.detachLeg(p, leg)
+		vm.H.DetachLeg(p, leg)
 	}
 	vm.Legs = nil
-	vm.Client = nil
 }

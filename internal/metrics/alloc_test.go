@@ -8,7 +8,6 @@ import "testing"
 func TestInstrumentHotPathsDoNotAllocate(t *testing.T) {
 	r := New()
 	c := r.Counter("nesc_alloc_test_total", "alloc guard counter", VFLabel(1))
-	g := r.Gauge("nesc_alloc_test_gauge", "alloc guard gauge", VFLabel(1))
 	h := r.Histogram("nesc_alloc_test_ns", "alloc guard histogram", VFLabel(1))
 
 	cases := []struct {
@@ -17,8 +16,6 @@ func TestInstrumentHotPathsDoNotAllocate(t *testing.T) {
 	}{
 		{"Counter.Inc", func() { c.Inc() }},
 		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(42) }},
-		{"Gauge.Add", func() { g.Add(-1) }},
 		{"Histogram.Observe", func() { h.Observe(12_345) }},
 	}
 	for _, tc := range cases {
@@ -29,14 +26,12 @@ func TestInstrumentHotPathsDoNotAllocate(t *testing.T) {
 
 	// Nil instruments are the disabled-telemetry fast path: also alloc-free.
 	var nc *Counter
-	var ng *Gauge
 	var nh *Histogram
 	nilCases := []struct {
 		name string
 		fn   func()
 	}{
 		{"nil Counter.Inc", func() { nc.Inc() }},
-		{"nil Gauge.Set", func() { ng.Set(1) }},
 		{"nil Histogram.Observe", func() { nh.Observe(1) }},
 	}
 	for _, tc := range nilCases {
@@ -66,14 +61,6 @@ func BenchmarkCounterInc(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-func BenchmarkGaugeSet(b *testing.B) {
-	g := New().Gauge("nesc_bench_gauge", "bench gauge", NoLabels)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.Set(float64(i))
 	}
 }
 

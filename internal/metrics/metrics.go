@@ -56,7 +56,6 @@ type kind uint8
 
 const (
 	kindCounter kind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -89,7 +88,6 @@ type family struct {
 type series struct {
 	labels Labels
 	c      Counter
-	g      Gauge
 	fn     func() float64
 	h      Histogram
 }
@@ -187,15 +185,6 @@ func (r *Registry) Counter(name, help string, l Labels) *Counter {
 	return &s.c
 }
 
-// Gauge returns the named gauge series, creating it on first use.
-func (r *Registry) Gauge(name, help string, l Labels) *Gauge {
-	s := r.lookup(name, help, kindGauge, l)
-	if s == nil {
-		return nil
-	}
-	return &s.g
-}
-
 // GaugeFunc registers fn as the live value of the named series; the function
 // is sampled at export time. Re-registering the same series replaces the
 // function (an experiment harness rebuilds platforms; the freshest platform
@@ -271,31 +260,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is a settable instantaneous value. Nil receivers no-op.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
-
-// Value reports the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // HistogramBuckets is the fixed bucket count: bucket i counts observations
@@ -445,8 +409,6 @@ func (r *Registry) snapshots() []snapshot {
 			switch f.kind {
 			case kindCounter:
 				ss.value = float64(s.c.Value())
-			case kindGauge:
-				ss.value = s.g.Value()
 			case kindGaugeFunc:
 				if s.fn != nil {
 					ss.value = s.fn()

@@ -15,15 +15,12 @@ func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
 		t.Fatal("nil registry reports enabled")
 	}
 	c := r.Counter("x", "", NoLabels)
-	g := r.Gauge("x", "", NoLabels)
 	h := r.Histogram("x", "", NoLabels)
 	r.GaugeFunc("x", "", NoLabels, func() float64 { return 1 })
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
-	g.Add(1)
 	h.Observe(100)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil instruments recorded something")
 	}
 	var b bytes.Buffer
@@ -38,7 +35,7 @@ func TestNilRegistryAndInstrumentsNoOp(t *testing.T) {
 	}
 }
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := New()
 	c := r.Counter("nesc_test_total", "help", VFLabel(1))
 	c.Inc()
@@ -48,12 +45,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	if again := r.Counter("nesc_test_total", "help", VFLabel(1)); again != c {
 		t.Fatal("second lookup returned a different series")
-	}
-	g := r.Gauge("nesc_test_gauge", "", VFQOp(2, 1, "read"))
-	g.Set(2.5)
-	g.Add(-0.5)
-	if g.Value() != 2 {
-		t.Fatalf("gauge = %v, want 2", g.Value())
 	}
 }
 
@@ -213,7 +204,7 @@ func parsePromText(t *testing.T, text string) map[string]float64 {
 func TestPrometheusExport(t *testing.T) {
 	r := New()
 	r.Counter("nesc_reqs_total", "requests completed", VFQOp(1, 0, "read")).Add(7)
-	r.Gauge("nesc_depth", "", Labels{VF: 1, Q: 2}).Set(3.5)
+	r.GaugeFunc("nesc_depth", "", Labels{VF: 1, Q: 2}, func() float64 { return 3.5 })
 	h := r.Histogram("nesc_lat_ns", "stage latency", VFQOp(1, 0, "write"))
 	h.Observe(1)
 	h.Observe(3)
@@ -311,7 +302,7 @@ func TestFamilyKindMismatchPanics(t *testing.T) {
 	}()
 	r := New()
 	r.Counter("nesc_x", "", NoLabels)
-	r.Gauge("nesc_x", "", NoLabels)
+	r.Histogram("nesc_x", "", NoLabels)
 }
 
 func TestSeriesCapOverridePreservesOp(t *testing.T) {

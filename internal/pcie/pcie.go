@@ -26,16 +26,6 @@ import (
 // transaction, so — exactly as in the paper — it is unforgeable by clients.
 type FnID uint16
 
-// BDF is the conventional bus:device:function rendering of a routing ID.
-type BDF struct{ Bus, Dev, Fn uint8 }
-
-func (b BDF) String() string { return fmt.Sprintf("%02x:%02x.%x", b.Bus, b.Dev, b.Fn) }
-
-// BDF decodes a routing ID into bus/device/function fields.
-func (id FnID) BDF() BDF {
-	return BDF{Bus: uint8(id >> 8), Dev: uint8(id>>3) & 0x1f, Fn: uint8(id) & 0x7}
-}
-
 // Device is the fabric-facing interface a PCIe endpoint implements. MMIO
 // handlers run in engine context and must not block; long operations are
 // modeled by scheduling further events.

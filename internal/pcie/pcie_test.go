@@ -32,17 +32,6 @@ func newFabric() (*Fabric, *sim.Engine, *hostmem.Memory) {
 	return New(eng, mem, DefaultParams()), eng, mem
 }
 
-func TestFnIDBDF(t *testing.T) {
-	id := FnID(0x0123)
-	bdf := id.BDF()
-	if bdf.Bus != 0x01 || bdf.Dev != 0x04 || bdf.Fn != 0x3 {
-		t.Fatalf("BDF = %+v", bdf)
-	}
-	if got := bdf.String(); got != "01:04.3" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
 func TestRegisterFunctionAssignsSequentialIDs(t *testing.T) {
 	f, _, _ := newFabric()
 	pf := f.RegisterFunction("nesc-pf")

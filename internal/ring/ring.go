@@ -1,8 +1,10 @@
 // Package ring defines the NeSC queue-pair protocol: the submission/completion
 // wire format, the producer/consumer index arithmetic, the doorbell coherence
-// rule, and the completion-status vocabulary. The device (internal/core), the
-// guest VF driver, and the hypervisor's PF driver (internal/guest, shared) all
-// consume this one definition, so the two sides of the wire cannot drift.
+// rule, the completion-status vocabulary, and (regs.go) the register map and
+// MSI vector numbering. The device (internal/core), the guest VF driver, and
+// the hypervisor's PF driver (internal/guest, shared) all consume this one
+// definition, so the two sides of the wire cannot drift and neither imports
+// the other.
 //
 // Protocol summary (paper §IV-C, Fig. 6, generalized to N queue pairs per
 // function):
@@ -88,6 +90,20 @@ const (
 
 // OpCode strips the flag bits from an op field.
 func OpCode(op uint32) uint32 { return op & OpCodeMask }
+
+// OpName renders an opcode (flag bits ignored) as the op label every telemetry
+// sink keys on, so device- and driver-side credits land in the same rows.
+func OpName(op uint32) string {
+	switch OpCode(op) {
+	case OpRead:
+		return "read"
+	case OpWrite:
+		return "write"
+	case OpVerify:
+		return "verify"
+	}
+	return "other"
+}
 
 // Completion status codes.
 const (
@@ -178,12 +194,6 @@ func EncodeDescriptorPI(b []byte, op, id uint32, lba uint64, count uint32, buf i
 	binary.BigEndian.PutUint32(b[16:], count)
 	binary.BigEndian.PutUint32(b[20:], guard)
 	binary.BigEndian.PutUint64(b[24:], uint64(buf))
-}
-
-// DecodeDescriptor parses a request descriptor.
-func DecodeDescriptor(b []byte) (op, id uint32, lba uint64, count uint32, buf int64) {
-	op, id, lba, count, buf, _ = DecodeDescriptorPI(b)
-	return
 }
 
 // DecodeDescriptorPI parses a request descriptor including its guard word.

@@ -5,8 +5,8 @@ import "testing"
 func TestDescriptorRoundTrip(t *testing.T) {
 	var b [DescBytes]byte
 	EncodeDescriptor(b[:], OpWrite, 77, 0xdeadbeefcafe, 9, 0x7ffff000)
-	op, id, lba, count, buf := DecodeDescriptor(b[:])
-	if op != OpWrite || id != 77 || lba != 0xdeadbeefcafe || count != 9 || buf != 0x7ffff000 {
+	op, id, lba, count, buf, guard := DecodeDescriptorPI(b[:])
+	if op != OpWrite || id != 77 || lba != 0xdeadbeefcafe || count != 9 || buf != 0x7ffff000 || guard != 0 {
 		t.Fatalf("round trip mangled: op=%d id=%d lba=%#x count=%d buf=%#x", op, id, lba, count, buf)
 	}
 }

@@ -28,10 +28,6 @@ func NewLink(e *Engine, bytesPerSec float64, latency Time, overheadBytes int64) 
 	return &Link{eng: e, bytesPerSec: bytesPerSec, latency: latency, overhead: overheadBytes}
 }
 
-// SetBandwidth reconfigures the link bandwidth (used by throttled-device
-// sweeps). Applies to transfers issued after the call.
-func (l *Link) SetBandwidth(bps float64) { l.bytesPerSec = bps }
-
 // Transfer moves n payload bytes across the link and invokes done when the
 // last byte (plus propagation latency) has arrived. Multiple in-flight
 // transfers queue behind one another at the serialization point.

@@ -94,7 +94,7 @@ func (vm *VM) leg(what string) (hypervisor.Leg, error) {
 func (vm *VM) Name() string { return vm.name }
 
 // Backend reports the storage virtualization method in use.
-func (vm *VM) Backend() Backend { return Backend(vm.vm.Kind.String()) }
+func (vm *VM) Backend() Backend { return Backend(vm.vm.Cfg.Backend.String()) }
 
 // DiskSize reports the virtual disk size in bytes.
 func (vm *VM) DiskSize() int64 {
