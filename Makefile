@@ -2,7 +2,7 @@ GO ?= go
 
 # Determinism-gated experiments: each <exp>-det target (generated below)
 # replays experiment <exp> twice and diffs against results/<exp>.json.
-DET_EXPS := fabric scale grayfail slo dedup
+DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
 .PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest profile counts cover
@@ -55,11 +55,17 @@ crash:
 	$(GO) test -run 'TestCrash' -v .
 	$(GO) test -run 'TestJournalCrashSweep' -v ./internal/extfs
 
-# fuzz-smoke runs each native fuzz target for ten seconds on top of its
-# checked-in corpus (testdata/fuzz). One target so far: the extent-tree walk
-# step over node bytes the host wrote.
+# fuzz-smoke runs every native fuzz target it finds for ten seconds on top of
+# its checked-in corpus (testdata/fuzz): the extent-tree walk step over node
+# bytes the host wrote, and the controller's fetch stage over descriptor bytes
+# the guest wrote. `go test -fuzz` takes one target in one package per run.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzStep -fuzztime 10s ./internal/extent
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # hostmem-long runs the allocator's differential test against its reference
 # model at full size (200k steps, ≈ 15 s); `go test` runs the 40k-step size.
@@ -135,6 +141,7 @@ cover:
 #   grayfail - fail-slow injection, hedged reads, deadline + admission control
 #   slo      - latency attribution, burn alerts, anomaly scoreboard
 #   dedup    - content-addressed tier (dedup ratio, first touch, fleet fork)
+#   mq, integrity, snapshot, spans - the other checked-in results/<exp>.json
 .PHONY: $(DET_TARGETS)
 define det-rule
 $(1)-det:

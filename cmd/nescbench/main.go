@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"nesc/internal/bench"
@@ -38,8 +39,8 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, e := range bench.All() {
-			fmt.Printf("%-12s %s\n", e.Name, e.Title)
+		for _, e := range bench.Registry() {
+			fmt.Printf("%-12s %s\n", e.Name, e.Label())
 		}
 		return
 	}
@@ -70,27 +71,57 @@ func main() {
 		exps = []bench.Experiment{e}
 	}
 
-	for _, e := range exps {
-		start := time.Now()
-		tables, err := e.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.Name, err)
+	// Each experiment is an independent single-threaded simulation, so they
+	// run one per CPU — unless a sink is armed: the sinks are shared across
+	// experiments and single-threaded, and what they accumulate depends on the
+	// order. Output is in registry order either way.
+	workers := runtime.GOMAXPROCS(0)
+	if tel.Metrics != nil || tel.Spans != nil || tel.Attrib != nil {
+		workers = 1
+	}
+	type result struct {
+		tables []*stats.Table
+		err    error
+		took   time.Duration
+	}
+	results := make([]chan result, len(exps))
+	for i := range results {
+		results[i] = make(chan result, 1)
+	}
+	next := make(chan int, len(exps)) // every index, queued up front
+	for i := range exps {
+		next <- i
+	}
+	close(next)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for i := range next {
+				start := time.Now()
+				tables, err := exps[i].Run(cfg)
+				results[i] <- result{tables, err, time.Since(start)}
+			}
+		}()
+	}
+	for i, e := range exps {
+		r := <-results[i]
+		if r.err != nil {
+			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", e.Name, r.err)
 			os.Exit(1)
 		}
-		for _, t := range tables {
-			if *csv {
+		if *csv {
+			for _, t := range r.tables {
 				fmt.Print(t.CSV())
-			} else {
-				fmt.Println(t.String())
 			}
+		} else {
+			fmt.Print(bench.Render(r.tables))
 		}
 		if *jsonDir != "" {
-			if err := writeJSON(*jsonDir, e.Name, tables); err != nil {
+			if err := writeJSON(*jsonDir, e.Name, r.tables); err != nil {
 				fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.Name, err)
 				os.Exit(1)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "[%s done in %v]\n\n", e.Name, r.took.Round(time.Millisecond))
 	}
 	if reg := tel.Metrics; reg != nil {
 		if err := writeFile(*metricsOut, reg.WritePrometheus); err != nil {

@@ -123,7 +123,6 @@ func TestCrashRecoveryHarness(t *testing.T) {
 	base := 3 * time.Millisecond
 	step := 731 * time.Microsecond
 	for i := 0; i < points; i++ {
-		i := i
 		t.Run(fmt.Sprintf("point%02d", i), func(t *testing.T) {
 			t.Parallel() // every point is its own pair of simulations
 			crashOnce(t, base+time.Duration(i)*step, uint64(i)*0x9e3779b9+7)

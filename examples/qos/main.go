@@ -32,7 +32,6 @@ func run(weights [2]int) ([2]float64, error) {
 		var bytes [2]int64
 		var tasks []*nesc.Task
 		for i := 0; i < 2; i++ {
-			i := i
 			tasks = append(tasks, ctx.Go("load", func(tc *nesc.Ctx) error {
 				chunk := make([]byte, 64<<10)
 				var off int64

@@ -1,10 +1,6 @@
 package nesc
 
-import (
-	"strings"
-
-	"nesc/internal/bench"
-)
+import "nesc/internal/bench"
 
 // ExperimentInfo describes one regenerable paper artifact or ablation.
 type ExperimentInfo struct {
@@ -14,11 +10,12 @@ type ExperimentInfo struct {
 
 // Experiments lists every experiment the harness can regenerate: the
 // paper's Tables I–II and Figures 2, 9, 10, 11, 12, plus the ablations
-// documented in DESIGN.md.
+// documented in DESIGN.md. An experiment kept out of the golden "all" run
+// (its own artifact, its own determinism gate) says so in its title.
 func Experiments() []ExperimentInfo {
 	var out []ExperimentInfo
-	for _, e := range bench.All() {
-		out = append(out, ExperimentInfo{Name: e.Name, Title: e.Title})
+	for _, e := range bench.Registry() {
+		out = append(out, ExperimentInfo{Name: e.Name, Title: e.Label()})
 	}
 	return out
 }
@@ -34,10 +31,5 @@ func RunExperiment(name string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	for _, t := range tables {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	return b.String(), nil
+	return bench.Render(tables), nil
 }

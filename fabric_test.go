@@ -290,6 +290,91 @@ func TestFailedMigrationLeavesNothing(t *testing.T) {
 	} {
 		t.Run(tc.phase, func(t *testing.T) { failedMigration(t, tc.killAfter, tc.phase, tc.retry) })
 	}
+	t.Run("migration target VF", failedMigrationInsidePause)
+}
+
+// failedMigrationInsidePause fails the migration at its last fallible step,
+// after the client was paused: the destination has one VF and a plain VM holds
+// it, so the retargeted leg cannot be attached. The rollback must resume the
+// guest, remove the target image and leave no snapshot; once the squatter is
+// gone the same migration succeeds.
+func failedMigrationInsidePause(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Devices = 2
+	cfg.MediumMB = 16
+	cfg.NumVFs = 1
+	cfg.Fault = &FaultPlan{Seed: 42}
+	s := New(cfg)
+	err := s.Run(func(ctx *Ctx) error {
+		if err := ctx.CreateImageOn(0, "/mig.img", 7, 1<<20, false); err != nil {
+			return err
+		}
+		if err := ctx.CreateImageOn(1, "/squat.img", 8, 64<<10, false); err != nil {
+			return err
+		}
+		vm, err := ctx.StartMirroredVM("mig", "/mig.img", 7, []int{0}, MirrorConfig{})
+		if err != nil {
+			return err
+		}
+		squatter, err := ctx.StartVMOn(1, "squatter", BackendNeSC, "/squat.img", 8)
+		if err != nil {
+			return err
+		}
+		const stripe = 4096
+		buf, got := make([]byte, stripe), make([]byte, stripe)
+		for slot := 0; slot < 16; slot++ {
+			fillPattern(buf, int64(slot)+100)
+			if err := vm.WriteAt(ctx, buf, int64(slot)*stripe); err != nil {
+				return err
+			}
+		}
+		if _, err := vm.Migrate(ctx, 0, 1); err == nil || !strings.Contains(err.Error(), "migration target VF") {
+			return fmt.Errorf("migration onto a device with no free VF: %v, want a migration target VF error", err)
+		}
+		// The client was paused when the step failed: a write completes only
+		// if the rollback resumed it.
+		fillPattern(buf, 300)
+		if err := vm.WriteAt(ctx, buf, 0); err != nil {
+			return fmt.Errorf("write after the failed migration: %w", err)
+		}
+		if _, err := ctx.StatHost("/mig.img.migrating"); err == nil {
+			return fmt.Errorf("the migration snapshot is still on the source")
+		}
+		dst, err := ctx.device(1)
+		if err != nil {
+			return err
+		}
+		if _, err := dst.HostFS.Stat(ctx.proc, "/mig.img", 0); err == nil {
+			return fmt.Errorf("the target image is still on the destination")
+		}
+		if st := vm.FabricStatus(); len(st) != 1 || st[0].Dev != 0 {
+			return fmt.Errorf("the leg moved: %+v", st)
+		}
+		squatter.Stop(ctx)
+		if _, err := vm.Migrate(ctx, 0, 1); err != nil {
+			return fmt.Errorf("migration retried after the squatter stopped: %w", err)
+		}
+		if st := vm.FabricStatus(); st[0].Dev != 1 {
+			return fmt.Errorf("leg not retargeted by the retry: %+v", st)
+		}
+		for slot := 0; slot < 16; slot++ {
+			seed := int64(slot) + 100
+			if slot == 0 {
+				seed = 300 // rewritten after the failed attempt
+			}
+			fillPattern(buf, seed)
+			if err := vm.ReadAt(ctx, got, int64(slot)*stripe); err != nil || !bytes.Equal(got, buf) {
+				return fmt.Errorf("slot %d after the retried migration: err %v, intact %v", slot, err, bytes.Equal(got, buf))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := s.FabricStats(); fs.Migrations != 1 {
+		t.Fatalf("%d migrations counted, want 1: only the one that succeeded", fs.Migrations)
+	}
 }
 
 func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry bool) {

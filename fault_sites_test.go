@@ -367,7 +367,6 @@ func TestFaultSiteDelayTable(t *testing.T) {
 		if !meaningful {
 			continue
 		}
-		site := site
 		t.Run(site.String(), func(t *testing.T) {
 			plan := &FaultPlan{Seed: 0xDE1A7}
 			plan.Sites[site] = FaultSiteParams{DelayProb: 1, Delay: sim.Time(extra)}

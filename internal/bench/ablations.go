@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
@@ -39,55 +40,31 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: BTLB size (8 VFs streaming concurrently, 4KB reads)",
 		"BTLB entries", "", "hit rate", "walk node reads/op", "aggregate MB/s")
 	const vms = 8
-	for _, entries := range []int{0, 1, 2, 4, 8, 16, 64} {
-		entries := entries
-		c := cfg
-		c.Core.BTLBEntries = entries
-		pl := NewPlatform(c)
-		d := pl.Hyp.Device(0)
-		var chunks int64
-		var aggregate float64
-		err := pl.Run(func(p *sim.Proc) error {
-			wg := sim.NewWaitGroup(pl.Eng)
-			var firstErr error
+	err := eachPoint(cfg, []int{0, 1, 2, 4, 8, 16, 64}, func(c *Config, entries int) { c.Core.BTLBEntries = entries },
+		func(p *sim.Proc, pl *Platform, entries int) error {
+			var aggregate float64
+			load := pl.fanOut()
 			for i := 0; i < vms; i++ {
 				path := fmt.Sprintf("/b%d.img", i)
-				if err := d.MkImage(p, path, uint32(i+1), 4096, false); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
-				})
+				_, tgt, err := pl.directVM(p, path, path, uint32(i+1), 4096, false)
 				if err != nil {
 					return err
 				}
-				wg.Add(1)
-				pl.Eng.Go("btlb-load", func(q *sim.Proc) {
-					defer wg.Done()
-					tgt := NewVMRawTarget(vm.Kernel)
+				load.Go("btlb-load", func(q *sim.Proc) error {
 					res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 1 << 20}).Run(q, tgt)
-					if err != nil {
-						if firstErr == nil {
-							firstErr = err
-						}
-						return
-					}
 					aggregate += res.BandwidthMBps()
+					return err
 				})
 			}
-			wg.WaitFor(p)
-			chunks = d.Ctl.ChunksDone
-			return firstErr
+			if err := load.Wait(p); err != nil {
+				return err
+			}
+			ctl := pl.Hyp.Device(0).Ctl
+			tbl.SetRow(fmt.Sprintf("%d", entries), ctl.BTLBStats.Rate(), float64(ctl.WalkNodeReads)/float64(ctl.ChunksDone), aggregate)
+			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		row := fmt.Sprintf("%d", entries)
-		tbl.Set(row, "hit rate", d.Ctl.BTLBStats.Rate())
-		if chunks > 0 {
-			tbl.Set(row, "walk node reads/op", float64(d.Ctl.WalkNodeReads)/float64(chunks))
-		}
-		tbl.Set(row, "aggregate MB/s", aggregate)
+	if err != nil {
+		return nil, err
 	}
 	tbl.Note("the paper's design point is 8 entries — one resident extent per recently serviced VF")
 	return []*stats.Table{tbl}, nil
@@ -98,36 +75,27 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 func AblationWalkOverlap(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: overlapped tree walks (BTLB disabled, random 1KB reads)",
 		"walkers", "", "latency us", "bandwidth MB/s")
-	for _, walkers := range []int{1, 2, 4} {
-		c := cfg
-		c.Core.Walkers = walkers
-		c.Core.BTLBEntries = 0 // expose the walk path
-		pl := NewPlatform(c)
-		err := pl.Run(func(p *sim.Proc) error {
+	err := eachPoint(cfg, []int{1, 2, 4},
+		func(c *Config, walkers int) {
+			c.Core.Walkers = walkers
+			c.Core.BTLBEntries = 0 // expose the walk path
+		},
+		func(p *sim.Proc, pl *Platform, walkers int) error {
 			if err := fragmentedImage(p, pl, "/frag.img", 1536); err != nil {
 				return err
 			}
-			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1,
-			})
+			_, tgt, err := pl.bootVM(p, "vm", "/frag.img", 1)
 			if err != nil {
 				return err
 			}
-			tgt := NewVMRawTarget(vm.Kernel)
 			res, err := (workload.DD{BlockBytes: 16384, TotalBytes: 1 << 20, Write: false}).Run(p, tgt)
 			if err != nil {
 				return err
 			}
-			row := fmt.Sprintf("%d", walkers)
-			tbl.Set(row, "latency us", res.MeanLatencyUs())
-			tbl.Set(row, "bandwidth MB/s", res.BandwidthMBps())
+			tbl.SetRow(fmt.Sprintf("%d", walkers), res.MeanLatencyUs(), res.BandwidthMBps())
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return []*stats.Table{tbl}, nil
+	return []*stats.Table{tbl}, err
 }
 
 // AblationTrampoline compares the prototype's trampoline-buffer mode against
@@ -136,12 +104,9 @@ func AblationWalkOverlap(cfg Config) ([]*stats.Table, error) {
 func AblationTrampoline(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: trampoline buffers (prototype) vs IOMMU DMA (real SR-IOV)",
 		"mode", "", "read MB/s", "write MB/s", "512B write us")
-	for _, mode := range []string{"trampoline", "iommu"} {
-		c := cfg
-		c.Hyp.UseIOMMU = mode == "iommu"
-		pl := NewPlatform(c)
-		err := pl.Run(func(p *sim.Proc) error {
-			tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
+	err := eachPoint(cfg, []string{"trampoline", "iommu"}, func(c *Config, mode string) { c.Hyp.UseIOMMU = mode == "iommu" },
+		func(p *sim.Proc, pl *Platform, mode string) error {
+			tgt, err := pl.RawTarget(p, BackendNeSC, rawImageBlocks)
 			if err != nil {
 				return err
 			}
@@ -157,16 +122,10 @@ func AblationTrampoline(cfg Config) ([]*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			tbl.Set(mode, "read MB/s", rd.BandwidthMBps())
-			tbl.Set(mode, "write MB/s", wr.BandwidthMBps())
-			tbl.Set(mode, "512B write us", small.MeanLatencyUs())
+			tbl.SetRow(mode, rd.BandwidthMBps(), wr.BandwidthMBps(), small.MeanLatencyUs())
 			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return []*stats.Table{tbl}, nil
+	return []*stats.Table{tbl}, err
 }
 
 // AblationPrune prunes growing fractions of a VF's extent tree and measures
@@ -174,39 +133,27 @@ func AblationTrampoline(cfg Config) ([]*stats.Table, error) {
 func AblationPrune(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: extent-tree pruning (random 1KB reads after prune)",
 		"nodes pruned", "", "resident KB", "mean latency us", "p99 latency us", "miss interrupts")
-	for _, maxNodes := range []int{0, 8, 32, 128, 100000} {
-		c := cfg
-		pl := NewPlatform(c)
-		d := pl.Hyp.Device(0)
-		maxNodes := maxNodes
-		err := pl.Run(func(p *sim.Proc) error {
-			if err := fragmentedImage(p, pl, "/frag.img", 1536); err != nil {
-				return err
-			}
-			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/frag.img", UID: 1,
-			})
-			if err != nil {
-				return err
-			}
-			freed := d.PruneVFTrees(maxNodes)
-			resident := d.VFTree(vm.Legs[0].VFIdx).ResidentBytes()
-			tgt := NewVMRawTarget(vm.Kernel)
-			sb := workload.SysbenchIO{FileBytes: tgt.Size(), Ops: 600, RequestBytes: 1024, ReadRatio: 1, Seed: 9}
-			res, err := sb.Run(p, tgt)
-			if err != nil {
-				return err
-			}
-			row := fmt.Sprintf("%d", freed)
-			tbl.Set(row, "resident KB", float64(resident)/1024)
-			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
-			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "miss interrupts", float64(pl.Hyp.MissInterrupts))
-			return nil
-		})
-		if err != nil {
-			return nil, err
+	err := eachPoint(cfg, []int{0, 8, 32, 128, 100000}, nil, func(p *sim.Proc, pl *Platform, maxNodes int) error {
+		if err := fragmentedImage(p, pl, "/frag.img", 1536); err != nil {
+			return err
 		}
+		vm, tgt, err := pl.bootVM(p, "vm", "/frag.img", 1)
+		if err != nil {
+			return err
+		}
+		d := pl.Hyp.Device(0)
+		freed := d.PruneVFTrees(maxNodes)
+		resident := d.VFTree(vm.Legs[0].VFIdx).ResidentBytes()
+		sb := workload.SysbenchIO{FileBytes: tgt.Size(), Ops: 600, RequestBytes: 1024, ReadRatio: 1, Seed: 9}
+		res, err := sb.Run(p, tgt)
+		if err != nil {
+			return err
+		}
+		tbl.SetRow(fmt.Sprintf("%d", freed), float64(resident)/1024, res.MeanLatencyUs(), res.Lat.Percentile(99), float64(pl.Hyp.MissInterrupts))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	tbl.Note("pruning trades host memory for regeneration interrupts on first touch; the tail (p99) absorbs the cost")
 	return []*stats.Table{tbl}, nil
@@ -218,62 +165,33 @@ func AblationPrune(cfg Config) ([]*stats.Table, error) {
 func AblationFairness(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: round-robin fairness across concurrent VFs (32KB writes)",
 		"VMs", "", "aggregate MB/s", "min/VM", "max/VM", "max/min")
-	for _, n := range []int{1, 2, 4, 8} {
-		n := n
-		pl := NewPlatform(cfg)
+	err := eachPoint(cfg, []int{1, 2, 4, 8}, nil, func(p *sim.Proc, pl *Platform, n int) error {
 		bws := make([]float64, n)
-		err := pl.Run(func(p *sim.Proc) error {
-			wg := sim.NewWaitGroup(pl.Eng)
-			var firstErr error
-			for i := 0; i < n; i++ {
-				i := i
-				path := fmt.Sprintf("/vm%d.img", i)
-				if err := pl.Hyp.Device(0).MkImage(p, path, uint32(i+1), 8192, false); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
-				})
-				if err != nil {
-					return err
-				}
-				wg.Add(1)
-				pl.Eng.Go("load", func(q *sim.Proc) {
-					defer wg.Done()
-					tgt := NewVMRawTarget(vm.Kernel)
-					res, err := (workload.DD{BlockBytes: 32768, TotalBytes: 2 << 20, Write: true}).Run(q, tgt)
-					if err != nil && firstErr == nil {
-						firstErr = err
-						return
-					}
-					bws[i] = res.BandwidthMBps()
-				})
+		load := pl.fanOut()
+		for i := range bws {
+			path := fmt.Sprintf("/vm%d.img", i)
+			_, tgt, err := pl.directVM(p, path, path, uint32(i+1), 8192, false)
+			if err != nil {
+				return err
 			}
-			wg.WaitFor(p)
-			return firstErr
-		})
-		if err != nil {
-			return nil, err
+			load.Go("load", func(q *sim.Proc) error {
+				res, err := (workload.DD{BlockBytes: 32768, TotalBytes: 2 << 20, Write: true}).Run(q, tgt)
+				bws[i] = res.BandwidthMBps()
+				return err
+			})
 		}
-		minB, maxB, sum := bws[0], bws[0], 0.0
+		if err := load.Wait(p); err != nil {
+			return err
+		}
+		sum := 0.0
 		for _, b := range bws {
-			if b < minB {
-				minB = b
-			}
-			if b > maxB {
-				maxB = b
-			}
 			sum += b
 		}
-		row := fmt.Sprintf("%d", n)
-		tbl.Set(row, "aggregate MB/s", sum)
-		tbl.Set(row, "min/VM", minB)
-		tbl.Set(row, "max/VM", maxB)
-		if minB > 0 {
-			tbl.Set(row, "max/min", maxB/minB)
-		}
-	}
-	return []*stats.Table{tbl}, nil
+		minB, maxB := slices.Min(bws), slices.Max(bws)
+		tbl.SetRow(fmt.Sprintf("%d", n), sum, minB, maxB, maxB/minB)
+		return nil
+	})
+	return []*stats.Table{tbl}, err
 }
 
 // AblationQoS gives two competing VMs different I/O weights and verifies
@@ -283,70 +201,50 @@ func AblationFairness(cfg Config) ([]*stats.Table, error) {
 func AblationQoS(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: QoS weights across two competing VFs (32KB writes)",
 		"weights (vm0:vm1)", "", "vm0 MB/s", "vm1 MB/s", "achieved ratio")
-	for _, weights := range [][2]int{{1, 1}, {2, 1}, {4, 1}, {8, 1}} {
-		weights := weights
-		pl := NewPlatform(cfg)
-		var bws [2]float64
-		err := pl.Run(func(p *sim.Proc) error {
-			// Create both VMs before any load starts, then measure both over
-			// the same fixed window of sustained contention.
-			var vms [2]*hypervisor.VM
-			for i := 0; i < 2; i++ {
-				path := fmt.Sprintf("/q%d.img", i)
-				if err := pl.Hyp.Device(0).MkImage(p, path, uint32(i+1), 16384, false); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: uint32(i + 1),
-					IOWeight: weights[i],
-				})
-				if err != nil {
-					return err
-				}
-				vms[i] = vm
+	err := eachPoint(cfg, [][2]int{{1, 1}, {2, 1}, {4, 1}, {8, 1}}, nil, func(p *sim.Proc, pl *Platform, weights [2]int) error {
+		// Create both VMs before any load starts, then measure both over
+		// the same fixed window of sustained contention.
+		var tgts [2]workload.ByteTarget
+		for i := range tgts {
+			path := fmt.Sprintf("/q%d.img", i)
+			var err error
+			_, tgts[i], err = pl.directVM(p, path, path, uint32(i+1), 16384, false,
+				func(c *hypervisor.VMConfig) { c.IOWeight = weights[i] })
+			if err != nil {
+				return err
 			}
-			wg := sim.NewWaitGroup(pl.Eng)
-			var firstErr error
-			var done [2]int64
-			stop := false
-			for i := 0; i < 2; i++ {
-				i := i
-				wg.Add(1)
-				pl.Eng.Go("qos-load", func(q *sim.Proc) {
-					defer wg.Done()
-					tgt := NewVMRawTarget(vms[i].Kernel)
-					for !stop {
-						if _, err := (workload.DD{BlockBytes: 32768, TotalBytes: 256 << 10, Write: true}).Run(q, tgt); err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
-						}
-						done[i] += 256 << 10
+		}
+		var done [2]int64
+		stop := false
+		load := pl.fanOut()
+		for i, tgt := range tgts {
+			load.Go("qos-load", func(q *sim.Proc) error {
+				for !stop {
+					if _, err := (workload.DD{BlockBytes: 32768, TotalBytes: 256 << 10, Write: true}).Run(q, tgt); err != nil {
+						return err
 					}
-				})
-			}
-			const warmup, window = 2 * sim.Millisecond, 10 * sim.Millisecond
-			p.Sleep(warmup)
-			var base [2]int64
-			base[0], base[1] = done[0], done[1]
-			p.Sleep(window)
-			for i := 0; i < 2; i++ {
-				bws[i] = float64(done[i]-base[i]) / 1e6 / window.Seconds()
-			}
-			stop = true
-			wg.WaitFor(p)
-			return firstErr
-		})
-		if err != nil {
-			return nil, err
+					done[i] += 256 << 10
+				}
+				return nil
+			})
 		}
-		row := fmt.Sprintf("%d:%d", weights[0], weights[1])
-		tbl.Set(row, "vm0 MB/s", bws[0])
-		tbl.Set(row, "vm1 MB/s", bws[1])
-		if bws[1] > 0 {
-			tbl.Set(row, "achieved ratio", bws[0]/bws[1])
+		const warmup, window = 2 * sim.Millisecond, 10 * sim.Millisecond
+		p.Sleep(warmup)
+		base := done
+		p.Sleep(window)
+		var bws [2]float64
+		for i := range bws {
+			bws[i] = float64(done[i]-base[i]) / 1e6 / window.Seconds()
 		}
+		stop = true
+		if err := load.Wait(p); err != nil {
+			return err
+		}
+		tbl.SetRow(fmt.Sprintf("%d:%d", weights[0], weights[1]), bws[0], bws[1], bws[0]/bws[1])
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	tbl.Note("the DMA engine serves VFs with work-conserving deficit round robin: equal weights split the device evenly;")
 	tbl.Note("higher weights push the favored VF toward its standalone peak while the other VF absorbs only the slack")
@@ -358,45 +256,32 @@ func AblationQoS(cfg Config) ([]*stats.Table, error) {
 func AblationOOB(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: PF out-of-band channel under VF load (PF 4KB reads)",
 		"VF load", "", "PF latency us")
-	for _, loaded := range []bool{false, true} {
-		loaded := loaded
-		pl := NewPlatform(cfg)
-		err := pl.Run(func(p *sim.Proc) error {
-			if loaded {
-				if err := pl.Hyp.Device(0).MkImage(p, "/load.img", 1, 16384, false); err != nil {
-					return err
-				}
-				vm, err := pl.Hyp.NewVM(p, "load", hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: "/load.img", UID: 1,
-				})
-				if err != nil {
-					return err
-				}
-				pl.Eng.Go("vf-load", func(q *sim.Proc) {
-					tgt := NewVMRawTarget(vm.Kernel)
-					for i := 0; i < 200; i++ {
-						if _, err := (workload.DD{BlockBytes: 64 << 10, TotalBytes: 64 << 10, Write: true}).Run(q, tgt); err != nil {
-							return
-						}
-					}
-				})
-				p.Sleep(200 * sim.Microsecond) // let the load ramp up
-			}
-			tgt := NewHostRawTarget(pl.Hyp.Device(0))
-			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 512 << 10, StartOffset: 100 << 20 % (pl.Cfg.MediumBlocks * 1024)}).Run(p, tgt)
+	err := eachPoint(cfg, []string{"idle", "saturated"}, nil, func(p *sim.Proc, pl *Platform, load string) error {
+		if load == "saturated" {
+			_, tgt, err := pl.directVM(p, "load", "/load.img", 1, 16384, false)
 			if err != nil {
 				return err
 			}
-			row := "idle"
-			if loaded {
-				row = "saturated"
-			}
-			tbl.Set(row, "PF latency us", res.MeanLatencyUs())
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			// Not waited for: the PF is measured while this is still running.
+			pl.Eng.Go("vf-load", func(q *sim.Proc) {
+				for i := 0; i < 200; i++ {
+					if _, err := (workload.DD{BlockBytes: 64 << 10, TotalBytes: 64 << 10, Write: true}).Run(q, tgt); err != nil {
+						return
+					}
+				}
+			})
+			p.Sleep(200 * sim.Microsecond) // let the load ramp up
 		}
+		tgt := NewHostRawTarget(pl.Hyp.Device(0))
+		res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 512 << 10, StartOffset: 100 << 20 % (pl.Cfg.MediumBlocks * 1024)}).Run(p, tgt)
+		if err != nil {
+			return err
+		}
+		tbl.SetRow(load, res.MeanLatencyUs())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	tbl.Note("the PF shares the medium with the VFs, so some slowdown remains; the OOB channel removes queueing behind translation")
 	return []*stats.Table{tbl}, nil
@@ -408,36 +293,17 @@ func AblationOOB(cfg Config) ([]*stats.Table, error) {
 func AblationLazyAlloc(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: lazy allocation (4KB writes to a NeSC VF)",
 		"image", "", "mean latency us", "p99 latency us", "miss interrupts")
-	for _, sparse := range []bool{false, true} {
-		sparse := sparse
-		pl := NewPlatform(cfg)
-		err := pl.Run(func(p *sim.Proc) error {
-			if err := pl.Hyp.Device(0).MkImage(p, "/lazy.img", 1, 16384, sparse); err != nil {
-				return err
-			}
-			vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/lazy.img", UID: 1,
-			})
-			if err != nil {
-				return err
-			}
-			tgt := NewVMRawTarget(vm.Kernel)
-			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 4 << 20, Write: true}).Run(p, tgt)
-			if err != nil {
-				return err
-			}
-			row := "preallocated"
-			if sparse {
-				row = "sparse (lazy)"
-			}
-			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
-			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "miss interrupts", float64(pl.Hyp.MissInterrupts))
-			return nil
-		})
+	err := eachPoint(cfg, []string{"preallocated", "sparse (lazy)"}, nil, func(p *sim.Proc, pl *Platform, image string) error {
+		_, tgt, err := pl.directVM(p, "vm", "/lazy.img", 1, 16384, image != "preallocated")
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	return []*stats.Table{tbl}, nil
+		res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 4 << 20, Write: true}).Run(p, tgt)
+		if err != nil {
+			return err
+		}
+		tbl.SetRow(image, res.MeanLatencyUs(), res.Lat.Percentile(99), float64(pl.Hyp.MissInterrupts))
+		return nil
+	})
+	return []*stats.Table{tbl}, err
 }

@@ -289,9 +289,16 @@ func TestAblationOOBShape(t *testing.T) {
 }
 
 func TestExperimentRegistryRunsEverything(t *testing.T) {
-	names := Names()
-	if len(names) < 13 {
-		t.Fatalf("registry has %d experiments", len(names))
+	if n := len(Registry()); n < 13 {
+		t.Fatalf("registry has %d experiments", n)
+	}
+	// One slice: the golden set is the registry minus its extras, and an
+	// extra is still reachable by name.
+	if all, reg := All(), Registry(); len(all) != len(reg)-1 || !reg[len(reg)-1].Extra {
+		t.Fatalf("All() has %d of the registry's %d experiments; want all but the one extra, listed last", len(all), len(reg))
+	}
+	if e, err := ByName("dedup"); err != nil || !e.Extra {
+		t.Fatalf("ByName(dedup) = extra %v, err %v", e.Extra, err)
 	}
 	if _, err := ByName("fig9"); err != nil {
 		t.Fatal(err)
@@ -348,7 +355,7 @@ func TestPlatformDeterminism(t *testing.T) {
 		pl := NewPlatform(DefaultConfig())
 		var elapsed sim.Time
 		err := pl.Run(func(p *sim.Proc) error {
-			tgt, err := pl.rawTarget(p, BackendNeSC, 16*1024)
+			tgt, err := pl.RawTarget(p, BackendNeSC, 16*1024)
 			if err != nil {
 				return err
 			}

@@ -65,11 +65,8 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 		"images sealed", "", "logical blocks", "unique chunks", "dedup ratio", "dedup hits")
 	const imageBlocks = 512
 	cfg.CAS = true
-	pl := NewPlatform(cfg)
-	d := pl.Hyp.Device(0)
-	bs := cfg.Core.BlockSize
-	err := pl.Run(func(p *sim.Proc) error {
-		report := map[int]bool{1: true, 2: true, 4: true, 8: true}
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		d := pl.Hyp.Device(0)
 		for i := 0; i < 8; i++ {
 			path := fmt.Sprintf("/variant%d.img", i)
 			if err := d.MkImage(p, path, 1, imageBlocks, true); err != nil {
@@ -77,10 +74,9 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 			}
 			// Every 8th block is this variant's own divergence (installed
 			// packages, host keys); the rest is the shared base content.
-			img := i
-			err := dedupFillImage(p, d.HostFS, path, 1, imageBlocks, bs, func(b int) int64 {
+			err := dedupFillImage(p, d.HostFS, path, 1, imageBlocks, cfg.Core.BlockSize, func(b int) int64 {
 				if b%8 == 0 {
-					return int64(1000*(img+1) + b)
+					return int64(1000*(i+1) + b)
 				}
 				return int64(b)
 			})
@@ -90,19 +86,14 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 			if _, err := pl.CAS.SealImage(p, d, path, fmt.Sprintf("variant%d", i), 1); err != nil {
 				return err
 			}
-			if !report[i+1] {
-				continue
+			if n := i + 1; n&(n-1) == 0 { // report after 1, 2, 4 and 8 images
+				st := pl.CAS.Store.Stats()
+				tbl.SetRow(fmt.Sprintf("%d", n), float64(st.BlocksLogical), float64(st.ChunksLive), pl.CAS.Store.DedupRatio(), float64(st.DedupHits))
 			}
-			st := pl.CAS.Store.Stats()
-			row := fmt.Sprintf("%d", i+1)
-			tbl.Set(row, "logical blocks", float64(st.BlocksLogical))
-			tbl.Set(row, "unique chunks", float64(st.ChunksLive))
-			tbl.Set(row, "dedup ratio", pl.CAS.Store.DedupRatio())
-			tbl.Set(row, "dedup hits", float64(st.DedupHits))
 		}
 		st := pl.CAS.Store.Stats()
-		tbl.Note(fmt.Sprintf("remote tier carried %d chunk payloads in %d batched PUT round trip(s) for %d logical blocks",
-			st.ChunksLive, st.RemotePuts, st.BlocksLogical))
+		tbl.Note("remote tier carried %d chunk payloads in %d batched PUT round trip(s) for %d logical blocks",
+			st.ChunksLive, st.RemotePuts, st.BlocksLogical)
 		return nil
 	})
 	if err != nil {
@@ -118,11 +109,9 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 	const imageBlocks = 256
 	cfg.CAS = true
 	cfg.CASCacheChunks = 1024 // hold the whole image: the warm pass must never evict
-	pl := NewPlatform(cfg)
-	d := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
-	total := int64(imageBlocks) * int64(bs)
-	err := pl.Run(func(p *sim.Proc) error {
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		d := pl.Hyp.Device(0)
 		if err := d.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
@@ -135,29 +124,26 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 		if _, err := pl.CAS.SealImage(p, d, "/master.img", "golden", 1); err != nil {
 			return err
 		}
+		// pass reads the whole disk of vm through a fresh target; a nil vm is
+		// first forked from the golden image at path and booted.
 		pass := func(row, path string, vm *hypervisor.VM) (*hypervisor.VM, error) {
 			if vm == nil {
 				if err := pl.CAS.ForkImage(p, d, "golden", path, 1); err != nil {
 					return nil, err
 				}
-				nvm, err := pl.Hyp.NewVM(p, row, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1,
-				})
-				if err != nil {
+				var err error
+				if vm, _, err = pl.bootVM(p, row, path, 1); err != nil {
 					return nil, err
 				}
-				vm = nvm
 			}
 			preF := pl.CAS.Store.Stats().RemoteFetches
 			preH := pl.CAS.CacheStats().Hits
-			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: total}).Run(p, NewVMRawTarget(vm.Kernel))
+			res, err := (workload.DD{BlockBytes: 4096, TotalBytes: int64(imageBlocks * bs)}).Run(p, NewVMRawTarget(vm.Kernel))
 			if err != nil {
 				return nil, err
 			}
-			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
-			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "remote fetches", float64(pl.CAS.Store.Stats().RemoteFetches-preF))
-			tbl.Set(row, "cache hits", float64(pl.CAS.CacheStats().Hits-preH))
+			tbl.SetRow(row, res.MeanLatencyUs(), res.Lat.Percentile(99),
+				float64(pl.CAS.Store.Stats().RemoteFetches-preF), float64(pl.CAS.CacheStats().Hits-preH))
 			return vm, nil
 		}
 		cold, err := pass("cold fork (remote fetch)", "/cold.img", nil)
@@ -167,10 +153,8 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 		if _, err := pass("warm fork (cache hit)", "/warm.img", nil); err != nil {
 			return err
 		}
-		if _, err := pass("materialized re-read", "", cold); err != nil {
-			return err
-		}
-		return nil
+		_, err = pass("materialized re-read", "", cold)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -187,10 +171,9 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 	const hosts = 8
 	cfg.CAS = true
 	cfg.NumDevices = hosts
-	pl := NewPlatform(cfg)
-	d0 := pl.Hyp.Device(0)
 	bs := cfg.Core.BlockSize
-	err := pl.Run(func(p *sim.Proc) error {
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		d0 := pl.Hyp.Device(0)
 		if err := d0.MkImage(p, "/golden.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
@@ -207,26 +190,24 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 		sealTime := p.Now() - sealStart
 		// Fork onto every host: metadata-only, so not one chunk payload may
 		// cross the fabric until a guest touches a block.
-		var forkTotal, forkMax sim.Time
+		var forkMax sim.Time
 		forkStart := p.Now()
 		for i := 0; i < hosts; i++ {
 			t0 := p.Now()
 			if err := pl.CAS.ForkImage(p, pl.Hyp.Device(i), "golden", "/guest.img", 1); err != nil {
 				return err
 			}
-			if ft := p.Now() - t0; ft > forkMax {
-				forkMax = ft
-			}
+			forkMax = max(forkMax, p.Now()-t0)
 		}
-		forkTotal = p.Now() - forkStart
+		forkTotal := p.Now() - forkStart
 		if f := pl.CAS.Store.Stats().RemoteFetches; f != 0 {
 			return fmt.Errorf("fork moved %d chunk payloads; provisioning must be metadata-only", f)
 		}
-		tbl.Set("seal us (1024 blocks)", "value", float64(sealTime)/1000)
-		tbl.Set("mean fork us per host", "value", float64(forkTotal)/hosts/1000)
-		tbl.Set("max fork us", "value", float64(forkMax)/1000)
-		tbl.Set("chunk payloads moved at fork", "value", 0)
-		tbl.Set("dedup ratio after 8 forks", "value", pl.CAS.Store.DedupRatio())
+		tbl.SetRow("seal us (1024 blocks)", float64(sealTime)/1000)
+		tbl.SetRow("mean fork us per host", float64(forkTotal)/hosts/1000)
+		tbl.SetRow("max fork us", float64(forkMax)/1000)
+		tbl.SetRow("chunk payloads moved at fork", 0)
+		tbl.SetRow("dedup ratio after 8 forks", pl.CAS.Store.DedupRatio())
 		// Every host boots a guest and first-touches its own 128 KB working
 		// set, verifying the materialized content bit-exactly.
 		const touchBlocks = 128
@@ -234,10 +215,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 		got := make([]byte, int(touchBlocks)*bs)
 		touchStart := p.Now()
 		for i := 0; i < hosts; i++ {
-			vm, err := pl.Hyp.NewVM(p, fmt.Sprintf("guest%d", i), hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/guest.img", UID: 1,
-				Device: i,
-			})
+			vm, _, err := pl.bootVM(p, fmt.Sprintf("guest%d", i), "/guest.img", 1, func(c *hypervisor.VMConfig) { c.Device = i })
 			if err != nil {
 				return err
 			}
@@ -255,12 +233,12 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 		}
 		touchTime := p.Now() - touchStart
 		st := pl.CAS.Store.Stats()
-		tbl.Set("first-touch blocks per host", "value", touchBlocks)
-		tbl.Set("mean first-touch us per host", "value", float64(touchTime)/hosts/1000)
-		tbl.Set("remote fetches after first touch", "value", float64(st.RemoteFetches))
-		tbl.Set("materializations after first touch", "value", float64(pl.CAS.Materializations))
-		tbl.Note(fmt.Sprintf("8 hosts reference %d logical blocks backed by %d unique chunks; fork time is refcounts plus one metadata PUT",
-			st.BlocksLogical, st.ChunksLive))
+		tbl.SetRow("first-touch blocks per host", touchBlocks)
+		tbl.SetRow("mean first-touch us per host", float64(touchTime)/hosts/1000)
+		tbl.SetRow("remote fetches after first touch", float64(st.RemoteFetches))
+		tbl.SetRow("materializations after first touch", float64(pl.CAS.Materializations))
+		tbl.Note("8 hosts reference %d logical blocks backed by %d unique chunks; fork time is refcounts plus one metadata PUT",
+			st.BlocksLogical, st.ChunksLive)
 		return nil
 	})
 	if err != nil {

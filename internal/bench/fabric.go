@@ -6,6 +6,7 @@ import (
 
 	"nesc/internal/fabric"
 	"nesc/internal/fault"
+	"nesc/internal/guest"
 	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
@@ -46,22 +47,47 @@ func fabricFill(p []byte, seed int64) {
 	}
 }
 
+// mirroredVM is directVM's mirrored form: the image is made on every listed
+// device, and the guest's one disk is a synchronous mirror over a VF of each.
+func (pl *Platform) mirroredVM(p *sim.Proc, name, path string, uid uint32, blocks uint64, devices []int, fc fabric.Config) (*hypervisor.VM, error) {
+	for _, di := range devices {
+		if err := pl.Hyp.Device(di).MkImage(p, path, uid, blocks, false); err != nil {
+			return nil, err
+		}
+	}
+	return pl.Mirrors.NewMirroredVM(p, name, hypervisor.VMConfig{
+		Backend: hypervisor.BackendDirect, DiskPath: path, UID: uid,
+	}, devices, fc)
+}
+
+// lostStripes reads stripes [0, slots) of the guest's disk back and counts
+// those that do not hold the content seedOf names (ok false: never written,
+// skipped). Always in slot order: ranging over a map of what was written
+// would randomize the simulated read sequence and break byte-identical output.
+func lostStripes(p *sim.Proc, k *guest.Kernel, slots int, seedOf func(slot int) (seed int64, ok bool)) int {
+	lost := 0
+	want := make([]byte, fabricStripe)
+	got := make([]byte, fabricStripe)
+	for s := 0; s < slots; s++ {
+		seed, ok := seedOf(s)
+		if !ok {
+			continue
+		}
+		fabricFill(want, seed)
+		if err := k.ReadBytes(p, int64(s)*fabricStripe, got); err != nil || !bytes.Equal(got, want) {
+			lost++
+		}
+	}
+	return lost
+}
+
 func fabricFailover(cfg Config) (*stats.Table, error) {
 	tbl := stats.NewTable("Fabric: 3-way mirror failover (kill one device mid-workload, resilver on revive)",
 		"phase", "", "writes acked", "mean write us", "lost writes")
 	cfg.NumDevices = 3
 	cfg.Fault = &fault.Plan{Seed: 7}
-	pl := NewPlatform(cfg)
-	err := pl.Run(func(p *sim.Proc) error {
-		const fileBlocks = 1024 // 1 MB image
-		for _, d := range pl.Hyp.Devices() {
-			if err := d.MkImage(p, "/fab.img", 1, fileBlocks, false); err != nil {
-				return err
-			}
-		}
-		vm, err := pl.Mirrors.NewMirroredVM(p, "fab", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/fab.img", UID: 1,
-		}, []int{0, 1, 2}, fabric.Config{
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		vm, err := pl.mirroredVM(p, "fab", "/fab.img", 1, 1024, []int{0, 1, 2}, fabric.Config{
 			SuspectThreshold: 2, FailThreshold: 3, RecoverThreshold: 3,
 			RegionBlocks: 32, ResilverInterval: 20 * sim.Microsecond,
 		})
@@ -69,42 +95,24 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 			return err
 		}
 		const slots = 64
-		final := make(map[int64]int64)
+		final := make(map[int]int64) // slot -> seed of its last acknowledged write
 		buf := make([]byte, fabricStripe)
-		want := make([]byte, fabricStripe)
-		got := make([]byte, fabricStripe)
 		seedBase := int64(0)
 		pass := func(row string, writes int) error {
 			var total sim.Time
 			for i := 0; i < writes; i++ {
-				off := int64(i%slots) * fabricStripe
 				seed := seedBase + int64(i)
 				fabricFill(buf, seed)
 				start := p.Now()
-				if err := vm.Kernel.WriteBytes(p, off, buf); err != nil {
+				if err := vm.Kernel.WriteBytes(p, int64(i%slots)*fabricStripe, buf); err != nil {
 					return fmt.Errorf("%s write %d: %w", row, i, err)
 				}
 				total += p.Now() - start
-				final[off] = seed
+				final[i%slots] = seed
 			}
 			seedBase += int64(writes)
-			lost := 0
-			// Verify in slot order: map-range order would randomize the
-			// simulated read sequence and break byte-identical output.
-			for s := 0; s < slots; s++ {
-				off := int64(s) * fabricStripe
-				seed, ok := final[off]
-				if !ok {
-					continue
-				}
-				fabricFill(want, seed)
-				if err := vm.Kernel.ReadBytes(p, off, got); err != nil || !bytes.Equal(got, want) {
-					lost++
-				}
-			}
-			tbl.Set(row, "writes acked", float64(writes))
-			tbl.Set(row, "mean write us", float64(total)/float64(writes)/1000)
-			tbl.Set(row, "lost writes", float64(lost))
+			lost := lostStripes(p, vm.Kernel, slots, func(s int) (int64, bool) { seed, ok := final[s]; return seed, ok })
+			tbl.SetRow(row, float64(writes), float64(total)/float64(writes)/1000, float64(lost))
 			return nil
 		}
 		if err := pass("healthy 3/3", 96); err != nil {
@@ -133,10 +141,10 @@ func fabricFailover(cfg Config) (*stats.Table, error) {
 			return err
 		}
 		fs := pl.Mirrors.Stats()
-		tbl.Note(fmt.Sprintf("failover latency (first error to fenced): %.1f us; degraded writes: %d; write failures: %d",
-			float64(fs.LastFailoverLatency)/1000, fs.DegradedWrites, fs.WriteFailures))
-		tbl.Note(fmt.Sprintf("resilver copied %d blocks in %d regions and restored full redundancy %d time(s)",
-			fs.ResilverBlocks, fs.ResilverRegions, fs.ResilverRestores))
+		tbl.Note("failover latency (first error to fenced): %.1f us; degraded writes: %d; write failures: %d",
+			float64(fs.LastFailoverLatency)/1000, fs.DegradedWrites, fs.WriteFailures)
+		tbl.Note("resilver copied %d blocks in %d regions and restored full redundancy %d time(s)",
+			fs.ResilverBlocks, fs.ResilverRegions, fs.ResilverRestores)
 		return nil
 	})
 	if err != nil {
@@ -151,70 +159,47 @@ func fabricMigration(cfg Config) (*stats.Table, error) {
 		"metric", "", "value")
 	cfg.NumDevices = 2
 	cfg.Fault = &fault.Plan{Seed: 7}
-	pl := NewPlatform(cfg)
-	err := pl.Run(func(p *sim.Proc) error {
-		const fileBlocks = 1024
-		if err := pl.Hyp.Device(0).MkImage(p, "/mig.img", 1, fileBlocks, false); err != nil {
-			return err
-		}
-		vm, err := pl.Mirrors.NewMirroredVM(p, "mig", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/mig.img", UID: 1,
-		}, []int{0}, fabric.Config{})
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		vm, err := pl.mirroredVM(p, "mig", "/mig.img", 1, 1024, []int{0}, fabric.Config{})
 		if err != nil {
 			return err
 		}
 		// A wide write span (192 slots = 12 dirty regions) forces the
 		// migration through its iterative pre-copy phase before converging.
 		const slots = 192
-		final := make(map[int64]int64)
-		writerDone := sim.NewSignal(pl.Eng)
-		var writerErr error
-		pl.Eng.Go("mig-writer", func(wp *sim.Proc) {
-			defer writerDone.Fire()
+		final := make(map[int]int64)
+		writer := pl.fanOut()
+		writer.Go("mig-writer", func(wp *sim.Proc) error {
 			buf := make([]byte, fabricStripe)
 			for i := 0; i < 256; i++ {
 				// Stride across the span so consecutive writes land in
 				// different migration regions — the worst case for pre-copy.
-				off := int64(i*37%slots) * fabricStripe
+				slot := i * 37 % slots
 				seed := int64(i) + 9000
 				fabricFill(buf, seed)
-				if err := vm.Kernel.WriteBytes(wp, off, buf); err != nil {
-					writerErr = fmt.Errorf("writer %d: %w", i, err)
-					return
+				if err := vm.Kernel.WriteBytes(wp, int64(slot)*fabricStripe, buf); err != nil {
+					return fmt.Errorf("writer %d: %w", i, err)
 				}
-				final[off] = seed
+				final[slot] = seed
 			}
+			return nil
 		})
 		p.Sleep(150 * sim.Microsecond)
 		rep, err := pl.Mirrors.Migrate(p, vm, 0, 1)
 		if err != nil {
 			return err
 		}
-		writerDone.Await(p)
-		if writerErr != nil {
-			return writerErr
+		if err := writer.Wait(p); err != nil {
+			return err
 		}
-		lost := 0
-		want := make([]byte, fabricStripe)
-		got := make([]byte, fabricStripe)
-		for s := 0; s < slots; s++ {
-			off := int64(s) * fabricStripe
-			seed, ok := final[off]
-			if !ok {
-				continue
-			}
-			fabricFill(want, seed)
-			if err := vm.Kernel.ReadBytes(p, off, got); err != nil || !bytes.Equal(got, want) {
-				lost++
-			}
-		}
-		tbl.Set("bulk copy blocks", "value", float64(rep.BulkBlocks))
-		tbl.Set("pre-copy passes", "value", float64(rep.Passes))
-		tbl.Set("pre-copy blocks", "value", float64(rep.PassBlocks))
-		tbl.Set("stop-and-copy blocks", "value", float64(rep.PauseBlocks))
-		tbl.Set("pause us", "value", float64(rep.Pause)/1000)
-		tbl.Set("total us", "value", float64(rep.Total)/1000)
-		tbl.Set("lost writes", "value", float64(lost))
+		lost := lostStripes(p, vm.Kernel, slots, func(s int) (int64, bool) { seed, ok := final[s]; return seed, ok })
+		tbl.SetRow("bulk copy blocks", float64(rep.BulkBlocks))
+		tbl.SetRow("pre-copy passes", float64(rep.Passes))
+		tbl.SetRow("pre-copy blocks", float64(rep.PassBlocks))
+		tbl.SetRow("stop-and-copy blocks", float64(rep.PauseBlocks))
+		tbl.SetRow("pause us", float64(rep.Pause)/1000)
+		tbl.SetRow("total us", float64(rep.Total)/1000)
+		tbl.SetRow("lost writes", float64(lost))
 		return nil
 	})
 	if err != nil {

@@ -34,84 +34,66 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 		{"NeSC - raw", BackendNeSC, false},
 		{"NeSC - FS", BackendNeSC, true},
 	}
-	for _, s := range setups {
-		s := s
-		pl := NewPlatform(cfg)
-		err := pl.Run(func(p *sim.Proc) error {
-			var tgt workload.ByteTarget
-			if !s.withFS {
-				var err error
-				tgt, err = pl.rawTarget(p, s.backend, rawImageBlocks)
-				if err != nil {
-					return err
-				}
-			} else {
-				// Guest filesystem on the virtual device. dd writes a fresh
-				// output file, so every write extends it: block allocation
-				// and inode updates ride on each request — the filesystem
-				// work whose device accesses the figure prices. The guest
-				// journal is off, matching ext4's batched (not per-write)
-				// journal commits at this timescale.
-				var vm *hypervisor.VM
-				var err error
-				if s.backend == BackendNeSC {
-					if err := pl.Hyp.Device(0).MkImage(p, "/fs-nesc.img", 1, rawImageBlocks, false); err != nil {
-						return err
-					}
-					vm, err = pl.Hyp.NewVM(p, "fs-nesc", hypervisor.VMConfig{
-						Backend: hypervisor.BackendDirect, DiskPath: "/fs-nesc.img", UID: 1,
-					})
-				} else {
-					vm, err = pl.Hyp.NewVM(p, "fs-virtio", hypervisor.VMConfig{
-						Backend: hypervisor.BackendVirtio, RawDevice: true,
-					})
-				}
-				if err != nil {
-					return err
-				}
-				gfs, err := vm.Kernel.Mount(p, true, extfs.Params{
-					InodeCount: 64, JournalBlocks: 32, Mode: extfs.JournalNone,
-				})
-				if err != nil {
-					return err
-				}
-				// Fresh output file per block size, written append-style.
-				for _, bs := range RawSizes {
-					f, err := gfs.Create(p, fmt.Sprintf("/dd-%d.out", bs), 0, 0o644)
-					if err != nil {
-						return err
-					}
-					ft := NewFileTarget(f)
-					dd := workload.DD{BlockBytes: bs, TotalBytes: ddTotal(bs, 1), Write: true}
-					// Size the file so sequential appends stay in range.
-					if err := f.Truncate(p, 0); err != nil {
-						return err
-					}
-					res, err := runAppendDD(p, ft, dd)
-					if err != nil {
-						return fmt.Errorf("%s bs=%d: %w", s.column, bs, err)
-					}
-					tbl.Set(SizeLabel(bs), s.column, res.MeanLatencyUs())
-				}
-				return nil
-			}
+	err := eachPoint(cfg, setups, nil, func(p *sim.Proc, pl *Platform, s setup) error {
+		if !s.withFS {
 			// Raw device: warm up, then measure in place.
+			tgt, err := pl.RawTarget(p, s.backend, rawImageBlocks)
+			if err != nil {
+				return err
+			}
 			if _, err := (workload.DD{BlockBytes: 4096, TotalBytes: 128 << 10, Write: true}).Run(p, tgt); err != nil {
 				return err
 			}
 			for _, bs := range RawSizes {
-				dd := workload.DD{BlockBytes: bs, TotalBytes: ddTotal(bs, 1), Write: true}
-				res, err := dd.Run(p, tgt)
+				res, err := (workload.DD{BlockBytes: bs, TotalBytes: ddTotal(bs, 1), Write: true}).Run(p, tgt)
 				if err != nil {
-					return fmt.Errorf("%s bs=%d: %w", s.column, bs, err)
+					return fmt.Errorf("bs=%d: %w", bs, err)
 				}
 				tbl.Set(SizeLabel(bs), s.column, res.MeanLatencyUs())
 			}
 			return nil
+		}
+		// Guest filesystem on the virtual device. dd writes a fresh output
+		// file, so every write extends it: block allocation and inode updates
+		// ride on each request — the filesystem work whose device accesses
+		// the figure prices. The guest journal is off, matching ext4's batched
+		// (not per-write) journal commits at this timescale.
+		var vm *hypervisor.VM
+		var err error
+		if s.backend == BackendNeSC {
+			vm, _, err = pl.directVM(p, "fs-nesc", "/fs-nesc.img", 1, rawImageBlocks, false)
+		} else {
+			vm, _, err = pl.rawDeviceVM(p, "fs-virtio", hypervisor.BackendVirtio)
+		}
+		if err != nil {
+			return err
+		}
+		gfs, err := vm.Kernel.Mount(p, true, extfs.Params{
+			InodeCount: 64, JournalBlocks: 32, Mode: extfs.JournalNone,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("setup %s: %w", s.column, err)
+			return err
 		}
+		// Fresh output file per block size, written append-style.
+		for _, bs := range RawSizes {
+			f, err := gfs.Create(p, fmt.Sprintf("/dd-%d.out", bs), 0, 0o644)
+			if err != nil {
+				return err
+			}
+			// Size the file so sequential appends stay in range.
+			if err := f.Truncate(p, 0); err != nil {
+				return err
+			}
+			res, err := runAppendDD(p, NewFileTarget(f), bs, ddTotal(bs, 1))
+			if err != nil {
+				return fmt.Errorf("bs=%d: %w", bs, err)
+			}
+			tbl.Set(SizeLabel(bs), s.column, res.MeanLatencyUs())
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The paper's headline deltas.
 	noteDelta := func(fsCol, rawCol, label string) {
@@ -132,20 +114,12 @@ func Fig11(cfg Config) ([]*stats.Table, error) {
 }
 
 // runAppendDD performs sequential appending writes (dd creating a new
-// output file), timing each write like workload.DD does.
-func runAppendDD(p *sim.Proc, ft workload.ByteTarget, dd workload.DD) (workload.Result, error) {
-	res := workload.Result{Name: fmt.Sprintf("dd-append bs=%d", dd.BlockBytes)}
-	count := dd.TotalBytes / int64(dd.BlockBytes)
-	start := p.Now()
-	for i := int64(0); i < count; i++ {
-		opStart := p.Now()
-		if err := ft.WriteAt(p, i*int64(dd.BlockBytes), dd.BlockBytes); err != nil {
-			return res, err
-		}
-		res.Ops++
-		res.Bytes += int64(dd.BlockBytes)
-		res.Lat.Add((p.Now() - opStart).Micros())
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
+// output file): workload.DD's measured loop over an offset sequence that
+// never wraps.
+func runAppendDD(p *sim.Proc, ft workload.ByteTarget, blockBytes int, totalBytes int64) (workload.Result, error) {
+	var res workload.Result
+	err := workload.Timed(p, &res, totalBytes/int64(blockBytes), int64(blockBytes), func(i int64) error {
+		return ft.WriteAt(p, i*int64(blockBytes), blockBytes)
+	})
+	return res, err
 }

@@ -56,19 +56,16 @@ func runApp(p *sim.Proc, app string, gfs *extfs.FS) (workload.Result, error) {
 	}
 }
 
-// Fig12App runs one application on one backend and returns its simulated
-// runtime — the figure's inner run, which the benchmarks call for single
-// points.
-func Fig12App(cfg Config, app, backend string) (sim.Time, error) {
-	pl := NewPlatform(cfg)
-	var elapsed sim.Time
-	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Hyp.Device(0).MkImage(p, "/app.img", 1, fig12ImageBlocks, false); err != nil {
-			return err
-		}
-		vm, err := pl.Hyp.NewVM(p, "app", hypervisor.VMConfig{
-			Backend: backendKind(backend), DiskPath: "/app.img", UID: 1,
-		})
+// appRun is one application on one backend: a point of Figure 12.
+type appRun struct{ app, backend string }
+
+// fig12Runs runs each point on a fresh platform and returns the simulated
+// runtimes.
+func fig12Runs(cfg Config, runs []appRun) (map[appRun]sim.Time, error) {
+	elapsed := map[appRun]sim.Time{}
+	err := eachPoint(cfg, runs, nil, func(p *sim.Proc, pl *Platform, r appRun) error {
+		vm, _, err := pl.directVM(p, "app", "/app.img", 1, fig12ImageBlocks, false,
+			func(c *hypervisor.VMConfig) { c.Backend = backendKind(r.backend) })
 		if err != nil {
 			return err
 		}
@@ -76,47 +73,43 @@ func Fig12App(cfg Config, app, backend string) (sim.Time, error) {
 		if err != nil {
 			return err
 		}
-		res, err := runApp(p, app, gfs)
-		if err != nil {
-			return err
-		}
-		elapsed = res.Elapsed
-		return nil
+		res, err := runApp(p, r.app, gfs)
+		elapsed[r] = res.Elapsed
+		return err
 	})
-	if err != nil {
-		return 0, fmt.Errorf("fig12 %s on %s: %w", app, backend, err)
-	}
-	return elapsed, nil
+	return elapsed, err
+}
+
+// Fig12App runs one application on one backend and returns its simulated
+// runtime — the figure's inner run, which the benchmarks call for single
+// points.
+func Fig12App(cfg Config, app, backend string) (sim.Time, error) {
+	elapsed, err := fig12Runs(cfg, []appRun{{app, backend}})
+	return elapsed[appRun{app, backend}], err
 }
 
 // Fig12 regenerates Figures 12a and 12b plus the absolute runtimes.
 func Fig12(cfg Config) ([]*stats.Table, error) {
-	elapsed := map[string]map[string]sim.Time{} // app -> backend -> runtime
-	for _, app := range Fig12Apps {
-		elapsed[app] = map[string]sim.Time{}
-	}
+	var runs []appRun
 	for _, backend := range VMBackends {
 		for _, app := range Fig12Apps {
-			t, err := Fig12App(cfg, app, backend)
-			if err != nil {
-				return nil, err
-			}
-			elapsed[app][backend] = t
+			runs = append(runs, appRun{app, backend})
 		}
 	}
-
+	elapsed, err := fig12Runs(cfg, runs)
+	if err != nil {
+		return nil, err
+	}
 	abs := stats.NewTable("Figure 12 (underlying data): application runtime", "application", "ms", VMBackends...)
 	a := stats.NewTable("Figure 12a: application speedup of NeSC over device emulation", "application", "x", "Speedup")
 	b := stats.NewTable("Figure 12b: application speedup of NeSC over virtio", "application", "x", "Speedup")
 	for _, app := range Fig12Apps {
 		for _, backend := range VMBackends {
-			abs.Set(app, backend, float64(elapsed[app][backend])/float64(sim.Millisecond))
+			abs.Set(app, backend, float64(elapsed[appRun{app, backend}])/float64(sim.Millisecond))
 		}
-		nesc := float64(elapsed[app][BackendNeSC])
-		if nesc > 0 {
-			a.Set(app, "Speedup", float64(elapsed[app][BackendEmul])/nesc)
-			b.Set(app, "Speedup", float64(elapsed[app][BackendVirt])/nesc)
-		}
+		nesc := float64(elapsed[appRun{app, BackendNeSC}])
+		a.SetRow(app, float64(elapsed[appRun{app, BackendEmul}])/nesc)
+		b.SetRow(app, float64(elapsed[appRun{app, BackendVirt}])/nesc)
 	}
 	a.Note("runtime ratio emulation/NeSC; >1 means NeSC is faster")
 	b.Note("runtime ratio virtio/NeSC; >1 means NeSC is faster")

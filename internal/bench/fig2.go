@@ -26,16 +26,13 @@ func Fig2(cfg Config) ([]*stats.Table, error) {
 	abs := stats.NewTable("Figure 2 (underlying data): achieved write bandwidth",
 		"device MB/s", "MB/s", "Direct", "virtio")
 	for _, mbps := range Fig2Bandwidths {
-		row := fmt.Sprintf("%.0f", mbps)
 		direct, vio, err := Fig2Point(cfg, mbps*1e6)
 		if err != nil {
 			return nil, err
 		}
-		abs.Set(row, "Direct", direct)
-		abs.Set(row, "virtio", vio)
-		if vio > 0 {
-			speed.Set(row, "Speedup", direct/vio)
-		}
+		row := fmt.Sprintf("%.0f", mbps)
+		abs.SetRow(row, direct, vio)
+		speed.SetRow(row, direct/vio)
 	}
 	speed.Note("direct assignment = identity-mapped NeSC VF (no hypervisor on the data path)")
 	speed.Note("the paper's ramdisk software cap (~3.6 GB/s) appears as Direct flattening at high device bandwidth")
@@ -47,51 +44,37 @@ func Fig2(cfg Config) ([]*stats.Table, error) {
 // and a virtio guest achieve on a device throttled to deviceBandwidth
 // (bytes/s).
 func Fig2Point(cfg Config, deviceBandwidth float64) (direct, vio float64, err error) {
-	// The throttled device in this experiment is a ramdisk, not the 1 GB/s
-	// PCIe prototype: remove the gen2 link and the prototype controller's
-	// channel count as bottlenecks so the sweep isolates the software
-	// overheads, as the paper's setup does.
-	cfg.PCIe.LinkBandwidth = 16e9
-	cfg.Medium.ReadLatency = 150 * sim.Nanosecond
-	cfg.Medium.WriteLatency = 150 * sim.Nanosecond
-	cfg.Core.DTUChannels = 16
-	cfg.Core.Walkers = 4
-	cfg.Medium.ReadBandwidth = deviceBandwidth
-	cfg.Medium.WriteBandwidth = deviceBandwidth
-
 	const ddBlock = 256 << 10
 	const ddTotalBytes = 8 << 20
-
-	for _, kind := range []hypervisor.BackendKind{hypervisor.BackendDirect, hypervisor.BackendVirtio} {
-		kind := kind
-		pl := NewPlatform(cfg)
-		var got float64
-		err := pl.Run(func(p *sim.Proc) error {
-			vm, err := pl.Hyp.NewVM(p, "fig2", hypervisor.VMConfig{
-				Backend: kind, RawDevice: true,
-			})
+	got := map[hypervisor.BackendKind]float64{}
+	err = eachPoint(cfg, []hypervisor.BackendKind{hypervisor.BackendDirect, hypervisor.BackendVirtio},
+		func(c *Config, _ hypervisor.BackendKind) {
+			// The throttled device in this experiment is a ramdisk, not the
+			// 1 GB/s PCIe prototype: remove the gen2 link and the prototype
+			// controller's channel count as bottlenecks so the sweep isolates
+			// the software overheads, as the paper's setup does.
+			c.PCIe.LinkBandwidth = 16e9
+			c.Medium.ReadLatency = 150 * sim.Nanosecond
+			c.Medium.WriteLatency = 150 * sim.Nanosecond
+			c.Core.DTUChannels = 16
+			c.Core.Walkers = 4
+			c.Medium.ReadBandwidth = deviceBandwidth
+			c.Medium.WriteBandwidth = deviceBandwidth
+		},
+		func(p *sim.Proc, pl *Platform, kind hypervisor.BackendKind) error {
+			_, tgt, err := pl.rawDeviceVM(p, "fig2", kind)
 			if err != nil {
 				return err
 			}
-			tgt := NewVMRawTarget(vm.Kernel)
 			if _, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddBlock, Write: true}).Run(p, tgt); err != nil {
 				return err
 			}
 			res, err := (workload.DD{BlockBytes: ddBlock, TotalBytes: ddTotalBytes, Write: true}).Run(p, tgt)
-			if err != nil {
-				return err
-			}
-			got = res.BandwidthMBps()
-			return nil
+			got[kind] = res.BandwidthMBps()
+			return err
 		})
-		if err != nil {
-			return 0, 0, fmt.Errorf("fig2 %.0f MB/s %v: %w", deviceBandwidth/1e6, kind, err)
-		}
-		if kind == hypervisor.BackendDirect {
-			direct = got
-		} else {
-			vio = got
-		}
+	if err != nil {
+		return 0, 0, fmt.Errorf("fig2 %.0f MB/s: %w", deviceBandwidth/1e6, err)
 	}
-	return direct, vio, nil
+	return got[hypervisor.BackendDirect], got[hypervisor.BackendVirtio], nil
 }

@@ -55,39 +55,31 @@ func rawSweep(cfg Config, sizes []int, backends []string, title, unit string,
 	metric func(workload.Result) float64) (read, write *stats.Table, err error) {
 	read = stats.NewTable(title+" — read", "block size", unit, backends...)
 	write = stats.NewTable(title+" — write", "block size", unit, backends...)
-	for _, backend := range backends {
-		backend := backend
-		pl := NewPlatform(cfg)
-		err = pl.Run(func(p *sim.Proc) error {
-			tgt, err := pl.rawTarget(p, backend, rawImageBlocks)
-			if err != nil {
-				return err
-			}
-			// Warm the data path (ring setup, first-touch costs).
-			if _, err := (workload.DD{BlockBytes: 4096, TotalBytes: 64 << 10, Write: true}).Run(p, tgt); err != nil {
-				return err
-			}
-			for _, bs := range sizes {
-				for _, wr := range []bool{false, true} {
-					dd := workload.DD{BlockBytes: bs, TotalBytes: ddTotal(bs, 1), Write: wr}
-					res, err := dd.Run(p, tgt)
-					if err != nil {
-						return fmt.Errorf("%s bs=%d write=%v: %w", backend, bs, wr, err)
-					}
-					tbl := read
-					if wr {
-						tbl = write
-					}
-					tbl.Set(SizeLabel(bs), backend, metric(res))
-				}
-			}
-			return nil
-		})
+	err = eachPoint(cfg, backends, nil, func(p *sim.Proc, pl *Platform, backend string) error {
+		tgt, err := pl.RawTarget(p, backend, rawImageBlocks)
 		if err != nil {
-			return nil, nil, fmt.Errorf("backend %s: %w", backend, err)
+			return err
 		}
-	}
-	return read, write, nil
+		// Warm the data path (ring setup, first-touch costs).
+		if _, err := (workload.DD{BlockBytes: 4096, TotalBytes: 64 << 10, Write: true}).Run(p, tgt); err != nil {
+			return err
+		}
+		for _, bs := range sizes {
+			for _, wr := range []bool{false, true} {
+				res, err := (workload.DD{BlockBytes: bs, TotalBytes: ddTotal(bs, 1), Write: wr}).Run(p, tgt)
+				if err != nil {
+					return fmt.Errorf("bs=%d write=%v: %w", bs, wr, err)
+				}
+				tbl := read
+				if wr {
+					tbl = write
+				}
+				tbl.Set(SizeLabel(bs), backend, metric(res))
+			}
+		}
+		return nil
+	})
+	return read, write, err
 }
 
 // Fig9 regenerates Figure 9: raw access latency (µs) for reads and writes.

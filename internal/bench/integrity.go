@@ -21,93 +21,25 @@ func integrityMix(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// randIO issues ops random aligned single-block requests against t. It is
-// the random counterpart of workload.DD, kept here because only this
-// ablation needs a pure random read or pure random write phase.
+// randIO issues ops random aligned single-block requests against t:
+// workload.DD's measured loop over a random offset sequence, kept here
+// because only this ablation needs a pure random read or write phase.
 func randIO(p *sim.Proc, t workload.ByteTarget, blockBytes, ops int, write bool, seed uint64) (workload.Result, error) {
-	res := workload.Result{Name: fmt.Sprintf("rand %s", map[bool]string{true: "write", false: "read"}[write])}
+	var res workload.Result
 	slots := t.Size() / int64(blockBytes)
 	if slots <= 0 {
 		return res, fmt.Errorf("bench: target smaller than one block")
 	}
 	state := seed
-	start := p.Now()
-	for i := 0; i < ops; i++ {
+	err := workload.Timed(p, &res, int64(ops), int64(blockBytes), func(int64) error {
 		state = integrityMix(state)
 		off := int64(state%uint64(slots)) * int64(blockBytes)
-		opStart := p.Now()
-		var err error
 		if write {
-			err = t.WriteAt(p, off, blockBytes)
-		} else {
-			err = t.ReadAt(p, off, blockBytes)
+			return t.WriteAt(p, off, blockBytes)
 		}
-		if err != nil {
-			return res, err
-		}
-		res.Ops++
-		res.Bytes += int64(blockBytes)
-		res.Lat.Add((p.Now() - opStart).Micros())
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
-}
-
-// integrityCell runs the four raw phases (seq read/write, rand read/write,
-// 4 KB requests on a direct NeSC VF) on one platform configuration and hands
-// each phase's result to set. Guards covers both the medium's read-side
-// guard verification and the wire-level protection information; scrub runs
-// the paced background scrubber for the whole measurement window.
-func integrityCell(cfg Config, guards, scrub bool, set func(phase string, res workload.Result)) (scrubBlocks int64, err error) {
-	qcfg := cfg
-	if !guards {
-		qcfg.Hyp.Ring.PIBlock = 0
-	}
-	pl := NewPlatform(qcfg)
-	if !guards {
-		pl.Hyp.Device(0).Ctl.Medium.SetGuardCheck(false)
-	}
-	err = pl.Run(func(p *sim.Proc) error {
-		tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
-		if err != nil {
-			return err
-		}
-		if scrub {
-			// Short verify strides: each stolen device slot stays brief, so
-			// the scrubber's head-of-line shadow on the foreground is one
-			// small read, not a 64-block sweep.
-			pl.Hyp.StartScrubber(hypervisor.ScrubConfig{BlocksPerReq: 8})
-		}
-		defer pl.Hyp.StopScrubber()
-
-		const bs = 4096
-		const total = 4 << 20
-		for _, phase := range []struct {
-			name  string
-			write bool
-		}{{"seq write", true}, {"seq read", false}} {
-			res, err := (workload.DD{BlockBytes: bs, TotalBytes: total, Write: phase.write}).Run(p, tgt)
-			if err != nil {
-				return err
-			}
-			set(phase.name, res)
-		}
-		for _, phase := range []struct {
-			name  string
-			write bool
-			seed  uint64
-		}{{"rand write", true, 0xA11CE}, {"rand read", false, 0xB0B}} {
-			res, err := randIO(p, tgt, bs, integrityOps, phase.write, phase.seed)
-			if err != nil {
-				return err
-			}
-			set(phase.name, res)
-		}
-		return nil
+		return t.ReadAt(p, off, blockBytes)
 	})
-	// Read the counter only after the engine drains: the scrubber proc
-	// accumulates its interrupted pass when the stop flag wakes it.
-	return pl.Hyp.ScrubBlocks, err
+	return res, err
 }
 
 // AblationIntegrity measures what end-to-end data integrity costs: per-block
@@ -118,54 +50,86 @@ func integrityCell(cfg Config, guards, scrub bool, set func(phase string, res wo
 // quantify "free by construction"; the scrub columns expose whatever
 // contention the scavenger-priority scrubber leaks into the foreground.
 //
+// Each cell runs four raw phases (seq write/read, rand write/read, 4 KB
+// requests on a direct NeSC VF) on its own platform. Guards covers both the
+// medium's read-side guard verification and the wire-level protection
+// information; scrub runs the paced background scrubber for the whole
+// measurement window.
+//
 // A second table isolates the tail: foreground random-read latency with and
 // without the scrubber sweeping underneath, mean/p50/p99.
 func AblationIntegrity(cfg Config) ([]*stats.Table, error) {
-	cells := []struct {
+	type cell struct {
 		col           string
 		guards, scrub bool
-	}{
-		{"no-integrity", false, false},
-		{"guards", true, false},
-		{"scrub-only", false, true},
-		{"guards+scrub", true, true},
+		tailCol       string // its column of the tail table, if it has one
 	}
-	var cols []string
-	for _, c := range cells {
-		cols = append(cols, c.col)
+	cells := []cell{
+		{"no-integrity", false, false, ""},
+		{"guards", true, false, "scrub off"},
+		{"scrub-only", false, true, ""},
+		{"guards+scrub", true, true, "scrub on"},
 	}
 	thr := stats.NewTable("Integrity ablation: guard tags x scrubber (4KB raw, direct VF)",
-		"workload", "MB/s", cols...)
-	var lats [2]workload.Result // rand read result with guards, scrub off/on
+		"workload", "MB/s", cells[0].col, cells[1].col, cells[2].col, cells[3].col)
+	tail := stats.NewTable("Scrubber foreground impact (rand 4KB reads, guards on)",
+		"latency", "us", cells[1].tailCol, cells[3].tailCol)
 	for _, c := range cells {
-		c := c
-		blocks, err := integrityCell(cfg, c.guards, c.scrub, func(phase string, res workload.Result) {
-			thr.Set(phase, c.col, res.BandwidthMBps())
-			if phase == "rand read" && c.guards {
-				if c.scrub {
-					lats[1] = res
+		qcfg := cfg
+		if !c.guards {
+			qcfg.Hyp.Ring.PIBlock = 0
+		}
+		// The scrubber process adds its interrupted pass to ScrubBlocks when
+		// the stop flag wakes it, so the counter is read off the drained
+		// platform: this experiment loops over runPoint itself.
+		pl, err := runPoint(qcfg, func(p *sim.Proc, pl *Platform) error {
+			// No read before this one can fail its guard: boot only formats.
+			pl.Hyp.Device(0).Ctl.Medium.SetGuardCheck(c.guards)
+			tgt, err := pl.RawTarget(p, BackendNeSC, rawImageBlocks)
+			if err != nil {
+				return err
+			}
+			if c.scrub {
+				// Short verify strides: each stolen device slot stays brief, so
+				// the scrubber's head-of-line shadow on the foreground is one
+				// small read, not a 64-block sweep.
+				pl.Hyp.StartScrubber(hypervisor.ScrubConfig{BlocksPerReq: 8})
+			}
+			defer pl.Hyp.StopScrubber()
+
+			const bs = 4096
+			for _, phase := range []struct {
+				name        string
+				rand, write bool
+				seed        uint64
+			}{{"seq write", false, true, 0}, {"seq read", false, false, 0}, {"rand write", true, true, 0xA11CE}, {"rand read", true, false, 0xB0B}} {
+				var res workload.Result
+				if phase.rand {
+					res, err = randIO(p, tgt, bs, integrityOps, phase.write, phase.seed)
 				} else {
-					lats[0] = res
+					res, err = (workload.DD{BlockBytes: bs, TotalBytes: 4 << 20, Write: phase.write}).Run(p, tgt)
+				}
+				if err != nil {
+					return err
+				}
+				thr.Set(phase.name, c.col, res.BandwidthMBps())
+				if phase.name == "rand read" && c.tailCol != "" {
+					tail.Set("mean", c.tailCol, res.Lat.Mean())
+					tail.Set("p50", c.tailCol, res.Lat.Percentile(50))
+					tail.Set("p99", c.tailCol, res.Lat.Percentile(99))
 				}
 			}
+			return nil
 		})
 		if err != nil {
 			return nil, fmt.Errorf("integrity cell %s: %w", c.col, err)
 		}
 		if c.scrub {
-			thr.Note("%s: scrubber verified %d blocks during the measurement window", c.col, blocks)
+			thr.Note("%s: scrubber verified %d blocks during the measurement window", c.col, pl.Hyp.ScrubBlocks)
 		}
 	}
 	thr.Note("guard tags are CRC-32C computed in the data path (no added virtual time); PI rides formerly-reserved descriptor fields")
 	thr.Note("the scrubber only wins device slots when the out-of-band and every VF queue are empty (scavenger priority)")
-
-	tail := stats.NewTable("Scrubber foreground impact (rand 4KB reads, guards on)",
-		"latency", "us", "scrub off", "scrub on")
-	for i, col := range []string{"scrub off", "scrub on"} {
-		tail.Set("mean", col, lats[i].Lat.Mean())
-		tail.Set("p50", col, lats[i].Lat.Percentile(50))
-		tail.Set("p99", col, lats[i].Lat.Percentile(99))
-	}
 	tail.Note("scavenger-priority scrubbing must not move the foreground tail; compare the p99 row")
 	return []*stats.Table{thr, tail}, nil
 }

@@ -32,80 +32,55 @@ var mqDepths = []int{1, 4, 16, 32}
 // at a fixed queue count, where the static hash's placement imbalance at
 // moderate depths becomes visible.
 func AblationMQ(cfg Config) ([]*stats.Table, error) {
-	queueCounts := []int{1, 2, 4, 8}
-	var cols []string
-	for _, q := range queueCounts {
-		cols = append(cols, fmt.Sprintf("q=%d", q))
+	// One point is one VF configuration: the queue-depth sweep runs on it and
+	// fills the point's column of tbl.
+	type point struct {
+		queues int
+		policy guest.Policy
+		tbl    *stats.Table
+		col    string
 	}
-	scale := stats.NewTable("Multi-queue scaling (4KB writes, direct VF)", "QD", "MB/s", cols...)
-	for _, queues := range queueCounts {
-		col := fmt.Sprintf("q=%d", queues)
-		served, err := mqSweep(cfg, queues, guest.PolicyLeastOccupied, func(qd int, mbps float64) {
-			scale.Set(fmt.Sprintf("%d", qd), col, mbps)
-		})
-		if err != nil {
-			return nil, err
-		}
-		scale.Note("q=%d per-queue requests served: %v", queues, served)
-	}
-	scale.Note("per-queue rings fixed at %d entries; columns are queue pairs per VF (least-occupied steering)", mqRingEntries)
-	scale.Note("fetch stage round-robins a function's queues under the inter-VF DRR mux")
-
-	policies := []guest.Policy{guest.PolicyHash, guest.PolicyLeastOccupied}
-	var pcols []string
-	for _, pol := range policies {
-		pcols = append(pcols, pol.String())
-	}
+	// The columns appear in point order as the points fill them.
+	scale := stats.NewTable("Multi-queue scaling (4KB writes, direct VF)", "QD", "MB/s")
 	const polQueues = 4
-	pol := stats.NewTable(fmt.Sprintf("Queue steering policy (q=%d, 4KB writes)", polQueues), "QD", "MB/s", pcols...)
-	for _, policy := range policies {
-		col := policy.String()
-		if _, err := mqSweep(cfg, polQueues, policy, func(qd int, mbps float64) {
-			pol.Set(fmt.Sprintf("%d", qd), col, mbps)
-		}); err != nil {
-			return nil, err
-		}
+	pol := stats.NewTable(fmt.Sprintf("Queue steering policy (q=%d, 4KB writes)", polQueues), "QD", "MB/s")
+	var points []point
+	for _, q := range []int{1, 2, 4, 8} {
+		points = append(points, point{q, guest.PolicyLeastOccupied, scale, fmt.Sprintf("q=%d", q)})
 	}
-	pol.Note("static hash can land several submitters on one ring at moderate depths; least-occupied tracks free slots")
-	return []*stats.Table{scale, pol}, nil
-}
-
-// mqSweep runs the queue-depth sweep on one platform with the given queue
-// count and steering policy, reporting per-depth bandwidth through set and
-// returning the per-queue request counts the device served.
-func mqSweep(cfg Config, queues int, policy guest.Policy, set func(qd int, mbps float64)) ([]int64, error) {
-	qcfg := cfg
-	qcfg.Core.QueuesPerVF = queues
-	pl := NewPlatform(qcfg)
-	d := pl.Hyp.Device(0)
-	var served []int64
-	err := pl.Run(func(p *sim.Proc) error {
-		if err := d.MkImage(p, "/vfdisk.img", 1, rawImageBlocks, false); err != nil {
-			return err
-		}
-		vm, err := pl.Hyp.NewVM(p, "mq", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/vfdisk.img", UID: 1,
-			VFRingEntries: mqRingEntries, VFQueuePolicy: policy,
-		})
-		if err != nil {
-			return err
-		}
-		tgt := NewVMRawTarget(vm.Kernel)
-		for _, qd := range mqDepths {
-			res, err := (workload.ParallelDD{BlockBytes: 4096, TotalBytes: 4 << 20, QD: qd, Write: true}).Run(p, tgt)
+	for _, policy := range []guest.Policy{guest.PolicyHash, guest.PolicyLeastOccupied} {
+		points = append(points, point{polQueues, policy, pol, policy.String()})
+	}
+	err := eachPoint(cfg, points, func(c *Config, pt point) { c.Core.QueuesPerVF = pt.queues },
+		func(p *sim.Proc, pl *Platform, pt point) error {
+			vm, tgt, err := pl.directVM(p, "mq", "/vfdisk.img", 1, rawImageBlocks, false, func(c *hypervisor.VMConfig) {
+				c.VFRingEntries, c.VFQueuePolicy = mqRingEntries, pt.policy
+			})
 			if err != nil {
 				return err
 			}
-			set(qd, res.BandwidthMBps())
-		}
-		vf := d.Ctl.VF(0)
-		for q := 0; q < queues; q++ {
-			served = append(served, vf.QueueReqs(q))
-		}
-		return nil
-	})
+			for _, qd := range mqDepths {
+				res, err := (workload.ParallelDD{BlockBytes: 4096, TotalBytes: 4 << 20, QD: qd, Write: true}).Run(p, tgt)
+				if err != nil {
+					return err
+				}
+				pt.tbl.Set(fmt.Sprintf("%d", qd), pt.col, res.BandwidthMBps())
+			}
+			if pt.tbl == scale {
+				vf := vm.Legs[0].Dev.Ctl.VF(vm.Legs[0].VFIdx)
+				var served []int64
+				for q := 0; q < pt.queues; q++ {
+					served = append(served, vf.QueueReqs(q))
+				}
+				scale.Note("q=%d per-queue requests served: %v", pt.queues, served)
+			}
+			return nil
+		})
 	if err != nil {
-		return nil, fmt.Errorf("mq q=%d %v: %w", queues, policy, err)
+		return nil, err
 	}
-	return served, nil
+	scale.Note("per-queue rings fixed at %d entries; columns are queue pairs per VF (least-occupied steering)", mqRingEntries)
+	scale.Note("fetch stage round-robins a function's queues under the inter-VF DRR mux")
+	pol.Note("static hash can land several submitters on one ring at moderate depths; least-occupied tracks free slots")
+	return []*stats.Table{scale, pol}, nil
 }

@@ -17,7 +17,7 @@ func TestTelemetryOffWriteAllocs(t *testing.T) {
 	pl := NewPlatform(DefaultConfig())
 	var allocs float64
 	err := pl.Run(func(p *sim.Proc) error {
-		tgt, err := pl.rawTarget(p, BackendNeSC, rawImageBlocks)
+		tgt, err := pl.RawTarget(p, BackendNeSC, rawImageBlocks)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"nesc/internal/guest"
 	"nesc/internal/ring"
@@ -38,125 +38,97 @@ const (
 	scaleFixedActive = 8 // active VFs in the configured sweep
 )
 
+// scaleCols are the readings scaleRun returns, in order.
+var scaleCols = []string{"p50 us/op", "device KB", "host KB", "Jain", "VFs built", "db skipped", "batches"}
+
 // Scale runs both sweeps.
 func Scale(cfg Config) ([]*stats.Table, error) {
-	cols := []string{"p50 us/op", "device KB", "host KB", "Jain", "VFs built", "db skipped", "batches"}
+	type point struct{ numVFs, active int }
+	sweep := func(tbl *stats.Table, points []point, row func(point) int) error {
+		return eachPoint(cfg, points, func(c *Config, pt point) { c.Core.NumVFs = pt.numVFs },
+			func(p *sim.Proc, pl *Platform, pt point) error {
+				vals, err := scaleRun(p, pl, pt.active)
+				if err == nil {
+					tbl.SetRow(fmt.Sprintf("%d", row(pt)), vals...)
+				}
+				return err
+			})
+	}
 	conf := stats.NewTable(
 		fmt.Sprintf("Massive tenancy: configured-VF sweep (%d active raw VFs, shadow doorbells, 4KB writes)", scaleFixedActive),
-		"NumVFs", "", cols...)
-	for _, v := range []int{16, 64, 256, 1024} {
-		r, err := scaleRun(cfg, v, scaleFixedActive)
-		if err != nil {
-			return nil, err
-		}
-		r.fill(conf, fmt.Sprintf("%d", v))
+		"NumVFs", "", scaleCols...)
+	if err := sweep(conf, []point{{16, scaleFixedActive}, {64, scaleFixedActive}, {256, scaleFixedActive}, {1024, scaleFixedActive}},
+		func(pt point) int { return pt.numVFs }); err != nil {
+		return nil, err
 	}
 	conf.Note("per-op p50 and both memory columns must be flat: configured-but-idle VFs are never materialized")
 	conf.Note("device KB is the controller's modeled state footprint; host KB is live host-memory allocations")
 
 	act := stats.NewTable(
 		"Massive tenancy: active-VF sweep at NumVFs=1024 (shadow doorbells, 4KB writes)",
-		"active", "", cols...)
-	for _, a := range []int{16, 256, 1024} {
-		r, err := scaleRun(cfg, 1024, a)
-		if err != nil {
-			return nil, err
-		}
-		r.fill(act, fmt.Sprintf("%d", a))
+		"active", "", scaleCols...)
+	if err := sweep(act, []point{{1024, 16}, {1024, 256}, {1024, 1024}}, func(pt point) int { return pt.active }); err != nil {
+		return nil, err
 	}
 	act.Note("memory scales with active tenants, not the 1024 configured; Jain fairness holds at full load")
 	act.Note("db skipped counts doorbell MMIOs elided by shadow batching; batches counts device fetches initiated from the shadow block")
 	return []*stats.Table{conf, act}, nil
 }
 
-type scaleResult struct {
-	p50us      float64
-	deviceKB   float64
-	hostKB     float64
-	jain       float64
-	built      int
-	dbSkipped  int64
-	shadowBats int64
-}
-
-func (r scaleResult) fill(t *stats.Table, row string) {
-	t.Set(row, "p50 us/op", r.p50us)
-	t.Set(row, "device KB", r.deviceKB)
-	t.Set(row, "host KB", r.hostKB)
-	t.Set(row, "Jain", r.jain)
-	t.Set(row, "VFs built", float64(r.built))
-	t.Set(row, "db skipped", float64(r.dbSkipped))
-	t.Set(row, "batches", float64(r.shadowBats))
-}
-
-// scaleRun assembles a platform with numVFs configured, provisions `active`
-// raw VFs, and drives a fixed per-VF write burst through shadow-armed ring
-// drivers (no VM boot: direct attachment, the accelerator configuration).
-func scaleRun(cfg Config, numVFs, active int) (scaleResult, error) {
-	cfg.Core.NumVFs = numVFs
-	pl := NewPlatform(cfg)
+// scaleRun provisions `active` raw VFs on pl and drives a fixed per-VF write
+// burst through shadow-armed ring drivers (no VM boot: direct attachment, the
+// accelerator configuration). It returns the scaleCols readings.
+func scaleRun(p *sim.Proc, pl *Platform, active int) ([]float64, error) {
 	d := pl.Hyp.Device(0)
 	var lats []sim.Time
-	err := pl.Run(func(p *sim.Proc) error {
-		wg := sim.NewWaitGroup(pl.Eng)
-		var firstErr error
-		for i := 0; i < active; i++ {
-			idx, err := d.CreateRawVF(p)
-			if err != nil {
-				return err
-			}
-			mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab, d.VFPageBus(idx),
-				guest.RingConfig{Entries: scaleRingEntries, SubmitTime: pl.Cfg.Hyp.Ring.SubmitTime})
-			if err != nil {
-				return err
-			}
-			if err := mq.ArmShadow(p); err != nil {
-				return err
-			}
-			d.RouteVFInterrupts(idx, mq)
-			// Disjoint LBA stripes keep tenants from touching the same
-			// blocks; the identity mapping makes any stripe valid.
-			base := uint64(i) * 64
-			for b := 0; b < scaleBurst; b++ {
-				b := b
-				wg.Add(1)
-				pl.Eng.Go(fmt.Sprintf("scale-vf%d-%d", idx, b), func(q *sim.Proc) {
-					defer wg.Done()
-					buf := pl.Mem.MustAlloc(4096, 64)
-					for k := 0; k < scaleOpsPerProc; k++ {
-						lba := base + uint64(b*scaleOpsPerProc+k)*4
-						start := q.Now()
-						st, err := mq.Submit(q, ring.OpWrite, lba, 4, buf)
-						if err == nil {
-							err = ring.StatusError(st)
-						}
-						if err != nil {
-							if firstErr == nil {
-								firstErr = err
-							}
-							return
-						}
-						lats = append(lats, q.Now()-start)
-					}
-				})
-			}
+	burst := pl.fanOut()
+	for i := 0; i < active; i++ {
+		idx, err := d.CreateRawVF(p)
+		if err != nil {
+			return nil, err
 		}
-		wg.WaitFor(p)
-		return firstErr
-	})
-	if err != nil {
-		return scaleResult{}, err
+		mq, err := guest.NewMultiQueue(p, pl.Eng, pl.Mem, pl.Fab, d.VFPageBus(idx),
+			guest.RingConfig{Entries: scaleRingEntries, SubmitTime: pl.Cfg.Hyp.Ring.SubmitTime})
+		if err != nil {
+			return nil, err
+		}
+		if err := mq.ArmShadow(p); err != nil {
+			return nil, err
+		}
+		d.RouteVFInterrupts(idx, mq)
+		// Disjoint LBA stripes keep tenants from touching the same
+		// blocks; the identity mapping makes any stripe valid.
+		base := uint64(i) * 64
+		for b := 0; b < scaleBurst; b++ {
+			burst.Go(fmt.Sprintf("scale-vf%d-%d", idx, b), func(q *sim.Proc) error {
+				buf := pl.Mem.MustAlloc(4096, 64)
+				for k := 0; k < scaleOpsPerProc; k++ {
+					lba := base + uint64(b*scaleOpsPerProc+k)*4
+					start := q.Now()
+					st, err := mq.Submit(q, ring.OpWrite, lba, 4, buf)
+					if err == nil {
+						err = ring.StatusError(st)
+					}
+					if err != nil {
+						return err
+					}
+					lats = append(lats, q.Now()-start)
+				}
+				return nil
+			})
+		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var res scaleResult
-	if n := len(lats); n > 0 {
-		res.p50us = float64(lats[n/2]) / float64(sim.Microsecond)
+	if err := burst.Wait(p); err != nil {
+		return nil, err
 	}
-	res.deviceKB = float64(d.Ctl.StateFootprint()) / 1024
-	res.hostKB = float64(pl.Mem.AllocBytes) / 1024
-	res.jain = d.Ctl.JainFairness()
-	res.built = d.Ctl.MaterializedVFs()
-	res.dbSkipped = pl.Hyp.RecoveryStats().DoorbellsSkipped
-	res.shadowBats = d.Ctl.ShadowBatches
-	return res, nil
+	slices.Sort(lats)
+	return []float64{
+		float64(lats[len(lats)/2]) / float64(sim.Microsecond),
+		float64(d.Ctl.StateFootprint()) / 1024,
+		float64(pl.Mem.AllocBytes) / 1024,
+		d.Ctl.JainFairness(),
+		float64(d.Ctl.MaterializedVFs()),
+		float64(pl.Hyp.RecoveryStats().DoorbellsSkipped),
+		float64(d.Ctl.ShadowBatches),
+	}, nil
 }

@@ -35,32 +35,73 @@ import (
 // clock without ever advancing it: the same workload with the layer off is
 // byte-identical (TestInstrumentationNeutrality covers that).
 func SLOExp(cfg Config) ([]*stats.Table, error) {
-	quiet, err := sloPassRun(cfg, false, false)
-	if err != nil {
-		return nil, fmt.Errorf("slo quiet: %w", err)
-	}
-	noisy, err := sloPassRun(cfg, true, false)
-	if err != nil {
-		return nil, fmt.Errorf("slo aggressor: %w", err)
-	}
-	pulse, err := sloPassRun(cfg, false, true)
-	if err != nil {
-		return nil, fmt.Errorf("slo pulse: %w", err)
-	}
-
 	attr := stats.NewTable("Observability: p99 explainer — where did the victim tenant's tail latency go",
 		"phase", "", "reads", "read p50 us", "read p99 us", "median us", "tail us", "dominant share %")
-	set := func(row string, r *sloPassResult) {
-		attr.Set(row, "reads", float64(r.lat.N()))
-		attr.Set(row, "read p50 us", r.lat.Percentile(50))
-		attr.Set(row, "read p99 us", r.lat.Percentile(99))
-		attr.Set(row, "median us", float64(r.ex.MedianNs)/1000)
-		attr.Set(row, "tail us", float64(r.ex.TailNs)/1000)
-		attr.Set(row, "dominant share %", 100*r.ex.DominantShare)
+	burn := stats.NewTable("Observability: per-tenant SLO engine through the fail-slow pulse (victim VF)",
+		"phase", "", "good", "bad", "budget used %", "alerts", "first alert us", "exhausted us", "events")
+	type pass struct {
+		row              string
+		aggressor, pulse bool
 	}
-	set("quiet baseline", quiet)
-	set("noisy aggressor", noisy)
-	set("fail-slow pulse", pulse)
+	// What the checks and notes below need of each pass beyond its table rows.
+	type verdict struct {
+		ex         slo.Explanation
+		st         slo.Status
+		burnEvents int64
+		lost       int
+	}
+	got := map[string]verdict{}
+	err := eachPoint(cfg, []pass{{"quiet baseline", false, false}, {"noisy aggressor", true, false}, {"fail-slow pulse", false, true}},
+		func(c *Config, _ pass) {
+			c.Fault = &fault.Plan{Seed: 23}
+			reg := c.Tel.Metrics
+			c.Tel.Board = slo.NewScoreboard(512, reg)
+			// Objective tuning: healthy paced reads finish in tens of µs, a
+			// fail-slow read costs ~300µs extra — so a 250µs latency target
+			// cleanly separates them. The windows are sized in degraded-read
+			// units: a chronically slow medium yields ~3 completions per ms,
+			// so the 1.2ms short window holds MinSamples during an incident
+			// while the 4ms long window refuses to fire on a single straggler.
+			c.Tel.SLO = slo.NewEngine(slo.Objective{
+				Latency:       250 * sim.Microsecond,
+				Goal:          0.90,
+				ShortWindow:   1200 * sim.Microsecond,
+				LongWindow:    4 * sim.Millisecond,
+				BurnThreshold: 3,
+				MinSamples:    4,
+			}, c.Tel.Board, reg)
+			c.Tel.Attrib = slo.NewAttributorOn(reg, 4096)
+		},
+		func(p *sim.Proc, pl *Platform, ps pass) error {
+			lat, lost, victimFn, err := sloVictimRun(p, pl, ps.aggressor, ps.pulse)
+			if err != nil {
+				return err
+			}
+			tel := pl.Cfg.Tel
+			v := verdict{burnEvents: tel.Board.Count(slo.EventSLOBurn), lost: lost}
+			var ok bool
+			if v.ex, ok = tel.Attrib.Explain(victimFn, "read"); !ok {
+				return fmt.Errorf("slo: no explanation for victim vf=%d op=read", victimFn)
+			}
+			for _, st := range tel.SLO.Status() {
+				if st.VF == victimFn {
+					v.st = st
+				}
+			}
+			if v.st.Good+v.st.Bad == 0 {
+				return fmt.Errorf("slo: engine tracked no completions for victim vf=%d", victimFn)
+			}
+			attr.SetRow(ps.row, float64(lat.N()), lat.Percentile(50), lat.Percentile(99),
+				float64(v.ex.MedianNs)/1000, float64(v.ex.TailNs)/1000, 100*v.ex.DominantShare)
+			burn.SetRow(ps.row, float64(v.st.Good), float64(v.st.Bad), 100*v.st.BudgetConsumed, float64(v.st.Alerts),
+				float64(v.st.FirstAlertAt)/1000, float64(v.st.ExhaustedAt)/1000, float64(tel.Board.Total()))
+			got[ps.row] = v
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	quiet, noisy, pulse := got["quiet baseline"], got["noisy aggressor"], got["fail-slow pulse"]
 
 	// The explainer must pinpoint the injected cause of each tail, not just
 	// report numbers: contention shows up as queue residence, a degraded
@@ -71,24 +112,9 @@ func SLOExp(cfg Config) ([]*stats.Table, error) {
 	if d := pulse.ex.Dominant; d != slo.SegmentName(slo.SegMedium) {
 		return nil, fmt.Errorf("slo: pulse-phase tail blamed on %q; want medium", d)
 	}
-	attr.Note(fmt.Sprintf("explainer verdicts: quiet=%q, aggressor=%q (+%dus vs median), pulse=%q (+%dus vs median)",
-		quiet.ex.Dominant, noisy.ex.Dominant, noisy.ex.DominantDeltaNs/1000, pulse.ex.Dominant, pulse.ex.DominantDeltaNs/1000))
-	attr.Note(fmt.Sprintf("tail request ids for flight cross-links: aggressor=%v pulse=%v", noisy.ex.TailReqIDs, pulse.ex.TailReqIDs))
-
-	burn := stats.NewTable("Observability: per-tenant SLO engine through the fail-slow pulse (victim VF)",
-		"phase", "", "good", "bad", "budget used %", "alerts", "first alert us", "exhausted us", "events")
-	setB := func(row string, r *sloPassResult) {
-		burn.Set(row, "good", float64(r.st.Good))
-		burn.Set(row, "bad", float64(r.st.Bad))
-		burn.Set(row, "budget used %", 100*r.st.BudgetConsumed)
-		burn.Set(row, "alerts", float64(r.st.Alerts))
-		burn.Set(row, "first alert us", float64(r.st.FirstAlertAt)/1000)
-		burn.Set(row, "exhausted us", float64(r.st.ExhaustedAt)/1000)
-		burn.Set(row, "events", float64(r.events))
-	}
-	setB("quiet baseline", quiet)
-	setB("noisy aggressor", noisy)
-	setB("fail-slow pulse", pulse)
+	attr.Note("explainer verdicts: quiet=%q, aggressor=%q (+%dus vs median), pulse=%q (+%dus vs median)",
+		quiet.ex.Dominant, noisy.ex.Dominant, noisy.ex.DominantDeltaNs/1000, pulse.ex.Dominant, pulse.ex.DominantDeltaNs/1000)
+	attr.Note("tail request ids for flight cross-links: aggressor=%v pulse=%v", noisy.ex.TailReqIDs, pulse.ex.TailReqIDs)
 
 	if quiet.st.Alerts != 0 {
 		return nil, fmt.Errorf("slo: quiet baseline fired %d burn alerts; want 0", quiet.st.Alerts)
@@ -110,166 +136,87 @@ func SLOExp(cfg Config) ([]*stats.Table, error) {
 	if pulse.st.ExhaustedAt > 0 {
 		exh = fmt.Sprintf("exhausted at %dus", int64(pulse.st.ExhaustedAt)/1000)
 	}
-	burn.Note(fmt.Sprintf("pulse pass: first burn alert at %dus, budget %s — the alert led the damage",
-		int64(pulse.st.FirstAlertAt)/1000, exh))
-	burn.Note(fmt.Sprintf("scoreboard (pulse pass): %d events total, %d slo-burn; every event carries the request id the flight recorder indexes by",
-		pulse.events, pulse.burnEvents))
+	burn.Note("pulse pass: first burn alert at %dus, budget %s — the alert led the damage", int64(pulse.st.FirstAlertAt)/1000, exh)
+	burn.Note("scoreboard (pulse pass): %.0f events total, %d slo-burn; every event carries the request id the flight recorder indexes by",
+		burn.MustGet("fail-slow pulse", "events"), pulse.burnEvents)
 	return []*stats.Table{attr, burn}, nil
 }
 
-// sloPassResult is one pass's harvest.
-type sloPassResult struct {
-	lat        *stats.Sampler
-	ex         slo.Explanation
-	st         slo.Status
-	events     int64
-	burnEvents int64
-	lost       int
-}
-
-// sloPassRun runs one paced victim reader on a single device, optionally
-// with an aggressor tenant or a mid-run fail-slow pulse, and harvests the
-// victim's attribution explanation, SLO status, and scoreboard counts.
-func sloPassRun(cfg Config, aggressor, pulse bool) (*sloPassResult, error) {
-	cfg.Fault = &fault.Plan{Seed: 23}
-	reg := cfg.Tel.Metrics
-	board := slo.NewScoreboard(512, reg)
-	// Objective tuning: healthy paced reads finish in tens of µs, a
-	// fail-slow read costs ~300µs extra — so a 250µs latency target cleanly
-	// separates them. The windows are sized in degraded-read units: a
-	// chronically slow medium yields ~3 completions per ms, so the 1.2ms
-	// short window holds MinSamples during an incident while the 4ms long
-	// window refuses to fire on a single straggler.
-	engine := slo.NewEngine(slo.Objective{
-		Latency:       250 * sim.Microsecond,
-		Goal:          0.90,
-		ShortWindow:   1200 * sim.Microsecond,
-		LongWindow:    4 * sim.Millisecond,
-		BurnThreshold: 3,
-		MinSamples:    4,
-	}, board, reg)
-	attrib := slo.NewAttributorOn(reg, 4096)
-	cfg.Tel.Attrib, cfg.Tel.SLO, cfg.Tel.Board = attrib, engine, board
-	pl := NewPlatform(cfg)
-	d := pl.Hyp.Device(0)
-	res := &sloPassResult{lat: &stats.Sampler{}}
-	var victimFn int
-	err := pl.Run(func(p *sim.Proc) error {
-		const fileBlocks = 1024
-		if err := d.MkImage(p, "/victim.img", 1, fileBlocks, false); err != nil {
-			return err
-		}
-		victim, err := pl.Hyp.NewVM(p, "victim", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/victim.img", UID: 1,
-		})
-		if err != nil {
-			return err
-		}
-		victimFn = victim.Legs[0].VFIdx + 1 // function index: 0 = PF, VF idx + 1
-		var agg *hypervisor.VM
-		if aggressor {
-			if err := d.MkImage(p, "/agg.img", 2, fileBlocks, false); err != nil {
-				return err
-			}
-			if agg, err = pl.Hyp.NewVM(p, "agg", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/agg.img", UID: 2,
-			}); err != nil {
-				return err
-			}
-		}
-		const slots = 64
-		bs := victim.Kernel.Drv.BlockSize()
-		stripeBlocks := int64(fabricStripe / bs)
-		buf := make([]byte, fabricStripe)
-		for s := 0; s < slots; s++ {
-			fabricFill(buf, int64(s))
-			if err := victim.Kernel.WriteBytes(p, int64(s)*fabricStripe, buf); err != nil {
-				return fmt.Errorf("fill %d: %w", s, err)
-			}
-		}
-
-		stop := false
-		aggDone := sim.NewSignal(pl.Eng)
-		if aggressor {
-			// Concurrent deep writer streams on the aggressor's VF keep the
-			// device's shared queues loaded for the whole victim run: each
-			// submission moves 4 stripes, so the medium never drains.
-			const aggWorkers = 8
-			remaining := aggWorkers
-			for w := 0; w < aggWorkers; w++ {
-				w := w
-				abuf := guest.AllocBuffer(pl.Mem, 4*fabricStripe)
-				pl.Eng.Go(fmt.Sprintf("slo-agg-%d", w), func(q *sim.Proc) {
-					defer func() {
-						remaining--
-						if remaining == 0 {
-							aggDone.Fire()
-						}
-					}()
-					for i := 0; !stop; i++ {
-						slot := (w*7 + i) % (slots - 3) // 4-stripe burst stays in the file
-						fabricFill(abuf.Data, int64(slot))
-						if err := agg.Kernel.SubmitAligned(q, true, int64(slot)*stripeBlocks, abuf); err != nil {
-							return
-						}
-					}
-				})
-			}
-		}
-
-		// The victim: paced single-stripe reads, verified bit-exactly. The
-		// pacing keeps the quiet baseline's queues empty, so any tail the
-		// explainer finds in the other passes is the injected cause.
-		const reads = 360
-		rbuf := guest.AllocBuffer(pl.Mem, fabricStripe)
-		want := make([]byte, fabricStripe)
-		for i := 0; i < reads; i++ {
-			if pulse && i == 200 {
-				// A fail-slow window opens mid-run: the medium still answers,
-				// just chronically late — exactly what the explainer must
-				// pin on the medium segment and the burn alert must catch
-				// before the 200 healthy reads' worth of banked budget runs
-				// out.
-				pl.Inj.Degrade(fault.Degradation{
-					Device: 0, Start: p.Now(), Duration: 8 * sim.Millisecond, Extra: 300 * sim.Microsecond,
-				})
-			}
-			slot := (i * 7) % slots
-			start := p.Now()
-			if err := victim.Kernel.SubmitAligned(p, false, int64(slot)*stripeBlocks, rbuf); err != nil {
-				return fmt.Errorf("victim read %d: %w", i, err)
-			}
-			res.lat.Add(float64(p.Now()-start) / 1000)
-			fabricFill(want, int64(slot))
-			if !bytes.Equal(rbuf.Data, want) {
-				res.lost++
-			}
-			p.Sleep(10 * sim.Microsecond)
-		}
-		stop = true
-		if aggressor {
-			aggDone.Await(p)
-		}
-		pl.Inj.ClearDegradations(0)
-		return nil
-	})
+// sloVictimRun runs one paced victim reader on pl's device, optionally with
+// an aggressor tenant or a mid-run fail-slow pulse: the victim's read
+// latency, its corrupted reads, and its function index (0 = PF, VF idx + 1).
+func sloVictimRun(p *sim.Proc, pl *Platform, aggressor, pulse bool) (lat *stats.Sampler, lost, victimFn int, err error) {
+	const fileBlocks = 1024
+	victim, _, err := pl.directVM(p, "victim", "/victim.img", 1, fileBlocks, false)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	ex, ok := attrib.Explain(victimFn, "read")
-	if !ok {
-		return nil, fmt.Errorf("slo: no explanation for victim vf=%d op=read", victimFn)
-	}
-	res.ex = ex
-	for _, st := range engine.Status() {
-		if st.VF == victimFn {
-			res.st = st
+	var agg *hypervisor.VM
+	if aggressor {
+		if agg, _, err = pl.directVM(p, "agg", "/agg.img", 2, fileBlocks, false); err != nil {
+			return nil, 0, 0, err
 		}
 	}
-	if res.st.Good+res.st.Bad == 0 {
-		return nil, fmt.Errorf("slo: engine tracked no completions for victim vf=%d", victimFn)
+	const slots = 64
+	stripeBlocks := int64(fabricStripe / victim.Kernel.Drv.BlockSize())
+	buf := make([]byte, fabricStripe)
+	for s := 0; s < slots; s++ {
+		fabricFill(buf, int64(s))
+		if err := victim.Kernel.WriteBytes(p, int64(s)*fabricStripe, buf); err != nil {
+			return nil, 0, 0, fmt.Errorf("fill %d: %w", s, err)
+		}
 	}
-	res.events = board.Total()
-	res.burnEvents = board.Count(slo.EventSLOBurn)
-	return res, nil
+
+	// Concurrent deep writer streams on the aggressor's VF keep the device's
+	// shared queues loaded for the whole victim run: each submission moves 4
+	// stripes, so the medium never drains. A worker stops at its first error.
+	stop := false
+	aggWorkers := pl.fanOut()
+	for w := 0; aggressor && w < 8; w++ {
+		abuf := guest.AllocBuffer(pl.Mem, 4*fabricStripe)
+		aggWorkers.Go(fmt.Sprintf("slo-agg-%d", w), func(q *sim.Proc) error {
+			for i := 0; !stop; i++ {
+				slot := (w*7 + i) % (slots - 3) // 4-stripe burst stays in the file
+				fabricFill(abuf.Data, int64(slot))
+				if agg.Kernel.SubmitAligned(q, true, int64(slot)*stripeBlocks, abuf) != nil {
+					break
+				}
+			}
+			return nil
+		})
+	}
+
+	// The victim: paced single-stripe reads, verified bit-exactly. The
+	// pacing keeps the quiet baseline's queues empty, so any tail the
+	// explainer finds in the other passes is the injected cause.
+	const reads = 360
+	lat = &stats.Sampler{}
+	rbuf := guest.AllocBuffer(pl.Mem, fabricStripe)
+	for i := 0; i < reads; i++ {
+		if pulse && i == 200 {
+			// A fail-slow window opens mid-run: the medium still answers,
+			// just chronically late — exactly what the explainer must
+			// pin on the medium segment and the burn alert must catch
+			// before the 200 healthy reads' worth of banked budget runs
+			// out.
+			pl.Inj.Degrade(fault.Degradation{
+				Device: 0, Start: p.Now(), Duration: 8 * sim.Millisecond, Extra: 300 * sim.Microsecond,
+			})
+		}
+		slot := (i * 7) % slots
+		start := p.Now()
+		if err := victim.Kernel.SubmitAligned(p, false, int64(slot)*stripeBlocks, rbuf); err != nil {
+			return nil, 0, 0, fmt.Errorf("victim read %d: %w", i, err)
+		}
+		lat.Add(float64(p.Now()-start) / 1000)
+		fabricFill(buf, int64(slot))
+		if !bytes.Equal(rbuf.Data, buf) {
+			lost++
+		}
+		p.Sleep(10 * sim.Microsecond)
+	}
+	stop = true
+	_ = aggWorkers.Wait(p) // the workers report no errors
+	pl.Inj.ClearDegradations(0)
+	return lat, lost, victim.Legs[0].VFIdx + 1, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 	"nesc/internal/workload"
@@ -38,19 +37,12 @@ func snapshotLatency(cfg Config) (*stats.Table, error) {
 	tbl := stats.NewTable("Snapshot CoW: 4KB write latency around a snapshot (preallocated image)",
 		"pass", "", "mean latency us", "p99 latency us", "CoW faults")
 	const fileBlocks = 2048 // 2 MB image: 512 writes per pass keeps 'all' runs fast
-	pl := NewPlatform(cfg)
-	d := pl.Hyp.Device(0)
-	err := pl.Run(func(p *sim.Proc) error {
-		if err := d.MkImage(p, "/snap.img", 1, fileBlocks, false); err != nil {
-			return err
-		}
-		vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/snap.img", UID: 1,
-		})
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		vm, tgt, err := pl.directVM(p, "vm", "/snap.img", 1, fileBlocks, false)
 		if err != nil {
 			return err
 		}
-		tgt := NewVMRawTarget(vm.Kernel)
+		d := pl.Hyp.Device(0)
 		total := int64(fileBlocks) * int64(pl.Cfg.Core.BlockSize)
 		pass := func(row string) error {
 			pre := d.Ctl.CowFaults
@@ -58,9 +50,7 @@ func snapshotLatency(cfg Config) (*stats.Table, error) {
 			if err != nil {
 				return err
 			}
-			tbl.Set(row, "mean latency us", res.MeanLatencyUs())
-			tbl.Set(row, "p99 latency us", res.Lat.Percentile(99))
-			tbl.Set(row, "CoW faults", float64(d.Ctl.CowFaults-pre))
+			tbl.SetRow(row, res.MeanLatencyUs(), res.Lat.Percentile(99), float64(d.Ctl.CowFaults-pre))
 			return nil
 		}
 		if err := pass("steady state"); err != nil {
@@ -86,59 +76,41 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 	tbl := stats.NewTable("Snapshot CoW: clone-fanout space amplification (4 MB base, 1/16 divergence per clone)",
 		"clones", "", "logical MB", "physical MB", "amplification", "after divergence MB")
 	const fileBlocks = 4096 // 4 MB base image
-	for _, fanout := range []int{1, 2, 4, 8} {
-		fanout := fanout
-		pl := NewPlatform(cfg)
+	err := eachPoint(cfg, []int{1, 2, 4, 8}, nil, func(p *sim.Proc, pl *Platform, fanout int) error {
 		d := pl.Hyp.Device(0)
-		err := pl.Run(func(p *sim.Proc) error {
-			fs := d.HostFS
-			bs := uint64(fs.BlockSize())
-			base := fs.FreeBlocks()
-			if err := d.MkImage(p, "/base.img", 1, fileBlocks, false); err != nil {
-				return err
-			}
-			vm, err := pl.Hyp.NewVM(p, "base", hypervisor.VMConfig{
-				Backend: hypervisor.BackendDirect, DiskPath: "/base.img", UID: 1,
-			})
-			if err != nil {
-				return err
-			}
-			clones := make([]*hypervisor.VM, fanout)
-			for i := range clones {
-				path := fmt.Sprintf("/clone%d.img", i)
-				if _, err := d.CloneToNewVF(p, vm.Legs[0].VFIdx, path, 1); err != nil {
-					return err
-				}
-				cvm, err := pl.Hyp.NewVM(p, path, hypervisor.VMConfig{
-					Backend: hypervisor.BackendDirect, DiskPath: path, UID: 1,
-				})
-				if err != nil {
-					return err
-				}
-				clones[i] = cvm
-			}
-			row := fmt.Sprintf("%d", fanout)
-			logical := float64((1+fanout)*fileBlocks) * float64(bs) / (1 << 20)
-			used := float64(base-fs.FreeBlocks()) * float64(bs) / (1 << 20)
-			tbl.Set(row, "logical MB", logical)
-			tbl.Set(row, "physical MB", used)
-			tbl.Set(row, "amplification", used*(1<<20)/(float64(fileBlocks)*float64(bs)))
-			// Each clone dirties a distinct 1/16 of its disk.
-			chunk := int64(fileBlocks) * int64(bs) / 16
-			for i, cvm := range clones {
-				tgt := NewVMRawTarget(cvm.Kernel)
-				if _, err := (workload.DD{
-					BlockBytes: 4096, TotalBytes: chunk, StartOffset: int64(i) * chunk, Write: true,
-				}).Run(p, tgt); err != nil {
-					return err
-				}
-			}
-			tbl.Set(row, "after divergence MB", float64(base-fs.FreeBlocks())*float64(bs)/(1<<20))
-			return fs.Check(p)
-		})
+		fs := d.HostFS
+		bs := float64(fs.BlockSize())
+		base := fs.FreeBlocks()
+		usedMB := func() float64 { return float64(base-fs.FreeBlocks()) * bs / (1 << 20) }
+		vm, _, err := pl.directVM(p, "base", "/base.img", 1, fileBlocks, false)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		clones := make([]workload.ByteTarget, fanout)
+		for i := range clones {
+			path := fmt.Sprintf("/clone%d.img", i)
+			if _, err := d.CloneToNewVF(p, vm.Legs[0].VFIdx, path, 1); err != nil {
+				return err
+			}
+			if _, clones[i], err = pl.bootVM(p, path, path, 1); err != nil {
+				return err
+			}
+		}
+		used := usedMB()
+		// Each clone dirties a distinct 1/16 of its disk.
+		chunk := int64(fileBlocks) * int64(bs) / 16
+		for i, tgt := range clones {
+			if _, err := (workload.DD{
+				BlockBytes: 4096, TotalBytes: chunk, StartOffset: int64(i) * chunk, Write: true,
+			}).Run(p, tgt); err != nil {
+				return err
+			}
+		}
+		tbl.SetRow(fmt.Sprintf("%d", fanout), float64((1+fanout)*fileBlocks)*bs/(1<<20), used, used*(1<<20)/(fileBlocks*bs), usedMB())
+		return fs.Check(p)
+	})
+	if err != nil {
+		return nil, err
 	}
 	tbl.Note("physical usage includes each clone's metadata (inode, refcount table); shared data blocks are counted once")
 	tbl.Note("amplification = physical usage / one base image; 1 + N forks stay near 1.0x until they diverge")

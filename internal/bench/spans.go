@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"nesc/internal/hypervisor"
 	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
@@ -19,22 +18,13 @@ import (
 // span machinery exists to expose.
 func Spans(cfg Config) ([]*stats.Table, error) {
 	reg := metrics.New()
-	spans := trace.NewSpanRecorder(4096)
-	c := cfg
-	c.Tel.Metrics, c.Tel.Spans = reg, spans
-	pl := NewPlatform(c)
+	cfg.Tel.Metrics, cfg.Tel.Spans = reg, trace.NewSpanRecorder(4096)
 	const fileBlocks = 4096 // 4 MB sparse image
-	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Hyp.Device(0).MkImage(p, "/spans.img", 1, fileBlocks, true); err != nil {
-			return err
-		}
-		vm, err := pl.Hyp.NewVM(p, "spans", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/spans.img", UID: 1,
-		})
+	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		_, tgt, err := pl.directVM(p, "spans", "/spans.img", 1, fileBlocks, true)
 		if err != nil {
 			return err
 		}
-		tgt := NewVMRawTarget(vm.Kernel)
 		total := int64(fileBlocks) * int64(pl.Cfg.Core.BlockSize)
 		if _, err := (workload.ParallelDD{BlockBytes: 4096, TotalBytes: total, QD: 4, Write: true}).Run(p, tgt); err != nil {
 			return err

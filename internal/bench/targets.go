@@ -193,34 +193,20 @@ func (a *fsAdapter) Remove(p *sim.Proc, name string) error {
 	return a.fs.Remove(p, name, a.uid)
 }
 
-// rawTarget builds the raw-device view for a named backend on pl, creating
-// the VM (or nothing, for Host). NeSC maps a preallocated host file as a VF,
-// exactly as the paper's raw experiments do; virtio and emulation map the PF
-// itself.
-func (pl *Platform) rawTarget(p *sim.Proc, backend string, fileBlocks uint64) (workload.ByteTarget, error) {
+// RawTarget builds the raw-device view for a named backend on pl, creating
+// the VM (or nothing, for Host). NeSC maps a preallocated host file of
+// fileBlocks blocks as a VF, exactly as the paper's raw experiments do; virtio
+// and emulation map the PF itself.
+func (pl *Platform) RawTarget(p *sim.Proc, backend string, fileBlocks uint64) (tgt workload.ByteTarget, err error) {
 	switch backend {
 	case BackendHost:
-		return NewHostRawTarget(pl.Hyp.Device(0)), nil
+		tgt = NewHostRawTarget(pl.Hyp.Device(0))
 	case BackendNeSC:
-		if err := pl.Hyp.Device(0).MkImage(p, "/vfdisk.img", 1, fileBlocks, false); err != nil {
-			return nil, err
-		}
-		vm, err := pl.Hyp.NewVM(p, "raw-nesc", hypervisor.VMConfig{
-			Backend: hypervisor.BackendDirect, DiskPath: "/vfdisk.img", UID: 1,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewVMRawTarget(vm.Kernel), nil
+		_, tgt, err = pl.directVM(p, "raw-nesc", "/vfdisk.img", 1, fileBlocks, false)
 	case BackendVirt, BackendEmul:
-		vm, err := pl.Hyp.NewVM(p, "raw-"+backend, hypervisor.VMConfig{
-			Backend: backendKind(backend), RawDevice: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return NewVMRawTarget(vm.Kernel), nil
+		_, tgt, err = pl.rawDeviceVM(p, "raw-"+backend, backendKind(backend))
 	default:
-		return nil, fmt.Errorf("bench: unknown backend %q", backend)
+		err = fmt.Errorf("bench: unknown backend %q", backend)
 	}
+	return tgt, err
 }

@@ -721,6 +721,38 @@ func TestZeroCountRequestCompletes(t *testing.T) {
 	}
 }
 
+// A guest descriptor whose LBA sits at the top of the 64-bit space must not
+// wrap the range check and come back in at block 0: it completes
+// StatusOutOfRange with nothing executed and no miss raised.
+func TestRangeCheckDoesNotWrap(t *testing.T) {
+	r := newRig(t, smallParams())
+	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 50, Count: 2}})
+	buf := r.mem.MustAlloc(4096, 64)
+	done := false
+	r.eng.Go("guest", func(p *sim.Proc) {
+		r.setVF(p, 0, tr.Root(), 4)
+		d := r.openFunction(p, 1)
+		for _, c := range []struct {
+			lba   uint64
+			count uint32
+		}{{1<<64 - 1, 2}, {1<<64 - 2, 4}, {4, 1<<32 - 1}} {
+			for _, op := range []uint32{ring.OpRead, ring.OpWrite} {
+				if st := d.io(p, op, c.lba, c.count, buf); st != ring.StatusOutOfRange {
+					t.Errorf("op %d lba %#x count %d: status %d, want StatusOutOfRange", op, c.lba, c.count, st)
+				}
+			}
+		}
+		done = true
+	})
+	r.run()
+	if !done {
+		t.Fatal("deadlock")
+	}
+	if r.ctl.ChunksDone != 0 || r.missMSIs != 0 {
+		t.Errorf("out-of-range requests executed %d chunks and raised %d misses, want 0 and 0", r.ctl.ChunksDone, r.missMSIs)
+	}
+}
+
 // Property: random scattered mappings and random I/O patterns through two
 // VFs always produce data identical to a shadow model, and never touch
 // physical blocks outside each VF's mapping.

@@ -93,7 +93,9 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 		case !f.enabled:
 			req.status = ring.StatusDisabled
 			c.sendCompletion(p, req)
-		case lba+uint64(count) > f.sizeBlocks || (op != ring.OpRead && op != ring.OpWrite && op != ring.OpVerify):
+		case lba > f.sizeBlocks || uint64(count) > f.sizeBlocks-lba || (op != ring.OpRead && op != ring.OpWrite && op != ring.OpVerify):
+			// The range test must not wrap: lba is the guest's 64 bits, and
+			// lba+count computed in uint64 lets LBA 2^64-1 back in at block 0.
 			req.status = ring.StatusOutOfRange
 			c.sendCompletion(p, req)
 		case count == 0:

@@ -156,7 +156,6 @@ func TestActiveListInvariant(t *testing.T) {
 		}
 		wg := sim.NewWaitGroup(r.eng)
 		for i := 0; i < vfs; i++ {
-			i := i
 			seed := rng.Int63()
 			wg.Add(1)
 			r.eng.Go("churn", func(q *sim.Proc) {

@@ -139,7 +139,6 @@ func TestJournalCrashSweepOverwrite(t *testing.T) {
 	oldData := pattern(0xAA, fileBytes)
 	newData := pattern(0x55, fileBytes)
 	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
-		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {
@@ -191,7 +190,6 @@ func TestJournalCrashSweepAppend(t *testing.T) {
 	const fileBytes = 3 * crashBS
 	data := pattern(0x3C, fileBytes)
 	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
-		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {
@@ -238,7 +236,6 @@ func TestJournalCrashSweepSnapshot(t *testing.T) {
 	const fileBytes = 4 * crashBS
 	data := pattern(0x5A, fileBytes)
 	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
-		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {
@@ -289,7 +286,6 @@ func TestJournalCrashSweepCowBreak(t *testing.T) {
 	oldData := pattern(0xAA, fileBytes)
 	newBlock := pattern(0x55, crashBS)
 	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
-		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {
@@ -343,7 +339,6 @@ func TestJournalCrashSweepCowBreak(t *testing.T) {
 // file must exist fully linked or not at all at every crash point.
 func TestJournalCrashSweepCreate(t *testing.T) {
 	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
-		mode := mode
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {

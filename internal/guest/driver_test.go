@@ -145,7 +145,6 @@ func TestVirtioDriverConcurrentSubmitters(t *testing.T) {
 	drv, _, k, eng := newVirtioLoopback(t)
 	done := 0
 	for i := 0; i < 8; i++ {
-		i := i
 		eng.Go("submitter", func(p *sim.Proc) {
 			buf := k.AllocBuffer(2048)
 			for r := 0; r < 5; r++ {

@@ -123,7 +123,6 @@ func TestQoSWeightsSkewService(t *testing.T) {
 		}
 		stop := false
 		for i := 0; i < 2; i++ {
-			i := i
 			w.eng.Go("load", func(q *sim.Proc) {
 				buf := vms[i].Kernel.AllocBuffer(64 * 1024)
 				for !stop {
@@ -251,7 +250,6 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 
 func TestSoftwareBackendsRejectOutOfRangeIO(t *testing.T) {
 	for _, kind := range []BackendKind{BackendVirtio, BackendEmulation} {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			w := newWorld(t, 4096, nil)
 			w.run(t, func(p *sim.Proc) {

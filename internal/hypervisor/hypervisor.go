@@ -117,6 +117,9 @@ type vfExport struct {
 	shared *sharedTree
 	// identity marks a raw passthrough VF (no backing file).
 	identity bool
+	// sizeBlocks is the size programmed into the VF's management block: the
+	// bound every address the device latches for this VF is held to.
+	sizeBlocks uint64
 	// vm is the guest the VF is assigned to (AttachLeg); its completion
 	// interrupts pay the injection cost. Nil for a host-side ring client.
 	vm *VM
@@ -263,7 +266,6 @@ func (d *Device) route(fn int, mq *guest.MultiQueue) {
 		return
 	}
 	for q, qp := range mq.Queues() {
-		qp := qp
 		h.tel.DriverQueueGauges(fn, q, func() float64 { return float64(qp.Depth()) }, func() float64 { return float64(qp.Submitted) })
 	}
 }

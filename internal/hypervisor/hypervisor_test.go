@@ -169,7 +169,6 @@ func TestDirectVMRoundTrip(t *testing.T) {
 
 func TestAllBackendsRoundTrip(t *testing.T) {
 	for _, kind := range []BackendKind{BackendDirect, BackendVirtio, BackendEmulation} {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			w := newWorld(t, 8192, nil)
 			w.run(t, func(p *sim.Proc) {
@@ -199,7 +198,6 @@ func TestAllBackendsRoundTrip(t *testing.T) {
 
 func TestRawDeviceBackends(t *testing.T) {
 	for _, kind := range []BackendKind{BackendDirect, BackendVirtio, BackendEmulation} {
-		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			w := newWorld(t, 4096, nil)
 			w.run(t, func(p *sim.Proc) {
@@ -508,7 +506,6 @@ func TestMultiVMFairShare(t *testing.T) {
 	w.eng.Go("main", func(p *sim.Proc) {
 		w.boot(t, p)
 		for i := 0; i < 2; i++ {
-			i := i
 			path := []string{"/a.img", "/b.img"}[i]
 			w.mkImage(t, p, path, uint32(i+1), 2048)
 			vm, err := w.h.NewVM(p, path, VMConfig{Backend: BackendDirect, DiskPath: path, UID: uint32(i + 1)})

@@ -97,7 +97,6 @@ func TestMultiQueueFLRRecovery(t *testing.T) {
 		plan.Sites[fault.DMARead] = fault.SiteParams{OneShot: []int64{1, 2, 3, 4}}
 		w.installPlan(plan)
 		for q := 0; q < 4; q++ {
-			q := q
 			buf := w.mem.MustAlloc(1024, 64)
 			w.eng.Go("wedged", func(gp *sim.Proc) {
 				_, errs[q] = mq.Queue(q).Submit(gp, ring.OpRead, uint64(q), 1, buf)

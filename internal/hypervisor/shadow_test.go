@@ -43,7 +43,6 @@ func TestShadowDoorbellBatchingEndToEnd(t *testing.T) {
 		patterns := make([][]byte, procs)
 		wg := sim.NewWaitGroup(w.eng)
 		for b := 0; b < procs; b++ {
-			b := b
 			patterns[b] = bytes.Repeat([]byte{byte(0xB0 + b)}, 1024)
 			wg.Add(1)
 			w.eng.Go("shadow-sub", func(q *sim.Proc) {

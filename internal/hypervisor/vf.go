@@ -106,6 +106,7 @@ func (d *Device) freeVF() (int, error) {
 
 func (d *Device) programVF(p *sim.Proc, idx int, root int64, sizeBlocks uint64) {
 	mgmt := d.mgmtAddr(idx)
+	d.vf(idx).sizeBlocks = sizeBlocks
 	d.h.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(root))
 	d.h.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
 	if n := d.Ctl.P.QueuesPerVF; n > 1 {
@@ -321,6 +322,12 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	st := d.vf(idx)
 	if !st.inUse || st.identity {
 		// No backing file to extend: fail the write.
+		return ring.RewalkFail
+	}
+	if missAddr > st.sizeBlocks || missSize > st.sizeBlocks-missAddr {
+		// The latched range is the guest's: one outside the export must never
+		// reach the host filesystem, which would grow the file to meet it or
+		// (at the top of the address space) allocate nothing and miss forever.
 		return ring.RewalkFail
 	}
 	cow := reason == ring.MissReasonCoW

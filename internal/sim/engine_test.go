@@ -27,7 +27,6 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	e := NewEngine()
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
 		e.After(5*Microsecond, func() { got = append(got, i) })
 	}
 	e.Run()

@@ -420,7 +420,6 @@ func (a *Attributor) registerCell(c *cell) {
 	a.reg.GaugeFunc("nesc_attrib_errors_total", "non-OK requests in the attribution row", l,
 		sample(func(c *cell) float64 { return float64(c.errors) }))
 	for i := 0; i < NumSegments; i++ {
-		i := i
 		a.reg.GaugeFunc("nesc_attrib_"+segmentNames[i]+"_ns_total",
 			"summed "+segmentNames[i]+" time attributed to this row", l,
 			sample(func(c *cell) float64 { return float64(c.segNs[i]) }))

@@ -83,7 +83,6 @@ type Scoreboard struct {
 func NewScoreboard(capacity int, reg *metrics.Registry) *Scoreboard {
 	b := &Scoreboard{ring: stats.NewRing[Event](capacity)}
 	for k := EventKind(0); k < numEventKinds; k++ {
-		k := k
 		reg.GaugeFunc("nesc_scoreboard_events_total", "structured anomaly events emitted, by kind",
 			metrics.Labels{VF: -1, Q: -1, Op: k.String()},
 			func() float64 { return float64(b.Count(k)) })

@@ -188,6 +188,21 @@ func (t *Table) Set(x, column string, v float64) {
 	row.cells[column] = v
 }
 
+// SetRow stores one row's cells in the table's declared column order — the
+// form an experiment's harvest takes. A value that is not finite (a ratio
+// whose denominator was zero) leaves its cell empty. A count that does not
+// match the columns is a harness bug and panics.
+func (t *Table) SetRow(x string, vals ...float64) {
+	if len(vals) != len(t.Columns) {
+		panic(fmt.Sprintf("stats: table %q has %d columns, row %q has %d values", t.Title, len(t.Columns), x, len(vals)))
+	}
+	for i, v := range vals {
+		if !math.IsNaN(v) && !math.IsInf(v, 0) {
+			t.Set(x, t.Columns[i], v)
+		}
+	}
+}
+
 // Get reads a cell, reporting whether it exists.
 func (t *Table) Get(x, column string) (float64, bool) {
 	row, ok := t.byX[x]

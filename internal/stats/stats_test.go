@@ -290,6 +290,40 @@ func TestTableMustGetPanics(t *testing.T) {
 	NewTable("t", "x", "").MustGet("a", "b")
 }
 
+// SetRow fills a row in declared column order, leaves the cell of a
+// non-finite value empty, and rejects a value count that is not the column
+// count.
+func TestTableSetRow(t *testing.T) {
+	tb := NewTable("t", "x", "", "a", "b", "ratio")
+	tb.SetRow("r", 1, 2, 0.5)
+	tb.SetRow("zero denominator", 3, 0, math.Inf(1))
+	tb.SetRow("nothing ran", 0, 0, math.NaN())
+	if a, b, r := tb.MustGet("r", "a"), tb.MustGet("r", "b"), tb.MustGet("r", "ratio"); a != 1 || b != 2 || r != 0.5 {
+		t.Errorf("row r = %v %v %v, want 1 2 0.5", a, b, r)
+	}
+	for _, row := range []string{"zero denominator", "nothing ran"} {
+		if _, ok := tb.Get(row, "ratio"); ok {
+			t.Errorf("row %q has a ratio cell for a non-finite value", row)
+		}
+		if _, ok := tb.Get(row, "b"); !ok {
+			t.Errorf("row %q lost its finite cells", row)
+		}
+	}
+	for _, vals := range [][]float64{{1, 2}, {1, 2, 3, 4}, nil} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRow accepted %d values for 3 columns", len(vals))
+				}
+			}()
+			tb.SetRow("bad", vals...)
+		}()
+	}
+	if _, ok := tb.Get("bad", "a"); ok {
+		t.Error("a rejected row left cells behind")
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "block", "us", "A", "B")
 	tb.Set("512B", "A", 1.5)

@@ -30,23 +30,16 @@ func (d DD) Run(p *sim.Proc, t ByteTarget) (Result, error) {
 		count = 1
 	}
 	size := t.Size()
-	start := p.Now()
-	for i := int64(0); i < count; i++ {
+	err := Timed(p, &res, count, int64(d.BlockBytes), func(i int64) error {
 		off := d.StartOffset + i*int64(d.BlockBytes)
 		if off+int64(d.BlockBytes) > size {
 			off = (off + int64(d.BlockBytes)) % size // wrap within the device
 			off -= off % int64(d.BlockBytes)
 		}
-		err := timeOp(p, &res, int64(d.BlockBytes), func() error {
-			if d.Write {
-				return t.WriteAt(p, off, d.BlockBytes)
-			}
-			return t.ReadAt(p, off, d.BlockBytes)
-		})
-		if err != nil {
-			return res, err
+		if d.Write {
+			return t.WriteAt(p, off, d.BlockBytes)
 		}
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
+		return t.ReadAt(p, off, d.BlockBytes)
+	})
+	return res, err
 }

@@ -58,56 +58,49 @@ func (o OLTP) run(p *sim.Proc, table, log ByteTarget) (Result, error) {
 		return false
 	}
 	logOff := int64(0)
-	start := p.Now()
-	for i := 0; i < o.Transactions; i++ {
-		err := timeOp(p, &res, 0, func() error {
-			for q := 0; q < o.SelectsPerTxn; q++ {
-				p.Sleep(o.CPUPerQuery)
-				page := rng.Intn(pages)
-				if touch(page) {
-					continue // buffer pool hit
-				}
+	err := Timed(p, &res, int64(o.Transactions), 0, func(int64) error {
+		for q := 0; q < o.SelectsPerTxn; q++ {
+			p.Sleep(o.CPUPerQuery)
+			page := rng.Intn(pages)
+			if touch(page) {
+				continue // buffer pool hit
+			}
+			if err := table.ReadAt(p, int64(page)*int64(o.PageBytes), o.PageBytes); err != nil {
+				return err
+			}
+			res.Bytes += int64(o.PageBytes)
+		}
+		dirty := 0
+		for q := 0; q < o.UpdatesPerTxn; q++ {
+			p.Sleep(o.CPUPerQuery)
+			page := rng.Intn(pages)
+			if !touch(page) {
 				if err := table.ReadAt(p, int64(page)*int64(o.PageBytes), o.PageBytes); err != nil {
 					return err
 				}
 				res.Bytes += int64(o.PageBytes)
 			}
-			dirty := 0
-			for q := 0; q < o.UpdatesPerTxn; q++ {
-				p.Sleep(o.CPUPerQuery)
-				page := rng.Intn(pages)
-				if !touch(page) {
-					if err := table.ReadAt(p, int64(page)*int64(o.PageBytes), o.PageBytes); err != nil {
-						return err
-					}
-					res.Bytes += int64(o.PageBytes)
-				}
-				if err := table.WriteAt(p, int64(page)*int64(o.PageBytes), o.PageBytes); err != nil {
-					return err
-				}
-				res.Bytes += int64(o.PageBytes)
-				dirty++
+			if err := table.WriteAt(p, int64(page)*int64(o.PageBytes), o.PageBytes); err != nil {
+				return err
 			}
-			if dirty > 0 {
-				// Commit: append the redo record and fsync the log.
-				rec := 128 * dirty
-				if err := log.WriteAt(p, logOff, rec); err != nil {
-					return err
-				}
-				logOff += int64(rec)
-				res.Bytes += int64(rec)
-				if err := log.Sync(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return res, err
+			res.Bytes += int64(o.PageBytes)
+			dirty++
 		}
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
+		if dirty > 0 {
+			// Commit: append the redo record and fsync the log.
+			rec := 128 * dirty
+			if err := log.WriteAt(p, logOff, rec); err != nil {
+				return err
+			}
+			logOff += int64(rec)
+			res.Bytes += int64(rec)
+			if err := log.Sync(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return res, err
 }
 
 // Run prepares the table and log files on fs and executes the transactions.

@@ -41,7 +41,6 @@ func (d ParallelDD) Run(p *sim.Proc, t ByteTarget) (Result, error) {
 	errs := make([]error, d.QD)
 	start := p.Now()
 	for w := 0; w < d.QD; w++ {
-		w := w
 		wg.Add(1)
 		eng.Go("pdd-worker", func(q *sim.Proc) {
 			defer wg.Done()

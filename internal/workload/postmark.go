@@ -70,55 +70,48 @@ func (pm Postmark) Run(p *sim.Proc, fs FS) (Result, error) {
 			return res, err
 		}
 	}
-	start := p.Now()
-	for i := 0; i < pm.Transactions; i++ {
-		err := timeOp(p, &res, 0, func() error {
-			p.Sleep(pm.TransactionCPU)
-			// Half of each transaction: create or delete.
-			if rng.Intn(2) == 0 || len(pool) == 0 {
-				if err := create(); err != nil {
-					return err
-				}
-			} else {
-				k := rng.Intn(len(pool))
-				victim := pool[k]
-				pool[k] = pool[len(pool)-1]
-				pool = pool[:len(pool)-1]
-				if err := fs.Remove(p, victim.name); err != nil {
-					return err
-				}
+	err := Timed(p, &res, int64(pm.Transactions), 0, func(int64) error {
+		p.Sleep(pm.TransactionCPU)
+		// Half of each transaction: create or delete.
+		if rng.Intn(2) == 0 || len(pool) == 0 {
+			if err := create(); err != nil {
+				return err
 			}
-			if len(pool) == 0 {
-				return nil
-			}
-			// Other half: read whole file or append.
+		} else {
 			k := rng.Intn(len(pool))
-			target := &pool[k]
-			if rng.Intn(2) == 0 {
-				for off := 0; off < target.size; off += pm.ReadBlockBytes {
-					n := pm.ReadBlockBytes
-					if off+n > target.size {
-						n = target.size - off
-					}
-					if err := target.f.ReadAt(p, int64(off), n); err != nil {
-						return err
-					}
-					res.Bytes += int64(n)
+			victim := pool[k]
+			pool[k] = pool[len(pool)-1]
+			pool = pool[:len(pool)-1]
+			if err := fs.Remove(p, victim.name); err != nil {
+				return err
+			}
+		}
+		if len(pool) == 0 {
+			return nil
+		}
+		// Other half: read whole file or append.
+		k := rng.Intn(len(pool))
+		target := &pool[k]
+		if rng.Intn(2) == 0 {
+			for off := 0; off < target.size; off += pm.ReadBlockBytes {
+				n := pm.ReadBlockBytes
+				if off+n > target.size {
+					n = target.size - off
 				}
-			} else {
-				n := pm.ReadBlockBytes + rng.Intn(pm.ReadBlockBytes)
-				if err := target.f.WriteAt(p, int64(target.size), n); err != nil {
+				if err := target.f.ReadAt(p, int64(off), n); err != nil {
 					return err
 				}
-				target.size += n
 				res.Bytes += int64(n)
 			}
-			return nil
-		})
-		if err != nil {
-			return res, err
+		} else {
+			n := pm.ReadBlockBytes + rng.Intn(pm.ReadBlockBytes)
+			if err := target.f.WriteAt(p, int64(target.size), n); err != nil {
+				return err
+			}
+			target.size += n
+			res.Bytes += int64(n)
 		}
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
+		return nil
+	})
+	return res, err
 }

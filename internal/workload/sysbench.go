@@ -67,28 +67,20 @@ func (s SysbenchIO) Run(p *sim.Proc, f ByteTarget) (Result, error) {
 	rng := rand.New(rand.NewSource(s.Seed))
 	slots := s.FileBytes / int64(s.RequestBytes)
 	writesSinceSync := 0
-	start := p.Now()
-	for i := 0; i < s.Ops; i++ {
+	err := Timed(p, &res, int64(s.Ops), int64(s.RequestBytes), func(int64) error {
 		off := rng.Int63n(slots) * int64(s.RequestBytes)
-		isRead := rng.Float64() < s.ReadRatio
-		err := timeOp(p, &res, int64(s.RequestBytes), func() error {
-			if isRead {
-				return f.ReadAt(p, off, s.RequestBytes)
-			}
-			if err := f.WriteAt(p, off, s.RequestBytes); err != nil {
-				return err
-			}
-			writesSinceSync++
-			if writesSinceSync >= s.FsyncEvery {
-				writesSinceSync = 0
-				return f.Sync(p)
-			}
-			return nil
-		})
-		if err != nil {
-			return res, err
+		if rng.Float64() < s.ReadRatio {
+			return f.ReadAt(p, off, s.RequestBytes)
 		}
-	}
-	res.Elapsed = p.Now() - start
-	return res, nil
+		if err := f.WriteAt(p, off, s.RequestBytes); err != nil {
+			return err
+		}
+		writesSinceSync++
+		if writesSinceSync >= s.FsyncEvery {
+			writesSinceSync = 0
+			return f.Sync(p)
+		}
+		return nil
+	})
+	return res, err
 }

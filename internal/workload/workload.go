@@ -72,15 +72,21 @@ func (r Result) String() string {
 		r.Name, r.Ops, r.BandwidthMBps(), r.MeanLatencyUs(), r.OpsPerSec())
 }
 
-// timeOp measures one operation into a result.
-func timeOp(p *sim.Proc, r *Result, bytes int64, fn func() error) error {
+// Timed is the measured phase every workload shares: it calls op n times,
+// counts each call into res as one operation moving `bytes` bytes with its
+// latency sampled, and sets res.Elapsed to the phase's span. It stops at the
+// first error, leaving Elapsed unset.
+func Timed(p *sim.Proc, res *Result, n, bytes int64, op func(i int64) error) error {
 	start := p.Now()
-	if err := fn(); err != nil {
-		return err
+	for i := int64(0); i < n; i++ {
+		opStart := p.Now()
+		if err := op(i); err != nil {
+			return err
+		}
+		res.Ops++
+		res.Bytes += bytes
+		res.Lat.Add((p.Now() - opStart).Micros())
 	}
-	d := p.Now() - start
-	r.Ops++
-	r.Bytes += bytes
-	r.Lat.Add(d.Micros())
+	res.Elapsed = p.Now() - start
 	return nil
 }

@@ -57,9 +57,10 @@ var fence = map[string]string{
 }
 
 // paperExperiments are the files of internal/bench that regenerate the paper's
-// own tables and figures; they may name the kernel and stats only, so they can
-// move into a kernel-only package once bench is split (ROADMAP item 5).
-var paperExperiments = []string{"tables.go", "fig2.go", "fig9_10.go", "fig11.go", "fig12.go", "ablations.go"}
+// own tables and figures, and the experiment skeleton they are written on
+// (points.go); they may name the kernel and stats only, so they can move into
+// a kernel-only package once bench is split (ROADMAP item 5).
+var paperExperiments = []string{"tables.go", "fig2.go", "fig9_10.go", "fig11.go", "fig12.go", "ablations.go", "points.go"}
 
 func TestLayers(t *testing.T) {
 	rank := map[string]int{}

@@ -59,7 +59,6 @@ func TestQuickstartFlow(t *testing.T) {
 
 func TestAllBackendsThroughPublicAPI(t *testing.T) {
 	for _, backend := range []Backend{BackendNeSC, BackendVirtio, BackendEmulation} {
-		backend := backend
 		t.Run(string(backend), func(t *testing.T) {
 			sim := New(Config{MediumMB: 32})
 			err := sim.Run(func(ctx *Ctx) error {

@@ -447,12 +447,7 @@ func TestGoldenExperimentOutputs(t *testing.T) {
 				if err != nil {
 					t.Fatalf("experiment %s: %v", e.Name, err)
 				}
-				var b strings.Builder
-				for _, tb := range tables {
-					b.WriteString(tb.String())
-					b.WriteByte('\n')
-				}
-				outs[i] = b.String()
+				outs[i] = bench.Render(tables)
 			})
 		}
 	})
