@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest bench-headroom profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -102,6 +102,26 @@ bench-digest:
 	done
 	@diff results/bench_digests.txt .bench_build/bench_digests.txt
 	@echo "the benchmark's sim_digests match results/bench_digests.txt"
+
+# bench-headroom is the tier-2 check (not part of ci) every perf PR needs until
+# ROADMAP item 1(a) lands: the harness marks a run incorrect when its own
+# stamp/verify time reaches 5 % of the measured wall, so a faster simulator
+# walks into the limit. It runs the three workloads where that share is
+# largest five times each, exactly as the driver does (BENCHMARK.json's
+# command and run_seconds), prints min/median/max of harness.verify_frac from
+# the `# workload` line, and fails on an incorrect run or a maximum >= 0.045.
+bench-headroom:
+	@secs=$$(sed -n 's/.*"run_seconds": \([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in raw-small-qd1 raw-stream-large tenants-qd32; do \
+		fracs=; \
+		for i in 1 2 3 4 5; do \
+			out=$$(bash benchmarks/run.sh --workload $$w --seed 1 --seconds $$secs --trace 0) || true; \
+			echo "$$out" | tail -1 | grep -q '^{"correct":true,' || { echo "bench-headroom: $$w run $$i is incorrect"; echo "$$out" | grep '^#'; exit 1; }; \
+			fracs="$$fracs $$(echo "$$out" | sed -n 's/^# workload .* verify_frac //p')"; \
+		done; \
+		echo $$fracs | tr ' ' '\n' | sort -g | awk -v w=$$w '{v[NR]=$$1} END {printf "%-17s verify_frac min %s median %s max %s\n", w, v[1], v[3], v[5]; exit !(v[5] < 0.045)}' \
+			|| { echo "bench-headroom: $$w has verify_frac >= 0.045 (the harness fails a run at 0.05)"; exit 1; }; \
+	done
 
 # counts prints the sizes ROADMAP aim 2 tracks, for CHANGES.md and ROADMAP to
 # quote: net non-test Go lines outside benchmarks/, the same count per layer of

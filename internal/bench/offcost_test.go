@@ -10,10 +10,11 @@ import (
 // assigned VF allocates with no telemetry sink attached — guest kernel, ring
 // driver, controller pipeline, medium, completion. A later telemetry consumer
 // (or anything else) that leaks an allocation into the off path trips it.
-// The ceiling is the measured count when the spine landed, the same as
-// before it; lower it when the path gets cheaper.
+// The ceiling is the measured count (61 when the spine landed, 57 before the
+// process-form DMA and the medium stopped copying the payload); lower it when
+// the path gets cheaper.
 func TestTelemetryOffWriteAllocs(t *testing.T) {
-	const ceiling = 61
+	const ceiling = 51
 	pl := NewPlatform(DefaultConfig())
 	var allocs float64
 	err := pl.Run(func(p *sim.Proc) error {

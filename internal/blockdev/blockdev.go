@@ -283,8 +283,8 @@ func (m *Medium) ReadP(p *sim.Proc, lba int64, buf []byte) error {
 
 // WriteP stores len(buf) bytes (a whole number of blocks) at lba and blocks
 // the process until the medium has absorbed them (or reported an error). The
-// data is snapshotted at submission; a faulted write leaves the store
-// untouched.
+// parked caller lends buf until WriteP returns: what lands is buf at
+// absorption. A faulted write leaves the store untouched.
 func (m *Medium) WriteP(p *sim.Proc, lba int64, buf []byte) error {
 	return m.access(p, true, lba, buf)
 }
@@ -315,11 +315,6 @@ func (m *Medium) access(p *sim.Proc, write bool, lba int64, buf []byte) error {
 	// injected delay; the base cost the slowdown factor scales is the
 	// operation's own service time (fixed latency + serialization).
 	slow := m.inj.DegradeDelay(m.dev, latency+sim.BytesTime(n, bandwidth), m.eng.Now())
-	if write {
-		// The payload as submitted is what lands, whatever happens to the
-		// caller's buffer while the access is in flight.
-		buf = append([]byte(nil), buf...)
-	}
 	port.TransferP(p, n)
 	p.Sleep(dec.Delay + slow)
 	if dec.Fault {

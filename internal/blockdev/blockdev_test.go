@@ -134,6 +134,10 @@ func TestMediumDataIntegrity(t *testing.T) {
 	eng.Run()
 }
 
+// TestMediumWriteSnapshot holds WriteP's buffer contract: the caller is parked
+// until the medium has absorbed the bytes and lends its buffer for exactly
+// that long. What lands is the buffer at absorption; a mutation made after
+// WriteP returns never reaches the store.
 func TestMediumWriteSnapshot(t *testing.T) {
 	eng := sim.NewEngine()
 	s := NewStore(512, 8)
@@ -143,16 +147,44 @@ func TestMediumWriteSnapshot(t *testing.T) {
 		if err := m.WriteP(p, 0, buf); err != nil {
 			t.Error(err)
 		}
+		buf[1] = 55 // the caller's again
 	})
-	eng.After(1, func() { buf[0] = 99 }) // mutate after submission
+	eng.After(1, func() { buf[0] = 99 }) // in flight, before absorption
 	eng.Run()
 	got := make([]byte, 512)
 	if err := s.ReadBlocks(0, got); err != nil {
 		t.Fatal(err)
 	}
-	if got[0] != 7 {
-		t.Fatal("write observed post-submission mutation")
+	if got[0] != 99 || got[1] != 7 {
+		t.Fatalf("store holds % x, want the buffer as it stood at absorption (63 07)", got[:2])
 	}
+	if len(s.VerifyGuards()) != 0 {
+		t.Fatal("guard tag does not cover the bytes that landed")
+	}
+}
+
+// TestMediumAccessAllocations: a WriteP+ReadP pair allocates its two port
+// events and nothing payload-sized (one fewer than when WriteP snapshotted).
+func TestMediumAccessAllocations(t *testing.T) {
+	eng := sim.NewEngine()
+	m := NewMedium(eng, NewStore(1024, 8), DefaultMediumParams())
+	buf := make([]byte, 4096)
+	var allocs float64
+	eng.Go("io", func(p *sim.Proc) {
+		body := func() {
+			if m.WriteP(p, 0, buf) != nil || m.ReadP(p, 0, buf) != nil {
+				t.Error("medium access failed")
+			}
+		}
+		body()
+		allocs = testing.AllocsPerRun(200, body)
+	})
+	eng.Run()
+	const ceiling = 2
+	if allocs > ceiling {
+		t.Errorf("WriteP+ReadP of 4 KB allocates %v times, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%v allocs per 4 KB WriteP+ReadP", allocs)
 }
 
 func TestMediumErrorsPropagate(t *testing.T) {

@@ -228,6 +228,49 @@ func TestPFReadWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteLandsHostMemoryAtDataPhase holds the property guests rely on: a
+// write carries the bytes host memory held when the payload DMA's data phase
+// completed. A guest that rewrites its buffer while the DMA is still in flight
+// lands the rewrite; once the device holds the payload — the medium access has
+// begun — host memory no longer matters. Neither the fabric nor the medium
+// takes a copy on the way, and neither needs to.
+func TestWriteLandsHostMemoryAtDataPhase(t *testing.T) {
+	r := newRig(t, smallParams())
+	bs := int64(r.ctl.P.BlockSize)
+	buf := r.mem.MustAlloc(bs, 64)
+	if err := r.mem.Write(buf, bytes.Repeat([]byte{1}, int(bs))); err != nil {
+		t.Fatal(err)
+	}
+	status := uint32(0xFFFF)
+	r.eng.Go("guest", func(p *sim.Proc) {
+		status = r.openFunction(p, 0).io(p, ring.OpWrite, 100, 1, buf)
+	})
+	poke := func(off int64, v byte) {
+		if err := r.mem.Write(buf+off, []byte{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second DMA read the fabric admits is the payload (the first fetched
+	// the descriptor): it is in flight from here until the medium write begins.
+	for r.fab.DMAReads < 2 && r.eng.Step() {
+	}
+	poke(0, 2)
+	for r.ctl.Medium.Writes < 1 && r.eng.Step() {
+	}
+	poke(1, 3)
+	r.run()
+	if status != ring.StatusOK {
+		t.Fatalf("write status %d", status)
+	}
+	sl, err := r.ctl.Medium.Store().Slice(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sl[0] != 2 || sl[1] != 1 {
+		t.Fatalf("medium holds % x, want 02 01: the rewrite made in flight and not the one made after the data phase", sl[:2])
+	}
+}
+
 func TestVFTranslatedIO(t *testing.T) {
 	r := newRig(t, smallParams())
 	// vLBA [0,8) -> pLBA [500,508); vLBA [8,16) -> pLBA [200,208).

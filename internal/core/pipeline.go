@@ -6,7 +6,6 @@ import (
 	"nesc/internal/blockdev"
 	"nesc/internal/extent"
 	"nesc/internal/fault"
-	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
@@ -66,7 +65,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			break // ring torn down after the doorbell was accepted
 		}
 		tFetch := p.Now()
-		if err := c.dmaReadP(p, c.pf.id, ring.DescSlot(q.ringBase, q.consumed, q.ringSize), desc); err != nil {
+		if err := c.Fab.DMAReadP(p, c.pf.id, ring.DescSlot(q.ringBase, q.consumed, q.ringSize), desc); err != nil {
 			// Descriptor fetch failed: the doorbell's remaining requests
 			// are lost. The driver's completion timeout recovers them.
 			f.FetchDrops++
@@ -203,7 +202,7 @@ func (f *Function) shadowFollow(p *sim.Proc, q *fnQueue, desc []byte) {
 		}
 		// Caught up: publish how far we got, then look one last time.
 		binary.BigEndian.PutUint32(w, q.consumed)
-		if err := f.c.dmaWriteP(p, f.c.pf.id, q.shadowBase+ring.ShadowOffEvent, w); err != nil {
+		if err := f.c.Fab.DMAWriteP(p, f.c.pf.id, q.shadowBase+ring.ShadowOffEvent, w); err != nil {
 			return
 		}
 		if drained, _ := f.shadowDrain(p, q, gen, w, desc); !drained {
@@ -222,7 +221,7 @@ func (f *Function) shadowDrain(p *sim.Proc, q *fnQueue, gen uint32, w, desc []by
 	if q.gen != gen || q.ringSize == 0 || q.shadowBase == 0 {
 		return false, false
 	}
-	if err := c.dmaReadP(p, c.pf.id, q.shadowBase+ring.ShadowOffProd, w); err != nil {
+	if err := c.Fab.DMAReadP(p, c.pf.id, q.shadowBase+ring.ShadowOffProd, w); err != nil {
 		return false, false
 	}
 	prod := binary.BigEndian.Uint32(w)
@@ -373,7 +372,7 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 	var res extent.Resolution
 	addr := f.treeRoot
 	for {
-		if err := c.dmaReadP(p, c.pf.id, addr, nodeImg); err != nil {
+		if err := c.Fab.DMAReadP(p, c.pf.id, addr, nodeImg); err != nil {
 			return res, err
 		}
 		c.WalkNodeReads++
@@ -452,7 +451,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			if ch.req.pi {
 				ch.req.piAccum ^= c.zeroCRC
 			}
-			if err := c.dmaZeroP(p, ch.req.fn.id, ch.buf, int64(bs)); err != nil {
+			if err := c.Fab.DMAZeroP(p, ch.req.fn.id, ch.buf, int64(bs)); err != nil {
 				status = ring.StatusDMAFault
 			}
 		case ch.req.Op == ring.OpRead:
@@ -465,12 +464,12 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 				// A DMA flip here corrupts the payload after the device
 				// computed its guard — exactly what end-to-end PI catches.
 				c.maybeCorruptDMA(ch, buf)
-				if err := c.dmaWriteP(p, ch.req.fn.id, ch.buf, buf); err != nil {
+				if err := c.Fab.DMAWriteP(p, ch.req.fn.id, ch.buf, buf); err != nil {
 					status = ring.StatusDMAFault
 				}
 			}
 		default: // OpWrite
-			if err := c.dmaReadP(p, ch.req.fn.id, ch.buf, buf); err != nil {
+			if err := c.Fab.DMAReadP(p, ch.req.fn.id, ch.buf, buf); err != nil {
 				status = ring.StatusDMAFault
 			} else {
 				// A DMA flip here lands corrupted data on the medium under a
@@ -655,7 +654,7 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 	}
 	entry := make([]byte, ring.CplBytes)
 	ring.EncodeCompletionPI(entry, r.ID, r.status, q.cplSeq, guard)
-	if err := c.dmaWriteP(p, c.pf.id, ring.CplSlot(q.cplBase, q.cplSeq, q.ringSize), entry); err != nil {
+	if err := c.Fab.DMAWriteP(p, c.pf.id, ring.CplSlot(q.cplBase, q.cplSeq, q.ringSize), entry); err != nil {
 		// The completion entry never reached host memory: the guest will
 		// only learn of this request through its timeout path.
 		f.CplDrops++
@@ -663,39 +662,4 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		return
 	}
 	c.Fab.RaiseMSI(f.id, ring.CompletionVector(q.idx))
-}
-
-// Process-style DMA helpers that surface errors instead of deadlocking.
-
-func (c *Controller) dmaReadP(p *sim.Proc, id pcie.FnID, addr int64, buf []byte) error {
-	var err error
-	p.Wait(func(done func()) {
-		err = c.Fab.DMARead(id, addr, buf, done)
-		if err != nil {
-			done()
-		}
-	})
-	return err
-}
-
-func (c *Controller) dmaWriteP(p *sim.Proc, id pcie.FnID, addr int64, buf []byte) error {
-	var err error
-	p.Wait(func(done func()) {
-		err = c.Fab.DMAWrite(id, addr, buf, done)
-		if err != nil {
-			done()
-		}
-	})
-	return err
-}
-
-func (c *Controller) dmaZeroP(p *sim.Proc, id pcie.FnID, addr, n int64) error {
-	var err error
-	p.Wait(func(done func()) {
-		err = c.Fab.DMAZero(id, addr, n, done)
-		if err != nil {
-			done()
-		}
-	})
-	return err
 }

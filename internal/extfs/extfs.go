@@ -185,7 +185,14 @@ type FS struct {
 
 	lock *sim.Semaphore // created lazily from the first ctx's engine
 
-	tx              *txState
+	tx *txState // the open transaction: &txBuf, or nil
+	// Reused by the transaction path, under the lock: the transaction buffer,
+	// free image blocks, the journal record block, the render scratch, zeros.
+	txBuf              txState
+	freeImages         [][]byte
+	recordBuf, scratch []byte
+	zeros              []byte
+
 	journalHead     uint64 // next free block offset within the journal region
 	journalSeq      uint64
 	dirtyBitmapBlks map[uint64]struct{}
@@ -257,6 +264,8 @@ func Format(ctx *sim.Proc, dev BlockDev, p Params) (*FS, error) {
 		bitmap: make([]byte, bitmapBytes),
 		inodes: make([]inode, p.InodeCount+1),
 		opCost: p.OpCost,
+
+		recordBuf: make([]byte, bs), scratch: make([]byte, bs),
 	}
 	// Reserve metadata blocks in the bitmap.
 	for b := uint64(0); b < sb.dataStart; b++ {
@@ -310,6 +319,8 @@ func Mount(ctx *sim.Proc, dev BlockDev, opCost sim.Time) (*FS, error) {
 		bs:     bs,
 		sb:     sb,
 		opCost: opCost,
+
+		recordBuf: make([]byte, bs), scratch: make([]byte, bs),
 	}
 	if err := fs.replayJournal(ctx); err != nil {
 		return nil, err
@@ -396,7 +407,7 @@ func (fs *FS) transact(ctx *sim.Proc, body func() error) error {
 		err = fs.txCommit(ctx)
 	}
 	if err != nil {
-		fs.tx = nil
+		fs.txEnd()
 	}
 	return err
 }

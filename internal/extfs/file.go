@@ -100,9 +100,23 @@ func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, zeroFill
 }
 
 func (fs *FS) zeroBlocks(ctx *sim.Proc, pblk, n uint64) error {
-	img := make([]byte, int(n)*fs.bs)
 	fs.DataBlockWrites += int64(n)
-	return fs.devWrite(ctx, int64(pblk), img)
+	return fs.devWrite(ctx, int64(pblk), fs.zeroRun(n))
+}
+
+// zeroRun returns n blocks of zeros; nothing ever writes into them. Runs up to
+// maxKeptZeros bytes (every lazy-allocation miss) share one buffer; a whole
+// image's makes its own rather than pin an image-sized buffer for good.
+func (fs *FS) zeroRun(n uint64) []byte {
+	const maxKeptZeros = 1 << 20
+	size := int(n) * fs.bs
+	if size > maxKeptZeros {
+		return make([]byte, size)
+	}
+	if len(fs.zeros) < size {
+		fs.zeros = make([]byte, size)
+	}
+	return fs.zeros[:size]
 }
 
 // readRange reads len(p) bytes at byte offset off from the inode's data,
@@ -143,7 +157,10 @@ func (fs *FS) readRange(ctx *sim.Proc, in *inode, off uint64, p []byte) error {
 			// Unaligned edge: read covering whole blocks and copy out.
 			firstB := pblk
 			nBlocks := (inBlk + spanBytes + bs - 1) / bs
-			tmp := make([]byte, nBlocks*bs)
+			tmp := fs.scratch
+			if nBlocks > 1 {
+				tmp = make([]byte, nBlocks*bs)
+			}
 			fs.DataBlockReads += int64(nBlocks)
 			if err := fs.dev.ReadBlocks(ctx, int64(firstB), tmp); err != nil {
 				return err

@@ -124,7 +124,7 @@ func (fs *FS) writeInode(ctx *sim.Proc, ino uint32) error {
 		return err
 	}
 	blk, _ := fs.inodeBlock(ino)
-	img := make([]byte, fs.bs)
+	img := fs.scratch
 	fs.renderInodeBlock(img, uint64(blk)-fs.sb.inodeTableStart)
 	return fs.writeBlock(ctx, blk, img, true)
 }
@@ -167,7 +167,7 @@ func (fs *FS) syncOverflow(ctx *sim.Proc, in *inode) error {
 	if needBlocks == 0 {
 		return nil
 	}
-	img := make([]byte, fs.bs)
+	img := fs.scratch
 	for bi := 0; bi < needBlocks; bi++ {
 		clear(img)
 		lo := inlineExtents + bi*per

@@ -3,7 +3,8 @@ package extfs
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"hash/crc32"
+	"slices"
 
 	"nesc/internal/sim"
 )
@@ -12,8 +13,14 @@ import (
 // transaction: block images are buffered, then on commit written to the
 // journal region (descriptor block, image blocks, commit block with a
 // checksum) and finally checkpointed to their home locations. Mount replays
-// committed transactions in sequence order, which makes every operation
-// atomic across a crash between commit and checkpoint.
+// the newest committed transaction — the only one a crash can leave between
+// commit and checkpoint, because each is checkpointed before the next begins
+// — which makes every operation atomic across such a crash.
+//
+// Nothing here allocates per transaction: the transaction buffer, its image
+// blocks (a free list), the record block and the callers' render scratch are
+// the filesystem's, guarded by the lock transact holds; the device copies what
+// it is handed before WriteBlocks returns.
 
 const (
 	jDescMagic   = 0x4A444553 // "JDES"
@@ -30,7 +37,24 @@ func (fs *FS) txBegin() {
 	if fs.sb.mode == JournalNone {
 		return
 	}
-	fs.tx = &txState{images: make(map[int64][]byte)}
+	if fs.txBuf.images == nil {
+		fs.txBuf.images = make(map[int64][]byte)
+	}
+	fs.tx = &fs.txBuf
+}
+
+// txEnd closes the open transaction, committed or abandoned, and returns its
+// image blocks to the free list.
+func (fs *FS) txEnd() {
+	if fs.tx == nil {
+		return
+	}
+	for _, lba := range fs.tx.order {
+		fs.freeImages = append(fs.freeImages, fs.tx.images[lba])
+	}
+	clear(fs.tx.images)
+	fs.tx.order = fs.tx.order[:0]
+	fs.tx = nil
 }
 
 // writeBlock routes one block image either into the open transaction (when
@@ -63,7 +87,11 @@ func (fs *FS) writeBlock(ctx *sim.Proc, lba int64, img []byte, meta bool) error 
 	}
 	buf, ok := fs.tx.images[lba]
 	if !ok {
-		buf = make([]byte, fs.bs)
+		if n := len(fs.freeImages); n > 0 {
+			buf, fs.freeImages = fs.freeImages[n-1], fs.freeImages[:n-1]
+		} else {
+			buf = make([]byte, fs.bs)
+		}
 		fs.tx.images[lba] = buf
 		fs.tx.order = append(fs.tx.order, lba)
 	}
@@ -79,7 +107,7 @@ func (fs *FS) txEntriesPerDesc() int { return (fs.bs - 16) / 8 }
 // txCommit writes the journal record and checkpoints the buffered blocks.
 func (fs *FS) txCommit(ctx *sim.Proc) error {
 	tx := fs.tx
-	fs.tx = nil
+	defer fs.txEnd()
 	if tx == nil || len(tx.order) == 0 {
 		return nil
 	}
@@ -97,7 +125,8 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 	head := fs.sb.journalStart + fs.journalHead
 
 	// Descriptor.
-	desc := make([]byte, fs.bs)
+	desc := fs.recordBuf
+	clear(desc)
 	binary.BigEndian.PutUint32(desc[0:], jDescMagic)
 	binary.BigEndian.PutUint64(desc[4:], fs.journalSeq)
 	binary.BigEndian.PutUint32(desc[12:], uint32(len(tx.order)))
@@ -110,10 +139,10 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 	fs.JournalBlockWrites++
 
 	// Images, with a rolling checksum sealed into the commit block.
-	var sum uint64
+	var sum uint32
 	for i, lba := range tx.order {
 		img := tx.images[lba]
-		sum = checksum(sum, img)
+		sum = crc32.Update(sum, castagnoli, img)
 		if err := fs.devWrite(ctx, int64(head)+1+int64(i), img); err != nil {
 			return err
 		}
@@ -121,10 +150,11 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 	}
 
 	// Commit record.
-	commit := make([]byte, fs.bs)
+	commit := desc
+	clear(commit)
 	binary.BigEndian.PutUint32(commit[0:], jCommitMagic)
 	binary.BigEndian.PutUint64(commit[4:], fs.journalSeq)
-	binary.BigEndian.PutUint64(commit[12:], sum)
+	binary.BigEndian.PutUint64(commit[12:], uint64(sum))
 	if err := fs.devWrite(ctx, int64(head)+1+int64(len(tx.order)), commit); err != nil {
 		return err
 	}
@@ -146,33 +176,25 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 	return nil
 }
 
-func checksum(sum uint64, b []byte) uint64 {
-	// FNV-1a folded over the existing sum; cheap and order-sensitive.
-	const prime = 1099511628211
-	if sum == 0 {
-		sum = 14695981039346656037
-	}
-	for _, c := range b {
-		sum ^= uint64(c)
-		sum *= prime
-	}
-	return sum
-}
+// castagnoli is the CRC-32C table the commit checksum rolls over a record's
+// images, in journal order. The sum is checked at replay and nowhere else.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// replayJournal scans the journal region at mount and redoes every fully
-// committed transaction in sequence order.
+// replayJournal scans the journal region at mount and redoes the newest fully
+// committed transaction, and only that one: an older record holds nothing that
+// is not already home, and the region is a ring that restarts at block 0, so a
+// record stranded in the tail of an earlier lap can outlive newer ones that
+// touched the same blocks — redoing it writes a stale image over them.
 func (fs *FS) replayJournal(ctx *sim.Proc) error {
 	if fs.sb.journalBlocks == 0 {
 		return nil
 	}
-	type rec struct {
+	var newest struct {
 		seq    uint64
 		blocks []int64
 		start  uint64 // journal block index of first image
 	}
-	img := make([]byte, fs.bs)
-	var recs []rec
-	var maxSeq uint64
+	img, cb := make([]byte, fs.bs), make([]byte, fs.bs)
 	for j := uint64(0); j < fs.sb.journalBlocks; j++ {
 		if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+j), img); err != nil {
 			return err
@@ -185,53 +207,44 @@ func (fs *FS) replayJournal(ctx *sim.Proc) error {
 		if n == 0 || uint64(n) > fs.sb.journalBlocks || j+uint64(n)+1 >= fs.sb.journalBlocks {
 			continue
 		}
-		blocks := make([]int64, n)
-		for i := uint32(0); i < n; i++ {
-			blocks[i] = int64(binary.BigEndian.Uint64(img[16+8*i:]))
-		}
 		// Validate the commit record and checksum.
-		cb := make([]byte, fs.bs)
 		if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+j+uint64(n)+1), cb); err != nil {
 			return err
 		}
 		if binary.BigEndian.Uint32(cb[0:]) != jCommitMagic || binary.BigEndian.Uint64(cb[4:]) != seq {
 			continue
 		}
-		var sum uint64
-		bimg := make([]byte, fs.bs)
-		valid := true
+		want := binary.BigEndian.Uint64(cb[12:])
+		var sum uint32
 		for i := uint32(0); i < n; i++ {
-			if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+j+1+uint64(i)), bimg); err != nil {
+			if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+j+1+uint64(i)), cb); err != nil {
 				return err
 			}
-			sum = checksum(sum, bimg)
+			sum = crc32.Update(sum, castagnoli, cb)
 		}
-		if sum != binary.BigEndian.Uint64(cb[12:]) {
-			valid = false
-		}
-		if !valid {
+		if uint64(sum) != want {
 			continue
 		}
-		recs = append(recs, rec{seq: seq, blocks: blocks, start: j + 1})
-		if seq > maxSeq {
-			maxSeq = seq
+		if seq > newest.seq {
+			newest.seq, newest.start = seq, j+1
+			newest.blocks = newest.blocks[:0]
+			for i := uint32(0); i < n; i++ {
+				newest.blocks = append(newest.blocks, int64(binary.BigEndian.Uint64(img[16+8*i:])))
+			}
 		}
 		j += uint64(n) + 1 // skip past this record
 	}
-	sort.Slice(recs, func(i, k int) bool { return recs[i].seq < recs[k].seq })
-	for _, r := range recs {
-		for i, lba := range r.blocks {
-			if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+r.start+uint64(i)), img); err != nil {
-				return err
-			}
-			if err := fs.devWrite(ctx, lba, img); err != nil {
-				return err
-			}
+	for i, lba := range newest.blocks {
+		if err := fs.dev.ReadBlocks(ctx, int64(fs.sb.journalStart+newest.start+uint64(i)), img); err != nil {
+			return err
+		}
+		if err := fs.devWrite(ctx, lba, img); err != nil {
+			return err
 		}
 	}
-	fs.journalSeq = maxSeq
-	// Leave journalHead at 0: fresh records overwrite old ones; stale
-	// records lose to the checksum/seq validation.
+	fs.journalSeq = newest.seq
+	// Leave journalHead at 0: fresh records overwrite old ones, and carry
+	// higher sequence numbers than any stale record they leave behind.
 	fs.journalHead = 0
 	return nil
 }
@@ -240,33 +253,33 @@ func (fs *FS) replayJournal(ctx *sim.Proc) error {
 // into the current transaction, then does the same for dirty refcount-table
 // blocks so every commit point covers both.
 func (fs *FS) flushDirtyTables(ctx *sim.Proc) error {
-	if err := fs.flushDirtyTable(ctx, &fs.dirtyBitmapBlks, fs.sb.bitmapStart, fs.renderBitmapBlock); err != nil {
+	if err := fs.flushDirtyTable(ctx, fs.dirtyBitmapBlks, fs.sb.bitmapStart, fs.renderBitmapBlock); err != nil {
 		return err
 	}
-	return fs.flushDirtyTable(ctx, &fs.dirtyRefcntBlks, fs.sb.refcntStart, fs.renderRefcntBlock)
+	return fs.flushDirtyTable(ctx, fs.dirtyRefcntBlks, fs.sb.refcntStart, fs.renderRefcntBlock)
 }
 
-// flushDirtyTable writes the blocks of one metadata table named in *dirty
+// flushDirtyTable writes the blocks of one metadata table named in dirty
 // into the current transaction in ascending order — map iteration order must
 // not reach the journal — and then forgets them. The table occupies the
 // volume from block start; render fills img with table block b's image.
-func (fs *FS) flushDirtyTable(ctx *sim.Proc, dirty *map[uint64]struct{}, start uint64, render func(img []byte, b uint64)) error {
-	if len(*dirty) == 0 {
+func (fs *FS) flushDirtyTable(ctx *sim.Proc, dirty map[uint64]struct{}, start uint64, render func(img []byte, b uint64)) error {
+	if len(dirty) == 0 {
 		return nil
 	}
-	img := make([]byte, fs.bs)
-	blks := make([]uint64, 0, len(*dirty))
-	for b := range *dirty {
+	img := fs.scratch
+	blks := make([]uint64, 0, len(dirty))
+	for b := range dirty {
 		blks = append(blks, b)
 	}
-	sort.Slice(blks, func(i, j int) bool { return blks[i] < blks[j] })
+	slices.Sort(blks)
 	for _, b := range blks {
 		render(img, b)
 		if err := fs.writeBlock(ctx, int64(start+b), img, true); err != nil {
 			return err
 		}
 	}
-	*dirty = nil
+	clear(dirty)
 	return nil
 }
 

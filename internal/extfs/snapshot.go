@@ -65,7 +65,7 @@ func (fs *FS) ensureRefcntTable(ctx *sim.Proc) error {
 	}
 	// Zero the table region directly (the blocks are unreachable until the
 	// superblock lands, exactly like fresh data blocks).
-	zero := make([]byte, 64*fs.bs)
+	zero := fs.zeroRun(64)
 	for off := uint64(0); off < need; {
 		n := need - off
 		if n > 64 {

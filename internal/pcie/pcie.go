@@ -229,60 +229,116 @@ func (f *Fabric) tlpCount(n int64) int64 {
 	return c
 }
 
-// DMARead copies len(p) bytes of host memory at addr into p on behalf of
-// function `from`, invoking done when the completion data has fully arrived
-// at the device. The data flows on the host-to-device link.
-func (f *Fabric) DMARead(from FnID, addr hostmem.Addr, p []byte, done func()) error {
-	if err := f.iommu.Check(from, addr, int64(len(p))); err != nil {
-		return err
+// admit is the prologue every DMA shares: the IOMMU check, the fault draw and
+// the counters. It returns the injected extra delay and the bytes the transfer
+// puts on the wire.
+func (f *Fabric) admit(write bool, from FnID, addr hostmem.Addr, n int64) (sim.Time, int64, error) {
+	if err := f.iommu.Check(from, addr, n); err != nil {
+		return 0, 0, err
 	}
-	dec := f.inj.Decide(fault.DMARead)
+	site, verb, ops, moved := fault.DMARead, "read", &f.DMAReads, &f.DMAReadBytes
+	if write {
+		site, verb, ops, moved = fault.DMAWrite, "write", &f.DMAWrites, &f.DMAWriteBytes
+	}
+	dec := f.inj.Decide(site)
 	if dec.Fault {
 		f.DMAFaultsInjected++
-		return fmt.Errorf("pcie: injected DMA read fault: fn %d addr %#x", from, addr)
+		return 0, 0, fmt.Errorf("pcie: injected DMA %s fault: fn %d addr %#x", verb, from, addr)
 	}
-	f.DMAReads++
-	f.DMAReadBytes += int64(len(p))
-	n := int64(len(p))
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	f.Eng.After(f.Params.DMARequestLatency+dec.Delay, func() {
+	*ops++
+	*moved += n
+	return dec.Delay, n + f.tlpCount(n)*f.Params.TLPOverheadBytes, nil
+}
+
+// must panics on a host-memory error: admit validated the range (a model bug).
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// DMARead copies len(p) bytes of host memory at addr into p on behalf of
+// function `from`, invoking done when the completion data has fully arrived
+// at the device: it sees the bytes present when the data phase finishes. The
+// data flows on the host-to-device link.
+func (f *Fabric) DMARead(from FnID, addr hostmem.Addr, p []byte, done func()) error {
+	delay, wire, err := f.admit(false, from, addr, int64(len(p)))
+	if err != nil {
+		return err
+	}
+	f.Eng.After(f.Params.DMARequestLatency+delay, func() {
 		f.toDev.Transfer(wire, func() {
-			// Snapshot memory at completion time: DMA sees the bytes present
-			// when the data phase finishes.
-			if err := f.Mem.Read(addr, p); err != nil {
-				panic(err) // range was validated above; failure is a model bug
-			}
+			must(f.Mem.Read(addr, p))
 			done()
 		})
 	})
 	return nil
 }
 
-// DMAWrite copies p into host memory at addr on behalf of function `from`,
-// invoking done when the posted write has drained onto the link.
-func (f *Fabric) DMAWrite(from FnID, addr hostmem.Addr, p []byte, done func()) error {
-	if err := f.iommu.Check(from, addr, int64(len(p))); err != nil {
+// DMAReadP is the process form of DMARead: the same two events (request
+// latency, then the link), with p parked across both. A process form borrows
+// the caller's buffer until it returns and copies nothing.
+func (f *Fabric) DMAReadP(p *sim.Proc, from FnID, addr hostmem.Addr, buf []byte) error {
+	delay, wire, err := f.admit(false, from, addr, int64(len(buf)))
+	if err != nil {
 		return err
 	}
-	dec := f.inj.Decide(fault.DMAWrite)
-	if dec.Fault {
-		f.DMAFaultsInjected++
-		return fmt.Errorf("pcie: injected DMA write fault: fn %d addr %#x", from, addr)
+	if d := f.Params.DMARequestLatency + delay; d > 0 {
+		p.Sleep(d)
+	} else {
+		p.Yield() // a zero request latency is still an event in the callback form
 	}
-	f.DMAWrites++
-	f.DMAWriteBytes += int64(len(p))
-	n := int64(len(p))
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	data := make([]byte, len(p))
-	copy(data, p)
+	f.toDev.TransferP(p, wire)
+	must(f.Mem.Read(addr, buf))
+	return nil
+}
+
+// post is the timed part of a posted write of n bytes: admission, the
+// device-to-host link, then any injected delay; drained runs when the write
+// lands.
+func (f *Fabric) post(from FnID, addr hostmem.Addr, n int64, drained func()) error {
+	delay, wire, err := f.admit(true, from, addr, n)
+	if err != nil {
+		return err
+	}
 	f.toHost.Transfer(wire, func() {
-		f.after(dec.Delay, func() {
-			if err := f.Mem.Write(addr, data); err != nil {
-				panic(err)
-			}
-			done()
-		})
+		if delay > 0 {
+			f.Eng.After(delay, drained)
+		} else {
+			drained()
+		}
 	})
+	return nil
+}
+
+// postP is post with p parked until the write has drained.
+func (f *Fabric) postP(p *sim.Proc, from FnID, addr hostmem.Addr, n int64) error {
+	delay, wire, err := f.admit(true, from, addr, n)
+	if err != nil {
+		return err
+	}
+	f.toHost.TransferP(p, wire)
+	p.Sleep(delay)
+	return nil
+}
+
+// DMAWrite copies p into host memory at addr on behalf of function `from`,
+// invoking done when the posted write has drained onto the link. Nobody is
+// parked, so the payload is snapshotted: the caller may reuse p at once.
+func (f *Fabric) DMAWrite(from FnID, addr hostmem.Addr, p []byte, done func()) error {
+	data := append([]byte(nil), p...)
+	return f.post(from, addr, int64(len(p)), func() {
+		must(f.Mem.Write(addr, data))
+		done()
+	})
+}
+
+// DMAWriteP is the process form of DMAWrite: what lands is buf at the drain.
+func (f *Fabric) DMAWriteP(p *sim.Proc, from FnID, addr hostmem.Addr, buf []byte) error {
+	if err := f.postP(p, from, addr, int64(len(buf))); err != nil {
+		return err
+	}
+	must(f.Mem.Write(addr, buf))
 	return nil
 }
 
@@ -290,25 +346,18 @@ func (f *Fabric) DMAWrite(from FnID, addr hostmem.Addr, p []byte, done func()) e
 // hole-read path: unmapped vLBAs "read as zeros" and NeSC "transparently
 // DMAs zeros to the destination buffer").
 func (f *Fabric) DMAZero(from FnID, addr hostmem.Addr, n int64, done func()) error {
-	if err := f.iommu.Check(from, addr, n); err != nil {
+	return f.post(from, addr, n, func() {
+		must(f.Mem.Zero(addr, n))
+		done()
+	})
+}
+
+// DMAZeroP is the process form of DMAZero.
+func (f *Fabric) DMAZeroP(p *sim.Proc, from FnID, addr hostmem.Addr, n int64) error {
+	if err := f.postP(p, from, addr, n); err != nil {
 		return err
 	}
-	dec := f.inj.Decide(fault.DMAWrite)
-	if dec.Fault {
-		f.DMAFaultsInjected++
-		return fmt.Errorf("pcie: injected DMA write fault: fn %d addr %#x", from, addr)
-	}
-	f.DMAWrites++
-	f.DMAWriteBytes += n
-	wire := n + f.tlpCount(n)*f.Params.TLPOverheadBytes
-	f.toHost.Transfer(wire, func() {
-		f.after(dec.Delay, func() {
-			if err := f.Mem.Zero(addr, n); err != nil {
-				panic(err)
-			}
-			done()
-		})
-	})
+	must(f.Mem.Zero(addr, n))
 	return nil
 }
 
@@ -320,15 +369,6 @@ func (f *Fabric) SetMSIHandler(h MSIHandler) { f.msiHandler = h }
 // are dropped and counted in BadMSIVectors.
 func (f *Fabric) AllocMSIVectors(id FnID, n int) {
 	f.msiVectors[id] = n
-}
-
-// after invokes fn now or after an injected extra delay.
-func (f *Fabric) after(delay sim.Time, fn func()) {
-	if delay > 0 {
-		f.Eng.After(delay, fn)
-		return
-	}
-	fn()
 }
 
 // RaiseMSI delivers a message-signaled interrupt from a function to the

@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"nesc/internal/fault"
@@ -365,4 +366,168 @@ func TestMSIDropAndDelay(t *testing.T) {
 		t.Fatalf("counters: dropped=%d delayed=%d delivered=%d",
 			f.DroppedMSIs, f.DelayedMSIs, f.MSIs)
 	}
+}
+
+// dmaKinds drives each DMA kind in its callback form — from a process, the way
+// a process has to: park in Wait until done fires, or not at all when the
+// call is refused — and in its process form.
+var dmaKinds = []struct {
+	name              string
+	callback, process func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error
+}{
+	{"read",
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return waitDMA(p, func(done func()) error { return f.DMARead(fn, addr, buf, done) })
+		},
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return f.DMAReadP(p, fn, addr, buf)
+		}},
+	{"write",
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return waitDMA(p, func(done func()) error { return f.DMAWrite(fn, addr, buf, done) })
+		},
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return f.DMAWriteP(p, fn, addr, buf)
+		}},
+	{"zero",
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return waitDMA(p, func(done func()) error { return f.DMAZero(fn, addr, int64(len(buf)), done) })
+		},
+		func(f *Fabric, p *sim.Proc, fn FnID, addr hostmem.Addr, buf []byte) error {
+			return f.DMAZeroP(p, fn, addr, int64(len(buf)))
+		}},
+}
+
+func waitDMA(p *sim.Proc, start func(done func()) error) error {
+	var err error
+	p.Wait(func(done func()) {
+		if err = start(done); err != nil {
+			done()
+		}
+	})
+	return err
+}
+
+// TestProcessFormMatchesCallbackForm holds the two forms of every DMA kind to
+// one behaviour: the same completion time, the same number of dispatched
+// events, the same counters, the same bytes in host memory and in the
+// device's buffer — and a refused call returns on the spot in both.
+func TestProcessFormMatchesCallbackForm(t *testing.T) {
+	faultPlan := func(sp fault.SiteParams) func(*Fabric) {
+		return func(f *Fabric) {
+			plan := fault.Plan{Seed: 9}
+			plan.Sites[fault.DMARead], plan.Sites[fault.DMAWrite] = sp, sp
+			f.SetInjector(fault.NewInjector(plan))
+		}
+	}
+	configs := []struct {
+		name    string
+		setup   func(*Fabric)
+		refused bool
+	}{
+		{"plain", func(*Fabric) {}, false},
+		{"IOMMU reject", func(f *Fabric) { f.IOMMU().Enable() }, true},
+		{"injected fault", faultPlan(fault.SiteParams{OneShot: []int64{1}}), true},
+		{"injected delay", faultPlan(fault.SiteParams{DelayProb: 1, Delay: 3 * sim.Microsecond}), false},
+		{"zero request latency", func(f *Fabric) { f.Params.DMARequestLatency = 0 }, false},
+	}
+	type outcome struct {
+		err             string
+		parked          bool
+		done            sim.Time
+		stepped         int64
+		counters, links [5]int64
+		host, device    []byte
+	}
+	run := func(setup func(*Fabric), form func(*Fabric, *sim.Proc, FnID, hostmem.Addr, []byte) error) outcome {
+		f, eng, mem := newFabric()
+		fn := f.RegisterFunction("dev")
+		setup(f)
+		addr := mem.MustAlloc(4096, 8)
+		if err := mem.Write(addr, bytes.Repeat([]byte{0xA5}, 4096)); err != nil {
+			t.Fatal(err)
+		}
+		o := outcome{device: bytes.Repeat([]byte{0x3C}, 4096), host: make([]byte, 4096)}
+		eng.Go("dev", func(p *sim.Proc) {
+			at, stepped := p.Now(), eng.Stepped
+			if err := form(f, p, fn, addr, o.device); err != nil {
+				o.err = err.Error()
+			}
+			o.parked = p.Now() != at || eng.Stepped != stepped
+			o.done = p.Now()
+		})
+		eng.Run()
+		o.stepped = eng.Stepped
+		o.counters = [5]int64{f.DMAReads, f.DMAWrites, f.DMAReadBytes, f.DMAWriteBytes, f.DMAFaultsInjected}
+		o.links = [5]int64{f.toDev.Transfers, f.toDev.Bytes, f.toHost.Transfers, f.toHost.Bytes}
+		if err := mem.Read(addr, o.host); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	for _, cfg := range configs {
+		for _, k := range dmaKinds {
+			t.Run(cfg.name+"/"+k.name, func(t *testing.T) {
+				cb, proc := run(cfg.setup, k.callback), run(cfg.setup, k.process)
+				if !reflect.DeepEqual(cb, proc) {
+					t.Errorf("the forms differ:\ncallback %+v\nprocess  %+v", cb, proc)
+				}
+				if refused := proc.err != ""; refused != cfg.refused || proc.parked == refused {
+					t.Errorf("process form: err %q, parked %v; want refused %v and parked only if not", proc.err, proc.parked, cfg.refused)
+				}
+			})
+		}
+	}
+}
+
+// TestProcessFormBorrowsTheBuffer: a process-form write copies nothing at
+// submission — the bytes that land are the buffer's when the posted write
+// drains — while the callback form (TestDMAWriteSnapshotsSource) snapshots.
+func TestProcessFormBorrowsTheBuffer(t *testing.T) {
+	f, eng, mem := newFabric()
+	fn := f.RegisterFunction("dev")
+	addr := mem.MustAlloc(16, 8)
+	buf := []byte{1, 2, 3, 4}
+	eng.Go("dev", func(p *sim.Proc) {
+		if err := f.DMAWriteP(p, fn, addr, buf); err != nil {
+			t.Error(err)
+		}
+		buf[1] = 77 // the caller's again: must not land
+	})
+	eng.After(1, func() { buf[0] = 99 }) // in flight: lands
+	eng.Run()
+	got := make([]byte, 4)
+	if err := mem.Read(addr, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{99, 2, 3, 4}; !bytes.Equal(got, want) {
+		t.Fatalf("host memory % x, want % x", got, want)
+	}
+}
+
+// TestProcessFormAllocations: a 4 KB DMAWriteP + DMAReadP allocates its
+// scheduled events (one *event and one resume method value for the request
+// latency's Sleep, one *event per link transfer) and nothing else — no
+// payload-sized object, no closure.
+func TestProcessFormAllocations(t *testing.T) {
+	f, eng, mem := newFabric()
+	fn := f.RegisterFunction("dev")
+	addr := mem.MustAlloc(4096, 8)
+	buf := make([]byte, 4096)
+	var allocs float64
+	eng.Go("dev", func(p *sim.Proc) {
+		body := func() {
+			if f.DMAWriteP(p, fn, addr, buf) != nil || f.DMAReadP(p, fn, addr, buf) != nil {
+				t.Error("DMA refused")
+			}
+		}
+		body()
+		allocs = testing.AllocsPerRun(200, body)
+	})
+	eng.Run()
+	const ceiling = 4
+	if allocs > ceiling {
+		t.Errorf("DMAWriteP+DMAReadP of 4 KB allocates %v times, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%v allocs per 4 KB DMAWriteP+DMAReadP", allocs)
 }
