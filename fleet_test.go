@@ -150,11 +150,7 @@ func TestFleetWideOperationsCoverEveryDevice(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			raw, err := d1.Ctl.Medium.Store().Slice(int64(runs[0].Physical), 1)
-			if err != nil {
-				return err
-			}
-			raw[0] ^= 0x40
+			d1.Ctl.Medium.Store().Block(int64(runs[0].Physical))[0] ^= 0x40
 			return body(ctx, s, vm, want)
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"nesc/internal/sim"
@@ -41,4 +42,23 @@ func TestTelemetryOffWriteAllocs(t *testing.T) {
 		t.Errorf("a 1 KB write with telemetry off allocates %v times, ceiling %d", allocs, ceiling)
 	}
 	t.Logf("%v allocs per 1 KB write", allocs)
+}
+
+// TestPlatformCostsWhatItTouches pins what building the paper's platform
+// allocates before anything runs on it: 512 MB of host memory and a 128 MB
+// medium are address spaces, backed where they are first written (640.5 MB
+// when both were one slice each; the medium's guard table is the half megabyte
+// that is left).
+func TestPlatformCostsWhatItTouches(t *testing.T) {
+	const ceiling = 4 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pl := NewPlatform(DefaultConfig())
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if got > ceiling {
+		t.Errorf("NewPlatform(DefaultConfig()) allocated %d bytes, ceiling %d", got, ceiling)
+	}
+	t.Logf("NewPlatform(DefaultConfig()) allocates %d KB", got>>10)
+	runtime.KeepAlive(pl)
 }

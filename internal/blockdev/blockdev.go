@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"slices"
 
 	"nesc/internal/fault"
 	"nesc/internal/sim"
@@ -39,30 +41,43 @@ type writeRecord struct {
 
 // Store is the functional block space: numBlocks blocks of blockSize bytes,
 // each carrying an out-of-band CRC-32C guard tag maintained on write.
+//
+// The block space is flat; its backing is made in fixed chunks at first write.
+// A block in a chunk never written reads as zeros and carries the zero
+// block's guard.
 type Store struct {
 	blockSize int
 	numBlocks int64
-	data      []byte
-	guards    []uint32
+	// chunks[i] backs the 1<<chunkShift blocks from i<<chunkShift, the last
+	// one as many as are left; nil until one of them is written.
+	chunks     [][]byte
+	chunkShift uint
+	guards     []uint32
+	zeroGuard  uint32
 
 	logging  bool
 	writeLog []writeRecord
 }
 
-// NewStore allocates a zeroed block space.
+// chunkBytes bounds the size of one backing allocation: a chunk is the largest
+// power-of-two number of blocks that fits, and at least one block.
+const chunkBytes = 256 << 10
+
+// NewStore returns a zeroed block space.
 func NewStore(blockSize int, numBlocks int64) *Store {
 	if blockSize <= 0 || numBlocks <= 0 {
 		panic("blockdev: invalid geometry")
 	}
 	s := &Store{
-		blockSize: blockSize,
-		numBlocks: numBlocks,
-		data:      make([]byte, int64(blockSize)*numBlocks),
-		guards:    make([]uint32, numBlocks),
+		blockSize:  blockSize,
+		numBlocks:  numBlocks,
+		chunkShift: uint(bits.Len(uint(max(1, chunkBytes/blockSize))) - 1),
+		guards:     make([]uint32, numBlocks),
+		zeroGuard:  BlockGuard(make([]byte, blockSize)),
 	}
-	zero := BlockGuard(s.data[:blockSize])
+	s.chunks = make([][]byte, (numBlocks-1)>>s.chunkShift+1)
 	for i := range s.guards {
-		s.guards[i] = zero
+		s.guards[i] = s.zeroGuard
 	}
 	return s
 }
@@ -84,13 +99,29 @@ func (s *Store) checkRange(lba int64, n int) error {
 	return nil
 }
 
+// span locates the front of an n-byte access at lba: its chunk, the byte
+// offset of lba in that chunk, and how many of the n bytes the chunk holds.
+// What is left of the access starts at block (chunk+1)<<chunkShift.
+func (s *Store) span(lba int64, n int) (chunk, off, k int) {
+	in := int(lba & (1<<s.chunkShift - 1))
+	return int(lba >> s.chunkShift), in * s.blockSize, min(n, (1<<s.chunkShift-in)*s.blockSize)
+}
+
 // ReadBlocks copies whole blocks starting at lba into p (whose length must
 // be a block multiple).
 func (s *Store) ReadBlocks(lba int64, p []byte) error {
 	if err := s.checkRange(lba, len(p)); err != nil {
 		return err
 	}
-	copy(p, s.data[lba*int64(s.blockSize):])
+	for len(p) > 0 {
+		c, off, k := s.span(lba, len(p))
+		if ch := s.chunks[c]; ch != nil {
+			copy(p[:k], ch[off:])
+		} else {
+			clear(p[:k])
+		}
+		lba, p = int64(c+1)<<s.chunkShift, p[k:]
+	}
 	return nil
 }
 
@@ -101,21 +132,27 @@ func (s *Store) WriteBlocks(lba int64, p []byte) error {
 	if err := s.checkRange(lba, len(p)); err != nil {
 		return err
 	}
-	bs := int64(s.blockSize)
-	blocks := int64(len(p)) / bs
-	if s.logging {
-		for i := int64(0); i < blocks; i++ {
-			b := lba + i
-			pre := make([]byte, bs)
-			copy(pre, s.data[b*bs:])
-			s.writeLog = append(s.writeLog, writeRecord{lba: b, data: pre, guard: s.guards[b]})
+	for bs := s.blockSize; len(p) > 0; lba, p = lba+1, p[bs:] {
+		blk := s.Block(lba)
+		if s.logging {
+			s.writeLog = append(s.writeLog, writeRecord{lba: lba, data: slices.Clone(blk), guard: s.guards[lba]})
 		}
-	}
-	copy(s.data[lba*bs:], p)
-	for i := int64(0); i < blocks; i++ {
-		s.guards[lba+i] = BlockGuard(p[i*bs : (i+1)*bs])
+		copy(blk, p[:bs])
+		s.guards[lba] = BlockGuard(p[:bs])
 	}
 	return nil
+}
+
+// Block returns the live bytes of one block, backing its chunk if nothing
+// has. A write through the view changes the medium behind the guard tags'
+// back, which is how a test plants silent corruption.
+func (s *Store) Block(lba int64) []byte {
+	c, off, k := s.span(lba, s.blockSize)
+	if s.chunks[c] == nil {
+		blocks := min(1<<s.chunkShift, s.numBlocks-int64(c)<<s.chunkShift)
+		s.chunks[c] = make([]byte, blocks*int64(s.blockSize))
+	}
+	return s.chunks[c][off : off+k]
 }
 
 // Guard returns the stored guard tag for one block.
@@ -126,9 +163,12 @@ func (s *Store) Guard(lba int64) uint32 { return s.guards[lba] }
 // used by the crash harness. A clean device returns an empty slice.
 func (s *Store) VerifyGuards() []int64 {
 	var bad []int64
-	bs := int64(s.blockSize)
 	for b := int64(0); b < s.numBlocks; b++ {
-		if BlockGuard(s.data[b*bs:(b+1)*bs]) != s.guards[b] {
+		guard := s.zeroGuard
+		if c, off, k := s.span(b, s.blockSize); s.chunks[c] != nil {
+			guard = BlockGuard(s.chunks[c][off : off+k])
+		}
+		if guard != s.guards[b] {
 			bad = append(bad, b)
 		}
 	}
@@ -153,23 +193,13 @@ func (s *Store) Rollback(n int) int {
 	if n > len(s.writeLog) {
 		n = len(s.writeLog)
 	}
-	bs := int64(s.blockSize)
 	for i := 0; i < n; i++ {
 		rec := s.writeLog[len(s.writeLog)-1-i]
-		copy(s.data[rec.lba*bs:], rec.data)
+		copy(s.Block(rec.lba), rec.data)
 		s.guards[rec.lba] = rec.guard
 	}
 	s.writeLog = s.writeLog[:len(s.writeLog)-n]
 	return n
-}
-
-// Slice exposes the live bytes of a block range for zero-copy device paths.
-func (s *Store) Slice(lba int64, nBlocks int64) ([]byte, error) {
-	if lba < 0 || nBlocks < 0 || lba+nBlocks > s.numBlocks {
-		return nil, fmt.Errorf("blockdev: slice [%d,%d) outside device", lba, lba+nBlocks)
-	}
-	off := lba * int64(s.blockSize)
-	return s.data[off : off+nBlocks*int64(s.blockSize)], nil
 }
 
 // MediumParams sets the timing of the access port.

@@ -49,12 +49,11 @@ func TestStoreValidation(t *testing.T) {
 	if err := s.WriteBlocks(-1, make([]byte, 512)); err == nil {
 		t.Fatal("negative LBA accepted")
 	}
-	if _, err := s.Slice(6, 4); err == nil {
-		t.Fatal("oversized slice accepted")
+	if err := s.ReadBlocks(6, make([]byte, 4*512)); err == nil {
+		t.Fatal("oversized read accepted")
 	}
-	sl, err := s.Slice(2, 2)
-	if err != nil || len(sl) != 1024 {
-		t.Fatalf("slice = %d bytes, %v", len(sl), err)
+	if err := s.ReadBlocks(2, make([]byte, 2*512)); err != nil {
+		t.Fatalf("two-block read: %v", err)
 	}
 }
 

@@ -33,6 +33,17 @@ type rig struct {
 
 func newRig(t *testing.T, p Params) *rig { return newRigWith(t, p, Sinks{}) }
 
+// stored reads n blocks at pLBA lba straight from the medium's store.
+func (r *rig) stored(lba, n int64) []byte {
+	r.t.Helper()
+	store := r.ctl.Medium.Store()
+	buf := make([]byte, n*int64(store.BlockSize()))
+	if err := store.ReadBlocks(lba, buf); err != nil {
+		r.t.Fatal(err)
+	}
+	return buf
+}
+
 // newRigWith is newRig with telemetry sinks armed.
 func newRigWith(t *testing.T, p Params, tel Sinks) *rig {
 	t.Helper()
@@ -216,8 +227,7 @@ func TestPFReadWriteRoundTrip(t *testing.T) {
 			t.Error("PF round trip mismatch")
 		}
 		// The data must physically live at pLBA 100.
-		sl, _ := r.ctl.Medium.Store().Slice(100, 8)
-		if !bytes.Equal(sl, src) {
+		if !bytes.Equal(r.stored(100, 8), src) {
 			t.Error("data not at pLBA 100")
 		}
 		done = true
@@ -262,10 +272,7 @@ func TestWriteLandsHostMemoryAtDataPhase(t *testing.T) {
 	if status != ring.StatusOK {
 		t.Fatalf("write status %d", status)
 	}
-	sl, err := r.ctl.Medium.Store().Slice(100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sl := r.stored(100, 1)
 	if sl[0] != 2 || sl[1] != 1 {
 		t.Fatalf("medium holds % x, want 02 01: the rewrite made in flight and not the one made after the data phase", sl[:2])
 	}
@@ -292,8 +299,7 @@ func TestVFTranslatedIO(t *testing.T) {
 			t.Errorf("write status %d", st)
 		}
 		// Physical placement respects the extent map.
-		lo, _ := r.ctl.Medium.Store().Slice(500, 8)
-		hi, _ := r.ctl.Medium.Store().Slice(200, 8)
+		lo, hi := r.stored(500, 8), r.stored(200, 8)
 		if !bytes.Equal(lo, src[:8192]) || !bytes.Equal(hi, src[8192:]) {
 			t.Error("translated write landed at wrong pLBAs")
 		}
@@ -349,8 +355,7 @@ func TestVFIsolation(t *testing.T) {
 			t.Errorf("out-of-range read status %d", st)
 		}
 		// VF2's physical blocks are untouched by VF1's writes.
-		sl, _ := r.ctl.Medium.Store().Slice(300, 4)
-		if !bytes.Equal(sl, secret) {
+		if !bytes.Equal(r.stored(300, 4), secret) {
 			t.Error("isolation violated: VF1 affected VF2's blocks")
 		}
 		done = true
@@ -445,8 +450,7 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 			t.Errorf("miss write status %d", st)
 		}
 		// The hypervisor mapped vLBA 5 -> pLBA 605.
-		sl, _ := r.ctl.Medium.Store().Slice(605, 1)
-		if sl[0] != 0x77 {
+		if r.stored(605, 1)[0] != 0x77 {
 			t.Error("allocated write did not land at the hypervisor-assigned pLBA")
 		}
 		done = true
@@ -803,7 +807,6 @@ func TestRandomIOModelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 3; trial++ {
 		r := newRig(t, smallParams())
-		store := r.ctl.Medium.Store()
 		// Two disjoint random mappings of 64 blocks each.
 		perm := rng.Perm(2048)
 		mkRuns := func(base int) []extent.Run {
@@ -864,11 +867,7 @@ func TestRandomIOModelProperty(t *testing.T) {
 		// Cross-check physical placement for both VFs.
 		verify := func(runs []extent.Run, shadow []byte) {
 			for _, rn := range runs {
-				sl, err := store.Slice(int64(rn.Physical), int64(rn.Count))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sl, shadow[rn.Logical*1024:(rn.Logical+rn.Count)*1024]) {
+				if !bytes.Equal(r.stored(int64(rn.Physical), int64(rn.Count)), shadow[rn.Logical*1024:(rn.Logical+rn.Count)*1024]) {
 					t.Fatalf("physical block %d does not match shadow", rn.Physical)
 				}
 			}

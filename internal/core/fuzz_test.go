@@ -50,13 +50,17 @@ func FuzzGuestDescriptor(f *testing.F) {
 		cplBase := r.mem.MustAlloc(int64(entries)*ring.CplBytes, 64)
 		buf := r.mem.MustAlloc(4096, 4096)
 		// The descriptor's buffer word is an offset from the granted buffer, so
-		// small values exercise the data path and large ones the IOMMU.
+		// small values exercise the data path and large ones the IOMMU — or,
+		// under an even request id, the fabric with the IOMMU off (the
+		// platform's default), where only host memory's own size stops a DMA.
 		rawOp, id, lba, count, bufOff, guard := ring.DecodeDescriptorPI(d)
 		ring.EncodeDescriptorPI(d, rawOp, id, lba, count, buf+bufOff, guard)
 		vf := r.ctl.VF(0)
-		r.fab.IOMMU().Enable()
-		r.fab.IOMMU().Grant(r.ctl.PF().ID(), 0, 32<<20)
-		r.fab.IOMMU().Grant(vf.ID(), buf, 4096)
+		if id%2 == 1 {
+			r.fab.IOMMU().Enable()
+			r.fab.IOMMU().Grant(r.ctl.PF().ID(), 0, 32<<20)
+			r.fab.IOMMU().Grant(vf.ID(), buf, 4096)
+		}
 
 		r.eng.Go("guest", func(p *sim.Proc) {
 			r.setVF(p, 0, tr.Root(), vfBlocks)

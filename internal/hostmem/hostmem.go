@@ -21,8 +21,16 @@ import (
 type Addr = int64
 
 // Memory is a flat host physical memory with a first-fit region allocator.
+// Only the backing is lazy: an address no arena backs has never been written
+// and reads as zero. Every live allocation lies inside one arena (Alloc sees
+// to it while the range is still free) and an arena's bytes never move, so a
+// Slice of a live allocation is memory until the allocation is freed.
 type Memory struct {
-	data []byte
+	size int64
+	// arenas are sorted by base and disjoint; hit indexes the one the last
+	// access found, tried before the search.
+	arenas []arena
+	hit    int
 	// free regions, sorted by base and fully coalesced (no two touch). Alloc
 	// and Free edit the list in place. Placement is first-fit by ascending
 	// base and part of the simulation's determinism contract: allocation
@@ -40,6 +48,18 @@ type region struct {
 	size int64
 }
 
+// arena is one backing allocation: the bytes of [base, base+len(data)).
+type arena struct {
+	base Addr
+	data []byte
+}
+
+func (a arena) end() Addr { return a.base + int64(len(a.data)) }
+
+// grain is how far past the range that needs it a new arena reaches, so that
+// a run of small neighbouring allocations shares one.
+const grain = 1 << 20
+
 // New returns a memory of the given size. The first 64 bytes are reserved so
 // no allocation returns address 0 (the extent-tree NULL pointer).
 func New(size int64) *Memory {
@@ -48,58 +68,148 @@ func New(size int64) *Memory {
 		panic("hostmem: memory too small")
 	}
 	return &Memory{
-		data:   make([]byte, size),
+		size:   size,
 		free:   []region{{base: reserve, size: size - reserve}},
 		allocs: make(map[Addr]int64),
 	}
 }
 
 // Size reports the total memory size in bytes.
-func (m *Memory) Size() int64 { return int64(len(m.data)) }
+func (m *Memory) Size() int64 { return m.size }
 
-// check validates an access range.
-func (m *Memory) check(addr Addr, n int) error {
-	if addr < 0 || n < 0 || addr > int64(len(m.data))-int64(n) { // not addr+n: a hostile addr would wrap it
-		return fmt.Errorf("hostmem: access [%#x, %#x) outside memory of %d bytes", addr, addr+int64(n), len(m.data))
+// view returns the front of [addr, addr+n): the longest prefix that lies
+// inside one arena (its live bytes) or is wholly unbacked (nil), and that
+// prefix's length. The arena the last access found is tried first; it holds
+// all of most accesses, and then there is no more to check.
+func (m *Memory) view(addr Addr, n int64) ([]byte, int64, error) {
+	if m.hit < len(m.arenas) {
+		a := &m.arenas[m.hit]
+		if off := addr - a.base; off >= 0 && n >= 0 && off <= int64(len(a.data))-n {
+			return a.data[off : off+n], n, nil
+		}
 	}
-	return nil
+	if addr < 0 || n < 0 || addr > m.size-n { // not addr+n: a hostile addr would wrap it
+		return nil, 0, fmt.Errorf("hostmem: access [%#x, %#x) outside memory of %d bytes", addr, addr+n, m.size)
+	}
+	i := m.find(addr)
+	if i == len(m.arenas) {
+		return nil, n, nil
+	}
+	a := m.arenas[i]
+	if addr < a.base {
+		return nil, min(n, a.base-addr), nil
+	}
+	m.hit = i
+	n = min(n, a.end()-addr)
+	return a.data[addr-a.base:][:n], n, nil
+}
+
+// find returns the index of the first arena that ends after addr.
+func (m *Memory) find(addr Addr) int {
+	return sort.Search(len(m.arenas), func(i int) bool { return m.arenas[i].end() > addr })
+}
+
+// carve backs [base, base+size) with one arena and returns its bytes. A range
+// one arena already holds stays where it is. Otherwise the caller vouches that
+// nothing live lies in the range (it is free, or unbacked): a new arena takes
+// it over, a grain longer where that reaches only unbacked memory. What older
+// arenas held there is copied in, so the range reads as it did, and they keep
+// the rest as sub-slices of themselves: no byte outside the range moves.
+func (m *Memory) carve(base Addr, size int64) []byte {
+	if b, n, _ := m.view(base, size); b != nil && n == size {
+		return b
+	}
+	end := base + size
+	i := m.find(base)
+	j := i
+	for j < len(m.arenas) && m.arenas[j].base < end {
+		j++
+	}
+	limit := min(end+grain, m.size)
+	if j < len(m.arenas) {
+		limit = min(limit, m.arenas[j].base)
+	}
+	if j > i && m.arenas[j-1].end() > end {
+		limit = end
+	}
+	fresh := arena{base: base, data: make([]byte, limit-base)}
+	repl := []arena{fresh}
+	for _, a := range m.arenas[i:j] {
+		copy(fresh.data[max(a.base, base)-base:], a.data[max(base-a.base, 0):min(a.end(), end)-a.base])
+		if a.base < base {
+			repl = slices.Insert(repl, 0, arena{base: a.base, data: a.data[:base-a.base]})
+		}
+		if a.end() > end {
+			repl = append(repl, arena{base: end, data: a.data[end-a.base:]})
+		}
+	}
+	m.arenas = slices.Replace(m.arenas, i, j, repl...)
+	return fresh.data[:size]
 }
 
 // Read copies len(p) bytes starting at addr into p.
 func (m *Memory) Read(addr Addr, p []byte) error {
-	if err := m.check(addr, len(p)); err != nil {
-		return err
+	for len(p) > 0 {
+		b, n, err := m.view(addr, int64(len(p)))
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			clear(p[:n])
+		} else {
+			copy(p, b)
+		}
+		addr, p = addr+n, p[n:]
 	}
-	copy(p, m.data[addr:])
 	return nil
 }
 
-// Write copies p into memory starting at addr.
+// Write copies p into memory starting at addr, backing what of the range was
+// not backed yet.
 func (m *Memory) Write(addr Addr, p []byte) error {
-	if err := m.check(addr, len(p)); err != nil {
-		return err
+	for len(p) > 0 {
+		b, n, err := m.view(addr, int64(len(p)))
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			b = m.carve(addr, n)
+		}
+		copy(b, p)
+		addr, p = addr+n, p[n:]
 	}
-	copy(m.data[addr:], p)
 	return nil
 }
 
-// Zero clears n bytes starting at addr.
+// Zero clears n bytes starting at addr. Unbacked memory is zero already.
 func (m *Memory) Zero(addr Addr, n int64) error {
-	if err := m.check(addr, int(n)); err != nil {
-		return err
+	for n > 0 {
+		b, k, err := m.view(addr, n)
+		if err != nil {
+			return err
+		}
+		clear(b)
+		addr, n = addr+k, n-k
 	}
-	clear(m.data[addr : addr+n])
 	return nil
 }
 
 // Slice returns the live backing bytes for [addr, addr+n). Mutating the
-// returned slice mutates memory; it models zero-copy device access and must
-// not be retained across allocator calls.
+// returned slice mutates memory; it models zero-copy device access. The range
+// must lie inside one arena, as every allocation does, or be wholly unbacked
+// (it is backed then). A slice of an allocation is dead once the allocation is
+// freed: the allocator may move the range to another arena.
 func (m *Memory) Slice(addr Addr, n int64) ([]byte, error) {
-	if err := m.check(addr, int(n)); err != nil {
+	b, k, err := m.view(addr, n)
+	switch {
+	case err != nil:
 		return nil, err
+	case k < n:
+		return nil, fmt.Errorf("hostmem: slice [%#x, %#x) is not inside one allocation", addr, addr+n)
+	case b == nil && n > 0:
+		b = m.carve(addr, n)
 	}
-	return m.data[addr : addr+n], nil
+	return b, nil
 }
 
 // Typed big-endian accessors. The NeSC wire format is big-endian so
@@ -107,36 +217,30 @@ func (m *Memory) Slice(addr Addr, n int64) ([]byte, error) {
 
 // ReadU64 reads a big-endian uint64 at addr.
 func (m *Memory) ReadU64(addr Addr) (uint64, error) {
-	if err := m.check(addr, 8); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(m.data[addr:]), nil
+	var b [8]byte
+	err := m.Read(addr, b[:])
+	return binary.BigEndian.Uint64(b[:]), err
 }
 
 // WriteU64 writes a big-endian uint64 at addr.
 func (m *Memory) WriteU64(addr Addr, v uint64) error {
-	if err := m.check(addr, 8); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint64(m.data[addr:], v)
-	return nil
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	return m.Write(addr, b[:])
 }
 
 // ReadU32 reads a big-endian uint32 at addr.
 func (m *Memory) ReadU32(addr Addr) (uint32, error) {
-	if err := m.check(addr, 4); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(m.data[addr:]), nil
+	var b [4]byte
+	err := m.Read(addr, b[:])
+	return binary.BigEndian.Uint32(b[:]), err
 }
 
 // WriteU32 writes a big-endian uint32 at addr.
 func (m *Memory) WriteU32(addr Addr, v uint32) error {
-	if err := m.check(addr, 4); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(m.data[addr:], v)
-	return nil
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], v)
+	return m.Write(addr, b[:])
 }
 
 // Alloc reserves size bytes aligned to align (power of two or 1; 0 means 8)
@@ -173,6 +277,7 @@ func (m *Memory) Alloc(size, align int64) (Addr, error) {
 		default:
 			m.free = slices.Delete(m.free, i, i+1)
 		}
+		m.carve(base, size) // one arena under the whole block, while nothing in it is live
 		m.allocs[base] = size
 		m.AllocBytes += size
 		return base, nil

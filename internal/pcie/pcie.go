@@ -229,16 +229,20 @@ func (f *Fabric) tlpCount(n int64) int64 {
 	return c
 }
 
-// admit is the prologue every DMA shares: the IOMMU check, the fault draw and
-// the counters. It returns the injected extra delay and the bytes the transfer
-// puts on the wire.
+// admit is the prologue every DMA shares: the range check against host memory
+// (the address is whatever a guest or a tree node said), the IOMMU check, the
+// fault draw and the counters. It returns the injected extra delay and the
+// bytes the transfer puts on the wire.
 func (f *Fabric) admit(write bool, from FnID, addr hostmem.Addr, n int64) (sim.Time, int64, error) {
-	if err := f.iommu.Check(from, addr, n); err != nil {
-		return 0, 0, err
-	}
 	site, verb, ops, moved := fault.DMARead, "read", &f.DMAReads, &f.DMAReadBytes
 	if write {
 		site, verb, ops, moved = fault.DMAWrite, "write", &f.DMAWrites, &f.DMAWriteBytes
+	}
+	if addr < 0 || n < 0 || addr > f.Mem.Size()-n { // not addr+n: a hostile addr would wrap it
+		return 0, 0, fmt.Errorf("pcie: DMA %s outside host memory: fn %d addr %#x len %d", verb, from, addr, n)
+	}
+	if err := f.iommu.Check(from, addr, n); err != nil {
+		return 0, 0, err
 	}
 	dec := f.inj.Decide(site)
 	if dec.Fault {
@@ -424,11 +428,11 @@ func (i *IOMMU) Check(fn FnID, addr hostmem.Addr, size int64) error {
 		return nil
 	}
 	for _, s := range i.grants[fn] {
-		if addr >= s.base && addr+size <= s.base+s.size {
+		if addr >= s.base && size <= s.size && addr-s.base <= s.size-size { // no sum a hostile addr could wrap
 			return nil
 		}
 	}
-	return fmt.Errorf("pcie: IOMMU fault: fn %d access [%#x,%#x) not granted", fn, addr, addr+size)
+	return fmt.Errorf("pcie: IOMMU fault: fn %d access of %d bytes at %#x not granted", fn, size, addr)
 }
 
 // SRIOVCap describes a device's SR-IOV capability as exposed in (simplified)

@@ -2,6 +2,7 @@ package pcie
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -262,6 +263,44 @@ func TestIOMMUDisabledAdmitsEverything(t *testing.T) {
 		t.Fatalf("disabled IOMMU rejected DMA: %v", err)
 	}
 	eng.Run()
+}
+
+// TestDMAOutsideHostMemoryIsRefused: the address of a DMA is a word some guest
+// or tree node supplied. Whatever the IOMMU says (off, it says nothing; on, its
+// grant check must not be wrapped by an address near 2^63), a transfer that is
+// not inside host memory is refused at admission, where callers already handle
+// an error — not at the data phase, where there is no one left to tell.
+func TestDMAOutsideHostMemoryIsRefused(t *testing.T) {
+	for _, iommu := range []bool{false, true} {
+		f, eng, mem := newFabric()
+		fn := f.RegisterFunction("vf")
+		if iommu {
+			f.IOMMU().Enable()
+			f.IOMMU().Grant(fn, mem.Size()-4096, 4096)
+			if err := f.IOMMU().Check(fn, math.MaxInt64-100, 1024); err == nil {
+				t.Error("IOMMU granted a range whose end wraps past 2^63")
+			}
+		}
+		for _, addr := range []hostmem.Addr{mem.Size() - 512, mem.Size(), 1 << 40, math.MaxInt64 - 100, -4096} {
+			buf := make([]byte, 1024)
+			for form, err := range map[string]error{
+				"DMARead":  f.DMARead(fn, addr, buf, func() {}),
+				"DMAWrite": f.DMAWrite(fn, addr, buf, func() {}),
+				"DMAZero":  f.DMAZero(fn, addr, 1024, func() {}),
+			} {
+				if err == nil {
+					t.Errorf("iommu=%v: %s at %#x was admitted", iommu, form, addr)
+				}
+			}
+		}
+		if err := f.DMAWrite(fn, mem.Size()-1024, make([]byte, 1024), func() {}); err != nil {
+			t.Errorf("iommu=%v: a write of host memory's last bytes: %v", iommu, err)
+		}
+		eng.Run() // a refused transfer must have scheduled no data phase
+		if f.DMAReads != 0 || f.DMAWrites != 1 {
+			t.Errorf("iommu=%v: %d reads and %d writes counted, want 0 and 1", iommu, f.DMAReads, f.DMAWrites)
+		}
+	}
 }
 
 func TestSRIOVCap(t *testing.T) {
