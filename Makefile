@@ -22,8 +22,10 @@ tier1: build test
 # allocator's differential test at the size tier-1 runs an eighth of.
 ci: vet fmt-check build test bench-smoke bench-digest race-full crash fuzz-smoke hostmem-long $(DET_TARGETS)
 
+# vet covers the nested benchmark module too, which the root ./... never sees.
 vet:
 	$(GO) vet ./...
+	cd benchmarks/nescperf && $(GO) vet ./...
 
 # fmt-check fails when any tracked Go file is not gofmt-clean.
 fmt-check:

@@ -142,5 +142,5 @@ func (c *Ctx) MigrateImage(vm *VM) error {
 	if err != nil {
 		return err
 	}
-	return leg.Dev.MigrateVFFile(c.proc, leg.VFIdx, true)
+	return leg.Dev.MigrateVFFile(c.proc, leg.VFIdx)
 }

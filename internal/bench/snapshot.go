@@ -89,7 +89,7 @@ func snapshotFanout(cfg Config) (*stats.Table, error) {
 		clones := make([]workload.ByteTarget, fanout)
 		for i := range clones {
 			path := fmt.Sprintf("/clone%d.img", i)
-			if _, err := d.CloneToNewVF(p, vm.Legs[0].VFIdx, path, 1); err != nil {
+			if err := d.CloneVF(p, vm.Legs[0].VFIdx, path, 1); err != nil {
 				return err
 			}
 			if _, clones[i], err = pl.bootVM(p, path, path, 1); err != nil {

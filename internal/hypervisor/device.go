@@ -95,18 +95,6 @@ func (h *Hypervisor) Devices() []*Device { return h.devs }
 // NumDevices reports the fleet size.
 func (h *Hypervisor) NumDevices() int { return len(h.devs) }
 
-// lockVF acquires a VF's management lock, reporting whether it had to wait
-// (a contended acquisition means another management operation ran in
-// between, so cached device state must be re-read).
-func (d *Device) lockVF(p *sim.Proc, idx int) bool {
-	lock := d.vf(idx).lock
-	contended := lock.Available() == 0
-	lock.Acquire(p)
-	return contended
-}
-
-func (d *Device) unlockVF(idx int) { d.vf(idx).lock.Release() }
-
 // ringConfig is the platform's ring settings as a client of this device starts
 // from them: the shared policy fields of Params.Ring, protection information
 // (when on) at this device's block size, and the per-client fields — ring
@@ -135,7 +123,7 @@ func (d *Device) boot(p *sim.Proc, format bool, fsParams extfs.Params) error {
 		return err
 	}
 	d.pfQP = mq
-	d.route(0, mq)
+	d.route(0, mq, false)
 	disk := d.Disk()
 	fsParams.OpCost = h.P.HostFSOpCost
 	if format {

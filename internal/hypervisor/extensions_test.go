@@ -174,7 +174,7 @@ func TestMigrationWithBTLBFlushIsTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx, true); err != nil {
+		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx); err != nil {
 			t.Fatal(err)
 		}
 		runsAfter, _, err := w.d.HostFS.Runs(p, "/m.img")
@@ -219,7 +219,12 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		runsBefore, _, _ := w.d.HostFS.Runs(p, "/m.img")
-		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx, false /* no flush: the bug */); err != nil {
+		// MigrateVFFile without its flush — the bug: move the blocks and
+		// rebuild the tree, nothing else.
+		if err := w.d.HostFS.Migrate(p, "/m.img"); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.d.remap(p, w.d.vf(vm.Legs[0].VFIdx)); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over the OLD physical location (now free, reused by the

@@ -11,6 +11,7 @@ package hypervisor
 
 import (
 	"fmt"
+	"slices"
 
 	"nesc/internal/core"
 	"nesc/internal/extent"
@@ -104,49 +105,52 @@ func DefaultParams() Params {
 type sharedTree struct {
 	key  string // host path, or a unique synthetic key for raw VFs
 	tree *extent.Tree
-	refs int
+	// vfs lists the VFs exporting the tree in index order, the order every
+	// sharer is written to (next); the tree is freed when the list empties.
+	vfs []int
 	// runs is remap's buffer for the file's extent map, reused by every
 	// rebuild of the tree; it holds nothing between two remaps.
 	runs []extent.Run
 }
 
-// vfExport is what a VF currently exports and to whom; DestroyVF zeroes it.
-type vfExport struct {
-	inUse  bool
-	path   string
-	shared *sharedTree
-	// identity marks a raw passthrough VF (no backing file).
-	identity bool
-	// sizeBlocks is the size programmed into the VF's management block: the
-	// bound every address the device latches for this VF is held to.
-	sizeBlocks uint64
-	// vm is the guest the VF is assigned to (AttachLeg); its completion
-	// interrupts pay the injection cost. Nil for a host-side ring client.
-	vm *VM
+// next returns the first sharer after VF index after. Writes to every sharer
+// walk the list with it rather than range over it: they park, and a sharer
+// leaving or joining meanwhile is skipped or visited as an index-order scan of
+// the VF table would.
+func (sh *sharedTree) next(after int) (int, bool) {
+	i, _ := slices.BinarySearch(sh.vfs, after+1)
+	if i == len(sh.vfs) {
+		return 0, false
+	}
+	return sh.vfs[i], true
 }
 
 // vfState is the one per-VF record: everything the hypervisor knows about
-// VF idx of a device lives here, reached through Device.vf/vfAt. Records are
-// pointers that live as long as the device — longer than any one export — so
-// a process may hold one across a park.
+// VF idx of a device, reached through Device.vf/vfAt and changed only by a
+// Device.transition. Records live as long as the device — longer than any
+// one export — so a process may hold one across a park.
 type vfState struct {
-	vfExport
+	// shared is the exported tree, nil while the VF exports nothing; path is
+	// the exported host file, "" for a raw VF and for no export.
+	shared *sharedTree
+	path   string
+	// sizeBlocks is the size programmed into the VF's management block: the
+	// bound every address the device latches for this VF is held to.
+	sizeBlocks uint64
 
 	// busy marks a latched miss that is already being serviced, so duplicate
 	// miss interrupts are idempotent (see serviceMissBank).
 	busy bool
-	// lock serializes management operations on the VF — ResetVF racing
-	// SnapshotVF/MigrateVFFile/miss service must not interleave tree
-	// rebuilds with FLR teardown. A binary semaphore; uncontended
-	// acquisition is synchronous and schedule-neutral.
+	// lock is the VF's management lock, taken by transition and nowhere else.
 	lock *sim.Semaphore
 }
 
 // msiRoute is where one function's completion interrupts go: the ring client,
-// and for a VF its record (nil for a PF).
+// and whether it runs in a guest (a VF AttachLeg assigned), so that delivery
+// pays the injection cost.
 type msiRoute struct {
-	mq *guest.MultiQueue
-	vf *vfState
+	mq     *guest.MultiQueue
+	inject bool
 }
 
 // Hypervisor is the host VMM instance. It owns what is fleet-wide — MSI
@@ -181,8 +185,8 @@ type Hypervisor struct {
 	// VFResets counts function-level resets issued through ResetVF.
 	VFResets int64
 	// Snapshots / Clones / CowBreaks count the CoW subsystem's operations:
-	// snapshots taken, clones exported through new VFs, and device CoW
-	// faults serviced end to end (see snapshot.go).
+	// snapshots taken, clones made (CloneVF), and device CoW faults serviced
+	// end to end (see snapshot.go).
 	Snapshots int64
 	Clones    int64
 	CowBreaks int64
@@ -250,15 +254,13 @@ func (h *Hypervisor) Routes() int { return len(h.qps) }
 // submission gauges ({vf, q}; a VF reused by a later VM replaces the earlier
 // VM's closures). Registered here rather than from the platform catalogue
 // because a driver queue exists only from this moment on.
-func (d *Device) route(fn int, mq *guest.MultiQueue) {
+func (d *Device) route(fn int, mq *guest.MultiQueue, inject bool) {
 	h := d.h
-	r := msiRoute{mq: mq}
 	id := d.Ctl.PF().ID()
 	if fn > 0 {
-		r.vf = d.vf(fn - 1)
 		id = d.Ctl.VF(fn - 1).ID()
 	}
-	h.qps[id] = r
+	h.qps[id] = msiRoute{mq: mq, inject: inject}
 	// The gauges carry no device label, so they cover device 0 only (per-
 	// device series are ROADMAP item 6); with no registry nothing would ever
 	// sample the closures, so none are built.
@@ -294,7 +296,7 @@ func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
 	if mq == nil {
 		return
 	}
-	if r.vf != nil && r.vf.vm != nil {
+	if r.inject {
 		// VF completions are delivered to the guest: charge injection.
 		h.Injections++
 		h.Eng.After(h.P.InjectTime, func() { mq.OnInterrupt(q) })

@@ -327,7 +327,7 @@ func TestStaleMissBankSnapshotIsNotServicedTwice(t *testing.T) {
 			}
 			vms[i] = vm
 		}
-		w.d.lockVF(p, 0)
+		w.d.vf(0).lock.Acquire(p) // a management operation holds VF 0
 		var done [2]*sim.Signal
 		for i, vm := range vms {
 			i, vm := i, vm
@@ -347,7 +347,7 @@ func TestStaleMissBankSnapshotIsNotServicedTwice(t *testing.T) {
 		if !w.d.vf(0).busy || done[0].Fired() {
 			t.Fatal("first handler is not parked on VF 0's lock")
 		}
-		w.d.unlockVF(0)
+		w.d.vf(0).lock.Release()
 		done[0].Await(p)
 		// One service, so one rewalk verdict, per latched miss.
 		if w.ctl.Misses != 2 || w.h.MissInterrupts != 2 {

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -25,13 +26,11 @@ import (
 // all of them. Three-register MMIO command per function: latch the range,
 // then writing the function index fires the invalidation.
 func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64) {
-	base := d.Ctl.BARBase()
-	for idx, o := range d.vfs {
-		if o != nil && o.inUse && o.shared == st.shared {
-			d.h.mmioW(p, base+ring.PFRegInvVLBA, vlba)
-			d.h.mmioW(p, base+ring.PFRegInvCount, count)
-			d.h.mmioW(p, base+ring.PFRegInvFn, uint64(idx+1))
-		}
+	base, sh := d.Ctl.BARBase(), st.shared
+	for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
+		d.h.mmioW(p, base+ring.PFRegInvVLBA, vlba)
+		d.h.mmioW(p, base+ring.PFRegInvCount, count)
+		d.h.mmioW(p, base+ring.PFRegInvFn, uint64(idx+1))
 	}
 }
 
@@ -39,30 +38,31 @@ func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64)
 // dstPath on behalf of uid. The source VF keeps running: its extents become
 // write-protected, so the first guest write to each shared extent takes a
 // CoW fault and gets a private copy. The snapshot itself is an ordinary
-// host file — export it with CreateVF (or CloneToNewVF), or keep it as a
-// point-in-time backup. Serialized against ResetVF and miss service on the
-// same VF by the VF management lock.
+// host file — export it with CreateVF, or keep it as a point-in-time backup.
 func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) error {
-	st := d.vfAt(idx)
-	if st == nil || !st.inUse || st.identity {
-		return fmt.Errorf("hypervisor: VF %d has no backing file", idx)
-	}
-	d.lockVF(p, idx)
-	defer d.unlockVF(idx)
-	if !st.inUse || st.identity {
-		// The VF was torn down while we waited for the lock.
-		return fmt.Errorf("hypervisor: VF %d has no backing file", idx)
-	}
-	if err := d.HostFS.Snapshot(p, st.path, dstPath, uid); err != nil {
+	return d.transition(p, idx, exportingFile, func(st *vfState) error {
+		if err := d.HostFS.Snapshot(p, st.path, dstPath, uid); err != nil {
+			return err
+		}
+		d.h.Snapshots++
+		// The BTLB may cache pre-snapshot, unprotected translations: drop them
+		// all once the write-protected tree is in place.
+		if err := d.remap(p, st); err != nil {
+			return err
+		}
+		d.invalidateSharers(p, st, 0, 0)
+		return nil
+	})
+}
+
+// CloneVF snapshots VF idx's disk to clonePath for uid — a writable fork
+// sharing every unmodified block with the parent — and is the one place a
+// clone is counted. The fork is exported once, by whoever boots a guest on it.
+func (d *Device) CloneVF(p *sim.Proc, idx int, clonePath string, uid uint32) error {
+	if err := d.SnapshotVF(p, idx, clonePath, uid); err != nil {
 		return err
 	}
-	d.h.Snapshots++
-	// The BTLB may cache pre-snapshot, unprotected translations: drop them
-	// all once the write-protected tree is in place.
-	if err := d.remap(p, st); err != nil {
-		return err
-	}
-	d.invalidateSharers(p, st, 0, 0)
+	d.h.Clones++
 	return nil
 }
 
@@ -71,7 +71,7 @@ func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) er
 // SnapshotVF so the device mapping picks up the write-protect flags;
 // otherwise it is a plain filesystem snapshot.
 func (d *Device) SnapshotFile(p *sim.Proc, path, dstPath string, uid uint32) error {
-	if idx, _ := d.exporter(path); idx >= 0 {
+	if idx := d.exporter(path); idx >= 0 {
 		return d.SnapshotVF(p, idx, dstPath, uid)
 	}
 	if err := d.HostFS.Snapshot(p, path, dstPath, uid); err != nil {
@@ -84,51 +84,41 @@ func (d *Device) SnapshotFile(p *sim.Proc, path, dstPath string, uid uint32) err
 // Unprotect undoes what a snapshot that has since been removed did to the
 // exported file at path: its extents become writable in place, the tree of the
 // VF exporting it is rebuilt and the cached translations dropped, so the
-// guest's next writes take no CoW fault. It acts only when no block of the
-// device is shared any more, so that no block is ever copied; otherwise the
-// flags may be live and the CoW-fault path clears the stale ones write by
-// write, as it does after DeleteSnapshot.
+// guest's next writes take no CoW fault. It acts only when, once the VF's lock
+// is granted, no block of the device is shared any more, so that no block is
+// ever copied; otherwise the flags may be live and the CoW-fault path clears
+// the stale ones write by write, as it does after DeleteSnapshot.
 func (d *Device) Unprotect(p *sim.Proc, path string) error {
-	idx, st := d.exporter(path)
-	if idx < 0 || d.HostFS.SharedBlocks() != 0 {
+	idx := d.exporter(path)
+	if idx < 0 {
 		return nil
 	}
-	d.lockVF(p, idx)
-	defer d.unlockVF(idx)
-	if err := d.HostFS.BreakRange(p, path, 0, math.MaxUint64); err != nil {
-		return err
+	unshared := func(st *vfState, _ bool) bool {
+		return st.path == path && d.HostFS.SharedBlocks() == 0
 	}
-	if err := d.remap(p, st); err != nil {
-		return err
-	}
-	d.invalidateSharers(p, st, 0, 0)
-	return nil
-}
-
-// exporter finds the first VF exporting the host file at path; idx is -1 when
-// none does.
-func (d *Device) exporter(path string) (idx int, st *vfState) {
-	for idx, st := range d.vfs {
-		if st != nil && st.inUse && !st.identity && st.path == path {
-			return idx, st
+	err := d.transition(p, idx, unshared, func(st *vfState) error {
+		if err := d.HostFS.BreakRange(p, path, 0, math.MaxUint64); err != nil {
+			return err
 		}
+		if err := d.remap(p, st); err != nil {
+			return err
+		}
+		d.invalidateSharers(p, st, 0, 0)
+		return nil
+	})
+	if errors.Is(err, errStale) {
+		return nil
 	}
-	return -1, nil
+	return err
 }
 
-// CloneToNewVF snapshots a VF's disk and immediately exports the snapshot
-// through a fresh VF owned by uid — a writable fork sharing all unmodified
-// blocks with the parent. Returns the new VF's index.
-func (d *Device) CloneToNewVF(p *sim.Proc, idx int, clonePath string, uid uint32) (int, error) {
-	if err := d.SnapshotVF(p, idx, clonePath, uid); err != nil {
-		return 0, err
+// exporter finds the first VF exporting the host file at path; -1 when none
+// does.
+func (d *Device) exporter(path string) int {
+	if sh := d.trees[path]; sh != nil {
+		return sh.vfs[0]
 	}
-	cloneIdx, err := d.CreateVF(p, clonePath, uid)
-	if err != nil {
-		return 0, err
-	}
-	d.h.Clones++
-	return cloneIdx, nil
+	return -1
 }
 
 // DeleteSnapshot removes a snapshot file and reclaims its space: blocks

@@ -129,7 +129,10 @@ func TestCloneToNewVFIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cloneIdx, err := w.d.CloneToNewVF(p, 0, "/clone.img", 100)
+		if err := w.d.CloneVF(p, 0, "/clone.img", 100); err != nil {
+			t.Fatal(err)
+		}
+		cloneIdx, err := w.d.CreateVF(p, "/clone.img", 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +213,10 @@ func TestDeleteSnapshotLifecycle(t *testing.T) {
 		if _, err := w.h.NewVM(p, "vm", VMConfig{Backend: BackendDirect, DiskPath: "/d.img", UID: 100}); err != nil {
 			t.Fatal(err)
 		}
-		cloneIdx, err := w.d.CloneToNewVF(p, 0, "/d.clone", 100)
+		if err := w.d.CloneVF(p, 0, "/d.clone", 100); err != nil {
+			t.Fatal(err)
+		}
+		cloneIdx, err := w.d.CreateVF(p, "/d.clone", 100)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,9 @@
 package hypervisor
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"nesc/internal/extent"
 	"nesc/internal/extfs"
@@ -11,13 +13,37 @@ import (
 	"nesc/internal/sim"
 )
 
-// VF lifecycle and the translation-miss service path (paper §IV-C). All
-// operations here are per-device: a fleet hypervisor runs one copy of this
-// state machine for each managed controller.
+// VF lifecycle and the translation-miss service path (paper §IV-C), one copy
+// per managed controller; DESIGN.md §12 has the table of its transitions.
 
 func (d *Device) mgmtAddr(vfIdx int) int64 {
 	return d.Ctl.BARBase() + d.Ctl.MgmtPageOffset() + int64(vfIdx)*ring.MgmtStride
 }
+
+// transition is the one way VF idx's record changes: it takes the VF's
+// management lock, re-validates what the caller was called for once the lock
+// is granted (valid, told whether another transition ran on the VF meanwhile;
+// nil when there is nothing to re-validate), runs body unless that fails, and
+// releases the lock. No other transition touches the record until body
+// returns, parks included. An uncontended grant posts no event.
+func (d *Device) transition(p *sim.Proc, idx int, valid func(st *vfState, contended bool) bool, body func(st *vfState) error) error {
+	st := d.vf(idx)
+	contended := st.lock.Available() == 0
+	st.lock.Acquire(p)
+	defer st.lock.Release()
+	if valid != nil && !valid(st, contended) {
+		return errStale
+	}
+	return body(st)
+}
+
+// errStale is a transition whose re-validation failed.
+var errStale = errors.New("hypervisor: the VF does not export what the operation needs")
+
+// The re-validations of a transition that needs the VF to export something,
+// or a host file.
+func exporting(st *vfState, _ bool) bool     { return st.shared != nil }
+func exportingFile(st *vfState, _ bool) bool { return st.path != "" }
 
 // CreateVF exports the host file at path as a virtual function on behalf of
 // uid: it checks the filesystem permissions, translates the file's extent
@@ -37,34 +63,8 @@ func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	idx, err := d.freeVF()
-	if err != nil {
-		return 0, err
-	}
-	sh, ok := d.trees[path]
-	if !ok {
-		tree, err := extent.Build(d.h.Mem, runs, extent.DefaultFanout)
-		if err != nil {
-			return 0, err
-		}
-		sh = &sharedTree{key: path, tree: tree}
-		d.trees[path] = sh
-	}
-	sh.refs++
 	bs := uint64(d.Ctl.P.BlockSize)
-	sizeBlocks := (size + bs - 1) / bs
-	st := d.vf(idx)
-	st.inUse = true
-	st.path = path
-	st.shared = sh
-	st.identity = false
-	d.programVF(p, idx, sh.tree.Root(), sizeBlocks)
-	if d.Fetch[path] != nil {
-		// Arm the fetch-backed bit. Written only for a bound path, so a
-		// platform that binds nothing keeps its MMIO schedule.
-		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtFetch, 1)
-	}
-	return idx, nil
+	return d.export(p, path, runs, (size+bs-1)/bs)
 }
 
 // CreateRawVF exports the whole physical device through a VF with an
@@ -72,84 +72,97 @@ func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 // simply as a PCIe SSD" (§II); this is the direct-device-assignment
 // configuration of Figure 2.
 func (d *Device) CreateRawVF(p *sim.Proc) (int, error) {
+	blocks := uint64(d.Ctl.Medium.Store().NumBlocks())
+	return d.export(p, "", []extent.Run{{Logical: 0, Physical: 0, Count: blocks}}, blocks)
+}
+
+// export is the one VF creator: it takes the lowest free VF, joins the sharers
+// of the tree exported under path (building it from runs for the first one),
+// and programs the VF's management block. A raw VF (path "") is the identity
+// run under a synthetic key of its own.
+func (d *Device) export(p *sim.Proc, path string, runs []extent.Run, sizeBlocks uint64) (int, error) {
 	idx, err := d.freeVF()
 	if err != nil {
 		return 0, err
 	}
-	blocks := uint64(d.Ctl.Medium.Store().NumBlocks())
-	tree, err := extent.Build(d.h.Mem, []extent.Run{{Logical: 0, Physical: 0, Count: blocks}}, extent.DefaultFanout)
+	key := path
+	if path == "" {
+		key = fmt.Sprintf("\x00raw-vf-%d", idx) // cannot collide with host paths
+	}
+	// freeVF hands out no VF a transition holds: nothing to re-validate.
+	err = d.transition(p, idx, nil, func(st *vfState) error {
+		sh := d.trees[key]
+		if sh == nil {
+			tree, err := extent.Build(d.h.Mem, runs, extent.DefaultFanout)
+			if err != nil {
+				return err
+			}
+			sh = &sharedTree{key: key, tree: tree}
+			d.trees[key] = sh
+		}
+		i, _ := slices.BinarySearch(sh.vfs, idx)
+		sh.vfs = slices.Insert(sh.vfs, i, idx)
+		st.shared, st.path, st.sizeBlocks = sh, path, sizeBlocks
+		mgmt := d.mgmtAddr(idx)
+		d.h.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
+		d.h.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
+		if n := d.Ctl.P.QueuesPerVF; n > 1 {
+			// Program the VF's active queue count. Skipped at the single-queue
+			// default so the fault-free MMIO schedule is bit-identical to the
+			// pre-multi-queue device.
+			d.h.mmioW(p, mgmt+ring.MgmtQueues, uint64(n))
+		}
+		d.h.mmioW(p, mgmt+ring.MgmtEnable, 1)
+		sriov := d.Ctl.SRIOV()
+		if err := sriov.EnableVFs(sriov.NumEnabled + 1); err != nil {
+			panic(err)
+		}
+		if d.Fetch[path] != nil {
+			// Arm the fetch-backed bit. Written only for a bound path, so a
+			// platform that binds nothing keeps its MMIO schedule.
+			d.h.mmioW(p, mgmt+ring.MgmtFetch, 1)
+		}
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	key := fmt.Sprintf("\x00raw-vf-%d", idx) // cannot collide with host paths
-	sh := &sharedTree{key: key, tree: tree, refs: 1}
-	d.trees[key] = sh
-	st := d.vf(idx)
-	st.inUse = true
-	st.path = ""
-	st.shared = sh
-	st.identity = true
-	d.programVF(p, idx, tree.Root(), blocks)
 	return idx, nil
 }
 
 func (d *Device) freeVF() (int, error) {
 	// Lowest-index-first, exactly as the eager table allocated: a
-	// never-touched slot (nil or beyond the lazy table's length) is free.
+	// never-touched slot (nil or beyond the lazy table's length) is free, and
+	// so is a record that exports nothing and is in no transition.
 	for i := 0; i < d.Ctl.P.NumVFs; i++ {
-		if st := d.vfAt(i); st == nil || !st.inUse {
+		if st := d.vfAt(i); st == nil || st.shared == nil && st.lock.Available() > 0 {
 			return i, nil
 		}
 	}
 	return 0, fmt.Errorf("hypervisor: out of virtual functions")
 }
 
-func (d *Device) programVF(p *sim.Proc, idx int, root int64, sizeBlocks uint64) {
-	mgmt := d.mgmtAddr(idx)
-	d.vf(idx).sizeBlocks = sizeBlocks
-	d.h.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(root))
-	d.h.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
-	if n := d.Ctl.P.QueuesPerVF; n > 1 {
-		// Program the VF's active queue count. Skipped at the single-queue
-		// default so the fault-free MMIO schedule is bit-identical to the
-		// pre-multi-queue device.
-		d.h.mmioW(p, mgmt+ring.MgmtQueues, uint64(n))
-	}
-	d.h.mmioW(p, mgmt+ring.MgmtEnable, 1)
-	if err := d.Ctl.SRIOV().EnableVFs(d.enabledVFs()); err != nil {
-		panic(err)
-	}
-}
-
-func (d *Device) enabledVFs() int {
-	n := 0
-	for _, st := range d.vfs {
-		if st != nil && st.inUse {
-			n++
-		}
-	}
-	return n
-}
-
-// DestroyVF disables a VF and drops its extent-tree reference; the tree is
-// freed when its last sharer goes away.
+// DestroyVF disables a VF and drops it from its tree's sharers, freeing the
+// tree with its last sharer. A teardown is a transition: it waits for one in
+// flight on the VF rather than pull the export out from under it, and is a
+// no-op on a VF that exports nothing. The record and its lock outlive it.
 func (d *Device) DestroyVF(p *sim.Proc, idx int) {
-	st := d.vfAt(idx)
-	if st == nil || !st.inUse {
-		return
-	}
-	d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtEnable, 0)
-	st.shared.refs--
-	if st.shared.refs == 0 {
-		st.shared.tree.Free()
-		delete(d.trees, st.shared.key)
-	}
-	// Only the export goes: a miss service parked on the record's lock must
-	// find the same lock when it wakes.
-	st.vfExport = vfExport{}
-	if err := d.Ctl.SRIOV().EnableVFs(d.enabledVFs()); err != nil {
-		panic(err)
-	}
+	_ = d.transition(p, idx, exporting, func(st *vfState) error { // errStale: nothing to destroy
+		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtEnable, 0)
+		sh := st.shared
+		i, _ := slices.BinarySearch(sh.vfs, idx)
+		sh.vfs = slices.Delete(sh.vfs, i, i+1)
+		if len(sh.vfs) == 0 {
+			sh.tree.Free()
+			delete(d.trees, sh.key)
+		}
+		st.shared, st.path, st.sizeBlocks = nil, "", 0
+		sriov := d.Ctl.SRIOV()
+		if err := sriov.EnableVFs(sriov.NumEnabled - 1); err != nil {
+			panic(err)
+		}
+		return nil
+	})
 }
 
 // VFPageBus reports the bus address of a VF's register page — what the
@@ -164,13 +177,13 @@ func (d *Device) VFTree(idx int) *extent.Tree { return d.vf(idx).shared.tree }
 // VFInUse reports whether VF idx currently exports something.
 func (d *Device) VFInUse(idx int) bool {
 	st := d.vfAt(idx)
-	return st != nil && st.inUse
+	return st != nil && st.shared != nil
 }
 
 // SharesTreeWith reports whether two VFs share one extent tree.
 func (d *Device) SharesTreeWith(a, b int) bool {
-	sa, sb := d.vfAt(a), d.vfAt(b)
-	return sa != nil && sb != nil && sa.inUse && sb.inUse && sa.shared == sb.shared
+	st := d.vfAt(a)
+	return st != nil && st.shared != nil && slices.Contains(st.shared.vfs, b)
 }
 
 // PruneVFTrees reclaims host memory by pruning up to maxNodes nodes from
@@ -208,10 +221,8 @@ func (d *Device) remap(p *sim.Proc, st *vfState) error {
 	if err := sh.tree.Rebuild(runs); err != nil {
 		return err
 	}
-	for idx, o := range d.vfs {
-		if o != nil && o.inUse && o.shared == sh {
-			d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
-		}
+	for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
+		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
 	}
 	return nil
 }
@@ -233,16 +244,17 @@ func (d *Device) serviceMisses(p *sim.Proc) {
 }
 
 // serviceMissBank reads one 64-VF miss-pending bank at register reg and
-// services every latched bit in it.
+// services every latched bit in it, each service a transition on its VF.
 func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 	pending := d.h.mmioR(p, reg)
-	serviced := false
+	stale := false
 	for bit := 0; bit < 64 && pending != 0; bit++ {
 		idx := bank*64 + bit
 		if idx >= d.Ctl.P.NumVFs {
 			break
 		}
-		if pending&(1<<uint(bit)) == 0 {
+		mask := uint64(1) << uint(bit)
+		if pending&mask == 0 {
 			continue
 		}
 		st := d.vf(idx)
@@ -254,37 +266,34 @@ func (d *Device) serviceMissBank(p *sim.Proc, bank int, reg int64) {
 			// second, stale rewalk verdict onto whatever miss latches next.
 			continue
 		}
-		if serviced {
-			// Every service earlier in this sweep slept, so the bank snapshot
+		if stale {
+			// An earlier transition in this sweep parked, so the bank snapshot
 			// is stale: a concurrent handler may have serviced this bit long
 			// ago. Servicing it again would write a second rewalk verdict onto
 			// whatever miss latches next (and, on a fetch-backed VF,
 			// re-materialize chunks the guest may have overwritten since) — so
 			// spend one register read to confirm the miss is still latched.
 			pending = d.h.mmioR(p, reg)
-			if pending&(1<<uint(bit)) == 0 {
+			if pending&mask == 0 {
 				continue
 			}
+		}
+		// The sweep's re-validation: a transition that ran while it waited for
+		// the lock may have aborted the latched miss — an FLR clears the
+		// pending bit and fails the stalled walk — so a contended grant re-reads
+		// the bit before writing a verdict that would land on whatever miss
+		// latches next. A VF torn down meanwhile still gets its verdict:
+		// resolveMiss fails the walk.
+		latched := func(_ *vfState, contended bool) bool {
+			return !contended || d.h.mmioR(p, reg)&mask != 0
 		}
 		st.busy = true
-		if d.lockVF(p, idx) {
-			// A management operation (FLR, snapshot, migration) ran while we
-			// waited for the VF lock. It may have aborted the latched miss —
-			// an FLR clears the pending bit and fails the stalled walk — so
-			// re-read the bit before writing a rewalk verdict that would land
-			// on whatever miss latches next. Only a contended acquisition
-			// pays this extra register read; the fault-free schedule is
-			// untouched.
-			if d.h.mmioR(p, reg)&(1<<uint(bit)) == 0 {
-				d.unlockVF(idx)
-				st.busy = false
-				continue
-			}
-		}
-		d.serviceMiss(p, idx)
-		d.unlockVF(idx)
+		_ = d.transition(p, idx, latched, func(*vfState) error { // errStale: the miss is gone
+			d.serviceMiss(p, idx)
+			return nil
+		})
 		st.busy = false
-		serviced = true
+		stale = true
 	}
 }
 
@@ -320,8 +329,9 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		return ring.RewalkFail
 	}
 	st := d.vf(idx)
-	if !st.inUse || st.identity {
-		// No backing file to extend: fail the write.
+	if st.path == "" {
+		// No backing file to extend (a raw VF, or one torn down while its
+		// miss was latched): fail the write.
 		return ring.RewalkFail
 	}
 	if missAddr > st.sizeBlocks || missSize > st.sizeBlocks-missAddr {
@@ -363,18 +373,16 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	if err := d.remap(p, st); err != nil {
 		return ring.RewalkFail
 	}
-	if cow {
-		// The faulting blocks moved to a private copy: any BTLB entry still
-		// caching the old (shared, protected) mapping is stale. Invalidate
-		// before the retry so the re-walk's result is what gets cached.
+	if cow || fetch {
+		// The faulting blocks moved to a private copy, or materialization
+		// rewrote their mappings: any BTLB entry still caching the old one is
+		// stale. Invalidate before the retry so the re-walk's result is what
+		// gets cached.
 		d.invalidateSharers(p, st, missAddr, missSize)
+	}
+	if cow {
 		h.CowBreaks++
 		h.cowBreak(p.Now() - start)
-	}
-	if fetch {
-		// Materialization rewrote the range's mappings; drop any translation
-		// the device cached for it before releasing the walk.
-		d.invalidateSharers(p, st, missAddr, missSize)
 	}
 	return ring.RewalkRetry
 }
@@ -387,23 +395,18 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 // Management state — the exported file and its extent tree — survives; FLR
 // recovers a wedged function, it does not deprovision it.
 //
-// The VF management lock serializes the reset write against a concurrent
-// SnapshotVF, MigrateVFFile, or mid-flight miss service on the same VF, so
-// a rewalk verdict or tree rebuild never interleaves with the reset-epoch
-// bump. The lock is dropped before the drain poll: recovered submitters may
-// take fresh translation misses while the function drains, and the miss
-// handler must be able to take the lock to release those walks — holding it
-// across the poll would deadlock the drain against its own miss service.
+// Only the reset write is a transition: the drain's recovered submitters may
+// take fresh misses whose service needs the VF's lock, so holding it across
+// the poll would deadlock the drain against its own miss service.
 func (d *Device) ResetVF(p *sim.Proc, idx int) error {
-	st := d.vfAt(idx)
-	if st == nil || !st.inUse {
-		return fmt.Errorf("hypervisor: VF %d not in use", idx)
-	}
 	h := d.h
 	page := d.VFPageBus(idx)
-	d.lockVF(p, idx)
-	h.mmioW(p, page+ring.RegReset, 1)
-	d.unlockVF(idx)
+	if err := d.transition(p, idx, exporting, func(*vfState) error {
+		h.mmioW(p, page+ring.RegReset, 1)
+		return nil
+	}); err != nil {
+		return err
+	}
 	for h.mmioR(p, page+ring.RegReset) != 0 {
 		p.Sleep(5 * sim.Microsecond)
 	}
@@ -416,29 +419,21 @@ func (d *Device) ResetVF(p *sim.Proc, idx int) error {
 
 // MigrateVFFile relocates the physical blocks behind a VF's backing file —
 // standing in for host-side block optimizations like deduplication or
-// defragmentation — then rebuilds the device extent tree and, when
-// flushBTLB is set, invalidates the device's translation cache. The paper
-// (§V-B) requires exactly this flush: "the BTLB cache must not prevent the
-// hypervisor from executing traditional storage optimizations". Passing
-// flushBTLB=false exists only so tests can demonstrate the stale-mapping
-// hazard the flush prevents.
-func (d *Device) MigrateVFFile(p *sim.Proc, idx int, flushBTLB bool) error {
-	st := d.vfAt(idx)
-	if st == nil || !st.inUse || st.identity {
-		return fmt.Errorf("hypervisor: VF %d has no backing file", idx)
-	}
-	d.lockVF(p, idx)
-	defer d.unlockVF(idx)
-	if err := d.HostFS.Migrate(p, st.path); err != nil {
-		return err
-	}
-	if err := d.remap(p, st); err != nil {
-		return err
-	}
-	if flushBTLB {
+// defragmentation — then rebuilds the device extent tree and invalidates the
+// device's translation cache. The paper (§V-B) requires exactly this flush:
+// "the BTLB cache must not prevent the hypervisor from executing traditional
+// storage optimizations".
+func (d *Device) MigrateVFFile(p *sim.Proc, idx int) error {
+	return d.transition(p, idx, exportingFile, func(st *vfState) error {
+		if err := d.HostFS.Migrate(p, st.path); err != nil {
+			return err
+		}
+		if err := d.remap(p, st); err != nil {
+			return err
+		}
 		d.FlushBTLB(p)
-	}
-	return nil
+		return nil
+	})
 }
 
 // SetVFWeight programs a VF's QoS weight: the device multiplexer serves up
@@ -453,7 +448,7 @@ func (d *Device) SetVFWeight(p *sim.Proc, idx int, weight int) {
 // accelerator directly attached to a VF would get (paper §IV-D "direct
 // storage accesses from accelerators").
 func (d *Device) RouteVFInterrupts(idx int, mq *guest.MultiQueue) {
-	d.route(idx+1, mq)
+	d.route(idx+1, mq, false)
 }
 
 // FlushBTLB invalidates the device's translation cache (required around

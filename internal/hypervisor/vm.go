@@ -228,8 +228,7 @@ func (h *Hypervisor) AttachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 		h.DetachLeg(p, leg)
 		return Leg{}, err
 	}
-	dev.route(idx+1, leg.Drv.MQ())
-	dev.vf(idx).vm = vm
+	dev.route(idx+1, leg.Drv.MQ(), true)
 	if h.P.UseIOMMU {
 		h.Fab.IOMMU().Grant(dev.Ctl.VF(idx).ID(), 0, h.Mem.Size())
 	}

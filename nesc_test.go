@@ -582,3 +582,78 @@ func TestResetRacesSnapshotChurn(t *testing.T) {
 		t.Errorf("SharedBlocks = %d after churn, want 0", st.SharedBlocks)
 	}
 }
+
+// TestStopRacesVFTransitions stops a VM while a transition on its VF is
+// parked: a snapshot, an image migration, or the lazy-allocation miss service
+// behind a write into a sparse image, each swept across 200 µs of teardown
+// delays. A teardown waits for the transition instead of pulling the export
+// out from under it (before PR 25 all three panicked the simulation) and leaves
+// a clean host filesystem holding every write the guest saw acknowledged.
+func TestStopRacesVFTransitions(t *testing.T) {
+	for _, op := range []stopRace{
+		{"snapshot", -1, func(c *Ctx, vm *VM, _ []byte) error { return vm.Snapshot(c, "/race.snap", 100) }},
+		{"migrate-image", -1, func(c *Ctx, vm *VM, _ []byte) error { return c.MigrateImage(vm) }},
+		{"sparse-write", 64 << 10, func(c *Ctx, vm *VM, data []byte) error { return vm.WriteAt(c, data, 64<<10) }},
+	} {
+		t.Run(op.name, func(t *testing.T) {
+			for delay := time.Duration(0); delay <= 200*time.Microsecond; delay += 10 * time.Microsecond {
+				if err := op.stopDuring(delay); err != nil {
+					t.Fatalf("stop %v into the %s: %v", delay, op.name, err)
+				}
+			}
+		})
+	}
+}
+
+// stopRace is a transition a VM stop races: run, which writes data at off
+// (-1: it writes nothing).
+type stopRace struct {
+	name string
+	off  int64
+	run  func(c *Ctx, vm *VM, data []byte) error
+}
+
+// stopDuring runs op on a VM over a sparse image whose block 0 holds data,
+// stops the VM delay later, and checks what the teardown left.
+func (op stopRace) stopDuring(delay time.Duration) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	data := bytes.Repeat([]byte{0x5A}, 1024)
+	return New(DefaultConfig()).Run(func(ctx *Ctx) error {
+		if err := ctx.CreateImage("/race.img", 100, 256<<10, true); err != nil {
+			return err
+		}
+		vm, err := ctx.StartVM("race", BackendNeSC, "/race.img", 100)
+		if err != nil {
+			return err
+		}
+		if err := vm.WriteAt(ctx, data, 0); err != nil {
+			return err
+		}
+		acked := []int64{0}
+		ctx.Go(op.name, func(c *Ctx) error {
+			if op.run(c, vm, data) == nil && op.off >= 0 {
+				acked = append(acked, op.off)
+			}
+			return nil
+		})
+		ctx.Sleep(delay)
+		vm.Stop(ctx) // the op is not joined: a write the stop cuts off never completes
+		if err := ctx.CheckHostFS(); err != nil {
+			return err
+		}
+		got := make([]byte, len(data))
+		for _, off := range acked {
+			if _, err := ctx.ReadHostFile("/race.img", got, off); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, data) {
+				return fmt.Errorf("acknowledged write at %d is not in the host file", off)
+			}
+		}
+		return nil
+	})
+}

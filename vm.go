@@ -166,10 +166,9 @@ func (c *Ctx) CloneVM(src *VM, name, clonePath string, uid uint32) (*VM, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := leg.Dev.SnapshotVF(c.proc, leg.VFIdx, clonePath, uid); err != nil {
+	if err := leg.Dev.CloneVF(c.proc, leg.VFIdx, clonePath, uid); err != nil {
 		return nil, err
 	}
-	c.s.pl.Hyp.Clones++
 	return c.StartVMOn(leg.Dev.Idx, name, BackendNeSC, clonePath, uid)
 }
 
