@@ -7,10 +7,10 @@ package nesc
 // configurations it nominally adds are ones no test or benchmark runs.
 //
 // The check is syntactic (go/parser only). A field counts as set when a file
-// other than the one declaring its struct — tests, cmd/, examples/ and
-// benchmarks/ included — names it as a key of a composite literal of that
-// struct's type, or assigns to it (x.F = v, x.F++, x.A.F = v, which also
-// sets A). Literals are matched on their type. An assignment is matched on
+// other than the one declaring its struct — tests, cmd/ and benchmarks/
+// included — names it as a key of a composite literal of that struct's type,
+// or assigns to it (x.F = v, x.F++, x.A.F = v, which also sets A). Literals
+// are matched on their type. An assignment is matched on
 // the type of what it assigns through where that can be read off the source:
 // a parameter, a receiver, a variable made from a literal, a constructor or
 // another such variable, and any field chain from there (cfg.Core.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 
 	"nesc"
 )
@@ -13,7 +14,7 @@ import (
 // metadata-only copies, boots a guest per host whose first touches
 // materialize chunks through the translation-miss path, and tears the forks
 // down showing refcounted chunk reclamation.
-func runDedupDemo() error {
+func runDedupDemo(w io.Writer) error {
 	const (
 		hosts      = 4
 		imageKB    = 512
@@ -26,13 +27,7 @@ func runDedupDemo() error {
 		Devices:  hosts,
 		CAS:      true,
 	})
-
-	step := 0
-	say := func(format string, args ...any) {
-		step++
-		fmt.Printf("[%02d] ", step)
-		fmt.Printf(format+"\n", args...)
-	}
+	say := narrator(w)
 
 	fill := func(buf []byte, divergent bool) {
 		for i := range buf {

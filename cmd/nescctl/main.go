@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -18,46 +19,39 @@ import (
 )
 
 func main() {
-	mediumMB := flag.Int("medium-mb", 128, "storage medium size in MiB")
-	tenants := flag.Int("tenants", 3, "number of tenant VMs to demo")
-	imageMB := flag.Int("image-mb", 8, "per-tenant image size in MiB")
-	traceN := flag.Int("trace", 0, "dump the last N device events at the end")
-	traceVF := flag.Int("trace-vf", -1, "restrict -trace output to one function index (0 = PF; -1 = all)")
-	queues := flag.Int("queues", 0, "queue pairs per VF (0 = device default of 1)")
-	scrub := flag.Bool("scrub", false, "run a synchronous full-device scrub pass before teardown")
-	snapshot := flag.Bool("snapshot", false, "demo a copy-on-write snapshot of a running VM (CoW faults, BTLB invalidation)")
-	clone := flag.Bool("clone", false, "demo a writable clone VM forked from a snapshot (implies -snapshot)")
-	metricsOut := flag.String("metrics", "", "write Prometheus text-format metrics to this file at the end ('-' = stdout)")
-	traceJSON := flag.String("trace-json", "", "write recorded request spans as Chrome trace-event JSON to this file (load in Perfetto)")
-	spanN := flag.Int("spans", 4096, "request spans to retain for -trace-json")
-	flight := flag.Bool("flight", false, "dump the device flight recorder (terminal-error diagnostics) at the end")
-	fabricN := flag.Int("fabric", 0, "demo an N-device mirror fleet: synchronous replication, device kill, failover, resilver (needs N >= 2)")
-	migrate := flag.Bool("migrate", false, "demo a live VF migration between fleet devices (implies -fabric 2)")
-	scale := flag.Bool("scale", false, "run the massive-tenancy experiment (nescbench -exp scale) and print its tables: lazy VF core, pooled queue pairs, shadow doorbells")
-	grayfail := flag.Bool("grayfail", false, "run the gray-failure experiment (nescbench -exp grayfail) and print its tables: fail-slow injection, hedged reads, quarantine, deadline + admission control")
-	top := flag.Bool("top", false, "demo the observability layer and print the health snapshot: latency attribution, per-tenant SLO burn alerts, anomaly scoreboard")
-	dedup := flag.Bool("dedup", false, "demo the content-addressed tier: image sealing with dedup, metadata-only fleet forks, lazy chunk materialization, refcounted reclamation")
-	flag.Parse()
-
-	if *scale {
-		printExperiment("scale")
-		return
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
 	}
-	if *grayfail {
-		printExperiment("grayfail")
-		return
+}
+
+// run is nescctl with the command line args, writing to w.
+func run(args []string, w io.Writer) error {
+	flags := flag.NewFlagSet("nescctl", flag.ContinueOnError)
+	mediumMB := flags.Int("medium-mb", 128, "storage medium size in MiB")
+	tenants := flags.Int("tenants", 3, "number of tenant VMs to demo")
+	imageMB := flags.Int("image-mb", 8, "per-tenant image size in MiB")
+	traceN := flags.Int("trace", 0, "dump the last N device events at the end")
+	traceVF := flags.Int("trace-vf", -1, "restrict -trace output to one function index (0 = PF; -1 = all)")
+	queues := flags.Int("queues", 0, "queue pairs per VF (0 = device default of 1)")
+	scrub := flags.Bool("scrub", false, "run a synchronous full-device scrub pass before teardown")
+	snapshot := flags.Bool("snapshot", false, "demo a copy-on-write snapshot of a running VM (CoW faults, BTLB invalidation)")
+	clone := flags.Bool("clone", false, "demo a writable clone VM forked from a snapshot (implies -snapshot)")
+	metricsOut := flags.String("metrics", "", "write Prometheus text-format metrics to this file at the end ('-' = stdout)")
+	traceJSON := flags.String("trace-json", "", "write recorded request spans as Chrome trace-event JSON to this file (load in Perfetto)")
+	spanN := flags.Int("spans", 4096, "request spans to retain for -trace-json")
+	flight := flags.Bool("flight", false, "dump the device flight recorder (terminal-error diagnostics) at the end")
+	fabricN := flags.Int("fabric", 0, "demo an N-device mirror fleet: synchronous replication, device kill, failover, resilver (needs N >= 2)")
+	migrate := flags.Bool("migrate", false, "demo a live VF migration between fleet devices (implies -fabric 2)")
+	top := flags.Bool("top", false, "demo the observability layer and print the health snapshot: latency attribution, per-tenant SLO burn alerts, anomaly scoreboard")
+	dedup := flags.Bool("dedup", false, "demo the content-addressed tier: image sealing with dedup, metadata-only fleet forks, lazy chunk materialization, refcounted reclamation")
+	if err := flags.Parse(args); err != nil {
+		return err
 	}
 	if *top {
-		if err := runTopDemo(); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runTopDemo(w)
 	}
 	if *dedup {
-		if err := runDedupDemo(); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return runDedupDemo(w)
 	}
 
 	if *migrate && *fabricN < 2 {
@@ -74,13 +68,7 @@ func main() {
 		cfg.TraceSpans = *spanN
 	}
 	sim := nesc.New(cfg)
-	step := 0
-	say := func(format string, args ...any) {
-		step++
-		fmt.Printf("[%02d] ", step)
-		fmt.Printf(format+"\n", args...)
-	}
-
+	say := narrator(w)
 	err := sim.Run(func(ctx *nesc.Ctx) error {
 		say("booted: host filesystem formatted on the NeSC physical function")
 
@@ -333,40 +321,50 @@ func main() {
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	final := sim.Stats()
-	fmt.Printf("\nfinal device counters: %d tree-node DMA fetches, %d/%d MB medium read/write, %d MSIs serviced\n",
+	fmt.Fprintf(w, "\nfinal device counters: %d tree-node DMA fetches, %d/%d MB medium read/write, %d MSIs serviced\n",
 		final.WalkNodeReads, final.MediumReadBytes>>20, final.MediumWriteBytes>>20, final.MissInterrupts)
-	fmt.Printf("integrity counters: %d guard errors, %d repairs, %d corruptions detected, %d latent outstanding\n",
+	fmt.Fprintf(w, "integrity counters: %d guard errors, %d repairs, %d corruptions detected, %d latent outstanding\n",
 		final.IntegrityErrors, final.IntegrityRepairs, final.CorruptionsDetected, final.LatentOutstanding)
 	if *traceN > 0 {
 		if *traceVF >= 0 {
-			fmt.Printf("\nlast device events (fn %d):\n%s", *traceVF, sim.TraceDumpVF(*traceVF))
+			fmt.Fprintf(w, "\nlast device events (fn %d):\n%s", *traceVF, sim.TraceDumpVF(*traceVF))
 		} else {
-			fmt.Printf("\nlast device events:\n%s", sim.TraceDump())
+			fmt.Fprintf(w, "\nlast device events:\n%s", sim.TraceDump())
 		}
 	}
 	if *flight {
-		fmt.Printf("\n%s", sim.FlightDump())
+		fmt.Fprintf(w, "\n%s", sim.FlightDump())
 	}
 	if *metricsOut != "" {
-		if err := writeTo(*metricsOut, sim.WriteMetrics); err != nil {
-			log.Fatalf("-metrics: %v", err)
+		if err := writeTo(*metricsOut, w, sim.WriteMetrics); err != nil {
+			return fmt.Errorf("-metrics: %w", err)
 		}
 	}
 	if *traceJSON != "" {
-		if err := writeTo(*traceJSON, sim.WriteTraceJSON); err != nil {
-			log.Fatalf("-trace-json: %v", err)
+		if err := writeTo(*traceJSON, w, sim.WriteTraceJSON); err != nil {
+			return fmt.Errorf("-trace-json: %w", err)
 		}
-		fmt.Printf("wrote %d spans to %s (load at ui.perfetto.dev)\n", sim.SpanCount(), *traceJSON)
+		fmt.Fprintf(w, "wrote %d spans to %s (load at ui.perfetto.dev)\n", sim.SpanCount(), *traceJSON)
+	}
+	return nil
+}
+
+// narrator numbers the steps of a walkthrough as it prints them to w.
+func narrator(w io.Writer) func(format string, args ...any) {
+	step := 0
+	return func(format string, args ...any) {
+		step++
+		fmt.Fprintf(w, "[%02d] "+format+"\n", append([]any{step}, args...)...)
 	}
 }
 
-// writeTo streams fn's output to path, with "-" meaning stdout.
-func writeTo(path string, fn func(io.Writer) error) error {
+// writeTo streams fn's output to path, with "-" meaning w.
+func writeTo(path string, w io.Writer, fn func(io.Writer) error) error {
 	if path == "-" {
-		return fn(os.Stdout)
+		return fn(w)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -377,14 +375,4 @@ func writeTo(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// printExperiment runs a registered experiment on the calibrated platform and
-// prints its tables — all that -scale and -grayfail do.
-func printExperiment(name string) {
-	out, err := nesc.RunExperiment(name)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(out)
 }

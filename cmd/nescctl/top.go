@@ -3,7 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"nesc"
@@ -15,7 +15,7 @@ import (
 // degrades the medium under the victim. The snapshot shows the per-tenant
 // SLO state (with the burn alert the pulse fired), the anomaly scoreboard,
 // and the p99 explainer's verdict on where each tenant's tail went.
-func runTopDemo() error {
+func runTopDemo(w io.Writer) error {
 	sim := nesc.New(nesc.Config{
 		Attribution:      true,
 		ScoreboardEvents: 256,
@@ -29,12 +29,7 @@ func runTopDemo() error {
 		},
 		Fault: &nesc.FaultPlan{Seed: 5}, // empty plan: just arms the injector
 	})
-	step := 0
-	say := func(format string, args ...any) {
-		step++
-		fmt.Printf("[%02d] ", step)
-		fmt.Printf(format+"\n", args...)
-	}
+	say := narrator(w)
 	err := sim.Run(func(ctx *nesc.Ctx) error {
 		if err := ctx.HostMkdir("/images", 0); err != nil {
 			return err
@@ -106,6 +101,6 @@ func runTopDemo() error {
 	if err != nil {
 		return err
 	}
-	fmt.Println()
-	return sim.WriteTop(os.Stdout)
+	fmt.Fprintln(w)
+	return sim.WriteTop(w)
 }

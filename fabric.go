@@ -40,7 +40,7 @@ type MirrorConfig struct {
 	// ResilverInterval paces background resilver copies.
 	ResilverInterval time.Duration
 
-	// The gray-failure mitigation stack (DESIGN.md §14); every field zero
+	// The gray-failure mitigation stack (DESIGN.md §10); every field zero
 	// keeps the classic fail-stop-only behavior and schedule.
 
 	// HedgePercentile (0-100), when positive, arms hedged reads: a read the

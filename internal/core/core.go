@@ -728,7 +728,6 @@ func (f *Function) Inflight() int64 { return f.inflight }
 // function without reprovisioning it. Runs in engine context (MMIO delivery).
 func (c *Controller) resetFunction(f *Function) {
 	f.Resets++
-	f.resetEpoch++
 	// Drain every leased queue in index order: ring state, cursors, and
 	// queued doorbells all go. The queue pairs stay leased — FLR recovers
 	// the function, it does not deprovision it — so an in-flight stale
@@ -748,15 +747,22 @@ func (c *Controller) resetFunction(f *Function) {
 		}
 	}
 	c.btlb.flushFn(f.idx)
+	c.endInflight(f)
+	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))
+	c.captureFlight(c.Eng.Now(), f.idx, nil, "reset")
+	c.anomaly(slo.EventFLR, f.idx, 0, 0, "")
+}
+
+// endInflight ends f's in-flight work, for an FLR and a disable alike: the
+// epoch moves on, so every request fetched before now retires as aborted at
+// its next stage and no walk it started is used, and a walker parked on a
+// latched miss is failed so the chunk drains.
+func (c *Controller) endInflight(f *Function) {
+	f.resetEpoch++
 	if f.missPending {
-		// A walker is parked on this miss; fail the walk so the chunk drains
-		// (it will be aborted as stale before any completion is attempted).
 		f.missPending = false
 		f.missReason = ring.MissReasonTranslate
 		f.rewalkVerdict = ring.RewalkFail
 		f.rewalk.Fire()
 	}
-	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))
-	c.captureFlight(c.Eng.Now(), f.idx, nil, "reset")
-	c.anomaly(slo.EventFLR, f.idx, 0, 0, "")
 }

@@ -591,6 +591,61 @@ func TestDisabledVFRejectsIO(t *testing.T) {
 	}
 }
 
+// TestDisableEndsTheOldTenantsWalk disables a VF while its tenant's write is
+// in translation — the walk's node fetch still out, or a miss latched and
+// unserviced — then exports the index to a new tenant on another tree. The
+// old walk may neither re-cache its extent nor leave its latch for the new
+// tenant's miss handler, and the new tenant's write lands on its own tree.
+func TestDisableEndsTheOldTenantsWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		old    extent.Run
+		paused func(r *rig) bool
+	}{
+		{"node fetch out", extent.Run{Logical: 0, Physical: 100, Count: 16}, func(r *rig) bool { return r.fab.DMAReads >= 2 }},
+		{"miss latched", extent.Run{Logical: 8, Physical: 100, Count: 8}, func(r *rig) bool { return r.missMSIs > 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, smallParams())
+			old := r.buildTree([]extent.Run{tc.old})
+			buf := r.mem.MustAlloc(1024, 64)
+			r.eng.Go("old tenant", func(p *sim.Proc) {
+				r.setVF(p, 0, old.Root(), 16)
+				r.openFunction(p, 1).io(p, ring.OpWrite, 0, 1, buf) // never completes
+			})
+			for !tc.paused(r) && r.eng.Step() {
+			}
+			r.ctl.MMIOWrite(r.ctl.MgmtPageOffset()+ring.MgmtEnable, 8, 0)
+			for r.eng.Step() {
+			}
+			if _, _, ok := r.ctl.btlb.lookup(1, 0); ok {
+				t.Error("the walk that returned after the disable cached the old tenant's extent")
+			}
+			if bank := r.ctl.MMIORead(ring.PFRegMissPendingBank, 8); bank != 0 {
+				t.Errorf("miss-pending bank reads %#x after the disable: the next tenant's handler would service the old latch", bank)
+			}
+
+			fresh := r.buildTree([]extent.Run{{Logical: 0, Physical: 300, Count: 16}})
+			data := bytes.Repeat([]byte{0xBB}, 1024)
+			status := uint32(0xFFFF)
+			r.eng.Go("new tenant", func(p *sim.Proc) {
+				r.setVF(p, 0, fresh.Root(), 16)
+				if err := r.mem.Write(buf, data); err != nil {
+					t.Error(err)
+				}
+				status = r.openFunction(p, 1).io(p, ring.OpWrite, 0, 1, buf)
+			})
+			r.run()
+			if status != ring.StatusOK {
+				t.Fatalf("new tenant's write: status %d", status)
+			}
+			if !bytes.Equal(r.stored(300, 1), data) || bytes.Equal(r.stored(100, 1), data) {
+				t.Error("the new tenant's write did not land on its own tree")
+			}
+		})
+	}
+}
+
 func TestGuestCannotProgramManagementViaVFPage(t *testing.T) {
 	r := newRig(t, smallParams())
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 100, Count: 4}})

@@ -303,6 +303,12 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				c.completeChunk(p, ch, ring.StatusDMAFault)
 				break walk
 			}
+			if ch.req.epoch != f.resetEpoch {
+				// Reset or disabled while the walk was out: the tree it read
+				// may be another tenant's by now.
+				c.completeChunk(p, ch, ring.StatusAborted)
+				break walk
+			}
 			cowFault := res.Mapped && res.Protected && ch.req.Op == ring.OpWrite
 			switch {
 			case res.Mapped && !cowFault:

@@ -341,12 +341,14 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 		was := f.enabled
 		f.enabled = val == 1
 		if was && !f.enabled {
-			// Disabling a VF drops its cached translations and returns every
-			// leased queue pair to the device-wide pool; the hypervisor
-			// quiesces the function before disabling it. Return happens only
-			// here — never on FLR — so a queue can be re-leased only after
-			// its tenant is deprovisioned.
+			// Disabling a VF drops its cached translations, ends its
+			// in-flight work as an FLR does (a walk still out must not
+			// re-cache the old tenant's extent for the next one) and returns
+			// every leased queue pair to the device-wide pool. Return happens
+			// only here — never on FLR — so a queue can be re-leased only
+			// after its tenant is deprovisioned.
 			c.btlb.flushFn(f.idx)
+			c.endInflight(f)
 			for qi := range f.queues {
 				c.returnQueue(f, qi)
 			}

@@ -164,3 +164,61 @@ func TestForegroundWriteRacingResilverCopyWins(t *testing.T) {
 		return nil
 	})
 }
+
+// TestResilverCopyFailureRemarksTheRegion fails one resilver copy on either
+// side — the clean source's read, then the rebuilding target's write. The
+// region goes back into the target's dirty log, the leg that failed is charged
+// through reportFailure, and once the fault clears the next pass converges
+// with the write the mirror acknowledged while the target was fenced.
+func TestResilverCopyFailureRemarksTheRegion(t *testing.T) {
+	const lat = 10 * sim.Microsecond
+	errWire := errors.New("transport down")
+	for _, tc := range []struct {
+		name string
+		leg  int // the leg whose side of the copy fails
+		err  func(leg *fakeLeg) *error
+	}{
+		{"source read", 0, func(leg *fakeLeg) *error { return &leg.readErr }},
+		{"target write", 1, func(leg *fakeLeg) *error { return &leg.writeErr }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newMirrorRig(t, Config{RegionBlocks: 8, ResilverInterval: 100 * sim.Microsecond}, lat, lat)
+			rig.run(t, func(p *sim.Proc) error {
+				c, target := rig.c, rig.c.reps[1]
+				acked := bytes.Repeat([]byte{0xA5}, 512)
+				target.state = Failed
+				if err := c.Submit(p, true, 3, guest.Buffer{Data: acked}); err != nil {
+					return err
+				}
+				fault := tc.err(rig.legs[tc.leg])
+				*fault = errWire
+				c.Revive(1)
+				// The first pass starts one interval from now and fails within
+				// two leg latencies; the second starts an interval after it.
+				p.Sleep(c.Cfg.ResilverInterval + 3*lat)
+				if target.dirty.DirtyRegions() != 1 || c.ResilverRegions != 0 {
+					return fmt.Errorf("after the failed copy: %d dirty regions, %d copied; want 1, 0", target.dirty.DirtyRegions(), c.ResilverRegions)
+				}
+				if got := c.reps[tc.leg].consecFail; got != 1 {
+					return fmt.Errorf("leg %d has %d consecutive failures, want 1: the failed copy was not charged to it", tc.leg, got)
+				}
+				*fault = nil
+				for i := 0; target.state != Healthy; i++ {
+					if i > 10 {
+						return fmt.Errorf("leg 1 still %v with %d dirty regions after the fault cleared", target.state, target.dirty.DirtyRegions())
+					}
+					p.Sleep(c.Cfg.ResilverInterval)
+				}
+				if c.ResilverRegions != 1 {
+					return fmt.Errorf("%d regions copied, want 1", c.ResilverRegions)
+				}
+				for i, leg := range rig.legs {
+					if !bytes.Equal(leg.store[3*512:4*512], acked) {
+						return fmt.Errorf("leg %d lost the acknowledged write", i)
+					}
+				}
+				return nil
+			})
+		})
+	}
+}

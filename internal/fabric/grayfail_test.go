@@ -21,8 +21,9 @@ type fakeLeg struct {
 	lat    sim.Time
 	reads  int
 	writes int
-	// readErr, when set, is what every read answers with (after lat).
-	readErr error
+	// readErr and writeErr, when set, are what every read or write answers
+	// with (after lat).
+	readErr, writeErr error
 }
 
 func newFakeLeg(name string, bs int, blocks int64, lat sim.Time) *fakeLeg {
@@ -39,6 +40,9 @@ func (f *fakeLeg) Submit(p *sim.Proc, write bool, lba int64, buf guest.Buffer) e
 	off := lba * int64(f.bs)
 	if write {
 		f.writes++
+		if f.writeErr != nil {
+			return f.writeErr
+		}
 		copy(f.store[off:], buf.Data)
 		return nil
 	}

@@ -11,7 +11,7 @@ import (
 	"nesc/internal/sim"
 )
 
-// The VF lifecycle matrix (DESIGN.md §12): a transition in flight on VF A
+// The VF lifecycle matrix (DESIGN.md §7): a transition in flight on VF A
 // against one arriving on the same VF while it runs, the arrival swept across
 // the instants the in-flight one parks at. VF B exports the same image, so
 // every remap and invalidation has a second sharer to reach and a teardown a

@@ -14,7 +14,7 @@ import (
 )
 
 // VF lifecycle and the translation-miss service path (paper §IV-C), one copy
-// per managed controller; DESIGN.md §12 has the table of its transitions.
+// per managed controller; DESIGN.md §7 has the table of its transitions.
 
 func (d *Device) mgmtAddr(vfIdx int) int64 {
 	return d.Ctl.BARBase() + d.Ctl.MgmtPageOffset() + int64(vfIdx)*ring.MgmtStride

@@ -40,8 +40,8 @@ var layers = []struct {
 	// What is built on the kernel: each attaches to the hypervisor through its
 	// exported steps or one declared seam, and the hypervisor never names it.
 	{"features", []string{"fabric", "cas"}},
-	// Assembles platforms and runs experiments. The root package, cmd/ and
-	// examples/ belong here too and are the only other importers of bench.
+	// Assembles platforms and runs experiments. The root package and cmd/
+	// belong here too and are the only other importers of bench.
 	{"harness", []string{"bench"}},
 }
 
@@ -117,7 +117,7 @@ func TestLayers(t *testing.T) {
 			return err
 		}
 		// from is the importing package under internal/ ("" for the root
-		// package, cmd/ and examples/, which are harness).
+		// package and cmd/, which are harness).
 		from := ""
 		if rest, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(path)), "internal/"); ok {
 			from = rest
@@ -131,7 +131,7 @@ func TestLayers(t *testing.T) {
 			switch {
 			case to == "bench":
 				if from != "" {
-					t.Errorf("%s imports bench: only the root package, cmd/ and examples/ may", path)
+					t.Errorf("%s imports bench: only the root package and cmd/ may", path)
 				}
 			case from == "":
 				// Harness outside internal/: anything goes.

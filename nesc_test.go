@@ -657,3 +657,68 @@ func (op stopRace) stopDuring(delay time.Duration) (err error) {
 		return nil
 	})
 }
+
+// A VM stopped with writes in flight must not steer the next tenant on its VF
+// index: a walk that returns after the disable may not re-cache the old
+// tenant's extent, and B's bytes land in B's file and nowhere else.
+func TestStoppedVMsWritesStayOutOfTheNextTenant(t *testing.T) {
+	for _, iommu := range []bool{false, true} {
+		for _, delay := range []time.Duration{20 * time.Microsecond, 40 * time.Microsecond, 80 * time.Microsecond} {
+			t.Run(fmt.Sprintf("iommu=%v/stop=%v", iommu, delay), func(t *testing.T) {
+				inA, inB, err := stopThenReexport(iommu, delay)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if inA != 0 || inB != 1<<20 {
+					t.Errorf("B wrote 1 MiB of 0xBB: %d bytes landed in A's file, %d in B's", inA, inB)
+				}
+			})
+		}
+	}
+}
+
+// stopThenReexport runs 256 concurrent 4 KB writers on tenant A, stops A
+// delay later, boots tenant B on the freed VF index and has it write 1 MiB of
+// 0xBB; it reports how many 0xBB bytes each host file holds.
+func stopThenReexport(iommu bool, delay time.Duration) (inA, inB int, err error) {
+	cfg := DefaultConfig()
+	cfg.UseIOMMU = iommu
+	err = New(cfg).Run(func(ctx *Ctx) error {
+		for _, path := range []string{"/a.img", "/b.img"} {
+			if err := ctx.CreateImage(path, 100, 1<<20, false); err != nil {
+				return err
+			}
+		}
+		a, err := ctx.StartVM("a", BackendNeSC, "/a.img", 100)
+		if err != nil {
+			return err
+		}
+		vf := a.VFIndex()
+		block := bytes.Repeat([]byte{0xAA}, 4096)
+		for i := int64(0); i < 256; i++ {
+			ctx.Go("a-writer", func(c *Ctx) error { return a.WriteAt(c, block, i*4096) })
+		}
+		ctx.Sleep(delay)
+		a.Stop(ctx) // the writers are not joined: the stop cuts them off
+		b, err := ctx.StartVM("b", BackendNeSC, "/b.img", 100)
+		if err != nil {
+			return err
+		}
+		if b.VFIndex() != vf {
+			return fmt.Errorf("B got VF %d, not A's %d", b.VFIndex(), vf)
+		}
+		if err := b.WriteAt(ctx, bytes.Repeat([]byte{0xBB}, 1<<20), 0); err != nil {
+			return err
+		}
+		fileA, fileB := make([]byte, 1<<20), make([]byte, 1<<20)
+		if _, err := ctx.ReadHostFile("/a.img", fileA, 0); err != nil {
+			return err
+		}
+		if _, err := ctx.ReadHostFile("/b.img", fileB, 0); err != nil {
+			return err
+		}
+		inA, inB = bytes.Count(fileA, []byte{0xBB}), bytes.Count(fileB, []byte{0xBB})
+		return nil
+	})
+	return inA, inB, err
+}
