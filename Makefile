@@ -38,27 +38,28 @@ build:
 test:
 	$(GO) test ./...
 
-# race skips what -short skips (the full-size chaos soak, the golden experiment
-# run); not part of ci, which runs race-full.
+# race skips what -short skips (the golden experiment run); not part of ci,
+# which runs race-full.
 race:
 	$(GO) test -race -short ./...
 
 # race-full is the entire suite under the race detector except the golden
 # experiment run, which test runs without it. The race runtime keeps what
-# every finished simulated process used (about 5 KB: Go 1.24 ends an iter.Pull
+# every finished simulated process used (≈ 25 KB: Go 1.24 ends an iter.Pull
 # coroutine without racegoend), so a test binary grows with each process its
-# tests spawn. The root package spawns the most and runs as three binaries;
-# the largest of the four commands peaks near 3 GB.
+# tests spawn. The root package spawns the most and runs as three binaries, and
+# a race build runs each soak row once (race_test.go); the soak binary peaks
+# near 2.8 GB, the other two root binaries near 2.3 GB.
 race-full:
 	$(GO) test -race ./internal/... ./cmd/...
-	$(GO) test -race -run '^TestChaosSoak' .
+	$(GO) test -race -run '^TestSoak$$' .
 	$(GO) test -race -run '^TestCrash' .
-	$(GO) test -race -skip '^(TestChaosSoak|TestCrash|TestGoldenExperimentOutputs)' .
+	$(GO) test -race -skip '^(TestSoak|TestCrash|TestGoldenExperimentOutputs)' .
 
-# chaos runs the full-size chaos soaks (loud faults and silent-corruption
-# injection, each with a same-seed determinism replay).
+# chaos runs the soak table (chaos_test.go): every row, the last of which arms
+# every feature at once, with its same-seed determinism replay.
 chaos:
-	$(GO) test -run TestChaosSoak -v .
+	$(GO) test -run '^TestSoak$$' -v .
 
 # crash runs the crash-recovery harness (64 seeded power-cut points over the
 # public API) and the exhaustive extfs journal crash-point sweep.

@@ -1,994 +1,676 @@
 package nesc
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"nesc/internal/fault"
 )
 
-// Chaos soak: mixed tenant workloads run under an aggressive seeded fault
-// plan — transient and latent medium errors, rejected DMA transfers, dropped
-// and delayed interrupts, failing lazy allocation — while every VF takes one
-// forced function-level reset mid-run. The test asserts three things:
-//
-//  1. Integrity: after all recovery machinery has run, every byte reads back
-//     bit-exactly against an in-test oracle.
-//  2. Liveness: no submitter deadlocks (Run returns nil).
-//  3. Determinism: the same seed produces the identical fault sequence,
-//     stats, and virtual end time across two independent runs.
+// The soak: one runner (runSoak) over one feature table (soakRows). A row
+// arms fault groups and features on one platform, runs its tenants with N
+// clients each through its phases while every byte is held to the oracle
+// (oracle_test.go), and ends in one quiesce sweep. TestSoak runs each row
+// twice under its seed — the runs must agree on every counter, the fault
+// sequence, the virtual end time and the sinks' exports — and once under
+// another seed, which must draw a different fault sequence. The fault-site
+// tests (fault_sites_test.go) read the same rows.
 
-// rawRegionLBA is where the raw (identity-mapped) tenant's workload lives:
-// high physical LBAs the host filesystem never allocates, so latent bad
-// sectors seeded there hit only tenant data. Random latent latching
-// (LatentProb) stays off: a latent sector inside host-FS metadata would be an
-// unrecoverable loss — nothing in the model rewrites metadata in place, and
-// the FS has no redundancy to heal from.
-const rawRegionLBA = 100_000
+// faultGroup is a set of fault-plan groups; a row's plan is their union.
+type faultGroup uint8
 
-// chaosPlan is the shared aggressive fault schedule.
-func chaosPlan(seed uint64) *FaultPlan {
-	plan := &FaultPlan{
-		Seed: seed,
-		// Bad-from-the-start sectors inside the raw tenant's first stripes:
-		// reads fail until the scrub path rewrites them.
-		LatentSectors: []int64{rawRegionLBA + 1, rawRegionLBA + 3, rawRegionLBA + 10},
+const (
+	loud    faultGroup = 1 << iota // transient medium and DMA errors, lost and late MSIs, failed lazy allocation, latent sectors
+	corrupt                        // silent flips on the medium and the DMA path, latched corrupt sectors
+	remote                         // the chunk store's GETs and PUTs
+	device                         // a one-shot device kill and a one-shot partition that heals
+)
+
+const (
+	stripe = 16 // blocks per worker write
+	// rawLBA is the raw tenant's first block: physical LBAs the host
+	// filesystem never reaches on the soak's 16 MB medium, so latched sectors
+	// there hit only tenant data. Random latent latching (LatentProb) stays
+	// off: a latent sector in host-filesystem metadata would be lost for good.
+	rawLBA = 12000
+	farLBA = 16000 // latches no tenant touches: only a scrub heals them
+)
+
+func (g faultGroup) plan(seed uint64) *FaultPlan {
+	p := &FaultPlan{Seed: seed}
+	if g&loud != 0 {
+		p.Sites[FaultMediumRead] = FaultSiteParams{Prob: 0.015}
+		p.Sites[FaultMediumWrite] = FaultSiteParams{Prob: 0.005}
+		p.Sites[FaultDMARead] = FaultSiteParams{Prob: 0.002}
+		p.Sites[FaultDMAWrite] = FaultSiteParams{Prob: 0.002} // a 16 KB read is 16+ payload DMAs
+		p.Sites[FaultMSI] = FaultSiteParams{Prob: 0.02, DelayProb: 0.05, Delay: 30 * 1000}
+		p.Sites[FaultMissHandler] = FaultSiteParams{Prob: 0.05}
+		p.LatentSectors = append(p.LatentSectors, rawLBA+1, rawLBA+3, rawLBA+10) // the raw tenant's stripe 0
 	}
-	plan.Sites[FaultMediumRead] = FaultSiteParams{Prob: 0.015}
-	plan.Sites[FaultMediumWrite] = FaultSiteParams{Prob: 0.005}
-	plan.Sites[FaultDMARead] = FaultSiteParams{Prob: 0.002}
-	plan.Sites[FaultDMAWrite] = FaultSiteParams{Prob: 0.002}
-	plan.Sites[FaultMSI] = FaultSiteParams{Prob: 0.02, DelayProb: 0.05, Delay: 30 * 1000} // 30µs
-	plan.Sites[FaultMissHandler] = FaultSiteParams{Prob: 0.05}
-	return plan
-}
-
-// stripePattern fills a stripe with bytes derived deterministically from its
-// coordinates, so the oracle needs no stored randomness.
-func stripePattern(buf []byte, vmIdx, round int) {
-	for i := range buf {
-		buf[i] = byte(vmIdx*131 + round*31 + i*7 + 5)
+	if g&corrupt != 0 {
+		p.Sites[FaultMediumCorruptRead] = FaultSiteParams{Prob: 0.005}
+		p.Sites[FaultMediumCorruptWrite] = FaultSiteParams{Prob: 0.002} // low enough for scrub repairs to converge
+		p.Sites[FaultDMACorrupt] = FaultSiteParams{Prob: 0.01}
+		p.CorruptSectors = append(p.CorruptSectors, rawLBA+stripe+1, rawLBA+stripe+5, farLBA+1, farLBA+7) // stripe 1
+		p.LatentSectors = append(p.LatentSectors, farLBA, farLBA+3)
 	}
+	if g&remote != 0 {
+		p.Sites[FaultRemoteFetch] = FaultSiteParams{Prob: 0.05, DelayProb: 0.1, Delay: 25 * 1000}
+		p.Sites[FaultRemoteStore] = FaultSiteParams{Prob: 0.3}
+	}
+	if g&device != 0 {
+		// Mid-workload: bringing a three-way mirror up draws about 1,000.
+		p.Sites[FaultDeviceKill] = FaultSiteParams{OneShot: []int64{3000}}
+		p.Sites[FaultDevicePartition] = FaultSiteParams{OneShot: []int64{6000}}
+		p.PartitionDuration = 300 * 1000
+	}
+	return p
 }
 
-// chaosResult is everything two same-seed runs must agree on.
-type chaosResult struct {
-	stats   Stats
-	summary string
-	vtime   time.Duration
+// feature is a set of what a row arms besides its faults.
+type feature uint16
+
+const (
+	flr        feature = 1 << iota // one function-level reset per VF, mid-run
+	snaps                          // snapshot/clone churn over every file-backed disk
+	slow                           // fail-slow degrade/recover churn on device 0
+	cas                            // the chunk store with a tiny cache, and seal/fork/release churn
+	kill                           // a kill and revive of a device only the mirror uses
+	drain                          // scrub passes until every latch has drained
+	scrubber                       // the background scrubber, the whole run
+	sinks                          // all six telemetry sinks
+	hedge                          // hedged mirror reads
+	migrate                        // one live migration of a mirror leg
+	everything = 1<<iota - 1
+)
+
+// soakRow is one simulation of the soak.
+type soakRow struct {
+	name    string
+	seed    uint64
+	faults  faultGroup
+	arms    feature
+	devices int   // fleet size (0: one)
+	queues  int   // queue pairs per VF (0: one)
+	files   int   // sparse file-backed disks, one VM each
+	raw     bool  // a raw tenant on the plan's latched sectors, probed first
+	shared  bool  // one sparse disk exported by two VFs: one tree, two BTLB keys
+	mirror  []int // the mirrored disk's devices
+	clients int   // workers per VM (0: one)
+	rounds  int   // stripes each worker writes
+	nonzero string
 }
 
-// runChaos executes one full chaos run and returns its fingerprint. queues
-// sets Config.QueuesPerVF: every tenant then drives its VF through that many
-// queue pairs, each with its own sequence space and recovery state.
-func runChaos(t *testing.T, seed uint64, numVMs, rounds, stripeBlocks, queues int) chaosResult {
+// soakRows is the table. nonzero names the Stats and FabricStats counters a
+// row must move; every row's runner also holds VFResets, Snapshots and Clones
+// to what it did, and its sweep to the quiesce invariants.
+var soakRows = []soakRow{
+	{name: "loud", seed: 0xC0FFEE, faults: loud, arms: flr | snaps, files: 4, raw: true, rounds: 16,
+		nonzero: "InjectedFaults MediumRetries DroppedMSIs DriverTimeouts VFResets LatentHits LatentRepaired CowFaults CowBreaks"},
+	{name: "multi-queue", seed: 0xC0FFEE, faults: loud, arms: flr | snaps, queues: 4, files: 4, raw: true, rounds: 12,
+		nonzero: "InjectedFaults DriverTimeouts VFResets PolledCompletions"},
+	{name: "fail-slow", seed: 0x51085, faults: loud, arms: slow, files: 3, rounds: 12,
+		nonzero: "InjectedFaults DegradedOps DegradedTime"},
+	{name: "corrupt", seed: 0xDEC0DE, faults: corrupt, arms: drain, files: 3, raw: true, rounds: 12,
+		nonzero: "CorruptionsInjected CorruptionsDetected MediumGuardErrors IntegrityRepairs PIWriteErrors ScrubChunks RecoveryReads"},
+	{name: "scrubber", seed: 0xFEED, faults: corrupt, arms: scrubber, files: 2, rounds: 6,
+		nonzero: "ScrubChunks ScrubBlocks"},
+	{name: "cas", seed: 0xCA5CADE, faults: loud | remote, arms: cas, files: 1, rounds: 8,
+		nonzero: "InjectedFaults CASDedupHits CASFetchMisses CASMaterializations CASRemoteRetries CASCacheEvictions CASReleases CASChunksLive"},
+	{name: "device", seed: 0xFAB12, faults: loud | device, devices: 3, mirror: []int{0, 1, 2}, rounds: 24,
+		nonzero: "DegradedWrites Failovers ResilverRestores"},
+	// Deadlines and admission control stay out: nesc.Config cannot arm them.
+	// So does the device group: its one-shot kill latches whichever device
+	// draws it, so all kills device 2, which only the mirror uses, by hand.
+	{name: "all", seed: 0xA11, faults: loud | corrupt | remote, arms: everything, devices: 3, queues: 4,
+		files: 2, raw: true, shared: true, mirror: []int{1, 2}, clients: 2, rounds: 8,
+		nonzero: "InjectedFaults MediumRetries DroppedMSIs DriverTimeouts VFResets LatentHits LatentRepaired CowFaults CowBreaks " +
+			"PolledCompletions DegradedOps DegradedTime CorruptionsInjected CorruptionsDetected MediumGuardErrors " +
+			"IntegrityRepairs PIWriteErrors ScrubChunks ScrubBlocks RecoveryReads CASDedupHits CASFetchMisses " +
+			"CASMaterializations CASRemoteRetries CASCacheEvictions CASReleases CASChunksLive DegradedWrites " +
+			"Failovers ResilverRestores Migrations HedgedReads AnomalyEvents"},
+}
+
+// soakResult is everything two same-seed runs of a row must agree on.
+type soakResult struct {
+	stats          Stats
+	fabric         FabricStats
+	summary        string
+	metrics, board string // the sinks' exports
+	ops, faults    [fault.NumSites]int64
+	delays         [fault.NumSites]int64
+}
+
+// soakRun is one row's simulation in flight.
+type soakRun struct {
+	row                       soakRow
+	s                         *Simulation
+	tenants                   []*tenant
+	raw                       *tenant
+	mirror                    *VM
+	tasks                     []*Task
+	leases                    []int // each device's leased queues before any VM
+	resets, snapshots, clones int64
+}
+
+// runSoak runs row under plan and returns its fingerprint; any error — a byte
+// off the oracle, a failed sweep, a stalled submitter — fails t.
+func runSoak(t *testing.T, row soakRow, plan *FaultPlan) soakResult {
 	t.Helper()
-	const blockSize = 1024
 	cfg := DefaultConfig()
-	cfg.UseIOMMU = true // direct DMA mode: no trampoline copies masking faults
-	cfg.Fault = chaosPlan(seed)
+	cfg.MediumMB = 16   // full-device scrub passes stay cheap
+	cfg.UseIOMMU = true // direct DMA: no trampoline copies masking DMA faults
+	cfg.Fault = plan
 	cfg.DriverTimeout = 3 * time.Millisecond
 	cfg.DriverRetryMax = 8
-	cfg.QueuesPerVF = queues
-	s := New(cfg)
+	cfg.QueuesPerVF = row.queues
+	cfg.Devices = row.devices
+	cfg.CAS = row.arms&cas != 0
+	cfg.CASCacheChunks = 16 // working sets far exceed it: the cache keeps evicting
+	cfg.Scrub = row.arms&scrubber != 0
+	cfg.ScrubInterval = 50 * time.Microsecond
+	if row.arms&sinks != 0 {
+		cfg.TraceEvents, cfg.TraceSpans, cfg.Metrics, cfg.Attribution = 256, 256, true, true
+		cfg.SLO, cfg.ScoreboardEvents = &SLOObjective{Latency: 500 * time.Microsecond}, 256
+	}
+	r := &soakRun{row: row, s: New(cfg)}
+	if err := r.s.Run(r.run); err != nil {
+		t.Fatalf("soak %s (seed %#x): %v", row.name, plan.Seed, err)
+	}
+	var metrics strings.Builder
+	r.s.WriteMetrics(&metrics)
+	res := soakResult{stats: r.s.Stats(), fabric: r.s.FabricStats(), summary: r.s.FaultSummary(),
+		metrics: metrics.String(), board: r.s.ScoreboardDump()}
+	for site := fault.Site(0); site < fault.NumSites; site++ {
+		in := r.s.pl.Inj
+		res.ops[site], res.faults[site], res.delays[site] = in.Ops(site), in.Faults(site), in.Delays(site)
+	}
+	return res
+}
 
-	diskBlocks := uint64(rounds * stripeBlocks * 2) // headroom past the stripes
-	stripe := int64(stripeBlocks * blockSize)
-
-	err := s.Run(func(ctx *Ctx) error {
-		// numVMs file-backed tenants plus one raw (identity-mapped) tenant
-		// whose region carries the plan's seeded latent bad sectors.
-		vms := make([]*VM, numVMs+1)
-		base := make([]int64, numVMs+1)
-		for i := 0; i < numVMs; i++ {
-			path := fmt.Sprintf("/tenant%d.img", i)
-			// Sparse images: every first write misses, exercising the
-			// hypervisor's lazy allocation under MissHandler faults.
-			if err := ctx.CreateImage(path, uint32(100+i), int64(diskBlocks)*blockSize, true); err != nil {
-				return err
-			}
-			vm, err := ctx.StartVM(fmt.Sprintf("vm%d", i), BackendNeSC, path, uint32(100+i))
-			if err != nil {
-				return err
-			}
-			vms[i] = vm
-		}
-		raw, err := ctx.StartRawVM("raw", BackendNeSC)
-		if err != nil {
-			return err
-		}
-		vms[numVMs] = raw
-		base[numVMs] = rawRegionLBA * blockSize
-
-		// Before anything rewrites them, read through the latent sectors so
-		// the latent-read failure path actually fires; the error is expected.
-		if err := raw.ReadAt(ctx, make([]byte, stripe), base[numVMs]); err == nil {
-			return fmt.Errorf("read across seeded latent sectors unexpectedly succeeded")
-		}
-
-		tasks := make([]*Task, len(vms))
-		for i := range vms {
-			i, vm, off0 := i, vms[i], base[i]
-			tasks[i] = ctx.Go(fmt.Sprintf("chaos-worker-%d", i), func(c *Ctx) error {
-				want := make([]byte, stripe)
-				got := make([]byte, stripe)
-				for round := 0; round < rounds; round++ {
-					off := off0 + int64(round)*stripe
-					stripePattern(want, i, round)
-					// Write until the stripe sticks: a stripe is written with
-					// fixed bytes at a fixed offset, so resubmissions and
-					// repair rewrites are idempotent.
-					if err := writeStripe(c, vm, want, off); err != nil {
-						return err
-					}
-					// Verify an earlier stripe; on a (possibly latent) read
-					// error, scrub-repair: rewrite from the oracle and retry.
-					vr := round / 2
-					stripePattern(want, i, vr)
-					if err := readVerified(c, vm, want, got, off0+int64(vr)*stripe); err != nil {
-						return err
-					}
-					stripePattern(want, i, round)
+func (r *soakRun) run(ctx *Ctx) error {
+	row := r.row
+	for _, d := range r.s.pl.Hyp.Devices() {
+		r.leases = append(r.leases, d.Ctl.LeasedQueues())
+	}
+	if err := r.boot(ctx); err != nil {
+		return err
+	}
+	if err := r.probe(ctx); err != nil {
+		return err
+	}
+	r.workers(ctx)
+	if row.arms&slow != 0 {
+		r.spawn(ctx, "fail-slow churn", failSlowChurn)
+	}
+	if row.arms&cas != 0 {
+		r.spawn(ctx, "cas churn", casChurn)
+	}
+	if row.arms&(kill|migrate) != 0 {
+		r.spawn(ctx, "fleet churn", r.fleetChurn)
+	}
+	if row.arms&flr != 0 {
+		// Every VF takes one forced reset while its workers are in flight.
+		for _, tn := range r.tenants {
+			for _, vm := range tn.vms {
+				if vm == r.mirror {
+					continue // a mirror's legs have no one function to reset
 				}
-				return nil
-			})
-		}
-
-		// Mid-run, every VF takes one forced function-level reset while its
-		// worker is in flight.
-		for _, vm := range vms {
-			ctx.Sleep(2 * time.Millisecond)
-			if err := vm.Reset(ctx); err != nil {
-				return err
+				ctx.Sleep(2 * time.Millisecond)
+				if err := vm.Reset(ctx); err != nil {
+					return err
+				}
+				r.resets++
 			}
 		}
-
-		for _, tk := range tasks {
-			if err := tk.Wait(ctx); err != nil {
-				return err
-			}
-		}
-
-		// Snapshot churn: every file-backed tenant takes a snapshot, forks a
-		// writable clone, diverges the clone, re-writes a now-shared stripe
-		// on the parent (a CoW break under the same fault plan), then tears
-		// both down again. The fork's divergence uses its own pattern and
-		// the parent's re-write uses the oracle bytes, so the final readback
-		// below doubles as the no-leak check.
-		for i := 0; i < numVMs; i++ {
-			vm, uid := vms[i], uint32(100+i)
-			snapPath := fmt.Sprintf("/tenant%d.snap", i)
-			clonePath := fmt.Sprintf("/tenant%d.clone", i)
-			if err := vm.Snapshot(ctx, snapPath, uid); err != nil {
-				return fmt.Errorf("churn snapshot vm%d: %w", i, err)
-			}
-			fork, err := ctx.CloneVM(vm, fmt.Sprintf("fork%d", i), clonePath, uid)
-			if err != nil {
-				return fmt.Errorf("churn clone vm%d: %w", i, err)
-			}
-			want := make([]byte, stripe)
-			got := make([]byte, stripe)
-			stripePattern(want, numVMs+1+i, 0)
-			if err := writeStripe(ctx, fork, want, 0); err != nil {
-				return fmt.Errorf("churn fork%d divergence: %w", i, err)
-			}
-			if err := readVerified(ctx, fork, want, got, 0); err != nil {
-				return fmt.Errorf("churn fork%d readback: %w", i, err)
-			}
-			stripePattern(want, i, 1)
-			if err := writeStripe(ctx, vm, want, stripe); err != nil {
-				return fmt.Errorf("churn vm%d CoW re-write: %w", i, err)
-			}
-			stripePattern(want, i, 0)
-			if err := readVerified(ctx, vm, want, got, 0); err != nil {
-				return fmt.Errorf("churn vm%d stripe 0 after fork divergence: %w", i, err)
-			}
-			fork.Stop(ctx)
-			if err := ctx.DeleteSnapshot(clonePath, uid); err != nil {
-				return fmt.Errorf("churn delete %s: %w", clonePath, err)
-			}
-			if err := ctx.DeleteSnapshot(snapPath, uid); err != nil {
-				return fmt.Errorf("churn delete %s: %w", snapPath, err)
-			}
-		}
-		if sb := ctx.SharedBlocks(); sb != 0 {
-			return fmt.Errorf("snapshot churn left %d shared blocks", sb)
-		}
-		if err := ctx.CheckHostFS(); err != nil {
-			return fmt.Errorf("fsck after snapshot churn: %w", err)
-		}
-
-		// Final full readback: every stripe of every tenant, bit-exact.
-		want := make([]byte, stripe)
-		got := make([]byte, stripe)
-		for i, vm := range vms {
-			for round := 0; round < rounds; round++ {
-				stripePattern(want, i, round)
-				if err := readVerified(ctx, vm, want, got, base[i]+int64(round)*stripe); err != nil {
-					return fmt.Errorf("final readback vm%d round %d: %w", i, round, err)
+	}
+	var errs []error
+	for _, tk := range r.tasks {
+		errs = append(errs, tk.Wait(ctx))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	if row.arms&snaps != 0 {
+		for i, tn := range r.tenants {
+			if tn != r.raw && tn.vms[0] != r.mirror {
+				if err := r.snapshotChurn(ctx, i, tn); err != nil {
+					return fmt.Errorf("snapshot churn on disk %d: %w", i, err)
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("chaos run (seed %d): %v", seed, err)
 	}
-	return chaosResult{stats: s.Stats(), summary: s.FaultSummary(), vtime: s.Stats().VirtualTime}
-}
-
-// writeStripe retries a whole-stripe write until it sticks; stripes are
-// idempotent so duplicate device-side writes are harmless.
-func writeStripe(c *Ctx, vm *VM, data []byte, off int64) error {
-	var err error
-	for attempt := 0; attempt < 8; attempt++ {
-		if err = vm.WriteAt(c, data, off); err == nil {
-			return nil
+	if row.arms&drain != 0 {
+		// The far latches are live unless a background scrubber got there:
+		// only a scrub can heal them, so the drain has something to prove.
+		if st := r.s.Stats(); row.arms&scrubber == 0 && (st.LatentOutstanding == 0 || st.CorruptOutstanding == 0) {
+			return fmt.Errorf("no live latches before the drain (latent %d, corrupt %d)", st.LatentOutstanding, st.CorruptOutstanding)
 		}
-	}
-	return fmt.Errorf("stripe write at %d never stuck: %w", off, err)
-}
-
-// readVerified reads a stripe and compares it to the oracle; a read error —
-// a transient fault, a latent sector, or a reset abort — is answered by a
-// scrub-repair rewrite from the oracle before retrying.
-func readVerified(c *Ctx, vm *VM, want, got []byte, off int64) error {
-	var err error
-	for attempt := 0; attempt < 8; attempt++ {
-		clear(got)
-		if err = vm.ReadAt(c, got, off); err == nil {
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("stripe at %d corrupt: data mismatch", off)
-			}
-			return nil
-		}
-		// Scrub: rewriting repairs latent sectors and resolves transients.
-		if werr := writeStripe(c, vm, want, off); werr != nil {
-			return werr
-		}
-	}
-	return fmt.Errorf("stripe read at %d never recovered: %w", off, err)
-}
-
-func TestChaosSoak(t *testing.T) {
-	numVMs, rounds, stripeBlocks := 2, 6, 8
-	if !testing.Short() {
-		numVMs, rounds, stripeBlocks = 4, 16, 16
-	}
-	a := runChaos(t, 0xC0FFEE, numVMs, rounds, stripeBlocks, 1)
-
-	// The run must actually have hurt: an injector that never fired proves
-	// nothing about recovery.
-	st := a.stats
-	if st.InjectedFaults == 0 {
-		t.Fatal("no faults injected; the chaos plan is inert")
-	}
-	if st.MediumRetries == 0 {
-		t.Error("no medium retries: DTU retry path not exercised")
-	}
-	if st.DroppedMSIs == 0 {
-		t.Error("no MSIs dropped: interrupt-loss path not exercised")
-	}
-	if st.DriverTimeouts == 0 {
-		t.Error("no driver timeouts: completion-timeout path not exercised")
-	}
-	if want := int64(numVMs + 1); st.VFResets != want {
-		t.Errorf("VFResets = %d, want %d (one forced FLR per VF)", st.VFResets, want)
-	}
-	if st.LatentHits == 0 {
-		t.Error("no latent-sector read failures: latent path not exercised")
-	}
-	if st.LatentRepaired == 0 {
-		t.Error("no latent sectors repaired: scrub path not exercised")
-	}
-	if want := int64(2 * numVMs); st.Snapshots != want {
-		t.Errorf("Snapshots = %d, want %d (one direct + one clone-implied per tenant)", st.Snapshots, want)
-	}
-	if want := int64(numVMs); st.Clones != want {
-		t.Errorf("Clones = %d, want %d", st.Clones, want)
-	}
-	if st.CowFaults == 0 || st.CowBreaks == 0 {
-		t.Errorf("snapshot churn raised no CoW activity (faults=%d breaks=%d)", st.CowFaults, st.CowBreaks)
-	}
-	if st.SharedBlocks != 0 {
-		t.Errorf("SharedBlocks = %d after churn teardown, want 0", st.SharedBlocks)
-	}
-	t.Logf("chaos snapshot churn: snapshots=%d clones=%d cowFaults=%d cowBreaks=%d",
-		st.Snapshots, st.Clones, st.CowFaults, st.CowBreaks)
-	t.Logf("chaos stats: faults=%d mediumRetries=%d mediumErrors=%d droppedMSIs=%d "+
-		"timeouts=%d resubmits=%d polled=%d stale=%d gaps=%d resets=%d missFaults=%d "+
-		"fetchDrops=%d cplDrops=%d vtime=%v",
-		st.InjectedFaults, st.MediumRetries, st.MediumErrors, st.DroppedMSIs,
-		st.DriverTimeouts, st.DriverResubmits, st.PolledCompletions, st.StaleCompletions,
-		st.SeqGaps, st.VFResets, st.MissFaults, st.FetchDrops, st.CplDrops, st.VirtualTime)
-
-	// Determinism: a second run with the same seed must replay the identical
-	// fault sequence and land on the identical final state.
-	b := runChaos(t, 0xC0FFEE, numVMs, rounds, stripeBlocks, 1)
-	if a.summary != b.summary {
-		t.Errorf("fault summaries diverge across same-seed runs:\n--- run A\n%s--- run B\n%s", a.summary, b.summary)
-	}
-	if a.stats != b.stats {
-		t.Errorf("stats diverge across same-seed runs:\nA: %+v\nB: %+v", a.stats, b.stats)
-	}
-	if a.vtime != b.vtime {
-		t.Errorf("virtual end time diverges: %v vs %v", a.vtime, b.vtime)
-	}
-
-	// A different seed must produce a different fault sequence (the seed is
-	// real, not decorative).
-	cres := runChaos(t, 0xBEEF, numVMs, rounds, stripeBlocks, 1)
-	if cres.summary == a.summary {
-		t.Error("different seeds produced identical fault summaries")
-	}
-}
-
-// TestChaosSoakMultiQueue repeats the soak with four queue pairs per VF:
-// the same fault plan now lands on a multi-queue data path, where each
-// queue's sequence numbering, timeout polling, and FLR re-arming must hold
-// independently. Integrity (bit-exact readback inside runChaos), liveness,
-// and same-seed determinism are asserted exactly as in the single-queue
-// soak.
-func TestChaosSoakMultiQueue(t *testing.T) {
-	numVMs, rounds, stripeBlocks := 2, 6, 8
-	if !testing.Short() {
-		numVMs, rounds, stripeBlocks = 4, 12, 16
-	}
-	a := runChaos(t, 0xC0FFEE, numVMs, rounds, stripeBlocks, 4)
-
-	st := a.stats
-	if st.InjectedFaults == 0 {
-		t.Fatal("no faults injected; the chaos plan is inert")
-	}
-	if st.DriverTimeouts == 0 {
-		t.Error("no driver timeouts: completion-timeout path not exercised")
-	}
-	if want := int64(numVMs + 1); st.VFResets != want {
-		t.Errorf("VFResets = %d, want %d (one forced FLR per VF)", st.VFResets, want)
-	}
-	if st.CplDrops > 0 && st.PolledCompletions == 0 {
-		t.Error("completion writes were dropped but no queue ever polled one back")
-	}
-	t.Logf("mq chaos stats: faults=%d droppedMSIs=%d timeouts=%d resubmits=%d "+
-		"polled=%d stale=%d gaps=%d resets=%d fetchDrops=%d cplDrops=%d vtime=%v",
-		st.InjectedFaults, st.DroppedMSIs, st.DriverTimeouts, st.DriverResubmits,
-		st.PolledCompletions, st.StaleCompletions, st.SeqGaps, st.VFResets,
-		st.FetchDrops, st.CplDrops, st.VirtualTime)
-
-	b := runChaos(t, 0xC0FFEE, numVMs, rounds, stripeBlocks, 4)
-	if a.summary != b.summary {
-		t.Errorf("fault summaries diverge across same-seed runs:\n--- run A\n%s--- run B\n%s", a.summary, b.summary)
-	}
-	if a.stats != b.stats {
-		t.Errorf("stats diverge across same-seed runs:\nA: %+v\nB: %+v", a.stats, b.stats)
-	}
-}
-
-// runChaosFailSlow is the gray-failure soak: tenants keep writing and
-// verifying while a churner cyclically degrades the device (latency
-// multiplied and padded, ramping in) and restores it — the failure shape
-// where nothing ever errors, every operation is just chronically late. The
-// classic loud-fault plan stays armed underneath, so recovery machinery runs
-// against a device that is simultaneously slow and faulty.
-func runChaosFailSlow(t *testing.T, seed uint64, numVMs, rounds, stripeBlocks int) chaosResult {
-	t.Helper()
-	const blockSize = 1024
-	cfg := DefaultConfig()
-	cfg.UseIOMMU = true
-	cfg.Fault = chaosPlan(seed)
-	cfg.DriverTimeout = 3 * time.Millisecond
-	cfg.DriverRetryMax = 8
-	s := New(cfg)
-
-	diskBlocks := uint64(rounds * stripeBlocks * 2)
-	stripe := int64(stripeBlocks * blockSize)
-
-	err := s.Run(func(ctx *Ctx) error {
-		vms := make([]*VM, numVMs)
-		for i := range vms {
-			path := fmt.Sprintf("/tenant%d.img", i)
-			if err := ctx.CreateImage(path, uint32(100+i), int64(diskBlocks)*blockSize, true); err != nil {
-				return err
-			}
-			vm, err := ctx.StartVM(fmt.Sprintf("vm%d", i), BackendNeSC, path, uint32(100+i))
-			if err != nil {
-				return err
-			}
-			vms[i] = vm
-		}
-
-		// Degrade/recover churn: 3x latency plus 300us extra, ramping to full
-		// strength over 200us, held for 2ms, then cleared for 1ms. Every cycle
-		// crosses the workload mid-flight.
-		churn := ctx.Go("fail-slow-churn", func(c *Ctx) error {
-			for cycle := 0; cycle < 6; cycle++ {
-				c.Degrade(0, 3, 300*time.Microsecond, 200*time.Microsecond)
-				c.Sleep(2 * time.Millisecond)
-				c.ClearDegradations(0)
-				c.Sleep(1 * time.Millisecond)
-			}
-			return nil
-		})
-
-		tasks := make([]*Task, len(vms))
-		for i := range vms {
-			i, vm := i, vms[i]
-			tasks[i] = ctx.Go(fmt.Sprintf("fail-slow-worker-%d", i), func(c *Ctx) error {
-				want := make([]byte, stripe)
-				got := make([]byte, stripe)
-				for round := 0; round < rounds; round++ {
-					stripePattern(want, i, round)
-					if err := writeStripe(c, vm, want, int64(round)*stripe); err != nil {
-						return err
-					}
-					vr := round / 2
-					stripePattern(want, i, vr)
-					if err := readVerified(c, vm, want, got, int64(vr)*stripe); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		for _, tk := range tasks {
-			if err := tk.Wait(ctx); err != nil {
-				return err
-			}
-		}
-		if err := churn.Wait(ctx); err != nil {
-			return err
-		}
-		ctx.ClearDegradations(0)
-
-		// Final full readback at healthy speed: chronic slowness must never
-		// have turned into data loss.
-		want := make([]byte, stripe)
-		got := make([]byte, stripe)
-		for i, vm := range vms {
-			for round := 0; round < rounds; round++ {
-				stripePattern(want, i, round)
-				if err := readVerified(ctx, vm, want, got, int64(round)*stripe); err != nil {
-					return fmt.Errorf("final readback vm%d round %d: %w", i, round, err)
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("fail-slow soak (seed %d): %v", seed, err)
-	}
-	return chaosResult{stats: s.Stats(), summary: s.FaultSummary(), vtime: s.Stats().VirtualTime}
-}
-
-// TestChaosSoakFailSlow asserts the fail-slow churn actually bit (degraded
-// operations and injected extra latency are both nonzero), that no acked
-// byte was lost under it, and that the whole degrade/recover schedule is
-// same-seed deterministic.
-func TestChaosSoakFailSlow(t *testing.T) {
-	numVMs, rounds, stripeBlocks := 2, 6, 8
-	if !testing.Short() {
-		numVMs, rounds, stripeBlocks = 3, 12, 16
-	}
-	a := runChaosFailSlow(t, 0x51085, numVMs, rounds, stripeBlocks)
-
-	st := a.stats
-	if st.DegradedOps == 0 {
-		t.Fatal("no operations paid fail-slow latency; the churn is inert")
-	}
-	if st.DegradedTime == 0 {
-		t.Error("DegradedOps moved but DegradedTime is zero")
-	}
-	if st.InjectedFaults == 0 {
-		t.Error("underlying loud-fault plan never fired")
-	}
-	t.Logf("fail-slow stats: degradedOps=%d degradedTime=%v faults=%d retries=%d timeouts=%d vtime=%v",
-		st.DegradedOps, st.DegradedTime, st.InjectedFaults, st.MediumRetries,
-		st.DriverTimeouts, st.VirtualTime)
-
-	b := runChaosFailSlow(t, 0x51085, numVMs, rounds, stripeBlocks)
-	if a.summary != b.summary {
-		t.Errorf("fault summaries diverge across same-seed runs:\n--- run A\n%s--- run B\n%s", a.summary, b.summary)
-	}
-	if a.stats != b.stats {
-		t.Errorf("stats diverge across same-seed runs:\nA: %+v\nB: %+v", a.stats, b.stats)
-	}
-	if a.vtime != b.vtime {
-		t.Errorf("virtual end time diverges: %v vs %v", a.vtime, b.vtime)
-	}
-}
-
-// corruptRegionLBA is the raw tenant's base on the corruption soak's smaller
-// (16 MB) medium — small enough that full-device scrub passes stay cheap.
-const corruptRegionLBA = 8000
-
-// corruptionPlan extends the chaos schedule with the silent half: latched
-// corrupt sectors in the raw tenant's region, probabilistic corrupt
-// reads/writes at the medium, and payload flips on the DMA path. None of
-// these fail an operation — only guard tags and end-to-end PI can see them.
-// The write-latch probability is kept low enough that the scrubber's own
-// repair writes stop latching fresh corruptions and the drain loop converges.
-func corruptionPlan(seed uint64) *FaultPlan {
-	plan := &FaultPlan{
-		Seed: seed,
-		// Latent (loud) sectors live past the first stripe so the probe read
-		// below sees the corrupt sectors' integrity failure, not a medium
-		// error. The +5000 latches sit in a region no workload ever touches:
-		// only the scrubber can heal those, so the drain assertion genuinely
-		// tests it.
-		LatentSectors:  []int64{corruptRegionLBA + 33, corruptRegionLBA + 41, corruptRegionLBA + 5000, corruptRegionLBA + 5003},
-		CorruptSectors: []int64{corruptRegionLBA + 1, corruptRegionLBA + 5, corruptRegionLBA + 17, corruptRegionLBA + 5001, corruptRegionLBA + 5007},
-	}
-	plan.Sites[FaultMediumRead] = FaultSiteParams{Prob: 0.004}
-	plan.Sites[FaultMediumCorruptRead] = FaultSiteParams{Prob: 0.005}
-	plan.Sites[FaultMediumCorruptWrite] = FaultSiteParams{Prob: 0.002}
-	plan.Sites[FaultDMACorrupt] = FaultSiteParams{Prob: 0.01}
-	return plan
-}
-
-// runChaosCorruption is the integrity soak: every payload the fault plan
-// silently flips must be repaired by a retry, healed by a rewrite, or
-// surfaced as ErrIntegrity — never handed to the guest as clean data. The
-// in-test oracle (bit-exact stripe patterns) is the silent-escape detector.
-func runChaosCorruption(t *testing.T, seed uint64, numVMs, rounds, stripeBlocks int) chaosResult {
-	t.Helper()
-	const blockSize = 1024
-	cfg := DefaultConfig()
-	cfg.MediumMB = 16 // full-device scrub passes stay cheap
-	cfg.UseIOMMU = true
-	cfg.Fault = corruptionPlan(seed)
-	cfg.DriverTimeout = 3 * time.Millisecond
-	cfg.DriverRetryMax = 8
-	s := New(cfg)
-
-	diskBlocks := uint64(rounds * stripeBlocks * 2)
-	stripe := int64(stripeBlocks * blockSize)
-
-	err := s.Run(func(ctx *Ctx) error {
-		vms := make([]*VM, numVMs+1)
-		base := make([]int64, numVMs+1)
-		for i := 0; i < numVMs; i++ {
-			path := fmt.Sprintf("/tenant%d.img", i)
-			if err := ctx.CreateImage(path, uint32(100+i), int64(diskBlocks)*blockSize, true); err != nil {
-				return err
-			}
-			vm, err := ctx.StartVM(fmt.Sprintf("vm%d", i), BackendNeSC, path, uint32(100+i))
-			if err != nil {
-				return err
-			}
-			vms[i] = vm
-		}
-		raw, err := ctx.StartRawVM("raw", BackendNeSC)
-		if err != nil {
-			return err
-		}
-		vms[numVMs] = raw
-		base[numVMs] = corruptRegionLBA * blockSize
-
-		// A read across the seeded corrupt sectors must fail loudly with
-		// ErrIntegrity — the guard tags latch it, the retries cannot clear a
-		// persistently corrupt sector, and PI forbids returning the payload.
-		if err := raw.ReadAt(ctx, make([]byte, stripe), base[numVMs]); !errors.Is(err, ErrIntegrity) {
-			return fmt.Errorf("read across seeded corrupt sectors: got %v, want ErrIntegrity", err)
-		}
-
-		tasks := make([]*Task, len(vms))
-		for i := range vms {
-			i, vm, off0 := i, vms[i], base[i]
-			tasks[i] = ctx.Go(fmt.Sprintf("corrupt-worker-%d", i), func(c *Ctx) error {
-				want := make([]byte, stripe)
-				got := make([]byte, stripe)
-				for round := 0; round < rounds; round++ {
-					off := off0 + int64(round)*stripe
-					stripePattern(want, i, round)
-					if err := writeStripe(c, vm, want, off); err != nil {
-						return err
-					}
-					vr := round / 2
-					stripePattern(want, i, vr)
-					if err := readVerified(c, vm, want, got, off0+int64(vr)*stripe); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		}
-		for _, tk := range tasks {
-			if err := tk.Wait(ctx); err != nil {
-				return err
-			}
-		}
-
-		// Final full readback through the guards: bit-exact or loud, never
-		// silently wrong.
-		want := make([]byte, stripe)
-		got := make([]byte, stripe)
-		for i, vm := range vms {
-			for round := 0; round < rounds; round++ {
-				stripePattern(want, i, round)
-				if err := readVerified(ctx, vm, want, got, base[i]+int64(round)*stripe); err != nil {
-					return fmt.Errorf("final readback vm%d round %d: %w", i, round, err)
-				}
-			}
-		}
-
-		// The untouched-region latches must still be live: nothing but the
-		// scrubber can have healed them.
-		if st := s.Stats(); st.LatentOutstanding == 0 || st.CorruptOutstanding == 0 {
-			return fmt.Errorf("expected live latches before the scrub drain (latent=%d corrupt=%d)",
-				st.LatentOutstanding, st.CorruptOutstanding)
-		}
-
-		// Scrub until the latch sets drain: a scrub pass repairs latent and
-		// corrupt sectors, but its own repair writes can (rarely) latch fresh
-		// corruptions under FaultMediumCorruptWrite, so allow a few passes.
-		for pass := 0; pass < 10; pass++ {
-			st := s.Stats()
-			if st.LatentOutstanding == 0 && st.CorruptOutstanding == 0 {
-				break
-			}
+		// A scrub's own repair writes can latch fresh corruption: a few passes.
+		for pass := 0; pass < 10 && r.latches() != 0; pass++ {
 			ctx.Scrub()
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("corruption soak (seed %d): %v", seed, err)
+		if n := r.latches(); n != 0 {
+			return fmt.Errorf("%d latched sectors left after the drain", n)
+		}
 	}
-	return chaosResult{stats: s.Stats(), summary: s.FaultSummary(), vtime: s.Stats().VirtualTime}
+	return r.sweep(ctx)
 }
 
-// TestChaosSoakCorruption drives the silent-corruption sites against the
-// whole integrity stack — medium guard tags, the DTU retry ladder, driver
-// PI, and the scrubber — and asserts zero silent escapes, full latch
-// drainage, and same-seed determinism.
-func TestChaosSoakCorruption(t *testing.T) {
-	numVMs, rounds, stripeBlocks := 2, 6, 8
-	if !testing.Short() {
-		numVMs, rounds, stripeBlocks = 3, 12, 16
+// boot creates the row's disks and starts the VMs that export them. A
+// file-backed disk's owner is 100 plus its index.
+func (r *soakRun) boot(ctx *Ctx) error {
+	row, clients := r.row, max(r.row.clients, 1)
+	add := func(base int64, vms ...*VM) *tenant {
+		blocks := int64(row.rounds * len(vms) * clients * stripe)
+		tn := &tenant{disk: newDisk(uint64(len(r.tenants)+1), blocks), vms: vms, base: base}
+		r.tenants = append(r.tenants, tn)
+		return tn
 	}
-	a := runChaosCorruption(t, 0xDEC0DE, numVMs, rounds, stripeBlocks)
-
-	st := a.stats
-	if st.CorruptionsInjected == 0 {
-		t.Fatal("no corruptions injected; the plan is inert")
-	}
-	if st.CorruptionsDetected == 0 {
-		t.Fatal("corruptions injected but none detected: the guards are blind")
-	}
-	if st.MediumGuardErrors == 0 {
-		t.Error("no medium guard-tag failures: per-block CRC path not exercised")
-	}
-	if st.IntegrityRepairs == 0 {
-		t.Error("no integrity repairs: retry/rewrite healing never fired")
-	}
-	if st.PIWriteErrors == 0 {
-		t.Error("no PI write errors observed: device-side end-to-end check not exercised")
-	}
-	if st.LatentOutstanding != 0 {
-		t.Errorf("LatentOutstanding = %d after scrub, want 0", st.LatentOutstanding)
-	}
-	if st.CorruptOutstanding != 0 {
-		t.Errorf("CorruptOutstanding = %d after scrub, want 0", st.CorruptOutstanding)
-	}
-	if st.ScrubChunks == 0 {
-		t.Error("no verify chunks serviced: the scrub drain never ran")
-	}
-	if st.RecoveryReads == 0 {
-		t.Error("no recovery reads: scrub repaired nothing")
-	}
-	t.Logf("corruption stats: injected=%d detected=%d guardErrs=%d integrityErrs=%d repairs=%d "+
-		"piMismatch=%d piWriteErrs=%d recoveryReads=%d scrubChunks=%d vtime=%v",
-		st.CorruptionsInjected, st.CorruptionsDetected, st.MediumGuardErrors, st.IntegrityErrors,
-		st.IntegrityRepairs, st.PIMismatches, st.PIWriteErrors, st.RecoveryReads, st.ScrubChunks, st.VirtualTime)
-
-	// Same-seed determinism: identical fault sequence, stats, and end time.
-	b := runChaosCorruption(t, 0xDEC0DE, numVMs, rounds, stripeBlocks)
-	if a.summary != b.summary {
-		t.Errorf("fault summaries diverge across same-seed runs:\n--- run A\n%s--- run B\n%s", a.summary, b.summary)
-	}
-	if a.stats != b.stats {
-		t.Errorf("stats diverge across same-seed runs:\nA: %+v\nB: %+v", a.stats, b.stats)
-	}
-	if a.vtime != b.vtime {
-		t.Errorf("virtual end time diverges: %v vs %v", a.vtime, b.vtime)
-	}
-}
-
-// casChaosPlan extends the loud chaos schedule with the content-addressed
-// tier's remote sites: transient GET failures and delays on chunk fetches,
-// and a high transient-fault rate on the idempotent batched PUTs.
-func casChaosPlan(seed uint64) *FaultPlan {
-	plan := chaosPlan(seed)
-	plan.LatentSectors = nil                                                                     // no raw tenant here; keep the plan in-range
-	plan.Sites[FaultRemoteFetch] = FaultSiteParams{Prob: 0.05, DelayProb: 0.1, Delay: 25 * 1000} // 25µs
-	plan.Sites[FaultRemoteStore] = FaultSiteParams{Prob: 0.3}
-	return plan
-}
-
-// runChaosCAS is the content-addressed-tier soak: while an ordinary tenant
-// keeps writing and verifying stripes under the loud fault plan, the main
-// process churns the cas lifecycle — sealing variant images, forking the
-// golden manifest, materializing fork content through faulty remote fetches
-// (reads and writes both land on unmaterialized holes), and releasing
-// every manifest again. A deliberately tiny chunk cache keeps the LRU
-// evicting mid-churn. Every materialized byte is verified against the
-// golden oracle; every write to a fork reads back bit-exactly.
-func runChaosCAS(t *testing.T, seed uint64, rounds, goldenBlocks int) chaosResult {
-	t.Helper()
-	const blockSize = 1024
-	cfg := DefaultConfig()
-	cfg.UseIOMMU = true
-	cfg.CAS = true
-	cfg.CASCacheChunks = 16 // force evictions: working sets far exceed the cache
-	cfg.Fault = casChaosPlan(seed)
-	cfg.DriverTimeout = 3 * time.Millisecond
-	cfg.DriverRetryMax = 8
-	s := New(cfg)
-
-	stripe := int64(8 * blockSize)
-	err := s.Run(func(ctx *Ctx) error {
-		// Golden master with per-block-distinct content, so dedup never
-		// collapses fetches and the oracle is a pure function of the offset.
-		golden := make([]byte, goldenBlocks*blockSize)
-		for i := range golden {
-			golden[i] = byte(i*13 + i/blockSize*149 + 17)
+	// image adds a sparse disk exported by n VMs.
+	image := func(name string, n int) error {
+		path, uid := "/"+name+".img", uint32(100+len(r.tenants))
+		err := ctx.CreateImage(path, uid, int64(row.rounds*n*clients*stripe)*soakBlock, true)
+		vms := make([]*VM, n)
+		for i := 0; i < n && err == nil; i++ {
+			vms[i], err = ctx.StartVM(fmt.Sprintf("%s.%d", name, i), BackendNeSC, path, uid)
 		}
-		if err := ctx.CreateImage("/golden.img", 7, int64(len(golden)), true); err != nil {
+		add(0, vms...)
+		return err
+	}
+	for i := 0; i < row.files; i++ {
+		if err := image(fmt.Sprintf("tenant%d", i), 1); err != nil {
 			return err
 		}
-		if err := ctx.WriteHostFile("/golden.img", golden, 0); err != nil {
+	}
+	if row.shared {
+		if err := image("shared", 2); err != nil {
 			return err
 		}
-		if _, err := ctx.SealImage("/golden.img", "golden", 7); err != nil {
-			return err
-		}
-
-		// An ordinary (non-cas) tenant runs the classic stripe workload the
-		// whole time: the tier's churn must not disturb its recovery machinery.
-		if err := ctx.CreateImage("/tenant.img", 100, int64(4*rounds)*stripe, true); err != nil {
-			return err
-		}
-		tvm, err := ctx.StartVM("tenant", BackendNeSC, "/tenant.img", 100)
+	}
+	if row.raw {
+		vm, err := ctx.StartRawVM("raw", BackendNeSC)
 		if err != nil {
 			return err
 		}
-		bg := ctx.Go("cas-chaos-tenant", func(c *Ctx) error {
-			want := make([]byte, stripe)
-			got := make([]byte, stripe)
-			for round := 0; round < rounds; round++ {
-				stripePattern(want, 1, round)
-				if err := writeStripe(c, tvm, want, int64(round)*stripe); err != nil {
-					return err
-				}
-				vr := round / 2
-				stripePattern(want, 1, vr)
-				if err := readVerified(c, tvm, want, got, int64(vr)*stripe); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-
-		got := make([]byte, stripe)
-		want := make([]byte, stripe)
-		for round := 0; round < rounds; round++ {
-			// Seal a variant sharing half its blocks with the golden image,
-			// then release it again: refcounts must free only its private
-			// chunks while the master stays intact.
-			vpath := fmt.Sprintf("/variant%d.img", round)
-			variant := make([]byte, len(golden))
-			copy(variant, golden)
-			for b := 0; b < goldenBlocks; b += 2 {
-				for i := 0; i < blockSize; i++ {
-					variant[b*blockSize+i] = byte(i*13 + b*149 + 29 + round)
-				}
-			}
-			if err := ctx.CreateImage(vpath, 7, int64(len(variant)), true); err != nil {
-				return err
-			}
-			if err := ctx.WriteHostFile(vpath, variant, 0); err != nil {
-				return err
-			}
-			vname := fmt.Sprintf("variant%d", round)
-			if _, err := ctx.SealImage(vpath, vname, 7); err != nil {
-				return err
-			}
-
-			// Fork the golden manifest, boot a guest, and mix first-touch
-			// reads (fetch on the read path) with writes landing on holes
-			// (fetch on the write path), verifying both against the oracle.
-			fpath := fmt.Sprintf("/cfork%d.img", round)
-			if err := ctx.ForkImage("golden", fpath, 7); err != nil {
-				return err
-			}
-			fvm, err := ctx.StartVM(fmt.Sprintf("cfork%d", round), BackendNeSC, fpath, 7)
-			if err != nil {
-				return err
-			}
-			roff := int64(round%4) * stripe
-			if err := readVerified(ctx, fvm, golden[roff:roff+stripe], got, roff); err != nil {
-				return fmt.Errorf("round %d fork first-touch read: %w", round, err)
-			}
-			woff := int64(4+round%4) * stripe
-			stripePattern(want, 2, round)
-			if err := writeStripe(ctx, fvm, want, woff); err != nil {
-				return fmt.Errorf("round %d fork write over holes: %w", round, err)
-			}
-			if err := readVerified(ctx, fvm, want, got, woff); err != nil {
-				return fmt.Errorf("round %d fork write readback: %w", round, err)
-			}
-			fvm.Stop(ctx)
-			if err := ctx.ReleaseImage(fpath); err != nil {
-				return err
-			}
-			if err := ctx.ReleaseSealed(vname); err != nil {
+		r.raw = add(rawLBA*soakBlock, vm)
+	}
+	if row.mirror != nil {
+		for _, d := range row.mirror {
+			if err := ctx.CreateImageOn(d, "/mirror.img", 7, int64(row.rounds*clients*stripe)*soakBlock, true); err != nil {
 				return err
 			}
 		}
-		if err := bg.Wait(ctx); err != nil {
-			return err
+		// A leg is fenced after eight errors in a row: a dead device gets
+		// there at once, the loud group's transient faults do not.
+		mc := MirrorConfig{SuspectThreshold: 2, FailThreshold: 8, RecoverThreshold: 3, RegionBlocks: stripe, ResilverInterval: 20 * time.Microsecond}
+		if row.arms&hedge != 0 {
+			mc.HedgePercentile, mc.HedgeMinDelay = 50, 20*time.Microsecond
 		}
-
-		// After all churn the golden manifest must still materialize cleanly.
-		fin := "/final-fork.img"
-		if err := ctx.ForkImage("golden", fin, 7); err != nil {
-			return err
-		}
-		fvm, err := ctx.StartVM("final-fork", BackendNeSC, fin, 7)
+		vm, err := ctx.StartMirroredVM("mirror", "/mirror.img", 7, row.mirror, mc)
 		if err != nil {
 			return err
 		}
-		all := make([]byte, len(golden))
-		if err := readVerified(ctx, fvm, golden, all, 0); err != nil {
-			return fmt.Errorf("final fork read: %w", err)
-		}
-		fvm.Stop(ctx)
-		if err := ctx.ReleaseImage(fin); err != nil {
-			return err
-		}
-		if err := ctx.CheckHostFS(); err != nil {
-			return fmt.Errorf("fsck after cas churn: %w", err)
-		}
+		r.mirror = vm
+		add(0, vm)
+	}
+	return nil
+}
+
+// probe reads the raw tenant's seeded sectors before anything rewrites them:
+// stripe 0 holds latent sectors, which must fail the read; stripe 1 holds
+// corrupt ones, which must fail it with ErrIntegrity and never come back as
+// data.
+func (r *soakRun) probe(ctx *Ctx) error {
+	raw := r.raw
+	if raw == nil {
 		return nil
-	})
-	if err != nil {
-		t.Fatalf("cas soak (seed %d): %v", seed, err)
 	}
-	return chaosResult{stats: s.Stats(), summary: s.FaultSummary(), vtime: s.Stats().VirtualTime}
-}
-
-// TestChaosSoakCAS asserts the content-addressed churn actually exercised
-// the tier (dedup, fetch-path misses on reads and writes, remote retries,
-// cache evictions, refcounted releases), that every materialized or written
-// byte stayed bit-exact under the fault plan, and that the whole
-// seal/fork/release schedule replays same-seed deterministically.
-func TestChaosSoakCAS(t *testing.T) {
-	rounds, goldenBlocks := 4, 64
-	if !testing.Short() {
-		rounds, goldenBlocks = 8, 96
-	}
-	a := runChaosCAS(t, 0xCA5CADE, rounds, goldenBlocks)
-
-	st := a.stats
-	if st.InjectedFaults == 0 {
-		t.Fatal("no faults injected; the cas chaos plan is inert")
-	}
-	if st.CASDedupHits == 0 {
-		t.Error("variant sealing produced no dedup hits")
-	}
-	if st.CASFetchMisses == 0 || st.CASMaterializations == 0 {
-		t.Errorf("fetch path not exercised (misses=%d materializations=%d)",
-			st.CASFetchMisses, st.CASMaterializations)
-	}
-	if st.CASRemoteRetries == 0 {
-		t.Error("no remote retries: the RemoteFetch/RemoteStore faults never bit")
-	}
-	if st.CASCacheEvictions == 0 {
-		t.Error("no cache evictions: the tiny chunk cache never churned")
-	}
-	if st.CASReleases == 0 {
-		t.Error("no manifests released")
-	}
-	if st.CASChunksLive == 0 {
-		t.Error("golden chunks vanished: releases freed too much")
-	}
-	t.Logf("cas soak stats: faults=%d dedupHits=%d fetchMisses=%d materializations=%d "+
-		"remoteFetches=%d remoteRetries=%d cacheHits=%d cacheEvictions=%d releases=%d chunksLive=%d vtime=%v",
-		st.InjectedFaults, st.CASDedupHits, st.CASFetchMisses, st.CASMaterializations,
-		st.CASRemoteFetches, st.CASRemoteRetries, st.CASCacheHits, st.CASCacheEvictions,
-		st.CASReleases, st.CASChunksLive, st.VirtualTime)
-
-	// Same-seed determinism: identical fault sequence, stats, and end time.
-	b := runChaosCAS(t, 0xCA5CADE, rounds, goldenBlocks)
-	if a.summary != b.summary {
-		t.Errorf("fault summaries diverge across same-seed runs:\n--- run A\n%s--- run B\n%s", a.summary, b.summary)
-	}
-	if a.stats != b.stats {
-		t.Errorf("stats diverge across same-seed runs:\nA: %+v\nB: %+v", a.stats, b.stats)
-	}
-	if a.vtime != b.vtime {
-		t.Errorf("virtual end time diverges: %v vs %v", a.vtime, b.vtime)
-	}
-
-	// A different seed must produce a different fault sequence.
-	c := runChaosCAS(t, 0xDECAF, rounds, goldenBlocks)
-	if c.summary == a.summary {
-		t.Error("different seeds produced identical fault summaries")
-	}
-}
-
-// TestChaosSoakCorruptionWithScrubber repeats the soak with the background
-// scrubber running the whole time: scavenger-priority verify traffic must
-// not break integrity, liveness, or determinism while it heals latches
-// behind the workload.
-func TestChaosSoakCorruptionWithScrubber(t *testing.T) {
-	const blockSize = 1024
-	numVMs, rounds, stripeBlocks := 2, 6, 8
-	cfg := DefaultConfig()
-	cfg.UseIOMMU = true
-	cfg.MediumMB = 8 // small device so background passes complete mid-run
-	cfg.Fault = corruptionPlan(0xFEED)
-	cfg.Fault.LatentSectors = nil // raw region of the small device stays in range
-	cfg.Fault.CorruptSectors = []int64{100, 300, 7000}
-	cfg.DriverTimeout = 3 * time.Millisecond
-	cfg.DriverRetryMax = 8
-	cfg.Scrub = true
-	cfg.ScrubInterval = 50 * time.Microsecond
-	s := New(cfg)
-
-	diskBlocks := uint64(rounds * stripeBlocks * 2)
-	stripe := int64(stripeBlocks * blockSize)
-	err := s.Run(func(ctx *Ctx) error {
-		vms := make([]*VM, numVMs)
-		for i := range vms {
-			path := fmt.Sprintf("/tenant%d.img", i)
-			if err := ctx.CreateImage(path, uint32(100+i), int64(diskBlocks)*blockSize, true); err != nil {
-				return err
-			}
-			vm, err := ctx.StartVM(fmt.Sprintf("vm%d", i), BackendNeSC, path, uint32(100+i))
-			if err != nil {
-				return err
-			}
-			vms[i] = vm
+	p := make([]byte, stripe*soakBlock)
+	if r.row.faults&loud != 0 {
+		if err := raw.vms[0].ReadAt(ctx, p, raw.base); err == nil {
+			return fmt.Errorf("a read across latent sectors succeeded")
 		}
-		tasks := make([]*Task, len(vms))
-		for i := range vms {
-			i, vm := i, vms[i]
-			tasks[i] = ctx.Go(fmt.Sprintf("scrub-soak-%d", i), func(c *Ctx) error {
-				want := make([]byte, stripe)
-				got := make([]byte, stripe)
-				for round := 0; round < rounds; round++ {
-					stripePattern(want, i, round)
-					if err := writeStripe(c, vm, want, int64(round)*stripe); err != nil {
+	}
+	if r.row.faults&corrupt != 0 {
+		var err error
+		for attempt := 0; attempt < 8 && !errors.Is(err, ErrIntegrity); attempt++ {
+			if err = raw.vms[0].ReadAt(ctx, p, raw.base+stripe*soakBlock); err == nil {
+				return fmt.Errorf("a read across corrupt sectors returned data")
+			}
+		}
+		if !errors.Is(err, ErrIntegrity) {
+			return fmt.Errorf("a read across corrupt sectors: %v, want ErrIntegrity", err)
+		}
+	}
+	return nil
+}
+
+// workers starts every VM's clients. Each owns every W-th stripe of its disk
+// (W workers share a disk) and, each round, writes one and checks one it
+// wrote earlier.
+func (r *soakRun) workers(ctx *Ctx) {
+	clients := max(r.row.clients, 1)
+	for i, tn := range r.tenants {
+		w := len(tn.vms) * clients
+		for k := 0; k < w; k++ {
+			tn, vm, k := tn, tn.vms[k/clients], int64(k)
+			r.spawn(ctx, fmt.Sprintf("worker %d.%d", i, k), func(c *Ctx) error {
+				for round := int64(0); round < int64(r.row.rounds); round++ {
+					if err := tn.write(c, vm, (round*int64(w)+k)*stripe, stripe); err != nil {
 						return err
 					}
-					vr := round / 2
-					stripePattern(want, i, vr)
-					if err := readVerified(c, vm, want, got, int64(vr)*stripe); err != nil {
+					if err := tn.check(c, vm, (round/2*int64(w)+k)*stripe, stripe); err != nil {
 						return err
 					}
 				}
 				return nil
 			})
 		}
-		for _, tk := range tasks {
-			if err := tk.Wait(ctx); err != nil {
+	}
+}
+
+// spawn runs fn as a task of the run, its error named after it.
+func (r *soakRun) spawn(ctx *Ctx, name string, fn func(*Ctx) error) {
+	r.tasks = append(r.tasks, ctx.Go(name, func(c *Ctx) error {
+		if err := fn(c); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		return nil
+	}))
+}
+
+// failSlowChurn degrades device 0 — 3x latency plus 300 µs, ramping in over
+// 200 µs — for 2 ms and clears it for 1 ms, six times: the gray failure where
+// nothing errors and everything is late.
+func failSlowChurn(c *Ctx) error {
+	for cycle := 0; cycle < 6; cycle++ {
+		c.Degrade(0, 3, 300*time.Microsecond, 200*time.Microsecond)
+		c.Sleep(2 * time.Millisecond)
+		c.ClearDegradations(0)
+		c.Sleep(time.Millisecond)
+	}
+	return nil
+}
+
+// fleetChurn kills the mirror's last device mid-run and revives it, waits for
+// the resilver, then live-migrates the mirror's first leg to a device it does
+// not use.
+func (r *soakRun) fleetChurn(c *Ctx) error {
+	legs := r.row.mirror
+	if r.row.arms&kill != 0 {
+		dead := legs[len(legs)-1]
+		c.Sleep(time.Millisecond)
+		if err := c.KillDevice(dead); err != nil {
+			return err
+		}
+		// A revive brings back a leg the mirror has fenced: wait for that.
+		fenced := func(rs ReplicaStatus) bool { return rs.Dev == dead && rs.State == "failed" }
+		if err := waitMirror(c, r.mirror, "fence the killed device", func(st []ReplicaStatus) bool { return slices.ContainsFunc(st, fenced) }); err != nil {
+			return err
+		}
+		if err := errors.Join(c.ReviveDevice(dead), settle(c, r.mirror)); err != nil {
+			return err
+		}
+	}
+	if r.row.arms&migrate != 0 {
+		dst := 0
+		for slices.Contains(legs, dst) {
+			dst++
+		}
+		return retry(func() error {
+			r.snapshots++ // each attempt's bulk copy reads a snapshot
+			_, err := r.mirror.Migrate(c, 0, dst)
+			return err
+		})
+	}
+	return nil
+}
+
+// settle waits until every leg of a mirrored VM is in sync: serving, with no
+// dirty region. A suspect leg counts: it errs but misses nothing, and only
+// traffic of its own clears the suspicion.
+func settle(c *Ctx, vm *VM) error {
+	return waitMirror(c, vm, "resilver", func(st []ReplicaStatus) bool {
+		return !slices.ContainsFunc(st, func(rs ReplicaStatus) bool {
+			return rs.State == "failed" || rs.State == "rebuilding" || rs.DirtyRegions != 0
+		})
+	})
+}
+
+// waitMirror polls vm's legs for up to a virtual second until done holds.
+func waitMirror(c *Ctx, vm *VM, what string, done func([]ReplicaStatus) bool) error {
+	for i := 0; i < 1000 && !done(vm.FabricStatus()); i++ {
+		c.Sleep(time.Millisecond)
+	}
+	if !done(vm.FabricStatus()) {
+		return fmt.Errorf("the mirror did not %s: %+v", what, vm.FabricStatus())
+	}
+	return nil
+}
+
+// casChurn seals a golden image, then, each round, seals a variant sharing
+// half its blocks with it and forks the golden manifest onto a guest that
+// reads a stripe it never wrote (a fetch on the read path) and writes one over
+// holes (a fetch on the write path); fork and variant are released again, and
+// a last fork must still materialize the whole golden image.
+func casChurn(c *Ctx) error {
+	const blocks = 8 * stripe
+	golden := newDisk(100, blocks)
+	img := make([]byte, blocks*soakBlock)
+	golden.stamp(img, 0)
+	if err := seal(c, "golden", img); err != nil {
+		return err
+	}
+	for round := int64(0); round < 8; round++ {
+		variant := golden.fork()
+		variant.render(img, 0)
+		for b := int64(0); b < blocks; b += 2 {
+			variant.stamp(img[b*soakBlock:(b+1)*soakBlock], b*soakBlock)
+		}
+		name := fmt.Sprintf("variant%d", round)
+		if err := seal(c, name, img); err != nil {
+			return err
+		}
+		path := fmt.Sprintf("/cfork%d.img", round)
+		vm, err := bootFork(c, path)
+		if err != nil {
+			return err
+		}
+		ft := &tenant{disk: golden.fork(), vms: []*VM{vm}}
+		if err := errors.Join(ft.check(c, vm, round%4*stripe, stripe), ft.write(c, vm, (4+round%4)*stripe, stripe),
+			ft.check(c, vm, (4+round%4)*stripe, stripe)); err != nil {
+			return err
+		}
+		vm.Stop(c)
+		if err := errors.Join(retry(func() error { return c.ReleaseImage(path) }), retry(func() error { return c.ReleaseSealed(name) })); err != nil {
+			return err
+		}
+	}
+	vm, err := bootFork(c, "/final.img")
+	if err != nil {
+		return err
+	}
+	if err := (&tenant{disk: golden, vms: []*VM{vm}}).checkAll(c, vm); err != nil {
+		return err
+	}
+	vm.Stop(c)
+	return retry(func() error { return c.ReleaseImage("/final.img") })
+}
+
+// seal writes img into a host image and seals it into the store as name.
+func seal(c *Ctx, name string, img []byte) error {
+	path := "/" + name + ".img"
+	if err := retry(func() error { return c.CreateImage(path, 7, int64(len(img)), true) }); err != nil {
+		return err
+	}
+	// Each attempt writes the image again: a sector a write latched corrupt
+	// fails the seal's reads until it is rewritten.
+	return retry(func() error {
+		if err := c.WriteHostFile(path, img, 0); err != nil {
+			return err
+		}
+		_, err := c.SealImage(path, name, 7)
+		return err
+	})
+}
+
+// bootFork forks the golden image at path and boots a guest on it.
+func bootFork(c *Ctx, path string) (vm *VM, err error) {
+	err = errors.Join(retry(func() error { return c.ForkImage("golden", path, 7) }),
+		retry(func() error { vm, err = c.StartVM(path, BackendNeSC, path, 7); return err }))
+	return vm, err
+}
+
+// snapshotChurn snapshots a disk and forks a writable clone of it. Every VM
+// of the disk reads one shared block, the writer first, so each sharer caches
+// its translation; the block is broken through the writer, and no sharer may
+// read it stale. The clone then diverges at stripe 0, and the disk, the
+// clone and the snapshot are held to the oracle: no side's write shows on
+// another. Both files are deleted again.
+func (r *soakRun) snapshotChurn(ctx *Ctx, i int, tn *tenant) error {
+	vm, writer, uid := tn.vms[0], tn.vms[len(tn.vms)-1], uint32(100+i)
+	snapPath, clonePath := fmt.Sprintf("/snap%d.img", i), fmt.Sprintf("/clone%d.img", i)
+	snap := tn.disk.fork()
+	if err := vm.Snapshot(ctx, snapPath, uid); err != nil {
+		return err
+	}
+	clone, err := ctx.CloneVM(vm, clonePath, clonePath, uid)
+	if err != nil {
+		return err
+	}
+	r.snapshots, r.clones = r.snapshots+2, r.clones+1
+	sharers := func(blk, n int64) error {
+		for k := len(tn.vms) - 1; k >= 0; k-- {
+			if err := tn.check(ctx, tn.vms[k], blk, n); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatalf("scrubber soak: %v", err)
 	}
-	st := s.Stats()
-	if st.ScrubChunks == 0 {
-		t.Error("background scrubber serviced no verify chunks")
+	ft := &tenant{disk: tn.disk.fork(), vms: []*VM{clone}}
+	if err := errors.Join(sharers(stripe, 1), tn.write(ctx, writer, stripe, 1), sharers(stripe, 1),
+		ft.write(ctx, clone, 0, stripe), ft.check(ctx, clone, 0, 2*stripe), sharers(0, 2*stripe)); err != nil {
+		return err
 	}
-	if st.ScrubBlocks == 0 {
-		t.Error("background scrubber verified no blocks")
+	p := make([]byte, 2*stripe*soakBlock)
+	if _, err := ctx.ReadHostFile(snapPath, p, 0); err != nil {
+		return err
 	}
-	t.Logf("scrubber soak: passes=%d blocks=%d repairs=%d chunks=%d injected=%d detected=%d vtime=%v",
-		st.ScrubPasses, st.ScrubBlocks, st.ScrubRepairs, st.ScrubChunks,
-		st.CorruptionsInjected, st.CorruptionsDetected, st.VirtualTime)
+	if !snap.verify(p, 0) {
+		return fmt.Errorf("a write after the snapshot shows in it")
+	}
+	clone.Stop(ctx)
+	return errors.Join(ctx.DeleteSnapshot(clonePath, uid), ctx.DeleteSnapshot(snapPath, uid))
+}
+
+func (r *soakRun) latches() int64 {
+	st := r.s.Stats()
+	return st.LatentOutstanding + st.CorruptOutstanding
+}
+
+// sweep is where every row ends: every device back, every mirror leg healthy
+// and clean, every byte of every disk through every VM against the oracle;
+// then, with every VM stopped, fsck and no shared block left on every device,
+// the chunk store's refcounts, no latch left after a drain, what the runner
+// did in the counters, and every device's queue leases back to its PF's.
+func (r *soakRun) sweep(ctx *Ctx) error {
+	devs := r.s.pl.Hyp.Devices()
+	for i := range devs {
+		if err := ctx.ReviveDevice(i); err != nil {
+			return err
+		}
+	}
+	if r.mirror != nil {
+		if err := settle(ctx, r.mirror); err != nil {
+			return err
+		}
+	}
+	// Every running VF holds its queue pairs from its device's pool.
+	running := slices.Clone(r.leases)
+	for _, tn := range r.tenants {
+		for _, vm := range tn.vms {
+			if err := tn.checkAll(ctx, vm); err != nil {
+				return fmt.Errorf("final readback: %w", err)
+			}
+			legs := []ReplicaStatus{{Dev: 0}} // a direct VM's one VF, on device 0
+			if vm == r.mirror {
+				legs = vm.FabricStatus()
+			}
+			for _, rs := range legs {
+				running[rs.Dev] += max(r.row.queues, 1)
+			}
+		}
+	}
+	var errs []error
+	for i, d := range devs {
+		if n := d.Ctl.LeasedQueues(); n != running[i] {
+			errs = append(errs, fmt.Errorf("device %d: %d queues leased, the PF and the running VFs hold %d", i, n, running[i]))
+		}
+	}
+	for _, tn := range r.tenants {
+		for _, vm := range tn.vms {
+			vm.Stop(ctx)
+		}
+	}
+	for i, d := range devs {
+		if err := d.HostFS.Check(ctx.proc); err != nil {
+			errs = append(errs, fmt.Errorf("device %d fsck: %w", i, err))
+		}
+		if n := d.HostFS.SharedBlocks(); n != 0 {
+			errs = append(errs, fmt.Errorf("device %d: %d blocks still shared", i, n))
+		}
+		if n := d.Ctl.LeasedQueues(); n != r.leases[i] {
+			errs = append(errs, fmt.Errorf("device %d: %d queues leased with every VM stopped, the PF holds %d", i, n, r.leases[i]))
+		}
+	}
+	if err := r.s.pl.CAS.Store.Check(); err != nil {
+		errs = append(errs, err)
+	}
+	st := r.s.Stats()
+	if st.VFResets != r.resets || st.Snapshots != r.snapshots || st.Clones != r.clones {
+		errs = append(errs, fmt.Errorf("VFResets/Snapshots/Clones = %d/%d/%d, the run did %d/%d/%d",
+			st.VFResets, st.Snapshots, st.Clones, r.resets, r.snapshots, r.clones))
+	}
+	return errors.Join(errs...)
+}
+
+// raceEnabled is set when the race detector is on (race_test.go). The race
+// runtime keeps ≈ 25 KB of every simulated process that has finished, so a race
+// build runs each row once: a replay runs the same code again.
+var raceEnabled bool
+
+func TestSoak(t *testing.T) {
+	for _, row := range soakRows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			a := runSoak(t, row, row.faults.plan(row.seed))
+			for _, name := range strings.Fields(row.nonzero) {
+				f := reflect.ValueOf(a.stats).FieldByName(name)
+				if !f.IsValid() {
+					f = reflect.ValueOf(a.fabric).FieldByName(name)
+				}
+				if !f.IsValid() {
+					t.Fatalf("no counter %s", name)
+				}
+				if f.IsZero() {
+					t.Errorf("%s = 0: what the row arms never ran", name)
+				}
+			}
+			if raceEnabled {
+				return
+			}
+			if b := runSoak(t, row, row.faults.plan(row.seed)); b != a {
+				t.Errorf("same-seed runs diverge:\n--- A\n%+v\n--- B\n%+v", a, b)
+			}
+			if c := runSoak(t, row, row.faults.plan(row.seed+1)); c.summary == a.summary {
+				t.Error("a second seed drew the same fault sequence")
+			}
+		})
+	}
 }

@@ -37,8 +37,6 @@ func crashConfig() Config {
 // committing a journal transaction) plus host-file appends — until the power
 // cut kills it mid-flight.
 func crashWorkload(ctx *Ctx) error {
-	const blockSize = 1024
-	const stripe = 8 * blockSize
 	if err := ctx.CreateImage("/t.img", 100, 1<<20, true); err != nil {
 		return err
 	}
@@ -46,15 +44,16 @@ func crashWorkload(ctx *Ctx) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, stripe)
+	d := newDisk(1, 1<<10)
+	buf := make([]byte, 8*soakBlock)
 	for round := 0; ; round++ {
-		stripePattern(buf, 1, round)
-		off := int64(round%32) * stripe
+		off := int64(round%32) * int64(len(buf))
+		d.stamp(buf, off)
 		if err := vm.WriteAt(ctx, buf, off); err != nil {
 			return err
 		}
 		if round%4 == 0 {
-			if err := ctx.WriteHostFile(fmt.Sprintf("/log%d", round%3), buf[:blockSize], int64(round)*blockSize); err != nil {
+			if err := ctx.WriteHostFile(fmt.Sprintf("/log%d", round%3), buf[:soakBlock], int64(round)*soakBlock); err != nil {
 				return err
 			}
 		}

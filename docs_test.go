@@ -67,10 +67,10 @@ func designTable(t *testing.T, header string) [][]string {
 	return rows
 }
 
-// goDecls parses the non-test Go files at paths (files or directories) and
-// returns each function by name — a method as Recv.Name — with the names every
-// call in its body calls (the selected name of x.f(), or f of f()), and each
-// type declared.
+// goDecls parses the Go files at paths (a file as named, a directory's
+// non-test files) and returns each function by name — a method as
+// Recv.Name — with the names every call in its body calls (the selected name
+// of x.f(), or f of f()), and each type declared.
 func goDecls(t *testing.T, paths ...string) (funcs map[string][]string, types map[string]bool) {
 	t.Helper()
 	funcs, types = map[string][]string{}, map[string]bool{}
@@ -79,11 +79,9 @@ func goDecls(t *testing.T, paths ...string) (funcs map[string][]string, types ma
 		files := []string{path}
 		if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 			files, _ = filepath.Glob(filepath.Join(path, "*.go"))
+			files = slices.DeleteFunc(files, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
 		}
 		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
 			f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)

@@ -311,6 +311,59 @@ func Example_accelerator() {
 	// past the dataset: nesc: request out of device range
 }
 
+// Fault injection: a seeded plan fails medium reads, drops interrupts and
+// fails lazy allocations. The driver recovers a lost completion by polling and
+// resubmitting; an allocation that keeps failing surfaces, and the write is
+// retried. A forced function-level reset drains the VF. The same seed draws
+// the same faults; the soak table in chaos_test.go arms every fault group and
+// feature, the last row all at once.
+func ExampleFaultPlan() {
+	plan := &nesc.FaultPlan{Seed: 42}
+	plan.Sites[nesc.FaultMediumRead] = nesc.FaultSiteParams{Prob: 0.01}
+	plan.Sites[nesc.FaultMSI] = nesc.FaultSiteParams{Prob: 0.02}
+	plan.Sites[nesc.FaultMissHandler] = nesc.FaultSiteParams{Prob: 0.2}
+	cfg := nesc.DefaultConfig()
+	cfg.Fault = plan
+	cfg.DriverTimeout, cfg.DriverRetryMax = 3*time.Millisecond, 8
+	sim := nesc.New(cfg)
+	err := sim.Run(func(ctx *nesc.Ctx) error {
+		if err := ctx.CreateImage("/tenant.img", 100, 1<<20, true); err != nil {
+			return err
+		}
+		vm, err := ctx.StartVM("tenant", nesc.BackendNeSC, "/tenant.img", 100)
+		if err != nil {
+			return err
+		}
+		data, got := bytes.Repeat([]byte("nested "), 1<<13), make([]byte, 7<<13)
+		for i := 0; i < 4; i++ {
+			if err = vm.WriteAt(ctx, data, 0); err == nil {
+				break
+			}
+			fmt.Println("write failed:", err)
+		}
+		if err != nil {
+			return err
+		}
+		if err := vm.Reset(ctx); err != nil {
+			return err
+		}
+		if err := vm.ReadAt(ctx, got, 0); err != nil {
+			return err
+		}
+		fmt.Println("read back intact:", bytes.Equal(got, data))
+		return nil
+	})
+	if err != nil {
+		fmt.Println("error:", err)
+	}
+	st := sim.Stats()
+	fmt.Printf("%d faults injected, %d driver timeouts, %d reset\n", st.InjectedFaults, st.DriverTimeouts, st.VFResets)
+	// Output:
+	// write failed: nesc: no space (hypervisor denied allocation)
+	// read back intact: true
+	// 46 faults injected, 52 driver timeouts, 1 reset
+}
+
 // The experiment registry regenerates every table and figure of the paper.
 func ExampleExperiments() {
 	for _, e := range nesc.Experiments()[:3] {

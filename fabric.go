@@ -53,17 +53,9 @@ type MirrorConfig struct {
 	// SlowFactor, when > 1, arms the per-leg fail-slow detector: a leg
 	// whose windowed read p99 exceeds SlowFactor x its learned healthy
 	// baseline is quarantined out of read steering (writes continue) for
-	// QuarantineDuration, then rejoins with a reset window. SlowWindow,
-	// SlowBaseline, and SlowMinSamples tune the detector (0 = defaults).
+	// QuarantineDuration, then rejoins with a reset window.
 	SlowFactor         float64
-	SlowWindow         int
-	SlowBaseline       int
-	SlowMinSamples     int
 	QuarantineDuration time.Duration
-	// ProbeEvery, when positive, sends every Nth read to the worst-EWMA
-	// eligible leg so a recovered leg's stale latency estimate refreshes
-	// and it can win steering back.
-	ProbeEvery int
 }
 
 // ReplicaStatus is one mirror leg's externally visible health.
@@ -103,11 +95,7 @@ func (c *Ctx) StartMirroredVM(name, diskPath string, uid uint32, devices []int, 
 		HedgePercentile:    mc.HedgePercentile,
 		HedgeMinDelay:      sim.Time(mc.HedgeMinDelay),
 		SlowFactor:         mc.SlowFactor,
-		SlowWindow:         mc.SlowWindow,
-		SlowBaseline:       mc.SlowBaseline,
-		SlowMinSamples:     mc.SlowMinSamples,
 		QuarantineDuration: sim.Time(mc.QuarantineDuration),
-		ProbeEvery:         mc.ProbeEvery,
 	}
 	vm, err := c.s.pl.Mirrors.NewMirroredVM(c.proc, name, hypervisor.VMConfig{
 		Backend:  hypervisor.BackendDirect,
@@ -165,7 +153,8 @@ func (c *Ctx) ReviveDevice(dev int) error {
 
 // FabricStats aggregates mirror-fabric counters across every mirrored VM.
 type FabricStats struct {
-	// Clients counts distinct mirror clients (mirrored VMs).
+	// Clients counts the running mirrored VMs; the counters below keep what
+	// stopped ones did.
 	Clients int
 	// MirroredWrites were acknowledged by every live replica;
 	// DegradedWrites by a strict subset; WriteFailures by none.

@@ -1,7 +1,6 @@
 package nesc
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,16 +10,6 @@ import (
 // Multi-device fabric tests: synchronous mirroring, device failover with
 // zero acknowledged-write loss, resilvering back to full redundancy, and
 // live VF migration under load.
-
-// fillPattern deterministically fills p from a seed (same generator as the
-// chaos tests use, kept local so the two suites stay independent).
-func fillPattern(p []byte, seed int64) {
-	s := uint64(seed)*0x9E3779B97F4A7C15 + 0x243F6A8885A308D3
-	for i := range p {
-		s = s*6364136223846793005 + 1442695040888963407
-		p[i] = byte(s >> 33)
-	}
-}
 
 // mirroredSim assembles a fleet platform with an (empty) fault plan so
 // device kill latches are available.
@@ -34,12 +23,22 @@ func mirroredSim(devices int) *Simulation {
 	return New(cfg)
 }
 
-// ackedWrite is one acknowledged stripe of the failover workload — the
-// oracle the read-back phase checks against.
-type ackedWrite struct {
-	off  int64
-	seed int64
-	n    int
+// slotBytes is the unit the mirror tests write and read back.
+const slotBytes = 4096
+
+// checkSlots reads slots [0, n) of vm and holds each to the oracle d.
+func checkSlots(ctx *Ctx, vm *VM, d *disk, n int, when string) error {
+	got := make([]byte, slotBytes)
+	for slot := 0; slot < n; slot++ {
+		off := int64(slot) * slotBytes
+		if err := vm.ReadAt(ctx, got, off); err != nil {
+			return fmt.Errorf("%s: read slot %d: %w", when, slot, err)
+		}
+		if !d.verify(got, off) {
+			return fmt.Errorf("%s: slot %d lost or corrupt", when, slot)
+		}
+	}
+	return nil
 }
 
 func TestMirroredWriteAndRead(t *testing.T) {
@@ -58,8 +57,9 @@ func TestMirroredWriteAndRead(t *testing.T) {
 		if !vm.Mirrored() {
 			return fmt.Errorf("vm not mirrored")
 		}
+		d := newDisk(1, imgBytes/soakBlock)
 		buf := make([]byte, 8192)
-		fillPattern(buf, 1)
+		d.stamp(buf, 4096)
 		if err := vm.WriteAt(ctx, buf, 4096); err != nil {
 			return err
 		}
@@ -67,13 +67,14 @@ func TestMirroredWriteAndRead(t *testing.T) {
 		if err := vm.ReadAt(ctx, got, 4096); err != nil {
 			return err
 		}
-		if !bytes.Equal(buf, got) {
+		if !d.verify(got, 4096) {
 			return fmt.Errorf("mirrored read-back mismatch")
 		}
 		st := vm.FabricStatus()
 		if len(st) != 2 || st[0].State != "healthy" || st[1].State != "healthy" {
 			return fmt.Errorf("unexpected fabric status %+v", st)
 		}
+		vm.Stop(ctx) // a stopped VM's counters stay counted
 		return nil
 	})
 	if err != nil {
@@ -95,7 +96,7 @@ func TestMirroredWriteAndRead(t *testing.T) {
 // reviving the device must resilver it back to full redundancy.
 func TestDeviceKillZeroAckedWriteLoss(t *testing.T) {
 	s := mirroredSim(3)
-	var acked []ackedWrite
+	acked := 0
 	err := s.Run(func(ctx *Ctx) error {
 		const imgBytes = 1 << 20
 		for d := 0; d < 3; d++ {
@@ -110,17 +111,16 @@ func TestDeviceKillZeroAckedWriteLoss(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		const stripe = 4096
+		d := newDisk(1, imgBytes/soakBlock)
 		writer := ctx.Go("writer", func(ctx *Ctx) error {
-			buf := make([]byte, stripe)
+			buf := make([]byte, slotBytes)
 			for i := 0; i < 120; i++ {
-				off := int64(i%64) * stripe
-				seed := int64(i) + 1000
-				fillPattern(buf, seed)
+				off := int64(i%64) * slotBytes
+				d.stamp(buf, off)
 				if err := vm.WriteAt(ctx, buf, off); err != nil {
 					return fmt.Errorf("write %d: %w", i, err)
 				}
-				acked = append(acked, ackedWrite{off: off, seed: seed, n: stripe})
+				acked++
 			}
 			return nil
 		})
@@ -140,21 +140,10 @@ func TestDeviceKillZeroAckedWriteLoss(t *testing.T) {
 		if st[0].State != "healthy" || st[1].State != "healthy" {
 			return fmt.Errorf("surviving replicas unhealthy: %+v", st)
 		}
-		// Zero acknowledged-write loss: every stripe reads back as its
-		// last acknowledged write.
-		final := make(map[int64]int64)
-		for _, a := range acked {
-			final[a.off] = a.seed
-		}
-		got, want := make([]byte, stripe), make([]byte, stripe)
-		for off, seed := range final {
-			fillPattern(want, seed)
-			if err := vm.ReadAt(ctx, got, off); err != nil {
-				return fmt.Errorf("read-back at %d: %w", off, err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("acked write at %d lost or corrupt", off)
-			}
+		// Zero acknowledged-write loss: every slot reads back as its last
+		// acknowledged write.
+		if err := checkSlots(ctx, vm, d, 64, "degraded"); err != nil {
+			return err
 		}
 		// Revive and wait for the resilver to restore redundancy.
 		if err := ctx.ReviveDevice(2); err != nil {
@@ -168,22 +157,13 @@ func TestDeviceKillZeroAckedWriteLoss(t *testing.T) {
 		}
 		// Re-verify the oracle after resilvering (reads may now land on the
 		// rebuilt replica).
-		for off, seed := range final {
-			fillPattern(want, seed)
-			if err := vm.ReadAt(ctx, got, off); err != nil {
-				return fmt.Errorf("post-resilver read at %d: %w", off, err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("post-resilver corruption at %d", off)
-			}
-		}
-		return nil
+		return checkSlots(ctx, vm, d, 64, "resilvered")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(acked) != 120 {
-		t.Fatalf("writer finished %d/120 writes", len(acked))
+	if acked != 120 {
+		t.Fatalf("writer finished %d/120 writes", acked)
 	}
 	fs := s.FabricStats()
 	if fs.Failovers == 0 {
@@ -205,7 +185,6 @@ func TestDeviceKillZeroAckedWriteLoss(t *testing.T) {
 // pause is bounded, and the source device no longer carries the image.
 func TestLiveMigrationUnderLoad(t *testing.T) {
 	s := mirroredSim(2)
-	var acked []ackedWrite
 	var rep MigrationReport
 	err := s.Run(func(ctx *Ctx) error {
 		const imgBytes = 1 << 20
@@ -216,17 +195,15 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		const stripe = 4096
+		d := newDisk(1, imgBytes/soakBlock)
 		writer := ctx.Go("writer", func(ctx *Ctx) error {
-			buf := make([]byte, stripe)
+			buf := make([]byte, slotBytes)
 			for i := 0; i < 100; i++ {
-				off := int64(i%32) * stripe
-				seed := int64(i) + 5000
-				fillPattern(buf, seed)
+				off := int64(i%32) * slotBytes
+				d.stamp(buf, off)
 				if err := vm.WriteAt(ctx, buf, off); err != nil {
 					return fmt.Errorf("write %d: %w", i, err)
 				}
-				acked = append(acked, ackedWrite{off: off, seed: seed, n: stripe})
 			}
 			return nil
 		})
@@ -241,21 +218,7 @@ func TestLiveMigrationUnderLoad(t *testing.T) {
 		if st := vm.FabricStatus(); st[0].Dev != 1 {
 			return fmt.Errorf("leg not retargeted: %+v", st)
 		}
-		final := make(map[int64]int64)
-		for _, a := range acked {
-			final[a.off] = a.seed
-		}
-		got, want := make([]byte, stripe), make([]byte, stripe)
-		for off, seed := range final {
-			fillPattern(want, seed)
-			if err := vm.ReadAt(ctx, got, off); err != nil {
-				return fmt.Errorf("post-migration read at %d: %w", off, err)
-			}
-			if !bytes.Equal(got, want) {
-				return fmt.Errorf("post-migration corruption at %d", off)
-			}
-		}
-		return nil
+		return checkSlots(ctx, vm, d, 32, "migrated")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,11 +283,13 @@ func failedMigrationInsidePause(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		const stripe = 4096
-		buf, got := make([]byte, stripe), make([]byte, stripe)
-		for slot := 0; slot < 16; slot++ {
-			fillPattern(buf, int64(slot)+100)
-			if err := vm.WriteAt(ctx, buf, int64(slot)*stripe); err != nil {
+		d, buf := newDisk(1, 1<<10), make([]byte, slotBytes)
+		write := func(slot int64) error {
+			d.stamp(buf, slot*slotBytes)
+			return vm.WriteAt(ctx, buf, slot*slotBytes)
+		}
+		for slot := int64(0); slot < 16; slot++ {
+			if err := write(slot); err != nil {
 				return err
 			}
 		}
@@ -333,8 +298,7 @@ func failedMigrationInsidePause(t *testing.T) {
 		}
 		// The client was paused when the step failed: a write completes only
 		// if the rollback resumed it.
-		fillPattern(buf, 300)
-		if err := vm.WriteAt(ctx, buf, 0); err != nil {
+		if err := write(0); err != nil {
 			return fmt.Errorf("write after the failed migration: %w", err)
 		}
 		if _, err := ctx.StatHost("/mig.img.migrating"); err == nil {
@@ -357,17 +321,7 @@ func failedMigrationInsidePause(t *testing.T) {
 		if st := vm.FabricStatus(); st[0].Dev != 1 {
 			return fmt.Errorf("leg not retargeted by the retry: %+v", st)
 		}
-		for slot := 0; slot < 16; slot++ {
-			seed := int64(slot) + 100
-			if slot == 0 {
-				seed = 300 // rewritten after the failed attempt
-			}
-			fillPattern(buf, seed)
-			if err := vm.ReadAt(ctx, got, int64(slot)*stripe); err != nil || !bytes.Equal(got, buf) {
-				return fmt.Errorf("slot %d after the retried migration: err %v, intact %v", slot, err, bytes.Equal(got, buf))
-			}
-		}
-		return nil
+		return checkSlots(ctx, vm, d, 16, "after the retried migration")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,26 +341,13 @@ func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry 
 		if err != nil {
 			return err
 		}
-		const stripe = 4096
-		buf, got := make([]byte, stripe), make([]byte, stripe)
-		write := func(slot int, seed int64) error {
-			fillPattern(buf, seed)
-			return vm.WriteAt(ctx, buf, int64(slot)*stripe)
+		d, buf := newDisk(1, 1<<10), make([]byte, slotBytes)
+		write := func(slot int64) error {
+			d.stamp(buf, slot*slotBytes)
+			return vm.WriteAt(ctx, buf, slot*slotBytes)
 		}
-		check := func(when string, slots int, seed func(slot int) int64) error {
-			for slot := 0; slot < slots; slot++ {
-				fillPattern(buf, seed(slot))
-				if err := vm.ReadAt(ctx, got, int64(slot)*stripe); err != nil {
-					return fmt.Errorf("%s: read slot %d: %w", when, slot, err)
-				}
-				if !bytes.Equal(got, buf) {
-					return fmt.Errorf("%s: slot %d corrupted", when, slot)
-				}
-			}
-			return nil
-		}
-		for slot := 0; slot < 32; slot++ {
-			if err := write(slot, int64(slot)+100); err != nil {
+		for slot := int64(0); slot < 32; slot++ {
+			if err := write(slot); err != nil {
 				return err
 			}
 		}
@@ -432,21 +373,15 @@ func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry 
 			return fmt.Errorf("the leg moved: %+v", st)
 		}
 		cow := s.Stats().CowFaults
-		for slot := 0; slot < 8; slot++ {
-			if err := write(slot, int64(slot)+200); err != nil {
+		for slot := int64(0); slot < 8; slot++ {
+			if err := write(slot); err != nil {
 				return err
 			}
 		}
 		if n := s.Stats().CowFaults - cow; n != 0 {
 			return fmt.Errorf("%d CoW faults writing an image nobody snapshotted", n)
 		}
-		seeds := func(slot int) int64 {
-			if slot < 8 {
-				return int64(slot) + 200
-			}
-			return int64(slot) + 100
-		}
-		if err := check("after the failed migration", 32, seeds); err != nil {
+		if err := checkSlots(ctx, vm, d, 32, "after the failed migration"); err != nil {
 			return err
 		}
 		if !retry {
@@ -461,7 +396,7 @@ func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry 
 		if st := vm.FabricStatus(); st[0].Dev != 1 {
 			return fmt.Errorf("leg not retargeted by the retry: %+v", st)
 		}
-		return check("after the retried migration", 32, seeds)
+		return checkSlots(ctx, vm, d, 32, "after the retried migration")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -513,11 +448,11 @@ func TestFabricDeterminism(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			buf := make([]byte, 4096)
+			d, buf := newDisk(1, 1<<10), make([]byte, slotBytes)
 			w := ctx.Go("w", func(ctx *Ctx) error {
 				for i := 0; i < 60; i++ {
-					fillPattern(buf, int64(i))
-					if err := vm.WriteAt(ctx, buf, int64(i%16)*4096); err != nil {
+					d.stamp(buf, int64(i%16)*slotBytes)
+					if err := vm.WriteAt(ctx, buf, int64(i%16)*slotBytes); err != nil {
 						return err
 					}
 				}

@@ -39,8 +39,8 @@ func TestVMOperationsStayOnTheVMsDevice(t *testing.T) {
 		if a.VFIndex() != 0 || b.VFIndex() != 0 {
 			return fmt.Errorf("VF indices a=%d b=%d, want both 0", a.VFIndex(), b.VFIndex())
 		}
-		want := make([]byte, 4096)
-		fillPattern(want, 9)
+		d, want := newDisk(1, 1<<10), make([]byte, 4096)
+		d.stamp(want, 0)
 		if err := b.WriteAt(ctx, want, 0); err != nil {
 			return err
 		}
@@ -48,7 +48,7 @@ func TestVMOperationsStayOnTheVMsDevice(t *testing.T) {
 		// A has a long write in flight while B is reset. No driver timeout is
 		// configured, so a reset of A's function would surface as ErrReset.
 		big := make([]byte, 256<<10)
-		fillPattern(big, 3)
+		newDisk(2, 1<<10).stamp(big, 0)
 		task := ctx.Go("a-writer", func(c *Ctx) error { return a.WriteAt(c, big, 0) })
 		ctx.Sleep(100 * time.Microsecond) // past the bounce copy: the write is at the device
 		if err := b.Reset(ctx); err != nil {
@@ -76,7 +76,7 @@ func TestVMOperationsStayOnTheVMsDevice(t *testing.T) {
 		if _, err := f.ReadAt(ctx.proc, got, 0); err != nil {
 			return err
 		}
-		if !bytes.Equal(got, want) {
+		if !d.verify(got, 0) {
 			return fmt.Errorf("snapshot does not hold B's data")
 		}
 		return nil
@@ -139,7 +139,7 @@ func TestFleetWideOperationsCoverEveryDevice(t *testing.T) {
 				return err
 			}
 			want := make([]byte, 4096)
-			fillPattern(want, 4)
+			newDisk(1, 64).stamp(want, 0)
 			if err := vm.WriteAt(ctx, want, 0); err != nil {
 				return err
 			}

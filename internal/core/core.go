@@ -307,6 +307,11 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 	if p.QueuesPerVF > ring.MaxQueuesPerFn {
 		return nil, fmt.Errorf("core: QueuesPerVF %d exceeds the register-file limit %d", p.QueuesPerVF, ring.MaxQueuesPerFn)
 	}
+	// A VF's latched miss is visible to the host only through its bit in a
+	// miss-pending bank; a VF past the last bank would stall every miss.
+	if maxVFs := ring.PFRegMissPendingBanks * 64; p.NumVFs > maxVFs {
+		return nil, fmt.Errorf("core: NumVFs %d exceeds the miss-pending register limit %d", p.NumVFs, maxVFs)
+	}
 	c := &Controller{
 		Eng:      eng,
 		Fab:      fab,

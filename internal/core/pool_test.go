@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"nesc/internal/blockdev"
 	"nesc/internal/extent"
+	"nesc/internal/hostmem"
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
@@ -217,6 +221,27 @@ func TestLazyMaterializationAtScale(t *testing.T) {
 	}
 	r.eng.Run()
 	r.eng.Shutdown()
+}
+
+// Every VF's latched miss must have a bit in a miss-pending bank, or the host
+// never learns of it and the walk stalls for good: a VF count past the last
+// bank is refused, as a queue count past the register file is.
+func TestNewRefusesMoreVFsThanMissBanks(t *testing.T) {
+	limit := ring.PFRegMissPendingBanks * 64
+	for _, n := range []int{limit, limit + 1} {
+		p := DefaultParams()
+		p.NumVFs = n
+		eng := sim.NewEngine()
+		medium := blockdev.NewMedium(eng, blockdev.NewStore(p.BlockSize, 64), blockdev.DefaultMediumParams())
+		_, err := New(eng, pcie.New(eng, hostmem.New(1<<20), pcie.DefaultParams()), medium, p, Sinks{})
+		switch {
+		case n == limit && err != nil:
+			t.Errorf("NumVFs %d refused: %v", n, err)
+		case n > limit && (err == nil || !strings.Contains(err.Error(), fmt.Sprint(limit))):
+			t.Errorf("NumVFs %d: error %v, want one naming the limit %d", n, err, limit)
+		}
+		eng.Shutdown()
+	}
 }
 
 // A queue pair returned to the pool with a request still in flight may be

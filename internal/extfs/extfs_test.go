@@ -747,3 +747,43 @@ func TestTinyJournalStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// failingDev rejects every write while fail is set, as a device whose
+// transfers keep faulting.
+type failingDev struct {
+	*MemDev
+	fail bool
+}
+
+func (d *failingDev) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
+	if d.fail {
+		return errors.New("write rejected")
+	}
+	return d.MemDev.WriteBlocks(ctx, lba, p)
+}
+
+// A preallocation whose zero fill fails has mapped nothing, so it must hold
+// nothing either: the run it took goes back, and the image it was for can be
+// removed without a block left allocated.
+func TestFailedZeroFillFreesItsRun(t *testing.T) {
+	dev := &failingDev{MemDev: NewMemDev(1024, 16384)}
+	fs, err := Format(nil, dev, Params{InodeCount: 256, JournalBlocks: 128, Mode: JournalMetadata})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Create(nil, "/img", 0, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	free := fs.FreeBlocks()
+	dev.fail = true
+	if err := fs.AllocateRange(nil, "/img", 0, 64); err == nil {
+		t.Fatal("preallocation on a device rejecting writes succeeded")
+	}
+	dev.fail = false
+	if got := fs.FreeBlocks(); got != free {
+		t.Errorf("%d blocks free after the failed preallocation, %d before", got, free)
+	}
+	if err := errors.Join(fs.Remove(nil, "/img", 0), fs.Check(nil)); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -90,6 +90,7 @@ func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, zeroFill
 		}
 		if zeroFill {
 			if err := fs.zeroBlocks(ctx, start, got); err != nil {
+				fs.freeRun(start, got) // nothing maps it yet
 				return err
 			}
 		}

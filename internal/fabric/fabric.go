@@ -356,11 +356,11 @@ func (c *Client) Submit(p *sim.Proc, write bool, lba int64, buf guest.Buffer) er
 
 func (c *Client) submitWrite(p *sim.Proc, lba int64, buf guest.Buffer) error {
 	blocks := uint64(len(buf.Data) / c.BlockSize())
-	// Live legs get the write; fenced legs get a dirty mark instead.
-	var live []*Replica
+	// Live legs get the write; fenced legs miss it.
+	var live, missed []*Replica
 	for _, r := range c.reps {
 		if r.state == Failed {
-			r.dirty.Mark(uint64(lba), blocks)
+			missed = append(missed, r)
 		} else {
 			live = append(live, r)
 		}
@@ -390,29 +390,41 @@ func (c *Client) submitWrite(p *sim.Proc, lba int64, buf guest.Buffer) error {
 		errs[0] = live[0].Drv.Submit(p, true, lba, buf)
 		wg.WaitFor(p)
 	}
-	acked := 0
+	acked, current := 0, false
 	var firstErr error
 	for i, r := range live {
-		if errs[i] == nil {
-			acked++
-			c.reportSuccess(r)
-			if c.busyTarget == r && rangesOverlap(uint64(lba), blocks, c.busyLBA, c.busyCount) {
-				// This write raced the resilver's in-flight copy of the same
-				// region: the stale copy may land after us, so re-mark the
-				// region and let the next pass re-copy it.
-				r.dirty.Mark(uint64(lba), blocks)
-			}
-		} else {
-			r.dirty.Mark(uint64(lba), blocks)
+		if errs[i] != nil {
+			missed = append(missed, r)
 			c.reportFailure(p, r)
 			if firstErr == nil {
 				firstErr = errs[i]
 			}
+			continue
 		}
+		acked++
+		if c.busyTarget == r && rangesOverlap(uint64(lba), blocks, c.busyLBA, c.busyCount) {
+			// This write raced the resilver's in-flight copy of the same
+			// region: the stale copy may land after us, so re-mark the
+			// region and let the next pass re-copy it.
+			r.dirty.Mark(uint64(lba), blocks)
+		}
+		current = current || !r.dirty.Intersects(uint64(lba), blocks)
+		c.reportSuccess(r)
 	}
-	if acked == 0 {
+	if !current {
+		// Only legs already stale around the range took the write, so none
+		// would hold it whole: the write is not acknowledged, and no leg is
+		// marked for it — the range holds what each leg has, as after any
+		// failed write. Marking the legs that missed it would leave a region
+		// no leg can serve or resilver from.
 		c.WriteFailures++
+		if firstErr == nil {
+			firstErr = ErrNoReplicas
+		}
 		return firstErr
+	}
+	for _, r := range missed {
+		r.dirty.Mark(uint64(lba), blocks)
 	}
 	if c.migDirty != nil {
 		c.migDirty.Mark(uint64(lba), blocks)
@@ -512,13 +524,18 @@ func (c *Client) pickRead(lba, blocks uint64, tried map[*Replica]bool) *Replica 
 	return c.pickBest(lba, blocks, tried, true)
 }
 
+// serves reports whether r holds [lba, lba+blocks) current: not fenced, not
+// dirty there, and not the target of the resilver copy in flight over it,
+// whose dirty bit is cleared before the copy lands.
+func (c *Client) serves(r *Replica, lba, blocks uint64) bool {
+	return r.state != Failed && !r.dirty.Intersects(lba, blocks) &&
+		!(c.busyTarget == r && rangesOverlap(lba, blocks, c.busyLBA, c.busyCount))
+}
+
 func (c *Client) pickBest(lba, blocks uint64, tried map[*Replica]bool, allowQuarantined bool) *Replica {
 	var best *Replica
 	for _, r := range c.reps {
-		if tried[r] || r.state == Failed {
-			continue
-		}
-		if r.dirty.Intersects(lba, blocks) {
+		if tried[r] || !c.serves(r, lba, blocks) {
 			continue
 		}
 		if !allowQuarantined && !c.admitRead(r) {
@@ -555,12 +572,14 @@ func (c *Client) reportFailure(p *sim.Proc, r *Replica) {
 	r.consecFail++
 	r.consecOK = 0
 	switch r.state {
-	case Healthy, Rebuilding:
+	case Healthy:
 		if r.consecFail >= c.Cfg.SuspectThreshold {
 			r.state = Suspect
 			c.Suspects++
 		}
-	case Suspect:
+	case Suspect, Rebuilding:
+		// A rebuilding leg is not demoted: the resilver keeps serving it, and
+		// its copies are what fence it or bring it back.
 		if r.consecFail >= c.Cfg.FailThreshold {
 			r.state = Failed
 			c.Failovers++
@@ -570,9 +589,18 @@ func (c *Client) reportFailure(p *sim.Proc, r *Replica) {
 }
 
 // reportSuccess rewards a completed I/O; consecutive successes clear a
-// suspect replica.
+// suspect replica, and a rebuilding one is handed back to the resilver.
 func (c *Client) reportSuccess(r *Replica) {
 	r.consecFail = 0
+	if r.state == Healthy && r.dirty.DirtyRegions() != 0 {
+		// A write failed here without making the leg suspect: it answers
+		// again but is stale where it missed the write, and only the
+		// resilver, which serves rebuilding legs, drains a dirty log.
+		r.state = Rebuilding
+	}
+	if r.state == Rebuilding {
+		c.kickResilver()
+	}
 	if r.state == Suspect {
 		r.consecOK++
 		if r.consecOK >= c.Cfg.RecoverThreshold {

@@ -222,3 +222,148 @@ func TestResilverCopyFailureRemarksTheRegion(t *testing.T) {
 		})
 	}
 }
+
+// TestMirrorConverges holds the mirror to two promises under transient
+// faults: a region some leg holds current stays readable, and every leg that
+// answers gets back in sync without foreground traffic to drive it. Each case
+// is a way a leg used to end stale, unreadable or fenced for good.
+func TestMirrorConverges(t *testing.T) {
+	const lat = 10 * sim.Microsecond
+	errWire := errors.New("transport down")
+	fresh := bytes.Repeat([]byte{0x5A}, 512)
+	write := func(p *sim.Proc, c *Client, lba int64) error {
+		return c.Submit(p, true, lba, guest.Buffer{Data: fresh})
+	}
+	// synced waits up to n resilver intervals for every leg to be healthy
+	// with nothing dirty and to hold fresh at lba.
+	synced := func(p *sim.Proc, rig *mirrorRig, n int, lba int64) error {
+		c := rig.c
+		for i := 0; ; i++ {
+			done := true
+			for _, r := range c.reps {
+				done = done && r.state == Healthy && r.dirty.DirtyRegions() == 0
+			}
+			if done {
+				break
+			}
+			if i == n {
+				return fmt.Errorf("legs never back in sync: %+v", c.Status())
+			}
+			p.Sleep(c.Cfg.ResilverInterval)
+		}
+		for i, leg := range rig.legs {
+			if !bytes.Equal(leg.store[lba*512:(lba+1)*512], fresh) {
+				return fmt.Errorf("leg %d does not hold the acknowledged write", i)
+			}
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		body func(p *sim.Proc, rig *mirrorRig) error
+	}{
+		{"a write no current leg took marks nothing", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			c.reps[1].state = Failed
+			rig.legs[0].writeErr = errWire
+			if err := write(p, c, 3); err == nil {
+				return errors.New("a write no leg took was acknowledged")
+			}
+			rig.legs[0].writeErr = nil
+			if err := rig.read(p, 3, 512); err != nil {
+				return fmt.Errorf("the last live leg no longer serves the range: %w", err)
+			}
+			// Only a leg already stale around the range takes the next one.
+			c.reps[0].state = Rebuilding
+			c.reps[0].dirty.Mark(0, 1)
+			if err := write(p, c, 3); !errors.Is(err, ErrNoReplicas) {
+				return fmt.Errorf("a write only a stale leg took: %v, want ErrNoReplicas", err)
+			}
+			return nil
+		}},
+		{"a healthy leg that misses a write is resilvered", func(p *sim.Proc, rig *mirrorRig) error {
+			rig.legs[1].writeErr = errWire
+			if err := write(p, rig.c, 3); err != nil {
+				return err
+			}
+			rig.legs[1].writeErr = nil
+			if err := write(p, rig.c, 40); err != nil {
+				return err
+			}
+			return synced(p, rig, 10, 3)
+		}},
+		{"a rebuilding leg that errs keeps its resilver", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			c.reps[1].state = Failed
+			if err := write(p, c, 3); err != nil {
+				return err
+			}
+			rig.legs[1].writeErr = errWire
+			c.Revive(1)
+			p.Sleep(2*c.Cfg.ResilverInterval + 5*lat) // two copies fail
+			rig.legs[1].writeErr = nil
+			return synced(p, rig, 10, 3)
+		}},
+		{"a read never comes from the region in copy", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			c.reps[1].state = Failed
+			if err := write(p, c, 3); err != nil {
+				return err
+			}
+			c.Revive(1)
+			p.Sleep(c.Cfg.ResilverInterval + lat/2) // the copy has cleared the region's bit
+			c.reps[0].ewmaRead, c.reps[1].ewmaRead = 1, 0
+			got := make([]byte, 512)
+			if err := c.Submit(p, false, 3, guest.Buffer{Data: got}); err != nil {
+				return err
+			}
+			if !bytes.Equal(got, fresh) {
+				return errors.New("a read was served from the leg the resilver is still copying to")
+			}
+			return nil
+		}},
+		{"two rebuilding legs copy from each other", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			copy(rig.legs[1].store[3*512:], fresh)
+			copy(rig.legs[0].store[11*512:], fresh)
+			c.reps[0].dirty.Mark(3, 1)
+			c.reps[1].dirty.Mark(11, 1)
+			c.reps[0].state, c.reps[1].state = Rebuilding, Rebuilding
+			c.kickResilver()
+			if err := synced(p, rig, 10, 3); err != nil {
+				return err
+			}
+			return synced(p, rig, 0, 11)
+		}},
+		{"a corrupt source is not charged for the copy", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			c.reps[1].state = Failed
+			if err := write(p, c, 3); err != nil {
+				return err
+			}
+			rig.legs[0].readErr = fmt.Errorf("leg0: %w", ring.ErrIntegrity)
+			c.Revive(1)
+			p.Sleep(6 * c.Cfg.ResilverInterval)
+			if r := c.reps[0]; r.state != Healthy || r.consecFail != 0 {
+				return fmt.Errorf("the source is %v with %d failures: its corruption was charged to its health", r.state, r.consecFail)
+			}
+			return nil
+		}},
+		{"the resilver stops with nothing to copy from", func(p *sim.Proc, rig *mirrorRig) error {
+			c := rig.c
+			c.reps[0].state, c.reps[1].state = Failed, Rebuilding
+			c.reps[1].dirty.Mark(3, 1)
+			c.kickResilver()
+			p.Sleep(3 * c.Cfg.ResilverInterval)
+			if c.resilverRunning {
+				return errors.New("the resilver polls with no leg to copy from")
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newMirrorRig(t, Config{RegionBlocks: 8, ResilverInterval: 100 * sim.Microsecond}, lat, lat)
+			rig.run(t, func(p *sim.Proc) error { return tc.body(p, rig) })
+		})
+	}
+}

@@ -105,7 +105,7 @@ func (c *Client) admitRead(r *Replica) bool {
 func (c *Client) pickProbe(lba, blocks uint64) *Replica {
 	var best, worst *Replica
 	for _, r := range c.reps {
-		if r.state == Failed || r.dirty.Intersects(lba, blocks) || !c.admitRead(r) {
+		if !c.serves(r, lba, blocks) || !c.admitRead(r) {
 			continue
 		}
 		if best == nil || r.ewmaRead < best.ewmaRead {

@@ -96,7 +96,7 @@ func (rig *mirrorRig) run(t *testing.T, fn func(p *sim.Proc) error) {
 		err = fn(p)
 		done = true
 	})
-	rig.eng.Run()
+	rig.eng.RunUntil(sim.Second) // a process polling for ever fails the test, not hangs it
 	rig.eng.Shutdown()
 	if !done {
 		t.Fatal("fabric test process deadlocked")

@@ -27,6 +27,9 @@ type Fleet struct {
 	hyp *hypervisor.Hypervisor
 	tel core.Sinks
 	vms []*hypervisor.VM
+	// stopped sums what the clients of torn-down VMs counted, so that the
+	// fleet's counters stay monotonic.
+	stopped Counters
 
 	// Migrations counts completed live VF migrations; LastMigration keeps the
 	// most recent report.
@@ -102,9 +105,15 @@ func (f *Fleet) NewMirroredVM(p *sim.Proc, name string, cfg hypervisor.VMConfig,
 }
 
 // live lists the fleet's VMs that still have their legs, forgetting the ones
-// torn down since the last call.
+// torn down since the last call once their counters are kept.
 func (f *Fleet) live() []*hypervisor.VM {
-	f.vms = slices.DeleteFunc(f.vms, func(vm *hypervisor.VM) bool { return len(vm.Legs) == 0 })
+	f.vms = slices.DeleteFunc(f.vms, func(vm *hypervisor.VM) bool {
+		if len(vm.Legs) != 0 {
+			return false
+		}
+		f.stopped.Add(&ClientOf(vm).Counters)
+		return true
+	})
 	return f.vms
 }
 
@@ -123,10 +132,12 @@ type FleetStats struct {
 	Counters
 }
 
-// Stats sums the counters of every mirror client.
+// Stats sums the counters of every mirror client, stopped ones included;
+// Clients counts the running ones.
 func (f *Fleet) Stats() FleetStats {
-	var fs FleetStats
-	for _, vm := range f.live() {
+	live := f.live()
+	fs := FleetStats{Counters: f.stopped}
+	for _, vm := range live {
 		fs.Clients++
 		fs.Add(&ClientOf(vm).Counters)
 	}

@@ -1,10 +1,12 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -15,7 +17,8 @@ import (
 // locked: the region's dirty bit is cleared before the copy, and a
 // foreground write racing the in-flight copy re-marks it (submitWrite), so
 // the next pass re-copies — acknowledged writes are never lost to a stale
-// resilver copy.
+// resilver copy — and until the copy lands no read is served from the region
+// on the target (serves).
 
 // kickResilver starts the resilver process if it is not already running.
 func (c *Client) kickResilver() {
@@ -41,7 +44,12 @@ func (c *Client) resilverLoop(p *sim.Proc) {
 			c.ResilverRestores++
 			continue
 		}
-		c.copyRegion(p, target, reg)
+		if !c.copyRegion(p, target, reg) {
+			// Nothing to copy from until a leg comes back or the source is
+			// repaired: a revive, a recovery or the target's next write
+			// starts the loop again, rather than it polling for ever.
+			return
+		}
 	}
 }
 
@@ -54,14 +62,15 @@ func (c *Client) nextRebuildTarget() *Replica {
 	return nil
 }
 
-// copyRegion copies one dirty region from a clean peer onto target.
-func (c *Client) copyRegion(p *sim.Proc, target *Replica, reg int) {
+// copyRegion copies one dirty region from a clean peer onto target. It
+// reports false when nothing can be copied until a leg changes: no peer
+// serves the region, or the peer's copy fails its integrity check — a data
+// problem that, as on the read path, is not charged to the leg's health.
+func (c *Client) copyRegion(p *sim.Proc, target *Replica, reg int) bool {
 	lba, count := target.dirty.RegionSpan(reg)
 	src := c.cleanSource(target, lba, count)
 	if src == nil {
-		// No clean peer right now (all suspect-dirty or fenced): leave the
-		// region marked and retry next tick.
-		return
+		return false
 	}
 	target.dirty.Clear(reg)
 	c.busyTarget, c.busyLBA, c.busyCount = target, lba, count
@@ -76,28 +85,30 @@ func (c *Client) copyRegion(p *sim.Proc, target *Replica, reg int) {
 		buf := c.resilverBuf.Ensure(c.Mem, int(n)*c.BlockSize())
 		if err := src.Drv.Submit(p, false, int64(lba+off), buf); err != nil {
 			target.dirty.Mark(lba, count)
+			if errors.Is(err, ring.ErrIntegrity) {
+				return false
+			}
 			c.reportFailure(p, src)
-			return
+			return true
 		}
 		if err := target.Drv.Submit(p, true, int64(lba+off), buf); err != nil {
 			target.dirty.Mark(lba, count)
 			c.reportFailure(p, target)
-			return
+			return true
 		}
 	}
 	c.reportSuccess(target)
 	c.ResilverRegions++
 	c.ResilverBlocks += int64(count)
+	return true
 }
 
 // cleanSource picks a replica whose copy of [lba, lba+count) is current.
 func (c *Client) cleanSource(target *Replica, lba, count uint64) *Replica {
 	var best *Replica
 	for _, r := range c.reps {
-		if r == target || r.state == Failed || r.state == Rebuilding {
-			continue
-		}
-		if r.dirty.Intersects(lba, count) {
+		// A rebuilding leg is a source wherever it serves reads.
+		if r == target || !c.serves(r, lba, count) {
 			continue
 		}
 		if best == nil || r.ewmaRead < best.ewmaRead {

@@ -233,12 +233,9 @@ func (d *Device) remap(p *sim.Proc, st *vfState) error {
 // file's refreshed mapping, reprograms the tree root, and releases the
 // stalled walk with RewalkTree.
 func (d *Device) serviceMisses(p *sim.Proc) {
-	// One register read per 64 configured VFs.
-	banks := (d.Ctl.P.NumVFs + 63) / 64
-	if banks > ring.PFRegMissPendingBanks {
-		banks = ring.PFRegMissPendingBanks
-	}
-	for k := 0; k < banks; k++ {
+	// One register read per 64 configured VFs (core.New holds NumVFs to the
+	// banks the register file has).
+	for k := 0; k < (d.Ctl.P.NumVFs+63)/64; k++ {
 		d.serviceMissBank(p, k, d.Ctl.BARBase()+ring.PFRegMissPendingBank+int64(k)*8)
 	}
 }

@@ -72,10 +72,9 @@ type Config struct {
 	// prototype carries 1024).
 	MediumMB int
 	// NumVFs is the maximum virtual-function count (default 64, as the
-	// prototype).
+	// prototype; at most 1024, the VFs the PF's miss-pending banks can
+	// report — New panics above it).
 	NumVFs int
-	// BTLBEntries sizes the device's translation cache (default 8).
-	BTLBEntries int
 	// UseIOMMU enables DMA remapping; off (the prototype's mode), guests
 	// bounce through trampoline buffers.
 	UseIOMMU bool
@@ -263,7 +262,7 @@ const (
 
 // DefaultConfig returns the calibrated platform.
 func DefaultConfig() Config {
-	return Config{MediumMB: 128, NumVFs: 64, BTLBEntries: 8, HostJournal: "metadata"}
+	return Config{MediumMB: 128, NumVFs: 64, HostJournal: "metadata"}
 }
 
 // Simulation is one assembled platform.
@@ -289,13 +288,9 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	if cfg.NumVFs <= 0 {
 		cfg.NumVFs = def.NumVFs
 	}
-	if cfg.BTLBEntries == 0 {
-		cfg.BTLBEntries = def.BTLBEntries
-	}
 	bcfg := bench.DefaultConfig()
 	bcfg.MediumBlocks = int64(cfg.MediumMB) << 10 // MiB -> 1KB blocks
 	bcfg.Core.NumVFs = cfg.NumVFs
-	bcfg.Core.BTLBEntries = cfg.BTLBEntries
 	if cfg.QueuesPerVF > 0 {
 		bcfg.Core.QueuesPerVF = cfg.QueuesPerVF
 	}

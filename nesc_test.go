@@ -394,12 +394,22 @@ func TestRunExperimentTable2(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad journal mode accepted")
-		}
-	}()
-	New(Config{HostJournal: "quantum"})
+	for _, tc := range []struct {
+		cfg  Config
+		want string // in the panic
+	}{
+		{Config{HostJournal: "quantum"}, "unknown journal mode"},
+		{Config{NumVFs: 1025}, "limit 1024"}, // VF 1024's misses would have no pending bit
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), tc.want) {
+					t.Errorf("New(%+v) panicked with %v, want %q", tc.cfg, r, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		}()
+	}
 }
 
 func TestSnapshotClonePublicAPI(t *testing.T) {
@@ -510,7 +520,7 @@ func TestResetRacesSnapshotChurn(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		stripe := make([]byte, 8192)
+		tn := &tenant{disk: newDisk(1, 256), vms: []*VM{vm}}
 
 		resetter := ctx.Go("resetter", func(c *Ctx) error {
 			for i := 0; i < rounds; i++ {
@@ -534,11 +544,10 @@ func TestResetRacesSnapshotChurn(t *testing.T) {
 			return nil
 		})
 		writer := ctx.Go("writer", func(c *Ctx) error {
-			for i := 0; i < 2*rounds; i++ {
-				stripePattern(stripe, 9, i)
+			for i := int64(0); i < 2*rounds; i++ {
 				// In-flight writes may be aborted by a racing reset; the
 				// stripes are idempotent, so retry until acknowledged.
-				if err := writeStripe(c, vm, stripe, int64(i%4)*int64(len(stripe))); err != nil {
+				if err := tn.write(c, vm, i%4*8, 8); err != nil {
 					return fmt.Errorf("write %d: %w", i, err)
 				}
 			}
@@ -558,15 +567,7 @@ func TestResetRacesSnapshotChurn(t *testing.T) {
 			return fmt.Errorf("fsck after churn: %w", err)
 		}
 		// The last acknowledged stripes survive reset and snapshot churn.
-		got := make([]byte, len(stripe))
-		for slot := 0; slot < 4; slot++ {
-			last := 2*rounds - 4 + slot // final write to this slot
-			stripePattern(stripe, 9, last)
-			if err := readVerified(ctx, vm, stripe, got, int64(slot)*int64(len(stripe))); err != nil {
-				return fmt.Errorf("read-back slot %d: %w", slot, err)
-			}
-		}
-		return nil
+		return tn.checkAll(ctx, vm)
 	})
 	if err != nil {
 		t.Fatal(err)
