@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"nesc/internal/fault"
+	"nesc/internal/ring"
 	"nesc/internal/sim"
 )
 
@@ -61,4 +64,122 @@ func TestPlatformCostsWhatItTouches(t *testing.T) {
 	}
 	t.Logf("NewPlatform(DefaultConfig()) allocates %d KB", got>>10)
 	runtime.KeepAlive(pl)
+}
+
+// pfRequestBytes is one PF request: pfMaxBlocksPerReq (1,024) blocks of 1 KB,
+// as much PF bounce as the host may keep.
+const pfRequestBytes = 1024 << 10
+
+// TestBouncesLiveForOneRequest pins what a request leaves of its bounce buffer
+// in host memory once it is over: nothing of a guest's, and at most one PF
+// request of the host's. A guest that kept the bounce of its largest request
+// held 124 KB more per VM written once with 128 KB than per VM written with
+// 4 KB; a PF disk that bounced a whole write at once held 16 MB after
+// zero-filling a 16 MB image.
+func TestBouncesLiveForOneRequest(t *testing.T) {
+	for _, row := range []struct {
+		name string
+		held func(t *testing.T) (got, limit int64)
+	}{
+		{"32 VMs written with 128 KB", func(t *testing.T) (int64, int64) {
+			return vmsWrittenWith(t, 128<<10), vmsWrittenWith(t, 4<<10)
+		}},
+		{"16 MB preallocated image", func(t *testing.T) (int64, int64) {
+			var held int64
+			if _, err := runPoint(DefaultConfig(), func(p *sim.Proc, pl *Platform) error {
+				before := pl.Mem.AllocBytes
+				err := pl.Hyp.Device(0).MkImage(p, "/big.img", 100, 16<<10, false)
+				held = pl.Mem.AllocBytes - before
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return held, pfRequestBytes
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if got, limit := row.held(t); got > limit {
+				t.Errorf("%d bytes of host memory held, limit %d", got, limit)
+			}
+		})
+	}
+}
+
+// vmsWrittenWith boots 32 VMs, writes size bytes once through each guest
+// kernel's byte path and reports the host memory allocated then.
+func vmsWrittenWith(t *testing.T, size int) int64 {
+	var held int64
+	if _, err := runPoint(DefaultConfig(), func(p *sim.Proc, pl *Platform) error {
+		for i := 0; i < 32; i++ {
+			vm, _, err := pl.directVM(p, fmt.Sprint("vm", i), fmt.Sprintf("/vm%d.img", i), 100, 256, false)
+			if err != nil {
+				return err
+			}
+			if err := vm.Kernel.WriteBytes(p, 0, make([]byte, size)); err != nil {
+				return err
+			}
+		}
+		held = pl.Mem.AllocBytes
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return held
+}
+
+// TestPFBounceSurvivesAFailedRequest moves 3 MB (three PF requests) each way
+// through a PF disk, once cleanly and once with one payload DMA failed in
+// every try of the second request: the transfer fails with the DMA fault and
+// leaves at most one PF request of bounce behind either way.
+func TestPFBounceSurvivesAFailedRequest(t *testing.T) {
+	for _, write := range []bool{false, true} {
+		t.Run(fmt.Sprint("write=", write), func(t *testing.T) {
+			before, after, held, err := pfTransfer(write)
+			if err != nil || held > pfRequestBytes {
+				t.Fatalf("clean transfer: %v, %d bytes held", err, held)
+			}
+			n := (after - before) / 3 // the DMA operations of one request
+			var shots []int64
+			for try := int64(1); try <= 4; try++ { // hostBlockTries
+				shots = append(shots, before+try*n+n/2)
+			}
+			_, _, held, err = pfTransfer(write, shots...)
+			if want := ring.StatusError(ring.StatusDMAFault); err == nil || err.Error() != want.Error() {
+				t.Errorf("failed transfer returned %v, want %v", err, want)
+			}
+			if held > pfRequestBytes {
+				t.Errorf("failed transfer held %d bytes, limit %d", held, pfRequestBytes)
+			}
+		})
+	}
+}
+
+// pfTransfer moves 3 MB between a fresh PF disk and the medium on a platform
+// whose injector fails the listed operations of the transfer's DMA site (the
+// device's DMA reads for a write, its DMA writes for a read). It reports the
+// site's operation count before and after the transfer, the host memory the
+// transfer left allocated, and its error.
+func pfTransfer(write bool, shots ...int64) (before, after, held int64, err error) {
+	site := fault.DMAWrite
+	if write {
+		site = fault.DMARead
+	}
+	cfg := DefaultConfig()
+	cfg.Fault = &fault.Plan{}
+	cfg.Fault.Sites[site].OneShot = shots
+	_, err = runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		disk := pl.Hyp.Device(0).Disk()
+		buf := make([]byte, 3<<20)
+		mem := pl.Mem.AllocBytes
+		before = pl.Inj.Ops(site)
+		var err error
+		if write {
+			err = disk.WriteBlocks(p, 100_000, buf)
+		} else {
+			err = disk.ReadBlocks(p, 100_000, buf)
+		}
+		after, held = pl.Inj.Ops(site), pl.Mem.AllocBytes-mem
+		return err
+	})
+	return before, after, held, err
 }

@@ -75,9 +75,8 @@ func newVirtioLoopback(t *testing.T) (*VirtioDriver, *loopbackTransport, *Kernel
 	eng := sim.NewEngine()
 	mem := hostmem.New(16 << 20)
 	tr := &loopbackTransport{eng: eng, mem: mem, disk: make([]byte, 1<<20), bs: 1024}
-	qbase := mem.MustAlloc(virtio.RingBytes(16), 16)
 	drv, err := NewVirtioDriver(eng, VirtioDriverConfig{
-		Mem: mem, Transport: tr, QueueBase: qbase, QueueSize: 16,
+		Mem: mem, Transport: tr, QueueSize: 16,
 		CapacityBlocks: 1024, BlockSize: 1024, SubmitTime: sim.Microsecond,
 	})
 	if err != nil {

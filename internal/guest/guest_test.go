@@ -280,3 +280,48 @@ func TestKernelMountFS(t *testing.T) {
 func fsParamsForTest() extfs.Params {
 	return extfs.Params{InodeCount: 32, JournalBlocks: 16, Mode: extfs.JournalMetadata}
 }
+
+// A grow-only buffer returns the allocation it outgrows: grown 1 → 4 → 16 KB it
+// holds one 16 KB allocation, not three of 21 KB.
+func TestEnsureFreesWhatItOutgrows(t *testing.T) {
+	mem := hostmem.New(1 << 20)
+	var b Buffer
+	for _, n := range []int{1 << 10, 4 << 10, 16 << 10} {
+		if got := b.Ensure(mem, n); len(got.Data) != n {
+			t.Fatalf("Ensure(%d) returned %d bytes", n, len(got.Data))
+		}
+	}
+	if mem.LiveAllocs() != 1 || mem.AllocBytes != 16<<10 {
+		t.Errorf("%d allocations of %d bytes live, want one of %d", mem.LiveAllocs(), mem.AllocBytes, 16<<10)
+	}
+}
+
+// The byte path's bounce lives for one request: once ReadBytes, WriteBytes or
+// the filesystem view over them returns, with or without an error, the kernel
+// holds no host memory.
+func TestByteRequestsFreeTheirBounce(t *testing.T) {
+	k, drv, eng := newTestKernel(4)
+	run(t, eng, func(p *sim.Proc) {
+		buf := make([]byte, 128<<10+300)
+		for _, fail := range []bool{false, true} {
+			d := NewDisk(k) // a cold cache: every read reaches the device
+			if fail {
+				drv.failAfter = drv.submits + 1 // the edge read succeeds, the rest fail
+			}
+			errs := []error{
+				k.WriteBytes(p, 700, buf),
+				k.ReadBytes(p, 700, buf),
+				d.WriteBlocks(p, 300, buf[:8<<10]),
+				d.ReadBlocks(p, 400, buf[:8<<10]),
+			}
+			for i, err := range errs {
+				if (err != nil) != fail {
+					t.Errorf("fail=%v: request %d returned %v", fail, i, err)
+				}
+			}
+			if k.Mem.LiveAllocs() != 0 || k.Mem.AllocBytes != 0 {
+				t.Errorf("fail=%v: %d allocations of %d bytes left behind", fail, k.Mem.LiveAllocs(), k.Mem.AllocBytes)
+			}
+		}
+	})
+}

@@ -77,11 +77,6 @@ type Kernel struct {
 	P   Params
 	Drv BlockDriver
 
-	// bounce is a LIFO free list of bounce buffers: ReadBytes and WriteBytes
-	// each hold one for the duration of the call, so requests in flight
-	// together never share one, and a lone caller keeps getting the same one.
-	bounce []Buffer
-
 	// Requests counts driver submissions (after splitting).
 	Requests int64
 }
@@ -101,11 +96,31 @@ func AllocBuffer(mem *hostmem.Memory, n int64) Buffer {
 	return Buffer{Addr: addr, Data: data}
 }
 
+// Free returns b, which AllocBuffer made in mem, to mem; b's Data is dead
+// from then on.
+func (b Buffer) Free(mem *hostmem.Memory) { free(mem, b.Addr) }
+
+// free returns allocations this package made in mem, skipping unset (zero)
+// addresses.
+func free(mem *hostmem.Memory, addrs ...hostmem.Addr) {
+	for _, a := range addrs {
+		if a == 0 {
+			continue
+		}
+		if err := mem.Free(a); err != nil {
+			panic(err) // a model bug: the package frees only what it allocated
+		}
+	}
+}
+
 // Ensure makes b a grow-only bounce buffer: it returns b's first n bytes,
 // first replacing b with a fresh allocation of exactly n bytes when it is
-// shorter (the outgrown allocation is not returned to mem).
+// shorter and returning the allocation it outgrew to mem.
 func (b *Buffer) Ensure(mem *hostmem.Memory, n int) Buffer {
 	if len(b.Data) < n {
+		if b.Data != nil {
+			b.Free(mem)
+		}
 		*b = AllocBuffer(mem, int64(n))
 	}
 	return Buffer{Addr: b.Addr, Data: b.Data[:n]}
@@ -174,35 +189,19 @@ func (k *Kernel) SubmitAligned(p *sim.Proc, write bool, lba int64, buf Buffer) e
 	return nil
 }
 
-// getBounce checks a bounce buffer of at least n bytes out of the free list,
-// replacing the one it finds if that is too small; putBounce returns it.
-func (k *Kernel) getBounce(n int64) Buffer {
-	if last := len(k.bounce) - 1; last >= 0 {
-		b := k.bounce[last]
-		k.bounce = k.bounce[:last]
-		if int64(len(b.Data)) >= n {
-			return b
-		}
-		if err := k.Mem.Free(b.Addr); err != nil {
-			panic(err) // the list only holds buffers AllocBuffer returned
-		}
-	}
-	return k.AllocBuffer(n)
-}
-
-func (k *Kernel) putBounce(b Buffer) { k.bounce = append(k.bounce, b) }
-
 // ReadBytes reads byte-granular ranges from the raw device, performing the
 // block-level read-modify cropping the kernel page cache would do (dd with
-// bs=512 on a 1 KB-block device).
+// bs=512 on a 1 KB-block device). The bounce buffer the blocks land in lives
+// for this call only.
 func (k *Kernel) ReadBytes(p *sim.Proc, off int64, out []byte) error {
+	if len(out) == 0 {
+		return nil
+	}
 	bs := int64(k.Drv.BlockSize())
 	first := off / bs
 	last := (off + int64(len(out)) - 1) / bs
-	span := (last - first + 1) * bs
-	whole := k.getBounce(span)
-	defer k.putBounce(whole)
-	buf := Buffer{Addr: whole.Addr, Data: whole.Data[:span]}
+	buf := k.AllocBuffer((last - first + 1) * bs)
+	defer buf.Free(k.Mem)
 	if err := k.SubmitAligned(p, false, first, buf); err != nil {
 		return err
 	}
@@ -212,15 +211,17 @@ func (k *Kernel) ReadBytes(p *sim.Proc, off int64, out []byte) error {
 }
 
 // WriteBytes writes byte-granular ranges, read-modify-writing partial edge
-// blocks.
+// blocks, through a bounce buffer that lives for this call only.
 func (k *Kernel) WriteBytes(p *sim.Proc, off int64, data []byte) error {
+	if len(data) == 0 {
+		return nil
+	}
 	bs := int64(k.Drv.BlockSize())
 	first := off / bs
 	last := (off + int64(len(data)) - 1) / bs
 	span := (last - first + 1) * bs
-	whole := k.getBounce(span)
-	defer k.putBounce(whole)
-	buf := Buffer{Addr: whole.Addr, Data: whole.Data[:span]}
+	buf := k.AllocBuffer(span)
+	defer buf.Free(k.Mem)
 	firstPartial := off%bs != 0
 	lastPartial := (off+int64(len(data)))%bs != 0
 	if firstPartial {
@@ -247,8 +248,7 @@ func (k *Kernel) WriteBytes(p *sim.Proc, off int64, data []byte) error {
 // a device round trip — the reason application-level speedups (Fig. 12) are
 // far smaller than raw-device speedups (Figs. 9–10).
 type Disk struct {
-	k      *Kernel
-	bounce Buffer
+	k *Kernel
 
 	cache    map[int64]*cacheEnt
 	lruHead  *cacheEnt // most recent
@@ -331,9 +331,9 @@ func (d *Disk) BlockSize() int { return d.k.Drv.BlockSize() }
 func (d *Disk) NumBlocks() int64 { return d.k.Drv.CapacityBlocks() }
 
 // ReadBlocks implements extfs.BlockDev: cached blocks cost a memory copy;
-// misses are fetched in contiguous spans through the block layer (bounce
-// buffer: the guest filesystem's buffers are not DMA-mapped pages in this
-// model) and inserted into the cache.
+// misses are fetched in contiguous spans through ReadBytes, which bounces
+// them (the guest filesystem's buffers are not DMA-mapped pages in this
+// model), and inserted into the cache.
 func (d *Disk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	bs := d.BlockSize()
 	blocks := len(p) / bs
@@ -355,14 +355,10 @@ func (d *Disk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 			}
 			j++
 		}
-		span := (j - i) * bs
 		d.CacheMisses += int64(j - i)
-		buf := d.bounce.Ensure(d.k.Mem, span)
-		if err := d.k.SubmitAligned(ctx, false, blk, buf); err != nil {
+		if err := d.k.ReadBytes(ctx, blk*int64(bs), p[i*bs:j*bs]); err != nil {
 			return err
 		}
-		copy(p[i*bs:j*bs], buf.Data)
-		d.k.memcpyCost(ctx, span)
 		for k := i; k < j; k++ {
 			d.cacheInsert(lba+int64(k), p[k*bs:(k+1)*bs])
 		}
@@ -372,16 +368,13 @@ func (d *Disk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 }
 
 // WriteBlocks implements extfs.BlockDev: write-through — the cache copy is
-// refreshed and the blocks go to the device.
+// refreshed and the blocks go to the device through WriteBytes.
 func (d *Disk) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	bs := d.BlockSize()
 	for i := 0; i < len(p)/bs; i++ {
 		d.cacheInsert(lba+int64(i), p[i*bs:(i+1)*bs])
 	}
-	buf := d.bounce.Ensure(d.k.Mem, len(p))
-	copy(buf.Data, p)
-	d.k.memcpyCost(ctx, len(p))
-	return d.k.SubmitAligned(ctx, true, lba, buf)
+	return d.k.WriteBytes(ctx, lba*int64(bs), p)
 }
 
 // Flush implements extfs.BlockDev; the simulated media have no volatile

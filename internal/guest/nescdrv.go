@@ -31,6 +31,10 @@ type NescDriver struct {
 	trampoSem     *sim.Semaphore
 	memcpyBW      float64
 
+	// closed is set by Close: a trampoline slot handed back from then on is
+	// freed instead of pooled.
+	closed bool
+
 	// TrampolineCopies counts bounce copies (prototype-overhead ablation).
 	TrampolineCopies int64
 }
@@ -129,10 +133,18 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 		return fmt.Errorf("nesc driver: %d-block request exceeds %d-block trampoline slot", count, nescMaxBlocksPerReq)
 	}
 	d.trampoSem.Acquire(p)
+	if d.closed {
+		d.trampoSem.Release()
+		return ErrDetached
+	}
 	slot := d.trampoSlots[len(d.trampoSlots)-1]
 	d.trampoSlots = d.trampoSlots[:len(d.trampoSlots)-1]
 	defer func() {
-		d.trampoSlots = append(d.trampoSlots, slot)
+		if d.closed {
+			slot.Free(d.mem)
+		} else {
+			d.trampoSlots = append(d.trampoSlots, slot)
+		}
 		d.trampoSem.Release()
 	}()
 	if write {
@@ -153,4 +165,28 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 		p.Sleep(sim.BytesTime(int64(len(buf.Data)), d.memcpyBW))
 	}
 	return nil
+}
+
+// Close takes the driver out of service when its VF goes away. No request
+// starts from then on; disable, the hypervisor's teardown of the VF, runs next
+// and is told whether any request is still out, in which case it must not
+// return before the device has retired all of them. Then every request still
+// parked fails with ErrDetached, and the rings, shadow blocks and trampoline
+// slots go back to host memory — a slot a request still holds as it unwinds
+// goes back when that request lets go of it.
+func (d *NescDriver) Close(disable func(drain bool)) {
+	d.closed = true
+	out := false
+	for _, qp := range d.mq.queues {
+		qp.closed = true
+		out = out || len(qp.waiters) > 0
+	}
+	disable(out)
+	for _, qp := range d.mq.queues {
+		qp.release()
+	}
+	for _, slot := range d.trampoSlots {
+		slot.Free(d.mem)
+	}
+	d.trampoSlots = nil
 }

@@ -12,10 +12,13 @@ import (
 )
 
 // ErrTimeout reports a request that got no completion within the retry
-// budget; ErrReset reports one killed by a function-level reset.
+// budget; ErrReset reports one killed by a function-level reset; ErrDetached
+// reports one whose driver was closed because its function went away (the VM
+// stopped, or its leg moved to another device).
 var (
-	ErrTimeout = errors.New("nesc: request timed out")
-	ErrReset   = errors.New("nesc: request aborted by function reset")
+	ErrTimeout  = errors.New("nesc: request timed out")
+	ErrReset    = errors.New("nesc: request aborted by function reset")
+	ErrDetached = errors.New("nesc: request aborted: device detached from the guest")
 )
 
 // RingConfig is the one settings value of a ring client — the hypervisor's PF
@@ -144,6 +147,10 @@ type QueuePair struct {
 	prod       uint32
 	lastSeq    uint32
 	nextID     uint32
+	// closed is set when the driver is closed (NescDriver.Close): no
+	// descriptor is written from then on, and the rings are freed once the
+	// device is done with them.
+	closed bool
 
 	slots   *sim.Semaphore
 	waiters map[uint32]*qpWaiter
@@ -319,6 +326,9 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 	}
 	for attempt := 0; ; attempt++ {
 		p.Sleep(qp.cfg.SubmitTime)
+		if qp.closed {
+			return 0, ErrDetached
+		}
 		qp.nextID++
 		id := qp.nextID
 		var desc [ring.DescBytes]byte
@@ -337,6 +347,10 @@ func (qp *QueuePair) Submit(p *sim.Proc, op uint32, lba uint64, count uint32, bu
 			return 0, err
 		}
 		delivered := w.sig.AwaitTimeout(p, qp.cfg.Timeout<<uint(attempt))
+		if qp.closed {
+			w.sig.Await(p) // the device may hold the request until Close releases it
+			return 0, ErrDetached
+		}
 		if !delivered {
 			// Deadline hit: the completion MSI may have been lost while the
 			// entry landed. Poll the ring before declaring the request dead.
@@ -537,8 +551,14 @@ func (qp *QueuePair) Recover(p *sim.Proc) error {
 	if err := qp.armDeadline(p); err != nil {
 		return err
 	}
-	// Abort parked submitters in sorted-id order — map iteration order must
-	// not leak into the event schedule, or seeded runs stop replaying.
+	qp.abortWaiters()
+	return nil
+}
+
+// abortWaiters wakes every parked submitter as aborted, in sorted-id order —
+// map iteration order must not leak into the event schedule, or seeded runs
+// stop replaying.
+func (qp *QueuePair) abortWaiters() {
 	ids := make([]uint32, 0, len(qp.waiters))
 	for id := range qp.waiters {
 		ids = append(ids, id)
@@ -550,5 +570,13 @@ func (qp *QueuePair) Recover(p *sim.Proc) error {
 		w.aborted = true
 		w.sig.Fire()
 	}
-	return nil
+}
+
+// release ends a closed queue pair once the device is done with its memory:
+// every parked submitter fails with ErrDetached, and the rings and the
+// shadow block go back to host memory.
+func (qp *QueuePair) release() {
+	qp.abortWaiters()
+	free(qp.mem, qp.ringBase, qp.cplBase, qp.shadowBase)
+	qp.ringBase, qp.cplBase, qp.shadowBase = 0, 0, 0
 }

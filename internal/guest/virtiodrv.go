@@ -27,11 +27,16 @@ type VirtioDriver struct {
 	bs        int
 	cap       int64
 
+	// queueBase is where the virtqueue lives in guest RAM.
+	queueBase hostmem.Addr
+
 	// Per-request header/status slots, one per potential chain.
 	hdrBase hostmem.Addr
+	nslots  int
 	slots   *sim.Semaphore
 	freeIdx []int
 	waiters map[uint16]*vioWaiter
+	closed  bool
 
 	// SubmitTime is the driver CPU cost per request.
 	SubmitTime sim.Time
@@ -54,9 +59,6 @@ const virtioMaxBlocksPerReq = 128
 type VirtioDriverConfig struct {
 	Mem       *hostmem.Memory
 	Transport VirtioTransport
-	// QueueBase is the guest-RAM address of the virtqueue
-	// (virtio.RingBytes(QueueSize) bytes).
-	QueueBase hostmem.Addr
 	QueueSize int
 	// CapacityBlocks is the virtual disk size the device config space
 	// advertises.
@@ -65,15 +67,21 @@ type VirtioDriverConfig struct {
 	SubmitTime     sim.Time
 }
 
-// NewVirtioDriver builds the guest half of a virtio-blk device.
+// NewVirtioDriver builds the guest half of a virtio-blk device, its virtqueue
+// in guest RAM.
 func NewVirtioDriver(eng *sim.Engine, cfg VirtioDriverConfig) (*VirtioDriver, error) {
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 1024
 	}
+	queueBase, err := cfg.Mem.Alloc(virtio.RingBytes(cfg.QueueSize), 16)
+	if err != nil {
+		return nil, err
+	}
 	d := &VirtioDriver{
 		eng:        eng,
 		mem:        cfg.Mem,
-		vq:         virtio.New(cfg.Mem, cfg.QueueBase, cfg.QueueSize),
+		queueBase:  queueBase,
+		vq:         virtio.New(cfg.Mem, queueBase, cfg.QueueSize),
 		transport:  cfg.Transport,
 		bs:         cfg.BlockSize,
 		cap:        cfg.CapacityBlocks,
@@ -85,8 +93,8 @@ func NewVirtioDriver(eng *sim.Engine, cfg VirtioDriverConfig) (*VirtioDriver, er
 	if inflight < 1 {
 		inflight = 1
 	}
+	d.nslots = inflight
 	d.slots = sim.NewSemaphore(eng, inflight)
-	var err error
 	d.hdrBase, err = cfg.Mem.Alloc(int64(inflight)*vioSlotBytes, 16)
 	if err != nil {
 		return nil, err
@@ -115,6 +123,10 @@ func (d *VirtioDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) er
 		return fmt.Errorf("virtio driver: unaligned buffer of %d bytes", len(buf.Data))
 	}
 	d.slots.Acquire(p)
+	if d.closed {
+		d.slots.Release()
+		return ErrDetached
+	}
 	slotIdx := d.freeIdx[len(d.freeIdx)-1]
 	d.freeIdx = d.freeIdx[:len(d.freeIdx)-1]
 	hdrAddr := d.hdrBase + int64(slotIdx)*vioSlotBytes
@@ -181,5 +193,20 @@ func (d *VirtioDriver) OnInterrupt() {
 			delete(d.waiters, head)
 			w.sig.Fire()
 		}
+	}
+}
+
+// Close takes the driver out of service when its VM stops: no request starts
+// from then on, the requests already out run to completion (a software
+// backend completes whatever it took), and the virtqueue and header slots go
+// back to host memory.
+func (d *VirtioDriver) Close(p *sim.Proc) {
+	d.closed = true
+	for range d.nslots {
+		d.slots.Acquire(p)
+	}
+	free(d.mem, d.queueBase, d.hdrBase)
+	for range d.nslots {
+		d.slots.Release() // a submitter parked for a slot fails with ErrDetached
 	}
 }

@@ -82,12 +82,13 @@ func (t *fileTarget) Write(p *sim.Proc, lba int64, addr hostmem.Addr, nBlocks in
 // it drains the virtqueue on kicks, performs the I/O against the target, and
 // injects completion interrupts.
 type VioBackend struct {
-	h      *Hypervisor
-	target HostTarget
-	vq     *virtio.Virtqueue
-	drv    *guest.VirtioDriver
-	kicks  *sim.Semaphore
-	aio    *sim.Semaphore // outstanding asynchronous target I/Os
+	h       *Hypervisor
+	target  HostTarget
+	vq      *virtio.Virtqueue
+	drv     *guest.VirtioDriver
+	kicks   *sim.Semaphore
+	aio     *sim.Semaphore // outstanding asynchronous target I/Os
+	stopped bool
 
 	// Requests counts processed virtio requests.
 	Requests int64
@@ -105,7 +106,7 @@ func (b *VioBackend) loop(p *sim.Proc) {
 	for {
 		b.kicks.Acquire(p)
 		p.Sleep(b.h.P.BackendWakeTime)
-		for {
+		for !b.stopped {
 			head, ok, err := b.vq.PopAvail()
 			if err != nil {
 				panic(err)
@@ -115,7 +116,19 @@ func (b *VioBackend) loop(p *sim.Proc) {
 			}
 			b.process(p, head)
 		}
+		if b.stopped {
+			return
+		}
 	}
+}
+
+// stop ends the backend with its VM: the guest driver closes once the backend
+// has completed every request it holds, and the backend thread exits without
+// touching the virtqueue again.
+func (b *VioBackend) stop(p *sim.Proc) {
+	b.drv.Close(p)
+	b.stopped = true
+	b.kicks.Release()
 }
 
 // process handles one request: the iothread's CPU work is serialized in the

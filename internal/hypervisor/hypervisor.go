@@ -320,7 +320,8 @@ func (h *Hypervisor) Boot(p *sim.Proc, format bool, fsParams extfs.Params) error
 
 // PFDisk is the host's block device over one device's PF out-of-band
 // channel: the "raw storage device with no file mapping capabilities" that
-// serves as the paper's baseline (§VII).
+// serves as the paper's baseline (§VII). Its bounce buffer holds one PF
+// request (pfMaxBlocksPerReq blocks) at most.
 type PFDisk struct {
 	d      *Device
 	bounce guest.Buffer
@@ -376,11 +377,9 @@ func (pd *PFDisk) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 		// Timeless access for setup/inspection: bypass the rings.
 		return pd.d.Ctl.Medium.Store().ReadBlocks(lba, p)
 	}
-	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
-	if err := pd.d.pfSubmit(ctx, ring.OpRead, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries); err != nil {
+	if err := pd.bounceIO(ctx, ring.OpRead, lba, p); err != nil {
 		return err
 	}
-	copy(p, buf.Data)
 	ctx.Sleep(sim.BytesTime(int64(len(p)), pd.d.h.P.MemcpyBandwidth))
 	return nil
 }
@@ -390,10 +389,31 @@ func (pd *PFDisk) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 	if ctx == nil {
 		return pd.d.Ctl.Medium.Store().WriteBlocks(lba, p)
 	}
-	buf := pd.bounce.Ensure(pd.d.h.Mem, len(p))
-	copy(buf.Data, p)
 	ctx.Sleep(sim.BytesTime(int64(len(p)), pd.d.h.P.MemcpyBandwidth))
-	return pd.d.pfSubmit(ctx, ring.OpWrite, lba, buf.Addr, len(p)/pd.BlockSize(), hostBlockTries)
+	return pd.bounceIO(ctx, ring.OpWrite, lba, p)
+}
+
+// bounceIO moves p to or from the medium at lba one PF request at a time,
+// each copied through the bounce buffer around its own submission: the same
+// requests pfSubmit would split p into, from a buffer no longer than one of
+// them. The copy's cost is the caller's to charge, once for all of p.
+func (pd *PFDisk) bounceIO(ctx *sim.Proc, op uint32, lba int64, p []byte) error {
+	bs := pd.BlockSize()
+	for off := 0; off < len(p); {
+		n := min(len(p)-off, pfMaxBlocksPerReq*bs)
+		buf := pd.bounce.Ensure(pd.d.h.Mem, n)
+		if op == ring.OpWrite {
+			copy(buf.Data, p[off:])
+		}
+		if err := pd.d.pfSubmit(ctx, op, lba+int64(off/bs), buf.Addr, n/bs, hostBlockTries); err != nil {
+			return err
+		}
+		if op == ring.OpRead {
+			copy(p[off:], buf.Data)
+		}
+		off += n
+	}
+	return nil
 }
 
 // Flush implements extfs.BlockDev.

@@ -224,7 +224,7 @@ func TestDeleteSnapshotLifecycle(t *testing.T) {
 		if err := w.d.DeleteSnapshot(p, "/d.clone", 100); err == nil {
 			t.Fatal("deleted a snapshot still exported through a VF")
 		}
-		w.d.DestroyVF(p, cloneIdx)
+		w.d.DestroyVF(p, cloneIdx, false)
 		if err := w.d.DeleteSnapshot(p, "/d.clone", 100); err != nil {
 			t.Fatal(err)
 		}

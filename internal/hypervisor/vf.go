@@ -145,10 +145,16 @@ func (d *Device) freeVF() (int, error) {
 // DestroyVF disables a VF and drops it from its tree's sharers, freeing the
 // tree with its last sharer. A teardown is a transition: it waits for one in
 // flight on the VF rather than pull the export out from under it, and is a
-// no-op on a VF that exports nothing. The record and its lock outlive it.
-func (d *Device) DestroyVF(p *sim.Proc, idx int) {
+// no-op on a VF that exports nothing. With drain set it also waits, still
+// holding the VF, until the device has retired every request the function had
+// fetched, so the memory those requests name can be freed once it returns. The
+// record and its lock outlive it.
+func (d *Device) DestroyVF(p *sim.Proc, idx int, drain bool) {
 	_ = d.transition(p, idx, exporting, func(st *vfState) error { // errStale: nothing to destroy
 		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtEnable, 0)
+		if drain {
+			d.drain(p, idx)
+		}
 		sh := st.shared
 		i, _ := slices.BinarySearch(sh.vfs, idx)
 		sh.vfs = slices.Delete(sh.vfs, i, i+1)
@@ -404,14 +410,20 @@ func (d *Device) ResetVF(p *sim.Proc, idx int) error {
 	}); err != nil {
 		return err
 	}
-	for h.mmioR(p, page+ring.RegReset) != 0 {
-		p.Sleep(5 * sim.Microsecond)
-	}
+	d.drain(p, idx)
 	h.VFResets++
 	if mq := h.qps[d.Ctl.VF(idx).ID()].mq; mq != nil {
 		return mq.Recover(p)
 	}
 	return nil
+}
+
+// drain polls VF idx's reset register until the device reports no request of
+// the function in flight: every chunk retired, its DMA landed.
+func (d *Device) drain(p *sim.Proc, idx int) {
+	for d.h.mmioR(p, d.VFPageBus(idx)+ring.RegReset) != 0 {
+		p.Sleep(5 * sim.Microsecond)
+	}
 }
 
 // MigrateVFFile relocates the physical blocks behind a VF's backing file —

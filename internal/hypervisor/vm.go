@@ -6,7 +6,6 @@ import (
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/sim"
-	"nesc/internal/virtio"
 )
 
 // BackendKind selects the storage virtualization method (paper Fig. 1).
@@ -86,6 +85,9 @@ type VM struct {
 	// behind whatever block driver a feature built over them and handed the
 	// kernel (a mirrored VM's legs span one fleet device each).
 	Legs []Leg
+
+	// vio is a virtio VM's backend, which Teardown stops.
+	vio *VioBackend
 }
 
 // DirectLeg returns the one VF of a direct-assigned VM — what reset,
@@ -131,15 +133,10 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		if err != nil {
 			return nil, err
 		}
-		queueBase, err := h.Mem.Alloc(virtio.RingBytes(virtioQueueSize), 16)
-		if err != nil {
-			return nil, err
-		}
 		bk := &VioBackend{h: h, target: target, kicks: sim.NewSemaphore(h.Eng, 0), aio: sim.NewSemaphore(h.Eng, 16)}
 		drv, err := guest.NewVirtioDriver(h.Eng, guest.VirtioDriverConfig{
 			Mem:            h.Mem,
 			Transport:      bk,
-			QueueBase:      queueBase,
 			QueueSize:      virtioQueueSize,
 			CapacityBlocks: target.SizeBlocks(),
 			BlockSize:      target.BlockSize(),
@@ -151,6 +148,7 @@ func (h *Hypervisor) NewVM(p *sim.Proc, name string, cfg VMConfig) (*VM, error) 
 		bk.drv = drv
 		bk.vq = drv.Virtqueue()
 		h.Eng.Go("virtio-backend-"+name, bk.loop)
+		vm.vio = bk
 		vm.Kernel = guest.NewKernel(h.Eng, h.Mem, h.P.Guest, drv)
 
 	case BackendEmulation:
@@ -236,21 +234,31 @@ func (h *Hypervisor) AttachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 }
 
 // DetachLeg reverses AttachLeg — drops the route and the DMA grant, destroys
-// the VF (which also returns its queue leases to the device pool) — from
-// whatever step AttachLeg reached.
+// the VF (which also returns its queue leases to the device pool) and closes
+// the driver, whose host memory goes back once the device is done with it —
+// from whatever step AttachLeg reached.
 func (h *Hypervisor) DetachLeg(p *sim.Proc, leg Leg) {
 	fnID := leg.Dev.Ctl.VF(leg.VFIdx).ID()
 	delete(h.qps, fnID)
 	if h.P.UseIOMMU {
 		h.Fab.IOMMU().RevokeAll(fnID)
 	}
-	leg.Dev.DestroyVF(p, leg.VFIdx)
+	if leg.Drv == nil {
+		leg.Dev.DestroyVF(p, leg.VFIdx, false)
+		return
+	}
+	leg.Drv.Close(func(drain bool) { leg.Dev.DestroyVF(p, leg.VFIdx, drain) })
 }
 
-// Teardown releases a VM's hypervisor-side resources (its VFs, if any).
+// Teardown releases a VM's hypervisor-side resources — its VFs, if any, or its
+// virtio backend — and the host memory their rings took.
 func (vm *VM) Teardown(p *sim.Proc) {
 	for _, leg := range vm.Legs {
 		vm.H.DetachLeg(p, leg)
 	}
 	vm.Legs = nil
+	if vm.vio != nil {
+		vm.vio.stop(p)
+		vm.vio = nil
+	}
 }

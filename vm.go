@@ -172,7 +172,10 @@ func (c *Ctx) CloneVM(src *VM, name, clonePath string, uid uint32) (*VM, error) 
 	return c.StartVMOn(leg.Dev.Idx, name, BackendNeSC, clonePath, uid)
 }
 
-// Stop tears the VM down, releasing its virtual function (if any).
+// Stop tears the VM down, releasing its virtual function (if any) and the host
+// memory its rings took. It returns once the device is done with the requests
+// in flight — a virtio VM's complete, a NeSC VM's fail — and a request made
+// after it fails.
 func (vm *VM) Stop(c *Ctx) { vm.vm.Teardown(c.proc) }
 
 // GuestFS is a guest filesystem mounted inside the VM's virtual disk — the
