@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest bench-headroom profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest bench-headroom bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -134,6 +134,16 @@ bench-headroom:
 		echo $$fracs | tr ' ' '\n' | sort -g | awk -v w=$$w '{v[NR]=$$1} END {printf "%-17s verify_frac min %s median %s max %s\n", w, v[1], v[3], v[5]; exit !(v[5] < 0.045)}' \
 			|| { echo "bench-headroom: $$w has verify_frac >= 0.045 (the harness fails a run at 0.05)"; exit 1; }; \
 	done
+
+# bench-compare is the tier-2 trajectory step (not part of ci, ≈ 5 min): it runs
+# the whole benchmark on seed 1 into .bench_build/BENCH_head.json and compares
+# that with the newest checked-in results/BENCH_<n>.json. A change that claims
+# a gain checks its own report in as results/BENCH_<n>.json.
+bench-compare:
+	@last=$$(ls results/BENCH_*.json | sort -t_ -k2 -n | tail -1); \
+	bash benchmarks/run.sh -seed 1 -out .bench_build/BENCH_head.json > /dev/null && \
+	echo "comparing $$last with .bench_build/BENCH_head.json" && \
+	bash benchmarks/run.sh -compare $$last .bench_build/BENCH_head.json
 
 # counts prints the sizes ROADMAP aim 2 tracks, for CHANGES.md and ROADMAP to
 # quote: net non-test Go lines outside benchmarks/, the same count per layer of

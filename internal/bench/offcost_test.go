@@ -183,3 +183,98 @@ func pfTransfer(write bool, shots ...int64) (before, after, held int64, err erro
 	})
 	return before, after, held, err
 }
+
+// trampolineSlotBytes is what the trampoline semaphore lets a NeSC guest have
+// out at once: 32 chunks of 4 KB.
+const trampolineSlotBytes = 32 * 4 << 10
+
+// TestTrampolineSlotsLiveForOneChunk pins what a trampoline-mode NeSC guest
+// holds of host memory for its bounce slots: nothing while it is idle (a
+// driver that made its slots up front held 128 KB per VM), at most the
+// semaphore's 32 slots while a 256 KB write is in flight, and nothing again
+// once the write has returned, whether it succeeded or failed with a DMA
+// fault.
+func TestTrampolineSlotsLiveForOneChunk(t *testing.T) {
+	t.Run("idle VM", func(t *testing.T) {
+		held := map[bool]int64{}
+		for _, iommu := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Hyp.UseIOMMU = iommu
+			if _, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+				if err := pl.Hyp.Device(0).MkImage(p, "/vm.img", 100, 256, false); err != nil {
+					return err
+				}
+				before := pl.Mem.AllocBytes
+				_, _, err := pl.bootVM(p, "vm", "/vm.img", 100)
+				held[iommu] = pl.Mem.AllocBytes - before
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if held[false] > held[true] {
+			t.Errorf("an idle trampoline-mode VM holds %d bytes of host memory, %d more than one without trampolines", held[false], held[false]-held[true])
+		}
+	})
+	for _, fail := range []bool{false, true} {
+		t.Run(fmt.Sprint("256 KB write, DMA fault=", fail), func(t *testing.T) {
+			before, after, _, _ := trampolineWrite(t)
+			var shots []int64
+			if fail {
+				shots = append(shots, (before+after)/2)
+			}
+			_, _, peak, err := trampolineWrite(t, shots...)
+			if want := ring.StatusError(ring.StatusDMAFault); fail && (err == nil || err.Error() != want.Error()) {
+				t.Errorf("write returned %v, want %v", err, want)
+			} else if !fail && err != nil {
+				t.Fatal(err)
+			}
+			if peak <= 0 || peak > trampolineSlotBytes {
+				t.Errorf("slots held %d bytes in flight, want some and at most %d", peak, trampolineSlotBytes)
+			}
+			t.Logf("slots held at most %d KB in flight", peak>>10)
+		})
+	}
+}
+
+// trampolineWrite writes 256 KB through a trampoline-mode VM's kernel on a
+// platform whose injector fails the listed device DMA reads. It reports the
+// DMA read count before and after the write, the most host memory the write's
+// slots held at once (sampled every 100 ns of virtual time, less the kernel's
+// own 256 KB bounce), and the write's error. It fails t unless the write leaves
+// the live allocations and bytes of host memory as it found them.
+func trampolineWrite(t *testing.T, shots ...int64) (before, after, peak int64, werr error) {
+	const size = 256 << 10
+	cfg := DefaultConfig()
+	cfg.Fault = &fault.Plan{}
+	cfg.Fault.Sites[fault.DMARead].OneShot = shots
+	if _, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
+		vm, _, err := pl.directVM(p, "vm", "/vm.img", 100, 1024, false)
+		if err != nil {
+			return err
+		}
+		live, bytes := pl.Mem.LiveAllocs(), pl.Mem.AllocBytes
+		done := false
+		f := pl.fanOut()
+		f.Go("sampler", func(q *sim.Proc) error {
+			for !done {
+				peak = max(peak, pl.Mem.AllocBytes-bytes-size)
+				q.Sleep(100 * sim.Nanosecond)
+			}
+			return nil
+		})
+		before = pl.Inj.Ops(fault.DMARead)
+		werr = vm.Kernel.WriteBytes(p, 0, make([]byte, size))
+		after, done = pl.Inj.Ops(fault.DMARead), true
+		if err := f.Wait(p); err != nil {
+			return err
+		}
+		if l, b := pl.Mem.LiveAllocs(), pl.Mem.AllocBytes; l != live || b != bytes {
+			t.Errorf("after the write host memory holds %d allocations of %d bytes, %d of %d before", l, b, live, bytes)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return before, after, peak, werr
+}

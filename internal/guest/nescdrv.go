@@ -24,15 +24,14 @@ type NescDriver struct {
 	bs  int
 	cap int64
 
-	// Trampoline mode: a pool of bounce slots so concurrent scatter-gather
-	// chunks don't serialize on one buffer.
+	// Trampoline mode: each chunk bounces through a slot of its own, made
+	// when the chunk is admitted and freed when it returns; the semaphore
+	// bounds how many are out at once.
 	useTrampoline bool
-	trampoSlots   []Buffer
 	trampoSem     *sim.Semaphore
 	memcpyBW      float64
 
-	// closed is set by Close: a trampoline slot handed back from then on is
-	// freed instead of pooled.
+	// closed is set by Close: no chunk is admitted from then on.
 	closed bool
 
 	// TrampolineCopies counts bounce copies (prototype-overhead ablation).
@@ -82,10 +81,6 @@ func NewNescDriver(p *sim.Proc, eng *sim.Engine, cfg NescDriverConfig) (*NescDri
 	}
 	if d.useTrampoline {
 		const slots = 32
-		n := int64(nescMaxBlocksPerReq * cfg.BlockSize)
-		for i := 0; i < slots; i++ {
-			d.trampoSlots = append(d.trampoSlots, AllocBuffer(cfg.Mem, n))
-		}
 		d.trampoSem = sim.NewSemaphore(eng, slots)
 	}
 	return d, nil
@@ -137,14 +132,9 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 		d.trampoSem.Release()
 		return ErrDetached
 	}
-	slot := d.trampoSlots[len(d.trampoSlots)-1]
-	d.trampoSlots = d.trampoSlots[:len(d.trampoSlots)-1]
+	slot := AllocBuffer(d.mem, int64(len(buf.Data)))
 	defer func() {
-		if d.closed {
-			slot.Free(d.mem)
-		} else {
-			d.trampoSlots = append(d.trampoSlots, slot)
-		}
+		slot.Free(d.mem)
 		d.trampoSem.Release()
 	}()
 	if write {
@@ -160,7 +150,7 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 		return err
 	}
 	if !write {
-		copy(buf.Data, slot.Data[:len(buf.Data)])
+		copy(buf.Data, slot.Data)
 		d.TrampolineCopies++
 		p.Sleep(sim.BytesTime(int64(len(buf.Data)), d.memcpyBW))
 	}
@@ -171,9 +161,9 @@ func (d *NescDriver) Submit(p *sim.Proc, write bool, lba int64, buf Buffer) erro
 // starts from then on; disable, the hypervisor's teardown of the VF, runs next
 // and is told whether any request is still out, in which case it must not
 // return before the device has retired all of them. Then every request still
-// parked fails with ErrDetached, and the rings, shadow blocks and trampoline
-// slots go back to host memory — a slot a request still holds as it unwinds
-// goes back when that request lets go of it.
+// parked fails with ErrDetached, and the rings and shadow blocks go back to
+// host memory. A trampoline slot lives for one chunk: a request still
+// unwinding frees its own.
 func (d *NescDriver) Close(disable func(drain bool)) {
 	d.closed = true
 	out := false
@@ -185,8 +175,4 @@ func (d *NescDriver) Close(disable func(drain bool)) {
 	for _, qp := range d.mq.queues {
 		qp.release()
 	}
-	for _, slot := range d.trampoSlots {
-		slot.Free(d.mem)
-	}
-	d.trampoSlots = nil
 }

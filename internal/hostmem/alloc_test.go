@@ -9,11 +9,13 @@ import (
 )
 
 // refAllocator is the allocator as it was before Alloc and Free edited the
-// free list in place, kept verbatim as the reference model: first-fit over a
-// list it rebuilds on every Alloc and re-sorts and re-coalesces on every
-// Free. Placement is part of the determinism contract (node addresses land in
-// device registers), so the in-place allocator must agree with it address for
-// address.
+// free list in place, kept as the reference model: first-fit over a list it
+// rebuilds on every Alloc and re-sorts and re-coalesces on every Free, plus
+// the block rule (an allocation that would straddle a grain boundary starts on
+// it). The model is only given allocations of at most a grain, so it leaves out
+// the rule for larger ones. Placement is part of the determinism contract
+// (node addresses land in device registers), so the in-place allocator must
+// agree with it address for address.
 type refAllocator struct {
 	free       []region
 	allocs     map[Addr]int64
@@ -32,6 +34,9 @@ func (m *refAllocator) Alloc(size, align int64) (Addr, error) {
 	}
 	for i, r := range m.free {
 		base := (r.base + align - 1) &^ (align - 1)
+		if base/grain != (base+size-1)/grain {
+			base = (base + grain - 1) / grain * grain
+		}
 		pad := base - r.base
 		if pad+size > r.size {
 			continue

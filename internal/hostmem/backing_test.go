@@ -9,13 +9,13 @@ import (
 
 // TestBackingMatchesFlatMemory drives a Memory and one flat []byte of the same
 // size through a seeded mix of everything a caller can do — allocate, free,
-// write/zero/read anywhere (across live allocations and arena boundaries),
+// write/zero/read anywhere (across live allocations and block boundaries),
 // write through slices taken at Alloc and kept — and holds the lazy backing to
 // the flat model: every read equal, every fresh allocation holding the stale
 // bytes the flat memory has there, and no retained slice of a live allocation
 // ever detached from memory.
 func TestBackingMatchesFlatMemory(t *testing.T) {
-	const memSize = 12 << 20 // a dozen grains: arenas meet, straddle and get carved over
+	const memSize = 12 << 20 // a dozen grains: arenas meet, span blocks and get replaced
 	type held struct {
 		size  int64
 		slice []byte
@@ -122,15 +122,30 @@ func TestNeverWrittenMemoryReadsZeroAndBacksNothing(t *testing.T) {
 	if err := m.Zero(64, m.Size()-64); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.arenas) != 0 {
-		t.Fatalf("reads and a Zero of never-written memory backed %d arenas", len(m.arenas))
+	// Allocating at most a grain backs nothing either: a block is backed at
+	// its first write.
+	for _, n := range []int64{64, 4096, grain} {
+		m.MustAlloc(n, 0)
 	}
+	if n := backed(m); n != 0 {
+		t.Fatalf("reads, a Zero and small allocations of never-written memory backed %d blocks", n)
+	}
+}
+
+// backed counts the blocks of m that are backed.
+func backed(m *Memory) int {
+	n := 0
+	for _, b := range m.blocks {
+		if b != nil {
+			n++
+		}
+	}
+	return n
 }
 
 func TestSliceAcrossTwoArenasIsAnError(t *testing.T) {
 	m := New(16 << 20)
-	// Two arenas that touch at 2 MB: the second write's gap ends where the
-	// first write's arena begins.
+	// Two blocks that touch at 2 MB, each backed by its own first write.
 	if err := m.Write(2<<20, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +155,13 @@ func TestSliceAcrossTwoArenasIsAnError(t *testing.T) {
 	if _, err := m.Slice(2<<20-8, 16); err == nil {
 		t.Fatal("Slice across two arenas succeeded")
 	}
-	if _, err := m.Slice(3<<20, 2<<20); err == nil {
+	if _, err := m.Slice(2<<20, 2<<20); err == nil {
 		t.Fatal("Slice from an arena into unbacked memory succeeded")
 	}
-	// Reads, writes and zeroes of the same ranges walk the arenas instead.
+	if _, err := m.Slice(1<<20-8, 16); err == nil {
+		t.Fatal("Slice from unbacked memory into an arena succeeded")
+	}
+	// Reads, writes and zeroes of the same ranges walk the blocks instead.
 	if err := m.Write(2<<20-8, bytes.Repeat([]byte{7}, 16)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,17 +175,27 @@ func TestSliceAcrossTwoArenasIsAnError(t *testing.T) {
 	if want := []byte{7, 7, 7, 7, 0, 0, 0, 0, 0, 0, 0, 0, 7, 7, 7, 7}; !bytes.Equal(got, want) {
 		t.Fatalf("across the boundary: % x, want % x", got, want)
 	}
-	// A wholly unbacked range is backed by the Slice itself.
-	s, err := m.Slice(8<<20, 4096)
-	if err != nil || len(s) != 4096 {
-		t.Fatalf("Slice of unbacked memory: %d bytes, %v", len(s), err)
-	}
-	s[0] = 9
-	if v, _ := m.ReadU32(8 << 20); v != 9<<24 {
-		t.Fatalf("a write through a Slice of once-unbacked memory reads back %#x", v)
+	// A range in unbacked blocks only is backed by the Slice itself, with one
+	// arena when it spans blocks.
+	for _, r := range []struct{ addr, n int64 }{{8 << 20, 4096}, {10<<20 - 8, 16}} {
+		s, err := m.Slice(r.addr, r.n)
+		if err != nil || int64(len(s)) != r.n {
+			t.Fatalf("Slice of unbacked [%#x, +%d): %d bytes, %v", r.addr, r.n, len(s), err)
+		}
+		s[0], s[r.n-1] = 9, 9
+		if v, _ := m.ReadU32(r.addr); v != 9<<24 {
+			t.Fatalf("a write through a Slice of once-unbacked memory reads back %#x", v)
+		}
+		if v, _ := m.ReadU32(r.addr + r.n - 4); v != 9 {
+			t.Fatalf("the last byte of a Slice of once-unbacked memory reads back %#x", v)
+		}
 	}
 }
 
+// TestAllocationsAreContiguous holds Alloc to the block rule: an allocation of
+// at most a grain that would straddle a block boundary starts on it, a larger
+// one starts on a boundary and holds its last block whole, and each is one
+// live view that holds the bytes memory held there.
 func TestAllocationsAreContiguous(t *testing.T) {
 	m := New(64 << 20)
 	small := m.MustAlloc(4096, 0)
@@ -175,19 +203,34 @@ func TestAllocationsAreContiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Larger than the grain: starts inside the first arena, ends far past it.
-	big := m.MustAlloc(3*grain+104, 0)
-	// Stale bytes where the next allocation will straddle the newest arena's end.
-	next := big + 3*grain + 104
+	// Stale bytes where the straddler below will land.
 	stale := bytes.Repeat([]byte{0x5A}, 2*grain)
-	if err := m.Write(next, stale[:grain/2]); err != nil {
+	if err := m.Write(6*grain, stale[:grain/2]); err != nil {
 		t.Fatal(err)
 	}
-	straddler := m.MustAlloc(2*grain, 0)
+	near := m.MustAlloc(grain/2, 0)      // fits before the first boundary
+	over := m.MustAlloc(grain/2, 0)      // would straddle it
+	big := m.MustAlloc(3*grain+104, 0)   // starts on the next free boundary
+	straddler := m.MustAlloc(2*grain, 0) // after big's last block
+	tail := m.MustAlloc(grain/2+4096, 0) // fits no gap but big's tail, which is held
+	for _, a := range []struct {
+		name      string
+		got, want Addr
+	}{
+		{"near", near, small + 4096},
+		{"over", over, grain},
+		{"big", big, 2 * grain},
+		{"straddler", straddler, 6 * grain},
+		{"tail", tail, 8 * grain},
+	} {
+		if a.got != a.want {
+			t.Errorf("%s sits at %#x, want %#x", a.name, a.got, a.want)
+		}
+	}
 	for _, a := range []struct {
 		addr Addr
 		n    int64
-	}{{big, 3*grain + 104}, {straddler, 2 * grain}} {
+	}{{near, grain / 2}, {over, grain / 2}, {big, 3*grain + 104}, {straddler, 2 * grain}, {tail, grain/2 + 4096}} {
 		s, err := m.Slice(a.addr, a.n)
 		if err != nil || int64(len(s)) != a.n {
 			t.Fatalf("allocation [%#x, +%d): Slice %d bytes, %v", a.addr, a.n, len(s), err)
@@ -198,9 +241,6 @@ func TestAllocationsAreContiguous(t *testing.T) {
 			t.Fatalf("allocation [%#x, +%d) is not one live view", a.addr, a.n)
 		}
 	}
-	if straddler != next {
-		t.Fatalf("the straddling allocation sits at %#x, want %#x", straddler, next)
-	}
 	s, _ := m.Slice(straddler, 2*grain)
 	if !bytes.Equal(s[1:grain/2], stale[1:grain/2]) || s[grain/2] != 0 {
 		t.Fatal("the straddling allocation lost the bytes memory held there")
@@ -209,8 +249,51 @@ func TestAllocationsAreContiguous(t *testing.T) {
 	keep[10] = 0x77
 	var b [1]byte
 	if m.Read(small+10, b[:]) != nil || b[0] != 0x77 {
-		t.Fatal("a slice taken before later allocations carved new arenas went stale")
+		t.Fatal("a slice taken before later allocations backed new blocks went stale")
 	}
+	// Freed, big returns its whole blocks to the free list.
+	free := m.FreeBytes()
+	if err := m.Free(big); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.FreeBytes() - free; got != 4*grain {
+		t.Fatalf("freeing big returned %d bytes, want its 4 blocks", got)
+	}
+}
+
+// TestChurnBacksOnlyTouchedBlocks is a tenant's life in miniature: 240 times,
+// keep a 3 KB allocation (a ring) and then allocate, write and free a 128 KB
+// one (a bounce), below bytes written 128 KB in before the first round (a
+// device may write where nothing is allocated). What the Memory allocates must
+// stay within the blocks it touched and one grain. Backing that followed the
+// ranges the allocator handed out kept every bounce it had ever made behind
+// the ring now in its front, about 30 MB for about 1 MB live.
+func TestChurnBacksOnlyTouchedBlocks(t *testing.T) {
+	ring, bounce := make([]byte, 3<<10), make([]byte, 128<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m := New(512 << 20)
+	if err := m.Write(128<<10, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 240; i++ {
+		if err := m.Write(m.MustAlloc(int64(len(ring)), 64), ring); err != nil {
+			t.Fatal(err)
+		}
+		a := m.MustAlloc(int64(len(bounce)), 64)
+		if err := m.Write(a, bounce); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	touched := uint64(backed(m)) * grain
+	if got := after.TotalAlloc - before.TotalAlloc; got > touched+grain {
+		t.Errorf("240 rounds of churn allocated %d bytes for %d touched, ceiling %d", got, touched, touched+grain)
+	}
+	runtime.KeepAlive(m)
 }
 
 // Allocation ceilings in the style of internal/sim/alloc_test.go: host memory

@@ -1,9 +1,9 @@
 // Package hostmem models host physical memory (DRAM) as seen by the NeSC
 // device over PCIe: a flat byte-addressable space with a simple region
-// allocator. Extent trees, DMA ring buffers, trampoline buffers, and guest
-// RAM windows all live here, so the device-side extent walker reads exactly
-// the bytes the hypervisor serialized — the same contract the hardware DMA
-// walk has.
+// allocator, backed in fixed 1 MB blocks at their first write. Extent trees,
+// DMA ring buffers, trampoline buffers, and guest RAM windows all live here,
+// so the device-side extent walker reads exactly the bytes the hypervisor
+// serialized — the same contract the hardware DMA walk has.
 //
 // Address 0 is reserved as the NULL pointer: the extent-tree format uses a
 // zero child pointer to mark pruned subtrees, so no allocation may start at
@@ -21,25 +21,28 @@ import (
 type Addr = int64
 
 // Memory is a flat host physical memory with a first-fit region allocator.
-// Only the backing is lazy: an address no arena backs has never been written
-// and reads as zero. Every live allocation lies inside one arena (Alloc sees
-// to it while the range is still free) and an arena's bytes never move, so a
-// Slice of a live allocation is memory until the allocation is freed.
+// Only the backing is lazy: the space is cut into grain-aligned blocks, and a
+// block is backed at its first write; until then it reads as zero. An
+// allocation of at most a grain lies inside one block; a larger one starts on
+// a block boundary, holds its blocks whole, and they share one arena. A
+// block's arena is replaced only while nothing live lies in it, so a Slice of
+// a live allocation is memory until the allocation is freed.
 type Memory struct {
 	size int64
-	// arenas are sorted by base and disjoint; hit indexes the one the last
-	// access found, tried before the search.
-	arenas []arena
-	hit    int
+	// blocks[i] backs the block at i<<grainShift: it holds its arena's bytes
+	// from the block's first byte to the arena's end, so the blocks after it
+	// in the same arena are suffixes of it. nil is unbacked.
+	blocks [][]byte
 	// free regions, sorted by base and fully coalesced (no two touch). Alloc
 	// and Free edit the list in place. Placement is first-fit by ascending
 	// base and part of the simulation's determinism contract: allocation
 	// addresses end up in device registers and DMA descriptors.
 	free []region
-	// allocs maps base -> length for Free validation.
+	// allocs maps base -> requested length for Free validation.
 	allocs map[Addr]int64
 
-	// AllocBytes tracks live allocated bytes (for pruning experiments).
+	// AllocBytes tracks live allocated bytes, as requested (for pruning
+	// experiments).
 	AllocBytes int64
 }
 
@@ -48,17 +51,12 @@ type region struct {
 	size int64
 }
 
-// arena is one backing allocation: the bytes of [base, base+len(data)).
-type arena struct {
-	base Addr
-	data []byte
-}
-
-func (a arena) end() Addr { return a.base + int64(len(a.data)) }
-
-// grain is how far past the range that needs it a new arena reaches, so that
-// a run of small neighbouring allocations shares one.
-const grain = 1 << 20
+// grain is the size of a block: the unit of backing, and the boundary an
+// allocation of at most a grain never straddles.
+const (
+	grainShift = 20
+	grain      = 1 << grainShift
+)
 
 // New returns a memory of the given size. The first 64 bytes are reserved so
 // no allocation returns address 0 (the extent-tree NULL pointer).
@@ -69,6 +67,7 @@ func New(size int64) *Memory {
 	}
 	return &Memory{
 		size:   size,
+		blocks: make([][]byte, (size-1)>>grainShift+1),
 		free:   []region{{base: reserve, size: size - reserve}},
 		allocs: make(map[Addr]int64),
 	}
@@ -78,73 +77,46 @@ func New(size int64) *Memory {
 func (m *Memory) Size() int64 { return m.size }
 
 // view returns the front of [addr, addr+n): the longest prefix that lies
-// inside one arena (its live bytes) or is wholly unbacked (nil), and that
-// prefix's length. The arena the last access found is tried first; it holds
-// all of most accesses, and then there is no more to check.
+// inside one arena (its live bytes) or inside one unbacked block (nil), and
+// that prefix's length.
 func (m *Memory) view(addr Addr, n int64) ([]byte, int64, error) {
-	if m.hit < len(m.arenas) {
-		a := &m.arenas[m.hit]
-		if off := addr - a.base; off >= 0 && n >= 0 && off <= int64(len(a.data))-n {
-			return a.data[off : off+n], n, nil
-		}
-	}
 	if addr < 0 || n < 0 || addr > m.size-n { // not addr+n: a hostile addr would wrap it
 		return nil, 0, fmt.Errorf("hostmem: access [%#x, %#x) outside memory of %d bytes", addr, addr+n, m.size)
 	}
-	i := m.find(addr)
-	if i == len(m.arenas) {
-		return nil, n, nil
+	if n == 0 {
+		return nil, 0, nil
 	}
-	a := m.arenas[i]
-	if addr < a.base {
-		return nil, min(n, a.base-addr), nil
+	b, off := m.blocks[addr>>grainShift], addr&(grain-1)
+	if b == nil {
+		return nil, min(n, grain-off), nil
 	}
-	m.hit = i
-	n = min(n, a.end()-addr)
-	return a.data[addr-a.base:][:n], n, nil
+	n = min(n, int64(len(b))-off)
+	return b[off : off+n], n, nil
 }
 
-// find returns the index of the first arena that ends after addr.
-func (m *Memory) find(addr Addr) int {
-	return sort.Search(len(m.arenas), func(i int) bool { return m.arenas[i].end() > addr })
-}
-
-// carve backs [base, base+size) with one arena and returns its bytes. A range
-// one arena already holds stays where it is. Otherwise the caller vouches that
-// nothing live lies in the range (it is free, or unbacked): a new arena takes
-// it over, a grain longer where that reaches only unbacked memory. What older
-// arenas held there is copied in, so the range reads as it did, and they keep
-// the rest as sub-slices of themselves: no byte outside the range moves.
-func (m *Memory) carve(base Addr, size int64) []byte {
-	if b, n, _ := m.view(base, size); b != nil && n == size {
+// arena gives blocks [i, j) one arena and returns its bytes from block i on.
+// Blocks one arena already holds stay where they are. Otherwise the caller
+// vouches that nothing live lies in a backed one of them: a fresh arena takes
+// them over, with what they held copied in so they read as they did, and an
+// arena that reached into them from an earlier block now ends where they
+// begin.
+func (m *Memory) arena(i, j int) []byte {
+	start, end := int64(i)<<grainShift, min(int64(j)<<grainShift, m.size)
+	if b := m.blocks[i]; int64(len(b)) >= end-start {
 		return b
 	}
-	end := base + size
-	i := m.find(base)
-	j := i
-	for j < len(m.arenas) && m.arenas[j].base < end {
-		j++
-	}
-	limit := min(end+grain, m.size)
-	if j < len(m.arenas) {
-		limit = min(limit, m.arenas[j].base)
-	}
-	if j > i && m.arenas[j-1].end() > end {
-		limit = end
-	}
-	fresh := arena{base: base, data: make([]byte, limit-base)}
-	repl := []arena{fresh}
-	for _, a := range m.arenas[i:j] {
-		copy(fresh.data[max(a.base, base)-base:], a.data[max(base-a.base, 0):min(a.end(), end)-a.base])
-		if a.base < base {
-			repl = slices.Insert(repl, 0, arena{base: a.base, data: a.data[:base-a.base]})
+	fresh := make([]byte, end-start)
+	for k := i; k < j; k++ {
+		at := int64(k-i) << grainShift
+		if old := m.blocks[k]; old != nil {
+			copy(fresh[at:], old[:min(len(old), grain)])
 		}
-		if a.end() > end {
-			repl = append(repl, arena{base: end, data: a.data[end-a.base:]})
-		}
+		m.blocks[k] = fresh[at:]
 	}
-	m.arenas = slices.Replace(m.arenas, i, j, repl...)
-	return fresh.data[:size]
+	for k := i - 1; k >= 0 && int64(len(m.blocks[k])) > int64(i-k)<<grainShift; k-- {
+		m.blocks[k] = m.blocks[k][:int64(i-k)<<grainShift]
+	}
+	return fresh
 }
 
 // Read copies len(p) bytes starting at addr into p.
@@ -173,7 +145,8 @@ func (m *Memory) Write(addr Addr, p []byte) error {
 			return err
 		}
 		if b == nil {
-			b = m.carve(addr, n)
+			i := int(addr >> grainShift)
+			b = m.arena(i, i+1)[addr&(grain-1):][:n]
 		}
 		copy(b, p)
 		addr, p = addr+n, p[n:]
@@ -196,20 +169,19 @@ func (m *Memory) Zero(addr Addr, n int64) error {
 
 // Slice returns the live backing bytes for [addr, addr+n). Mutating the
 // returned slice mutates memory; it models zero-copy device access. The range
-// must lie inside one arena, as every allocation does, or be wholly unbacked
-// (it is backed then). A slice of an allocation is dead once the allocation is
-// freed: the allocator may move the range to another arena.
+// must lie inside one arena, as every allocation does, or in blocks that are
+// all unbacked (they are backed then, by one arena). A slice of an allocation
+// is dead once the allocation is freed: the block may get another arena.
 func (m *Memory) Slice(addr Addr, n int64) ([]byte, error) {
 	b, k, err := m.view(addr, n)
-	switch {
-	case err != nil:
-		return nil, err
-	case k < n:
-		return nil, fmt.Errorf("hostmem: slice [%#x, %#x) is not inside one allocation", addr, addr+n)
-	case b == nil && n > 0:
-		b = m.carve(addr, n)
+	if err != nil || n == 0 || b != nil && k == n {
+		return b, err
 	}
-	return b, nil
+	i, j := int(addr>>grainShift), int((addr+n-1)>>grainShift)+1
+	if b != nil || slices.ContainsFunc(m.blocks[i:j], func(b []byte) bool { return b != nil }) {
+		return nil, fmt.Errorf("hostmem: slice [%#x, %#x) is not inside one allocation", addr, addr+n)
+	}
+	return m.arena(i, j)[addr&(grain-1):][:n], nil
 }
 
 // Typed big-endian accessors. The NeSC wire format is big-endian so
@@ -244,7 +216,10 @@ func (m *Memory) WriteU32(addr Addr, v uint32) error {
 }
 
 // Alloc reserves size bytes aligned to align (power of two or 1; 0 means 8)
-// and returns the base address. First-fit over the free list.
+// and returns the base address. First-fit over the free list, where an
+// allocation of at most a grain that would straddle a block boundary starts
+// on the boundary instead, and a larger one starts on a boundary and reserves
+// its blocks whole.
 func (m *Memory) Alloc(size, align int64) (Addr, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("hostmem: alloc of %d bytes", size)
@@ -257,15 +232,17 @@ func (m *Memory) Alloc(size, align int64) (Addr, error) {
 	}
 	for i := range m.free {
 		r := &m.free[i]
-		base := (r.base + align - 1) &^ (align - 1)
-		pad := base - r.base
-		if pad+size > r.size {
+		base := alignUp(r.base, align)
+		if size > grain || base>>grainShift != (base+size-1)>>grainShift {
+			base = alignUp(base, grain)
+		}
+		pad, end := base-r.base, m.reach(base, size)
+		if end > r.base+r.size {
 			continue
 		}
-		// Carve [base, base+size) out of r where it sits: what is left of r is
-		// the alignment padding before the block, the rest after it, both or
-		// neither.
-		rest := region{base: base + size, size: r.size - pad - size}
+		// Carve [base, end) out of r where it sits: what is left of r is the
+		// padding before the block, the rest after it, both or neither.
+		rest := region{base: end, size: r.base + r.size - end}
 		switch {
 		case pad > 0 && rest.size > 0:
 			r.size = pad
@@ -277,13 +254,28 @@ func (m *Memory) Alloc(size, align int64) (Addr, error) {
 		default:
 			m.free = slices.Delete(m.free, i, i+1)
 		}
-		m.carve(base, size) // one arena under the whole block, while nothing in it is live
+		if size > grain {
+			m.arena(int(base>>grainShift), int((end-1)>>grainShift)+1) // while nothing in its blocks is live
+		}
 		m.allocs[base] = size
 		m.AllocBytes += size
 		return base, nil
 	}
 	return 0, fmt.Errorf("hostmem: out of memory allocating %d bytes (align %d)", size, align)
 }
+
+// reach returns where the range an allocation of size bytes at base reserves
+// ends: at its last byte, or for one larger than a grain at the end of its
+// last block.
+func (m *Memory) reach(base Addr, size int64) Addr {
+	end := base + size
+	if size > grain && end <= m.size {
+		end = min(alignUp(end, grain), m.size)
+	}
+	return end
+}
+
+func alignUp(a Addr, align int64) Addr { return (a + align - 1) &^ (align - 1) }
 
 // MustAlloc is Alloc that panics on failure; used by setup code where
 // exhaustion is a configuration bug.
@@ -304,6 +296,7 @@ func (m *Memory) Free(addr Addr) error {
 	}
 	delete(m.allocs, addr)
 	m.AllocBytes -= size
+	size = m.reach(addr, size) - addr
 	// The list is sorted and no two regions touch, so the freed block can
 	// only merge with the region before its slot, the one after it, or both.
 	i := sort.Search(len(m.free), func(i int) bool { return m.free[i].base > addr })
