@@ -147,8 +147,9 @@ bench-compare:
 
 # counts prints the sizes ROADMAP aim 2 tracks, for CHANGES.md and ROADMAP to
 # quote: net non-test Go lines outside benchmarks/, the same count per layer of
-# the package graph (layers_test.go logs one line per layer with its packages;
-# the harness is bench plus everything outside internal/), and the fields of
+# the package graph and, under it, per package (layers_test.go logs one line
+# per layer with its packages; the harness is bench plus everything outside
+# internal/), and the fields of
 # every configuration struct the option census checks (census_test.go logs one
 # line per struct: fields = options + calibrated costs + nested structs, then
 # the field names, which this target drops).
@@ -161,6 +162,7 @@ counts:
 			[ $$layer = harness ] && break; \
 			n=$$(lines $$(printf 'internal/%s ' $$pkgs)); rest=$$((rest - n)); \
 			printf '  %-9s %6d lines\n' $$layer $$n; \
+			for pkg in $$pkgs; do printf '    %-12s %6d\n' $$pkg $$(lines internal/$$pkg); done; \
 		done; \
 		printf '  %-9s %6d lines (bench, the root package, cmd/)\n' harness $$rest; }
 	@$(GO) test -count=1 -run 'TestEveryOptionHasASetter' -v . | sed -n 's/^.*census: \(.*nested\):.*/\1/p'

@@ -21,7 +21,7 @@ import (
 // first. None of them backs a Stats field.
 //
 // Per-device counters read device 0 — d0 below is the one place that says so
-// (per-device series are ROADMAP item 6); fleet-wide aggregates (driver
+// (per-device series are ROADMAP item 13); fleet-wide aggregates (driver
 // recovery, fabric, cas) say so in their help text.
 
 // Counter is one catalogue row.
@@ -166,7 +166,7 @@ func (pl *Platform) Counters() []Counter {
 		{"", "nesc_device_queue_returns_total", "queue pairs returned to the device pool", i64(&ctl.QueueReturns)},
 		{"", "nesc_device_queue_lease_fails_total", "ring programmings rejected by an exhausted pool", i64(&ctl.QueueLeaseFails)},
 		{"", "nesc_device_shadow_batches_total", "fetch batches initiated via shadow doorbells", i64(&ctl.ShadowBatches)},
-		{"", "nesc_device_flight_records_total", "flight-recorder captures", i64(&ctl.Flight().Total)},
+		{"", "nesc_device_flight_records_total", "flight-recorder captures", i64(&pl.Flight[0].Total)},
 		{"", "nesc_device_materialized_vfs", "VFs with device state built", func() float64 { return float64(ctl.MaterializedVFs()) }},
 		{"", "nesc_device_leased_queues", "queue pairs currently leased out", func() float64 { return float64(ctl.LeasedQueues()) }},
 		// Jain's index over per-VF block counts, restricted to VFs that moved

@@ -19,6 +19,7 @@ import (
 	"nesc/internal/metrics"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
+	"nesc/internal/telemetry"
 )
 
 // Config fully describes one simulated platform.
@@ -52,13 +53,13 @@ type Config struct {
 	// MountExisting makes Run mount the host filesystem already on the
 	// medium (journal replay included) instead of formatting a new one.
 	MountExisting bool
-	// Tel is the telemetry bundle: every controller, the hypervisor, and the
-	// drivers and fabric clients it builds are handed it at construction,
-	// and the platform's counter catalogue registers into its registry.
+	// Tel is the telemetry bundle: every controller's observer and every
+	// fabric client is built on it, and the platform's counter catalogue
+	// registers into its registry.
 	// Counters and histograms accumulate across platforms sharing a bundle;
 	// gauge closures are replaced, so the last platform built wins the live
 	// gauges. The zero value turns telemetry off.
-	Tel core.Sinks
+	Tel telemetry.Sinks
 }
 
 // hostMemBytes is the host's RAM (Table I).
@@ -95,6 +96,8 @@ type Platform struct {
 	CAS *cas.Tier
 	// Inj is the armed fault injector, nil when Cfg.Fault is unset.
 	Inj *fault.Injector
+	// Flight holds each device's flight recorder, always armed.
+	Flight []*telemetry.FlightRecorder
 
 	counters []Counter // the catalogue, built on first use (catalogue.go)
 }
@@ -111,7 +114,7 @@ func NewPlatform(cfg Config) *Platform {
 	eng := sim.NewEngine()
 	mem := hostmem.New(hostMemBytes)
 	fab := pcie.New(eng, mem, cfg.PCIe)
-	h := hypervisor.New(eng, mem, fab, cfg.Hyp, cfg.Tel)
+	h := hypervisor.New(eng, mem, fab, cfg.Hyp)
 	pl := &Platform{Cfg: cfg, Eng: eng, Mem: mem, Fab: fab, Hyp: h, Mirrors: fabric.NewFleet(h, cfg.Tel)}
 	for i := 0; i < max(cfg.NumDevices, 1); i++ {
 		// Only device 0 can adopt a surviving store.
@@ -121,11 +124,13 @@ func NewPlatform(cfg Config) *Platform {
 		}
 		params := cfg.Core
 		params.DeviceID = i
-		ctl, err := core.New(eng, fab, blockdev.NewMedium(eng, store, cfg.Medium), params, cfg.Tel)
+		obs := cfg.Tel.Observer(params)
+		ctl, err := core.New(eng, fab, blockdev.NewMedium(eng, store, cfg.Medium), params, obs)
 		if err != nil {
 			panic(err)
 		}
 		h.AddDevice(ctl)
+		pl.Flight = append(pl.Flight, obs.Flight)
 	}
 	if cfg.Fault != nil {
 		pl.Inj = fault.NewInjector(*cfg.Fault)

@@ -1,8 +1,8 @@
 // Package core implements the NeSC controller — the paper's primary
 // contribution: a self-virtualizing, nested storage controller that exposes
-// a physical function (PF) to the hypervisor and up to 64 virtual functions
-// (VFs) to guests, translating each VF's virtual LBAs to physical LBAs in
-// hardware through per-VF extent trees resident in host memory.
+// a physical function (PF) to the hypervisor and up to 1,024 virtual
+// functions (VFs) to guests, translating each VF's virtual LBAs to physical
+// LBAs in hardware through per-VF extent trees resident in host memory.
 //
 // The microarchitecture follows the paper's Figures 6–8:
 //
@@ -32,9 +32,7 @@ import (
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 	"nesc/internal/stats"
-	"nesc/internal/trace"
 )
 
 // Params configures the controller geometry and cost model.
@@ -67,11 +65,6 @@ type Params struct {
 	// Zero means unbounded (the pool grows on demand), which keeps every
 	// historical configuration working unchanged.
 	QueuePoolSize int
-
-	// PLBAQueueDepth is the depth of each VF's queue of translated chunks
-	// awaiting a DMA channel (a backpressure point, like the two fixed-depth
-	// queues before it: reqQueueDepth, vlbaQueueDepth).
-	PLBAQueueDepth int
 
 	// Cost model.
 	DescriptorFetchTime sim.Time // decode cost per fetched descriptor
@@ -110,10 +103,12 @@ const (
 	// MediumRetryMax is how many times the DTU retries a transient medium
 	// error before latching StatusMediumError.
 	MediumRetryMax = 3
-	// reqQueueDepth and vlbaQueueDepth are the depths of each function's
-	// request queue and of the shared vLBA queue.
+	// reqQueueDepth, vlbaQueueDepth and plbaQueueDepth are the depths of each
+	// function's request queue, of the shared vLBA queue and of each VF's
+	// queue of translated chunks awaiting a DMA channel.
 	reqQueueDepth  = 64
 	vlbaQueueDepth = 64
+	plbaQueueDepth = 64
 )
 
 // DefaultParams matches the paper's prototype.
@@ -125,7 +120,6 @@ func DefaultParams() Params {
 		Walkers:             2,
 		DTUChannels:         4,
 		QueuesPerVF:         1,
-		PLBAQueueDepth:      64,
 		DescriptorFetchTime: 100 * sim.Nanosecond,
 		MuxChunkTime:        60 * sim.Nanosecond,
 		BTLBHitTime:         80 * sim.Nanosecond,
@@ -143,8 +137,8 @@ type Request struct {
 	ID     uint32
 	LBA    uint64 // vLBA for VFs, pLBA for the PF
 	Count  uint32 // blocks
-	Buf    int64  // host memory address of the data buffer
 	status uint32
+	Buf    int64  // host memory address of the data buffer
 	left   int    // chunks outstanding
 	epoch  uint32 // function reset epoch at fetch time; stale = aborted
 	qGen   uint32 // q's lease generation at fetch time; stale = drop completion
@@ -167,11 +161,11 @@ type Request struct {
 
 	// t0 is the virtual time the descriptor fetch began. ReqID is the
 	// controller-assigned monotonic request id threading this request through
-	// spans, flight records, and scoreboard events. tel is the request's
-	// telemetry record (telemetry.go), nil unless a sink consumes it.
+	// spans, flight records, and scoreboard events. Tel is the observer's
+	// per-request record, nil unless it keeps one.
 	t0    sim.Time
 	ReqID uint64
-	tel   *reqTel
+	Tel   any
 }
 
 // chunk is the unit of translation and data transfer (one block).
@@ -180,10 +174,8 @@ type chunk struct {
 	idx  int    // 0-based chunk index within the request
 	lba  uint64 // vLBA before translation, pLBA after
 	buf  int64
-	zero bool // hole read: DMA zeros, skip the medium
-
-	// tag records the translation outcome (trace.TagHit/TagWalk/TagMiss).
-	tag string
+	zero bool        // hole read: DMA zeros, skip the medium
+	how  Translation // set by the walker
 
 	// mark is when the chunk's current stage began: stamped as the
 	// multiplexer queues it and advanced by every stage call. Zero on a PF
@@ -242,10 +234,7 @@ type Controller struct {
 	// of PI reads.
 	zeroCRC uint32
 
-	// tel is the telemetry spine (telemetry.go): the sink bundle handed to
-	// New plus the always-armed flight recorder. Only stage, finish, event
-	// and their helpers there touch it.
-	tel spine
+	obs Observer // what every report goes to (observe.go)
 
 	// reqSeq issues ReqIDs: a per-controller monotonic counter stamped on
 	// every fetched descriptor (pure state, so it never perturbs the event
@@ -295,9 +284,8 @@ type Controller struct {
 
 // New builds a controller on the fabric, registers its functions, and starts
 // its pipeline processes. The medium is the physical storage behind the PF's
-// LBA space; tel is the telemetry bundle every device of the platform shares
-// (the zero Sinks turns telemetry off).
-func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, tel Sinks) (*Controller, error) {
+// LBA space; obs is told what the controller does (nil: nothing is).
+func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, obs Observer) (*Controller, error) {
 	if p.BlockSize != medium.Store().BlockSize() {
 		return nil, fmt.Errorf("core: controller block size %d != medium block size %d", p.BlockSize, medium.Store().BlockSize())
 	}
@@ -325,7 +313,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 		muxW:     sim.NewSemaphore(eng, 0),
 		btlb:     newBTLB(p.BTLBEntries),
 		sriov:    pcie.SRIOVCap{TotalVFs: p.NumVFs},
-		tel:      newSpine(tel),
+		obs:      obs,
 	}
 	c.mux, c.dtu = newDRR(c, drrMux), newDRR(c, drrDTU)
 	c.zeroCRC = ring.BlockCRC(make([]byte, p.BlockSize))
@@ -336,7 +324,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, t
 	c.pf = c.newFunction(0, fab.RegisterFunction(c.devName("nesc")+"-pf"))
 	c.pf.enabled = true
 	c.pf.sizeBlocks = uint64(medium.Store().NumBlocks())
-	c.registerFnGauges(c.pf)
+	c.Report(Event{Kind: EvMaterialized, Obj: c.pf})
 	c.barBase = fab.MapBAR(c, c.BARSize())
 	fab.AllocMSIVectors(c.pf.id, c.nVec())
 
@@ -360,12 +348,6 @@ func (c *Controller) devName(base string) string {
 	}
 	return fmt.Sprintf("%s%d", base, c.P.DeviceID)
 }
-
-// DeviceID reports this controller's identity within the device fleet.
-func (c *Controller) DeviceID() int { return c.P.DeviceID }
-
-// Flight returns the device's flight recorder.
-func (c *Controller) Flight() *FlightRecorder { return c.tel.flight }
 
 // BARBase reports the device's bus address as enumerated on the fabric.
 func (c *Controller) BARBase() int64 { return c.barBase }
@@ -418,20 +400,14 @@ func (c *Controller) materializeVF(idx int) *Function {
 	c.dtu.admit(f)
 	c.vfShards[s][idx%vfShardSize] = f
 	c.nMat++
-	c.registerFnGauges(f)
+	c.Report(Event{Kind: EvMaterialized, Fn: idx + 1, Obj: f})
 	return f
 }
 
 // nVec is each function's MSI vector count: one completion vector per queue
 // plus the miss vector (vector 1, raised only from the PF but reserved in
-// every function's numbering).
-func (c *Controller) nVec() int {
-	n := c.P.QueuesPerVF + 1
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
+// every function's numbering). New clamps QueuesPerVF to at least 1.
+func (c *Controller) nVec() int { return c.P.QueuesPerVF + 1 }
 
 // forEachVF visits the materialized VFs in function-index order.
 func (c *Controller) forEachVF(fn func(*Function)) {
@@ -455,17 +431,16 @@ func (c *Controller) LeasedQueues() int { return c.qAllocated - len(c.qFree) }
 
 // StateFootprint estimates the controller's resident device-state bytes
 // from explicit counts of what is actually allocated — materialized
-// functions, reserved queue slots, pooled queue pairs, shard index, active
-// bitmaps, and the flight buffer once armed. The per-item sizes are nominal
-// model constants (not unsafe.Sizeof), so the figure is deterministic across
-// runs and platforms; the scale experiment uses it to show memory growing
-// with active tenants, not configured ones.
+// functions, reserved queue slots, pooled queue pairs, shard index and
+// active bitmaps. The per-item sizes are nominal model constants (not
+// unsafe.Sizeof), so the figure is deterministic across runs and platforms;
+// the scale experiment uses it to show memory growing with active tenants,
+// not configured ones.
 func (c *Controller) StateFootprint() int64 {
 	const (
 		fnStateBytes   = 416 // Function struct + register file
 		fifoSlotBytes  = 16  // one reserved FIFO slot
 		queuePairBytes = 112 // fnQueue struct + doorbell FIFO header
-		flightRecBytes = 256 // one flight-record slot
 	)
 	b := int64(len(c.vfShards)+len(c.mux.active)+len(c.dtu.active)) * 8
 	for _, sh := range c.vfShards {
@@ -474,9 +449,8 @@ func (c *Controller) StateFootprint() int64 {
 		}
 	}
 	fns := int64(1 + c.nMat)
-	b += fns * (fnStateBytes + int64(reqQueueDepth+c.P.PLBAQueueDepth)*fifoSlotBytes)
+	b += fns * (fnStateBytes + int64(reqQueueDepth+plbaQueueDepth)*fifoSlotBytes)
 	b += int64(c.qAllocated) * queuePairBytes
-	b += int64(c.tel.flight.recs.Allocated()) * flightRecBytes
 	return b
 }
 
@@ -629,13 +603,18 @@ type fnQueue struct {
 	Reqs int64
 }
 
-// clear wipes the queue's guest-programmable state and cursors (FLR,
-// disable).
+// clear wipes the queue's guest-programmable state and cursors and discards
+// its pending doorbells (FLR, disable).
 func (q *fnQueue) clear() {
 	q.ringBase, q.ringSize, q.cplBase = 0, 0, 0
 	q.consumed, q.cplSeq = 0, 0
 	q.shadowBase = 0
 	q.deadline = 0
+	for {
+		if _, ok := q.doorbells.TryPop(); !ok {
+			return
+		}
+	}
 }
 
 // leaseQueue binds a pooled queue pair to function f's slot qi. Returns nil
@@ -669,11 +648,6 @@ func (c *Controller) returnQueue(f *Function, qi int) {
 		return
 	}
 	q.clear()
-	for {
-		if _, ok := q.doorbells.TryPop(); !ok {
-			break
-		}
-	}
 	q.gen++
 	q.Reqs = 0
 	q.f = nil
@@ -695,7 +669,7 @@ func (c *Controller) newFunction(idx int, id pcie.FnID) *Function {
 	f.queues = make([]*fnQueue, c.P.QueuesPerVF)
 	f.numQueues = len(f.queues)
 	if idx > 0 {
-		f.plbaQ = sim.NewFIFO[*chunk](c.Eng, c.P.PLBAQueueDepth)
+		f.plbaQ = sim.NewFIFO[*chunk](c.Eng, plbaQueueDepth)
 	}
 	c.Eng.Go(fmt.Sprintf("nesc-fetch%d", idx), f.fetchLoop)
 	return f
@@ -745,17 +719,10 @@ func (c *Controller) resetFunction(f *Function) {
 			continue
 		}
 		q.clear()
-		for {
-			if _, ok := q.doorbells.TryPop(); !ok {
-				break
-			}
-		}
 	}
 	c.btlb.flushFn(f.idx)
 	c.endInflight(f)
-	c.event(trace.KindReset, f.idx, 0, uint64(f.resetEpoch))
-	c.captureFlight(c.Eng.Now(), f.idx, nil, "reset")
-	c.anomaly(slo.EventFLR, f.idx, 0, 0, "")
+	c.Report(Event{Kind: EvReset, Fn: f.idx, Arg: uint64(f.resetEpoch)})
 }
 
 // endInflight ends f's in-flight work, for an FLR and a disable alike: the

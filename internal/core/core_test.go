@@ -29,9 +29,13 @@ type rig struct {
 	// missHandler runs as a fresh process per miss interrupt.
 	missHandler func(p *sim.Proc)
 	missMSIs    int
+
+	// Scenario state of the observer contract tests (observe_test.go).
+	buf  int64
+	tree *extent.Tree
 }
 
-func newRig(t *testing.T, p Params) *rig { return newRigWith(t, p, Sinks{}) }
+func newRig(t *testing.T, p Params) *rig { return newRigWith(t, p, nil) }
 
 // stored reads n blocks at pLBA lba straight from the medium's store.
 func (r *rig) stored(lba, n int64) []byte {
@@ -44,15 +48,15 @@ func (r *rig) stored(lba, n int64) []byte {
 	return buf
 }
 
-// newRigWith is newRig with telemetry sinks armed.
-func newRigWith(t *testing.T, p Params, tel Sinks) *rig {
+// newRigWith is newRig with an observer attached.
+func newRigWith(t *testing.T, p Params, obs Observer) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	mem := hostmem.New(32 << 20)
 	fab := pcie.New(eng, mem, pcie.DefaultParams())
 	store := blockdev.NewStore(p.BlockSize, 4096)
 	medium := blockdev.NewMedium(eng, store, blockdev.DefaultMediumParams())
-	ctl, err := New(eng, fab, medium, p, tel)
+	ctl, err := New(eng, fab, medium, p, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

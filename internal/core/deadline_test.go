@@ -6,18 +6,17 @@ import (
 	"nesc/internal/extent"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 )
 
 // Every pipeline stage asks retireStatus before spending work on a request.
 // Sweeping a queue's deadline budget upward from nothing walks the point of
 // expiry down the pipeline — multiplexer, then walker, then DTU — until the
 // request finally fits its budget. At each stage the request must fail fast
-// with the retryable busy status, count every chunk it abandoned, and leave a
-// scoreboard event naming the stage and the request.
+// with the retryable busy status, count every chunk it abandoned, and report
+// a deadline event naming the stage and the request.
 func TestDeadlineExpiryAtEveryStage(t *testing.T) {
-	board := slo.NewScoreboard(8, nil)
-	r := newRigWith(t, smallParams(), Sinks{Board: board})
+	rec := &recorder{}
+	r := newRigWith(t, smallParams(), rec)
 	const blocks = 2
 	seen := map[string]bool{}
 	r.eng.Go("main", func(p *sim.Proc) {
@@ -30,10 +29,12 @@ func TestDeadlineExpiryAtEveryStage(t *testing.T) {
 				t.Fatal("no deadline budget was ever enough")
 			}
 			r.mmioW(p, d.qOff+ring.QRegDeadline, uint64(budget))
-			expired, events := r.ctl.DeadlineExpirations, board.Total()
+			expired := r.ctl.DeadlineExpirations
+			rec.calls = nil
 			st := d.io(p, ring.OpRead, 0, blocks, buf)
+			evs := rec.events(EvDeadline)
 			if st == ring.StatusOK {
-				if r.ctl.DeadlineExpirations != expired || board.Total() != events {
+				if r.ctl.DeadlineExpirations != expired || len(evs) != 0 {
 					t.Errorf("budget %v: a request that met its deadline was counted as expired", budget)
 				}
 				return
@@ -44,14 +45,13 @@ func TestDeadlineExpiryAtEveryStage(t *testing.T) {
 			// The multiplexer abandons the whole request in one event; the
 			// walker and the DTU abandon it chunk by chunk, and only the
 			// chunks that reach them late.
-			gone, evs := r.ctl.DeadlineExpirations-expired, board.Events()
-			evs = evs[len(evs)-int(board.Total()-events):]
+			gone := r.ctl.DeadlineExpirations - expired
 			if len(evs) == 0 || gone < 1 || gone > blocks {
 				t.Fatalf("budget %v: busy with %d events and %d chunks counted expired", budget, len(evs), gone)
 			}
 			for _, ev := range evs {
-				if ev.Kind != slo.EventDeadline || ev.VF != 1 || ev.ReqID != r.ctl.reqSeq {
-					t.Fatalf("budget %v: scoreboard event %+v does not name the expired request", budget, ev)
+				if ev.Fn != 1 || ev.Req.ReqID != r.ctl.reqSeq {
+					t.Fatalf("budget %v: deadline event %+v does not name the expired request", budget, ev)
 				}
 				seen[ev.Note] = true
 			}

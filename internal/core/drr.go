@@ -94,3 +94,18 @@ func nextSetBit(bm []uint64, from, limit int) int {
 		cur = bm[w]
 	}
 }
+
+// JainFairness computes Jain's fairness index (Σx)²/(n·Σx²) over the block
+// counts of the materialized VFs that served any traffic; 1 when idle.
+func (c *Controller) JainFairness() float64 {
+	var sum, sumSq, n float64
+	c.forEachVF(func(f *Function) {
+		if x := float64(f.Blocks); x > 0 {
+			sum, sumSq, n = sum+x, sumSq+x*x, n+1
+		}
+	})
+	if n == 0 {
+		return 1
+	}
+	return sum * sum / (n * sumSq)
+}

@@ -8,7 +8,6 @@ import (
 	"nesc/internal/fault"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/trace"
 )
 
 // Fault-injection and recovery tests: DTU medium retries, function-level
@@ -262,7 +261,7 @@ func TestFnCountersAddSumsEveryField(t *testing.T) {
 // (mediumOp): a transiently failing write-back is retried and the repair
 // counted once it lands; one that keeps failing latches a medium error after
 // MediumRetryMax retries and repairs nothing. Either way each failed attempt
-// leaves a fault event in the ring, after the one for the failed verify read.
+// is reported as a fault event, after the one for the failed verify read.
 func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
 	const bad = 200
 	for _, tc := range []struct {
@@ -275,8 +274,8 @@ func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
 		{"exhaustion", fault.SiteParams{Prob: 1.0}, ring.StatusMediumError, int64(MediumRetryMax), 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			events := trace.NewRing(64)
-			r := newRigWith(t, DefaultParams(), Sinks{Events: events})
+			rec := &recorder{}
+			r := newRigWith(t, DefaultParams(), rec)
 			plan := fault.Plan{Seed: 1, LatentSectors: []int64{bad}}
 			plan.Sites[fault.MediumWrite] = tc.writes
 			inj := r.installPlan(plan)
@@ -295,13 +294,7 @@ func TestScrubRewriteClimbsTheRetryLadder(t *testing.T) {
 			if healed := inj.LatentCount() == 0; healed != (tc.repairs == 1) {
 				t.Errorf("latent sector healed = %v with %d repairs counted", healed, tc.repairs)
 			}
-			faults := int64(0)
-			for _, e := range events.Events() {
-				if e.Kind == trace.KindFault {
-					faults++
-				}
-			}
-			if want := 1 + tc.retries + tc.errors; faults != want {
+			if faults, want := int64(len(rec.events(EvFault))), 1+tc.retries+tc.errors; faults != want {
 				t.Errorf("%d fault events, want %d: the failed read and every failed rewrite attempt", faults, want)
 			}
 		})

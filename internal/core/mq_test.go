@@ -8,7 +8,6 @@ import (
 	"nesc/internal/pcie"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/trace"
 )
 
 func mqParams(queues int) Params {
@@ -135,8 +134,8 @@ func TestMultiQueueIORoundTrip(t *testing.T) {
 // strict round-robin across the function's queues.
 func TestIntraVFQueueFairness(t *testing.T) {
 	const queues, perQueue = 4, 4
-	events := trace.NewRing(256)
-	r := newRigWith(t, mqParams(queues), Sinks{Events: events})
+	rec := &recorder{}
+	r := newRigWith(t, mqParams(queues), rec)
 	r.eng.Go("host", func(p *sim.Proc) {
 		tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
 		r.setVF(p, 0, tr.Root(), 256)
@@ -179,10 +178,8 @@ func TestIntraVFQueueFairness(t *testing.T) {
 	})
 	r.run()
 	var order []int
-	for _, e := range events.Events() {
-		if e.Kind == trace.KindFetch && e.Fn == 1 {
-			order = append(order, int(e.LBA)/16)
-		}
+	for _, s := range rec.steps(1, StFetch) {
+		order = append(order, int(s.LBA)/16)
 	}
 	if len(order) != queues*perQueue {
 		t.Fatalf("fetched %d descriptors, want %d (order %v)", len(order), queues*perQueue, order)

@@ -8,8 +8,6 @@ import (
 	"nesc/internal/fault"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
-	"nesc/internal/trace"
 )
 
 // The controller pipeline: descriptor fetchers (one per function), the
@@ -69,7 +67,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// Descriptor fetch failed: the doorbell's remaining requests
 			// are lost. The driver's completion timeout recovers them.
 			f.FetchDrops++
-			c.event(trace.KindDrop, f.idx, 0, uint64(prod))
+			c.Report(Event{Kind: EvDrop, Fn: f.idx, Arg: uint64(prod)})
 			break
 		}
 		p.Sleep(c.P.DescriptorFetchTime)
@@ -83,7 +81,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 		if q.deadline > 0 {
 			req.deadline = tFetch + q.deadline
 		}
-		c.stage(req, nil, stFetch, p.Now(), uint64(id))
+		c.stage(req, nil, StFetch, p.Now(), uint64(id))
 		f.Reqs++
 		q.Reqs++
 		f.Blocks += int64(count)
@@ -120,7 +118,7 @@ func (f *Function) drainTo(p *sim.Proc, q *fnQueue, prod uint32, desc []byte) {
 			// nothing was executed, the driver backs off and resubmits.
 			req.status = ring.StatusBusy
 			f.AdmitRejects++
-			c.anomaly(slo.EventAdmitReject, f.idx, req.ReqID, 0, "")
+			c.Report(Event{Kind: EvAdmitReject, Fn: f.idx, Req: req})
 			c.sendCompletion(p, req)
 		default:
 			req.admitted = true
@@ -173,7 +171,7 @@ func (c *Controller) retireStatus(r *Request, now sim.Time, stage string, chunks
 		return ring.StatusAborted
 	case r.deadline > 0 && now >= r.deadline:
 		c.DeadlineExpirations += int64(chunks)
-		c.anomaly(slo.EventDeadline, r.fn.idx, r.ReqID, 0, stage)
+		c.Report(Event{Kind: EvDeadline, Fn: r.fn.idx, Req: r, Note: stage})
 		return ring.StatusBusy
 	}
 	return ring.StatusOK
@@ -281,11 +279,11 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 			c.completeChunk(p, ch, st)
 			continue
 		}
-		c.stage(ch.req, ch, stQueue, p.Now(), 0)
+		c.stage(ch.req, ch, StQueue, p.Now(), 0)
 		p.Sleep(c.P.BTLBHitTime)
 		if plba, prot, ok := c.btlb.lookup(f.idx, ch.lba); ok && !(prot && ch.req.Op == ring.OpWrite) {
 			c.BTLBStats.Hit()
-			ch.tag = trace.TagHit
+			ch.how = TransHit
 			ch.lba = plba
 			c.pushPLBA(p, f, ch)
 			continue
@@ -294,7 +292,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		// translation: it falls through to the walk, which re-finds the
 		// protected mapping and raises the CoW fault.
 		c.BTLBStats.Miss()
-		ch.tag = trace.TagWalk
+		ch.how = TransWalk
 
 	walk:
 		for {
@@ -330,10 +328,10 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				// on a fetch-backed VF: the hypervisor must
 				// allocate/regenerate/unshare/materialize mappings.
 				c.Misses++
-				ch.tag = trace.TagMiss
+				ch.how = TransMiss
 				if cowFault {
 					c.CowFaults++
-					ch.tag = trace.TagCow
+					ch.how = TransCow
 				}
 				if !f.missPending {
 					f.missPending = true
@@ -349,7 +347,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 						f.missReason = ring.MissReasonCoW
 					}
 					f.rewalk = sim.NewSignal(c.Eng)
-					c.event(trace.KindMiss, f.idx, ch.lba, uint64(f.missReason))
+					c.Report(Event{Kind: EvMiss, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.missReason)})
 					c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
 					if c.P.MissResendInterval > 0 {
 						c.scheduleMissResend(f, f.missGen)
@@ -357,7 +355,7 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				}
 				sig := f.rewalk
 				sig.Await(p)
-				c.event(trace.KindRewalk, f.idx, ch.lba, uint64(f.rewalkVerdict))
+				c.Report(Event{Kind: EvRewalk, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.rewalkVerdict)})
 				if ch.req.epoch != f.resetEpoch {
 					c.completeChunk(p, ch, ring.StatusAborted)
 					break walk
@@ -394,7 +392,7 @@ func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []b
 // pushPLBA hands a translated chunk to the data-transfer stage's per-VF
 // queue.
 func (c *Controller) pushPLBA(p *sim.Proc, f *Function, ch *chunk) {
-	c.stage(ch.req, ch, stTranslate, p.Now(), uint64(ch.req.ID))
+	c.stage(ch.req, ch, StTranslate, p.Now(), uint64(ch.req.ID))
 	if ch.req.Op == ring.OpVerify {
 		c.scrubQ.Push(p, ch)
 	} else {
@@ -444,7 +442,7 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			continue
 		}
 		tSvc := p.Now()
-		c.stage(ch.req, ch, stDTUWait, tSvc, 0)
+		c.stage(ch.req, ch, StDTUWait, tSvc, 0)
 		p.Sleep(c.P.DTUChunkOverhead)
 		status := uint32(ring.StatusOK)
 		switch {
@@ -499,9 +497,9 @@ func (c *Controller) dtuLoop(p *sim.Proc) {
 			c.chunkEWMA += (svc - c.chunkEWMA) / 8
 		}
 		c.ChunksDone++
-		st := stTransfer
+		st := StTransfer
 		if ch.req.Op == ring.OpVerify {
-			st = stVerify
+			st = StVerify
 		}
 		c.stage(ch.req, ch, st, p.Now(), uint64(status))
 		c.completeChunk(p, ch, status)
@@ -536,7 +534,7 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 			return ring.StatusOutOfRange
 		}
 		sawIntegrity = sawIntegrity || integrity
-		c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
+		c.Report(Event{Kind: EvFault, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
 		if attempt >= MediumRetryMax {
 			if integrity {
 				f.IntegrityErrors++
@@ -546,7 +544,7 @@ func (c *Controller) mediumOp(p *sim.Proc, ch *chunk, buf []byte, write bool) ui
 			return ring.StatusMediumError
 		}
 		f.MediumRetries++
-		c.noteRetry(ch.req)
+		c.Report(Event{Kind: EvRetry, Fn: f.idx, Req: ch.req})
 		p.Sleep(c.P.MediumRetryDelay)
 	}
 }
@@ -566,7 +564,7 @@ func (c *Controller) verifyChunk(p *sim.Proc, ch *chunk, buf []byte) uint32 {
 	if !blockdev.IsMediumError(err) && !blockdev.IsIntegrityError(err) {
 		return ring.StatusOutOfRange
 	}
-	c.event(trace.KindFault, f.idx, ch.lba, uint64(ch.req.ID))
+	c.Report(Event{Kind: EvFault, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.req.ID)})
 	if e := c.Medium.RecoverP(p, int64(ch.lba), buf); e != nil {
 		return ring.StatusOutOfRange
 	}
@@ -642,7 +640,9 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		r.status = ring.StatusIntegrityError
 		f.IntegrityErrors++
 	}
-	c.finish(r, p.Now())
+	if c.obs != nil {
+		c.obs.Finish(r, p.Now())
+	}
 	if q == nil || q.cplBase == 0 || q.ringSize == 0 {
 		return // no completion ring programmed (management-only function)
 	}
@@ -664,7 +664,7 @@ func (c *Controller) sendCompletion(p *sim.Proc, r *Request) {
 		// The completion entry never reached host memory: the guest will
 		// only learn of this request through its timeout path.
 		f.CplDrops++
-		c.event(trace.KindDrop, f.idx, r.LBA, uint64(r.ID))
+		c.Report(Event{Kind: EvDrop, Fn: f.idx, LBA: r.LBA, Arg: uint64(r.ID)})
 		return
 	}
 	c.Fab.RaiseMSI(f.id, ring.CompletionVector(q.idx))

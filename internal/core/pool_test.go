@@ -233,7 +233,7 @@ func TestNewRefusesMoreVFsThanMissBanks(t *testing.T) {
 		p.NumVFs = n
 		eng := sim.NewEngine()
 		medium := blockdev.NewMedium(eng, blockdev.NewStore(p.BlockSize, 64), blockdev.DefaultMediumParams())
-		_, err := New(eng, pcie.New(eng, hostmem.New(1<<20), pcie.DefaultParams()), medium, p, Sinks{})
+		_, err := New(eng, pcie.New(eng, hostmem.New(1<<20), pcie.DefaultParams()), medium, p, nil)
 		switch {
 		case n == limit && err != nil:
 			t.Errorf("NumVFs %d refused: %v", n, err)

@@ -1,14 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
 	"nesc/internal/extent"
-	"nesc/internal/metrics"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/trace"
 )
 
 func TestWeightRegisterClamping(t *testing.T) {
@@ -56,24 +55,22 @@ func fillPLBAQueues(c *Controller, n int) {
 }
 
 func TestDTUPickWeightedScheduling(t *testing.T) {
-	p := smallParams()
-	p.PLBAQueueDepth = 256
-	r := newRig(t, p)
+	r := newRig(t, smallParams())
 	c := r.ctl
 	c.VF(0).weight = 6
 	c.VF(1).weight = 1
-	fillPLBAQueues(c, 140)
+	fillPLBAQueues(c, plbaQueueDepth)
 	var picks [2]int
-	for i := 0; i < 140; i++ {
+	for i := 0; i < 56; i++ {
 		ch, ok := c.dtuPick()
 		if !ok {
 			t.Fatalf("pick %d failed with backlog present", i)
 		}
 		picks[ch.req.fn.idx-1]++
 	}
-	// 140 picks at 6:1 → 120:20.
-	if picks[0] != 120 || picks[1] != 20 {
-		t.Fatalf("picks = %v, want [120 20]", picks)
+	// 56 picks at 6:1 → 48:8.
+	if picks[0] != 48 || picks[1] != 8 {
+		t.Fatalf("picks = %v, want [48 8]", picks)
 	}
 	// Work conservation: once VF0 drains, VF1 gets everything.
 	for c.VF(0).plbaQ.Len() > 0 {
@@ -89,9 +86,7 @@ func TestDTUPickWeightedScheduling(t *testing.T) {
 }
 
 func TestDTUPickEqualWeightsAlternate(t *testing.T) {
-	p := smallParams()
-	p.PLBAQueueDepth = 64
-	r := newRig(t, p)
+	r := newRig(t, smallParams())
 	c := r.ctl
 	fillPLBAQueues(c, 32)
 	var picks [2]int
@@ -120,8 +115,8 @@ func TestDTUPickOOBPriority(t *testing.T) {
 }
 
 func TestBreakdownCollection(t *testing.T) {
-	reg := metrics.New()
-	r := newRigWith(t, smallParams(), Sinks{Metrics: reg})
+	rec := &recorder{}
+	r := newRigWith(t, smallParams(), rec)
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 256}})
 	buf := r.mem.MustAlloc(4096, 64)
 	done := false
@@ -140,65 +135,81 @@ func TestBreakdownCollection(t *testing.T) {
 		t.Fatal("deadlock")
 	}
 	// 8 requests of 4 chunks each: every chunk passes every stage once.
-	hist := func(fam family) *metrics.Histogram {
-		return reg.Histogram(fam.name, fam.help, metrics.VFQOp(1, 0, "write"))
-	}
-	translated := hist(famTransHit).Count() + hist(famTransWalk).Count()
-	for name, n := range map[string]int64{
-		"queue wait": hist(stages[stQueue].fam).Count(), "translate": translated,
-		"dtu wait": hist(stages[stDTUWait].fam).Count(), "transfer": hist(stages[stTransfer].fam).Count(),
-	} {
-		if n != 32 {
-			t.Errorf("%s histogram holds %d samples, want 32", name, n)
+	for st, want := range map[StageID]int{StFetch: 8, StQueue: 32, StTranslate: 32, StDTUWait: 32, StTransfer: 32} {
+		if n := len(rec.steps(1, st)); n != want {
+			t.Errorf("%s reported %d times, want %d", stageNames[st], n, want)
 		}
 	}
-	if hist(stages[stFetch].fam).Count() != 8 || hist(famRequestNs).Count() != 8 {
-		t.Errorf("fetch/request histograms hold %d/%d samples, want 8/8",
-			hist(stages[stFetch].fam).Count(), hist(famRequestNs).Count())
+	finishes := 0
+	for _, c := range rec.calls {
+		if c.step == nil && c.ev == nil && c.r.Fn() == 1 {
+			finishes++
+		}
 	}
-	if hist(stages[stTransfer].fam).Mean() <= 0 {
+	if finishes != 8 {
+		t.Errorf("%d requests finished, want 8", finishes)
+	}
+	var transfer sim.Time
+	for _, s := range rec.steps(1, StTransfer) {
+		transfer += s.To - s.From
+	}
+	if transfer <= 0 {
 		t.Fatal("transfer stage recorded no time")
 	}
-	// Off by default: a request carries no telemetry record at all.
+	// With no observer a request carries no record at all.
 	r2 := newRig(t, smallParams())
 	req := &Request{fn: r2.ctl.pf, Op: ring.OpRead}
-	r2.ctl.stage(req, nil, stFetch, 5, 0)
-	r2.ctl.finish(req, 9)
-	if req.tel != nil {
-		t.Fatal("a telemetry record was opened with no sink attached")
+	r2.ctl.stage(req, nil, StFetch, 5, 0)
+	if req.Tel != nil {
+		t.Fatal("a record was opened with no observer attached")
 	}
 }
 
-// TestTelemetryOffStaysCheap pins what a later telemetry consumer must not
-// leak into the off path: the size of a Request (208 bytes before the
-// per-request state moved behind one pointer) and, with the registry
-// attached, zero allocations per stage observation once the series exists.
+// countingObserver counts calls and keeps nothing.
+type countingObserver struct{ n int }
+
+func (o *countingObserver) Stage(*Request, Step)      { o.n++ }
+func (o *countingObserver) Finish(*Request, sim.Time) { o.n++ }
+func (o *countingObserver) Event(Event)               { o.n++ }
+
+// TestTelemetryOffStaysCheap pins what the observer seam must not leak into
+// the request path: the size of a Request (208 bytes before the per-request
+// telemetry state moved behind one slot; the slot keeps it in the 128-byte
+// size class) and of a chunk, and zero allocations per reported step.
 func TestTelemetryOffStaysCheap(t *testing.T) {
-	if got := unsafe.Sizeof(Request{}); got > 120 {
-		t.Errorf("Request is %d bytes, ceiling 120", got)
+	if got := unsafe.Sizeof(Request{}); got > 128 {
+		t.Errorf("Request is %d bytes, ceiling 128", got)
 	}
-	r := newRigWith(t, smallParams(), Sinks{Metrics: metrics.New()})
+	if got := unsafe.Sizeof(chunk{}); got > 64 {
+		t.Errorf("chunk is %d bytes, ceiling 64", got)
+	}
+	obs := &countingObserver{}
+	r := newRigWith(t, smallParams(), obs)
 	req := &Request{fn: r.ctl.pf, Op: ring.OpWrite, t0: 1}
-	r.ctl.stage(req, nil, stFetch, 2, 0)
+	r.ctl.stage(req, nil, StFetch, 2, 0)
 	ch := &chunk{req: req, mark: 2}
 	now := sim.Time(2)
 	if avg := testing.AllocsPerRun(1000, func() {
 		now++
-		r.ctl.stage(req, ch, stTransfer, now, 0)
+		r.ctl.stage(req, ch, StTransfer, now, 0)
 	}); avg != 0 {
-		t.Errorf("a stage observation allocates %v times, want 0", avg)
+		t.Errorf("a reported step allocates %v times, want 0", avg)
+	}
+	if obs.n < 1000 {
+		t.Errorf("the observer saw %d steps", obs.n)
 	}
 }
 
 func TestTracerRecordsRequestLifecycle(t *testing.T) {
-	events := trace.NewRing(64)
-	r := newRigWith(t, smallParams(), Sinks{Events: events})
+	rec := &recorder{}
+	r := newRigWith(t, smallParams(), rec)
 	tr := r.buildTree([]extent.Run{{Logical: 0, Physical: 0, Count: 16}})
 	buf := r.mem.MustAlloc(4096, 64)
 	done := false
 	r.eng.Go("guest", func(p *sim.Proc) {
 		r.setVF(p, 0, tr.Root(), 16)
 		d := r.openFunction(p, 1)
+		rec.calls = nil
 		if st := d.io(p, ring.OpWrite, 0, 4, buf); st != ring.StatusOK {
 			t.Errorf("status %d", st)
 		}
@@ -208,33 +219,24 @@ func TestTracerRecordsRequestLifecycle(t *testing.T) {
 	if !done {
 		t.Fatal("deadlock")
 	}
-	evs := events.Events()
-	var kinds []trace.Kind
-	for _, e := range evs {
-		if e.Fn == 1 {
-			kinds = append(kinds, e.Kind)
-		}
+	reqs := rec.requests()
+	if len(reqs) != 1 {
+		t.Fatalf("%d requests fetched, want 1", len(reqs))
 	}
 	// Lifecycle: fetch, then translations/transfers, then completion last.
-	if len(kinds) < 3 || kinds[0] != trace.KindFetch || kinds[len(kinds)-1] != trace.KindComplete {
-		t.Fatalf("lifecycle kinds = %v", kinds)
+	kinds := rec.trail(reqs[0])
+	if len(kinds) < 3 || kinds[0] != "fetch" || kinds[len(kinds)-1] != finished(ring.StatusOK) {
+		t.Fatalf("lifecycle = %v", kinds)
 	}
-	sawTranslate, sawTransfer := false, false
-	for _, k := range kinds {
-		if k == trace.KindTranslate {
-			sawTranslate = true
+	for _, s := range []string{"translate#0/walk", "transfer#3"} {
+		if !slices.Contains(kinds, s) {
+			t.Fatalf("missing %s: %v", s, kinds)
 		}
-		if k == trace.KindTransfer {
-			sawTransfer = true
-		}
-	}
-	if !sawTranslate || !sawTransfer {
-		t.Fatalf("missing pipeline events: %v", kinds)
 	}
 	// Timestamps are monotone.
-	for i := 1; i < len(evs); i++ {
-		if evs[i].At < evs[i-1].At {
-			t.Fatal("trace events out of order")
+	for i := 1; i < len(rec.calls); i++ {
+		if rec.calls[i].at < rec.calls[i-1].at {
+			t.Fatal("observer calls out of order")
 		}
 	}
 }

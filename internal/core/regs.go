@@ -74,8 +74,6 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 		switch reg {
 		case ring.PFRegNumVFs:
 			return uint64(c.P.NumVFs)
-		case ring.PFRegFlightRecords:
-			return uint64(c.tel.flight.Total)
 		case ring.PFRegQueueLeases:
 			return uint64(c.QueueLeases)
 		case ring.PFRegQueueReturns:

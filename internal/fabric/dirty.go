@@ -1,7 +1,7 @@
-package extfs
+package fabric
 
 // DirtyLog is a coarse-grained dirty-region bitmap over a virtual disk's
-// block space. The fabric layer uses one per replica to remember which
+// block space. The mirror client uses one per replica to remember which
 // regions of a mirrored virtual disk missed writes while the replica was
 // unreachable (so the resilver knows what to copy), and one per migration
 // to track blocks written after the bulk copy pass. Regions — not single
@@ -15,10 +15,6 @@ type DirtyLog struct {
 	totalBlocks  uint64
 	bits         []uint64
 	dirty        int // population count of bits
-	// Marks counts every Mark call; MarkedBlocks totals the block spans
-	// marked (both monotonic, for telemetry).
-	Marks        int64
-	MarkedBlocks int64
 }
 
 // NewDirtyLog covers totalBlocks of disk in regions of regionBlocks blocks
@@ -62,8 +58,6 @@ func (l *DirtyLog) Mark(lba, count uint64) {
 	if count == 0 {
 		return
 	}
-	l.Marks++
-	l.MarkedBlocks += int64(count)
 	for r := l.RegionOf(lba); r <= l.RegionOf(lba+count-1); r++ {
 		w, b := r/64, uint(r%64)
 		if l.bits[w]&(1<<b) == 0 {

@@ -13,14 +13,13 @@ import (
 	"errors"
 	"fmt"
 
-	"nesc/internal/core"
-	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
 	"nesc/internal/stats"
+	"nesc/internal/telemetry"
 )
 
 // State is a replica's health state.
@@ -136,7 +135,7 @@ type Replica struct {
 	firstFailAt sim.Time
 	// dirty tracks regions this replica missed (failed or fenced writes);
 	// the resilver drains it.
-	dirty *extfs.DirtyLog
+	dirty *DirtyLog
 	// ewmaRead is the smoothed read service time steering read placement.
 	ewmaRead float64
 	// slow is the per-leg fail-slow detector (nil until Cfg.SlowFactor arms
@@ -218,7 +217,7 @@ type Client struct {
 
 	// migDirty, when armed by TrackDirty, records every acknowledged write
 	// for the migration's iterative copy passes.
-	migDirty *extfs.DirtyLog
+	migDirty *DirtyLog
 
 	// resilver machinery
 	resilverRunning bool
@@ -271,7 +270,7 @@ func (c *Client) recordRead(total, svc sim.Time, ok bool) {
 // must agree on block size and capacity. Gray-failure verdicts and delivered
 // reads are reported to tel's scoreboard and attributor against function
 // index tenantVF.
-func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica, tel core.Sinks, tenantVF int) (*Client, error) {
+func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica, tel telemetry.Sinks, tenantVF int) (*Client, error) {
 	if len(reps) == 0 {
 		return nil, errors.New("fabric: no replicas")
 	}
@@ -308,7 +307,7 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 		c.readLat = stats.NewWindow(hedgeWindow)
 	}
 	for _, r := range reps {
-		r.dirty = extfs.NewDirtyLog(uint64(capacity), cfg.RegionBlocks)
+		r.dirty = NewDirtyLog(uint64(capacity), cfg.RegionBlocks)
 	}
 	return c, nil
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"testing"
 
-	"nesc/internal/core"
 	"nesc/internal/guest"
 	"nesc/internal/hostmem"
 	"nesc/internal/sim"
+	"nesc/internal/telemetry"
 )
 
 // fakeLeg is a controllable-latency BlockDriver: a flat in-memory store
@@ -80,7 +80,7 @@ func newMirrorRig(t *testing.T, cfg Config, lats ...sim.Time) *mirrorRig {
 		rig.legs = append(rig.legs, leg)
 		reps = append(reps, &Replica{Dev: i, Drv: leg})
 	}
-	c, err := NewClient(eng, mem, cfg, reps, core.Sinks{}, 0)
+	c, err := NewClient(eng, mem, cfg, reps, telemetry.Sinks{}, 0)
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
 	}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"slices"
 
-	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
+	"nesc/internal/telemetry"
 )
 
 // Mirrored VMs: one guest kernel driving a mirror client over VFs on several
@@ -25,7 +25,7 @@ import (
 // leg start from this list, in creation order.
 type Fleet struct {
 	hyp *hypervisor.Hypervisor
-	tel core.Sinks
+	tel telemetry.Sinks
 	vms []*hypervisor.VM
 	// stopped sums what the clients of torn-down VMs counted, so that the
 	// fleet's counters stay monotonic.
@@ -38,7 +38,7 @@ type Fleet struct {
 }
 
 // NewFleet returns an empty fleet over h; the clients it builds report to tel.
-func NewFleet(h *hypervisor.Hypervisor, tel core.Sinks) *Fleet {
+func NewFleet(h *hypervisor.Hypervisor, tel telemetry.Sinks) *Fleet {
 	return &Fleet{hyp: h, tel: tel}
 }
 
@@ -334,7 +334,7 @@ func copyFileRange(p *sim.Proc, src, dst *extfs.File, startBlk, nBlocks, bs uint
 // copyDirtyRegions drains the dirty log once, copying each marked region
 // from src to dst; returns blocks copied. Concurrent writes may re-mark
 // regions behind the cursor — they belong to the next round.
-func copyDirtyRegions(p *sim.Proc, dlog *extfs.DirtyLog, src, dst *extfs.File, bs uint64) (int64, error) {
+func copyDirtyRegions(p *sim.Proc, dlog *DirtyLog, src, dst *extfs.File, bs uint64) (int64, error) {
 	var blocks int64
 	fileBlocks := (src.Size() + bs - 1) / bs
 	for r := dlog.Next(0); r >= 0; r = dlog.Next(r + 1) {

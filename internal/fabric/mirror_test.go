@@ -10,6 +10,7 @@ import (
 	"nesc/internal/hypervisor"
 	"nesc/internal/pcie"
 	"nesc/internal/sim"
+	"nesc/internal/telemetry"
 )
 
 // TestFailedMirrorAttachLeaksNothing walks the points at which building a
@@ -35,18 +36,18 @@ func TestFailedMirrorAttachLeaksNothing(t *testing.T) {
 		eng := sim.NewEngine()
 		mem := hostmem.New(256 << 20)
 		fab := pcie.New(eng, mem, pcie.DefaultParams())
-		h := hypervisor.New(eng, mem, fab, hypervisor.DefaultParams(), core.Sinks{})
+		h := hypervisor.New(eng, mem, fab, hypervisor.DefaultParams())
 		for i := 0; i < 2; i++ {
 			cp := core.DefaultParams()
 			cp.NumVFs, cp.DeviceID = 8, i
 			medium := blockdev.NewMedium(eng, blockdev.NewStore(cp.BlockSize, 8192), blockdev.DefaultMediumParams())
-			ctl, err := core.New(eng, fab, medium, cp, core.Sinks{})
+			ctl, err := core.New(eng, fab, medium, cp, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			h.AddDevice(ctl)
 		}
-		fleet := NewFleet(h, core.Sinks{})
+		fleet := NewFleet(h, telemetry.Sinks{})
 		done := false
 		eng.Go("main", func(p *sim.Proc) {
 			defer func() { done = true }()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"nesc/internal/extfs"
 	"nesc/internal/guest"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
@@ -141,8 +140,8 @@ func (c *Client) Resume() {
 
 // TrackDirty arms write tracking for a migration's iterative copy passes
 // and returns the log; every acknowledged write from now on marks it.
-func (c *Client) TrackDirty(regionBlocks uint64) *extfs.DirtyLog {
-	c.migDirty = extfs.NewDirtyLog(uint64(c.CapacityBlocks()), regionBlocks)
+func (c *Client) TrackDirty(regionBlocks uint64) *DirtyLog {
+	c.migDirty = NewDirtyLog(uint64(c.CapacityBlocks()), regionBlocks)
 	return c.migDirty
 }
 
@@ -165,7 +164,7 @@ func (c *Client) Retarget(i int, dev int, drv guest.BlockDriver) error {
 	r.state = Healthy
 	r.consecFail, r.consecOK = 0, 0
 	r.ewmaRead = 0
-	r.dirty = extfs.NewDirtyLog(uint64(c.CapacityBlocks()), c.Cfg.RegionBlocks)
+	r.dirty = NewDirtyLog(uint64(c.CapacityBlocks()), c.Cfg.RegionBlocks)
 	return nil
 }
 

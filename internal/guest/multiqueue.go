@@ -70,6 +70,15 @@ func NewMultiQueue(p *sim.Proc, eng *sim.Engine, mem *hostmem.Memory, fab *pcie.
 	return mq, nil
 }
 
+// SetBackoff binds every queue's RingConfig.Backoff. The hypervisor routes a
+// guest's client to its function before any submission, and the observer that
+// learns of the route binds the hook to the tenant's attribution row.
+func (mq *MultiQueue) SetBackoff(fn func(op uint32, waited sim.Time)) {
+	for _, qp := range mq.queues {
+		qp.cfg.Backoff = fn
+	}
+}
+
 // NumQueues reports how many queue pairs the mux spans.
 func (mq *MultiQueue) NumQueues() int { return len(mq.queues) }
 

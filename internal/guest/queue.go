@@ -24,9 +24,9 @@ var (
 // RingConfig is the one settings value of a ring client — the hypervisor's PF
 // driver and every guest VF driver alike. hypervisor.Params carries the
 // platform's policy fields; whoever builds a client starts from those, fills
-// in what is particular to that client (ring depth, queue count, the
-// backoff hook) and hands it to NewMultiQueue, which leaves a copy on every
-// queue pair. Nothing changes it afterwards.
+// in what is particular to that client (ring depth, queue count) and hands it
+// to NewMultiQueue, which leaves a copy on every queue pair. Nothing changes it
+// afterwards but MultiQueue.SetBackoff.
 type RingConfig struct {
 	// Entries sizes each queue's request and completion rings (0 means 128).
 	Entries int
@@ -65,8 +65,8 @@ type RingConfig struct {
 	// Backoff, when set, is told the driver-side admission backoff time the
 	// tenant waited between busy-rejected resubmissions of one request —
 	// latency the device pipeline never sees but the guest absolutely does.
-	// Whoever builds the client binds it to the attribution row the device
-	// pipeline credits the same tenant's requests to.
+	// The platform's observer binds it (SetBackoff) to the attribution row the
+	// device pipeline credits the same tenant's requests to.
 	Backoff func(op uint32, waited sim.Time)
 }
 

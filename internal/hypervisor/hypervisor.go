@@ -190,8 +190,6 @@ type Hypervisor struct {
 	Snapshots int64
 	Clones    int64
 	CowBreaks int64
-	// cowBreak observes the duration of each CoW break service.
-	cowBreak func(took sim.Time)
 
 	// Background scrubber state and lifetime counters (see scrub.go).
 	scrubOn     bool
@@ -202,16 +200,11 @@ type Hypervisor struct {
 	// ScrubRepairs counts device integrity repairs observed during scrub
 	// passes (a subset of the controller's IntegrityRepairs).
 	ScrubRepairs int64
-
-	// tel is the telemetry bundle — the one every controller of the fleet was
-	// built with; the VF drivers and fabric clients the hypervisor builds are
-	// handed it in turn.
-	tel core.Sinks
 }
 
 // New builds a hypervisor with an empty fleet and installs the MSI router.
 // Attach every controller with AddDevice, then Boot.
-func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params, tel core.Sinks) *Hypervisor {
+func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params) *Hypervisor {
 	h := &Hypervisor{
 		Eng:     eng,
 		Mem:     mem,
@@ -219,9 +212,7 @@ func New(eng *sim.Engine, mem *hostmem.Memory, fab *pcie.Fabric, p Params, tel c
 		P:       p,
 		devByPF: make(map[pcie.FnID]*Device),
 		qps:     make(map[pcie.FnID]msiRoute),
-		tel:     tel,
 	}
-	h.cowBreak = tel.CowBreakTimer()
 	fab.SetMSIHandler(h.handleMSI)
 	if p.UseIOMMU {
 		fab.IOMMU().Enable()
@@ -250,10 +241,9 @@ func (h *Hypervisor) RecoveryStats() guest.QueueCounters {
 func (h *Hypervisor) Routes() int { return len(h.qps) }
 
 // route delivers the completion interrupts of d's function fn (0 = the PF,
-// VF idx + 1 otherwise) to mq and publishes the driver's per-queue depth and
-// submission gauges ({vf, q}; a VF reused by a later VM replaces the earlier
-// VM's closures). Registered here rather than from the platform catalogue
-// because a driver queue exists only from this moment on.
+// VF idx + 1 otherwise) to mq and reports the client to the device's observer
+// (Arg 1 for a guest's), which may bind its backoff hook and publish its queues'
+// gauges: a driver queue exists only from this moment on.
 func (d *Device) route(fn int, mq *guest.MultiQueue, inject bool) {
 	h := d.h
 	id := d.Ctl.PF().ID()
@@ -261,15 +251,11 @@ func (d *Device) route(fn int, mq *guest.MultiQueue, inject bool) {
 		id = d.Ctl.VF(fn - 1).ID()
 	}
 	h.qps[id] = msiRoute{mq: mq, inject: inject}
-	// The gauges carry no device label, so they cover device 0 only (per-
-	// device series are ROADMAP item 6); with no registry nothing would ever
-	// sample the closures, so none are built.
-	if h.tel.Metrics == nil || d.Idx != 0 {
-		return
+	e := core.Event{Kind: core.EvRoute, Fn: fn, Obj: mq}
+	if inject {
+		e.Arg = 1
 	}
-	for q, qp := range mq.Queues() {
-		h.tel.DriverQueueGauges(fn, q, func() float64 { return float64(qp.Depth()) }, func() float64 { return float64(qp.Submitted) })
-	}
+	d.Ctl.Report(e)
 }
 
 func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
@@ -281,7 +267,7 @@ func (h *Hypervisor) handleMSI(from pcie.FnID, vec uint8) {
 			return
 		}
 		name := "nesc-miss-handler"
-		if id := d.Ctl.DeviceID(); id != 0 {
+		if id := d.Ctl.P.DeviceID; id != 0 {
 			name = fmt.Sprintf("nesc%d-miss-handler", id)
 		}
 		h.Eng.Go(name, d.serviceMisses)

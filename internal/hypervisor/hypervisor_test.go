@@ -46,7 +46,7 @@ func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), 
 	if mut != nil {
 		mut(&hp)
 	}
-	w := &world{eng: eng, mem: mem, fab: fab, h: New(eng, mem, fab, hp, core.Sinks{})}
+	w := &world{eng: eng, mem: mem, fab: fab, h: New(eng, mem, fab, hp)}
 	w.d = w.addDevice(t, cp, mediumBlocks)
 	w.ctl = w.d.Ctl
 	return w
@@ -58,7 +58,7 @@ func (w *world) addDevice(t *testing.T, cp core.Params, mediumBlocks int64) *Dev
 	t.Helper()
 	cp.DeviceID = w.h.NumDevices()
 	medium := blockdev.NewMedium(w.eng, blockdev.NewStore(cp.BlockSize, mediumBlocks), blockdev.DefaultMediumParams())
-	ctl, err := core.New(w.eng, w.fab, medium, cp, core.Sinks{})
+	ctl, err := core.New(w.eng, w.fab, medium, cp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

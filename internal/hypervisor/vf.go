@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"nesc/internal/core"
 	"nesc/internal/extent"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
@@ -385,7 +386,7 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	}
 	if cow {
 		h.CowBreaks++
-		h.cowBreak(p.Now() - start)
+		d.Ctl.Report(core.Event{Kind: core.EvCowBreak, Fn: idx + 1, Arg: uint64(p.Now() - start)})
 	}
 	return ring.RewalkRetry
 }

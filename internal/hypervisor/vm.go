@@ -212,7 +212,6 @@ func (h *Hypervisor) AttachLeg(p *sim.Proc, vm *VM, dev *Device) (Leg, error) {
 	// device pipeline attributes the same tenant's requests to.
 	ring := dev.ringConfig()
 	ring.Entries, ring.Queues, ring.Policy = cfg.VFRingEntries, dev.Ctl.P.QueuesPerVF, cfg.VFQueuePolicy
-	ring.Backoff = h.tel.AdmissionBackoff(idx + 1)
 	leg.Drv, err = guest.NewNescDriver(p, h.Eng, guest.NescDriverConfig{
 		Fab:             h.Fab,
 		Mem:             h.Mem,

@@ -44,8 +44,8 @@ func VFLabel(vf int) Labels { return Labels{VF: vf, Q: -1} }
 // VFQOp labels a series with the full triple.
 func VFQOp(vf, q int, op string) Labels { return Labels{VF: vf, Q: q, Op: op} }
 
-// MaxSeriesPerFamily is the default per-family label-cardinality cap
-// (overridable per registry with SetSeriesCap). Distinct label sets beyond
+// MaxSeriesPerFamily is the per-family label-cardinality cap. Distinct label
+// sets beyond
 // the cap aggregate into shared per-op overflow series — the per-VF identity
 // is lost above the cap, the per-op totals are not — and every aggregated
 // set is counted (Dropped, nesc_metrics_series_dropped_total).
@@ -98,8 +98,6 @@ type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
 	order    []*family
-	// seriesCap overrides MaxSeriesPerFamily when positive (SetSeriesCap).
-	seriesCap int
 }
 
 // New returns an empty, enabled registry.
@@ -109,31 +107,6 @@ func New() *Registry {
 
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
-
-// SetSeriesCap sets this registry's per-family series cap. A massive-tenancy
-// run that wants full per-VF latency series raises it; a tight exporter
-// budget lowers it. n < 1 restores the MaxSeriesPerFamily default. Already-
-// created series are never evicted — the cap gates creation only — so raise
-// it before traffic flows.
-func (r *Registry) SetSeriesCap(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n < 1 {
-		n = 0
-	}
-	r.seriesCap = n
-}
-
-// cap reports the effective per-family series cap. Callers hold r.mu.
-func (r *Registry) cap() int {
-	if r.seriesCap > 0 {
-		return r.seriesCap
-	}
-	return MaxSeriesPerFamily
-}
 
 // lookup finds or creates the (name, labels) series, enforcing the family
 // kind and the cardinality cap. Returns nil on a disabled registry.
@@ -155,7 +128,7 @@ func (r *Registry) lookup(name, help string, k kind, l Labels) *series {
 	if s, ok := f.series[l]; ok {
 		return s
 	}
-	if len(f.order) >= r.cap() {
+	if len(f.order) >= MaxSeriesPerFamily {
 		f.dropped++
 		// Aggregate into a shared overflow series rather than dropping the
 		// observation. The op dimension survives aggregation (one overflow

@@ -307,38 +307,31 @@ func TestFamilyKindMismatchPanics(t *testing.T) {
 
 func TestSeriesCapOverridePreservesOp(t *testing.T) {
 	r := New()
-	r.SetSeriesCap(4)
-	// Ten VFs, two ops: the first four label sets get real series, the rest
-	// aggregate into one overflow series per op — the op dimension survives
-	// the cardinality collapse.
-	for i := 0; i < 10; i++ {
+	// Two ops per VF: the first MaxSeriesPerFamily label sets get real series,
+	// the 20 of the last ten VFs aggregate into one overflow series per op —
+	// the op dimension survives the cardinality collapse.
+	for i := 0; i < MaxSeriesPerFamily/2+10; i++ {
 		r.Counter("nesc_ops_total", "", Labels{VF: i, Q: -1, Op: "read"}).Inc()
 		r.Counter("nesc_ops_total", "", Labels{VF: i, Q: -1, Op: "write"}).Inc()
 	}
-	if d := r.Dropped("nesc_ops_total"); d != 16 {
-		t.Fatalf("dropped = %d, want 16", d)
+	if d := r.Dropped("nesc_ops_total"); d != 20 {
+		t.Fatalf("dropped = %d, want 20", d)
 	}
-	if v := r.Counter("nesc_ops_total", "", Labels{VF: -1, Q: -1, Op: "read_overflow"}).Value(); v != 8 {
-		t.Fatalf("read overflow = %d, want 8", v)
+	if v := r.Counter("nesc_ops_total", "", Labels{VF: -1, Q: -1, Op: "read_overflow"}).Value(); v != 10 {
+		t.Fatalf("read overflow = %d, want 10", v)
 	}
-	if v := r.Counter("nesc_ops_total", "", Labels{VF: -1, Q: -1, Op: "write_overflow"}).Value(); v != 8 {
-		t.Fatalf("write overflow = %d, want 8", v)
+	if v := r.Counter("nesc_ops_total", "", Labels{VF: -1, Q: -1, Op: "write_overflow"}).Value(); v != 10 {
+		t.Fatalf("write overflow = %d, want 10", v)
 	}
-	if total := r.DroppedTotal(); total != 16 {
-		t.Fatalf("DroppedTotal = %d, want 16", total)
+	if total := r.DroppedTotal(); total != 20 {
+		t.Fatalf("DroppedTotal = %d, want 20", total)
 	}
 	// The exporter surfaces registry health as a synthesized counter.
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "nesc_metrics_series_dropped_total 16\n") {
+	if !strings.Contains(buf.String(), "nesc_metrics_series_dropped_total 20\n") {
 		t.Errorf("prometheus export missing dropped-series trailer:\n%s", buf.String())
-	}
-	// Resetting the cap restores the default for future series.
-	r.SetSeriesCap(0)
-	r.Counter("nesc_fresh_total", "", Labels{VF: 99, Q: -1}).Inc()
-	if d := r.Dropped("nesc_fresh_total"); d != 0 {
-		t.Fatalf("default cap dropped %d series on a fresh family", d)
 	}
 }

@@ -47,9 +47,8 @@ const (
 	MaxQueuesPerFn = 16
 
 	// PF-page global registers.
-	PFRegBTLBFlush     = 0x800 // write: flush the BTLB (4B)
-	PFRegNumVFs        = 0x810 // RO: supported VF count (4B)
-	PFRegFlightRecords = 0x818 // RO: flight-recorder captures to date (8B)
+	PFRegBTLBFlush = 0x800 // write: flush the BTLB (4B)
+	PFRegNumVFs    = 0x810 // RO: supported VF count (4B)
 
 	// Targeted BTLB invalidation command (hypervisor-only, used after a CoW
 	// break): latch a vLBA range, then write the function index to fire the

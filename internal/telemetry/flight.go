@@ -1,9 +1,10 @@
-package core
+package telemetry
 
 import (
 	"fmt"
 	"io"
 
+	"nesc/internal/core"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
@@ -12,13 +13,12 @@ import (
 
 // Flight recorder: when a request retires with a terminal error status — a
 // medium error that exhausted retries, an integrity mismatch, a DMA fault, an
-// abort from a function-level reset — the controller snapshots the tail of
-// the device event ring plus the offending request's span into a small
-// diagnostics ring. The hypervisor reads the record count through
-// PFRegFlightRecords and pulls the dump off the device model directly
-// (nescctl -flight); like a real controller's crash log, the buffer survives
-// the error and costs nothing on the happy path (one status compare per
-// completion). Capture reads the simulated clock but never advances it.
+// abort from a function-level reset — the device's observer snapshots the
+// tail of the device event ring plus the offending request's span into a
+// small diagnostics ring, which the platform dumps (nescctl -flight); like a
+// real controller's crash log, the buffer survives the error and costs
+// nothing on the happy path (one status compare per completion). Capture
+// reads the simulated clock but never advances it.
 
 // FlightRecord is one captured error context.
 type FlightRecord struct {
@@ -52,8 +52,7 @@ type FlightRecord struct {
 type FlightRecorder struct {
 	recs   stats.Ring[FlightRecord]
 	evTail int
-	// Total counts all records ever captured (including overwritten ones);
-	// PFRegFlightRecords exposes it.
+	// Total counts all records ever captured (including overwritten ones).
 	Total int64
 }
 
@@ -123,19 +122,19 @@ func (fr *FlightRecorder) Dump(w io.Writer) error {
 
 // captureFlight snapshots error context for a failed request (r non-nil) or
 // a function-level reset (r nil, fn the reset function's index).
-func (c *Controller) captureFlight(at sim.Time, fn int, r *Request, reason string) {
-	rec := FlightRecord{At: at, Reason: reason, Fn: fn, Dev: c.P.DeviceID}
+func (o *Observer) captureFlight(at sim.Time, fn int, r *core.Request, reason string) {
+	rec := FlightRecord{At: at, Reason: reason, Fn: fn, Dev: o.dev}
 	if r != nil {
-		rec.Q = r.qIdx()
+		rec.Q = r.Queue()
 		rec.Op = ring.OpName(r.Op)
 		rec.ID = r.ID
 		rec.ReqID = r.ReqID
 		rec.LBA = r.LBA
 		rec.Count = r.Count
-		rec.Status = r.status
-		if r.tel != nil {
-			rec.Span = r.tel.span
+		rec.Status = r.Status()
+		if rt, _ := r.Tel.(*reqTel); rt != nil {
+			rec.Span = rt.span
 		}
 	}
-	c.tel.flight.capture(rec, c.tel.Events)
+	o.Flight.capture(rec, o.Events)
 }

@@ -24,8 +24,7 @@ import (
 )
 
 // layers is the table, lowest layer first. A package may import the packages
-// of its own layer and of the layers before it; the exceptions are spelled out
-// below it. `make counts` prints one line total per layer from the lines this
+// of its own layer and of the layers before it, with no exception. `make counts` prints one line total per layer from the lines this
 // test logs, and DESIGN.md §3 is this table with a sentence per package.
 var layers = []struct {
 	name string
@@ -37,29 +36,19 @@ var layers = []struct {
 	{"kernel", []string{"sim", "hostmem", "pcie", "ring", "extent", "blockdev", "extfs", "core", "virtio", "guest", "hypervisor", "workload"}},
 	// Telemetry consumers.
 	{"sinks", []string{"trace", "metrics", "slo"}},
-	// What is built on the kernel: each attaches to the hypervisor through its
-	// exported steps or one declared seam, and the hypervisor never names it.
-	{"features", []string{"fabric", "cas"}},
+	// What is built on the kernel: each attaches through the hypervisor's
+	// exported steps or one declared seam (telemetry: core.Observer), and no
+	// kernel package names it.
+	{"features", []string{"telemetry", "fabric", "cas"}},
 	// Assembles platforms and runs experiments. The root package and cmd/
 	// belong here too and are the only other importers of bench.
 	{"harness", []string{"bench"}},
 }
 
-// fence lists the kernel's imports of higher layers: exactly these, each used.
-// It can only shrink: an edge that is not listed fails the test, and so does a
-// listed edge no file uses any more.
-var fence = map[string]string{
-	"core → trace": "the controller's one telemetry spine (core/telemetry.go, flight.go) fans out to the concrete sinks, and " +
-		"pipeline sites name trace tags and kinds; every sink imports nothing of the kernel but sim, so the edges force no " +
-		"feature on a reader and close no cycle. Cutting them is an observer interface plus ~15 accessors: ROADMAP item 9",
-	"core → slo":     "as core → trace (attribution segments, SLO engine, scoreboard events)",
-	"core → metrics": "as core → trace (histogram and gauge families)",
-}
-
 // paperExperiments are the files of internal/bench that regenerate the paper's
 // own tables and figures, and the experiment skeleton they are written on
 // (points.go); they may name the kernel and stats only, so they can move into
-// a kernel-only package once bench is split (ROADMAP item 5).
+// a kernel-only package once bench is split (ROADMAP item 13).
 var paperExperiments = []string{"tables.go", "fig2.go", "fig9_10.go", "fig11.go", "fig12.go", "ablations.go", "points.go"}
 
 func TestLayers(t *testing.T) {
@@ -100,7 +89,6 @@ func TestLayers(t *testing.T) {
 		}
 	}
 
-	fenceUsed := map[string]string{}
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -140,12 +128,8 @@ func TestLayers(t *testing.T) {
 					t.Errorf("%s: leaf utility %s imports %s; a leaf may import sim only", path, from, to)
 				}
 			case rank[from] == kernel && rank[to] > kernel:
-				edge := from + " → " + to
-				if fence[edge] == "" {
-					t.Errorf("%s: kernel package %s imports %s (%s): the kernel imports kernel, fault and stats; "+
-						"a feature attaches through the hypervisor's exported steps or one declared seam", path, from, to, layers[rank[to]].name)
-				}
-				fenceUsed[edge] = path
+				t.Errorf("%s: kernel package %s imports %s (%s): the kernel imports kernel, fault and stats; "+
+					"a feature attaches through the hypervisor's exported steps or one declared seam", path, from, to, layers[rank[to]].name)
 			case rank[to] > rank[from]:
 				t.Errorf("%s: %s (%s) imports %s (%s), a layer above it", path, from, layers[rank[from]].name, to, layers[rank[to]].name)
 			}
@@ -162,14 +146,5 @@ func TestLayers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for edge, why := range fence {
-		if fenceUsed[edge] == "" {
-			t.Errorf("the fence lists %s, which no file imports any more: delete the entry (%s)", edge, why)
-		}
-		t.Logf("fenced: %s (%s, ...)", edge, fenceUsed[edge])
-	}
-	if len(fence) > 3 {
-		t.Errorf("the fence holds %d edges; it started at three and only shrinks", len(fence))
 	}
 }

@@ -42,7 +42,6 @@ import (
 
 	"nesc/internal/bench"
 	"nesc/internal/blockdev"
-	"nesc/internal/core"
 	"nesc/internal/extfs"
 	"nesc/internal/fault"
 	"nesc/internal/guest"
@@ -51,6 +50,7 @@ import (
 	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
+	"nesc/internal/telemetry"
 	"nesc/internal/trace"
 )
 
@@ -273,7 +273,7 @@ type Simulation struct {
 
 // tel is the telemetry bundle the platform was built with; every export
 // below reads one of its sinks.
-func (s *Simulation) tel() core.Sinks { return s.pl.Cfg.Tel }
+func (s *Simulation) tel() telemetry.Sinks { return s.pl.Cfg.Tel }
 
 // New assembles a platform. The hypervisor is not booted until Run.
 func New(cfg Config) *Simulation { return newSimulation(cfg, nil) }
@@ -315,7 +315,7 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	}
 	// One bundle of sinks, armed from the config and handed to every layer
 	// through the platform's constructors.
-	var tel core.Sinks
+	var tel telemetry.Sinks
 	if cfg.TraceEvents > 0 {
 		tel.Events = trace.NewRing(cfg.TraceEvents)
 	}
@@ -395,7 +395,7 @@ func (s *Simulation) SpanCount() int64 {
 func (s *Simulation) FlightDump() string {
 	var b strings.Builder
 	for _, d := range s.pl.Hyp.Devices() {
-		fr := d.Ctl.Flight()
+		fr := s.pl.Flight[d.Idx]
 		if d.Idx != 0 {
 			if fr.Total == 0 {
 				continue
@@ -413,8 +413,8 @@ func (s *Simulation) FlightDump() string {
 // the fleet (per device, the value its PFRegFlightRecords register exposes).
 func (s *Simulation) FlightRecords() int64 {
 	var n int64
-	for _, d := range s.pl.Hyp.Devices() {
-		n += d.Ctl.Flight().Total
+	for _, fr := range s.pl.Flight {
+		n += fr.Total
 	}
 	return n
 }
