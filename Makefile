@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest bench-headroom bench-compare profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest bench-headroom bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -18,9 +18,10 @@ tier1: build test
 # experiment run);
 # bench-smoke covers the nested benchmark module the root test run cannot see;
 # bench-digest holds the benchmark's virtual clock to the checked-in digests;
+# sink-digest holds every byte the three telemetry sinks export to theirs;
 # fuzz-smoke gives every native fuzz target ten seconds; hostmem-long is the
 # allocator's differential test at the size tier-1 runs an eighth of.
-ci: vet fmt-check build test bench-smoke bench-digest race-full crash fuzz-smoke hostmem-long $(DET_TARGETS)
+ci: vet fmt-check build test bench-smoke bench-digest sink-digest race-full crash fuzz-smoke hostmem-long $(DET_TARGETS)
 
 # vet covers the nested benchmark module too, which the root ./... never sees.
 vet:
@@ -114,6 +115,25 @@ bench-digest:
 	done
 	@diff results/bench_digests.txt .bench_build/bench_digests.txt
 	@echo "the benchmark's sim_digests match results/bench_digests.txt"
+
+# sink-digest proves a change did not move what the telemetry sinks export: it
+# builds nescbench and nescctl, writes the metrics, trace and attribution files
+# of `-exp all` and the metrics and attribution files of `-exp dedup`, prints
+# `nescctl -top` (attribution, SLO burn alerts, scoreboard), and fails unless
+# the SHA-256 of each output equals the one in results/sink_digests.txt. A
+# change that means to move a sink's bytes replaces the file with
+# .sink_build/sink_digests.txt and says so.
+sink-digest:
+	@rm -rf .sink_build && mkdir -p .sink_build
+	@$(GO) build -o .sink_build/nescbench ./cmd/nescbench
+	@$(GO) build -o .sink_build/nescctl ./cmd/nescctl
+	@cd .sink_build && \
+		./nescbench -exp all -metrics all.prom -trace-json all.trace.json -attrib all.attrib.json > /dev/null 2>&1 && \
+		./nescbench -exp dedup -metrics dedup.prom -attrib dedup.attrib.json > /dev/null 2>&1 && \
+		./nescctl -top > top.txt && \
+		sha256sum all.prom all.trace.json all.attrib.json dedup.prom dedup.attrib.json top.txt > sink_digests.txt
+	@diff results/sink_digests.txt .sink_build/sink_digests.txt
+	@echo "the sinks' outputs match results/sink_digests.txt"
 
 # bench-headroom is the tier-2 check (not part of ci) every perf PR needs until
 # ROADMAP item 1(a) lands: the harness marks a run incorrect when its own

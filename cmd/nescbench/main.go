@@ -57,7 +57,7 @@ func main() {
 		tel.Spans = trace.NewSpanRecorder(*spanN)
 	}
 	if *attribOut != "" {
-		tel.Attrib = slo.NewAttributorOn(tel.Metrics, 4096)
+		tel.Attrib = slo.NewAttributor(4096)
 	}
 	var exps []bench.Experiment
 	if *exp == "all" {

@@ -13,12 +13,12 @@ import (
 // its row's getter) and the metrics registry's gauge families (NewPlatform
 // registers each row that names a family), so the two cannot disagree.
 //
-// Not here: the labelled per-instance series ({vf} function gauges and
-// {vf,q} driver-queue gauges in core/telemetry.go, per-tenant SLO gauges, per-row
-// attribution gauges and per-kind scoreboard counts in slo). Each is
-// declared once by the package that creates the instance and registered at
-// that moment, because a capped family keeps the series that registered
-// first. None of them backs a Stats field.
+// Not here: the labelled per-instance series ({vf} function gauges, {vf,q}
+// driver-queue gauges, per-tenant SLO gauges, per-row attribution gauges and
+// per-kind scoreboard counts), all in internal/telemetry/telemetry.go and
+// sinks.go. Each is registered the moment its instance appears, because a
+// capped family keeps the series that registered first. None of them backs a
+// Stats field.
 //
 // Per-device counters read device 0 — d0 below is the one place that says so
 // (per-device series are ROADMAP item 13); fleet-wide aggregates (driver

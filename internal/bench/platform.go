@@ -145,7 +145,7 @@ func NewPlatform(cfg Config) *Platform {
 	if cfg.CAS {
 		store = cas.NewStore(cas.DefaultParams(cfg.Core.BlockSize), pl.Inj)
 	}
-	pl.CAS = cas.NewTier(store, cmp.Or(cfg.CASCacheChunks, 64), cfg.Tel.Attrib)
+	pl.CAS = cas.NewTier(store, cmp.Or(cfg.CASCacheChunks, 64), cfg.Tel)
 	if reg := cfg.Tel.Metrics; reg != nil {
 		for _, c := range pl.Counters() {
 			if c.Family != "" {

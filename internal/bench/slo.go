@@ -54,8 +54,7 @@ func SLOExp(cfg Config) ([]*stats.Table, error) {
 	err := eachPoint(cfg, []pass{{"quiet baseline", false, false}, {"noisy aggressor", true, false}, {"fail-slow pulse", false, true}},
 		func(c *Config, _ pass) {
 			c.Fault = &fault.Plan{Seed: 23}
-			reg := c.Tel.Metrics
-			c.Tel.Board = slo.NewScoreboard(512, reg)
+			c.Tel.Board = slo.NewScoreboard(512)
 			// Objective tuning: healthy paced reads finish in tens of µs, a
 			// fail-slow read costs ~300µs extra — so a 250µs latency target
 			// cleanly separates them. The windows are sized in degraded-read
@@ -69,8 +68,8 @@ func SLOExp(cfg Config) ([]*stats.Table, error) {
 				LongWindow:    4 * sim.Millisecond,
 				BurnThreshold: 3,
 				MinSamples:    4,
-			}, c.Tel.Board, reg)
-			c.Tel.Attrib = slo.NewAttributorOn(reg, 4096)
+			})
+			c.Tel.Attrib = slo.NewAttributor(4096)
 		},
 		func(p *sim.Proc, pl *Platform, ps pass) error {
 			lat, lost, victimFn, err := sloVictimRun(p, pl, ps.aggressor, ps.pulse)

@@ -9,7 +9,7 @@ import (
 	"nesc/internal/extfs"
 	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
+	"nesc/internal/telemetry"
 )
 
 // Content-addressed image management: sealing a host image into the store,
@@ -36,7 +36,7 @@ type Tier struct {
 	Materializations int64
 
 	cacheChunks int
-	attrib      *slo.Attributor
+	tel         telemetry.Sinks
 	forks       map[forkKey]*fork
 	caches      map[*hypervisor.Device]*Cache
 	// spare holds the extent-map buffers no Materialize is using. A call reads
@@ -60,10 +60,10 @@ type fork struct {
 
 // NewTier puts store in front of a fleet. Each device gets its own LRU chunk
 // cache of cacheChunks entries (0 = no cache: every materialization pays a
-// remote fetch); attrib, when set, is credited the time tenants wait on
-// materialization. A nil store keeps the tier disabled.
-func NewTier(store *Store, cacheChunks int, attrib *slo.Attributor) *Tier {
-	return &Tier{Store: store, cacheChunks: cacheChunks, attrib: attrib,
+// remote fetch); tel is credited the time tenants wait on materialization.
+// A nil store keeps the tier disabled.
+func NewTier(store *Store, cacheChunks int, tel telemetry.Sinks) *Tier {
+	return &Tier{Store: store, cacheChunks: cacheChunks, tel: tel,
 		forks: make(map[forkKey]*fork), caches: make(map[*hypervisor.Device]*Cache)}
 }
 
@@ -218,10 +218,7 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 			if err != nil {
 				return err
 			}
-			if t.attrib != nil {
-				// The remote round trip is fabric time from the tenant's view.
-				t.attrib.AddSegment(fn, op, slo.SegFabricWait, p.Now()-start)
-			}
+			t.tel.ChunkFetched(fn, op, p.Now()-start)
 			cache.Put(hash, fetched)
 			data = fetched
 		}
@@ -234,9 +231,7 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 		if werr != nil {
 			return werr
 		}
-		if t.attrib != nil {
-			t.attrib.AddSegment(fn, op, slo.SegMedium, p.Now()-wstart)
-		}
+		t.tel.ChunkWritten(fn, op, p.Now()-wstart)
 		t.Materializations++
 	}
 	return nil

@@ -525,9 +525,8 @@ type Function struct {
 }
 
 // FnCounters is the one declaration of the AER-style error counters: each
-// Function embeds it, increments the fields in place and exposes them through
-// its RegErr* registers, and the device total is Controller.Counters, their
-// sum over the functions.
+// Function embeds it and increments the fields in place, and the device total
+// is Controller.Counters, their sum over the functions.
 type FnCounters struct {
 	DMAFaults        int64 // chunks failed by data-buffer DMA faults
 	MediumErrors     int64 // chunks that exhausted medium retries

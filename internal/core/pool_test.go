@@ -50,14 +50,15 @@ func TestQueuePoolExhaustion(t *testing.T) {
 		// no lease, a counted failure, and a later doorbell is incoherent
 		// (AER counter, not a panic or a conjured queue).
 		d1 := r.openFunction(p, 2)
-		if fails := r.mmioR(p, r.bar+ring.PFRegQueueLeaseFails); fails == 0 {
-			t.Error("pool exhaustion did not count a lease failure")
-		}
 		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != 2 {
 			t.Errorf("leased %d queue pairs after rejected programming, want 2", leased)
 		}
+		if r.ctl.QueueLeaseFails == 0 {
+			t.Error("pool exhaustion did not count a lease failure")
+		}
 		r.mmioW(p, d1.qOff+ring.QRegDoorbell, 1)
-		if bad := r.mmioR(p, d1.pageOff+ring.RegErrBadDoorbell); bad == 0 {
+		r.mmioR(p, d1.pageOff+ring.RegNumQueues) // flushes the posted doorbell
+		if r.ctl.VF(1).BadDoorbells == 0 {
 			t.Error("doorbell on an unleased queue did not count as incoherent")
 		}
 
@@ -117,19 +118,21 @@ func TestFLRKeepsLeaseDisableReturnsIt(t *testing.T) {
 		if leased := r.mmioR(p, r.bar+ring.PFRegQueuesInUse); leased != leasedBefore {
 			t.Errorf("FLR changed leased queues %d -> %d; reset must not return leases", leasedBefore, leased)
 		}
-		if returns := r.mmioR(p, r.bar+ring.PFRegQueueReturns); returns != 0 {
-			t.Errorf("FLR returned %d queue pairs to the pool", returns)
+		if r.ctl.QueueReturns != 0 {
+			t.Errorf("FLR returned %d queue pairs to the pool", r.ctl.QueueReturns)
 		}
 
 		// Disable deprovisions: the queue pair goes back, and a stale
 		// doorbell from the departed tenant is counted, not honored.
 		r.mmioW(p, r.bar+r.ctl.MgmtPageOffset()+0*ring.MgmtStride+ring.MgmtEnable, 0)
-		if returns := r.mmioR(p, r.bar+ring.PFRegQueueReturns); returns != 1 {
-			t.Fatalf("disable returned %d queue pairs, want 1", returns)
+		r.mmioR(p, r.bar+ring.PFRegQueuesInUse) // flushes the posted disable
+		if r.ctl.QueueReturns != 1 {
+			t.Fatalf("disable returned %d queue pairs, want 1", r.ctl.QueueReturns)
 		}
-		badBefore := r.mmioR(p, d.pageOff+ring.RegErrBadDoorbell)
+		badBefore := r.ctl.VF(0).BadDoorbells
 		r.mmioW(p, d.qOff+ring.QRegDoorbell, uint64(d.prod+1))
-		if bad := r.mmioR(p, d.pageOff+ring.RegErrBadDoorbell); bad != badBefore+1 {
+		r.mmioR(p, d.pageOff+ring.RegNumQueues) // flushes the posted doorbell
+		if bad := r.ctl.VF(0).BadDoorbells; bad != badBefore+1 {
 			t.Errorf("doorbell to a returned queue: bad-doorbell counter %d -> %d, want +1", badBefore, bad)
 		}
 

@@ -72,18 +72,8 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 			return c.missPendingBank(int((reg - ring.PFRegMissPendingBank) / 8))
 		}
 		switch reg {
-		case ring.PFRegNumVFs:
-			return uint64(c.P.NumVFs)
-		case ring.PFRegQueueLeases:
-			return uint64(c.QueueLeases)
-		case ring.PFRegQueueReturns:
-			return uint64(c.QueueReturns)
-		case ring.PFRegQueueLeaseFails:
-			return uint64(c.QueueLeaseFails)
 		case ring.PFRegQueuesInUse:
 			return uint64(c.LeasedQueues())
-		case ring.PFRegShadowBatches:
-			return uint64(c.ShadowBatches)
 		case ring.PFRegMaterializedVFs:
 			return uint64(c.nMat)
 		}
@@ -99,24 +89,8 @@ func (c *Controller) MMIORead(off int64, size int) uint64 {
 			return 1
 		}
 		return 0
-	case ring.RegErrDMAFaults:
-		return uint64(f.DMAFaults)
-	case ring.RegErrMedium:
-		return uint64(f.MediumErrors)
-	case ring.RegErrRetries:
-		return uint64(f.MediumRetries)
-	case ring.RegErrResets:
-		return uint64(f.Resets)
 	case ring.RegNumQueues:
 		return uint64(f.numQueues)
-	case ring.RegErrBadRing:
-		return uint64(f.BadRingSizes)
-	case ring.RegErrBadDoorbell:
-		return uint64(f.BadDoorbells)
-	case ring.RegErrIntegrity:
-		return uint64(f.IntegrityErrors)
-	case ring.RegIntegrityFixes:
-		return uint64(f.IntegrityRepairs)
 	}
 	return 0
 }
@@ -156,8 +130,6 @@ func (f *Function) queueRead(q int, qreg int64) uint64 {
 		return uint64(fq.ringSize)
 	case ring.QRegCplBase:
 		return uint64(fq.cplBase)
-	case ring.QRegCplSeq:
-		return uint64(fq.cplSeq)
 	case ring.QRegDeadline:
 		return uint64(fq.deadline)
 	}
@@ -308,8 +280,6 @@ func (c *Controller) mgmtRead(reg int64) uint64 {
 			return 1
 		}
 		return 0
-	case ring.MgmtMissReason:
-		return uint64(f.missReason)
 	case ring.MgmtWeight:
 		return uint64(f.weight)
 	case ring.MgmtQueues:

@@ -17,7 +17,6 @@ import (
 	"nesc/internal/hostmem"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 	"nesc/internal/stats"
 	"nesc/internal/telemetry"
 )
@@ -221,7 +220,6 @@ type Client struct {
 
 	// resilver machinery
 	resilverRunning bool
-	resilverBuf     guest.Buffer
 	// busy region being copied right now: foreground writes overlapping it
 	// re-mark the region so the copy converges instead of losing the write.
 	busyTarget *Replica
@@ -235,41 +233,17 @@ type Client struct {
 	readLat *stats.Window
 	// readCount paces probe reads.
 	readCount int64
-	// hedgePool is a free list of scratch buffers for hedged reads (the
-	// loser of a hedge must never DMA into the guest's buffer).
-	hedgePool []scratch
 
-	// Telemetry sinks, from the bundle handed to NewClient: board receives
-	// detector-trip / quarantine / rejoin anomaly events; attrib receives
-	// per-read latency attribution rows keyed by the tenant VF this client
-	// fronts (op "fabric-read", so device-side rows for the individual legs
-	// stay distinct).
-	board  *slo.Scoreboard
-	attrib *slo.Attributor
+	// tel is the bundle handed to NewClient; the client reports its delivered
+	// reads and its legs' quarantines there as the tenant, the function index
+	// this client fronts.
+	tel    telemetry.Sinks
 	tenant int
-}
-
-// recordRead attributes one delivered (or abandoned) fabric read to the
-// tenant's "fabric-read" row: SegMedium carries the winning leg's own
-// service time, SegFabricWait everything else the tenant waited — failed
-// attempts, steering, the hedge delay when a backup leg won.
-func (c *Client) recordRead(total, svc sim.Time, ok bool) {
-	if c.attrib == nil {
-		return
-	}
-	if svc > total {
-		svc = total
-	}
-	var segs slo.Segments
-	segs[slo.SegMedium] = svc
-	segs[slo.SegFabricWait] = total - svc
-	c.attrib.Record(c.tenant, "fabric-read", 0, total, ok, segs)
 }
 
 // NewClient mirrors across the given replicas (at least one). All replicas
 // must agree on block size and capacity. Gray-failure verdicts and delivered
-// reads are reported to tel's scoreboard and attributor against function
-// index tenantVF.
+// reads are reported to tel against function index tenantVF.
 func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica, tel telemetry.Sinks, tenantVF int) (*Client, error) {
 	if len(reps) == 0 {
 		return nil, errors.New("fabric: no replicas")
@@ -302,7 +276,7 @@ func NewClient(eng *sim.Engine, mem *hostmem.Memory, cfg Config, reps []*Replica
 			return nil, fmt.Errorf("fabric: replica geometry mismatch (dev %d)", r.Dev)
 		}
 	}
-	c := &Client{Eng: eng, Mem: mem, Cfg: cfg, reps: reps, board: tel.Board, attrib: tel.Attrib, tenant: tenantVF}
+	c := &Client{Eng: eng, Mem: mem, Cfg: cfg, reps: reps, tel: tel, tenant: tenantVF}
 	if cfg.HedgePercentile > 0 {
 		c.readLat = stats.NewWindow(hedgeWindow)
 	}
@@ -464,7 +438,7 @@ func (c *Client) submitRead(p *sim.Proc, lba int64, buf guest.Buffer) error {
 		if c.Cfg.HedgePercentile > 0 {
 			svc, err := c.hedgedRead(p, r, lba, buf, blocks, tried)
 			if err == nil {
-				c.recordRead(p.Now()-t0, svc, true)
+				c.tel.FabricRead(c.tenant, p.Now()-t0, svc, true)
 				return nil
 			}
 			if firstErr == nil {
@@ -477,7 +451,7 @@ func (c *Client) submitRead(p *sim.Proc, lba int64, buf guest.Buffer) error {
 		c.accountReadLeg(p, r, p.Now()-start, err)
 		if err == nil {
 			c.observeDelivered(p.Now() - start)
-			c.recordRead(p.Now()-t0, p.Now()-start, true)
+			c.tel.FabricRead(c.tenant, p.Now()-t0, p.Now()-start, true)
 			return nil
 		}
 		if firstErr == nil {
@@ -487,7 +461,7 @@ func (c *Client) submitRead(p *sim.Proc, lba int64, buf guest.Buffer) error {
 	if firstErr == nil {
 		firstErr = ErrNoReplicas
 	}
-	c.recordRead(p.Now()-t0, 0, false)
+	c.tel.FabricRead(c.tenant, p.Now()-t0, 0, false)
 	return firstErr
 }
 

@@ -2,9 +2,7 @@ package fabric
 
 import (
 	"nesc/internal/guest"
-	"nesc/internal/hostmem"
 	"nesc/internal/sim"
-	"nesc/internal/slo"
 	"nesc/internal/stats"
 )
 
@@ -45,16 +43,11 @@ func (c *Client) observeSlow(r *Replica, d sim.Time) {
 		r.quarantined = true
 		r.quarantineEnd = c.Eng.Now() + c.Cfg.QuarantineDuration
 		c.Quarantines++
-		if c.board != nil {
-			ratio := 0.0
-			if r.slow.BaselineP99 > 0 {
-				ratio = r.slow.WindowP99() / r.slow.BaselineP99
-			}
-			c.board.Emit(slo.Event{At: c.Eng.Now(), Kind: slo.EventDetectorTrip,
-				Dev: r.Dev, VF: c.tenant, Value: ratio, Note: "fail-slow p99"})
-			c.board.Emit(slo.Event{At: c.Eng.Now(), Kind: slo.EventQuarantine,
-				Dev: r.Dev, VF: c.tenant, Value: float64(c.Cfg.QuarantineDuration)})
+		ratio := 0.0
+		if r.slow.BaselineP99 > 0 {
+			ratio = r.slow.WindowP99() / r.slow.BaselineP99
 		}
+		c.tel.Quarantined(c.Eng.Now(), r.Dev, c.tenant, ratio, c.Cfg.QuarantineDuration)
 		if r.state == Healthy {
 			// Couple into the fail-stop FSM: a chronically slow leg is
 			// suspect. Write successes will promote it back while the
@@ -91,10 +84,7 @@ func (c *Client) admitRead(r *Replica) bool {
 		if r.slow != nil {
 			r.slow.Reset()
 		}
-		if c.board != nil {
-			c.board.Emit(slo.Event{At: c.Eng.Now(), Kind: slo.EventRejoin,
-				Dev: r.Dev, VF: c.tenant})
-		}
+		c.tel.Rejoined(c.Eng.Now(), r.Dev, c.tenant)
 		return true
 	}
 	return false
@@ -135,56 +125,31 @@ func (c *Client) hedgeDeadline() sim.Time {
 	return d
 }
 
-// scratch is one pooled hedge buffer: hedged reads land here and the winner
-// is copied to the guest's buffer, so a hedge loser completing late can
-// never scribble on guest memory the caller has already moved past.
-type scratch struct {
-	addr hostmem.Addr
-	full []byte
-}
-
-func (s scratch) buf(n int) guest.Buffer { return guest.Buffer{Addr: s.addr, Data: s.full[:n]} }
-
-func (c *Client) getScratch(n int) scratch {
-	if k := len(c.hedgePool); k > 0 {
-		s := c.hedgePool[k-1]
-		if len(s.full) >= n {
-			c.hedgePool = c.hedgePool[:k-1]
-			return s
-		}
-	}
-	size := c.MaxBlocksPerReq() * c.BlockSize()
-	if n > size {
-		size = n
-	}
-	buf := guest.AllocBuffer(c.Mem, int64(size))
-	return scratch{addr: buf.Addr, full: buf.Data}
-}
-
-func (c *Client) putScratch(s scratch) { c.hedgePool = append(c.hedgePool, s) }
-
-// hedgeLeg is one in-flight half of a hedged read.
+// hedgeLeg is one in-flight half of a hedged read. Its scratch buffer lives
+// for the leg: hedged reads land there and the winner is copied to the
+// guest's buffer, so a hedge loser completing late can never scribble on
+// guest memory the caller has already moved past.
 type hedgeLeg struct {
-	r    *Replica
-	s    scratch
-	err  error
-	fin  bool
-	done *sim.Signal
-	// recycle tells a still-running leg to return its scratch buffer itself
+	r       *Replica
+	scratch guest.Buffer
+	err     error
+	fin     bool
+	done    *sim.Signal
+	// abandoned tells a still-running leg to free its scratch buffer itself
 	// when it completes (the caller has already moved on).
-	recycle bool
+	abandoned bool
 }
 
-// launchLeg spawns one hedged read half. The worker does its own health and
-// latency accounting on completion.
+// launchLeg spawns one hedged read half into a fresh n-byte scratch buffer.
+// The worker does its own health and latency accounting on completion.
 func (c *Client) launchLeg(r *Replica, lba int64, n int, start sim.Time, first *sim.Signal) *hedgeLeg {
-	leg := &hedgeLeg{r: r, s: c.getScratch(n), done: sim.NewSignal(c.Eng)}
+	leg := &hedgeLeg{r: r, scratch: guest.AllocBuffer(c.Mem, int64(n)), done: sim.NewSignal(c.Eng)}
 	c.Eng.Go("fabric-hedge", func(wp *sim.Proc) {
-		leg.err = r.Drv.Submit(wp, false, lba, leg.s.buf(n))
+		leg.err = r.Drv.Submit(wp, false, lba, leg.scratch)
 		leg.fin = true
 		c.accountReadLeg(wp, r, wp.Now()-start, leg.err)
-		if leg.recycle {
-			c.putScratch(leg.s)
+		if leg.abandoned {
+			leg.scratch.Free(c.Mem)
 		}
 		leg.done.Fire()
 		first.Fire()
@@ -192,13 +157,13 @@ func (c *Client) launchLeg(r *Replica, lba int64, n int, start sim.Time, first *
 	return leg
 }
 
-// release hands a finished-or-abandoned leg's scratch buffer back: directly
-// when the worker has completed, deferred to the worker otherwise.
+// release frees a finished-or-abandoned leg's scratch buffer: now when the
+// worker has completed, when it completes otherwise.
 func (c *Client) release(leg *hedgeLeg) {
 	if leg.fin {
-		c.putScratch(leg.s)
+		leg.scratch.Free(c.Mem)
 	} else {
-		leg.recycle = true
+		leg.abandoned = true
 	}
 }
 
@@ -245,7 +210,7 @@ func (c *Client) hedgedRead(p *sim.Proc, primary *Replica, lba int64, buf guest.
 				svc = p.Now() - hedgeAt
 			}
 			if winner != nil {
-				copy(buf.Data, winner.s.full[:n])
+				copy(buf.Data, winner.scratch.Data)
 				c.release(winner)
 				c.release(loser)
 				c.observeDelivered(p.Now() - start)
@@ -261,7 +226,7 @@ func (c *Client) hedgedRead(p *sim.Proc, primary *Replica, lba int64, buf guest.
 		pri.done.Await(p)
 	}
 	if pri.err == nil {
-		copy(buf.Data, pri.s.full[:n])
+		copy(buf.Data, pri.scratch.Data)
 		c.release(pri)
 		c.observeDelivered(p.Now() - start)
 		return p.Now() - start, nil

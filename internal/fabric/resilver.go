@@ -79,9 +79,11 @@ func (c *Client) copyRegion(p *sim.Proc, target *Replica, reg int) bool {
 	// normally does), and a trampoline-mode driver's bounce slots only hold
 	// MaxBlocksPerReq blocks.
 	chunk := uint64(c.MaxBlocksPerReq())
+	whole := guest.AllocBuffer(c.Mem, int64(min(chunk, count))*int64(c.BlockSize()))
+	defer whole.Free(c.Mem)
 	for off := uint64(0); off < count; off += chunk {
 		n := min(chunk, count-off)
-		buf := c.resilverBuf.Ensure(c.Mem, int(n)*c.BlockSize())
+		buf := guest.Buffer{Addr: whole.Addr, Data: whole.Data[:int(n)*c.BlockSize()]}
 		if err := src.Drv.Submit(p, false, int64(lba+off), buf); err != nil {
 			target.dirty.Mark(lba, count)
 			if errors.Is(err, ring.ErrIntegrity) {

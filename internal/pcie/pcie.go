@@ -346,17 +346,9 @@ func (f *Fabric) DMAWriteP(p *sim.Proc, from FnID, addr hostmem.Addr, buf []byte
 	return nil
 }
 
-// DMAZero writes n zero bytes to host memory at addr (the paper's
-// hole-read path: unmapped vLBAs "read as zeros" and NeSC "transparently
-// DMAs zeros to the destination buffer").
-func (f *Fabric) DMAZero(from FnID, addr hostmem.Addr, n int64, done func()) error {
-	return f.post(from, addr, n, func() {
-		must(f.Mem.Zero(addr, n))
-		done()
-	})
-}
-
-// DMAZeroP is the process form of DMAZero.
+// DMAZeroP writes n zero bytes to host memory at addr with p parked until the
+// write has drained (the paper's hole-read path: unmapped vLBAs "read as
+// zeros" and NeSC "transparently DMAs zeros to the destination buffer").
 func (f *Fabric) DMAZeroP(p *sim.Proc, from FnID, addr hostmem.Addr, n int64) error {
 	if err := f.postP(p, from, addr, n); err != nil {
 		return err

@@ -18,17 +18,7 @@ const (
 	// Per-function registers (offsets within a function page).
 	RegDeviceSize = 0x20 // RO: virtual device size in blocks (8B)
 	RegReset      = 0x30 // write 1: function-level reset; reads 1 while draining (4B)
-
-	// AER-style per-function error counters (RO).
-	RegErrDMAFaults   = 0x38 // chunks failed by data-buffer DMA faults (8B)
-	RegErrMedium      = 0x40 // chunks that exhausted medium retries (8B)
-	RegErrRetries     = 0x48 // medium retry attempts (8B)
-	RegErrResets      = 0x50 // function-level resets performed (8B)
-	RegNumQueues      = 0x58 // RO: active queue-pair count (4B)
-	RegErrBadRing     = 0x60 // RO: rejected ring-size writes (8B)
-	RegErrBadDoorbell = 0x68 // RO: ignored incoherent doorbell writes (8B)
-	RegErrIntegrity   = 0x70 // RO: requests latched StatusIntegrityError (8B)
-	RegIntegrityFixes = 0x78 // RO: integrity failures healed by retry/scrub (8B)
+	RegNumQueues  = 0x58 // RO: active queue-pair count (4B)
 
 	// Per-queue register blocks. Queue q's block sits at
 	// QueueRegBase + q*QueueRegStride; offsets within a block below.
@@ -38,7 +28,6 @@ const (
 	QRegRingSize   = 0x08 // ring entry count (4B)
 	QRegCplBase    = 0x10 // completion ring base address (8B)
 	QRegDoorbell   = 0x18 // write: new producer index (4B)
-	QRegCplSeq     = 0x20 // RO: completion sequence counter (4B)
 	QRegShadow     = 0x28 // shadow-doorbell block host address, 0 disarms (8B)
 	QRegDeadline   = 0x30 // per-request deadline budget in ns, 0 disarms (8B)
 
@@ -48,7 +37,6 @@ const (
 
 	// PF-page global registers.
 	PFRegBTLBFlush = 0x800 // write: flush the BTLB (4B)
-	PFRegNumVFs    = 0x810 // RO: supported VF count (4B)
 
 	// Targeted BTLB invalidation command (hypervisor-only, used after a CoW
 	// break): latch a vLBA range, then write the function index to fire the
@@ -57,12 +45,8 @@ const (
 	PFRegInvCount = 0x828 // latch: block count, 0 = whole function (8B)
 	PFRegInvFn    = 0x830 // write: function index; fires the invalidation (4B)
 
-	// Queue-pair pool and tenancy observability (RO).
-	PFRegQueueLeases     = 0x838 // queue pairs leased to functions (8B)
-	PFRegQueueReturns    = 0x840 // queue pairs returned to the pool (8B)
-	PFRegQueueLeaseFails = 0x848 // programmings rejected by an exhausted pool (8B)
+	// Tenancy observability (RO).
 	PFRegQueuesInUse     = 0x850 // queue pairs currently leased out (8B)
-	PFRegShadowBatches   = 0x858 // fetch batches initiated via shadow doorbells (8B)
 	PFRegMaterializedVFs = 0x860 // VFs with device state built (8B)
 
 	// Miss-pending bitmaps (RO, 8B each): bank k (at PFRegMissPendingBank +
@@ -81,10 +65,9 @@ const (
 	MgmtMissIsWrite = 0x28 // RO: 1 when the latched miss is a write (4B)
 	MgmtWeight      = 0x2C // QoS weight for the VF multiplexer, 1..255 (4B)
 	MgmtQueues      = 0x30 // active queue-pair count, 1..QueuesPerVF (4B)
-	MgmtMissReason  = 0x34 // RO: reason code of the latched miss (4B)
 	MgmtFetch       = 0x38 // 1 = fetch-backed VF: holes miss for materialization (4B)
 
-	// Miss reason codes (MgmtMissReason).
+	// Miss reason codes (the high word of MgmtMissSize).
 	MissReasonTranslate = 0 // no mapping: hole or pruned subtree
 	MissReasonCoW       = 1 // write hit a write-protected (CoW shared) extent
 	MissReasonFetch     = 2 // hole on a fetch-backed VF: content must materialize

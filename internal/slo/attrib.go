@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 )
@@ -85,28 +84,19 @@ type Attributor struct {
 	mu        sync.Mutex
 	reservoir int
 	cells     map[cellKey]*cell
-	reg       *metrics.Registry
 }
 
 // NewAttributor builds an attributor whose rows each retain the last
 // reservoir request profiles (min 16) for tail analysis.
-func NewAttributor(reservoir int) *Attributor { return NewAttributorOn(nil, reservoir) }
-
-// NewAttributorOn is NewAttributor publishing the budget table in reg (nil =
-// none) as export-time gauges: per-row request/error counters plus one
-// nesc_attrib_<segment>_ns_total family per segment, labelled {vf, op},
-// registered as rows appear.
-func NewAttributorOn(reg *metrics.Registry, reservoir int) *Attributor {
+func NewAttributor(reservoir int) *Attributor {
 	if reservoir < 16 {
 		reservoir = 16
 	}
-	return &Attributor{reservoir: reservoir, cells: make(map[cellKey]*cell), reg: reg}
+	return &Attributor{reservoir: reservoir, cells: make(map[cellKey]*cell)}
 }
 
-// lookup returns the row for {vf,op}, creating it if fresh. Caller holds
-// a.mu; a fresh row is returned with fresh=true so the caller can register
-// its gauges after unlocking.
-func (a *Attributor) lookup(vf int, op string) (c *cell, fresh bool) {
+// lookup returns the row for {vf,op}, creating it if fresh. Caller holds a.mu.
+func (a *Attributor) lookup(vf int, op string) (c *cell, opened bool) {
 	k := cellKey{vf: vf, op: op}
 	if c = a.cells[k]; c != nil {
 		return c, false
@@ -116,13 +106,14 @@ func (a *Attributor) lookup(vf int, op string) (c *cell, fresh bool) {
 	return c, true
 }
 
-// Record folds one finished request into its row. Nil-safe.
-func (a *Attributor) Record(vf int, op string, reqID uint64, total sim.Time, ok bool, segs Segments) {
+// Record folds one finished request into its row and reports whether this
+// call opened the row. Nil-safe.
+func (a *Attributor) Record(vf int, op string, reqID uint64, total sim.Time, ok bool, segs Segments) (opened bool) {
 	if a == nil {
-		return
+		return false
 	}
 	a.mu.Lock()
-	c, fresh := a.lookup(vf, op)
+	c, opened := a.lookup(vf, op)
 	c.count++
 	if !ok {
 		c.errors++
@@ -133,26 +124,22 @@ func (a *Attributor) Record(vf int, op string, reqID uint64, total sim.Time, ok 
 	}
 	c.prof.Put(profile{reqID: reqID, total: total, segs: segs})
 	a.mu.Unlock()
-	if fresh && a.reg != nil {
-		a.registerCell(c)
-	}
+	return opened
 }
 
 // AddSegment credits a duration to one segment of a row without a request
 // profile — for time observed outside the device pipeline (a guest driver's
-// busy-backoff, fabric steering overhead on reads served cache-side).
-// Nil-safe.
-func (a *Attributor) AddSegment(vf int, op string, seg int, d sim.Time) {
+// busy-backoff, fabric steering overhead on reads served cache-side) — and
+// reports whether this call opened the row. Nil-safe.
+func (a *Attributor) AddSegment(vf int, op string, seg int, d sim.Time) (opened bool) {
 	if a == nil || seg < 0 || seg >= NumSegments || d <= 0 {
-		return
+		return false
 	}
 	a.mu.Lock()
-	c, fresh := a.lookup(vf, op)
+	c, opened := a.lookup(vf, op)
 	c.segNs[seg] += int64(d)
 	a.mu.Unlock()
-	if fresh && a.reg != nil {
-		a.registerCell(c)
-	}
+	return opened
 }
 
 // Row is one externally visible budget-table row.
@@ -177,6 +164,23 @@ func (r Row) Share(seg int) float64 {
 	return float64(r.SegNs[seg]) / float64(sum)
 }
 
+func (c *cell) row() Row {
+	return Row{VF: c.key.vf, Op: c.key.op, Requests: c.count, Errors: c.errors, TotalNs: c.totalNs, SegNs: c.segNs}
+}
+
+// Row snapshots the {vf,op} row; the zero Row when there is none.
+func (a *Attributor) Row(vf int, op string) Row {
+	if a == nil {
+		return Row{}
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if c := a.cells[cellKey{vf: vf, op: op}]; c != nil {
+		return c.row()
+	}
+	return Row{}
+}
+
 // Rows snapshots the budget table sorted by (vf, op).
 func (a *Attributor) Rows() []Row {
 	if a == nil {
@@ -185,8 +189,7 @@ func (a *Attributor) Rows() []Row {
 	a.mu.Lock()
 	out := make([]Row, 0, len(a.cells))
 	for _, c := range a.cells {
-		out = append(out, Row{VF: c.key.vf, Op: c.key.op, Requests: c.count,
-			Errors: c.errors, TotalNs: c.totalNs, SegNs: c.segNs})
+		out = append(out, c.row())
 	}
 	a.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -402,26 +405,4 @@ func (a *Attributor) WriteReport(w io.Writer) error {
 	enc = append(enc, '\n')
 	_, err = w.Write(enc)
 	return err
-}
-
-// registerCell publishes one row's gauges. Called without a.mu held; the
-// closures reacquire it per export.
-func (a *Attributor) registerCell(c *cell) {
-	l := metrics.Labels{VF: c.key.vf, Q: -1, Op: c.key.op}
-	sample := func(get func(*cell) float64) func() float64 {
-		return func() float64 {
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			return get(c)
-		}
-	}
-	a.reg.GaugeFunc("nesc_attrib_requests_total", "requests folded into the attribution row", l,
-		sample(func(c *cell) float64 { return float64(c.count) }))
-	a.reg.GaugeFunc("nesc_attrib_errors_total", "non-OK requests in the attribution row", l,
-		sample(func(c *cell) float64 { return float64(c.errors) }))
-	for i := 0; i < NumSegments; i++ {
-		a.reg.GaugeFunc("nesc_attrib_"+segmentNames[i]+"_ns_total",
-			"summed "+segmentNames[i]+" time attributed to this row", l,
-			sample(func(c *cell) float64 { return float64(c.segNs[i]) }))
-	}
 }

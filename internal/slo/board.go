@@ -15,7 +15,6 @@ import (
 	"io"
 	"sync"
 
-	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 )
@@ -35,10 +34,10 @@ const (
 	EventAdmitReject                      // admission control fast-failed a request
 	EventFLR                              // function-level reset performed
 	EventRequestError                     // a request retired with a terminal error status
-	numEventKinds
+	NumEventKinds                         // the number of kinds
 )
 
-var eventKindNames = [numEventKinds]string{
+var eventKindNames = [NumEventKinds]string{
 	"slo-burn", "budget-exhausted", "detector-trip", "quarantine",
 	"rejoin", "deadline", "admit-reject", "flr", "request-error",
 }
@@ -74,20 +73,12 @@ type Scoreboard struct {
 	mu     sync.Mutex
 	ring   stats.Ring[Event]
 	seq    int64
-	counts [numEventKinds]int64
+	counts [NumEventKinds]int64
 }
 
 // NewScoreboard builds a board holding the last capacity events (min 1).
-// With a registry (nil = none) it publishes per-kind emission counters as
-// export-time gauges: family nesc_scoreboard_events_total, labelled by kind.
-func NewScoreboard(capacity int, reg *metrics.Registry) *Scoreboard {
-	b := &Scoreboard{ring: stats.NewRing[Event](capacity)}
-	for k := EventKind(0); k < numEventKinds; k++ {
-		reg.GaugeFunc("nesc_scoreboard_events_total", "structured anomaly events emitted, by kind",
-			metrics.Labels{VF: -1, Q: -1, Op: k.String()},
-			func() float64 { return float64(b.Count(k)) })
-	}
-	return b
+func NewScoreboard(capacity int) *Scoreboard {
+	return &Scoreboard{ring: stats.NewRing[Event](capacity)}
 }
 
 // Emit records one event, stamping its sequence number. Nil-safe.
@@ -117,7 +108,7 @@ func (b *Scoreboard) Total() int64 {
 
 // Count reports how many events of kind k were ever emitted.
 func (b *Scoreboard) Count(k EventKind) int64 {
-	if b == nil || int(k) >= int(numEventKinds) {
+	if b == nil || int(k) >= int(NumEventKinds) {
 		return 0
 	}
 	b.mu.Lock()

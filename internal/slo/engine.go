@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"nesc/internal/metrics"
 	"nesc/internal/sim"
 	"nesc/internal/stats"
 )
@@ -16,8 +15,8 @@ import (
 // stats.RateWindows per tenant for the SRE-style multi-window burn-rate
 // alert: the alert fires only when BOTH the short and the long window burn
 // faster than BurnThreshold× the sustainable rate, which makes it fast on
-// real incidents and quiet on blips. Alerts land on the scoreboard as
-// structured events and (when a registry is attached) as gauges.
+// real incidents and quiet on blips. Observe returns what each completion
+// fired; the engine posts it nowhere itself.
 
 // Objective declares one tenant's service-level objective.
 type Objective struct {
@@ -169,6 +168,31 @@ type Status struct {
 	ExhaustedAt    sim.Time // 0 = never
 }
 
+// status is the tenant's externally visible state.
+func (t *tracker) status() Status {
+	return Status{
+		VF:             t.vf,
+		Objective:      t.obj,
+		Good:           t.good,
+		Bad:            t.bad,
+		BudgetConsumed: t.budgetConsumed(),
+		BurnShort:      t.burn(t.shortW),
+		BurnLong:       t.burn(t.longW),
+		Alerting:       t.alerting,
+		Alerts:         t.alerts,
+		FirstAlertAt:   t.firstAlertAt,
+		ExhaustedAt:    t.exhaustedAt,
+	}
+}
+
+// Verdict is what one completion did to its tenant's tracker.
+type Verdict struct {
+	Opened    bool    // the completion opened the tracker
+	Fired     bool    // the burn-rate alert fired
+	Exhausted bool    // the error budget just crossed 100% consumed
+	Burn      float64 // the short-window burn rate after the completion
+}
+
 // Engine tracks objectives for every observed tenant. Trackers materialize
 // lazily on a VF's first completion; the default objective applies unless
 // SetObjective installed a per-VF override first. A nil *Engine is a valid
@@ -179,21 +203,15 @@ type Engine struct {
 	def       Objective
 	overrides map[int]Objective
 	trackers  map[int]*tracker
-	board     *Scoreboard
-	reg       *metrics.Registry
 	alerts    int64
 }
 
-// NewEngine builds an engine applying def to every tenant, emitting alert
-// events to board (nil = no scoreboard) and publishing per-tenant burn and
-// budget gauges in reg (nil = none) as trackers materialize.
-func NewEngine(def Objective, board *Scoreboard, reg *metrics.Registry) *Engine {
+// NewEngine builds an engine applying def to every tenant.
+func NewEngine(def Objective) *Engine {
 	return &Engine{
 		def:       def.normalize(),
 		overrides: make(map[int]Objective),
 		trackers:  make(map[int]*tracker),
-		board:     board,
-		reg:       reg,
 	}
 }
 
@@ -208,13 +226,14 @@ func (e *Engine) SetObjective(vf int, obj Objective) {
 	e.mu.Unlock()
 }
 
-// Observe classifies one completed request for tenant vf. Nil-safe.
-func (e *Engine) Observe(vf int, at, latency sim.Time, ok bool, reqID uint64) {
+// Observe classifies one completed request for tenant vf and reports what it
+// fired. Nil-safe.
+func (e *Engine) Observe(vf int, at, latency sim.Time, ok bool) (v Verdict) {
 	if e == nil {
-		return
+		return v
 	}
 	e.mu.Lock()
-	t, fresh := e.trackers[vf], false
+	t := e.trackers[vf]
 	if t == nil {
 		obj, over := e.overrides[vf]
 		if !over {
@@ -222,25 +241,14 @@ func (e *Engine) Observe(vf int, at, latency sim.Time, ok bool, reqID uint64) {
 		}
 		t = newTracker(vf, obj)
 		e.trackers[vf] = t
-		fresh = true
+		v.Opened = true
 	}
-	fired, exhausted, burnS := t.observe(at, latency, ok)
-	if fired {
+	v.Fired, v.Exhausted, v.Burn = t.observe(at, latency, ok)
+	if v.Fired {
 		e.alerts++
 	}
 	e.mu.Unlock()
-
-	// Emissions and registration happen outside e.mu: the scoreboard and the
-	// registry have their own locks, and gauge closures take e.mu at export.
-	if fresh && e.reg != nil {
-		e.registerTracker(t)
-	}
-	if fired {
-		e.board.Emit(Event{At: at, Kind: EventSLOBurn, Dev: -1, VF: vf, ReqID: reqID, Value: burnS})
-	}
-	if exhausted {
-		e.board.Emit(Event{At: at, Kind: EventBudgetExhausted, Dev: -1, VF: vf, ReqID: reqID, Value: 1})
-	}
+	return v
 }
 
 // TotalAlerts reports burn alerts fired across all tenants.
@@ -253,6 +261,19 @@ func (e *Engine) TotalAlerts() int64 {
 	return e.alerts
 }
 
+// Tenant snapshots tenant vf; the zero Status before its first completion.
+func (e *Engine) Tenant(vf int) Status {
+	if e == nil {
+		return Status{}
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if t := e.trackers[vf]; t != nil {
+		return t.status()
+	}
+	return Status{}
+}
+
 // Status snapshots every tracked tenant, sorted by VF.
 func (e *Engine) Status() []Status {
 	if e == nil {
@@ -261,42 +282,9 @@ func (e *Engine) Status() []Status {
 	e.mu.Lock()
 	out := make([]Status, 0, len(e.trackers))
 	for _, t := range e.trackers {
-		out = append(out, Status{
-			VF:             t.vf,
-			Objective:      t.obj,
-			Good:           t.good,
-			Bad:            t.bad,
-			BudgetConsumed: t.budgetConsumed(),
-			BurnShort:      t.burn(t.shortW),
-			BurnLong:       t.burn(t.longW),
-			Alerting:       t.alerting,
-			Alerts:         t.alerts,
-			FirstAlertAt:   t.firstAlertAt,
-			ExhaustedAt:    t.exhaustedAt,
-		})
+		out = append(out, t.status())
 	}
 	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].VF < out[j].VF })
 	return out
-}
-
-// registerTracker publishes one tenant's SLO gauges. Called without e.mu
-// held; the closures reacquire it per export.
-func (e *Engine) registerTracker(t *tracker) {
-	l := metrics.VFLabel(t.vf)
-	sample := func(get func(*tracker) float64) func() float64 {
-		return func() float64 {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			return get(t)
-		}
-	}
-	e.reg.GaugeFunc("nesc_slo_burn_rate_short", "short-window error-budget burn rate", l,
-		sample(func(t *tracker) float64 { return t.burn(t.shortW) }))
-	e.reg.GaugeFunc("nesc_slo_burn_rate_long", "long-window error-budget burn rate", l,
-		sample(func(t *tracker) float64 { return t.burn(t.longW) }))
-	e.reg.GaugeFunc("nesc_slo_budget_consumed", "cumulative error-budget fraction spent", l,
-		sample(func(t *tracker) float64 { return t.budgetConsumed() }))
-	e.reg.GaugeFunc("nesc_slo_alerts_total", "burn-rate alerts fired for this tenant", l,
-		sample(func(t *tracker) float64 { return float64(t.alerts) }))
 }

@@ -12,7 +12,7 @@ import (
 // --- Scoreboard -----------------------------------------------------------
 
 func TestScoreboardRingWrapAndCounts(t *testing.T) {
-	b := NewScoreboard(4, nil)
+	b := NewScoreboard(4)
 	for i := 0; i < 10; i++ {
 		kind := EventDeadline
 		if i%2 == 0 {
@@ -45,7 +45,7 @@ func TestScoreboardRingWrapAndCounts(t *testing.T) {
 }
 
 func TestScoreboardCapacityClampsToOne(t *testing.T) {
-	b := NewScoreboard(0, nil)
+	b := NewScoreboard(0)
 	b.Emit(Event{Kind: EventFLR, VF: 1})
 	b.Emit(Event{Kind: EventFLR, VF: 2})
 	evs := b.Events()
@@ -66,8 +66,8 @@ func TestEventKindStrings(t *testing.T) {
 		EventFLR:             "flr",
 		EventRequestError:    "request-error",
 	}
-	if len(want) != int(numEventKinds) {
-		t.Fatalf("test covers %d kinds, package defines %d", len(want), numEventKinds)
+	if len(want) != int(NumEventKinds) {
+		t.Fatalf("test covers %d kinds, package defines %d", len(want), NumEventKinds)
 	}
 	for k, name := range want {
 		if got := k.String(); got != name {
@@ -78,7 +78,7 @@ func TestEventKindStrings(t *testing.T) {
 		t.Fatalf("unknown kind String() = %q, want EventKind(99)", got)
 	}
 	// Counting an unknown kind must not panic or corrupt the table.
-	b := NewScoreboard(2, nil)
+	b := NewScoreboard(2)
 	b.Emit(Event{Kind: EventKind(200)})
 	if b.Total() != 1 || b.Count(EventKind(200)) != 0 {
 		t.Fatalf("unknown-kind emission: Total=%d Count=%d, want 1 and 0", b.Total(), b.Count(EventKind(200)))
@@ -86,7 +86,7 @@ func TestEventKindStrings(t *testing.T) {
 }
 
 func TestScoreboardDump(t *testing.T) {
-	b := NewScoreboard(8, nil)
+	b := NewScoreboard(8)
 	var empty bytes.Buffer
 	if err := b.Dump(&empty); err != nil {
 		t.Fatalf("Dump(empty) error: %v", err)
@@ -131,13 +131,22 @@ func testObjective() Objective {
 }
 
 func TestEngineAlertFiresAndLatchesOnce(t *testing.T) {
-	board := NewScoreboard(64, nil)
-	e := NewEngine(testObjective(), board, nil)
+	e := NewEngine(testObjective())
 	at := sim.Time(0)
+	var fired, opened int
 	step := func(n int, lat sim.Time) {
 		for i := 0; i < n; i++ {
 			at += 100
-			e.Observe(1, at, lat, true, uint64(at))
+			v := e.Observe(1, at, lat, true)
+			if v.Fired {
+				fired++
+				if v.Burn < testObjective().BurnThreshold {
+					t.Errorf("alert fired at burn %v, under the threshold", v.Burn)
+				}
+			}
+			if v.Opened {
+				opened++
+			}
 		}
 	}
 	step(8, 50) // healthy warm-up fills MinSamples with goods
@@ -155,8 +164,8 @@ func TestEngineAlertFiresAndLatchesOnce(t *testing.T) {
 	if !st[0].Alerting || st[0].FirstAlertAt == 0 || st[0].Alerts != 1 {
 		t.Fatalf("Status = %+v, want alerting with FirstAlertAt set", st[0])
 	}
-	if got := board.Count(EventSLOBurn); got != 1 {
-		t.Fatalf("scoreboard slo-burn events = %d, want 1", got)
+	if fired != 1 || opened != 1 {
+		t.Fatalf("Observe reported %d alerts fired and %d trackers opened, want 1 and 1", fired, opened)
 	}
 
 	first := st[0].FirstAlertAt
@@ -171,26 +180,29 @@ func TestEngineAlertFiresAndLatchesOnce(t *testing.T) {
 }
 
 func TestEngineMinSamplesFloor(t *testing.T) {
-	e := NewEngine(testObjective(), nil, nil)
+	e := NewEngine(testObjective())
 	// Three straight failures burn at 10x but sit under the 4-sample floor.
 	for i := sim.Time(1); i <= 3; i++ {
-		e.Observe(2, i*100, 500, false, 0)
+		e.Observe(2, i*100, 500, false)
 	}
 	if e.TotalAlerts() != 0 {
 		t.Fatalf("alerts below MinSamples = %d, want 0", e.TotalAlerts())
 	}
-	e.Observe(2, 400, 500, false, 0)
+	e.Observe(2, 400, 500, false)
 	if e.TotalAlerts() != 1 {
 		t.Fatalf("alerts at MinSamples = %d, want 1", e.TotalAlerts())
 	}
 }
 
 func TestEngineBudgetExhaustionLatches(t *testing.T) {
-	board := NewScoreboard(16, nil)
-	e := NewEngine(testObjective(), board, nil)
-	e.Observe(3, 100, 50, true, 0)
+	e := NewEngine(testObjective())
+	if v := e.Observe(3, 100, 50, true); v != (Verdict{Opened: true}) {
+		t.Fatalf("first completion reported %+v, want only the tracker opened", v)
+	}
 	// One bad of two total consumes 1/(0.1*2) = 5x the budget: exhausted.
-	e.Observe(3, 200, 50, false, 0)
+	if v := e.Observe(3, 200, 50, false); !v.Exhausted || v.Opened {
+		t.Fatalf("second completion reported %+v, want the budget exhausted", v)
+	}
 	st := e.Status()[0]
 	if st.ExhaustedAt != 200 {
 		t.Fatalf("ExhaustedAt = %d, want 200", st.ExhaustedAt)
@@ -198,20 +210,19 @@ func TestEngineBudgetExhaustionLatches(t *testing.T) {
 	if st.BudgetConsumed < 1 {
 		t.Fatalf("BudgetConsumed = %v, want >= 1", st.BudgetConsumed)
 	}
-	e.Observe(3, 300, 50, false, 0)
+	if v := e.Observe(3, 300, 50, false); v.Exhausted {
+		t.Fatal("a third completion reported the budget exhausted again, want it latched")
+	}
 	if got := e.Status()[0].ExhaustedAt; got != 200 {
 		t.Fatalf("ExhaustedAt moved to %d after more failures, want latched 200", got)
-	}
-	if got := board.Count(EventBudgetExhausted); got != 1 {
-		t.Fatalf("budget-exhausted events = %d, want 1 (latched)", got)
 	}
 }
 
 func TestEngineSetObjectiveOverride(t *testing.T) {
-	e := NewEngine(testObjective(), nil, nil)
+	e := NewEngine(testObjective())
 	e.SetObjective(7, Objective{Latency: 1000, Goal: 0.5, ShortWindow: 800, LongWindow: 1600, BurnThreshold: 2, MinSamples: 4})
-	e.Observe(7, 100, 500, true, 0) // slow by the default, fine by the override
-	e.Observe(1, 100, 500, true, 0) // same latency is bad under the default
+	e.Observe(7, 100, 500, true) // slow by the default, fine by the override
+	e.Observe(1, 100, 500, true) // same latency is bad under the default
 	st := e.Status()
 	if len(st) != 2 {
 		t.Fatalf("Status() tracks %d tenants, want 2", len(st))
@@ -233,8 +244,8 @@ func TestEngineSetObjectiveOverride(t *testing.T) {
 }
 
 func TestObjectiveNormalize(t *testing.T) {
-	e := NewEngine(Objective{}, nil, nil) // all-zero objective clamps to defaults
-	e.Observe(0, 100, 50, true, 0)
+	e := NewEngine(Objective{}) // all-zero objective clamps to defaults
+	e.Observe(0, 100, 50, true)
 	got := e.Status()[0].Objective
 	if got != DefaultObjective() {
 		t.Fatalf("normalized objective = %+v, want defaults %+v", got, DefaultObjective())
@@ -249,7 +260,7 @@ func TestObjectiveNormalize(t *testing.T) {
 
 func TestEngineNilSafe(t *testing.T) {
 	var e *Engine
-	e.Observe(1, 100, 50, true, 0)
+	e.Observe(1, 100, 50, true)
 	e.SetObjective(1, Objective{})
 	if e.TotalAlerts() != 0 || e.Status() != nil {
 		t.Fatal("nil engine must report zero state")
@@ -400,18 +411,18 @@ func TestSegmentNameRange(t *testing.T) {
 // --- hot-path allocation guards ------------------------------------------
 
 func TestHotPathsDoNotAllocate(t *testing.T) {
-	board := NewScoreboard(64, nil)
+	board := NewScoreboard(64)
 	ev := Event{At: 100, Kind: EventDeadline, Dev: 0, VF: 1, ReqID: 9, Note: "mux"}
 	if avg := testing.AllocsPerRun(1000, func() { board.Emit(ev) }); avg != 0 {
 		t.Fatalf("Scoreboard.Emit allocates %v per call, want 0", avg)
 	}
 
-	e := NewEngine(testObjective(), board, nil)
+	e := NewEngine(testObjective())
 	at := sim.Time(0)
-	e.Observe(1, at, 50, true, 1) // first call materializes the tracker
+	e.Observe(1, at, 50, true) // first call materializes the tracker
 	if avg := testing.AllocsPerRun(1000, func() {
 		at += 100
-		e.Observe(1, at, 50, true, 1)
+		e.Observe(1, at, 50, true)
 	}); avg != 0 {
 		t.Fatalf("Engine.Observe allocates %v per call, want 0", avg)
 	}
@@ -433,7 +444,7 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 }
 
 func BenchmarkScoreboardEmit(b *testing.B) {
-	board := NewScoreboard(256, nil)
+	board := NewScoreboard(256)
 	ev := Event{At: 100, Kind: EventDeadline, VF: 1, ReqID: 9}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -442,10 +453,10 @@ func BenchmarkScoreboardEmit(b *testing.B) {
 }
 
 func BenchmarkEngineObserve(b *testing.B) {
-	e := NewEngine(testObjective(), nil, nil)
+	e := NewEngine(testObjective())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.Observe(1, sim.Time(i*100), 50, true, uint64(i))
+		e.Observe(1, sim.Time(i*100), 50, true)
 	}
 }
 

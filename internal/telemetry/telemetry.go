@@ -5,7 +5,10 @@
 // observer of every stage a request or chunk ends (Stage), of every
 // completion (Finish) and of what ends no stage (Event). Which span phase,
 // histogram family, attribution segment and ring event a step becomes is
-// decided here, in the stage table, and nowhere else.
+// decided here, in the stage table, and nowhere else. The mirror fabric and
+// the content-addressed tier report here too (sinks.go), and this is the only
+// package that names a sink: what a report becomes — row, series or event —
+// is decided in this package alone.
 //
 // Everything here only READS the simulated clock — no instrumented path
 // ever sleeps or schedules — so telemetry cannot perturb virtual time and
@@ -24,18 +27,6 @@ import (
 	"nesc/internal/trace"
 )
 
-// Sinks is the telemetry bundle: the six consumers a platform can arm, built
-// once by whoever assembles the platform and handed to every layer through
-// its constructor. Any field may be nil; the zero Sinks is "telemetry off".
-type Sinks struct {
-	Events  *trace.Ring         // ring of recent device events
-	Spans   *trace.SpanRecorder // request-scoped stage spans
-	Metrics *metrics.Registry   // per-stage histograms, request counters, gauges
-	Attrib  *slo.Attributor     // per-{vf,op} latency budget table
-	SLO     *slo.Engine         // per-tenant objectives and burn-rate alerts
-	Board   *slo.Scoreboard     // structured anomaly events
-}
-
 // Observer is one controller's core.Observer: the shared bundle plus the
 // device's flight recorder, which is always armed.
 type Observer struct {
@@ -53,6 +44,7 @@ type Observer struct {
 
 // Observer returns the observer of the controller built with p.
 func (s Sinks) Observer(p core.Params) *Observer {
+	s.boardGauges()
 	perReq := s.Spans != nil || s.Metrics != nil || s.Attrib != nil
 	return &Observer{
 		Sinks: s, Flight: NewFlightRecorder(8, 32), dev: p.DeviceID, retryDelay: p.MediumRetryDelay,
@@ -175,7 +167,7 @@ func (o *Observer) Finish(r *core.Request, now sim.Time) {
 		o.Spans.Finish(rt.span, now, status)
 	}
 	if o.SLO != nil {
-		o.SLO.Observe(r.Fn(), now, now-r.Start(), ok, r.ReqID)
+		o.observe(r.Fn(), now, now-r.Start(), ok, r.ReqID)
 	}
 	if rt != nil && o.Attrib != nil {
 		o.attribute(r, rt, now)
@@ -264,7 +256,7 @@ func (o *Observer) attribute(r *core.Request, rt *reqTel, now sim.Time) {
 	if total > sum {
 		segs[slo.SegOther] = total - sum
 	}
-	o.Attrib.Record(r.Fn(), ring.OpName(r.Op), r.ReqID, total, r.Status() == ring.StatusOK, *segs)
+	o.record(r.Fn(), ring.OpName(r.Op), r.ReqID, total, r.Status() == ring.StatusOK, *segs)
 }
 
 // fnGauges publishes one function's {vf} gauge series. They are registered
@@ -290,8 +282,8 @@ func (o *Observer) fnGauges(fn int, f *core.Function) {
 // submission gauges (a later client on the same function replaces the
 // closures), on the primary device only, as fnGauges.
 func (o *Observer) routed(fn int, mq *guest.MultiQueue, guestClient bool) {
-	if a := o.Attrib; a != nil && guestClient {
-		mq.SetBackoff(func(op uint32, waited sim.Time) { a.AddSegment(fn, ring.OpName(op), slo.SegAdmission, waited) })
+	if o.Attrib != nil && guestClient {
+		mq.SetBackoff(func(op uint32, waited sim.Time) { o.credit(fn, ring.OpName(op), slo.SegAdmission, waited) })
 	}
 	if o.Metrics == nil || o.dev != 0 {
 		return

@@ -1,15 +1,13 @@
-package telemetry_test
+package telemetry
 
 import (
+	"strings"
 	"testing"
 
-	"nesc/internal/bench"
 	"nesc/internal/core"
 	"nesc/internal/metrics"
-	"nesc/internal/ring"
 	"nesc/internal/sim"
 	"nesc/internal/slo"
-	"nesc/internal/telemetry"
 	"nesc/internal/trace"
 )
 
@@ -17,7 +15,7 @@ import (
 // cross-links rely on: the ring event first, so the flight record's tail ends
 // with it, then the capture, then the scoreboard's FLR.
 func TestResetReachesRingFlightAndBoardInOrder(t *testing.T) {
-	s := telemetry.Sinks{Events: trace.NewRing(8), Board: slo.NewScoreboard(8, nil)}
+	s := Sinks{Events: trace.NewRing(8), Board: slo.NewScoreboard(8)}
 	p := core.DefaultParams()
 	p.DeviceID = 2
 	o := s.Observer(p)
@@ -47,7 +45,7 @@ func TestResetReachesRingFlightAndBoardInOrder(t *testing.T) {
 // With no sink armed the flight recorder is still there, and an event that
 // only a sink would show costs nothing.
 func TestEmptyBundleStillRecordsFlight(t *testing.T) {
-	o := telemetry.Sinks{}.Observer(core.DefaultParams())
+	o := Sinks{}.Observer(core.DefaultParams())
 	o.Event(core.Event{Kind: core.EvCowBreak, At: 1, Fn: 1, Arg: 100})
 	o.Event(core.Event{Kind: core.EvReset, At: 2, Fn: 1})
 	if o.Flight.Total != 1 {
@@ -55,91 +53,120 @@ func TestEmptyBundleStillRecordsFlight(t *testing.T) {
 	}
 }
 
-// A platform's sinks are fed from the stage table: every chunk passes each
-// chunk stage once, so their histograms agree; the fetch and end-to-end
-// histograms count the requests; and the ring sees the request life cycle.
-func TestStagesFeedTheSinks(t *testing.T) {
-	cfg := bench.DefaultConfig()
-	cfg.Tel = telemetry.Sinks{Metrics: metrics.New(), Events: trace.NewRing(4096), Spans: trace.NewSpanRecorder(64)}
-	pl := bench.NewPlatform(cfg)
-	err := pl.Run(func(p *sim.Proc) error {
-		tgt, err := pl.RawTarget(p, bench.BackendNeSC, 1024)
-		if err != nil {
-			return err
-		}
-		for i := int64(0); i < 8; i++ {
-			if err := tgt.WriteAt(p, i*4096, 4096); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+// Every report that reaches a sink other than its own is joined in this
+// package: a completion's SLO verdict becomes scoreboard events, a mirror
+// read and a CAS chunk become attribution rows, a leg's quarantine and rejoin
+// become scoreboard events, and each row, tenant and board is published in
+// the registry as it opens. The scoreboard dump and the Prometheus text are
+// pinned byte for byte.
+func TestJoinsReachEverySink(t *testing.T) {
+	s := Sinks{Metrics: metrics.New(), Attrib: slo.NewAttributor(16), Board: slo.NewScoreboard(8),
+		SLO: slo.NewEngine(slo.Objective{Latency: 100, Goal: 0.9, ShortWindow: 800, LongWindow: 1600, BurnThreshold: 2, MinSamples: 1})}
+	s.Observer(core.DefaultParams())
+	s.observe(3, 1000, 500, false, 7) // one bad completion: alert and exhaustion
+	s.FabricRead(3, 900, 600, true)
+	s.Quarantined(2000, 1, 3, 4.5, 2*sim.Millisecond)
+	s.Rejoined(5000, 1, 3)
+	s.ChunkFetched(4, "read", 300)
+	s.ChunkWritten(4, "read", 200)
+
+	var board, prom strings.Builder
+	if err := s.Board.Dump(&board); err != nil {
 		t.Fatal(err)
 	}
-	reg, l := cfg.Tel.Metrics, metrics.VFQOp(1, 0, "write")
-	count := func(fam string) int64 { return reg.Histogram(fam, "", l).Count() }
-	reqs := reg.Counter("nesc_requests_total", "", l).Value()
-	if reqs < 8 || count("nesc_pipeline_fetch_ns") != reqs || count("nesc_request_ns") != reqs {
-		t.Errorf("requests %d, fetch histogram %d, end-to-end histogram %d", reqs, count("nesc_pipeline_fetch_ns"), count("nesc_request_ns"))
+	if err := s.Metrics.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
 	}
-	chunks := count("nesc_pipeline_queue_wait_ns")
-	translated := count("nesc_pipeline_translate_hit_ns") + count("nesc_pipeline_translate_walk_ns") +
-		count("nesc_pipeline_translate_miss_ns") + count("nesc_pipeline_translate_cow_ns")
-	if chunks < 32 || translated != chunks || count("nesc_pipeline_dtu_wait_ns") != chunks || count("nesc_pipeline_transfer_ns") != chunks {
-		t.Errorf("queue %d, translate %d, dtu wait %d, transfer %d: every chunk passes each stage once",
-			chunks, translated, count("nesc_pipeline_dtu_wait_ns"), count("nesc_pipeline_transfer_ns"))
+	if got := board.String(); got != wantBoard {
+		t.Errorf("scoreboard dump:\n%s\nwant:\n%s", got, wantBoard)
 	}
-	seen := map[trace.Kind]bool{}
-	for _, e := range cfg.Tel.Events.Events() {
-		if e.Fn == 1 {
-			seen[e.Kind] = true
-		}
-	}
-	for _, k := range []trace.Kind{trace.KindFetch, trace.KindTranslate, trace.KindTransfer, trace.KindComplete} {
-		if !seen[k] {
-			t.Errorf("the ring saw no %s event of the VF", k)
-		}
-	}
-	for _, s := range cfg.Tel.Spans.Spans() {
-		if s.Fn == 1 && s.Status != ring.StatusOK {
-			t.Errorf("span %+v did not finish OK", s)
-		}
+	if got := prom.String(); got != wantProm {
+		t.Errorf("Prometheus text:\n%s\nwant:\n%s", got, wantProm)
 	}
 }
 
-// The registry's series are looked up, never built, once they exist: arming
-// it adds exactly the request's record to what a 1 KB write allocates.
-func TestArmedRegistryAddsOneAllocPerRequest(t *testing.T) {
-	perWrite := func(tel telemetry.Sinks) float64 {
-		cfg := bench.DefaultConfig()
-		cfg.Tel = tel
-		pl := bench.NewPlatform(cfg)
-		var allocs float64
-		err := pl.Run(func(p *sim.Proc) error {
-			tgt, err := pl.RawTarget(p, bench.BackendNeSC, 1024)
-			if err != nil {
-				return err
-			}
-			var werr error
-			write := func() {
-				if err := tgt.WriteAt(p, 0, 1024); err != nil {
-					werr = err
-				}
-			}
-			for i := 0; i < 8; i++ {
-				write() // warm the BTLB, every free list and every series
-			}
-			allocs = testing.AllocsPerRun(200, write)
-			return werr
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return allocs
-	}
-	off, on := perWrite(telemetry.Sinks{}), perWrite(telemetry.Sinks{Metrics: metrics.New()})
-	if on != off+1 {
-		t.Errorf("a 1 KB write allocates %v times with the registry armed, %v without: want one more", on, off)
-	}
-}
+const wantBoard = `#1             1us  slo-burn         vf=3 req=7 value=10
+#2             1us  budget-exhausted vf=3 req=7 value=1
+#3             2us  detector-trip    dev=1 vf=3 fail-slow p99 value=4.5
+#4             2us  quarantine       dev=1 vf=3 value=2e+06
+#5             5us  rejoin           dev=1 vf=3
+`
+
+const wantProm = `# HELP nesc_attrib_admission_ns_total summed admission time attributed to this row
+# TYPE nesc_attrib_admission_ns_total gauge
+nesc_attrib_admission_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_admission_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_dtu_wait_ns_total summed dtu_wait time attributed to this row
+# TYPE nesc_attrib_dtu_wait_ns_total gauge
+nesc_attrib_dtu_wait_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_dtu_wait_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_errors_total non-OK requests in the attribution row
+# TYPE nesc_attrib_errors_total gauge
+nesc_attrib_errors_total{vf="3",op="fabric-read"} 0
+nesc_attrib_errors_total{vf="4",op="read"} 0
+# HELP nesc_attrib_fabric_wait_ns_total summed fabric_wait time attributed to this row
+# TYPE nesc_attrib_fabric_wait_ns_total gauge
+nesc_attrib_fabric_wait_ns_total{vf="3",op="fabric-read"} 300
+nesc_attrib_fabric_wait_ns_total{vf="4",op="read"} 300
+# HELP nesc_attrib_fetch_ns_total summed fetch time attributed to this row
+# TYPE nesc_attrib_fetch_ns_total gauge
+nesc_attrib_fetch_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_fetch_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_medium_ns_total summed medium time attributed to this row
+# TYPE nesc_attrib_medium_ns_total gauge
+nesc_attrib_medium_ns_total{vf="3",op="fabric-read"} 600
+nesc_attrib_medium_ns_total{vf="4",op="read"} 200
+# HELP nesc_attrib_other_ns_total summed other time attributed to this row
+# TYPE nesc_attrib_other_ns_total gauge
+nesc_attrib_other_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_other_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_queue_wait_ns_total summed queue_wait time attributed to this row
+# TYPE nesc_attrib_queue_wait_ns_total gauge
+nesc_attrib_queue_wait_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_queue_wait_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_requests_total requests folded into the attribution row
+# TYPE nesc_attrib_requests_total gauge
+nesc_attrib_requests_total{vf="3",op="fabric-read"} 1
+nesc_attrib_requests_total{vf="4",op="read"} 0
+# HELP nesc_attrib_retry_ns_total summed retry time attributed to this row
+# TYPE nesc_attrib_retry_ns_total gauge
+nesc_attrib_retry_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_retry_ns_total{vf="4",op="read"} 0
+# HELP nesc_attrib_translate_ns_total summed translate time attributed to this row
+# TYPE nesc_attrib_translate_ns_total gauge
+nesc_attrib_translate_ns_total{vf="3",op="fabric-read"} 0
+nesc_attrib_translate_ns_total{vf="4",op="read"} 0
+# HELP nesc_hyp_cow_break_ns CoW break service latency (fault read to BTLB invalidated)
+# TYPE nesc_hyp_cow_break_ns histogram
+nesc_hyp_cow_break_ns_bucket{le="1"} 0
+nesc_hyp_cow_break_ns_bucket{le="549755813888"} 0
+nesc_hyp_cow_break_ns_bucket{le="+Inf"} 0
+nesc_hyp_cow_break_ns_sum 0
+nesc_hyp_cow_break_ns_count 0
+# HELP nesc_scoreboard_events_total structured anomaly events emitted, by kind
+# TYPE nesc_scoreboard_events_total gauge
+nesc_scoreboard_events_total{op="admit-reject"} 0
+nesc_scoreboard_events_total{op="budget-exhausted"} 1
+nesc_scoreboard_events_total{op="deadline"} 0
+nesc_scoreboard_events_total{op="detector-trip"} 1
+nesc_scoreboard_events_total{op="flr"} 0
+nesc_scoreboard_events_total{op="quarantine"} 1
+nesc_scoreboard_events_total{op="rejoin"} 1
+nesc_scoreboard_events_total{op="request-error"} 0
+nesc_scoreboard_events_total{op="slo-burn"} 1
+# HELP nesc_slo_alerts_total burn-rate alerts fired for this tenant
+# TYPE nesc_slo_alerts_total gauge
+nesc_slo_alerts_total{vf="3"} 1
+# HELP nesc_slo_budget_consumed cumulative error-budget fraction spent
+# TYPE nesc_slo_budget_consumed gauge
+nesc_slo_budget_consumed{vf="3"} 10.000000000000002
+# HELP nesc_slo_burn_rate_long long-window error-budget burn rate
+# TYPE nesc_slo_burn_rate_long gauge
+nesc_slo_burn_rate_long{vf="3"} 10.000000000000002
+# HELP nesc_slo_burn_rate_short short-window error-budget burn rate
+# TYPE nesc_slo_burn_rate_short gauge
+nesc_slo_burn_rate_short{vf="3"} 10.000000000000002
+# HELP nesc_metrics_series_dropped_total label sets aggregated into overflow series by the cardinality cap
+# TYPE nesc_metrics_series_dropped_total counter
+nesc_metrics_series_dropped_total 0
+`

@@ -34,11 +34,13 @@ var layers = []struct {
 	{"leaves", []string{"fault", "stats"}},
 	// The paper's system.
 	{"kernel", []string{"sim", "hostmem", "pcie", "ring", "extent", "blockdev", "extfs", "core", "virtio", "guest", "hypervisor", "workload"}},
-	// Telemetry consumers.
+	// Telemetry consumers: plain data structures that import sim and the
+	// leaves only, never each other.
 	{"sinks", []string{"trace", "metrics", "slo"}},
 	// What is built on the kernel: each attaches through the hypervisor's
 	// exported steps or one declared seam (telemetry: core.Observer), and no
-	// kernel package names it.
+	// kernel package names it. Telemetry is the one that names the sinks:
+	// fabric and cas report through it.
 	{"features", []string{"telemetry", "fabric", "cas"}},
 	// Assembles platforms and runs experiments. The root package and cmd/
 	// belong here too and are the only other importers of bench.
@@ -59,7 +61,7 @@ func TestLayers(t *testing.T) {
 		}
 		t.Logf("layers: %s = %s", l.name, strings.Join(l.pkgs, " "))
 	}
-	const leaves, kernel = 0, 1 // indices into layers
+	const leaves, kernel, sinks, features = 0, 1, 2, 3 // indices into layers
 
 	// Every directory under internal/ is classified, and every classified
 	// package exists.
@@ -127,6 +129,11 @@ func TestLayers(t *testing.T) {
 				if to != "sim" {
 					t.Errorf("%s: leaf utility %s imports %s; a leaf may import sim only", path, from, to)
 				}
+			case rank[from] == sinks && to != "sim" && rank[to] != leaves:
+				t.Errorf("%s: sink %s imports %s (%s); a sink imports sim and the leaves only", path, from, to, layers[rank[to]].name)
+			case rank[from] == features && rank[to] == sinks && from != "telemetry":
+				t.Errorf("%s: %s imports the sink %s; a feature reports through internal/telemetry, the one package that names a sink",
+					path, from, to)
 			case rank[from] == kernel && rank[to] > kernel:
 				t.Errorf("%s: kernel package %s imports %s (%s): the kernel imports kernel, fault and stats; "+
 					"a feature attaches through the hypervisor's exported steps or one declared seam", path, from, to, layers[rank[to]].name)

@@ -313,8 +313,8 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 	default:
 		panic(fmt.Sprintf("nesc: unknown journal mode %q", cfg.HostJournal))
 	}
-	// One bundle of sinks, armed from the config and handed to every layer
-	// through the platform's constructors.
+	// One bundle of sinks, each armed from the config on its own and handed
+	// to every layer through the platform's constructors.
 	var tel telemetry.Sinks
 	if cfg.TraceEvents > 0 {
 		tel.Events = trace.NewRing(cfg.TraceEvents)
@@ -326,13 +326,13 @@ func newSimulation(cfg Config, seed *blockdev.Store) *Simulation {
 		tel.Metrics = metrics.New()
 	}
 	if cfg.ScoreboardEvents > 0 {
-		tel.Board = slo.NewScoreboard(cfg.ScoreboardEvents, tel.Metrics)
+		tel.Board = slo.NewScoreboard(cfg.ScoreboardEvents)
 	}
 	if cfg.Attribution {
-		tel.Attrib = slo.NewAttributorOn(tel.Metrics, 1024)
+		tel.Attrib = slo.NewAttributor(1024)
 	}
 	if cfg.SLO != nil {
-		tel.SLO = slo.NewEngine(cfg.SLO.internal(), tel.Board, tel.Metrics)
+		tel.SLO = slo.NewEngine(cfg.SLO.internal())
 	}
 	bcfg.Tel = tel
 	s := &Simulation{pl: bench.NewPlatform(bcfg), cfg: cfg}
@@ -410,7 +410,7 @@ func (s *Simulation) FlightDump() string {
 }
 
 // FlightRecords reports how many flight records have been captured across
-// the fleet (per device, the value its PFRegFlightRecords register exposes).
+// the fleet: the sum of every device's flight recorder total.
 func (s *Simulation) FlightRecords() int64 {
 	var n int64
 	for _, fr := range s.pl.Flight {

@@ -2,6 +2,7 @@ package nesc
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -725,35 +726,62 @@ func stopThenReexport(iommu bool, delay time.Duration) (inA, inB int, err error)
 }
 
 // A stopped VM gives back all the host memory it took — rings, shadow blocks,
-// trampoline slots, the virtio ring and header slots, and the bounces of the
-// requests the stop cut off — and the next tenant on the platform reads back
-// exactly what it wrote. Each NeSC VM is stopped with 256 writes in flight.
+// trampoline slots, the virtio ring and header slots, the bounces of the
+// requests the stop cut off, and a mirror's hedge and resilver buffers — and
+// the next tenant on the platform reads back exactly what it wrote. Each NeSC
+// VM is stopped with 256 writes in flight.
 func TestStoppedVMsReturnTheirHostMemory(t *testing.T) {
 	for _, iommu := range []bool{false, true} {
 		t.Run(fmt.Sprint("iommu=", iommu), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.UseIOMMU = iommu
-			if err := New(cfg).Run(func(ctx *Ctx) error { return startAndStop(ctx, 200) }); err != nil {
+			if err := New(cfg).Run(func(ctx *Ctx) error { return startAndStop(ctx, 200, false) }); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+	t.Run("mirrored", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Devices, cfg.Fault = 2, &FaultPlan{}
+		s := New(cfg)
+		if err := s.Run(func(ctx *Ctx) error { return startAndStop(ctx, 4, true) }); err != nil {
+			t.Fatal(err)
+		}
+		if fs := s.pl.Mirrors.Stats(); fs.HedgedReads == 0 || fs.ResilverRegions == 0 {
+			t.Fatalf("%d hedged reads and %d resilvered regions: the mirror's buffers went unused", fs.HedgedReads, fs.ResilverRegions)
+		}
+	})
 }
 
 // startAndStop starts and stops a NeSC VM and a virtio VM on one image rounds
-// times each, checking after every stop that host memory is back where it was
-// before the first VM.
-func startAndStop(ctx *Ctx, rounds int) error {
-	if err := ctx.CreateImage("/tenant.img", 100, 1<<20, false); err != nil {
-		return err
+// times each — or, mirrored, a NeSC VM mirrored on devices 0 and 1 — checking
+// after every stop that host memory is back where it was before the first VM.
+// A mirrored VM hedges its reads while device 1 is slow, then loses device 1
+// for a write and resilvers it.
+func startAndStop(ctx *Ctx, rounds int, mirrored bool) error {
+	backends, devices := []Backend{BackendNeSC, BackendVirtio}, []int{0}
+	if mirrored {
+		backends, devices = backends[:1], []int{0, 1}
+	}
+	for _, d := range devices {
+		if err := ctx.CreateImageOn(d, "/tenant.img", 100, 1<<20, false); err != nil {
+			return err
+		}
 	}
 	mem := ctx.s.pl.Mem
 	live, held := mem.LiveAllocs(), mem.AllocBytes
 	block := bytes.Repeat([]byte{0xAA}, 4096)
 	got := make([]byte, 4096)
 	for i := 0; i < rounds; i++ {
-		for _, backend := range []Backend{BackendNeSC, BackendVirtio} {
-			vm, err := ctx.StartVM("tenant", backend, "/tenant.img", 100)
+		for _, backend := range backends {
+			var vm *VM
+			var err error
+			if mirrored {
+				vm, err = ctx.StartMirroredVM("tenant", "/tenant.img", 100, devices,
+					MirrorConfig{HedgePercentile: 50, HedgeMinDelay: 20 * time.Microsecond, ResilverInterval: 20 * time.Microsecond})
+			} else {
+				vm, err = ctx.StartVM("tenant", backend, "/tenant.img", 100)
+			}
 			if err != nil {
 				return err
 			}
@@ -768,7 +796,11 @@ func startAndStop(ctx *Ctx, rounds int) error {
 			if !bytes.Equal(got, want) {
 				return fmt.Errorf("%s round %d read back other bytes than it wrote", backend, i)
 			}
-			if backend == BackendNeSC {
+			if mirrored {
+				if err := hedgeAndResilver(ctx, vm); err != nil {
+					return err
+				}
+			} else if backend == BackendNeSC {
 				for j := int64(0); j < 256; j++ {
 					ctx.Go("writer", func(c *Ctx) error { return vm.WriteAt(c, block, j*4096) })
 				}
@@ -783,4 +815,32 @@ func startAndStop(ctx *Ctx, rounds int) error {
 		}
 	}
 	return nil
+}
+
+// hedgeAndResilver reads a mirrored VM's disk while device 1 is five times
+// slower, so that reads hedge, then kills device 1, writes while it is fenced
+// and revives it, so that the resilver copies what it missed.
+func hedgeAndResilver(ctx *Ctx, vm *VM) error {
+	got := make([]byte, 4096)
+	ctx.Degrade(1, 5, 50*time.Microsecond, 0)
+	for j := int64(0); j < 64; j++ {
+		if err := vm.ReadAt(ctx, got, j%16*4096); err != nil {
+			return err
+		}
+	}
+	ctx.ClearDegradations(1)
+	if err := ctx.KillDevice(1); err != nil {
+		return err
+	}
+	fenced := func(st []ReplicaStatus) bool { return st[1].State == "failed" }
+	for j := int64(0); !fenced(vm.FabricStatus()); j++ {
+		// Writes fail on the dead leg until the mirror fences it.
+		if err := vm.WriteAt(ctx, got, j%16*4096); err != nil {
+			return err
+		}
+	}
+	if err := vm.WriteAt(ctx, got, 0); err != nil {
+		return err
+	}
+	return errors.Join(ctx.ReviveDevice(1), settle(ctx, vm))
 }
