@@ -70,8 +70,10 @@ crash:
 
 # fuzz-smoke runs every native fuzz target it finds for ten seconds on top of
 # its checked-in corpus (testdata/fuzz): the extent-tree walk step over node
-# bytes the host wrote, and the controller's fetch stage over descriptor bytes
-# the guest wrote. `go test -fuzz` takes one target in one package per run.
+# bytes the host wrote, the controller's fetch stage over descriptor bytes
+# the guest wrote, and the host filesystem's mount (journal replay, inodes,
+# overflow chains) over blocks the device holds. `go test -fuzz` takes one
+# target in one package per run.
 fuzz-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

@@ -12,6 +12,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -45,13 +46,13 @@ func readDoc(t *testing.T, path string) string {
 	return string(b)
 }
 
-// designTable returns the cells of every row of the DESIGN.md table whose
-// header row starts with "| header |".
-func designTable(t *testing.T, header string) [][]string {
+// docTable returns the cells of every row of the table in doc whose header
+// row starts with "| header |".
+func docTable(t *testing.T, doc, header string) [][]string {
 	t.Helper()
-	_, table, ok := strings.Cut(readDoc(t, "DESIGN.md"), "\n| "+header+" |")
+	_, table, ok := strings.Cut(readDoc(t, doc), "\n| "+header+" |")
 	if !ok {
-		t.Fatalf("DESIGN.md has no table headed %q", header)
+		t.Fatalf("%s has no table headed %q", doc, header)
 	}
 	var rows [][]string
 	for _, line := range strings.Split(table, "\n")[2:] { // the header's tail, the separator
@@ -129,7 +130,7 @@ func goDecls(t *testing.T, paths ...string) (funcs map[string][]string, types ma
 // The experiment index lists every registered experiment, and nothing else.
 func TestDesignExperimentIndexIsTheRegistry(t *testing.T) {
 	indexed := map[string]bool{}
-	for _, row := range designTable(t, "experiment") {
+	for _, row := range docTable(t, "DESIGN.md", "experiment") {
 		indexed[strings.Trim(row[0], "`")] = true
 	}
 	for _, e := range bench.Registry() {
@@ -145,7 +146,7 @@ func TestDesignExperimentIndexIsTheRegistry(t *testing.T) {
 
 // Every home of a mechanism is declared in the file its row names.
 func TestDesignMechanismHomesAreDeclared(t *testing.T) {
-	for _, row := range designTable(t, "mechanism") {
+	for _, row := range docTable(t, "DESIGN.md", "mechanism") {
 		file := strings.Trim(row[2], "`")
 		funcs, types := goDecls(t, file)
 		for _, home := range spans(row[1]) {
@@ -171,7 +172,7 @@ func TestDesignVFLifecycleGoesThroughTransition(t *testing.T) {
 		callees[method] = append(callees[method], calls...)
 	}
 	var entries []string
-	for _, row := range designTable(t, "transition") {
+	for _, row := range docTable(t, "DESIGN.md", "transition") {
 		for _, e := range spans(row[1]) {
 			if _, ok := callees[e]; !ok {
 				t.Errorf("DESIGN.md §7: entry point %s (%s) is not declared in internal/hypervisor", e, row[0])
@@ -193,6 +194,69 @@ func TestDesignVFLifecycleGoesThroughTransition(t *testing.T) {
 	for _, e := range entries {
 		if !reaches[e] {
 			t.Errorf("DESIGN.md §7: entry point %s changes a VF record without going through Device.transition", e)
+		}
+	}
+}
+
+// goldenColumn returns one column of a table in results/all_experiments.txt:
+// the rows under the "== title" line up to the first blank or comment line,
+// keyed by their first field in lower case.
+func goldenColumn(t *testing.T, golden, title string, col int) map[string]float64 {
+	t.Helper()
+	_, table, ok := strings.Cut(golden, "\n== "+title)
+	if !ok {
+		t.Fatalf("results/all_experiments.txt has no table %q", title)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(table, "\n")[2:] { // the title's tail, the header
+		f := strings.Fields(line)
+		if len(f) <= col || strings.HasPrefix(line, "#") {
+			break
+		}
+		v, err := strconv.ParseFloat(f[col], 64)
+		if err != nil {
+			t.Fatalf("%s: %q: %v", title, line, err)
+		}
+		out[strings.ToLower(f[0])] = v
+	}
+	return out
+}
+
+// EXPERIMENTS.md's Figure 12 table is the golden run's, rounded to the digits
+// it prints: each app's NeSC runtime and its speedups over virtio (12b) and
+// over emulation (12a).
+func TestExperimentsFig12IsTheGolden(t *testing.T) {
+	golden := readDoc(t, "results/all_experiments.txt")
+	cols := []map[string]float64{
+		goldenColumn(t, golden, "Figure 12 (underlying data)", 3),
+		goldenColumn(t, golden, "Figure 12b", 1),
+		goldenColumn(t, golden, "Figure 12a", 1),
+	}
+	rows := docTable(t, "EXPERIMENTS.md", "app")
+	if len(rows) != len(cols[0]) {
+		t.Errorf("EXPERIMENTS.md's Figure 12 table has %d apps, the golden run %d", len(rows), len(cols[0]))
+	}
+	for _, row := range rows {
+		for i, col := range cols {
+			cell := strings.TrimRight(row[1+i], " ms×")
+			doc, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatalf("EXPERIMENTS.md Figure 12 row %v: %v", row, err)
+			}
+			app := strings.ToLower(row[0])
+			var want float64
+			for name, v := range col {
+				if strings.HasPrefix(app, name) {
+					want = v
+				}
+			}
+			decimals := 0
+			if _, frac, ok := strings.Cut(cell, "."); ok {
+				decimals = len(frac)
+			}
+			if scale := math.Pow(10, float64(decimals)); math.Round(want*scale)/scale != doc {
+				t.Errorf("EXPERIMENTS.md Figure 12: %s reads %s, the golden run %v", row[0], row[1+i], want)
+			}
 		}
 	}
 }

@@ -361,7 +361,7 @@ func ExampleFaultPlan() {
 	// Output:
 	// write failed: nesc: no space (hypervisor denied allocation)
 	// read back intact: true
-	// 46 faults injected, 52 driver timeouts, 1 reset
+	// 42 faults injected, 48 driver timeouts, 1 reset
 }
 
 // The experiment registry regenerates every table and figure of the paper.

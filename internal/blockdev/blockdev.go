@@ -93,7 +93,7 @@ func (s *Store) checkRange(lba int64, n int) error {
 		return fmt.Errorf("blockdev: buffer of %d bytes not a multiple of block size %d", n, s.blockSize)
 	}
 	blocks := int64(n / s.blockSize)
-	if lba < 0 || lba+blocks > s.numBlocks {
+	if lba < 0 || lba > s.numBlocks-blocks {
 		return fmt.Errorf("blockdev: access [%d, %d) outside device of %d blocks", lba, lba+blocks, s.numBlocks)
 	}
 	return nil

@@ -8,10 +8,10 @@ import (
 // TestWarmTransactionAllocations: once the per-FS buffers exist, a metadata
 // transaction allocates no block-sized buffer. The transaction is the
 // hypervisor's lazy-allocation miss — AllocateRange of one block — on a
-// 600-extent file, so each one renders and journals the inode block, a dozen
-// overflow blocks and a bitmap block, zero-fills the new block and writes a
-// descriptor and a commit record: ≈ 30 blocks of buffer when every step made
-// its own. What is left is the dirty-table flush's sorted block list and the
+// 600-extent file, so each one renders and journals the inode block, the
+// overflow leaf the new extent lands in (now and then two, when it splits)
+// and a bitmap block, zero-fills the new block and writes a descriptor and a
+// commit record. What is left is the dirty-table flush's sorted block list and the
 // path lookup's directory read, far below one block.
 func TestWarmTransactionAllocations(t *testing.T) {
 	fs, _ := newFS(t, JournalMetadata)

@@ -79,8 +79,8 @@ func (fs *FS) Check(ctx *sim.Proc) error {
 				}
 			}
 		}
-		for _, b := range in.overflow {
-			if err := ref(b, ino, false); err != nil {
+		for _, l := range in.overflow {
+			if err := ref(l.blk, ino, false); err != nil {
 				return err
 			}
 		}

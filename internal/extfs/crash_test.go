@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"nesc/internal/extent"
 	"nesc/internal/sim"
 )
 
@@ -337,6 +338,54 @@ func TestJournalCrashSweepCowBreak(t *testing.T) {
 	}
 }
 
+// TestJournalCrashSweepLeafSplit sweeps an insert that splits an overflow
+// leaf: a file of 105 one-block extents is packed into two full leaves, and a
+// one-block allocation among the inline extents pushes an entry into leaf 0,
+// which splits in two. At every crash point the file's extent list is the one
+// before the insert or the one after it, never a chain in between.
+func TestJournalCrashSweepLeafSplit(t *testing.T) {
+	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			var before, after []extent.Run
+			pre, writes := recordOp(t, mode,
+				func(t *testing.T, fs *FS) {
+					fragment(t, fs, "/s", 105)
+					if err := fs.Migrate(nil, "/s"); err != nil {
+						t.Fatalf("migrate: %v", err)
+					}
+				},
+				func(t *testing.T, fs *FS) {
+					f, err := fs.Open(nil, "/s", 0, PermRead)
+					if err != nil {
+						t.Fatalf("open: %v", err)
+					}
+					leaves := len(fs.inodes[f.ino].overflow)
+					if before, _, err = fs.Runs(nil, "/s"); err != nil {
+						t.Fatal(err)
+					}
+					if err := fs.AllocateRange(nil, "/s", 1, 1); err != nil {
+						t.Fatalf("insert: %v", err)
+					}
+					if after, _, err = fs.Runs(nil, "/s"); err != nil {
+						t.Fatal(err)
+					}
+					if got := len(fs.inodes[f.ino].overflow); got != leaves+1 {
+						t.Fatalf("the insert left %d leaves of %d; it should split one", got, leaves)
+					}
+				})
+			sweep(t, pre, writes, func(t *testing.T, point int, fs *FS) {
+				got, _, err := fs.Runs(nil, "/s")
+				if err != nil {
+					t.Fatalf("crash point %d: %v", point, err)
+				}
+				if !slices.Equal(got, before) && !slices.Equal(got, after) {
+					t.Fatalf("crash point %d: %d extents, neither the %d before the split nor the %d after", point, len(got), len(before), len(after))
+				}
+			})
+		})
+	}
+}
+
 // TestJournalCrashSweepCreate sweeps a file creation (pure metadata): the
 // file must exist fully linked or not at all at every crash point.
 func TestJournalCrashSweepCreate(t *testing.T) {
@@ -372,6 +421,8 @@ func TestJournalCrashSweepCreate(t *testing.T) {
 // the live one on every file's size and extent map, and on the bytes of the
 // file just touched. Small journals wrap often, which is what used to leave a
 // stale record from an earlier lap for the mount to redo over newer state.
+// The fragmented rows run the same check over the overflow chain's own
+// mutations (cleanRemountFragmented).
 func TestCleanRemountIsANoop(t *testing.T) {
 	const (
 		nb       = 1024
@@ -392,7 +443,7 @@ func TestCleanRemountIsANoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				copied, img := NewMemDev(crashBS, nb), make([]byte, nb*crashBS)
+				remount := remountChecker(dev)
 				open := map[string]*File{}
 				for step := 0; step < steps; step++ {
 					name := fmt.Sprintf("/f%d", rng.Intn(files))
@@ -415,42 +466,240 @@ func TestCleanRemountIsANoop(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					if err := live.Check(nil); err != nil {
-						t.Fatalf("step %d: live fsck: %v", step, err)
-					}
-					if err := dev.S.ReadBlocks(0, img); err != nil {
-						t.Fatal(err)
-					}
-					if err := copied.S.WriteBlocks(0, img); err != nil {
-						t.Fatal(err)
-					}
-					again, err := Mount(nil, copied, 0)
-					if err != nil {
-						t.Fatalf("step %d: mount of a copy: %v", step, err)
-					}
-					if err := again.Check(nil); err != nil {
-						t.Fatalf("step %d: fsck after a clean remount: %v", step, err)
-					}
-					for path := range open {
-						want, size, err := live.Runs(nil, path)
-						if err != nil {
-							t.Fatal(err)
-						}
-						got, gotSize, err := again.Runs(nil, path)
-						if err != nil {
-							t.Fatalf("step %d: %s after a clean remount: %v", step, path, err)
-						}
-						if gotSize != size || !slices.Equal(got, want) {
-							t.Fatalf("step %d: %s is %d bytes in %v after a clean remount, live %d bytes in %v", step, path, gotSize, got, size, want)
-						}
-					}
-					if f := open[name]; f != nil {
-						if n := int(f.Size()); !bytes.Equal(readAll(t, again, name, n), readAll(t, live, name, n)) {
-							t.Fatalf("step %d: %s reads differently after a clean remount", step, name)
-						}
-					}
+					remount(t, step, live, open, name)
 				}
 			})
 		}
 	}
+	for _, journal := range []int64{16, 64} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("fragmented/journal%d/seed%d", journal, seed), func(t *testing.T) {
+				t.Parallel()
+				cleanRemountFragmented(t, journal, seed)
+			})
+		}
+	}
+}
+
+// remountChecker returns the check TestCleanRemountIsANoop runs after every
+// step: copy dev, mount the copy, and fail unless both filesystems pass fsck
+// and agree on every open file's size and extent map, and on the bytes of the
+// file just touched.
+func remountChecker(dev *MemDev) func(t *testing.T, step int, live *FS, open map[string]*File, touched string) {
+	nb := dev.NumBlocks()
+	copied, img := NewMemDev(crashBS, nb), make([]byte, nb*crashBS)
+	return func(t *testing.T, step int, live *FS, open map[string]*File, touched string) {
+		t.Helper()
+		if err := live.Check(nil); err != nil {
+			t.Fatalf("step %d: live fsck: %v", step, err)
+		}
+		if err := dev.S.ReadBlocks(0, img); err != nil {
+			t.Fatal(err)
+		}
+		if err := copied.S.WriteBlocks(0, img); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Mount(nil, copied, 0)
+		if err != nil {
+			t.Fatalf("step %d: mount of a copy: %v", step, err)
+		}
+		if err := again.Check(nil); err != nil {
+			t.Fatalf("step %d: fsck after a clean remount: %v", step, err)
+		}
+		for path := range open {
+			if err := sameRuns(live, again, path); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+		if f := open[touched]; f != nil {
+			if n := int(f.Size()); !bytes.Equal(readAll(t, again, touched, n), readAll(t, live, touched, n)) {
+				t.Fatalf("step %d: %s reads differently after a clean remount", step, touched)
+			}
+		}
+	}
+}
+
+// cleanRemountFragmented is TestCleanRemountIsANoop over files of at least
+// three overflow leaves, and over every way the chain changes. Three files
+// are built, one after the other, of one-block extents at even logical
+// blocks, with a spacer file's block between each two physical ones; a
+// snapshot repacks the first, and removing the spacer leaves most holes a
+// free block that bridges their two neighbours. Filling a hole through that
+// block merges the neighbours and takes an entry out of a leaf: two drains
+// empty leaves (leaf 0, and a last leaf whose predecessor must be rewritten).
+// The seeded mix then bridges, allocates elsewhere (inserts that split
+// leaves), breaks the snapshot's sharing (splices), truncates (repacks) and
+// snapshots again. The row fails unless it saw splits, frees and breaks.
+func cleanRemountFragmented(t *testing.T, journal, seed int64) {
+	const nb = 4096
+	steps := 300 // after the 700-odd that build the files
+	if testing.Short() {
+		steps = 100
+	}
+	rng := rand.New(rand.NewSource(seed))
+	dev := NewMemDev(crashBS, nb)
+	live, err := Format(nil, dev, Params{InodeCount: 64, JournalBlocks: journal, Mode: JournalMetadata})
+	if err != nil {
+		t.Fatal(err)
+	}
+	remount := remountChecker(dev)
+	names := []string{"/a", "/b", "/c"}
+	open := map[string]*File{}
+	step := 0
+	do := func(touched string, op func() error) {
+		t.Helper()
+		if err := op(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		remount(t, step, live, open, touched)
+		step++
+	}
+	create := func(name string) {
+		do(name, func() (err error) {
+			open[name], err = live.Create(nil, name, 0, 0o644)
+			return err
+		})
+	}
+	for _, name := range append(names, "/spacer") {
+		create(name)
+	}
+	spacer := 0
+	for _, name := range names {
+		extents := 120
+		if name == "/c" {
+			extents = inlineExtents + 2*50 + 1 // repacks into leaves of 50, 50 and 1
+		}
+		for i := 0; i < extents; i++ {
+			do(name, func() error { return live.AllocateRange(nil, name, uint64(2*i), 1) })
+			do("/spacer", func() error { return live.AllocateRange(nil, "/spacer", uint64(2*spacer), 1) })
+			spacer++
+		}
+	}
+	leaves := func() (n int) {
+		for _, name := range names {
+			n += len(live.inodes[open[name].ino].overflow)
+		}
+		return n
+	}
+	for _, name := range names {
+		if n := len(live.inodes[open[name].ino].overflow); n < 3 {
+			t.Fatalf("%s spills into %d leaves; the row wants at least 3", name, n)
+		}
+	}
+	snapshot := func(src, dst string) {
+		do(dst, func() error { return live.Snapshot(nil, src, dst, 0) })
+		open[dst], err = live.Open(nil, dst, 0, PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot("/a", "/a.snap")
+	do("/spacer", func() error {
+		delete(open, "/spacer")
+		return live.Remove(nil, "/spacer", 0)
+	})
+
+	// bridgeable reports whether the hole before extent i of in can be filled
+	// through the free block(s) between its neighbours, so that they merge.
+	bridgeable := func(in *inode, i int) bool {
+		p, s := in.extents[i-1], in.extents[i]
+		gap := s.Logical - p.End()
+		return gap > 0 && p.Flags == 0 && s.Flags == 0 && s.Physical-(p.Physical+p.Count) == gap && live.freeSpan(p.Physical+p.Count, gap)
+	}
+	// bridge fills the first bridgeable hole after extent from.
+	bridge := func(name string, from int) bool {
+		in := &live.inodes[open[name].ino]
+		for i := from + 1; i < len(in.extents); i++ {
+			if !bridgeable(in, i) {
+				continue
+			}
+			p := in.extents[i-1]
+			hint := live.allocHint
+			live.allocHint = p.Physical + p.Count
+			do(name, func() error { return live.AllocateRange(nil, name, p.End(), in.extents[i].Logical-p.End()) })
+			live.allocHint = hint
+			return true
+		}
+		return false
+	}
+	// Drain /b from its first extent: the merges empty leaf 0 again and
+	// again. Then repack /c (a truncate to its own size) and merge its last
+	// entry into its neighbour: the emptied last leaf goes, and its
+	// predecessor is rewritten to end the chain.
+	var splits, frees, bridges int
+	for before := leaves(); bridge("/b", 0); before = leaves() {
+		bridges++
+		frees += max(before-leaves(), 0)
+	}
+	if frees == 0 {
+		t.Fatal("draining /b from its first extent freed no leaf")
+	}
+	do("/c", func() error { return open["/c"].Truncate(nil, open["/c"].Size()) })
+	c := &live.inodes[open["/c"].ino]
+	if n := c.overflow[len(c.overflow)-1].n; len(c.overflow) != 3 || n != 1 {
+		t.Fatalf("/c repacked into %d leaves, the last of %d entries; want 3 and 1", len(c.overflow), n)
+	}
+	if !bridge("/c", len(c.extents)-2) || len(c.overflow) != 2 {
+		t.Fatalf("merging /c's last extent left %d leaves; want 2", len(c.overflow))
+	}
+	bridges++
+	frees++
+	breaksBefore := live.CowBreaks
+	for n := 0; n < steps; n++ {
+		name := names[rng.Intn(len(names))]
+		in := &live.inodes[open[name].ino]
+		before := leaves()
+		switch op := rng.Intn(20); {
+		case op < 12:
+			if len(in.extents) > 1 && bridge(name, rng.Intn(len(in.extents)-1)) {
+				bridges++
+			}
+		case op < 14:
+			do(name, func() error { return live.AllocateRange(nil, name, uint64(rng.Intn(320)), 1) })
+		case op < 17:
+			do("/a", func() error { return live.BreakRange(nil, "/a", uint64(rng.Intn(240)), 1+uint64(rng.Intn(4))) })
+		case op < 18:
+			size := open[name].Size()
+			do(name, func() error { return open[name].Truncate(nil, size-size/16) })
+			continue
+		case op < 19:
+			chunk := make([]byte, 1+rng.Intn(3*crashBS))
+			rng.Read(chunk)
+			do(name, func() error {
+				_, err := open[name].WriteAt(nil, chunk, int64(rng.Intn(240*crashBS)))
+				return err
+			})
+		default:
+			dst := name + ".snap"
+			if open[dst] != nil {
+				do(dst, func() error {
+					delete(open, dst)
+					return live.Remove(nil, dst, 0)
+				})
+				continue
+			}
+			snapshot(name, dst)
+			continue
+		}
+		switch after := leaves(); {
+		case after > before:
+			splits++
+		case after < before:
+			frees++
+		}
+	}
+	t.Logf("%d steps: %d bridging fills, %d leaf splits, %d leaf frees, %d CoW breaks", step, bridges, splits, frees, live.CowBreaks-breaksBefore)
+	if splits == 0 || live.CowBreaks == breaksBefore {
+		t.Fatalf("the mix split %d leaves and broke %d shared extents; it should do both", splits, live.CowBreaks-breaksBefore)
+	}
+}
+
+// freeSpan reports whether blocks [start, start+n) are all free.
+func (fs *FS) freeSpan(start, n uint64) bool {
+	for b := start; b < start+n; b++ {
+		if b >= fs.sb.numBlocks || fs.bitmapGet(b) {
+			return false
+		}
+	}
+	return true
 }

@@ -286,10 +286,9 @@ func (fs *FS) removeLocked(ctx *sim.Proc, path string, uid uint32) error {
 	if err := fs.truncateTo(ctx, in, 0); err != nil {
 		return err
 	}
-	for _, b := range in.overflow {
-		fs.freeRun(b, 1)
+	for _, l := range in.overflow {
+		fs.freeRun(l.blk, 1)
 	}
-	in.overflow = nil
 	fs.inodes[ino] = inode{}
 	// Rewrite both inode blocks (target cleared, parent link count).
 	if err := fs.writeInode(ctx, ino); err != nil {
@@ -451,6 +450,7 @@ func (fs *FS) migrateLocked(ctx *sim.Proc, path string) error {
 	for _, r := range newExts {
 		insertMapping(in, r)
 	}
+	in.repack = true
 	return fs.writeInode(ctx, ino)
 }
 

@@ -137,7 +137,8 @@ func (sb *superblock) encode(b []byte) {
 	binary.BigEndian.PutUint64(b[92:], sb.refcntBlocks)
 }
 
-func (sb *superblock) decode(b []byte) error {
+// decode reads block 0 of a device of devBlocks blocks of bs bytes.
+func (sb *superblock) decode(b []byte, bs int, devBlocks uint64) error {
 	if binary.BigEndian.Uint32(b[0:]) != sbMagic {
 		return fmt.Errorf("extfs: bad superblock magic")
 	}
@@ -157,6 +158,36 @@ func (sb *superblock) decode(b []byte) error {
 	sb.mode = JournalMode(binary.BigEndian.Uint32(b[80:]))
 	sb.refcntStart = binary.BigEndian.Uint64(b[84:])
 	sb.refcntBlocks = binary.BigEndian.Uint64(b[92:])
+	if int(sb.blockSize) != bs {
+		return fmt.Errorf("extfs: superblock block size %d != device %d", sb.blockSize, bs)
+	}
+	return sb.check(devBlocks)
+}
+
+// check refuses a superblock whose geometry is not the one Format lays out on
+// a device of devBlocks blocks: every table is sized from the counts, in
+// order, and the refcount table, when there is one, lies in the data region.
+// Mount sizes its tables from these numbers, so it checks them first.
+func (sb *superblock) check(devBlocks uint64) error {
+	bs := uint64(sb.blockSize)
+	ceil := func(n uint64) uint64 { return (n + bs - 1) / bs }
+	var refBlocks uint64
+	if sb.dataStart < sb.numBlocks {
+		refBlocks = ceil((sb.numBlocks - sb.dataStart) * refEntrySize)
+	}
+	switch {
+	case sb.numBlocks > devBlocks:
+		return fmt.Errorf("extfs: superblock says %d blocks, device has %d", sb.numBlocks, devBlocks)
+	case sb.bitmapStart != 1 || sb.bitmapBlocks != ceil((sb.numBlocks+7)/8),
+		sb.inodeTableStart != sb.bitmapStart+sb.bitmapBlocks,
+		sb.inodeTableBlocks != ceil(uint64(sb.inodeCount)*InodeSize),
+		sb.journalStart != sb.inodeTableStart+sb.inodeTableBlocks,
+		sb.dataStart != sb.journalStart+sb.journalBlocks,
+		sb.dataStart >= sb.numBlocks:
+		return fmt.Errorf("extfs: superblock geometry does not add up")
+	case sb.refcntStart != 0 && (sb.refcntStart < sb.dataStart || sb.refcntBlocks != refBlocks || sb.refcntStart+refBlocks > sb.numBlocks):
+		return fmt.Errorf("extfs: refcount table [%d, +%d) does not fit the data region", sb.refcntStart, sb.refcntBlocks)
+	}
 	return nil
 }
 
@@ -168,7 +199,20 @@ type inode struct {
 	uid      uint32
 	size     uint64
 	extents  []extent.Run // sorted, non-overlapping, FS-block units
-	overflow []uint64     // blocks holding spilled extent entries
+	overflow []leaf       // the chain holding extents[inlineExtents:], in order
+	// repack asks the next syncOverflow to rewrite the chain as full leaves:
+	// set where the whole list changes at once, or nothing says which leaf.
+	repack bool
+}
+
+// leaf is one block of an inode's overflow chain. syncOverflow leaves each
+// holding between one and ovfEntriesPerBlock entries; in between, an insert
+// or a removal changes one leaf's count and never shifts an entry into the
+// next leaf (inode.touch).
+type leaf struct {
+	blk   uint64
+	n     int  // entries it holds
+	dirty bool // changed since the last commit that carried its image home
 }
 
 func (in *inode) isDir() bool  { return in.mode&ModeDir != 0 }
@@ -308,11 +352,8 @@ func Mount(ctx *sim.Proc, dev BlockDev, opCost sim.Time) (*FS, error) {
 		return nil, err
 	}
 	var sb superblock
-	if err := sb.decode(img); err != nil {
+	if err := sb.decode(img, bs, uint64(dev.NumBlocks())); err != nil {
 		return nil, err
-	}
-	if int(sb.blockSize) != bs {
-		return nil, fmt.Errorf("extfs: superblock block size %d != device %d", sb.blockSize, bs)
 	}
 	fs := &FS{
 		dev:    dev,
@@ -330,7 +371,7 @@ func Mount(ctx *sim.Proc, dev BlockDev, opCost sim.Time) (*FS, error) {
 	if err := dev.ReadBlocks(ctx, 0, img); err != nil {
 		return nil, err
 	}
-	if err := fs.sb.decode(img); err != nil {
+	if err := fs.sb.decode(img, bs, uint64(dev.NumBlocks())); err != nil {
 		return nil, err
 	}
 	sb = fs.sb

@@ -31,7 +31,8 @@ func mapLookup(in *inode, lblk uint64) (uint64, uint64, bool) {
 // insertMapping adds a run to the inode's extent map, merging with adjacent
 // extents when both logical and physical spaces are contiguous and the flag
 // bits match (a protected extent must never absorb unprotected blocks, or
-// the CoW break would copy too much — and vice versa).
+// the CoW break would copy too much — and vice versa). Each case reports what
+// it changed to the overflow chain (inode.touch).
 func insertMapping(in *inode, r extent.Run) {
 	exts := in.extents
 	i := sort.Search(len(exts), func(i int) bool { return exts[i].Logical > r.Logical })
@@ -40,12 +41,14 @@ func insertMapping(in *inode, r extent.Run) {
 		p := &exts[i-1]
 		if p.End() == r.Logical && p.Physical+p.Count == r.Physical && p.Flags == r.Flags {
 			p.Count += r.Count
+			in.touch(i-1, 0)
 			// Try merging the successor too.
 			if i < len(exts) {
 				s := exts[i]
 				if p.End() == s.Logical && p.Physical+p.Count == s.Physical && p.Flags == s.Flags {
 					p.Count += s.Count
 					in.extents = append(exts[:i], exts[i+1:]...)
+					in.touch(i, -1)
 				}
 			}
 			return
@@ -58,12 +61,14 @@ func insertMapping(in *inode, r extent.Run) {
 			s.Logical = r.Logical
 			s.Physical = r.Physical
 			s.Count += r.Count
+			in.touch(i, 0)
 			return
 		}
 	}
 	in.extents = append(exts, extent.Run{})
 	copy(in.extents[i+1:], in.extents[i:])
 	in.extents[i] = r
+	in.touch(i, 1)
 }
 
 // ensureAllocated backs every hole in logical blocks [lblk, lblk+n) with
@@ -321,6 +326,7 @@ func (fs *FS) truncateTo(ctx *sim.Proc, in *inode, size uint64) error {
 		}
 	}
 	in.extents = kept
+	in.repack = true
 	in.size = size
 	if shrinking && size%bs != 0 {
 		// The last block is rewritten in place below, so it must not be

@@ -3,6 +3,7 @@ package extfs
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nesc/internal/extent"
 	"nesc/internal/sim"
@@ -18,9 +19,13 @@ import (
 //	overflow  uint64   first overflow block (0 = none)
 //	inline    5 × {logical uint64, physical uint64, count uint32}
 //
-// Extents past the inline capacity spill to a chain of overflow blocks:
+// Extents past the inline capacity spill to a chain of overflow blocks
+// (leaves):
 //
 //	magic uint32, count uint32, next uint64, entries 20 bytes each.
+//
+// A leaf need not be full: its count says how many entries it holds, so an
+// update rewrites only the leaves it touched (syncOverflow).
 const (
 	ovfMagic  = 0x584F5646 // "XOVF"
 	ovfHeader = 16
@@ -65,7 +70,7 @@ func encodeInode(b []byte, in *inode) {
 	binary.BigEndian.PutUint32(b[16:], uint32(len(in.extents)))
 	var ovf uint64
 	if len(in.overflow) > 0 {
-		ovf = in.overflow[0]
+		ovf = in.overflow[0].blk
 	}
 	binary.BigEndian.PutUint64(b[20:], ovf)
 	n := len(in.extents)
@@ -81,19 +86,21 @@ func encodeInode(b []byte, in *inode) {
 }
 
 // decodeInode fills in the fixed fields and inline extents; overflow extents
-// are loaded separately because they need device reads.
-func decodeInode(b []byte, in *inode) (extCount int, overflowBlk uint64) {
+// are loaded separately because they need device reads. An inode that claims
+// more than maxExtents extents is refused before anything is sized by it.
+func decodeInode(b []byte, in *inode, maxExtents uint64) (extCount int, overflowBlk uint64, err error) {
 	in.mode = binary.BigEndian.Uint16(b[0:])
 	in.links = binary.BigEndian.Uint16(b[2:])
 	in.uid = binary.BigEndian.Uint32(b[4:])
 	in.size = binary.BigEndian.Uint64(b[8:])
 	in.used = in.mode != 0
-	extCount = int(binary.BigEndian.Uint32(b[16:]))
-	overflowBlk = binary.BigEndian.Uint64(b[20:])
-	n := extCount
-	if n > inlineExtents {
-		n = inlineExtents
+	raw := binary.BigEndian.Uint32(b[16:])
+	if uint64(raw) > maxExtents {
+		return 0, 0, fmt.Errorf("extent count %d exceeds the volume's %d blocks", raw, maxExtents)
 	}
+	extCount = int(raw)
+	overflowBlk = binary.BigEndian.Uint64(b[20:])
+	n := min(extCount, inlineExtents)
 	in.extents = make([]extent.Run, 0, extCount)
 	for i := 0; i < n; i++ {
 		off := 28 + i*extEntry
@@ -105,7 +112,7 @@ func decodeInode(b []byte, in *inode) (extCount int, overflowBlk uint64) {
 			Flags:    flags,
 		})
 	}
-	return extCount, overflowBlk
+	return extCount, overflowBlk, nil
 }
 
 // inodeBlock reports which device block holds inode ino and the byte offset
@@ -142,53 +149,106 @@ func (fs *FS) renderInodeBlock(img []byte, b uint64) {
 	}
 }
 
-// syncOverflow (re)writes the overflow chain for extents beyond the inline
-// capacity, allocating or freeing chain blocks as the extent count changes.
-func (fs *FS) syncOverflow(ctx *sim.Proc, in *inode) error {
-	spill := 0
-	if len(in.extents) > inlineExtents {
-		spill = len(in.extents) - inlineExtents
-	}
-	per := fs.ovfEntriesPerBlock()
-	needBlocks := (spill + per - 1) / per
-	// Adjust chain length.
-	for len(in.overflow) > needBlocks {
-		last := in.overflow[len(in.overflow)-1]
-		fs.freeRun(last, 1)
-		in.overflow = in.overflow[:len(in.overflow)-1]
-	}
-	for len(in.overflow) < needBlocks {
-		start, n := fs.allocRun(fs.allocHint, 1)
-		if n == 0 {
-			return ErrNoSpace
+// touch records a change to in's extent list for the next syncOverflow: the
+// entry at flat index i changed, and the list grew there by delta entries
+// (delta < 0: shrank; i indexes the list as it was before). The leaf holding
+// i absorbs the whole change. A change among the inline entries that moves
+// the list shifts an entry across the inline boundary, so it lands on leaf 0.
+func (in *inode) touch(i, delta int) {
+	if i < inlineExtents {
+		if delta == 0 {
+			return // the inode block is written anyway
 		}
-		in.overflow = append(in.overflow, start)
+		i = inlineExtents
 	}
-	if needBlocks == 0 {
-		return nil
+	s := i - inlineExtents
+	for k := range in.overflow {
+		l := &in.overflow[k]
+		if s < l.n || k == len(in.overflow)-1 {
+			l.n += delta
+			l.dirty = true
+			return
+		}
+		s -= l.n
+	}
+}
+
+// syncOverflow brings the overflow chain in line with the extents beyond the
+// inline capacity and writes the leaves that changed, and no others. A leaf
+// grown past a block's capacity splits into two halves (one block
+// allocated); a leaf left empty is freed, and its predecessor, whose next
+// pointer changes, is rewritten. A repack — asked for by a whole-list
+// rewrite, or forced when the leaf counts do not add up to the spilled
+// extents — lays the chain out as full leaves and rewrites all of it.
+func (fs *FS) syncOverflow(ctx *sim.Proc, in *inode) error {
+	spill := max(len(in.extents)-inlineExtents, 0)
+	per := fs.ovfEntriesPerBlock()
+	sum := 0
+	for _, l := range in.overflow {
+		sum += l.n
+	}
+	if in.repack || sum != spill {
+		need := (spill + per - 1) / per
+		for len(in.overflow) > need {
+			fs.freeRun(in.overflow[len(in.overflow)-1].blk, 1)
+			in.overflow = in.overflow[:len(in.overflow)-1]
+		}
+		for len(in.overflow) < need {
+			start, n := fs.allocRun(fs.allocHint, 1)
+			if n == 0 {
+				return ErrNoSpace
+			}
+			in.overflow = append(in.overflow, leaf{blk: start})
+		}
+		for k := range in.overflow {
+			in.overflow[k].n = min(per, spill-k*per)
+			in.overflow[k].dirty = true
+		}
+		in.repack = false
+	}
+	for k := 0; k < len(in.overflow); {
+		switch l := in.overflow[k]; {
+		case l.n > per:
+			start, n := fs.allocRun(fs.allocHint, 1)
+			if n == 0 {
+				return ErrNoSpace
+			}
+			in.overflow[k].n = l.n / 2
+			in.overflow = slices.Insert(in.overflow, k+1, leaf{blk: start, n: l.n - l.n/2, dirty: true})
+		case l.n == 0:
+			fs.freeRun(l.blk, 1)
+			in.overflow = slices.Delete(in.overflow, k, k+1)
+			if k > 0 {
+				in.overflow[k-1].dirty = true
+			}
+		default:
+			k++
+		}
 	}
 	img := fs.scratch
-	for bi := 0; bi < needBlocks; bi++ {
-		clear(img)
-		lo := inlineExtents + bi*per
-		hi := lo + per
-		if hi > len(in.extents) {
-			hi = len(in.extents)
+	lo := inlineExtents
+	for k := range in.overflow {
+		l := in.overflow[k]
+		hi := lo + l.n
+		if l.dirty {
+			clear(img)
+			binary.BigEndian.PutUint32(img[0:], ovfMagic)
+			binary.BigEndian.PutUint32(img[4:], uint32(l.n))
+			if k+1 < len(in.overflow) {
+				binary.BigEndian.PutUint64(img[8:], in.overflow[k+1].blk)
+			}
+			for i := lo; i < hi; i++ {
+				off := ovfHeader + (i-lo)*extEntry
+				binary.BigEndian.PutUint64(img[off:], in.extents[i].Logical)
+				binary.BigEndian.PutUint64(img[off+8:], in.extents[i].Physical)
+				binary.BigEndian.PutUint32(img[off+16:], packExtCount(in.extents[i]))
+			}
+			if err := fs.writeBlock(ctx, int64(l.blk), img, true); err != nil {
+				return err
+			}
+			fs.leafWritten(in, l.blk)
 		}
-		binary.BigEndian.PutUint32(img[0:], ovfMagic)
-		binary.BigEndian.PutUint32(img[4:], uint32(hi-lo))
-		if bi+1 < needBlocks {
-			binary.BigEndian.PutUint64(img[8:], in.overflow[bi+1])
-		}
-		for i := lo; i < hi; i++ {
-			off := ovfHeader + (i-lo)*extEntry
-			binary.BigEndian.PutUint64(img[off:], in.extents[i].Logical)
-			binary.BigEndian.PutUint64(img[off+8:], in.extents[i].Physical)
-			binary.BigEndian.PutUint32(img[off+16:], packExtCount(in.extents[i]))
-		}
-		if err := fs.writeBlock(ctx, int64(in.overflow[bi]), img, true); err != nil {
-			return err
-		}
+		lo = hi
 	}
 	return nil
 }
@@ -207,11 +267,14 @@ func (fs *FS) loadInodeTable(ctx *sim.Proc) error {
 				break
 			}
 			in := &fs.inodes[ino]
-			extCount, ovf := decodeInode(img[i*InodeSize:], in)
-			if !in.used {
-				continue
+			extCount, ovf, err := decodeInode(img[i*InodeSize:], in, fs.sb.numBlocks)
+			if err == nil && in.used && in.isDir() && in.size > fs.sb.numBlocks*uint64(fs.bs) {
+				err = fmt.Errorf("directory of %d bytes on a volume of %d blocks", in.size, fs.sb.numBlocks)
 			}
-			if err := fs.loadOverflow(ctx, in, extCount, ovf); err != nil {
+			if err == nil && in.used {
+				err = fs.loadOverflow(ctx, in, extCount, ovf)
+			}
+			if err != nil {
 				return fmt.Errorf("extfs: inode %d: %w", ino, err)
 			}
 		}
@@ -219,20 +282,37 @@ func (fs *FS) loadInodeTable(ctx *sim.Proc) error {
 	return nil
 }
 
+// loadOverflow reads the chain starting at ovf onto in's inline extents. The
+// bytes are the device's, not ours: a chain longer than the spilled extents,
+// one that revisits a block or leaves the data region, and a leaf count
+// outside [1, ovfEntriesPerBlock] are refused, never followed.
 func (fs *FS) loadOverflow(ctx *sim.Proc, in *inode, extCount int, ovf uint64) error {
 	in.overflow = nil
-	img := make([]byte, fs.bs)
+	spill := max(extCount-inlineExtents, 0)
+	per := fs.ovfEntriesPerBlock()
+	img := fs.scratch
 	for ovf != 0 {
+		switch {
+		case len(in.overflow) >= spill:
+			return fmt.Errorf("overflow chain longer than its %d spilled extents", spill)
+		case ovf < fs.sb.dataStart || ovf >= fs.sb.numBlocks:
+			return fmt.Errorf("overflow block %d outside the data region", ovf)
+		case slices.ContainsFunc(in.overflow, func(l leaf) bool { return l.blk == ovf }):
+			return fmt.Errorf("overflow chain revisits block %d", ovf)
+		}
 		if err := fs.dev.ReadBlocks(ctx, int64(ovf), img); err != nil {
 			return err
 		}
 		if binary.BigEndian.Uint32(img[0:]) != ovfMagic {
 			return fmt.Errorf("bad overflow block magic at %d", ovf)
 		}
-		in.overflow = append(in.overflow, ovf)
-		count := int(binary.BigEndian.Uint32(img[4:]))
+		count := binary.BigEndian.Uint32(img[4:])
+		if count < 1 || count > uint32(per) {
+			return fmt.Errorf("overflow block %d holds %d entries, not 1 to %d", ovf, count, per)
+		}
+		in.overflow = append(in.overflow, leaf{blk: ovf, n: int(count)})
 		next := binary.BigEndian.Uint64(img[8:])
-		for i := 0; i < count; i++ {
+		for i := 0; i < int(count); i++ {
 			off := ovfHeader + i*extEntry
 			c, flags := unpackExtCount(binary.BigEndian.Uint32(img[off+16:]))
 			in.extents = append(in.extents, extent.Run{

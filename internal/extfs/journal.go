@@ -30,6 +30,34 @@ const (
 type txState struct {
 	order  []int64
 	images map[int64][]byte
+	leaves []leafRef // overflow leaves whose images this batch carries
+}
+
+// leafRef names one overflow leaf of one inode.
+type leafRef struct {
+	in  *inode
+	blk uint64
+}
+
+// leafWritten is told that leaf blk of in went to writeBlock. Its dirty mark
+// stays set until the image is home: a direct write (no transaction) is, at
+// once; a journaled one is when its batch commits and checkpoints, so a batch
+// that fails leaves the mark for the next transaction to write the leaf again.
+func (fs *FS) leafWritten(in *inode, blk uint64) {
+	if fs.tx == nil {
+		clearLeafMark(in, blk)
+		return
+	}
+	fs.tx.leaves = append(fs.tx.leaves, leafRef{in, blk})
+}
+
+func clearLeafMark(in *inode, blk uint64) {
+	for k := range in.overflow {
+		if in.overflow[k].blk == blk {
+			in.overflow[k].dirty = false
+			return
+		}
+	}
 }
 
 // txBegin opens a transaction buffer. No-op when journaling is off.
@@ -54,6 +82,7 @@ func (fs *FS) txEnd() {
 	}
 	clear(fs.tx.images)
 	fs.tx.order = fs.tx.order[:0]
+	fs.tx.leaves = fs.tx.leaves[:0]
 	fs.tx = nil
 }
 
@@ -173,6 +202,9 @@ func (fs *FS) txCommit(ctx *sim.Proc) error {
 			return err
 		}
 	}
+	for _, r := range tx.leaves {
+		clearLeafMark(r.in, r.blk)
+	}
 	return nil
 }
 
@@ -204,7 +236,7 @@ func (fs *FS) replayJournal(ctx *sim.Proc) error {
 		}
 		seq := binary.BigEndian.Uint64(img[4:])
 		n := binary.BigEndian.Uint32(img[12:])
-		if n == 0 || uint64(n) > fs.sb.journalBlocks || j+uint64(n)+1 >= fs.sb.journalBlocks {
+		if n == 0 || int(n) > fs.txEntriesPerDesc() || j+uint64(n)+1 >= fs.sb.journalBlocks {
 			continue
 		}
 		// Validate the commit record and checksum.

@@ -167,6 +167,7 @@ func (fs *FS) snapshotLocked(ctx *sim.Proc, srcPath, dstPath string, uid uint32)
 			fs.refAdd(b, 1)
 		}
 	}
+	src.repack, dst.repack = true, true
 	fs.allocSeq++
 	if err := fs.writeInode(ctx, srcIno); err != nil {
 		return err
@@ -312,4 +313,5 @@ func (fs *FS) breakOne(ctx *sim.Proc, in *inode, idx int, cur, winEnd uint64) er
 // it for the clone — and repl never aliases it.
 func spliceExtent(in *inode, idx int, repl []extent.Run) {
 	in.extents = slices.Replace(in.extents, idx, idx+1, repl...)
+	in.touch(idx, len(repl)-1)
 }
