@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest bench-headroom bench-compare profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -136,6 +136,32 @@ sink-digest:
 		sha256sum all.prom all.trace.json all.attrib.json dedup.prom dedup.attrib.json top.txt > sink_digests.txt
 	@diff results/sink_digests.txt .sink_build/sink_digests.txt
 	@echo "the sinks' outputs match results/sink_digests.txt"
+
+# rebaseline is the tier-2 step (never in ci) for a change that means to move
+# virtual time: it rewrites every artifact such a change moves — the golden
+# results/all_experiments.txt from `nescbench -exp all` stdout, each DET_EXPS
+# results/<exp>.json as its <exp>-det rule writes it, and results/bench_digests.txt and
+# results/sink_digests.txt from the files bench-digest and sink-digest build
+# (a failure of theirs other than the digest diff stops it). It changes no
+# check: the golden test, the *-det rules and both digest diffs still compare
+# as before, against what it wrote. Run it once, on purpose, and name every
+# row it moved.
+rebaseline:
+	@rm -rf .rebaseline && mkdir -p .rebaseline
+	@$(GO) build -o .rebaseline/nescbench ./cmd/nescbench
+	@.rebaseline/nescbench -exp all > .rebaseline/all_experiments.txt 2> .rebaseline/all.log
+	@cp .rebaseline/all_experiments.txt results/all_experiments.txt
+	@for e in $(DET_EXPS); do \
+		.rebaseline/nescbench -exp $$e -json .rebaseline > /dev/null 2>&1 && cp .rebaseline/$$e.json results/$$e.json || exit 1; \
+	done
+	@for d in bench sink; do \
+		$(MAKE) --no-print-directory $$d-digest > .rebaseline/$$d.log 2>&1 || grep -q '^[<>] ' .rebaseline/$$d.log \
+			|| { cat .rebaseline/$$d.log; exit 1; }; \
+	done
+	@cp .bench_build/bench_digests.txt results/bench_digests.txt
+	@cp .sink_build/sink_digests.txt results/sink_digests.txt
+	@rm -rf .rebaseline
+	@git diff --stat -- results
 
 # bench-headroom is the tier-2 check (not part of ci) every perf PR needs until
 # ROADMAP item 1(a) lands: the harness marks a run incorrect when its own

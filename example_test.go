@@ -253,8 +253,8 @@ func ExampleVM_SetIOWeight() {
 			float64(end[0]-base[0])/1e6/window.Seconds(), float64(end[1]-base[1])/1e6/window.Seconds())
 	}
 	// Output:
-	// weights 1:1 -> 623 and 623 MB/s
-	// weights 4:1 -> 859 and 426 MB/s
+	// weights 1:1 -> 642 and 642 MB/s
+	// weights 4:1 -> 865 and 433 MB/s
 }
 
 // Accelerator direct access (paper §IV-D): a peer PCIe device drives a VF's
@@ -360,8 +360,9 @@ func ExampleFaultPlan() {
 	fmt.Printf("%d faults injected, %d driver timeouts, %d reset\n", st.InjectedFaults, st.DriverTimeouts, st.VFResets)
 	// Output:
 	// write failed: nesc: no space (hypervisor denied allocation)
+	// write failed: nesc: no space (hypervisor denied allocation)
 	// read back intact: true
-	// 42 faults injected, 48 driver timeouts, 1 reset
+	// 41 faults injected, 57 driver timeouts, 1 reset
 }
 
 // The experiment registry regenerates every table and figure of the paper.

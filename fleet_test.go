@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nesc/internal/extfs"
 )
 
 // Fleet control-plane tests: a host-side operation reaches the device that
@@ -146,11 +148,11 @@ func TestFleetWideOperationsCoverEveryDevice(t *testing.T) {
 			// Flip one bit of the image's first block on device 1's medium,
 			// behind the guard tags' back.
 			d1 := s.pl.Hyp.Device(1)
-			runs, _, err := d1.HostFS.Runs(ctx.proc, "/b.img")
+			img, err := d1.HostFS.Open(ctx.proc, "/b.img", 7, extfs.PermRead)
 			if err != nil {
 				return err
 			}
-			d1.Ctl.Medium.Store().Block(int64(runs[0].Physical))[0] ^= 0x40
+			d1.Ctl.Medium.Store().Block(int64(img.Extents()[0].Physical))[0] ^= 0x40
 			return body(ctx, s, vm, want)
 		})
 		if err != nil {

@@ -3,9 +3,7 @@ package cas
 import (
 	"fmt"
 	"io"
-	"sort"
 
-	"nesc/internal/extent"
 	"nesc/internal/extfs"
 	"nesc/internal/hypervisor"
 	"nesc/internal/sim"
@@ -39,10 +37,6 @@ type Tier struct {
 	tel         telemetry.Sinks
 	forks       map[forkKey]*fork
 	caches      map[*hypervisor.Device]*Cache
-	// spare holds the extent-map buffers no Materialize is using. A call reads
-	// its snapshot of the file's map across parks and calls for different VFs
-	// overlap, so each takes a buffer of its own and hands it back.
-	spare [][]extent.Run
 }
 
 type forkKey struct {
@@ -51,8 +45,9 @@ type forkKey struct {
 }
 
 // fork ties one device-local backing file to its manifest. The file handle is
-// opened at fork time with the owning tenant's identity, so the miss handler
-// never re-walks the permission check on the hot path.
+// opened at fork time with the owning tenant's identity, and every call
+// Materialize makes on the file goes through it, so the miss handler never
+// resolves the path.
 type fork struct {
 	name string // manifest name in the store
 	file *extfs.File
@@ -185,29 +180,18 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 	// mid-range failure, or a concurrent handler acting on a stale
 	// miss-pending snapshot) and the guest may have overwritten it since —
 	// rewriting the sealed content over it would silently destroy guest
-	// writes. Skipped blocks still resolve at the rewalk.
-	var runs []extent.Run
-	if n := len(t.spare); n > 0 {
-		runs, t.spare = t.spare[n-1], t.spare[:n-1]
-	}
-	runs, _, err := d.HostFS.AppendRuns(p, path, runs[:0])
-	if err != nil {
-		return err
-	}
-	defer func() { t.spare = append(t.spare, runs) }()
-	mapped := func(b uint64) bool {
-		i := sort.Search(len(runs), func(i int) bool { return runs[i].Logical > b })
-		return i > 0 && b < runs[i-1].End()
-	}
+	// writes. Skipped blocks still resolve at the rewalk. The check reads the
+	// file's map as it is when the block comes up, so a block a concurrent
+	// service materialized while this one was parked is skipped too.
 	cache, bs := t.cache(d), uint64(d.Ctl.P.BlockSize)
 	fn := vf + 1 // attribution rows are keyed by function index; 0 is the PF
 	for i := blk; i < blk+n; i++ {
 		if i >= uint64(len(m.Hashes)) {
 			// Past the manifest's content (a partial trailing chunk range):
 			// plain lazy allocation, zeros.
-			return d.HostFS.AllocateRange(p, path, i, blk+n-i)
+			return b.file.Allocate(p, i, blk+n-i)
 		}
-		if mapped(i) {
+		if b.file.Mapped(i) {
 			continue
 		}
 		hash := m.Hashes[i]

@@ -429,12 +429,16 @@ func TestWriteMissAllocationFlow(t *testing.T) {
 			return
 		}
 		missAddr := r.mmioR(p, mgmt+ring.MgmtMissAddr)
-		missSize := r.mmioR(p, mgmt+ring.MgmtMissSize)
-		isWrite := r.mmioR(p, mgmt+ring.MgmtMissIsWrite)
-		if isWrite != 1 {
-			t.Errorf("MissIsWrite = %d", isWrite)
+		missSize, reason, isWrite := ring.DecodeMiss(r.mmioR(p, mgmt+ring.MgmtMissSize))
+		if !isWrite || reason != ring.MissReasonTranslate {
+			t.Errorf("miss word says write %v, reason %d", isWrite, reason)
 		}
-		runs := append(tr.Runs(), extent.Run{Logical: missAddr, Physical: 600 + missAddr, Count: missSize})
+		runs, err := extent.CollectRuns(r.mem, tr.Root(), tr.Fanout())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		runs = append(runs, extent.Run{Logical: missAddr, Physical: 600 + missAddr, Count: missSize})
 		if err := tr.Rebuild(runs); err != nil {
 			t.Error(err)
 			return

@@ -162,8 +162,12 @@ func (r *rig) allocOnMiss(tr *extent.Tree) func(p *sim.Proc) {
 	mgmt := r.bar + r.ctl.MgmtPageOffset()
 	return func(p *sim.Proc) {
 		addr := r.mmioR(p, mgmt+ring.MgmtMissAddr)
+		mapped, err := extent.CollectRuns(r.mem, tr.Root(), tr.Fanout())
+		if err != nil {
+			r.t.Error(err)
+		}
 		var runs []extent.Run
-		for _, run := range tr.Runs() {
+		for _, run := range mapped {
 			if run.Logical > addr || run.End() <= addr {
 				runs = append(runs, run)
 			}

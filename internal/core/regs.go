@@ -264,10 +264,7 @@ func (c *Controller) mgmtRead(reg int64) uint64 {
 	case ring.MgmtMissAddr:
 		return f.missAddr
 	case ring.MgmtMissSize:
-		// High word carries the reason code so the miss handler learns the
-		// size and the reason in one read (keeping the fault-free MMIO
-		// schedule identical to the pre-CoW device).
-		return uint64(f.missSize) | uint64(f.missReason)<<32
+		return ring.EncodeMiss(f.missSize, f.missReason, f.missIsWrite)
 	case ring.MgmtEnable:
 		if f.enabled {
 			return 1
@@ -275,11 +272,6 @@ func (c *Controller) mgmtRead(reg int64) uint64 {
 		return 0
 	case ring.MgmtDeviceSize:
 		return f.sizeBlocks
-	case ring.MgmtMissIsWrite:
-		if f.missIsWrite {
-			return 1
-		}
-		return 0
 	case ring.MgmtWeight:
 		return uint64(f.weight)
 	case ring.MgmtQueues:

@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"nesc/internal/hostmem"
@@ -197,12 +196,10 @@ type Tree struct {
 	fanout int
 	root   hostmem.Addr
 	nodes  []hostmem.Addr // every allocation, for Free/accounting
-	runs   []Run          // authoritative mapping, kept for rebuilds
 
-	// What the previous generation retired and serialize's scratch, kept so a
-	// rebuild costs no garbage: Rebuild fills the spare pair and swaps it
-	// with runs/nodes on success.
-	spareRuns      []Run
+	// The node list the previous generation retired and serialize's scratch,
+	// kept so a rebuild costs no garbage: Rebuild fills spareNodes and swaps
+	// it with nodes on success.
 	spareNodes     []hostmem.Addr
 	entries        []Entry
 	level, parents []built
@@ -217,12 +214,14 @@ type built struct {
 
 // Build validates and serializes runs into a tree in mem. Runs must be
 // sorted by Logical and non-overlapping; runs longer than MaxUint32 blocks
-// are split transparently. The tree keeps its own copy of runs.
+// are split transparently. The tree neither keeps nor modifies runs: the
+// mapping lives with whoever owns runs (the host filesystem's inode) and in
+// the serialized nodes.
 func Build(mem *hostmem.Memory, runs []Run, fanout int) (*Tree, error) {
 	if fanout < 2 {
 		fanout = DefaultFanout
 	}
-	norm, err := normalize(slices.Clone(runs))
+	norm, err := normalize(runs)
 	if err != nil {
 		return nil, err
 	}
@@ -232,7 +231,7 @@ func Build(mem *hostmem.Memory, runs []Run, fanout int) (*Tree, error) {
 		t.Free()
 		return nil, err
 	}
-	t.root, t.runs = root, norm
+	t.root = root
 	return t, nil
 }
 
@@ -362,9 +361,6 @@ func (t *Tree) Nodes() int { return len(t.nodes) }
 // ResidentBytes reports the host memory held by the serialized tree.
 func (t *Tree) ResidentBytes() int64 { return int64(len(t.nodes)) * NodeBytes(t.fanout) }
 
-// Runs returns the authoritative mapping (a copy).
-func (t *Tree) Runs() []Run { return append([]Run(nil), t.runs...) }
-
 // Free releases every node of the tree from host memory.
 func (t *Tree) Free() {
 	t.release(t.nodes)
@@ -388,14 +384,14 @@ func (t *Tree) release(nodes []hostmem.Addr) {
 // address changes; the caller must reprogram ExtentTreeRoot before signaling
 // RewalkTree.
 //
-// Rebuild copies runs; it neither keeps nor modifies the caller's slice. It
+// Rebuild neither keeps nor modifies the caller's slice, and it does not
+// park, so the caller may hand it a list another owner changes in place. It
 // is transactional: on an error (runs invalid, host memory exhausted) the
-// tree — nodes, root and Runs — is what it was. The new tree is allocated in
-// full before the first old node is freed, so a root register that is stale
-// for a moment still walks intact nodes.
+// tree — nodes and root — is what it was. The new tree is allocated in full
+// before the first old node is freed, so a root register that is stale for a
+// moment still walks intact nodes.
 func (t *Tree) Rebuild(runs []Run) error {
-	t.spareRuns = append(t.spareRuns[:0], runs...)
-	norm, err := normalize(t.spareRuns)
+	norm, err := normalize(runs)
 	if err != nil {
 		return err
 	}
@@ -410,7 +406,6 @@ func (t *Tree) Rebuild(runs []Run) error {
 	t.release(old)
 	t.spareNodes = old[:0]
 	t.root = root
-	t.runs, t.spareRuns = norm, t.runs
 	return nil
 }
 
@@ -574,8 +569,8 @@ func Lookup(mem *hostmem.Memory, root hostmem.Addr, fanout int, vlba uint64) (Re
 }
 
 // CollectRuns walks the whole tree and returns the mapped runs in logical
-// order. Pruned subtrees contribute nothing; callers that need completeness
-// should consult Tree.Runs instead.
+// order. Pruned subtrees contribute nothing; the complete mapping is the
+// one the tree was built from.
 func CollectRuns(mem *hostmem.Memory, root hostmem.Addr, fanout int) ([]Run, error) {
 	var out []Run
 	img := make([]byte, NodeBytes(fanout))

@@ -20,8 +20,8 @@ func oneBlockRuns(n int, physBase uint64) []Run {
 }
 
 // A Rebuild that runs out of host memory half way leaves the tree exactly as
-// it was: the device still walks the old root, so Runs() must still describe
-// the old nodes, and nothing the failed attempt allocated may stay behind.
+// it was: the device still walks the old root, whose nodes must still hold
+// the old mapping, and nothing the failed attempt allocated may stay behind.
 func TestRebuildIsTransactional(t *testing.T) {
 	const n = 1000 // 100 leaves + 10 + 1 nodes
 	oldRuns := oneBlockRuns(n, 5000)
@@ -36,8 +36,8 @@ func TestRebuildIsTransactional(t *testing.T) {
 	if tr.Root() != root || tr.Nodes() != nodes {
 		t.Fatalf("failed rebuild moved the tree: root %#x -> %#x, nodes %d -> %d", root, tr.Root(), nodes, tr.Nodes())
 	}
-	if got := tr.Runs(); !slices.Equal(got, oldRuns) {
-		t.Fatalf("failed rebuild changed Runs(): %d runs, first %+v; want the old %d, first %+v", len(got), got[0], len(oldRuns), oldRuns[0])
+	if got, err := CollectRuns(mem, tr.Root(), tr.Fanout()); err != nil || !slices.Equal(got, oldRuns) {
+		t.Fatalf("failed rebuild changed the mapping: %d runs (%v); want the old %d", len(got), err, len(oldRuns))
 	}
 	if mem.LiveAllocs() != live || mem.FreeBytes() != free {
 		t.Fatalf("failed rebuild leaked: %d allocations / %d free bytes, were %d / %d", mem.LiveAllocs(), mem.FreeBytes(), live, free)
@@ -58,7 +58,7 @@ func TestRebuildIsTransactional(t *testing.T) {
 	}
 }
 
-// Rebuild recycles the previous generation's run buffer and node list; a
+// Rebuild recycles the previous generation's node list; a
 // shorter and then a longer mapping must neither leak a recycled slot nor free
 // one twice (Free panics on a double free), and must not touch the caller's
 // slice even when it has runs to drop or split.
@@ -70,9 +70,6 @@ func TestRebuildRecyclesBuffers(t *testing.T) {
 		got, err := CollectRuns(mem, tr.Root(), tr.Fanout())
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("CollectRuns: %d runs, %v; want %d", len(got), err, len(want))
-		}
-		if !slices.Equal(tr.Runs(), want) {
-			t.Fatalf("Runs() disagrees with the mapping of %d runs", len(want))
 		}
 		if tr.Nodes() != mem.LiveAllocs() || tr.ResidentBytes() != mem.AllocBytes {
 			t.Fatalf("tree says %d nodes / %d bytes, memory %d / %d", tr.Nodes(), tr.ResidentBytes(), mem.LiveAllocs(), mem.AllocBytes)
@@ -90,7 +87,7 @@ func TestRebuildRecyclesBuffers(t *testing.T) {
 		check(in)
 	}
 
-	// An empty run is dropped and an over-long one split — in the tree's copy.
+	// An empty run is dropped and an over-long one split — in the nodes only.
 	in := []Run{
 		{Logical: 0, Physical: 10, Count: 4},
 		{Logical: 4, Physical: 99, Count: 0},
@@ -109,7 +106,10 @@ func TestRebuildRecyclesBuffers(t *testing.T) {
 		{Logical: 8 + math.MaxUint32, Physical: 1<<40 + math.MaxUint32, Count: 5, Flags: FlagProtected},
 	})
 	// An invalid mapping is refused before anything moves.
-	before := tr.Runs()
+	before, err := CollectRuns(mem, tr.Root(), tr.Fanout())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Rebuild([]Run{{Logical: 5, Count: 5}, {Logical: 7, Count: 1}}); err == nil {
 		t.Fatal("overlapping runs accepted")
 	}
@@ -117,6 +117,49 @@ func TestRebuildRecyclesBuffers(t *testing.T) {
 	tr.Free()
 	if mem.LiveAllocs() != 0 {
 		t.Fatalf("%d allocations live after Free", mem.LiveAllocs())
+	}
+}
+
+// The mapping a tree is built from stays its owner's: Build and Rebuild leave
+// the caller's slice as it was, even where a run has to be dropped or split,
+// and keep no reference to it, so the owner may change it in place afterwards
+// (the host filesystem edits an inode's list on every allocation) without
+// moving a translation the device walks.
+func TestBuildAndRebuildNeitherKeepNorModifyRuns(t *testing.T) {
+	mem := newMem()
+	in := []Run{
+		{Logical: 0, Physical: 10, Count: 4},
+		{Logical: 4, Physical: 99, Count: 0},
+		{Logical: 8, Physical: 1 << 40, Count: math.MaxUint32 + 5, Flags: FlagProtected},
+	}
+	want := []Run{
+		{Logical: 0, Physical: 10, Count: 4},
+		{Logical: 8, Physical: 1 << 40, Count: math.MaxUint32, Flags: FlagProtected},
+		{Logical: 8 + math.MaxUint32, Physical: 1<<40 + math.MaxUint32, Count: 5, Flags: FlagProtected},
+	}
+	tr := mustBuild(t, mem, in, DefaultFanout)
+	for _, step := range []string{"Build", "Rebuild"} {
+		if step == "Rebuild" {
+			in = append(oneBlockRuns(30, 500), Run{Logical: 60, Physical: 7000, Count: 0})
+			want = oneBlockRuns(30, 500)
+			if err := tr.Rebuild(in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		keep := slices.Clone(in)
+		if got, err := CollectRuns(mem, tr.Root(), tr.Fanout()); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("after %s the tree maps %+v (%v), want %+v", step, got, err, want)
+		}
+		if !slices.Equal(in, keep) {
+			t.Fatalf("%s modified the caller's runs: %+v", step, in)
+		}
+		// The owner rewrites its list in place: the tree must not see it.
+		for i := range in {
+			in[i] = Run{Logical: uint64(3 * i), Physical: 1, Count: 1}
+		}
+		if got, err := CollectRuns(mem, tr.Root(), tr.Fanout()); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("after %s, editing the caller's slice moved the tree's mapping to %+v (%v)", step, got, err)
+		}
 	}
 }
 

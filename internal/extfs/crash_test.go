@@ -349,35 +349,24 @@ func TestJournalCrashSweepLeafSplit(t *testing.T) {
 			var before, after []extent.Run
 			pre, writes := recordOp(t, mode,
 				func(t *testing.T, fs *FS) {
-					fragment(t, fs, "/s", 105)
-					if err := fs.Migrate(nil, "/s"); err != nil {
+					if err := fragment(t, fs, "/s", 105).Migrate(nil); err != nil {
 						t.Fatalf("migrate: %v", err)
 					}
 				},
 				func(t *testing.T, fs *FS) {
-					f, err := fs.Open(nil, "/s", 0, PermRead)
-					if err != nil {
-						t.Fatalf("open: %v", err)
-					}
+					f := openRW(t, fs, "/s")
 					leaves := len(fs.inodes[f.ino].overflow)
-					if before, _, err = fs.Runs(nil, "/s"); err != nil {
-						t.Fatal(err)
-					}
-					if err := fs.AllocateRange(nil, "/s", 1, 1); err != nil {
+					before = slices.Clone(f.Extents())
+					if err := f.Allocate(nil, 1, 1); err != nil {
 						t.Fatalf("insert: %v", err)
 					}
-					if after, _, err = fs.Runs(nil, "/s"); err != nil {
-						t.Fatal(err)
-					}
+					after = slices.Clone(f.Extents())
 					if got := len(fs.inodes[f.ino].overflow); got != leaves+1 {
 						t.Fatalf("the insert left %d leaves of %d; it should split one", got, leaves)
 					}
 				})
 			sweep(t, pre, writes, func(t *testing.T, point int, fs *FS) {
-				got, _, err := fs.Runs(nil, "/s")
-				if err != nil {
-					t.Fatalf("crash point %d: %v", point, err)
-				}
+				got := extentsOf(t, fs, "/s")
 				if !slices.Equal(got, before) && !slices.Equal(got, after) {
 					t.Fatalf("crash point %d: %d extents, neither the %d before the split nor the %d after", point, len(got), len(before), len(after))
 				}
@@ -570,8 +559,8 @@ func cleanRemountFragmented(t *testing.T, journal, seed int64) {
 			extents = inlineExtents + 2*50 + 1 // repacks into leaves of 50, 50 and 1
 		}
 		for i := 0; i < extents; i++ {
-			do(name, func() error { return live.AllocateRange(nil, name, uint64(2*i), 1) })
-			do("/spacer", func() error { return live.AllocateRange(nil, "/spacer", uint64(2*spacer), 1) })
+			do(name, func() error { return open[name].Allocate(nil, uint64(2*i), 1) })
+			do("/spacer", func() error { return open["/spacer"].Allocate(nil, uint64(2*spacer), 1) })
 			spacer++
 		}
 	}
@@ -616,7 +605,7 @@ func cleanRemountFragmented(t *testing.T, journal, seed int64) {
 			p := in.extents[i-1]
 			hint := live.allocHint
 			live.allocHint = p.Physical + p.Count
-			do(name, func() error { return live.AllocateRange(nil, name, p.End(), in.extents[i].Logical-p.End()) })
+			do(name, func() error { return open[name].Allocate(nil, p.End(), in.extents[i].Logical-p.End()) })
 			live.allocHint = hint
 			return true
 		}
@@ -655,9 +644,9 @@ func cleanRemountFragmented(t *testing.T, journal, seed int64) {
 				bridges++
 			}
 		case op < 14:
-			do(name, func() error { return live.AllocateRange(nil, name, uint64(rng.Intn(320)), 1) })
+			do(name, func() error { return open[name].Allocate(nil, uint64(rng.Intn(320)), 1) })
 		case op < 17:
-			do("/a", func() error { return live.BreakRange(nil, "/a", uint64(rng.Intn(240)), 1+uint64(rng.Intn(4))) })
+			do("/a", func() error { return open["/a"].BreakShare(nil, uint64(rng.Intn(240)), 1+uint64(rng.Intn(4))) })
 		case op < 18:
 			size := open[name].Size()
 			do(name, func() error { return open[name].Truncate(nil, size-size/16) })

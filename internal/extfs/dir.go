@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"nesc/internal/extent"
 	"nesc/internal/sim"
 )
 
@@ -340,137 +339,4 @@ func (fs *FS) ReadDir(ctx *sim.Proc, path string, uid uint32) ([]DirEntry, error
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// Access reports whether uid holds perm on path (the hypervisor's check
-// before exporting a file as a VF).
-func (fs *FS) Access(ctx *sim.Proc, path string, uid uint32, perm uint16) error {
-	if err := fs.begin(ctx); err != nil {
-		return err
-	}
-	defer fs.end(ctx)
-	ino, err := fs.resolve(ctx, path, uid)
-	if err != nil {
-		return err
-	}
-	if !accessOK(&fs.inodes[ino], uid, perm) {
-		return ErrPerm
-	}
-	return nil
-}
-
-// Runs exports the file's logical-to-physical extent map in filesystem-block
-// units along with its size — the input to NeSC VF creation. The mapping is
-// exactly what the inode's extent map says; holes are simply absent.
-func (fs *FS) Runs(ctx *sim.Proc, path string) ([]extent.Run, uint64, error) {
-	return fs.AppendRuns(ctx, path, nil)
-}
-
-// AppendRuns is Runs appending to dst, so a caller that asks again and again
-// (the hypervisor's miss service) can reuse one buffer. dst is written after
-// the call's last park.
-func (fs *FS) AppendRuns(ctx *sim.Proc, path string, dst []extent.Run) ([]extent.Run, uint64, error) {
-	if err := fs.begin(ctx); err != nil {
-		return nil, 0, err
-	}
-	defer fs.end(ctx)
-	ino, err := fs.resolve(ctx, path, 0)
-	if err != nil {
-		return nil, 0, err
-	}
-	in := &fs.inodes[ino]
-	if in.isDir() {
-		return nil, 0, ErrIsDir
-	}
-	return append(dst, in.extents...), in.size, nil
-}
-
-// Migrate relocates every physical block of path to freshly allocated
-// blocks, copying the data and updating the extent map — the filesystem
-// half of host-side block optimizations like deduplication or
-// defragmentation. Callers exporting the file through NeSC must rebuild the
-// device extent tree and flush the BTLB afterwards (paper §V-B).
-func (fs *FS) Migrate(ctx *sim.Proc, path string) error {
-	return fs.transact(ctx, func() error { return fs.migrateLocked(ctx, path) })
-}
-
-func (fs *FS) migrateLocked(ctx *sim.Proc, path string) error {
-	ino, err := fs.resolve(ctx, path, 0)
-	if err != nil {
-		return err
-	}
-	in := &fs.inodes[ino]
-	if in.isDir() {
-		return ErrIsDir
-	}
-	oldExts := in.extents
-	var newExts []extent.Run
-	rollback := func() {
-		for _, e := range newExts {
-			fs.freeRun(e.Physical, e.Count)
-		}
-	}
-	buf := make([]byte, 64*fs.bs)
-	for _, e := range oldExts {
-		rem := e
-		for rem.Count > 0 {
-			start, got := fs.allocRun(fs.allocHint, rem.Count)
-			if got == 0 {
-				rollback()
-				return ErrNoSpace
-			}
-			for off := uint64(0); off < got; {
-				n := got - off
-				if n > uint64(len(buf)/fs.bs) {
-					n = uint64(len(buf) / fs.bs)
-				}
-				span := buf[:n*uint64(fs.bs)]
-				fs.DataBlockReads += int64(n)
-				if err := fs.dev.ReadBlocks(ctx, int64(rem.Physical+off), span); err != nil {
-					rollback()
-					return err
-				}
-				fs.DataBlockWrites += int64(n)
-				if err := fs.devWrite(ctx, int64(start+off), span); err != nil {
-					rollback()
-					return err
-				}
-				off += n
-			}
-			newExts = append(newExts, extent.Run{Logical: rem.Logical, Physical: start, Count: got})
-			rem.Logical += got
-			rem.Physical += got
-			rem.Count -= got
-		}
-	}
-	for _, e := range oldExts {
-		fs.freeRun(e.Physical, e.Count)
-	}
-	in.extents = nil
-	for _, r := range newExts {
-		insertMapping(in, r)
-	}
-	in.repack = true
-	return fs.writeInode(ctx, ino)
-}
-
-// AllocateRange backs logical blocks [blk, blk+n) of path with physical
-// storage (zero-filled), extending the file size if the range reaches past
-// EOF. This is the hypervisor's lazy-allocation response to a NeSC write
-// miss (paper Fig. 5b: "Allocate blocks, add extents").
-func (fs *FS) AllocateRange(ctx *sim.Proc, path string, blk, n uint64) error {
-	return fs.transact(ctx, func() error {
-		ino, err := fs.resolve(ctx, path, 0)
-		if err != nil {
-			return err
-		}
-		in := &fs.inodes[ino]
-		if err := fs.ensureAllocated(ctx, in, blk, n, true); err != nil {
-			return err
-		}
-		if end := (blk + n) * uint64(fs.bs); end > in.size {
-			in.size = end
-		}
-		return fs.writeInode(ctx, ino)
-	})
 }

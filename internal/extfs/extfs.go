@@ -8,7 +8,7 @@
 // extent maps, lazy allocation (holes), owner/mode permissions, a redo
 // journal with metadata-only and full-data modes (the nested-journaling
 // discussion of §IV-D), and an exportable logical-to-physical mapping
-// (Runs) that feeds VF creation.
+// (File.Extents) that feeds VF creation.
 //
 // The same implementation runs as the hypervisor's filesystem on the
 // physical device and as a guest filesystem inside a virtual disk, which is
@@ -263,7 +263,7 @@ type FS struct {
 	DataBlockReads     int64
 	Ops                int64
 	// CowBreaks counts shared extents unshared (copied or unprotected in
-	// place) by BreakRange.
+	// place) by BreakShare.
 	CowBreaks int64
 }
 

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"nesc/internal/extent"
 	"nesc/internal/sim"
 )
 
@@ -18,6 +20,22 @@ func newFS(t *testing.T, mode JournalMode) (*FS, *MemDev) {
 		t.Fatal(err)
 	}
 	return fs, dev
+}
+
+// openRW opens path on fs read-write as root.
+func openRW(t testing.TB, fs *FS, path string) *File {
+	t.Helper()
+	f, err := fs.Open(nil, path, 0, PermRead|PermWrite)
+	if err != nil {
+		t.Fatalf("open %s: %v", path, err)
+	}
+	return f
+}
+
+// extentsOf returns a copy of path's extent map on fs.
+func extentsOf(t testing.TB, fs *FS, path string) []extent.Run {
+	t.Helper()
+	return slices.Clone(openRW(t, fs, path).Extents())
 }
 
 func TestCreateWriteReadRoundTrip(t *testing.T) {
@@ -271,17 +289,21 @@ func TestPermissions(t *testing.T) {
 	if _, err := fs.Open(nil, "/public", bob, PermWrite); !errors.Is(err, ErrPerm) {
 		t.Fatalf("bob write public = %v", err)
 	}
-	// Access mirrors Open's checks (the VF-creation gate).
-	if err := fs.Access(nil, "/secret", bob, PermRead); !errors.Is(err, ErrPerm) {
-		t.Fatalf("Access = %v", err)
-	}
-	// Read-only handles reject writes.
+	// Read-only handles reject writes and every other change to the file.
 	ro, err := fs.Open(nil, "/public", bob, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ro.WriteAt(nil, []byte("x"), 0); !errors.Is(err, ErrPerm) {
 		t.Fatalf("write through RO handle = %v", err)
+	}
+	for what, err := range map[string]error{
+		"truncate": ro.Truncate(nil, 0), "allocate": ro.Allocate(nil, 0, 1),
+		"break share": ro.BreakShare(nil, 0, 1), "migrate": ro.Migrate(nil),
+	} {
+		if !errors.Is(err, ErrPerm) {
+			t.Fatalf("%s through RO handle = %v", what, err)
+		}
 	}
 }
 
@@ -295,10 +317,7 @@ func TestRunsExportAndExtentCoalescing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runs, size, err := fs.Runs(nil, "/img")
-	if err != nil {
-		t.Fatal(err)
-	}
+	runs, size := f.Extents(), f.Size()
 	if size != 64*4096 {
 		t.Fatalf("size = %d", size)
 	}
@@ -320,16 +339,14 @@ func TestAllocateRangeFillsHoles(t *testing.T) {
 	if err := f.Truncate(nil, 64*1024); err != nil {
 		t.Fatal(err)
 	}
-	runs, _, _ := fs.Runs(nil, "/lazy")
-	if len(runs) != 0 {
+	if runs := f.Extents(); len(runs) != 0 {
 		t.Fatalf("sparse file has %d runs", len(runs))
 	}
-	if err := fs.AllocateRange(nil, "/lazy", 8, 4); err != nil {
+	if err := f.Allocate(nil, 8, 4); err != nil {
 		t.Fatal(err)
 	}
-	runs, _, _ = fs.Runs(nil, "/lazy")
-	if len(runs) != 1 || runs[0].Logical != 8 || runs[0].Count != 4 {
-		t.Fatalf("runs after AllocateRange = %+v", runs)
+	if runs := f.Extents(); len(runs) != 1 || runs[0].Logical != 8 || runs[0].Count != 4 {
+		t.Fatalf("runs after Allocate = %+v", runs)
 	}
 	// The allocated blocks must read back as zeros (no stale data).
 	buf := make([]byte, 4096)
@@ -771,12 +788,13 @@ func TestFailedZeroFillFreesItsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fs.Create(nil, "/img", 0, 0o600); err != nil {
+	img, err := fs.Create(nil, "/img", 0, 0o600)
+	if err != nil {
 		t.Fatal(err)
 	}
 	free := fs.FreeBlocks()
 	dev.fail = true
-	if err := fs.AllocateRange(nil, "/img", 0, 64); err == nil {
+	if err := img.Allocate(nil, 0, 64); err == nil {
 		t.Fatal("preallocation on a device rejecting writes succeeded")
 	}
 	dev.fail = false

@@ -431,18 +431,116 @@ func (f *File) writeLocked(ctx *sim.Proc, p []byte, off int64) error {
 	return nil
 }
 
-// Truncate sets the file size, freeing blocks on shrink.
-func (f *File) Truncate(ctx *sim.Proc, size uint64) error {
-	fs := f.fs
-	return fs.transact(ctx, func() error {
+// update runs body on the file's inode as one transaction, refused on a
+// handle that was not opened for writing.
+func (f *File) update(ctx *sim.Proc, body func(fs *FS, in *inode) error) error {
+	return f.fs.transact(ctx, func() error {
 		if !f.writable {
 			return ErrPerm
 		}
-		if err := fs.truncateTo(ctx, &fs.inodes[f.ino], size); err != nil {
+		return body(f.fs, &f.fs.inodes[f.ino])
+	})
+}
+
+// Truncate sets the file size, freeing blocks on shrink.
+func (f *File) Truncate(ctx *sim.Proc, size uint64) error {
+	return f.update(ctx, func(fs *FS, in *inode) error {
+		if err := fs.truncateTo(ctx, in, size); err != nil {
 			return err
 		}
 		return fs.writeInode(ctx, f.ino)
 	})
+}
+
+// Extents returns the file's logical-to-physical extent map in
+// filesystem-block units, sorted, holes absent — the input to NeSC VF
+// creation and to every rebuild of the VF's device tree. It is the inode's own
+// list, read without the lock and without parking, so it is current as of the
+// caller's last park: the caller must neither keep nor modify it, because the
+// next operation on the file may change it in place.
+func (f *File) Extents() []extent.Run { return f.fs.inodes[f.ino].extents }
+
+// Mapped reports whether logical block blk has an extent, read like Extents.
+func (f *File) Mapped(blk uint64) bool {
+	_, _, ok := mapLookup(&f.fs.inodes[f.ino], blk)
+	return ok
+}
+
+// Allocate backs logical blocks [blk, blk+n) with physical storage
+// (zero-filled), extending the file size if the range reaches past EOF. This
+// is the hypervisor's lazy-allocation response to a NeSC write miss (paper
+// Fig. 5b: "Allocate blocks, add extents").
+func (f *File) Allocate(ctx *sim.Proc, blk, n uint64) error {
+	return f.update(ctx, func(fs *FS, in *inode) error {
+		if err := fs.ensureAllocated(ctx, in, blk, n, true); err != nil {
+			return err
+		}
+		if end := (blk + n) * uint64(fs.bs); end > in.size {
+			in.size = end
+		}
+		return fs.writeInode(ctx, f.ino)
+	})
+}
+
+// Migrate relocates every physical block of the file to freshly allocated
+// blocks, copying the data and updating the extent map — the filesystem half
+// of host-side block optimizations like deduplication or defragmentation.
+// Callers exporting the file through NeSC must rebuild the device extent tree
+// and flush the BTLB afterwards (paper §V-B).
+func (f *File) Migrate(ctx *sim.Proc) error {
+	return f.update(ctx, func(fs *FS, in *inode) error { return fs.migrateLocked(ctx, in, f.ino) })
+}
+
+func (fs *FS) migrateLocked(ctx *sim.Proc, in *inode, ino uint32) error {
+	oldExts := in.extents
+	var newExts []extent.Run
+	rollback := func() {
+		for _, e := range newExts {
+			fs.freeRun(e.Physical, e.Count)
+		}
+	}
+	buf := make([]byte, 64*fs.bs)
+	for _, e := range oldExts {
+		rem := e
+		for rem.Count > 0 {
+			start, got := fs.allocRun(fs.allocHint, rem.Count)
+			if got == 0 {
+				rollback()
+				return ErrNoSpace
+			}
+			for off := uint64(0); off < got; {
+				n := got - off
+				if n > uint64(len(buf)/fs.bs) {
+					n = uint64(len(buf) / fs.bs)
+				}
+				span := buf[:n*uint64(fs.bs)]
+				fs.DataBlockReads += int64(n)
+				if err := fs.dev.ReadBlocks(ctx, int64(rem.Physical+off), span); err != nil {
+					rollback()
+					return err
+				}
+				fs.DataBlockWrites += int64(n)
+				if err := fs.devWrite(ctx, int64(start+off), span); err != nil {
+					rollback()
+					return err
+				}
+				off += n
+			}
+			newExts = append(newExts, extent.Run{Logical: rem.Logical, Physical: start, Count: got})
+			rem.Logical += got
+			rem.Physical += got
+			rem.Count -= got
+		}
+	}
+	for _, e := range oldExts {
+		fs.freeRun(e.Physical, e.Count)
+	}
+	in.extents = nil
+	for _, r := range newExts {
+		insertMapping(in, r)
+	}
+	in.repack = true
+	return fs.writeInode(ctx, ino)
 }
 
 // Sync flushes the underlying device.

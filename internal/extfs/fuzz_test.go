@@ -169,10 +169,7 @@ func TestFuzzMountSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := base.Runs(nil, "/frag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := extentsOf(t, base, "/frag")
 	ino, err := base.resolve(nil, "/frag", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -187,10 +184,7 @@ func TestFuzzMountSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fs.Runs(nil, "/frag")
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := extentsOf(t, fs, "/frag")
 	if len(got) != len(want)+1 || len(fs.inodes[ino].overflow) != leaves+1 {
 		t.Errorf("after the replayed split /frag has %d extents in %d leaves; want %d in %d", len(got), len(fs.inodes[ino].overflow), len(want)+1, leaves+1)
 	}

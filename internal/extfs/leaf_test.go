@@ -10,7 +10,7 @@ import (
 )
 
 // fragment creates path with e one-block extents at logical blocks 0, 2, 4, …:
-// each AllocateRange fills no hole next to another extent, so nothing merges.
+// each Allocate fills no hole next to another extent, so nothing merges.
 func fragment(t testing.TB, fs *FS, path string, e int) *File {
 	t.Helper()
 	f, err := fs.Create(nil, path, 0, 0o644)
@@ -18,7 +18,7 @@ func fragment(t testing.TB, fs *FS, path string, e int) *File {
 		t.Fatal(err)
 	}
 	for i := 0; i < e; i++ {
-		if err := fs.AllocateRange(nil, path, uint64(2*i), 1); err != nil {
+		if err := f.Allocate(nil, uint64(2*i), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,14 +31,15 @@ func fragment(t testing.TB, fs *FS, path string, e int) *File {
 // sameRuns reports how path's size or extent map differs between the live
 // filesystem and a remount of its device, or nil.
 func sameRuns(live, again *FS, path string) error {
-	want, size, err := live.Runs(nil, path)
+	lf, err := live.Open(nil, path, 0, PermRead)
 	if err != nil {
 		return err
 	}
-	got, gotSize, err := again.Runs(nil, path)
+	f, err := again.Open(nil, path, 0, PermRead)
 	if err != nil {
 		return fmt.Errorf("%s after a remount: %w", path, err)
 	}
+	want, size, got, gotSize := lf.Extents(), lf.Size(), f.Extents(), f.Size()
 	if gotSize != size || !slices.Equal(got, want) {
 		return fmt.Errorf("%s is %d bytes in %v after a remount, live %d bytes in %v", path, gotSize, got, size, want)
 	}
@@ -55,10 +56,10 @@ func TestMissJournalsAFlatCost(t *testing.T) {
 	var counts []int64
 	for _, e := range []int{10, 100, 1000} {
 		fs, _ := newFS(t, JournalMetadata)
-		fragment(t, fs, "/img", e)
+		f := fragment(t, fs, "/img", e)
 		for _, lblk := range []uint64{uint64(e/2)*2 + 1, 1} {
 			before := fs.JournalBlockWrites
-			if err := fs.AllocateRange(nil, "/img", lblk, 1); err != nil {
+			if err := f.Allocate(nil, lblk, 1); err != nil {
 				t.Fatal(err)
 			}
 			counts = append(counts, fs.JournalBlockWrites-before)
@@ -114,7 +115,7 @@ func TestMountRefusesCorruptOverflow(t *testing.T) {
 					t.Fatal(err)
 				}
 				if blk, _ := fs.inodeBlock(pad.ino); blk != imgBlk {
-					if err := fs.AllocateRange(nil, fmt.Sprintf("/pad%d", i), 0, 1); err != nil {
+					if err := pad.Allocate(nil, 0, 1); err != nil {
 						t.Fatal(err)
 					}
 					break
@@ -153,17 +154,17 @@ func TestFailedCommitLosesNoLeaf(t *testing.T) {
 				t.Fatal(err)
 			}
 			f := fragment(t, fs, "/img", 400)
-			if err := fs.Migrate(nil, "/img"); err != nil { // full leaves
+			if err := f.Migrate(nil); err != nil { // full leaves
 				t.Fatal(err)
 			}
 			if n := len(fs.inodes[f.ino].overflow); n != 8 {
 				t.Fatalf("400 extents in %d leaves, want 8", n)
 			}
 			dev.writesLeft = k - 1
-			err = fs.AllocateRange(nil, "/img", 21, 1) // into leaf 0, which splits
+			err = f.Allocate(nil, 21, 1) // into leaf 0, which splits
 			t.Logf("insert with writes failing from the %dth: %v", k, err)
 			dev.writesLeft = math.MaxInt
-			if err := fs.AllocateRange(nil, "/img", 2*399-1, 1); err != nil {
+			if err := f.Allocate(nil, 2*399-1, 1); err != nil {
 				t.Fatal(err)
 			}
 			again, err := Mount(nil, mem, 0)

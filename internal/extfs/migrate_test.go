@@ -19,19 +19,12 @@ func TestMigratePreservesContentAndMovesBlocks(t *testing.T) {
 	if _, err := f.WriteAt(nil, data, 0); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := fs.Runs(nil, "/m")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := f.Extents()[0]
 	free0 := fs.FreeBlocks()
-	if err := fs.Migrate(nil, "/m"); err != nil {
+	if err := f.Migrate(nil); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := fs.Runs(nil, "/m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before[0].Physical == after[0].Physical {
+	if before.Physical == f.Extents()[0].Physical {
 		t.Fatal("migration left blocks in place")
 	}
 	if fs.FreeBlocks() != free0 {
@@ -58,7 +51,7 @@ func TestMigrateSparseFile(t *testing.T) {
 	if err := f.Truncate(nil, 500*1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Migrate(nil, "/s"); err != nil {
+	if err := f.Migrate(nil); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]byte, 6)
@@ -69,9 +62,8 @@ func TestMigrateSparseFile(t *testing.T) {
 		t.Fatalf("sparse migration lost data: %q", got)
 	}
 	// Holes stay holes.
-	runs, _, _ := fs.Runs(nil, "/s")
 	var mapped uint64
-	for _, r := range runs {
+	for _, r := range f.Extents() {
 		mapped += r.Count
 	}
 	if mapped != 1 {
@@ -84,14 +76,15 @@ func TestMigrateSparseFile(t *testing.T) {
 
 func TestMigrateErrors(t *testing.T) {
 	fs, _ := newFS(t, JournalMetadata)
-	if err := fs.Migrate(nil, "/missing"); !errors.Is(err, ErrNotExist) {
-		t.Fatalf("migrate missing = %v", err)
+	// Only a file can be opened to migrate.
+	if _, err := fs.Open(nil, "/missing", 0, PermRead|PermWrite); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("open missing = %v", err)
 	}
 	if err := fs.Mkdir(nil, "/d", 0, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.Migrate(nil, "/d"); !errors.Is(err, ErrIsDir) {
-		t.Fatalf("migrate dir = %v", err)
+	if _, err := fs.Open(nil, "/d", 0, PermRead|PermWrite); !errors.Is(err, ErrIsDir) {
+		t.Fatalf("open dir = %v", err)
 	}
 	// Out of space: a file larger than half the free space cannot migrate
 	// (needs a full second copy in flight), and must roll back cleanly.
@@ -105,7 +98,7 @@ func TestMigrateErrors(t *testing.T) {
 	if _, err := f.WriteAt(nil, make([]byte, (free*2/3)*1024), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Migrate(nil, "/big"); !errors.Is(err, ErrNoSpace) {
+	if err := f.Migrate(nil); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("oversized migrate = %v", err)
 	}
 	if err := small.Check(nil); err != nil {

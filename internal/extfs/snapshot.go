@@ -19,7 +19,7 @@ import (
 // superblock (refcntStart/refcntBlocks), all inside one journaled
 // transaction. Writes to a protected extent — from the host through
 // WriteAt/Truncate, or from a guest via the device's CoW fault — go through
-// BreakRange, which copies the shared blocks aside (or just clears a stale
+// BreakShare, which copies the shared blocks aside (or just clears a stale
 // flag once every other owner is gone) and drops one reference.
 
 // refEntrySize is the on-disk size of one reference-count entry.
@@ -134,14 +134,22 @@ func (fs *FS) SharedBlocks() int64 {
 // destination's parent (checked by createNode). The new file is owned by
 // uid with the source's permission bits.
 func (fs *FS) Snapshot(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error {
-	return fs.transact(ctx, func() error { return fs.snapshotLocked(ctx, srcPath, dstPath, uid) })
+	return fs.transact(ctx, func() error {
+		srcIno, err := fs.resolve(ctx, srcPath, uid)
+		if err != nil {
+			return err
+		}
+		return fs.snapshotLocked(ctx, srcIno, dstPath, uid)
+	})
 }
 
-func (fs *FS) snapshotLocked(ctx *sim.Proc, srcPath, dstPath string, uid uint32) error {
-	srcIno, err := fs.resolve(ctx, srcPath, uid)
-	if err != nil {
-		return err
-	}
+// Snapshot is FS.Snapshot of the open file, which names its source without a
+// path lookup.
+func (f *File) Snapshot(ctx *sim.Proc, dstPath string, uid uint32) error {
+	return f.fs.transact(ctx, func() error { return f.fs.snapshotLocked(ctx, f.ino, dstPath, uid) })
+}
+
+func (fs *FS) snapshotLocked(ctx *sim.Proc, srcIno uint32, dstPath string, uid uint32) error {
 	src := &fs.inodes[srcIno]
 	if src.isDir() {
 		return ErrIsDir
@@ -175,29 +183,21 @@ func (fs *FS) snapshotLocked(ctx *sim.Proc, srcPath, dstPath string, uid uint32)
 	return fs.writeInode(ctx, dstIno)
 }
 
-// BreakRange unshares logical blocks [blk, blk+n) of path: protected
-// extents overlapping the range are split, shared blocks are copied to
-// fresh storage (dropping one reference on the originals), and blocks whose
-// other owners are already gone are simply unprotected in place. This is
-// the hypervisor's CoW-fault service (device miss with MissReasonCoW) and
-// runs as one journaled transaction, so a crash never leaks or double-frees
-// a block. It is idempotent: re-running it over an already-broken range
-// changes nothing.
-func (fs *FS) BreakRange(ctx *sim.Proc, path string, blk, n uint64) error {
-	return fs.transact(ctx, func() error {
-		ino, err := fs.resolve(ctx, path, 0)
-		if err != nil {
-			return err
-		}
-		in := &fs.inodes[ino]
-		if in.isDir() {
-			return ErrIsDir
-		}
+// BreakShare unshares logical blocks [blk, blk+n) of the file: protected
+// extents overlapping the range are split, shared blocks are copied to fresh
+// storage (dropping one reference on the originals), and blocks whose other
+// owners are already gone are simply unprotected in place. This is the
+// hypervisor's CoW-fault service (device miss with MissReasonCoW) and runs as
+// one journaled transaction, so a crash never leaks or double-frees a block.
+// It is idempotent: re-running it over an already-broken range changes
+// nothing.
+func (f *File) BreakShare(ctx *sim.Proc, blk, n uint64) error {
+	return f.update(ctx, func(fs *FS, in *inode) error {
 		changed, err := fs.breakShareLocked(ctx, in, blk, n)
 		if err != nil || !changed {
 			return err
 		}
-		return fs.writeInode(ctx, ino)
+		return fs.writeInode(ctx, f.ino)
 	})
 }
 

@@ -58,11 +58,7 @@ func TestSnapshotSharesBlocksAndReadsIdentical(t *testing.T) {
 	}
 	// Every extent of both files is write-protected.
 	for _, path := range []string{"/vm.img", "/vm.snap"} {
-		runs, _, err := fs.Runs(nil, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range runs {
+		for _, r := range extentsOf(t, fs, path) {
 			if !r.Protected() {
 				t.Fatalf("%s extent %+v not protected", path, r)
 			}
@@ -262,26 +258,22 @@ func TestBreakRangeIdempotentAndTargeted(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := fs.FreeBlocks()
-	if err := fs.BreakRange(nil, "/b", 2, 1); err != nil {
+	if err := f.BreakShare(nil, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if used := free - fs.FreeBlocks(); used != 1 {
 		t.Fatalf("single-block break copied %d blocks", used)
 	}
 	breaks := fs.CowBreaks
-	if err := fs.BreakRange(nil, "/b", 2, 1); err != nil {
+	if err := f.BreakShare(nil, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if fs.CowBreaks != breaks {
 		t.Fatal("re-breaking an already-private block did work")
 	}
 	// The broken block is no longer protected; its neighbours still are.
-	runs, _, err := fs.Runs(nil, "/b")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var prot, unprot int
-	for _, r := range runs {
+	for _, r := range f.Extents() {
 		if r.Protected() {
 			prot++
 		} else {
@@ -409,7 +401,7 @@ func TestMigrateOfSharedFileKeepsSnapshotIntact(t *testing.T) {
 	}
 	// Migration relocates the parent's blocks; the snapshot keeps the old
 	// ones (its references hold them live).
-	if err := fs.Migrate(nil, "/m"); err != nil {
+	if err := f.Migrate(nil); err != nil {
 		t.Fatal(err)
 	}
 	mustCheck(t, fs)

@@ -62,29 +62,18 @@ func TestBreakLeavesCloneExtentsUntouched(t *testing.T) {
 	if err := fs.Snapshot(nil, "/src", "/clone", 100); err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := fs.Runs(nil, "/clone")
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := extentsOf(t, fs, "/clone")
 	// First block, a middle window, the last block: each splits an extent of
 	// the source.
 	for _, r := range [][2]uint64{{0, 1}, {20, 3}, {63, 1}} {
-		if err := fs.BreakRange(nil, "/src", r[0], r[1]); err != nil {
+		if err := f.BreakShare(nil, r[0], r[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	src, _, err := fs.Runs(nil, "/src")
-	if err != nil {
-		t.Fatal(err)
+	if n := len(f.Extents()); n <= len(before) {
+		t.Fatalf("source still has %d extents after three breaks", n)
 	}
-	if len(src) <= len(before) {
-		t.Fatalf("source still has %d extents after three breaks", len(src))
-	}
-	after, _, err := fs.Runs(nil, "/clone")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(after, before) {
+	if after := extentsOf(t, fs, "/clone"); !slices.Equal(after, before) {
 		t.Fatalf("clone's extents moved when the source broke sharing:\n got %+v\nwant %+v", after, before)
 	}
 	clone, err := fs.Open(nil, "/clone", 100, PermRead)
@@ -97,11 +86,11 @@ func TestBreakLeavesCloneExtentsUntouched(t *testing.T) {
 	mustCheck(t, fs)
 }
 
-// Allocation ceiling, in the style of internal/sim/alloc_test.go: resolving
-// the path allocates (its components, each directory's image), copying the
-// extent map into a buffer that is large enough does not. Stat resolves the
-// same path and copies nothing.
-func TestAppendRunsAddsNoAllocation(t *testing.T) {
+// Reading a file's extent map through its handle is no filesystem
+// operation: it resolves no path, takes no lock, allocates nothing and counts
+// no Ops — it is the inode's own list, so it shows the next allocation
+// on the next call without a path lookup.
+func TestExtentsIsNoOperation(t *testing.T) {
 	fs, _ := newFS(t, JournalMetadata)
 	f, err := fs.Create(nil, "/frag", 100, 0o644)
 	if err != nil {
@@ -112,27 +101,21 @@ func TestAppendRunsAddsNoAllocation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	buf := make([]extent.Run, 0, 512)
-	resolve := testing.AllocsPerRun(100, func() {
-		if _, err := fs.Stat(nil, "/frag", 0); err != nil {
-			t.Fatal(err)
+	ops := fs.Ops
+	if allocs := testing.AllocsPerRun(100, func() {
+		if n := len(f.Extents()); n != 300 {
+			t.Fatalf("Extents: %d runs, want 300", n)
 		}
-	})
-	appendRuns := testing.AllocsPerRun(100, func() {
-		runs, _, err := fs.AppendRuns(nil, "/frag", buf[:0])
-		if err != nil || len(runs) != 300 || &runs[0] != &buf[:1][0] {
-			t.Fatalf("AppendRuns: %d runs, %v (or not in the caller's buffer)", len(runs), err)
-		}
-	})
-	if appendRuns > resolve {
-		t.Errorf("AppendRuns into a large-enough buffer allocates %v per call, resolving the path alone %v", appendRuns, resolve)
+	}); allocs != 0 {
+		t.Errorf("Extents allocates %v per call, want 0", allocs)
 	}
-	runs := testing.AllocsPerRun(100, func() {
-		if _, _, err := fs.Runs(nil, "/frag"); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if runs != resolve+1 {
-		t.Errorf("Runs allocates %v per call, want the path's %v plus the copy", runs, resolve)
+	if fs.Ops != ops {
+		t.Errorf("Extents counted %d filesystem operations", fs.Ops-ops)
+	}
+	if err := f.Allocate(nil, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Extents(); len(got) != 301 || got[1].Logical != 1 {
+		t.Errorf("after filling the first hole Extents has %d runs, the second %+v; want 301, the second at block 1", len(got), got[1])
 	}
 }

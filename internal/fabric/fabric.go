@@ -398,6 +398,12 @@ func (c *Client) submitWrite(p *sim.Proc, lba int64, buf guest.Buffer) error {
 	}
 	for _, r := range missed {
 		r.dirty.Mark(uint64(lba), blocks)
+		if r.state == Suspect {
+			// Otherwise only foreground traffic would move the leg, and it
+			// may never come: the resilver drains its log
+			// (nextRebuildTarget).
+			c.kickResilver()
+		}
 	}
 	if c.migDirty != nil {
 		c.migDirty.Mark(uint64(lba), blocks)

@@ -292,6 +292,36 @@ func TestMirrorConverges(t *testing.T) {
 			}
 			return synced(p, rig, 10, 3)
 		}},
+		{"a suspect leg that misses a write is resilvered", func(p *sim.Proc, rig *mirrorRig) error {
+			c, leg := rig.c, rig.c.reps[1]
+			rig.legs[1].writeErr = errWire
+			for lba := int64(3); leg.state != Suspect; lba += 40 {
+				if lba > 3+40*int64(c.Cfg.SuspectThreshold) {
+					return fmt.Errorf("leg 1 still %v after %d failed writes", leg.state, c.Cfg.SuspectThreshold)
+				}
+				if err := write(p, c, lba); err != nil {
+					return err
+				}
+			}
+			rig.legs[1].writeErr = nil
+			// No more foreground traffic: the resilver alone must drain the
+			// log. The leg stays suspect until enough I/O succeeds.
+			for i := 0; leg.dirty.DirtyRegions() != 0; i++ {
+				if i == 10 {
+					return fmt.Errorf("suspect leg 1 still stale with no traffic: %+v", c.Status())
+				}
+				p.Sleep(c.Cfg.ResilverInterval)
+			}
+			if leg.state == Failed {
+				return errors.New("the resilver fenced a leg whose copies succeed")
+			}
+			for lba := int64(3); lba < 3+40*int64(c.Cfg.SuspectThreshold); lba += 40 {
+				if !bytes.Equal(rig.legs[1].store[lba*512:(lba+1)*512], fresh) {
+					return fmt.Errorf("leg 1 does not hold the acknowledged write at %d", lba)
+				}
+			}
+			return nil
+		}},
 		{"a rebuilding leg that errs keeps its resilver", func(p *sim.Proc, rig *mirrorRig) error {
 			c := rig.c
 			c.reps[1].state = Failed

@@ -9,7 +9,8 @@ import (
 	"nesc/internal/sim"
 )
 
-// Background resilver: drains rebuilding replicas' dirty logs by copying
+// Background resilver: drains the dirty logs of rebuilding replicas, and of
+// suspect ones that missed a write, by copying
 // each dirty region from a clean peer, paced at one region per
 // ResilverInterval so rebuild traffic rides under foreground tenants like
 // the device's scavenger-priority scrub does. The copy is convergent, not
@@ -52,9 +53,13 @@ func (c *Client) resilverLoop(p *sim.Proc) {
 	}
 }
 
+// nextRebuildTarget picks the leg the next pass copies to: a rebuilding one,
+// or a suspect one with a dirty log. A suspect leg still takes writes, so only
+// the resilver brings back what it missed; its health stays the state
+// machine's, moved by the copies' outcomes like any other I/O's.
 func (c *Client) nextRebuildTarget() *Replica {
 	for _, r := range c.reps {
-		if r.state == Rebuilding {
+		if r.state == Rebuilding || r.state == Suspect && r.dirty.DirtyRegions() != 0 {
 			return r
 		}
 	}

@@ -31,6 +31,9 @@ type Device struct {
 	// bound path runs fetch-backed (MgmtFetch). Whoever owns the content binds
 	// and unbinds the path.
 	Fetch map[string]FetchSource
+	// inv is held across one targeted BTLB invalidation command, whose range
+	// latch the device has once, not per function (invalidateSharers).
+	inv *sim.Semaphore
 }
 
 // FetchSource stands behind a fetch-backed export, whose holes hold content
@@ -69,7 +72,8 @@ func (d *Device) vfAt(idx int) *vfState {
 // New and before Boot; the controller must live on the same PCIe fabric.
 // Returns the new device (index len-1).
 func (h *Hypervisor) AddDevice(ctl *core.Controller) *Device {
-	d := &Device{h: h, Idx: len(h.devs), Ctl: ctl, trees: make(map[string]*sharedTree), Fetch: make(map[string]FetchSource)}
+	d := &Device{h: h, Idx: len(h.devs), Ctl: ctl, trees: make(map[string]*sharedTree), Fetch: make(map[string]FetchSource),
+		inv: sim.NewSemaphore(h.Eng, 1)}
 	h.devs = append(h.devs, d)
 	h.devByPF[ctl.PF().ID()] = d
 	if h.P.UseIOMMU {
@@ -149,7 +153,7 @@ func (d *Device) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sp
 	}
 	err = f.Truncate(p, blocks*uint64(d.Ctl.P.BlockSize))
 	if err == nil && !sparse {
-		err = d.HostFS.AllocateRange(p, path, 0, blocks)
+		err = f.Allocate(p, 0, blocks)
 	}
 	if err != nil {
 		return errors.Join(err, d.HostFS.Remove(p, path, uid))

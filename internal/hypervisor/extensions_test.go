@@ -170,18 +170,12 @@ func TestMigrationWithBTLBFlushIsTransparent(t *testing.T) {
 		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		runsBefore, _, err := w.d.HostFS.Runs(p, "/m.img")
-		if err != nil {
-			t.Fatal(err)
-		}
+		file := w.d.vf(vm.Legs[0].VFIdx).shared.file
+		before := file.Extents()[0]
 		if err := w.d.MigrateVFFile(p, vm.Legs[0].VFIdx); err != nil {
 			t.Fatal(err)
 		}
-		runsAfter, _, err := w.d.HostFS.Runs(p, "/m.img")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runsBefore[0].Physical == runsAfter[0].Physical {
+		if before.Physical == file.Extents()[0].Physical {
 			t.Fatal("migration did not move any blocks")
 		}
 		// The VM reads the same content from the new location.
@@ -218,18 +212,18 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 		if err := vm.Kernel.SubmitAligned(p, false, 0, buf); err != nil {
 			t.Fatal(err)
 		}
-		runsBefore, _, _ := w.d.HostFS.Runs(p, "/m.img")
+		sh := w.d.vf(vm.Legs[0].VFIdx).shared
+		old := sh.file.Extents()[0]
 		// MigrateVFFile without its flush — the bug: move the blocks and
 		// rebuild the tree, nothing else.
-		if err := w.d.HostFS.Migrate(p, "/m.img"); err != nil {
+		if err := sh.file.Migrate(p); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.d.remap(p, w.d.vf(vm.Legs[0].VFIdx)); err != nil {
+		if err := w.d.remap(p, sh); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over the OLD physical location (now free, reused by the
 		// host for something else).
-		old := runsBefore[0]
 		junk := bytes.Repeat([]byte{0xEE}, 4096)
 		if err := w.ctl.Medium.Store().WriteBlocks(int64(old.Physical), junk); err != nil {
 			t.Fatal(err)

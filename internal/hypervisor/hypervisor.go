@@ -103,14 +103,15 @@ func DefaultParams() Params {
 // thereby files"; NeSC guarantees only the consistency of the shared tree —
 // data synchronization is the clients' business.
 type sharedTree struct {
-	key  string // host path, or a unique synthetic key for raw VFs
+	// path is the exported host file and file the handle the export opened
+	// on it, through which every host-filesystem call on the image goes;
+	// "" and nil for a raw VF, whose tree no other VF shares.
+	path string
+	file *extfs.File
 	tree *extent.Tree
 	// vfs lists the VFs exporting the tree in index order, the order every
 	// sharer is written to (next); the tree is freed when the list empties.
 	vfs []int
-	// runs is remap's buffer for the file's extent map, reused by every
-	// rebuild of the tree; it holds nothing between two remaps.
-	runs []extent.Run
 }
 
 // next returns the first sharer after VF index after. Writes to every sharer
@@ -130,10 +131,8 @@ func (sh *sharedTree) next(after int) (int, bool) {
 // Device.transition. Records live as long as the device — longer than any
 // one export — so a process may hold one across a park.
 type vfState struct {
-	// shared is the exported tree, nil while the VF exports nothing; path is
-	// the exported host file, "" for a raw VF and for no export.
+	// shared is the exported tree, nil while the VF exports nothing.
 	shared *sharedTree
-	path   string
 	// sizeBlocks is the size programmed into the VF's management block: the
 	// bound every address the device latches for this VF is held to.
 	sizeBlocks uint64

@@ -131,8 +131,8 @@ func TestMissOutsideExportFails(t *testing.T) {
 		if err != nil || st != ring.StatusNoSpace {
 			t.Errorf("write past the export: status %d err %v, want StatusNoSpace", st, err)
 		}
-		if _, size, err := w.d.HostFS.Runs(p, "/disk.img"); err != nil || size != 64*1024 {
-			t.Errorf("image is %d bytes (err %v) after the refused miss, want %d", size, err, 64*1024)
+		if info, err := w.d.HostFS.Stat(p, "/disk.img", 0); err != nil || info.Size != 64*1024 {
+			t.Errorf("image is %d bytes (err %v) after the refused miss, want %d", info.Size, err, 64*1024)
 		}
 	})
 }

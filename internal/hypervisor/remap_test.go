@@ -11,10 +11,10 @@ import (
 )
 
 // Two VFs exporting one sparse file take lazy-allocation misses at the same
-// time, so one handler sweep services both and both remaps fill the shared
-// tree's one run buffer. Afterwards every sharer's root register must name the
+// time, so one handler sweep services both and their remaps of the shared
+// tree interleave. Afterwards every sharer's root register must name the
 // tree's root and the serialized tree must be the file's extent map.
-func TestSharersRemapThroughOneBuffer(t *testing.T) {
+func TestConcurrentSharerMissesLeaveOneTree(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
@@ -59,13 +59,42 @@ func TestSharersRemapThroughOneBuffer(t *testing.T) {
 				t.Fatalf("VF of vm%d walks root %#x, the shared tree's is %#x", i, got, tree.Root())
 			}
 		}
-		want, _, err := w.d.HostFS.Runs(p, "/shared.img")
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := w.d.vf(vms[0].Legs[0].VFIdx).shared.file.Extents()
 		got, err := extent.CollectRuns(w.mem, tree.Root(), tree.Fanout())
 		if err != nil || len(want) != 8 || !slices.Equal(got, want) {
 			t.Fatalf("serialized tree %+v (%v), file's extent map %+v", got, err, want)
 		}
+	})
+}
+
+// A miss is one host-filesystem operation (paper Fig. 5b's "filesystem
+// query", which MissHandlerTime prices): the export holds the file open, so
+// the service allocates or breaks the share through the handle and rebuilds
+// the tree from the inode's own extent map, resolving no path and reading no
+// directory. Both a lazy-allocation miss and a CoW-break miss count exactly one
+// HostFS operation.
+func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		vm := w.directVM(t, p, 64, true)
+		buf := vm.Kernel.AllocBuffer(1024)
+		write := func(what string, cow int64) {
+			t.Helper()
+			ops, misses, breaks := w.d.HostFS.Ops, w.h.MissInterrupts, w.h.CowBreaks
+			if err := vm.Kernel.SubmitAligned(p, true, 5, buf); err != nil {
+				t.Fatal(err)
+			}
+			if n := w.h.MissInterrupts - misses; n != 1 || w.h.CowBreaks-breaks != cow {
+				t.Fatalf("%s: %d miss services, %d CoW breaks; want one miss", what, n, w.h.CowBreaks-breaks)
+			}
+			if n := w.d.HostFS.Ops - ops; n != 1 {
+				t.Errorf("%s miss ran %d host-filesystem operations, want 1", what, n)
+			}
+		}
+		write("lazy-allocation", 0)
+		if err := w.d.SnapshotVF(p, vm.Legs[0].VFIdx, "/disk.snap", 9); err != nil {
+			t.Fatal(err)
+		}
+		write("CoW-break", 1)
 	})
 }

@@ -24,13 +24,19 @@ import (
 // a remap one sharer caused leaves the same stale translation cached under
 // every other sharer's index: whoever changes a shared tree invalidates for
 // all of them. Three-register MMIO command per function: latch the range,
-// then writing the function index fires the invalidation.
-func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64) {
-	base, sh := d.Ctl.BARBase(), st.shared
+// then writing the function index fires the invalidation. The latch is
+// device-wide and each write parks, so the command holds the device's
+// invalidation lock: two miss handlers (or a snapshot beside a CoW break)
+// would otherwise interleave their writes and fire one function's
+// invalidation on the other's range. An uncontended grant posts no event.
+func (d *Device) invalidateSharers(p *sim.Proc, sh *sharedTree, vlba, count uint64) {
+	base := d.Ctl.BARBase()
 	for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
+		d.inv.Acquire(p)
 		d.h.mmioW(p, base+ring.PFRegInvVLBA, vlba)
 		d.h.mmioW(p, base+ring.PFRegInvCount, count)
 		d.h.mmioW(p, base+ring.PFRegInvFn, uint64(idx+1))
+		d.inv.Release()
 	}
 }
 
@@ -41,16 +47,17 @@ func (d *Device) invalidateSharers(p *sim.Proc, st *vfState, vlba, count uint64)
 // host file — export it with CreateVF, or keep it as a point-in-time backup.
 func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) error {
 	return d.transition(p, idx, exportingFile, func(st *vfState) error {
-		if err := d.HostFS.Snapshot(p, st.path, dstPath, uid); err != nil {
+		sh := st.shared
+		if err := sh.file.Snapshot(p, dstPath, uid); err != nil {
 			return err
 		}
 		d.h.Snapshots++
 		// The BTLB may cache pre-snapshot, unprotected translations: drop them
 		// all once the write-protected tree is in place.
-		if err := d.remap(p, st); err != nil {
+		if err := d.remap(p, sh); err != nil {
 			return err
 		}
-		d.invalidateSharers(p, st, 0, 0)
+		d.invalidateSharers(p, sh, 0, 0)
 		return nil
 	})
 }
@@ -94,16 +101,17 @@ func (d *Device) Unprotect(p *sim.Proc, path string) error {
 		return nil
 	}
 	unshared := func(st *vfState, _ bool) bool {
-		return st.path == path && d.HostFS.SharedBlocks() == 0
+		return st.shared != nil && st.shared.path == path && d.HostFS.SharedBlocks() == 0
 	}
 	err := d.transition(p, idx, unshared, func(st *vfState) error {
-		if err := d.HostFS.BreakRange(p, path, 0, math.MaxUint64); err != nil {
+		sh := st.shared
+		if err := sh.file.BreakShare(p, 0, math.MaxUint64); err != nil {
 			return err
 		}
-		if err := d.remap(p, st); err != nil {
+		if err := d.remap(p, sh); err != nil {
 			return err
 		}
-		d.invalidateSharers(p, st, 0, 0)
+		d.invalidateSharers(p, sh, 0, 0)
 		return nil
 	})
 	if errors.Is(err, errStale) {

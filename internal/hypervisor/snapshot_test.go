@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -333,6 +334,75 @@ func TestCowBreakInvalidatesEverySharersBTLB(t *testing.T) {
 		}
 		if !bytes.Equal(got.Data, one.Data) {
 			t.Error("sharer still reads the pre-break physical block through a stale BTLB entry")
+		}
+	})
+}
+
+// Two callers fire the targeted BTLB invalidation at one instant, each for the
+// one extent its own VF has cached, over disjoint vLBA ranges — two miss
+// handlers breaking CoW on different VFs do this. The command latches its
+// range in registers the device has once, so each caller must fire on its own
+// range: both entries go, and VF 0, whose blocks moved behind the cache's
+// back, reads them from where they are now.
+func TestConcurrentTargetedInvalidationsDropEveryRange(t *testing.T) {
+	w := newWorld(t, 16384, nil)
+	w.run(t, func(p *sim.Proc) {
+		w.boot(t, p)
+		data := bytes.Repeat([]byte{0xAA}, 1024)
+		var shs [2]*sharedTree
+		var vms [2]*VM
+		for i := range shs {
+			path := fmt.Sprintf("/inv%d.img", i)
+			w.mkSparseImage(t, p, path, 3, 64)
+			vm, err := w.h.NewVM(p, fmt.Sprintf("vm%d", i), VMConfig{Backend: BackendDirect, DiskPath: path, UID: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One one-block extent per VF, at vLBA 0 for VF 0 and 32 for VF
+			// 1, walked and cached by the write and the read after it.
+			buf := vm.Kernel.AllocBuffer(1024)
+			copy(buf.Data, data)
+			for _, write := range []bool{true, false} {
+				if err := vm.Kernel.SubmitAligned(p, write, int64(32*i), buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			shs[i], vms[i] = w.d.vf(vm.Legs[0].VFIdx).shared, vm
+		}
+		// Move VF 0's blocks and rebuild its tree, and reuse the old blocks:
+		// only the invalidation keeps VF 0 from reading them.
+		old := shs[0].file.Extents()[0]
+		if err := shs[0].file.Migrate(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.d.remap(p, shs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.ctl.Medium.Store().WriteBlocks(int64(old.Physical), bytes.Repeat([]byte{0xEE}, 1024)); err != nil {
+			t.Fatal(err)
+		}
+		before := w.ctl.BTLBInvalidations
+		var done [2]*sim.Signal
+		for i, sh := range shs {
+			i, sh := i, sh
+			done[i] = sim.NewSignal(w.eng)
+			w.eng.Go(fmt.Sprintf("invalidate%d", i), func(q *sim.Proc) {
+				w.d.invalidateSharers(q, sh, uint64(32*i), 1)
+				done[i].Fire()
+			})
+		}
+		done[0].Await(p)
+		done[1].Await(p)
+		w.d.QueuePoolStatus(p) // a non-posted read: every posted write has landed
+		if got := w.ctl.BTLBInvalidations - before; got != 2 {
+			t.Errorf("two invalidations at one instant dropped %d entries, want one each", got)
+		}
+		buf := vms[0].Kernel.AllocBuffer(1024)
+		if err := vms[0].Kernel.SubmitAligned(p, false, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Data, data) {
+			t.Fatalf("VF 0 reads %#x: its stale translation survived the invalidation", buf.Data[0])
 		}
 	})
 }

@@ -44,12 +44,12 @@ var errStale = errors.New("hypervisor: the VF does not export what the operation
 // The re-validations of a transition that needs the VF to export something,
 // or a host file.
 func exporting(st *vfState, _ bool) bool     { return st.shared != nil }
-func exportingFile(st *vfState, _ bool) bool { return st.path != "" }
+func exportingFile(st *vfState, _ bool) bool { return st.shared != nil && st.shared.file != nil }
 
 // CreateVF exports the host file at path as a virtual function on behalf of
-// uid: it checks the filesystem permissions, translates the file's extent
-// map into a device extent tree in host memory, and programs the VF's
-// management block. It returns the VF index.
+// uid: it opens the file, which checks the filesystem permissions, translates
+// the file's extent map into a device extent tree in host memory, and
+// programs the VF's management block. It returns the VF index.
 //
 // Exporting the same file again shares the existing extent tree across the
 // VFs (paper §IV-B); the tree stays consistent for all sharers, while data
@@ -57,15 +57,12 @@ func exportingFile(st *vfState, _ bool) bool { return st.path != "" }
 func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 	// The protection gate: the hypervisor only exports files the requesting
 	// tenant may access (read+write for a block device).
-	if err := d.HostFS.Access(p, path, uid, extfs.PermRead|extfs.PermWrite); err != nil {
+	f, err := d.HostFS.Open(p, path, uid, extfs.PermRead|extfs.PermWrite)
+	if err != nil {
 		return 0, fmt.Errorf("hypervisor: VF creation denied: %w", err)
 	}
-	runs, size, err := d.HostFS.Runs(p, path)
-	if err != nil {
-		return 0, err
-	}
 	bs := uint64(d.Ctl.P.BlockSize)
-	return d.export(p, path, runs, (size+bs-1)/bs)
+	return d.export(p, path, f, (f.Size()+bs-1)/bs)
 }
 
 // CreateRawVF exports the whole physical device through a VF with an
@@ -73,37 +70,38 @@ func (d *Device) CreateVF(p *sim.Proc, path string, uid uint32) (int, error) {
 // simply as a PCIe SSD" (§II); this is the direct-device-assignment
 // configuration of Figure 2.
 func (d *Device) CreateRawVF(p *sim.Proc) (int, error) {
-	blocks := uint64(d.Ctl.Medium.Store().NumBlocks())
-	return d.export(p, "", []extent.Run{{Logical: 0, Physical: 0, Count: blocks}}, blocks)
+	return d.export(p, "", nil, uint64(d.Ctl.Medium.Store().NumBlocks()))
 }
 
 // export is the one VF creator: it takes the lowest free VF, joins the sharers
-// of the tree exported under path (building it from runs for the first one),
-// and programs the VF's management block. A raw VF (path "") is the identity
-// run under a synthetic key of its own.
-func (d *Device) export(p *sim.Proc, path string, runs []extent.Run, sizeBlocks uint64) (int, error) {
+// of the tree exported over path (building it from file's extent map for the
+// first one, which keeps file), and programs the VF's management block. A raw
+// VF (no file) gets an identity tree of its own, which no other VF joins.
+func (d *Device) export(p *sim.Proc, path string, file *extfs.File, sizeBlocks uint64) (int, error) {
 	idx, err := d.freeVF()
 	if err != nil {
 		return 0, err
 	}
-	key := path
-	if path == "" {
-		key = fmt.Sprintf("\x00raw-vf-%d", idx) // cannot collide with host paths
-	}
 	// freeVF hands out no VF a transition holds: nothing to re-validate.
 	err = d.transition(p, idx, nil, func(st *vfState) error {
-		sh := d.trees[key]
+		sh := d.trees[path] // "" names no entry
 		if sh == nil {
+			runs := []extent.Run{{Count: sizeBlocks}} // the identity map
+			if file != nil {
+				runs = file.Extents()
+			}
 			tree, err := extent.Build(d.h.Mem, runs, extent.DefaultFanout)
 			if err != nil {
 				return err
 			}
-			sh = &sharedTree{key: key, tree: tree}
-			d.trees[key] = sh
+			sh = &sharedTree{path: path, file: file, tree: tree}
+			if file != nil {
+				d.trees[path] = sh
+			}
 		}
 		i, _ := slices.BinarySearch(sh.vfs, idx)
 		sh.vfs = slices.Insert(sh.vfs, i, idx)
-		st.shared, st.path, st.sizeBlocks = sh, path, sizeBlocks
+		st.shared, st.sizeBlocks = sh, sizeBlocks
 		mgmt := d.mgmtAddr(idx)
 		d.h.mmioW(p, mgmt+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
 		d.h.mmioW(p, mgmt+ring.MgmtDeviceSize, sizeBlocks)
@@ -161,9 +159,9 @@ func (d *Device) DestroyVF(p *sim.Proc, idx int, drain bool) {
 		sh.vfs = slices.Delete(sh.vfs, i, i+1)
 		if len(sh.vfs) == 0 {
 			sh.tree.Free()
-			delete(d.trees, sh.key)
+			delete(d.trees, sh.path)
 		}
-		st.shared, st.path, st.sizeBlocks = nil, "", 0
+		st.shared, st.sizeBlocks = nil, 0
 		sriov := d.Ctl.SRIOV()
 		if err := sriov.EnableVFs(sriov.NumEnabled - 1); err != nil {
 			panic(err)
@@ -208,24 +206,15 @@ func (d *Device) PruneVFTrees(maxNodes int) int {
 	return total
 }
 
-// remap brings the device's view of st's export up to date with the host
-// filesystem: re-read the file's extent map, rebuild the shared device tree
-// from it, and write the (possibly new) root into the management block of
-// every VF sharing the tree — the old nodes are freed, so a stale root
+// remap brings the device's view of an export up to date with the host
+// filesystem: rebuild the shared device tree from the file's extent map — the
+// inode's own list, handed to Rebuild with no park in between, and kept by
+// neither — and write the (possibly new) root into the management block of
+// every VF sharing the tree: the old nodes are freed, so a stale root
 // register would walk dead memory. Which cached translations the change made
 // stale is the caller's to say; each invalidates its own way afterwards.
-func (d *Device) remap(p *sim.Proc, st *vfState) error {
-	// Sharers' remaps may interleave at every park and all fill sh.runs, which
-	// is safe because AppendRuns writes it after its last park (releasing the
-	// filesystem lock does not park) and Rebuild, which copies it, runs before
-	// the next one.
-	sh := st.shared
-	runs, _, err := d.HostFS.AppendRuns(p, st.path, sh.runs[:0])
-	if err != nil {
-		return err
-	}
-	sh.runs = runs
-	if err := sh.tree.Rebuild(runs); err != nil {
+func (d *Device) remap(p *sim.Proc, sh *sharedTree) error {
+	if err := sh.tree.Rebuild(sh.file.Extents()); err != nil {
 		return err
 	}
 	for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
@@ -321,9 +310,7 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	h.MissInterrupts++
 	mgmt := d.mgmtAddr(idx)
 	missAddr := h.mmioR(p, mgmt+ring.MgmtMissAddr)
-	sizeReason := h.mmioR(p, mgmt+ring.MgmtMissSize)
-	missSize := sizeReason & 0xFFFFFFFF
-	reason := uint32(sizeReason >> 32)
+	missSize, reason, write := ring.DecodeMiss(h.mmioR(p, mgmt+ring.MgmtMissSize))
 	dec := h.inj.Decide(fault.MissHandler)
 	p.Sleep(h.P.MissHandlerTime + dec.Delay)
 	if dec.Fault {
@@ -333,7 +320,8 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		return ring.RewalkFail
 	}
 	st := d.vf(idx)
-	if st.path == "" {
+	sh := st.shared
+	if sh == nil || sh.file == nil {
 		// No backing file to extend (a raw VF, or one torn down while its
 		// miss was latched): fail the write.
 		return ring.RewalkFail
@@ -351,30 +339,28 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	switch {
 	case fetch:
 		// A hole on a fetch-backed VF: the blocks' content lives with the
-		// path's source. The extra register read (is the stalled op a read or
-		// a write?) only labels attribution rows; it happens unconditionally so
-		// the fetch path's schedule is identical with attribution on or off.
+		// path's source. The direction only labels attribution rows.
 		op := "read"
-		if h.mmioR(p, mgmt+ring.MgmtMissIsWrite) != 0 {
+		if write {
 			op = "write"
 		}
 		h.FetchMisses++
-		if src := d.Fetch[st.path]; src != nil {
-			err = src.Materialize(p, d, idx, st.path, missAddr, missSize, op)
+		if src := d.Fetch[sh.path]; src != nil {
+			err = src.Materialize(p, d, idx, sh.path, missAddr, missSize, op)
 		} else {
-			err = fmt.Errorf("hypervisor: VF %d path %q has no fetch source", idx, st.path)
+			err = fmt.Errorf("hypervisor: VF %d path %q has no fetch source", idx, sh.path)
 		}
 	case cow:
-		err = d.HostFS.BreakRange(p, st.path, missAddr, missSize)
+		err = sh.file.BreakShare(p, missAddr, missSize)
 	default:
-		err = d.HostFS.AllocateRange(p, st.path, missAddr, missSize)
+		err = sh.file.Allocate(p, missAddr, missSize)
 	}
 	if err != nil {
 		return ring.RewalkFail
 	}
 	// Every sharer of the tree must see the new root before the walk
 	// resumes.
-	if err := d.remap(p, st); err != nil {
+	if err := d.remap(p, sh); err != nil {
 		return ring.RewalkFail
 	}
 	if cow || fetch {
@@ -382,7 +368,7 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		// rewrote their mappings: any BTLB entry still caching the old one is
 		// stale. Invalidate before the retry so the re-walk's result is what
 		// gets cached.
-		d.invalidateSharers(p, st, missAddr, missSize)
+		d.invalidateSharers(p, sh, missAddr, missSize)
 	}
 	if cow {
 		h.CowBreaks++
@@ -435,10 +421,10 @@ func (d *Device) drain(p *sim.Proc, idx int) {
 // storage optimizations".
 func (d *Device) MigrateVFFile(p *sim.Proc, idx int) error {
 	return d.transition(p, idx, exportingFile, func(st *vfState) error {
-		if err := d.HostFS.Migrate(p, st.path); err != nil {
+		if err := st.shared.file.Migrate(p); err != nil {
 			return err
 		}
-		if err := d.remap(p, st); err != nil {
+		if err := d.remap(p, st.shared); err != nil {
 			return err
 		}
 		d.FlushBTLB(p)

@@ -55,19 +55,18 @@ const (
 	PFRegMissPendingBanks = 16 // register file holds up to 16 banks (1024 VFs)
 
 	// Management page: one 64-byte block per VF, indexed by VF number - 1.
-	MgmtStride      = 64
-	MgmtTreeRoot    = 0x00 // extent tree root address (8B)
-	MgmtMissAddr    = 0x08 // RO: missing vLBA (8B)
-	MgmtMissSize    = 0x10 // RO: missing block count; reason code in the high word (8B)
-	MgmtRewalk      = 0x14 // write RewalkRetry/RewalkFail (4B)
-	MgmtEnable      = 0x18 // 1 = VF enabled (4B)
-	MgmtDeviceSize  = 0x20 // virtual device size in blocks (8B)
-	MgmtMissIsWrite = 0x28 // RO: 1 when the latched miss is a write (4B)
-	MgmtWeight      = 0x2C // QoS weight for the VF multiplexer, 1..255 (4B)
-	MgmtQueues      = 0x30 // active queue-pair count, 1..QueuesPerVF (4B)
-	MgmtFetch       = 0x38 // 1 = fetch-backed VF: holes miss for materialization (4B)
+	MgmtStride     = 64
+	MgmtTreeRoot   = 0x00 // extent tree root address (8B)
+	MgmtMissAddr   = 0x08 // RO: missing vLBA (8B)
+	MgmtMissSize   = 0x10 // RO: the miss word, EncodeMiss (8B)
+	MgmtRewalk     = 0x14 // write RewalkRetry/RewalkFail (4B)
+	MgmtEnable     = 0x18 // 1 = VF enabled (4B)
+	MgmtDeviceSize = 0x20 // virtual device size in blocks (8B)
+	MgmtWeight     = 0x2C // QoS weight for the VF multiplexer, 1..255 (4B)
+	MgmtQueues     = 0x30 // active queue-pair count, 1..QueuesPerVF (4B)
+	MgmtFetch      = 0x38 // 1 = fetch-backed VF: holes miss for materialization (4B)
 
-	// Miss reason codes (the high word of MgmtMissSize).
+	// Miss reason codes (in the miss word, EncodeMiss).
 	MissReasonTranslate = 0 // no mapping: hole or pruned subtree
 	MissReasonCoW       = 1 // write hit a write-protected (CoW shared) extent
 	MissReasonFetch     = 2 // hole on a fetch-backed VF: content must materialize
@@ -76,6 +75,26 @@ const (
 	RewalkRetry = 1
 	RewalkFail  = 2
 )
+
+// missWrite is the miss word's direction bit, above the reason code.
+const missWrite = uint64(1) << 48
+
+// EncodeMiss packs what the device latches about a translation miss into the
+// one word MgmtMissSize reads: the block count in the low 32 bits, the reason
+// code above it, and the stalled request's direction in bit 48 — so the miss
+// handler learns the whole miss in one register read.
+func EncodeMiss(count, reason uint32, write bool) uint64 {
+	w := uint64(count) | uint64(reason)<<32
+	if write {
+		w |= missWrite
+	}
+	return w
+}
+
+// DecodeMiss unpacks a miss word: EncodeMiss's inverse.
+func DecodeMiss(w uint64) (count uint64, reason uint32, write bool) {
+	return w & 0xFFFFFFFF, uint32(w>>32) & 0xFFFF, w&missWrite != 0
+}
 
 // MSI vectors raised by the controller. Queue 0's completions keep the
 // legacy vector 0; queue q > 0 completes on vector 1+q, skipping the miss

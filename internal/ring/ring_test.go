@@ -20,6 +20,23 @@ func TestCompletionRoundTrip(t *testing.T) {
 	}
 }
 
+func TestMissWordRoundTrip(t *testing.T) {
+	for _, reason := range []uint32{MissReasonTranslate, MissReasonCoW, MissReasonFetch} {
+		for _, write := range []bool{false, true} {
+			for _, count := range []uint32{0, 1, 1<<32 - 1} {
+				n, r, w := DecodeMiss(EncodeMiss(count, reason, write))
+				if n != uint64(count) || r != reason || w != write {
+					t.Fatalf("EncodeMiss(%d, %d, %v) decodes to (%d, %d, %v)", count, reason, write, n, r, w)
+				}
+			}
+		}
+	}
+	// A read miss of the pre-direction device reads as it always did.
+	if w := EncodeMiss(3, MissReasonCoW, false); w != 3|uint64(MissReasonCoW)<<32 {
+		t.Fatalf("read miss word %#x", w)
+	}
+}
+
 func TestValidSize(t *testing.T) {
 	for _, n := range []uint64{1, 2, 8, 128, 256, MaxEntries} {
 		if !ValidSize(n) {
