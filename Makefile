@@ -5,7 +5,7 @@ GO ?= go
 DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
 DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-compare profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-scaling bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -70,7 +70,8 @@ crash:
 
 # fuzz-smoke runs every native fuzz target it finds for ten seconds on top of
 # its checked-in corpus (testdata/fuzz): the extent-tree walk step over node
-# bytes the host wrote, the controller's fetch stage over descriptor bytes
+# bytes the host wrote, the tree's edits against a fresh build of the same
+# runs, the controller's fetch stage over descriptor bytes
 # the guest wrote, and the host filesystem's mount (journal replay, inodes,
 # overflow chains) over blocks the device holds. `go test -fuzz` takes one
 # target in one package per run.
@@ -182,6 +183,30 @@ bench-headroom:
 		echo $$fracs | tr ' ' '\n' | sort -g | awk -v w=$$w '{v[NR]=$$1} END {printf "%-17s verify_frac min %s median %s max %s\n", w, v[1], v[3], v[5]; exit !(v[5] < 0.045)}' \
 			|| { echo "bench-headroom: $$w has verify_frac >= 0.045 (the harness fails a run at 0.05)"; exit 1; }; \
 	done
+
+# bench-scaling is the tier-2 check (not part of ci) that a workload's cost per
+# op does not grow with its length: it runs translate-miss and raw-small-qd1
+# through benchmarks/run.sh at BENCHMARK.json's run_seconds and at three times
+# that, prints wall per op, allocs_per_op and sim_us_per_op of each run, and
+# fails when a counted per-op metric (allocs_per_op, sim_us_per_op) moves more
+# than 2 % between the two lengths or wall per op at 3x is more than 1.3x that
+# at 1x. A run's exit status is not consulted (see bench-digest). Wall is one
+# run of each, so run it again before trusting a verdict near the bound.
+SCALING_WORKLOADS := translate-miss raw-small-qd1
+bench-scaling:
+	@secs=$$(sed -n 's/.*"run_seconds": \([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in $(SCALING_WORKLOADS); do \
+		for s in $$secs $$((3 * secs)); do \
+			out=$$(bash benchmarks/run.sh --workload $$w --seed 1 --seconds $$s --trace 0) || true; \
+			m() { echo "$$out" | tail -1 | sed -n "s/.*\"$$1\":{\"value\":\([^,}]*\).*/\1/p"; }; \
+			echo "$$w $$s $$(echo "$$out" | sed -n 's/^# workload .* ops \([0-9]*\) .*/\1/p') $$(m wall_s) $$(m allocs_per_op) $$(m sim_us_per_op)"; \
+		done; \
+	done | awk 'function off(a, b) { return a > b * 1.02 || b > a * 1.02 } \
+		{ wall = $$4 / $$3 * 1e6; printf "%-15s %3ss %7d ops  wall %8.2f us/op  allocs %9.2f /op  sim %9.3f us/op\n", $$1, $$2, $$3, wall, $$5, $$6 } \
+		!($$1 in w1) { w1[$$1] = wall; a1[$$1] = $$5; s1[$$1] = $$6; next } \
+		off($$5, a1[$$1]) || off($$6, s1[$$1]) { printf "bench-scaling: %s: a counted metric per op moved more than 2%% at 3x\n", $$1; bad = 1 } \
+		wall > 1.3 * w1[$$1] { printf "bench-scaling: %s: wall per op at 3x is %.2fx that at 1x (bound 1.3)\n", $$1, wall / w1[$$1]; bad = 1 } \
+		END { exit bad }'
 
 # bench-compare is the tier-2 trajectory step (not part of ci, ≈ 5 min): it runs
 # the whole benchmark on seed 1 into .bench_build/BENCH_head.json and compares

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"nesc/internal/extent"
+	"nesc/internal/extfs"
 	"nesc/internal/fault"
+	"nesc/internal/hypervisor"
 )
 
 // The soak: one runner (runSoak) over one feature table (soakRows). A row
@@ -615,6 +618,11 @@ func (r *soakRun) sweep(ctx *Ctx) error {
 	}
 	for _, tn := range r.tenants {
 		for _, vm := range tn.vms {
+			errs = append(errs, treesMapFiles(ctx, vm.vm))
+		}
+	}
+	for _, tn := range r.tenants {
+		for _, vm := range tn.vms {
 			vm.Stop(ctx)
 		}
 	}
@@ -636,6 +644,29 @@ func (r *soakRun) sweep(ctx *Ctx) error {
 	if st.VFResets != r.resets || st.Snapshots != r.snapshots || st.Clones != r.clones {
 		errs = append(errs, fmt.Errorf("VFResets/Snapshots/Clones = %d/%d/%d, the run did %d/%d/%d",
 			st.VFResets, st.Snapshots, st.Clones, r.resets, r.snapshots, r.clones))
+	}
+	return errors.Join(errs...)
+}
+
+// treesMapFiles reports each VF of vm whose extent tree does not map what its
+// backing file's inode maps. A miss edits only the tree's path to the missed
+// range, so a change the tree missed stays missed until someone rebuilds it.
+func treesMapFiles(ctx *Ctx, vm *hypervisor.VM) error {
+	if vm.Cfg.RawDevice {
+		return nil
+	}
+	var errs []error
+	for _, leg := range vm.Legs {
+		f, err := leg.Dev.HostFS.Open(ctx.proc, vm.Cfg.DiskPath, vm.Cfg.UID, extfs.PermRead)
+		if err != nil {
+			return err
+		}
+		tree := leg.Dev.VFTree(leg.VFIdx)
+		got, err := extent.CollectRuns(vm.H.Mem, tree.Root(), tree.Fanout())
+		if err != nil || !slices.Equal(got, f.Extents()) {
+			errs = append(errs, fmt.Errorf("%s: device %d VF %d's tree maps %d runs (%v), %s %d",
+				vm.Name, leg.Dev.Idx, leg.VFIdx, len(got), err, vm.Cfg.DiskPath, len(f.Extents())))
+		}
 	}
 	return errors.Join(errs...)
 }

@@ -24,12 +24,20 @@
 // pointer is (first logical block, number of blocks, next node pointer), and
 // a NULL next-node pointer marks a subtree the hypervisor pruned under
 // memory pressure.
+//
+// The hypervisor changes a tree in parts, as the paper's §IV-B has it: a miss
+// is an Edit, which copies the path to the range that changed and shares the
+// rest; a change to the whole file is a Rebuild, which bulk-loads the tree
+// afresh; Prune NULLs subtree pointers in place. Every change writes its new
+// nodes before it frees the old ones, so a walk in flight from the old root
+// resolves the old mapping.
 package extent
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"nesc/internal/hostmem"
@@ -191,25 +199,30 @@ func serializeNode(b []byte, depth, capacity int, entries []Entry) {
 
 // Tree is a serialized extent tree resident in host memory, owned by the
 // hypervisor. The device only ever sees the root address and raw node bytes.
+// Its nodes are the ones reachable from the root: whatever frees them walks.
 type Tree struct {
-	mem    *hostmem.Memory
-	fanout int
-	root   hostmem.Addr
-	nodes  []hostmem.Addr // every allocation, for Free/accounting
+	mem     *hostmem.Memory
+	fanout  int
+	root    hostmem.Addr
+	depth   int  // levels: 1 when the root is a leaf
+	nodes   int  // nodes resident
+	full    bool // the next Edit rebuilds: Prune detached a subtree, or an edit failed
+	written int  // nodes serialized over the tree's life (the counted tests)
 
-	// The node list the previous generation retired and serialize's scratch,
-	// kept so a rebuild costs no garbage: Rebuild fills spareNodes and swaps
-	// it with nodes on success.
-	spareNodes     []hostmem.Addr
-	entries        []Entry
-	level, parents []built
+	// Scratch, so a change costs no garbage: the nodes it allocated and the
+	// ones it replaces, a level's entries and the next's, an edit's path.
+	fresh, stale []hostmem.Addr
+	items, level []Entry
+	path         []pathLevel
+	img          []byte
 }
 
-// built is a serialized node awaiting its parent.
-type built struct {
-	addr  hostmem.Addr
-	first uint64
-	span  uint64 // coverage from first to end of last entry
+// pathLevel is one level of the path an Edit copies: the entries of the
+// nodes it replaces there, of which [s, e) give way to what the level below
+// turns into.
+type pathLevel struct {
+	ents []Entry
+	s, e int
 }
 
 // Build validates and serializes runs into a tree in mem. Runs must be
@@ -225,13 +238,10 @@ func Build(mem *hostmem.Memory, runs []Run, fanout int) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{mem: mem, fanout: fanout}
-	root, err := t.serialize(norm)
-	if err != nil {
-		t.Free()
+	t := &Tree{mem: mem, fanout: fanout, img: make([]byte, NodeBytes(fanout))}
+	if err := t.replace(norm, fanout, fanout, false); err != nil {
 		return nil, err
 	}
-	t.root = root
 	return t, nil
 }
 
@@ -276,76 +286,114 @@ func normalize(runs []Run) ([]Run, error) {
 	return out, nil
 }
 
-// serialize writes runs as a fresh node hierarchy, bulk-loaded bottom-up
-// (every node full but the last of its level, so depth is
-// ⌈log_fanout(runs)⌉), appends every node to t.nodes, leaves first, and
-// returns the root's address.
-func (t *Tree) serialize(runs []Run) (hostmem.Addr, error) {
-	t.level, t.entries = t.level[:0], t.entries[:0]
-	var end uint64
-	for _, r := range runs {
-		t.entries = append(t.entries, Entry{FirstLogical: r.Logical, Count: uint32(r.Count), Flags: r.Flags, Ptr: r.Physical})
-		end = r.End()
-		if len(t.entries) == t.fanout {
-			if err := t.flushNode(0, end); err != nil {
-				return 0, err
-			}
-		}
-	}
-	// The last, partial leaf — or, for an empty mapping, a single empty leaf
-	// so the device always has a valid node to walk (every vLBA is a hole).
-	if len(t.entries) > 0 || len(t.level) == 0 {
-		if err := t.flushNode(0, end); err != nil {
-			return 0, err
-		}
-	}
-	// Internal levels until a single root remains.
-	for depth := 1; len(t.level) > 1; depth++ {
-		children := t.level
-		t.level, t.parents = t.parents[:0], children
-		for i, c := range children {
-			// An entry covers its child's whole span, gaps included, clamped
-			// to the on-wire count.
-			t.entries = append(t.entries, Entry{FirstLogical: c.first, Count: uint32(min(c.span, math.MaxUint32)), Ptr: uint64(c.addr)})
-			if len(t.entries) == t.fanout || i == len(children)-1 {
-				if err := t.flushNode(depth, c.first+c.span); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	return t.level[0].addr, nil
+func entryOf(r Run) Entry {
+	return Entry{FirstLogical: r.Logical, Count: uint32(r.Count), Flags: r.Flags, Ptr: r.Physical}
 }
 
-// flushNode serializes t.entries, which cover logical blocks up to end, as
-// one node of the given depth and queues it on t.level for its parent.
-func (t *Tree) flushNode(depth int, end uint64) error {
-	addr, err := t.allocNode()
+func entryEnd(e Entry) uint64 { return e.FirstLogical + uint64(e.Count) }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// shape reports the depth and node count of a tree of n runs whose leaves
+// hold at most leafG entries and whose other nodes nodeG: with both the
+// fanout, what Rebuild makes.
+func shape(n, leafG, nodeG int) (depth, nodes int) {
+	m := max(1, ceilDiv(n, leafG))
+	for depth, nodes = 1, m; m > 1; depth++ {
+		m = ceilDiv(m, nodeG)
+		nodes += m
+	}
+	return depth, nodes
+}
+
+// replace serializes runs (on-wire form) bottom-up as a new tree whose leaves
+// hold at most leafG entries and other nodes nodeG — filled but the last of
+// each level, or evened out — and then frees the old one. On an error the
+// tree is what it was and nothing stays allocated.
+func (t *Tree) replace(runs []Run, leafG, nodeG int, even bool) error {
+	t.stale = t.stale[:0]
+	if t.root != 0 {
+		if err := t.collect(t.root, t.depth); err != nil {
+			return err
+		}
+	}
+	t.fresh, t.items, t.level = t.fresh[:0], t.items[:0], t.level[:0]
+	for _, r := range runs {
+		t.items = append(t.items, entryOf(r))
+	}
+	// An empty mapping gets one empty leaf: the device always has a node.
+	err := t.pack(0, t.items, max(1, ceilDiv(len(t.items), leafG)), even)
+	depth := 1
+	for ; err == nil && len(t.level) > 1; depth++ {
+		t.items, t.level = t.level, t.items[:0]
+		err = t.pack(depth, t.items, ceilDiv(len(t.items), nodeG), even)
+	}
 	if err != nil {
+		t.release(t.fresh)
 		return err
 	}
-	img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
-	if err != nil {
-		return err
-	}
-	serializeNode(img, depth, t.fanout, t.entries)
-	b := built{addr: addr}
-	if len(t.entries) > 0 {
-		b.first = t.entries[0].FirstLogical
-		b.span = end - b.first
-	}
-	t.level = append(t.level, b)
-	t.entries = t.entries[:0]
+	t.release(t.stale)
+	t.root, t.depth, t.nodes, t.full = hostmem.Addr(t.level[0].Ptr), depth, len(t.fresh), false
 	return nil
 }
 
-func (t *Tree) allocNode() (hostmem.Addr, error) {
-	addr, err := t.mem.Alloc(NodeBytes(t.fanout), 8)
-	if err != nil {
-		return 0, err
+// pack writes items, one level's entries, as m nodes of the given depth —
+// filled to the fanout but the last or, when even, differing by one entry at
+// most — and appends each node's entry to t.level. An entry covers its
+// child's whole span, gaps included, clamped to the on-wire count.
+func (t *Tree) pack(depth int, items []Entry, m int, even bool) error {
+	for left := m; left > 0; left-- {
+		take := min(t.fanout, len(items))
+		if even {
+			take = ceilDiv(len(items), left)
+		}
+		addr, err := t.mem.Alloc(NodeBytes(t.fanout), 8)
+		if err != nil {
+			return err
+		}
+		t.fresh = append(t.fresh, addr)
+		img, err := t.mem.Slice(addr, NodeBytes(t.fanout))
+		if err != nil {
+			return err
+		}
+		ents := items[:take]
+		items = items[take:]
+		serializeNode(img, depth, t.fanout, ents)
+		t.written++
+		e := Entry{Ptr: uint64(addr)}
+		if len(ents) > 0 {
+			e.FirstLogical = ents[0].FirstLogical
+			e.Count = uint32(min(entryEnd(ents[len(ents)-1])-e.FirstLogical, math.MaxUint32))
+		}
+		t.level = append(t.level, e)
 	}
-	t.nodes = append(t.nodes, addr)
-	return addr, nil
+	return nil
+}
+
+// collect appends the address of every node of the subtree of the given
+// height (levels) at root to t.stale, reading only its internal nodes.
+func (t *Tree) collect(root hostmem.Addr, height int) error {
+	lo := len(t.stale)
+	t.stale = append(t.stale, root)
+	for ; height > 1; height-- {
+		hi := len(t.stale)
+		for _, a := range t.stale[lo:hi] {
+			if err := t.mem.Read(a, t.img); err != nil {
+				return err
+			}
+			_, count, _, err := parseHeader(t.img)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < count; i++ {
+				if ptr := decodeEntry(t.img, i).Ptr; ptr != 0 {
+					t.stale = append(t.stale, hostmem.Addr(ptr))
+				}
+			}
+		}
+		lo = hi
+	}
+	return nil
 }
 
 // Root reports the host address of the root node — the value the hypervisor
@@ -356,16 +404,22 @@ func (t *Tree) Root() hostmem.Addr { return t.root }
 func (t *Tree) Fanout() int { return t.fanout }
 
 // Nodes reports how many nodes are currently resident in host memory.
-func (t *Tree) Nodes() int { return len(t.nodes) }
+func (t *Tree) Nodes() int { return t.nodes }
 
 // ResidentBytes reports the host memory held by the serialized tree.
-func (t *Tree) ResidentBytes() int64 { return int64(len(t.nodes)) * NodeBytes(t.fanout) }
+func (t *Tree) ResidentBytes() int64 { return int64(t.nodes) * NodeBytes(t.fanout) }
 
 // Free releases every node of the tree from host memory.
 func (t *Tree) Free() {
-	t.release(t.nodes)
-	t.nodes = nil
-	t.root = 0
+	if t.root == 0 {
+		return
+	}
+	t.stale = t.stale[:0]
+	if err := t.collect(t.root, t.depth); err != nil {
+		panic(err)
+	}
+	t.release(t.stale)
+	t.root, t.depth, t.nodes = 0, 0, 0
 }
 
 // release frees nodes in list order.
@@ -378,117 +432,244 @@ func (t *Tree) release(nodes []hostmem.Addr) {
 	}
 }
 
-// Rebuild replaces the mapping with runs and reserializes the whole tree.
-// This is the hypervisor's response both to lazy allocation (new blocks
-// mapped on first write) and to a device miss on a pruned subtree. The root
-// address changes; the caller must reprogram ExtentTreeRoot before signaling
-// RewalkTree.
-//
-// Rebuild neither keeps nor modifies the caller's slice, and it does not
-// park, so the caller may hand it a list another owner changes in place. It
-// is transactional: on an error (runs invalid, host memory exhausted) the
-// tree — nodes and root — is what it was. The new tree is allocated in full
-// before the first old node is freed, so a root register that is stale for a
-// moment still walks intact nodes.
+// Rebuild replaces the mapping with runs and reserializes the whole tree,
+// bulk-loaded: every node full but the last of its level, so depth is
+// ⌈log_fanout(runs)⌉. It serves whole-file changes and a pruned tree; a miss
+// is an Edit. The root address changes; the caller must reprogram
+// ExtentTreeRoot before signaling RewalkTree. Rebuild neither keeps nor
+// modifies runs and does not park, so the caller may hand it a list another
+// owner changes in place. It is transactional: on an error (runs invalid,
+// host memory exhausted) the tree is what it was.
 func (t *Tree) Rebuild(runs []Run) error {
 	norm, err := normalize(runs)
 	if err != nil {
 		return err
 	}
-	old := t.nodes
-	t.nodes = t.spareNodes[:0]
-	root, err := t.serialize(norm)
+	return t.replace(norm, t.fanout, t.fanout, false)
+}
+
+// Edit brings the tree up to date with runs, the whole mapping as Rebuild
+// takes it, after a change to the runs and entries overlapping [lo, hi) and,
+// through them, to what they overlap in turn; elsewhere runs must still be
+// what the tree maps. It widens [lo, hi) until no old entry and no run
+// straddles either end, then copies the path to it: the covering leaves are
+// rewritten from runs, split or merged and evened out, and so is each
+// ancestor up to a new root, while untouched subtrees are shared. The cost is
+// the depth times the nodes the range covers; runs is searched, never
+// scanned. An edit that maps nothing new changes nothing. What an edit cannot
+// express in place is rebuilt: a pruned tree, a run that needs normalizing,
+// and a shape out of bounds — deeper than Rebuild's, which a new root never
+// makes it, or, after the mapping shrank, two levels deeper or twice its
+// nodes. Edit keeps Rebuild's contract; after an error the next Edit
+// rebuilds in full.
+func (t *Tree) Edit(runs []Run, lo, hi uint64) error {
+	err := t.edit(runs, lo, hi)
 	if err != nil {
-		t.release(t.nodes)
-		t.nodes, t.spareNodes = old, t.nodes[:0]
+		t.full = true
+	}
+	return err
+}
+
+func (t *Tree) edit(runs []Run, lo, hi uint64) error {
+	if t.full {
+		return t.Rebuild(runs)
+	}
+	if lo >= hi {
+		return nil
+	}
+	a, b, err := t.widen(runs, lo, hi)
+	if err != nil {
 		return err
 	}
-	t.release(old)
-	t.spareNodes = old[:0]
-	t.root = root
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].Logical >= a })
+	j := i + sort.Search(len(runs)-i, func(k int) bool { return runs[i+k].Logical >= b })
+	news := runs[i:j]
+	for k, prev := 0, a; k < len(news); k++ {
+		r := news[k]
+		if r.Count == 0 || r.Count > math.MaxUint32 || r.Logical < prev || r.End() > b {
+			return t.spread(runs) // normalizing, or refusing, is a rebuild's
+		}
+		prev = r.End()
+	}
+	if err := t.descend(a, b); err != nil {
+		return err
+	}
+	leaf := &t.path[0]
+	if slices.EqualFunc(leaf.ents[leaf.s:leaf.e], news, func(e Entry, r Run) bool { return e == entryOf(r) }) {
+		return nil
+	}
+
+	// Up the path: each level's replaced entries give way to the nodes the
+	// level below turned into; the root's level may overflow into a new root.
+	t.fresh, t.items, t.level = t.fresh[:0], t.items[:0], t.level[:0]
+	t.items = append(t.items, leaf.ents[:leaf.s]...)
+	for _, r := range news {
+		t.items = append(t.items, entryOf(r))
+	}
+	t.items = append(t.items, leaf.ents[leaf.e:]...)
+	err = t.pack(0, t.items, ceilDiv(len(t.items), t.fanout), true)
+	for k := 1; k < t.depth && err == nil; k++ {
+		pl := &t.path[k]
+		t.items = append(append(append(t.items[:0], pl.ents[:pl.s]...), t.level...), pl.ents[pl.e:]...)
+		t.level = t.level[:0]
+		err = t.pack(k, t.items, ceilDiv(len(t.items), t.fanout), true)
+	}
+	fullDepth, fullNodes := shape(len(runs), t.fanout, t.fanout)
+	depth := t.depth
+	for ; err == nil && len(t.level) > 1 && depth < fullDepth; depth++ {
+		t.items, t.level = t.level, t.items[:0]
+		err = t.pack(depth, t.items, ceilDiv(len(t.items), t.fanout), true)
+	}
+	nodes := t.nodes - len(t.stale) + len(t.fresh)
+	if err != nil || len(t.level) != 1 || depth > fullDepth+1 || nodes > 2*fullNodes {
+		t.release(t.fresh)
+		if err != nil {
+			return err
+		}
+		return t.spread(runs)
+	}
+	t.release(t.stale)
+	t.root, t.depth, t.nodes = hostmem.Addr(t.level[0].Ptr), depth, nodes
 	return nil
 }
 
-// Prune walks the tree and detaches up to maxNodes descendant subtrees,
-// freeing their memory and NULLing the parent pointers (paper §IV-B: "If
+// widen grows [a, b) until neither end cuts through an entry of the tree or
+// a run: a CoW break splits one old entry in three, an allocation may merge
+// with its neighbours, and each may reach past what the host was asked for.
+func (t *Tree) widen(runs []Run, a, b uint64) (uint64, uint64, error) {
+	for {
+		na, nb := a, b
+		for _, v := range [2]uint64{a, b - 1} {
+			res, err := walk(t.mem, t.root, t.img, v)
+			if err != nil {
+				return 0, 0, err
+			}
+			if res.Mapped {
+				na, nb = min(na, res.Extent.Logical), max(nb, res.Extent.End())
+			}
+			k := sort.Search(len(runs), func(k int) bool { return runs[k].End() > v })
+			if k < len(runs) && runs[k].Logical <= v {
+				na, nb = min(na, runs[k].Logical), max(nb, runs[k].End())
+			}
+		}
+		if na == a && nb == b {
+			return a, b, nil
+		}
+		a, b = na, nb
+	}
+}
+
+// descend reads the path to [a, b) from the root down into t.path, level by
+// level, and lists its nodes in t.stale: at each level the entries of the
+// nodes the level above pointed into, and [s, e), those overlapping the
+// range. An internal level with none takes the child the range would extend
+// — the last one before it, or the first — so every level has one.
+func (t *Tree) descend(a, b uint64) error {
+	for len(t.path) < t.depth {
+		t.path = append(t.path, pathLevel{})
+	}
+	t.stale = append(t.stale[:0], t.root)
+	for k, lo := t.depth-1, 0; k >= 0; k-- {
+		pl := &t.path[k]
+		pl.ents = pl.ents[:0]
+		hi := len(t.stale)
+		for _, addr := range t.stale[lo:hi] {
+			if err := t.mem.Read(addr, t.img); err != nil {
+				return err
+			}
+			depth, count, _, err := parseHeader(t.img)
+			if err != nil {
+				return err
+			}
+			if depth != k {
+				return fmt.Errorf("extent: depth-%d node where the walk expects depth %d", depth, k)
+			}
+			for i := 0; i < count; i++ {
+				pl.ents = append(pl.ents, decodeEntry(t.img, i))
+			}
+		}
+		ents := pl.ents
+		pl.s = sort.Search(len(ents), func(i int) bool { return entryEnd(ents[i]) > a })
+		pl.e = pl.s + sort.Search(len(ents)-pl.s, func(i int) bool { return ents[pl.s+i].FirstLogical >= b })
+		if k == 0 {
+			break
+		}
+		if pl.s == pl.e {
+			if len(ents) == 0 {
+				return fmt.Errorf("extent: empty internal node")
+			}
+			pl.s = max(pl.s-1, 0)
+			pl.e = pl.s + 1
+		}
+		lo = hi
+		for _, e := range ents[pl.s:pl.e] {
+			t.stale = append(t.stale, hostmem.Addr(e.Ptr))
+		}
+	}
+	return nil
+}
+
+// spread rebuilds the tree from runs with the slack edits need, as deep as
+// Rebuild's and no deeper. An edit adds entries to leaves, and an inner node
+// only grows when a leaf splits, so the slack goes to the leaves: as many as
+// the depth has room for, at least half full, under inner nodes Rebuild
+// packs.
+func (t *Tree) spread(runs []Run) error {
+	norm, err := normalize(runs)
+	if err != nil {
+		return err
+	}
+	depth, _ := shape(len(norm), t.fanout, t.fanout)
+	room := 1 // leaves the depth has room for: fanout^(depth-1), up to len(norm)
+	for i := 1; i < depth && room < len(norm); i++ {
+		room *= t.fanout
+	}
+	return t.replace(norm, max((t.fanout+1)/2, ceilDiv(len(norm), room)), t.fanout, true)
+}
+
+// Prune detaches up to maxNodes nodes' worth of the root's subtrees, freeing
+// their memory and NULLing the root's pointers to them (paper §IV-B: "If
 // memory becomes tight, the hypervisor can prune parts of the extent tree
 // and mark the pruned sections by storing NULL in their respective Next Node
 // Pointer"). It returns the number of nodes freed. Pruning a tree whose root
-// is a leaf is a no-op.
+// is a leaf is a no-op. The next Edit rebuilds the tree in full.
 func (t *Tree) Prune(maxNodes int) (int, error) {
-	if maxNodes <= 0 {
+	if maxNodes <= 0 || t.depth < 2 {
 		return 0, nil
 	}
-	img := make([]byte, NodeBytes(t.fanout))
-	freed := 0
-	// BFS from the root over internal nodes; prune children greedily.
-	queue := []hostmem.Addr{t.root}
-	for len(queue) > 0 && freed < maxNodes {
-		addr := queue[0]
-		queue = queue[1:]
-		if err := t.mem.Read(addr, img); err != nil {
-			return freed, err
-		}
-		n, err := ParseNode(img)
-		if err != nil {
-			return freed, err
-		}
-		if n.Leaf() {
-			continue
-		}
-		for i := 0; i < n.Count && freed < maxNodes; i++ {
-			child := hostmem.Addr(n.Entries[i].Ptr)
-			if child == 0 {
-				continue
-			}
-			nf, err := t.freeSubtree(child)
-			if err != nil {
-				return freed, err
-			}
-			freed += nf
-			// NULL the child pointer in place.
-			off := addr + HeaderSize + int64(i)*EntrySize + 16
-			if err := t.mem.WriteU64(off, 0); err != nil {
-				return freed, err
-			}
-		}
-	}
-	return freed, nil
-}
-
-// freeSubtree recursively frees the subtree rooted at addr, returning the
-// node count freed, and drops the addresses from the tree's node list.
-func (t *Tree) freeSubtree(addr hostmem.Addr) (int, error) {
-	img := make([]byte, NodeBytes(t.fanout))
-	if err := t.mem.Read(addr, img); err != nil {
+	if err := t.mem.Read(t.root, t.img); err != nil {
 		return 0, err
 	}
-	n, err := ParseNode(img)
+	_, count, _, err := parseHeader(t.img)
 	if err != nil {
 		return 0, err
 	}
+	t.items = t.items[:0]
+	for i := 0; i < count; i++ {
+		t.items = append(t.items, decodeEntry(t.img, i))
+	}
 	freed := 0
-	if !n.Leaf() {
-		for i := 0; i < n.Count; i++ {
-			if child := hostmem.Addr(n.Entries[i].Ptr); child != 0 {
-				nf, err := t.freeSubtree(child)
-				if err != nil {
-					return freed, err
-				}
-				freed += nf
-			}
-		}
-	}
-	if err := t.mem.Free(addr); err != nil {
-		return freed, err
-	}
-	for i, a := range t.nodes {
-		if a == addr {
-			t.nodes = append(t.nodes[:i], t.nodes[i+1:]...)
+	for i, e := range t.items {
+		if freed >= maxNodes {
 			break
 		}
+		if e.Ptr == 0 {
+			continue
+		}
+		t.stale = t.stale[:0]
+		if err := t.collect(hostmem.Addr(e.Ptr), t.depth-1); err != nil {
+			return freed, err
+		}
+		t.release(t.stale)
+		freed += len(t.stale)
+		t.nodes -= len(t.stale)
+		t.full = true
+		// NULL the child pointer in place.
+		if err := t.mem.WriteU64(t.root+HeaderSize+int64(i)*EntrySize+16, 0); err != nil {
+			return freed, err
+		}
 	}
-	return freed + 1, nil
+	return freed, nil
 }
 
 // Resolution is the outcome of translating one vLBA.
@@ -550,13 +731,16 @@ func (res *Resolution) Step(b []byte, vlba uint64) (next hostmem.Addr, err error
 // device's block-walk unit performs, synchronously against host memory. The
 // device model, tests, and the hypervisor all use it as ground truth.
 func Lookup(mem *hostmem.Memory, root hostmem.Addr, fanout int, vlba uint64) (Resolution, error) {
+	return walk(mem, root, make([]byte, NodeBytes(fanout)), vlba)
+}
+
+// walk is Lookup reading each node into img.
+func walk(mem *hostmem.Memory, root hostmem.Addr, img []byte, vlba uint64) (Resolution, error) {
 	var res Resolution
 	if root == 0 {
 		return res, fmt.Errorf("extent: NULL root")
 	}
-	img := make([]byte, NodeBytes(fanout))
-	addr := root
-	for {
+	for addr := root; ; {
 		if err := mem.Read(addr, img); err != nil {
 			return res, err
 		}
@@ -609,14 +793,4 @@ func CollectRuns(mem *hostmem.Memory, root hostmem.Addr, fanout int) ([]Run, err
 }
 
 // Depth reports the tree height in levels (1 for a single leaf).
-func (t *Tree) Depth() (int, error) {
-	img := make([]byte, NodeBytes(t.fanout))
-	if err := t.mem.Read(t.root, img); err != nil {
-		return 0, err
-	}
-	n, err := ParseNode(img)
-	if err != nil {
-		return 0, err
-	}
-	return n.Depth + 1, nil
-}
+func (t *Tree) Depth() (int, error) { return t.depth, nil }

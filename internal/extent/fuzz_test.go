@@ -1,6 +1,8 @@
 package extent
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -142,5 +144,165 @@ func TestLookupRejectsCycle(t *testing.T) {
 	}
 	if err == nil || res.Levels != 1 {
 		t.Fatalf("Lookup through a self-referencing node: %+v, error %v; want an error at the second node", res, err)
+	}
+}
+
+// FuzzEdit is Edit's differential test. The input picks a fanout and a
+// starting mapping, then, three bytes at a time, a sequence of the changes
+// the host makes to a file's map — a new run in a hole, a CoW break splitting
+// one block out of a run, two runs merging, a run deleted, a call that
+// changes nothing — each edited in over the one block a miss would name, plus
+// a step that leaves host memory room for at most three nodes for the next
+// edit. After every edit the tree must map exactly the runs, resolve every
+// run boundary ±1 field for field as a fresh Build of them does, stay within
+// one level of its depth and twice its nodes, and hold exactly its nodes in
+// host memory. An edit that ran out of memory must have left the tree as it
+// was, and the next one must bring it up to date.
+func FuzzEdit(f *testing.F) {
+	f.Fuzz(editSteps)
+}
+
+func editSteps(t *testing.T, in []byte) {
+	if len(in) < 2 {
+		return
+	}
+	in = in[:min(len(in), 2+3*256)] // every step checks the whole mapping
+	fanout := 2 + int(in[0]%9)
+	nb := NodeBytes(fanout)
+	mem, ref := hostmem.New(1<<20), hostmem.New(1<<22)
+	var runs []Run
+	for i := range int(in[1]) % 48 {
+		runs = append(runs, Run{Logical: uint64(4 * i), Physical: uint64(1000 + 4*i), Count: 1 + uint64(i%3)})
+	}
+	tr, err := Build(mem, runs, fanout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	phys, starve := uint64(1<<20), -1
+	for in = in[2:]; len(in) >= 3; in = in[3:] {
+		kind, pos, arg := int(in[0]%6), int(in[1]), uint64(in[2])
+		if kind == 5 {
+			starve = int(arg % 4)
+			continue
+		}
+		next, lo, hi := change(runs, kind, pos, arg, &phys)
+		var filler []hostmem.Addr
+		if starve >= 0 {
+			filler, starve = exhaust(mem, nb, starve), -1
+		}
+		root, nodes := tr.Root(), tr.Nodes()
+		if err := tr.Edit(next, lo, hi); err != nil {
+			if filler == nil {
+				t.Fatalf("edit over [%d, %d) failed with memory to spare: %v", lo, hi, err)
+			}
+			if tr.Root() != root || tr.Nodes() != nodes || mem.LiveAllocs() != nodes+len(filler) {
+				t.Fatalf("a failed edit moved the tree: root %#x -> %#x, nodes %d -> %d", root, tr.Root(), nodes, tr.Nodes())
+			}
+			if got, err := CollectRuns(mem, root, fanout); err != nil || !slices.Equal(got, runs) {
+				t.Fatalf("a failed edit changed the mapping to %+v (%v), was %+v", got, err, runs)
+			}
+			for _, a := range filler {
+				if err := mem.Free(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			filler = nil
+			if err := tr.Edit(next, lo, hi); err != nil {
+				t.Fatalf("the edit after a failed one: %v", err)
+			}
+		}
+		for _, a := range filler {
+			if err := mem.Free(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runs = next
+		checkAgainstBuild(t, mem, ref, tr, runs)
+	}
+}
+
+// change applies one FuzzEdit step to a copy of runs and returns it with the
+// one-block range a miss over the change would name.
+func change(runs []Run, kind, pos int, arg uint64, phys *uint64) (next []Run, lo, hi uint64) {
+	next = slices.Clone(runs)
+	fresh := func(n uint64) uint64 { *phys += n + 1; return *phys - n - 1 }
+	switch {
+	case kind == 0: // a new run in a hole
+		v := uint64(pos)*3 + arg%3
+		i := sort.Search(len(next), func(i int) bool { return next[i].End() > v })
+		if i < len(next) && next[i].Logical <= v {
+			return next, v, v + 1 // mapped already: a call that changed nothing
+		}
+		end := v + 1 + arg%4
+		if i < len(next) {
+			end = min(end, next[i].Logical)
+		}
+		r := Run{Logical: v, Physical: fresh(end - v), Count: end - v}
+		if arg&8 != 0 {
+			r.Flags = FlagProtected
+		}
+		return slices.Insert(next, i, r), v, v + 1
+	case len(next) == 0:
+		return next, uint64(pos), uint64(pos) + 1
+	case kind == 1: // a CoW break: one block of a run gets a private copy
+		i := pos % len(next)
+		r := next[i]
+		o := arg % r.Count
+		parts := []Run{{Logical: r.Logical + o, Physical: fresh(1), Count: 1}}
+		if o > 0 {
+			parts = slices.Insert(parts, 0, Run{Logical: r.Logical, Physical: r.Physical, Count: o, Flags: r.Flags})
+		}
+		if o+1 < r.Count {
+			parts = append(parts, Run{Logical: r.Logical + o + 1, Physical: r.Physical + o + 1, Count: r.Count - o - 1, Flags: r.Flags})
+		}
+		return slices.Replace(next, i, i+1, parts...), r.Logical + o, r.Logical + o + 1
+	case kind == 2 && len(next) > 1: // a run grows over the hole after it into the next
+		i := pos % (len(next) - 1)
+		a, b := next[i], next[i+1]
+		next[i] = Run{Logical: a.Logical, Physical: a.Physical, Count: b.End() - a.Logical, Flags: a.Flags}
+		return slices.Delete(next, i+1, i+2), a.End(), a.End() + 1
+	case kind == 3: // a run goes
+		i := pos % len(next)
+		v := next[i].Logical + arg%next[i].Count
+		return slices.Delete(next, i, i+1), v, v + 1
+	default: // a call that changed nothing
+		v := uint64(pos) * 2
+		return next, v, v + 1 + arg%8
+	}
+}
+
+// checkAgainstBuild holds tr, which mem holds alone, to a fresh Build of runs
+// in ref.
+func checkAgainstBuild(t *testing.T, mem, ref *hostmem.Memory, tr *Tree, runs []Run) {
+	t.Helper()
+	if mem.LiveAllocs() != tr.Nodes() {
+		t.Fatalf("tree says %d nodes, host memory holds %d allocations", tr.Nodes(), mem.LiveAllocs())
+	}
+	if got, err := CollectRuns(mem, tr.Root(), tr.Fanout()); err != nil || !slices.Equal(got, runs) {
+		t.Fatalf("tree maps %+v (%v), want %+v", got, err, runs)
+	}
+	fresh, err := Build(ref, runs, tr.Fanout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Free()
+	depth, err := tr.Depth()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := fresh.Depth()
+	if depth > want+1 || tr.Nodes() > 2*fresh.Nodes() {
+		t.Fatalf("%d runs: depth %d and %d nodes, Build makes %d and %d", len(runs), depth, tr.Nodes(), want, fresh.Nodes())
+	}
+	for _, r := range runs {
+		for _, v := range [4]uint64{r.Logical - 1, r.Logical, r.End() - 1, r.End()} {
+			got, gerr := Lookup(mem, tr.Root(), tr.Fanout(), v)
+			wantRes, werr := Lookup(ref, fresh.Root(), fresh.Fanout(), v)
+			// How deep a walk goes before it finds a hole is the shape's.
+			got.Levels, got.depth, wantRes.Levels, wantRes.depth = 0, 0, 0, 0
+			if got != wantRes || (gerr == nil) != (werr == nil) {
+				t.Fatalf("vlba %d resolves %+v (%v), a fresh Build %+v (%v)", v, got, gerr, wantRes, werr)
+			}
+		}
 	}
 }

@@ -58,10 +58,10 @@ func TestRebuildIsTransactional(t *testing.T) {
 	}
 }
 
-// Rebuild recycles the previous generation's node list; a
-// shorter and then a longer mapping must neither leak a recycled slot nor free
-// one twice (Free panics on a double free), and must not touch the caller's
-// slice even when it has runs to drop or split.
+// Rebuild reuses its scratch across generations; a shorter and then a longer
+// mapping must neither leak a node nor free one twice (Free panics on a double
+// free), and must not touch the caller's slice even when it has runs to drop
+// or split.
 func TestRebuildRecyclesBuffers(t *testing.T) {
 	mem := newMem()
 	tr := mustBuild(t, mem, oneBlockRuns(500, 1000), DefaultFanout)

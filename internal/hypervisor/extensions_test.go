@@ -216,10 +216,7 @@ func TestMigrationWithoutBTLBFlushServesStaleBlocks(t *testing.T) {
 		old := sh.file.Extents()[0]
 		// MigrateVFFile without its flush — the bug: move the blocks and
 		// rebuild the tree, nothing else.
-		if err := sh.file.Migrate(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.d.remap(p, sh); err != nil {
+		if _, err := w.d.remap(p, sh, 0, 0, sh.file.Migrate(p)); err != nil {
 			t.Fatal(err)
 		}
 		// Scribble over the OLD physical location (now free, reused by the

@@ -98,3 +98,54 @@ func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 		write("CoW-break", 1)
 	})
 }
+
+// A miss edits only the tree's path to the missed range, but a pruned tree has
+// no path to edit there: its next miss regenerates the whole tree, so a read
+// of a second range the prune detached takes no miss of its own.
+func TestPrunedTreesNextMissRebuildsItInFull(t *testing.T) {
+	w := newWorld(t, 16384, nil)
+	w.run(t, func(p *sim.Proc) {
+		w.boot(t, p)
+		// 300 one-block extents at every other block: 30 leaves under 3 inner
+		// nodes under the root.
+		f, err := w.d.HostFS.Create(p, "/frag.img", 3, 0o600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blk := make([]byte, 1024)
+		for i := 0; i < 300; i++ {
+			blk[0] = byte(i)
+			if _, err := f.WriteAt(p, blk, int64(i)*2048); err != nil {
+				t.Fatal(err)
+			}
+		}
+		vm, err := w.h.NewVM(p, "vm", VMConfig{Backend: BackendDirect, DiskPath: "/frag.img", UID: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := w.d.VFTree(vm.Legs[0].VFIdx)
+		nodes := tree.Nodes()
+		if freed := w.d.PruneVFTrees(20); freed != 22 {
+			t.Fatalf("pruned %d nodes, want the first two inner nodes' subtrees (22)", freed)
+		}
+		buf := vm.Kernel.AllocBuffer(1024)
+		read := func(i int, wantMisses int64) {
+			t.Helper()
+			before := w.h.MissInterrupts
+			if err := vm.Kernel.SubmitAligned(p, false, int64(i)*2, buf); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Data[0] != byte(i) {
+				t.Fatalf("extent %d read %#x", i, buf.Data[0])
+			}
+			if got := w.h.MissInterrupts - before; got != wantMisses {
+				t.Fatalf("a read of extent %d took %d misses, want %d", i, got, wantMisses)
+			}
+		}
+		read(5, 1) // under the first pruned inner node: regenerates
+		if tree.Nodes() != nodes {
+			t.Fatalf("the regenerated tree has %d nodes, the one built at export %d", tree.Nodes(), nodes)
+		}
+		read(150, 0) // under the second: already back
+	})
+}

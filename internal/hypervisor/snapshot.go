@@ -48,17 +48,17 @@ func (d *Device) invalidateSharers(p *sim.Proc, sh *sharedTree, vlba, count uint
 func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) error {
 	return d.transition(p, idx, exportingFile, func(st *vfState) error {
 		sh := st.shared
-		if err := sh.file.Snapshot(p, dstPath, uid); err != nil {
-			return err
+		err := sh.file.Snapshot(p, dstPath, uid)
+		if err == nil {
+			d.h.Snapshots++
 		}
-		d.h.Snapshots++
 		// The BTLB may cache pre-snapshot, unprotected translations: drop them
 		// all once the write-protected tree is in place.
-		if err := d.remap(p, sh); err != nil {
-			return err
+		published, err := d.remap(p, sh, 0, 0, err)
+		if published {
+			d.invalidateSharers(p, sh, 0, 0)
 		}
-		d.invalidateSharers(p, sh, 0, 0)
-		return nil
+		return err
 	})
 }
 
@@ -105,14 +105,11 @@ func (d *Device) Unprotect(p *sim.Proc, path string) error {
 	}
 	err := d.transition(p, idx, unshared, func(st *vfState) error {
 		sh := st.shared
-		if err := sh.file.BreakShare(p, 0, math.MaxUint64); err != nil {
-			return err
+		published, err := d.remap(p, sh, 0, 0, sh.file.BreakShare(p, 0, math.MaxUint64))
+		if published {
+			d.invalidateSharers(p, sh, 0, 0)
 		}
-		if err := d.remap(p, sh); err != nil {
-			return err
-		}
-		d.invalidateSharers(p, sh, 0, 0)
-		return nil
+		return err
 	})
 	if errors.Is(err, errStale) {
 		return nil

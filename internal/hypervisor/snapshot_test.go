@@ -372,10 +372,7 @@ func TestConcurrentTargetedInvalidationsDropEveryRange(t *testing.T) {
 		// Move VF 0's blocks and rebuild its tree, and reuse the old blocks:
 		// only the invalidation keeps VF 0 from reading them.
 		old := shs[0].file.Extents()[0]
-		if err := shs[0].file.Migrate(p); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.d.remap(p, shs[0]); err != nil {
+		if _, err := w.d.remap(p, shs[0], 0, 0, shs[0].file.Migrate(p)); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.ctl.Medium.Store().WriteBlocks(int64(old.Physical), bytes.Repeat([]byte{0xEE}, 1024)); err != nil {

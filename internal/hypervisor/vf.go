@@ -3,6 +3,7 @@ package hypervisor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"nesc/internal/core"
@@ -206,21 +207,38 @@ func (d *Device) PruneVFTrees(maxNodes int) int {
 	return total
 }
 
-// remap brings the device's view of an export up to date with the host
-// filesystem: rebuild the shared device tree from the file's extent map — the
-// inode's own list, handed to Rebuild with no park in between, and kept by
-// neither — and write the (possibly new) root into the management block of
-// every VF sharing the tree: the old nodes are freed, so a stale root
-// register would walk dead memory. Which cached translations the change made
-// stale is the caller's to say; each invalidates its own way afterwards.
-func (d *Device) remap(p *sim.Proc, sh *sharedTree) error {
-	if err := sh.tree.Rebuild(sh.file.Extents()); err != nil {
-		return err
+// remap brings the device's view of an export up to date after a
+// host-filesystem call that changed the file's map in vLBA range
+// [vlba, vlba+count) — anywhere, when count is 0 — and returned hostErr: an
+// Edit of the shared tree over the range, or a Rebuild after a whole-file
+// change, reading the inode's own list with no park in between. A failed
+// call may have changed the map too (a transaction does not restore the
+// inode), so the tree follows it all the same; a whole-file failure edits
+// every leaf, which publishes nothing if nothing changed. The root is then
+// written to every sharer — after a call that succeeded, else if it moved —
+// and remap reports whether it was; which cached translations went stale is
+// the caller's to say. The error is hostErr, else the tree's.
+func (d *Device) remap(p *sim.Proc, sh *sharedTree, vlba, count uint64, hostErr error) (bool, error) {
+	root, runs := sh.tree.Root(), sh.file.Extents()
+	var err error
+	switch {
+	case count > 0:
+		err = sh.tree.Edit(runs, vlba, vlba+count)
+	case hostErr == nil:
+		err = sh.tree.Rebuild(runs)
+	default:
+		err = sh.tree.Edit(runs, 0, math.MaxUint64)
 	}
-	for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
-		d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
+	published := err == nil && (hostErr == nil || sh.tree.Root() != root)
+	if published {
+		for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
+			d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
+		}
 	}
-	return nil
+	if hostErr != nil {
+		return published, hostErr
+	}
+	return published, err
 }
 
 // serviceMisses is the NeSC miss-interrupt handler (paper Fig. 5b): for
@@ -303,8 +321,9 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 // file, the lazy-allocation path), MissReasonCoW (a write hit a
 // write-protected extent — break the snapshot sharing for the faulting
 // blocks), and MissReasonFetch (a hole on a fetch-backed VF — have the path's
-// FetchSource materialize the blocks' content). All end with a tree rebuild and a
-// retry, so the device re-walks and finds a writable mapping.
+// FetchSource materialize the blocks' content). All end with an edit of the
+// tree over the missed range and a retry, so the device re-walks and finds a
+// writable mapping.
 func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	h := d.h
 	h.MissInterrupts++
@@ -355,20 +374,19 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	default:
 		err = sh.file.Allocate(p, missAddr, missSize)
 	}
-	if err != nil {
-		return ring.RewalkFail
-	}
 	// Every sharer of the tree must see the new root before the walk
-	// resumes.
-	if err := d.remap(p, sh); err != nil {
-		return ring.RewalkFail
-	}
-	if cow || fetch {
+	// resumes, and the tree must follow whatever the call changed, failed
+	// or not.
+	published, err := d.remap(p, sh, missAddr, missSize, err)
+	if published && (cow || fetch) {
 		// The faulting blocks moved to a private copy, or materialization
 		// rewrote their mappings: any BTLB entry still caching the old one is
 		// stale. Invalidate before the retry so the re-walk's result is what
 		// gets cached.
 		d.invalidateSharers(p, sh, missAddr, missSize)
+	}
+	if err != nil {
+		return ring.RewalkFail
 	}
 	if cow {
 		h.CowBreaks++
@@ -421,14 +439,11 @@ func (d *Device) drain(p *sim.Proc, idx int) {
 // storage optimizations".
 func (d *Device) MigrateVFFile(p *sim.Proc, idx int) error {
 	return d.transition(p, idx, exportingFile, func(st *vfState) error {
-		if err := st.shared.file.Migrate(p); err != nil {
-			return err
+		published, err := d.remap(p, st.shared, 0, 0, st.shared.file.Migrate(p))
+		if published {
+			d.FlushBTLB(p)
 		}
-		if err := d.remap(p, st.shared); err != nil {
-			return err
-		}
-		d.FlushBTLB(p)
-		return nil
+		return err
 	})
 }
 
