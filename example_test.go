@@ -362,7 +362,7 @@ func ExampleFaultPlan() {
 	// write failed: nesc: no space (hypervisor denied allocation)
 	// write failed: nesc: no space (hypervisor denied allocation)
 	// read back intact: true
-	// 41 faults injected, 57 driver timeouts, 1 reset
+	// 16 faults injected, 13 driver timeouts, 1 reset
 }
 
 // The experiment registry regenerates every table and figure of the paper.

@@ -268,8 +268,9 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 // walkerLoop is one translation-unit walker. It first consults the BTLB; on
 // a miss it walks the VF's extent tree with DMA reads from host memory. A
 // translation that cannot complete (hole on a write, pruned subtree) latches
-// the miss registers, interrupts the hypervisor through the PF, and parks
-// until RewalkTree releases it (paper Fig. 5).
+// the missing range — from its block to the request's end — in the miss
+// registers, interrupts the hypervisor through the PF, and parks until
+// RewalkTree releases it (paper Fig. 5).
 func (c *Controller) walkerLoop(p *sim.Proc) {
 	nodeImg := make([]byte, extent.NodeBytes(extent.DefaultFanout))
 	for {
@@ -307,45 +308,38 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 				c.completeChunk(p, ch, ring.StatusAborted)
 				break walk
 			}
-			cowFault := res.Mapped && res.Protected && ch.req.Op == ring.OpWrite
+			reason, miss := MissFor(res, ch.req.Op == ring.OpWrite, f.fetchBacked)
 			switch {
-			case res.Mapped && !cowFault:
+			case !miss && res.Mapped:
 				c.btlb.insert(f.idx, res.Extent)
 				ch.lba = res.PLBA
 				c.pushPLBA(p, f, ch)
 				break walk
-			case res.Hole && ch.req.Op == ring.OpRead && !f.fetchBacked:
+			case !miss:
 				// POSIX: holes read as zeros (paper Fig. 5a "DMA zero
-				// blocks"). On a fetch-backed VF a hole is unmaterialized
-				// content, not zeros — fall through to the miss path so the
-				// hypervisor fetches the chunk from the cas tier.
+				// blocks"), and a verify has no media blocks to check.
 				ch.zero = true
 				c.pushPLBA(p, f, ch)
 				break walk
 			default:
-				// Hole on a write, a pruned subtree on either op, a write
-				// hitting a write-protected (CoW shared) extent, or any hole
-				// on a fetch-backed VF: the hypervisor must
-				// allocate/regenerate/unshare/materialize mappings.
+				// The hypervisor must allocate/regenerate/unshare/materialize
+				// mappings.
 				c.Misses++
 				ch.how = TransMiss
-				if cowFault {
+				if reason == ring.MissReasonCoW {
 					c.CowFaults++
 					ch.how = TransCow
 				}
 				if !f.missPending {
 					f.missPending = true
 					f.missGen++
+					// Latch the rest of the request, which the fetch check
+					// held inside the export: one service covers every chunk
+					// still to come, and the host calls skip what is mapped.
 					f.missAddr = ch.lba
-					f.missSize = 1
+					f.missSize = uint32(ch.req.LBA + uint64(ch.req.Count) - ch.lba)
 					f.missIsWrite = ch.req.Op == ring.OpWrite
-					f.missReason = ring.MissReasonTranslate
-					if res.Hole && f.fetchBacked {
-						f.missReason = ring.MissReasonFetch
-					}
-					if cowFault {
-						f.missReason = ring.MissReasonCoW
-					}
+					f.missReason = reason
 					f.rewalk = sim.NewSignal(c.Eng)
 					c.Report(Event{Kind: EvMiss, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.missReason)})
 					c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
@@ -368,6 +362,25 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 			}
 		}
 	}
+}
+
+// MissFor is the one rule for when a walk that ended in res must miss, and
+// with which MissReason: a write needs its block mapped and unprotected; any
+// other access takes a mapping as it is and a hole as zeros, unless the VF is
+// fetch-backed, where a hole is content not yet materialized. A pruned subtree
+// always misses. The hypervisor judges its own service by the same rule.
+func MissFor(res extent.Resolution, write, fetchBacked bool) (reason uint32, miss bool) {
+	switch {
+	case res.Mapped && res.Protected && write:
+		return ring.MissReasonCoW, true
+	case res.Mapped:
+		return 0, false
+	case res.Hole && fetchBacked:
+		return ring.MissReasonFetch, true
+	case res.Hole && !write:
+		return 0, false
+	}
+	return ring.MissReasonTranslate, true
 }
 
 // walkTree performs one tree walk using device DMA: extent.Lookup's walk

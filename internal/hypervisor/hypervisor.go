@@ -181,6 +181,9 @@ type Hypervisor struct {
 	Injections int64
 	// MissFaults counts misses the hypervisor failed by fault injection.
 	MissFaults int64
+	// MissNoProgress counts misses failed because their service left the
+	// faulting block as the walk had found it: a retry would miss again.
+	MissNoProgress int64
 	// VFResets counts function-level resets issued through ResetVF.
 	VFResets int64
 	// Snapshots / Clones / CowBreaks count the CoW subsystem's operations:

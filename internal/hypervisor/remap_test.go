@@ -71,17 +71,18 @@ func TestConcurrentSharerMissesLeaveOneTree(t *testing.T) {
 // query", which MissHandlerTime prices): the export holds the file open, so
 // the service allocates or breaks the share through the handle and rebuilds
 // the tree from the inode's own extent map, resolving no path and reading no
-// directory. Both a lazy-allocation miss and a CoW-break miss count exactly one
-// HostFS operation.
+// directory. The device latches the rest of the request, so a 4 KB write
+// takes one service as a 1 KB write does. Both a lazy-allocation miss and a
+// CoW-break miss count exactly one HostFS operation, and a broken 4 KB share
+// is one private run, not four.
 func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, true)
-		buf := vm.Kernel.AllocBuffer(1024)
-		write := func(what string, cow int64) {
+		write := func(what string, lba, blocks, cow int64) {
 			t.Helper()
 			ops, misses, breaks := w.d.HostFS.Ops, w.h.MissInterrupts, w.h.CowBreaks
-			if err := vm.Kernel.SubmitAligned(p, true, 5, buf); err != nil {
+			if err := vm.Kernel.SubmitAligned(p, true, lba, vm.Kernel.AllocBuffer(1024*blocks)); err != nil {
 				t.Fatal(err)
 			}
 			if n := w.h.MissInterrupts - misses; n != 1 || w.h.CowBreaks-breaks != cow {
@@ -91,11 +92,60 @@ func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 				t.Errorf("%s miss ran %d host-filesystem operations, want 1", what, n)
 			}
 		}
-		write("lazy-allocation", 0)
+		write("lazy-allocation", 5, 1, 0)
+		write("4 KB lazy-allocation", 8, 4, 0)
 		if err := w.d.SnapshotVF(p, vm.Legs[0].VFIdx, "/disk.snap", 9); err != nil {
 			t.Fatal(err)
 		}
-		write("CoW-break", 1)
+		write("CoW-break", 5, 1, 1)
+		write("4 KB CoW-break", 8, 4, 1)
+		var over []extent.Run
+		for _, r := range w.d.vf(vm.Legs[0].VFIdx).shared.file.Extents() {
+			if r.Logical < 12 && r.End() > 8 {
+				over = append(over, r)
+			}
+		}
+		if len(over) != 1 || over[0].Logical > 8 || over[0].End() < 12 || over[0].Protected() {
+			t.Errorf("blocks 8-11 after the CoW write map as %+v, want one private run", over)
+		}
+	})
+}
+
+// A read that meets a pruned subtree latches a translate miss, and its
+// service only regenerates the tree: no host-filesystem call and no block
+// allocated, though the latch covers the rest of the request. Its holes
+// still read as zeros.
+func TestReadMissAllocatesNothing(t *testing.T) {
+	w := newWorld(t, 16384, nil)
+	w.run(t, func(p *sim.Proc) {
+		vm := w.fragVM(t, p)
+		file := w.d.vf(vm.Legs[0].VFIdx).shared.file
+		runs := len(file.Extents())
+		if freed := w.d.PruneVFTrees(20); freed == 0 {
+			t.Fatal("nothing pruned")
+		}
+		buf := vm.Kernel.AllocBuffer(4096) // blocks 11-14: hole, extent 6, hole, extent 7
+		for i := range buf.Data {
+			buf.Data[i] = 0xEE
+		}
+		ops, misses := w.d.HostFS.Ops, w.h.MissInterrupts
+		if err := vm.Kernel.SubmitAligned(p, false, 11, buf); err != nil {
+			t.Fatal(err)
+		}
+		if n := w.h.MissInterrupts - misses; n != 1 {
+			t.Fatalf("the read took %d misses, want 1", n)
+		}
+		if n := w.d.HostFS.Ops - ops; n != 0 {
+			t.Errorf("the read's miss ran %d host-filesystem operations, want 0", n)
+		}
+		if n := len(file.Extents()); n != runs || file.Mapped(11) || file.Mapped(13) {
+			t.Errorf("the file went from %d to %d extents, holes 11 and 13 mapped %v %v", runs, n, file.Mapped(11), file.Mapped(13))
+		}
+		for i, want := range []byte{0, 6, 0, 7} {
+			if got := buf.Data[i*1024]; got != want {
+				t.Errorf("block %d read %#x, want %#x", 11+i, got, want)
+			}
+		}
 	})
 }
 
@@ -105,24 +155,7 @@ func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 func TestPrunedTreesNextMissRebuildsItInFull(t *testing.T) {
 	w := newWorld(t, 16384, nil)
 	w.run(t, func(p *sim.Proc) {
-		w.boot(t, p)
-		// 300 one-block extents at every other block: 30 leaves under 3 inner
-		// nodes under the root.
-		f, err := w.d.HostFS.Create(p, "/frag.img", 3, 0o600)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blk := make([]byte, 1024)
-		for i := 0; i < 300; i++ {
-			blk[0] = byte(i)
-			if _, err := f.WriteAt(p, blk, int64(i)*2048); err != nil {
-				t.Fatal(err)
-			}
-		}
-		vm, err := w.h.NewVM(p, "vm", VMConfig{Backend: BackendDirect, DiskPath: "/frag.img", UID: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		vm := w.fragVM(t, p)
 		tree := w.d.VFTree(vm.Legs[0].VFIdx)
 		nodes := tree.Nodes()
 		if freed := w.d.PruneVFTrees(20); freed != 22 {
@@ -147,5 +180,128 @@ func TestPrunedTreesNextMissRebuildsItInFull(t *testing.T) {
 			t.Fatalf("the regenerated tree has %d nodes, the one built at export %d", tree.Nodes(), nodes)
 		}
 		read(150, 0) // under the second: already back
+	})
+}
+
+// fragVM boots the host and exports /frag.img: 300 one-block extents at every
+// other block, extent i's first byte i — 30 leaves under 3 inner nodes under
+// the root.
+func (w *world) fragVM(t *testing.T, p *sim.Proc) *VM {
+	t.Helper()
+	w.boot(t, p)
+	f, err := w.d.HostFS.Create(p, "/frag.img", 3, 0o600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk := make([]byte, 1024)
+	for i := 0; i < 300; i++ {
+		blk[0] = byte(i)
+		if _, err := f.WriteAt(p, blk, int64(i)*2048); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vm, err := w.h.NewVM(p, "vm", VMConfig{Backend: BackendDirect, DiskPath: "/frag.img", UID: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vm
+}
+
+// lazySource is a FetchSource whose first service materializes nothing; later
+// ones allocate the range.
+type lazySource struct{ calls int }
+
+func (s *lazySource) Materialize(p *sim.Proc, d *Device, vf int, _ string, blk, n uint64, _ string) error {
+	if s.calls++; s.calls == 1 {
+		return nil
+	}
+	return d.vf(vf).shared.file.Allocate(p, blk, n)
+}
+
+// A service that leaves the missed block as the walk found it gets no retry:
+// the walk would miss again at once, and with a source that never made
+// progress, for ever. The walk fails instead, and the hypervisor counts it.
+func TestMissWithoutProgressFailsTheWalk(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		w.boot(t, p)
+		w.mkSparseImage(t, p, "/disk.img", 9, 64)
+		w.d.Fetch["/disk.img"] = &lazySource{}
+		vm, err := w.h.NewVM(p, "vm0", VMConfig{Backend: BackendDirect, DiskPath: "/disk.img", UID: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := vm.Kernel.SubmitAligned(p, false, 3, vm.Kernel.AllocBuffer(1024)); err == nil {
+			t.Error("a read whose miss service materialized nothing succeeded")
+		}
+		if w.h.MissInterrupts != 1 || w.h.MissNoProgress != 1 {
+			t.Errorf("%d miss services, %d without progress; want 1 and 1", w.h.MissInterrupts, w.h.MissNoProgress)
+		}
+	})
+}
+
+// A verify checks the media blocks behind its range, and a hole has none: it
+// passes without a miss and allocates nothing, as a read of the hole would.
+// Were it to miss, the service would have nothing to do for it, and the
+// re-walk would miss again for ever.
+func TestVerifyOfAHoleTakesNoMiss(t *testing.T) {
+	w := newWorld(t, 8192, nil)
+	w.run(t, func(p *sim.Proc) {
+		vm := w.directVM(t, p, 64, true)
+		idx := vm.Legs[0].VFIdx
+		ops := w.d.HostFS.Ops
+		done := sim.NewSignal(w.eng)
+		var st uint32
+		var err error
+		w.eng.Go("verify", func(q *sim.Proc) {
+			st, err = vm.Legs[0].Drv.QueuePair().Submit(q, ring.OpVerify, 3, 4, 0)
+			done.Fire()
+		})
+		if !done.AwaitTimeout(p, sim.Millisecond) {
+			t.Errorf("a verify of a hole is still running after 1 ms, %d misses in", w.h.MissInterrupts)
+			_ = w.d.ResetVF(p, idx) // release the walker so the run ends
+			done.Await(p)
+			return
+		}
+		if err != nil || st != ring.StatusOK {
+			t.Errorf("verify of a hole: status %d, %v", st, err)
+		}
+		if w.h.MissInterrupts != 0 || w.d.HostFS.Ops != ops || len(w.d.vf(idx).shared.file.Extents()) != 0 {
+			t.Errorf("%d misses, %d host-filesystem operations, extents %+v; want none",
+				w.h.MissInterrupts, w.d.HostFS.Ops-ops, w.d.vf(idx).shared.file.Extents())
+		}
+	})
+}
+
+// A service is judged on the tree as its own edit left it. A prune that runs
+// while the service still writes the new root to the sharers is not its
+// doing: the CoW write retries, misses on the pruned path and completes.
+func TestPruneDuringAServiceDoesNotFailIt(t *testing.T) {
+	w := newWorld(t, 16384, nil)
+	w.run(t, func(p *sim.Proc) {
+		vm := w.fragVM(t, p)
+		if _, err := w.h.NewVM(p, "sharer", VMConfig{Backend: BackendDirect, DiskPath: "/frag.img", UID: 3}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.d.SnapshotVF(p, vm.Legs[0].VFIdx, "/frag.snap", 3); err != nil {
+			t.Fatal(err)
+		}
+		tree := w.d.VFTree(vm.Legs[0].VFIdx)
+		root, breaks, misses := tree.Root(), w.h.CowBreaks, w.h.MissInterrupts
+		pruned := 0
+		w.eng.Go("pruner", func(q *sim.Proc) {
+			// The CoW service has edited the tree but not yet finished.
+			for tree.Root() == root || w.h.CowBreaks != breaks {
+				q.Sleep(100 * sim.Nanosecond)
+			}
+			pruned = w.d.PruneVFTrees(1000)
+		})
+		if err := vm.Kernel.SubmitAligned(p, true, 10, vm.Kernel.AllocBuffer(1024)); err != nil {
+			t.Fatalf("a CoW write whose tree was pruned mid-service: %v", err)
+		}
+		if pruned == 0 || w.h.MissNoProgress != 0 || w.h.MissInterrupts-misses != 2 {
+			t.Errorf("pruned %d nodes; %d misses, %d without progress; want some, 2 and 0",
+				pruned, w.h.MissInterrupts-misses, w.h.MissNoProgress)
+		}
 	})
 }

@@ -54,7 +54,7 @@ func (d *Device) SnapshotVF(p *sim.Proc, idx int, dstPath string, uid uint32) er
 		}
 		// The BTLB may cache pre-snapshot, unprotected translations: drop them
 		// all once the write-protected tree is in place.
-		published, err := d.remap(p, sh, 0, 0, err)
+		published, _, err := d.remap(p, sh, 0, 0, err)
 		if published {
 			d.invalidateSharers(p, sh, 0, 0)
 		}
@@ -105,7 +105,7 @@ func (d *Device) Unprotect(p *sim.Proc, path string) error {
 	}
 	err := d.transition(p, idx, unshared, func(st *vfState) error {
 		sh := st.shared
-		published, err := d.remap(p, sh, 0, 0, sh.file.BreakShare(p, 0, math.MaxUint64))
+		published, _, err := d.remap(p, sh, 0, 0, sh.file.BreakShare(p, 0, math.MaxUint64))
 		if published {
 			d.invalidateSharers(p, sh, 0, 0)
 		}

@@ -214,11 +214,14 @@ func (d *Device) PruneVFTrees(maxNodes int) int {
 // change, reading the inode's own list with no park in between. A failed
 // call may have changed the map too (a transaction does not restore the
 // inode), so the tree follows it all the same; a whole-file failure edits
-// every leaf, which publishes nothing if nothing changed. The root is then
-// written to every sharer — after a call that succeeded, else if it moved —
-// and remap reports whether it was; which cached translations went stale is
-// the caller's to say. The error is hostErr, else the tree's.
-func (d *Device) remap(p *sim.Proc, sh *sharedTree, vlba, count uint64, hostErr error) (bool, error) {
+// every leaf, which publishes nothing if nothing changed. After a range's
+// edit remap also walks the tree to vlba, before anything parks, so the
+// caller learns what the device's re-walk will find there as this call left
+// it. The root is then written to every sharer — after a call that
+// succeeded, else if it moved — and remap reports whether it was; which
+// cached translations went stale is the caller's to say. The error is
+// hostErr, else the tree's.
+func (d *Device) remap(p *sim.Proc, sh *sharedTree, vlba, count uint64, hostErr error) (bool, extent.Resolution, error) {
 	root, runs := sh.tree.Root(), sh.file.Extents()
 	var err error
 	switch {
@@ -230,15 +233,19 @@ func (d *Device) remap(p *sim.Proc, sh *sharedTree, vlba, count uint64, hostErr 
 		err = sh.tree.Edit(runs, 0, math.MaxUint64)
 	}
 	published := err == nil && (hostErr == nil || sh.tree.Root() != root)
+	var at extent.Resolution
+	if count > 0 && err == nil {
+		at, err = extent.Lookup(d.h.Mem, sh.tree.Root(), sh.tree.Fanout(), vlba)
+	}
 	if published {
 		for idx, ok := sh.next(-1); ok; idx, ok = sh.next(idx) {
 			d.h.mmioW(p, d.mgmtAddr(idx)+ring.MgmtTreeRoot, uint64(sh.tree.Root()))
 		}
 	}
 	if hostErr != nil {
-		return published, hostErr
+		return published, at, hostErr
 	}
-	return published, err
+	return published, at, err
 }
 
 // serviceMisses is the NeSC miss-interrupt handler (paper Fig. 5b): for
@@ -321,9 +328,11 @@ func (d *Device) serviceMiss(p *sim.Proc, idx int) {
 // file, the lazy-allocation path), MissReasonCoW (a write hit a
 // write-protected extent — break the snapshot sharing for the faulting
 // blocks), and MissReasonFetch (a hole on a fetch-backed VF — have the path's
-// FetchSource materialize the blocks' content). All end with an edit of the
-// tree over the missed range and a retry, so the device re-walks and finds a
-// writable mapping.
+// FetchSource materialize the blocks' content). A translate miss latched by a
+// read met a pruned subtree and calls no host operation. All end with an edit
+// of the tree over the missed range, the faulting block to the request's end.
+// The verdict is a retry only if the faulting block, as the edit left it, no
+// longer misses for the walk's reason (core.MissFor), so the re-walk gets past it.
 func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	h := d.h
 	h.MissInterrupts++
@@ -371,13 +380,13 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 		}
 	case cow:
 		err = sh.file.BreakShare(p, missAddr, missSize)
-	default:
+	case write:
 		err = sh.file.Allocate(p, missAddr, missSize)
 	}
 	// Every sharer of the tree must see the new root before the walk
 	// resumes, and the tree must follow whatever the call changed, failed
 	// or not.
-	published, err := d.remap(p, sh, missAddr, missSize, err)
+	published, at, err := d.remap(p, sh, missAddr, missSize, err)
 	if published && (cow || fetch) {
 		// The faulting blocks moved to a private copy, or materialization
 		// rewrote their mappings: any BTLB entry still caching the old one is
@@ -391,6 +400,13 @@ func (d *Device) resolveMiss(p *sim.Proc, idx int) uint64 {
 	if cow {
 		h.CowBreaks++
 		d.Ctl.Report(core.Event{Kind: core.EvCowBreak, Fn: idx + 1, Arg: uint64(p.Now() - start)})
+	}
+	// A service that left the block to miss as the walk found it would have
+	// the retry miss again, for ever. Another reason is progress: a pruned
+	// write may find the block shared, a pruned read a hole to fetch.
+	if again, miss := core.MissFor(at, write, d.Fetch[sh.path] != nil); miss && again == reason {
+		h.MissNoProgress++
+		return ring.RewalkFail
 	}
 	return ring.RewalkRetry
 }
@@ -439,7 +455,7 @@ func (d *Device) drain(p *sim.Proc, idx int) {
 // storage optimizations".
 func (d *Device) MigrateVFFile(p *sim.Proc, idx int) error {
 	return d.transition(p, idx, exportingFile, func(st *vfState) error {
-		published, err := d.remap(p, st.shared, 0, 0, st.shared.file.Migrate(p))
+		published, _, err := d.remap(p, st.shared, 0, 0, st.shared.file.Migrate(p))
 		if published {
 			d.FlushBTLB(p)
 		}

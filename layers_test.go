@@ -16,7 +16,9 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -153,5 +155,15 @@ func TestLayers(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The benchmark is its own module (benchmarks/nescperf), outside ./..., and
+// calls the kernel's packages directly: vetting it here makes a signature
+// change that breaks it fail this suite, not the benchmark's next run.
+func TestBenchmarkModuleVets(t *testing.T) {
+	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	if out, err := exec.Command(goBin, "-C", "benchmarks/nescperf", "vet", "./...").CombinedOutput(); err != nil {
+		t.Fatalf("go vet of benchmarks/nescperf: %v\n%s", err, out)
 	}
 }
