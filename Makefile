@@ -1,27 +1,23 @@
 GO ?= go
 
-# Determinism-gated experiments: each <exp>-det target (generated below)
-# replays experiment <exp> twice and diffs against results/<exp>.json.
-DET_EXPS := fabric scale grayfail slo dedup mq integrity snapshot spans
-DET_TARGETS := $(addsuffix -det,$(DET_EXPS))
-
 .PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-scaling bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
 
-# ci is the full hygiene gate. race-full is the whole suite under the race
-# detector but the golden experiment run (`make race` is its -short form for a
-# quick look). crash runs the full 64-point crash-recovery harness plus the
-# exhaustive journal crash-point sweep; test runs the whole suite without the
-# race detector (including the long tests -short skips, e.g. the golden
-# experiment run);
+# ci is the full hygiene gate. test runs the whole suite without the race
+# detector, including the long tests -short skips, e.g. the golden experiment
+# run (internal/bench), which runs every experiment once and holds its text,
+# its results/<exp>.json and its paper shapes; race-full is the whole suite
+# under the race detector but the golden experiment run (`make race` is its
+# -short form for a quick look). crash runs the full 64-point crash-recovery
+# harness plus the exhaustive journal crash-point sweep;
 # bench-smoke covers the nested benchmark module the root test run cannot see;
 # bench-digest holds the benchmark's virtual clock to the checked-in digests;
 # sink-digest holds every byte the three telemetry sinks export to theirs;
 # fuzz-smoke gives every native fuzz target ten seconds; hostmem-long is the
 # allocator's differential test at the size tier-1 runs an eighth of.
-ci: vet fmt-check build test bench-smoke bench-digest sink-digest race-full crash fuzz-smoke hostmem-long $(DET_TARGETS)
+ci: vet fmt-check build test bench-smoke bench-digest sink-digest race-full crash fuzz-smoke hostmem-long
 
 # vet covers the nested benchmark module too, which the root ./... never sees.
 vet:
@@ -39,23 +35,24 @@ build:
 test:
 	$(GO) test ./...
 
-# race skips what -short skips (the golden experiment run); not part of ci,
-# which runs race-full.
+# race skips what -short skips (the golden experiment run in internal/bench);
+# not part of ci, which runs race-full.
 race:
 	$(GO) test -race -short ./...
 
 # race-full is the entire suite under the race detector except the golden
-# experiment run, which test runs without it. The race runtime keeps what
+# experiment run (internal/bench), which test runs without it: under the race
+# detector it runs every experiment in one binary. The race runtime keeps what
 # every finished simulated process used (≈ 25 KB: Go 1.24 ends an iter.Pull
 # coroutine without racegoend), so a test binary grows with each process its
 # tests spawn. The root package spawns the most and runs as three binaries, and
 # a race build runs each soak row once (race_test.go); the soak binary peaks
 # near 2.8 GB, the other two root binaries near 2.3 GB.
 race-full:
-	$(GO) test -race ./internal/... ./cmd/...
+	$(GO) test -race -skip '^TestGoldenExperimentOutputs$$' ./internal/... ./cmd/...
 	$(GO) test -race -run '^TestSoak$$' .
 	$(GO) test -race -run '^TestCrash' .
-	$(GO) test -race -skip '^(TestSoak|TestCrash|TestGoldenExperimentOutputs)' .
+	$(GO) test -race -skip '^(TestSoak|TestCrash)' .
 
 # chaos runs the soak table (chaos_test.go): every row, the last of which arms
 # every feature at once, with its same-seed determinism replay.
@@ -71,10 +68,10 @@ crash:
 # fuzz-smoke runs every native fuzz target it finds for ten seconds on top of
 # its checked-in corpus (testdata/fuzz): the extent-tree walk step over node
 # bytes the host wrote, the tree's edits against a fresh build of the same
-# runs, the controller's fetch stage over descriptor bytes
-# the guest wrote, and the host filesystem's mount (journal replay, inodes,
-# overflow chains) over blocks the device holds. `go test -fuzz` takes one
-# target in one package per run.
+# runs, the controller's fetch stage over descriptor bytes the guest wrote, its
+# shadow-doorbell chase over the producer words the guest wrote, and the host
+# filesystem's mount (journal replay, inodes, overflow chains) over blocks the
+# device holds. `go test -fuzz` takes one target in one package per run.
 fuzz-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
@@ -140,20 +137,22 @@ sink-digest:
 
 # rebaseline is the tier-2 step (never in ci) for a change that means to move
 # virtual time: it rewrites every artifact such a change moves — the golden
-# results/all_experiments.txt from `nescbench -exp all` stdout, each DET_EXPS
-# results/<exp>.json as its <exp>-det rule writes it, and results/bench_digests.txt and
+# results/all_experiments.txt from `nescbench -exp all` stdout, every
+# results/<exp>.json that already exists from the JSON that run and one of
+# `-exp dedup` write, and results/bench_digests.txt and
 # results/sink_digests.txt from the files bench-digest and sink-digest build
 # (a failure of theirs other than the digest diff stops it). It changes no
-# check: the golden test, the *-det rules and both digest diffs still compare
-# as before, against what it wrote. Run it once, on purpose, and name every
-# row it moved.
+# check: the golden test and both digest diffs still compare as before,
+# against what it wrote. Run it once, on purpose, and name every row it moved.
 rebaseline:
-	@rm -rf .rebaseline && mkdir -p .rebaseline
+	@rm -rf .rebaseline && mkdir -p .rebaseline/json
 	@$(GO) build -o .rebaseline/nescbench ./cmd/nescbench
-	@.rebaseline/nescbench -exp all > .rebaseline/all_experiments.txt 2> .rebaseline/all.log
+	@.rebaseline/nescbench -exp all -json .rebaseline/json > .rebaseline/all_experiments.txt 2> .rebaseline/all.log
+	@.rebaseline/nescbench -exp dedup -json .rebaseline/json > /dev/null 2>> .rebaseline/all.log
 	@cp .rebaseline/all_experiments.txt results/all_experiments.txt
-	@for e in $(DET_EXPS); do \
-		.rebaseline/nescbench -exp $$e -json .rebaseline > /dev/null 2>&1 && cp .rebaseline/$$e.json results/$$e.json || exit 1; \
+	@for f in results/*.json; do \
+		case $$f in results/BENCH_*) continue;; esac; \
+		cp .rebaseline/json/$${f#results/} $$f || exit 1; \
 	done
 	@for d in bench sink; do \
 		$(MAKE) --no-print-directory $$d-digest > .rebaseline/$$d.log 2>&1 || grep -q '^[<>] ' .rebaseline/$$d.log \
@@ -248,29 +247,6 @@ counts:
 cover:
 	$(GO) test -count=1 -coverpkg=./... -coverprofile=.cover.out ./... > /dev/null
 	@$(GO) tool cover -func=.cover.out | grep '^total:'
-
-# <exp>-det regenerates one experiment twice in separate processes and fails
-# unless both runs and the checked-in results/<exp>.json are byte-identical
-# (same seed => identical simulation). One parameterized rule covers every
-# determinism-gated experiment:
-#   fabric   - mirroring, failover, resilver, live VF migration
-#   scale    - massive tenancy (lazy VF core, queue-pair pool, shadow doorbells)
-#   grayfail - fail-slow injection, hedged reads, deadline + admission control
-#   slo      - latency attribution, burn alerts, anomaly scoreboard
-#   dedup    - content-addressed tier (dedup ratio, first touch, fleet fork)
-#   mq, integrity, snapshot, spans - the other checked-in results/<exp>.json
-.PHONY: $(DET_TARGETS)
-define det-rule
-$(1)-det:
-	@rm -rf .$(1)-det && mkdir -p .$(1)-det/a .$(1)-det/b
-	@$$(GO) run ./cmd/nescbench -exp $(1) -json .$(1)-det/a > /dev/null
-	@$$(GO) run ./cmd/nescbench -exp $(1) -json .$(1)-det/b > /dev/null
-	@cmp .$(1)-det/a/$(1).json .$(1)-det/b/$(1).json
-	@cmp .$(1)-det/a/$(1).json results/$(1).json
-	@rm -rf .$(1)-det
-	@echo "results/$(1).json is deterministic and current"
-endef
-$(foreach e,$(DET_EXPS),$(eval $(call det-rule,$(e))))
 
 # profile is the tier-2 attribution report: run each experiment on its own
 # with the causal-attribution sink armed, write its per-{vf,op} latency

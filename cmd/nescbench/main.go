@@ -11,7 +11,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -116,7 +115,14 @@ func main() {
 			fmt.Print(bench.Render(r.tables))
 		}
 		if *jsonDir != "" {
-			if err := writeJSON(*jsonDir, e.Name, r.tables); err != nil {
+			out, err := bench.JSON(r.tables)
+			if err == nil {
+				err = os.MkdirAll(*jsonDir, 0o755)
+			}
+			if err == nil {
+				err = os.WriteFile(filepath.Join(*jsonDir, e.Name+".json"), out, 0o644)
+			}
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiment %s: %v\n", e.Name, err)
 				os.Exit(1)
 			}
@@ -167,35 +173,4 @@ func writeFile(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// writeJSON stores an experiment's tables as <dir>/<name>.json: a single
-// table is written as one object, several as an array.
-func writeJSON(dir, name string, tables []*stats.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	var out []byte
-	if len(tables) == 1 {
-		b, err := tables[0].JSON()
-		if err != nil {
-			return err
-		}
-		out = b
-	} else {
-		raws := make([]json.RawMessage, len(tables))
-		for i, t := range tables {
-			b, err := t.JSON()
-			if err != nil {
-				return err
-			}
-			raws[i] = b
-		}
-		b, err := json.MarshalIndent(raws, "", "  ")
-		if err != nil {
-			return err
-		}
-		out = append(b, '\n')
-	}
-	return os.WriteFile(filepath.Join(dir, name+".json"), out, 0o644)
 }

@@ -2,11 +2,11 @@ package nesc
 
 // What a reader is shown runs, or is checked against the code that does.
 // layers_test.go holds DESIGN.md §3 to the import graph; this holds DESIGN.md's
-// other tables that name code — the experiment index, the VF lifecycle, the
-// mechanism homes, every repository path — and README.md's nescbench flags,
-// experiment names and make targets. README's nescctl lines are rows of
-// cmd/nescctl/main_test.go, which runs them. The checks are syntactic
-// (go/parser), so a failure names the row.
+// other tables that name code — the experiment index and its results files,
+// the VF lifecycle, the mechanism homes, every repository path — and
+// README.md's nescbench flags, experiment names and make targets. README's
+// nescctl lines are rows of cmd/nescctl/main_test.go, which runs them. The
+// checks are syntactic (go/parser), so a failure names the row.
 
 import (
 	"go/ast"
@@ -141,6 +141,39 @@ func TestDesignExperimentIndexIsTheRegistry(t *testing.T) {
 	}
 	for name := range indexed {
 		t.Errorf("DESIGN.md §4's index lists %s, which bench.Registry() does not", name)
+	}
+}
+
+// The index's results files are results/'s: every file the column lists
+// exists, and every results/*.json but the benchmark reports (BENCH_*.json) is
+// listed there, on the row of the experiment it is named after. The golden
+// run checks an experiment's JSON exactly when its file exists, so a file
+// deleted or renamed would otherwise drop its check silently.
+func TestDesignResultsFilesAreResults(t *testing.T) {
+	listed := map[string]string{} // file -> experiment
+	for _, row := range docTable(t, "DESIGN.md", "experiment") {
+		for _, file := range spans(row[2]) {
+			listed[file] = strings.Trim(row[0], "`")
+			if _, err := os.Stat(file); err != nil {
+				t.Errorf("DESIGN.md §4 lists %s: %v", file, err)
+			}
+		}
+	}
+	files, err := filepath.Glob("results/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range files {
+		if strings.HasPrefix(file, "results/BENCH_") {
+			continue
+		}
+		name := strings.TrimSuffix(strings.TrimPrefix(file, "results/"), ".json")
+		if _, err := bench.ByName(name); err != nil {
+			t.Errorf("%s names no registered experiment: %v", file, err)
+		}
+		if exp, ok := listed[file]; !ok || exp != name {
+			t.Errorf("%s is not in DESIGN.md §4's results file column on the %s row", file, name)
+		}
 	}
 }
 
@@ -322,10 +355,6 @@ func TestReadmeNamesWhatExists(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^([a-z][\w-]*):([^=]|$)`).FindAllStringSubmatch(makefile, -1) {
 		targets[m[1]] = true
-	}
-	det, _, _ := strings.Cut(strings.SplitN(makefile, "DET_EXPS := ", 2)[1], "\n")
-	for _, e := range strings.Fields(det) {
-		targets[e+"-det"] = true
 	}
 	for _, m := range regexp.MustCompile("(?m)(?:^|`)make ([\\w-]+)").FindAllStringSubmatch(readme, -1) {
 		if !targets[m[1]] {

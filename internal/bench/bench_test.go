@@ -1,22 +1,150 @@
 package bench
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"nesc/internal/sim"
+	"nesc/internal/stats"
 	"nesc/internal/workload"
 )
 
-// These tests assert the reproduction's headline shapes — who wins, by
-// roughly what factor, where crossovers fall — against the claims in the
-// paper's text (see EXPERIMENTS.md for the full mapping).
-
-func TestFig9Shape(t *testing.T) {
-	tables, err := Fig9(DefaultConfig())
+// TestGoldenExperimentOutputs is the tier-1 guard on the experiments: it runs
+// every registered experiment once, instrumentation off, and holds the tables
+// that run returns to every check on them:
+//   - the golden 'all' set's text to results/all_experiments.txt, byte for byte;
+//   - an experiment's JSON to results/<name>.json, byte for byte, wherever that
+//     file exists;
+//   - the experiment's paper shapes, if shapes has an entry for it.
+//
+// Regenerate the files with `make rebaseline`, and only for intentional
+// output changes. Each experiment is an independent single-threaded
+// simulation, so they run as parallel subtests of one process, where any
+// state shared across experiments would show; the text is compared in
+// registry order.
+func TestGoldenExperimentOutputs(t *testing.T) {
+	for name := range shapes {
+		if _, err := ByName(name); err != nil {
+			t.Errorf("shape %s: %v", name, err)
+		}
+	}
+	if testing.Short() {
+		t.Skip("full experiment suite (~1 min of CPU) skipped in -short mode")
+	}
+	golden, err := os.ReadFile("../../results/all_experiments.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := DefaultConfig()
+	exps := Registry()
+	outs := make([]string, len(exps)) // "" for an experiment that failed
+	// The group returns once every parallel subtest in it has finished.
+	t.Run("exp", func(t *testing.T) {
+		for i, e := range exps {
+			t.Run(e.Name, func(t *testing.T) {
+				t.Parallel()
+				tables, err := e.Run(cfg)
+				if err != nil {
+					t.Fatalf("experiment %s: %v", e.Name, err)
+				}
+				outs[i] = Render(tables)
+				checkJSON(t, e.Name, tables)
+				if shape := shapes[e.Name]; shape != nil {
+					t.Run("shape", func(t *testing.T) { shape(t, tables) })
+				}
+			})
+		}
+	})
+	if slices.Contains(outs, "") {
+		return
+	}
+	var names, texts []string // the golden set's: every experiment but the extras
+	for i, e := range exps {
+		if !e.Extra {
+			names, texts = append(names, e.Name), append(texts, outs[i])
+		}
+	}
+	line, got, want := firstDiff(strings.Join(texts, ""), string(golden))
+	if line == 0 {
+		return
+	}
+	// Name the experiment whose output covers the first differing line.
+	end := 0
+	for i, out := range texts {
+		if end += strings.Count(out, "\n"); line <= end {
+			t.Fatalf("experiment %s drifted from results/all_experiments.txt at line %d:\n got: %q\nwant: %q\n(regenerate the golden file only for intentional output changes)",
+				names[i], line, got, want)
+		}
+	}
+	t.Fatalf("results/all_experiments.txt has lines past the last experiment's output (from line %d)", line)
+}
+
+// checkJSON holds an experiment's JSON to results/<name>.json byte for byte,
+// where that file exists.
+func checkJSON(t *testing.T, name string, tables []*stats.Table) {
+	path := "results/" + name + ".json"
+	want, err := os.ReadFile("../../" + path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := JSON(tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line, got, want := firstDiff(string(b), string(want)); line != 0 {
+		t.Errorf("experiment %s drifted from %s at line %d:\n got: %q\nwant: %q", name, path, line, got, want)
+	}
+}
+
+// firstDiff returns the number of the first line at which got and want
+// differ, with both lines ("<end of file>" past either's end); 0 when they are
+// equal.
+func firstDiff(got, want string) (line int, g, w string) {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range max(len(gl), len(wl)) {
+		g, w = "<end of file>", "<end of file>"
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			return i + 1, g, w
+		}
+	}
+	return 0, "", ""
+}
+
+// shapes holds the reproduction's headline shapes — who wins, by roughly
+// what factor, where crossovers fall — against the claims in the paper's text
+// (see EXPERIMENTS.md for the full mapping), keyed by experiment name. Each
+// sees the tables of TestGoldenExperimentOutputs's run, at full precision.
+var shapes = map[string]func(t *testing.T, tables []*stats.Table){
+	"fig9":       fig9Shape,
+	"fig10":      fig10Shape,
+	"fig11":      fig11Shape,
+	"fig2":       fig2Shape,
+	"fig12":      fig12Shape,
+	"table1":     table1Shape,
+	"table2":     table2Shape,
+	"btlb":       ablationBTLBShape,
+	"trampoline": ablationTrampolineShape,
+	"lazyalloc":  ablationLazyAllocShape,
+	"qos":        ablationQoSShape,
+	"oob":        ablationOOBShape,
+	"qdepth":     qDepthShape,
+	"breakdown":  breakdownShape,
+}
+
+func fig9Shape(t *testing.T, tables []*stats.Table) {
 	read, write := tables[0], tables[1]
 	for _, tbl := range []struct {
 		name string
@@ -46,11 +174,7 @@ func TestFig9Shape(t *testing.T) {
 	}
 }
 
-func TestFig10Shape(t *testing.T) {
-	tables, err := Fig10(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func fig10Shape(t *testing.T, tables []*stats.Table) {
 	read, write, conv := tables[0], tables[1], tables[2]
 	// Peaks: ~800 MB/s read, ~1 GB/s write (the prototype's numbers).
 	nescRead := read.MustGet("32KB", BackendNeSC)
@@ -89,11 +213,7 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
-func TestFig11Shape(t *testing.T) {
-	tables, err := Fig11(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func fig11Shape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	for _, bs := range []string{"512B", "1KB", "4KB"} {
 		nescFS := tbl.MustGet(bs, "NeSC - FS")
@@ -119,16 +239,10 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
-func TestFig2PointShape(t *testing.T) {
+func fig2Shape(t *testing.T, tables []*stats.Table) {
 	// The first and last points the figure prints.
-	speedup := func(deviceBandwidth float64) float64 {
-		direct, vio, err := Fig2Point(DefaultConfig(), deviceBandwidth)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return direct / vio
-	}
-	slow, fast := speedup(100e6), speedup(3600e6)
+	speedup := tables[0]
+	slow, fast := speedup.MustGet("100", "Speedup"), speedup.MustGet("3600", "Speedup")
 	// "direct device assignment roughly doubles the storage bandwidth ...
 	// for modern, multi GB/s storage devices", while slow devices see none.
 	if slow > 1.2 {
@@ -142,14 +256,7 @@ func TestFig2PointShape(t *testing.T) {
 	}
 }
 
-func TestFig12Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("application sweep in -short mode")
-	}
-	tables, err := Fig12(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func fig12Shape(t *testing.T, tables []*stats.Table) {
 	a, b := tables[0], tables[1]
 	for _, app := range Fig12Apps {
 		overEmu := a.MustGet(app, "Speedup")
@@ -168,18 +275,13 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
-func TestTables(t *testing.T) {
-	t1, err := Table1(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func table1Shape(t *testing.T, t1 []*stats.Table) {
 	if !strings.Contains(t1[0].String(), "BTLB 8 entries") {
 		t.Error("table1 missing BTLB configuration")
 	}
-	t2, err := Table2(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+func table2Shape(t *testing.T, t2 []*stats.Table) {
 	for _, w := range []string{"dd", "SysBench", "Postmark", "OLTP"} {
 		if !strings.Contains(t2[0].String(), w) {
 			t.Errorf("table2 missing %s", w)
@@ -187,11 +289,7 @@ func TestTables(t *testing.T) {
 	}
 }
 
-func TestAblationBTLBShape(t *testing.T) {
-	tables, err := AblationBTLB(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func ablationBTLBShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	// Hit rate grows with BTLB size and saturates near the paper's 8-entry
 	// design point; walk traffic shrinks accordingly.
@@ -218,11 +316,7 @@ func TestAblationBTLBShape(t *testing.T) {
 	}
 }
 
-func TestAblationTrampolineShape(t *testing.T) {
-	tables, err := AblationTrampoline(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func ablationTrampolineShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	// IOMMU mode avoids the copies, so it is at least as fast everywhere.
 	if tbl.MustGet("iommu", "read MB/s") < tbl.MustGet("trampoline", "read MB/s") {
@@ -233,11 +327,7 @@ func TestAblationTrampolineShape(t *testing.T) {
 	}
 }
 
-func TestAblationLazyAllocShape(t *testing.T) {
-	tables, err := AblationLazyAlloc(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func ablationLazyAllocShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	if tbl.MustGet("sparse (lazy)", "miss interrupts") == 0 {
 		t.Error("sparse image produced no miss interrupts")
@@ -250,11 +340,7 @@ func TestAblationLazyAllocShape(t *testing.T) {
 	}
 }
 
-func TestAblationQoSShape(t *testing.T) {
-	tables, err := AblationQoS(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func ablationQoSShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	// Equal weights: equal service.
 	if r := tbl.MustGet("1:1", "achieved ratio"); r < 0.9 || r > 1.1 {
@@ -273,11 +359,7 @@ func TestAblationQoSShape(t *testing.T) {
 	}
 }
 
-func TestAblationOOBShape(t *testing.T) {
-	tables, err := AblationOOB(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func ablationOOBShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	idle := tbl.MustGet("idle", "PF latency us")
 	sat := tbl.MustGet("saturated", "PF latency us")
@@ -289,9 +371,6 @@ func TestAblationOOBShape(t *testing.T) {
 }
 
 func TestExperimentRegistryRunsEverything(t *testing.T) {
-	if n := len(Registry()); n < 13 {
-		t.Fatalf("registry has %d experiments", n)
-	}
 	// One slice: the golden set is the registry minus its extras, and an
 	// extra is still reachable by name.
 	if all, reg := All(), Registry(); len(all) != len(reg)-1 || !reg[len(reg)-1].Extra {
@@ -308,11 +387,7 @@ func TestExperimentRegistryRunsEverything(t *testing.T) {
 	}
 }
 
-func TestQDepthShape(t *testing.T) {
-	tables, err := QDepth(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func qDepthShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	// NeSC scales with queue depth; virtio saturates early.
 	n1 := tbl.MustGet("1", BackendNeSC)
@@ -330,11 +405,7 @@ func TestQDepthShape(t *testing.T) {
 	}
 }
 
-func TestBreakdownShape(t *testing.T) {
-	tables, err := Breakdown(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+func breakdownShape(t *testing.T, tables []*stats.Table) {
 	tbl := tables[0]
 	// At QD 1 the dominant component is the transfer itself; queueing is
 	// negligible. At QD 16 the pLBA queue dominates.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"strings"
@@ -16,7 +17,7 @@ type Experiment struct {
 	// Extra marks an experiment that deliberately stays out of the golden
 	// 'all' run (results/all_experiments.txt freezes the rest): it is
 	// reachable by name (nescbench -exp dedup) and ships its own checked-in
-	// artifact with a determinism gate in the Makefile.
+	// artifact, results/dedup.json.
 	Extra bool
 }
 
@@ -87,4 +88,22 @@ func Render(tables []*stats.Table) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// JSON is the JSON form of an experiment's tables: what nescbench -json writes
+// and results/<name>.json holds. A single table is one object, several an
+// array.
+func JSON(tables []*stats.Table) ([]byte, error) {
+	raws := make([]json.RawMessage, len(tables))
+	for i, t := range tables {
+		var err error
+		if raws[i], err = t.JSON(); err != nil {
+			return nil, err
+		}
+	}
+	if len(raws) == 1 {
+		return raws[0], nil
+	}
+	b, err := json.MarshalIndent(raws, "", "  ")
+	return append(b, '\n'), err
 }

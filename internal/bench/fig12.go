@@ -81,8 +81,8 @@ func fig12Runs(cfg Config, runs []appRun) (map[appRun]sim.Time, error) {
 }
 
 // Fig12App runs one application on one backend and returns its simulated
-// runtime — the figure's inner run, which the benchmarks call for single
-// points.
+// runtime — the figure's inner run, which the root bench_test.go benchmarks
+// call for single points.
 func Fig12App(cfg Config, app, backend string) (sim.Time, error) {
 	elapsed, err := fig12Runs(cfg, []appRun{{app, backend}})
 	return elapsed[appRun{app, backend}], err

@@ -40,9 +40,9 @@ func Fig2(cfg Config) ([]*stats.Table, error) {
 }
 
 // Fig2Point runs one point of the sweep — the figure's inner run, which the
-// tests call for single points: the write bandwidth (MB/s) a direct-assigned
-// and a virtio guest achieve on a device throttled to deviceBandwidth
-// (bytes/s).
+// root bench_test.go benchmarks call for single points: the write bandwidth
+// (MB/s) a direct-assigned and a virtio guest achieve on a device throttled
+// to deviceBandwidth (bytes/s).
 func Fig2Point(cfg Config, deviceBandwidth float64) (direct, vio float64, err error) {
 	const ddBlock = 256 << 10
 	const ddTotalBytes = 8 << 20

@@ -47,7 +47,10 @@ func (f *Function) fetchLoop(p *sim.Proc) {
 		if q == nil {
 			continue // doorbell drained by a reset; the semaphore over-counts
 		}
-		f.drainTo(p, q, prod, desc)
+		// A shadow chase may have consumed past this doorbell since it rang.
+		if ring.DoorbellValid(prod, q.consumed, q.ringSize) {
+			f.drainTo(p, q, prod, desc)
+		}
 		if q.shadowBase != 0 {
 			f.shadowFollow(p, q, desc)
 		}
@@ -223,7 +226,8 @@ func (f *Function) shadowDrain(p *sim.Proc, q *fnQueue, gen uint32, w, desc []by
 		return false, false
 	}
 	prod := binary.BigEndian.Uint32(w)
-	if q.gen != gen || q.ringSize == 0 {
+	// Re-checked after the read: a block disarmed meanwhile gets no EVENT.
+	if q.gen != gen || q.ringSize == 0 || q.shadowBase == 0 {
 		return false, false
 	}
 	if prod == q.consumed || !ring.DoorbellValid(prod, q.consumed, q.ringSize) {

@@ -4,23 +4,18 @@ package nesc
 // text exposition format, the Chrome trace exporter must emit loadable
 // trace-event JSON, and — the cardinal rule — instrumentation must be
 // virtual-time-neutral: enabling it cannot move a single event, so every
-// counter and the final clock match an uninstrumented run exactly. The
-// golden test at the bottom extends that guarantee to the full experiment
-// suite: an instrumentation-off run reproduces results/all_experiments.txt
-// byte for byte.
+// counter and the final clock match an uninstrumented run exactly.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"nesc/internal/bench"
 	"nesc/internal/metrics"
 	"nesc/internal/slo"
 )
@@ -417,58 +412,4 @@ func TestCASFetchWaitLandsOnTheTenantsRow(t *testing.T) {
 	if tenantWait == 0 {
 		t.Error("the tenant's {vf=1, read} row carries no fabric_wait for its cold cas read")
 	}
-}
-
-// TestGoldenExperimentOutputs is the tier-1 guard: an instrumentation-off run
-// of the full experiment suite must reproduce results/all_experiments.txt
-// byte for byte. Regenerate with:
-//
-//	go run ./cmd/nescbench -exp all > results/all_experiments.txt
-//
-// Each experiment is an independent single-threaded simulation, so they run
-// as parallel subtests; what is compared is their output in registry order.
-func TestGoldenExperimentOutputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full experiment suite (~1 min of CPU) skipped in -short mode")
-	}
-	golden, err := os.ReadFile("results/all_experiments.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := bench.DefaultConfig()
-	exps := bench.All()
-	outs := make([]string, len(exps))
-	// The group returns once every parallel subtest in it has finished.
-	t.Run("exp", func(t *testing.T) {
-		for i, e := range exps {
-			t.Run(e.Name, func(t *testing.T) {
-				t.Parallel()
-				tables, err := e.Run(cfg)
-				if err != nil {
-					t.Fatalf("experiment %s: %v", e.Name, err)
-				}
-				outs[i] = bench.Render(tables)
-			})
-		}
-	})
-	if t.Failed() || strings.Join(outs, "") == string(golden) {
-		return
-	}
-	// Name the experiment whose output covers the first differing line.
-	wantLines := strings.Split(string(golden), "\n")
-	line := 0
-	for i, out := range outs {
-		for _, g := range strings.Split(strings.TrimSuffix(out, "\n"), "\n") {
-			w := "<end of file>"
-			if line < len(wantLines) {
-				w = wantLines[line]
-			}
-			if g != w {
-				t.Fatalf("experiment %s drifted from results/all_experiments.txt at line %d:\n got: %q\nwant: %q\n(regenerate the golden file only for intentional output changes)",
-					exps[i].Name, line+1, g, w)
-			}
-			line++
-		}
-	}
-	t.Fatalf("results/all_experiments.txt has lines past the last experiment's output (from line %d)", line+1)
 }
