@@ -96,7 +96,7 @@ func BenchmarkFig11FilesystemOverhead_NeSCAppend4KB(b *testing.B) {
 	pl := bench.NewPlatform(cfg)
 	var elapsed sim.Time
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := pl.Hyp.Device(0).MkImage(p, "/fs.img", 1, 64*1024, false); err != nil {
+		if _, err := pl.Hyp.Device(0).MkImage(p, "/fs.img", 1, 64*1024, false); err != nil {
 			return err
 		}
 		vm, err := pl.Hyp.NewVM(p, "vm", hypervisor.VMConfig{

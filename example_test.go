@@ -253,8 +253,8 @@ func ExampleVM_SetIOWeight() {
 			float64(end[0]-base[0])/1e6/window.Seconds(), float64(end[1]-base[1])/1e6/window.Seconds())
 	}
 	// Output:
-	// weights 1:1 -> 642 and 642 MB/s
-	// weights 4:1 -> 865 and 433 MB/s
+	// weights 1:1 -> 701 and 701 MB/s
+	// weights 4:1 -> 872 and 433 MB/s
 }
 
 // Accelerator direct access (paper §IV-D): a peer PCIe device drives a VF's
@@ -264,7 +264,7 @@ func Example_accelerator() {
 	pl := bench.NewPlatform(bench.DefaultConfig())
 	d := pl.Hyp.Device(0)
 	err := pl.Run(func(p *sim.Proc) error {
-		if err := d.MkImage(p, "/dataset.bin", 7, 16*1024, false); err != nil {
+		if _, err := d.MkImage(p, "/dataset.bin", 7, 16*1024, false); err != nil {
 			return err
 		}
 		f, err := d.HostFS.Open(p, "/dataset.bin", 7, 6)
@@ -362,7 +362,7 @@ func ExampleFaultPlan() {
 	// write failed: nesc: no space (hypervisor denied allocation)
 	// write failed: nesc: no space (hypervisor denied allocation)
 	// read back intact: true
-	// 16 faults injected, 13 driver timeouts, 1 reset
+	// 16 faults injected, 7 driver timeouts, 1 reset
 }
 
 // The experiment registry regenerates every table and figure of the paper.

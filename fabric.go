@@ -77,7 +77,8 @@ func (c *Ctx) CreateImageOn(dev int, path string, uid uint32, sizeBytes int64, s
 	}
 	bs := uint64(c.s.pl.Cfg.Core.BlockSize)
 	blocks := (uint64(sizeBytes) + bs - 1) / bs
-	return d.MkImage(c.proc, path, uid, blocks, sparse)
+	_, err = d.MkImage(c.proc, path, uid, blocks, sparse)
+	return err
 }
 
 // StartMirroredVM launches a guest whose virtual disk is synchronously

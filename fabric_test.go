@@ -251,7 +251,23 @@ func TestFailedMigrationLeavesNothing(t *testing.T) {
 		{300 * time.Microsecond, "migration target image", true},
 		{1500 * time.Microsecond, "migration bulk copy", false},
 	} {
-		t.Run(tc.phase, func(t *testing.T) { failedMigration(t, tc.killAfter, tc.phase, tc.retry) })
+		t.Run(tc.phase, func(t *testing.T) { failedMigration(t, tc.killAfter, tc.phase, tc.retry, false) })
+	}
+	// A kill before the target image's Create could begin: the failed
+	// attempt made no file, so an unrelated image made at the path after the
+	// revive is not its to remove, and the retry must fail on it and leave it
+	// alone.
+	t.Run("migration target image, path taken after the revive", func(t *testing.T) {
+		failedMigration(t, 100*time.Microsecond, "migration target image", true, true)
+	})
+	// Kills that land after the target image's Create committed: the
+	// rollback cannot remove it from the dead device, and the retry after
+	// the revive must remove it first.
+	for _, us := range []time.Duration{350, 400, 450, 500, 600, 700, 800} {
+		kill := us * time.Microsecond
+		t.Run(fmt.Sprintf("migration target image, killed after %v", kill), func(t *testing.T) {
+			failedMigration(t, kill, "migration target image", true, false)
+		})
 	}
 	t.Run("migration target VF", failedMigrationInsidePause)
 }
@@ -331,7 +347,7 @@ func failedMigrationInsidePause(t *testing.T) {
 	}
 }
 
-func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry bool) {
+func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry, squat bool) {
 	s := mirroredSim(2)
 	err := s.Run(func(ctx *Ctx) error {
 		if err := ctx.CreateImageOn(0, "/mig.img", 7, 1<<20, false); err != nil {
@@ -355,6 +371,13 @@ func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry 
 			ctx.Sleep(killAfter)
 			return ctx.KillDevice(1)
 		})
+		if squat {
+			// The kill lands in this image's checkpoint, which the target
+			// image's Create then owes and cannot write, so it never begins.
+			if err := ctx.CreateImageOn(1, "/pre.img", 7, 64<<10, true); err != nil {
+				return err
+			}
+		}
 		if _, err := vm.Migrate(ctx, 0, 1); err == nil || !strings.Contains(err.Error(), phase) {
 			return fmt.Errorf("migration onto a device killed under it: %v, want a %s error", err, phase)
 		} else {
@@ -390,11 +413,40 @@ func failedMigration(t *testing.T, killAfter time.Duration, phase string, retry 
 		if err := ctx.ReviveDevice(1); err != nil {
 			return err
 		}
+		dst, err := ctx.device(1)
+		if err != nil {
+			return err
+		}
+		if squat {
+			if err := ctx.CreateImageOn(1, "/mig.img", 9, 64<<10, true); err != nil {
+				return fmt.Errorf("an image at the path the failed migration never made: %w", err)
+			}
+			before, err := dst.HostFS.Stat(ctx.proc, "/mig.img", 9)
+			if err != nil {
+				return err
+			}
+			if _, err := vm.Migrate(ctx, 0, 1); err == nil || !strings.Contains(err.Error(), "file exists") {
+				return fmt.Errorf("migration onto a path another image holds: %v, want a file exists error", err)
+			}
+			if after, err := dst.HostFS.Stat(ctx.proc, "/mig.img", 9); err != nil || after != before {
+				return fmt.Errorf("the retry touched an image the failed migration did not make: %+v (was %+v), %v", after, before, err)
+			}
+			if err := dst.HostFS.Remove(ctx.proc, "/mig.img", 9); err != nil {
+				return err
+			}
+		}
+		// The retry removes what the failed attempt left, and nothing else.
+		if err := ctx.CreateImageOn(1, "/other.img", 7, 64<<10, true); err != nil {
+			return err
+		}
 		if _, err := vm.Migrate(ctx, 0, 1); err != nil {
 			return fmt.Errorf("migration retried after the revive: %w", err)
 		}
 		if st := vm.FabricStatus(); st[0].Dev != 1 {
 			return fmt.Errorf("leg not retargeted by the retry: %+v", st)
+		}
+		if _, err := dst.HostFS.Stat(ctx.proc, "/other.img", 0); err != nil {
+			return fmt.Errorf("the retry removed a file the failed migration did not make: %w", err)
 		}
 		return checkSlots(ctx, vm, d, 32, "after the retried migration")
 	})

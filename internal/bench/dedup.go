@@ -69,7 +69,7 @@ func dedupRatio(cfg Config) (*stats.Table, error) {
 		d := pl.Hyp.Device(0)
 		for i := 0; i < 8; i++ {
 			path := fmt.Sprintf("/variant%d.img", i)
-			if err := d.MkImage(p, path, 1, imageBlocks, true); err != nil {
+			if _, err := d.MkImage(p, path, 1, imageBlocks, true); err != nil {
 				return err
 			}
 			// Every 8th block is this variant's own divergence (installed
@@ -112,7 +112,7 @@ func dedupLatency(cfg Config) (*stats.Table, error) {
 	bs := cfg.Core.BlockSize
 	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
 		d := pl.Hyp.Device(0)
-		if err := d.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
+		if _, err := d.MkImage(p, "/master.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
 		err := dedupFillImage(p, d.HostFS, "/master.img", 1, imageBlocks, bs, func(b int) int64 {
@@ -174,7 +174,7 @@ func dedupFleetFork(cfg Config) (*stats.Table, error) {
 	bs := cfg.Core.BlockSize
 	_, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
 		d0 := pl.Hyp.Device(0)
-		if err := d0.MkImage(p, "/golden.img", 1, imageBlocks, true); err != nil {
+		if _, err := d0.MkImage(p, "/golden.img", 1, imageBlocks, true); err != nil {
 			return err
 		}
 		err := dedupFillImage(p, d0.HostFS, "/golden.img", 1, imageBlocks, bs, func(b int) int64 {

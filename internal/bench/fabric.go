@@ -51,7 +51,7 @@ func fabricFill(p []byte, seed int64) {
 // device, and the guest's one disk is a synchronous mirror over a VF of each.
 func (pl *Platform) mirroredVM(p *sim.Proc, name, path string, uid uint32, blocks uint64, devices []int, fc fabric.Config) (*hypervisor.VM, error) {
 	for _, di := range devices {
-		if err := pl.Hyp.Device(di).MkImage(p, path, uid, blocks, false); err != nil {
+		if _, err := pl.Hyp.Device(di).MkImage(p, path, uid, blocks, false); err != nil {
 			return nil, err
 		}
 	}

@@ -88,7 +88,7 @@ func TestBouncesLiveForOneRequest(t *testing.T) {
 			var held int64
 			if _, err := runPoint(DefaultConfig(), func(p *sim.Proc, pl *Platform) error {
 				before := pl.Mem.AllocBytes
-				err := pl.Hyp.Device(0).MkImage(p, "/big.img", 100, 16<<10, false)
+				_, err := pl.Hyp.Device(0).MkImage(p, "/big.img", 100, 16<<10, false)
 				held = pl.Mem.AllocBytes - before
 				return err
 			}); err != nil {
@@ -201,7 +201,7 @@ func TestTrampolineSlotsLiveForOneChunk(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Hyp.UseIOMMU = iommu
 			if _, err := runPoint(cfg, func(p *sim.Proc, pl *Platform) error {
-				if err := pl.Hyp.Device(0).MkImage(p, "/vm.img", 100, 256, false); err != nil {
+				if _, err := pl.Hyp.Device(0).MkImage(p, "/vm.img", 100, 256, false); err != nil {
 					return err
 				}
 				before := pl.Mem.AllocBytes

@@ -54,7 +54,7 @@ func (pl *Platform) bootVM(p *sim.Proc, name, path string, uid uint32, tweak ...
 // directVM is the tenant nearly every experiment starts from: a fresh image
 // of the given size on device 0's host filesystem, and a guest booted on it.
 func (pl *Platform) directVM(p *sim.Proc, name, path string, uid uint32, blocks uint64, sparse bool, tweak ...func(*hypervisor.VMConfig)) (*hypervisor.VM, workload.ByteTarget, error) {
-	if err := pl.Hyp.Device(0).MkImage(p, path, uid, blocks, sparse); err != nil {
+	if _, err := pl.Hyp.Device(0).MkImage(p, path, uid, blocks, sparse); err != nil {
 		return nil, nil, err
 	}
 	return pl.bootVM(p, name, path, uid, tweak...)

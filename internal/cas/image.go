@@ -128,7 +128,7 @@ func (t *Tier) ForkImage(p *sim.Proc, d *hypervisor.Device, src, path string, ui
 	if err != nil {
 		return err
 	}
-	if err := d.MkImage(p, path, uid, uint64(m.Blocks()), true); err != nil {
+	if _, err := d.MkImage(p, path, uid, uint64(m.Blocks()), true); err != nil {
 		_ = t.Store.Release(p, dst) // the image's error is the one to report
 		return err
 	}

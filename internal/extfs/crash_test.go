@@ -28,7 +28,8 @@ type recWrite struct {
 }
 
 // recordingDev wraps a BlockDev and records every write, split per block so
-// the sweep can truncate at every block boundary a real power cut can.
+// the sweep can truncate at every block boundary a real power cut can. A write
+// under a process takes a microsecond of virtual time.
 type recordingDev struct {
 	inner  *MemDev
 	writes []recWrite
@@ -43,6 +44,9 @@ func (d *recordingDev) ReadBlocks(ctx *sim.Proc, lba int64, p []byte) error {
 }
 
 func (d *recordingDev) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
+	if ctx != nil {
+		ctx.Sleep(sim.Microsecond)
+	}
 	bs := d.BlockSize()
 	for off := 0; off < len(p); off += bs {
 		d.writes = append(d.writes, recWrite{lba: lba + int64(off/bs), data: append([]byte(nil), p[off:off+bs]...)})
@@ -397,6 +401,55 @@ func TestJournalCrashSweepCreate(t *testing.T) {
 				_, err := fs.Open(nil, "/dir/new", 0, PermRead)
 				if err != nil && !errors.Is(err, ErrNotExist) {
 					t.Fatalf("crash point %d: open: %v", point, err)
+				}
+			})
+		})
+	}
+}
+
+// TestJournalCrashSweepBackgroundCheckpoint sweeps a checkpoint that runs
+// after its operation returned. Under a process, an Allocate of 8 blocks
+// returns once its record is down; a Create issued at once waits on the lock
+// while the Allocate's checkpoint writes home, then commits its own record. At
+// every crash point — inside either record, inside the checkpoint, with the
+// Create waiting — the remount passes fsck, maps all 8 blocks or none, and
+// holds every operation acknowledged before the cut.
+func TestJournalCrashSweepBackgroundCheckpoint(t *testing.T) {
+	for _, mode := range []JournalMode{JournalMetadata, JournalFull} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			var allocAcked, createAcked int // writes recorded when each returned
+			pre, writes := recordOp(t, mode,
+				func(t *testing.T, fs *FS) {
+					if _, err := fs.Create(nil, "/img", 0, 0o600); err != nil {
+						t.Fatalf("create: %v", err)
+					}
+				},
+				func(t *testing.T, fs *FS) {
+					rec, f := fs.dev.(*recordingDev), openRW(t, fs, "/img")
+					eng := sim.NewEngine()
+					eng.Go("ops", func(p *sim.Proc) {
+						if err := f.Allocate(p, 0, 8); err != nil {
+							t.Errorf("allocate: %v", err)
+						}
+						allocAcked = len(rec.writes)
+						if _, err := fs.Create(p, "/b", 0, 0o600); err != nil {
+							t.Errorf("create: %v", err)
+						}
+						createAcked = len(rec.writes)
+					})
+					eng.Run()
+					last := uint64(rec.writes[allocAcked-1].lba)
+					if last < fs.sb.journalStart || last >= fs.sb.dataStart || createAcked-allocAcked < 3 {
+						t.Fatalf("the Allocate returned after write %d (block %d) of %d, the Create after %d: want its record last, its checkpoint after",
+							allocAcked, last, len(rec.writes), createAcked)
+					}
+				})
+			sweep(t, pre, writes, func(t *testing.T, point int, fs *FS) {
+				if mapped := mappedBlocks(openRW(t, fs, "/img"), 8); mapped != 8 && (mapped != 0 || point >= allocAcked) {
+					t.Fatalf("crash point %d (Allocate acknowledged at %d): %d of its 8 blocks mapped", point, allocAcked, mapped)
+				}
+				if _, err := fs.Open(nil, "/b", 0, PermRead); err != nil && (point >= createAcked || !errors.Is(err, ErrNotExist)) {
+					t.Fatalf("crash point %d (Create acknowledged at %d): %v", point, createAcked, err)
 				}
 			})
 		})

@@ -229,13 +229,13 @@ type FS struct {
 
 	lock *sim.Semaphore // created lazily from the first ctx's engine
 
-	tx *txState // the open transaction: &txBuf, or nil
+	tx   *txState // the open transaction: &txBuf, or nil
+	owed bool     // txBuf holds a committed transaction whose images are not all home
 	// Reused by the transaction path, under the lock: the transaction buffer,
-	// free image blocks, the journal record block, the render scratch, zeros.
-	txBuf              txState
-	freeImages         [][]byte
-	recordBuf, scratch []byte
-	zeros              []byte
+	// the record its images live in, the render scratch, zeros.
+	txBuf           txState
+	record, scratch []byte
+	zeros           []byte
 
 	journalHead     uint64 // next free block offset within the journal region
 	journalSeq      uint64
@@ -309,7 +309,7 @@ func Format(ctx *sim.Proc, dev BlockDev, p Params) (*FS, error) {
 		inodes: make([]inode, p.InodeCount+1),
 		opCost: p.OpCost,
 
-		recordBuf: make([]byte, bs), scratch: make([]byte, bs),
+		scratch: make([]byte, bs),
 	}
 	// Reserve metadata blocks in the bitmap.
 	for b := uint64(0); b < sb.dataStart; b++ {
@@ -361,7 +361,7 @@ func Mount(ctx *sim.Proc, dev BlockDev, opCost sim.Time) (*FS, error) {
 		sb:     sb,
 		opCost: opCost,
 
-		recordBuf: make([]byte, bs), scratch: make([]byte, bs),
+		scratch: make([]byte, bs),
 	}
 	if err := fs.replayJournal(ctx); err != nil {
 		return nil, err
@@ -405,7 +405,8 @@ func (fs *FS) devWrite(ctx *sim.Proc, lba int64, img []byte) error {
 	return fs.dev.WriteBlocks(ctx, lba, img)
 }
 
-// begin enters a public operation: liveness check, lock, op cost.
+// begin enters a public operation: liveness check, lock, op cost, and the owed
+// checkpoint a failed one left, without which the operation fails.
 func (fs *FS) begin(ctx *sim.Proc) error {
 	if fs.dead {
 		return ErrDead
@@ -419,6 +420,10 @@ func (fs *FS) begin(ctx *sim.Proc) error {
 			ctx.Sleep(fs.opCost)
 		}
 	}
+	if err := fs.checkpoint(ctx); err != nil {
+		fs.end(ctx)
+		return err
+	}
 	fs.Ops++
 	return nil
 }
@@ -431,14 +436,15 @@ func (fs *FS) end(ctx *sim.Proc) {
 
 // transact runs one public mutating operation: begin, then body inside one
 // journal transaction. When body succeeds, the allocation-bitmap and
-// refcount-table blocks it dirtied join the transaction and it commits. An
-// error from any step leaves no open transaction behind, so whatever body had
-// buffered is never written.
+// refcount-table blocks it dirtied join the transaction and it commits, and the
+// operation returns: its checkpoint runs in a process that holds the lock, or
+// inline, reporting its failure, for a timeless call or a record carrying file
+// data (VFs read data homes without the lock). An error from any step leaves no
+// open transaction behind, so whatever body had buffered is never written.
 func (fs *FS) transact(ctx *sim.Proc, body func() error) error {
 	if err := fs.begin(ctx); err != nil {
 		return err
 	}
-	defer fs.end(ctx)
 	fs.txBegin()
 	err := body()
 	if err == nil {
@@ -448,9 +454,18 @@ func (fs *FS) transact(ctx *sim.Proc, body func() error) error {
 		err = fs.txCommit(ctx)
 	}
 	if err != nil {
-		fs.txEnd()
+		if fs.tx != nil { // not an earlier batch's owed checkpoint
+			fs.txEnd()
+		}
+		fs.end(ctx)
+		return err
 	}
-	return err
+	if ctx != nil && fs.owed && !fs.txBuf.data {
+		ctx.Engine().Go("extfs checkpoint", fs.checkpointLocked)
+		return nil
+	}
+	defer fs.end(ctx)
+	return fs.checkpoint(ctx)
 }
 
 // pathParts splits and validates a path.

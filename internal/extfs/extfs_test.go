@@ -480,6 +480,101 @@ func TestJournalRecovery(t *testing.T) {
 	}
 }
 
+// mappedBlocks counts the blocks of [0, n) f maps.
+func mappedBlocks(f *File, n uint64) int {
+	mapped := 0
+	for b := uint64(0); b < n; b++ {
+		if f.Mapped(b) {
+			mapped++
+		}
+	}
+	return mapped
+}
+
+// rejectOneDev rejects exactly one device write, the reject-th (from 0) it
+// sees, and keeps the home block of each.
+type rejectOneDev struct {
+	*MemDev
+	writes []int64
+	reject int
+}
+
+func (d *rejectOneDev) WriteBlocks(ctx *sim.Proc, lba int64, p []byte) error {
+	d.writes = append(d.writes, lba)
+	if len(d.writes)-1 == d.reject {
+		return errors.New("write rejected")
+	}
+	return d.MemDev.WriteBlocks(ctx, lba, p)
+}
+
+// A transaction whose checkpoint fails is owed, not dropped: the next
+// operation writes it home before its own record, which becomes the newest, so
+// a remount that replays only the newest record still finds the older one
+// whole. Each checkpoint write of an 8-block Allocate is rejected in turn, then
+// an unrelated Create commits; the remount must pass fsck and map the whole
+// allocation or none of it — timeless, and under processes, where the
+// checkpoint runs after the Allocate returned.
+func TestFailedCheckpointIsOwedToTheNextOperation(t *testing.T) {
+	setup := func(reject int) (*FS, *rejectOneDev) {
+		dev := &rejectOneDev{MemDev: NewMemDev(1024, 16384), reject: -1}
+		fs, err := Format(nil, dev, Params{InodeCount: 256, JournalBlocks: 128, Mode: JournalMetadata})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Create(nil, "/a", 0, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		dev.writes, dev.reject = nil, reject
+		return fs, dev
+	}
+	// The checkpoint's writes are the ones after the last to the journal.
+	fs, dev := setup(-1)
+	if err := openRW(t, fs, "/a").Allocate(nil, 0, 8); err != nil {
+		t.Fatal(err)
+	}
+	first := 0
+	for i, lba := range dev.writes {
+		if uint64(lba) >= fs.sb.journalStart && uint64(lba) < fs.sb.dataStart {
+			first = i + 1
+		}
+	}
+	if first <= 0 || first >= len(dev.writes) {
+		t.Fatalf("no checkpoint writes among %v", dev.writes)
+	}
+	for _, timed := range []bool{false, true} {
+		run := func(fn func(p *sim.Proc)) {
+			if !timed {
+				fn(nil)
+				return
+			}
+			eng := sim.NewEngine()
+			eng.Go("ops", fn)
+			eng.Run()
+		}
+		for k := first; k < len(dev.writes); k++ {
+			fs, dev := setup(k)
+			f := openRW(t, fs, "/a")
+			run(func(p *sim.Proc) {
+				err := f.Allocate(p, 0, 8)
+				t.Logf("timed %v, checkpoint write %d rejected: Allocate %v", timed, k-first+1, err)
+				if _, err := fs.Create(p, "/b", 0, 0o644); err != nil {
+					t.Error(err)
+				}
+			})
+			again, err := Mount(nil, dev.MemDev, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := again.Check(nil); err != nil {
+				t.Fatalf("timed %v, checkpoint write %d rejected: fsck after remount: %v", timed, k-first+1, err)
+			}
+			if mapped := mappedBlocks(openRW(t, again, "/a"), 8); mapped != 0 && mapped != 8 {
+				t.Fatalf("timed %v, checkpoint write %d rejected: %d of the 8 allocated blocks survived", timed, k-first+1, mapped)
+			}
+		}
+	}
+}
+
 func TestJournalModesWriteAmplification(t *testing.T) {
 	write := func(mode JournalMode) (journal int64, data int64) {
 		fs, _ := newFS(t, mode)

@@ -360,6 +360,9 @@ type File struct {
 // Size reports the file size in bytes.
 func (f *File) Size() uint64 { return f.fs.inodes[f.ino].size }
 
+// Ino reports the file's inode number, the Ino of its Stat.
+func (f *File) Ino() uint32 { return f.ino }
+
 // ReadAt reads len(p) bytes at offset off. Holes read as zeros. Reads past
 // EOF are truncated and return io.EOF.
 func (f *File) ReadAt(ctx *sim.Proc, p []byte, off int64) (int, error) {

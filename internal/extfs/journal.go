@@ -10,17 +10,21 @@ import (
 )
 
 // Write-ahead redo journal. Each public mutating operation is one
-// transaction: block images are buffered, then on commit written to the
-// journal region (descriptor block, image blocks, commit block with a
-// checksum) and finally checkpointed to their home locations. Mount replays
-// the newest committed transaction — the only one a crash can leave between
-// commit and checkpoint, because each is checkpointed before the next begins
-// — which makes every operation atomic across such a crash.
+// transaction: block images are buffered in the filesystem's record buffer,
+// then on commit the record — descriptor, images, and a commit block sealing a
+// checksum over the images — goes to the journal region as one device write.
+// The checkpoint, which writes the images home, runs after the caller returns
+// in a process that holds the filesystem lock until they are (inline for a
+// record carrying file data, which the device path reads without the lock), so
+// no transaction begins while another is committed but not home, and Mount
+// need replay only the newest committed record to make every operation atomic
+// across a crash. A checkpoint that fails leaves its transaction owed: the
+// next operation to take the lock writes it home before it begins, or fails.
 //
-// Nothing here allocates per transaction: the transaction buffer, its image
-// blocks (a free list), the record block and the callers' render scratch are
-// the filesystem's, guarded by the lock transact holds; the device copies what
-// it is handed before WriteBlocks returns.
+// Nothing here allocates per transaction: the transaction buffer, the record
+// buffer its images live in and the callers' render scratch are the
+// filesystem's, guarded by the lock; the device copies what it is handed
+// before WriteBlocks returns.
 
 const (
 	jDescMagic   = 0x4A444553 // "JDES"
@@ -28,9 +32,10 @@ const (
 )
 
 type txState struct {
-	order  []int64
-	images map[int64][]byte
-	leaves []leafRef // overflow leaves whose images this batch carries
+	order  []int64       // home block of each image, in record order
+	slot   map[int64]int // home block → its index in order
+	leaves []leafRef     // overflow leaves whose images this batch carries
+	data   bool          // it carries file data (JournalFull)
 }
 
 // leafRef names one overflow leaf of one inode.
@@ -41,8 +46,9 @@ type leafRef struct {
 
 // leafWritten is told that leaf blk of in went to writeBlock. Its dirty mark
 // stays set until the image is home: a direct write (no transaction) is, at
-// once; a journaled one is when its batch commits and checkpoints, so a batch
-// that fails leaves the mark for the next transaction to write the leaf again.
+// once; a journaled one is when its batch's checkpoint completes, so a batch
+// that fails to commit leaves the mark for the next transaction to write the
+// leaf again.
 func (fs *FS) leafWritten(in *inode, blk uint64) {
 	if fs.tx == nil {
 		clearLeafMark(in, blk)
@@ -65,32 +71,31 @@ func (fs *FS) txBegin() {
 	if fs.sb.mode == JournalNone {
 		return
 	}
-	if fs.txBuf.images == nil {
-		fs.txBuf.images = make(map[int64][]byte)
+	if fs.txBuf.slot == nil {
+		fs.txBuf.slot = make(map[int64]int)
 	}
 	fs.tx = &fs.txBuf
 }
 
-// txEnd closes the open transaction, committed or abandoned, and returns its
-// image blocks to the free list.
+// txEnd empties the transaction buffer: an open transaction is abandoned, an
+// owed one is home.
 func (fs *FS) txEnd() {
-	if fs.tx == nil {
-		return
-	}
-	for _, lba := range fs.tx.order {
-		fs.freeImages = append(fs.freeImages, fs.tx.images[lba])
-	}
-	clear(fs.tx.images)
-	fs.tx.order = fs.tx.order[:0]
-	fs.tx.leaves = fs.tx.leaves[:0]
-	fs.tx = nil
+	clear(fs.txBuf.slot)
+	fs.txBuf.order = fs.txBuf.order[:0]
+	fs.txBuf.leaves = fs.txBuf.leaves[:0]
+	fs.txBuf.data = false
+	fs.tx, fs.owed = nil, false
 }
+
+// image is the record buffer's block for image i: the record is the
+// descriptor, the images, then the commit block.
+func (fs *FS) image(i int) []byte { return fs.record[(1+i)*fs.bs : (2+i)*fs.bs] }
 
 // writeBlock routes one block image either into the open transaction (when
 // the journal covers this class of block) or directly to disk. When a
 // transaction outgrows the journal descriptor's capacity (full-data mode
-// with large writes), the accumulated batch is committed and a fresh
-// transaction continues — multi-transaction operations, as in ext4.
+// with large writes), the accumulated batch is committed and checkpointed and
+// a fresh transaction continues — multi-transaction operations, as in ext4.
 func (fs *FS) writeBlock(ctx *sim.Proc, lba int64, img []byte, meta bool) error {
 	journal := fs.tx != nil && (meta || fs.sb.mode == JournalFull)
 	if !journal {
@@ -112,19 +117,22 @@ func (fs *FS) writeBlock(ctx *sim.Proc, lba int64, img []byte, meta bool) error 
 		if err := fs.txCommit(ctx); err != nil {
 			return err
 		}
+		if err := fs.checkpoint(ctx); err != nil {
+			return err
+		}
 		fs.txBegin()
 	}
-	buf, ok := fs.tx.images[lba]
+	i, ok := fs.tx.slot[lba]
 	if !ok {
-		if n := len(fs.freeImages); n > 0 {
-			buf, fs.freeImages = fs.freeImages[n-1], fs.freeImages[:n-1]
-		} else {
-			buf = make([]byte, fs.bs)
-		}
-		fs.tx.images[lba] = buf
+		i = len(fs.tx.order)
+		fs.tx.slot[lba] = i
 		fs.tx.order = append(fs.tx.order, lba)
+		if need := (i + 3) * fs.bs; need > len(fs.record) {
+			fs.record = append(fs.record, make([]byte, need-len(fs.record))...)
+		}
 	}
-	copy(buf, img)
+	copy(fs.image(i), img)
+	fs.tx.data = fs.tx.data || !meta
 	return nil
 }
 
@@ -133,79 +141,79 @@ func (fs *FS) writeBlock(ctx *sim.Proc, lba int64, img []byte, meta bool) error 
 // block number.
 func (fs *FS) txEntriesPerDesc() int { return (fs.bs - 16) / 8 }
 
-// txCommit writes the journal record and checkpoints the buffered blocks.
+// txCommit seals the open transaction's record around its images and writes
+// it with one device write. Written, the transaction is closed and owed until
+// checkpoint takes it home; one that could not be written stays open for the
+// caller to abandon.
 func (fs *FS) txCommit(ctx *sim.Proc) error {
 	tx := fs.tx
-	defer fs.txEnd()
 	if tx == nil || len(tx.order) == 0 {
+		fs.tx = nil
 		return nil
 	}
-	if len(tx.order) > fs.txEntriesPerDesc() {
-		return fmt.Errorf("extfs: transaction of %d blocks exceeds journal descriptor capacity %d", len(tx.order), fs.txEntriesPerDesc())
+	n := len(tx.order)
+	if n > fs.txEntriesPerDesc() {
+		return fmt.Errorf("extfs: transaction of %d blocks exceeds journal descriptor capacity %d", n, fs.txEntriesPerDesc())
 	}
-	need := uint64(len(tx.order) + 2) // descriptor + images + commit
+	need := uint64(n + 2) // descriptor + images + commit
 	if need > fs.sb.journalBlocks {
-		return fmt.Errorf("extfs: transaction of %d blocks exceeds journal of %d blocks", len(tx.order), fs.sb.journalBlocks)
+		return fmt.Errorf("extfs: transaction of %d blocks exceeds journal of %d blocks", n, fs.sb.journalBlocks)
 	}
 	if fs.journalHead+need > fs.sb.journalBlocks {
 		fs.journalHead = 0 // wrap; old records become garbage
 	}
-	fs.journalSeq++
-	head := fs.sb.journalStart + fs.journalHead
-
-	// Descriptor.
-	desc := fs.recordBuf
+	rec := fs.record[:int(need)*fs.bs]
+	desc, commit := rec[:fs.bs], rec[(n+1)*fs.bs:]
 	clear(desc)
 	binary.BigEndian.PutUint32(desc[0:], jDescMagic)
-	binary.BigEndian.PutUint64(desc[4:], fs.journalSeq)
-	binary.BigEndian.PutUint32(desc[12:], uint32(len(tx.order)))
+	binary.BigEndian.PutUint64(desc[4:], fs.journalSeq+1)
+	binary.BigEndian.PutUint32(desc[12:], uint32(n))
 	for i, lba := range tx.order {
 		binary.BigEndian.PutUint64(desc[16+8*i:], uint64(lba))
 	}
-	if err := fs.devWrite(ctx, int64(head), desc); err != nil {
-		return err
-	}
-	fs.JournalBlockWrites++
-
-	// Images, with a rolling checksum sealed into the commit block.
-	var sum uint32
-	for i, lba := range tx.order {
-		img := tx.images[lba]
-		sum = crc32.Update(sum, castagnoli, img)
-		if err := fs.devWrite(ctx, int64(head)+1+int64(i), img); err != nil {
-			return err
-		}
-		fs.JournalBlockWrites++
-	}
-
-	// Commit record.
-	commit := desc
 	clear(commit)
 	binary.BigEndian.PutUint32(commit[0:], jCommitMagic)
-	binary.BigEndian.PutUint64(commit[4:], fs.journalSeq)
-	binary.BigEndian.PutUint64(commit[12:], uint64(sum))
-	if err := fs.devWrite(ctx, int64(head)+1+int64(len(tx.order)), commit); err != nil {
+	binary.BigEndian.PutUint64(commit[4:], fs.journalSeq+1)
+	binary.BigEndian.PutUint64(commit[12:], uint64(crc32.Checksum(rec[fs.bs:(n+1)*fs.bs], castagnoli)))
+	if err := fs.devWrite(ctx, int64(fs.sb.journalStart+fs.journalHead), rec); err != nil {
 		return err
 	}
-	fs.JournalBlockWrites++
+	fs.JournalBlockWrites += int64(need)
+	fs.journalSeq++
 	fs.journalHead += need
-
+	fs.tx, fs.owed = nil, true
 	if fs.failAfterCommit {
-		fs.dead = true
-		return nil // committed but not checkpointed: recovery's job
+		fs.dead = true // committed but not checkpointed: recovery's job
 	}
+	return nil
+}
 
-	// Checkpoint to home locations.
-	for _, lba := range tx.order {
+// checkpoint writes the owed transaction's images to their home locations,
+// clears the marks of the leaves it carried and empties the buffer. One that
+// fails stays owed; a crashed filesystem leaves it to recovery.
+func (fs *FS) checkpoint(ctx *sim.Proc) error {
+	if fs.dead || !fs.owed {
+		return nil
+	}
+	for i, lba := range fs.txBuf.order {
 		fs.MetaBlockWrites++
-		if err := fs.devWrite(ctx, lba, tx.images[lba]); err != nil {
+		if err := fs.devWrite(ctx, lba, fs.image(i)); err != nil {
 			return err
 		}
 	}
-	for _, r := range tx.leaves {
+	for _, r := range fs.txBuf.leaves {
 		clearLeafMark(r.in, r.blk)
 	}
+	fs.txEnd()
 	return nil
+}
+
+// checkpointLocked is the checkpoint process of a transaction its operation
+// committed under the lock and returned from: it takes the transaction home
+// and only then lets the next operation in.
+func (fs *FS) checkpointLocked(p *sim.Proc) {
+	_ = fs.checkpoint(p) // one that fails is owed to the next operation
+	fs.end(p)
 }
 
 // castagnoli is the CRC-32C table the commit checksum rolls over a record's

@@ -35,6 +35,17 @@ type Fleet struct {
 	// most recent report.
 	Migrations    int64
 	LastMigration MigrationReport
+
+	// strays are target images failed migrations made but could not remove,
+	// each removed before the next migration onto its device while its path
+	// still names inode ino.
+	strays []stray
+}
+
+type stray struct {
+	dev      *hypervisor.Device
+	path     string
+	uid, ino uint32
 }
 
 // NewFleet returns an empty fleet over h; the clients it builds report to tel.
@@ -200,6 +211,20 @@ func (f *Fleet) Migrate(p *sim.Proc, vm *hypervisor.VM, slot, dstIdx int) (Migra
 			return rep, fmt.Errorf("fabric: device %d already mirrors %s", dstIdx, vm.Name)
 		}
 	}
+	// The strays go first, as the image this one makes may have their path; a
+	// path that names another file now is someone else's.
+	for i := len(f.strays) - 1; i >= 0; i-- {
+		if st := f.strays[i]; st.dev == dst {
+			info, err := dst.HostFS.Stat(p, st.path, st.uid)
+			if err == nil && info.Ino == st.ino {
+				err = dst.HostFS.Remove(p, st.path, st.uid)
+			}
+			if err != nil && !errors.Is(err, extfs.ErrNotExist) {
+				return rep, fmt.Errorf("fabric: image a failed migration left on device %d: %w", dstIdx, err)
+			}
+			f.strays = slices.Delete(f.strays, i, i+1)
+		}
+	}
 	path, uid := vm.Cfg.DiskPath, vm.Cfg.UID
 	snapPath := path + ".migrating"
 	bs := uint64(dst.Ctl.P.BlockSize)
@@ -213,13 +238,17 @@ func (f *Fleet) Migrate(p *sim.Proc, vm *hypervisor.VM, slot, dstIdx int) (Migra
 	// fail undoes, newest first, whatever the migration has reached — the
 	// pause, the target image, the source snapshot — and reports err with
 	// anything the rollback itself could not do.
-	var snapped, imaged, paused bool
+	var snapped, paused bool
+	var image *extfs.File
 	fail := func(err error) (MigrationReport, error) {
 		if paused {
 			client.Resume()
 		}
-		if imaged {
-			err = errors.Join(err, dst.HostFS.Remove(p, path, uid))
+		if image != nil {
+			if rerr := dst.HostFS.Remove(p, path, uid); rerr != nil && !errors.Is(rerr, extfs.ErrNotExist) {
+				f.strays = append(f.strays, stray{dst, path, uid, image.Ino()})
+				err = errors.Join(err, rerr)
+			}
 		}
 		if snapped {
 			err = errors.Join(err, src.HostFS.Remove(p, snapPath, uid), src.Unprotect(p, path))
@@ -238,10 +267,10 @@ func (f *Fleet) Migrate(p *sim.Proc, vm *hypervisor.VM, slot, dstIdx int) (Migra
 		return fail(err)
 	}
 	sizeBlocks := (snapF.Size() + bs - 1) / bs
-	if err := dst.MkImage(p, path, uid, sizeBlocks, false); err != nil {
+	image, err = dst.MkImage(p, path, uid, sizeBlocks, false)
+	if err != nil {
 		return fail(fmt.Errorf("fabric: migration target image: %w", err))
 	}
-	imaged = true
 	dstF, err := dst.HostFS.Open(p, path, uid, extfs.PermRead|extfs.PermWrite)
 	if err != nil {
 		return fail(err)
@@ -295,7 +324,7 @@ func (f *Fleet) Migrate(p *sim.Proc, vm *hypervisor.VM, slot, dstIdx int) (Migra
 	}
 	// The guest now runs on the target image: from here only the pause is left
 	// to undo.
-	imaged = false
+	image = nil
 	h.DetachLeg(p, *leg)
 	*leg = newLeg
 	if err := src.HostFS.Remove(p, path, uid); err != nil {

@@ -59,7 +59,7 @@ func TestFailedMirrorAttachLeaksNothing(t *testing.T) {
 				if blocks == 0 {
 					continue
 				}
-				if err := h.Device(i).MkImage(p, "/d.img", 1, blocks, false); err != nil {
+				if _, err := h.Device(i).MkImage(p, "/d.img", 1, blocks, false); err != nil {
 					t.Error(err)
 					return
 				}

@@ -34,7 +34,7 @@ func TestFailedAttachLeaksNothing(t *testing.T) {
 				if blocks == 0 {
 					continue
 				}
-				if err := w.h.Device(i).MkImage(p, "/d.img", 1, blocks, false); err != nil {
+				if _, err := w.h.Device(i).MkImage(p, "/d.img", 1, blocks, false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -82,7 +82,7 @@ func TestFailedMkImageLeavesNothing(t *testing.T) {
 		w.boot(t, p)
 		w.mkImage(t, p, "/other.img", 1, 64) // the root directory has its first block from here on
 		free := w.d.HostFS.FreeBlocks()
-		err := w.d.MkImage(p, "/big.img", 1, 32<<10, false)
+		_, err := w.d.MkImage(p, "/big.img", 1, 32<<10, false)
 		if !errors.Is(err, extfs.ErrNoSpace) {
 			t.Fatalf("32 MB image on an 8 MB medium: %v, want ErrNoSpace", err)
 		}
@@ -95,7 +95,7 @@ func TestFailedMkImageLeavesNothing(t *testing.T) {
 		if err := w.d.HostFS.Check(p); err != nil {
 			t.Errorf("filesystem check after the failed create: %v", err)
 		}
-		if err := w.d.MkImage(p, "/big.img", 1, 1<<10, false); err != nil {
+		if _, err := w.d.MkImage(p, "/big.img", 1, 1<<10, false); err != nil {
 			t.Errorf("1 MB retry under the same name: %v", err)
 		}
 	})

@@ -143,22 +143,26 @@ func (d *Device) boot(p *sim.Proc, format bool, fsParams extfs.Params) error {
 func (d *Device) Disk() *PFDisk { return &PFDisk{d: d} }
 
 // MkImage creates a disk image of the given block count on this device's
-// host filesystem, preallocated unless sparse is set. It is the one image
-// creator: a mirrored VM needs its image made on every device it spans. An
-// image that cannot be made whole is removed again, so the call can be retried.
-func (d *Device) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sparse bool) error {
+// host filesystem, preallocated unless sparse is set, and returns it. It is
+// the one image creator: a mirrored VM needs its image made on every device it
+// spans. An image that cannot be made whole is removed again, so the call can
+// be retried; one whose removal fails too is returned with the error.
+func (d *Device) MkImage(p *sim.Proc, path string, uid uint32, blocks uint64, sparse bool) (*extfs.File, error) {
 	f, err := d.HostFS.Create(p, path, uid, 0o600)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	err = f.Truncate(p, blocks*uint64(d.Ctl.P.BlockSize))
 	if err == nil && !sparse {
 		err = f.Allocate(p, 0, blocks)
 	}
 	if err != nil {
-		return errors.Join(err, d.HostFS.Remove(p, path, uid))
+		if rerr := d.HostFS.Remove(p, path, uid); rerr != nil {
+			return f, errors.Join(err, rerr)
+		}
+		f = nil
 	}
-	return nil
+	return f, err
 }
 
 // QueuePoolStatus reads the device's tenancy gauges through the PF register

@@ -23,16 +23,17 @@ type world struct {
 	fab *pcie.Fabric
 	ctl *core.Controller
 	h   *Hypervisor
-	d   *Device // device 0
+	d   *Device       // device 0
+	obs core.Observer // what every device reports to
 }
 
 func newWorld(t *testing.T, mediumBlocks int64, mut func(*Params)) *world {
-	return newWorldCore(t, mediumBlocks, nil, mut)
+	return newWorldCore(t, mediumBlocks, nil, mut, nil)
 }
 
 // newWorldCore additionally lets a test mutate the device parameters (e.g.
-// QueuesPerVF).
-func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), mut func(*Params)) *world {
+// QueuesPerVF) and observe the devices.
+func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), mut func(*Params), obs core.Observer) *world {
 	t.Helper()
 	eng := sim.NewEngine()
 	mem := hostmem.New(256 << 20)
@@ -46,7 +47,7 @@ func newWorldCore(t *testing.T, mediumBlocks int64, coreMut func(*core.Params), 
 	if mut != nil {
 		mut(&hp)
 	}
-	w := &world{eng: eng, mem: mem, fab: fab, h: New(eng, mem, fab, hp)}
+	w := &world{eng: eng, mem: mem, fab: fab, h: New(eng, mem, fab, hp), obs: obs}
 	w.d = w.addDevice(t, cp, mediumBlocks)
 	w.ctl = w.d.Ctl
 	return w
@@ -58,7 +59,7 @@ func (w *world) addDevice(t *testing.T, cp core.Params, mediumBlocks int64) *Dev
 	t.Helper()
 	cp.DeviceID = w.h.NumDevices()
 	medium := blockdev.NewMedium(w.eng, blockdev.NewStore(cp.BlockSize, mediumBlocks), blockdev.DefaultMediumParams())
-	ctl, err := core.New(w.eng, w.fab, medium, cp, nil)
+	ctl, err := core.New(w.eng, w.fab, medium, cp, w.obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func (w *world) boot(t *testing.T, p *sim.Proc) {
 // mkImage creates and fully allocates a disk image on the host FS.
 func (w *world) mkImage(t *testing.T, p *sim.Proc, path string, uid uint32, blocks uint64) {
 	t.Helper()
-	if err := w.d.MkImage(p, path, uid, blocks, false); err != nil {
+	if _, err := w.d.MkImage(p, path, uid, blocks, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,7 +127,7 @@ func TestBootAndHostFS(t *testing.T) {
 func TestDirectVMRoundTrip(t *testing.T) {
 	for _, bs := range []int{core.DefaultParams().BlockSize, 2048} {
 		t.Run(fmt.Sprintf("block%d", bs), func(t *testing.T) {
-			w := newWorldCore(t, 8192, func(cp *core.Params) { cp.BlockSize = bs }, nil)
+			w := newWorldCore(t, 8192, func(cp *core.Params) { cp.BlockSize = bs }, nil, nil)
 			w.run(t, func(p *sim.Proc) {
 				w.boot(t, p)
 				w.mkImage(t, p, "/disk.img", 100, 512)
@@ -315,7 +316,7 @@ func TestStaleMissBankSnapshotIsNotServicedTwice(t *testing.T) {
 		var vms [2]*VM
 		for i := range vms {
 			path := fmt.Sprintf("/sparse%d.img", i)
-			if err := w.d.MkImage(p, path, 5, 256, true); err != nil {
+			if _, err := w.d.MkImage(p, path, 5, 256, true); err != nil {
 				t.Fatal(err)
 			}
 			vm, err := w.h.NewVM(p, path, VMConfig{Backend: BackendDirect, DiskPath: path, UID: 5})

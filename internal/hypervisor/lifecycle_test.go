@@ -92,39 +92,62 @@ var (
 )
 
 // lcRecorded holds, per in-flight transition, the instants (in ns of virtual
-// time) it parked at when the matrix was recorded, before a miss became one
-// host-filesystem call on the exported file. A change to the cost model moves
-// where a transition parks; each arrival is swept across these instants as
-// well as the current ones, so the sweep widens as the model changes instead
-// of moving, and every cell the matrix has run stays in it under its name.
+// time) it parked at under earlier cost models: first before a miss became one
+// host-filesystem call on the exported file, then before a host transaction's
+// journal record became one write. A change to the cost model moves where a
+// transition parks; each arrival is swept across these instants as well as
+// the current ones, so the sweep widens as the model changes instead of
+// moving, and every cell the matrix has run stays in it under its name.
 var lcRecorded = map[string][]sim.Time{
 	"snapshot": {
 		1067984, 1074379, 1084831, 1089711, 1092724, 1096198, 1099214, 1102227,
 		1105282, 1108625, 1118483, 1129924, 1138703, 1147528, 1157737, 1166885,
 		1178043, 1186968, 1195796, 1206297, 1217433, 1226291, 1236408, 1240622,
+		// before a host transaction's record became one write
+		1050782, 1058452, 1063465, 1066490, 1069414, 1072338, 1075262, 1078186,
+		1081110, 1084453, 1093792, 1105021, 1113600, 1122308, 1130533, 1139261,
+		1148650, 1157670, 1168206, 1176864, 1185572, 1193797, 1202525, 1206218,
 	},
 	"migration": {
 		1067984, 1085444, 1101354, 1116714, 1132294, 1149570, 1178378, 1186600,
 		1194772, 1203324, 1211585, 1226722, 1242632, 1257992, 1273572, 1290210,
 		1320041, 1328302, 1336762, 1344984, 1353575, 1366804, 1392821, 1419388,
+		// before a host transaction's record became one write
+		1050782, 1064637, 1079743, 1095103, 1110243, 1145101, 1154387, 1162559,
+		1170600, 1178641, 1187101, 1201819, 1217179, 1232285, 1247645, 1262785,
+		1293896, 1302356, 1310397, 1318530, 1326571, 1336074, 1360910, 1384984,
 	},
 	"lazy-miss": {
 		1067984, 1072162, 1073219, 1074539, 1077254, 1089321, 1092755, 1097250,
 		1103291, 1105978, 1111949, 1115367, 1120057, 1123487, 1128782, 1132423,
 		1137010, 1143431, 1145518, 1153161, 1156584, 1158262, 1160282, 1164510,
+		// before a host transaction's record became one write
+		1050782, 1054360, 1055417, 1056452, 1058017, 1067852, 1072030, 1074860,
+		1079938, 1082556, 1087246, 1090464, 1094954, 1097441, 1102862, 1104799,
+		1110620, 1112707, 1117928, 1120015, 1123508, 1124743, 1126263, 1130106,
 	},
 	"cow-miss": {
 		1240722, 1245117, 1246300, 1248242, 1261842, 1268743, 1273194, 1278509,
 		1285280, 1291638, 1296018, 1301633, 1308404, 1312862, 1319530, 1325137,
 		1331928, 1336458, 1341773, 1350433, 1354217, 1354967, 1356537, 1361665,
+		// before a host transaction's record became one write
+		1206318, 1210496, 1211696, 1212953, 1225888, 1229849, 1235267, 1239125,
+		1244312, 1250483, 1254813, 1259528, 1266099, 1269729, 1275124, 1281765,
+		1285333, 1290840, 1296981, 1300218, 1302861, 1303511, 1305066, 1310059,
 	},
 	"unprotect": {
 		1321188, 1325688, 1326438, 1327355, 1327743, 1328899, 1330658, 1334067,
 		1335404, 1338597, 1342175, 1343912, 1346505, 1350083, 1351820, 1354541,
 		1358591, 1360278, 1366621, 1368388, 1370794, 1372172, 1372572, 1372922,
+		// before a host transaction's record became one write
+		1286784, 1288784, 1291812, 1292362, 1292979, 1293299, 1294019, 1294684,
+		1296484, 1299720, 1300670, 1301807, 1304400, 1307778, 1308795, 1310265,
+		1312436, 1315686, 1316803, 1319104, 1320366, 1320716, 1321016, 1321316,
 	},
 	"flr": {
 		1067984, 1068134, 1068334, 1069034, 1069184, 1069334, 1069384,
+		// before a host transaction's record became one write
+		1050782, 1050932, 1051132, 1051832, 1051982, 1052132, 1052182,
 	},
 }
 
@@ -199,7 +222,7 @@ func (s *lcScene) setup(p *sim.Proc, in lcOp) error {
 	if err := w.h.Boot(p, true, extfs.Params{InodeCount: 128, JournalBlocks: 64, Mode: extfs.JournalMetadata}); err != nil {
 		return err
 	}
-	if err := w.d.MkImage(p, lcImage, lcUID, lcBlocks, true); err != nil {
+	if _, err := w.d.MkImage(p, lcImage, lcUID, lcBlocks, true); err != nil {
 		return err
 	}
 	f, err := w.d.HostFS.Open(p, lcImage, lcUID, extfs.PermRead|extfs.PermWrite)

@@ -16,7 +16,7 @@ import (
 // per-queue VF rings → device fetch round-robin → hypervisor vector routing.
 
 func newMQWorld(t *testing.T, queues int, mut func(*Params)) *world {
-	return newWorldCore(t, 8192, func(cp *core.Params) { cp.QueuesPerVF = queues }, mut)
+	return newWorldCore(t, 8192, func(cp *core.Params) { cp.QueuesPerVF = queues }, mut, nil)
 }
 
 func TestMultiQueueEndToEndIO(t *testing.T) {

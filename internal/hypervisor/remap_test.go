@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"nesc/internal/core"
 	"nesc/internal/extent"
 	"nesc/internal/ring"
 	"nesc/internal/sim"
@@ -18,7 +19,7 @@ func TestConcurrentSharerMissesLeaveOneTree(t *testing.T) {
 	w := newWorld(t, 8192, nil)
 	w.run(t, func(p *sim.Proc) {
 		w.boot(t, p)
-		if err := w.d.MkImage(p, "/shared.img", 0, 512, true); err != nil {
+		if _, err := w.d.MkImage(p, "/shared.img", 0, 512, true); err != nil {
 			t.Fatal(err)
 		}
 		var vms [2]*VM
@@ -74,13 +75,21 @@ func TestConcurrentSharerMissesLeaveOneTree(t *testing.T) {
 // directory. The device latches the rest of the request, so a 4 KB write
 // takes one service as a 1 KB write does. Both a lazy-allocation miss and a
 // CoW-break miss count exactly one HostFS operation, and a broken 4 KB share
-// is one private run, not four.
+// is one private run, not four. On the PF ring before the rewalk verdict each
+// puts its data writes — the zero fill, or the copy, which goes a block at a
+// time — and one journal write, the record: the checkpoint runs after the
+// verdict.
 func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
-	w := newWorld(t, 8192, nil)
+	tap := &missPFWrites{}
+	w := newWorldCore(t, 8192, nil, nil, tap)
 	w.run(t, func(p *sim.Proc) {
 		vm := w.directVM(t, p, 64, true)
-		write := func(what string, lba, blocks, cow int64) {
+		write := func(what string, lba, blocks, cow int64, data int) {
 			t.Helper()
+			// Any host-filesystem call waits out the last miss's checkpoint.
+			if _, err := w.d.HostFS.Stat(p, "/disk.img", 0); err != nil {
+				t.Fatal(err)
+			}
 			ops, misses, breaks := w.d.HostFS.Ops, w.h.MissInterrupts, w.h.CowBreaks
 			if err := vm.Kernel.SubmitAligned(p, true, lba, vm.Kernel.AllocBuffer(1024*blocks)); err != nil {
 				t.Fatal(err)
@@ -91,14 +100,17 @@ func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 			if n := w.d.HostFS.Ops - ops; n != 1 {
 				t.Errorf("%s miss ran %d host-filesystem operations, want 1", what, n)
 			}
+			if tap.writes != data+1 {
+				t.Errorf("%s miss put %d writes on the PF ring before its rewalk verdict, want %d data writes and its journal record", what, tap.writes, data)
+			}
 		}
-		write("lazy-allocation", 5, 1, 0)
-		write("4 KB lazy-allocation", 8, 4, 0)
+		write("lazy-allocation", 5, 1, 0, 1)
+		write("4 KB lazy-allocation", 8, 4, 0, 1)
 		if err := w.d.SnapshotVF(p, vm.Legs[0].VFIdx, "/disk.snap", 9); err != nil {
 			t.Fatal(err)
 		}
-		write("CoW-break", 5, 1, 1)
-		write("4 KB CoW-break", 8, 4, 1)
+		write("CoW-break", 5, 1, 1, 1)
+		write("4 KB CoW-break", 8, 4, 1, 4)
 		var over []extent.Run
 		for _, r := range w.d.vf(vm.Legs[0].VFIdx).shared.file.Extents() {
 			if r.Logical < 12 && r.End() > 8 {
@@ -109,6 +121,30 @@ func TestMissServiceIsOneHostFilesystemOperation(t *testing.T) {
 			t.Errorf("blocks 8-11 after the CoW write map as %+v, want one private run", over)
 		}
 	})
+}
+
+// missPFWrites counts the PF write requests that complete between a miss
+// latching and the hypervisor's rewalk verdict for it.
+type missPFWrites struct {
+	servicing bool
+	writes    int
+}
+
+func (o *missPFWrites) Stage(*core.Request, core.Step) {}
+
+func (o *missPFWrites) Finish(r *core.Request, _ sim.Time) {
+	if o.servicing && r.Fn() == 0 && r.Op == ring.OpWrite {
+		o.writes++
+	}
+}
+
+func (o *missPFWrites) Event(e core.Event) {
+	switch e.Kind {
+	case core.EvMiss:
+		o.servicing, o.writes = true, 0
+	case core.EvRewalk:
+		o.servicing = false
+	}
 }
 
 // A read that meets a pruned subtree latches a translate miss, and its

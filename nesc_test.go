@@ -844,3 +844,63 @@ func hedgeAndResilver(ctx *Ctx, vm *VM) error {
 	}
 	return errors.Join(ctx.ReviveDevice(1), settle(ctx, vm))
 }
+
+// TestFullJournalHostWriteIsHomeForTheVF writes an image through the host
+// filesystem in full-data journal mode, then uses the blocks at once through
+// the guest's VF, which reaches the medium without the filesystem's lock. The
+// guest must read the bytes just written, never the blocks' older contents,
+// and a guest write that follows must not be overwritten by the host write's
+// checkpoint.
+func TestFullJournalHostWriteIsHomeForTheVF(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.HostJournal = "full"
+	err := New(cfg).Run(func(ctx *Ctx) error {
+		if err := ctx.CreateImage("/vm.img", 7, 256<<10, false); err != nil {
+			return err
+		}
+		vm, err := ctx.StartVM("vm", BackendNeSC, "/vm.img", 7)
+		if err != nil {
+			return err
+		}
+		got := make([]byte, 8<<10)
+		check := func(round int, what string, want []byte) error {
+			for i := range got {
+				if got[i] != want[i] {
+					return fmt.Errorf("round %d: byte %d of %s reads %#x, want %#x", round, i, what, got[i], want[i])
+				}
+			}
+			return nil
+		}
+		for round := 0; round < 8; round++ {
+			host := bytes.Repeat([]byte{byte(1 + 2*round)}, len(got))
+			guest := bytes.Repeat([]byte{byte(2 + 2*round)}, len(got))
+			off := int64(round) * 16 << 10
+			if err := ctx.WriteHostFile("/vm.img", host, off); err != nil {
+				return err
+			}
+			if err := vm.ReadAt(ctx, got, off); err != nil {
+				return err
+			}
+			if err := check(round, "the host's write", host); err != nil {
+				return err
+			}
+			if err := ctx.WriteHostFile("/vm.img", host, off+8<<10); err != nil {
+				return err
+			}
+			if err := vm.WriteAt(ctx, guest, off+8<<10); err != nil {
+				return err
+			}
+			ctx.Sleep(time.Millisecond)
+			if err := vm.ReadAt(ctx, got, off+8<<10); err != nil {
+				return err
+			}
+			if err := check(round, "the guest's write", guest); err != nil {
+				return err
+			}
+		}
+		return ctx.CheckHostFS()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
