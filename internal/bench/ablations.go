@@ -42,14 +42,19 @@ func AblationBTLB(cfg Config) ([]*stats.Table, error) {
 	const vms = 8
 	err := eachPoint(cfg, []int{0, 1, 2, 4, 8, 16, 64}, func(c *Config, entries int) { c.Core.BTLBEntries = entries },
 		func(p *sim.Proc, pl *Platform, entries int) error {
-			var aggregate float64
-			load := pl.fanOut()
-			for i := 0; i < vms; i++ {
+			// Create every VM before any load starts, so the bandwidths
+			// summed are measured over one interval.
+			tgts := make([]workload.ByteTarget, vms)
+			for i := range tgts {
 				path := fmt.Sprintf("/b%d.img", i)
-				_, tgt, err := pl.directVM(p, path, path, uint32(i+1), 4096, false)
-				if err != nil {
+				var err error
+				if _, tgts[i], err = pl.directVM(p, path, path, uint32(i+1), 4096, false); err != nil {
 					return err
 				}
+			}
+			var aggregate float64
+			load := pl.fanOut()
+			for _, tgt := range tgts {
 				load.Go("btlb-load", func(q *sim.Proc) error {
 					res, err := (workload.DD{BlockBytes: 4096, TotalBytes: 1 << 20}).Run(q, tgt)
 					aggregate += res.BandwidthMBps()
@@ -166,14 +171,18 @@ func AblationFairness(cfg Config) ([]*stats.Table, error) {
 	tbl := stats.NewTable("Ablation: round-robin fairness across concurrent VFs (32KB writes)",
 		"VMs", "", "aggregate MB/s", "min/VM", "max/VM", "max/min")
 	err := eachPoint(cfg, []int{1, 2, 4, 8}, nil, func(p *sim.Proc, pl *Platform, n int) error {
-		bws := make([]float64, n)
-		load := pl.fanOut()
-		for i := range bws {
+		// Create every VM before any load starts, as AblationQoS does.
+		tgts := make([]workload.ByteTarget, n)
+		for i := range tgts {
 			path := fmt.Sprintf("/vm%d.img", i)
-			_, tgt, err := pl.directVM(p, path, path, uint32(i+1), 8192, false)
-			if err != nil {
+			var err error
+			if _, tgts[i], err = pl.directVM(p, path, path, uint32(i+1), 8192, false); err != nil {
 				return err
 			}
+		}
+		bws := make([]float64, n)
+		load := pl.fanOut()
+		for i, tgt := range tgts {
 			load.Go("load", func(q *sim.Proc) error {
 				res, err := (workload.DD{BlockBytes: 32768, TotalBytes: 2 << 20, Write: true}).Run(q, tgt)
 				bws[i] = res.BandwidthMBps()

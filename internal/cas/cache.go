@@ -3,17 +3,14 @@ package cas
 // Per-device LRU chunk cache: the local tier between a device's miss path
 // and the remote object store. Recently materialized chunks are served from
 // here without a remote round trip — the golden-image case, where every
-// host forking the same image touches the same chunks. Entries can be
-// pinned (an in-flight materialization DMA must not have its source
-// evicted); eviction walks the LRU tail past pinned entries. A nil *Cache
-// is a valid disabled cache: Get always misses, Put drops.
+// host forking the same image touches the same chunks. A nil *Cache is a
+// valid disabled cache: Get always misses, Put drops.
 
 // centry is one resident chunk on the cache's doubly linked LRU list
 // (front = most recent).
 type centry struct {
 	hash       Hash
 	data       []byte
-	pins       int
 	prev, next *centry
 }
 
@@ -92,9 +89,9 @@ func (c *Cache) Get(h Hash) ([]byte, bool) {
 	return e.data, true
 }
 
-// Put inserts a chunk at the front, evicting from the LRU tail — skipping
-// pinned entries — until the cache fits. If every entry is pinned the cache
-// temporarily overflows rather than evicting an in-use chunk.
+// Put inserts a chunk at the front, evicting from the LRU tail until the
+// cache fits. A payload stays valid after its entry is evicted: the cache
+// never writes into one.
 func (c *Cache) Put(h Hash, data []byte) {
 	if c == nil {
 		return
@@ -109,35 +106,8 @@ func (c *Cache) Put(h Hash, data []byte) {
 	c.pushFront(e)
 	for len(c.entries) > c.capacity {
 		victim := c.back
-		for victim != nil && victim.pins > 0 {
-			victim = victim.prev
-		}
-		if victim == nil || victim == e {
-			return // everything pinned (or only the new entry is evictable)
-		}
 		c.unlink(victim)
 		delete(c.entries, victim.hash)
 		c.evictions++
-	}
-}
-
-// Pin protects a resident chunk from eviction until Unpin. Pinning a chunk
-// that is not resident is a no-op (it cannot be evicted either way).
-func (c *Cache) Pin(h Hash) {
-	if c == nil {
-		return
-	}
-	if e, ok := c.entries[h]; ok {
-		e.pins++
-	}
-}
-
-// Unpin releases one Pin.
-func (c *Cache) Unpin(h Hash) {
-	if c == nil {
-		return
-	}
-	if e, ok := c.entries[h]; ok && e.pins > 0 {
-		e.pins--
 	}
 }

@@ -217,8 +217,6 @@ func TestNilStoreAndCacheAreSafe(t *testing.T) {
 		t.Error("nil cache hit")
 	}
 	c.Put(Hash{}, nil)
-	c.Pin(Hash{})
-	c.Unpin(Hash{})
 }
 
 func TestCacheLRUOrder(t *testing.T) {
@@ -247,33 +245,6 @@ func TestCacheLRUOrder(t *testing.T) {
 	st := c.Stats()
 	if st.Evictions != 2 || st.Resident != 3 {
 		t.Errorf("evictions=%d resident=%d, want 2/3", st.Evictions, st.Resident)
-	}
-}
-
-func TestCachePinnedChunksSurviveEviction(t *testing.T) {
-	c := NewCache(2)
-	h := func(i byte) Hash { return HashOf(block(i)) }
-	c.Put(h(1), block(1))
-	c.Pin(h(1))
-	c.Put(h(2), block(2))
-	c.Put(h(3), block(3)) // LRU victim would be 1, but it is pinned: 2 goes
-	if _, ok := c.Get(h(1)); !ok {
-		t.Error("pinned chunk was evicted")
-	}
-	if _, ok := c.Get(h(2)); ok {
-		t.Error("unpinned chunk 2 survived over the pinned victim")
-	}
-	// With everything pinned the cache overflows rather than evicting.
-	c.Pin(h(3))
-	c.Put(h(4), block(4))
-	if st := c.Stats(); st.Resident != 3 {
-		t.Errorf("fully pinned cache evicted: resident=%d, want 3 (overflow)", st.Resident)
-	}
-	// Unpin 1; the next insert can evict it again.
-	c.Unpin(h(1))
-	c.Put(h(5), block(5))
-	if _, ok := c.Get(h(1)); ok {
-		t.Error("unpinned chunk 1 not evictable again")
 	}
 }
 

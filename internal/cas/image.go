@@ -160,11 +160,13 @@ func (t *Tier) ReleaseImage(p *sim.Proc, d *hypervisor.Device, path string) erro
 	return nil
 }
 
-// Materialize implements hypervisor.FetchSource: for every missed block it
-// resolves the manifest's chunk hash, serves the payload from the device's
-// chunk cache or fetches it from the remote tier (paying the tier's cost
-// model and fault sites), and writes it into the backing file — after which
-// the block is an ordinary allocated extent. op labels the latency
+// Materialize implements hypervisor.FetchSource: it gathers the payload of
+// every missed block the manifest covers — from the device's chunk cache, or
+// fetched from the remote tier (paying the tier's cost model and fault sites)
+// — and then writes them into the backing file's holes as one host-filesystem
+// transaction, after which the blocks are ordinary allocated extents. Blocks
+// past the manifest's content (a partial trailing chunk range) are lazily
+// allocated, zeros, in the same transaction. op labels the latency
 // attribution rows ("read"/"write", matching the driver's vocabulary).
 func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path string, blk, n uint64, op string) error {
 	b := t.forks[forkKey{d, path}]
@@ -175,48 +177,39 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 	if m == nil {
 		return fmt.Errorf("cas: manifest %q released while VF %d still fetch-backed", b.name, vf)
 	}
+	cache := t.cache(d)
+	fn := vf + 1 // attribution rows are keyed by function index; 0 is the PF
+	last := min(blk+n, uint64(len(m.Hashes)))
+	data := make([][]byte, 0, max(last, blk)-blk)
+	for i := blk; i < last; i++ {
+		chunk, ok := cache.Get(m.Hashes[i])
+		if !ok {
+			start := p.Now()
+			fetched, err := t.Store.Fetch(p, m.Hashes[i])
+			if err != nil {
+				return err
+			}
+			t.tel.ChunkFetched(fn, op, p.Now()-start)
+			cache.Put(m.Hashes[i], fetched)
+			chunk = fetched
+		}
+		data = append(data, chunk)
+	}
 	// Materialization happens at most once per block: a block that already
 	// has an extent was materialized by an earlier service (a retried
 	// mid-range failure, or a concurrent handler acting on a stale
 	// miss-pending snapshot) and the guest may have overwritten it since —
 	// rewriting the sealed content over it would silently destroy guest
-	// writes. Skipped blocks still resolve at the rewalk. The check reads the
-	// file's map as it is when the block comes up, so a block a concurrent
-	// service materialized while this one was parked is skipped too.
-	cache, bs := t.cache(d), uint64(d.Ctl.P.BlockSize)
-	fn := vf + 1 // attribution rows are keyed by function index; 0 is the PF
-	for i := blk; i < blk+n; i++ {
-		if i >= uint64(len(m.Hashes)) {
-			// Past the manifest's content (a partial trailing chunk range):
-			// plain lazy allocation, zeros.
-			return b.file.Allocate(p, i, blk+n-i)
-		}
-		if b.file.Mapped(i) {
-			continue
-		}
-		hash := m.Hashes[i]
-		data, ok := cache.Get(hash)
-		if !ok {
-			start := p.Now()
-			fetched, err := t.Store.Fetch(p, hash)
-			if err != nil {
-				return err
-			}
-			t.tel.ChunkFetched(fn, op, p.Now()-start)
-			cache.Put(hash, fetched)
-			data = fetched
-		}
-		// Pin across the file write: the chunk bytes are the DMA source and
-		// must not be evicted mid-materialization.
-		cache.Pin(hash)
-		wstart := p.Now()
-		_, werr := b.file.WriteAt(p, data, int64(i*bs))
-		cache.Unpin(hash)
-		if werr != nil {
-			return werr
-		}
-		t.tel.ChunkWritten(fn, op, p.Now()-wstart)
-		t.Materializations++
+	// writes. Fill reads the file's map inside its transaction, after every
+	// park above, and skips such a block; it still resolves at the rewalk.
+	start := p.Now()
+	filled, err := b.file.Fill(p, blk, n, data)
+	if err != nil {
+		return err
+	}
+	if filled > 0 {
+		t.tel.ChunkWritten(fn, op, p.Now()-start)
+		t.Materializations += int64(filled)
 	}
 	return nil
 }

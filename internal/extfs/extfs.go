@@ -232,10 +232,11 @@ type FS struct {
 	tx   *txState // the open transaction: &txBuf, or nil
 	owed bool     // txBuf holds a committed transaction whose images are not all home
 	// Reused by the transaction path, under the lock: the transaction buffer,
-	// the record its images live in, the render scratch, zeros.
+	// the record its images live in, the render scratch, zeros, and the data
+	// run a fill or a copy moves.
 	txBuf           txState
 	record, scratch []byte
-	zeros           []byte
+	zeros, run      []byte
 
 	journalHead     uint64 // next free block offset within the journal region
 	journalSeq      uint64

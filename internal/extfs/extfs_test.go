@@ -333,6 +333,34 @@ func TestRunsExportAndExtentCoalescing(t *testing.T) {
 	}
 }
 
+// Fill writes data into the holes of its range and zeros past the data; a
+// block already mapped keeps its content, and the file grows to cover the
+// range.
+func TestFillWritesDataThenZerosIntoTheHoles(t *testing.T) {
+	fs, _ := newFS(t, JournalMetadata)
+	f, _ := fs.Create(nil, "/fill", 0, 0o644)
+	mine := bytes.Repeat([]byte{0xEE}, 1024)
+	if _, err := f.WriteAt(nil, mine, 1024); err != nil {
+		t.Fatal(err)
+	}
+	data := [][]byte{bytes.Repeat([]byte{1}, 1024), bytes.Repeat([]byte{2}, 1024), []byte{3}}
+	filled, err := f.Fill(nil, 0, 5, data)
+	if err != nil || filled != 2 {
+		t.Fatalf("Fill = %d, %v; want the 2 holes data covers", filled, err)
+	}
+	got := make([]byte, 5*1024)
+	if _, err := f.ReadAt(nil, got, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Concat(data[0], mine, []byte{3}, make([]byte, 1023+2*1024))
+	if !bytes.Equal(got, want) || f.Size() != 5*1024 {
+		t.Errorf("after Fill the file is %d bytes, content as wanted %v", f.Size(), bytes.Equal(got, want))
+	}
+	if err := fs.Check(nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllocateRangeFillsHoles(t *testing.T) {
 	fs, _ := newFS(t, JournalMetadata)
 	f, _ := fs.Create(nil, "/lazy", 0, 0o644)
@@ -483,9 +511,9 @@ func TestJournalRecovery(t *testing.T) {
 // mappedBlocks counts the blocks of [0, n) f maps.
 func mappedBlocks(f *File, n uint64) int {
 	mapped := 0
-	for b := uint64(0); b < n; b++ {
-		if f.Mapped(b) {
-			mapped++
+	for _, r := range f.Extents() {
+		if r.Logical < n {
+			mapped += int(min(r.End(), n) - r.Logical)
 		}
 	}
 	return mapped

@@ -72,11 +72,14 @@ func insertMapping(in *inode, r extent.Run) {
 }
 
 // ensureAllocated backs every hole in logical blocks [lblk, lblk+n) with
-// freshly allocated (and zeroed) physical blocks. Newly allocated blocks are
-// zero-filled on disk so stale contents of reused blocks can never leak into
-// a file — the isolation property NeSC inherits from the filesystem.
-func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, zeroFill bool) error {
-	end := lblk + n
+// freshly allocated physical blocks; a mapped block keeps its content. With
+// fill, each new run is written before it is mapped, in one device write: hole
+// block lblk+i takes data[i] when i < len(data) and zeros otherwise, so stale
+// contents of reused blocks can never leak into a file — the isolation
+// property NeSC inherits from the filesystem. It reports how many blocks took
+// data.
+func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, fill bool, data [][]byte) (int, error) {
+	end, filled := lblk+n, 0
 	for cur := lblk; cur < end; {
 		if _, runLen, ok := mapLookup(in, cur); ok {
 			cur += runLen
@@ -91,38 +94,75 @@ func (fs *FS) ensureAllocated(ctx *sim.Proc, in *inode, lblk, n uint64, zeroFill
 		want := holeEnd - cur
 		start, got := fs.allocRun(fs.allocHint, want)
 		if got == 0 {
-			return ErrNoSpace
+			return filled, ErrNoSpace
 		}
-		if zeroFill {
-			if err := fs.zeroBlocks(ctx, start, got); err != nil {
+		if fill {
+			d := data[min(cur-lblk, uint64(len(data))):min(cur-lblk+got, uint64(len(data)))]
+			if err := fs.fillBlocks(ctx, start, got, d); err != nil {
 				fs.freeRun(start, got) // nothing maps it yet
-				return err
+				return filled, err
 			}
+			filled += len(d)
 		}
 		insertMapping(in, extent.Run{Logical: cur, Physical: start, Count: got})
 		cur += got
 	}
+	return filled, nil
+}
+
+// fillBlocks writes n unmapped blocks at pblk in one write: data's blocks
+// first, zeros after them.
+func (fs *FS) fillBlocks(ctx *sim.Proc, pblk, n uint64, data [][]byte) error {
+	img := fs.zeroRun(n)
+	if len(data) > 0 {
+		img = fs.keptRun(&fs.run, n)
+		for i, d := range data {
+			blk := img[i*fs.bs : (i+1)*fs.bs]
+			clear(blk[copy(blk, d):])
+		}
+		clear(img[len(data)*fs.bs:])
+	}
+	fs.DataBlockWrites += int64(n)
+	return fs.devWrite(ctx, int64(pblk), img)
+}
+
+// copyBlocks copies n blocks from physical block from to physical block to
+// through the filesystem's run buffer, one read and one write per
+// maxCopyBlocks.
+func (fs *FS) copyBlocks(ctx *sim.Proc, from, to, n uint64) error {
+	const maxCopyBlocks = 64
+	for n > 0 {
+		k := min(n, maxCopyBlocks)
+		span := fs.keptRun(&fs.run, k)
+		fs.DataBlockReads += int64(k)
+		if err := fs.dev.ReadBlocks(ctx, int64(from), span); err != nil {
+			return err
+		}
+		fs.DataBlockWrites += int64(k)
+		if err := fs.devWrite(ctx, int64(to), span); err != nil {
+			return err
+		}
+		from, to, n = from+k, to+k, n-k
+	}
 	return nil
 }
 
-func (fs *FS) zeroBlocks(ctx *sim.Proc, pblk, n uint64) error {
-	fs.DataBlockWrites += int64(n)
-	return fs.devWrite(ctx, int64(pblk), fs.zeroRun(n))
-}
+// zeroRun returns n blocks of zeros; nothing ever writes into them.
+func (fs *FS) zeroRun(n uint64) []byte { return fs.keptRun(&fs.zeros, n) }
 
-// zeroRun returns n blocks of zeros; nothing ever writes into them. Runs up to
-// maxKeptZeros bytes (every lazy-allocation miss) share one buffer; a whole
-// image's makes its own rather than pin an image-sized buffer for good.
-func (fs *FS) zeroRun(n uint64) []byte {
-	const maxKeptZeros = 1 << 20
+// keptRun returns n blocks of *buf, growing it to fit. Runs up to
+// maxKeptRun bytes (every miss) share the one buffer; a whole image's makes
+// its own rather than pin an image-sized buffer for good.
+func (fs *FS) keptRun(buf *[]byte, n uint64) []byte {
+	const maxKeptRun = 1 << 20
 	size := int(n) * fs.bs
-	if size > maxKeptZeros {
+	if size > maxKeptRun {
 		return make([]byte, size)
 	}
-	if len(fs.zeros) < size {
-		fs.zeros = make([]byte, size)
+	if len(*buf) < size {
+		*buf = make([]byte, size)
 	}
-	return fs.zeros[:size]
+	return (*buf)[:size]
 }
 
 // readRange reads len(p) bytes at byte offset off from the inode's data,
@@ -195,26 +235,26 @@ func (fs *FS) writeRange(ctx *sim.Proc, in *inode, off uint64, p []byte, meta bo
 	lastPartial := (off+uint64(len(p)))%bs != 0
 	interiorStart, interiorEnd := firstBlk, lastBlk+1
 	if firstBlk == lastBlk {
-		if err := fs.ensureAllocated(ctx, in, firstBlk, 1, firstPartial || lastPartial); err != nil {
+		if _, err := fs.ensureAllocated(ctx, in, firstBlk, 1, firstPartial || lastPartial, nil); err != nil {
 			return err
 		}
 		interiorStart, interiorEnd = 0, 0
 	} else {
 		if firstPartial {
-			if err := fs.ensureAllocated(ctx, in, firstBlk, 1, true); err != nil {
+			if _, err := fs.ensureAllocated(ctx, in, firstBlk, 1, true, nil); err != nil {
 				return err
 			}
 			interiorStart = firstBlk + 1
 		}
 		if lastPartial {
-			if err := fs.ensureAllocated(ctx, in, lastBlk, 1, true); err != nil {
+			if _, err := fs.ensureAllocated(ctx, in, lastBlk, 1, true, nil); err != nil {
 				return err
 			}
 			interiorEnd = lastBlk
 		}
 	}
 	if interiorEnd > interiorStart {
-		if err := fs.ensureAllocated(ctx, in, interiorStart, interiorEnd-interiorStart, false); err != nil {
+		if _, err := fs.ensureAllocated(ctx, in, interiorStart, interiorEnd-interiorStart, false, nil); err != nil {
 			return err
 		}
 	}
@@ -463,19 +503,17 @@ func (f *File) Truncate(ctx *sim.Proc, size uint64) error {
 // next operation on the file may change it in place.
 func (f *File) Extents() []extent.Run { return f.fs.inodes[f.ino].extents }
 
-// Mapped reports whether logical block blk has an extent, read like Extents.
-func (f *File) Mapped(blk uint64) bool {
-	_, _, ok := mapLookup(&f.fs.inodes[f.ino], blk)
-	return ok
-}
-
-// Allocate backs logical blocks [blk, blk+n) with physical storage
-// (zero-filled), extending the file size if the range reaches past EOF. This
-// is the hypervisor's lazy-allocation response to a NeSC write miss (paper
-// Fig. 5b: "Allocate blocks, add extents").
-func (f *File) Allocate(ctx *sim.Proc, blk, n uint64) error {
-	return f.update(ctx, func(fs *FS, in *inode) error {
-		if err := fs.ensureAllocated(ctx, in, blk, n, true); err != nil {
+// Fill backs the holes among logical blocks [blk, blk+n) in one transaction
+// and extends the file size to cover the range: hole block blk+i takes data[i]
+// (one block) when i < len(data) and zeros otherwise. The map is read under the
+// lock, so a block some other caller mapped meanwhile keeps its content. It
+// reports how many blocks took data. A fetch-backed miss passes the chunks it
+// gathered; Allocate passes none.
+func (f *File) Fill(ctx *sim.Proc, blk, n uint64, data [][]byte) (int, error) {
+	filled := 0
+	err := f.update(ctx, func(fs *FS, in *inode) error {
+		var err error
+		if filled, err = fs.ensureAllocated(ctx, in, blk, n, true, data); err != nil {
 			return err
 		}
 		if end := (blk + n) * uint64(fs.bs); end > in.size {
@@ -483,6 +521,18 @@ func (f *File) Allocate(ctx *sim.Proc, blk, n uint64) error {
 		}
 		return fs.writeInode(ctx, f.ino)
 	})
+	if err != nil {
+		return 0, err
+	}
+	return filled, nil
+}
+
+// Allocate backs logical blocks [blk, blk+n) with zero-filled physical storage
+// — the hypervisor's lazy-allocation response to a NeSC write miss (paper Fig.
+// 5b: "Allocate blocks, add extents").
+func (f *File) Allocate(ctx *sim.Proc, blk, n uint64) error {
+	_, err := f.Fill(ctx, blk, n, nil)
+	return err
 }
 
 // Migrate relocates every physical block of the file to freshly allocated
@@ -502,7 +552,6 @@ func (fs *FS) migrateLocked(ctx *sim.Proc, in *inode, ino uint32) error {
 			fs.freeRun(e.Physical, e.Count)
 		}
 	}
-	buf := make([]byte, 64*fs.bs)
 	for _, e := range oldExts {
 		rem := e
 		for rem.Count > 0 {
@@ -511,23 +560,9 @@ func (fs *FS) migrateLocked(ctx *sim.Proc, in *inode, ino uint32) error {
 				rollback()
 				return ErrNoSpace
 			}
-			for off := uint64(0); off < got; {
-				n := got - off
-				if n > uint64(len(buf)/fs.bs) {
-					n = uint64(len(buf) / fs.bs)
-				}
-				span := buf[:n*uint64(fs.bs)]
-				fs.DataBlockReads += int64(n)
-				if err := fs.dev.ReadBlocks(ctx, int64(rem.Physical+off), span); err != nil {
-					rollback()
-					return err
-				}
-				fs.DataBlockWrites += int64(n)
-				if err := fs.devWrite(ctx, int64(start+off), span); err != nil {
-					rollback()
-					return err
-				}
-				off += n
+			if err := fs.copyBlocks(ctx, rem.Physical, start, got); err != nil {
+				rollback()
+				return err
 			}
 			newExts = append(newExts, extent.Run{Logical: rem.Logical, Physical: start, Count: got})
 			rem.Logical += got

@@ -267,7 +267,6 @@ func (fs *FS) breakOne(ctx *sim.Proc, in *inode, idx int, cur, winEnd uint64) er
 		// Data lands on the new blocks before the metadata commits; until
 		// then the new blocks read as free on disk, so a crash mid-copy
 		// rolls the whole break back.
-		img := make([]byte, fs.bs)
 		rem := winEnd - cur
 		l := cur
 		for rem > 0 {
@@ -278,15 +277,8 @@ func (fs *FS) breakOne(ctx *sim.Proc, in *inode, idx int, cur, winEnd uint64) er
 				}
 				return ErrNoSpace
 			}
-			for o := uint64(0); o < got; o++ {
-				fs.DataBlockReads++
-				if err := fs.dev.ReadBlocks(ctx, int64(physAt(l+o)), img); err != nil {
-					return err
-				}
-				fs.DataBlockWrites++
-				if err := fs.devWrite(ctx, int64(start+o), img); err != nil {
-					return err
-				}
+			if err := fs.copyBlocks(ctx, physAt(l), start, got); err != nil {
+				return err
 			}
 			mid = append(mid, extent.Run{Logical: l, Physical: start, Count: got})
 			l += got
