@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 ci vet fmt-check build test race race-full chaos crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-scaling bench-compare profile counts cover
+.PHONY: tier1 ci vet fmt-check build test race race-full chaos soak-seeds crash fuzz-smoke hostmem-long bench bench-smoke bench-digest sink-digest rebaseline bench-headroom bench-scaling bench-compare profile counts cover
 
 # tier1 is the seed acceptance gate: everything must build and pass.
 tier1: build test
@@ -58,6 +58,17 @@ race-full:
 # every feature at once, with its same-seed determinism replay.
 chaos:
 	$(GO) test -run '^TestSoak$$' -v .
+
+# soak-seeds is the tier-2 measurement (not part of ci) behind ROADMAP item
+# 19: TestSoakSeeds runs every soak row (or the comma-separated SOAK_ROWS)
+# once per seed offset in SOAK_SEEDS (from:to, to excluded: 80 seeds past each
+# row's own by default) and prints each row's pass rate and how its failures
+# fall into classes. A seed that fails is a finding, not a test failure.
+SOAK_SEEDS ?= 0x200:0x250
+SOAK_ROWS ?=
+soak-seeds:
+	@$(GO) test -count=1 -timeout 0 -run '^TestSoakSeeds$$' -v . -args -soak-seeds $(SOAK_SEEDS) -soak-rows '$(SOAK_ROWS)' \
+		| sed -n 's/^ *chaos_test.go:[0-9]*: row //p'
 
 # crash runs the crash-recovery harness (64 seeded power-cut points over the
 # public API) and the exhaustive extfs journal crash-point sweep.

@@ -2,8 +2,10 @@ package nesc
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -165,6 +167,15 @@ type soakRun struct {
 // off the oracle, a failed sweep, a stalled submitter — fails t.
 func runSoak(t *testing.T, row soakRow, plan *FaultPlan) soakResult {
 	t.Helper()
+	res, err := soak(row, plan)
+	if err != nil {
+		t.Fatalf("soak %s (seed %#x): %v", row.name, plan.Seed, err)
+	}
+	return res
+}
+
+// soak is runSoak returning the run's error instead of failing a test.
+func soak(row soakRow, plan *FaultPlan) (soakResult, error) {
 	cfg := DefaultConfig()
 	cfg.MediumMB = 16   // full-device scrub passes stay cheap
 	cfg.UseIOMMU = true // direct DMA: no trampoline copies masking DMA faults
@@ -183,7 +194,7 @@ func runSoak(t *testing.T, row soakRow, plan *FaultPlan) soakResult {
 	}
 	r := &soakRun{row: row, s: New(cfg)}
 	if err := r.s.Run(r.run); err != nil {
-		t.Fatalf("soak %s (seed %#x): %v", row.name, plan.Seed, err)
+		return soakResult{}, err
 	}
 	var metrics strings.Builder
 	r.s.WriteMetrics(&metrics)
@@ -193,7 +204,7 @@ func runSoak(t *testing.T, row soakRow, plan *FaultPlan) soakResult {
 		in := r.s.pl.Inj
 		res.ops[site], res.faults[site], res.delays[site] = in.Ops(site), in.Faults(site), in.Delays(site)
 	}
-	return res
+	return res, nil
 }
 
 func (r *soakRun) run(ctx *Ctx) error {
@@ -701,6 +712,58 @@ func TestSoak(t *testing.T) {
 			}
 			if c := runSoak(t, row, row.faults.plan(row.seed+1)); c.summary == a.summary {
 				t.Error("a second seed drew the same fault sequence")
+			}
+		})
+	}
+}
+
+// soakSeeds and soakSeedRows are TestSoakSeeds' range: seed offsets
+// "from:to" (to excluded) added to each row's own seed, and the rows to sweep
+// (all when empty). make soak-seeds sets them.
+var (
+	soakSeeds    = flag.String("soak-seeds", "", "sweep each soak row over the seed offsets from:to (TestSoakSeeds)")
+	soakSeedRows = flag.String("soak-rows", "", "the soak rows -soak-seeds sweeps, comma-separated (default: all)")
+)
+
+// TestSoakSeeds measures rather than checks: it runs each soak row once per
+// seed of a range and logs the row's pass rate and how its failures fall into
+// classes (each error's first line up to any "[" dump, numbers blanked). It fails only on
+// a malformed range; without -soak-seeds it is skipped.
+func TestSoakSeeds(t *testing.T) {
+	if *soakSeeds == "" {
+		t.Skip("sweeps seeds only under -soak-seeds (make soak-seeds)")
+	}
+	var from, to uint64
+	if _, err := fmt.Sscanf(*soakSeeds, "%v:%v", &from, &to); err != nil || to <= from {
+		t.Fatalf("-soak-seeds %q: want from:to with from < to", *soakSeeds)
+	}
+	numbers := regexp.MustCompile(`0x[0-9a-f]+|[0-9]+`)
+	for _, row := range soakRows {
+		if *soakSeedRows != "" && !slices.Contains(strings.Split(*soakSeedRows, ","), row.name) {
+			continue
+		}
+		t.Run(row.name, func(t *testing.T) {
+			t.Parallel()
+			classes := map[string][]uint64{} // the seeds that failed, by class
+			failed := 0
+			for off := from; off < to; off++ {
+				if _, err := soak(row, row.faults.plan(row.seed+off)); err != nil {
+					class, _, _ := strings.Cut(err.Error(), "\n")
+					class, _, _ = strings.Cut(class, "[") // a status dump, not the class
+					class = numbers.ReplaceAllString(class, "#")
+					classes[class] = append(classes[class], row.seed+off)
+					failed++
+				}
+			}
+			n := int(to - from)
+			t.Logf("row %s: seeds %#x+%#x..%#x passed %d/%d", row.name, row.seed, from, to-1, n-failed, n)
+			var names []string
+			for class := range classes {
+				names = append(names, class)
+			}
+			slices.Sort(names)
+			for _, class := range names {
+				t.Logf("row %s: %3d × %s (seeds %#x)", row.name, len(classes[class]), class, classes[class])
 			}
 		})
 	}

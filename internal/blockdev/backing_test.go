@@ -2,10 +2,13 @@ package blockdev
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 )
 
 // flatStore is the store as it was when its block space was one slice, kept
@@ -204,5 +207,37 @@ func TestStoreAllocations(t *testing.T) {
 	p := make([]byte, 4096)
 	if n := testing.AllocsPerRun(200, func() { s.WriteBlocks(5000, p); s.ReadBlocks(5000, p) }); n != 0 {
 		t.Errorf("WriteBlocks+ReadBlocks of 4 KB inside one chunk allocate %v, want 0", n)
+	}
+}
+
+// A store's chunks are mapped outside the Go heap, so nothing but the store's
+// finalizer gives them back. Writing 256 MB through stores dropped one after
+// another must leave the process's resident set about where it was.
+func TestDroppedStoresGiveTheirChunksBack(t *testing.T) {
+	rss := func() int64 {
+		b, err := os.ReadFile("/proc/self/statm")
+		if err != nil {
+			t.Skip("no /proc/self/statm to read the resident set from")
+		}
+		var size, resident int64
+		fmt.Sscan(string(b), &size, &resident)
+		return resident * int64(os.Getpagesize())
+	}
+	before := rss()
+	p := make([]byte, 4<<20)
+	for i := 0; i < 64; i++ {
+		if err := NewStore(1024, 4<<10).WriteBlocks(0, p); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+	}
+	// A finalizer runs on its own goroutine after the collection that found
+	// its store unreachable.
+	for deadline := time.Now().Add(5 * time.Second); rss()-before > 64<<20 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if grew := rss() - before; grew > 64<<20 {
+		t.Errorf("resident set grew %d MB over 64 dropped 4 MB stores, want under 64 MB", grew>>20)
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
+	"runtime"
 	"slices"
 
 	"nesc/internal/fault"
@@ -42,9 +43,9 @@ type writeRecord struct {
 // Store is the functional block space: numBlocks blocks of blockSize bytes,
 // each carrying an out-of-band CRC-32C guard tag maintained on write.
 //
-// The block space is flat; its backing is made in fixed chunks at first write.
-// A block in a chunk never written reads as zeros and carries the zero
-// block's guard.
+// The block space is flat; its backing is made in fixed chunks at first write,
+// outside the Go heap (see newChunk), and goes when the store does. A block in
+// a chunk never written reads as zeros and carries the zero block's guard.
 type Store struct {
 	blockSize int
 	numBlocks int64
@@ -79,6 +80,7 @@ func NewStore(blockSize int, numBlocks int64) *Store {
 	for i := range s.guards {
 		s.guards[i] = s.zeroGuard
 	}
+	runtime.SetFinalizer(s, func(s *Store) { freeChunks(s.chunks) })
 	return s
 }
 
@@ -122,6 +124,7 @@ func (s *Store) ReadBlocks(lba int64, p []byte) error {
 		}
 		lba, p = int64(c+1)<<s.chunkShift, p[k:]
 	}
+	runtime.KeepAlive(s) // its chunks go with it
 	return nil
 }
 
@@ -150,7 +153,7 @@ func (s *Store) Block(lba int64) []byte {
 	c, off, k := s.span(lba, s.blockSize)
 	if s.chunks[c] == nil {
 		blocks := min(1<<s.chunkShift, s.numBlocks-int64(c)<<s.chunkShift)
-		s.chunks[c] = make([]byte, blocks*int64(s.blockSize))
+		s.chunks[c] = newChunk(int(blocks) * s.blockSize)
 	}
 	return s.chunks[c][off : off+k]
 }

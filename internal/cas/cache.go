@@ -1,5 +1,7 @@
 package cas
 
+import "nesc/internal/sim"
+
 // Per-device LRU chunk cache: the local tier between a device's miss path
 // and the remote object store. Recently materialized chunks are served from
 // here without a remote round trip — the golden-image case, where every
@@ -26,6 +28,7 @@ type Cache struct {
 	capacity    int
 	entries     map[Hash]*centry
 	front, back *centry
+	fetching    map[Hash]*sim.Signal // chunks a miss is fetching: see Fetch
 
 	hits, misses, evictions int64
 }
@@ -35,7 +38,7 @@ func NewCache(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{capacity: capacity, entries: make(map[Hash]*centry)}
+	return &Cache{capacity: capacity, entries: make(map[Hash]*centry), fetching: make(map[Hash]*sim.Signal)}
 }
 
 // Stats snapshots the counters (zero value on nil).
@@ -110,4 +113,26 @@ func (c *Cache) Put(h Hash, data []byte) {
 		delete(c.entries, victim.hash)
 		c.evictions++
 	}
+}
+
+// Fetch returns chunk h, calling fetch and caching its payload on a miss. A
+// chunk another miss is fetching counts as held: the call waits for that
+// fetch and looks again, so it fetches for itself only if that one failed.
+func (c *Cache) Fetch(p *sim.Proc, h Hash, fetch func() ([]byte, error)) ([]byte, error) {
+	for c != nil && c.fetching[h] != nil {
+		c.fetching[h].Await(p)
+	}
+	if data, ok := c.Get(h); ok {
+		return data, nil
+	}
+	if c != nil {
+		done := sim.NewSignal(p.Engine())
+		c.fetching[h] = done
+		defer func() { delete(c.fetching, h); done.Fire() }()
+	}
+	data, err := fetch()
+	if err == nil {
+		c.Put(h, data)
+	}
+	return data, err
 }

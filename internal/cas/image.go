@@ -162,12 +162,12 @@ func (t *Tier) ReleaseImage(p *sim.Proc, d *hypervisor.Device, path string) erro
 
 // Materialize implements hypervisor.FetchSource: it gathers the payload of
 // every missed block the manifest covers — from the device's chunk cache, or
-// fetched from the remote tier (paying the tier's cost model and fault sites)
-// — and then writes them into the backing file's holes as one host-filesystem
-// transaction, after which the blocks are ordinary allocated extents. Blocks
-// past the manifest's content (a partial trailing chunk range) are lazily
-// allocated, zeros, in the same transaction. op labels the latency
-// attribution rows ("read"/"write", matching the driver's vocabulary).
+// fetched from the remote tier (paying the tier's cost model and fault sites),
+// by this miss or one it waits for — and then writes them into the backing
+// file's holes as one host-filesystem transaction, after which the blocks are
+// ordinary allocated extents. Blocks past the manifest's content (a partial
+// trailing chunk range) are lazily allocated, zeros, in the same transaction.
+// op labels the latency attribution rows ("read"/"write", as the driver).
 func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path string, blk, n uint64, op string) error {
 	b := t.forks[forkKey{d, path}]
 	if b == nil {
@@ -182,16 +182,14 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 	last := min(blk+n, uint64(len(m.Hashes)))
 	data := make([][]byte, 0, max(last, blk)-blk)
 	for i := blk; i < last; i++ {
-		chunk, ok := cache.Get(m.Hashes[i])
-		if !ok {
-			start := p.Now()
-			fetched, err := t.Store.Fetch(p, m.Hashes[i])
-			if err != nil {
-				return err
-			}
-			t.tel.ChunkFetched(fn, op, p.Now()-start)
-			cache.Put(m.Hashes[i], fetched)
-			chunk = fetched
+		h := m.Hashes[i]
+		start := p.Now()
+		chunk, err := cache.Fetch(p, h, func() ([]byte, error) { return t.Store.Fetch(p, h) })
+		if err != nil {
+			return err
+		}
+		if waited := p.Now() - start; waited > 0 { // not a hit: fetched, or another miss's fetch
+			t.tel.ChunkFetched(fn, op, waited)
 		}
 		data = append(data, chunk)
 	}

@@ -7,6 +7,7 @@ import (
 	"nesc/internal/blockdev"
 	"nesc/internal/core"
 	"nesc/internal/extfs"
+	"nesc/internal/fault"
 	"nesc/internal/hostmem"
 	"nesc/internal/hypervisor"
 	"nesc/internal/pcie"
@@ -209,5 +210,54 @@ func (o *missPFRequests) Event(e core.Event) {
 		o.servicing, o.reads, o.writes = true, 0, 0
 	case core.EvRewalk:
 		o.servicing = false
+	}
+}
+
+// Two misses on one device that need the same chunk at once share its remote
+// fetch: the second waits for the first's and takes the chunk from the cache.
+// When the first fetch fails, the waiter fetches for itself.
+func TestConcurrentFirstTouchesShareOneFetch(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		failFirst     bool
+		fetches, errs int64
+	}{
+		{"fetch succeeds", false, 1, 0},
+		{"fetch fails", true, fetchRetryMax + 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			runFork(t, nil, telemetry.Sinks{}, DefaultParams(1024).RemoteLatency, func(p *sim.Proc, w *forkWorld) {
+				if tc.failFirst {
+					plan := fault.Plan{Seed: 1}
+					for n := int64(1); n <= fetchRetryMax+1; n++ {
+						plan.Sites[fault.RemoteFetch].OneShot = append(plan.Sites[fault.RemoteFetch].OneShot, n)
+					}
+					w.tier.Store.Inj = fault.NewInjector(plan)
+				}
+				before := w.tier.Store.Stats().RemoteFetches
+				var errs int64
+				done := sim.NewWaitGroup(p.Engine())
+				for vf := 0; vf < 2; vf++ {
+					done.Add(1)
+					p.Engine().Go("miss", func(q *sim.Proc) {
+						defer done.Done()
+						if err := w.tier.Materialize(q, w.d, vf, "/fork.img", 5, 1, "read"); err != nil {
+							errs++
+						}
+					})
+				}
+				done.WaitFor(p)
+				if n := w.tier.Store.Stats().RemoteFetches - before; n != tc.fetches || errs != tc.errs {
+					t.Errorf("two concurrent first touches of one chunk made %d remote fetches and %d failed, want %d and %d", n, errs, tc.fetches, tc.errs)
+				}
+				got := make([]byte, 1024)
+				if _, err := w.forkFile(t, p).ReadAt(p, got, 5*1024); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, goldenBlock(5)) || w.tier.Materializations != 1 {
+					t.Errorf("block 5 holds %#x... after %d materializations, want its sealed content once", got[:2], w.tier.Materializations)
+				}
+			})
+		})
 	}
 }

@@ -11,6 +11,9 @@ import "nesc/internal/extent"
 type btlb struct {
 	entries []btlbEntry
 	next    int // FIFO replacement cursor
+	// flushes and invs (per function) count invalidations: see gen.
+	flushes uint64
+	invs    map[int]uint64
 }
 
 type btlbEntry struct {
@@ -23,8 +26,11 @@ func newBTLB(n int) *btlb {
 	if n < 0 {
 		n = 0
 	}
-	return &btlb{entries: make([]btlbEntry, n)}
+	return &btlb{entries: make([]btlbEntry, n), invs: make(map[int]uint64)}
 }
+
+// gen moves with every invalidation of fnIdx's entries (walk rechecks it).
+func (b *btlb) gen(fnIdx int) uint64 { return b.flushes + b.invs[fnIdx] }
 
 // lookup translates vlba for function fnIdx, reporting a miss when no valid
 // entry covers it. protected reports whether the covering extent is marked
@@ -59,25 +65,18 @@ func (b *btlb) insert(fnIdx int, run extent.Run) {
 // flush invalidates everything (PF BTLBFlush register, used around host-side
 // block-level optimizations like deduplication).
 func (b *btlb) flush() {
+	b.flushes++
 	for i := range b.entries {
 		b.entries[i].valid = false
-	}
-}
-
-// flushFn invalidates a single function's entries (VF teardown).
-func (b *btlb) flushFn(fnIdx int) {
-	for i := range b.entries {
-		if b.entries[i].fnIdx == fnIdx {
-			b.entries[i].valid = false
-		}
 	}
 }
 
 // invalidateRange invalidates a function's entries overlapping the vLBA
 // range [vlba, vlba+count). The hypervisor issues this after a CoW break so
 // stale protected (or stale-translation) entries cannot serve the retried
-// write; count 0 degenerates to flushFn. Returns entries invalidated.
+// write; count 0 drops all of the function's. Returns entries invalidated.
 func (b *btlb) invalidateRange(fnIdx int, vlba, count uint64) int {
+	b.invs[fnIdx]++
 	n := 0
 	for i := range b.entries {
 		e := &b.entries[i]

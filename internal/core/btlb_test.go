@@ -43,12 +43,12 @@ func TestBTLBFlushClearsAllFunctions(t *testing.T) {
 
 func TestBTLBFlushFnSparesOtherFunctions(t *testing.T) {
 	b := filledBTLB()
-	b.flushFn(1)
+	b.invalidateRange(1, 0, 0)
 	if hit(b, 1, 0) || hit(b, 1, 55) {
-		t.Fatal("flushFn left the function's entries")
+		t.Fatal("a whole-function invalidation left the function's entries")
 	}
 	if !hit(b, 2, 5) {
-		t.Fatal("flushFn clobbered another function")
+		t.Fatal("a whole-function invalidation clobbered another function")
 	}
 }
 

@@ -18,10 +18,10 @@
 //	the out-of-band (OOB) channel so a stalled VF walk never blocks the
 //	hypervisor (paper §V-A).
 //
-// Translation misses (lazy allocation, pruned subtrees) park the walk, latch
+// Translation misses (lazy allocation, pruned subtrees) park the chunk, latch
 // MissAddress/MissSize, and interrupt the hypervisor, which allocates
-// blocks, rebuilds the tree, and writes RewalkTree to release the walk —
-// the read/write flows of Figure 5.
+// blocks, rebuilds the tree, and writes RewalkTree to hand the VF's parked
+// chunks back — the read/write flows of Figure 5. Other VFs translate on.
 package core
 
 import (
@@ -170,12 +170,13 @@ type Request struct {
 
 // chunk is the unit of translation and data transfer (one block).
 type chunk struct {
-	req  *Request
-	idx  int    // 0-based chunk index within the request
-	lba  uint64 // vLBA before translation, pLBA after
-	buf  int64
-	zero bool        // hole read: DMA zeros, skip the medium
-	how  Translation // set by the walker
+	req     *Request
+	idx     int    // 0-based chunk index within the request
+	lba     uint64 // vLBA before translation, pLBA after
+	buf     int64
+	zero    bool        // hole read: DMA zeros, skip the medium
+	how     Translation // set by the walker
+	verdict uint32      // RewalkTree's verdict on a chunk that missed, once handed back
 
 	// mark is when the chunk's current stage began: stamped as the
 	// multiplexer queues it and advanced by every stage call. Zero on a PF
@@ -204,8 +205,10 @@ type Controller struct {
 	vfShards [][]*Function
 	nMat     int // materialized VF count
 
-	vlbaQ *sim.FIFO[*chunk]
-	oobQ  *sim.FIFO[*chunk]
+	vlbaQ    *sim.FIFO[*chunk]
+	walkW    *sim.Semaphore // counts the chunks of vlbaQ and of unparked's functions
+	unparked []*Function    // functions whose parked chunks walkers take first, in order
+	oobQ     *sim.FIFO[*chunk]
 	// scrubQ holds verify (OpVerify) chunks. The DTU drains it only when the
 	// OOB and every VF queue are empty — scavenger priority, so background
 	// scrubbing provably never delays foreground chunks at the pick point.
@@ -307,6 +310,7 @@ func New(eng *sim.Engine, fab *pcie.Fabric, medium *blockdev.Medium, p Params, o
 		P:        p,
 		vfShards: make([][]*Function, (p.NumVFs+vfShardSize-1)/vfShardSize),
 		vlbaQ:    sim.NewFIFO[*chunk](eng, vlbaQueueDepth),
+		walkW:    sim.NewSemaphore(eng, 0),
 		oobQ:     sim.NewFIFO[*chunk](eng, 0),
 		scrubQ:   sim.NewFIFO[*chunk](eng, 0),
 		dtuW:     sim.NewSemaphore(eng, 0),
@@ -488,14 +492,13 @@ type Function struct {
 	fetchBacked bool
 
 	// Miss latch (read by the hypervisor on a miss interrupt).
-	missAddr      uint64
-	missSize      uint32
-	missIsWrite   bool
-	missReason    uint32 // MissReason* code for the latched miss
-	missPending   bool
-	missGen       uint64 // bumped per latch; guards the resend timer
-	rewalk        *sim.Signal
-	rewalkVerdict uint32 // what the hypervisor wrote to RewalkTree
+	missAddr    uint64
+	missSize    uint32
+	missIsWrite bool
+	missReason  uint32 // MissReason* code for the latched miss
+	missPending bool
+	missGen     uint64   // bumped per latch; guards the resend timer
+	parked      []*chunk // chunks that missed or came behind a miss (see park)
 
 	// Reset state: resetEpoch is bumped by each function-level reset, and
 	// requests stamped with an older epoch are aborted at every pipeline
@@ -662,7 +665,6 @@ func (c *Controller) newFunction(idx int, id pcie.FnID) *Function {
 		id:     id,
 		fetchW: sim.NewSemaphore(c.Eng, 0),
 		reqQ:   sim.NewFIFO[*Request](c.Eng, reqQueueDepth),
-		rewalk: sim.NewSignal(c.Eng),
 		weight: 1,
 	}
 	f.queues = make([]*fnQueue, c.P.QueuesPerVF)
@@ -719,21 +721,19 @@ func (c *Controller) resetFunction(f *Function) {
 		}
 		q.clear()
 	}
-	c.btlb.flushFn(f.idx)
 	c.endInflight(f)
 	c.Report(Event{Kind: EvReset, Fn: f.idx, Arg: uint64(f.resetEpoch)})
 }
 
-// endInflight ends f's in-flight work, for an FLR and a disable alike: the
-// epoch moves on, so every request fetched before now retires as aborted at
-// its next stage and no walk it started is used, and a walker parked on a
-// latched miss is failed so the chunk drains.
+// endInflight ends f's in-flight work, for an FLR and a disable alike: its
+// cached translations go, the epoch moves on, so every request fetched before
+// now retires as aborted at its next stage and no walk it started is used,
+// and a latched miss is failed, handing the parked chunks back to drain.
 func (c *Controller) endInflight(f *Function) {
+	c.btlb.invalidateRange(f.idx, 0, 0)
 	f.resetEpoch++
 	if f.missPending {
-		f.missPending = false
 		f.missReason = ring.MissReasonTranslate
-		f.rewalkVerdict = ring.RewalkFail
-		f.rewalk.Fire()
+		c.unpark(f, ring.RewalkFail)
 	}
 }

@@ -967,11 +967,11 @@ func TestBTLBUnit(t *testing.T) {
 	if _, _, ok := b2.lookup(3, 5); !ok {
 		t.Fatal("duplicate insert evicted a live entry")
 	}
-	// flushFn only clears one function.
+	// A whole-function invalidation only clears one function.
 	b2.insert(4, extent.Run{Logical: 0, Physical: 7, Count: 1})
-	b2.flushFn(3)
+	b2.invalidateRange(3, 0, 0)
 	if _, _, ok := b2.lookup(3, 0); ok {
-		t.Fatal("flushFn left entries")
+		t.Fatal("a whole-function invalidation left entries")
 	}
 	// Zero-entry BTLB never hits and never crashes.
 	b0 := newBTLB(0)

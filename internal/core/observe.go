@@ -31,7 +31,7 @@ type Translation uint8
 const (
 	TransHit  Translation = iota // BTLB hit
 	TransWalk                    // extent-tree walk in hardware
-	TransMiss                    // walk parked; the hypervisor serviced a miss
+	TransMiss                    // chunk parked; the hypervisor serviced a miss
 	TransCow                     // write trapped on a protected extent; sharing broken
 )
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"nesc/internal/blockdev"
 	"nesc/internal/extent"
@@ -265,6 +266,7 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 		for i := uint32(0); i < req.Count; i++ {
 			p.Sleep(c.P.MuxChunkTime)
 			c.vlbaQ.Push(p, &chunk{req: req, idx: int(i), lba: req.LBA + uint64(i), buf: req.Buf + int64(i)*bs, mark: p.Now()})
+			c.walkW.Release()
 		}
 	}
 }
@@ -273,13 +275,25 @@ func (c *Controller) muxLoop(p *sim.Proc) {
 // a miss it walks the VF's extent tree with DMA reads from host memory. A
 // translation that cannot complete (hole on a write, pruned subtree) latches
 // the missing range — from its block to the request's end — in the miss
-// registers, interrupts the hypervisor through the PF, and parks until
-// RewalkTree releases it (paper Fig. 5).
+// registers, interrupts the hypervisor through the PF, and parks the chunk
+// until RewalkTree hands it back (paper Fig. 5); the walker takes the next.
 func (c *Controller) walkerLoop(p *sim.Proc) {
 	nodeImg := make([]byte, extent.NodeBytes(extent.DefaultFanout))
 	for {
-		ch := c.vlbaQ.Pop(p)
+		ch := c.nextChunk(p)
 		f := ch.req.fn
+		if ch.how >= TransMiss { // it missed: re-walk it under its verdict
+			c.Report(Event{Kind: EvRewalk, Fn: f.idx, LBA: ch.lba, Arg: uint64(ch.verdict)})
+			switch {
+			case ch.req.epoch != f.resetEpoch:
+				c.completeChunk(p, ch, ring.StatusAborted)
+			case ch.verdict == ring.RewalkFail:
+				c.completeChunk(p, ch, ring.StatusNoSpace)
+			default:
+				c.walk(p, f, ch, nodeImg)
+			}
+			continue
+		}
 		if st := c.retireStatus(ch.req, p.Now(), "walker", 1); st != ring.StatusOK {
 			c.completeChunk(p, ch, st)
 			continue
@@ -298,74 +312,118 @@ func (c *Controller) walkerLoop(p *sim.Proc) {
 		// protected mapping and raises the CoW fault.
 		c.BTLBStats.Miss()
 		ch.how = TransWalk
+		c.walk(p, f, ch, nodeImg)
+	}
+}
 
-	walk:
-		for {
-			res, err := c.walkTree(p, f, ch.lba, nodeImg)
-			if err != nil {
-				c.completeChunk(p, ch, ring.StatusDMAFault)
-				break walk
+// nextChunk waits for a chunk to translate: the oldest handed back, ahead of
+// the vLBA queue, or the queue's next unless its function has a latched miss
+// or chunks handed back still waiting, behind which it parks.
+func (c *Controller) nextChunk(p *sim.Proc) *chunk {
+	for {
+		c.walkW.Acquire(p)
+		if len(c.unparked) > 0 {
+			f := c.unparked[0]
+			ch := f.parked[0]
+			f.parked = slices.Delete(f.parked, 0, 1)
+			if len(f.parked) == 0 {
+				c.unparked = slices.Delete(c.unparked, 0, 1)
 			}
-			if ch.req.epoch != f.resetEpoch {
-				// Reset or disabled while the walk was out: the tree it read
-				// may be another tenant's by now.
-				c.completeChunk(p, ch, ring.StatusAborted)
-				break walk
-			}
-			reason, miss := MissFor(res, ch.req.Op == ring.OpWrite, f.fetchBacked)
-			switch {
-			case !miss && res.Mapped:
-				c.btlb.insert(f.idx, res.Extent)
-				ch.lba = res.PLBA
-				c.pushPLBA(p, f, ch)
-				break walk
-			case !miss:
-				// POSIX: holes read as zeros (paper Fig. 5a "DMA zero
-				// blocks"), and a verify has no media blocks to check.
-				ch.zero = true
-				c.pushPLBA(p, f, ch)
-				break walk
-			default:
-				// The hypervisor must allocate/regenerate/unshare/materialize
-				// mappings.
-				c.Misses++
-				ch.how = TransMiss
-				if reason == ring.MissReasonCoW {
-					c.CowFaults++
-					ch.how = TransCow
-				}
-				if !f.missPending {
-					f.missPending = true
-					f.missGen++
-					// Latch the rest of the request, which the fetch check
-					// held inside the export: one service covers every chunk
-					// still to come, and the host calls skip what is mapped.
-					f.missAddr = ch.lba
-					f.missSize = uint32(ch.req.LBA + uint64(ch.req.Count) - ch.lba)
-					f.missIsWrite = ch.req.Op == ring.OpWrite
-					f.missReason = reason
-					f.rewalk = sim.NewSignal(c.Eng)
-					c.Report(Event{Kind: EvMiss, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.missReason)})
-					c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
-					if c.P.MissResendInterval > 0 {
-						c.scheduleMissResend(f, f.missGen)
-					}
-				}
-				sig := f.rewalk
-				sig.Await(p)
-				c.Report(Event{Kind: EvRewalk, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.rewalkVerdict)})
-				if ch.req.epoch != f.resetEpoch {
-					c.completeChunk(p, ch, ring.StatusAborted)
-					break walk
-				}
-				if f.rewalkVerdict == ring.RewalkFail {
-					c.completeChunk(p, ch, ring.StatusNoSpace)
-					break walk
-				}
-				continue walk // retry against the rebuilt tree
-			}
+			return ch
+		}
+		if ch, ok := c.vlbaQ.TryPop(); ok && !ch.req.fn.missPending && len(ch.req.fn.parked) == 0 {
+			return ch
+		} else if ok {
+			c.park(ch.req.fn, ch)
 		}
 	}
+}
+
+// walk translates ch through f's extent tree and passes it on to the data
+// transfer stage, or parks it on a miss, latching the miss if none is.
+func (c *Controller) walk(p *sim.Proc, f *Function, ch *chunk, nodeImg []byte) {
+	for {
+		root, gen := f.treeRoot, c.btlb.gen(f.idx)
+		res, err := c.walkTree(p, root, ch.lba, nodeImg)
+		switch {
+		case err != nil:
+			c.completeChunk(p, ch, ring.StatusDMAFault)
+			return
+		case ch.req.epoch != f.resetEpoch:
+			// Reset or disabled while the walk was out: the tree it read
+			// may be another tenant's by now.
+			c.completeChunk(p, ch, ring.StatusAborted)
+			return
+		case f.treeRoot != root || c.btlb.gen(f.idx) != gen:
+			continue // a sharer's miss service changed the tree under the walk
+		}
+		reason, miss := MissFor(res, ch.req.Op == ring.OpWrite, f.fetchBacked)
+		if !miss {
+			// POSIX: holes read as zeros (paper Fig. 5a "DMA zero blocks"),
+			// and a verify has no media blocks to check.
+			ch.zero = !res.Mapped
+			if res.Mapped {
+				c.btlb.insert(f.idx, res.Extent)
+				ch.lba = res.PLBA
+			}
+			c.pushPLBA(p, f, ch)
+			return
+		}
+		// The hypervisor must allocate/regenerate/unshare/materialize
+		// mappings.
+		c.Misses++
+		ch.how = TransMiss
+		if reason == ring.MissReasonCoW {
+			c.CowFaults++
+			ch.how = TransCow
+		}
+		if !f.missPending {
+			f.missPending = true
+			f.missGen++
+			// Latch the rest of the request, which the fetch check held
+			// inside the export: one service covers every chunk still to
+			// come, and the host calls skip what is mapped.
+			f.missAddr = ch.lba
+			f.missSize = uint32(ch.req.LBA + uint64(ch.req.Count) - ch.lba)
+			f.missIsWrite = ch.req.Op == ring.OpWrite
+			f.missReason = reason
+			if i := slices.Index(c.unparked, f); i >= 0 { // its chunks would only park again
+				c.unparked = slices.Delete(c.unparked, i, i+1)
+			}
+			c.Report(Event{Kind: EvMiss, Fn: f.idx, LBA: ch.lba, Arg: uint64(f.missReason)})
+			c.Fab.RaiseMSI(c.pf.id, ring.VecMiss)
+			if c.P.MissResendInterval > 0 {
+				c.scheduleMissResend(f, f.missGen)
+			}
+		}
+		ch.verdict = 0
+		c.park(f, ch)
+		return
+	}
+}
+
+// park puts ch on f's parked list in arrival order (ReqID, then chunk index).
+func (c *Controller) park(f *Function, ch *chunk) {
+	i := len(f.parked)
+	for i > 0 && (ch.req.ReqID < f.parked[i-1].req.ReqID || ch.req == f.parked[i-1].req && ch.idx < f.parked[i-1].idx) {
+		i--
+	}
+	f.parked = slices.Insert(f.parked, i, ch)
+	if !f.missPending {
+		c.walkW.Release() // it joins chunks already handed back
+	}
+}
+
+// unpark ends f's latched miss: its parked chunks go back to the walkers.
+func (c *Controller) unpark(f *Function, verdict uint32) {
+	f.missPending = false
+	for _, ch := range f.parked {
+		if ch.how >= TransMiss && ch.verdict == 0 {
+			ch.verdict = verdict
+		}
+		c.walkW.Release()
+	}
+	c.unparked = append(c.unparked, f) // not empty: a latch parks the chunk that latched it
 }
 
 // MissFor is the one rule for when a walk that ended in res must miss, and
@@ -389,9 +447,9 @@ func MissFor(res extent.Resolution, write, fetchBacked bool) (reason uint32, mis
 
 // walkTree performs one tree walk using device DMA: extent.Lookup's walk
 // (both take extent.Resolution.Step per node) with the cost model applied.
-func (c *Controller) walkTree(p *sim.Proc, f *Function, vlba uint64, nodeImg []byte) (extent.Resolution, error) {
+func (c *Controller) walkTree(p *sim.Proc, root int64, vlba uint64, nodeImg []byte) (extent.Resolution, error) {
 	var res extent.Resolution
-	addr := f.treeRoot
+	addr := root
 	for {
 		if err := c.Fab.DMAReadP(p, c.pf.id, addr, nodeImg); err != nil {
 			return res, err

@@ -294,9 +294,9 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 	case ring.MgmtTreeRoot:
 		f.treeRoot = int64(val)
 	case ring.MgmtRewalk:
-		f.rewalkVerdict = uint32(val)
-		f.missPending = false
-		f.rewalk.Fire()
+		if f.missPending {
+			c.unpark(f, uint32(val))
+		}
 	case ring.MgmtEnable:
 		was := f.enabled
 		f.enabled = val == 1
@@ -307,7 +307,6 @@ func (c *Controller) mgmtWrite(reg int64, val uint64) {
 			// every leased queue pair to the device-wide pool. Return happens
 			// only here — never on FLR — so a queue can be re-leased only
 			// after its tenant is deprovisioned.
-			c.btlb.flushFn(f.idx)
 			c.endInflight(f)
 			for qi := range f.queues {
 				c.returnQueue(f, qi)

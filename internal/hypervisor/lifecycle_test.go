@@ -94,10 +94,12 @@ var (
 // lcRecorded holds, per in-flight transition, the instants (in ns of virtual
 // time) it parked at under earlier cost models: first before a miss became one
 // host-filesystem call on the exported file, then before a host transaction's
-// journal record became one write. A change to the cost model moves where a
-// transition parks; each arrival is swept across these instants as well as
-// the current ones, so the sweep widens as the model changes instead of
-// moving, and every cell the matrix has run stays in it under its name.
+// journal record became one write, then (for the two miss transitions) before
+// a missed chunk parked on its VF instead of holding a walker. A change to the
+// cost model or to the walker's scheduling moves where a transition parks;
+// each arrival is swept across these instants as well as the current ones, so
+// the sweep widens as the model changes instead of moving, and every cell the
+// matrix has run stays in it under its name.
 var lcRecorded = map[string][]sim.Time{
 	"snapshot": {
 		1067984, 1074379, 1084831, 1089711, 1092724, 1096198, 1099214, 1102227,
@@ -125,6 +127,10 @@ var lcRecorded = map[string][]sim.Time{
 		1050782, 1054360, 1055417, 1056452, 1058017, 1067852, 1072030, 1074860,
 		1079938, 1082556, 1087246, 1090464, 1094954, 1097441, 1102862, 1104799,
 		1110620, 1112707, 1117928, 1120015, 1123508, 1124743, 1126263, 1130106,
+		// before a missed chunk parked on its VF and freed its walker
+		987341, 990569, 991836, 991976, 992919, 993836, 994811, 996611,
+		1007639, 1008806, 1011207, 1015331, 1017098, 1018568, 1020230, 1022804,
+		1023254, 1024339, 1025309, 1026032, 1026982, 1027299, 1028669, 1030840,
 	},
 	"cow-miss": {
 		1240722, 1245117, 1246300, 1248242, 1261842, 1268743, 1273194, 1278509,
@@ -134,6 +140,10 @@ var lcRecorded = map[string][]sim.Time{
 		1206318, 1210496, 1211696, 1212953, 1225888, 1229849, 1235267, 1239125,
 		1244312, 1250483, 1254813, 1259528, 1266099, 1269729, 1275124, 1281765,
 		1285333, 1290840, 1296981, 1300218, 1302861, 1303511, 1305066, 1310059,
+		// before a missed chunk parked on its VF and freed its walker
+		1061043, 1063543, 1065158, 1066271, 1067438, 1068713, 1072146, 1076600,
+		1080374, 1086945, 1090575, 1095970, 1104283, 1107856, 1113279, 1119932,
+		1122619, 1125470, 1128486, 1129186, 1130656, 1131714, 1133451, 1136172,
 	},
 	"unprotect": {
 		1321188, 1325688, 1326438, 1327355, 1327743, 1328899, 1330658, 1334067,
