@@ -143,11 +143,11 @@ func (pl *Platform) Counters() []Counter {
 		{"CASBlocksLogical", "nesc_cas_blocks_logical", "logical blocks across all live manifests", store(func(s cas.Stats) int64 { return s.BlocksLogical })},
 		{"CASFetchMisses", "nesc_cas_fetch_misses_total", "translation misses raised for chunk materialization", i64(&h.FetchMisses)},
 		{"CASMaterializations", "nesc_cas_materializations_total", "forked blocks materialized into backing files", i64(&pl.CAS.Materializations)},
-		{"CASRemoteFetches", "nesc_cas_remote_fetches_total", "chunk GETs issued to the remote tier", store(func(s cas.Stats) int64 { return s.RemoteFetches })},
+		{"CASRemoteFetches", "nesc_cas_remote_fetches_total", "fetch round trips (GETs) to the remote tier, each carrying every chunk one miss lacks", store(func(s cas.Stats) int64 { return s.RemoteFetches })},
 		{"CASRemotePuts", "nesc_cas_remote_puts_total", "batched PUT round trips to the remote tier", store(func(s cas.Stats) int64 { return s.RemotePuts })},
 		{"CASRemoteRetries", "nesc_cas_remote_retries_total", "remote round trips retried after transient faults", store(func(s cas.Stats) int64 { return s.RemoteRetries })},
 		{"CASRemoteFetchTime", "nesc_cas_remote_fetch_ns", "virtual time spent in remote chunk fetches", store(func(s cas.Stats) int64 { return int64(s.RemoteFetchTime) })},
-		{"CASFetchFails", "nesc_cas_fetch_fails_total", "chunk fetches that exhausted the retry ladder", store(func(s cas.Stats) int64 { return s.FetchFails })},
+		{"CASFetchFails", "nesc_cas_fetch_fails_total", "chunks whose fetch exhausted the retry ladder", store(func(s cas.Stats) int64 { return s.FetchFails })},
 		{"CASHashMismatches", "nesc_cas_hash_mismatches_total", "fetched payloads rejected by content verification", store(func(s cas.Stats) int64 { return s.HashMismatches })},
 		{"CASCacheHits", "nesc_cas_cache_hits_total", "chunk-cache hits across the fleet", cache(func(c cas.CacheStats) int64 { return c.Hits })},
 		{"CASCacheMisses", "nesc_cas_cache_misses_total", "chunk-cache misses across the fleet", cache(func(c cas.CacheStats) int64 { return c.Misses })},

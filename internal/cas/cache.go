@@ -1,6 +1,10 @@
 package cas
 
-import "nesc/internal/sim"
+import (
+	"slices"
+
+	"nesc/internal/sim"
+)
 
 // Per-device LRU chunk cache: the local tier between a device's miss path
 // and the remote object store. Recently materialized chunks are served from
@@ -76,17 +80,16 @@ func (c *Cache) pushFront(e *centry) {
 	}
 }
 
-// Get returns the cached chunk and promotes it to most recently used.
+// Get returns the cached chunk and promotes it to most recently used. It
+// counts nothing: Fetch counts its hits and misses.
 func (c *Cache) Get(h Hash) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
 	e, ok := c.entries[h]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	c.unlink(e)
 	c.pushFront(e)
 	return e.data, true
@@ -115,24 +118,60 @@ func (c *Cache) Put(h Hash, data []byte) {
 	}
 }
 
-// Fetch returns chunk h, calling fetch and caching its payload on a miss. A
-// chunk another miss is fetching counts as held: the call waits for that
-// fetch and looks again, so it fetches for itself only if that one failed.
-func (c *Cache) Fetch(p *sim.Proc, h Hash, fetch func() ([]byte, error)) ([]byte, error) {
-	for c != nil && c.fetching[h] != nil {
-		c.fetching[h].Await(p)
+// Fetch returns the chunks hs names, in order. It claims those neither
+// resident nor in another miss's fetch, fetches them with one call of fetch
+// (one round trip) and caches them; it waits for a chunk another miss is
+// fetching and looks again, claiming it only if that fetch failed. Each chunk
+// claimed counts one miss; every other entry of hs, one hit.
+func (c *Cache) Fetch(p *sim.Proc, hs []Hash, fetch func([]Hash) ([][]byte, error)) ([][]byte, error) {
+	if c == nil {
+		return fetch(hs)
 	}
-	if data, ok := c.Get(h); ok {
-		return data, nil
-	}
-	if c != nil {
+	out, hits := make([][]byte, len(hs)), len(hs)
+	for {
+		var claim []Hash
+		var busy *sim.Signal
+		for i, h := range hs {
+			if out[i] != nil {
+				continue
+			}
+			if data, ok := c.Get(h); ok {
+				out[i] = data
+			} else if c.fetching[h] != nil {
+				busy = c.fetching[h]
+			} else if !slices.Contains(claim, h) {
+				claim = append(claim, h)
+			}
+		}
+		if len(claim) == 0 && busy == nil {
+			c.hits += int64(hits)
+			return out, nil
+		}
+		if len(claim) == 0 {
+			busy.Await(p)
+			continue
+		}
+		hits -= len(claim)
+		c.misses += int64(len(claim))
 		done := sim.NewSignal(p.Engine())
-		c.fetching[h] = done
-		defer func() { delete(c.fetching, h); done.Fire() }()
+		for _, h := range claim {
+			c.fetching[h] = done
+		}
+		data, err := fetch(claim)
+		for j, h := range claim {
+			delete(c.fetching, h)
+			if err == nil {
+				c.Put(h, data[j])
+				for i := range hs {
+					if hs[i] == h {
+						out[i] = data[j]
+					}
+				}
+			}
+		}
+		done.Fire()
+		if err != nil {
+			return nil, err
+		}
 	}
-	data, err := fetch()
-	if err == nil {
-		c.Put(h, data)
-	}
-	return data, err
 }

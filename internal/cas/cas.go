@@ -134,7 +134,8 @@ type Stats struct {
 	// across all manifests vs unique chunks actually stored.
 	ChunksLive    int64
 	BlocksLogical int64
-	// Remote-tier traffic.
+	// Remote-tier traffic: RemoteFetches and RemotePuts count round trips,
+	// FetchFails the chunks whose fetch exhausted the retry ladder.
 	RemoteFetches   int64
 	RemoteFetchTime sim.Time
 	RemotePuts      int64

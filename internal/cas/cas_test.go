@@ -131,8 +131,8 @@ func TestFetchIntegrityLadder(t *testing.T) {
 	s := NewStore(Params{BlockSize: 1024}, nil)
 	mustSeal(t, s, "img", 5)
 	h := HashOf(block(5))
-	got, err := s.Fetch(nil, h)
-	if err != nil || !bytes.Equal(got, block(5)) {
+	got, err := s.Fetch(nil, []Hash{h})
+	if err != nil || !bytes.Equal(got[0], block(5)) {
 		t.Fatalf("clean fetch: %v", err)
 	}
 	if !s.CorruptChunk(h) {
@@ -141,7 +141,7 @@ func TestFetchIntegrityLadder(t *testing.T) {
 	// Corruption shaped like a hash collision: the payload no longer matches
 	// its address. The ladder must retry, never serve it, and surface
 	// ErrIntegrity once the retries exhaust.
-	if _, err := s.Fetch(nil, h); !errors.Is(err, ErrIntegrity) {
+	if _, err := s.Fetch(nil, []Hash{h}); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("fetch of corrupt chunk: got %v, want ErrIntegrity", err)
 	}
 	st := s.Stats()
@@ -169,7 +169,7 @@ func TestFetchRemoteFaultsAndCostModel(t *testing.T) {
 	var fetchErr error
 	eng.Go("fetch", func(p *sim.Proc) {
 		start := p.Now()
-		_, fetchErr = s.Fetch(p, h)
+		_, fetchErr = s.Fetch(p, []Hash{h})
 		elapsed = p.Now() - start
 	})
 	eng.Run()
@@ -206,7 +206,7 @@ func TestNilStoreAndCacheAreSafe(t *testing.T) {
 	if err := s.Release(nil, "a"); !errors.Is(err, ErrDisabled) {
 		t.Errorf("nil release: %v", err)
 	}
-	if _, err := s.Fetch(nil, Hash{}); !errors.Is(err, ErrDisabled) {
+	if _, err := s.Fetch(nil, []Hash{{}}); !errors.Is(err, ErrDisabled) {
 		t.Errorf("nil fetch: %v", err)
 	}
 	if st := s.Stats(); st != (Stats{}) {
@@ -266,7 +266,7 @@ func TestStoreDeterminism(t *testing.T) {
 					t.Errorf("fork %s: %v", name, err)
 				}
 				for _, h := range s.Manifest(name).Hashes {
-					s.Fetch(p, h)
+					s.Fetch(p, []Hash{h})
 				}
 				if i%2 == 1 {
 					if err := s.Release(p, name+".fork"); err != nil {
@@ -287,5 +287,56 @@ func TestStoreDeterminism(t *testing.T) {
 	s2, t2 := run()
 	if s1 != s2 || t1 != t2 {
 		t.Errorf("same-seed churn diverged:\nA: %+v @ %v\nB: %+v @ %v", s1, t1, s2, t2)
+	}
+}
+
+// A miss fetches every chunk it lacks in one round trip, and a miss that
+// overlaps it GETs only what is neither cached nor in flight. A 4-block miss
+// over two distinct chunks makes one GET of both, one latency plus their
+// bytes; a miss that starts during it and needs one of them and one more GETs
+// only the other and waits for the shared one. Each chunk a miss fetched is a
+// cache miss, every other block a hit.
+func TestAMissFetchesWhatItLacksInOneRoundTrip(t *testing.T) {
+	p := Params{BlockSize: 1024, RemoteLatency: 40 * sim.Microsecond, RemoteBandwidth: 2.0}
+	s := NewStore(p, nil)
+	m := mustSeal(t, s, "img", 1, 1, 2, 2, 3)
+	c := NewCache(8)
+	eng := sim.NewEngine()
+	var gets [][]Hash
+	var ends [2]sim.Time
+	miss := func(i int, hs []Hash) {
+		eng.Go("miss", func(q *sim.Proc) {
+			data, err := c.Fetch(q, hs, func(claim []Hash) ([][]byte, error) {
+				gets = append(gets, claim)
+				return s.Fetch(q, claim)
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			for k, h := range hs {
+				if HashOf(data[k]) != h {
+					t.Errorf("miss %d block %d: payload is not its chunk", i, k)
+				}
+			}
+			ends[i] = q.Now()
+		})
+	}
+	miss(0, m.Hashes[:4])
+	eng.After(10*sim.Microsecond, func() { miss(1, m.Hashes[3:]) })
+	eng.Run()
+	eng.Shutdown()
+	want := [][]Hash{{m.Hashes[0], m.Hashes[2]}, {m.Hashes[4]}}
+	if fmt.Sprint(gets) != fmt.Sprint(want) {
+		t.Errorf("the misses GET %x, want %x", gets, want)
+	}
+	if st := s.Stats(); st.RemoteFetches != 2 || st.RemoteRetries != 0 {
+		t.Errorf("%d round trips and %d retries, want 2 and 0", st.RemoteFetches, st.RemoteRetries)
+	}
+	one := p.RemoteLatency + sim.Time(1024/p.RemoteBandwidth)
+	if first := one + sim.Time(1024/p.RemoteBandwidth); ends[0] != first || ends[1] != 10*sim.Microsecond+one {
+		t.Errorf("the misses ended at %v and %v, want %v and %v", ends[0], ends[1], first, 10*sim.Microsecond+one)
+	}
+	if st := c.Stats(); st.Misses != 3 || st.Hits != 3 {
+		t.Errorf("cache counted %d misses and %d hits, want 3 and 3", st.Misses, st.Hits)
 	}
 }

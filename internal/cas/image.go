@@ -162,11 +162,12 @@ func (t *Tier) ReleaseImage(p *sim.Proc, d *hypervisor.Device, path string) erro
 
 // Materialize implements hypervisor.FetchSource: it gathers the payload of
 // every missed block the manifest covers — from the device's chunk cache, or
-// fetched from the remote tier (paying the tier's cost model and fault sites),
-// by this miss or one it waits for — and then writes them into the backing
-// file's holes as one host-filesystem transaction, after which the blocks are
-// ordinary allocated extents. Blocks past the manifest's content (a partial
-// trailing chunk range) are lazily allocated, zeros, in the same transaction.
+// fetched from the remote tier in one round trip (paying the tier's cost
+// model and fault sites), by this miss or one it waits for — and then writes
+// them into the backing file's holes as one host-filesystem transaction, after
+// which the blocks are ordinary allocated extents. Blocks past the manifest's
+// content (a partial trailing chunk range) are lazily allocated, zeros, in the
+// same transaction.
 // op labels the latency attribution rows ("read"/"write", as the driver).
 func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path string, blk, n uint64, op string) error {
 	b := t.forks[forkKey{d, path}]
@@ -180,18 +181,13 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 	cache := t.cache(d)
 	fn := vf + 1 // attribution rows are keyed by function index; 0 is the PF
 	last := min(blk+n, uint64(len(m.Hashes)))
-	data := make([][]byte, 0, max(last, blk)-blk)
-	for i := blk; i < last; i++ {
-		h := m.Hashes[i]
-		start := p.Now()
-		chunk, err := cache.Fetch(p, h, func() ([]byte, error) { return t.Store.Fetch(p, h) })
-		if err != nil {
-			return err
-		}
-		if waited := p.Now() - start; waited > 0 { // not a hit: fetched, or another miss's fetch
-			t.tel.ChunkFetched(fn, op, waited)
-		}
-		data = append(data, chunk)
+	start := p.Now()
+	data, err := cache.Fetch(p, m.Hashes[min(blk, last):last], func(hs []Hash) ([][]byte, error) { return t.Store.Fetch(p, hs) })
+	if err != nil {
+		return err
+	}
+	if waited := p.Now() - start; waited > 0 { // not all hits: fetched, or another miss's fetch
+		t.tel.ChunkFetched(fn, op, waited)
 	}
 	// Materialization happens at most once per block: a block that already
 	// has an extent was materialized by an earlier service (a retried
@@ -200,7 +196,7 @@ func (t *Tier) Materialize(p *sim.Proc, d *hypervisor.Device, vf int, path strin
 	// rewriting the sealed content over it would silently destroy guest
 	// writes. Fill reads the file's map inside its transaction, after every
 	// park above, and skips such a block; it still resolves at the rewalk.
-	start := p.Now()
+	start = p.Now()
 	filled, err := b.file.Fill(p, blk, n, data)
 	if err != nil {
 		return err

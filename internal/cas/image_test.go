@@ -129,10 +129,10 @@ func TestFetchMissIsOneHostFilesystemTransaction(t *testing.T) {
 	})
 }
 
-// A block that is mapped while a materialization waits on its fetches keeps
+// A block that is mapped while a materialization waits on its fetch keeps
 // what was written there: the fill reads the file's map inside its own
-// transaction, after the last fetch. The remote tier answers in 1 ms, so the
-// host write lands while the second chunk is in flight.
+// transaction, after the fetch. The remote tier answers in 1 ms, so the host
+// write lands while both chunks are in flight.
 func TestMaterializeSkipsABlockMappedDuringItsFetch(t *testing.T) {
 	runFork(t, nil, telemetry.Sinks{}, sim.Millisecond, func(p *sim.Proc, w *forkWorld) {
 		f := w.forkFile(t, p)
@@ -140,7 +140,7 @@ func TestMaterializeSkipsABlockMappedDuringItsFetch(t *testing.T) {
 		wrote := sim.NewSignal(p.Engine())
 		p.Engine().Go("host write", func(q *sim.Proc) {
 			defer wrote.Fire()
-			q.Sleep(1500 * sim.Microsecond)
+			q.Sleep(500 * sim.Microsecond)
 			if _, err := f.WriteAt(q, mine, 9*1024); err != nil {
 				t.Error(err)
 			}

@@ -53,39 +53,58 @@ func (s *Store) remotePut(p *sim.Proc, newChunks int, newBytes int64) {
 	}
 }
 
-// Fetch GETs one chunk from the remote tier: cost model, transient-fault
-// retry ladder, and content verification. A payload whose hash does not
-// match its address is never served — it is retried (a clean replica may
-// answer) and, when the corruption is persistent, surfaced as ErrIntegrity.
-func (s *Store) Fetch(p *sim.Proc, h Hash) ([]byte, error) {
+// Fetch GETs the chunks hs names from the remote tier in one round trip: one
+// latency, their bytes and the longest injected delay. The transient-fault
+// retry ladder and content verification run per chunk: a chunk whose attempt
+// faulted, or whose payload does not match its address (never served), rides
+// the next round trip with the others left — a clean replica may answer — and
+// one still failing when the ladder is spent fails the fetch, as ErrIntegrity
+// when the corruption is persistent. The payloads come back in hs's order.
+func (s *Store) Fetch(p *sim.Proc, hs []Hash) ([][]byte, error) {
 	if s == nil {
 		return nil, ErrDisabled
 	}
-	c, ok := s.chunks[h]
-	if !ok {
-		return nil, fmt.Errorf("cas: fetch of unknown chunk %x", h[:4])
+	cs := make([]*chunk, len(hs))
+	for i, h := range hs {
+		if cs[i] = s.chunks[h]; cs[i] == nil {
+			return nil, fmt.Errorf("cas: fetch of unknown chunk %x", h[:4])
+		}
 	}
-	cost := s.P.RemoteLatency + s.xferTime(int64(len(c.data)))
+	out, faulted := make([][]byte, len(hs)), make([]bool, len(hs))
 	var lastErr error
-	for attempt := 0; attempt <= fetchRetryMax; attempt++ {
+	for attempt, left := 0, len(hs); left > 0; attempt++ {
+		if attempt > fetchRetryMax {
+			s.stats.FetchFails += int64(left)
+			return nil, lastErr
+		}
 		if attempt > 0 {
 			s.stats.RemoteRetries++
 		}
-		d := s.Inj.Decide(fault.RemoteFetch)
+		var bytes int64
+		var delay sim.Time
+		for i, c := range cs {
+			if out[i] == nil {
+				d := s.Inj.Decide(fault.RemoteFetch)
+				bytes, delay, faulted[i] = bytes+int64(len(c.data)), max(delay, d.Delay), d.Fault
+			}
+		}
+		cost := s.P.RemoteLatency + s.xferTime(bytes) + delay
 		s.stats.RemoteFetches++
-		sleep(p, cost+d.Delay)
-		s.stats.RemoteFetchTime += cost + d.Delay
-		if d.Fault {
-			lastErr = fmt.Errorf("cas: remote fetch fault on chunk %x", h[:4])
-			continue
+		sleep(p, cost)
+		s.stats.RemoteFetchTime += cost
+		for i, c := range cs {
+			switch {
+			case out[i] != nil:
+			case faulted[i]:
+				lastErr = fmt.Errorf("cas: remote fetch fault on chunk %x", hs[i][:4])
+			case HashOf(c.data) != hs[i]:
+				s.stats.HashMismatches++
+				lastErr = ErrIntegrity
+			default:
+				out[i] = c.data
+				left--
+			}
 		}
-		if HashOf(c.data) != h {
-			s.stats.HashMismatches++
-			lastErr = ErrIntegrity
-			continue
-		}
-		return c.data, nil
 	}
-	s.stats.FetchFails++
-	return nil, lastErr
+	return out, nil
 }

@@ -70,11 +70,17 @@ func (fs *FS) allocRun(hint, want uint64) (uint64, uint64) {
 
 // freeRun releases one reference to a contiguous run of blocks. A block with
 // extra references (CoW shared) just loses one count; a sole-owner block
-// returns to the bitmap.
+// returns to the bitmap. In a running group both wait until every body has
+// run: until the record that drops the reference lands, no later body may
+// allocate the block, or find it unshared and overwrite it in place.
 func (fs *FS) freeRun(start, n uint64) {
 	for b := start; b < start+n; b++ {
 		if !fs.bitmapGet(b) {
 			panic("extfs: double free of block")
+		}
+		if g := fs.running; g != nil {
+			g.freed = append(g.freed, b)
+			continue
 		}
 		if fs.refGet(b) > 0 {
 			fs.refAdd(b, -1)

@@ -121,8 +121,27 @@ func (fs *FS) resolve(ctx *sim.Proc, path string, uid uint32) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
+	return fs.walk(ctx, parts, uid)
+}
+
+// resolveParent resolves everything but the final component, returning the
+// parent directory inode and the final name.
+func (fs *FS) resolveParent(ctx *sim.Proc, path string, uid uint32) (uint32, string, error) {
+	parts, err := pathParts(path)
+	if err != nil {
+		return 0, "", err
+	}
+	if len(parts) == 0 {
+		return 0, "", fmt.Errorf("extfs: empty path")
+	}
+	dir, err := fs.walk(ctx, parts[:len(parts)-1], uid)
+	return dir, parts[len(parts)-1], err
+}
+
+// walk looks names up from the root, one directory at a time.
+func (fs *FS) walk(ctx *sim.Proc, names []string, uid uint32) (uint32, error) {
 	cur := uint32(RootIno)
-	for _, name := range parts {
+	for _, name := range names {
 		in := &fs.inodes[cur]
 		if !in.isDir() {
 			return 0, ErrNotDir
@@ -137,34 +156,6 @@ func (fs *FS) resolve(ctx *sim.Proc, path string, uid uint32) (uint32, error) {
 		cur = next
 	}
 	return cur, nil
-}
-
-// resolveParent resolves everything but the final component, returning the
-// parent directory inode and the final name.
-func (fs *FS) resolveParent(ctx *sim.Proc, path string, uid uint32) (uint32, string, error) {
-	parts, err := pathParts(path)
-	if err != nil {
-		return 0, "", err
-	}
-	if len(parts) == 0 {
-		return 0, "", fmt.Errorf("extfs: empty path")
-	}
-	dir := uint32(RootIno)
-	for _, name := range parts[:len(parts)-1] {
-		in := &fs.inodes[dir]
-		if !in.isDir() {
-			return 0, "", ErrNotDir
-		}
-		if !accessOK(in, uid, PermExec) {
-			return 0, "", ErrPerm
-		}
-		next, _, err := fs.lookupDirent(ctx, dir, name)
-		if err != nil {
-			return 0, "", err
-		}
-		dir = next
-	}
-	return dir, parts[len(parts)-1], nil
 }
 
 // createNode is the shared Create/Mkdir implementation.

@@ -17,6 +17,7 @@
 package extfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -227,7 +228,9 @@ type FS struct {
 	inodes []inode // index by ino; [0] unused
 	opCost sim.Time
 
-	lock *sim.Semaphore // created lazily from the first ctx's engine
+	lock    *sim.Semaphore // created lazily from the first ctx's engine
+	forming *txGroup       // the group whose leader waits for the lock, if any
+	running *txGroup       // the group whose bodies run, when it has joiners
 
 	tx   *txState // the open transaction: &txBuf, or nil
 	owed bool     // txBuf holds a committed transaction whose images are not all home
@@ -407,7 +410,8 @@ func (fs *FS) devWrite(ctx *sim.Proc, lba int64, img []byte) error {
 }
 
 // begin enters a public operation: liveness check, lock, op cost, and the owed
-// checkpoint a failed one left, without which the operation fails.
+// checkpoint a failed one left, without which the operation fails. A group's
+// leader taking the lock closes its group.
 func (fs *FS) begin(ctx *sim.Proc) error {
 	if fs.dead {
 		return ErrDead
@@ -417,6 +421,9 @@ func (fs *FS) begin(ctx *sim.Proc) error {
 			fs.lock = sim.NewSemaphore(ctx.Engine(), 1)
 		}
 		fs.lock.Acquire(ctx)
+		if g := fs.forming; g != nil && g.leader == ctx {
+			fs.forming = nil
+		}
 		if fs.opCost > 0 {
 			ctx.Sleep(fs.opCost)
 		}
@@ -435,26 +442,121 @@ func (fs *FS) end(ctx *sim.Proc) {
 	}
 }
 
-// transact runs one public mutating operation: begin, then body inside one
-// journal transaction. When body succeeds, the allocation-bitmap and
-// refcount-table blocks it dirtied join the transaction and it commits, and the
-// operation returns: its checkpoint runs in a process that holds the lock, or
-// inline, reporting its failure, for a timeless call or a record carrying file
-// data (VFs read data homes without the lock). An error from any step leaves no
-// open transaction behind, so whatever body had buffered is never written.
+// txGroup is the operations one transaction commits, by ext4's JBD2 rule: the
+// caller that finds the lock busy leads and waits for it, and each caller that
+// reaches transact meanwhile joins, in arrival order. A body captures its
+// caller's process, so each joiner runs its own when the leader hands it the
+// turn; the leader then commits for all.
+type txGroup struct {
+	leader         *sim.Proc
+	turns          []*sim.Signal // the joiners', in arrival order
+	ran, done      *sim.Signal   // the joiner whose turn it is ran; every error is settled
+	ok             bool          // some body succeeded
+	closed, commit error         // closed: begin's failure, or a body's that left no open transaction
+	freed          []uint64      // a reference to each its bodies dropped: dropped once they have all run
+}
+
+// join runs body as the next member of the forming group g. One whose turn
+// never came, the group having closed first, runs as an operation of its own.
+func (g *txGroup) join(fs *FS, ctx *sim.Proc, body func() error) error {
+	turn := sim.NewSignal(ctx.Engine())
+	g.turns = append(g.turns, turn)
+	turn.Await(ctx)
+	if g.closed != nil {
+		return fs.transact(ctx, body)
+	}
+	if fs.opCost > 0 {
+		ctx.Sleep(fs.opCost)
+	}
+	fs.Ops++
+	err := body()
+	g.ended(fs, err)
+	g.ran.Fire()
+	g.done.Await(ctx)
+	return cmp.Or(err, g.commit)
+}
+
+// ended records how a member's body ended.
+func (g *txGroup) ended(fs *FS, err error) {
+	g.ok = g.ok || err == nil
+	if err != nil && g.closed == nil && (fs.dead || fs.sb.mode != JournalNone && fs.tx == nil) {
+		g.closed = err
+	}
+}
+
+// settle wakes every member once the group's errors are final.
+func (g *txGroup) settle() {
+	g.done.Fire()
+	for _, turn := range g.turns {
+		turn.Fire()
+	}
+}
+
+// transact runs one public mutating operation as a member of a group; a caller
+// that finds the lock free, or that no one joined, runs alone. The leader runs
+// begin and opens one journal transaction, the bodies run in it, each reading
+// what the earlier ones buffered (readBlocks) and taking no block another freed
+// (freeRun). A body's error is its own caller's, and what it buffered commits
+// with the rest. When the leader's begin fails, or a body leaves no open
+// transaction (a full batch committed, its checkpoint failed), the members
+// whose turn has not come run on their own. When some body succeeded, the
+// bitmap and refcount-table blocks the group dirtied join the
+// transaction, it commits as one record, and every member returns: the
+// checkpoint runs in a process that holds the lock, or inline, reporting its
+// failure, for a timeless call or a record carrying file data (VFs read data
+// homes without the lock). Otherwise nothing buffered is ever written.
 func (fs *FS) transact(ctx *sim.Proc, body func() error) error {
+	if g := fs.forming; g != nil {
+		return g.join(fs, ctx, body)
+	}
+	var g *txGroup
+	if ctx != nil && !fs.dead && fs.lock != nil && fs.lock.Available() == 0 {
+		g = &txGroup{leader: ctx, done: sim.NewSignal(ctx.Engine())}
+		fs.forming = g
+	}
 	if err := fs.begin(ctx); err != nil {
+		if g != nil {
+			g.closed = err
+			g.settle()
+		}
 		return err
 	}
+	if g != nil && len(g.turns) == 0 {
+		g = nil
+	}
 	fs.txBegin()
+	fs.running = g
 	err := body()
-	if err == nil {
+	if g == nil {
+		return cmp.Or(err, fs.commitGroup(ctx, err == nil))
+	}
+	g.ended(fs, err)
+	for _, turn := range g.turns {
+		if g.closed == nil {
+			g.ran = sim.NewSignal(ctx.Engine())
+			turn.Fire()
+			g.ran.Await(ctx)
+		}
+	}
+	fs.running = nil
+	for _, b := range g.freed {
+		fs.freeRun(b, 1)
+	}
+	g.commit = fs.commitGroup(ctx, g.ok && g.closed == nil)
+	g.settle()
+	return cmp.Or(err, g.commit)
+}
+
+// commitGroup commits and checkpoints the transaction, or abandons it.
+func (fs *FS) commitGroup(ctx *sim.Proc, commit bool) error {
+	var err error
+	if commit {
 		err = fs.flushDirtyTables(ctx)
+		if err == nil {
+			err = fs.txCommit(ctx)
+		}
 	}
-	if err == nil {
-		err = fs.txCommit(ctx)
-	}
-	if err != nil {
+	if !commit || err != nil {
 		if fs.tx != nil { // not an earlier batch's owed checkpoint
 			fs.txEnd()
 		}

@@ -135,7 +135,7 @@ func (fs *FS) copyBlocks(ctx *sim.Proc, from, to, n uint64) error {
 		k := min(n, maxCopyBlocks)
 		span := fs.keptRun(&fs.run, k)
 		fs.DataBlockReads += int64(k)
-		if err := fs.dev.ReadBlocks(ctx, int64(from), span); err != nil {
+		if err := fs.readBlocks(ctx, int64(from), span); err != nil {
 			return err
 		}
 		fs.DataBlockWrites += int64(k)
@@ -196,7 +196,7 @@ func (fs *FS) readRange(ctx *sim.Proc, in *inode, off uint64, p []byte) error {
 		}
 		if inBlk == 0 && spanBytes%bs == 0 {
 			fs.DataBlockReads += int64(spanBytes / bs)
-			if err := fs.dev.ReadBlocks(ctx, int64(pblk), p[pos:pos+spanBytes]); err != nil {
+			if err := fs.readBlocks(ctx, int64(pblk), p[pos:pos+spanBytes]); err != nil {
 				return err
 			}
 		} else {
@@ -208,7 +208,7 @@ func (fs *FS) readRange(ctx *sim.Proc, in *inode, off uint64, p []byte) error {
 				tmp = make([]byte, nBlocks*bs)
 			}
 			fs.DataBlockReads += int64(nBlocks)
-			if err := fs.dev.ReadBlocks(ctx, int64(firstB), tmp); err != nil {
+			if err := fs.readBlocks(ctx, int64(firstB), tmp); err != nil {
 				return err
 			}
 			copy(p[pos:pos+spanBytes], tmp[inBlk:])
@@ -274,8 +274,6 @@ func (fs *FS) writeRange(ctx *sim.Proc, in *inode, off uint64, p []byte, meta bo
 		}
 		if inBlk == 0 && spanBytes%bs == 0 {
 			// Whole-block span.
-			nBlocks := spanBytes / bs
-			fs.countDataWrite(meta, int64(nBlocks))
 			if err := fs.writeDataSpan(ctx, pblk, p[pos:pos+spanBytes], meta); err != nil {
 				return err
 			}
@@ -283,14 +281,13 @@ func (fs *FS) writeRange(ctx *sim.Proc, in *inode, off uint64, p []byte, meta bo
 			// Partial edge: RMW one block (zero-filled if fresh).
 			img := make([]byte, bs)
 			fs.DataBlockReads++
-			if err := fs.dev.ReadBlocks(ctx, int64(pblk), img); err != nil {
+			if err := fs.readBlocks(ctx, int64(pblk), img); err != nil {
 				return err
 			}
 			n := copy(img[inBlk:], p[pos:])
 			if uint64(n) > spanBytes {
 				n = int(spanBytes)
 			}
-			fs.countDataWrite(meta, 1)
 			if err := fs.writeDataSpan(ctx, pblk, img, meta); err != nil {
 				return err
 			}
@@ -304,21 +301,18 @@ func (fs *FS) writeRange(ctx *sim.Proc, in *inode, off uint64, p []byte, meta bo
 	return nil
 }
 
-func (fs *FS) countDataWrite(meta bool, n int64) {
-	if meta {
-		fs.MetaBlockWrites += n
-	} else {
-		fs.DataBlockWrites += n
-	}
-}
-
 // writeDataSpan routes a whole-block span through the journal policy:
 // metadata (directory) blocks and — under JournalFull — data blocks go
-// block-by-block into the transaction; otherwise the span is written in one
-// device operation.
+// block-by-block into the transaction, counted when they go home; otherwise
+// the span is written in one device operation.
 func (fs *FS) writeDataSpan(ctx *sim.Proc, pblk uint64, p []byte, meta bool) error {
 	journal := fs.tx != nil && (meta || fs.sb.mode == JournalFull)
 	if !journal {
+		if n := int64(len(p) / fs.bs); meta {
+			fs.MetaBlockWrites += n
+		} else {
+			fs.DataBlockWrites += n
+		}
 		return fs.devWrite(ctx, int64(pblk), p)
 	}
 	bs := uint64(fs.bs)
@@ -326,22 +320,8 @@ func (fs *FS) writeDataSpan(ctx *sim.Proc, pblk uint64, p []byte, meta bool) err
 		if err := fs.writeBlock(ctx, int64(pblk+i), p[i*bs:(i+1)*bs], meta); err != nil {
 			return err
 		}
-		// writeBlock counted nothing (buffered); commit counts home writes.
-		fs.uncountBuffered(meta)
 	}
 	return nil
-}
-
-// uncountBuffered compensates counters for buffered writes, which are
-// counted at checkpoint time instead.
-func (fs *FS) uncountBuffered(meta bool) {
-	// writeBlock only counts on the direct path, so nothing to undo; the
-	// caller pre-counted the span, so remove that.
-	if meta {
-		fs.MetaBlockWrites--
-	} else {
-		fs.DataBlockWrites--
-	}
 }
 
 // truncateTo shrinks or grows the file to size bytes, freeing blocks beyond
@@ -377,7 +357,7 @@ func (fs *FS) truncateTo(ctx *sim.Proc, in *inode, size uint64) error {
 		if pblk, _, ok := mapLookup(in, size/bs); ok {
 			img := make([]byte, bs)
 			fs.DataBlockReads++
-			if err := fs.dev.ReadBlocks(ctx, int64(pblk), img); err != nil {
+			if err := fs.readBlocks(ctx, int64(pblk), img); err != nil {
 				return err
 			}
 			clear(img[size%bs:])

@@ -9,16 +9,17 @@ import (
 	"nesc/internal/sim"
 )
 
-// Write-ahead redo journal. Each public mutating operation is one
-// transaction: block images are buffered in the filesystem's record buffer,
-// then on commit the record — descriptor, images, and a commit block sealing a
-// checksum over the images — goes to the journal region as one device write.
-// The checkpoint, which writes the images home, runs after the caller returns
-// in a process that holds the filesystem lock until they are (inline for a
-// record carrying file data, which the device path reads without the lock), so
-// no transaction begins while another is committed but not home, and Mount
-// need replay only the newest committed record to make every operation atomic
-// across a crash. A checkpoint that fails leaves its transaction owed: the
+// Write-ahead redo journal. Each public mutating operation runs in one
+// transaction, alone or with the rest of its group (transact): block images
+// are buffered in the filesystem's record buffer, where later bodies read them
+// (readBlocks), then on commit the record — descriptor, images, and a commit
+// block sealing a checksum over the images — goes to the journal region as one
+// device write. The checkpoint, which writes the images home, runs after the
+// callers return in a process that holds the filesystem lock until they are
+// (inline for a record carrying file data, which the device path reads without
+// the lock), so no transaction begins while another is committed but not home,
+// and Mount need replay only the newest committed record to make every group
+// atomic across a crash. A checkpoint that fails leaves its transaction owed: the
 // next operation to take the lock writes it home before it begins, or fails.
 //
 // Nothing here allocates per transaction: the transaction buffer, the record
@@ -85,6 +86,22 @@ func (fs *FS) txEnd() {
 	fs.txBuf.leaves = fs.txBuf.leaves[:0]
 	fs.txBuf.data = false
 	fs.tx, fs.owed = nil, false
+}
+
+// readBlocks reads whole blocks at lba and lays over them the images the open
+// transaction holds for any of them, so a body reads what its group's earlier
+// bodies, and its own earlier steps, wrote.
+func (fs *FS) readBlocks(ctx *sim.Proc, lba int64, p []byte) error {
+	if err := fs.dev.ReadBlocks(ctx, lba, p); err != nil || fs.tx == nil {
+		return err
+	}
+	n := int64(len(p) / fs.bs)
+	for i, b := range fs.tx.order {
+		if b >= lba && b < lba+n {
+			copy(p[(b-lba)*int64(fs.bs):], fs.image(i))
+		}
+	}
+	return nil
 }
 
 // image is the record buffer's block for image i: the record is the

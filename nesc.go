@@ -803,12 +803,13 @@ type Stats struct {
 	// unmaterialized forked blocks); CASMaterializations counts the chunks
 	// written into backing files by those services.
 	CASFetchMisses, CASMaterializations int64
-	// CASRemoteFetches / CASRemotePuts count remote-tier round trips;
+	// CASRemoteFetches / CASRemotePuts count remote-tier round trips (a
+	// fetch carries every chunk one miss lacks);
 	// CASRemoteRetries counts transient-fault retries across both;
 	// CASRemoteFetchTime is the total virtual time spent waiting on GETs.
 	CASRemoteFetches, CASRemotePuts, CASRemoteRetries int64
 	CASRemoteFetchTime                                time.Duration
-	// CASFetchFails counts fetches that exhausted the retry ladder;
+	// CASFetchFails counts chunks whose fetch exhausted the retry ladder;
 	// CASHashMismatches counts payloads rejected by content verification
 	// (the integrity ladder — corrupt chunks are never served).
 	CASFetchFails, CASHashMismatches int64
